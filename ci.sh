@@ -81,6 +81,16 @@ rm -f results/wallclock_smoke.json
 cargo run --release -q -p trijoin-check --bin trijoin -- report-validate results/wallclock.json
 cargo test -q --release -p trijoin-serve --test golden_ledger
 
+echo "==> repo-benchmark smoke + residency soak"
+# The repo benchmark (BENCHMARK.json) must run every workload end to end
+# at smoke scale with every answer verified — a change that breaks what
+# the benchmark uses of the program fails here, not at the driver. The
+# resource-bound soak rides along in release mode: 20 000 updates under
+# hybrid-hash-only traffic must leave each pinned shard's disk pages
+# where warm-up left them.
+cargo run --release -q -p trijoin-bench --bin benchmark -- --smoke > /dev/null
+cargo test -q --release -p trijoin-serve --test serve hh_only_soak
+
 echo "==> bench-regression gate"
 # Full-scale benches against the committed comparison file: a serve row
 # more than 20% qps below the committed after-numbers — or a cycle row

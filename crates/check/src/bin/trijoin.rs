@@ -33,19 +33,21 @@
 //!             [--report <path>] [--durable <dir>] [--deferred] [--adaptive]
 //!     live serving-stack monitor: spawns a server plus client traffic and
 //!     renders qps, latency percentiles, ring backpressure, pool hit rate,
-//!     per-shard update/query ratio and key skew, cost-drift counts, and
-//!     the telemetry window series. `--once` renders a single frame and
+//!     per-shard update/query ratio, key skew and resident cached
+//!     structures (`mv`, `ji`, `mv+ji`, `-`), cost-drift counts, and the
+//!     telemetry window series. `--once` renders a single frame and
 //!     exits; `--json` emits the sharded run report as JSON (scriptable,
 //!     `report-validate`-clean) instead of the dashboard; `--durable`/
 //!     `--deferred` mirror `trijoin serve` and add a `wal` dashboard row
 //!     (commits, fsyncs, skip-clean frames, apply lag, log bytes);
-//!     `--adaptive` turns on per-shard online strategy migration and adds
-//!     a per-shard strategy/migration-state column plus a `migrate` row
+//!     `--adaptive` turns on per-shard online strategy migration: the
+//!     per-shard column then shows the serving strategy and migration
+//!     state, and a `migrate` row is added
 //! trijoin report-validate <path> [--min-series-windows <n>]
 //!     check that <path> holds a well-formed report (CI schema gate); the
 //!     schema is sniffed: a run report, a sharded serve report (per-shard
-//!     reports + rollup, with the metric-sum invariant re-verified), or a
-//!     bench results file (`figure`/`rows`); `--min-series-windows`
+//!     reports + rollup, with the metric-sum invariant and each shard's
+//!     residency bound re-verified), or a bench results file (`figure`/`rows`); `--min-series-windows`
 //!     additionally requires every per-shard telemetry series to carry at
 //!     least that many closed windows
 //! trijoin check --seed 7 --ops 160 [--shards 1,2,4] [--batch 8] [--mem 64]
@@ -517,12 +519,19 @@ fn serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Compact per-shard strategy cell for adaptive output: the method the
-/// shard currently serves with (the `shard.strategy` gauge indexes
+/// Compact per-shard strategy cell. Adaptive shards show the method they
+/// currently serve with (the `shard.strategy` gauge indexes
 /// [`Method::all`]) plus any in-flight migration phase, e.g. `ji+build`.
+/// Pinned shards answer whatever method a query names, so they show the
+/// cached structures they hold: `mv`, `ji`, `mv+ji`, or `-` for none.
 fn shard_strategy_label(m: &trijoin_common::MetricsSnapshot) -> String {
     let Some(idx) = m.gauge("shard.strategy") else {
-        return "-".to_string();
+        let resident: Vec<&str> = [("shard.resident.mv", "mv"), ("shard.resident.ji", "ji")]
+            .into_iter()
+            .filter(|(gauge, _)| m.gauge(gauge).unwrap_or(0.0) >= 1.0)
+            .map(|(_, name)| name)
+            .collect();
+        return if resident.is_empty() { "-".to_string() } else { resident.join("+") };
     };
     let strategy = match Method::all().get(idx as usize) {
         Some(Method::MaterializedView) => "mv",
@@ -717,16 +726,15 @@ fn render_top_frame(
         report.shards.iter().map(|s| s.metrics.gauge("shard.r_tuples").unwrap_or(0.0)).sum(),
         report.shards.len() as f64,
     );
-    let strategy_header = if adaptive { "   strategy" } else { "" };
-    println!("  shard   r_tuples   s_tuples   upd/query   skew   drift{strategy_header}");
+    let strategy_header = if adaptive { "strategy" } else { "resident" };
+    println!("  shard   r_tuples   s_tuples   upd/query   skew   drift   {strategy_header}");
     for shard in &report.shards {
         let sm = &shard.metrics;
         let drift =
             shard.events.iter().filter(|e| e.kind == trijoin_common::EventKind::CostDrift).count();
-        let strategy =
-            if adaptive { format!("   {:>8}", shard_strategy_label(sm)) } else { String::new() };
+        let strategy = shard_strategy_label(sm);
         println!(
-            "  {:>5}   {:>8.0}   {:>8.0}   {:>9.1}   {:>4.2}   {drift:>5}{strategy}",
+            "  {:>5}   {:>8.0}   {:>8.0}   {:>9.1}   {:>4.2}   {drift:>5}   {strategy:>8}",
             shard.name.trim_start_matches("shard"),
             sm.gauge("shard.r_tuples").unwrap_or(0.0),
             sm.gauge("shard.s_tuples").unwrap_or(0.0),

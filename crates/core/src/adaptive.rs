@@ -20,7 +20,9 @@ use trijoin_exec::{
     HybridHash, JoinIndexStrategy, JoinStrategy, MaterializedView, Mutation, StoredRelation,
 };
 use trijoin_model::{all_costs, Method, Workload};
-use trijoin_storage::Disk;
+use trijoin_storage::{Disk, FileId};
+
+use crate::db::Database;
 
 /// One concrete cached strategy, known by variant — the shape a strategy
 /// hand-off needs. `Box<dyn JoinStrategy>` hides which cache is live, so a
@@ -43,6 +45,17 @@ impl CachedStrategy {
             CachedStrategy::Ji(_) => Method::JoinIndex,
             CachedStrategy::Hh(_) => Method::HybridHash,
         }
+    }
+
+    /// Build `method`'s structure from the current stored relations (a
+    /// base-relation scan plus the structure's page writes, charged to the
+    /// caller's open ledger section).
+    pub fn build(db: &Database, method: Method) -> Result<CachedStrategy> {
+        Ok(match method {
+            Method::MaterializedView => CachedStrategy::Mv(db.materialized_view()?),
+            Method::JoinIndex => CachedStrategy::Ji(db.join_index()?),
+            Method::HybridHash => CachedStrategy::Hh(db.hybrid_hash()),
+        })
     }
 
     /// The strategy as a trait object (queries, mutation logging).
@@ -98,6 +111,26 @@ impl CachedStrategy {
         match self {
             CachedStrategy::Mv(mv) => mv.view_pages(),
             CachedStrategy::Ji(ji) => ji.index_pages(),
+            CachedStrategy::Hh(_) => 0,
+        }
+    }
+
+    /// The cached structure's backing file (fault-injection targeting);
+    /// `None` for hybrid hash, which caches nothing.
+    pub fn cached_file(&self) -> Option<FileId> {
+        match self {
+            CachedStrategy::Mv(mv) => Some(mv.view_file()),
+            CachedStrategy::Ji(ji) => Some(ji.index_file()),
+            CachedStrategy::Hh(_) => None,
+        }
+    }
+
+    /// Pages of the pending differential log already spilled to disk (0
+    /// for hybrid hash, which logs nothing).
+    pub fn pending_log_pages(&self) -> u64 {
+        match self {
+            CachedStrategy::Mv(mv) => mv.pending_log_pages(),
+            CachedStrategy::Ji(ji) => ji.pending_log_pages(),
             CachedStrategy::Hh(_) => 0,
         }
     }
@@ -271,7 +304,6 @@ impl JoinStrategy for AdaptiveStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::Database;
     use crate::workload::WorkloadSpec;
     use trijoin_exec::{execute_collect, oracle};
 
@@ -289,11 +321,7 @@ mod tests {
     }
 
     fn adaptive_over(db: &Database, kind: Method) -> AdaptiveStrategy {
-        let initial = match kind {
-            Method::MaterializedView => CachedStrategy::Mv(db.materialized_view().unwrap()),
-            Method::JoinIndex => CachedStrategy::Ji(db.join_index().unwrap()),
-            Method::HybridHash => CachedStrategy::Hh(db.hybrid_hash()),
-        };
+        let initial = CachedStrategy::build(db, kind).unwrap();
         AdaptiveStrategy::new(db.disk(), db.params(), db.cost(), initial)
     }
 

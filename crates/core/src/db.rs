@@ -10,7 +10,7 @@ use trijoin_common::{
     BaseTuple, Cost, Error, EventKind, EventLog, Json, Metrics, OpCounts, Result, RunReport,
     SystemParams, ViewTuple,
 };
-use trijoin_model::Workload;
+use trijoin_model::{Method, Workload};
 
 use trijoin_exec::{
     BilateralView, EagerView, HybridHash, JoinIndexStrategy, JoinStrategy, MaterializedView,
@@ -404,6 +404,18 @@ impl Database {
                 last_cycle_seq: BTreeMap::new(),
                 predicted: BTreeMap::new(),
             });
+        }
+    }
+
+    /// Restart `method`'s audit baseline at the current apply count, so its
+    /// next query cycle is priced at the updates applied from here on. For
+    /// owners that build or destroy a cached structure outside
+    /// [`Database::query`]: a structure fresh from the stored relations
+    /// has no pending differentials, whatever was applied before it
+    /// existed. A no-op without the cost audit.
+    pub fn audit_rebaseline(&self, method: Method) {
+        if let Some(audit) = self.telemetry.borrow_mut().as_mut().and_then(|t| t.audit.as_mut()) {
+            audit.last_cycle_seq.insert(method.label(), audit.apply_seq);
         }
     }
 

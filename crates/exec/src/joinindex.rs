@@ -140,7 +140,15 @@ impl JiFile {
         let mut buf = Vec::new();
         for chunk in pack_group_aligned(entries, nominal_cap, max_cap) {
             encode_ji_page_into(&chunk, disk.page_size(), &mut buf);
-            let pid = disk.append_page(ji.file, &buf)?;
+            let pid = match disk.append_page(ji.file, &buf) {
+                Ok(pid) => pid,
+                Err(e) => {
+                    // A caller retrying the build gets a fresh file; don't
+                    // leave the half-written one allocated.
+                    ji.destroy();
+                    return Err(e);
+                }
+            };
             ji.pages.push(JiPageMeta {
                 page_no: pid.page,
                 min_r: chunk.first().map(|e| e.r.0).unwrap_or(0),
@@ -346,6 +354,12 @@ impl JoinIndexStrategy {
     /// Pending logged (join-attribute-changing) updates.
     pub fn pending_updates(&self) -> u64 {
         self.ins_log.len()
+    }
+
+    /// Pages of the pending differential log already spilled to disk
+    /// (`|iR| + |dR|` run pages; the in-memory `Z` buffers hold the rest).
+    pub fn pending_log_pages(&self) -> u64 {
+        self.ins_log.pages() + self.del_log.pages()
     }
 
     /// Immutable access to the underlying index file (inspection/tests).

@@ -196,6 +196,12 @@ impl MaterializedView {
         self.ins_log.len().max(self.del_log.len())
     }
 
+    /// Pages of the pending differential log already spilled to disk
+    /// (`|iR| + |dR|` run pages; the in-memory `Z` buffers hold the rest).
+    pub fn pending_log_pages(&self) -> u64 {
+        self.ins_log.pages() + self.del_log.pages()
+    }
+
     /// Point lookup: every cached join tuple with the given join-attribute
     /// value, at hash-file point cost (one bucket chain, typically 1-2
     /// I/Os) — the paper's active-database motivation, where "the

@@ -145,7 +145,12 @@ impl LinearHash {
         }
         for (b, part) in parts.into_iter().enumerate() {
             if !part.is_empty() {
-                lh.rewrite_bucket(b as u64, part)?;
+                if let Err(e) = lh.rewrite_bucket(b as u64, part) {
+                    // A caller retrying the build gets a fresh file; don't
+                    // leave the half-written one allocated.
+                    lh.destroy();
+                    return Err(e);
+                }
             }
         }
         lh.records = count;

@@ -104,6 +104,9 @@ pub fn method_gauge(method: Method) -> f64 {
 /// rolling workload statistics, and the migration in flight (if any).
 pub struct AdaptiveShard {
     current: CachedStrategy,
+    /// `S` has been mutated since the incumbent was (re)built; it is
+    /// rebuilt lazily before the next query it answers.
+    s_dirty: bool,
     migration: MigrationState,
     /// Predicted-cost advantage required before migrating (1.3 = 30%).
     hysteresis: f64,
@@ -126,6 +129,7 @@ impl AdaptiveShard {
     pub fn new(initial: CachedStrategy) -> AdaptiveShard {
         AdaptiveShard {
             current: initial,
+            s_dirty: false,
             migration: MigrationState::Stable,
             hysteresis: 1.3,
             cooldown: 0,
@@ -166,19 +170,15 @@ impl AdaptiveShard {
         self.migrations
     }
 
-    /// The incumbent as a strategy (for `PoisonCachedView` resolution and
-    /// query execution).
+    /// The incumbent as a strategy (query execution).
     pub fn strategy(&mut self) -> &mut dyn JoinStrategy {
         self.current.as_dyn()
     }
 
-    /// The incumbent's cached file, if it has one (MV view / JI index).
+    /// The incumbent's cached file, if it has one (`PoisonCachedView`
+    /// resolution).
     pub fn cached_file(&self) -> Option<trijoin_storage::FileId> {
-        match &self.current {
-            CachedStrategy::Mv(mv) => Some(mv.view_file()),
-            CachedStrategy::Ji(ji) => Some(ji.index_file()),
-            CachedStrategy::Hh(_) => None,
-        }
+        self.current.cached_file()
     }
 
     /// Observe one `R` mutation: feed the rolling statistics, log it into
@@ -214,16 +214,38 @@ impl AdaptiveShard {
         Ok(())
     }
 
-    /// A mutation of `S` invalidates every cached structure: abort any
-    /// migration (the ordinary rebuild path supersedes it).
+    /// A mutation of `S` invalidates every cached structure: mark the
+    /// incumbent stale and abort any migration (the rebuild before the
+    /// next query supersedes it).
     pub fn on_s_mutation(&mut self, db: &Database) {
+        self.s_dirty = true;
         if !matches!(self.migration, MigrationState::Stable) {
             self.rollback(db, "S mutated during migration");
         }
     }
 
-    /// Replace the incumbent after an `S`-driven rebuild.
-    pub fn replace_current(&mut self, next: CachedStrategy) {
+    /// Before a query: rebuild an incumbent that `S` mutations left stale
+    /// from the current stored relations (all applied `R` mutations are
+    /// already reflected there, so any not-yet-folded differential entries
+    /// in the old cache are subsumed by the rebuild). A hybrid-hash
+    /// incumbent caches nothing, so nothing is stale; should the shard
+    /// later migrate, the target is staged from a fresh answer.
+    pub fn rebuild_if_stale(&mut self, db: &Database) -> Result<()> {
+        if self.s_dirty && self.current_method() != Method::HybridHash {
+            let next = {
+                let _section = db.cost().section("shard.s_rebuild");
+                CachedStrategy::build(db, self.current_method())?
+            };
+            self.replace_current(next);
+            db.audit_rebaseline(self.current_method());
+            db.metrics().incr("shard.s_rebuilds");
+        }
+        self.s_dirty = false;
+        Ok(())
+    }
+
+    /// Replace the incumbent (a finished migration, an `S`-driven rebuild).
+    fn replace_current(&mut self, next: CachedStrategy) {
         let old = std::mem::replace(&mut self.current, next);
         old.destroy();
     }

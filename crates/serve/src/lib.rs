@@ -7,8 +7,9 @@
 //! join attribute ([`trijoin_common::shard_of_key`]), so
 //! `R ⋈ S = ⋃ᵢ (Rᵢ ⋈ Sᵢ)` exhaustively and disjointly, and each partition
 //! pair is owned by one *shard thread* with its own simulated disk,
-//! [`trijoin::Database`], and cached per-strategy state (materialized
-//! view, join index, hybrid-hash).
+//! [`trijoin::Database`], and the cached structures (materialized view,
+//! join index) its queries actually use — built on first use, evicted
+//! when their differential logs go unread.
 //!
 //! On top sit four pieces:
 //!

@@ -3,8 +3,9 @@
 //! The engine's handles (`Rc<SimDisk>`, `Rc<RefCell<..>>` cost ledger) are
 //! deliberately single-threaded, so a shard never shares engine state: the
 //! thread receives plain `Send` data (parameters and tuple sets), builds a
-//! private [`Database`] plus one cached strategy instance per method, and
-//! then serves commands off an `mpsc` channel. Channel FIFO order is the
+//! private [`Database`], and then serves commands off an `mpsc` channel;
+//! cached structures are built when a query first names their method (see
+//! [`ResidentSet`]). Channel FIFO order is the
 //! only synchronization needed — an `Apply` enqueued before a `Query` is
 //! guaranteed to be folded in first, which is what makes the scheduler's
 //! batched differential application correct without acknowledgements.
@@ -17,7 +18,8 @@ use trijoin::{CachedStrategy, Database, Method};
 use trijoin_common::{
     BaseTuple, Error, Result, RunReport, SystemParams, TelemetryConfig, ViewTuple,
 };
-use trijoin_exec::{HybridHash, JoinIndexStrategy, JoinStrategy, MaterializedView, Mutation};
+use trijoin_exec::recovery::with_retry;
+use trijoin_exec::{HybridHash, JoinStrategy, Mutation};
 use trijoin_storage::{Durability, FaultPlan};
 
 use crate::adaptive::AdaptiveShard;
@@ -67,7 +69,9 @@ pub enum ShardCommand {
     /// Poison the next read of this shard's cached view file. The shard
     /// resolves the file id itself (clients cannot know it), making this a
     /// deterministic way to drive the materialized view's documented
-    /// recovery path (`mv.recover`) on one shard.
+    /// recovery path (`mv.recover`) on one shard. A pinned shard whose
+    /// view is not resident builds it first, so the next MV read hits the
+    /// poison either way.
     PoisonCachedView,
     /// Clear pending faults and heal damaged pages on this shard.
     ClearFaults,
@@ -118,9 +122,9 @@ pub struct ShardSpec {
     pub adaptive: bool,
 }
 
-/// Spawn a shard thread. Blocks until the shard has built its engine and
-/// cached strategies; construction failure is returned here rather than
-/// poisoning later commands.
+/// Spawn a shard thread. Blocks until the shard has built its engine;
+/// construction failure is returned here rather than poisoning later
+/// commands.
 pub fn spawn(spec: ShardSpec) -> Result<(Sender<ShardCommand>, JoinHandle<()>)> {
     let (tx, rx) = channel::<ShardCommand>();
     let (ready_tx, ready_rx) = channel::<Result<()>>();
@@ -158,13 +162,125 @@ pub fn spawn(spec: ShardSpec) -> Result<(Sender<ShardCommand>, JoinHandle<()>)> 
 // variant size gap buys nothing to box away.
 #[allow(clippy::large_enum_variant)]
 enum Mode {
-    /// One cached strategy instance per method; the scheduler picks which
-    /// answers each query. This is the original serving path and stays
-    /// byte-identical when `adaptive` is off.
-    Fixed { mv: MaterializedView, ji: JoinIndexStrategy, hh: HybridHash },
+    /// The scheduler names the method of every query; the shard keeps the
+    /// structures those queries use (see [`ResidentSet`]).
+    Pinned(ResidentSet),
     /// One *current* structure plus the online selection and migration
     /// machinery of [`AdaptiveShard`].
     Adaptive(AdaptiveShard),
+}
+
+/// The cached structures alive on a pinned shard, driven by demand. The
+/// paper prices a deferred-maintenance structure by the differential file
+/// its next query must fold, so a structure no query reads should cost
+/// nothing: it exists only once a query has named its method, mutations
+/// are logged only into structures that exist, and one whose log nobody
+/// folds is destroyed again ([`ResidentSet::evict_idle`]) and rebuilt on
+/// its next use. Disk pages per shard stay within base relations +
+/// 2 × resident structures + `Z` (one spilled run past the eviction test).
+struct ResidentSet {
+    /// At most one structure per caching method (MV, JI), in build order.
+    cached: Vec<CachedStrategy>,
+    /// Hybrid hash caches nothing, so it is always at hand.
+    hh: HybridHash,
+    /// The method that answered the shard's last query, or that a
+    /// `PoisonCachedView` command has since set up for the next one.
+    last: Option<Method>,
+    /// Methods whose structure an `S` mutation released and no query has
+    /// asked for since; building one of these is an `S` rebuild.
+    stale: Vec<Method>,
+}
+
+impl ResidentSet {
+    fn new(db: &Database) -> ResidentSet {
+        ResidentSet { cached: Vec::new(), hh: db.hybrid_hash(), last: None, stale: Vec::new() }
+    }
+
+    /// The resident structure of a caching `method`, built from the current
+    /// stored relations on first use (every applied mutation is already
+    /// reflected there, so it starts with an empty log). The build is
+    /// charged under `shard.build`, outside any query; its scans run under
+    /// whatever fault plan is armed, so transient faults are retried; a
+    /// build that still fails is counted in `shard.build_errors`.
+    fn resident(&mut self, db: &Database, method: Method) -> Result<&mut CachedStrategy> {
+        let at = match self.cached.iter().position(|c| c.method() == method) {
+            Some(at) => at,
+            None => {
+                let built = {
+                    let _section = db.cost().section("shard.build");
+                    with_retry(|| CachedStrategy::build(db, method))
+                        .inspect_err(|_| db.metrics().incr("shard.build_errors"))?
+                };
+                db.metrics().incr("shard.builds");
+                if let Some(at) = self.stale.iter().position(|m| *m == method) {
+                    self.stale.swap_remove(at);
+                    db.metrics().incr("shard.s_rebuilds");
+                }
+                db.audit_rebaseline(method);
+                self.cached.push(built);
+                self.cached.len() - 1
+            }
+        };
+        Ok(&mut self.cached[at])
+    }
+
+    /// The strategy that answers `method`.
+    fn strategy(&mut self, db: &Database, method: Method) -> Result<&mut dyn JoinStrategy> {
+        if method == Method::HybridHash {
+            return Ok(&mut self.hh);
+        }
+        Ok(self.resident(db, method)?.as_dyn())
+    }
+
+    /// Log one `R` mutation into every resident structure.
+    fn log(&mut self, m: &Mutation) -> Result<()> {
+        self.cached.iter_mut().try_for_each(|c| c.as_dyn().on_mutation(m))
+    }
+
+    /// `S` changed: destroy every resident structure, log runs included,
+    /// and remember which ones the next query naming them must rebuild.
+    fn release_stale(&mut self) {
+        for c in self.cached.drain(..) {
+            if !self.stale.contains(&c.method()) {
+                self.stale.push(c.method());
+            }
+            c.destroy();
+        }
+    }
+
+    /// The eviction rule, run whenever the shard has folded a batch or
+    /// answered a query: destroy a structure whose spilled differential
+    /// log has outgrown the structure itself, unless it answered the last
+    /// query. Folding such a log would read more pages than rebuilding
+    /// from the base relations writes, and nobody is asking for the fold.
+    /// Both inputs are simulated quantities, so the ledger stays
+    /// reproducible for a seed.
+    fn evict_idle(&mut self, db: &Database) {
+        let mut at = 0;
+        while let Some(c) = self.cached.get(at) {
+            if Some(c.method()) != self.last && c.pending_log_pages() > c.cached_pages() {
+                db.metrics().incr("shard.evictions");
+                self.cached.remove(at).destroy();
+            } else {
+                at += 1;
+            }
+        }
+    }
+
+    /// Stamp what the shard keeps beyond its base relations: which
+    /// structures are resident, their pages, and the spilled pages of
+    /// their pending differential logs.
+    fn stamp_gauges(&self, db: &Database) {
+        let resident = |method| self.cached.iter().any(|c| c.method() == method) as u8 as f64;
+        let pages: u64 = self.cached.iter().map(CachedStrategy::cached_pages).sum();
+        let log_pages: u64 = self.cached.iter().map(CachedStrategy::pending_log_pages).sum();
+        let metrics = db.metrics();
+        metrics.gauge_set("shard.resident.mv", resident(Method::MaterializedView));
+        metrics.gauge_set("shard.resident.ji", resident(Method::JoinIndex));
+        metrics.gauge_set("shard.resident_pages", pages as f64);
+        metrics.gauge_set("shard.log_pages", log_pages as f64);
+        metrics.gauge_set("shard.disk_pages", db.disk().total_pages() as f64);
+    }
 }
 
 /// The per-thread state: one engine plus its serving mode.
@@ -172,10 +288,9 @@ struct ShardWorker {
     index: usize,
     db: Database,
     mode: Mode,
-    /// Set when `S` has been mutated since the cached view and join index
-    /// were (re)built; they are rebuilt lazily before the next query that
-    /// uses them.
-    s_dirty: bool,
+    /// `R` mutations received (logged or not) since the last answered
+    /// query; 0 marks a report as taken right after a query round.
+    since_query: u64,
 }
 
 impl ShardWorker {
@@ -202,27 +317,29 @@ impl ShardWorker {
             db.enable_telemetry(cfg);
             db.enable_cost_audit(workload, 1.0);
         }
-        Ok(ShardWorker { index: spec.index, db, mode, s_dirty: false })
+        Ok(ShardWorker { index: spec.index, db, mode, since_query: 0 })
     }
 
     /// Build the serving mode. Adaptive shards start from the cached view
     /// — the paper's favourite at low update rates — and migrate away as
-    /// soon as observed traffic says otherwise.
+    /// soon as observed traffic says otherwise. Pinned shards start with
+    /// nothing cached: their queries decide what gets built.
     fn build_mode(db: &Database, adaptive: bool) -> Result<Mode> {
         Ok(if adaptive {
-            let initial = CachedStrategy::Mv(db.materialized_view()?);
+            let initial = CachedStrategy::build(db, Method::MaterializedView)?;
             Mode::Adaptive(AdaptiveShard::new(initial))
         } else {
-            Mode::Fixed { mv: db.materialized_view()?, ji: db.join_index()?, hh: db.hybrid_hash() }
+            Mode::Pinned(ResidentSet::new(db))
         })
     }
 
     /// Recover-mode construction: reopen this shard's durable directory
-    /// (replaying its own WAL — shard-local, no cross-shard coordination)
-    /// and rebuild the derived caches from the recovered relations. The
-    /// recovery counters and event charged by the reopen are deliberately
-    /// *kept* across the observability reset: `wal.recovered.*` is exactly
-    /// what a post-crash report needs to show.
+    /// (replaying its own WAL — shard-local, no cross-shard coordination).
+    /// Derived caches are not durable; they come back the way they first
+    /// came, per [`ShardWorker::build_mode`]. The recovery counters and
+    /// event charged by the reopen are deliberately *kept* across the
+    /// observability reset: `wal.recovered.*` is exactly what a post-crash
+    /// report needs to show.
     fn build_recovered(spec: ShardSpec) -> Result<ShardWorker> {
         debug_assert!(spec.r.is_empty() && spec.s.is_empty(), "recovery reads tuples from disk");
         let dir = spec
@@ -257,7 +374,7 @@ impl ShardWorker {
             db.enable_telemetry(cfg);
             db.enable_cost_audit(workload, 1.0);
         }
-        Ok(ShardWorker { index: spec.index, db, mode, s_dirty: false })
+        Ok(ShardWorker { index: spec.index, db, mode, since_query: 0 })
     }
 
     /// Process commands until every sender is gone. Errors degrade (they
@@ -282,11 +399,23 @@ impl ShardWorker {
                 ShardCommand::InstallFaultPlan(plan) => self.db.install_fault_plan(plan),
                 ShardCommand::PoisonCachedView => {
                     // The poisoned file is whatever cached structure would
-                    // serve the next read: the fixed-mode view, or the
-                    // adaptive incumbent's cache (a no-op for hybrid-hash,
-                    // which caches nothing).
-                    let file = match &self.mode {
-                        Mode::Fixed { mv, .. } => Some(mv.view_file()),
+                    // serve the next MV read: the pinned shard's view, made
+                    // resident first, or the adaptive incumbent's cache (a
+                    // no-op for hybrid-hash, which caches nothing). The view
+                    // takes the last-query exemption from eviction, so it
+                    // is still there when that read comes. A view that
+                    // fails to build (`shard.build_errors`) poisons
+                    // nothing; the next MV query retries the build and
+                    // reports to its client.
+                    let file = match &mut self.mode {
+                        Mode::Pinned(set) => {
+                            let view = set.resident(&self.db, Method::MaterializedView);
+                            let file = view.ok().and_then(|view| view.cached_file());
+                            if file.is_some() {
+                                set.last = Some(Method::MaterializedView);
+                            }
+                            file
+                        }
                         Mode::Adaptive(a) => a.cached_file(),
                     };
                     if let Some(file) = file {
@@ -304,8 +433,9 @@ impl ShardWorker {
     }
 
     /// Fold one differential batch. Each mutation that fails is counted in
-    /// `shard.apply_errors` and skipped; the shard keeps serving. An
-    /// adaptive shard also advances any in-flight migration by one step —
+    /// `shard.apply_errors` and skipped; the shard keeps serving. The end
+    /// of a batch is where a pinned shard applies its eviction rule and an
+    /// adaptive shard advances any in-flight migration by one step —
     /// migrations make progress on every command, not just queries.
     fn apply(&mut self, r: Vec<Mutation>, s: Vec<Mutation>) {
         for m in &s {
@@ -318,20 +448,18 @@ impl ShardWorker {
                 self.count_apply_error("R");
             }
         }
-        if let Mode::Adaptive(a) = &mut self.mode {
-            a.advance(&self.db);
+        match &mut self.mode {
+            Mode::Pinned(set) => set.evict_idle(&self.db),
+            Mode::Adaptive(a) => a.advance(&self.db),
         }
     }
 
     /// The paper's deferred-maintenance contract: caching strategies log
     /// the mutation first, then the stored relation changes.
     fn apply_r(&mut self, m: &Mutation) -> Result<()> {
+        self.since_query += 1;
         match &mut self.mode {
-            Mode::Fixed { mv, ji, hh } => {
-                mv.on_mutation(m)?;
-                ji.on_mutation(m)?;
-                hh.on_mutation(m)?;
-            }
+            Mode::Pinned(set) => set.log(m)?,
             Mode::Adaptive(a) => a.on_mutation(&self.db, m)?,
         }
         self.db.apply_r_mutation(m)
@@ -339,15 +467,18 @@ impl ShardWorker {
 
     /// `S` mutations invalidate the cached view and join index (they cache
     /// joins against the old `S`); the stored relation and its join-key
-    /// index are updated in place and the caches marked for rebuild. On an
-    /// adaptive shard this also aborts any in-flight migration — the
-    /// structure it was staging is stale the moment `S` changes.
+    /// index are updated in place. Either mode rebuilds from the new `S`
+    /// only when a query next needs the structure (`shard.s_rebuilds`
+    /// counts those rebuilds): a pinned shard releases its resident
+    /// structures at once, an adaptive shard keeps its incumbent marked
+    /// stale and aborts any in-flight migration — the structure it was
+    /// staging is stale the moment `S` changes.
     fn apply_s(&mut self, m: &Mutation) -> Result<()> {
         self.db.metrics().incr("shard.s_mutations");
         self.db.s_mut()?.apply_mutation(m)?;
-        self.s_dirty = true;
-        if let Mode::Adaptive(a) = &mut self.mode {
-            a.on_s_mutation(&self.db);
+        match &mut self.mode {
+            Mode::Pinned(set) => set.release_stale(),
+            Mode::Adaptive(a) => a.on_s_mutation(&self.db),
         }
         Ok(())
     }
@@ -359,98 +490,55 @@ impl ShardWorker {
     }
 
     fn query(&mut self, method: Method) -> Result<Vec<ViewTuple>> {
-        match &self.mode {
-            Mode::Fixed { .. } => {
-                if self.s_dirty && method != Method::HybridHash {
-                    self.rebuild_caches()?;
-                }
-            }
-            Mode::Adaptive(a) => {
-                if self.s_dirty && a.current_method() != Method::HybridHash {
-                    self.rebuild_caches()?;
-                }
-                // A hybrid-hash incumbent caches nothing, so an `S`
-                // mutation leaves nothing stale; should the shard later
-                // migrate, the target is staged from a fresh answer.
-                self.s_dirty = false;
-            }
-        }
         let mut rows = match &mut self.mode {
-            Mode::Fixed { mv, ji, hh } => {
-                let strategy: &mut dyn JoinStrategy = match method {
-                    Method::MaterializedView => mv,
-                    Method::JoinIndex => ji,
-                    Method::HybridHash => hh,
-                };
-                self.db.query(strategy)?
-            }
+            Mode::Pinned(set) => self.db.query(set.strategy(&self.db, method)?)?,
             // Adaptive shards ignore the requested method: the incumbent
-            // serves, and the freshly produced answer feeds the selection
-            // statistics (and, if a migration starts, the staging source).
-            Mode::Adaptive(a) => self.db.query(a.strategy())?,
+            // serves (rebuilt first if `S` changed under it), and the
+            // freshly produced answer feeds the selection statistics (and,
+            // if a migration starts, the staging source).
+            Mode::Adaptive(a) => {
+                a.rebuild_if_stale(&self.db)?;
+                self.db.query(a.strategy())?
+            }
         };
+        self.since_query = 0;
         // Sort the shard-local answer so the server can k-way merge the
         // per-shard runs instead of re-sorting the concatenation. This is
         // presentation work on the serving path, not simulated strategy
         // work, so it is deliberately uncharged (the strategy's own ledger
         // stays identical to a non-sharded run of the same query).
         rows.sort_by_key(|t| (t.r_sur, t.s_sur));
-        if let Mode::Adaptive(a) = &mut self.mode {
-            a.after_query(&self.db, &rows);
-            a.advance(&self.db);
+        match &mut self.mode {
+            // The structure that answered the previous query has just lost
+            // its exemption: apply the eviction rule here too, so that
+            // right after a query no idle log exceeds its structure.
+            Mode::Pinned(set) => {
+                set.last = Some(method);
+                set.evict_idle(&self.db);
+            }
+            Mode::Adaptive(a) => {
+                a.after_query(&self.db, &rows);
+                a.advance(&self.db);
+            }
         }
         Ok(rows)
     }
 
-    /// Rebuild the cached structures from the current stored relations
-    /// (all applied `R` mutations are already reflected there, so any
-    /// not-yet-folded differential entries in the old caches are subsumed
-    /// by the rebuild). Old cache files are released.
-    fn rebuild_caches(&mut self) -> Result<()> {
-        match &mut self.mode {
-            Mode::Fixed { mv, ji, .. } => {
-                let old_view = mv.view_file();
-                let old_index = ji.index_file();
-                {
-                    let _section = self.db.cost().section("shard.s_rebuild");
-                    *mv = self.db.materialized_view()?;
-                    *ji = self.db.join_index()?;
-                }
-                self.db.disk().delete_file(old_view);
-                self.db.disk().delete_file(old_index);
-            }
-            // Adaptive shards rebuild only the incumbent (never called
-            // with a hybrid-hash incumbent — it caches nothing).
-            Mode::Adaptive(a) => {
-                let next = {
-                    let _section = self.db.cost().section("shard.s_rebuild");
-                    match a.current_method() {
-                        Method::MaterializedView => {
-                            CachedStrategy::Mv(self.db.materialized_view()?)
-                        }
-                        Method::JoinIndex => CachedStrategy::Ji(self.db.join_index()?),
-                        Method::HybridHash => CachedStrategy::Hh(self.db.hybrid_hash()),
-                    }
-                };
-                a.replace_current(next);
-            }
-        }
-        self.db.metrics().incr("shard.s_rebuilds");
-        self.s_dirty = false;
-        Ok(())
-    }
-
     /// Snapshot the shard's observability state, stamping health gauges
-    /// (live tuple counts, damaged pages, fired faults) so the server
-    /// rollup can aggregate shard health without extra round-trips.
+    /// (live tuple counts, damaged pages, fired faults, residency) so the
+    /// server rollup can aggregate shard health without extra round-trips.
     fn report(&self) -> RunReport {
         let metrics = self.db.metrics();
         metrics.gauge_set("shard.r_tuples", self.db.r().len() as f64);
         metrics.gauge_set("shard.s_tuples", self.db.s().len() as f64);
         metrics.gauge_set("shard.damaged_pages", self.db.disk().damaged_pages() as f64);
         metrics.gauge_set("shard.faults_fired", self.db.faults_fired() as f64);
-        if let Mode::Adaptive(a) = &self.mode {
-            a.stamp_gauges(&self.db);
+        match &self.mode {
+            Mode::Pinned(set) => {
+                metrics.gauge_set("shard.updates_since_query", self.since_query as f64);
+                set.stamp_gauges(&self.db);
+            }
+            Mode::Adaptive(a) => a.stamp_gauges(&self.db),
         }
         self.db.run_report(format!("shard{}", self.index))
     }
@@ -500,8 +588,20 @@ mod tests {
         handle.join().unwrap();
     }
 
+    fn query(tx: &Sender<ShardCommand>, method: Method) -> Vec<ViewTuple> {
+        let (reply, rx) = channel();
+        tx.send(ShardCommand::Query { method, reply }).unwrap();
+        rx.recv().unwrap().1.unwrap()
+    }
+
+    fn report(tx: &Sender<ShardCommand>) -> RunReport {
+        let (reply, rx) = channel();
+        tx.send(ShardCommand::Report { reply }).unwrap();
+        *rx.recv().unwrap().1
+    }
+
     #[test]
-    fn s_mutation_marks_caches_dirty_and_rebuild_heals() {
+    fn s_mutation_releases_the_view_and_the_next_query_rebuilds_it() {
         let r = tuples(50, 5);
         let s = tuples(40, 5);
         let (tx, handle) = spawn(ShardSpec {
@@ -515,22 +615,26 @@ mod tests {
             adaptive: false,
         })
         .unwrap();
+        // Nothing is cached until a query names a caching method.
+        assert_eq!(report(&tx).metrics.gauge("shard.resident.mv"), Some(0.0));
+        query(&tx, Method::MaterializedView);
+        let warm = report(&tx);
+        assert_eq!(warm.metrics.gauge("shard.resident.mv"), Some(1.0));
+        assert_eq!(warm.metrics.gauge("shard.resident.ji"), Some(0.0));
         // Delete one S tuple, then ask the cached MV for the join.
         let victim = s[7].clone();
         tx.send(ShardCommand::Apply { r: vec![], s: vec![Mutation::Delete(victim.clone())] })
             .unwrap();
-        let (reply, rx) = channel();
-        tx.send(ShardCommand::Query { method: Method::MaterializedView, reply }).unwrap();
-        let (_, rows) = rx.recv().unwrap();
+        assert_eq!(report(&tx).metrics.gauge("shard.resident.mv"), Some(0.0));
+        let rows = query(&tx, Method::MaterializedView);
         let s_after: Vec<BaseTuple> = s.iter().filter(|t| t.sur != victim.sur).cloned().collect();
         let want = trijoin_exec::oracle::join_tuples(&r, &s_after);
-        trijoin_exec::oracle::assert_same_join("mv after S delete", rows.unwrap(), want);
+        trijoin_exec::oracle::assert_same_join("mv after S delete", rows, want);
 
-        let (reply, rx) = channel();
-        tx.send(ShardCommand::Report { reply }).unwrap();
-        let (_, report) = rx.recv().unwrap();
+        let report = report(&tx);
         assert_eq!(report.metrics.counter("shard.s_rebuilds"), 1);
         assert_eq!(report.metrics.counter("shard.s_mutations"), 1);
+        assert_eq!(report.metrics.counter("shard.builds"), 2);
         drop(tx);
         handle.join().unwrap();
     }

@@ -171,6 +171,35 @@ fn check_adaptive_marker(
     Ok(())
 }
 
+/// The residency bound of a pinned shard (see `shard::ResidentSet`; an
+/// adaptive shard has one structure and no eviction rule): right after a
+/// query round — no update applied since the shard's last answer — the
+/// answering structure's log is folded and every other resident structure
+/// whose spilled log outgrew it has been evicted, so the spilled log
+/// pages cannot exceed the resident structures' pages. A report that says
+/// otherwise was captured from a shard that keeps feeding differential
+/// files nobody reads. Shards from builds without the residency gauges
+/// owe nothing.
+fn check_residency_bound(
+    path: &str,
+    owner: &str,
+    metrics: &trijoin_common::MetricsSnapshot,
+) -> Result<(), String> {
+    let (Some(log_pages), Some(resident_pages)) =
+        (metrics.gauge("shard.log_pages"), metrics.gauge("shard.resident_pages"))
+    else {
+        return Ok(());
+    };
+    let after_query_round = metrics.gauge("shard.updates_since_query").unwrap_or(0.0) == 0.0;
+    if after_query_round && log_pages > resident_pages {
+        return Err(format!(
+            "{path}: {owner} reports shard.log_pages = {log_pages} after a query round, above \
+             its shard.resident_pages = {resident_pages}"
+        ));
+    }
+    Ok(())
+}
+
 /// Validate a plain run report (`trijoin run --report`).
 pub fn validate_run_report(path: &str, json: &Json) -> Result<String, String> {
     validate_run_report_with(path, json, 0)
@@ -261,8 +290,12 @@ pub fn validate_sharded_report_with(
     if min_series_windows > 0 && !report.rollup.series.iter().any(|s| s.name == "serve") {
         return Err(format!("{path}: rollup is missing the scheduler's \"serve\" series"));
     }
+    let pinned = report.rollup.metrics.gauge("serve.adaptive").unwrap_or(0.0) < 1.0;
     for shard in &report.shards {
         check_wal_marker(path, &shard.name, &shard.metrics)?;
+        if pinned {
+            check_residency_bound(path, &shard.name, &shard.metrics)?;
+        }
         for (key, _) in &shard.metrics.counters {
             if key.starts_with("serve.") {
                 return Err(format!(
@@ -525,6 +558,38 @@ mod tests {
             let err = validate_report_json("s.json", &broken.to_json()).unwrap_err();
             assert!(err.contains(gauge), "{err}");
         }
+    }
+
+    #[test]
+    fn idle_log_above_the_resident_pages_is_rejected_after_a_query_round() {
+        use crate::{ServeConfig, Server};
+        use trijoin::Method;
+        use trijoin_common::{BaseTuple, Surrogate, SystemParams};
+
+        let params = SystemParams { page_size: 512, mem_pages: 24, ..Default::default() };
+        let config = ServeConfig { batch: 4, seed: 7, ..ServeConfig::new(params, 2) };
+        let tuples: Vec<BaseTuple> =
+            (0..24).map(|i| BaseTuple::padded(Surrogate(i), (i as u64) % 5, 48)).collect();
+        let server = Server::start(&config, tuples.clone(), tuples).unwrap();
+        let session = server.session().unwrap();
+        session.query(Method::MaterializedView).unwrap();
+        let report = session.report().unwrap();
+        validate_report_json("s.json", &report.to_json()).unwrap();
+
+        let set = |report: &mut ShardedRunReport, name: &str, value: f64| {
+            let gauges = &mut report.shards[1].metrics.gauges;
+            gauges.iter_mut().find(|(k, _)| k == name).expect("gauge is stamped").1 = value;
+        };
+        let resident = report.shards[1].metrics.gauge("shard.resident_pages").unwrap();
+        assert!(resident > 0.0, "the MV query made the view resident");
+        let mut leaking = report.clone();
+        set(&mut leaking, "shard.log_pages", resident + 1.0);
+        let err = validate_report_json("s.json", &leaking.to_json()).unwrap_err();
+        assert!(err.contains("shard1") && err.contains("shard.log_pages"), "{err}");
+
+        // Between query rounds the last answerer's log may be any length.
+        set(&mut leaking, "shard.updates_since_query", 9.0);
+        validate_report_json("s.json", &leaking.to_json()).unwrap();
     }
 
     #[test]

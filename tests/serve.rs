@@ -292,7 +292,7 @@ fn updates_coalesce_into_differential_batches() {
 
 // ---------------------------------------------------------------------
 // Adaptive serving: per-shard online strategy migration. The contract is
-// the fixed path's, plus: migrations are incremental, never change an
+// the pinned path's, plus: migrations are incremental, never change an
 // answer, and roll back cleanly when a device fault lands mid-flight.
 // ---------------------------------------------------------------------
 
@@ -539,5 +539,267 @@ fn serving_runs_are_bit_identical() {
     assert_eq!(
         report_a, report_b,
         "serialized reports (volatile ring/latency metrics scrubbed) must be bit-identical"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Demand-driven residency on pinned shards: a cached structure exists
+// only while queries use it, so what a shard keeps on disk is bounded by
+// what its queries read — not by how long it has been running.
+// ---------------------------------------------------------------------
+
+/// Submit `n` client mutations round-robin.
+fn submit(session: &trijoin_serve::ClientSession, clients: &mut [ClientTraffic], n: usize) {
+    for i in 0..n {
+        let c = i % clients.len();
+        session.update_r(clients[c].next_mutation()).unwrap();
+    }
+}
+
+/// One gauge of every shard, in shard order.
+fn shard_gauges(report: &trijoin_common::ShardedRunReport, name: &str) -> Vec<f64> {
+    report.shards.iter().map(|s| s.metrics.gauge(name).unwrap()).collect()
+}
+
+#[test]
+fn hh_only_soak_keeps_shard_disk_pages_flat() {
+    // Payload-only updates (Pr_A = 0) change no tuple's shard and no page
+    // count, so any growth would be differential logs nobody reads. |M| is
+    // small enough that a log spills a run every ~110 updates.
+    let w = spec(0.0).generate();
+    let cfg = config(2, 16);
+    let server = Server::start(&cfg, w.r.clone(), w.s.clone()).unwrap();
+    let session = server.session().unwrap();
+    let mut clients = ClientTraffic::split(&w, &cfg, 2);
+    submit(&session, &mut clients, 500);
+    session.query(Method::HybridHash).unwrap();
+    let warm = shard_gauges(&session.report().unwrap(), "shard.disk_pages");
+    for _ in 0..20 {
+        submit(&session, &mut clients, 1_000);
+        assert_eq!(session.query(Method::HybridHash).unwrap(), oracle_answer(&clients, &w.s));
+    }
+    let report = session.report().unwrap();
+    let end = shard_gauges(&report, "shard.disk_pages");
+    for (shard, (warm, end)) in warm.iter().zip(&end).enumerate() {
+        assert!(
+            (end - warm).abs() <= 0.01 * warm,
+            "shard {shard}: {warm} disk pages after warm-up, {end} after 20 000 more updates"
+        );
+    }
+    assert_eq!(report.rollup.metrics.counter("shard.builds"), 0, "no query named MV or JI");
+    assert_eq!(shard_gauges(&report, "shard.log_pages"), [0.0, 0.0]);
+}
+
+#[test]
+fn idle_view_is_evicted_and_rebuilt_on_next_use() {
+    let w = spec(0.3).generate();
+    let cfg = config(2, 16);
+    let server = Server::start(&cfg, w.r.clone(), w.s.clone()).unwrap();
+    let session = server.session().unwrap();
+    let mut clients = ClientTraffic::split(&w, &cfg, 2);
+    session.query(Method::MaterializedView).unwrap();
+    assert_eq!(shard_gauges(&session.report().unwrap(), "shard.resident.mv"), [1.0, 1.0]);
+
+    // Hybrid-hash traffic only: the view's log grows unread until it
+    // outweighs the view, and each shard drops its view exactly once.
+    let evictions = |session: &trijoin_serve::ClientSession| -> Vec<u64> {
+        let report = session.report().unwrap();
+        report.shards.iter().map(|s| s.metrics.counter("shard.evictions")).collect()
+    };
+    let mut rounds = 0;
+    while evictions(&session).contains(&0) {
+        rounds += 1;
+        assert!(rounds <= 100, "idle views were never evicted: {:?}", evictions(&session));
+        submit(&session, &mut clients, 100);
+        session.query(Method::HybridHash).unwrap();
+    }
+    // A few more rounds: nothing is resident, so nothing more to evict.
+    for _ in 0..5 {
+        submit(&session, &mut clients, 100);
+        session.query(Method::HybridHash).unwrap();
+    }
+    assert_eq!(evictions(&session), [1, 1]);
+    let idle = session.report().unwrap();
+    assert_eq!(shard_gauges(&idle, "shard.resident.mv"), [0.0, 0.0]);
+    assert_eq!(shard_gauges(&idle, "shard.log_pages"), [0.0, 0.0]);
+
+    let got = session.query(Method::MaterializedView).unwrap();
+    assert_eq!(got, oracle_answer(&clients, &w.s), "the rebuilt view must be exact");
+    let report = session.report().unwrap();
+    for shard in &report.shards {
+        assert_eq!(shard.metrics.counter("shard.builds"), 2, "{}: first use + rebuild", shard.name);
+    }
+    assert_eq!(shard_gauges(&report, "shard.resident.mv"), [1.0, 1.0]);
+}
+
+#[test]
+fn first_use_build_under_a_transient_fault_is_retried() {
+    // A build on first use runs under whatever fault plan is armed (the
+    // eager start-up build never did): a transient fault landing in its
+    // base-relation scan or in its page writes must cost a retry, not the
+    // query. The retry starts a fresh file, so the half-written one must
+    // not stay behind: the shard ends with the pages of a fault-free run.
+    let w = spec(0.3).generate();
+    let cfg = config(2, 8);
+    let want = oracle::canonicalize(oracle::join_tuples(&w.r, &w.s));
+    let plans: [Option<fn() -> FaultPlan>; 3] = [
+        None,
+        Some(|| FaultPlan::new().fail_nth_read(None, 1)),
+        Some(|| FaultPlan::new().fail_nth_write(None, 1)),
+    ];
+    let mut disk_pages = Vec::new();
+    for plan in plans {
+        let server = Server::start(&cfg, w.r.clone(), w.s.clone()).unwrap();
+        let session = server.session().unwrap();
+        for method in [Method::JoinIndex, Method::MaterializedView] {
+            if let Some(plan) = plan {
+                session.install_fault_plan(1, plan()).unwrap();
+            }
+            assert_eq!(session.query(method).unwrap(), want, "{method}");
+        }
+        let report = session.report().unwrap();
+        let shard = &report.shards[1].metrics;
+        let fired = if plan.is_some() { 2.0 } else { 0.0 };
+        assert_eq!(shard.gauge("shard.faults_fired"), Some(fired), "one fault per build");
+        assert_eq!(shard.counter("shard.builds"), 2);
+        assert_eq!(shard.counter("shard.build_errors"), 0);
+        disk_pages.push(shard.gauge("shard.disk_pages").unwrap());
+    }
+    assert_eq!(disk_pages, [disk_pages[0]; 3], "a retried build leaked pages");
+}
+
+#[test]
+fn poisoned_view_stays_resident_until_the_mv_query_reads_it() {
+    // `PoisonCachedView` builds the view without a query. Update batches
+    // that arrive before the MV query — enough of them for the view's log
+    // to outgrow it — must not evict it: the armed poison would point at a
+    // deleted file and the recovery the client asked to see would never
+    // run. A join index that answered the last query is resident too, so
+    // the exemption really moves.
+    let w = spec(0.3).generate();
+    let cfg = config(2, 16);
+    let server = Server::start(&cfg, w.r.clone(), w.s.clone()).unwrap();
+    let session = server.session().unwrap();
+    let mut clients = ClientTraffic::split(&w, &cfg, 2);
+    session.query(Method::JoinIndex).unwrap();
+    session.poison_cached_view(0).unwrap();
+    submit(&session, &mut clients, 1_500);
+    session.flush().unwrap();
+    let before = session.report().unwrap();
+    assert_eq!(before.shards[0].metrics.gauge("shard.resident.mv"), Some(1.0));
+    assert!(
+        before.shards[0].metrics.gauge("shard.log_pages").unwrap()
+            > before.shards[0].metrics.gauge("shard.resident_pages").unwrap(),
+        "the traffic was meant to spill the view's log past the view"
+    );
+
+    let got = session.query(Method::MaterializedView).unwrap();
+    assert_eq!(got, oracle_answer(&clients, &w.s));
+    let report = session.report().unwrap();
+    assert_eq!(report.shards[0].metrics.counter("mv.recoveries"), 1);
+    assert_eq!(report.shards[1].metrics.counter("mv.recoveries"), 0);
+}
+
+#[test]
+fn interleaved_methods_match_the_one_shard_answer_at_any_shard_count() {
+    // Rotate which method answers, with enough updates between queries
+    // that structures get built, logged into, evicted and rebuilt along
+    // the way: none of it may show in an answer.
+    let w = spec(0.3).generate();
+    let mut answers: Vec<Vec<Vec<ViewTuple>>> = Vec::new();
+    let mut churn: Vec<(u64, u64)> = Vec::new();
+    for shards in [1usize, 2, 4] {
+        let cfg = config(shards, 16);
+        let server = Server::start(&cfg, w.r.clone(), w.s.clone()).unwrap();
+        let session = server.session().unwrap();
+        // Client streams are seeded from the config's seed alone: the same
+        // three streams whatever the shard count.
+        let mut clients = ClientTraffic::split(&w, &cfg, 3);
+        let mut run = Vec::new();
+        for round in 0..24 {
+            // Every fourth round is long enough to spill logs past their
+            // structures; the short ones keep several structures resident.
+            submit(&session, &mut clients, if round % 4 == 3 { 400 } else { 30 });
+            let method = Method::all()[(round * 2 / 3) % 3];
+            let got = session.query(method).unwrap();
+            assert_eq!(got, oracle_answer(&clients, &w.s), "{shards} shards, round {round}");
+            run.push(got);
+        }
+        let m = session.report().unwrap().rollup.metrics;
+        churn.push((m.counter("shard.builds"), m.counter("shard.evictions")));
+        answers.push(run);
+    }
+    assert_eq!(answers[1], answers[0], "2 shards diverged from the 1-shard answers");
+    assert_eq!(answers[2], answers[0], "4 shards diverged from the 1-shard answers");
+    assert!(churn[0].1 > 0 && churn[0].0 > 2, "the 1-shard run never evicted: {churn:?}");
+}
+
+#[test]
+fn s_churn_with_spilling_logs_keeps_disk_pages_flat() {
+    // Each cycle: mutate S (the stale view is released), query the view
+    // (rebuilt from the new S), then spill its differential log with R
+    // updates. A released view must take its spilled runs with it.
+    let w = spec(0.0).generate();
+    let cfg = config(1, 16);
+    let server = Server::start(&cfg, w.r.clone(), w.s.clone()).unwrap();
+    let session = server.session().unwrap();
+    let mut clients = ClientTraffic::split(&w, &cfg, 1);
+    let victim = w.s[3].clone();
+    let mut pages = Vec::new();
+    for cycle in 0..12 {
+        // Delete and re-insert one S tuple on alternate cycles.
+        let m = if cycle % 2 == 0 { Mutation::Delete } else { Mutation::Insert };
+        session.update_s(m(victim.clone())).unwrap();
+        session.query(Method::MaterializedView).unwrap();
+        submit(&session, &mut clients, 300);
+        let report = session.report().unwrap();
+        assert!(shard_gauges(&report, "shard.log_pages")[0] > 0.0, "300 updates must spill");
+        pages.push(shard_gauges(&report, "shard.disk_pages")[0]);
+    }
+    let report = session.report().unwrap();
+    assert_eq!(report.rollup.metrics.counter("shard.builds"), 12);
+    // Same S on every odd cycle: compare like with like.
+    assert!(
+        (pages[11] - pages[1]).abs() <= 2.0,
+        "disk pages drifted over S-mutation cycles: {pages:?}"
+    );
+}
+
+#[test]
+fn view_built_on_first_use_is_audited_at_zero_pending() {
+    // 2 000 updates under hybrid-hash traffic, then the first MV query:
+    // the view is built from the stored relations, so its cycle folds
+    // nothing and the audit must price it so — not at the 2 000 applies
+    // the label has "pending" since the audit was armed.
+    let w = spec(0.3).generate();
+    let cfg = config(1, 16);
+    let server = Server::start(&cfg, w.r.clone(), w.s.clone()).unwrap();
+    let session = server.session().unwrap();
+    let mut clients = ClientTraffic::split(&w, &cfg, 2);
+    for _ in 0..4 {
+        submit(&session, &mut clients, 500);
+        session.query(Method::HybridHash).unwrap();
+    }
+    session.query(Method::MaterializedView).unwrap();
+
+    let report = session.report().unwrap();
+    let shard = &report.shards[0];
+    let cycle = shard.series[0].audit_section("cycle.materialized-view").expect("MV cycle audited");
+    assert_eq!(cycle.samples, 1);
+    let measured = trijoin::measure_workload(&w.r, &w.s, 0.1, 0.0);
+    let predicted_us = |pending: f64| {
+        let w = trijoin::Workload { updates: pending, ..measured.clone() };
+        trijoin_model::mv::cost(&cfg.params, &w).total() * 1e6
+    };
+    let (at_zero, at_all) = (predicted_us(0.0), predicted_us(2_000.0));
+    assert!(at_all > 1.5 * at_zero, "the two prices must be told apart: {at_zero} vs {at_all}");
+    assert!(
+        (cycle.predicted_us - at_zero).abs() <= 1e-6 * at_zero,
+        "priced at {} µs; pending 0 is {at_zero} µs, pending 2000 is {at_all} µs",
+        cycle.predicted_us
+    );
+    assert!(
+        !shard.events.iter().any(|e| e.kind == EventKind::CostDrift),
+        "a fresh view's first cycle must not read as drift"
     );
 }
