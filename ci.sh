@@ -85,11 +85,13 @@ echo "==> repo-benchmark smoke + residency soak"
 # The repo benchmark (BENCHMARK.json) must run every workload end to end
 # at smoke scale with every answer verified — a change that breaks what
 # the benchmark uses of the program fails here, not at the driver. The
-# resource-bound soak rides along in release mode: 20 000 updates under
+# resource-bound tests ride along in release mode: 20 000 updates under
 # hybrid-hash-only traffic must leave each pinned shard's disk pages
-# where warm-up left them.
+# where warm-up left them, and recovering a 66 MB log that rewrites 8
+# pages must stay under 2 MB of heap.
 cargo run --release -q -p trijoin-bench --bin benchmark -- --smoke > /dev/null
 cargo test -q --release -p trijoin-serve --test serve hh_only_soak
+cargo test -q --release -p trijoin-storage --test recovery_memory
 
 echo "==> bench-regression gate"
 # Full-scale benches against the committed comparison file: a serve row
@@ -127,7 +129,9 @@ rm -f "$report"
 echo "==> crash-recovery gate"
 # Durability end to end on the real file backend: a fresh crash-heavy
 # script (seeded kills mid-batch: cold drops, torn WAL tails, sealed-but-
-# unapplied logs) must replay to oracle equivalence through WAL recovery,
+# unapplied logs) must replay to oracle equivalence through WAL recovery
+# — `check` puts what every recovered engine and shard reports through
+# report-validate's wal.recovered.pages <= wal.recovered.frames rule —
 # and durable run/serve reports must carry the wal.* accounting that
 # report-validate requires whenever wal.enabled is set.
 crashdir=$(mktemp -d)

@@ -41,6 +41,7 @@ use trijoin_common::{
 };
 use trijoin_exec::{oracle, JoinStrategy, Mutation, Update};
 use trijoin_model::{all_costs, Method, Workload};
+use trijoin_serve::validate::check_recovery_bound;
 use trijoin_serve::{ClientSession, ServeConfig, Server};
 use trijoin_storage::{CommitSabotage, FaultPlan};
 
@@ -227,6 +228,8 @@ impl Engine {
         // truncate any torn tail) and reattaches the catalog. Derived
         // caches are gone by design — rebuild as at first start.
         self.db = Database::open_durable(&cfg.params, &dir)?;
+        check_recovery_bound(&dir.to_string_lossy(), "engine", &self.db.metrics().snapshot())
+            .map_err(Error::Invariant)?;
         self.db.enable_telemetry(TelemetryConfig::default());
         self.db.enable_cost_audit(self.audit.clone(), cfg.audit_calibration);
         self.cached = match self.method {
@@ -952,12 +955,28 @@ pub fn run_script(script: &Script, cfg: &CheckConfig) -> Result<CheckOutcome, Bo
     // two checkpoint decisions (the cooldown makes faster flapping a
     // controller bug, not a workload property).
     let last_op = script.ops.len().saturating_sub(1);
-    let per_shard_cap = (driver.outcome.checkpoints as u64).div_ceil(2).max(1);
-    for srv in &driver.adaptive_servers {
+    let final_report = |srv: &Serving| {
         let report = srv
             .session
             .report()
             .map_err(|e| fail(last_op, &srv.site, format!("final report: {e}")))?;
+        // What each shard says its last recovery did goes through the
+        // rule `report-validate` applies to a report file. (Taken here,
+        // not at the crash: capturing a report closes telemetry windows.)
+        for shard in &report.shards {
+            check_recovery_bound(&srv.site, &shard.name, &shard.metrics)
+                .map_err(|msg| fail(last_op, &srv.site, msg))?;
+        }
+        Ok::<_, Box<CheckFailure>>(report)
+    };
+    if driver.outcome.crashes > 0 {
+        for srv in &driver.servers {
+            final_report(srv)?;
+        }
+    }
+    let per_shard_cap = (driver.outcome.checkpoints as u64).div_ceil(2).max(1);
+    for srv in &driver.adaptive_servers {
+        let report = final_report(srv)?;
         let count = report.rollup.metrics.counter("migrate.count") as usize;
         driver.outcome.migrations += count;
         driver.outcome.migration_rollbacks +=

@@ -187,8 +187,9 @@ impl Database {
     /// (replaying committed frames, truncating any torn tail — the
     /// `wal.recovered.*` counters and a `RecoveryTriggered` event record
     /// it); then the relations are reattached from the catalog in file 0.
-    /// All derived state (MV, JI, hash tables) is gone — rebuild it with
-    /// the usual constructors, exactly as at first creation.
+    /// All derived state (MV, JI, hash tables) is gone — the page files
+    /// the catalog does not name are deleted — rebuild it with the usual
+    /// constructors, exactly as at first creation.
     pub fn open_durable(params: &SystemParams, dir: &Path) -> Result<Self> {
         let cost = Cost::new();
         let backend = DurableBackend::open(dir, params.page_size)?;
@@ -206,6 +207,16 @@ impl Database {
             manifest.get("s").ok_or_else(|| Error::Corrupt("catalog missing relation s".into()))?;
         let r = StoredRelation::open(&disk, params, r_json)?;
         let s = Rc::new(StoredRelation::open(&disk, params, s_json)?);
+        // Nothing names the derived structures of the last session (or
+        // the scratch files a crash interrupted) any more: give their
+        // pages back, or every crash grows the store by one view.
+        let named: Vec<_> =
+            std::iter::once(CATALOG_FILE).chain(r.file_ids()).chain(s.file_ids()).collect();
+        for file in disk.live_files() {
+            if !named.contains(&file) {
+                disk.delete_file(file);
+            }
+        }
         Ok(Database {
             params: params.clone(),
             cost,

@@ -9,7 +9,7 @@
 
 use trijoin_btree::{BTree, BTreeConfig, BTreeMeta};
 use trijoin_common::{BaseTuple, Cost, Error, Json, Result, Surrogate, SystemParams};
-use trijoin_storage::Disk;
+use trijoin_storage::{Disk, FileId};
 
 /// Serialize one tree's [`BTreeMeta`] as a catalog object.
 fn tree_json(meta: &BTreeMeta) -> Json {
@@ -131,6 +131,13 @@ impl StoredRelation {
             None => None,
         };
         Ok(StoredRelation { name, clustered, inverted, tuple_bytes, count })
+    }
+
+    /// The page files this relation owns: its clustered tree and, if it
+    /// has one, its inverted tree.
+    pub fn file_ids(&self) -> impl Iterator<Item = FileId> + '_ {
+        std::iter::once(self.clustered.file_id())
+            .chain(self.inverted.iter().map(|tree| tree.file_id()))
     }
 
     /// Relation name.

@@ -347,20 +347,22 @@ impl ShardWorker {
             .as_deref()
             .ok_or_else(|| Error::Invariant("shard recovery needs a durable dir".into()))?;
         let db = Database::open_durable(&spec.params, dir)?;
-        let recovered = (
-            db.metrics().counter("wal.recovered.frames"),
-            db.metrics().counter("wal.recovered.commits"),
-            db.metrics().counter("wal.recovered.torn_bytes"),
-        );
+        const RECOVERED: [&str; 4] = [
+            "wal.recovered.frames",
+            "wal.recovered.pages",
+            "wal.recovered.commits",
+            "wal.recovered.torn_bytes",
+        ];
+        let recovered = RECOVERED.map(|name| db.metrics().counter(name));
         let mode = Self::build_mode(&db, spec.adaptive)?;
         db.reset_observability();
         if let Mode::Adaptive(a) = &mode {
             a.register_metrics(&db);
         }
         let metrics = db.metrics();
-        metrics.counter_add("wal.recovered.frames", recovered.0);
-        metrics.counter_add("wal.recovered.commits", recovered.1);
-        metrics.counter_add("wal.recovered.torn_bytes", recovered.2);
+        for (name, value) in RECOVERED.into_iter().zip(recovered) {
+            metrics.counter_add(name, value);
+        }
         if let Some(cfg) = spec.telemetry {
             // The audit needs partition statistics; measure them from the
             // recovered relations (uncharged oracle scans, ledger is reset

@@ -147,6 +147,27 @@ fn check_wal_marker(
     Ok(())
 }
 
+/// Recovery writes each page once, from its last sealed image, so the
+/// distinct pages it wrote (`wal.recovered.pages`) cannot exceed the
+/// sealed frames it scanned (`wal.recovered.frames`). More pages than
+/// frames means redo wrote an image no verified frame carried. Reports
+/// that recovered nothing carry neither counter and owe nothing.
+pub fn check_recovery_bound(
+    path: &str,
+    owner: &str,
+    metrics: &trijoin_common::MetricsSnapshot,
+) -> Result<(), String> {
+    let (pages, frames) =
+        (metrics.counter("wal.recovered.pages"), metrics.counter("wal.recovered.frames"));
+    if pages > frames {
+        return Err(format!(
+            "{path}: {owner} reports wal.recovered.pages = {pages}, above its \
+             wal.recovered.frames = {frames}"
+        ));
+    }
+    Ok(())
+}
+
 /// When a sharded report advertises adaptive serving (the
 /// `serve.adaptive` rollup gauge), the migration instrumentation
 /// contract applies: the rollup must carry the migration count and the
@@ -219,6 +240,7 @@ pub fn validate_run_report_with(
     let report = RunReport::from_json(json).map_err(|e| format!("{path}: schema drift: {e}"))?;
     check_series(path, "run report", &report.series, min_series_windows)?;
     check_wal_marker(path, "run report", &report.metrics)?;
+    check_recovery_bound(path, "run report", &report.metrics)?;
     let mut summary = format!(
         "{path}: ok — report {:?} with {} spans, {} metrics counters, {} events, {} deltas",
         report.name,
@@ -293,6 +315,7 @@ pub fn validate_sharded_report_with(
     let pinned = report.rollup.metrics.gauge("serve.adaptive").unwrap_or(0.0) < 1.0;
     for shard in &report.shards {
         check_wal_marker(path, &shard.name, &shard.metrics)?;
+        check_recovery_bound(path, &shard.name, &shard.metrics)?;
         if pinned {
             check_residency_bound(path, &shard.name, &shard.metrics)?;
         }
@@ -494,6 +517,26 @@ mod tests {
         // Reports that never enabled the WAL owe nothing.
         let inert = MetricsSnapshot { counters: vec![], gauges: vec![], histograms: vec![] };
         check_wal_marker("m.json", "run report", &inert).unwrap();
+    }
+
+    #[test]
+    fn recovery_cannot_write_more_pages_than_it_scanned_frames() {
+        use trijoin_common::MetricsSnapshot;
+
+        let mut metrics = MetricsSnapshot {
+            counters: vec![("wal.recovered.frames".into(), 40), ("wal.recovered.pages".into(), 40)],
+            gauges: vec![],
+            histograms: vec![],
+        };
+        check_recovery_bound("r.json", "shard0", &metrics).unwrap();
+        metrics.counters[1].1 = 41;
+        let err = check_recovery_bound("r.json", "shard0", &metrics).unwrap_err();
+        assert!(err.contains("r.json") && err.contains("shard0"), "{err}");
+        assert!(err.contains("wal.recovered.pages = 41"), "{err}");
+
+        // No recovery ran: neither counter, nothing owed.
+        let inert = MetricsSnapshot { counters: vec![], gauges: vec![], histograms: vec![] };
+        check_recovery_bound("m.json", "run report", &inert).unwrap();
     }
 
     #[test]

@@ -95,8 +95,11 @@ pub struct CommitStats {
 /// What startup recovery reports back for `wal.*` accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Committed page-image frames replayed into the data files.
+    /// Committed (sealed) page-image frames the redo scan verified.
     pub frames: u64,
+    /// Distinct pages written into the data files: a page logged many
+    /// times is written once, from its last sealed image.
+    pub pages: u64,
     /// Commit records replayed.
     pub commits: u64,
     /// Torn-tail bytes discarded (log bytes past the last good commit).

@@ -305,18 +305,19 @@ impl SimDisk {
         }
         if let Some(stats) = backend_dyn.take_recovery_stats() {
             metrics.counter_add("wal.recovered.frames", stats.frames);
+            metrics.counter_add("wal.recovered.pages", stats.pages);
             metrics.counter_add("wal.recovered.commits", stats.commits);
             metrics.counter_add("wal.recovered.torn_bytes", stats.torn_bytes);
             events.emit(
                 EventKind::RecoveryTriggered,
                 format!(
-                    "wal recovery: replayed {} frames across {} commits, \
-                     truncated {} torn bytes",
-                    stats.frames, stats.commits, stats.torn_bytes
+                    "wal recovery: scanned {} frames across {} commits, wrote {} distinct \
+                     pages, truncated {} torn bytes",
+                    stats.frames, stats.commits, stats.pages, stats.torn_bytes
                 ),
                 cost.total(),
             );
-            // Redo is device traffic: one sequential I/O per replayed
+            // Redo is device traffic: one sequential I/O per sealed
             // frame, priced on the paper's single constant.
             cost.io(stats.frames);
         }
@@ -635,6 +636,13 @@ impl SimDisk {
         self.backend.as_dyn().delete_file(file);
         self.poisoned.borrow_mut().retain(|&(f, _)| f != file.0);
         self.torn.borrow_mut().retain(|&(f, _)| f != file.0);
+    }
+
+    /// Ids of the files currently live on the backend, ascending
+    /// (deleted slots left out).
+    pub fn live_files(&self) -> Vec<FileId> {
+        let slots = self.backend.as_dyn().file_count();
+        (0..slots).map(FileId).filter(|&file| self.num_pages(file).is_ok()).collect()
     }
 
     /// Number of pages currently allocated in `file`.

@@ -20,13 +20,17 @@
 //!   stragglers, applies the committed overlay to the data files, syncs
 //!   them, and truncates the log — eager apply is off the commit hot
 //!   path entirely;
-//! * [`DurableBackend::open`] runs **recovery**: scan the log, replay
-//!   every frame group that is sealed by a valid commit frame (redo is
-//!   idempotent — frames are full page images), and truncate whatever
-//!   torn tail a mid-flush crash left behind. Deferred groups that
-//!   never reached a barrier were only ever in the in-memory buffer, so
-//!   a crash rolls them back wholesale: recovery always yields a
-//!   *prefix* of sealed groups, never a mix.
+//! * [`DurableBackend::open`] runs **recovery** in two passes over the
+//!   log file. The scan streams it through a fixed-size reader,
+//!   verifying every frame, and remembers only *where* the last sealed
+//!   image of each page sits; the redo then reads each of those images
+//!   back and writes it once (frames are full page images, so the last
+//!   one wins and redo is idempotent). Memory and data-file writes
+//!   follow the distinct pages in the log, not its length. Whatever
+//!   torn tail a mid-flush crash left behind is truncated. Deferred
+//!   groups that never reached a barrier were only ever in the
+//!   in-memory buffer, so a crash rolls them back wholesale: recovery
+//!   always yields a *prefix* of sealed groups, never a mix.
 //!
 //! File creation/deletion and page allocation pass straight through to
 //! the inner backend: they are bookkeeping, and any stale files or tail
@@ -42,13 +46,16 @@
 //!
 //! All integers little-endian; the trailing FNV-1a 64 checksum covers
 //! every byte of the frame before it. A frame that fails to parse, fails
-//! its checksum, or is not sealed by a commit frame is part of a torn
-//! tail and is discarded by recovery.
+//! its checksum, carries a `len` other than the store's page size, or is
+//! not sealed by a commit frame is part of a torn tail and is discarded
+//! by recovery.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::io::{BufReader, Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
+use std::path::Path;
 use std::rc::Rc;
 
 use trijoin_common::{Error, Result};
@@ -63,16 +70,28 @@ use crate::disk::{FileId, PageId};
 const TAG_PAGE: u8 = b'P';
 const TAG_COMMIT: u8 = b'C';
 
-/// FNV-1a 64 — the frame checksum and the skip-clean page fingerprint.
-/// Not cryptographic; it detects torn and bit-rotted frames, which is
-/// all recovery needs.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+/// Both frame kinds open with a 13-byte head (tag plus `file, page, len`
+/// or `seq, frames`) and close with an 8-byte checksum.
+const FRAME_HEAD: usize = 13;
+const FRAME_SUM: usize = 8;
+
+/// FNV-1a 64 offset basis.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into a running FNV-1a 64 state.
+fn fnv64_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// FNV-1a 64 — the frame checksum and the skip-clean page fingerprint.
+/// Not cryptographic; it detects torn and bit-rotted frames, which is
+/// all recovery needs.
+fn fnv64(bytes: &[u8]) -> u64 {
+    fnv64_fold(FNV_BASIS, bytes)
 }
 
 /// Append one page-image frame for `pid` to `buf`.
@@ -97,52 +116,32 @@ fn encode_commit_frame(buf: &mut Vec<u8>, seq: u64, frames: u32) {
     buf.extend_from_slice(&sum.to_le_bytes());
 }
 
-/// One decoded log record.
-enum Frame {
-    Page { pid: PageId, data: Vec<u8> },
-    Commit { frames: u32 },
+/// Head offsets of a page frame's `file` and `page`, and of the `u32`
+/// that closes either head: a page frame's `len`, a commit frame's
+/// `frames`.
+const HEAD_FILE: usize = 1;
+const HEAD_PAGE: usize = 5;
+const HEAD_COUNT: usize = 9;
+
+/// Little-endian `u32` at `at` of a frame head.
+fn head_u32(head: &[u8; FRAME_HEAD], at: usize) -> u32 {
+    u32::from_le_bytes([head[at], head[at + 1], head[at + 2], head[at + 3]])
 }
 
-/// Decode the frame starting at `at`; `None` for a torn/corrupt tail.
-/// Returns the frame and the offset just past it.
-fn decode_frame(log: &[u8], at: usize) -> Option<(Frame, usize)> {
-    let u32_at =
-        |o: usize| -> Option<u32> { Some(u32::from_le_bytes(log.get(o..o + 4)?.try_into().ok()?)) };
-    let u64_at =
-        |o: usize| -> Option<u64> { Some(u64::from_le_bytes(log.get(o..o + 8)?.try_into().ok()?)) };
-    match *log.get(at)? {
-        TAG_PAGE => {
-            let file = u32_at(at + 1)?;
-            let page = u32_at(at + 5)?;
-            let len = u32_at(at + 9)? as usize;
-            let data_end = at.checked_add(13)?.checked_add(len)?;
-            let data = log.get(at + 13..data_end)?;
-            let sum = u64_at(data_end)?;
-            if sum != fnv64(&log[at..data_end]) {
-                return None;
-            }
-            let pid = PageId::new(FileId(file), page);
-            Some((Frame::Page { pid, data: data.to_vec() }, data_end + 8))
-        }
-        TAG_COMMIT => {
-            let frames = u32_at(at + 9)?;
-            let sum = u64_at(at + 13)?;
-            if sum != fnv64(&log[at..at + 13]) {
-                return None;
-            }
-            Some((Frame::Commit { frames }, at + 21))
-        }
-        _ => None,
-    }
+/// What the redo scan keeps of a log: the offset of the last sealed
+/// image of every page (each is one page long), keyed `(file, page)` so
+/// the redo writes in device order, and the stats of what it verified.
+struct LogScan {
+    winners: BTreeMap<(u32, u32), u64>,
+    stats: RecoveryStats,
 }
 
-/// A write-ahead log file with a group-commit buffer: sealed frame
-/// groups are *appended* to an in-memory buffer (pure memcpy, no
-/// syscall) and a later *sync* flushes every buffered group with one
-/// positional write + one fsync. The handle is opened once and reused —
+/// A write-ahead log file with a group-commit buffer: commits *encode*
+/// their sealed frame group into an in-memory buffer (no syscall) and
+/// a later *sync* flushes every buffered group with one positional
+/// write + one fsync. The handle is opened once and reused —
 /// the commit hot path never reopens the file.
 pub struct Wal {
-    path: PathBuf,
     file: fs::File,
     /// Bytes written to the OS file (the buffer flushes at this offset).
     flushed: Cell<u64>,
@@ -170,6 +169,15 @@ impl Wal {
     /// stays an in-order group sequence either way.
     const WRITEBACK_THRESHOLD: usize = 256 * 1024;
 
+    /// Buffer capacity a flush leaves allocated. One bulk group (an
+    /// initial load is tens of megabytes) must not pin its high-water
+    /// mark for the life of the process, while the steady-state groups
+    /// of about a megabyte must not reallocate on every commit.
+    const RETAINED_CAPACITY: usize = 8 * Self::WRITEBACK_THRESHOLD;
+
+    /// Size of the redo scan's read buffer.
+    const SCAN_BUFFER: usize = 64 * 1024;
+
     fn open_handle(path: &Path, truncate: bool) -> Result<fs::File> {
         fs::OpenOptions::new()
             .read(true)
@@ -185,7 +193,6 @@ impl Wal {
         let path = dir.join(Self::FILE_NAME);
         let file = Self::open_handle(&path, true)?;
         Ok(Wal {
-            path,
             file,
             flushed: Cell::new(0),
             buf: RefCell::new(Vec::new()),
@@ -200,7 +207,6 @@ impl Wal {
         let file = Self::open_handle(&path, false)?;
         let len = file.metadata().map_err(|e| Error::io(format!("stat {path:?}"), &e))?.len();
         Ok(Wal {
-            path,
             file,
             flushed: Cell::new(len),
             buf: RefCell::new(Vec::new()),
@@ -216,17 +222,10 @@ impl Wal {
         self.flushed.get() + self.buf.borrow().len() as u64
     }
 
-    /// Append `batch` (already encoded, sealed frames) to the group
-    /// buffer. No syscall: durability comes from the next [`Wal::sync`].
-    fn append(&self, batch: &[u8]) {
-        self.buf.borrow_mut().extend_from_slice(batch);
-    }
-
     /// Write the buffered groups into the file *without* syncing —
     /// early writeback the OS drains in the background. Durability
     /// still comes from the next [`Wal::sync`].
     fn flush(&self) -> Result<()> {
-        use std::os::unix::fs::FileExt;
         let mut buf = self.buf.borrow_mut();
         if buf.is_empty() {
             return Ok(());
@@ -236,6 +235,7 @@ impl Wal {
             .map_err(|e| Error::io("flush wal batch", &e))?;
         self.flushed.set(self.flushed.get() + buf.len() as u64);
         buf.clear();
+        buf.shrink_to(Self::RETAINED_CAPACITY);
         Ok(())
     }
 
@@ -255,22 +255,6 @@ impl Wal {
         Ok(1)
     }
 
-    /// Flush any buffered groups plus only a strict byte prefix of
-    /// `batch`, *without* syncing — the simulated mid-flush crash that
-    /// leaves a torn tail.
-    fn append_torn(&self, batch: &[u8]) -> Result<()> {
-        use std::os::unix::fs::FileExt;
-        let mut buf = self.buf.borrow_mut();
-        let keep = batch.len() / 2;
-        buf.extend_from_slice(&batch[..keep]);
-        self.file
-            .write_all_at(&buf, self.flushed.get())
-            .map_err(|e| Error::io("append torn wal batch", &e))?;
-        self.flushed.set(self.flushed.get() + buf.len() as u64);
-        buf.clear();
-        Ok(())
-    }
-
     /// Truncate the log to `len` bytes (recovery discarding a torn tail,
     /// or a checkpoint resetting it to zero), discard any buffered
     /// groups, and sync the truncation.
@@ -283,9 +267,69 @@ impl Wal {
         Ok(())
     }
 
-    /// Read the whole on-medium log (recovery scan input).
-    fn read_all(&self) -> Result<Vec<u8>> {
-        fs::read(&self.path).map_err(|e| Error::io(format!("read {:?}", self.path), &e))
+    /// Pass 1 of recovery: stream the on-medium log once, verifying
+    /// every frame's checksum and every commit frame's seal count, and
+    /// keep the offset of each page's last image *inside a sealed
+    /// group*. A group enters the map only when its commit frame
+    /// verifies, so a torn or miscounted trailing group never overrides
+    /// a sealed image. Memory is the read buffer, one page, the frames
+    /// of one group, and one map entry per distinct page — whatever the
+    /// log's length. A frame that is cut short, fails its checksum,
+    /// names a `len` other than `page_size` (checked before a byte of it
+    /// is read, so a corrupt length allocates nothing) or seals the
+    /// wrong count ends the scan: it and everything after it is the
+    /// torn tail.
+    fn scan(&self, page_size: usize) -> Result<LogScan> {
+        let io = |e: std::io::Error| Error::io("scan wal", &e);
+        let len = self.flushed.get();
+        let mut log = &self.file;
+        log.seek(SeekFrom::Start(0)).map_err(io)?;
+        let mut log = BufReader::with_capacity(Self::SCAN_BUFFER, log);
+
+        let page_frame = (FRAME_HEAD + page_size + FRAME_SUM) as u64;
+        let commit_frame = (FRAME_HEAD + FRAME_SUM) as u64;
+        let mut head = [0u8; FRAME_HEAD];
+        let mut sum = [0u8; FRAME_SUM];
+        let mut image = vec![0u8; page_size];
+        let mut group: Vec<((u32, u32), u64)> = Vec::new();
+        let mut winners = BTreeMap::new();
+        let mut stats = RecoveryStats::default();
+        let (mut at, mut good_end) = (0u64, 0u64);
+        while len - at >= commit_frame {
+            log.read_exact(&mut head).map_err(io)?;
+            match head[0] {
+                TAG_PAGE => {
+                    if head_u32(&head, HEAD_COUNT) as usize != page_size || len - at < page_frame {
+                        break;
+                    }
+                    log.read_exact(&mut image).map_err(io)?;
+                    log.read_exact(&mut sum).map_err(io)?;
+                    if u64::from_le_bytes(sum) != fnv64_fold(fnv64(&head), &image) {
+                        break;
+                    }
+                    let key = (head_u32(&head, HEAD_FILE), head_u32(&head, HEAD_PAGE));
+                    group.push((key, at + FRAME_HEAD as u64));
+                    at += page_frame;
+                }
+                TAG_COMMIT => {
+                    log.read_exact(&mut sum).map_err(io)?;
+                    if u64::from_le_bytes(sum) != fnv64(&head)
+                        || head_u32(&head, HEAD_COUNT) as usize != group.len()
+                    {
+                        break;
+                    }
+                    stats.frames += group.len() as u64;
+                    stats.commits += 1;
+                    winners.extend(group.drain(..));
+                    at += commit_frame;
+                    good_end = at;
+                }
+                _ => break,
+            }
+        }
+        stats.pages = winners.len() as u64;
+        stats.torn_bytes = len - good_end;
+        Ok(LogScan { winners, stats })
     }
 }
 
@@ -310,8 +354,6 @@ pub struct DurableBackend {
     /// Files dirtied by [`StorageBackend::apply_backlog`] since the
     /// last checkpoint: the only files a checkpoint has to fsync.
     dirty: RefCell<BTreeSet<u32>>,
-    /// Reusable frame-group encode buffer (no per-commit allocation).
-    scratch: RefCell<Vec<u8>>,
     /// Stats from the recovery pass `open` ran, consumed once.
     recovery: Cell<Option<RecoveryStats>>,
     /// Armed crash for the next commit (simulation harness).
@@ -327,7 +369,6 @@ impl DurableBackend {
             committed: RefCell::new(BTreeMap::new()),
             clean: RefCell::new(HashMap::new()),
             dirty: RefCell::new(BTreeSet::new()),
-            scratch: RefCell::new(Vec::new()),
             recovery: Cell::new(recovery),
             sabotage: Cell::new(None),
         }
@@ -340,47 +381,27 @@ impl DurableBackend {
         Ok(Self::assemble(inner, wal, None))
     }
 
-    /// Reopen a durable store, running crash recovery: replay committed
-    /// frame groups into the data files, discard any torn tail, sync,
-    /// and truncate the log (so recovery is idempotent — running it
-    /// again finds an empty log and changes nothing). Deferred groups
-    /// that never reached a barrier were only buffered in memory, so
-    /// the replayed log is always a clean prefix of sealed groups.
+    /// Reopen a durable store, running crash recovery: scan the log
+    /// ([`Wal::scan`]), then write the last sealed image of every page
+    /// it names into the data files — once per page, in `(file, page)`
+    /// order — discard any torn tail, sync, and truncate the log (so
+    /// recovery is idempotent — running it again finds an empty log and
+    /// changes nothing). Deferred groups that never reached a barrier
+    /// were only buffered in memory, so the replayed log is always a
+    /// clean prefix of sealed groups.
     pub fn open(dir: &Path, page_size: usize) -> Result<DurableBackend> {
         let inner = FileBackend::open(dir, page_size)?;
         let wal = Wal::open(dir)?;
-        let log = wal.read_all()?;
+        let LogScan { winners, stats } = wal.scan(page_size)?;
 
-        let mut stats = RecoveryStats::default();
-        let mut pending: Vec<(PageId, Vec<u8>)> = Vec::new();
-        let mut at = 0usize;
-        let mut good_end = 0usize;
-        while at < log.len() {
-            match decode_frame(&log, at) {
-                Some((Frame::Page { pid, data }, next)) => {
-                    pending.push((pid, data));
-                    at = next;
-                }
-                Some((Frame::Commit { frames }, next)) => {
-                    if frames as usize != pending.len() {
-                        // A commit frame sealing the wrong number of
-                        // frames is corruption; stop here.
-                        break;
-                    }
-                    for (pid, data) in pending.drain(..) {
-                        inner.ensure_file(pid.file);
-                        inner.extend_to(pid.file, pid.page + 1)?;
-                        inner.write_page(pid, PageWrite::Borrowed(&data))?;
-                        stats.frames += 1;
-                    }
-                    stats.commits += 1;
-                    at = next;
-                    good_end = at;
-                }
-                None => break, // torn/corrupt tail
-            }
+        let mut image = vec![0u8; page_size];
+        for (&(file, page), &at) in &winners {
+            wal.file.read_exact_at(&mut image, at).map_err(|e| Error::io("read wal image", &e))?;
+            let pid = PageId::new(FileId(file), page);
+            inner.ensure_file(pid.file);
+            inner.extend_to(pid.file, pid.page + 1)?;
+            inner.write_page(pid, PageWrite::Borrowed(&image))?;
         }
-        stats.torn_bytes = (log.len() - good_end) as u64;
 
         // Make the replay durable, then bound the log: everything it
         // held is now in the data files.
@@ -487,14 +508,15 @@ impl StorageBackend for DurableBackend {
             return Ok(CommitStats::default());
         }
 
-        // Encode the group into the reusable scratch buffer: page
+        // Encode the group straight into the log's group-commit buffer,
+        // behind whatever deferred groups already wait there: page
         // frames in (file, page) order, sealed by one commit frame.
         // Skip-clean: a page whose bytes equal its committed image
         // carries no information for redo and is dropped — unless a
         // sabotage is armed, where the full group is logged so the
         // crash corpus stays deterministic.
-        let mut scratch = self.scratch.borrow_mut();
-        scratch.clear();
+        let mut buf = self.wal.buf.borrow_mut();
+        let start = buf.len();
         let mut skipped = 0u64;
         let mut sealed: Vec<((u32, u32), u64)> = Vec::new();
         {
@@ -506,7 +528,7 @@ impl StorageBackend for DurableBackend {
                     skipped += 1;
                     continue;
                 }
-                encode_page_frame(&mut scratch, PageId::new(FileId(key.0), key.1), img);
+                encode_page_frame(&mut buf, PageId::new(FileId(key.0), key.1), img);
                 sealed.push((key, sum));
             }
         }
@@ -515,22 +537,26 @@ impl StorageBackend for DurableBackend {
         if frames == 0 {
             // Every page matched its committed image: nothing to log or
             // promote. A barrier still seals pending deferred groups.
+            drop(buf);
             self.overlay.borrow_mut().clear();
             let fsyncs = if durability == Durability::Barrier { self.wal.sync()? } else { 0 };
             return Ok(CommitStats { frames: 0, bytes: 0, frames_skipped: skipped, fsyncs });
         }
 
         let seq = self.wal.seq.get() + 1;
-        encode_commit_frame(&mut scratch, seq, frames as u32);
-        let bytes = scratch.len() as u64;
+        encode_commit_frame(&mut buf, seq, frames as u32);
+        let group = buf.len() - start;
+        let bytes = group as u64;
 
         match sabotage {
             Some(CommitSabotage::TornWal) => {
-                // Die mid-flush: a byte prefix of the batch reaches the
-                // log, no commit frame, nothing promoted. The commit
-                // fails, and the overlay dies with the "process".
-                self.wal.append_torn(&scratch)?;
-                drop(scratch);
+                // Die mid-flush: the groups buffered before this one and
+                // a strict byte prefix of it reach the log, no commit
+                // frame, no sync, nothing promoted. The commit fails,
+                // and the overlay dies with the "process".
+                buf.truncate(start + group / 2);
+                drop(buf);
+                self.wal.flush()?;
                 self.overlay.borrow_mut().clear();
                 return Err(Error::io_kind("wal commit", "simulated crash during log flush"));
             }
@@ -538,32 +564,31 @@ impl StorageBackend for DurableBackend {
                 // Die between the log sync and the overlay promotion:
                 // the commit IS durable; recovery must redo it from the
                 // log. The overlay dies with the "process".
-                self.wal.append(&scratch);
+                drop(buf);
                 let fsyncs = self.wal.sync()?;
                 self.wal.seq.set(seq);
-                drop(scratch);
                 self.overlay.borrow_mut().clear();
                 return Ok(CommitStats { frames, bytes, frames_skipped: skipped, fsyncs });
             }
             None => {}
         }
 
-        // Append the sealed group; a barrier flushes and fsyncs every
-        // group buffered since the last one in a single write. A real
-        // I/O failure leaves the overlay in place: nothing is lost
+        // The sealed group is buffered; a barrier flushes and fsyncs
+        // every group buffered since the last one in a single write. A
+        // real I/O failure leaves the overlay in place: nothing is lost
         // until the caller decides what to do with the error.
-        self.wal.append(&scratch);
+        let buffered = buf.len();
+        drop(buf);
         let fsyncs = match durability {
             Durability::Barrier => self.wal.sync()?,
             Durability::Deferred => {
-                if self.wal.buf.borrow().len() >= Wal::WRITEBACK_THRESHOLD {
+                if buffered >= Wal::WRITEBACK_THRESHOLD {
                     self.wal.flush()?;
                 }
                 0
             }
         };
         self.wal.seq.set(seq);
-        drop(scratch);
 
         // Promote the logged images to the committed read layer — the
         // checkpointer applies them to the data files off the hot path.
@@ -637,6 +662,7 @@ impl StorageBackend for DurableBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     const PS: usize = 256;
 
@@ -651,29 +677,42 @@ mod tests {
     }
 
     #[test]
-    fn frame_codec_roundtrip_and_checksum() {
-        let mut buf = Vec::new();
-        encode_page_frame(&mut buf, PageId::new(FileId(3), 7), &page(0xEE));
-        encode_commit_frame(&mut buf, 1, 1);
-        let (frame, next) = decode_frame(&buf, 0).unwrap();
-        match frame {
-            Frame::Page { pid, data } => {
-                assert_eq!(pid, PageId::new(FileId(3), 7));
-                assert_eq!(data, page(0xEE));
-            }
-            Frame::Commit { .. } => panic!("expected a page frame"),
-        }
-        let (frame, end) = decode_frame(&buf, next).unwrap();
-        assert!(matches!(frame, Frame::Commit { frames: 1 }));
-        assert_eq!(end, buf.len());
+    fn scan_verifies_every_frame_and_keeps_the_last_sealed_image() {
+        let dir = tmp("scan");
+        fs::create_dir_all(&dir).unwrap();
+        let pid = PageId::new(FileId(3), 7);
+        let mut log = Vec::new();
+        encode_page_frame(&mut log, pid, &page(0xEE));
+        encode_commit_frame(&mut log, 1, 1);
+        let first = log.len();
+        encode_page_frame(&mut log, pid, &page(0xFF));
+        encode_commit_frame(&mut log, 2, 1);
+        let scan = |bytes: &[u8]| {
+            fs::write(dir.join(Wal::FILE_NAME), bytes).unwrap();
+            let LogScan { winners, stats } = Wal::open(&dir).unwrap().scan(PS).unwrap();
+            (winners.into_iter().collect::<Vec<_>>(), stats)
+        };
 
-        // One flipped byte anywhere kills the frame.
-        let mut bent = buf.clone();
+        // Two sealed images of one page: the later one wins.
+        let (winners, stats) = scan(&log);
+        assert_eq!(winners, vec![((3, 7), (first + FRAME_HEAD) as u64)]);
+        assert_eq!((stats.frames, stats.pages, stats.commits, stats.torn_bytes), (2, 1, 2, 0));
+
+        // One flipped byte anywhere kills the frame and all after it.
+        let mut bent = log.clone();
         bent[20] ^= 0x40;
-        assert!(decode_frame(&bent, 0).is_none());
-        // A truncated frame is torn, not a panic.
-        assert!(decode_frame(&buf[..buf.len() - 1], next).is_none());
-        assert!(decode_frame(&buf[..5], 0).is_none());
+        let (winners, stats) = scan(&bent);
+        assert!(winners.is_empty());
+        assert_eq!((stats.commits, stats.torn_bytes), (0, log.len() as u64));
+
+        // A truncated frame is torn, not a panic: the unsealed second
+        // image must not displace the sealed first one.
+        let (winners, stats) = scan(&log[..log.len() - 1]);
+        assert_eq!(winners, vec![((3, 7), FRAME_HEAD as u64)]);
+        assert_eq!((stats.frames, stats.commits), (1, 1));
+        assert_eq!(stats.torn_bytes, (log.len() - 1 - first) as u64);
+        assert_eq!(scan(&log[..5]).1.torn_bytes, 5);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //! the store and checks the recovered image against the exact state the
 //! longest sealed prefix defines.
 //!
+//! Beside the truncations sit the corruptions: every byte of the same log
+//! flipped in turn, a page frame announcing an absurd or merely foreign
+//! length, and a commit frame whose seal count does not match — each must
+//! end the replay at the last group sealed before it.
+//!
 //! It also pins a structural property of group commit: a run that
 //! commits with `Durability::Deferred` and seals once at the end writes
 //! the **byte-identical** log a barrier-per-commit run writes — deferred
@@ -107,6 +112,108 @@ fn recovery_from_every_truncation_offset_is_a_committed_prefix() {
             );
         }
     }
+}
+
+/// Frame sizes of the format `wal.rs` documents: a 13-byte head, the
+/// page image (page frames only), an 8-byte checksum.
+const PAGE_FRAME: usize = 13 + PS + 8;
+const COMMIT_FRAME: usize = 13 + 8;
+/// Offset of a page frame's `len` field (after the tag, file and page).
+const LEN_FIELD: usize = 9;
+
+/// Copy the store with `log` as its write-ahead log, recover it, and
+/// require exactly the state the first `n` groups define, with
+/// `torn_bytes` measured from the end of group `n`.
+fn assert_recovers_to_prefix(src: &Path, file: FileId, cum: &[u64], log: &[u8], n: u8, ctx: &str) {
+    let crash = src.with_extension("crash");
+    crashed_copy(src, &crash, 0);
+    fs::write(crash.join(Wal::FILE_NAME), log).unwrap();
+    let backend = DurableBackend::open(&crash, PS).unwrap();
+
+    let stats = backend.take_recovery_stats().unwrap_or_default();
+    assert_eq!(stats.commits, n as u64, "{ctx}: wrong replay depth");
+    assert_eq!(stats.frames, 2 * n as u64, "{ctx}: wrong frame count");
+    assert_eq!(stats.torn_bytes, log.len() as u64 - cum[n as usize], "{ctx}: wrong torn tail");
+    for k in 0..=COMMITS {
+        let want = match k {
+            0 => vec![n; PS],
+            k if k <= n => vec![k; PS],
+            _ => vec![0u8; PS],
+        };
+        assert_eq!(
+            *backend.read_page(PageId::new(file, k as u32)).unwrap(),
+            want,
+            "{ctx}: page {k} is not the state of prefix {n}"
+        );
+    }
+}
+
+#[test]
+fn recovery_from_every_flipped_byte_is_a_committed_prefix() {
+    let src = tmp("flip-src");
+    let (file, cum) = build(&src, Durability::Barrier);
+    let log = fs::read(src.join(Wal::FILE_NAME)).unwrap();
+
+    for at in 0..log.len() {
+        let mut bent = log.clone();
+        bent[at] ^= 0xFF;
+        // Every byte of a frame is covered by its checksum (or is the
+        // checksum), so the group holding the flipped byte and all
+        // after it are lost — and nothing before it.
+        let n = cum.iter().rposition(|&end| end <= at as u64).unwrap() as u8;
+        assert_recovers_to_prefix(&src, file, &cum, &bent, n, &format!("flip at {at}"));
+    }
+}
+
+#[test]
+fn a_page_frame_of_any_other_length_is_a_torn_tail() {
+    let src = tmp("len-src");
+    let (file, cum) = build(&src, Durability::Barrier);
+    let log = fs::read(src.join(Wal::FILE_NAME)).unwrap();
+    let group3 = cum[2] as usize;
+
+    // `len` = u32::MAX on the first frame of group 3: the scan must
+    // reject the field itself — there is no 4 GiB image to read, and
+    // nothing may be allocated for one.
+    let mut absurd = log.clone();
+    absurd[group3 + LEN_FIELD..group3 + LEN_FIELD + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert_recovers_to_prefix(&src, file, &cum, &absurd, 2, "len u32::MAX");
+
+    // A perfectly well-formed, sealed group written by a store with
+    // another page size, spliced in after group 2: every checksum and
+    // the seal count verify, the length alone gives it away. The valid
+    // groups 3 and 4 behind it must not replay either.
+    let other = tmp("len-half");
+    let half = DurableBackend::create(&other, PS / 2).unwrap();
+    let f = half.create_file();
+    let pid = half.allocate_page(f).unwrap();
+    half.write_page(pid, PageWrite::Borrowed(&[0xAB; PS / 2])).unwrap();
+    half.commit(Durability::Barrier).unwrap();
+    drop(half);
+    let foreign = fs::read(other.join(Wal::FILE_NAME)).unwrap();
+    let spliced = [&log[..group3], &foreign, &log[group3..]].concat();
+    assert_recovers_to_prefix(&src, file, &cum, &spliced, 2, "foreign page size");
+}
+
+#[test]
+fn a_miscounted_seal_stops_the_replay_before_later_valid_groups() {
+    let src = tmp("seal-src");
+    let (file, cum) = build(&src, Durability::Barrier);
+    let log = fs::read(src.join(Wal::FILE_NAME)).unwrap();
+    assert_eq!(cum[1] as usize, 2 * PAGE_FRAME + COMMIT_FRAME, "frame sizes drifted");
+
+    // Drop the first page frame of group 2: its commit frame is intact
+    // and checksummed but now seals two frames where one precedes it.
+    // Groups 3 and 4 behind it are whole; none of them may replay.
+    let group2 = cum[1] as usize;
+    let short = [&log[..group2], &log[group2 + PAGE_FRAME..]].concat();
+    assert_recovers_to_prefix(&src, file, &cum, &short, 1, "seal counts one frame too many");
+
+    // Drop group 2's commit frame instead: group 3's seal then finds
+    // four unsealed frames before it, not two.
+    let seal2 = cum[2] as usize - COMMIT_FRAME;
+    let unsealed = [&log[..seal2], &log[cum[2] as usize..]].concat();
+    assert_recovers_to_prefix(&src, file, &cum, &unsealed, 1, "seal counts two frames too few");
 }
 
 #[test]
