@@ -125,6 +125,15 @@ cargo run --release -q -p trijoin-check --bin trijoin -- \
 grep -q '"migrate.count"' "$report" || { echo "adaptive serve report lacks migrate.count"; exit 1; }
 cargo run --release -q -p trijoin-check --bin trijoin -- report-validate "$report"
 rm -f "$report"
+# The single-engine adapter runs the same controller on the simulated
+# clock, so its committed results file must reproduce to the byte.
+cargo run --release -q --example adaptive | diff - results/adaptive.txt
+# One decision loop: strategy re-selection is priced in the policy module
+# (and the launch-time advisor), nowhere else.
+if grep -rn "all_costs\|cheapest(" crates/core/src crates/serve/src \
+    | grep -v "^crates/core/src/policy.rs:\|^crates/core/src/advisor.rs:"; then
+    echo "strategy re-selection outside crates/core/src/policy.rs"; exit 1
+fi
 
 echo "==> crash-recovery gate"
 # Durability end to end on the real file backend: a fresh crash-heavy

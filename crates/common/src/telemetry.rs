@@ -659,6 +659,13 @@ impl Telemetry {
         }
     }
 
+    /// Windows closed since the last reset, retained or already dropped
+    /// from the ring — a count, so the query path need not clone them.
+    pub fn windows_closed(&self) -> u64 {
+        let st = self.0.borrow();
+        st.dropped + st.windows.len() as u64
+    }
+
     /// Snapshot the retained windows and lifetime audit totals.
     pub fn series(&self) -> SeriesSnapshot {
         let st = self.0.borrow();

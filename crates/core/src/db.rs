@@ -441,15 +441,17 @@ impl Database {
         self.telemetry.borrow().as_ref().map(|t| t.tel.series())
     }
 
+    /// Telemetry windows closed so far (`None` when telemetry is off).
+    pub fn telemetry_windows_closed(&self) -> Option<u64> {
+        self.telemetry.borrow().as_ref().map(|t| t.tel.windows_closed())
+    }
+
     /// The analytical prediction for one query cycle of a paper strategy
-    /// (`None` for ablation strategies the model does not price).
+    /// (`None` for ablation strategies the model does not price), through
+    /// the same [`trijoin_model::cost_of`] the adaptive policy selects with.
     fn model_report(&self, label: &str, w: &Workload) -> Option<trijoin_model::CostReport> {
-        match label {
-            "materialized-view" => Some(trijoin_model::mv::cost(&self.params, w)),
-            "join-index" => Some(trijoin_model::ji::cost(&self.params, w)),
-            "hybrid-hash" => Some(trijoin_model::hh::cost(&self.params, w)),
-            _ => None,
-        }
+        let method = Method::all().into_iter().find(|m| m.label() == label)?;
+        Some(trijoin_model::cost_of(&self.params, w, method))
     }
 
     /// Audit one finished query cycle and advance the telemetry clock.

@@ -4,7 +4,7 @@
 
 use trijoin_common::{ModelDelta, OpCounts, Result, SystemParams};
 use trijoin_exec::{oracle, JoinStrategy};
-use trijoin_model::{all_costs, Method, Workload};
+use trijoin_model::{cost_of, Method, Workload};
 
 use crate::db::Database;
 use crate::workload::{GeneratedWorkload, WorkloadSpec};
@@ -99,7 +99,6 @@ impl Experiment {
     pub fn run_epoch(&self) -> Result<EpochReport> {
         let workload = self.generated.measured();
         let mut outcomes = Vec::with_capacity(3);
-        let model = all_costs(&self.params, &workload);
         for method in Method::all() {
             let db =
                 Database::new(&self.params, self.generated.r.clone(), self.generated.s.clone())?;
@@ -134,7 +133,7 @@ impl Experiment {
                 oracle::assert_same_join(method.label(), result, want);
             }
             let engine_secs = engine_ops.time_secs(&self.params);
-            let model_secs = model.iter().find(|c| c.method == method).map(|c| c.total()).unwrap();
+            let model_secs = cost_of(&self.params, &workload, method).total();
             outcomes.push(MethodOutcome { method, engine_ops, engine_secs, model_secs, tuples });
         }
         Ok(EpochReport { workload, outcomes })

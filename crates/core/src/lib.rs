@@ -54,9 +54,10 @@ pub mod breakdown;
 pub mod catalog;
 pub mod db;
 pub mod experiment;
+pub mod policy;
 pub mod workload;
 
-pub use adaptive::{AdaptiveStrategy, CachedStrategy};
+pub use adaptive::{AdaptiveController, AdaptiveStrategy, CachedStrategy, MigrationState};
 pub use advisor::{Advisor, Recommendation};
 pub use breakdown::Fig5Breakdown;
 pub use db::Database;

@@ -37,5 +37,7 @@ pub mod regions;
 pub mod report;
 
 pub use inputs::{Derived, Workload};
-pub use regions::{all_costs, cheapest, figure4_grid, figure6_grid, RegionCell};
+pub use regions::{
+    all_costs, cheapest, cheapest_of, cost_of, figure4_grid, figure6_grid, RegionCell,
+};
 pub use report::{CostReport, Method, Term, TermKind};

@@ -6,19 +6,30 @@ use crate::inputs::Workload;
 use crate::report::{CostReport, Method};
 use crate::{hh, ji, mv};
 
-/// Price one workload under all three methods.
-pub fn all_costs(params: &SystemParams, w: &Workload) -> [CostReport; 3] {
-    [mv::cost(params, w), ji::cost(params, w), hh::cost(params, w)]
+/// Price one workload under one method — the single pricing entry that
+/// strategy selection and the engine's cost audit share.
+pub fn cost_of(params: &SystemParams, w: &Workload, method: Method) -> CostReport {
+    match method {
+        Method::MaterializedView => mv::cost(params, w),
+        Method::JoinIndex => ji::cost(params, w),
+        Method::HybridHash => hh::cost(params, w),
+    }
 }
 
-/// The cheapest method for one workload (ties broken in presentation
+/// Price one workload under all three methods, in [`Method::all`] order.
+pub fn all_costs(params: &SystemParams, w: &Workload) -> [CostReport; 3] {
+    Method::all().map(|method| cost_of(params, w, method))
+}
+
+/// The cheapest of three priced methods (ties broken in presentation
 /// order, which never matters at the grid resolutions used).
+pub fn cheapest_of(totals: [(Method, f64); 3]) -> (Method, f64) {
+    totals.into_iter().min_by(|a, b| a.1.total_cmp(&b.1)).unwrap()
+}
+
+/// The cheapest method for one workload.
 pub fn cheapest(params: &SystemParams, w: &Workload) -> (Method, f64) {
-    all_costs(params, w)
-        .into_iter()
-        .map(|r| (r.method, r.total()))
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .unwrap()
+    cheapest_of(all_costs(params, w).map(|r| (r.method, r.total())))
 }
 
 /// Logarithmically spaced values from `lo` to `hi` inclusive.

@@ -42,7 +42,6 @@
 //! streaming k-way merge yields one total order — any shard count and
 //! any client interleaving produce the same answers at batch boundaries.
 
-pub mod adaptive;
 pub mod config;
 pub mod router;
 pub mod server;
@@ -50,7 +49,6 @@ pub mod shard;
 pub mod traffic;
 pub mod validate;
 
-pub use adaptive::{AdaptiveShard, MigrationState};
 pub use config::ServeConfig;
 pub use server::{ClientSession, Request, Response, Server};
 pub use shard::{ShardCommand, ShardSpec};

@@ -14,15 +14,13 @@ use std::path::PathBuf;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
-use trijoin::{CachedStrategy, Database, Method};
+use trijoin::{AdaptiveController, CachedStrategy, Database, Method};
 use trijoin_common::{
     BaseTuple, Error, Result, RunReport, SystemParams, TelemetryConfig, ViewTuple,
 };
 use trijoin_exec::recovery::with_retry;
 use trijoin_exec::{HybridHash, JoinStrategy, Mutation};
 use trijoin_storage::{Durability, FaultPlan};
-
-use crate::adaptive::AdaptiveShard;
 
 /// A command processed by a shard thread, in arrival order.
 pub enum ShardCommand {
@@ -166,8 +164,8 @@ enum Mode {
     /// structures those queries use (see [`ResidentSet`]).
     Pinned(ResidentSet),
     /// One *current* structure plus the online selection and migration
-    /// machinery of [`AdaptiveShard`].
-    Adaptive(AdaptiveShard),
+    /// machinery of [`AdaptiveController`].
+    Adaptive(AdaptiveController),
 }
 
 /// The cached structures alive on a pinned shard, driven by demand. The
@@ -311,7 +309,7 @@ impl ShardWorker {
         // the shard's observable life from a clean slate.
         db.reset_observability();
         if let Mode::Adaptive(a) = &mode {
-            a.register_metrics(&db);
+            a.register_metrics();
         }
         if let (Some(cfg), Some(workload)) = (spec.telemetry, workload) {
             db.enable_telemetry(cfg);
@@ -327,7 +325,7 @@ impl ShardWorker {
     fn build_mode(db: &Database, adaptive: bool) -> Result<Mode> {
         Ok(if adaptive {
             let initial = CachedStrategy::build(db, Method::MaterializedView)?;
-            Mode::Adaptive(AdaptiveShard::new(initial))
+            Mode::Adaptive(AdaptiveController::new(db.disk(), db.params(), db.cost(), initial))
         } else {
             Mode::Pinned(ResidentSet::new(db))
         })
@@ -357,7 +355,7 @@ impl ShardWorker {
         let mode = Self::build_mode(&db, spec.adaptive)?;
         db.reset_observability();
         if let Mode::Adaptive(a) = &mode {
-            a.register_metrics(&db);
+            a.register_metrics();
         }
         let metrics = db.metrics();
         for (name, value) in RECOVERED.into_iter().zip(recovered) {
@@ -452,7 +450,7 @@ impl ShardWorker {
         }
         match &mut self.mode {
             Mode::Pinned(set) => set.evict_idle(&self.db),
-            Mode::Adaptive(a) => a.advance(&self.db),
+            Mode::Adaptive(a) => a.advance(),
         }
     }
 
@@ -462,7 +460,7 @@ impl ShardWorker {
         self.since_query += 1;
         match &mut self.mode {
             Mode::Pinned(set) => set.log(m)?,
-            Mode::Adaptive(a) => a.on_mutation(&self.db, m)?,
+            Mode::Adaptive(a) => a.on_mutation(m)?,
         }
         self.db.apply_r_mutation(m)
     }
@@ -480,7 +478,7 @@ impl ShardWorker {
         self.db.s_mut()?.apply_mutation(m)?;
         match &mut self.mode {
             Mode::Pinned(set) => set.release_stale(),
-            Mode::Adaptive(a) => a.on_s_mutation(&self.db),
+            Mode::Adaptive(a) => a.on_s_mutation(),
         }
         Ok(())
     }
@@ -519,8 +517,8 @@ impl ShardWorker {
                 set.evict_idle(&self.db);
             }
             Mode::Adaptive(a) => {
-                a.after_query(&self.db, &rows);
-                a.advance(&self.db);
+                a.after_query(self.db.r(), self.db.s(), &rows, self.db.telemetry_windows_closed());
+                a.advance();
             }
         }
         Ok(rows)
@@ -540,7 +538,7 @@ impl ShardWorker {
                 metrics.gauge_set("shard.updates_since_query", self.since_query as f64);
                 set.stamp_gauges(&self.db);
             }
-            Mode::Adaptive(a) => a.stamp_gauges(&self.db),
+            Mode::Adaptive(a) => a.stamp_gauges(),
         }
         self.db.run_report(format!("shard{}", self.index))
     }

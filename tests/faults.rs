@@ -12,8 +12,9 @@
 
 use trijoin::{
     AdaptiveStrategy, CachedStrategy, Database, JoinStrategy, Method, Mutation, SystemParams,
+    WorkloadSpec,
 };
-use trijoin_common::{BaseTuple, Surrogate, ViewTuple};
+use trijoin_common::{BaseTuple, EventKind, Surrogate, ViewTuple};
 use trijoin_exec::{execute_collect, oracle};
 use trijoin_storage::FaultPlan;
 
@@ -237,11 +238,7 @@ fn matrix_hh_torn_spill_writes() {
 // ---------------------------------------------------------------------
 
 fn adaptive_over(db: &Database, kind: Method) -> AdaptiveStrategy {
-    let initial = match kind {
-        Method::MaterializedView => CachedStrategy::Mv(db.materialized_view().unwrap()),
-        Method::JoinIndex => CachedStrategy::Ji(db.join_index().unwrap()),
-        Method::HybridHash => CachedStrategy::Hh(db.hybrid_hash()),
-    };
+    let initial = CachedStrategy::build(db, kind).unwrap();
     AdaptiveStrategy::new(db.disk(), db.params(), db.cost(), initial)
 }
 
@@ -302,6 +299,55 @@ fn matrix_adaptive_poisoned_cache_reads() {
         AdaptiveStrategy::new(db.disk(), db.params(), db.cost(), CachedStrategy::Mv(mv));
     let plan = FaultPlan::new().poison_nth_read(Some(view_file), 0);
     check("adaptive[mv]/poison-view@0", db, &mut adaptive, plan, true);
+}
+
+/// A write fault inside the hand-off is a rollback, never a failed query:
+/// the answer was already streamed from the untouched incumbent, nothing
+/// announces a switch that did not happen, and — a rollback arms no
+/// cooldown — the next query retries and completes the migration.
+#[test]
+fn adaptive_hand_off_write_fault_rolls_back_then_retries() {
+    // Tiny join, light updates, generous memory: hybrid hash is the wrong
+    // incumbent (the first query's decision leaves it) and never spills,
+    // so the query's first write is the target structure's build.
+    let params = SystemParams { mem_pages: 64, ..SystemParams::paper_defaults() };
+    let gen = WorkloadSpec {
+        r_tuples: 1_500,
+        s_tuples: 1_500,
+        tuple_bytes: 96,
+        sr: 0.005,
+        group_size: 4,
+        pra: 0.1,
+        update_rate: 0.02,
+        seed: 401,
+    }
+    .generate();
+    let mut db = Database::new(&params, gen.r.clone(), gen.s.clone()).unwrap();
+    let mut adaptive = adaptive_over(&db, Method::HybridHash);
+    let mut stream = gen.update_stream();
+    for _ in 0..gen.updates_per_epoch() {
+        let u = stream.next_update();
+        adaptive.on_update(&u).unwrap();
+        db.r_mut().apply_update(&u.old, &u.new).unwrap();
+    }
+    let want = oracle::join_tuples(stream.current(), &gen.s);
+    db.reset_observability();
+    db.install_fault_plan(FaultPlan::new().fail_nth_write(None, 0));
+    let got = execute_collect(&mut adaptive, db.r(), db.s()).unwrap();
+    oracle::assert_same_join("adaptive[hh]/hand-off-write@0", got, want.clone());
+    assert_eq!(db.faults_fired(), 1, "the fault must fire");
+    assert_eq!(db.metrics().counter("migrate.rollbacks"), 1);
+    assert_eq!(db.metrics().counter("migrate.count"), 0);
+    assert_eq!(db.events().count_of(EventKind::StrategySwitch), 0);
+    assert_eq!(adaptive.current_method(), Method::HybridHash);
+
+    db.clear_faults();
+    let again = execute_collect(&mut adaptive, db.r(), db.s()).unwrap();
+    oracle::assert_same_join("adaptive[hh]/hand-off retry", again, want);
+    assert_ne!(adaptive.current_method(), Method::HybridHash);
+    assert_eq!(db.metrics().counter("migrate.rollbacks"), 1);
+    assert_eq!(db.metrics().counter("migrate.count"), 1);
+    assert_eq!(db.events().count_of(EventKind::StrategySwitch), 1);
 }
 
 // ---------------------------------------------------------------------

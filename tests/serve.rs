@@ -17,12 +17,10 @@
 //!   strategies' documented recovery paths) and the recovery shows up,
 //!   shard-tagged, in the rolled-up event log.
 
-use trijoin::{CachedStrategy, Database, Method, WorkloadSpec};
+use trijoin::{AdaptiveController, CachedStrategy, Database, Method, MigrationState, WorkloadSpec};
 use trijoin_common::{BaseTuple, EventKind, SystemParams, ViewTuple};
 use trijoin_exec::{oracle, Mutation};
-use trijoin_serve::{
-    merged_current, AdaptiveShard, ClientTraffic, MigrationState, ServeConfig, Server,
-};
+use trijoin_serve::{merged_current, ClientTraffic, ServeConfig, Server};
 use trijoin_storage::FaultPlan;
 
 fn params() -> SystemParams {
@@ -369,7 +367,7 @@ fn adaptive_server_migrates_and_stays_oracle_equivalent() {
 /// an exact [`MigrationState`] phase.
 struct PhaseHarness {
     db: Database,
-    shard: AdaptiveShard,
+    shard: AdaptiveController,
     gen: trijoin::GeneratedWorkload,
 }
 
@@ -378,15 +376,16 @@ impl PhaseHarness {
         let params = SystemParams { mem_pages: 64, ..SystemParams::paper_defaults() };
         let gen = adaptive_spec(seed).generate();
         let db = Database::new(&params, gen.r.clone(), gen.s.clone()).unwrap();
-        let shard = AdaptiveShard::new(CachedStrategy::Mv(db.materialized_view().unwrap()));
+        let initial = CachedStrategy::Mv(db.materialized_view().unwrap());
+        let shard = AdaptiveController::new(db.disk(), db.params(), db.cost(), initial);
         db.reset_observability();
-        shard.register_metrics(&db);
+        shard.register_metrics();
         let stream = gen.update_stream();
         (PhaseHarness { db, shard, gen }, stream)
     }
 
     fn apply(&mut self, m: &Mutation) {
-        self.shard.on_mutation(&self.db, m).unwrap();
+        self.shard.on_mutation(m).unwrap();
         self.db.apply_r_mutation(m).unwrap();
     }
 
@@ -395,7 +394,7 @@ impl PhaseHarness {
         rows.sort_by_key(|t| (t.r_sur, t.s_sur));
         let want = oracle::join_tuples(stream.current(), &self.gen.s);
         oracle::assert_same_join("phase harness", rows.clone(), want);
-        self.shard.after_query(&self.db, &rows);
+        self.shard.after_query(self.db.r(), self.db.s(), &rows, None);
         rows
     }
 
@@ -428,7 +427,7 @@ fn write_fault_while_building_rolls_back_to_the_incumbent() {
     // and the failure must roll the migration back, not poison the shard.
     h.db.install_fault_plan(FaultPlan::new().fail_nth_write(None, 0));
     for _ in 0..64 {
-        h.shard.advance(&h.db);
+        h.shard.advance();
         if matches!(h.shard.state(), MigrationState::Stable) {
             break;
         }
@@ -448,14 +447,17 @@ fn write_fault_while_building_rolls_back_to_the_incumbent() {
         }
         h.query(&stream);
         for _ in 0..64 {
-            h.shard.advance(&h.db);
+            h.shard.advance();
         }
-        if h.shard.migrations() >= 1 {
+        if h.db.metrics().counter("migrate.count") >= 1 {
             break;
         }
     }
-    assert!(h.shard.migrations() >= 1, "the controller must retry after a rollback");
-    assert_eq!(h.db.metrics().counter("migrate.count"), 1);
+    assert_eq!(
+        h.db.metrics().counter("migrate.count"),
+        1,
+        "the controller must retry after a rollback"
+    );
     h.query(&stream);
 }
 
@@ -469,7 +471,7 @@ fn abort_while_draining_destroys_the_built_target_and_keeps_the_incumbent() {
     // the controller sits in Draining — the phase where a rollback has a
     // real structure to tear down, not just staged rows.
     for _ in 0..64 {
-        h.shard.advance(&h.db);
+        h.shard.advance();
         if matches!(h.shard.state(), MigrationState::Draining { .. }) {
             break;
         }
@@ -484,7 +486,7 @@ fn abort_while_draining_destroys_the_built_target_and_keeps_the_incumbent() {
     // An `S` mutation lands before the swap: the migration must abort,
     // destroying the built-but-never-serving target, and the incumbent
     // (plus its pending differential) keeps answering exactly.
-    h.shard.on_s_mutation(&h.db);
+    h.shard.on_s_mutation();
     assert!(matches!(h.shard.state(), MigrationState::Stable), "drain abort must roll back");
     assert_eq!(h.db.metrics().counter("migrate.rollbacks"), 1);
     assert_eq!(h.db.metrics().counter("migrate.count"), 0);
