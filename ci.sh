@@ -1,5 +1,10 @@
 #!/usr/bin/env bash
-# Repo CI gate: formatting, lints, release build, full test suite.
+# Repo CI gate: formatting, lints, release build, full test suite (the
+# last three --locked, so a Cargo.lock that no longer matches the
+# manifests fails here instead of being silently rewritten), then the
+# run-report schema, serving-layer, live-monitor, wall-clock smoke,
+# repo-benchmark smoke + residency soak, bench-regression, simulation,
+# adaptive-serving and crash-recovery gates.
 # Run from the workspace root. Fails fast on the first broken stage.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -8,13 +13,13 @@ echo "==> cargo fmt --check"
 cargo fmt --all --check
 
 echo "==> cargo clippy -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release"
-cargo build --release
+cargo build --locked --release
 
 echo "==> cargo test -q"
-cargo test -q
+cargo test --locked -q
 
 echo "==> run-report schema gate"
 # Emit a small run report and validate it: the file must be valid JSON

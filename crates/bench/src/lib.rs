@@ -1,8 +1,7 @@
-//! Shared helpers for the figure-regeneration binaries and benches.
+//! Shared helpers for the figure-regeneration binaries.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md's experiment index); the criterion benches under
-//! `benches/` measure the wall-clock performance of the engine itself.
+//! paper (see DESIGN.md's experiment index).
 
 use std::path::PathBuf;
 

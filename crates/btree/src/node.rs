@@ -44,11 +44,6 @@ impl Node {
         Node::Leaf { entries: Vec::new(), next: None }
     }
 
-    /// True for leaf nodes.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Node::Leaf { .. })
-    }
-
     /// Serialized size in bytes.
     pub fn serialized_len(&self) -> usize {
         match self {

@@ -32,10 +32,10 @@
 //!             [--strategy mv|ji|hh] [--seed 42] [--once] [--json]
 //!             [--report <path>] [--durable <dir>] [--deferred] [--adaptive]
 //!     live serving-stack monitor: spawns a server plus client traffic and
-//!     renders qps, latency percentiles, ring backpressure, pool hit rate,
-//!     per-shard update/query ratio, key skew and resident cached
-//!     structures (`mv`, `ji`, `mv+ji`, `-`), cost-drift counts, and the
-//!     telemetry window series. `--once` renders a single frame and
+//!     renders qps, latency percentiles, ring backpressure, per-shard
+//!     update/query ratio, key skew and resident cached structures
+//!     (`mv`, `ji`, `mv+ji`, `-`), cost-drift counts, and the telemetry
+//!     window series. `--once` renders a single frame and
 //!     exits; `--json` emits the sharded run report as JSON (scriptable,
 //!     `report-validate`-clean) instead of the dashboard; `--durable`/
 //!     `--deferred` mirror `trijoin serve` and add a `wal` dashboard row
@@ -566,8 +566,8 @@ fn report_validate(rest: &[String]) -> Result<(), String> {
 /// `trijoin top` — the live serving-stack monitor. Spawns its own server
 /// plus deterministic client traffic, then refreshes a dashboard frame
 /// per traffic round: throughput, latency percentiles, ring
-/// backpressure, pool hit rate, per-shard update/query ratio, key skew,
-/// cost-drift counts, and the telemetry window series. `--once` renders
+/// backpressure, per-shard update/query ratio, key skew, cost-drift
+/// counts, and the telemetry window series. `--once` renders
 /// a single frame; `--json` prints the sharded run report instead (it
 /// validates under `trijoin report-validate`).
 fn top(args: &Args) -> Result<(), String> {
@@ -687,12 +687,11 @@ fn render_top_frame(
     );
     println!(
         "  qps {qps:>8.1}   p50 {:>7.0}us   p99 {:>7.0}us   ring cap {:>5.0} \
-         ({:.0} full-waits)   pool hit {:>5.1}%",
+         ({:.0} full-waits)",
         gauge("serve.latency.p50_us"),
         gauge("serve.latency.p99_us"),
         gauge("serve.ring.capacity"),
         gauge("serve.ring.full_waits"),
-        rollup.pool_hit_rate() * 100.0
     );
     if gauge("wal.enabled") >= 1.0 {
         // Durable serving: group-commit accounting summed across shard

@@ -34,12 +34,12 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use rand::prelude::*;
-use trijoin::{Database, WorkloadSpec};
+use trijoin::{CachedStrategy, Database, WorkloadSpec};
 use trijoin_common::{
     rng, BaseTuple, Error, EventKind, Script, ScriptOp, Surrogate, SystemParams, TelemetryConfig,
     ViewTuple,
 };
-use trijoin_exec::{oracle, JoinStrategy, Mutation, Update};
+use trijoin_exec::{oracle, Mutation, Update};
 use trijoin_model::{all_costs, Method, Workload};
 use trijoin_serve::validate::check_recovery_bound;
 use trijoin_serve::{ClientSession, ServeConfig, Server};
@@ -146,20 +146,11 @@ impl std::fmt::Display for CheckFailure {
     }
 }
 
-/// Per-strategy cached state. An enum (not `Box<dyn JoinStrategy>`) so
-/// the driver can reach strategy-specific surfaces: the cached-structure
-/// file for scoped poison faults and the rebuild constructors.
-enum Cached {
-    Mv(trijoin_exec::MaterializedView),
-    Ji(trijoin_exec::JoinIndexStrategy),
-    Hh(trijoin_exec::HybridHash),
-}
-
 /// One single-node engine replaying the script with one strategy.
 struct Engine {
     method: Method,
     db: Database,
-    cached: Cached,
+    cached: CachedStrategy,
     s_dirty: bool,
     /// Durable-store directory (`None` on the in-memory backend).
     dir: Option<PathBuf>,
@@ -186,11 +177,7 @@ impl Engine {
         };
         db.enable_telemetry(TelemetryConfig::default());
         db.enable_cost_audit(workload.clone(), cfg.audit_calibration);
-        let cached = match method {
-            Method::MaterializedView => Cached::Mv(db.materialized_view()?),
-            Method::JoinIndex => Cached::Ji(db.join_index()?),
-            Method::HybridHash => Cached::Hh(db.hybrid_hash()),
-        };
+        let cached = CachedStrategy::build(&db, method)?;
         Ok(Engine { method, db, cached, s_dirty: false, dir, audit: workload })
     }
 
@@ -232,21 +219,9 @@ impl Engine {
             .map_err(Error::Invariant)?;
         self.db.enable_telemetry(TelemetryConfig::default());
         self.db.enable_cost_audit(self.audit.clone(), cfg.audit_calibration);
-        self.cached = match self.method {
-            Method::MaterializedView => Cached::Mv(self.db.materialized_view()?),
-            Method::JoinIndex => Cached::Ji(self.db.join_index()?),
-            Method::HybridHash => Cached::Hh(self.db.hybrid_hash()),
-        };
+        self.cached = CachedStrategy::build(&self.db, self.method)?;
         self.s_dirty = false;
         Ok(committed)
-    }
-
-    fn strategy(&mut self) -> &mut dyn JoinStrategy {
-        match &mut self.cached {
-            Cached::Mv(s) => s,
-            Cached::Ji(s) => s,
-            Cached::Hh(s) => s,
-        }
     }
 
     /// Mirror of the serve layer's shard apply: the strategy observes the
@@ -255,7 +230,7 @@ impl Engine {
         let skip_notify = sabotage == Sabotage::SkipPraFilter
             && matches!(m, Mutation::Update(u) if !u.changes_join_attr());
         if !skip_notify {
-            self.strategy().on_mutation(m)?;
+            self.cached.as_dyn().on_mutation(m)?;
         }
         self.db.apply_r_mutation(m)
     }
@@ -267,23 +242,13 @@ impl Engine {
     }
 
     /// Lazy cached-structure rebuild after S-side mutations, mirroring
-    /// `trijoin_serve::shard`: build fresh, then delete the stale file.
+    /// `trijoin_serve::shard`: build fresh, then destroy the stale
+    /// structure (its view/index file and any spilled differential runs).
+    /// Hybrid hash caches nothing and reads both relations every query.
     fn rebuild_if_dirty(&mut self) -> trijoin_common::Result<()> {
-        if !self.s_dirty {
-            return Ok(());
-        }
-        let stale = match &self.cached {
-            Cached::Mv(mv) => Some(mv.view_file()),
-            Cached::Ji(ji) => Some(ji.index_file()),
-            Cached::Hh(_) => None, // reads both base relations every query
-        };
-        if let Some(old) = stale {
-            self.cached = match self.method {
-                Method::MaterializedView => Cached::Mv(self.db.materialized_view()?),
-                Method::JoinIndex => Cached::Ji(self.db.join_index()?),
-                Method::HybridHash => unreachable!("hybrid-hash caches nothing"),
-            };
-            self.db.disk().delete_file(old);
+        if self.s_dirty && self.cached.cached_file().is_some() {
+            let fresh = CachedStrategy::build(&self.db, self.method)?;
+            std::mem::replace(&mut self.cached, fresh).destroy();
         }
         self.s_dirty = false;
         Ok(())
@@ -302,12 +267,7 @@ impl Engine {
         for _ in 0..rn.gen_range(1u32..=2) {
             plan = plan.fail_nth_read(None, rn.gen_range(0u64..32));
         }
-        let cache_file = match &self.cached {
-            Cached::Mv(mv) => Some(mv.view_file()),
-            Cached::Ji(ji) => Some(ji.index_file()),
-            Cached::Hh(_) => None,
-        };
-        if let Some(file) = cache_file {
+        if let Some(file) = self.cached.cached_file() {
             if rn.gen_bool(0.5) {
                 plan = plan.poison_nth_read(Some(file), rn.gen_range(0u64..8));
             }
@@ -317,13 +277,7 @@ impl Engine {
     }
 
     fn query(&mut self) -> trijoin_common::Result<Vec<ViewTuple>> {
-        let Engine { db, cached, .. } = self;
-        let strategy: &mut dyn JoinStrategy = match cached {
-            Cached::Mv(s) => s,
-            Cached::Ji(s) => s,
-            Cached::Hh(s) => s,
-        };
-        db.query(strategy)
+        self.db.query(self.cached.as_dyn())
     }
 }
 
@@ -998,4 +952,52 @@ pub fn run_script(script: &Script, cfg: &CheckConfig) -> Result<CheckOutcome, Bo
         }
     }
     Ok(driver.outcome)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An `S` mutation arriving while the differential log has spilled
+    /// runs: the rebuild must release the stale structure's run files
+    /// along with its view/index file.
+    #[test]
+    fn rebuild_after_s_mutation_releases_spilled_log_runs() {
+        let cfg = CheckConfig::default();
+        let spec = WorkloadSpec {
+            r_tuples: 2_000,
+            s_tuples: 2_000,
+            tuple_bytes: 200,
+            sr: 0.05,
+            group_size: 10,
+            pra: 0.2,
+            update_rate: 0.0,
+            seed: 18,
+        };
+        let generated = spec.generate();
+        for method in [Method::MaterializedView, Method::JoinIndex] {
+            let mut engine =
+                Engine::new(method, &cfg, generated.r.clone(), generated.s.clone(), None).unwrap();
+            let mut updates = generated.update_stream();
+            while engine.cached.pending_log_pages() == 0 {
+                let m = Mutation::Update(updates.next_update());
+                engine.apply_r(&m, Sabotage::None).unwrap();
+            }
+            let old = generated.s[0].clone();
+            let new = BaseTuple::with_payload(old.sur, old.key, &[7; 8], spec.tuple_bytes).unwrap();
+            engine.apply_s(&Mutation::Update(Update { old, new })).unwrap();
+            engine.rebuild_if_dirty().unwrap();
+            engine.query().unwrap();
+
+            let (mut r, mut s) = (Vec::new(), Vec::new());
+            engine.db.r().scan(|t| r.push(t)).unwrap();
+            engine.db.s().scan(|t| s.push(t)).unwrap();
+            let fresh = Engine::new(method, &cfg, r, s, None).unwrap();
+            assert_eq!(
+                engine.db.disk().total_pages(),
+                fresh.db.disk().total_pages(),
+                "{method}: stale differential runs left on the device"
+            );
+        }
+    }
 }

@@ -445,7 +445,6 @@ mod tests {
             let cfg = GenConfig::adversarial(21, 240, shape);
             let a = generate(&cfg);
             assert_eq!(a, generate(&cfg), "{} must be a pure function of the seed", shape.as_str());
-            assert_eq!(a.version(), 3, "adversarial scripts carry the v3 extensions");
             assert_eq!(a.spec.adversary.as_ref().map(|adv| adv.shape), Some(shape));
             assert!(a.spec.adaptive);
             assert!(a.name.starts_with(shape.as_str()));
@@ -535,6 +534,5 @@ mod tests {
         let legacy = generate(&GenConfig::new(7, 120));
         let again = generate(&GenConfig::new(7, 120));
         assert_eq!(legacy, again);
-        assert_eq!(legacy.version(), 2, "legacy scripts still serialize as v2");
     }
 }

@@ -81,8 +81,6 @@ pub enum Error {
         /// The offending slot index.
         slot: u16,
     },
-    /// The buffer pool had no evictable frame (everything pinned).
-    BufferPoolExhausted,
     /// A serialized record was malformed.
     Corrupt(String),
     /// A key was not found where it was required to exist.
@@ -168,7 +166,6 @@ impl fmt::Display for Error {
                 write!(f, "page overflow: needed {needed} bytes, {available} available")
             }
             Error::SlotNotFound { slot } => write!(f, "slot {slot} not found"),
-            Error::BufferPoolExhausted => write!(f, "buffer pool exhausted: all frames pinned"),
             Error::Corrupt(msg) => write!(f, "corrupt data: {msg}"),
             Error::KeyNotFound(k) => write!(f, "key not found: {k}"),
             Error::Infeasible(msg) => write!(f, "infeasible configuration: {msg}"),
@@ -232,6 +229,6 @@ mod tests {
     #[test]
     fn errors_are_comparable() {
         assert_eq!(Error::SlotNotFound { slot: 1 }, Error::SlotNotFound { slot: 1 });
-        assert_ne!(Error::BufferPoolExhausted, Error::KeyNotFound(0));
+        assert_ne!(Error::SlotNotFound { slot: 0 }, Error::KeyNotFound(0));
     }
 }

@@ -7,7 +7,7 @@
 //! determinism is the point: two identical runs must produce bit-identical
 //! [`MetricsSnapshot`]s.
 //!
-//! Names are dotted paths (`"pool.hits"`, `"disk.read.f3"`,
+//! Names are dotted paths (`"disk.reads"`, `"disk.read.f3"`,
 //! `"mv.tuples_emitted"`). Instruments are created on first touch; reading
 //! a never-touched counter yields 0 rather than registering it.
 //!
@@ -203,12 +203,6 @@ impl Metrics {
         self.counter_add_id(id, 1);
     }
 
-    /// Current value of the counter behind an interned handle.
-    #[inline]
-    pub fn counter_id(&self, id: CounterId) -> u64 {
-        self.0.borrow().counter_slots[id.0].value
-    }
-
     /// Add `delta` to the named counter (created at 0 on first touch).
     pub fn counter_add(&self, name: &str, delta: u64) {
         let mut reg = self.0.borrow_mut();
@@ -342,7 +336,7 @@ impl MetricsSnapshot {
 
     /// Fold `other` into this snapshot: counters and gauges add, histograms
     /// merge bucket-wise, and name order stays sorted. Adding gauges makes
-    /// per-shard capacity gauges (`pool.resident`, ...) roll up to fleet
+    /// per-shard capacity gauges (`shard.resident_pages`, ...) roll up to fleet
     /// totals; point-in-time gauges should be read per shard instead.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         fn fold<V: Clone>(
@@ -464,7 +458,6 @@ mod tests {
         m.incr_id(id);
         m.counter_add("pool.hits", 2);
         assert_eq!(m.counter("pool.hits"), 3);
-        assert_eq!(m.counter_id(id), 3);
         // Same name resolves to the same slot, including on clones.
         assert_eq!(m.clone().counter_handle("pool.hits"), id);
     }

@@ -244,17 +244,10 @@ impl ScriptOp {
     }
 }
 
-/// Newest script schema version this build writes and reads. Version 2
-/// added the `crash` op; version 3 added the adversarial-generator spec
-/// extensions (`adversary`, `adaptive`). Readers accept
-/// [`SCRIPT_VERSION_MIN`]`..=SCRIPT_VERSION` so older corpus files stay
-/// replayable forever, and writers stamp the *oldest* version that can
-/// carry the script ([`Script::version`]) so pre-v3 scripts keep
-/// serializing byte-identically.
+/// The one script schema version this build writes and reads. The spec
+/// extensions `adversary` and `adaptive` are optional on read and omitted
+/// on write when unset.
 pub const SCRIPT_VERSION: u64 = 3;
-
-/// Oldest script schema version this build still reads.
-pub const SCRIPT_VERSION_MIN: u64 = 1;
 
 /// A complete replayable simulation script.
 #[derive(Debug, Clone, PartialEq)]
@@ -310,14 +303,6 @@ fn num_f64(obj: &Json, key: &str, what: &str) -> Result<f64, String> {
 }
 
 impl ScriptSpec {
-    /// Whether this spec uses any schema-v3 extension. Version stamping
-    /// keys off this so pre-adversary scripts re-serialize byte-for-byte
-    /// as version 2 (the committed corpus and `--emit` regeneration are
-    /// pinned on that).
-    pub fn uses_v3(&self) -> bool {
-        self.adversary.is_some() || self.adaptive
-    }
-
     fn to_json(&self) -> Json {
         let mut j = Json::obj()
             .set("r_tuples", self.r_tuples as u64)
@@ -443,22 +428,10 @@ impl ScriptOp {
 }
 
 impl Script {
-    /// The schema version this script serializes under: the oldest
-    /// version whose grammar carries it (v3 only when a spec extension is
-    /// in play), so adding extensions never perturbed older scripts'
-    /// bytes.
-    pub fn version(&self) -> u64 {
-        if self.spec.uses_v3() {
-            3
-        } else {
-            2
-        }
-    }
-
     /// Serialize to the versioned JSON form.
     pub fn to_json(&self) -> Json {
         Json::obj()
-            .set("version", self.version())
+            .set("version", SCRIPT_VERSION)
             .set("name", self.name.as_str())
             .set("spec", self.spec.to_json())
             .set(
@@ -472,10 +445,9 @@ impl Script {
     /// Parse the JSON form, validating the schema version and every op.
     pub fn from_json(j: &Json) -> Result<Script, String> {
         let version = num_u64(j, "version", "script")?;
-        if !(SCRIPT_VERSION_MIN..=SCRIPT_VERSION).contains(&version) {
+        if version != SCRIPT_VERSION {
             return Err(format!(
-                "script: unsupported version {version} \
-                 (this build reads {SCRIPT_VERSION_MIN}..={SCRIPT_VERSION})"
+                "script: unsupported version {version} (this build reads {SCRIPT_VERSION})"
             ));
         }
         let name = field(j, "name", "script")?
@@ -606,28 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn version_1_scripts_still_parse() {
-        // Version 1 predates the `crash` op; everything else is identical,
-        // so a v1 file is just a v2 file with the old stamp and no crashes.
-        let mut script = sample();
-        script.ops.retain(|op| !matches!(op, ScriptOp::Crash { .. }));
-        let j = script.to_json().set("version", SCRIPT_VERSION_MIN);
-        assert_eq!(Script::from_json(&j).unwrap(), script);
-    }
-
-    #[test]
-    fn pre_adversary_scripts_still_stamp_version_2() {
-        // The committed corpus and `--emit` regeneration are pinned on
-        // this: a spec without v3 extensions serializes exactly as before
-        // the extensions existed — version 2, no extra spec fields.
-        let script = sample();
-        let j = script.to_json();
-        assert_eq!(j.get("version").and_then(Json::as_u64), Some(2));
-        assert!(j.get("spec").unwrap().get("adversary").is_none());
-        assert!(j.get("spec").unwrap().get("adaptive").is_none());
-    }
-
-    #[test]
     fn adversary_specs_round_trip_as_version_3() {
         for shape in AdversaryShape::all() {
             let mut script = sample();
@@ -641,10 +591,9 @@ mod tests {
             let text = script.to_json_string();
             assert_eq!(Script::from_json_str(&text).unwrap().to_json_string(), text);
         }
-        // `adaptive` alone is enough to force v3.
+        // `adaptive` alone round-trips too.
         let mut script = sample();
         script.spec.adaptive = true;
-        assert_eq!(script.version(), 3);
         assert_eq!(Script::from_json(&script.to_json()).unwrap(), script);
     }
 

@@ -283,30 +283,6 @@ impl RunReport {
         RunReport::from_json(&Json::parse(text)?)
     }
 
-    /// Buffer-pool hit rate derived from the report's `pool.hits` /
-    /// `pool.misses` counters: hits / (hits + misses), 0.0 for an idle pool.
-    pub fn pool_hit_rate(&self) -> f64 {
-        let hits = self.metrics.counter("pool.hits") as f64;
-        let total = hits + self.metrics.counter("pool.misses") as f64;
-        if total == 0.0 {
-            0.0
-        } else {
-            hits / total
-        }
-    }
-
-    /// Buffer-pool eviction rate derived from the report's counters:
-    /// evictions / misses (every eviction is triggered by a miss), 0.0
-    /// when the pool never missed.
-    pub fn pool_eviction_rate(&self) -> f64 {
-        let misses = self.metrics.counter("pool.misses") as f64;
-        if misses == 0.0 {
-            0.0
-        } else {
-            self.metrics.counter("pool.evictions") as f64 / misses
-        }
-    }
-
     /// Cumulative ops of a named section, aggregated across the span tree
     /// (the report-side equivalent of [`Cost::section_counts`]).
     pub fn section_counts(&self, name: &str) -> OpCounts {
@@ -515,38 +491,11 @@ mod tests {
     }
 
     #[test]
-    fn pool_rates_derive_from_counters() {
-        let mut report = sample_report();
-        assert_eq!(report.pool_hit_rate(), 0.0, "no pool traffic: 0, not NaN");
-        assert_eq!(report.pool_eviction_rate(), 0.0);
-        report.metrics.counters.push(("pool.evictions".into(), 1));
-        report.metrics.counters.push(("pool.hits".into(), 3));
-        report.metrics.counters.push(("pool.misses".into(), 1));
-        assert!((report.pool_hit_rate() - 0.75).abs() < 1e-12, "3 hits / 4 accesses");
-        assert!((report.pool_eviction_rate() - 1.0).abs() < 1e-12, "1 eviction / 1 miss");
-    }
-
-    #[test]
     fn delta_ratio() {
         let d = ModelDelta { label: "x".into(), engine_secs: 2.0, model_secs: 4.0 };
         assert!((d.ratio() - 0.5).abs() < 1e-12);
         let z = ModelDelta { label: "x".into(), engine_secs: 2.0, model_secs: 0.0 };
         assert!((z.ratio() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fresh_pool_report_round_trips_without_nan() {
-        // A report from a run with zero pool traffic must serialize finite
-        // numbers everywhere (rates are 0, not NaN) and round-trip exactly.
-        let report = sample_report();
-        assert_eq!(report.pool_hit_rate(), 0.0);
-        let mut json = report.to_json();
-        json = json
-            .set("hit_rate", report.pool_hit_rate())
-            .set("eviction_rate", report.pool_eviction_rate());
-        let text = json.pretty();
-        assert!(!text.contains("NaN") && !text.contains("inf"), "non-finite leaked: {text}");
-        assert!(Json::parse(&text).is_ok());
     }
 
     #[test]

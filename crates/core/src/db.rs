@@ -5,7 +5,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::rc::Rc;
-use trijoin_common::telemetry::{DriftAlert, SeriesSnapshot, Telemetry, TelemetryConfig};
+use trijoin_common::telemetry::{DriftAlert, Telemetry, TelemetryConfig};
 use trijoin_common::{
     BaseTuple, Cost, Error, EventKind, EventLog, Json, Metrics, OpCounts, Result, RunReport,
     SystemParams, ViewTuple,
@@ -142,33 +142,13 @@ impl Database {
         s: Vec<BaseTuple>,
         dir: &Path,
     ) -> Result<Self> {
-        Self::build_durable(params, r, s, false, dir)
-    }
-
-    /// Durable counterpart of [`Database::new_bilateral`].
-    pub fn create_durable_bilateral(
-        params: &SystemParams,
-        r: Vec<BaseTuple>,
-        s: Vec<BaseTuple>,
-        dir: &Path,
-    ) -> Result<Self> {
-        Self::build_durable(params, r, s, true, dir)
-    }
-
-    fn build_durable(
-        params: &SystemParams,
-        r: Vec<BaseTuple>,
-        s: Vec<BaseTuple>,
-        r_inverted: bool,
-        dir: &Path,
-    ) -> Result<Self> {
         let cost = Cost::new();
         let backend = DurableBackend::create(dir, params.page_size)?;
         let disk = SimDisk::with_backend(params, cost.clone(), Box::new(backend));
         // The catalog claims file 0 before any relation structure exists.
         let cat = disk.create_file();
         debug_assert_eq!(cat, CATALOG_FILE);
-        let r = StoredRelation::build(&disk, params, "R", r, r_inverted)?;
+        let r = StoredRelation::build(&disk, params, "R", r, false)?;
         let s = Rc::new(StoredRelation::build(&disk, params, "S", s, true)?);
         let db = Database {
             params: params.clone(),
@@ -430,17 +410,6 @@ impl Database {
         }
     }
 
-    /// Whether telemetry was enabled on this engine.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.borrow().is_some()
-    }
-
-    /// Snapshot the telemetry series (`None` when telemetry is off). Does
-    /// not force the open window closed — [`Database::run_report`] does.
-    pub fn telemetry_series(&self) -> Option<SeriesSnapshot> {
-        self.telemetry.borrow().as_ref().map(|t| t.tel.series())
-    }
-
     /// Telemetry windows closed so far (`None` when telemetry is off).
     pub fn telemetry_windows_closed(&self) -> Option<u64> {
         self.telemetry.borrow().as_ref().map(|t| t.tel.windows_closed())
@@ -679,11 +648,6 @@ impl Database {
     /// relations); requires [`Database::new_bilateral`].
     pub fn bilateral_view(&self) -> Result<BilateralView> {
         BilateralView::build(&self.disk, &self.params, &self.cost, &self.r, &self.s)
-    }
-
-    /// A select-project view `π(σ_p(R) ⋈ σ_q(S))` (§5 future work).
-    pub fn spj_view(&self, def: trijoin_exec::ViewDef) -> Result<MaterializedView> {
-        MaterializedView::build_with(&self.disk, &self.params, &self.cost, &self.r, &self.s, def)
     }
 }
 

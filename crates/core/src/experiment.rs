@@ -2,7 +2,7 @@
 //! engine, measure the simulated cost ledger per strategy, and put the
 //! analytical model's prediction next to it.
 
-use trijoin_common::{ModelDelta, OpCounts, Result, SystemParams};
+use trijoin_common::{OpCounts, Result, SystemParams};
 use trijoin_exec::{oracle, JoinStrategy};
 use trijoin_model::{cost_of, Method, Workload};
 
@@ -56,20 +56,6 @@ impl EpochReport {
     /// analytical prediction).
     pub fn ratios(&self) -> Vec<(Method, f64)> {
         self.outcomes.iter().map(|o| (o.method, o.engine_secs / o.model_secs.max(1e-9))).collect()
-    }
-
-    /// The epoch's engine-vs-model drift as serializable [`ModelDelta`]s —
-    /// these go into a [`trijoin_common::RunReport`]'s `deltas` array so
-    /// model/engine agreement is observable in emitted JSON.
-    pub fn model_deltas(&self) -> Vec<ModelDelta> {
-        self.outcomes
-            .iter()
-            .map(|o| ModelDelta {
-                label: o.method.label().to_string(),
-                engine_secs: o.engine_secs,
-                model_secs: o.model_secs,
-            })
-            .collect()
     }
 }
 

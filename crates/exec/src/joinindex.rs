@@ -219,17 +219,6 @@ impl JiFile {
         Ok(())
     }
 
-    /// All entries, in `(r, s)` order, free of I/O charge (test helper).
-    pub fn snapshot_free(&self) -> Result<Vec<JiEntry>> {
-        let mut out = Vec::with_capacity(self.count as usize);
-        for meta in &self.pages {
-            out.extend(decode_ji_page(
-                &self.disk.read_page_free(PageId::new(self.file, meta.page_no))?,
-            )?);
-        }
-        Ok(out)
-    }
-
     /// Structural invariants: entries globally sorted, count consistent,
     /// no page over capacity (test helper; free reads).
     pub fn check_invariants(&self) -> Result<()> {
@@ -368,23 +357,9 @@ impl JoinIndexStrategy {
     }
 
     // === Incremental-migration surface ==================================
-    // Mirror of `MaterializedView`'s migration hooks: a chunked snapshot
-    // of the cached structure (one index page per chunk) and a
-    // constructor from already-known join pairs, so an online strategy
-    // switch never rescans the base relations.
-
-    /// Decode one page of the index (one chunk of a migration snapshot).
-    /// Requires a *clean* index: snapshots are taken right after a query,
-    /// when the differential logs have just been folded in.
-    pub fn snapshot_page(&self, page: usize) -> Result<Vec<JiEntry>> {
-        if self.pending_updates() > 0 || !self.del_log.is_empty() {
-            return Err(trijoin_common::Error::Infeasible(format!(
-                "{} deferred updates pending; snapshot only a clean index",
-                self.pending_updates().max(self.del_log.len())
-            )));
-        }
-        self.ji.read_page(page)
-    }
+    // Mirror of `MaterializedView`'s migration hook: a constructor from
+    // already-known join pairs, so an online strategy switch never
+    // rescans the base relations.
 
     /// Build a join index directly from already-known join pairs — the
     /// receiving end of a migration hand-off. All I/O lands in the

@@ -344,33 +344,8 @@ impl MaterializedView {
 
     // === Incremental-migration surface ==================================
     // Online strategy migration builds the *new* cached structure from the
-    // *old* one plus its pending differential logs — never from a
-    // base-relation rescan. The old structure exposes a chunked snapshot
-    // (per hash bucket here, per index page for the join index) and a
-    // from-rows constructor; the serving layer drives the state machine.
-
-    /// Buckets in the cached view file — the snapshot chunk count.
-    pub fn num_view_buckets(&self) -> u64 {
-        self.v.num_buckets()
-    }
-
-    /// Decode one bucket of the cached view (one chunk of a migration
-    /// snapshot). Requires a *clean* view: snapshots are taken right
-    /// after a query, when the differential logs have just been folded.
-    pub fn snapshot_bucket(&self, bucket: u64) -> Result<Vec<ViewTuple>> {
-        if self.pending_updates() > 0 {
-            return Err(trijoin_common::Error::Infeasible(format!(
-                "{} deferred updates pending; snapshot only a clean view",
-                self.pending_updates()
-            )));
-        }
-        let rows = self.v.scan_bucket(bucket)?;
-        let mut out = Vec::with_capacity(rows.len());
-        for (_hash, bytes) in rows {
-            out.push(ViewTuple::from_bytes(&bytes)?);
-        }
-        Ok(out)
-    }
+    // incumbent's join rows — never from a base-relation rescan; the
+    // serving layer drives the state machine.
 
     /// Build a full view directly from already-joined tuples — the
     /// receiving end of a migration hand-off. All I/O lands in the

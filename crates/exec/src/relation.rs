@@ -8,7 +8,7 @@
 //! algorithms).
 
 use trijoin_btree::{BTree, BTreeConfig, BTreeMeta};
-use trijoin_common::{BaseTuple, Cost, Error, Json, Result, Surrogate, SystemParams};
+use trijoin_common::{BaseTuple, Error, Json, Result, Surrogate, SystemParams};
 use trijoin_storage::{Disk, FileId};
 
 /// Serialize one tree's [`BTreeMeta`] as a catalog object.
@@ -356,18 +356,6 @@ impl StoredRelation {
         }
         Ok(())
     }
-
-    /// Recompute the relation's contents without charging I/O (test oracle).
-    pub fn snapshot_free(&self, cost: &Cost) -> Result<Vec<BaseTuple>> {
-        let before = cost.total();
-        let mut out = Vec::with_capacity(self.count as usize);
-        self.scan(|t| out.push(t))?;
-        // scan() charged; refund is impossible, so this helper is only for
-        // tests that reset the ledger afterwards. Cheap alternative kept
-        // deliberately simple; see tests.
-        let _ = before;
-        Ok(out)
-    }
 }
 
 impl std::fmt::Debug for StoredRelation {
@@ -384,6 +372,7 @@ impl std::fmt::Debug for StoredRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trijoin_common::Cost;
     use trijoin_storage::SimDisk;
 
     fn tuples(n: u32, key_of: impl Fn(u32) -> u64) -> Vec<BaseTuple> {

@@ -262,13 +262,6 @@ pub fn validate_run_report_with(
             "\n{path}: warning — event ring overflowed, {dropped} events dropped"
         ));
     }
-    if report.metrics.counter("pool.hits") + report.metrics.counter("pool.misses") > 0 {
-        summary.push_str(&format!(
-            "\n{path}: pool hit rate {:.1}%, eviction rate {:.1}%",
-            report.pool_hit_rate() * 100.0,
-            report.pool_eviction_rate() * 100.0
-        ));
-    }
     Ok(summary)
 }
 

@@ -9,8 +9,9 @@
 //! Two media live here:
 //!
 //! * [`MemBackend`] — the original in-memory store (reference-counted
-//!   page images, copy-on-write sharing with the buffer pool). This is
-//!   what `SimDisk::new` uses; nothing observable changed.
+//!   page images that `SimDisk::read_page_rc` / `write_page_rc` hand
+//!   over without a copy). This is what `SimDisk::new` uses; nothing
+//!   observable changed.
 //! * [`FileBackend`] — real `std::fs` files, one per [`FileId`], still
 //!   *charged* on the simulated constants (the ledger is the paper's
 //!   model, not the host's SSD). Every syscall result is mapped through
@@ -228,12 +229,14 @@ pub trait StorageBackend {
 // In-memory backend (the original SimDisk storage).
 // ---------------------------------------------------------------------
 
-/// One file's pages, reference-counted so the buffer pool can share
-/// images with the disk; writers copy-on-write.
+/// One file's pages, reference-counted so `SimDisk::read_page_rc` /
+/// `write_page_rc` move images without copying; writers copy-on-write.
 type FilePages = Vec<Rc<Vec<u8>>>;
 
-/// The original in-memory page store: pages are reference-counted so the
-/// buffer pool can share images with the disk; writers copy-on-write.
+/// The original in-memory page store: pages are reference-counted so
+/// readers share the stored image (zero-copy `read_page_rc`) and a
+/// shared image can be stored as is (`write_page_rc`); writers
+/// copy-on-write.
 #[derive(Default)]
 pub struct MemBackend {
     /// `None` once deleted.

@@ -241,7 +241,7 @@ pub struct SimDisk {
     /// Total scheduled faults fired so far (tests assert exactly-once).
     fired: RefCell<u64>,
     /// Engine-wide metrics registry; every layer holding this disk handle
-    /// (pool, strategies, `Database`) reports into the same registry.
+    /// (strategies, `Database`) reports into the same registry.
     metrics: Metrics,
     /// Engine-wide structured-event log, shared the same way.
     events: EventLog,
@@ -494,11 +494,6 @@ impl SimDisk {
     /// persistent media state, not schedule state.
     pub fn install_fault_plan(&self, plan: FaultPlan) {
         *self.plan.borrow_mut() = plan.specs;
-    }
-
-    /// Add one scheduled fault to the active plan.
-    pub fn schedule_fault(&self, spec: FaultSpec) {
-        self.plan.borrow_mut().push(spec);
     }
 
     /// Clear everything fault-related: the legacy countdown, the scheduled
@@ -821,29 +816,6 @@ impl SimDisk {
         let pid = self.allocate_page(file)?;
         self.write_page(pid, data)?;
         Ok(pid)
-    }
-
-    /// Batched sequential append (the write half of [`SimDisk::read_run`]):
-    /// `data` holds a whole run of page images back to back; each page is
-    /// allocated and written in order with the full per-page fault gate and
-    /// one I/O charge — identical to calling [`SimDisk::append_page`] once
-    /// per page. Returns the `PageId` of the first page written. Stops at
-    /// the first failing page: earlier pages stay written, the failing page
-    /// stays allocated (carrying whatever damage the fault left).
-    pub fn write_run(&self, file: FileId, data: &[u8]) -> Result<PageId> {
-        if data.is_empty() || !data.len().is_multiple_of(self.page_size) {
-            return Err(Error::Invariant(format!(
-                "write_run: got {} bytes, not a positive multiple of page size {}",
-                data.len(),
-                self.page_size
-            )));
-        }
-        let mut first = None;
-        for chunk in data.chunks_exact(self.page_size) {
-            let pid = self.append_page(file, chunk)?;
-            first.get_or_insert(pid);
-        }
-        Ok(first.expect("write_run: at least one page"))
     }
 
     /// Read a page **without** charging I/O. Reserved for pages the paper
@@ -1207,25 +1179,5 @@ mod tests {
         d.read_run(f, 2, 2, &mut buf).unwrap();
         assert_eq!(buf.len(), 4 * d.page_size());
         assert_eq!(c.total().ios - before, 4);
-    }
-
-    #[test]
-    fn write_run_appends_each_page_charged() {
-        let (d, c) = disk();
-        let f = d.create_file();
-        d.append_page(f, &vec![0xEE; d.page_size()]).unwrap();
-        let mut run = Vec::new();
-        for i in 0..3u8 {
-            run.extend_from_slice(&vec![i; d.page_size()]);
-        }
-        let before = c.total().ios;
-        let first = d.write_run(f, &run).unwrap();
-        assert_eq!(first.page, 1, "run appended after existing pages");
-        assert_eq!(c.total().ios - before, 3);
-        assert_eq!(d.num_pages(f).unwrap(), 4);
-        assert_eq!(d.read_page_free(PageId::new(f, 2)).unwrap()[0], 1);
-        // Not-a-page-multiple is rejected without charges.
-        assert!(d.write_run(f, &run[..10]).is_err());
-        assert_eq!(c.total().ios - before, 3);
     }
 }

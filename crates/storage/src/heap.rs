@@ -92,13 +92,6 @@ impl HeapFile {
         self.disk.delete_file(self.file);
     }
 
-    /// Read one full page of records (one I/O): `(rid, bytes)` pairs.
-    pub fn read_page_records(&self, page_no: u32) -> Result<Vec<(RecordId, Vec<u8>)>> {
-        let mut out = Vec::new();
-        self.for_each_page_record(page_no, |rid, rec| out.push((rid, rec.to_vec())))?;
-        Ok(out)
-    }
-
     /// Read one full page (one I/O) and hand each live record to `f` as a
     /// *borrowed* slice — the zero-copy path run scans decode through. The
     /// closure runs under the disk borrow (see
@@ -297,8 +290,11 @@ mod tests {
         }
         let heap = w.finish().unwrap();
         assert_eq!(heap.num_pages(), 3); // 4 + 4 + 2
-        let counts: Vec<usize> = (0..3).map(|p| heap.read_page_records(p).unwrap().len()).collect();
-        assert_eq!(counts, vec![4, 4, 2]);
+        let mut counts = [0usize; 3];
+        for rec in heap.scan() {
+            counts[rec.unwrap().0.page as usize] += 1;
+        }
+        assert_eq!(counts, [4, 4, 2]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Storage substrate: simulated disk, slotted pages, buffer pool, heap files.
+//! Storage substrate: simulated disk, slotted pages, heap files.
 //!
 //! The paper's evaluation is entirely in terms of *counts* of random page
 //! I/Os and CPU primitives, weighted by 1989 device constants. [`SimDisk`]
@@ -11,9 +11,6 @@
 //! On top of the disk sit:
 //! * [`page::SlottedPage`] — a classic slotted page layout for
 //!   variable-length records;
-//! * [`pool::BufferPool`] — a pin-counted clock-eviction buffer pool with
-//!   support for *resident* pages (the paper assumes B⁺-tree roots are
-//!   permanently memory-resident and charges no I/O for them);
 //! * [`heap::HeapFile`] — an append-oriented record file with full scans,
 //!   used for base relations, spill runs, and differential files.
 
@@ -21,7 +18,6 @@ pub mod backend;
 pub mod disk;
 pub mod heap;
 pub mod page;
-pub mod pool;
 pub mod wal;
 
 pub use backend::{
@@ -31,5 +27,4 @@ pub use backend::{
 pub use disk::{Disk, FaultPlan, FaultSpec, FileId, PageId, SimDisk};
 pub use heap::{HeapFile, RecordId};
 pub use page::SlottedPage;
-pub use pool::{BufferPool, PoolStats};
 pub use wal::{DurableBackend, Wal};

@@ -54,11 +54,6 @@ impl SlottedPage {
         &self.data
     }
 
-    /// Take ownership of the raw bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.data
-    }
-
     /// Total slots in the directory, including tombstones.
     pub fn num_slots(&self) -> u16 {
         read_u16(&self.data, 0)

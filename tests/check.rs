@@ -15,10 +15,7 @@ fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus")
 }
 
-/// Every committed corpus script must replay with MV ≡ JI ≡ HH ≡ oracle
-/// ≡ sharded-serve at every checkpoint, faults included.
-#[test]
-fn corpus_scripts_pass() {
+fn corpus_paths() -> Vec<PathBuf> {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(corpus_dir())
         .expect("tests/corpus exists")
         .map(|e| e.expect("readable dir entry").path())
@@ -26,6 +23,27 @@ fn corpus_scripts_pass() {
         .collect();
     paths.sort();
     assert!(paths.len() >= 3, "corpus too small: {paths:?}");
+    paths
+}
+
+/// Every committed corpus file is exactly what this build would write
+/// for the script it parses to — a schema change that alters the
+/// serialized form has to re-emit the corpus, visibly.
+#[test]
+fn corpus_files_round_trip_byte_for_byte() {
+    for path in corpus_paths() {
+        let text = std::fs::read_to_string(&path).expect("corpus file is readable");
+        let script =
+            Script::from_json_str(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert!(script.to_json_string() == text, "{}: re-serializes differently", path.display());
+    }
+}
+
+/// Every committed corpus script must replay with MV ≡ JI ≡ HH ≡ oracle
+/// ≡ sharded-serve at every checkpoint, faults included.
+#[test]
+fn corpus_scripts_pass() {
+    let paths = corpus_paths();
 
     let mut checkpoints = 0;
     let mut faults = 0;
