@@ -14,8 +14,11 @@
 //!   deferred group before it) is flushed and fsynced before returning;
 //!   under [`Durability::Deferred`] it stays in the **group-commit
 //!   buffer** until the next barrier, so consecutive commits share one
-//!   fsync. Surviving images are promoted to a **committed overlay**
-//!   read layer instead of being applied to the data files;
+//!   fsync. The buffer is bounded: a group larger than it (a bulk
+//!   load) reaches the file in several unsynced writes, sealed by the
+//!   commit frame in the last one. Surviving images are promoted to a
+//!   **committed overlay** read layer instead of being applied to the
+//!   data files;
 //! * [`StorageBackend::checkpoint`] drains the backlog: it seals
 //!   stragglers, applies the committed overlay to the data files, syncs
 //!   them, and truncates the log — eager apply is off the commit hot
@@ -169,10 +172,13 @@ impl Wal {
     /// stays an in-order group sequence either way.
     const WRITEBACK_THRESHOLD: usize = 256 * 1024;
 
-    /// Buffer capacity a flush leaves allocated. One bulk group (an
-    /// initial load is tens of megabytes) must not pin its high-water
-    /// mark for the life of the process, while the steady-state groups
-    /// of about a megabyte must not reallocate on every commit.
+    /// The most the buffer ever holds, and the capacity a flush leaves
+    /// allocated. A group being encoded is written out — no fsync,
+    /// like early writeback — before a frame would take the buffer
+    /// past this, so a bulk group (an initial load is tens of
+    /// megabytes) costs the process one bounded buffer instead of a
+    /// copy of every dirty page, while the steady-state groups of about
+    /// a megabyte still go out in one write and never reallocate.
     const RETAINED_CAPACITY: usize = 8 * Self::WRITEBACK_THRESHOLD;
 
     /// Size of the redo scan's read buffer.
@@ -226,17 +232,38 @@ impl Wal {
     /// early writeback the OS drains in the background. Durability
     /// still comes from the next [`Wal::sync`].
     fn flush(&self) -> Result<()> {
-        let mut buf = self.buf.borrow_mut();
+        self.write_out(&mut self.buf.borrow_mut())
+    }
+
+    /// [`Wal::flush`] for a caller that holds the buffer's borrow: a
+    /// commit in the middle of encoding its group.
+    fn write_out(&self, buf: &mut Vec<u8>) -> Result<()> {
         if buf.is_empty() {
             return Ok(());
         }
         self.file
-            .write_all_at(&buf, self.flushed.get())
+            .write_all_at(buf, self.flushed.get())
             .map_err(|e| Error::io("flush wal batch", &e))?;
         self.flushed.set(self.flushed.get() + buf.len() as u64);
         buf.clear();
         buf.shrink_to(Self::RETAINED_CAPACITY);
         Ok(())
+    }
+
+    /// Forget every log byte from offset `len` on, buffered or already
+    /// written: the frames of a group whose encoding failed half-way.
+    /// Whatever of them reached the file is overwritten by the next
+    /// group or stays behind as an unsealed tail, which recovery
+    /// discards.
+    fn rewind_to(&self, buf: &mut Vec<u8>, len: u64) {
+        match len.checked_sub(self.flushed.get()) {
+            Some(keep) => buf.truncate(keep as usize),
+            None => {
+                buf.clear();
+                self.flushed.set(len);
+                self.synced.set(self.synced.get().min(len));
+            }
+        }
     }
 
     /// Flush every buffered group with one positional write and fsync
@@ -514,9 +541,14 @@ impl StorageBackend for DurableBackend {
         // Skip-clean: a page whose bytes equal its committed image
         // carries no information for redo and is dropped — unless a
         // sabotage is armed, where the full group is logged so the
-        // crash corpus stays deterministic.
+        // crash corpus stays deterministic. The buffer is bounded: a
+        // frame that would overfill it first sends what is buffered to
+        // the file, so a group of any size is encoded through
+        // `RETAINED_CAPACITY` bytes (the sabotaged commits, which cut
+        // their group inside the buffer, are a few frames long).
         let mut buf = self.wal.buf.borrow_mut();
         let start = buf.len();
+        let log_start = self.wal.flushed.get() + start as u64;
         let mut skipped = 0u64;
         let mut sealed: Vec<((u32, u32), u64)> = Vec::new();
         {
@@ -527,6 +559,15 @@ impl StorageBackend for DurableBackend {
                 if sabotage.is_none() && clean.get(&key) == Some(&sum) {
                     skipped += 1;
                     continue;
+                }
+                let frame = FRAME_HEAD + img.len() + FRAME_SUM;
+                if sabotage.is_none() && buf.len() + frame > Wal::RETAINED_CAPACITY {
+                    if let Err(e) = self.wal.write_out(&mut buf) {
+                        // Leave the log as it was before this group; the
+                        // overlay is intact, so the caller may retry.
+                        self.wal.rewind_to(&mut buf, log_start);
+                        return Err(e);
+                    }
                 }
                 encode_page_frame(&mut buf, PageId::new(FileId(key.0), key.1), img);
                 sealed.push((key, sum));
@@ -545,8 +586,7 @@ impl StorageBackend for DurableBackend {
 
         let seq = self.wal.seq.get() + 1;
         encode_commit_frame(&mut buf, seq, frames as u32);
-        let group = buf.len() - start;
-        let bytes = group as u64;
+        let bytes = self.wal.flushed.get() + buf.len() as u64 - log_start;
 
         match sabotage {
             Some(CommitSabotage::TornWal) => {
@@ -554,7 +594,7 @@ impl StorageBackend for DurableBackend {
                 // a strict byte prefix of it reach the log, no commit
                 // frame, no sync, nothing promoted. The commit fails,
                 // and the overlay dies with the "process".
-                buf.truncate(start + group / 2);
+                buf.truncate(start + bytes as usize / 2);
                 drop(buf);
                 self.wal.flush()?;
                 self.overlay.borrow_mut().clear();
@@ -817,6 +857,70 @@ mod tests {
         assert_eq!(b.read_page(p0).unwrap().as_slice(), page(0x01).as_slice());
         assert_eq!(b.read_page(p1).unwrap().as_slice(), &[0u8; PS]);
         assert_eq!(b.wal_len_bytes(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bulk_group_goes_through_a_bounded_buffer() {
+        let dir = tmp("bulk-group");
+        let b = DurableBackend::create(&dir, PS).unwrap();
+        let f = b.create_file();
+        // Three buffers' worth of frames in one group.
+        let pages = (3 * Wal::RETAINED_CAPACITY / (FRAME_HEAD + PS + FRAME_SUM)) as u32;
+        for i in 0..pages {
+            let pid = b.allocate_page(f).unwrap();
+            b.write_page(pid, PageWrite::Borrowed(&page(i as u8))).unwrap();
+        }
+        let stats = b.commit(Durability::Deferred).unwrap();
+        assert_eq!(stats.frames, pages as u64);
+        assert_eq!(stats.bytes, b.wal_len_bytes(), "frames written early are counted");
+        assert!(b.wal.flushed.get() > 0 && stats.fsyncs == 0, "written early, not synced");
+        assert!(b.wal.buf.borrow().capacity() <= Wal::RETAINED_CAPACITY);
+        b.commit(Durability::Barrier).unwrap();
+        let sealed = b.wal_len_bytes();
+
+        // A second bulk group that dies before its commit frame: the
+        // frames it wrote early are a torn tail.
+        for i in 0..pages {
+            b.write_page(PageId::new(f, i), PageWrite::Borrowed(&page(0xEE))).unwrap();
+        }
+        b.commit(Durability::Barrier).unwrap();
+        let cut = b.wal_len_bytes() - 1;
+        drop(b);
+        let log = fs::OpenOptions::new().write(true).open(dir.join(Wal::FILE_NAME)).unwrap();
+        log.set_len(cut).unwrap();
+
+        let b = DurableBackend::open(&dir, PS).unwrap();
+        let stats = b.take_recovery_stats().expect("recovery ran");
+        assert_eq!((stats.frames, stats.commits), (pages as u64, 1));
+        assert_eq!(stats.torn_bytes, cut - sealed);
+        for i in (0..pages).step_by(97) {
+            assert_eq!(
+                b.read_page(PageId::new(f, i)).unwrap().as_slice(),
+                page(i as u8).as_slice()
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rewind_forgets_a_half_encoded_group_wherever_its_bytes_are() {
+        let dir = tmp("rewind");
+        fs::create_dir_all(&dir).unwrap();
+        let wal = Wal::create(&dir).unwrap();
+        // A deferred group waits in the buffer; the failed group's
+        // frames are all still buffered behind it.
+        wal.buf.borrow_mut().extend_from_slice(&[1; 100]);
+        wal.buf.borrow_mut().extend_from_slice(&[2; 50]);
+        wal.rewind_to(&mut wal.buf.borrow_mut(), 100);
+        assert_eq!((wal.flushed.get(), wal.buf.borrow().len()), (0, 100));
+        // The failed group already spilled: the deferred group and the
+        // spilled frames are in the file, synced or not.
+        wal.buf.borrow_mut().extend_from_slice(&[2; 50]);
+        wal.sync().unwrap();
+        wal.buf.borrow_mut().extend_from_slice(&[2; 30]);
+        wal.rewind_to(&mut wal.buf.borrow_mut(), 100);
+        assert_eq!((wal.flushed.get(), wal.synced.get(), wal.len_bytes()), (100, 100, 100));
         let _ = fs::remove_dir_all(&dir);
     }
 
