@@ -444,7 +444,11 @@ impl ClientSession {
 pub struct Server {
     ring: Arc<Ring>,
     scheduler: Option<JoinHandle<()>>,
-    shard_handles: Vec<JoinHandle<()>>,
+    /// Every shard's thread, in construction order, with a clone of its
+    /// command channel's `Sender`. The scheduler sends on its own clones;
+    /// these only keep each channel open until [`Self::shutdown`] reaches
+    /// that shard, so the threads exit one at a time, last built first.
+    shard_threads: Vec<(Sender<ShardCommand>, JoinHandle<()>)>,
     shards: usize,
 }
 
@@ -491,8 +495,7 @@ impl Server {
         recover: bool,
     ) -> Result<Server> {
         let n = config.shards;
-        let mut shard_txs = Vec::with_capacity(n);
-        let mut shard_handles = Vec::with_capacity(n);
+        let mut shard_threads = Vec::with_capacity(n);
         for (index, (r_i, s_i)) in parts.into_iter().enumerate() {
             let spec = ShardSpec {
                 index,
@@ -505,20 +508,16 @@ impl Server {
                 adaptive: config.adaptive,
             };
             match shard::spawn(spec) {
-                Ok((tx, handle)) => {
-                    shard_txs.push(tx);
-                    shard_handles.push(handle);
-                }
+                Ok(thread) => shard_threads.push(thread),
                 Err(e) => {
                     // Tear down the shards that did start.
-                    drop(shard_txs);
-                    for handle in shard_handles {
-                        let _ = handle.join();
-                    }
+                    while join_last_shard(&mut shard_threads) {}
                     return Err(e);
                 }
             }
         }
+        let shard_txs: Vec<Sender<ShardCommand>> =
+            shard_threads.iter().map(|(tx, _)| tx.clone()).collect();
 
         let ring = Ring::new(config.ring);
         let sched_ring = Arc::clone(&ring);
@@ -561,9 +560,16 @@ impl Server {
                 };
                 sched.run();
             })
-            .map_err(|e| Error::Invariant(format!("serve: spawn scheduler: {e}")))?;
+            .map_err(|e| Error::Invariant(format!("serve: spawn scheduler: {e}")));
+        let scheduler = match scheduler {
+            Ok(handle) => handle,
+            Err(e) => {
+                while join_last_shard(&mut shard_threads) {}
+                return Err(e);
+            }
+        };
 
-        Ok(Server { ring, scheduler: Some(scheduler), shard_handles, shards: n })
+        Ok(Server { ring, scheduler: Some(scheduler), shard_threads, shards: n })
     }
 
     /// The shard count in force.
@@ -584,15 +590,34 @@ impl Server {
     /// Stop the scheduler and every shard thread, waiting for them to
     /// exit. Idempotent; also runs on drop. Outstanding sessions receive
     /// errors for calls made after shutdown.
+    ///
+    /// Threads go one at a time in reverse construction order: the
+    /// scheduler, then shard *n*−1 … 0, each joined before the next
+    /// channel closes. A shard frees its whole engine as it exits; when
+    /// all of them did that at once, beside the scheduler's own exit, the
+    /// order in which their malloc arenas were handed back — and so which
+    /// arena each role got at the next `start` in this process — was a
+    /// race, and the process's peak RSS with it.
     pub fn shutdown(&mut self) {
         self.ring.close();
+        self.join_scheduler();
+        while join_last_shard(&mut self.shard_threads) {}
+    }
+
+    fn join_scheduler(&mut self) {
         if let Some(handle) = self.scheduler.take() {
             let _ = handle.join();
         }
-        for handle in self.shard_handles.drain(..) {
-            let _ = handle.join();
-        }
     }
+}
+
+/// Close the last shard's command channel and wait for its thread, which
+/// drains what was sent and exits. False when no shard is left.
+fn join_last_shard(shard_threads: &mut Vec<(Sender<ShardCommand>, JoinHandle<()>)>) -> bool {
+    let Some((tx, handle)) = shard_threads.pop() else { return false };
+    drop(tx);
+    let _ = handle.join();
+    true
 }
 
 impl Drop for Server {
@@ -727,8 +752,8 @@ impl Scheduler {
         // documents as rolling back.) Best-effort — there is no client
         // left to report an error to.
         let _ = self.seal_pending();
-        // Dropping `shard_txs` (with `self`) closes every shard channel;
-        // the shard threads drain what was sent and exit.
+        // The shard channels stay open behind this thread's exit: the
+        // `Server` holds a `Sender` of each and closes them one by one.
     }
 
     /// Ring-drain accounting. `serve.ring.submitted` counts every request
@@ -1176,6 +1201,30 @@ mod tests {
         // Idempotent shutdown keeps the same behavior.
         server.shutdown();
         assert!(server.session().is_err());
+    }
+
+    #[test]
+    fn shutdown_joins_the_scheduler_then_the_shards_last_built_first() {
+        let mut server = Server::start(&config(3, 8), tuples(30, 5), tuples(30, 5)).unwrap();
+        let session = server.session().unwrap();
+        let running = |server: &Server| -> Vec<bool> {
+            server.shard_threads.iter().map(|(_, handle)| !handle.is_finished()).collect()
+        };
+        // The scheduler's exit drops its `Sender`s; the server's own keep
+        // every shard serving, so a scheduler that dies takes none along.
+        server.ring.close();
+        server.join_scheduler();
+        assert_eq!(running(&server), [true; 3]);
+        assert!(session.query(Method::HybridHash).is_err(), "typed error, not a hang");
+        // Each shard is gone before the next one's channel closes.
+        assert!(join_last_shard(&mut server.shard_threads));
+        assert_eq!(running(&server), [true; 2]);
+        assert!(join_last_shard(&mut server.shard_threads));
+        assert_eq!(running(&server), [true; 1]);
+        server.shutdown();
+        assert!(server.shard_threads.is_empty() && server.scheduler.is_none());
+        assert!(!join_last_shard(&mut server.shard_threads));
+        server.shutdown();
     }
 
     #[test]
