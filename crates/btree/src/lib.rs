@@ -31,6 +31,8 @@
 //! // The root is memory-resident: a point lookup charges height-1 I/Os.
 //! assert_eq!(cost.total().ios as usize, tree.height() - 1);
 //!
+//! // An update overwrites the tuple where it lies: one leaf write.
+//! assert!(tree.replace_value(123, &vec![2u8; 190]).unwrap());
 //! tree.insert(1000, vec![1u8; 190]).unwrap();
 //! assert!(tree.remove_exact(1000, &vec![1u8; 190]).unwrap());
 //! ```
@@ -286,6 +288,61 @@ mod tests {
         // And the tree accepts new inserts.
         t.insert(77, b"back".to_vec()).unwrap();
         assert_eq!(t.lookup(77).unwrap(), vec![b"back".to_vec()]);
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn mutation_charges_follow_the_pages_changed() {
+        let (disk, _c, _p) = setup();
+        let entries: Vec<(u64, Vec<u8>)> = (0..2000u64).map(|k| (k * 2, vec![0u8; 8])).collect();
+        let mut t = BTree::bulk_load(&disk, small_cfg(), entries).unwrap();
+        let h = t.height() as u64;
+        assert!(h >= 4, "the charges below must cross unchanged internal levels");
+        let writes = || disk.metrics().counter("disk.writes");
+        let reads = || disk.metrics().counter("disk.reads");
+
+        // In-place replace: one descent, one leaf write, same structure.
+        let (r0, w0, leaves) = (reads(), writes(), t.leaf_pages());
+        assert!(t.replace_value(1001 * 2, &[7u8; 8]).unwrap());
+        assert_eq!((reads() - r0, writes() - w0), (h - 1, 1));
+        assert_eq!(t.leaf_pages(), leaves);
+        assert_eq!(t.lookup(1001 * 2).unwrap(), vec![vec![7u8; 8]]);
+        assert!(!t.replace_value(1001 * 2 + 1, &[7u8; 8]).unwrap(), "absent key");
+        assert!(t.replace_value(1001 * 2, &[7u8; 9]).is_err(), "width must not change");
+
+        // A delete, then an insert into the room it made: one descent and
+        // one leaf write each.
+        let (r0, w0) = (reads(), writes());
+        assert!(t.remove_exact(1001 * 2, &[7u8; 8]).unwrap());
+        assert_eq!((reads() - r0, writes() - w0), (h - 1, 1));
+        let (r0, w0) = (reads(), writes());
+        assert!(t.insert_unique(1001 * 2, vec![1u8; 8]).unwrap());
+        assert_eq!((reads() - r0, writes() - w0), (h - 1, 1));
+        assert!(!t.insert_unique(1001 * 2, vec![2u8; 8]).unwrap(), "key taken");
+        assert_eq!(t.lookup(1001 * 2).unwrap(), vec![vec![1u8; 8]]);
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn replace_value_finds_a_key_past_its_separator_and_in_a_root_leaf() {
+        let (disk, _c, _p) = setup();
+        let mut t = BTree::new(&disk, small_cfg()).unwrap();
+        t.insert(1, vec![1]).unwrap();
+        assert!(t.replace_value(1, &[9]).unwrap());
+        assert!(!t.replace_value(2, &[9]).unwrap());
+        // Duplicates of one key across many leaves: some separator equals
+        // the key, so the descent lands left of the first match.
+        for i in 0..20u8 {
+            t.insert(5, vec![i]).unwrap();
+        }
+        t.insert(6, vec![6]).unwrap();
+        assert!(t.replace_value(6, &[60]).unwrap());
+        assert!(t.replace_value(5, &[0xFF]).unwrap());
+        assert_eq!(t.lookup(1).unwrap(), vec![vec![9]]);
+        assert_eq!(t.lookup(6).unwrap(), vec![vec![60]]);
+        let fives = t.lookup(5).unwrap();
+        assert_eq!(fives.iter().filter(|v| **v == vec![0xFF]).count(), 1);
+        assert_eq!(fives.len(), 20);
         t.check_invariants().unwrap();
     }
 

@@ -23,7 +23,7 @@
 //! occupancy stays stable) while avoiding rebalancing machinery the cost
 //! model never prices.
 
-use trijoin_common::{Error, FxHashSet, Result, SystemParams};
+use trijoin_common::{Cost, Error, FxHashSet, Result, SystemParams};
 use trijoin_storage::{Disk, FileId, PageId};
 
 use crate::node::{self, Node};
@@ -109,6 +109,19 @@ enum LeafLoc {
 enum Step {
     Done,
     Next(u32),
+}
+
+/// What a recursive insert did to the node it was handed.
+enum Insertion {
+    /// A unique insert found its key taken; nothing changed anywhere.
+    Duplicate,
+    /// Inserted below; this node's image is unchanged.
+    Clean,
+    /// This node's image changed: its caller must write it back.
+    Dirty,
+    /// This node changed and split: separator and page of the new right
+    /// sibling, for its caller to adopt.
+    Split(u64, u32),
 }
 
 impl BTree {
@@ -619,6 +632,20 @@ impl BTree {
 
     /// Insert `(key, value)`. Duplicates are allowed.
     pub fn insert(&mut self, key: u64, value: Vec<u8>) -> Result<()> {
+        self.insert_entry(key, value, false).map(|_| ())
+    }
+
+    /// Insert `(key, value)` unless the tree already holds an entry under
+    /// `key`; returns whether it inserted. The existence test is the
+    /// insert's own leaf visit, so it sees exactly the one leaf an insert
+    /// of `key` lands in: complete on a tree whose keys are all unique
+    /// (every insert came through here), which is what a clustered
+    /// relation needs to reject a reused surrogate without a second descent.
+    pub fn insert_unique(&mut self, key: u64, value: Vec<u8>) -> Result<bool> {
+        self.insert_entry(key, value, true)
+    }
+
+    fn insert_entry(&mut self, key: u64, value: Vec<u8>, unique: bool) -> Result<bool> {
         let entry_bytes = 10 + value.len();
         if 7 + entry_bytes > self.disk.page_size() {
             return Err(Error::PageOverflow {
@@ -627,47 +654,60 @@ impl BTree {
             });
         }
         let mut root = std::mem::replace(&mut self.root, Node::empty_leaf());
-        let split = self.insert_into(&mut root, key, value, true)?;
+        let outcome = self.insert_into(&mut root, key, value, unique);
         self.root = root;
-        if let Some((sep, right_pid)) = split {
-            // Move the (already-split) root's left half to a fresh page and
-            // grow the tree by one level; the new root stays resident.
-            let left = std::mem::replace(
-                &mut self.root,
-                Node::Internal { keys: vec![sep], children: vec![0, right_pid] },
-            );
-            let left_pid = self.alloc_node(&left)?;
-            if let Node::Internal { ref mut children, .. } = self.root {
-                children[0] = left_pid;
+        match outcome? {
+            Insertion::Duplicate => return Ok(false),
+            // An internal root none of whose children split is unchanged.
+            Insertion::Clean => {}
+            Insertion::Dirty => self.write_root_free()?,
+            Insertion::Split(sep, right_pid) => {
+                // Move the (already-split) root's left half to a fresh page
+                // and grow the tree by one level; the new root stays resident.
+                let left = std::mem::replace(
+                    &mut self.root,
+                    Node::Internal { keys: vec![sep], children: vec![0, right_pid] },
+                );
+                let left_pid = self.alloc_node(&left)?;
+                if let Node::Internal { ref mut children, .. } = self.root {
+                    children[0] = left_pid;
+                }
+                self.height += 1;
+                self.write_root_free()?;
             }
-            self.height += 1;
         }
-        self.write_root_free()?;
         self.entries += 1;
-        Ok(())
+        Ok(true)
     }
 
-    /// Recursive insert. Returns `Some((separator, new_right_page))` when
-    /// `node` split; the caller owns writing `node` back (the root wrapper
-    /// writes it free, inner levels write charged).
+    /// Recursive insert. The caller owns writing `node` back, and does so
+    /// only when the outcome says its image changed (the root wrapper
+    /// writes free, inner levels write charged): an insert that splits
+    /// nothing writes exactly one page, its leaf.
     fn insert_into(
         &mut self,
         node: &mut Node,
         key: u64,
         value: Vec<u8>,
-        is_root: bool,
-    ) -> Result<Option<(u64, u32)>> {
+        unique: bool,
+    ) -> Result<Insertion> {
         match node {
             Node::Leaf { entries, next } => {
                 self.charge_search(entries.len());
                 let at =
                     entries.partition_point(|(k, v)| (*k, v.as_slice()) <= (key, value.as_slice()));
+                // Entries under `key` sit on either side of the insertion
+                // point (smaller-or-equal values before it, larger after).
+                let holds_key = |i: usize| entries.get(i).is_some_and(|(k, _)| *k == key);
+                if unique && (holds_key(at) || at.checked_sub(1).is_some_and(holds_key)) {
+                    return Ok(Insertion::Duplicate);
+                }
                 self.disk.cost().mov(1);
                 entries.insert(at, (key, value));
                 let over_cap = entries.len() > self.cfg.leaf_cap
                     || node_bytes_leaf(entries) > self.disk.page_size();
                 if !over_cap {
-                    return Ok(None);
+                    return Ok(Insertion::Dirty);
                 }
                 let mid = entries.len() / 2;
                 let right_entries = entries.split_off(mid);
@@ -676,23 +716,31 @@ impl BTree {
                 let right_pid = self.alloc_node(&right)?;
                 *next = Some(right_pid);
                 self.leaves += 1;
-                Ok(Some((sep, right_pid)))
+                Ok(Insertion::Split(sep, right_pid))
             }
             Node::Internal { keys, children } => {
                 self.charge_search(keys.len());
                 let idx = Self::child_right(keys, key);
                 let child_pid = children[idx];
                 let mut child = self.read_node(child_pid)?;
-                let split = self.insert_into(&mut child, key, value, false)?;
-                self.write_node(child_pid, &child)?;
-                let Some((sep, new_right)) = split else { return Ok(None) };
+                let below = self.insert_into(&mut child, key, value, unique)?;
+                let (sep, new_right) = match below {
+                    Insertion::Duplicate | Insertion::Clean => return Ok(below),
+                    Insertion::Dirty => {
+                        self.write_node(child_pid, &child)?;
+                        return Ok(Insertion::Clean);
+                    }
+                    Insertion::Split(sep, new_right) => {
+                        self.write_node(child_pid, &child)?;
+                        (sep, new_right)
+                    }
+                };
                 keys.insert(idx, sep);
                 children.insert(idx + 1, new_right);
                 let over = keys.len() > self.cfg.internal_cap
                     || node_bytes_internal(keys.len()) > self.disk.page_size();
                 if !over {
-                    let _ = is_root;
-                    return Ok(None);
+                    return Ok(Insertion::Dirty);
                 }
                 let mid = keys.len() / 2;
                 let up = keys[mid];
@@ -701,7 +749,46 @@ impl BTree {
                 let right_children = children.split_off(mid + 1);
                 let right = Node::Internal { keys: right_keys, children: right_children };
                 let right_pid = self.alloc_node(&right)?;
-                Ok(Some((up, right_pid)))
+                Ok(Insertion::Split(up, right_pid))
+            }
+        }
+    }
+
+    /// Overwrite in place the value of the first entry under `key` with
+    /// `value`, which must be as long as the value it replaces; returns
+    /// whether such an entry exists. Occupancy and structure cannot
+    /// change, so this costs one descent (`height − 1` reads) and one leaf
+    /// write — what a same-surrogate tuple update is worth, where a remove
+    /// plus an insert pays two of each.
+    pub fn replace_value(&mut self, key: u64, value: &[u8]) -> Result<bool> {
+        let mut page = match self.descend_to_leaf_page(key, None)? {
+            LeafLoc::Root => {
+                let Node::Leaf { ref mut entries, .. } = self.root else {
+                    return Err(Error::Invariant("descended to internal node".into()));
+                };
+                let found = overwrite_first(self.disk.cost(), entries, key, value)?;
+                if found {
+                    self.write_root_free()?;
+                }
+                return Ok(found);
+            }
+            LeafLoc::Page(p) => p,
+        };
+        // The descent lands on the leftmost leaf that can hold `key`; the
+        // entry itself may sit further along the chain (a separator equal
+        // to `key`, or duplicates spanning leaves).
+        loop {
+            let mut node = self.read_node(page)?;
+            let Node::Leaf { ref mut entries, next } = node else {
+                return Err(Error::Invariant("descended to internal node".into()));
+            };
+            if overwrite_first(self.disk.cost(), entries, key, value)? {
+                self.write_node(page, &node)?;
+                return Ok(true);
+            }
+            match next {
+                Some(p) if entries.last().is_none_or(|(k, _)| *k <= key) => page = p,
+                _ => return Ok(false),
             }
         }
     }
@@ -819,6 +906,31 @@ impl BTree {
         }
         Ok(())
     }
+}
+
+/// Overwrite the value of the first entry under `key` among one leaf's
+/// `entries`; `false` when the leaf holds none. Charges the leaf scan and
+/// the one tuple move.
+fn overwrite_first(
+    cost: &Cost,
+    entries: &mut [(u64, Vec<u8>)],
+    key: u64,
+    value: &[u8],
+) -> Result<bool> {
+    cost.comp(entries.len() as u64);
+    let Some((_, old)) = entries.iter_mut().find(|(k, _)| *k == key) else {
+        return Ok(false);
+    };
+    if old.len() != value.len() {
+        return Err(Error::Invariant(format!(
+            "replace_value: key {key} holds {} bytes, replacement has {}",
+            old.len(),
+            value.len()
+        )));
+    }
+    cost.mov(1);
+    old.copy_from_slice(value);
+    Ok(true)
 }
 
 fn node_bytes_leaf(entries: &[(u64, Vec<u8>)]) -> usize {

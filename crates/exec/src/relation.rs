@@ -293,13 +293,12 @@ impl StoredRelation {
         if t.serialized_len() != self.tuple_bytes {
             return Err(Error::Invariant("insert changes tuple size".into()));
         }
-        if !self.clustered.lookup(t.sur.0 as u64)?.is_empty() {
+        if !self.clustered.insert_unique(t.sur.0 as u64, t.to_bytes())? {
             return Err(Error::Invariant(format!(
                 "surrogate {} already exists in {}",
                 t.sur, self.name
             )));
         }
-        self.clustered.insert(t.sur.0 as u64, t.to_bytes())?;
         if let Some(inv) = self.inverted.as_mut() {
             inv.insert(t.key, t.sur.0.to_le_bytes().to_vec())?;
         }
@@ -332,7 +331,9 @@ impl StoredRelation {
     }
 
     /// Apply one update (the paper's model: a deletion of `old` followed by
-    /// an insertion of `new`, same surrogate). Maintains both indexes.
+    /// an insertion of `new`, same surrogate). The surrogate is the
+    /// clustering key, so the tuple is overwritten where it lies; the
+    /// inverted index does a real remove + insert when the join key moves.
     pub fn apply_update(&mut self, old: &BaseTuple, new: &BaseTuple) -> Result<()> {
         if old.sur != new.sur {
             return Err(Error::Invariant("update must keep the surrogate".into()));
@@ -340,11 +341,9 @@ impl StoredRelation {
         if new.serialized_len() != self.tuple_bytes {
             return Err(Error::Invariant("update changes tuple size".into()));
         }
-        let removed = self.clustered.remove_where(old.sur.0 as u64, |_| true)?;
-        if !removed {
+        if !self.clustered.replace_value(old.sur.0 as u64, &new.to_bytes())? {
             return Err(Error::KeyNotFound(old.sur.0 as u64));
         }
-        self.clustered.insert(new.sur.0 as u64, new.to_bytes())?;
         if let Some(inv) = self.inverted.as_mut() {
             if old.key != new.key {
                 let sur_bytes = old.sur.0.to_le_bytes();
