@@ -92,10 +92,13 @@ echo "==> repo-benchmark smoke + residency soak"
 # the benchmark uses of the program fails here, not at the driver. The
 # resource-bound tests ride along in release mode: 20 000 updates under
 # hybrid-hash-only traffic must leave each pinned shard's disk pages
-# where warm-up left them, and recovering a 66 MB log that rewrites 8
-# pages must stay under 2 MB of heap.
+# where warm-up left them, four turnovers of R under mixed
+# update/insert/delete traffic must leave them within 1.5x of the first
+# round's, and recovering a 66 MB log that rewrites 8 pages must stay
+# under 2 MB of heap.
 cargo run --release -q -p trijoin-bench --bin benchmark -- --smoke > /dev/null
 cargo test -q --release -p trijoin-serve --test serve hh_only_soak
+cargo test -q --release -p trijoin-serve --test serve churn_soak
 cargo test -q --release -p trijoin-storage --test recovery_memory
 
 echo "==> bench-regression gate"
@@ -133,6 +136,8 @@ rm -f "$report"
 # The single-engine adapter runs the same controller on the simulated
 # clock, so its committed results file must reproduce to the byte.
 cargo run --release -q --example adaptive | diff - results/adaptive.txt
+# So does the engine-vs-model grid: fixed seeds, simulated seconds only.
+cargo run --release -q --example engine_vs_model | diff - results/engine_vs_model.txt
 # One decision loop: strategy re-selection is priced in the policy module
 # (and the launch-time advisor), nowhere else.
 if grep -rn "all_costs\|cheapest(" crates/core/src crates/serve/src \

@@ -172,7 +172,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_exact_and_lazy_delete() {
+    fn remove_exact_among_duplicates() {
         let (disk, _c, _p) = setup();
         let mut t = BTree::new(&disk, small_cfg()).unwrap();
         for k in 0..30u64 {
@@ -273,21 +273,41 @@ mod tests {
     }
 
     #[test]
-    fn mass_deletion_leaves_usable_empty_chain() {
+    fn mass_deletion_collapses_to_an_empty_root() {
         let (disk, _c, _p) = setup();
         let entries: Vec<(u64, Vec<u8>)> = (0..200u64).map(|k| (k, vec![k as u8])).collect();
         let mut t = BTree::bulk_load(&disk, small_cfg(), entries).unwrap();
+        let file_pages = disk.num_pages(t.file_id()).unwrap();
         for k in 0..200u64 {
             assert!(t.remove_where(k, |_| true).unwrap(), "key {k}");
+            t.check_invariants().unwrap();
         }
         assert_eq!(t.len(), 0);
-        // Lazy deletion: structure remains, searches still work.
+        // Every level merged away: the root is the one empty leaf left,
+        // and every other page of the file waits on the free list.
+        assert_eq!((t.height(), t.leaf_pages(), t.node_pages()), (1, 1, 1));
         assert!(t.lookup(50).unwrap().is_empty());
         assert!(t.scan_range(0, u64::MAX).unwrap().is_empty());
+        // Growing back takes pages off the free list, not from the file.
+        for k in 0..100u64 {
+            t.insert(k, vec![k as u8]).unwrap();
+        }
+        assert_eq!(t.lookup(77).unwrap(), vec![vec![77]]);
+        assert_eq!(disk.num_pages(t.file_id()).unwrap(), file_pages);
         t.check_invariants().unwrap();
-        // And the tree accepts new inserts.
-        t.insert(77, b"back".to_vec()).unwrap();
-        assert_eq!(t.lookup(77).unwrap(), vec![b"back".to_vec()]);
+    }
+
+    #[test]
+    fn ascending_inserts_pack_leaves_full() {
+        let (disk, _c, _p) = setup();
+        let mut t = BTree::new(&disk, small_cfg()).unwrap();
+        for k in 0..400u64 {
+            t.insert(k, vec![k as u8]).unwrap();
+        }
+        // An append splits off only itself, so every leaf but the last
+        // ends full: what a bulk load packs, not twice that.
+        assert_eq!(t.leaf_pages(), 100);
+        assert_eq!(t.leaf_pages(), t.packed_leaf_pages());
         t.check_invariants().unwrap();
     }
 
@@ -310,8 +330,8 @@ mod tests {
         assert!(!t.replace_value(1001 * 2 + 1, &[7u8; 8]).unwrap(), "absent key");
         assert!(t.replace_value(1001 * 2, &[7u8; 9]).is_err(), "width must not change");
 
-        // A delete, then an insert into the room it made: one descent and
-        // one leaf write each.
+        // A delete that leaves its leaf at least half full, then an insert
+        // into the room it made: one descent and one leaf write each.
         let (r0, w0) = (reads(), writes());
         assert!(t.remove_exact(1001 * 2, &[7u8; 8]).unwrap());
         assert_eq!((reads() - r0, writes() - w0), (h - 1, 1));
@@ -344,6 +364,55 @@ mod tests {
         assert_eq!(fives.iter().filter(|v| **v == vec![0xFF]).count(), 1);
         assert_eq!(fives.len(), 20);
         t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn underflow_merges_or_refills_from_a_sibling() {
+        let (disk, _c, _p) = setup();
+        let entries: Vec<(u64, Vec<u8>)> = (0..16u64).map(|k| (k, vec![k as u8])).collect();
+        let mut t = BTree::bulk_load(&disk, small_cfg(), entries).unwrap();
+        assert_eq!(t.leaf_pages(), 4);
+        let counter = |name| disk.metrics().counter(name);
+        // Leaf [0,1,2,3] drops to one entry next to a full sibling: the
+        // pair does not fit one page, so it is cut again in the middle.
+        for k in [0, 1, 2] {
+            assert!(t.remove_where(k, |_| true).unwrap());
+        }
+        assert_eq!((t.leaf_pages(), counter("btree.merges")), (4, 0));
+        // Two more deletes leave the pair small enough for one page.
+        for k in [3, 4] {
+            assert!(t.remove_where(k, |_| true).unwrap());
+        }
+        assert_eq!((t.leaf_pages(), counter("btree.merges")), (3, 1));
+        assert_eq!(counter("btree.pages_freed"), 1);
+        t.check_invariants().unwrap();
+        // The next split takes the freed page instead of growing the file.
+        let pages = disk.num_pages(t.file_id()).unwrap();
+        for k in 100..104u64 {
+            t.insert(k, vec![0]).unwrap();
+        }
+        assert_eq!(counter("btree.pages_reused"), 1);
+        assert_eq!(disk.num_pages(t.file_id()).unwrap(), pages);
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn reopened_tree_keeps_its_free_list_and_adopts_orphans() {
+        let (disk, _c, _p) = setup();
+        let entries: Vec<(u64, Vec<u8>)> = (0..64u64).map(|k| (k, vec![k as u8])).collect();
+        let mut t = BTree::bulk_load(&disk, small_cfg(), entries).unwrap();
+        for k in 0..40u64 {
+            assert!(t.remove_where(k, |_| true).unwrap());
+        }
+        let meta = t.meta();
+        assert!(meta.free_pages > 0 && meta.free_head.is_some());
+        // A page allocated after the meta was taken is what a session that
+        // crashed before its next commit leaves behind.
+        disk.allocate_page(t.file_id()).unwrap();
+        let reopened = BTree::open(&disk, small_cfg(), &meta).unwrap();
+        assert_eq!(reopened.meta().free_pages, meta.free_pages + 1);
+        reopened.check_invariants().unwrap();
+        assert_eq!(reopened.scan_range(0, u64::MAX).unwrap().len(), 24);
     }
 
     #[test]

@@ -9,7 +9,11 @@
 //!           then per entry: key(u64) | len(u16) | value bytes
 //! internal: [0]=1  [1..3]=key_count
 //!           then child0(u32), then per key: key(u64) | child(u32)
+//! free:     [0]=2  [3..7]=next_free(u32, MAX=none)
 //! ```
+//!
+//! A *free* page is not a node: it is a link of its tree's free list
+//! ([`free_image`] / [`free_next`]), and [`Node::from_page`] rejects it.
 
 use trijoin_common::{Error, Result};
 
@@ -42,6 +46,66 @@ impl Node {
     /// A fresh empty leaf.
     pub fn empty_leaf() -> Self {
         Node::Leaf { entries: Vec::new(), next: None }
+    }
+
+    /// True for leaf nodes.
+    pub fn is_leaf(&self) -> bool {
+        matches!(self, Node::Leaf { .. })
+    }
+
+    /// Occupancy: entries of a leaf, separator keys of an internal node.
+    pub fn len(&self) -> usize {
+        match self {
+            Node::Leaf { entries, .. } => entries.len(),
+            Node::Internal { keys, .. } => keys.len(),
+        }
+    }
+
+    /// True for a leaf without entries or an internal node without a
+    /// separator (a lone child).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Cut the node at `mid`, keeping the left part: returns the
+    /// separator to hand to the parent and the new right sibling, which
+    /// the caller stores on `right_page`. A leaf keeps entries `..mid`
+    /// and chains to `right_page`; an internal node keeps keys `..mid`
+    /// and moves key `mid` up.
+    pub fn split_off(&mut self, mid: usize, right_page: u32) -> (u64, Node) {
+        match self {
+            Node::Leaf { entries, next } => {
+                let right = entries.split_off(mid);
+                let sep = right[0].0;
+                let right = Node::Leaf { entries: right, next: next.replace(right_page) };
+                (sep, right)
+            }
+            Node::Internal { keys, children } => {
+                let right_keys = keys.split_off(mid + 1);
+                let up = keys.pop().expect("split point is a key of the node");
+                let right =
+                    Node::Internal { keys: right_keys, children: children.split_off(mid + 1) };
+                (up, right)
+            }
+        }
+    }
+
+    /// Pour the right sibling `right` into this node — the inverse of
+    /// [`Node::split_off`]: `sep` is the parent's separator between the
+    /// two, which an internal node takes back down.
+    pub fn absorb(&mut self, sep: u64, right: Node) {
+        match (self, right) {
+            (Node::Leaf { entries, next }, Node::Leaf { entries: more, next: after }) => {
+                entries.extend(more);
+                *next = after;
+            }
+            (Node::Internal { keys, children }, Node::Internal { keys: ks, children: cs }) => {
+                keys.push(sep);
+                keys.extend(ks);
+                children.extend(cs);
+            }
+            _ => unreachable!("siblings under one parent are of one kind"),
+        }
     }
 
     /// Serialized size in bytes.
@@ -133,6 +197,27 @@ impl Node {
             t => Err(Error::Corrupt(format!("unknown btree node tag {t}"))),
         }
     }
+}
+
+/// Tag byte of a free-list page.
+const FREE_TAG: u8 = 2;
+
+/// Image of a free page whose successor on the free list is `next`.
+pub fn free_image(next: Option<u32>, page_size: usize) -> Vec<u8> {
+    let mut out = vec![0u8; page_size];
+    out[0] = FREE_TAG;
+    out[3..7].copy_from_slice(&next.unwrap_or(NO_PAGE).to_le_bytes());
+    out
+}
+
+/// Successor of a free page on its free list. Fails on any other page,
+/// so a free list that runs into a live node is reported, not followed.
+pub fn free_next(bytes: &[u8]) -> Result<Option<u32>> {
+    if bytes.len() < 7 || bytes[0] != FREE_TAG {
+        return Err(Error::Corrupt("btree free list reaches a page that is not free".into()));
+    }
+    let next = u32::from_le_bytes(bytes[3..7].try_into().unwrap());
+    Ok((next != NO_PAGE).then_some(next))
 }
 
 // ---------------------------------------------------------------------
@@ -305,6 +390,39 @@ mod tests {
             let expect = children[keys.partition_point(|&s| s < probe)];
             assert_eq!(child, expect, "probe {probe}");
         }
+    }
+
+    #[test]
+    fn split_off_and_absorb_are_inverse() {
+        let leaf = Node::Leaf {
+            entries: vec![(1, vec![1]), (2, vec![2]), (2, vec![3]), (5, vec![4])],
+            next: Some(9),
+        };
+        let mut left = leaf.clone();
+        let (sep, right) = left.split_off(1, 7);
+        assert_eq!(sep, 2);
+        assert_eq!(left, Node::Leaf { entries: vec![(1, vec![1])], next: Some(7) });
+        assert!(matches!(&right, Node::Leaf { entries, next: Some(9) } if entries.len() == 3));
+        left.absorb(sep, right);
+        assert_eq!(left, leaf);
+
+        let inner = Node::Internal { keys: vec![10, 20, 30], children: vec![1, 2, 3, 4] };
+        let mut left = inner.clone();
+        let (up, right) = left.split_off(1, 0);
+        assert_eq!(up, 20);
+        assert_eq!(left, Node::Internal { keys: vec![10], children: vec![1, 2] });
+        assert_eq!(right, Node::Internal { keys: vec![30], children: vec![3, 4] });
+        left.absorb(up, right);
+        assert_eq!(left, inner);
+    }
+
+    #[test]
+    fn free_pages_chain_and_are_not_nodes() {
+        let page = free_image(Some(5), 64);
+        assert_eq!(free_next(&page).unwrap(), Some(5));
+        assert_eq!(free_next(&free_image(None, 64)).unwrap(), None);
+        assert!(Node::from_page(&page).is_err(), "a free page must not parse as a node");
+        assert!(free_next(&Node::empty_leaf().to_page(64).unwrap()).is_err());
     }
 
     #[test]

@@ -17,13 +17,39 @@
 //! accessed at most once") that the analytical model charges for scheduled,
 //! pointer-sorted access.
 //!
-//! Deletes are *lazy*: entries are removed from leaves but nodes are never
-//! merged, and empty leaves stay chained. This keeps the paper's workloads
-//! exact (updates are delete+insert pairs of the same surrogate, so
-//! occupancy stays stable) while avoiding rebalancing machinery the cost
-//! model never prices.
+//! Mutations read and write only the pages they change. With `h` the
+//! height and nothing splitting or underflowing, an insert, a delete and
+//! an in-place [`BTree::replace_value`] each cost `h − 1` reads (the
+//! descent) and one write (the leaf); an internal node is written back
+//! only when a split or merge below changed it.
+//!
+//! Space comes back. A delete that leaves a node under half full reads
+//! one sibling under the same parent and pours the pair into the left
+//! page: if everything fits, the right page goes onto the tree's *free
+//! list* (a merge); otherwise the pair is cut again in the middle (a
+//! refill — merging alone would let leaves sit at 1, half, 1, half, …
+//! entries, a quarter full on average, and could leave an internal node
+//! without a separator beside a full sibling). So with values of one
+//! width no node but the root and the right edge of each level stays
+//! under half full, an empty node never persists at any width, and a
+//! root left with a single child hands the root to it. An insert
+//! past the last key of the last leaf splits off only itself, leaving
+//! the full leaf full, so an ascending load packs pages instead of
+//! stranding half of each. What that buys is a bound: the leaves number
+//! at most twice what a bulk load of the same entries builds, plus the
+//! right edge.
+//!
+//! The free list is the tree's own: its head and length are part of
+//! [`BTreeMeta`], freed pages chain through their own bytes, and
+//! allocation pops it before extending the file. Since the meta and the
+//! page images seal in the same WAL group, a crash rewinds both together;
+//! pages a crashed session allocated past the committed end of the file
+//! are adopted as free by [`BTree::open`]. List upkeep is allocation
+//! bookkeeping and, like [`trijoin_storage::SimDisk::allocate_page`],
+//! free of I/O charge: what a reclaim charges is the sibling read, the
+//! merged or refilled node writes and the parent write.
 
-use trijoin_common::{Cost, Error, FxHashSet, Result, SystemParams};
+use trijoin_common::{Cost, CounterId, Error, FxHashSet, Result, SystemParams};
 use trijoin_storage::{Disk, FileId, PageId};
 
 use crate::node::{self, Node};
@@ -84,6 +110,14 @@ pub struct BTreeMeta {
     pub entries: u64,
     /// Leaf page count.
     pub leaves: u64,
+    /// Pages of the file the tree accounts for, nodes and free list
+    /// together. Pages past it are what a crashed session allocated and
+    /// never committed; [`BTree::open`] adopts them onto the free list.
+    pub pages: u32,
+    /// First page of the free list.
+    pub free_head: Option<u32>,
+    /// Length of the free list.
+    pub free_pages: u32,
 }
 
 /// A B⁺-tree over `u64` keys with byte-string values (duplicates allowed).
@@ -97,6 +131,12 @@ pub struct BTree {
     height: usize,
     entries: u64,
     leaves: u64,
+    free_head: Option<u32>,
+    free_pages: u32,
+    /// `btree.merges`, `btree.pages_freed`, `btree.pages_reused`.
+    c_merges: CounterId,
+    c_freed: CounterId,
+    c_reused: CounterId,
 }
 
 /// Where a descent landed: the memory-resident root leaf, or a leaf page.
@@ -109,6 +149,16 @@ enum LeafLoc {
 enum Step {
     Done,
     Next(u32),
+}
+
+/// What a recursive remove did to the node it was handed.
+enum Removal {
+    /// No matching entry under this node; nothing changed anywhere.
+    Missing,
+    /// Removed below; this node's image is unchanged.
+    Clean,
+    /// This node's image changed: its caller must write it back.
+    Dirty,
 }
 
 /// What a recursive insert did to the node it was handed.
@@ -125,22 +175,55 @@ enum Insertion {
 }
 
 impl BTree {
+    /// Attach a handle to the tree `meta` describes, whose root is `root`.
+    fn attach(disk: &Disk, cfg: BTreeConfig, root: Node, meta: &BTreeMeta) -> Self {
+        let metrics = disk.metrics();
+        BTree {
+            disk: disk.clone(),
+            file: FileId(meta.file),
+            cfg,
+            root,
+            root_page: meta.root_page,
+            height: meta.height,
+            entries: meta.entries,
+            leaves: meta.leaves,
+            free_head: meta.free_head,
+            free_pages: meta.free_pages,
+            c_merges: metrics.counter_handle("btree.merges"),
+            c_freed: metrics.counter_handle("btree.pages_freed"),
+            c_reused: metrics.counter_handle("btree.pages_reused"),
+        }
+    }
+
+    /// Shape of a freshly built tree: every page of `file` is a node.
+    fn built_meta(
+        disk: &Disk,
+        file: FileId,
+        root_page: u32,
+        height: usize,
+        entries: u64,
+        leaves: u64,
+    ) -> Result<BTreeMeta> {
+        Ok(BTreeMeta {
+            file: file.0,
+            root_page,
+            height,
+            entries,
+            leaves,
+            pages: disk.num_pages(file)?,
+            free_head: None,
+            free_pages: 0,
+        })
+    }
+
     /// Create an empty tree (root is an empty leaf).
     pub fn new(disk: &Disk, cfg: BTreeConfig) -> Result<Self> {
         let file = disk.create_file();
         let root = Node::empty_leaf();
         let pid = disk.allocate_page(file)?;
         disk.write_page_free(pid, &root.to_page(disk.page_size())?)?;
-        Ok(BTree {
-            disk: disk.clone(),
-            file,
-            cfg,
-            root,
-            root_page: pid.page,
-            height: 1,
-            entries: 0,
-            leaves: 1,
-        })
+        let meta = Self::built_meta(disk, file, pid.page, 1, 0, 1)?;
+        Ok(Self::attach(disk, cfg, root, &meta))
     }
 
     /// Bulk-load from entries sorted by `(key, value)`. Charges one write
@@ -199,33 +282,31 @@ impl BTree {
         }
 
         // Build internal levels bottom-up.
+        let fan = cfg.internal_cap + 1;
         let mut height = 1usize;
         while level.len() > 1 {
             height += 1;
+            let is_root = level.len() <= fan;
             let mut next_level = Vec::new();
-            for chunk in level.chunks(cfg.internal_cap + 1) {
+            let mut rest = level.as_slice();
+            while !rest.is_empty() {
+                // Never leave the last node a lone child: it would have no
+                // separator, and a delete under it no sibling to merge with.
+                let take = if rest.len() == fan + 1 { fan - 1 } else { fan.min(rest.len()) };
+                let (chunk, tail) = rest.split_at(take);
+                rest = tail;
                 let children: Vec<u32> = chunk.iter().map(|&(_, p)| p).collect();
                 let keys: Vec<u64> = chunk[1..].iter().map(|&(k, _)| k).collect();
                 let node = Node::Internal { keys, children };
-                let min_key = chunk[0].0;
-                if level.len() <= cfg.internal_cap + 1 {
-                    // This is the root: keep it resident.
-                    let pid = disk.allocate_page(file)?;
-                    disk.write_page_free(pid, &node.to_page(page_size)?)?;
-                    return Ok(BTree {
-                        disk: disk.clone(),
-                        file,
-                        cfg,
-                        root: node,
-                        root_page: pid.page,
-                        height,
-                        entries: total,
-                        leaves: leaf_count,
-                    });
-                }
                 let pid = disk.allocate_page(file)?;
+                if is_root {
+                    // Keep the root resident.
+                    disk.write_page_free(pid, &node.to_page(page_size)?)?;
+                    let meta = Self::built_meta(disk, file, pid.page, height, total, leaf_count)?;
+                    return Ok(Self::attach(disk, cfg, node, &meta));
+                }
                 disk.write_page(pid, &node.to_page(page_size)?)?;
-                next_level.push((min_key, pid.page));
+                next_level.push((chunk[0].0, pid.page));
             }
             level = next_level;
         }
@@ -234,16 +315,8 @@ impl BTree {
             let raw = disk.read_page_free(PageId::new(file, level[0].1))?;
             Node::from_page(&raw)?
         };
-        Ok(BTree {
-            disk: disk.clone(),
-            file,
-            cfg,
-            root,
-            root_page: level[0].1,
-            height: 1,
-            entries: total,
-            leaves: leaf_count,
-        })
+        let meta = Self::built_meta(disk, file, level[0].1, 1, total, leaf_count)?;
+        Ok(Self::attach(disk, cfg, root, &meta))
     }
 
     /// The persisted shape of this tree (see [`BTreeMeta`]). Written into
@@ -255,6 +328,9 @@ impl BTree {
             height: self.height,
             entries: self.entries,
             leaves: self.leaves,
+            pages: self.file_pages(),
+            free_head: self.free_head,
+            free_pages: self.free_pages,
         }
     }
 
@@ -264,13 +340,17 @@ impl BTree {
     /// part of opening the database, which the paper does not price (same
     /// reason loading is free). Every other node is read lazily, charged,
     /// on first access exactly as before the restart.
+    ///
+    /// Pages of the file past `meta.pages` were allocated by a session
+    /// that crashed before committing them; nothing committed points at
+    /// them, so they go onto the free list instead of leaking.
     pub fn open(disk: &Disk, cfg: BTreeConfig, meta: &BTreeMeta) -> Result<Self> {
         let file = FileId(meta.file);
         let pages = disk.num_pages(file)?;
-        if meta.root_page >= pages {
+        if meta.root_page >= meta.pages || meta.pages > pages {
             return Err(Error::Corrupt(format!(
-                "btree catalog names root page {} but file {} has {} pages",
-                meta.root_page, meta.file, pages
+                "btree catalog names root page {} of {} pages but file {} has {} pages",
+                meta.root_page, meta.pages, meta.file, pages
             )));
         }
         let raw = disk.read_page_free(PageId::new(file, meta.root_page))?;
@@ -278,16 +358,11 @@ impl BTree {
         if meta.height == 1 && !matches!(root, Node::Leaf { .. }) {
             return Err(Error::Corrupt("height-1 btree root is not a leaf".into()));
         }
-        Ok(BTree {
-            disk: disk.clone(),
-            file,
-            cfg,
-            root,
-            root_page: meta.root_page,
-            height: meta.height,
-            entries: meta.entries,
-            leaves: meta.leaves,
-        })
+        let mut tree = Self::attach(disk, cfg, root, meta);
+        for orphan in meta.pages..pages {
+            tree.free_page(orphan)?;
+        }
+        Ok(tree)
     }
 
     /// Number of entries.
@@ -315,6 +390,21 @@ impl BTree {
         self.file
     }
 
+    fn file_pages(&self) -> u32 {
+        self.disk.num_pages(self.file).expect("a tree's file lives as long as the tree")
+    }
+
+    /// Pages holding a node: the file's pages less the free list.
+    pub fn node_pages(&self) -> u64 {
+        (self.file_pages() - self.free_pages) as u64
+    }
+
+    /// Leaf pages a tree of this many entries needs when every leaf is
+    /// full — what a bulk load builds, and the yardstick for occupancy.
+    pub fn packed_leaf_pages(&self) -> u64 {
+        self.entries.div_ceil(self.cfg.leaf_cap as u64).max(1)
+    }
+
     // ---- node I/O -------------------------------------------------------
 
     fn read_node(&self, page: u32) -> Result<Node> {
@@ -326,10 +416,41 @@ impl BTree {
         self.disk.write_page(PageId::new(self.file, page), &node.to_page(self.disk.page_size())?)
     }
 
-    fn alloc_node(&self, node: &Node) -> Result<u32> {
-        let pid = self.disk.allocate_page(self.file)?;
-        self.disk.write_page(pid, &node.to_page(self.disk.page_size())?)?;
-        Ok(pid.page)
+    /// A page to put a new node on: the head of the free list, or a
+    /// fresh page at the end of the file when the list is empty.
+    fn alloc_page(&mut self) -> Result<u32> {
+        let Some(page) = self.free_head else {
+            return Ok(self.disk.allocate_page(self.file)?.page);
+        };
+        self.free_head =
+            self.disk.read_page_free_with(PageId::new(self.file, page), node::free_next)?;
+        self.free_pages -= 1;
+        self.disk.metrics().incr_id(self.c_reused);
+        Ok(page)
+    }
+
+    /// Push `page`, which no node points at any more, onto the free list.
+    fn free_page(&mut self, page: u32) -> Result<()> {
+        let link = node::free_image(self.free_head, self.disk.page_size());
+        self.disk.write_page_free(PageId::new(self.file, page), &link)?;
+        self.free_head = Some(page);
+        self.free_pages += 1;
+        self.disk.metrics().incr_id(self.c_freed);
+        Ok(())
+    }
+
+    /// Whether `node` respects the configured capacity and the page size.
+    fn fits(&self, node: &Node) -> bool {
+        let cap = if node.is_leaf() { self.cfg.leaf_cap } else { self.cfg.internal_cap };
+        node.len() <= cap && node.serialized_len() <= self.disk.page_size()
+    }
+
+    /// Whether a non-root `node` is under half full.
+    fn underfull(&self, node: &Node) -> bool {
+        match node {
+            Node::Leaf { entries, .. } => 2 * entries.len() < self.cfg.leaf_cap,
+            Node::Internal { keys, .. } => keys.len() < self.cfg.internal_cap / 2,
+        }
     }
 
     fn write_root_free(&self) -> Result<()> {
@@ -357,24 +478,6 @@ impl BTree {
     /// Child index for inserting `key` (rightmost).
     fn child_right(keys: &[u64], key: u64) -> usize {
         keys.partition_point(|&s| s <= key)
-    }
-
-    /// Page number of the leftmost leaf that can contain `key` (owned-node
-    /// path, used by mutations).
-    fn descend_to_leaf(&self, key: u64) -> Result<(u32, Node)> {
-        let mut node = self.root.clone();
-        let mut page = self.root_page;
-        loop {
-            match node {
-                Node::Leaf { .. } => return Ok((page, node)),
-                Node::Internal { ref keys, ref children } => {
-                    self.charge_search(keys.len());
-                    let idx = Self::child_left(keys, key);
-                    page = children[idx];
-                    node = self.read_node(page)?;
-                }
-            }
-        }
     }
 
     /// Zero-copy descent: walk internal levels through borrowed page views
@@ -668,7 +771,8 @@ impl BTree {
                     &mut self.root,
                     Node::Internal { keys: vec![sep], children: vec![0, right_pid] },
                 );
-                let left_pid = self.alloc_node(&left)?;
+                let left_pid = self.alloc_page()?;
+                self.write_node(left_pid, &left)?;
                 if let Node::Internal { ref mut children, .. } = self.root {
                     children[0] = left_pid;
                 }
@@ -692,7 +796,7 @@ impl BTree {
         unique: bool,
     ) -> Result<Insertion> {
         match node {
-            Node::Leaf { entries, next } => {
+            Node::Leaf { entries, .. } => {
                 self.charge_search(entries.len());
                 let at =
                     entries.partition_point(|(k, v)| (*k, v.as_slice()) <= (key, value.as_slice()));
@@ -704,19 +808,18 @@ impl BTree {
                 }
                 self.disk.cost().mov(1);
                 entries.insert(at, (key, value));
-                let over_cap = entries.len() > self.cfg.leaf_cap
-                    || node_bytes_leaf(entries) > self.disk.page_size();
-                if !over_cap {
+                if self.fits(node) {
                     return Ok(Insertion::Dirty);
                 }
-                let mid = entries.len() / 2;
-                let right_entries = entries.split_off(mid);
-                let sep = right_entries[0].0;
-                let right = Node::Leaf { entries: right_entries, next: *next };
-                let right_pid = self.alloc_node(&right)?;
-                *next = Some(right_pid);
+                // An append — the new entry is the last of the last leaf —
+                // splits off only itself: the full leaf stays full, where a
+                // cut in the middle would strand half of every page an
+                // ascending load fills.
+                let len = node.len();
+                let append = at + 1 == len && matches!(node, Node::Leaf { next: None, .. });
+                let split = self.split(node, if append { len - 1 } else { len / 2 })?;
                 self.leaves += 1;
-                Ok(Insertion::Split(sep, right_pid))
+                Ok(split)
             }
             Node::Internal { keys, children } => {
                 self.charge_search(keys.len());
@@ -737,21 +840,21 @@ impl BTree {
                 };
                 keys.insert(idx, sep);
                 children.insert(idx + 1, new_right);
-                let over = keys.len() > self.cfg.internal_cap
-                    || node_bytes_internal(keys.len()) > self.disk.page_size();
-                if !over {
+                if self.fits(node) {
                     return Ok(Insertion::Dirty);
                 }
-                let mid = keys.len() / 2;
-                let up = keys[mid];
-                let right_keys = keys.split_off(mid + 1);
-                keys.pop(); // `up` moves to the parent
-                let right_children = children.split_off(mid + 1);
-                let right = Node::Internal { keys: right_keys, children: right_children };
-                let right_pid = self.alloc_node(&right)?;
-                Ok(Insertion::Split(up, right_pid))
+                self.split(node, node.len() / 2)
             }
         }
+    }
+
+    /// Cut the overfull `node` at `mid` and write the right part to a page
+    /// of its own; the left part stays with the caller.
+    fn split(&mut self, node: &mut Node, mid: usize) -> Result<Insertion> {
+        let right_pid = self.alloc_page()?;
+        let (sep, right) = node.split_off(mid, right_pid);
+        self.write_node(right_pid, &right)?;
+        Ok(Insertion::Split(sep, right_pid))
     }
 
     /// Overwrite in place the value of the first entry under `key` with
@@ -800,111 +903,250 @@ impl BTree {
     }
 
     /// Remove the first entry under `key` whose value satisfies `pred`.
-    ///
-    /// Lazy deletion: leaves may become under-full or empty; structure and
-    /// sibling pointers are untouched.
+    /// A node the removal leaves under half full is merged with a sibling
+    /// or refilled from it (see the module docs).
     pub fn remove_where(&mut self, key: u64, pred: impl Fn(&[u8]) -> bool) -> Result<bool> {
-        // Root-resident leaf fast path.
-        if self.height == 1 {
-            if let Node::Leaf { ref mut entries, .. } = self.root {
-                let found = entries.iter().position(|(k, v)| *k == key && pred(v));
-                if let Some(at) = found {
-                    entries.remove(at);
-                    self.entries -= 1;
-                    self.write_root_free()?;
-                    return Ok(true);
+        let mut root = std::mem::replace(&mut self.root, Node::empty_leaf());
+        let outcome = self.remove_from(&mut root, key, &pred);
+        self.root = root;
+        match outcome? {
+            Removal::Missing => return Ok(false),
+            Removal::Clean => {}
+            Removal::Dirty => {
+                // A root left with a single child hands the root to it.
+                while let Node::Internal { keys, children } = &self.root {
+                    if !keys.is_empty() {
+                        break;
+                    }
+                    let (old_root, child) = (self.root_page, children[0]);
+                    self.root = self.read_node(child)?;
+                    self.root_page = child;
+                    self.height -= 1;
+                    self.free_page(old_root)?;
                 }
-                return Ok(false);
+                self.write_root_free()?;
             }
         }
-        let (mut page, mut node) = self.descend_to_leaf(key)?;
-        loop {
-            let (entries, next) = match &mut node {
-                Node::Leaf { entries, next } => (entries, *next),
-                Node::Internal { .. } => {
-                    return Err(Error::Invariant("descended to internal node".into()))
-                }
-            };
-            self.disk.cost().comp(entries.len() as u64);
-            if let Some(at) = entries.iter().position(|(k, v)| *k == key && pred(v)) {
+        self.entries -= 1;
+        Ok(true)
+    }
+
+    /// Recursive remove, the mirror of [`BTree::insert_into`]: the caller
+    /// owns writing `node` back, and does so only when its image changed.
+    fn remove_from(
+        &mut self,
+        node: &mut Node,
+        key: u64,
+        pred: &dyn Fn(&[u8]) -> bool,
+    ) -> Result<Removal> {
+        match node {
+            Node::Leaf { entries, .. } => {
+                self.disk.cost().comp(entries.len() as u64);
+                let Some(at) = entries.iter().position(|(k, v)| *k == key && pred(v)) else {
+                    return Ok(Removal::Missing);
+                };
                 entries.remove(at);
-                self.write_node(page, &node)?;
-                self.entries -= 1;
-                return Ok(true);
+                Ok(Removal::Dirty)
             }
-            if entries.iter().any(|(k, _)| *k > key) {
-                return Ok(false);
-            }
-            match next {
-                Some(p) => {
-                    page = p;
-                    node = self.read_node(p)?;
+            Node::Internal { keys, children } => {
+                self.charge_search(keys.len());
+                let mut idx = Self::child_left(keys, key);
+                loop {
+                    let child_pid = children[idx];
+                    let mut child = self.read_node(child_pid)?;
+                    match self.remove_from(&mut child, key, pred)? {
+                        // Entries under a key equal to the separator may
+                        // sit on its right as well: try the next child.
+                        Removal::Missing if keys.get(idx) == Some(&key) => idx += 1,
+                        Removal::Dirty if self.underfull(&child) => {
+                            return self.rebalance(keys, children, idx, child);
+                        }
+                        Removal::Dirty => {
+                            self.write_node(child_pid, &child)?;
+                            return Ok(Removal::Clean);
+                        }
+                        settled => return Ok(settled),
+                    }
                 }
-                None => return Ok(false),
             }
         }
     }
 
-    /// Sanity-check structural invariants (test helper; reads pages free of
-    /// charge). Verifies sortedness within and across leaves, separator
-    /// consistency, and the entry count.
-    pub fn check_invariants(&self) -> Result<()> {
-        // Walk the leaf chain.
-        let mut page = {
-            let mut node = self.root.clone();
-            let mut page = self.root_page;
-            loop {
-                match node {
-                    Node::Leaf { .. } => break page,
-                    Node::Internal { ref children, .. } => {
-                        page = children[0];
-                        let raw = self.disk.read_page_free(PageId::new(self.file, page))?;
-                        node = Node::from_page(&raw)?;
-                    }
-                }
-            }
+    /// `child`, the edited and not yet written image of `children[idx]`,
+    /// fell under half full. Read one sibling under the same parent — the
+    /// right one; the left one for the last child — and pour the pair into
+    /// the left page. If everything fits, the right page is freed;
+    /// otherwise the pair is cut again in the middle, so both halves end
+    /// at least half full.
+    fn rebalance(
+        &mut self,
+        keys: &mut Vec<u64>,
+        children: &mut Vec<u32>,
+        idx: usize,
+        child: Node,
+    ) -> Result<Removal> {
+        let li = if idx + 1 < children.len() { idx } else { idx - 1 };
+        let (left_pid, right_pid) = (children[li], children[li + 1]);
+        let (mut left, right) = if li == idx {
+            (child, self.read_node(right_pid)?)
+        } else {
+            (self.read_node(left_pid)?, child)
         };
-        let mut last: Option<u64> = None;
-        let mut count = 0u64;
-        let mut leaf_count = 0u64;
-        loop {
-            let raw = self.disk.read_page_free(PageId::new(self.file, page))?;
-            let node = Node::from_page(&raw)?;
-            let (entries, next) = match node {
-                Node::Leaf { entries, next } => (entries, next),
-                _ => return Err(Error::Invariant("leaf chain hit internal node".into())),
-            };
-            leaf_count += 1;
-            for (k, _v) in entries {
-                if let Some(lk) = last {
-                    // Keys must be globally sorted. Value order among equal
-                    // keys is unspecified (duplicates may span leaves).
-                    if lk > k {
-                        return Err(Error::Invariant(format!("entries out of order at key {k}")));
-                    }
+        let boundary = left.len();
+        left.absorb(keys[li], right);
+        if self.fits(&left) {
+            self.write_node(left_pid, &left)?;
+            self.free_page(right_pid)?;
+            keys.remove(li);
+            children.remove(li + 1);
+            self.leaves -= left.is_leaf() as u64;
+            self.disk.metrics().incr_id(self.c_merges);
+            return Ok(Removal::Dirty);
+        }
+        let (mut sep, mut right) = left.split_off(left.len() / 2, right_pid);
+        if !(self.fits(&left) && self.fits(&right)) {
+            // Values of unequal width: a cut in the middle would overflow
+            // a page, so the boundary goes back where it was.
+            left.absorb(sep, right);
+            (sep, right) = left.split_off(boundary, right_pid);
+        }
+        self.write_node(right_pid, &right)?;
+        self.write_node(left_pid, &left)?;
+        keys[li] = sep;
+        Ok(Removal::Dirty)
+    }
+
+    /// Audit every structural invariant (test helper; reads pages free of
+    /// charge): the resident root equals its page image; keys are sorted
+    /// within each node and bounded by the separators above it; all leaves
+    /// sit at depth `height` and the leaf chain visits them in key order;
+    /// no node but the root is empty; the entry, leaf and free-page counts
+    /// match; and every page of the file is exactly one of a reachable
+    /// node or a member of the free list.
+    pub fn check_invariants(&self) -> Result<()> {
+        let bad = |what: String| Err(Error::Invariant(what));
+        let mut audit =
+            Audit { claimed: vec![false; self.file_pages() as usize], ..Audit::default() };
+        let on_disk = self.disk.read_page_free(PageId::new(self.file, self.root_page))?;
+        if Node::from_page(&on_disk)? != self.root {
+            return bad(format!("resident root differs from its page {}", self.root_page));
+        }
+        self.audit_node(&self.root, self.root_page, 1, (0, u64::MAX), &mut audit)?;
+
+        for (i, &(page, next)) in audit.chain.iter().enumerate() {
+            let follows = audit.chain.get(i + 1).map(|&(p, _)| p);
+            if next != follows {
+                return bad(format!("leaf {page} chains to {next:?}, key order says {follows:?}"));
+            }
+        }
+        if audit.entries != self.entries {
+            return bad(format!(
+                "entry count mismatch: leaves hold {}, tree says {}",
+                audit.entries, self.entries
+            ));
+        }
+        if audit.chain.len() as u64 != self.leaves {
+            return bad(format!(
+                "leaf count mismatch: {} reachable, tree says {}",
+                audit.chain.len(),
+                self.leaves
+            ));
+        }
+
+        let (mut free, mut at) = (0u32, self.free_head);
+        while let Some(page) = at {
+            audit.claim(page, "free list")?;
+            at = self.disk.read_page_free_with(PageId::new(self.file, page), node::free_next)?;
+            free += 1;
+        }
+        if free != self.free_pages {
+            return bad(format!("free list holds {free} pages, tree says {}", self.free_pages));
+        }
+        if let Some(lost) = audit.claimed.iter().position(|&c| !c) {
+            return bad(format!("page {lost} is neither a reachable node nor free"));
+        }
+        Ok(())
+    }
+
+    /// Audit the subtree under `node`, whose keys must lie within `bounds`
+    /// (inclusive: a key equal to a separator may sit on either side).
+    fn audit_node(
+        &self,
+        node: &Node,
+        page: u32,
+        depth: usize,
+        bounds: (u64, u64),
+        audit: &mut Audit,
+    ) -> Result<()> {
+        let bad = |what: &str| Err(Error::Invariant(format!("page {page}: {what}")));
+        audit.claim(page, "tree")?;
+        if depth > 1 && node.is_empty() {
+            return bad("empty node below the root");
+        }
+        match node {
+            Node::Leaf { entries, next } => {
+                if depth != self.height {
+                    return bad("leaf above the leaf level");
                 }
-                last = Some(k);
-                count += 1;
+                if !sorted_within(entries.iter().map(|(k, _)| *k), bounds) {
+                    return bad("leaf keys out of order or outside their separators");
+                }
+                audit.entries += entries.len() as u64;
+                audit.chain.push((page, *next));
             }
-            match next {
-                Some(p) => page = p,
-                None => break,
-            }
-        }
-        if count != self.entries {
-            return Err(Error::Invariant(format!(
-                "entry count mismatch: chain has {count}, tree says {}",
-                self.entries
-            )));
-        }
-        if self.height == 1 {
-            // Root-resident leaf: the chain walk above read the stale disk
-            // copy only if we forgot to flush — verify agreement.
-            if leaf_count != 1 {
-                return Err(Error::Invariant("height-1 tree with multiple leaves".into()));
+            Node::Internal { keys, children } => {
+                if depth >= self.height {
+                    return bad("internal node at the leaf level");
+                }
+                if children.len() != keys.len() + 1 || !sorted_within(keys.iter().copied(), bounds)
+                {
+                    return bad("separators out of order or outside their own bounds");
+                }
+                for (i, &child_page) in children.iter().enumerate() {
+                    let lo = if i == 0 { bounds.0 } else { keys[i - 1] };
+                    let hi = keys.get(i).copied().unwrap_or(bounds.1);
+                    if child_page as usize >= audit.claimed.len() {
+                        return bad("child pointer past the end of the file");
+                    }
+                    let raw = self.disk.read_page_free(PageId::new(self.file, child_page))?;
+                    let child = Node::from_page(&raw)?;
+                    self.audit_node(&child, child_page, depth + 1, (lo, hi), audit)?;
+                }
             }
         }
         Ok(())
+    }
+}
+
+/// Whether `keys` ascend (repeats allowed) and stay within `bounds`,
+/// inclusive.
+fn sorted_within(mut keys: impl Iterator<Item = u64>, bounds: (u64, u64)) -> bool {
+    let mut last = bounds.0;
+    keys.all(|k| std::mem::replace(&mut last, k) <= k) && last <= bounds.1
+}
+
+/// What [`BTree::check_invariants`] gathers on its walk.
+#[derive(Default)]
+struct Audit {
+    /// Per page of the file: already accounted for.
+    claimed: Vec<bool>,
+    /// `(page, next)` of every leaf, in key order.
+    chain: Vec<(u32, Option<u32>)>,
+    entries: u64,
+}
+
+impl Audit {
+    fn claim(&mut self, page: u32, by: &str) -> Result<()> {
+        match self.claimed.get_mut(page as usize) {
+            Some(claimed) if !*claimed => {
+                *claimed = true;
+                Ok(())
+            }
+            Some(_) => {
+                Err(Error::Invariant(format!("page {page} reached twice (now by the {by})")))
+            }
+            None => Err(Error::Invariant(format!("{by} points past the end of the file: {page}"))),
+        }
     }
 }
 
@@ -931,14 +1173,6 @@ fn overwrite_first(
     cost.mov(1);
     old.copy_from_slice(value);
     Ok(true)
-}
-
-fn node_bytes_leaf(entries: &[(u64, Vec<u8>)]) -> usize {
-    7 + entries.iter().map(|(_, v)| 10 + v.len()).sum::<usize>()
-}
-
-fn node_bytes_internal(keys: usize) -> usize {
-    7 + keys * 12
 }
 
 impl std::fmt::Debug for BTree {

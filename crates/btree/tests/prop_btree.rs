@@ -1,7 +1,7 @@
 //! Property-based tests: the B⁺-tree must behave like a sorted multimap.
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use trijoin_btree::{BTree, BTreeConfig};
 use trijoin_common::{Cost, SystemParams};
@@ -190,6 +190,119 @@ proptest! {
         }
         prop_assert!(tree.is_empty());
         prop_assert_eq!(tree.lookup(0).unwrap(), Vec::<Vec<u8>>::new());
+    }
+
+    /// An append-heavy life: keys mostly arrive in ascending order (the
+    /// surrogate allocator's pattern) while random survivors are deleted.
+    /// After every op the structure must audit clean and stay packed —
+    /// every leaf but the right edge at least half full, so the tree
+    /// holds at most twice the leaves a bulk load would, plus that edge —
+    /// and a split-free insert must write exactly its leaf.
+    #[test]
+    fn append_and_delete_churn_stays_packed(
+        // (kind, pick): kind 0..5 appends, 5..7 inserts mid-range, 7..12 deletes.
+        ops in prop::collection::vec((0u8..12, any::<u32>()), 1..400),
+        leaf_cap in 2usize..7,
+    ) {
+        let params = SystemParams { page_size: 256, ..SystemParams::paper_defaults() };
+        let disk = SimDisk::new(&params, Cost::new());
+        let mut tree = BTree::new(&disk, BTreeConfig { leaf_cap, internal_cap: 3 }).unwrap();
+        let mut live: Vec<u64> = Vec::new();
+        let mut next_key = 0u64;
+        for (kind, pick) in ops {
+            match kind {
+                0..=6 => {
+                    let key = if kind < 5 || next_key == 0 {
+                        next_key += 2;
+                        next_key
+                    } else {
+                        (pick as u64 % next_key) | 1 // odd: never collides with an append
+                    };
+                    let (leaves, writes) = (tree.leaf_pages(), disk.metrics().counter("disk.writes"));
+                    let inserted = tree.insert_unique(key, key.to_le_bytes().to_vec()).unwrap();
+                    if inserted {
+                        live.push(key);
+                    } else {
+                        prop_assert!(live.contains(&key), "refused a key the tree does not hold");
+                    }
+                    if tree.leaf_pages() == leaves && tree.height() > 1 {
+                        let written = disk.metrics().counter("disk.writes") - writes;
+                        prop_assert_eq!(written, inserted as u64, "a split-free insert writes its leaf");
+                    }
+                }
+                _ if live.is_empty() => {}
+                _ => {
+                    let key = live.swap_remove(pick as usize % live.len());
+                    prop_assert!(tree.remove_where(key, |_| true).unwrap());
+                }
+            }
+            tree.check_invariants().unwrap();
+            prop_assert_eq!(tree.len(), live.len() as u64);
+            prop_assert!(
+                tree.leaf_pages() <= 2 * tree.packed_leaf_pages() + 1,
+                "{} leaves for {} entries at {} per leaf",
+                tree.leaf_pages(), tree.len(), leaf_cap
+            );
+        }
+        // Drained, everything but the root leaf is back on the free list.
+        for key in live {
+            prop_assert!(tree.remove_where(key, |_| true).unwrap());
+        }
+        tree.check_invariants().unwrap();
+        prop_assert_eq!((tree.height(), tree.node_pages()), (1, 1));
+    }
+
+    /// Charge law of the in-place update: overwriting the value of a key
+    /// that exists costs one descent and one leaf write and leaves the
+    /// structure alone. The descent is `height − 1` reads; a key that
+    /// heads its leaf may equal a separator, which sends the descent one
+    /// leaf to the left first — the hop a lookup of that key pays too.
+    #[test]
+    fn replace_value_costs_one_descent_and_one_write(
+        keys in prop::collection::vec(0u64..5000, 1..400),
+        deleted in prop::collection::vec(any::<u32>(), 0..100),
+    ) {
+        let params = SystemParams { page_size: 256, ..SystemParams::paper_defaults() };
+        let disk = SimDisk::new(&params, Cost::new());
+        let cfg = BTreeConfig { leaf_cap: 4, internal_cap: 4 };
+        let mut keys: Vec<u64> = keys.into_iter().collect::<BTreeSet<u64>>().into_iter().collect();
+        let mut tree =
+            BTree::bulk_load(&disk, cfg, keys.iter().map(|&k| (k, vec![0u8; 6]))).unwrap();
+        for pick in deleted {
+            if keys.len() > 1 {
+                let key = keys.remove(pick as usize % keys.len());
+                prop_assert!(tree.remove_where(key, |_| true).unwrap());
+            }
+        }
+        // A key heads its leaf when its page differs from its predecessor's.
+        let mut heads = Vec::new();
+        let mut last_page = None;
+        tree.for_each_pinned(|k, _, page| {
+            let page = page.map(std::rc::Rc::as_ptr);
+            if std::mem::replace(&mut last_page, page) != page {
+                heads.push(k);
+            }
+            true
+        }).unwrap();
+
+        let shape = (tree.height(), tree.leaf_pages(), tree.node_pages());
+        let descent = tree.height() as u64 - 1;
+        for (i, &key) in keys.iter().enumerate() {
+            let (reads, writes) =
+                (disk.metrics().counter("disk.reads"), disk.metrics().counter("disk.writes"));
+            prop_assert!(tree.replace_value(key, &[i as u8; 6]).unwrap());
+            let reads = disk.metrics().counter("disk.reads") - reads;
+            prop_assert_eq!(disk.metrics().counter("disk.writes") - writes, descent.min(1));
+            if heads.contains(&key) {
+                prop_assert!(reads == descent || reads == descent + 1, "{} reads", reads);
+            } else {
+                prop_assert_eq!(reads, descent);
+            }
+            prop_assert_eq!(tree.lookup(key).unwrap(), vec![vec![i as u8; 6]]);
+        }
+        prop_assert_eq!((tree.height(), tree.leaf_pages(), tree.node_pages()), shape);
+        prop_assert!(!tree.replace_value(5000, &[0u8; 6]).unwrap());
+        tree.check_invariants().unwrap();
     }
 
     #[test]

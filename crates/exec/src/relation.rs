@@ -19,6 +19,9 @@ fn tree_json(meta: &BTreeMeta) -> Json {
         .set("height", meta.height as u64)
         .set("entries", meta.entries)
         .set("leaves", meta.leaves)
+        .set("pages", meta.pages as u64)
+        .set("free_head", meta.free_head.map_or(Json::Null, |page| Json::from(page as u64)))
+        .set("free_pages", meta.free_pages as u64)
 }
 
 /// Decode one tree's catalog object back into a [`BTreeMeta`].
@@ -28,12 +31,22 @@ fn tree_meta(j: &Json) -> Result<BTreeMeta> {
             .and_then(Json::as_u64)
             .ok_or_else(|| Error::Corrupt(format!("catalog tree entry missing field {k}")))
     };
+    let page = |k: &str| {
+        u32::try_from(field(k)?)
+            .map_err(|_| Error::Corrupt(format!("catalog tree entry field {k} out of range")))
+    };
     Ok(BTreeMeta {
         file: field("file")? as u32,
         root_page: field("root_page")? as u32,
         height: field("height")? as usize,
         entries: field("entries")?,
         leaves: field("leaves")?,
+        pages: page("pages")?,
+        free_head: match j.get("free_head") {
+            Some(Json::Null) => None,
+            _ => Some(page("free_head")?),
+        },
+        free_pages: page("free_pages")?,
     })
 }
 
@@ -133,11 +146,33 @@ impl StoredRelation {
         Ok(StoredRelation { name, clustered, inverted, tuple_bytes, count })
     }
 
-    /// The page files this relation owns: its clustered tree and, if it
-    /// has one, its inverted tree.
+    /// The clustered tree and, if the relation has one, the inverted tree.
+    fn trees(&self) -> impl Iterator<Item = &BTree> + '_ {
+        std::iter::once(&self.clustered).chain(&self.inverted)
+    }
+
+    /// The page files this relation owns, one per tree.
     pub fn file_ids(&self) -> impl Iterator<Item = FileId> + '_ {
-        std::iter::once(self.clustered.file_id())
-            .chain(self.inverted.iter().map(|tree| tree.file_id()))
+        self.trees().map(BTree::file_id)
+    }
+
+    /// Pages of this relation's files that hold a tree node (pages waiting
+    /// on a free list are left out: they are space already given back).
+    pub fn node_pages(&self) -> u64 {
+        self.trees().map(BTree::node_pages).sum()
+    }
+
+    /// Leaf pages this relation's trees would take packed full, as a bulk
+    /// load builds them: the yardstick [`StoredRelation::node_pages`] is
+    /// held against.
+    pub fn packed_pages(&self) -> u64 {
+        self.trees().map(BTree::packed_leaf_pages).sum()
+    }
+
+    /// Audit the structural invariants of every tree of the relation
+    /// (test helper, free of charge; see `BTree::check_invariants`).
+    pub fn check_invariants(&self) -> Result<()> {
+        self.trees().try_for_each(BTree::check_invariants)
     }
 
     /// Relation name.

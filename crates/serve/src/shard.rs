@@ -525,12 +525,17 @@ impl ShardWorker {
     }
 
     /// Snapshot the shard's observability state, stamping health gauges
-    /// (live tuple counts, damaged pages, fired faults, residency) so the
+    /// (live tuple counts, base-relation pages against their packed size,
+    /// damaged pages, fired faults, residency) so the
     /// server rollup can aggregate shard health without extra round-trips.
     fn report(&self) -> RunReport {
         let metrics = self.db.metrics();
         metrics.gauge_set("shard.r_tuples", self.db.r().len() as f64);
         metrics.gauge_set("shard.s_tuples", self.db.s().len() as f64);
+        for (relation, name) in [(self.db.r(), "r"), (self.db.s(), "s")] {
+            metrics.gauge_set(&format!("shard.base_pages.{name}"), relation.node_pages() as f64);
+            metrics.gauge_set(&format!("shard.base_packed.{name}"), relation.packed_pages() as f64);
+        }
         metrics.gauge_set("shard.damaged_pages", self.db.disk().damaged_pages() as f64);
         metrics.gauge_set("shard.faults_fired", self.db.faults_fired() as f64);
         match &self.mode {

@@ -221,6 +221,40 @@ fn check_residency_bound(
     Ok(())
 }
 
+/// The occupancy bound of a shard's base relations: the B⁺-trees keep
+/// every leaf but the right edge at least half full and give emptied pages
+/// back (`btree::tree`), so the node pages of `R` and of `S`
+/// (`shard.base_pages.r|s`) stay within twice the leaf pages the same
+/// tuples take packed full (`shard.base_packed.r|s`, Σ ⌈tuples ÷
+/// leaf_cap⌉ over the relation's trees). The slack is a quarter of the
+/// packed size for the internal levels (fan-out ≥ 16 at every page size
+/// in use) plus 16 pages for roots, right edges and per-level rounding. A
+/// shard past the bound is stranding half-empty pages — what ascending
+/// inserts and lazy deletes did before the trees reclaimed space. Shards
+/// from builds without the gauges owe nothing.
+fn check_base_pages_bound(
+    path: &str,
+    owner: &str,
+    metrics: &trijoin_common::MetricsSnapshot,
+) -> Result<(), String> {
+    for relation in ["r", "s"] {
+        let (pages_name, packed_name) =
+            (format!("shard.base_pages.{relation}"), format!("shard.base_packed.{relation}"));
+        let (Some(pages), Some(packed)) = (metrics.gauge(&pages_name), metrics.gauge(&packed_name))
+        else {
+            continue;
+        };
+        let bound = 2.0 * packed + (packed / 4.0).floor() + 16.0;
+        if pages > bound {
+            return Err(format!(
+                "{path}: {owner} reports {pages_name} = {pages}, above 2 × {packed_name} = \
+                 {packed} plus slack ({bound})"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Validate a plain run report (`trijoin run --report`).
 pub fn validate_run_report(path: &str, json: &Json) -> Result<String, String> {
     validate_run_report_with(path, json, 0)
@@ -309,6 +343,7 @@ pub fn validate_sharded_report_with(
     for shard in &report.shards {
         check_wal_marker(path, &shard.name, &shard.metrics)?;
         check_recovery_bound(path, &shard.name, &shard.metrics)?;
+        check_base_pages_bound(path, &shard.name, &shard.metrics)?;
         if pinned {
             check_residency_bound(path, &shard.name, &shard.metrics)?;
         }
@@ -626,6 +661,43 @@ mod tests {
         // Between query rounds the last answerer's log may be any length.
         set(&mut leaking, "shard.updates_since_query", 9.0);
         validate_report_json("s.json", &leaking.to_json()).unwrap();
+    }
+
+    #[test]
+    fn base_pages_above_twice_the_packed_size_are_rejected() {
+        use crate::{ServeConfig, Server};
+        use trijoin::Method;
+        use trijoin_common::{BaseTuple, Surrogate, SystemParams};
+
+        let params = SystemParams { page_size: 512, mem_pages: 24, ..Default::default() };
+        let config = ServeConfig { batch: 4, seed: 7, ..ServeConfig::new(params, 2) };
+        let tuples: Vec<BaseTuple> =
+            (0..400).map(|i| BaseTuple::padded(Surrogate(i), (i as u64) % 5, 48)).collect();
+        let server = Server::start(&config, tuples.clone(), tuples).unwrap();
+        let session = server.session().unwrap();
+        session.query(Method::HybridHash).unwrap();
+        let report = session.report().unwrap();
+        validate_report_json("s.json", &report.to_json()).unwrap();
+
+        // A freshly loaded shard is packed: node pages are the packed
+        // leaves plus the internal levels.
+        let gauge = |name: &str| report.shards[0].metrics.gauge(name).expect("gauge is stamped");
+        for relation in ["r", "s"] {
+            let (pages, packed) = (
+                gauge(&format!("shard.base_pages.{relation}")),
+                gauge(&format!("shard.base_packed.{relation}")),
+            );
+            assert!(packed > 0.0 && pages >= packed && pages <= packed * 1.25 + 4.0, "{relation}");
+        }
+
+        // Half-empty pages — R's trees at three times their packed size —
+        // are a named rejection.
+        let mut bloated = report.clone();
+        let packed = gauge("shard.base_packed.r");
+        let gauges = &mut bloated.shards[0].metrics.gauges;
+        gauges.iter_mut().find(|(k, _)| k == "shard.base_pages.r").unwrap().1 = 3.0 * packed + 17.0;
+        let err = validate_report_json("s.json", &bloated.to_json()).unwrap_err();
+        assert!(err.contains("shard0") && err.contains("shard.base_pages.r"), "{err}");
     }
 
     #[test]

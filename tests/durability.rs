@@ -173,6 +173,125 @@ fn recovery_reclaims_the_derived_files_of_the_crashed_session() {
     }
 }
 
+/// One round of `R` churn: delete `n` spread-out survivors and insert `n`
+/// tuples on fresh ascending surrogates starting at `base`, keeping the
+/// mirror in step. Deletes merge leaves and free their pages; the
+/// appends split the right edge and allocate.
+fn churn(db: &mut Database, mirror: &mut Vec<BaseTuple>, base: u32, n: u32) {
+    for i in 0..n {
+        let victim = mirror.remove((i as usize * 7) % mirror.len());
+        db.r_mut().apply_mutation(&Mutation::Delete(victim)).unwrap();
+        let t = BaseTuple::padded(Surrogate(base + i), (i % 7) as u64, 64);
+        db.r_mut().apply_mutation(&Mutation::Insert(t.clone())).unwrap();
+        mirror.push(t);
+    }
+}
+
+/// Pages of `R`'s and `S`'s files, free-list pages included.
+fn base_file_pages(db: &Database) -> u32 {
+    let files = db.r().file_ids().chain(db.s().file_ids());
+    files.map(|file| db.disk().num_pages(file).unwrap()).sum()
+}
+
+/// A B⁺-tree's free list is crash-consistent without a log of its own:
+/// its head lives in the catalog, which seals in the same WAL group as
+/// the page images. Merges and frees that never committed roll back with
+/// the pages they touched — the recovered trees audit clean, no page is
+/// both free and reachable — and the pages the dead session allocated
+/// past the committed end of the file come back as free ones.
+#[test]
+fn uncommitted_merges_and_frees_roll_back_with_their_pages() {
+    let dir = fresh_dir("free-rollback");
+    let (r0, s0) = (tuples(160, 0), tuples(30, 0));
+    let mut committed = r0.clone();
+    let mut db = Database::create_durable(&params(), r0, s0.clone(), &dir).unwrap();
+    churn(&mut db, &mut committed, 1000, 20);
+    db.commit().unwrap();
+    let node_pages = |db: &Database| db.r().node_pages() + db.s().node_pages();
+    let (committed_pages, committed_nodes) = (base_file_pages(&db), node_pages(&db));
+
+    // Dies uncommitted: 100 deletes collapse most of R's leaves onto the
+    // free list, then 200 appends take those pages back and allocate past
+    // the committed end of the file.
+    let mut lost = committed.clone();
+    for _ in 0..100 {
+        db.r_mut().apply_mutation(&Mutation::Delete(lost.remove(0))).unwrap();
+    }
+    assert!(db.metrics().counter("btree.merges") > 10, "the tail was meant to merge leaves");
+    for i in 0..200 {
+        let t = BaseTuple::padded(Surrogate(2000 + i), (i % 7) as u64, 64);
+        db.r_mut().apply_mutation(&Mutation::Insert(t)).unwrap();
+    }
+    let crashed_pages = base_file_pages(&db);
+    assert!(crashed_pages > committed_pages, "the tail was meant to outgrow the file");
+    db.r().check_invariants().unwrap();
+    drop(db); // crash
+
+    let mut db = Database::open_durable(&params(), &dir).unwrap();
+    db.r().check_invariants().unwrap();
+    db.s().check_invariants().unwrap();
+    assert_all_strategies_agree(&db, &committed, &s0);
+    // The nodes are the committed ones; the pages the dead session
+    // allocated are still in the file, as free pages rather than garbage.
+    assert_eq!((base_file_pages(&db), node_pages(&db)), (crashed_pages, committed_nodes));
+    churn(&mut db, &mut committed, 3000, 20);
+    assert!(db.metrics().counter("btree.pages_reused") > 0);
+    assert_eq!(base_file_pages(&db), crashed_pages, "adopted pages were not reused");
+    db.commit().unwrap();
+    db.r().check_invariants().unwrap();
+}
+
+/// Frees that did commit survive the crash as free pages, and the
+/// recovered session allocates from them before it extends a file.
+#[test]
+fn committed_frees_are_reused_after_recovery() {
+    let dir = fresh_dir("free-reuse");
+    let (r0, s0) = (tuples(160, 0), tuples(30, 0));
+    let mut committed = r0.clone();
+    let mut db = Database::create_durable(&params(), r0, s0.clone(), &dir).unwrap();
+    for _ in 0..100 {
+        db.r_mut().apply_mutation(&Mutation::Delete(committed.remove(0))).unwrap();
+    }
+    db.commit().unwrap();
+    let freed = db.metrics().counter("btree.pages_freed");
+    assert!(freed > 10, "100 deletes in surrogate order empty whole leaves");
+    drop(db); // crash
+
+    let mut db = Database::open_durable(&params(), &dir).unwrap();
+    db.r().check_invariants().unwrap();
+    assert_eq!(base_file_pages(&db) as u64 - db.r().node_pages() - db.s().node_pages(), freed);
+    let pages = base_file_pages(&db);
+    churn(&mut db, &mut committed, 1000, 60);
+    assert!(db.metrics().counter("btree.pages_reused") > 0);
+    assert_eq!(base_file_pages(&db), pages, "the free list was bypassed");
+    db.r().check_invariants().unwrap();
+    db.commit().unwrap();
+    assert_all_strategies_agree(&db, &committed, &s0);
+}
+
+/// Crash → recover → churn → commit, six times over, each cycle dying
+/// with an uncommitted tail of more churn: the store's footprint stays
+/// where the first cycle left it.
+#[test]
+fn crash_churn_cycles_keep_the_footprint_flat() {
+    let dir = fresh_dir("free-cycles");
+    let (r0, s0) = (tuples(160, 0), tuples(30, 0));
+    let mut committed = r0.clone();
+    let mut db = Database::create_durable(&params(), r0, s0.clone(), &dir).unwrap();
+    let mut footprint = None;
+    for cycle in 0..6u32 {
+        churn(&mut db, &mut committed, 1000 * (2 * cycle + 1), 80);
+        db.commit().unwrap();
+        let now = (db.disk().live_files().len(), db.disk().total_pages());
+        assert_eq!(*footprint.get_or_insert(now), now, "cycle {cycle}: the store grew");
+        churn(&mut db, &mut committed.clone(), 1000 * (2 * cycle + 2), 40);
+        drop(db); // crash with the tail uncommitted
+        db = Database::open_durable(&params(), &dir).unwrap();
+        db.r().check_invariants().unwrap();
+    }
+    assert_all_strategies_agree(&db, &committed, &s0);
+}
+
 /// Group commit's crash contract: a [`Durability::Deferred`] commit is
 /// buffered, not fsynced — dying before a barrier rolls it back cleanly,
 /// while a later barrier seals every buffered group at once.

@@ -593,6 +593,72 @@ fn hh_only_soak_keeps_shard_disk_pages_flat() {
 }
 
 #[test]
+fn churn_soak_gives_base_pages_back() {
+    // `serve_wide`'s shape at smoke scale: updates : inserts : deletes =
+    // 2 : 1 : 1, every insert on a fresh ascending surrogate, every
+    // delete on a random survivor, one MV query per round. Each insert
+    // takes over the join key of the tuple deleted before it and
+    // key-changing updates swap keys in pairs, so every round ends with
+    // the same keys on the same shards and the same answer size while
+    // R's tuples turn over four times: whatever a shard holds beyond its
+    // first round's pages is B⁺-tree space that deletes emptied and
+    // nothing took back.
+    use rand::Rng;
+    use trijoin_common::Surrogate;
+    let w = spec(0.3).generate();
+    let cfg = config(2, 16);
+    let server = Server::start(&cfg, w.r.clone(), w.s.clone()).unwrap();
+    let session = server.session().unwrap();
+    let mut rng = trijoin_common::rng::seeded(17);
+    let mut mirror = w.r.clone();
+    let mut next_sur = w.r.iter().map(|t| t.sur.0).max().unwrap() + 1;
+    let mut stamp = 0u64;
+    let mut tuple = |sur: Surrogate, key: u64| {
+        stamp += 1;
+        BaseTuple::with_payload(sur, key, &stamp.to_le_bytes(), 48).unwrap()
+    };
+    let mut round0 = Vec::new();
+    for round in 0..32 {
+        for _ in 0..50 {
+            let (a, b) = (rng.gen_range(0..mirror.len()), rng.gen_range(0..mirror.len()));
+            let (key_a, key_b) = if rng.gen_bool(0.3) {
+                (mirror[b].key, mirror[a].key) // swap: both tuples may change shard
+            } else {
+                (mirror[a].key, mirror[b].key) // payload only
+            };
+            for (at, key) in [(a, key_a), (b, key_b)] {
+                let new = tuple(mirror[at].sur, key);
+                let old = std::mem::replace(&mut mirror[at], new.clone());
+                session.update_r(Mutation::Update(trijoin_exec::Update { old, new })).unwrap();
+            }
+            let gone = mirror.swap_remove(rng.gen_range(0..mirror.len()));
+            let fresh = tuple(Surrogate(next_sur), gone.key);
+            next_sur += 1;
+            mirror.push(fresh.clone());
+            session.update_r(Mutation::Delete(gone)).unwrap();
+            session.update_r(Mutation::Insert(fresh)).unwrap();
+        }
+        let want = oracle::canonicalize(oracle::join_tuples(&mirror, &w.s));
+        assert_eq!(session.query(Method::MaterializedView).unwrap(), want, "round {round}");
+        if round == 0 {
+            round0 = shard_gauges(&session.report().unwrap(), "shard.disk_pages");
+        }
+    }
+    let report = session.report().unwrap();
+    let end = shard_gauges(&report, "shard.disk_pages");
+    for (shard, (round0, end)) in round0.iter().zip(&end).enumerate() {
+        assert!(
+            *end <= 1.5 * round0,
+            "shard {shard}: {round0} disk pages after round 0, {end} after 32 rounds at the same ‖R‖"
+        );
+    }
+    let m = &report.rollup.metrics;
+    assert!(m.counter("btree.merges") > 0 && m.counter("btree.pages_reused") > 0);
+    // The occupancy rule of `report-validate` holds after the churn.
+    trijoin_serve::validate::validate_report_json("soak", &report.to_json()).unwrap();
+}
+
+#[test]
 fn idle_view_is_evicted_and_rebuilt_on_next_use() {
     let w = spec(0.3).generate();
     let cfg = config(2, 16);
