@@ -36,8 +36,8 @@ fn tree_meta(j: &Json) -> Result<BTreeMeta> {
             .map_err(|_| Error::Corrupt(format!("catalog tree entry field {k} out of range")))
     };
     Ok(BTreeMeta {
-        file: field("file")? as u32,
-        root_page: field("root_page")? as u32,
+        file: page("file")?,
+        root_page: page("root_page")?,
         height: field("height")? as usize,
         entries: field("entries")?,
         leaves: field("leaves")?,

@@ -560,8 +560,10 @@ impl StorageBackend for DurableBackend {
                     skipped += 1;
                     continue;
                 }
-                let frame = FRAME_HEAD + img.len() + FRAME_SUM;
-                if sabotage.is_none() && buf.len() + frame > Wal::RETAINED_CAPACITY {
+                // Room is kept for the commit frame, so the sealed group
+                // fits the bound too.
+                let frames = 2 * (FRAME_HEAD + FRAME_SUM) + img.len();
+                if sabotage.is_none() && buf.len() + frames > Wal::RETAINED_CAPACITY {
                     if let Err(e) = self.wal.write_out(&mut buf) {
                         // Leave the log as it was before this group; the
                         // overlay is intact, so the caller may retry.
