@@ -95,11 +95,19 @@ echo "==> repo-benchmark smoke + residency soak"
 # where warm-up left them, four turnovers of R under mixed
 # update/insert/delete traffic must leave them within 1.5x of the first
 # round's, and recovering a 66 MB log that rewrites 8 pages must stay
-# under 2 MB of heap.
+# under 2 MB of heap. So do the base relations' apply log's laws, where
+# release arithmetic and compiled-out debug assertions could hide a
+# difference: a fault mid-sweep resumes to the oracle's answer, queued
+# mutations rewind or survive a crash with the commit that did or did not
+# acknowledge them, and the sweep's charge and netting laws hold.
 cargo run --release -q -p trijoin-bench --bin benchmark -- --smoke > /dev/null
 cargo test -q --release -p trijoin-serve --test serve hh_only_soak
 cargo test -q --release -p trijoin-serve --test serve churn_soak
 cargo test -q --release -p trijoin-storage --test recovery_memory
+cargo test -q --release -p trijoin --test faults settle_fault
+cargo test -q --release -p trijoin-check --test durability queued
+cargo test -q --release -p trijoin --test mutations
+cargo test -q --release -p trijoin-btree --test prop_btree sweep
 
 echo "==> bench-regression gate"
 # Full-scale benches against the committed comparison file: a serve row
@@ -143,6 +151,16 @@ cargo run --release -q --example engine_vs_model | diff - results/engine_vs_mode
 if grep -rn "all_costs\|cheapest(" crates/core/src crates/serve/src \
     | grep -v "^crates/core/src/policy.rs:\|^crates/core/src/advisor.rs:"; then
     echo "strategy re-selection outside crates/core/src/policy.rs"; exit 1
+fi
+
+# One write path: a base relation changes through its apply log and the
+# sorted sweep, nowhere else. `exec::relation` is the only engine, core or
+# serve module that holds a B+-tree, and it calls no single-key mutator.
+if grep -rl "trijoin_btree" crates/exec/src crates/core/src crates/serve/src \
+        | grep -v "^crates/exec/src/relation.rs$" \
+    || grep -nE "(clustered|inverted|inv)\.(insert|remove_exact|remove_where)\(" \
+        crates/exec/src/relation.rs; then
+    echo "a base-relation tree is mutated outside StoredRelation::settle"; exit 1
 fi
 
 echo "==> crash-recovery gate"

@@ -54,6 +54,7 @@ fn main() {
         mv_strategy.on_update(&u).unwrap();
         db.r_mut().apply_update(&u.old, &u.new).unwrap();
     }
+    db.settle().unwrap();
     db.reset_cost();
     let mut n = 0u64;
     mv_strategy.execute(db.r(), db.s(), &mut |_| n += 1).unwrap();

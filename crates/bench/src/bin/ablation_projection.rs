@@ -57,6 +57,7 @@ fn main() {
             view.on_update(&u).unwrap();
             db.r_mut().apply_update(&u.old, &u.new).unwrap();
         }
+        db.settle().unwrap();
         db.reset_cost();
         let mut n = 0u64;
         view.execute(db.r(), db.s(), &mut |_| n += 1).unwrap();
@@ -95,6 +96,7 @@ fn main() {
             view.on_update(&u).unwrap();
             db.r_mut().apply_update(&u.old, &u.new).unwrap();
         }
+        db.settle().unwrap();
         let logged = view.pending_updates();
         let mut n = 0u64;
         let before = db.cost().total();

@@ -60,6 +60,7 @@ fn main() {
                 strategy.on_update(&u).unwrap();
                 db.r_mut().apply_update(&u.old, &u.new).unwrap();
             }
+            db.settle().unwrap();
             let got = execute_collect(strategy.as_mut(), db.r(), db.s()).unwrap();
             // Correctness under skew is part of the ablation.
             let want = oracle::join_tuples(stream.current(), &gen.s);

@@ -56,6 +56,7 @@ fn main() {
                 strategy.on_update(&u).unwrap();
                 db.r_mut().apply_update(&u.old, &u.new).unwrap();
             }
+            db.settle().unwrap();
             strategy.execute(db.r(), db.s(), &mut |_| {}).unwrap();
             let b = Fig5Breakdown::measure(method, db.cost());
             let m = model.iter().find(|c| c.method == method).unwrap();

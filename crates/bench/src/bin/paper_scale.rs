@@ -64,6 +64,7 @@ fn main() {
             strategy.on_update(&u).unwrap();
             db.r_mut().apply_update(&u.old, &u.new).unwrap();
         }
+        db.settle().unwrap();
         // Sum only *root* spans: cumulative counts already include any
         // nested work (retries, diff merging), so adding child spans on top
         // would double-count it.
@@ -71,7 +72,7 @@ fn main() {
             .cost()
             .span_tree()
             .iter()
-            .filter(|s| s.depth == 0)
+            .filter(|s| s.depth == 0 && s.name != "base.settle")
             .map(|s| s.cum_ops.time_secs(db.params()))
             .sum();
         let before_query = db.cost().total();

@@ -9,7 +9,7 @@
 //! once, mirroring Yao's formula.
 //!
 //! ```
-//! use trijoin_btree::{BTree, BTreeConfig};
+//! use trijoin_btree::{BTree, BTreeConfig, SweepOp, SweepStats};
 //! use trijoin_common::{Cost, SystemParams};
 //! use trijoin_storage::SimDisk;
 //!
@@ -31,16 +31,23 @@
 //! // The root is memory-resident: a point lookup charges height-1 I/Os.
 //! assert_eq!(cost.total().ios as usize, tree.height() - 1);
 //!
-//! // An update overwrites the tuple where it lies: one leaf write.
-//! assert!(tree.replace_value(123, &vec![2u8; 190]).unwrap());
 //! tree.insert(1000, vec![1u8; 190]).unwrap();
 //! assert!(tree.remove_exact(1000, &vec![1u8; 190]).unwrap());
+//!
+//! // A batch in key order is one sweep: each page read once, each changed
+//! // leaf written once (keys 123 and 124 share theirs).
+//! let batch = [123u64, 124, 900].map(|k| (k, SweepOp::Replace(vec![2u8; 190])));
+//! let mut stats = SweepStats::default();
+//! cost.reset();
+//! tree.apply_sorted(batch, true, &mut stats, &mut |_, _, _| {}).unwrap();
+//! assert_eq!((stats.landed, stats.rejected, stats.leaves_written), (3, 0, 2));
+//! assert_eq!(cost.total().ios, 2 + 2);
 //! ```
 
 pub mod node;
 pub mod tree;
 
-pub use tree::{BTree, BTreeConfig, BTreeMeta};
+pub use tree::{BTree, BTreeConfig, BTreeMeta, SweepOp, SweepStats};
 
 #[cfg(test)]
 mod tests {
@@ -311,6 +318,18 @@ mod tests {
         t.check_invariants().unwrap();
     }
 
+    /// Run `ops` as one sweep, returning its stats and the changes it
+    /// reported as `(key, before, after)`.
+    type Change = (u64, Option<Vec<u8>>, Option<Vec<u8>>);
+    fn sweep(t: &mut BTree, unique: bool, ops: Vec<(u64, SweepOp)>) -> (SweepStats, Vec<Change>) {
+        let (mut stats, mut changes) = (SweepStats::default(), Vec::new());
+        t.apply_sorted(ops, unique, &mut stats, &mut |k, before, after| {
+            changes.push((k, before.map(<[u8]>::to_vec), after.map(<[u8]>::to_vec)));
+        })
+        .unwrap();
+        (stats, changes)
+    }
+
     #[test]
     fn mutation_charges_follow_the_pages_changed() {
         let (disk, _c, _p) = setup();
@@ -323,12 +342,24 @@ mod tests {
 
         // In-place replace: one descent, one leaf write, same structure.
         let (r0, w0, leaves) = (reads(), writes(), t.leaf_pages());
-        assert!(t.replace_value(1001 * 2, &[7u8; 8]).unwrap());
+        let (stats, changes) =
+            sweep(&mut t, true, vec![(1001 * 2, SweepOp::Replace(vec![7u8; 8]))]);
+        assert_eq!((stats.landed, stats.rejected, stats.leaves_written), (1, 0, 1));
+        assert_eq!(changes, vec![(1001 * 2, Some(vec![0u8; 8]), Some(vec![7u8; 8]))]);
         assert_eq!((reads() - r0, writes() - w0), (h - 1, 1));
         assert_eq!(t.leaf_pages(), leaves);
         assert_eq!(t.lookup(1001 * 2).unwrap(), vec![vec![7u8; 8]]);
-        assert!(!t.replace_value(1001 * 2 + 1, &[7u8; 8]).unwrap(), "absent key");
-        assert!(t.replace_value(1001 * 2, &[7u8; 9]).is_err(), "width must not change");
+        // An absent key and a replacement of another width are refused,
+        // and a refused batch writes nothing.
+        let w0 = writes();
+        let refused = vec![
+            (1001 * 2, SweepOp::Replace(vec![7u8; 9])),
+            (1001 * 2 + 1, SweepOp::Replace(vec![7u8; 8])),
+        ];
+        let (stats, changes) = sweep(&mut t, true, refused);
+        assert_eq!((stats.landed, stats.rejected, stats.leaves_written), (2, 2, 0));
+        assert!(changes.is_empty());
+        assert_eq!(writes(), w0);
 
         // A delete that leaves its leaf at least half full, then an insert
         // into the room it made: one descent and one leaf write each.
@@ -336,33 +367,190 @@ mod tests {
         assert!(t.remove_exact(1001 * 2, &[7u8; 8]).unwrap());
         assert_eq!((reads() - r0, writes() - w0), (h - 1, 1));
         let (r0, w0) = (reads(), writes());
-        assert!(t.insert_unique(1001 * 2, vec![1u8; 8]).unwrap());
-        assert_eq!((reads() - r0, writes() - w0), (h - 1, 1));
-        assert!(!t.insert_unique(1001 * 2, vec![2u8; 8]).unwrap(), "key taken");
+        let (stats, _) = sweep(&mut t, true, vec![(1001 * 2, SweepOp::Insert(vec![1u8; 8]))]);
+        assert_eq!((stats.rejected, reads() - r0, writes() - w0), (0, h - 1, 1));
+        let (stats, _) = sweep(&mut t, true, vec![(1001 * 2, SweepOp::Insert(vec![2u8; 8]))]);
+        assert_eq!(stats.rejected, 1, "key taken");
         assert_eq!(t.lookup(1001 * 2).unwrap(), vec![vec![1u8; 8]]);
         t.check_invariants().unwrap();
     }
 
     #[test]
-    fn replace_value_finds_a_key_past_its_separator_and_in_a_root_leaf() {
+    fn sweep_finds_a_key_equal_to_its_separator_and_in_a_root_leaf() {
         let (disk, _c, _p) = setup();
         let mut t = BTree::new(&disk, small_cfg()).unwrap();
         t.insert(1, vec![1]).unwrap();
-        assert!(t.replace_value(1, &[9]).unwrap());
-        assert!(!t.replace_value(2, &[9]).unwrap());
-        // Duplicates of one key across many leaves: some separator equals
-        // the key, so the descent lands left of the first match.
-        for i in 0..20u8 {
-            t.insert(5, vec![i]).unwrap();
-        }
-        t.insert(6, vec![6]).unwrap();
-        assert!(t.replace_value(6, &[60]).unwrap());
-        assert!(t.replace_value(5, &[0xFF]).unwrap());
+        let (stats, _) = sweep(
+            &mut t,
+            true,
+            vec![(1, SweepOp::Replace(vec![9])), (2, SweepOp::Replace(vec![9]))],
+        );
+        assert_eq!((stats.landed, stats.rejected), (2, 1));
         assert_eq!(t.lookup(1).unwrap(), vec![vec![9]]);
-        assert_eq!(t.lookup(6).unwrap(), vec![vec![60]]);
-        let fives = t.lookup(5).unwrap();
-        assert_eq!(fives.iter().filter(|v| **v == vec![0xFF]).count(), 1);
-        assert_eq!(fives.len(), 20);
+        t.check_invariants().unwrap();
+
+        // Every key that heads a leaf equals the separator above it: the
+        // sweep goes right of an equal separator, where a tree of unique
+        // keys keeps the entry, and pays no hop through the left leaf.
+        let entries: Vec<(u64, Vec<u8>)> = (0..400u64).map(|k| (k, vec![0u8; 2])).collect();
+        let mut t = BTree::bulk_load(&disk, small_cfg(), entries).unwrap();
+        let descent = t.height() as u64 - 1;
+        for key in [4u64, 16, 64, 256] {
+            let r0 = disk.metrics().counter("disk.reads");
+            let (stats, _) = sweep(&mut t, true, vec![(key, SweepOp::Replace(vec![1u8; 2]))]);
+            assert_eq!((stats.rejected, stats.leaves_written), (0, 1), "key {key}");
+            assert_eq!(disk.metrics().counter("disk.reads") - r0, descent, "key {key}");
+            assert_eq!(t.lookup(key).unwrap(), vec![vec![1u8; 2]]);
+        }
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn sweep_reads_each_page_once_and_writes_each_changed_leaf_once() {
+        let (disk, cost, _p) = setup();
+        let entries: Vec<(u64, Vec<u8>)> = (0..2000u64).map(|k| (k * 2, vec![0u8; 8])).collect();
+        let mut t = BTree::bulk_load(&disk, small_cfg(), entries).unwrap();
+        let pages = disk.num_pages(t.file_id()).unwrap() as u64;
+        // Every stored key replaced: all leaves change, nothing restructures.
+        let all: Vec<_> = (0..2000u64).map(|k| (k * 2, SweepOp::Replace(vec![3u8; 8]))).collect();
+        cost.reset();
+        let (r0, w0) =
+            (disk.metrics().counter("disk.reads"), disk.metrics().counter("disk.writes"));
+        let (stats, changes) = sweep(&mut t, true, all);
+        assert_eq!((stats.landed, stats.rejected, stats.leaves_written), (2000, 0, t.leaf_pages()));
+        assert_eq!(changes.len(), 2000);
+        // The resident root is free; every other page is read exactly once.
+        assert_eq!(disk.metrics().counter("disk.reads") - r0, pages - 1);
+        assert_eq!(disk.metrics().counter("disk.writes") - w0, t.leaf_pages());
+        // The same values again change no image: nothing is written.
+        let again: Vec<_> = (0..2000u64).map(|k| (k * 2, SweepOp::Replace(vec![3u8; 8]))).collect();
+        let w0 = disk.metrics().counter("disk.writes");
+        let (stats, changes) = sweep(&mut t, true, again);
+        assert_eq!((stats.landed, stats.leaves_written, changes.len()), (2000, 0, 0));
+        assert_eq!(disk.metrics().counter("disk.writes"), w0);
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn sweep_nets_the_operations_on_one_key() {
+        let (disk, _c, _p) = setup();
+        let entries: Vec<(u64, Vec<u8>)> = (0..400u64).map(|k| (k * 2, vec![0u8; 4])).collect();
+        let mut t = BTree::bulk_load(&disk, small_cfg(), entries).unwrap();
+        let before = t.scan_range(0, u64::MAX).unwrap();
+        let w0 = disk.metrics().counter("disk.writes");
+        let (shape, leaves) = (t.meta(), t.leaf_pages());
+        // x → y → x, and an insert its delete follows: both end where they
+        // began. Leaves are packed full, so had the insert reached the
+        // tree it would have split one.
+        let ops = vec![
+            (10, SweepOp::Replace(vec![9u8; 4])),
+            (10, SweepOp::Replace(vec![0u8; 4])),
+            (11, SweepOp::Insert(vec![5u8; 4])),
+            (11, SweepOp::Remove(None)),
+            (12, SweepOp::Remove(Some(vec![7u8; 4]))),
+        ];
+        let (stats, changes) = sweep(&mut t, true, ops);
+        assert_eq!((stats.landed, stats.rejected, stats.leaves_written), (5, 1, 0));
+        assert!(changes.is_empty());
+        assert_eq!(disk.metrics().counter("disk.writes"), w0);
+        assert_eq!((t.meta(), t.leaf_pages()), (shape, leaves));
+        assert_eq!(t.scan_range(0, u64::MAX).unwrap(), before);
+        // Delete then reinsert under one key is one replace.
+        let ops = vec![(20, SweepOp::Remove(None)), (20, SweepOp::Insert(vec![8u8; 4]))];
+        let (stats, changes) = sweep(&mut t, true, ops);
+        assert_eq!((stats.rejected, stats.leaves_written), (0, 1));
+        assert_eq!(changes, vec![(20, Some(vec![0u8; 4]), Some(vec![8u8; 4]))]);
+        assert_eq!(t.leaf_pages(), leaves);
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn sweep_splits_and_merges_through_the_single_key_path() {
+        let (disk, _c, _p) = setup();
+        let entries: Vec<(u64, Vec<u8>)> = (0..64u64).map(|k| (k * 4, vec![k as u8])).collect();
+        let mut t = BTree::bulk_load(&disk, small_cfg(), entries).unwrap();
+        // Inserts into packed leaves split them; the removes that follow
+        // empty whole leaves and merge them away.
+        let mut ops: Vec<_> = (0..64u64).map(|k| (k * 4 + 1, SweepOp::Insert(vec![1]))).collect();
+        ops.extend((32..64u64).map(|k| (k * 4, SweepOp::Remove(None))));
+        ops.sort_by_key(|(k, _)| *k);
+        let (stats, changes) = sweep(&mut t, true, ops);
+        assert_eq!((stats.landed, stats.rejected, changes.len()), (96, 0, 96));
+        assert_eq!(t.len(), 96);
+        t.check_invariants().unwrap();
+        let ops: Vec<_> = t.scan_range(0, u64::MAX).unwrap().into_iter().collect();
+        let drain: Vec<_> = ops.iter().map(|(k, _)| (*k, SweepOp::Remove(None))).collect();
+        let (stats, _) = sweep(&mut t, true, drain);
+        assert_eq!((stats.landed, stats.rejected), (96, 0));
+        assert_eq!((t.len(), t.height(), t.node_pages()), (0, 1, 1));
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn sweep_over_repeated_keys_adds_and_removes_exact_pairs() {
+        let (disk, _c, _p) = setup();
+        let mut t = BTree::new(&disk, small_cfg()).unwrap();
+        // 20 postings under key 5 span several leaves.
+        let adds: Vec<_> = (0..20u8).map(|i| (5u64, SweepOp::Insert(vec![i]))).collect();
+        let (stats, changes) = sweep(&mut t, false, adds);
+        assert_eq!((stats.landed, stats.rejected, changes.len()), (20, 0, 0));
+        assert_eq!(t.lookup(5).unwrap().len(), 20);
+        t.check_invariants().unwrap();
+        // Exact removes find their posting whichever leaf holds it; one
+        // that is nowhere is rejected.
+        let mut ops: Vec<_> =
+            (0..20u8).step_by(2).map(|i| (5u64, SweepOp::Remove(Some(vec![i])))).collect();
+        ops.push((5, SweepOp::Remove(Some(vec![99]))));
+        ops.push((6, SweepOp::Replace(vec![0])));
+        let (stats, _) = sweep(&mut t, false, ops);
+        assert_eq!((stats.landed, stats.rejected), (12, 2));
+        let mut left = t.lookup(5).unwrap();
+        left.sort();
+        assert_eq!(left, (1..20u8).step_by(2).map(|i| vec![i]).collect::<Vec<_>>());
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn sweep_rejects_unsorted_input_and_keeps_what_landed() {
+        let (disk, _c, _p) = setup();
+        let entries: Vec<(u64, Vec<u8>)> = (0..100u64).map(|k| (k, vec![0u8])).collect();
+        let mut t = BTree::bulk_load(&disk, small_cfg(), entries).unwrap();
+        let ops = vec![
+            (3, SweepOp::Replace(vec![1])),
+            (50, SweepOp::Replace(vec![1])),
+            (7, SweepOp::Replace(vec![1])),
+        ];
+        let mut stats = SweepStats::default();
+        assert!(t.apply_sorted(ops, true, &mut stats, &mut |_, _, _| {}).is_err());
+        // Key 3's leaf landed when the sweep moved on; key 50's did not.
+        assert_eq!(stats.landed, 1);
+        assert_eq!(t.lookup(3).unwrap(), vec![vec![1u8]]);
+        assert_eq!(t.lookup(50).unwrap(), vec![vec![0u8]]);
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn ascending_inserts_pack_internal_nodes_too() {
+        let (disk, _c, _p) = setup();
+        let mut t = BTree::new(&disk, small_cfg()).unwrap();
+        for k in 0..4000u64 {
+            t.insert(k, vec![k as u8]).unwrap();
+        }
+        assert_eq!(t.leaf_pages(), 1000);
+        // An append split leaves the full node one key short of full (the
+        // key that moves up) and takes two children along: every node but
+        // the right edge of its level keeps `internal_cap` children, where
+        // a cut in the middle left about half of that.
+        let (mut level, mut packed) = (t.leaf_pages(), 0);
+        while level > 1 {
+            level = level.div_ceil(4);
+            packed += level;
+        }
+        let internal = t.node_pages() - t.leaf_pages();
+        assert!(
+            internal <= packed + t.height() as u64,
+            "{internal} internal nodes, {packed} packed"
+        );
         t.check_invariants().unwrap();
     }
 

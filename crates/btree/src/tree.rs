@@ -18,10 +18,12 @@
 //! pointer-sorted access.
 //!
 //! Mutations read and write only the pages they change. With `h` the
-//! height and nothing splitting or underflowing, an insert, a delete and
-//! an in-place [`BTree::replace_value`] each cost `h − 1` reads (the
-//! descent) and one write (the leaf); an internal node is written back
-//! only when a split or merge below changed it.
+//! height and nothing splitting or underflowing, a single insert or
+//! delete costs `h − 1` reads (the descent) and one write (the leaf); an
+//! internal node is written back only when a split or merge below changed
+//! it. A batch in key order goes through [`BTree::apply_sorted`] (module
+//! [`sweep`]), which holds the current root-to-leaf path and so reads
+//! every page at most once and writes every changed leaf once.
 //!
 //! Space comes back. A delete that leaves a node under half full reads
 //! one sibling under the same parent and pours the pair into the left
@@ -33,11 +35,12 @@
 //! width no node but the root and the right edge of each level stays
 //! under half full, an empty node never persists at any width, and a
 //! root left with a single child hands the root to it. An insert
-//! past the last key of the last leaf splits off only itself, leaving
-//! the full leaf full, so an ascending load packs pages instead of
-//! stranding half of each. What that buys is a bound: the leaves number
-//! at most twice what a bulk load of the same entries builds, plus the
-//! right edge.
+//! past the last key of the right edge of a level splits off only what
+//! it must — the new entry of a leaf, the last two children of an
+//! internal node — leaving the full node full, so an ascending load
+//! packs pages instead of stranding half of each. What that buys is a
+//! bound: the leaves number at most twice what a bulk load of the same
+//! entries builds, plus the right edge.
 //!
 //! The free list is the tree's own: its head and length are part of
 //! [`BTreeMeta`], freed pages chain through their own bytes, and
@@ -49,10 +52,13 @@
 //! free of I/O charge: what a reclaim charges is the sibling read, the
 //! merged or refilled node writes and the parent write.
 
-use trijoin_common::{Cost, CounterId, Error, FxHashSet, Result, SystemParams};
+use trijoin_common::{CounterId, Error, FxHashSet, Result, SystemParams};
 use trijoin_storage::{Disk, FileId, PageId};
 
 use crate::node::{self, Node};
+
+mod sweep;
+pub use sweep::{SweepOp, SweepStats};
 
 /// Capacity configuration for one tree.
 #[derive(Debug, Clone, Copy)]
@@ -133,6 +139,9 @@ pub struct BTree {
     leaves: u64,
     free_head: Option<u32>,
     free_pages: u32,
+    /// Pages a running sweep has in memory (its path, when it hands an
+    /// operation to the recursive path): reading one again is free.
+    resident: Vec<u32>,
     /// `btree.merges`, `btree.pages_freed`, `btree.pages_reused`.
     c_merges: CounterId,
     c_freed: CounterId,
@@ -163,8 +172,6 @@ enum Removal {
 
 /// What a recursive insert did to the node it was handed.
 enum Insertion {
-    /// A unique insert found its key taken; nothing changed anywhere.
-    Duplicate,
     /// Inserted below; this node's image is unchanged.
     Clean,
     /// This node's image changed: its caller must write it back.
@@ -189,6 +196,7 @@ impl BTree {
             leaves: meta.leaves,
             free_head: meta.free_head,
             free_pages: meta.free_pages,
+            resident: Vec::new(),
             c_merges: metrics.counter_handle("btree.merges"),
             c_freed: metrics.counter_handle("btree.pages_freed"),
             c_reused: metrics.counter_handle("btree.pages_reused"),
@@ -408,7 +416,12 @@ impl BTree {
     // ---- node I/O -------------------------------------------------------
 
     fn read_node(&self, page: u32) -> Result<Node> {
-        let raw = self.disk.read_page(PageId::new(self.file, page))?;
+        let pid = PageId::new(self.file, page);
+        let raw = if self.resident.contains(&page) {
+            self.disk.read_page_free(pid)?
+        } else {
+            self.disk.read_page(pid)?
+        };
         Node::from_page(&raw)
     }
 
@@ -735,20 +748,6 @@ impl BTree {
 
     /// Insert `(key, value)`. Duplicates are allowed.
     pub fn insert(&mut self, key: u64, value: Vec<u8>) -> Result<()> {
-        self.insert_entry(key, value, false).map(|_| ())
-    }
-
-    /// Insert `(key, value)` unless the tree already holds an entry under
-    /// `key`; returns whether it inserted. The existence test is the
-    /// insert's own leaf visit, so it sees exactly the one leaf an insert
-    /// of `key` lands in: complete on a tree whose keys are all unique
-    /// (every insert came through here), which is what a clustered
-    /// relation needs to reject a reused surrogate without a second descent.
-    pub fn insert_unique(&mut self, key: u64, value: Vec<u8>) -> Result<bool> {
-        self.insert_entry(key, value, true)
-    }
-
-    fn insert_entry(&mut self, key: u64, value: Vec<u8>, unique: bool) -> Result<bool> {
         let entry_bytes = 10 + value.len();
         if 7 + entry_bytes > self.disk.page_size() {
             return Err(Error::PageOverflow {
@@ -757,10 +756,9 @@ impl BTree {
             });
         }
         let mut root = std::mem::replace(&mut self.root, Node::empty_leaf());
-        let outcome = self.insert_into(&mut root, key, value, unique);
+        let outcome = self.insert_into(&mut root, key, value, true);
         self.root = root;
         match outcome? {
-            Insertion::Duplicate => return Ok(false),
             // An internal root none of whose children split is unchanged.
             Insertion::Clean => {}
             Insertion::Dirty => self.write_root_free()?,
@@ -781,31 +779,26 @@ impl BTree {
             }
         }
         self.entries += 1;
-        Ok(true)
+        Ok(())
     }
 
     /// Recursive insert. The caller owns writing `node` back, and does so
     /// only when the outcome says its image changed (the root wrapper
     /// writes free, inner levels write charged): an insert that splits
-    /// nothing writes exactly one page, its leaf.
+    /// nothing writes exactly one page, its leaf. `edge` says `node` is
+    /// the rightmost of its level.
     fn insert_into(
         &mut self,
         node: &mut Node,
         key: u64,
         value: Vec<u8>,
-        unique: bool,
+        edge: bool,
     ) -> Result<Insertion> {
         match node {
             Node::Leaf { entries, .. } => {
                 self.charge_search(entries.len());
                 let at =
                     entries.partition_point(|(k, v)| (*k, v.as_slice()) <= (key, value.as_slice()));
-                // Entries under `key` sit on either side of the insertion
-                // point (smaller-or-equal values before it, larger after).
-                let holds_key = |i: usize| entries.get(i).is_some_and(|(k, _)| *k == key);
-                if unique && (holds_key(at) || at.checked_sub(1).is_some_and(holds_key)) {
-                    return Ok(Insertion::Duplicate);
-                }
                 self.disk.cost().mov(1);
                 entries.insert(at, (key, value));
                 if self.fits(node) {
@@ -816,7 +809,7 @@ impl BTree {
                 // cut in the middle would strand half of every page an
                 // ascending load fills.
                 let len = node.len();
-                let append = at + 1 == len && matches!(node, Node::Leaf { next: None, .. });
+                let append = edge && at + 1 == len;
                 let split = self.split(node, if append { len - 1 } else { len / 2 })?;
                 self.leaves += 1;
                 Ok(split)
@@ -826,9 +819,10 @@ impl BTree {
                 let idx = Self::child_right(keys, key);
                 let child_pid = children[idx];
                 let mut child = self.read_node(child_pid)?;
-                let below = self.insert_into(&mut child, key, value, unique)?;
+                let last = idx + 1 == children.len();
+                let below = self.insert_into(&mut child, key, value, edge && last)?;
                 let (sep, new_right) = match below {
-                    Insertion::Duplicate | Insertion::Clean => return Ok(below),
+                    Insertion::Clean => return Ok(below),
                     Insertion::Dirty => {
                         self.write_node(child_pid, &child)?;
                         return Ok(Insertion::Clean);
@@ -843,7 +837,12 @@ impl BTree {
                 if self.fits(node) {
                     return Ok(Insertion::Dirty);
                 }
-                self.split(node, node.len() / 2)
+                // The same append rule one level up: a child that split off
+                // the right edge leaves this node full and takes only the
+                // last two children along (a node needs one separator).
+                let len = node.len();
+                let append = edge && last && len > 2;
+                self.split(node, if append { len - 2 } else { len / 2 })
             }
         }
     }
@@ -855,45 +854,6 @@ impl BTree {
         let (sep, right) = node.split_off(mid, right_pid);
         self.write_node(right_pid, &right)?;
         Ok(Insertion::Split(sep, right_pid))
-    }
-
-    /// Overwrite in place the value of the first entry under `key` with
-    /// `value`, which must be as long as the value it replaces; returns
-    /// whether such an entry exists. Occupancy and structure cannot
-    /// change, so this costs one descent (`height − 1` reads) and one leaf
-    /// write — what a same-surrogate tuple update is worth, where a remove
-    /// plus an insert pays two of each.
-    pub fn replace_value(&mut self, key: u64, value: &[u8]) -> Result<bool> {
-        let mut page = match self.descend_to_leaf_page(key, None)? {
-            LeafLoc::Root => {
-                let Node::Leaf { ref mut entries, .. } = self.root else {
-                    return Err(Error::Invariant("descended to internal node".into()));
-                };
-                let found = overwrite_first(self.disk.cost(), entries, key, value)?;
-                if found {
-                    self.write_root_free()?;
-                }
-                return Ok(found);
-            }
-            LeafLoc::Page(p) => p,
-        };
-        // The descent lands on the leftmost leaf that can hold `key`; the
-        // entry itself may sit further along the chain (a separator equal
-        // to `key`, or duplicates spanning leaves).
-        loop {
-            let mut node = self.read_node(page)?;
-            let Node::Leaf { ref mut entries, next } = node else {
-                return Err(Error::Invariant("descended to internal node".into()));
-            };
-            if overwrite_first(self.disk.cost(), entries, key, value)? {
-                self.write_node(page, &node)?;
-                return Ok(true);
-            }
-            match next {
-                Some(p) if entries.last().is_none_or(|(k, _)| *k <= key) => page = p,
-                _ => return Ok(false),
-            }
-        }
     }
 
     /// Remove the first entry equal to `(key, value)`. Returns whether an
@@ -1148,31 +1108,6 @@ impl Audit {
             None => Err(Error::Invariant(format!("{by} points past the end of the file: {page}"))),
         }
     }
-}
-
-/// Overwrite the value of the first entry under `key` among one leaf's
-/// `entries`; `false` when the leaf holds none. Charges the leaf scan and
-/// the one tuple move.
-fn overwrite_first(
-    cost: &Cost,
-    entries: &mut [(u64, Vec<u8>)],
-    key: u64,
-    value: &[u8],
-) -> Result<bool> {
-    cost.comp(entries.len() as u64);
-    let Some((_, old)) = entries.iter_mut().find(|(k, _)| *k == key) else {
-        return Ok(false);
-    };
-    if old.len() != value.len() {
-        return Err(Error::Invariant(format!(
-            "replace_value: key {key} holds {} bytes, replacement has {}",
-            old.len(),
-            value.len()
-        )));
-    }
-    cost.mov(1);
-    old.copy_from_slice(value);
-    Ok(true)
 }
 
 impl std::fmt::Debug for BTree {

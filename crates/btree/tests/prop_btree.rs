@@ -3,11 +3,62 @@
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
-use trijoin_btree::{BTree, BTreeConfig};
+use trijoin_btree::{BTree, BTreeConfig, SweepOp, SweepStats};
 use trijoin_common::{Cost, SystemParams};
 use trijoin_storage::SimDisk;
 
 type Model = BTreeMap<(u64, Vec<u8>), u32>;
+
+/// Run `ops` (sorted by key) as one unique-key sweep.
+fn sweep(tree: &mut BTree, ops: Vec<(u64, SweepOp)>) -> SweepStats {
+    let mut stats = SweepStats::default();
+    tree.apply_sorted(ops, true, &mut stats, &mut |_, _, _| {}).unwrap();
+    stats
+}
+
+/// What the operations on one key do to a map of unique keys, in issue
+/// order: the reference a sweep is held against.
+fn model_apply(model: &mut BTreeMap<u64, Vec<u8>>, key: u64, op: &SweepOp) -> bool {
+    match (op, model.get(&key)) {
+        (SweepOp::Insert(v), None) => model.insert(key, v.clone()).is_none(),
+        (SweepOp::Replace(v), Some(now)) if v.len() == now.len() => {
+            model.insert(key, v.clone()).is_some()
+        }
+        (SweepOp::Remove(exact), Some(now)) if exact.as_ref().is_none_or(|x| x == now) => {
+            model.remove(&key).is_some()
+        }
+        _ => false,
+    }
+}
+
+/// The page each key's entry lies on, by identity of the pinned image.
+fn leaf_of_keys(tree: &BTree) -> BTreeMap<u64, usize> {
+    let mut out = BTreeMap::new();
+    tree.for_each_pinned(|k, _, page| {
+        out.insert(k, page.map_or(0, |p| std::rc::Rc::as_ptr(p) as usize));
+        true
+    })
+    .unwrap();
+    out
+}
+
+/// A unique-key batch over keys `0..keys`: `(key, kind, byte)` triples, in
+/// issue order, turned into sorted sweep operations of width `width`.
+fn batch_of(raw: &[(u64, u8, u8)], width: usize) -> Vec<(u64, SweepOp)> {
+    let mut ops: Vec<(u64, SweepOp)> = raw
+        .iter()
+        .map(|&(key, kind, byte)| {
+            let op = match kind % 4 {
+                0 | 1 => SweepOp::Replace(vec![byte; width]),
+                2 => SweepOp::Insert(vec![byte; width]),
+                _ => SweepOp::Remove(None),
+            };
+            (key, op)
+        })
+        .collect();
+    ops.sort_by_key(|(key, _)| *key); // stable: one key's operations keep their order
+    ops
+}
 
 fn model_insert(m: &mut Model, k: u64, v: Vec<u8>) {
     *m.entry((k, v)).or_insert(0) += 1;
@@ -219,7 +270,8 @@ proptest! {
                         (pick as u64 % next_key) | 1 // odd: never collides with an append
                     };
                     let (leaves, writes) = (tree.leaf_pages(), disk.metrics().counter("disk.writes"));
-                    let inserted = tree.insert_unique(key, key.to_le_bytes().to_vec()).unwrap();
+                    let op = SweepOp::Insert(key.to_le_bytes().to_vec());
+                    let inserted = sweep(&mut tree, vec![(key, op)]).rejected == 0;
                     if inserted {
                         live.push(key);
                     } else {
@@ -252,13 +304,11 @@ proptest! {
         prop_assert_eq!((tree.height(), tree.node_pages()), (1, 1));
     }
 
-    /// Charge law of the in-place update: overwriting the value of a key
-    /// that exists costs one descent and one leaf write and leaves the
-    /// structure alone. The descent is `height − 1` reads; a key that
-    /// heads its leaf may equal a separator, which sends the descent one
-    /// leaf to the left first — the hop a lookup of that key pays too.
+    /// Charge law of the in-place update: a sweep of one replace costs one
+    /// descent (`height − 1` reads, a key equal to a separator included)
+    /// and one leaf write, and leaves the structure alone.
     #[test]
-    fn replace_value_costs_one_descent_and_one_write(
+    fn single_replace_sweep_costs_one_descent_and_one_write(
         keys in prop::collection::vec(0u64..5000, 1..400),
         deleted in prop::collection::vec(any::<u32>(), 0..100),
     ) {
@@ -274,35 +324,211 @@ proptest! {
                 prop_assert!(tree.remove_where(key, |_| true).unwrap());
             }
         }
-        // A key heads its leaf when its page differs from its predecessor's.
-        let mut heads = Vec::new();
-        let mut last_page = None;
-        tree.for_each_pinned(|k, _, page| {
-            let page = page.map(std::rc::Rc::as_ptr);
-            if std::mem::replace(&mut last_page, page) != page {
-                heads.push(k);
-            }
-            true
-        }).unwrap();
-
         let shape = (tree.height(), tree.leaf_pages(), tree.node_pages());
         let descent = tree.height() as u64 - 1;
         for (i, &key) in keys.iter().enumerate() {
             let (reads, writes) =
                 (disk.metrics().counter("disk.reads"), disk.metrics().counter("disk.writes"));
-            prop_assert!(tree.replace_value(key, &[i as u8; 6]).unwrap());
-            let reads = disk.metrics().counter("disk.reads") - reads;
+            let stats = sweep(&mut tree, vec![(key, SweepOp::Replace(vec![(i % 250) as u8 + 1; 6]))]);
+            prop_assert_eq!((stats.landed, stats.rejected), (1, 0));
+            prop_assert_eq!(disk.metrics().counter("disk.reads") - reads, descent);
             prop_assert_eq!(disk.metrics().counter("disk.writes") - writes, descent.min(1));
-            if heads.contains(&key) {
-                prop_assert!(reads == descent || reads == descent + 1, "{} reads", reads);
-            } else {
-                prop_assert_eq!(reads, descent);
-            }
-            prop_assert_eq!(tree.lookup(key).unwrap(), vec![vec![i as u8; 6]]);
+            prop_assert_eq!(tree.lookup(key).unwrap(), vec![vec![(i % 250) as u8 + 1; 6]]);
         }
         prop_assert_eq!((tree.height(), tree.leaf_pages(), tree.node_pages()), shape);
-        prop_assert!(!tree.replace_value(5000, &[0u8; 6]).unwrap());
+        prop_assert_eq!(sweep(&mut tree, vec![(5000, SweepOp::Replace(vec![0u8; 6]))]).rejected, 1);
         tree.check_invariants().unwrap();
+    }
+
+    /// A sorted batch is the same operations one by one: the same entries
+    /// (those of a map the operations are replayed on), the same number
+    /// refused, a clean audit — free-list accounting included — and never
+    /// more I/O than the single-key calls charge.
+    #[test]
+    fn sweep_equals_the_operations_one_by_one(
+        stored in prop::collection::vec(0u64..300, 0..200),
+        raw in prop::collection::vec((0u64..300, any::<u8>(), any::<u8>()), 0..250),
+        leaf_cap in 2usize..7,
+    ) {
+        let params = SystemParams { page_size: 256, ..SystemParams::paper_defaults() };
+        let cfg = BTreeConfig { leaf_cap, internal_cap: 3 };
+        let stored: BTreeSet<u64> = stored.into_iter().collect();
+        let load = || stored.iter().map(|&k| (k, vec![0u8; 5]));
+        let (batch_disk, single_disk) =
+            (SimDisk::new(&params, Cost::new()), SimDisk::new(&params, Cost::new()));
+        let mut batched = BTree::bulk_load(&batch_disk, cfg, load()).unwrap();
+        let mut single = BTree::bulk_load(&single_disk, cfg, load()).unwrap();
+        let mut model: BTreeMap<u64, Vec<u8>> = load().collect();
+        let ops = batch_of(&raw, 5);
+        let ios = |disk: &trijoin_storage::Disk| disk.cost().total().ios;
+        let (batch_start, single_start) = (ios(&batch_disk), ios(&single_disk));
+
+        let mut refused = 0;
+        for (key, op) in &ops {
+            refused += u64::from(!model_apply(&mut model, *key, op));
+            let one = sweep(&mut single, vec![(*key, op.clone())]);
+            prop_assert_eq!(one.landed, 1);
+        }
+        let stats = sweep(&mut batched, ops.clone());
+        prop_assert_eq!((stats.landed, stats.rejected), (ops.len() as u64, refused));
+
+        let want: Vec<(u64, Vec<u8>)> = model.into_iter().collect();
+        prop_assert_eq!(&batched.scan_range(0, u64::MAX).unwrap(), &want);
+        prop_assert_eq!(&single.scan_range(0, u64::MAX).unwrap(), &want);
+        prop_assert_eq!(batched.len(), want.len() as u64);
+        batched.check_invariants().unwrap();
+        single.check_invariants().unwrap();
+        prop_assert!(
+            batched.leaf_pages() <= 2 * batched.packed_leaf_pages() + 1,
+            "{} leaves for {} entries", batched.leaf_pages(), batched.len()
+        );
+        prop_assert!(
+            ios(&batch_disk) - batch_start <= ios(&single_disk) - single_start,
+            "sweep charged {} I/Os, one by one {}",
+            ios(&batch_disk) - batch_start, ios(&single_disk) - single_start
+        );
+    }
+
+    /// Charge law of a sweep that changes no structure: it reads each leaf
+    /// holding a key of the batch once, each internal page at most once,
+    /// and writes exactly the leaves on which a value changed.
+    #[test]
+    fn replace_sweep_reads_and_writes_distinct_pages_once(
+        keys in prop::collection::vec(0u64..2000, 1..500),
+        picks in prop::collection::vec((any::<u32>(), any::<bool>()), 1..300),
+    ) {
+        let params = SystemParams { page_size: 256, ..SystemParams::paper_defaults() };
+        let disk = SimDisk::new(&params, Cost::new());
+        let cfg = BTreeConfig { leaf_cap: 4, internal_cap: 4 };
+        let keys: Vec<u64> = keys.into_iter().collect::<BTreeSet<u64>>().into_iter().collect();
+        let mut tree =
+            BTree::bulk_load(&disk, cfg, keys.iter().map(|&k| (k, vec![0u8; 6]))).unwrap();
+        let leaf_of = leaf_of_keys(&tree);
+        // Each pick replaces one stored key, with a new value or its own.
+        let batch: BTreeMap<u64, bool> =
+            picks.iter().map(|&(pick, change)| (keys[pick as usize % keys.len()], change)).collect();
+        let touched: BTreeSet<usize> = batch.keys().map(|k| leaf_of[k]).collect();
+        let dirty: BTreeSet<usize> =
+            batch.iter().filter(|(_, &change)| change).map(|(k, _)| leaf_of[k]).collect();
+        let internal = (tree.node_pages() - tree.leaf_pages()).saturating_sub(1); // resident root
+        let ops: Vec<(u64, SweepOp)> = batch
+            .iter()
+            .map(|(&k, &change)| (k, SweepOp::Replace(vec![change as u8; 6])))
+            .collect();
+        let (reads, writes) =
+            (disk.metrics().counter("disk.reads"), disk.metrics().counter("disk.writes"));
+        let stats = sweep(&mut tree, ops);
+        let reads = disk.metrics().counter("disk.reads") - reads;
+        let leaves = if tree.height() > 1 { touched.len() as u64 } else { 0 };
+        prop_assert!(reads >= leaves && reads <= leaves + internal, "{} reads", reads);
+        let dirty = if tree.height() > 1 { dirty.len() as u64 } else { 0 };
+        prop_assert_eq!(disk.metrics().counter("disk.writes") - writes, dirty);
+        prop_assert_eq!(stats.leaves_written, dirty);
+        tree.check_invariants().unwrap();
+    }
+
+    /// Work-proportional maintenance, three ways. A batch whose net effect
+    /// is empty writes no page; cutting a batch into consecutive pieces
+    /// changes nothing about what the tree ends up holding; and batches
+    /// over disjoint keys commute.
+    #[test]
+    fn sweeps_net_split_and_commute(
+        stored in prop::collection::vec(0u64..200, 1..150),
+        raw in prop::collection::vec((0u64..200, any::<u8>(), any::<u8>()), 1..200),
+        cuts in prop::collection::vec(any::<u32>(), 0..6),
+    ) {
+        let params = SystemParams { page_size: 256, ..SystemParams::paper_defaults() };
+        let cfg = BTreeConfig { leaf_cap: 4, internal_cap: 4 };
+        let stored: BTreeSet<u64> = stored.into_iter().collect();
+        let build = || {
+            let disk = SimDisk::new(&params, Cost::new());
+            let tree =
+                BTree::bulk_load(&disk, cfg, stored.iter().map(|&k| (k, vec![0u8; 5]))).unwrap();
+            (disk, tree)
+        };
+        let ops = batch_of(&raw, 5);
+
+        // Net-empty: every stored key goes x → y → x, every absent key is
+        // inserted and deleted again.
+        let (disk, mut tree) = build();
+        let mut round_trip = Vec::new();
+        for key in 0..200u64 {
+            if stored.contains(&key) {
+                round_trip.push((key, SweepOp::Replace(vec![1u8; 5])));
+                round_trip.push((key, SweepOp::Replace(vec![0u8; 5])));
+            } else {
+                round_trip.push((key, SweepOp::Insert(vec![1u8; 5])));
+                round_trip.push((key, SweepOp::Remove(None)));
+            }
+        }
+        let (writes, shape) = (disk.metrics().counter("disk.writes"), tree.meta());
+        let stats = sweep(&mut tree, round_trip);
+        prop_assert_eq!((stats.landed, stats.rejected, stats.leaves_written), (400, 0, 0));
+        prop_assert_eq!(disk.metrics().counter("disk.writes"), writes);
+        prop_assert_eq!(tree.meta(), shape);
+
+        // Split k ways: the pieces, in order, are the whole.
+        let (_whole_disk, mut whole) = build();
+        sweep(&mut whole, ops.clone());
+        let want = whole.scan_range(0, u64::MAX).unwrap();
+        let mut at: Vec<usize> = cuts.iter().map(|&c| c as usize % (ops.len() + 1)).collect();
+        at.sort_unstable();
+        let (_pieces_disk, mut pieces) = build();
+        let mut from = 0;
+        for cut in at.into_iter().chain([ops.len()]) {
+            // A cut inside one key's chain would reorder nothing either,
+            // but pieces must each be sorted, which any slice of a sorted
+            // batch is.
+            sweep(&mut pieces, ops[from..cut].to_vec());
+            from = cut;
+        }
+        prop_assert_eq!(&pieces.scan_range(0, u64::MAX).unwrap(), &want);
+        pieces.check_invariants().unwrap();
+
+        // Disjoint keys commute: odd keys first or even keys first.
+        let (odd, even): (Vec<_>, Vec<_>) = ops.iter().cloned().partition(|(k, _)| k % 2 == 1);
+        let (_disk_a, mut a) = build();
+        sweep(&mut a, odd.clone());
+        sweep(&mut a, even.clone());
+        let (_disk_b, mut b) = build();
+        sweep(&mut b, even);
+        sweep(&mut b, odd);
+        prop_assert_eq!(&a.scan_range(0, u64::MAX).unwrap(), &want);
+        prop_assert_eq!(&b.scan_range(0, u64::MAX).unwrap(), &want);
+        a.check_invariants().unwrap();
+        b.check_invariants().unwrap();
+    }
+
+    /// Occupancy at every level under an ascending load, the surrogate
+    /// allocator's pattern: leaves end full, and every internal node but
+    /// the right edge of its level ends one key short of full (the key its
+    /// split moved up), so no level holds more nodes than its children
+    /// packed `internal_cap` to a node, plus that edge.
+    #[test]
+    fn ascending_load_packs_every_level(
+        n in 1u64..3000,
+        leaf_cap in 2usize..7,
+        internal_cap in 3usize..7,
+    ) {
+        let params = SystemParams { page_size: 256, ..SystemParams::paper_defaults() };
+        let disk = SimDisk::new(&params, Cost::new());
+        let mut tree = BTree::new(&disk, BTreeConfig { leaf_cap, internal_cap }).unwrap();
+        for key in 0..n {
+            tree.insert(key, vec![0u8; 2]).unwrap();
+        }
+        tree.check_invariants().unwrap();
+        prop_assert_eq!(tree.leaf_pages(), tree.packed_leaf_pages());
+        let (mut level, mut packed) = (tree.leaf_pages(), 0u64);
+        while level > 1 {
+            level = level.div_ceil(internal_cap as u64);
+            packed += level + 1;
+        }
+        let internal = tree.node_pages() - tree.leaf_pages();
+        prop_assert!(
+            internal <= packed,
+            "{} internal nodes over {} leaves at {} children each",
+            internal, tree.leaf_pages(), internal_cap
+        );
     }
 
     #[test]

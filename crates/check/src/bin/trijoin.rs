@@ -286,6 +286,7 @@ fn run(args: &Args) -> Result<(), String> {
                 strategy.on_update(&u).map_err(|e| e.to_string())?;
                 db.r_mut().apply_update(&u.old, &u.new).map_err(|e| e.to_string())?;
             }
+            db.settle().map_err(|e| e.to_string())?;
             let mut n = 0u64;
             strategy.execute(db.r(), db.s(), &mut |_| n += 1).map_err(|e| e.to_string())?;
             let t = db.cost().total();
@@ -352,6 +353,8 @@ fn observed_report(
             hh.on_update(&u).map_err(err)?;
             db.apply_r_update(&u).map_err(err)?;
         }
+        // Shared work, outside every strategy's column.
+        db.settle().map_err(err)?;
         let strategies: [&mut dyn JoinStrategy; 3] = [&mut mv, &mut ji, &mut hh];
         for (i, strategy) in strategies.into_iter().enumerate() {
             let before = db.cost().total();

@@ -586,6 +586,8 @@ impl Driver<'_> {
         }
         for e in &mut self.engines {
             let site = format!("engine:{}", e.method);
+            // Applying queued mutations is apply-phase work too.
+            e.db.settle().map_err(|err| fail(i, &site, format!("settle: {err}")))?;
             e.rebuild_if_dirty().map_err(|err| fail(i, &site, format!("cache rebuild: {err}")))?;
         }
         // Checkpoints are commit barriers in durable mode — everything

@@ -10,6 +10,7 @@ use trijoin_common::{
     BaseTuple, Cost, Error, EventKind, EventLog, Json, Metrics, OpCounts, Result, RunReport,
     SystemParams, ViewTuple,
 };
+use trijoin_model::formulas::{io_clustered, yao};
 use trijoin_model::{Method, Workload};
 
 use trijoin_exec::{
@@ -38,9 +39,6 @@ struct CostAudit {
     /// Multiplier on every prediction. 1.0 = the stock model; tests
     /// deliberately miscalibrate it to prove drift detection fires.
     calibration: f64,
-    /// Model estimate for logging one differential update, microseconds
-    /// (MV term C1.1 priced at `updates = 1`).
-    apply_unit_us: f64,
     /// Updates applied since the audit was armed.
     apply_seq: u64,
     /// `apply_seq` at each strategy's last audited query — the per-label
@@ -238,6 +236,9 @@ impl Database {
     /// group-commit buffer and shares a later barrier's fsync — a crash
     /// before that barrier rolls the deferred commits back wholesale.
     pub fn commit_with(&self, durability: Durability) -> Result<CommitStats> {
+        // Every acknowledged mutation must be in a page image the group
+        // seals, and the catalog must describe trees with nothing queued.
+        self.settle()?;
         if self.durable {
             catalog::write_catalog(&self.disk, &self.manifest())?;
         }
@@ -248,6 +249,7 @@ impl Database {
     /// applied, so the log restarts empty — this is what bounds log length
     /// between restarts).
     pub fn checkpoint(&self) -> Result<CheckpointStats> {
+        self.settle()?;
         if self.durable {
             catalog::write_catalog(&self.disk, &self.manifest())?;
         }
@@ -297,24 +299,61 @@ impl Database {
         &mut self.r
     }
 
-    /// Apply one update to `R`, counting it in the metrics registry
+    /// Queue one update to `R`, counting it in the metrics registry
     /// (`db.mutations`). Equivalent to `r_mut().apply_update(..)` plus the
-    /// observation.
+    /// observation. The tree changes when the relation next settles:
+    /// before the next query, commit or report, or at any read of `R`.
     pub fn apply_r_update(&mut self, upd: &trijoin_exec::Update) -> Result<()> {
         self.disk.metrics().incr("db.mutations");
-        let start = self.cost.total();
         let result = self.r.apply_update(&upd.old, &upd.new);
-        self.telemetry_on_apply(&start);
+        self.telemetry_on_apply();
         result
     }
 
-    /// Apply one mutation to `R`, counting it in the metrics registry.
+    /// Queue one mutation of `R`, counting it in the metrics registry.
     pub fn apply_r_mutation(&mut self, m: &trijoin_exec::Mutation) -> Result<()> {
         self.disk.metrics().incr("db.mutations");
-        let start = self.cost.total();
         let result = self.r.apply_mutation(m);
-        self.telemetry_on_apply(&start);
+        self.telemetry_on_apply();
         result
+    }
+
+    /// Apply every mutation queued for `R` and `S` to their trees
+    /// ([`StoredRelation::settle`]), under the span `base.settle`: one
+    /// sweep per relation, in surrogate order. [`Database::query`],
+    /// [`Database::commit_with`], [`Database::checkpoint`] and
+    /// [`Database::run_report`] call it first, so the charge lands outside
+    /// every strategy span. With nothing queued it does nothing, not even
+    /// open the span.
+    pub fn settle(&self) -> Result<()> {
+        if self.r.pending_ops() + self.s.pending_ops() == 0 {
+            return Ok(());
+        }
+        let start = self.cost.total();
+        let (mut result, mut predicted_us) = (Ok(()), 0.0);
+        {
+            let _span = self.cost.section("base.settle");
+            for relation in [&self.r, &*self.s] {
+                match relation.settle() {
+                    Ok(stats) => predicted_us += self.sweep_model_us(relation, stats.ops),
+                    Err(e) => result = result.and(Err(e)),
+                }
+            }
+        }
+        let end = self.cost.total();
+        let actual_us = end.delta_since(&start).time_us(&self.params);
+        self.disk.metrics().observe("base.settle.us", actual_us as u64);
+        self.telemetry_on_settle(predicted_us, actual_us, &end);
+        result
+    }
+
+    /// What the model charges a scheduled sweep of `k` tuples of
+    /// `relation`: every distinct leaf read and written, every distinct
+    /// internal page read, `[2·Yao(k,m,n) + Yao(Yao(k,m,n), m/FO, m)]·IO`.
+    fn sweep_model_us(&self, relation: &StoredRelation, k: u64) -> f64 {
+        let (m, n) = (relation.data_pages() as f64, relation.len() as f64);
+        let leaves = yao(k as f64, m, n);
+        leaves * self.params.io_us + 1e6 * io_clustered(k as f64, m, n, &self.params)
     }
 
     /// Mutable access to `S` for bilateral scenarios. Fails while any
@@ -341,7 +380,11 @@ impl Database {
     /// Execute `strategy` as one *observed* query: emits query start/end
     /// events, bumps the query counter, records the simulated latency into
     /// the `query.us` histogram, and returns the collected join result.
+    /// Queued base-relation mutations are applied first
+    /// ([`Database::settle`]), outside the query's span and latency.
     pub fn query(&self, strategy: &mut dyn JoinStrategy) -> Result<Vec<ViewTuple>> {
+        // The base relations catch up before the query's clock starts.
+        self.settle()?;
         let start = self.cost.total();
         let recovery_start = self.recovery_counts();
         self.disk.events().emit(
@@ -384,13 +427,10 @@ impl Database {
         if self.telemetry.borrow().is_none() {
             self.enable_telemetry(TelemetryConfig::default());
         }
-        let unit = Workload { updates: 1.0, ..workload.clone() };
-        let apply_unit_us = trijoin_model::mv::cost(&self.params, &unit).term("C1.1") * 1e6;
         if let Some(t) = self.telemetry.borrow_mut().as_mut() {
             t.audit = Some(CostAudit {
                 workload,
                 calibration,
-                apply_unit_us,
                 apply_seq: 0,
                 last_cycle_seq: BTreeMap::new(),
                 predicted: BTreeMap::new(),
@@ -493,21 +533,36 @@ impl Database {
         self.emit_drift(&alerts, *end);
     }
 
-    /// Audit one applied update and advance the telemetry clock.
-    fn telemetry_on_apply(&self, start: &OpCounts) {
+    /// Count one queued mutation for the audit: query-cycle predictions
+    /// are priced at the mutations queued since the strategy's last cycle.
+    /// Queueing moves the ledger only when the apply log spills, so the
+    /// clock is read but rarely advances.
+    fn telemetry_on_apply(&self) {
         let end = self.cost.total();
         let alerts = {
             let mut guard = self.telemetry.borrow_mut();
             let Some(t) = guard.as_mut() else { return };
             if let Some(audit) = t.audit.as_mut() {
                 audit.apply_seq += 1;
-                let actual_us = end.delta_since(start).time_us(&self.params);
-                let predicted_us = audit.calibration * audit.apply_unit_us;
-                t.tel.record_audit("apply", predicted_us, actual_us);
             }
             t.tel.tick(ops_tick(&end), self.disk.metrics())
         };
         self.emit_drift(&alerts, end);
+    }
+
+    /// Audit one settle — the base trees' sweep against the model's
+    /// scheduled access — and advance the telemetry clock: this is where
+    /// applying mutations moves the ledger.
+    fn telemetry_on_settle(&self, predicted_us: f64, actual_us: f64, end: &OpCounts) {
+        let alerts = {
+            let mut guard = self.telemetry.borrow_mut();
+            let Some(t) = guard.as_mut() else { return };
+            if let Some(audit) = t.audit.as_ref() {
+                t.tel.record_audit("apply", audit.calibration * predicted_us, actual_us);
+            }
+            t.tel.tick(ops_tick(end), self.disk.metrics())
+        };
+        self.emit_drift(&alerts, *end);
     }
 
     fn emit_drift(&self, alerts: &[DriftAlert], at: OpCounts) {
@@ -519,6 +574,18 @@ impl Database {
     /// Snapshot the full observability state (params, span tree, metrics,
     /// events) into a serializable [`RunReport`] labelled `name`.
     pub fn run_report(&self, name: impl Into<String>) -> RunReport {
+        // A report describes relations with nothing queued. A device fault
+        // that stops the settle shows as `base.apply_log.pending` > 0,
+        // which `report-validate` rejects.
+        let _ = self.settle();
+        let metrics = self.disk.metrics();
+        let peak = self.r.apply_log_peak_pages().max(self.s.apply_log_peak_pages());
+        metrics.gauge_set("base.apply_log.peak_pages", peak as f64);
+        metrics.gauge_set(
+            "base.apply_log.pending",
+            (self.r.pending_ops() + self.s.pending_ops()) as f64,
+        );
+        metrics.gauge_set("base.tree_height", self.r.height().max(self.s.height()) as f64);
         // Close the open telemetry window first so even a run shorter than
         // one window serializes a series (drift alerts it raises land in
         // the captured event log).

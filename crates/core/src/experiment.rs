@@ -101,6 +101,10 @@ impl Experiment {
                 strategy.on_update(&upd)?;
                 db.r_mut().apply_update(&upd.old, &upd.new)?;
             }
+            // The base relation catches up before the strategy runs, so the
+            // sweep's charge is the one the paired replay subtracts and no
+            // strategy span absorbs it.
+            db.settle()?;
             let mut result = Vec::new();
             let tuples = strategy.execute(db.r(), db.s(), &mut |v| {
                 if self.verify {
@@ -138,6 +142,7 @@ impl Experiment {
             let upd = stream.next_update();
             db.r_mut().apply_update(&upd.old, &upd.new)?;
         }
+        db.settle()?;
         Ok(db.cost().total())
     }
 }

@@ -29,8 +29,9 @@
 //! for _ in 0..50 {
 //!     let u = updates.next_update();
 //!     mv.on_update(&u).unwrap();
-//!     db.r_mut().apply_update(&u.old, &u.new).unwrap();
+//!     db.r_mut().apply_update(&u.old, &u.new).unwrap(); // queued
 //! }
+//! db.settle().unwrap(); // R's tree catches up, in one sorted sweep
 //! db.reset_cost();
 //! let result = execute_collect(&mut mv, db.r(), db.s()).unwrap();
 //! assert!(!result.is_empty());

@@ -97,8 +97,9 @@ impl DiffLog {
     }
 
     /// Sort the buffer and write it out as one run (C1.3 sorting charges +
-    /// C1.1 write charges; one I/O per full-packed page).
-    fn spill(&mut self) -> Result<()> {
+    /// C1.1 write charges; one I/O per full-packed page). A write that
+    /// fails leaves the buffer as it was, sorted, and no run behind.
+    pub fn spill(&mut self) -> Result<()> {
         if self.buf.is_empty() {
             return Ok(());
         }
@@ -113,12 +114,16 @@ impl DiffLog {
         counted_sort_by(&mut self.buf, |t| key(t), &self.cost);
         let mut writer = trijoin_storage::heap::HeapWriter::create(&self.disk);
         let mut scratch = Vec::new();
-        for t in self.buf.drain(..) {
+        for t in &self.buf {
             scratch.clear();
             t.write_bytes(&mut scratch);
-            writer.add_with_cap(&scratch, self.tuples_per_run_page)?;
+            if let Err(e) = writer.add_with_cap(&scratch, self.tuples_per_run_page) {
+                writer.abandon();
+                return Err(e);
+            }
         }
         self.runs.push(writer.finish()?);
+        self.buf.clear();
         Ok(())
     }
 
@@ -160,7 +165,7 @@ impl DiffLog {
     /// Merge the sealed runs back in key order (C1.2 read charges as pages
     /// stream in, C1.4 merge charges per emitted tuple).
     pub fn merged(&self) -> Result<KWayMerge<BaseTuple, SortKey, RunReader>> {
-        debug_assert!(self.sealed, "seal() before merged()");
+        debug_assert!(self.buf.is_empty(), "seal() or spill() before merged()");
         *self.stream_err.borrow_mut() = None;
         let sources: Vec<RunReader> = self
             .runs
@@ -187,6 +192,13 @@ impl DiffLog {
             Some(e) => Err(e),
             None => Ok(()),
         }
+    }
+
+    /// Whether a [`RunReader`] has parked an error since the last
+    /// [`DiffLog::merged`]: from then on the merged stream is short of
+    /// tuples and no longer in key order.
+    pub fn stream_failed(&self) -> bool {
+        self.stream_err.borrow().is_some()
     }
 
     /// Drop all run files (after a query has consumed the log).

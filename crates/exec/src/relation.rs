@@ -6,10 +6,51 @@
 //! values are surrogates. Relation `S` carries the inverted index; relation
 //! `R` does not (only `S` is probed by join attribute in the paper's
 //! algorithms).
+//!
+//! # Mutations are deferred
+//!
+//! The paper prices every multi-record access as a *scheduled* one: sort
+//! the keys, touch each page once. A relation changes the same way. The
+//! mutators ([`StoredRelation::apply_update`], `insert`, `delete`) only
+//! append to the relation's **apply log**; [`StoredRelation::settle`]
+//! applies the whole log as one sweep in surrogate order
+//! ([`BTree::apply_sorted`]), reading each page of the clustered tree at
+//! most once and writing each changed leaf once, and then pays the
+//! inverted tree what the landed changes owe it, as a second sweep in
+//! (join key, surrogate) order. Every reader settles first, so nobody
+//! ever sees the log; `Database` settles before a query, a commit and a
+//! report so the charge never lands inside a strategy's span and every
+//! acknowledged mutation is in a sealed page image.
+//!
+//! The log is bounded by constants: [`APPLY_LOG_PAGES`] pages of records
+//! in memory, spilled — through the differential log's run writer and
+//! merge, [`DiffLog`] — as surrogate-sorted runs, and a settle forced at
+//! [`APPLY_LOG_RUNS`] runs. Operations on one surrogate keep submission
+//! order; the sweep nets them against the stored tuple, so the last
+//! update wins and x → y → x writes nothing.
+//!
+//! What the tree refuses at the sweep (unknown surrogate, reused
+//! surrogate) is dropped and counted ([`StoredRelation::rejected_ops`],
+//! `base.settle.rejected`); the rest of the sweep lands. A device fault
+//! ends the settle with an error and the un-applied suffix still queued:
+//! the next settle (or mutator call, which settles first) resumes there.
 
-use trijoin_btree::{BTree, BTreeConfig, BTreeMeta};
-use trijoin_common::{BaseTuple, Error, Json, Result, Surrogate, SystemParams};
-use trijoin_storage::{Disk, FileId};
+use std::cell::{Ref, RefCell};
+
+use trijoin_btree::{BTree, BTreeConfig, BTreeMeta, SweepOp, SweepStats};
+use trijoin_common::{BaseTuple, CounterId, Error, Json, Result, Surrogate, SystemParams};
+use trijoin_storage::{Disk, FileId, SlottedPage};
+
+use crate::diff::{DiffLog, SortKey};
+use crate::sort::{counted_sort_by, KWayMerge};
+
+/// Pages of memory the apply log buffers mutations in before it spills
+/// them as a sorted run.
+pub const APPLY_LOG_PAGES: usize = 16;
+
+/// Spilled runs at which the apply log settles of its own accord: one
+/// page per run is what merging them takes.
+pub const APPLY_LOG_RUNS: usize = 16;
 
 /// Serialize one tree's [`BTreeMeta`] as a catalog object.
 fn tree_json(meta: &BTreeMeta) -> Json {
@@ -50,16 +91,329 @@ fn tree_meta(j: &Json) -> Result<BTreeMeta> {
     })
 }
 
+/// What a queued mutation does to the tuple under its surrogate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Update,
+    Insert,
+    Delete,
+}
+
+/// One queued mutation: the new tuple (the deleted one, for a delete) and
+/// its place in submission order.
+#[derive(Debug, Clone)]
+struct Pending {
+    seq: u32,
+    kind: Kind,
+    tuple: BaseTuple,
+}
+
+impl Pending {
+    /// Bytes a spilled record carries after the tuple: `seq`, then `kind`.
+    const TRAILER: usize = 5;
+
+    /// Surrogate order, submission order within one surrogate.
+    fn sort_key(&self) -> SortKey {
+        ((self.tuple.sur.0 as u128) << 32) | self.seq as u128
+    }
+
+    /// The run-file form: the tuple with the trailer appended to its
+    /// payload, so the differential log's writer and merge carry it.
+    fn to_record(&self) -> BaseTuple {
+        let mut payload = Vec::with_capacity(self.tuple.payload.len() + Self::TRAILER);
+        payload.extend_from_slice(&self.tuple.payload);
+        payload.extend_from_slice(&self.seq.to_le_bytes());
+        payload.push(self.kind as u8);
+        BaseTuple { sur: self.tuple.sur, key: self.tuple.key, payload: payload.into() }
+    }
+
+    /// Where the trailer starts in a record's payload, and its `seq`.
+    fn trailer(record: &BaseTuple) -> Option<(usize, u32)> {
+        let at = record.payload.len().checked_sub(Self::TRAILER)?;
+        Some((at, u32::from_le_bytes(record.payload[at..at + 4].try_into().ok()?)))
+    }
+
+    /// [`Pending::sort_key`] read off the run-file form.
+    fn record_key(record: &BaseTuple) -> SortKey {
+        let seq = Self::trailer(record).map_or(0, |(_, seq)| seq);
+        ((record.sur.0 as u128) << 32) | seq as u128
+    }
+
+    fn from_record(record: BaseTuple) -> Result<Pending> {
+        let corrupt = || Error::Corrupt("apply-log record without its trailer".into());
+        let (at, seq) = Self::trailer(&record).ok_or_else(corrupt)?;
+        let kind = match record.payload[at + 4] {
+            0 => Kind::Update,
+            1 => Kind::Insert,
+            2 => Kind::Delete,
+            _ => return Err(corrupt()),
+        };
+        let tuple =
+            BaseTuple { sur: record.sur, key: record.key, payload: record.payload[..at].into() };
+        Ok(Pending { seq, kind, tuple })
+    }
+
+    /// The clustered tree's side of the mutation.
+    fn into_op(self) -> (u64, SweepOp) {
+        let op = match self.kind {
+            Kind::Update => SweepOp::Replace(self.tuple.to_bytes()),
+            Kind::Insert => SweepOp::Insert(self.tuple.to_bytes()),
+            Kind::Delete => SweepOp::Remove(None),
+        };
+        (self.tuple.sur.0 as u64, op)
+    }
+}
+
+/// One entry the inverted tree must gain or lose because a tuple's join
+/// key changed, appeared or went.
+#[derive(Debug, Clone, Copy)]
+struct Posting {
+    key: u64,
+    sur: u32,
+    add: bool,
+}
+
+/// What one [`StoredRelation::settle`] did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SettleStats {
+    /// Queued mutations the sweep consumed.
+    pub ops: u64,
+    /// Those the trees refused (unknown or reused surrogate; a posting the
+    /// inverted tree did not hold).
+    pub rejected: u64,
+    /// Leaf pages written, both trees together.
+    pub leaves_written: u64,
+}
+
+/// The queue between a relation's mutators and its trees (module docs).
+struct ApplyLog {
+    /// Mutations in submission order, at most `cap` of them.
+    buffer: Vec<Pending>,
+    cap: usize,
+    per_page: usize,
+    /// Buffers that filled up, as surrogate-sorted runs.
+    runs: DiffLog,
+    seq: u32,
+    /// Mutations queued and not yet landed.
+    queued: u64,
+    /// After a settle that failed: how many operations of the log, in
+    /// merged order, are in the clustered tree already. The log is frozen
+    /// until a settle gets through.
+    resume: Option<u64>,
+    /// Owed to the inverted tree by changes that landed in the clustered.
+    postings: Vec<Posting>,
+    /// Most pages the log has held at once: buffer, one per run being
+    /// merged, and the path the sweep holds.
+    peak_pages: u64,
+    /// Operations refused so far, over the relation's life.
+    rejected: u64,
+    c_settles: CounterId,
+    c_ops: CounterId,
+    c_rejected: CounterId,
+    c_leaves: CounterId,
+    c_runs: CounterId,
+}
+
+impl ApplyLog {
+    fn new(disk: &Disk, tuple_bytes: usize) -> ApplyLog {
+        let record_bytes = tuple_bytes + Pending::TRAILER;
+        let per_page = SlottedPage::records_per_page(disk.page_size(), record_bytes).max(1);
+        let metrics = disk.metrics();
+        ApplyLog {
+            buffer: Vec::new(),
+            cap: APPLY_LOG_PAGES * per_page,
+            per_page,
+            runs: Self::fresh_runs(disk, per_page),
+            seq: 0,
+            queued: 0,
+            resume: None,
+            postings: Vec::new(),
+            peak_pages: 0,
+            rejected: 0,
+            c_settles: metrics.counter_handle("base.settles"),
+            c_ops: metrics.counter_handle("base.settle.ops"),
+            c_rejected: metrics.counter_handle("base.settle.rejected"),
+            c_leaves: metrics.counter_handle("base.settle.leaves_written"),
+            c_runs: metrics.counter_handle("base.apply_log.runs"),
+        }
+    }
+
+    fn fresh_runs(disk: &Disk, per_page: usize) -> DiffLog {
+        DiffLog::new(disk, disk.cost(), APPLY_LOG_PAGES, per_page, false, Pending::record_key)
+    }
+
+    /// Hand the full buffer to the run writer, whose own buffer is as
+    /// large: the last record fills it and it spills. A write fault leaves
+    /// every record in one buffer or the other.
+    fn spill(&mut self, disk: &Disk) -> Result<()> {
+        let runs = self.runs.num_runs();
+        while let Some(p) = self.buffer.pop() {
+            self.runs.add(p.to_record())?;
+        }
+        disk.metrics().counter_add_id(self.c_runs, (self.runs.num_runs() - runs) as u64);
+        Ok(())
+    }
+}
+
+/// The trees and what is queued for them, behind one `RefCell`: readers
+/// take `&self` and still settle first.
+struct State {
+    clustered: BTree,
+    inverted: Option<BTree>,
+    count: u64,
+    log: ApplyLog,
+}
+
+/// The join key of a serialized tuple.
+fn join_key_of(tuple_bytes: &[u8]) -> Option<u64> {
+    BaseTuple::parts_from_bytes(tuple_bytes).ok().map(|(_, key, _)| key)
+}
+
+/// Sweep the postings owed into the inverted tree; what lands is dropped
+/// from the list, what does not stays owed.
+fn pay_postings(
+    inverted: &mut Option<BTree>,
+    postings: &mut Vec<Posting>,
+    disk: &Disk,
+    done: &mut SettleStats,
+) -> Result<()> {
+    let Some(inverted) = inverted.as_mut().filter(|_| !postings.is_empty()) else {
+        return Ok(());
+    };
+    counted_sort_by(postings, |p| (p.key, p.sur), disk.cost());
+    let ops = postings.iter().map(|p| {
+        let sur = p.sur.to_le_bytes().to_vec();
+        (p.key, if p.add { SweepOp::Insert(sur) } else { SweepOp::Remove(Some(sur)) })
+    });
+    let mut stats = SweepStats::default();
+    let result = inverted.apply_sorted(ops, false, &mut stats, &mut |_, _, _| {});
+    postings.drain(..stats.landed as usize);
+    done.rejected += stats.rejected;
+    done.leaves_written += stats.leaves_written;
+    result
+}
+
+impl State {
+    fn trees(&self) -> impl Iterator<Item = &BTree> + '_ {
+        std::iter::once(&self.clustered).chain(&self.inverted)
+    }
+
+    /// Apply everything queued (module docs). On `Err` the log keeps what
+    /// did not land and `done` says what did.
+    fn settle(&mut self, disk: &Disk, done: &mut SettleStats) -> Result<()> {
+        pay_postings(&mut self.inverted, &mut self.log.postings, disk, done)?;
+        if self.log.queued == 0 {
+            return Ok(());
+        }
+        let cost = disk.cost();
+        if self.log.resume.is_none() {
+            // A hand-off that a write fault cut short left records in the
+            // run writer's buffer: they become a (short) run now.
+            self.log.runs.spill()?;
+            counted_sort_by(&mut self.log.buffer, Pending::sort_key, cost);
+            let log = &mut self.log;
+            let pages = log.buffer.len().div_ceil(log.per_page) + log.runs.num_runs();
+            log.peak_pages = log.peak_pages.max((pages + self.clustered.height()) as u64);
+        }
+        let skip = self.log.resume.unwrap_or(0);
+        // From here on the log is frozen: its merged order is what `skip`
+        // counts in, until a settle gets through.
+        self.log.resume = Some(skip);
+        let State { clustered, inverted, count, log } = &mut *self;
+        let ApplyLog { buffer, runs, postings, cap, .. } = log;
+        let decode_error = RefCell::new(None);
+        let tail = buffer.iter();
+        let stream: Box<dyn Iterator<Item = Pending> + '_> = if runs.num_runs() == 0 {
+            Box::new(tail.cloned())
+        } else {
+            let sources: Vec<Box<dyn Iterator<Item = BaseTuple> + '_>> =
+                vec![Box::new(runs.merged()?), Box::new(tail.map(Pending::to_record))];
+            let merged = KWayMerge::new(sources, Pending::record_key, cost.clone());
+            Box::new(merged.map_while(|record| {
+                Pending::from_record(record).map_err(|e| *decode_error.borrow_mut() = Some(e)).ok()
+            }))
+        };
+        // A run reader that parks an error ends its stream early, and
+        // whatever the merge hands out in that same step is out of order:
+        // the sweep must not see it.
+        let mut ops = stream
+            .skip(skip as usize)
+            .map_while(|p| (!runs.stream_failed()).then(|| p.into_op()))
+            .peekable();
+        // A relation with an inverted tree is swept a buffer's worth of
+        // operations at a time and the inverted tree paid in between, so
+        // what it is owed never outgrows the log's own buffer.
+        let owes = inverted.is_some();
+        let slice = if owes { *cap } else { usize::MAX };
+        let (mut landed, mut result) = (0u64, Ok(()));
+        while result.is_ok() && ops.peek().is_some() {
+            let mut on_change = |key: u64, before: Option<&[u8]>, after: Option<&[u8]>| {
+                match (before, after) {
+                    (None, Some(_)) => *count += 1,
+                    (Some(_), None) => *count -= 1,
+                    _ => {}
+                }
+                if !owes {
+                    return;
+                }
+                let (was, is) = (before.and_then(join_key_of), after.and_then(join_key_of));
+                if was != is {
+                    let sur = key as u32;
+                    postings.extend(was.map(|key| Posting { key, sur, add: false }));
+                    postings.extend(is.map(|key| Posting { key, sur, add: true }));
+                }
+            };
+            let mut stats = SweepStats::default();
+            result =
+                clustered.apply_sorted(ops.by_ref().take(slice), true, &mut stats, &mut on_change);
+            landed += stats.landed;
+            done.ops += stats.landed;
+            done.rejected += stats.rejected;
+            done.leaves_written += stats.leaves_written;
+            if result.is_ok() {
+                result = pay_postings(inverted, postings, disk, done);
+            }
+        }
+        drop(ops);
+        if result.is_ok() {
+            result = runs.stream_error().and(decode_error.into_inner().map_or(Ok(()), Err));
+        }
+        let log = &mut self.log;
+        log.queued -= landed;
+        if let Err(e) = result {
+            log.resume = Some(skip + landed);
+            return Err(e);
+        }
+        debug_assert_eq!(log.queued, 0, "a settle that got through leaves nothing queued");
+        log.buffer.clear();
+        std::mem::replace(&mut log.runs, ApplyLog::fresh_runs(disk, log.per_page)).destroy();
+        (log.seq, log.resume) = (0, None);
+        Ok(())
+    }
+}
+
 /// A base relation stored per Table 5.
 pub struct StoredRelation {
     name: String,
-    clustered: BTree,
-    inverted: Option<BTree>,
     tuple_bytes: usize,
-    count: u64,
+    disk: Disk,
+    state: RefCell<State>,
 }
 
 impl StoredRelation {
+    fn assemble(
+        disk: &Disk,
+        name: String,
+        tuple_bytes: usize,
+        count: u64,
+        clustered: BTree,
+        inverted: Option<BTree>,
+    ) -> Self {
+        let log = ApplyLog::new(disk, tuple_bytes);
+        let state = RefCell::new(State { clustered, inverted, count, log });
+        StoredRelation { name, tuple_bytes, disk: disk.clone(), state }
+    }
+
     /// Build a relation from tuples (any order). One write I/O per page of
     /// each index; callers typically reset the cost ledger after setup, as
     /// the paper does not price initial loading.
@@ -96,20 +450,22 @@ impl StoredRelation {
         } else {
             None
         };
-        Ok(StoredRelation { name: name.to_string(), clustered, inverted, tuple_bytes, count })
+        Ok(Self::assemble(disk, name.to_string(), tuple_bytes, count, clustered, inverted))
     }
 
     /// Serialize this relation's catalog entry: name, tuple shape, count,
     /// and the persisted shape of each index tree. Together with the pages
     /// already on the durable backend this is everything
-    /// [`StoredRelation::open`] needs after a restart.
+    /// [`StoredRelation::open`] needs after a restart. Settles first: a
+    /// catalog describes trees with nothing queued for them.
     pub fn catalog_json(&self) -> Json {
+        let st = self.settled_or_stale();
         let mut j = Json::obj()
             .set("name", self.name.as_str())
             .set("tuple_bytes", self.tuple_bytes)
-            .set("count", self.count)
-            .set("clustered", tree_json(&self.clustered.meta()));
-        if let Some(inv) = &self.inverted {
+            .set("count", st.count)
+            .set("clustered", tree_json(&st.clustered.meta()));
+        if let Some(inv) = &st.inverted {
             j = j.set("inverted", tree_json(&inv.meta()));
         }
         j
@@ -143,36 +499,123 @@ impl StoredRelation {
             Some(inv) => Some(BTree::open(disk, BTreeConfig::inverted(params), &tree_meta(inv)?)?),
             None => None,
         };
-        Ok(StoredRelation { name, clustered, inverted, tuple_bytes, count })
+        Ok(Self::assemble(disk, name, tuple_bytes, count, clustered, inverted))
     }
 
-    /// The clustered tree and, if the relation has one, the inverted tree.
-    fn trees(&self) -> impl Iterator<Item = &BTree> + '_ {
-        std::iter::once(&self.clustered).chain(&self.inverted)
+    // ---- the apply log --------------------------------------------------
+
+    /// Apply every queued mutation to the trees, as one sweep in surrogate
+    /// order (module docs). A no-op with nothing queued. On a device fault
+    /// what landed stays landed, the rest stays queued, and the next
+    /// settle resumes.
+    pub fn settle(&self) -> Result<SettleStats> {
+        // A reader of this relation further up the stack holds the state,
+        // and settled before it took it: nothing can be queued.
+        let Ok(mut st) = self.state.try_borrow_mut() else { return Ok(SettleStats::default()) };
+        let mut done = SettleStats::default();
+        let result = st.settle(&self.disk, &mut done);
+        if done != SettleStats::default() {
+            let (metrics, log) = (self.disk.metrics(), &mut st.log);
+            log.rejected += done.rejected;
+            metrics.incr_id(log.c_settles);
+            metrics.counter_add_id(log.c_ops, done.ops);
+            metrics.counter_add_id(log.c_rejected, done.rejected);
+            metrics.counter_add_id(log.c_leaves, done.leaves_written);
+        }
+        result.map(|()| done)
     }
+
+    /// The state with nothing queued, for a reader.
+    fn settled(&self) -> Result<Ref<'_, State>> {
+        self.settle()?;
+        Ok(self.state.borrow())
+    }
+
+    /// For readers that cannot fail: settle, and if a device fault stops
+    /// that, answer from the trees as they stand — the error stays with the
+    /// log and meets the next caller that can report it.
+    fn settled_or_stale(&self) -> Ref<'_, State> {
+        let _ = self.settle();
+        self.state.borrow()
+    }
+
+    /// Mutations queued and not yet in the trees (postings the inverted
+    /// tree is still owed included).
+    pub fn pending_ops(&self) -> u64 {
+        let st = self.state.borrow();
+        st.log.queued + st.log.postings.len() as u64
+    }
+
+    /// Queued mutations the trees have refused so far.
+    pub fn rejected_ops(&self) -> u64 {
+        self.state.borrow().log.rejected
+    }
+
+    /// The most pages the apply log has held at once (buffer, one per run
+    /// being merged, and the sweep's path): at most [`APPLY_LOG_PAGES`] +
+    /// [`APPLY_LOG_RUNS`] + the clustered tree's height.
+    pub fn apply_log_peak_pages(&self) -> u64 {
+        self.state.borrow().log.peak_pages
+    }
+
+    fn enqueue(&mut self, kind: Kind, tuple: &BaseTuple) -> Result<()> {
+        if self.state.get_mut().log.resume.is_some() {
+            self.settle()?;
+        }
+        let log = &mut self.state.get_mut().log;
+        log.buffer.push(Pending { seq: log.seq, kind, tuple: tuple.clone() });
+        log.seq += 1;
+        log.queued += 1;
+        if log.buffer.len() >= log.cap {
+            log.spill(&self.disk)?;
+            if log.runs.num_runs() >= APPLY_LOG_RUNS {
+                self.settle()?;
+            }
+        }
+        Ok(())
+    }
+
+    // ---- shape ----------------------------------------------------------
 
     /// The page files this relation owns, one per tree.
     pub fn file_ids(&self) -> impl Iterator<Item = FileId> + '_ {
-        self.trees().map(BTree::file_id)
+        let files: Vec<FileId> = self.state.borrow().trees().map(BTree::file_id).collect();
+        files.into_iter()
     }
 
     /// Pages of this relation's files that hold a tree node (pages waiting
     /// on a free list are left out: they are space already given back).
     pub fn node_pages(&self) -> u64 {
-        self.trees().map(BTree::node_pages).sum()
+        self.settled_or_stale().trees().map(BTree::node_pages).sum()
     }
 
     /// Leaf pages this relation's trees would take packed full, as a bulk
     /// load builds them: the yardstick [`StoredRelation::node_pages`] is
     /// held against.
     pub fn packed_pages(&self) -> u64 {
-        self.trees().map(BTree::packed_leaf_pages).sum()
+        self.settled_or_stale().trees().map(BTree::packed_leaf_pages).sum()
+    }
+
+    /// Height of the clustered tree, in levels.
+    pub fn height(&self) -> usize {
+        self.settled_or_stale().clustered.height()
     }
 
     /// Audit the structural invariants of every tree of the relation
-    /// (test helper, free of charge; see `BTree::check_invariants`).
+    /// (test helper, free of charge; see `BTree::check_invariants`), and
+    /// that the tuple count is the clustered tree's.
     pub fn check_invariants(&self) -> Result<()> {
-        self.trees().try_for_each(BTree::check_invariants)
+        let st = self.settled()?;
+        st.trees().try_for_each(BTree::check_invariants)?;
+        if st.count != st.clustered.len() {
+            return Err(Error::Invariant(format!(
+                "relation {} counts {} tuples, its clustered tree {}",
+                self.name,
+                st.count,
+                st.clustered.len()
+            )));
+        }
+        Ok(())
     }
 
     /// Relation name.
@@ -182,17 +625,17 @@ impl StoredRelation {
 
     /// Tuple count (`‖R‖`).
     pub fn len(&self) -> u64 {
-        self.count
+        self.settled_or_stale().count
     }
 
     /// True when the relation is empty.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.len() == 0
     }
 
     /// Data pages (`|R|` — the clustered tree's leaf level).
     pub fn data_pages(&self) -> u64 {
-        self.clustered.leaf_pages()
+        self.settled_or_stale().clustered.leaf_pages()
     }
 
     /// Serialized tuple size (`T_R`).
@@ -203,12 +646,14 @@ impl StoredRelation {
     /// Whether this relation carries the inverted index on the join
     /// attribute.
     pub fn has_inverted(&self) -> bool {
-        self.inverted.is_some()
+        self.state.borrow().inverted.is_some()
     }
+
+    // ---- readers --------------------------------------------------------
 
     /// Point-fetch one tuple by surrogate.
     pub fn get(&self, sur: Surrogate) -> Result<Option<BaseTuple>> {
-        let hits = self.clustered.lookup(sur.0 as u64)?;
+        let hits = self.settled()?.clustered.lookup(sur.0 as u64)?;
         match hits.as_slice() {
             [] => Ok(None),
             [one] => Ok(Some(BaseTuple::from_bytes(one)?)),
@@ -225,7 +670,7 @@ impl StoredRelation {
     ) -> Result<()> {
         let keys: Vec<u64> = sorted_surs.iter().map(|s| s.0 as u64).collect();
         let mut err = None;
-        self.clustered.fetch_many(&keys, |_, bytes| {
+        self.settled()?.clustered.fetch_many(&keys, |_, bytes| {
             if err.is_none() {
                 match BaseTuple::from_bytes(bytes) {
                     Ok(t) => f(t),
@@ -247,7 +692,8 @@ impl StoredRelation {
         sorted_keys: &[u64],
         mut f: impl FnMut(u64, Surrogate),
     ) -> Result<()> {
-        let inv = self.inverted.as_ref().ok_or_else(|| {
+        let st = self.settled()?;
+        let inv = st.inverted.as_ref().ok_or_else(|| {
             Error::Invariant(format!("relation {} has no inverted index", self.name))
         })?;
         let mut err = None;
@@ -277,14 +723,16 @@ impl StoredRelation {
     /// columnar batches from this.
     pub fn scan_refs(&self, mut f: impl FnMut(crate::batch::TupleRef<'_>)) -> Result<()> {
         let mut err = None;
-        self.clustered.for_each(|_, bytes| match crate::batch::TupleRef::decode(bytes) {
-            Ok(t) => {
-                f(t);
-                true
-            }
-            Err(e) => {
-                err = Some(e);
-                false
+        self.settled()?.clustered.for_each(|_, bytes| {
+            match crate::batch::TupleRef::decode(bytes) {
+                Ok(t) => {
+                    f(t);
+                    true
+                }
+                Err(e) => {
+                    err = Some(e);
+                    false
+                }
             }
         })?;
         match err {
@@ -304,7 +752,7 @@ impl StoredRelation {
         mut f: impl FnMut(crate::batch::TupleRef<'_>, Option<&std::rc::Rc<Vec<u8>>>),
     ) -> Result<()> {
         let mut err = None;
-        self.clustered.for_each_pinned(|_, bytes, page| {
+        self.settled()?.clustered.for_each_pinned(|_, bytes, page| {
             match crate::batch::TupleRef::decode(bytes) {
                 Ok(t) => {
                     f(t, page);
@@ -322,40 +770,28 @@ impl StoredRelation {
         }
     }
 
-    /// Insert a brand-new tuple (surrogate must be unused). Maintains both
-    /// indexes.
+    // ---- mutators: all of them enqueue ----------------------------------
+
+    /// Queue the insertion of a brand-new tuple. The size is checked here;
+    /// a surrogate already in use is found out — and the insert dropped
+    /// and counted — when the log settles.
     pub fn insert(&mut self, t: &BaseTuple) -> Result<()> {
         if t.serialized_len() != self.tuple_bytes {
             return Err(Error::Invariant("insert changes tuple size".into()));
         }
-        if !self.clustered.insert_unique(t.sur.0 as u64, t.to_bytes())? {
-            return Err(Error::Invariant(format!(
-                "surrogate {} already exists in {}",
-                t.sur, self.name
-            )));
-        }
-        if let Some(inv) = self.inverted.as_mut() {
-            inv.insert(t.key, t.sur.0.to_le_bytes().to_vec())?;
-        }
-        self.count += 1;
-        Ok(())
+        self.enqueue(Kind::Insert, t)
     }
 
-    /// Delete an existing tuple. Maintains both indexes.
+    /// Queue the deletion of the tuple under `t`'s surrogate; an unknown
+    /// surrogate is dropped and counted when the log settles.
     pub fn delete(&mut self, t: &BaseTuple) -> Result<()> {
-        if !self.clustered.remove_where(t.sur.0 as u64, |_| true)? {
-            return Err(Error::KeyNotFound(t.sur.0 as u64));
+        if t.serialized_len() != self.tuple_bytes {
+            return Err(Error::Invariant("delete names a tuple of another size".into()));
         }
-        if let Some(inv) = self.inverted.as_mut() {
-            if !inv.remove_exact(t.key, &t.sur.0.to_le_bytes())? {
-                return Err(Error::Invariant("inverted posting missing on delete".into()));
-            }
-        }
-        self.count -= 1;
-        Ok(())
+        self.enqueue(Kind::Delete, t)
     }
 
-    /// Apply one mutation ([`crate::strategy::Mutation`]).
+    /// Queue one mutation ([`crate::strategy::Mutation`]).
     pub fn apply_mutation(&mut self, m: &crate::strategy::Mutation) -> Result<()> {
         use crate::strategy::Mutation;
         match m {
@@ -365,10 +801,11 @@ impl StoredRelation {
         }
     }
 
-    /// Apply one update (the paper's model: a deletion of `old` followed by
+    /// Queue one update (the paper's model: a deletion of `old` followed by
     /// an insertion of `new`, same surrogate). The surrogate is the
-    /// clustering key, so the tuple is overwritten where it lies; the
-    /// inverted index does a real remove + insert when the join key moves.
+    /// clustering key, so when the log settles the tuple is overwritten
+    /// where it lies, and the inverted index loses and gains a posting
+    /// only if the *stored* tuple's join key differs from `new`'s.
     pub fn apply_update(&mut self, old: &BaseTuple, new: &BaseTuple) -> Result<()> {
         if old.sur != new.sur {
             return Err(Error::Invariant("update must keep the surrogate".into()));
@@ -376,29 +813,19 @@ impl StoredRelation {
         if new.serialized_len() != self.tuple_bytes {
             return Err(Error::Invariant("update changes tuple size".into()));
         }
-        if !self.clustered.replace_value(old.sur.0 as u64, &new.to_bytes())? {
-            return Err(Error::KeyNotFound(old.sur.0 as u64));
-        }
-        if let Some(inv) = self.inverted.as_mut() {
-            if old.key != new.key {
-                let sur_bytes = old.sur.0.to_le_bytes();
-                if !inv.remove_exact(old.key, &sur_bytes)? {
-                    return Err(Error::Invariant("inverted posting missing on update".into()));
-                }
-                inv.insert(new.key, sur_bytes.to_vec())?;
-            }
-        }
-        Ok(())
+        self.enqueue(Kind::Update, new)
     }
 }
 
 impl std::fmt::Debug for StoredRelation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let st = self.state.borrow();
         f.debug_struct("StoredRelation")
             .field("name", &self.name)
-            .field("tuples", &self.count)
-            .field("pages", &self.data_pages())
-            .field("inverted", &self.inverted.is_some())
+            .field("tuples", &st.count)
+            .field("pages", &st.clustered.leaf_pages())
+            .field("inverted", &st.inverted.is_some())
+            .field("queued", &st.log.queued)
             .finish()
     }
 }
@@ -527,15 +954,157 @@ mod tests {
     fn update_errors_are_safe() {
         let (_d, _c, mut rel) = setup(10, true);
         let old = rel.get(Surrogate(1)).unwrap().unwrap();
+        // What can be told at once is refused at once.
         let wrong_sur = BaseTuple::padded(Surrogate(2), 0, 64);
         assert!(rel.apply_update(&old, &wrong_sur).is_err());
         let wrong_size = BaseTuple::padded(Surrogate(1), 0, 80);
         assert!(rel.apply_update(&old, &wrong_size).is_err());
+        assert_eq!(rel.pending_ops(), 0);
+        // An unknown surrogate is found out at the sweep: dropped, counted.
         let ghost = BaseTuple::padded(Surrogate(99), 0, 64);
-        assert!(rel.apply_update(&ghost, &ghost).is_err());
+        rel.apply_update(&ghost, &ghost).unwrap();
+        let stats = rel.settle().unwrap();
+        assert_eq!((stats.ops, stats.rejected, stats.leaves_written), (1, 1, 0));
+        assert_eq!(rel.rejected_ops(), 1);
         // Relation still intact.
         assert_eq!(rel.len(), 10);
         assert!(rel.get(Surrogate(1)).unwrap().is_some());
+        rel.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn mutations_wait_in_the_log_until_a_reader_or_a_settle() {
+        let (disk, cost, mut rel) = setup(100, true);
+        cost.reset();
+        for i in 0..20u32 {
+            let old = BaseTuple::padded(Surrogate(i), (i % 10) as u64, 64);
+            rel.apply_update(&old, &BaseTuple::padded(Surrogate(i), 77, 64)).unwrap();
+        }
+        rel.insert(&BaseTuple::padded(Surrogate(500), 3, 64)).unwrap();
+        rel.delete(&BaseTuple::padded(Surrogate(99), 9, 64)).unwrap();
+        assert_eq!(rel.pending_ops(), 22);
+        assert!(cost.total().is_zero(), "queueing touches no page and charges nothing");
+        // Any reader settles first and sees every mutation.
+        assert_eq!(rel.get(Surrogate(7)).unwrap().unwrap().key, 77);
+        assert_eq!(rel.pending_ops(), 0);
+        assert_eq!(rel.len(), 100);
+        assert!(rel.get(Surrogate(99)).unwrap().is_none());
+        let mut key77 = Vec::new();
+        rel.probe_inverted(&[77], |_, s| key77.push(s.0)).unwrap();
+        key77.sort_unstable();
+        assert_eq!(key77, (0..20).collect::<Vec<u32>>());
+        let mut key3 = Vec::new();
+        rel.probe_inverted(&[3], |_, s| key3.push(s.0)).unwrap();
+        assert!(key3.contains(&500) && !key3.contains(&3), "{key3:?}");
+        assert_eq!(disk.metrics().counter("base.settles"), 1);
+        assert_eq!(disk.metrics().counter("base.settle.ops"), 22);
+        rel.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_chain_that_ends_where_it_began_writes_nothing() {
+        let (disk, _c, mut rel) = setup(100, true);
+        let x = rel.get(Surrogate(5)).unwrap().unwrap();
+        let y = BaseTuple::padded(Surrogate(5), 8, 64);
+        rel.apply_update(&x, &y).unwrap();
+        rel.apply_update(&y, &x).unwrap();
+        let fresh = BaseTuple::padded(Surrogate(700), 1, 64);
+        rel.insert(&fresh).unwrap();
+        rel.delete(&fresh).unwrap();
+        let writes = disk.metrics().counter("disk.writes");
+        let stats = rel.settle().unwrap();
+        assert_eq!((stats.ops, stats.rejected, stats.leaves_written), (4, 0, 0));
+        assert_eq!(disk.metrics().counter("disk.writes"), writes);
+        // Last update wins.
+        rel.apply_update(&x, &y).unwrap();
+        rel.apply_update(&y, &BaseTuple::padded(Surrogate(5), 9, 64)).unwrap();
+        assert_eq!(rel.get(Surrogate(5)).unwrap().unwrap().key, 9);
+        rel.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_full_buffer_spills_sorted_runs_and_the_sweep_merges_them() {
+        // 64-byte tuples on 512-byte pages: 6 records a page, 96 a buffer.
+        let (disk, _c, mut rel) = setup(400, true);
+        let mut mirror: Vec<BaseTuple> =
+            (0..400).map(|i| BaseTuple::padded(Surrogate(i), (i % 10) as u64, 64)).collect();
+        // Four buffers and a bit of updates, descending so that every run
+        // and the tail interleave, each surrogate updated twice.
+        for round in 0..2u64 {
+            for i in (0..200u32).rev() {
+                let new = BaseTuple::padded(Surrogate(i * 2), 100 + round, 64);
+                rel.apply_update(&mirror[i as usize * 2], &new).unwrap();
+                mirror[i as usize * 2] = new;
+            }
+        }
+        assert_eq!(disk.metrics().counter("base.apply_log.runs"), 4);
+        assert_eq!(rel.pending_ops(), 400);
+        let files = disk.live_files().len();
+        let stats = rel.settle().unwrap();
+        assert_eq!((stats.ops, stats.rejected), (400, 0));
+        assert_eq!(disk.live_files().len(), files - 4, "the runs are gone once swept");
+        let mut got = Vec::new();
+        rel.scan(|t| got.push(t)).unwrap();
+        assert_eq!(got, mirror, "submission order held across runs: the second update won");
+        let bound = (APPLY_LOG_PAGES + APPLY_LOG_RUNS + rel.height()) as u64;
+        assert!(rel.apply_log_peak_pages() <= bound, "{} pages", rel.apply_log_peak_pages());
+        assert!(rel.apply_log_peak_pages() > 4, "four run pages and a path at least");
+        rel.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn the_log_settles_itself_at_sixteen_runs() {
+        let (disk, _c, mut rel) = setup(50, false);
+        let t = |i: u32, key: u64| BaseTuple::padded(Surrogate(i % 50), key, 64);
+        let cap = APPLY_LOG_PAGES * 6;
+        for n in 0..(APPLY_LOG_RUNS * cap) as u32 - 1 {
+            rel.apply_update(&t(n, 0), &t(n, n as u64)).unwrap();
+        }
+        assert_eq!(disk.metrics().counter("base.settles"), 0);
+        assert_eq!(disk.metrics().counter("base.apply_log.runs"), APPLY_LOG_RUNS as u64 - 1);
+        rel.apply_update(&t(7, 0), &t(7, 7)).unwrap();
+        assert_eq!(disk.metrics().counter("base.settles"), 1, "the sixteenth run forces it");
+        assert_eq!(rel.pending_ops(), 0);
+        assert_eq!(
+            rel.apply_log_peak_pages(),
+            (APPLY_LOG_RUNS + rel.height()) as u64,
+            "sixteen run pages and the path; the buffer had just been emptied"
+        );
+        assert_eq!(rel.get(Surrogate(7)).unwrap().unwrap().key, 7);
+    }
+
+    #[test]
+    fn a_fault_mid_sweep_keeps_the_rest_queued_and_the_next_settle_resumes() {
+        let (disk, _c, mut rel) = setup(300, true);
+        let mut mirror: Vec<BaseTuple> =
+            (0..300).map(|i| BaseTuple::padded(Surrogate(i), (i % 10) as u64, 64)).collect();
+        // Enough for two runs and a tail, so the retry merges again.
+        for i in 0..300u32 {
+            let new = BaseTuple::padded(Surrogate(i), 50 + (i % 3) as u64, 64);
+            rel.apply_update(&mirror[i as usize], &new).unwrap();
+            mirror[i as usize] = new;
+        }
+        let clustered = rel.file_ids().next().unwrap();
+        disk.install_fault_plan(
+            trijoin_storage::FaultPlan::new().fail_nth_read(Some(clustered), 9),
+        );
+        let err = rel.settle().unwrap_err();
+        assert!(matches!(err, Error::DeviceFault { .. }), "{err:?}");
+        let landed = disk.metrics().counter("base.settle.ops");
+        assert!(landed > 0 && landed < 300, "part of the sweep landed: {landed} operations");
+        assert!(rel.pending_ops() >= 300 - landed);
+        // A mutator settles first; with the fault gone that gets through.
+        let last = BaseTuple::padded(Surrogate(0), 99, 64);
+        rel.apply_update(&mirror[0], &last).unwrap();
+        mirror[0] = last;
+        let mut got = Vec::new();
+        rel.scan(|t| got.push(t)).unwrap();
+        assert_eq!(got, mirror);
+        assert_eq!(rel.rejected_ops(), 0);
+        rel.check_invariants().unwrap();
+        let mut key99 = Vec::new();
+        rel.probe_inverted(&[99], |_, s| key99.push(s.0)).unwrap();
+        assert_eq!(key99, vec![0]);
     }
 
     #[test]

@@ -70,15 +70,17 @@ fn relation_mutation_fault_does_not_panic() {
     let (disk, _c, _p, mut r, _s) = setup();
     let old = r.get(Surrogate(3)).unwrap().unwrap();
     let new = BaseTuple::padded(Surrogate(3), 99, 64);
+    // Queueing touches no page; the fault meets the sweep.
+    r.apply_update(&old, &new).unwrap();
     disk.inject_fault(0);
-    assert!(r.apply_update(&old, &new).is_err());
+    assert_eq!(r.settle().unwrap_err(), Error::Faulted);
     disk.clear_fault();
-    // The relation remains usable (the tree may have logically applied the
-    // remove before the fault hit the write path; we only require no panic
-    // and continued operability here — full crash-atomicity is WAL
-    // territory, which the 1989 model does not include).
-    let _ = r.get(Surrogate(3)).unwrap();
+    // Nothing landed, nothing is lost: the update is still queued, and the
+    // next reader applies it.
+    assert_eq!(r.pending_ops(), 1);
+    assert_eq!(r.get(Surrogate(3)).unwrap().unwrap().key, 99);
     let _ = r.get(Surrogate(4)).unwrap();
+    r.check_invariants().unwrap();
 }
 
 // ---------------------------------------------------------------------

@@ -289,6 +289,9 @@ struct ShardWorker {
     /// `R` mutations received (logged or not) since the last answered
     /// query; 0 marks a report as taken right after a query round.
     since_query: u64,
+    /// Mutations `R` and `S` had refused when last looked at
+    /// ([`ShardWorker::count_rejected`]).
+    rejected_seen: [u64; 2],
 }
 
 impl ShardWorker {
@@ -315,7 +318,7 @@ impl ShardWorker {
             db.enable_telemetry(cfg);
             db.enable_cost_audit(workload, 1.0);
         }
-        Ok(ShardWorker { index: spec.index, db, mode, since_query: 0 })
+        Ok(ShardWorker { index: spec.index, db, mode, since_query: 0, rejected_seen: [0; 2] })
     }
 
     /// Build the serving mode. Adaptive shards start from the cached view
@@ -374,7 +377,7 @@ impl ShardWorker {
             db.enable_telemetry(cfg);
             db.enable_cost_audit(workload, 1.0);
         }
-        Ok(ShardWorker { index: spec.index, db, mode, since_query: 0 })
+        Ok(ShardWorker { index: spec.index, db, mode, since_query: 0, rejected_seen: [0; 2] })
     }
 
     /// Process commands until every sender is gone. Errors degrade (they
@@ -426,26 +429,32 @@ impl ShardWorker {
                 ShardCommand::ClearFaults => self.db.clear_faults(),
                 ShardCommand::Commit { durability, reply } => {
                     let result = self.db.commit_with(durability).map(|_| ());
+                    self.count_rejected();
                     let _ = reply.send((self.index, result));
                 }
             }
         }
     }
 
-    /// Fold one differential batch. Each mutation that fails is counted in
-    /// `shard.apply_errors` and skipped; the shard keeps serving. The end
+    /// Fold one differential batch: log each mutation into the resident
+    /// structures and queue it for the stored relation, whose tree changes
+    /// when the shard next settles (before a query, a commit, a report).
+    /// Each mutation that fails is counted in `shard.apply_errors` and
+    /// skipped — at once if it is refused here (wrong tuple size), at the
+    /// settle if the tree refuses it there (unknown or reused surrogate,
+    /// [`ShardWorker::count_rejected`]); the shard keeps serving. The end
     /// of a batch is where a pinned shard applies its eviction rule and an
     /// adaptive shard advances any in-flight migration by one step —
     /// migrations make progress on every command, not just queries.
     fn apply(&mut self, r: Vec<Mutation>, s: Vec<Mutation>) {
         for m in &s {
             if self.apply_s(m).is_err() {
-                self.count_apply_error("S");
+                self.count_apply_errors("S", 1);
             }
         }
         for m in &r {
             if self.apply_r(m).is_err() {
-                self.count_apply_error("R");
+                self.count_apply_errors("R", 1);
             }
         }
         match &mut self.mode {
@@ -467,7 +476,7 @@ impl ShardWorker {
 
     /// `S` mutations invalidate the cached view and join index (they cache
     /// joins against the old `S`); the stored relation and its join-key
-    /// index are updated in place. Either mode rebuilds from the new `S`
+    /// index catch up at the next settle. Either mode rebuilds from the new `S`
     /// only when a query next needs the structure (`shard.s_rebuilds`
     /// counts those rebuilds): a pinned shard releases its resident
     /// structures at once, an adaptive shard keeps its incumbent marked
@@ -483,13 +492,28 @@ impl ShardWorker {
         Ok(())
     }
 
-    fn count_apply_error(&self, relation: &str) {
+    fn count_apply_errors(&self, relation: &str, n: u64) {
         let metrics = self.db.metrics();
-        metrics.incr("shard.apply_errors");
-        metrics.incr(&format!("shard.apply_errors.{relation}"));
+        metrics.counter_add("shard.apply_errors", n);
+        metrics.counter_add(&format!("shard.apply_errors.{relation}"), n);
+    }
+
+    /// Count what the base relations refused at their last settles as apply
+    /// errors. Called wherever the shard has just settled.
+    fn count_rejected(&mut self) {
+        let now = [self.db.r().rejected_ops(), self.db.s().rejected_ops()];
+        for ((relation, now), seen) in ["R", "S"].into_iter().zip(now).zip(self.rejected_seen) {
+            if now > seen {
+                self.count_apply_errors(relation, now - seen);
+            }
+        }
+        self.rejected_seen = now;
     }
 
     fn query(&mut self, method: Method) -> Result<Vec<ViewTuple>> {
+        // The base relations catch up first: a structure this query builds
+        // or rebuilds must read settled relations, and not pay for that.
+        self.db.settle()?;
         let mut rows = match &mut self.mode {
             Mode::Pinned(set) => self.db.query(set.strategy(&self.db, method)?)?,
             // Adaptive shards ignore the requested method: the incumbent
@@ -502,6 +526,7 @@ impl ShardWorker {
             }
         };
         self.since_query = 0;
+        self.count_rejected();
         // Sort the shard-local answer so the server can k-way merge the
         // per-shard runs instead of re-sorting the concatenation. This is
         // presentation work on the serving path, not simulated strategy
@@ -528,7 +553,11 @@ impl ShardWorker {
     /// (live tuple counts, base-relation pages against their packed size,
     /// damaged pages, fired faults, residency) so the
     /// server rollup can aggregate shard health without extra round-trips.
-    fn report(&self) -> RunReport {
+    fn report(&mut self) -> RunReport {
+        // Settle first, so the counters the report carries include what
+        // this settle refused.
+        let _ = self.db.settle();
+        self.count_rejected();
         let metrics = self.db.metrics();
         metrics.gauge_set("shard.r_tuples", self.db.r().len() as f64);
         metrics.gauge_set("shard.s_tuples", self.db.s().len() as f64);

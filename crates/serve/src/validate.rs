@@ -255,6 +255,39 @@ fn check_base_pages_bound(
     Ok(())
 }
 
+/// The apply-log contract of an engine's base relations
+/// (`exec::relation`): the log is bounded by constants — 16 pages of
+/// buffer, one page for each of at most 16 runs being merged, and the path
+/// the sweep holds, so `base.apply_log.peak_pages` ≤ 16 + 16 +
+/// `base.tree_height` — and a report is taken with the log empty,
+/// `base.apply_log.pending` = 0: a report that says otherwise describes
+/// trees some acknowledged mutation has not reached. Reports from builds
+/// without the gauges owe nothing.
+fn check_apply_log_bound(
+    path: &str,
+    owner: &str,
+    metrics: &trijoin_common::MetricsSnapshot,
+) -> Result<(), String> {
+    use trijoin_exec::relation::{APPLY_LOG_PAGES, APPLY_LOG_RUNS};
+    if let Some(peak) = metrics.gauge("base.apply_log.peak_pages") {
+        let height = metrics.gauge("base.tree_height").unwrap_or(0.0);
+        let bound = (APPLY_LOG_PAGES + APPLY_LOG_RUNS) as f64 + height;
+        if peak > bound {
+            return Err(format!(
+                "{path}: {owner} reports base.apply_log.peak_pages = {peak}, above its bound \
+                 {APPLY_LOG_PAGES} + {APPLY_LOG_RUNS} + base.tree_height = {bound}"
+            ));
+        }
+    }
+    match metrics.gauge("base.apply_log.pending") {
+        Some(pending) if pending > 0.0 => Err(format!(
+            "{path}: {owner} reports base.apply_log.pending = {pending}: mutations still \
+             queued in an emitted report"
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// Validate a plain run report (`trijoin run --report`).
 pub fn validate_run_report(path: &str, json: &Json) -> Result<String, String> {
     validate_run_report_with(path, json, 0)
@@ -275,6 +308,7 @@ pub fn validate_run_report_with(
     check_series(path, "run report", &report.series, min_series_windows)?;
     check_wal_marker(path, "run report", &report.metrics)?;
     check_recovery_bound(path, "run report", &report.metrics)?;
+    check_apply_log_bound(path, "run report", &report.metrics)?;
     let mut summary = format!(
         "{path}: ok — report {:?} with {} spans, {} metrics counters, {} events, {} deltas",
         report.name,
@@ -344,6 +378,7 @@ pub fn validate_sharded_report_with(
         check_wal_marker(path, &shard.name, &shard.metrics)?;
         check_recovery_bound(path, &shard.name, &shard.metrics)?;
         check_base_pages_bound(path, &shard.name, &shard.metrics)?;
+        check_apply_log_bound(path, &shard.name, &shard.metrics)?;
         if pinned {
             check_residency_bound(path, &shard.name, &shard.metrics)?;
         }
@@ -698,6 +733,59 @@ mod tests {
         gauges.iter_mut().find(|(k, _)| k == "shard.base_pages.r").unwrap().1 = 3.0 * packed + 17.0;
         let err = validate_report_json("s.json", &bloated.to_json()).unwrap_err();
         assert!(err.contains("shard0") && err.contains("shard.base_pages.r"), "{err}");
+    }
+
+    /// A live shard's report after mutations and a query, and shard 0's
+    /// gauge `name` set to `value` in a copy of it.
+    fn report_with_gauge(name: &str, value: f64) -> (ShardedRunReport, ShardedRunReport) {
+        use crate::{ServeConfig, Server};
+        use trijoin::{Method, Mutation, Update};
+        use trijoin_common::{BaseTuple, Surrogate, SystemParams};
+
+        let params = SystemParams { page_size: 512, mem_pages: 24, ..Default::default() };
+        let config = ServeConfig { batch: 4, seed: 7, ..ServeConfig::new(params, 2) };
+        let tuples: Vec<BaseTuple> =
+            (0..200).map(|i| BaseTuple::padded(Surrogate(i), (i as u64) % 5, 48)).collect();
+        let server = Server::start(&config, tuples.clone(), tuples.clone()).unwrap();
+        let session = server.session().unwrap();
+        for old in tuples.iter().take(40) {
+            let new = BaseTuple::with_payload(old.sur, old.key, b"new", 48).unwrap();
+            session.update_r(Mutation::Update(Update { old: old.clone(), new })).unwrap();
+        }
+        session.query(Method::HybridHash).unwrap();
+        let report = session.report().unwrap();
+        let mut edited = report.clone();
+        let gauges = &mut edited.shards[0].metrics.gauges;
+        gauges.iter_mut().find(|(k, _)| k == name).expect("gauge is stamped").1 = value;
+        (report, edited)
+    }
+
+    #[test]
+    fn apply_log_peak_above_its_constant_bound_is_rejected() {
+        let (report, outgrown) = report_with_gauge("base.apply_log.peak_pages", 35.0);
+        validate_report_json("s.json", &report.to_json()).unwrap();
+        let shard = &report.shards[0].metrics;
+        assert_eq!(shard.counter("base.settles"), 1, "the query settled the shard's updates");
+        assert_eq!(shard.gauge("base.tree_height"), Some(2.0));
+        // A few buffer pages and the two-level path, far under 16 + 16 + 2.
+        let peak = shard.gauge("base.apply_log.peak_pages").expect("gauge is stamped");
+        assert!(peak > 2.0 && peak < 8.0, "{peak} pages");
+        let err = validate_report_json("s.json", &outgrown.to_json()).unwrap_err();
+        assert!(err.contains("shard0") && err.contains("base.apply_log.peak_pages = 35"), "{err}");
+        let (_, at_the_bound) = report_with_gauge("base.apply_log.peak_pages", 34.0);
+        validate_report_json("s.json", &at_the_bound.to_json()).unwrap();
+    }
+
+    #[test]
+    fn mutations_still_queued_in_a_report_are_rejected() {
+        let (report, queued) = report_with_gauge("base.apply_log.pending", 3.0);
+        assert_eq!(report.shards[0].metrics.gauge("base.apply_log.pending"), Some(0.0));
+        let err = validate_report_json("s.json", &queued.to_json()).unwrap_err();
+        assert!(err.contains("shard0") && err.contains("base.apply_log.pending = 3"), "{err}");
+        // The same rule holds a bare engine's run report to account.
+        let run = queued.shards[0].to_json();
+        let err = validate_report_json("r.json", &run).unwrap_err();
+        assert!(err.contains("run report") && err.contains("base.apply_log.pending"), "{err}");
     }
 
     #[test]

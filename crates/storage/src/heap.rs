@@ -214,10 +214,19 @@ impl HeapWriter {
         self.records
     }
 
-    /// Flush the trailing partial page and return the finished [`HeapFile`].
+    /// Give up on the file: drop the pages written so far.
+    pub fn abandon(self) {
+        self.disk.delete_file(self.file);
+    }
+
+    /// Flush the trailing partial page and return the finished [`HeapFile`]
+    /// (abandoned if that last write fails).
     pub fn finish(mut self) -> Result<HeapFile> {
         if self.current.live_count() > 0 {
-            self.flush_current()?;
+            if let Err(e) = self.flush_current() {
+                self.abandon();
+                return Err(e);
+            }
         }
         Ok(HeapFile::open(&self.disk, self.file))
     }

@@ -22,6 +22,12 @@ pub struct SlottedPage {
 }
 
 impl SlottedPage {
+    /// How many records of `record_len` bytes one page of `page_size`
+    /// bytes holds, slot directory included.
+    pub fn records_per_page(page_size: usize, record_len: usize) -> usize {
+        page_size.saturating_sub(HEADER) / (record_len + SLOT)
+    }
+
     /// A fresh, empty page of `page_size` bytes.
     pub fn new(page_size: usize) -> Self {
         assert!(page_size >= HEADER + SLOT, "page too small");

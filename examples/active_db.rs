@@ -56,6 +56,7 @@ fn main() {
                     strategy.on_update(&u).unwrap();
                     db.r_mut().apply_update(&u.old, &u.new).unwrap();
                 }
+                db.settle().unwrap();
                 let mut n = 0u64;
                 strategy.execute(db.r(), db.s(), &mut |_| n += 1).unwrap();
                 round_secs.push((db.cost().elapsed_secs(db.params()), n));

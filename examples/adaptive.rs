@@ -62,14 +62,14 @@ fn main() {
         let mut grand_total = 0.0;
         // Strategy-attributable cost = the strategies' own cost sections
         // (logging, passes, scans, migrations); applying updates to the base
-        // relation is identical shared work for every contender. Sum only
-        // root spans: cumulative counts already include nested work, so
-        // adding child spans on top would double-count it.
+        // relation (`base.settle`) is identical shared work for every
+        // contender. Sum only root spans: cumulative counts already include
+        // nested work, so adding child spans on top would double-count it.
         let section_secs = |db: &Database| -> f64 {
             db.cost()
                 .span_tree()
                 .iter()
-                .filter(|s| s.depth == 0)
+                .filter(|s| s.depth == 0 && s.name != "base.settle")
                 .map(|s| s.cum_ops.time_secs(db.params()))
                 .sum()
         };
@@ -81,6 +81,7 @@ fn main() {
                     strategy.on_update(&u).unwrap();
                     db.r_mut().apply_update(&u.old, &u.new).unwrap();
                 }
+                db.settle().unwrap();
                 let mut n = 0u64;
                 strategy.execute(db.r(), db.s(), &mut |_| n += 1).unwrap();
                 let secs = section_secs(&db);

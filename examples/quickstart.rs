@@ -118,7 +118,10 @@ fn main() {
     let upd = Update { old: old.clone(), new: new.clone() };
     mv.on_update(&upd).unwrap();
     ji.on_update(&upd).unwrap();
+    // Queued: the stored relation changes when it next settles — before
+    // the next `db.query`, commit or report, or at any read of `R`.
     db.r_mut().apply_update(&old, &new).unwrap();
+    db.settle().unwrap();
     println!(
         "deferred: view has {} pending updates, join index {} (Pr_A filter)",
         mv.pending_updates(),

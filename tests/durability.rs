@@ -116,6 +116,85 @@ fn every_crash_flavour_recovers_to_the_committed_state() {
     }
 }
 
+/// 250 updates over the first `n` tuples of `mirror`, descending and each
+/// surrogate hit more than once: two and a half apply-log buffers at this
+/// page size, so two sorted runs are on disk when the call returns and
+/// nothing has touched a tree.
+fn enqueue_spilling_updates(db: &mut Database, mirror: &mut [BaseTuple], tag: u64) {
+    for i in (0..250usize).rev() {
+        let at = i % 100;
+        let new = BaseTuple::padded(mirror[at].sur, tag + (i % 5) as u64, 64);
+        let old = std::mem::replace(&mut mirror[at], new.clone());
+        db.apply_r_update(&trijoin::Update { old, new }).unwrap();
+    }
+    assert_eq!(db.r().pending_ops(), 250);
+    assert_eq!(db.metrics().counter("base.apply_log.runs"), 2);
+}
+
+/// The files a reopened store may hold: the catalog, `R`'s tree, `S`'s two.
+fn assert_only_named_files_live(db: &Database) {
+    let named = 1 + db.r().file_ids().count() + db.s().file_ids().count();
+    assert_eq!(db.disk().live_files().len(), named, "a file no catalog names survived");
+}
+
+/// Mutations that were queued but never committed — most of them never
+/// even applied to a tree, some sitting in spilled apply-log runs — are
+/// gone after a crash, runs and all: the reopened relation is the last
+/// committed one.
+#[test]
+fn enqueued_but_uncommitted_mutations_rewind_on_reopen() {
+    let dir = fresh_dir("queued-rewind");
+    let (r0, s0) = (tuples(120, 0), tuples(30, 0));
+    let mut committed = r0.clone();
+    let mut db = Database::create_durable(&params(), r0, s0.clone(), &dir).unwrap();
+    apply_batch(&mut db, &mut committed, 1000);
+    db.commit().unwrap();
+    assert_eq!(db.r().pending_ops(), 0, "a commit leaves nothing queued");
+
+    let mut lost = committed.clone();
+    enqueue_spilling_updates(&mut db, &mut lost, 40);
+    assert!(db.disk().live_files().len() > 4, "the spilled runs are files of the dying session");
+    drop(db); // crash: queued, spilled, never settled, never committed
+
+    let db = Database::open_durable(&params(), &dir).unwrap();
+    assert_only_named_files_live(&db);
+    assert_eq!(db.r().pending_ops(), 0);
+    db.r().check_invariants().unwrap();
+    assert_all_strategies_agree(&db, &committed, &s0);
+}
+
+/// `commit()` settles before it seals: a process killed the instant the
+/// call returns — or killed with the group sealed in the log and not yet
+/// applied to the data files — recovers a relation that holds every
+/// mutation the commit acknowledged, though none had reached a tree when
+/// it was called.
+#[test]
+fn a_kill_right_after_commit_keeps_every_acknowledged_mutation() {
+    for sabotage in [None, Some(CommitSabotage::SkipApply)] {
+        let dir = fresh_dir(&format!("queued-commit-{}", sabotage.is_some()));
+        let (r0, s0) = (tuples(120, 0), tuples(30, 0));
+        let mut committed = r0.clone();
+        let mut db = Database::create_durable(&params(), r0, s0.clone(), &dir).unwrap();
+        enqueue_spilling_updates(&mut db, &mut committed, 60);
+        apply_batch(&mut db, &mut committed, 1000);
+        if let Some(mode) = sabotage {
+            db.sabotage_next_commit(mode);
+        }
+        db.commit().unwrap();
+        assert_eq!(db.r().pending_ops(), 0);
+        assert_eq!(db.metrics().counter("base.settle.ops"), 259);
+        drop(db); // killed right after the acknowledgement
+
+        let db = Database::open_durable(&params(), &dir).unwrap();
+        assert_only_named_files_live(&db);
+        let mut recovered = Vec::new();
+        db.r().scan(|t| recovered.push(t)).unwrap();
+        committed.sort_by_key(|t| t.sur);
+        assert_eq!(recovered, committed, "an acknowledged mutation is missing");
+        assert_all_strategies_agree(&db, &committed, &s0);
+    }
+}
+
 /// Running recovery twice must be a fixpoint: the first open replays and
 /// truncates the log, so a second open (another "crash" before any new
 /// commit) replays nothing and answers identically.
@@ -175,8 +254,8 @@ fn recovery_reclaims_the_derived_files_of_the_crashed_session() {
 
 /// One round of `R` churn: delete `n` spread-out survivors and insert `n`
 /// tuples on fresh ascending surrogates starting at `base`, keeping the
-/// mirror in step. Deletes merge leaves and free their pages; the
-/// appends split the right edge and allocate.
+/// mirror in step, then settle. Deletes merge leaves and free their
+/// pages; the appends split the right edge and allocate.
 fn churn(db: &mut Database, mirror: &mut Vec<BaseTuple>, base: u32, n: u32) {
     for i in 0..n {
         let victim = mirror.remove((i as usize * 7) % mirror.len());
@@ -185,6 +264,7 @@ fn churn(db: &mut Database, mirror: &mut Vec<BaseTuple>, base: u32, n: u32) {
         db.r_mut().apply_mutation(&Mutation::Insert(t.clone())).unwrap();
         mirror.push(t);
     }
+    db.settle().unwrap();
 }
 
 /// Pages of `R`'s and `S`'s files, free-list pages included.
@@ -217,11 +297,13 @@ fn uncommitted_merges_and_frees_roll_back_with_their_pages() {
     for _ in 0..100 {
         db.r_mut().apply_mutation(&Mutation::Delete(lost.remove(0))).unwrap();
     }
+    db.settle().unwrap();
     assert!(db.metrics().counter("btree.merges") > 10, "the tail was meant to merge leaves");
     for i in 0..200 {
         let t = BaseTuple::padded(Surrogate(2000 + i), (i % 7) as u64, 64);
         db.r_mut().apply_mutation(&Mutation::Insert(t)).unwrap();
     }
+    db.settle().unwrap();
     let crashed_pages = base_file_pages(&db);
     assert!(crashed_pages > committed_pages, "the tail was meant to outgrow the file");
     db.r().check_invariants().unwrap();

@@ -331,6 +331,9 @@ fn adaptive_hand_off_write_fault_rolls_back_then_retries() {
         db.r_mut().apply_update(&u.old, &u.new).unwrap();
     }
     let want = oracle::join_tuples(stream.current(), &gen.s);
+    // The base relation catches up first: its leaf writes are not the
+    // hand-off's.
+    db.settle().unwrap();
     db.reset_observability();
     db.install_fault_plan(FaultPlan::new().fail_nth_write(None, 0));
     let got = execute_collect(&mut adaptive, db.r(), db.s()).unwrap();
@@ -348,6 +351,66 @@ fn adaptive_hand_off_write_fault_rolls_back_then_retries() {
     assert_eq!(db.metrics().counter("migrate.rollbacks"), 1);
     assert_eq!(db.metrics().counter("migrate.count"), 1);
     assert_eq!(db.events().count_of(EventKind::StrategySwitch), 1);
+}
+
+// ---------------------------------------------------------------------
+// The base relations' own sweep.
+// ---------------------------------------------------------------------
+
+/// A transient read fault in the middle of the base relation's settle is
+/// the settle's error — the query it precedes fails before it starts —
+/// and costs nothing else: what landed stays, the rest stays queued, the
+/// retry resumes there and every strategy answers the oracle join. The
+/// batch is large enough to have spilled runs, so the retry merges again.
+#[test]
+fn settle_fault_mid_sweep_fails_the_query_and_the_retry_completes() {
+    for method in Method::all() {
+        let mut db = fresh_db();
+        let mut strategy = CachedStrategy::build(&db, method).unwrap();
+        let mut mirror: std::collections::BTreeMap<u32, BaseTuple> =
+            tuples(150).into_iter().map(|t| (t.sur.0, t)).collect();
+        let mut batch: Vec<Mutation> = Vec::new();
+        for round in 0..2u64 {
+            for i in (0..150u32).rev() {
+                let new = BaseTuple::padded(Surrogate(i), (i as u64 + round) % 7, 64);
+                let old = mirror.insert(i, new.clone()).unwrap();
+                batch.push(Mutation::Update(trijoin::Update { old, new }));
+            }
+        }
+        for i in 0..20u32 {
+            let t = BaseTuple::padded(Surrogate(1000 + i), (i % 7) as u64, 64);
+            mirror.insert(t.sur.0, t.clone());
+            batch.push(Mutation::Insert(t));
+        }
+        for i in 0..10u32 {
+            batch.push(Mutation::Delete(mirror.remove(&(i * 3)).unwrap()));
+        }
+        for m in &batch {
+            strategy.as_dyn().on_mutation(m).unwrap();
+            db.apply_r_mutation(m).unwrap();
+        }
+        assert!(db.metrics().counter("base.apply_log.runs") >= 2, "{method}: the log spilled");
+        let r_now: Vec<BaseTuple> = mirror.into_values().collect();
+        let want = oracle::join_tuples(&r_now, &tuples(150));
+
+        let clustered = db.r().file_ids().next().unwrap();
+        db.install_fault_plan(FaultPlan::new().fail_nth_read(Some(clustered), 7));
+        let err = db.query(strategy.as_dyn()).unwrap_err();
+        assert!(matches!(err, trijoin_common::Error::DeviceFault { .. }), "{method}: {err:?}");
+        assert_eq!(db.faults_fired(), 1, "{method}");
+        assert_eq!(db.metrics().counter("db.queries"), 0, "{method}: the query never started");
+        let landed = db.metrics().counter("base.settle.ops");
+        assert!(landed > 0 && landed < batch.len() as u64, "{method}: {landed} landed");
+        assert_eq!(db.r().pending_ops(), batch.len() as u64 - landed, "{method}");
+
+        let got = db.query(strategy.as_dyn()).unwrap();
+        oracle::assert_same_join(&format!("{method}/settle-retry"), got, want.clone());
+        assert_eq!(db.metrics().counter("base.settle.ops"), batch.len() as u64, "{method}");
+        assert_eq!((db.r().pending_ops(), db.r().rejected_ops()), (0, 0), "{method}");
+        db.r().check_invariants().unwrap();
+        let again = db.query(strategy.as_dyn()).unwrap();
+        oracle::assert_same_join(&format!("{method}/settle-retry (follow-up)"), again, want);
+    }
 }
 
 // ---------------------------------------------------------------------

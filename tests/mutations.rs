@@ -143,13 +143,146 @@ fn relation_rejects_bad_mutations() {
     let mk = |i: u32, key: u64| BaseTuple::padded(Surrogate(i), key, 64);
     let r: Vec<BaseTuple> = (0..10).map(|i| mk(i, 0)).collect();
     let s: Vec<BaseTuple> = (0..10).map(|i| mk(i, 0)).collect();
-    let mut db = Database::new(&params, r, s).unwrap();
-    // Duplicate insert.
-    assert!(db.r_mut().insert(&mk(3, 1)).is_err());
-    // Delete of a ghost.
-    assert!(db.r_mut().delete(&mk(77, 0)).is_err());
-    // Wrong-size insert.
+    let mut db = Database::new(&params, r.clone(), s).unwrap();
+    // A wrong-size insert is refused on the spot.
     assert!(db.r_mut().insert(&BaseTuple::padded(Surrogate(50), 0, 128)).is_err());
+    // A duplicate insert and the delete of a ghost queue up like any
+    // mutation; the sweep finds them out, drops and counts them — and
+    // still lands the good update queued between them.
+    db.r_mut().insert(&mk(3, 1)).unwrap();
+    db.r_mut().apply_update(&mk(5, 0), &mk(5, 9)).unwrap();
+    db.r_mut().delete(&mk(77, 0)).unwrap();
+    db.settle().unwrap();
+    assert_eq!(db.r().rejected_ops(), 2);
+    assert_eq!(db.metrics().counter("base.settle.rejected"), 2);
+    assert_eq!(db.metrics().counter("base.settle.ops"), 3);
     // Relation unharmed.
     assert_eq!(db.r().len(), 10);
+    assert_eq!(db.r().get(Surrogate(3)).unwrap().unwrap(), r[3]);
+    assert_eq!(db.r().get(Surrogate(5)).unwrap().unwrap().key, 9);
+    db.r().check_invariants().unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Work-proportional maintenance of the base relations (Veldhuizen's
+// bound, as laws): what a settle writes follows what changed, not how
+// the change was delivered.
+// ---------------------------------------------------------------------
+
+fn law_fixture() -> (trijoin::GeneratedWorkload, SystemParams) {
+    let params = SystemParams { mem_pages: 48, page_size: 1024, ..SystemParams::paper_defaults() };
+    let spec = WorkloadSpec {
+        r_tuples: 800,
+        s_tuples: 600,
+        tuple_bytes: 96,
+        sr: 0.05,
+        group_size: 4,
+        pra: 0.3,
+        update_rate: 0.1,
+        seed: 977,
+    };
+    (spec.generate(), params)
+}
+
+fn contents(db: &Database) -> (Vec<BaseTuple>, Vec<BaseTuple>) {
+    let (mut r, mut s) = (Vec::new(), Vec::new());
+    db.r().scan(|t| r.push(t)).unwrap();
+    db.s().scan(|t| s.push(t)).unwrap();
+    (r, s)
+}
+
+fn hh_answer(db: &Database) -> Vec<trijoin_common::ViewTuple> {
+    oracle::canonicalize(execute_collect(&mut db.hybrid_hash(), db.r(), db.s()).unwrap())
+}
+
+/// A batch whose net effect is empty — every update undone, every insert
+/// deleted again, on both relations — writes no base page at all.
+#[test]
+fn a_net_empty_batch_writes_no_base_page() {
+    let (gen, params) = law_fixture();
+    let mut db = Database::new_bilateral(&params, gen.r.clone(), gen.s.clone()).unwrap();
+    let before = contents(&db);
+    let moved = |t: &BaseTuple| BaseTuple::padded(t.sur, t.key + 1000, 96);
+    for t in gen.r.iter().step_by(3) {
+        db.r_mut().apply_update(t, &moved(t)).unwrap();
+    }
+    for t in gen.s.iter().step_by(5) {
+        db.s_mut().unwrap().apply_update(t, &moved(t)).unwrap();
+    }
+    for i in 0..40u32 {
+        let fresh = BaseTuple::padded(Surrogate(50_000 + i), i as u64, 96);
+        db.r_mut().insert(&fresh).unwrap();
+        db.r_mut().delete(&fresh).unwrap();
+    }
+    for t in gen.r.iter().step_by(3) {
+        db.r_mut().apply_update(&moved(t), t).unwrap();
+    }
+    for t in gen.s.iter().step_by(5) {
+        db.s_mut().unwrap().apply_update(&moved(t), t).unwrap();
+    }
+    let writes = db.metrics().counter("disk.writes");
+    db.settle().unwrap();
+    assert_eq!(db.metrics().counter("disk.writes"), writes, "a net-empty batch wrote pages");
+    assert_eq!(db.metrics().counter("base.settle.leaves_written"), 0);
+    assert_eq!(db.metrics().counter("base.settle.rejected"), 0);
+    assert_eq!(contents(&db), before);
+    db.r().check_invariants().unwrap();
+    db.s().check_invariants().unwrap();
+}
+
+/// Cutting one batch of mixed mutations into k settled pieces changes
+/// neither what the relation holds nor the join answer.
+#[test]
+fn splitting_a_batch_changes_neither_the_relation_nor_the_join() {
+    let (gen, params) = law_fixture();
+    let batch: Vec<Mutation> = {
+        let mut stream = gen.mutation_stream(MutationMix::churn());
+        (0..600).map(|_| stream.next_mutation()).collect()
+    };
+    let run = |pieces: usize| {
+        let mut db = Database::new(&params, gen.r.clone(), gen.s.clone()).unwrap();
+        for piece in batch.chunks(batch.len().div_ceil(pieces)) {
+            for m in piece {
+                db.r_mut().apply_mutation(m).unwrap();
+            }
+            db.settle().unwrap();
+        }
+        db.r().check_invariants().unwrap();
+        assert_eq!(db.r().rejected_ops(), 0);
+        (contents(&db), hh_answer(&db))
+    };
+    let whole = run(1);
+    for pieces in [2, 7, 600] {
+        assert_eq!(run(pieces), whole, "{pieces} pieces");
+    }
+}
+
+/// Updates of different tuples commute: either order of two disjoint
+/// batches, settled together or apart, leaves the same relation.
+#[test]
+fn independent_updates_commute() {
+    let (gen, params) = law_fixture();
+    let update = |t: &BaseTuple, key: u64| {
+        Mutation::Update(trijoin::Update { old: t.clone(), new: BaseTuple::padded(t.sur, key, 96) })
+    };
+    let evens: Vec<Mutation> = gen.r.iter().step_by(2).map(|t| update(t, t.key + 7)).collect();
+    let odds: Vec<Mutation> =
+        gen.r.iter().skip(1).step_by(2).map(|t| update(t, t.key + 11)).collect();
+    let run = |first: &[Mutation], second: &[Mutation], settle_between: bool| {
+        let mut db = Database::new(&params, gen.r.clone(), gen.s.clone()).unwrap();
+        for m in first {
+            db.r_mut().apply_mutation(m).unwrap();
+        }
+        if settle_between {
+            db.settle().unwrap();
+        }
+        for m in second {
+            db.r_mut().apply_mutation(m).unwrap();
+        }
+        (contents(&db), hh_answer(&db))
+    };
+    let want = run(&evens, &odds, false);
+    assert_eq!(run(&odds, &evens, false), want);
+    assert_eq!(run(&evens, &odds, true), want);
+    assert_eq!(run(&odds, &evens, true), want);
 }

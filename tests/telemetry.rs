@@ -70,9 +70,9 @@ fn miscalibrated_model_raises_cost_drift() {
 }
 
 /// Engine-level audit anatomy: every query cycle of every paper strategy
-/// records a predicted-vs-actual pair under `cycle.<strategy>`, applies
-/// record under `apply`, and the drift events carry the offending
-/// section. A stand-alone engine (no check harness) exercises the same
+/// records a predicted-vs-actual pair under `cycle.<strategy>`, every
+/// settle of the base relations records one under `apply`, and the drift
+/// events carry the offending section. A stand-alone engine (no check harness) exercises the same
 /// hooks the serve shards use.
 #[test]
 fn every_cycle_and_apply_is_audited() {
@@ -125,8 +125,11 @@ fn every_cycle_and_apply_is_audited() {
         assert!(entry.predicted_us > 0.0, "{section}: model predicted a positive cost");
         assert!(entry.actual_us > 0.0, "{section}: ledger charged a positive cost");
     }
+    // Five updates queue up per round; the round's first query settles
+    // them in one sweep, the other two find nothing queued.
     let apply = series.audit_section("apply").expect("apply section present");
-    assert_eq!(apply.samples, 15, "one audit record per applied update");
+    assert_eq!(apply.samples, 3, "one audit record per settle");
+    assert!(apply.predicted_us > 0.0 && apply.actual_us > 0.0);
 
     // Stock calibration stays quiet on this workload.
     assert!(
@@ -156,6 +159,55 @@ fn every_cycle_and_apply_is_audited() {
     let quiet = twin.run_report("quiet");
     assert_eq!(quiet.totals, report.totals, "telemetry must charge nothing to the ledger");
     assert!(quiet.series.is_empty(), "telemetry is strictly opt-in");
+}
+
+/// The `apply` section is priced with the model it belongs to: a settle is
+/// a scheduled access to the clustered tree, every distinct leaf read and
+/// written and every distinct internal page read,
+/// `[2·Yao(k,m,n) + Yao(Yao(k,m,n), m/FO, m)]·IO`. On uniform updates the
+/// ledger stays within 1.25× of that, epoch after epoch, whether the log
+/// stayed in memory or spilled, and nothing drifts.
+#[test]
+fn apply_section_tracks_the_scheduled_access_model() {
+    let params = SystemParams { mem_pages: 80, ..SystemParams::paper_defaults() };
+    let spec = WorkloadSpec {
+        r_tuples: 4_000,
+        s_tuples: 2_000,
+        tuple_bytes: 200,
+        sr: 0.01,
+        group_size: 5,
+        pra: 0.1,
+        update_rate: 0.06,
+        seed: 91,
+    };
+    let w = spec.generate();
+    for updates in [40usize, 240, 700] {
+        let mut db = Database::new(&params, w.r.clone(), w.s.clone()).unwrap();
+        db.enable_telemetry(TelemetryConfig::default());
+        db.enable_cost_audit(measure_workload(&w.r, &w.s, 0.06, 0.1), 1.0);
+        let mut hh = db.hybrid_hash();
+        let mut stream = w.update_stream();
+        for _ in 0..3 {
+            for _ in 0..updates {
+                db.apply_r_update(&stream.next_update()).unwrap();
+            }
+            db.query(&mut hh).unwrap();
+        }
+        let report = db.run_report("apply-audit");
+        let apply = report.series[0].audit_section("apply").expect("apply section present");
+        assert_eq!(apply.samples, 3);
+        let ratio = apply.actual_us / apply.predicted_us;
+        assert!(
+            (0.8..=1.25).contains(&ratio),
+            "{updates} updates a settle: ledger {} µs, model {} µs, ratio {ratio:.3}",
+            apply.actual_us,
+            apply.predicted_us
+        );
+        assert!(!report.events.iter().any(|e| e.kind == EventKind::CostDrift));
+        // 700 updates outgrow the 16-page buffer (19 records a page).
+        let spilled = report.metrics.counter("base.apply_log.runs") > 0;
+        assert_eq!(spilled, updates > 16 * 19, "{updates} updates");
+    }
 }
 
 /// The drift events a miscalibrated engine emits are typed and carry the
