@@ -461,6 +461,12 @@ mod tests {
         assert_eq!((stats.rejected, stats.leaves_written), (0, 1));
         assert_eq!(changes, vec![(20, Some(vec![0u8; 4]), Some(vec![8u8; 4]))]);
         assert_eq!(t.leaf_pages(), leaves);
+        // An overwrite keeps the width, spelled as delete and reinsert too:
+        // the wider insert is refused and the delete stands.
+        let ops = vec![(30, SweepOp::Remove(None)), (30, SweepOp::Insert(vec![8u8; 5]))];
+        let (stats, changes) = sweep(&mut t, true, ops);
+        assert_eq!((stats.landed, stats.rejected), (2, 1));
+        assert_eq!(changes, vec![(30, Some(vec![0u8; 4]), None)]);
         t.check_invariants().unwrap();
     }
 

@@ -139,9 +139,6 @@ pub struct BTree {
     leaves: u64,
     free_head: Option<u32>,
     free_pages: u32,
-    /// Pages a running sweep has in memory (its path, when it hands an
-    /// operation to the recursive path): reading one again is free.
-    resident: Vec<u32>,
     /// `btree.merges`, `btree.pages_freed`, `btree.pages_reused`.
     c_merges: CounterId,
     c_freed: CounterId,
@@ -196,7 +193,6 @@ impl BTree {
             leaves: meta.leaves,
             free_head: meta.free_head,
             free_pages: meta.free_pages,
-            resident: Vec::new(),
             c_merges: metrics.counter_handle("btree.merges"),
             c_freed: metrics.counter_handle("btree.pages_freed"),
             c_reused: metrics.counter_handle("btree.pages_reused"),
@@ -416,8 +412,14 @@ impl BTree {
     // ---- node I/O -------------------------------------------------------
 
     fn read_node(&self, page: u32) -> Result<Node> {
+        self.read_node_past(page, &[])
+    }
+
+    /// Read a node for a caller that has the pages `held` in memory
+    /// already (a sweep's path): one of those comes free of charge.
+    fn read_node_past(&self, page: u32, held: &[u32]) -> Result<Node> {
         let pid = PageId::new(self.file, page);
-        let raw = if self.resident.contains(&page) {
+        let raw = if held.contains(&page) {
             self.disk.read_page_free(pid)?
         } else {
             self.disk.read_page(pid)?
@@ -748,6 +750,12 @@ impl BTree {
 
     /// Insert `(key, value)`. Duplicates are allowed.
     pub fn insert(&mut self, key: u64, value: Vec<u8>) -> Result<()> {
+        self.insert_past(key, value, &[])
+    }
+
+    /// [`BTree::insert`] with the pages in `held` read free of charge
+    /// ([`BTree::read_node_past`]).
+    fn insert_past(&mut self, key: u64, value: Vec<u8>, held: &[u32]) -> Result<()> {
         let entry_bytes = 10 + value.len();
         if 7 + entry_bytes > self.disk.page_size() {
             return Err(Error::PageOverflow {
@@ -756,7 +764,7 @@ impl BTree {
             });
         }
         let mut root = std::mem::replace(&mut self.root, Node::empty_leaf());
-        let outcome = self.insert_into(&mut root, key, value, true);
+        let outcome = self.insert_into(&mut root, key, value, true, held);
         self.root = root;
         match outcome? {
             // An internal root none of whose children split is unchanged.
@@ -793,6 +801,7 @@ impl BTree {
         key: u64,
         value: Vec<u8>,
         edge: bool,
+        held: &[u32],
     ) -> Result<Insertion> {
         match node {
             Node::Leaf { entries, .. } => {
@@ -818,9 +827,9 @@ impl BTree {
                 self.charge_search(keys.len());
                 let idx = Self::child_right(keys, key);
                 let child_pid = children[idx];
-                let mut child = self.read_node(child_pid)?;
+                let mut child = self.read_node_past(child_pid, held)?;
                 let last = idx + 1 == children.len();
-                let below = self.insert_into(&mut child, key, value, edge && last)?;
+                let below = self.insert_into(&mut child, key, value, edge && last, held)?;
                 let (sep, new_right) = match below {
                     Insertion::Clean => return Ok(below),
                     Insertion::Dirty => {
@@ -866,8 +875,19 @@ impl BTree {
     /// A node the removal leaves under half full is merged with a sibling
     /// or refilled from it (see the module docs).
     pub fn remove_where(&mut self, key: u64, pred: impl Fn(&[u8]) -> bool) -> Result<bool> {
+        self.remove_past(key, &pred, &[])
+    }
+
+    /// [`BTree::remove_where`] with the pages in `held` read free of
+    /// charge ([`BTree::read_node_past`]).
+    fn remove_past(
+        &mut self,
+        key: u64,
+        pred: &dyn Fn(&[u8]) -> bool,
+        held: &[u32],
+    ) -> Result<bool> {
         let mut root = std::mem::replace(&mut self.root, Node::empty_leaf());
-        let outcome = self.remove_from(&mut root, key, &pred);
+        let outcome = self.remove_from(&mut root, key, pred, held);
         self.root = root;
         match outcome? {
             Removal::Missing => return Ok(false),
@@ -879,7 +899,7 @@ impl BTree {
                         break;
                     }
                     let (old_root, child) = (self.root_page, children[0]);
-                    self.root = self.read_node(child)?;
+                    self.root = self.read_node_past(child, held)?;
                     self.root_page = child;
                     self.height -= 1;
                     self.free_page(old_root)?;
@@ -898,6 +918,7 @@ impl BTree {
         node: &mut Node,
         key: u64,
         pred: &dyn Fn(&[u8]) -> bool,
+        held: &[u32],
     ) -> Result<Removal> {
         match node {
             Node::Leaf { entries, .. } => {
@@ -913,8 +934,8 @@ impl BTree {
                 let mut idx = Self::child_left(keys, key);
                 loop {
                     let child_pid = children[idx];
-                    let mut child = self.read_node(child_pid)?;
-                    match self.remove_from(&mut child, key, pred)? {
+                    let mut child = self.read_node_past(child_pid, held)?;
+                    match self.remove_from(&mut child, key, pred, held)? {
                         // Entries under a key equal to the separator may
                         // sit on its right as well: try the next child.
                         Removal::Missing if keys.get(idx) == Some(&key) => idx += 1,

@@ -16,7 +16,9 @@
 //! room for, or a remove that would leave it under half full, first puts
 //! the held leaf back and then goes through the recursive single-key path
 //! ([`BTree::insert`], [`BTree::remove_where`]), which splits, merges and
-//! frees as for any other caller; the sweep resumes from the root.
+//! frees as for any other caller; the sweep resumes from the root. Only
+//! inserts and removes get there: an overwrite keeps the entry's width,
+//! so it always fits where the entry lies.
 //!
 //! Progress is counted in *landed* operations: those whose effect is on a
 //! written page (or needed none). A device fault ends the sweep with the
@@ -39,7 +41,8 @@ pub enum SweepOp {
     /// unique keys; rejected otherwise.
     Replace(Vec<u8>),
     /// Add an entry with this value. With unique keys a taken key rejects
-    /// it.
+    /// it, and so does a value of another length than the one the same
+    /// batch removed from under the key: the two net to an overwrite.
     Insert(Vec<u8>),
     /// Remove the first entry under the key, or with `Some(value)` the
     /// first one holding exactly that value.
@@ -159,24 +162,31 @@ impl BTree {
             // What the held leaf cannot absorb goes through the recursive
             // path, after the leaf is back on its page.
             let Some((ops_taken, rejected, op)) = structural else { continue };
-            // With unique keys the held leaf has the entry a remove or a
-            // replace is after.
+            // With unique keys the held leaf has the entry a remove is after.
             let before = match &op {
-                SweepOp::Insert(_) => None,
-                _ => {
+                SweepOp::Remove(_) if unique => {
                     let entries = h.entries();
                     let at = entries.partition_point(|(k, _)| *k < key);
-                    entries.get(at).filter(|(k, _)| unique && *k == key).map(|(_, v)| v.clone())
+                    entries.get(at).filter(|(k, _)| *k == key).map(|(_, v)| v.clone())
                 }
+                _ => None,
             };
             // The recursive path walks the pages the sweep just held: those
             // it reads again free of charge.
             let leaf_page = h.page;
             let path = self.land(held.take().expect("still held"), stats, on_change)?;
-            self.resident.extend(path.iter().map(|f| f.page).chain([leaf_page]));
-            let outcome = self.restructure(key, op);
-            self.resident.clear();
-            let (applied, after) = outcome?;
+            let pages: Vec<u32> = path.iter().map(|f| f.page).chain([leaf_page]).collect();
+            let (applied, after) = match op {
+                SweepOp::Insert(value) => {
+                    self.insert_past(key, value.clone(), &pages)?;
+                    (true, Some(value))
+                }
+                SweepOp::Remove(exact) => {
+                    let hit = |v: &[u8]| exact.as_deref().is_none_or(|x| x == v);
+                    (self.remove_past(key, &hit, &pages)?, None)
+                }
+                SweepOp::Replace(_) => unreachable!("an overwrite never leaves its leaf"),
+            };
             if unique && applied {
                 on_change(key, before.as_deref(), after.as_deref());
             }
@@ -187,26 +197,6 @@ impl BTree {
             Some(h) => self.land(h, stats, on_change).map(|_| ()),
             None => Ok(()),
         }
-    }
-
-    /// One operation through the recursive single-key path: whether it
-    /// applied, and the value it left under `key`.
-    fn restructure(&mut self, key: u64, op: SweepOp) -> Result<(bool, Option<Vec<u8>>)> {
-        Ok(match op {
-            SweepOp::Insert(value) => {
-                self.insert(key, value.clone())?;
-                (true, Some(value))
-            }
-            SweepOp::Remove(exact) => {
-                (self.remove_where(key, |v| exact.as_deref().is_none_or(|x| x == v))?, None)
-            }
-            // A replacement too wide for its page: out and in again.
-            SweepOp::Replace(value) => {
-                let applied = self.remove_where(key, |_| true)?;
-                self.insert(key, value.clone())?;
-                (applied, Some(value))
-            }
-        })
     }
 
     /// Make the held leaf the one `key` belongs in. Keys ascend, so a held
@@ -327,8 +317,7 @@ impl BTree {
     /// held leaf has (or lacks), then make the one edit their net effect
     /// needs. Returns the edit instead, with the operations it stands for
     /// and the rejected among them, when the leaf cannot take it: an
-    /// insert (or a replacement of another width) that overflows, a
-    /// remove that underflows.
+    /// insert that overflows, a remove that underflows.
     fn net_chain(
         &self,
         h: &mut Held,
@@ -346,7 +335,11 @@ impl BTree {
             ops += 1;
             let current = fresh.as_deref().or(stored).filter(|_| exists);
             match (op, current) {
-                (SweepOp::Insert(v), None) => (exists, fresh) = (true, Some(v)),
+                // Back under a key this chain emptied: an overwrite, which
+                // keeps the stored width as any other does.
+                (SweepOp::Insert(v), None) if stored.is_none_or(|s| s.len() == v.len()) => {
+                    (exists, fresh) = (true, Some(v))
+                }
                 (SweepOp::Replace(v), Some(now)) if v.len() == now.len() => fresh = Some(v),
                 (SweepOp::Remove(exact), Some(now))
                     if exact.as_deref().is_none_or(|x| x == now) =>
@@ -359,10 +352,6 @@ impl BTree {
         match (stored.is_some(), exists, fresh) {
             (true, true, Some(v)) if stored != Some(v.as_slice()) => {
                 let before = std::mem::replace(&mut h.entries()[at].1, v);
-                if !self.fits(&h.leaf) {
-                    let v = std::mem::replace(&mut h.entries()[at].1, before);
-                    return Some((ops, rejected, SweepOp::Replace(v)));
-                }
                 self.disk.cost().mov(1);
                 h.changes.push((key, Some(before)));
                 h.touched = true;

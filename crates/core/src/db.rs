@@ -303,19 +303,35 @@ impl Database {
     /// (`db.mutations`). Equivalent to `r_mut().apply_update(..)` plus the
     /// observation. The tree changes when the relation next settles:
     /// before the next query, commit or report, or at any read of `R`.
+    /// An `Err` means the update was not queued.
     pub fn apply_r_update(&mut self, upd: &trijoin_exec::Update) -> Result<()> {
-        self.disk.metrics().incr("db.mutations");
-        let result = self.r.apply_update(&upd.old, &upd.new);
-        self.telemetry_on_apply();
-        result
+        self.queue_for_r(|r| r.apply_update(&upd.old, &upd.new))
     }
 
     /// Queue one mutation of `R`, counting it in the metrics registry.
     pub fn apply_r_mutation(&mut self, m: &trijoin_exec::Mutation) -> Result<()> {
+        self.queue_for_r(|r| r.apply_mutation(m))
+    }
+
+    fn queue_for_r(
+        &mut self,
+        enqueue: impl FnOnce(&mut StoredRelation) -> Result<()>,
+    ) -> Result<()> {
         self.disk.metrics().incr("db.mutations");
-        let result = self.r.apply_mutation(m);
+        let result = self.settle_if_due().and_then(|()| enqueue(&mut self.r));
         self.telemetry_on_apply();
         result
+    }
+
+    /// A relation whose apply log is full settles before it takes another
+    /// mutation ([`StoredRelation::settle_due`]). Called ahead of queueing,
+    /// this makes that settle one of the database's — spanned and audited
+    /// like the rest — instead of the relation's own.
+    pub fn settle_if_due(&self) -> Result<()> {
+        if self.r.settle_due() || self.s.settle_due() {
+            self.settle()?;
+        }
+        Ok(())
     }
 
     /// Apply every mutation queued for `R` and `S` to their trees

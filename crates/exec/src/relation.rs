@@ -24,8 +24,8 @@
 //!
 //! The log is bounded by constants: [`APPLY_LOG_PAGES`] pages of records
 //! in memory, spilled — through the differential log's run writer and
-//! merge, [`DiffLog`] — as surrogate-sorted runs, and a settle forced at
-//! [`APPLY_LOG_RUNS`] runs. Operations on one surrogate keep submission
+//! merge, [`DiffLog`] — as surrogate-sorted runs, and a settle forced
+//! where an [`APPLY_LOG_RUNS`]th run would be spilled. Operations on one surrogate keep submission
 //! order; the sweep nets them against the stored tuple, so the last
 //! update wins and x → y → x writes nothing.
 //!
@@ -48,8 +48,8 @@ use crate::sort::{counted_sort_by, KWayMerge};
 /// them as a sorted run.
 pub const APPLY_LOG_PAGES: usize = 16;
 
-/// Spilled runs at which the apply log settles of its own accord: one
-/// page per run is what merging them takes.
+/// The apply log settles of its own accord rather than spill this many
+/// runs: one page per run is what merging them takes.
 pub const APPLY_LOG_RUNS: usize = 16;
 
 /// Serialize one tree's [`BTreeMeta`] as a catalog object.
@@ -303,6 +303,7 @@ impl State {
     fn settle(&mut self, disk: &Disk, done: &mut SettleStats) -> Result<()> {
         pay_postings(&mut self.inverted, &mut self.log.postings, disk, done)?;
         if self.log.queued == 0 {
+            debug_assert!(self.log.resume.is_none() && self.log.buffer.is_empty());
             return Ok(());
         }
         let cost = disk.cost();
@@ -380,15 +381,18 @@ impl State {
         }
         let log = &mut self.log;
         log.queued -= landed;
-        if let Err(e) = result {
+        if log.queued > 0 {
+            debug_assert!(result.is_err(), "a settle that got through leaves nothing queued");
             log.resume = Some(skip + landed);
-            return Err(e);
+            return result;
         }
-        debug_assert_eq!(log.queued, 0, "a settle that got through leaves nothing queued");
+        // Every record is in the clustered tree, so the log starts over —
+        // also when the last payment to the inverted tree failed: what is
+        // still owed is in `postings`, not in the records.
         log.buffer.clear();
         std::mem::replace(&mut log.runs, ApplyLog::fresh_runs(disk, log.per_page)).destroy();
         (log.seq, log.resume) = (0, None);
-        Ok(())
+        result
     }
 }
 
@@ -558,20 +562,29 @@ impl StoredRelation {
         self.state.borrow().log.peak_pages
     }
 
+    /// Whether the next mutation makes the log settle before it is
+    /// queued: the log is full (its buffer would spill an
+    /// [`APPLY_LOG_RUNS`]th run), or frozen by a settle that failed. A
+    /// caller that wants that sweep under a span of its own settles first.
+    pub fn settle_due(&self) -> bool {
+        let log = &self.state.borrow().log;
+        let full = log.buffer.len() >= log.cap;
+        log.resume.is_some() || log.runs.num_runs() + usize::from(full) >= APPLY_LOG_RUNS
+    }
+
+    /// Room is made first — a settle if one is due, else a spill of the
+    /// full buffer — so an `Err` means the mutation was not queued.
     fn enqueue(&mut self, kind: Kind, tuple: &BaseTuple) -> Result<()> {
-        if self.state.get_mut().log.resume.is_some() {
+        if self.settle_due() {
             self.settle()?;
         }
         let log = &mut self.state.get_mut().log;
+        if log.buffer.len() >= log.cap {
+            log.spill(&self.disk)?;
+        }
         log.buffer.push(Pending { seq: log.seq, kind, tuple: tuple.clone() });
         log.seq += 1;
         log.queued += 1;
-        if log.buffer.len() >= log.cap {
-            log.spill(&self.disk)?;
-            if log.runs.num_runs() >= APPLY_LOG_RUNS {
-                self.settle()?;
-            }
-        }
         Ok(())
     }
 
@@ -1057,20 +1070,65 @@ mod tests {
         let (disk, _c, mut rel) = setup(50, false);
         let t = |i: u32, key: u64| BaseTuple::padded(Surrogate(i % 50), key, 64);
         let cap = APPLY_LOG_PAGES * 6;
-        for n in 0..(APPLY_LOG_RUNS * cap) as u32 - 1 {
+        for n in 0..(APPLY_LOG_RUNS * cap) as u32 {
+            assert!(!rel.settle_due());
             rel.apply_update(&t(n, 0), &t(n, n as u64)).unwrap();
         }
         assert_eq!(disk.metrics().counter("base.settles"), 0);
         assert_eq!(disk.metrics().counter("base.apply_log.runs"), APPLY_LOG_RUNS as u64 - 1);
+        assert!(rel.settle_due(), "fifteen runs and a full buffer");
         rel.apply_update(&t(7, 0), &t(7, 7)).unwrap();
-        assert_eq!(disk.metrics().counter("base.settles"), 1, "the sixteenth run forces it");
-        assert_eq!(rel.pending_ops(), 0);
+        assert_eq!(disk.metrics().counter("base.settles"), 1, "no sixteenth run: a settle");
+        assert_eq!(disk.metrics().counter("base.apply_log.runs"), APPLY_LOG_RUNS as u64 - 1);
+        assert_eq!(rel.pending_ops(), 1, "the mutation that found the log full came after");
         assert_eq!(
             rel.apply_log_peak_pages(),
-            (APPLY_LOG_RUNS + rel.height()) as u64,
-            "sixteen run pages and the path; the buffer had just been emptied"
+            (APPLY_LOG_PAGES + APPLY_LOG_RUNS - 1 + rel.height()) as u64,
+            "the buffer, fifteen run pages and the path"
         );
         assert_eq!(rel.get(Surrogate(7)).unwrap().unwrap().key, 7);
+    }
+
+    #[test]
+    fn a_fault_in_the_last_payment_to_the_inverted_tree_leaves_a_fresh_log() {
+        let (disk, _c, mut rel) = setup(300, true);
+        let mut mirror: Vec<BaseTuple> =
+            (0..300).map(|i| BaseTuple::padded(Surrogate(i), (i % 10) as u64, 64)).collect();
+        let mut update = |rel: &mut StoredRelation, i: u32, key: u64| {
+            let new = BaseTuple::padded(Surrogate(i), key, 64);
+            rel.apply_update(&mirror[i as usize], &new).unwrap();
+            mirror[i as usize] = new;
+        };
+        // Less than a buffer: one slice, and its payment is the last.
+        for i in 0..40u32 {
+            update(&mut rel, i * 7, 500 + i as u64);
+        }
+        let inverted = rel.file_ids().nth(1).unwrap();
+        disk.install_fault_plan(trijoin_storage::FaultPlan::new().fail_nth_read(Some(inverted), 3));
+        let err = rel.settle().unwrap_err();
+        assert!(matches!(err, Error::DeviceFault { .. }), "{err:?}");
+        assert_eq!(disk.metrics().counter("base.settle.ops"), 40, "the clustered tree has it all");
+        assert!(rel.pending_ops() > 0, "the inverted tree is still owed");
+        assert!(!rel.settle_due(), "the log itself is empty, not frozen");
+        disk.clear_faults();
+        // New mutations in descending order, past a buffer's worth so that
+        // a run and the tail interleave: stale records would surface here.
+        for i in (100..250u32).rev() {
+            update(&mut rel, i, 900);
+        }
+        let stats = rel.settle().unwrap();
+        assert_eq!((stats.ops, stats.rejected), (150, 0));
+        assert_eq!(rel.pending_ops(), 0);
+        let mut got = Vec::new();
+        rel.scan(|t| got.push(t)).unwrap();
+        assert_eq!(got, mirror);
+        for t in mirror.iter().step_by(7).take(40) {
+            let mut hits = Vec::new();
+            rel.probe_inverted(&[t.key], |_, s| hits.push(s)).unwrap();
+            assert!(hits.contains(&t.sur), "posting of {t:?}");
+        }
+        assert_eq!(rel.rejected_ops(), 0);
+        rel.check_invariants().unwrap();
     }
 
     #[test]

@@ -440,12 +440,14 @@ impl ShardWorker {
     /// structures and queue it for the stored relation, whose tree changes
     /// when the shard next settles (before a query, a commit, a report).
     /// Each mutation that fails is counted in `shard.apply_errors` and
-    /// skipped — at once if it is refused here (wrong tuple size), at the
-    /// settle if the tree refuses it there (unknown or reused surrogate,
-    /// [`ShardWorker::count_rejected`]); the shard keeps serving. The end
-    /// of a batch is where a pinned shard applies its eviction rule and an
-    /// adaptive shard advances any in-flight migration by one step —
-    /// migrations make progress on every command, not just queries.
+    /// skipped — at once if it is refused here (wrong tuple size, or a
+    /// device fault while a full apply log made room: it was not queued),
+    /// at the settle if the tree refuses it there (unknown or reused
+    /// surrogate, [`ShardWorker::count_rejected`]); the shard keeps
+    /// serving. The end of a batch is where a pinned shard applies its
+    /// eviction rule and an adaptive shard advances any in-flight migration
+    /// by one step — migrations make progress on every command, not just
+    /// queries.
     fn apply(&mut self, r: Vec<Mutation>, s: Vec<Mutation>) {
         for m in &s {
             if self.apply_s(m).is_err() {
@@ -484,6 +486,7 @@ impl ShardWorker {
     /// staging is stale the moment `S` changes.
     fn apply_s(&mut self, m: &Mutation) -> Result<()> {
         self.db.metrics().incr("shard.s_mutations");
+        self.db.settle_if_due()?;
         self.db.s_mut()?.apply_mutation(m)?;
         match &mut self.mode {
             Mode::Pinned(set) => set.release_stale(),

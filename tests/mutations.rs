@@ -286,3 +286,34 @@ fn independent_updates_commute() {
     assert_eq!(run(&evens, &odds, true), want);
     assert_eq!(run(&odds, &evens, true), want);
 }
+
+/// A log that fills up between two reads settles before it takes the next
+/// mutation, and through `Database` that settle is one of the database's:
+/// under the `base.settle` span and in its histogram, like any other.
+#[test]
+fn a_full_apply_log_settles_under_the_databases_span() {
+    let (gen, params) = law_fixture();
+    let mut db = Database::new(&params, gen.r.clone(), gen.s.clone()).unwrap();
+    let update = |t: &BaseTuple, round: u64| trijoin::Update {
+        old: t.clone(),
+        new: BaseTuple::padded(t.sur, t.key + round, 96),
+    };
+    let mut queued = 0u64;
+    for (round, t) in (1..).flat_map(|round| gen.r.iter().map(move |t| (round, t))) {
+        if db.r().settle_due() {
+            break;
+        }
+        db.apply_r_update(&update(t, round)).unwrap();
+        queued += 1;
+    }
+    assert_eq!(db.metrics().counter("base.settles"), 0);
+    assert!(db.cost().section_counts("base.settle").is_zero());
+    let ios = db.cost().total().ios;
+    db.apply_r_update(&update(&gen.r[0], 99)).unwrap();
+    assert_eq!(db.metrics().counter("base.settle.ops"), queued);
+    assert_eq!(db.r().pending_ops(), 1, "the mutation that found the log full came after");
+    assert_eq!(db.metrics().histogram("base.settle.us").map(|h| h.count), Some(1));
+    let spanned = db.cost().section_counts("base.settle");
+    assert!(spanned.ios > 0 && spanned.ios == db.cost().total().ios - ios, "{spanned:?}");
+    db.r().check_invariants().unwrap();
+}
