@@ -99,7 +99,9 @@ echo "==> repo-benchmark smoke + residency soak"
 # release arithmetic and compiled-out debug assertions could hide a
 # difference: a fault mid-sweep resumes to the oracle's answer, queued
 # mutations rewind or survive a crash with the commit that did or did not
-# acknowledge them, and the sweep's charge and netting laws hold.
+# acknowledge them, and the sweep's charge and netting laws hold. And the
+# view under mutations of both relations, where a dropped `stream_error`
+# check would hide behind compiled-out debug assertions.
 cargo run --release -q -p trijoin-bench --bin benchmark -- --smoke > /dev/null
 cargo test -q --release -p trijoin-serve --test serve hh_only_soak
 cargo test -q --release -p trijoin-serve --test serve churn_soak
@@ -107,6 +109,7 @@ cargo test -q --release -p trijoin-storage --test recovery_memory
 cargo test -q --release -p trijoin --test faults settle_fault
 cargo test -q --release -p trijoin-check --test durability queued
 cargo test -q --release -p trijoin --test mutations
+cargo test -q --release -p trijoin --test bilateral
 cargo test -q --release -p trijoin-btree --test prop_btree sweep
 
 echo "==> bench-regression gate"
@@ -161,6 +164,17 @@ if grep -rl "trijoin_btree" crates/exec/src crates/core/src crates/serve/src \
     || grep -nE "(clustered|inverted|inv)\.(insert|remove_exact|remove_where)\(" \
         crates/exec/src/relation.rs; then
     echo "a base-relation tree is mutated outside StoredRelation::settle"; exit 1
+fi
+
+# One deferred view: differentials are netted by the `DiffPair` behind MV
+# and JI, the view file is rewritten by the deferred and the eager view,
+# nowhere else; planned faults are the one fault mechanism.
+if grep -rl "net_differentials(" crates/exec/src \
+        | grep -v "^crates/exec/src/\(diff\|mv\|joinindex\)\.rs$" \
+    || grep -rl "rewrite_bucket(" crates/exec/src \
+        | grep -v "^crates/exec/src/\(mv\|eager\)\.rs$" \
+    || grep -rn "Error::Faulted\|inject_fault" crates tests examples; then
+    echo "a second deferred view, or the legacy one-shot fault, is back"; exit 1
 fi
 
 echo "==> crash-recovery gate"

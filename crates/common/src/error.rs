@@ -39,6 +39,9 @@ impl fmt::Display for FaultOp {
 ///   redundant source).
 /// * [`FaultKind::Poisoned`] — the page is persistently unreadable (media
 ///   error) until rewritten; retries cannot help, rebuild is required.
+/// * [`FaultKind::Fatal`] — a fault the execution layer must neither retry
+///   nor recover from: it surfaces to the caller unchanged (what error-path
+///   tests plan, to see a failure arrive whole).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// One-off failure; retry is expected to succeed.
@@ -47,6 +50,8 @@ pub enum FaultKind {
     TornWrite,
     /// Media error; reads keep failing until the page is rewritten.
     Poisoned,
+    /// One-off failure that is surfaced as-is, never retried or recovered.
+    Fatal,
 }
 
 impl fmt::Display for FaultKind {
@@ -55,6 +60,7 @@ impl fmt::Display for FaultKind {
             FaultKind::Transient => write!(f, "transient"),
             FaultKind::TornWrite => write!(f, "torn-write"),
             FaultKind::Poisoned => write!(f, "poisoned"),
+            FaultKind::Fatal => write!(f, "fatal"),
         }
     }
 }
@@ -90,14 +96,9 @@ pub enum Error {
     Infeasible(String),
     /// Catch-all for invariant violations.
     Invariant(String),
-    /// A deliberately injected device fault (test harness; see
-    /// `SimDisk::inject_fault`). Legacy one-shot form: always surfaced to
-    /// the caller, never retried or recovered from — error-path tests rely
-    /// on seeing exactly this value.
-    Faulted,
     /// A typed device fault from the fault-injection plan (see
-    /// `SimDisk::install_fault_plan`). Unlike [`Error::Faulted`], these
-    /// carry enough classification for the execution layer to react:
+    /// `SimDisk::install_fault_plan`), carrying enough classification for
+    /// the execution layer to react:
     /// transient faults are retried, persistent ones trigger a rebuild of
     /// the damaged cached structure.
     DeviceFault {
@@ -141,11 +142,11 @@ impl Error {
     }
 
     /// True for typed faults from the fault-injection plan — the class of
-    /// errors the execution layer recovers from (retry or rebuild). The
-    /// legacy [`Error::Faulted`] is deliberately excluded: its contract is
-    /// to surface unchanged.
+    /// errors the execution layer recovers from (retry or rebuild).
+    /// [`FaultKind::Fatal`] is deliberately excluded: its contract is to
+    /// surface unchanged.
     pub fn is_device_fault(&self) -> bool {
-        matches!(self, Error::DeviceFault { .. })
+        matches!(self, Error::DeviceFault { kind, .. } if *kind != FaultKind::Fatal)
     }
 
     /// True when retrying the same operation may succeed (transient device
@@ -170,7 +171,6 @@ impl fmt::Display for Error {
             Error::KeyNotFound(k) => write!(f, "key not found: {k}"),
             Error::Infeasible(msg) => write!(f, "infeasible configuration: {msg}"),
             Error::Invariant(msg) => write!(f, "invariant violation: {msg}"),
-            Error::Faulted => write!(f, "injected device fault"),
             Error::DeviceFault { op, kind, file, page } => {
                 write!(f, "{kind} device fault on {op} of file {file}, page {page}")
             }
@@ -206,9 +206,10 @@ mod tests {
         assert!(transient.is_device_fault() && transient.is_retryable());
         assert!(poisoned.is_device_fault() && !poisoned.is_retryable());
         assert!(torn.is_device_fault() && !torn.is_retryable());
-        // The legacy one-shot fault is surfaced, never recovered from.
-        assert!(!Error::Faulted.is_device_fault());
-        assert!(!Error::Faulted.is_retryable());
+        // A fatal fault is surfaced, never recovered from.
+        let fatal =
+            Error::DeviceFault { op: FaultOp::Read, kind: FaultKind::Fatal, file: 1, page: 2 };
+        assert!(!fatal.is_device_fault() && !fatal.is_retryable());
         assert_eq!(transient.to_string(), "transient device fault on read of file 1, page 2");
         assert!(torn.to_string().contains("torn-write"));
     }

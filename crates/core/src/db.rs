@@ -14,8 +14,7 @@ use trijoin_model::formulas::{io_clustered, yao};
 use trijoin_model::{Method, Workload};
 
 use trijoin_exec::{
-    BilateralView, EagerView, HybridHash, JoinIndexStrategy, JoinStrategy, MaterializedView,
-    StoredRelation,
+    EagerView, HybridHash, JoinIndexStrategy, JoinStrategy, MaterializedView, StoredRelation,
 };
 use trijoin_storage::{
     CheckpointStats, CommitSabotage, CommitStats, Disk, Durability, DurableBackend, FaultPlan,
@@ -96,8 +95,9 @@ impl Database {
     }
 
     /// Like [`Database::new`] but `R` also carries an inverted index on the
-    /// join attribute — the symmetric access path bilateral maintenance
-    /// (updates to `S` as well as `R`) requires.
+    /// join attribute — the symmetric access path with which
+    /// [`Database::materialized_view`] follows mutations of `S` as well as
+    /// of `R` ([`MaterializedView::on_s_mutation`]).
     pub fn new_bilateral(
         params: &SystemParams,
         r: Vec<BaseTuple>,
@@ -501,8 +501,8 @@ impl Database {
                         None => {
                             let w = Workload { updates: pending as f64, ..audit.workload.clone() };
                             let report = self.model_report(label, &w);
-                            // Ablation strategies (grace-hash, eager/bilateral
-                            // views) have no model: their cycles record with
+                            // Ablation strategies (grace-hash, eager view)
+                            // have no model: their cycles record with
                             // predicted = 0, which the drift detector treats
                             // as "no prediction".
                             let predicted_us = report
@@ -725,12 +725,6 @@ impl Database {
     /// mutation instead of the paper's deferral).
     pub fn eager_view(&self) -> Result<EagerView> {
         EagerView::build(&self.disk, &self.params, &self.cost, &self.r, Rc::clone(&self.s))
-    }
-
-    /// Bilateral view (deferred maintenance under mutations to both
-    /// relations); requires [`Database::new_bilateral`].
-    pub fn bilateral_view(&self) -> Result<BilateralView> {
-        BilateralView::build(&self.disk, &self.params, &self.cost, &self.r, &self.s)
     }
 }
 

@@ -284,6 +284,7 @@ impl GeneratedWorkload {
     pub fn mutation_stream(&self, mix: MutationMix) -> MutationStream {
         MutationStream {
             current: self.r.iter().map(|t| (t.sur.0, t.clone())).collect(),
+            live: self.r.iter().map(|t| t.sur.0).collect(),
             mix,
             groups: self.groups,
             pra: self.spec.pra,
@@ -326,6 +327,9 @@ impl MutationMix {
 /// a live mirror of R.
 pub struct MutationStream {
     current: std::collections::BTreeMap<u32, trijoin_common::BaseTuple>,
+    /// The mirror's surrogates, densely packed in no particular order, so
+    /// a victim is drawn by index.
+    live: Vec<u32>,
     mix: MutationMix,
     groups: u32,
     pra: f64,
@@ -354,15 +358,17 @@ impl MutationStream {
                 BaseTuple::with_payload(sur, key, &self.counter.to_le_bytes(), self.tuple_bytes)
                     .expect("tuple size fits");
             self.current.insert(sur.0, t.clone());
+            self.live.push(sur.0);
             return Mutation::Insert(t);
         }
         if roll < self.mix.insert + self.mix.delete && self.current.len() > 1 {
             let victim = self.pick_existing();
-            let t = self.current.remove(&victim).unwrap();
+            let t = self.current.remove(&self.live.swap_remove(victim)).unwrap();
             return Mutation::Delete(t);
         }
         // Update (also the fallback when deletion would empty the mirror).
         let victim = self.pick_existing();
+        let victim = self.live[victim];
         let old = self.current[&victim].clone();
         let new_key = if self.rng.gen_bool(self.pra) { self.fresh_key() } else { old.key };
         let new = BaseTuple::with_payload(
@@ -376,9 +382,9 @@ impl MutationStream {
         Mutation::Update(trijoin_exec::Update { old, new })
     }
 
-    fn pick_existing(&mut self) -> u32 {
-        let keys: Vec<u32> = self.current.keys().copied().collect();
-        keys[self.rng.gen_range(0..keys.len())]
+    /// Index into `live` of a uniformly drawn tuple.
+    fn pick_existing(&mut self) -> usize {
+        self.rng.gen_range(0..self.live.len())
     }
 
     fn fresh_key(&mut self) -> JoinKey {

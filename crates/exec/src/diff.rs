@@ -37,11 +37,14 @@ pub fn ji_sort_key(sur: u32) -> SortKey {
     sur as u128
 }
 
+/// A shared sort-key function (both logs of a [`DiffPair`] hold one).
+type KeyFn = Rc<dyn Fn(&BaseTuple) -> SortKey>;
+
 /// One side (`iR` or `dR`) of a differential log.
 pub struct DiffLog {
     disk: Disk,
     cost: Cost,
-    key_of: std::rc::Rc<dyn Fn(&BaseTuple) -> SortKey>,
+    key_of: KeyFn,
     /// True when the sort key involves hashing the join attribute (the MV
     /// log); charges one `hash` per tuple at key-computation time.
     hashed_key: bool,
@@ -72,7 +75,7 @@ impl DiffLog {
         DiffLog {
             disk: disk.clone(),
             cost: cost.clone(),
-            key_of: std::rc::Rc::new(key_of),
+            key_of: Rc::new(key_of),
             hashed_key,
             buf: Vec::new(),
             buf_cap: (mem_pages.max(1)) * per_page,
@@ -164,7 +167,7 @@ impl DiffLog {
 
     /// Merge the sealed runs back in key order (C1.2 read charges as pages
     /// stream in, C1.4 merge charges per emitted tuple).
-    pub fn merged(&self) -> Result<KWayMerge<BaseTuple, SortKey, RunReader>> {
+    pub fn merged(&self) -> Result<Merged> {
         debug_assert!(self.buf.is_empty(), "seal() or spill() before merged()");
         *self.stream_err.borrow_mut() = None;
         let sources: Vec<RunReader> = self
@@ -201,13 +204,130 @@ impl DiffLog {
         self.stream_err.borrow().is_some()
     }
 
-    /// Drop all run files (after a query has consumed the log).
-    pub fn destroy(self) {
-        for r in self.runs {
+    /// Start over: drop every run file and forget what was logged, keeping
+    /// the disk, ledger, budget, packing and sort key.
+    pub fn restart(&mut self) {
+        for r in self.runs.drain(..) {
             r.destroy();
         }
+        self.buf.clear();
+        self.total = 0;
+        self.sealed = false;
+        // A fresh cell: readers of the finished epoch may still hold the
+        // old one.
+        self.stream_err = Rc::new(RefCell::new(None));
+    }
+
+    /// Drop all run files (after a query has consumed the log).
+    pub fn destroy(mut self) {
+        self.restart();
     }
 }
+
+/// The insertion log and the deletion log of one relation's differential,
+/// under one sort key and one memory budget per side. Run files are
+/// created at spill time, so the order in which the two sides are touched
+/// is the order of file ids: a mutation logs its deleted state before its
+/// inserted one; sealing, merging and restarting go `ins` then `del`.
+pub struct DiffPair {
+    ins: DiffLog,
+    del: DiffLog,
+}
+
+impl DiffPair {
+    /// Two empty logs, each as [`DiffLog::new`] makes it.
+    pub fn new(
+        disk: &Disk,
+        cost: &Cost,
+        mem_pages: usize,
+        tuples_per_run_page: usize,
+        hashed_key: bool,
+        key_of: impl Fn(&BaseTuple) -> SortKey + Clone + 'static,
+    ) -> Self {
+        let log = |key| DiffLog::new(disk, cost, mem_pages, tuples_per_run_page, hashed_key, key);
+        DiffPair { ins: log(key_of.clone()), del: log(key_of) }
+    }
+
+    /// Log the two sides of one mutation (see [`crate::Mutation::sides`]).
+    pub fn log(&mut self, del: Option<BaseTuple>, ins: Option<BaseTuple>) -> Result<()> {
+        if let Some(t) = del {
+            self.del.add(t)?;
+        }
+        if let Some(t) = ins {
+            self.ins.add(t)?;
+        }
+        Ok(())
+    }
+
+    /// Seal both logs (see [`DiffLog::seal`]).
+    pub fn seal(&mut self) -> Result<()> {
+        self.ins.seal()?;
+        self.del.seal()
+    }
+
+    /// The paper's `N1`: runs of the longer side.
+    pub fn runs(&self) -> usize {
+        self.ins.num_runs().max(self.del.num_runs())
+    }
+
+    /// Mutations pending (the longer side; update-only traffic keeps the
+    /// two equal).
+    pub fn pending(&self) -> u64 {
+        self.ins.len().max(self.del.len())
+    }
+
+    /// The insertion log (pass budgets read its size).
+    pub fn ins(&self) -> &DiffLog {
+        &self.ins
+    }
+
+    /// Run pages already spilled, both sides (`|iR| + |dR|`).
+    pub fn pages(&self) -> u64 {
+        self.ins.pages() + self.del.pages()
+    }
+
+    /// Merge the sealed runs of both sides and net them under the pair's
+    /// sort key (see [`net_differentials`] for `same`).
+    pub fn net(
+        &self,
+        same: impl Fn(&BaseTuple, &BaseTuple) -> bool + 'static,
+    ) -> Result<NetMerge<Merged, Merged>> {
+        let key = self.ins.key_of.clone();
+        Ok(net_differentials(
+            self.ins.merged()?,
+            self.del.merged()?,
+            move |t| key(t),
+            same,
+            &self.ins.cost,
+        ))
+    }
+
+    /// A run-read error parked on either side since [`DiffPair::net`]
+    /// (see [`DiffLog::stream_error`]).
+    pub fn stream_error(&self) -> Result<()> {
+        self.ins.stream_error()?;
+        self.del.stream_error()
+    }
+
+    /// Open a new epoch under `key_of`: both logs empty, their run files
+    /// deleted.
+    pub fn restart(&mut self, key_of: impl Fn(&BaseTuple) -> SortKey + 'static) {
+        let key: KeyFn = Rc::new(key_of);
+        for log in [&mut self.ins, &mut self.del] {
+            log.restart();
+            log.key_of = key.clone();
+        }
+    }
+
+    /// Drop all run files of both logs.
+    pub fn destroy(self) {
+        self.ins.destroy();
+        self.del.destroy();
+    }
+}
+
+/// The key-ordered stream [`DiffLog::merged`] returns.
+pub type Merged = KWayMerge<BaseTuple, SortKey, RunReader>;
 
 /// Streams tuples out of one sorted run (one read I/O per page).
 ///
@@ -587,5 +707,61 @@ mod tests {
         )
         .collect();
         assert_eq!(net, vec![Net::Del(d), Net::Ins(i)]);
+    }
+
+    /// A pair one page deep per side, after an update chain over 40
+    /// surrogates: each tuple moves twice, so its middle state sits in both
+    /// logs and must cancel. Also the chain, as `(old, new)` steps.
+    fn chained_pair(disk: &Disk, cost: &Cost) -> (DiffPair, Vec<(BaseTuple, BaseTuple)>) {
+        let mut pair = DiffPair::new(disk, cost, 1, 7, false, |t| ji_sort_key(t.sur.0));
+        let chain: Vec<(BaseTuple, BaseTuple)> = (0..40u32)
+            .flat_map(|i| [0u64, 10].map(|k| (tup(i, k + i as u64), tup(i, k + 10 + i as u64))))
+            .collect();
+        for (old, new) in &chain {
+            pair.log(Some(old.clone()), Some(new.clone())).unwrap();
+        }
+        (pair, chain)
+    }
+
+    #[test]
+    fn pair_nets_like_two_hand_held_logs() {
+        let (disk, cost) = setup();
+        let key = |t: &BaseTuple| ji_sort_key(t.sur.0);
+        let (mut pair, chain) = chained_pair(&disk, &cost);
+        let mut ins = DiffLog::new(&disk, &cost, 1, 7, false, key);
+        let mut del = DiffLog::new(&disk, &cost, 1, 7, false, key);
+        for (old, new) in chain {
+            del.add(old).unwrap();
+            ins.add(new).unwrap();
+        }
+        pair.seal().unwrap();
+        ins.seal().unwrap();
+        del.seal().unwrap();
+        assert!(pair.runs() >= 2, "the pair spilled");
+        assert_eq!((pair.runs(), pair.pending()), (ins.num_runs(), ins.len()));
+        assert_eq!(pair.pages(), ins.pages() + del.pages());
+        let (i, d) = (ins.merged().unwrap(), del.merged().unwrap());
+        let by_hand: Vec<Net> = net_differentials(i, d, key, |a, b| a == b, &cost).collect();
+        let by_pair: Vec<Net> = pair.net(|a, b| a == b).unwrap().collect();
+        assert_eq!(by_pair.len(), 80, "first and last state of each tuple survive");
+        assert_eq!(by_pair, by_hand);
+        pair.stream_error().unwrap();
+    }
+
+    #[test]
+    fn restart_after_a_spill_leaves_no_run_file_behind() {
+        let (disk, cost) = setup();
+        let before = disk.live_files();
+        let (mut pair, _) = chained_pair(&disk, &cost);
+        assert!(disk.live_files().len() > before.len(), "both sides spilled runs");
+        pair.restart(|t| ji_sort_key(t.sur.0));
+        assert_eq!(disk.live_files(), before);
+        assert_eq!((pair.pending(), pair.runs(), pair.pages()), (0, 0, 0));
+        // The new epoch logs, seals and nets as a fresh pair does.
+        pair.log(None, Some(tup(1, 1))).unwrap();
+        pair.seal().unwrap();
+        assert_eq!(pair.net(|a, b| a == b).unwrap().count(), 1);
+        pair.destroy();
+        assert_eq!(disk.live_files(), before);
     }
 }

@@ -21,9 +21,9 @@ use trijoin_common::{
 use trijoin_linearhash::LinearHash;
 use trijoin_storage::Disk;
 
-use crate::mv::view_tuple_bytes;
 use crate::relation::StoredRelation;
 use crate::strategy::{JoinStrategy, Mutation};
+use crate::viewdef::ViewDef;
 
 /// The eagerly-maintained view strategy.
 pub struct EagerView {
@@ -43,25 +43,7 @@ impl EagerView {
         r: &StoredRelation,
         s: Rc<StoredRelation>,
     ) -> Result<Self> {
-        let mut s_tuples: Vec<BaseTuple> = Vec::with_capacity(s.len() as usize);
-        s.scan(|t| s_tuples.push(t))?;
-        let mut by_key: std::collections::HashMap<u64, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (i, st) in s_tuples.iter().enumerate() {
-            by_key.entry(st.key).or_default().push(i);
-        }
-        let mut view: Vec<(u64, Vec<u8>)> = Vec::new();
-        r.scan(|rt| {
-            if let Some(matches) = by_key.get(&rt.key) {
-                for &i in matches {
-                    let vt = ViewTuple::join(&rt, &s_tuples[i]);
-                    view.push((hash_key(vt.key), vt.to_bytes()));
-                }
-            }
-        })?;
-        let count = view.len() as u64;
-        let tv = view_tuple_bytes(r.tuple_bytes(), s.tuple_bytes());
-        let v = LinearHash::build(disk, params, view, count, tv)?;
+        let v = crate::mv::materialize(disk, params, r, &s, &ViewDef::full())?;
         Ok(EagerView { cost: cost.clone(), v, s })
     }
 

@@ -27,19 +27,19 @@
 //! instead), so this implementation follows the algorithm and omits it.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 use trijoin_common::{
-    BaseTuple, Cost, Error, EventKind, FxHashMap, FxHashSet, JiEntry, Result, Surrogate,
-    SystemParams, ViewTuple,
+    BaseTuple, Cost, Error, FxHashMap, FxHashSet, JiEntry, Result, Surrogate, SystemParams,
+    ViewTuple,
 };
 use trijoin_storage::{Disk, FileId, PageId};
 
-use crate::diff::{ji_sort_key, net_differentials, DiffLog, Net};
+use crate::diff::{ji_sort_key, DiffPair, Net};
 use crate::mv::view_tuple_bytes;
 use crate::relation::StoredRelation;
 use crate::sort::counted_sort_by;
 use crate::strategy::{JoinStrategy, Mutation};
+use crate::viewdef::ViewDef;
 
 // ---------------------------------------------------------------------
 // JiFile: the clustered-on-r paged storage of the join index.
@@ -257,14 +257,18 @@ impl JiFile {
 // The strategy.
 // ---------------------------------------------------------------------
 
+/// The differential sort order: surrogate `r`.
+fn r_order(t: &BaseTuple) -> crate::diff::SortKey {
+    ji_sort_key(t.sur.0)
+}
+
 /// The join-index strategy with deferred incremental maintenance.
 pub struct JoinIndexStrategy {
     disk: Disk,
     params: SystemParams,
     cost: Cost,
     ji: JiFile,
-    ins_log: DiffLog,
-    del_log: DiffLog,
+    logs: DiffPair,
     r_tuple_bytes: usize,
     s_tuple_bytes: usize,
     /// Distinct `r` surrogates present in the index (for pass-budget
@@ -282,52 +286,11 @@ impl JoinIndexStrategy {
         r: &StoredRelation,
         s: &StoredRelation,
     ) -> Result<Self> {
-        let mut s_by_key: HashMap<u64, Vec<Surrogate>> = HashMap::new();
-        s.scan(|t| {
-            s_by_key.entry(t.key).or_default().push(t.sur);
-        })?;
         let mut entries: Vec<JiEntry> = Vec::new();
-        let mut distinct_r = 0u64;
-        r.scan(|t| {
-            if let Some(matches) = s_by_key.get(&t.key) {
-                distinct_r += 1;
-                for &sur in matches {
-                    entries.push(JiEntry { r: t.sur, s: sur });
-                }
-            }
+        crate::mv::scan_join(r, s, &ViewDef::full(), |rt, st| {
+            entries.push(JiEntry { r: rt.sur, s: st.sur });
         })?;
-        entries.sort();
-        let ji = JiFile::build(disk, params, &entries)?;
-        let (ins_log, del_log) = Self::fresh_logs(disk, cost, params, r.tuple_bytes());
-        Ok(JoinIndexStrategy {
-            disk: disk.clone(),
-            params: params.clone(),
-            cost: cost.clone(),
-            ji,
-            ins_log,
-            del_log,
-            r_tuple_bytes: r.tuple_bytes(),
-            s_tuple_bytes: s.tuple_bytes(),
-            distinct_r,
-        })
-    }
-
-    fn fresh_logs(
-        disk: &Disk,
-        cost: &Cost,
-        params: &SystemParams,
-        r_tuple_bytes: usize,
-    ) -> (DiffLog, DiffLog) {
-        // Same Figure 1 memory layout as the MV log, but sorted on `r`
-        // with no hashing ("since iR and dR are ordered by r, no hashing
-        // needs to be done").
-        let z = crate::mv::MaterializedView::z_pages(params);
-        let per_page = params.tuples_per_full_page(r_tuple_bytes);
-        let key = |t: &BaseTuple| ji_sort_key(t.sur.0);
-        (
-            DiffLog::new(disk, cost, z, per_page, false, key),
-            DiffLog::new(disk, cost, z, per_page, false, key),
-        )
+        Self::build_from_entries(disk, params, cost, entries, r.tuple_bytes(), s.tuple_bytes())
     }
 
     /// Entries currently cached (`‖JI‖`).
@@ -342,13 +305,13 @@ impl JoinIndexStrategy {
 
     /// Pending logged (join-attribute-changing) updates.
     pub fn pending_updates(&self) -> u64 {
-        self.ins_log.len()
+        self.logs.pending()
     }
 
     /// Pages of the pending differential log already spilled to disk
     /// (`|iR| + |dR|` run pages; the in-memory `Z` buffers hold the rest).
     pub fn pending_log_pages(&self) -> u64 {
-        self.ins_log.pages() + self.del_log.pages()
+        self.logs.pages()
     }
 
     /// Immutable access to the underlying index file (inspection/tests).
@@ -373,19 +336,20 @@ impl JoinIndexStrategy {
         s_tuple_bytes: usize,
     ) -> Result<Self> {
         entries.sort();
-        let distinct_r = distinct_r_count(&entries);
-        let ji = JiFile::build(disk, params, &entries)?;
-        let (ins_log, del_log) = Self::fresh_logs(disk, cost, params, r_tuple_bytes);
+        // Same Figure 1 memory layout as the MV log, but sorted on `r`
+        // with no hashing ("since iR and dR are ordered by r, no hashing
+        // needs to be done").
+        let z = crate::mv::MaterializedView::z_pages(params);
+        let per_page = params.tuples_per_full_page(r_tuple_bytes);
         Ok(JoinIndexStrategy {
             disk: disk.clone(),
             params: params.clone(),
             cost: cost.clone(),
-            ji,
-            ins_log,
-            del_log,
+            ji: JiFile::build(disk, params, &entries)?,
+            logs: DiffPair::new(disk, cost, z, per_page, false, r_order),
             r_tuple_bytes,
             s_tuple_bytes,
-            distinct_r,
+            distinct_r: distinct_r_count(&entries),
         })
     }
 
@@ -393,8 +357,7 @@ impl JoinIndexStrategy {
     /// a completed migration.
     pub fn destroy(self) {
         self.ji.destroy();
-        self.ins_log.destroy();
-        self.del_log.destroy();
+        self.logs.destroy();
     }
 
     /// The index's backing file (fault-injection targeting).
@@ -406,39 +369,20 @@ impl JoinIndexStrategy {
     /// damaged, so answer the query by recomputing `R ⋈ S` directly from
     /// the base relations, validate against the oracle, and rebuild the
     /// index into fresh pages — all charged under the `ji.recover` section.
-    fn recover(
-        &mut self,
-        r: &StoredRelation,
-        s: &StoredRelation,
-        out: &mut Vec<ViewTuple>,
-    ) -> Result<u64> {
-        self.disk.metrics().incr("ji.recoveries");
-        self.disk.events().emit(
-            EventKind::RecoveryTriggered,
-            "join-index: recompute from base relations",
-            self.cost.total(),
-        );
-        let _g = self.cost.section("ji.recover");
-        let def = crate::viewdef::ViewDef::full();
-        let (answer, r_filt, s_filt) = crate::recovery::recompute_join(r, s, &def, &self.cost)?;
-        crate::recovery::validate_against_oracle("join-index", &answer, &r_filt, &s_filt, &def)?;
-        let mut entries: Vec<JiEntry> =
-            answer.iter().map(|v| JiEntry { r: v.r_sur, s: v.s_sur }).collect();
-        entries.sort();
-        let distinct_r = distinct_r_count(&entries);
+    fn recover(&mut self, r: &StoredRelation, s: &StoredRelation) -> Result<Vec<ViewTuple>> {
+        let who = ("ji", "join-index");
+        let (_g, answer) =
+            crate::recovery::recompute_join(&self.disk, who, r, s, &ViewDef::full())?;
+        let entries = answer.iter().map(|v| JiEntry { r: v.r_sur, s: v.s_sur }).collect();
         // Rebuild into a fresh file; the damaged one is abandoned (a fresh
-        // file carries no torn/poisoned marks).
-        let new_ji = JiFile::build(&self.disk, &self.params, &entries)?;
-        std::mem::replace(&mut self.ji, new_ji).destroy();
-        self.distinct_r = distinct_r;
-        // The recomputation already reflects every logged mutation (the
-        // base relations do), so pending differentials are superseded.
-        let (ins, del) = Self::fresh_logs(&self.disk, &self.cost, &self.params, self.r_tuple_bytes);
-        std::mem::replace(&mut self.ins_log, ins).destroy();
-        std::mem::replace(&mut self.del_log, del).destroy();
-        let n = answer.len() as u64;
-        out.extend(answer);
-        Ok(n)
+        // file carries no torn/poisoned marks) — and with it the pending
+        // differentials: the recomputation already reflects every logged
+        // mutation (the base relations do).
+        let (rb, sb) = (self.r_tuple_bytes, self.s_tuple_bytes);
+        let fresh =
+            Self::build_from_entries(&self.disk, &self.params, &self.cost, entries, rb, sb)?;
+        std::mem::replace(self, fresh).destroy();
+        Ok(answer)
     }
 
     /// Point lookup: the S-surrogates joined with R-tuple `r`, straight
@@ -498,8 +442,7 @@ impl JoinIndexStrategy {
     /// leaving room for the pass's `R` fragment with pointers, its pending
     /// insertions, the memory-resident `iR_k ⋈ S`, the `2·N1` run input
     /// buffers, five fixed buffers, and sort/merge overhead.
-    /// The pass budget |JI_k| in pages (exposed for inspection/benches).
-    pub fn jik_pages(&self, n1: usize, r_len: u64) -> usize {
+    fn jik_pages(&self, n1: usize) -> usize {
         let m = self.params.mem_pages as f64;
         let avail = m - 2.0 * n1 as f64 - 5.0;
         if avail < 3.0 {
@@ -508,16 +451,15 @@ impl JoinIndexStrategy {
         let p = self.params.page_size as f64;
         let n_ji = self.params.tuples_per_page(JiEntry::BYTES) as f64;
         let total_pages = self.ji.num_pages().max(1) as f64;
-        let distinct = self.distinct_r.max(1) as f64;
-        let partners = self.ji.len().max(1) as f64 / distinct; // s per matching r
-        let _ = (r_len, distinct, partners);
+        // s per matching r
+        let partners = self.ji.len().max(1) as f64 / self.distinct_r.max(1) as f64;
         let tv = view_tuple_bytes(self.r_tuple_bytes, self.s_tuple_bytes) as f64;
         // The R ⋈ JI_k working area is budgeted per *entry* (one R-tuple
         // slot per JI entry) — the same Figure 3 interpretation the
         // analytical model uses, so engine and model agree on pass counts.
         let rk_per_page = n_ji * self.r_tuple_bytes as f64 / p;
-        let ik_pages_per_page = self.ins_log.pages() as f64 / total_pages;
-        let ik_tuples_per_page = self.ins_log.len() as f64 / total_pages;
+        let ik_pages_per_page = self.logs.ins().pages() as f64 / total_pages;
+        let ik_tuples_per_page = self.logs.ins().len() as f64 / total_pages;
         let ikjoin_per_page = ik_tuples_per_page * partners * tv / p;
         let mrg = 2.0 * n1 as f64 * (self.r_tuple_bytes as f64 + self.params.sptr as f64) / p;
         let sort_space = 1.0;
@@ -553,15 +495,8 @@ impl JoinStrategy for JoinIndexStrategy {
         }
         self.disk.metrics().incr("ji.mutations_logged");
         let _g = self.cost.section("ji.log");
-        match m {
-            Mutation::Update(u) => {
-                self.del_log.add(u.old.clone())?;
-                self.ins_log.add(u.new.clone())?;
-            }
-            Mutation::Insert(t) => self.ins_log.add(t.clone())?,
-            Mutation::Delete(t) => self.del_log.add(t.clone())?,
-        }
-        Ok(())
+        let (del, ins) = m.sides();
+        self.logs.log(del.cloned(), ins.cloned())
     }
 
     fn execute(
@@ -570,22 +505,14 @@ impl JoinStrategy for JoinIndexStrategy {
         s: &StoredRelation,
         sink: &mut dyn FnMut(ViewTuple),
     ) -> Result<u64> {
-        // Buffer emissions: a mid-pass device fault must not leak a
-        // partial answer into the sink before recovery re-derives the
-        // exact one.
-        let mut buffered: Vec<ViewTuple> = Vec::new();
-        let emitted = match self.passes_execute(r, s, &mut |vt| buffered.push(vt)) {
-            Ok(n) => n,
-            Err(e) if e.is_device_fault() => {
-                buffered.clear();
-                self.recover(r, s, &mut buffered)?
-            }
-            Err(e) => return Err(e),
-        };
-        self.disk.metrics().counter_add("ji.tuples_emitted", buffered.len() as u64);
-        for vt in buffered {
-            sink(vt);
-        }
+        let answer = crate::recovery::answer_or_recover(
+            self,
+            |ji, out| ji.passes_execute(r, s, out),
+            |ji| ji.recover(r, s),
+        )?;
+        self.disk.metrics().counter_add("ji.tuples_emitted", answer.len() as u64);
+        let emitted = answer.len() as u64;
+        answer.into_iter().for_each(sink);
         Ok(emitted)
     }
 }
@@ -600,28 +527,17 @@ impl JoinIndexStrategy {
         s: &StoredRelation,
         sink: &mut dyn FnMut(ViewTuple),
     ) -> Result<u64> {
-        self.ins_log.seal()?;
-        self.del_log.seal()?;
-        let n1 = self.ins_log.num_runs().max(self.del_log.num_runs());
-        let jik = self.jik_pages(n1, r.len());
+        self.logs.seal()?;
+        let jik = self.jik_pages(self.logs.runs());
 
-        let ins_stream = {
-            let _g = self.cost.section("ji.read_diffs");
-            self.ins_log.merged()?
-        };
-        let del_stream = self.del_log.merged()?;
         // The Pr_A filter hides payload-only updates from this log, so a
         // logged chain may be interrupted by unlogged states: cancellation
         // must compare (surrogate, join key) — all the index derives pairs
         // from — rather than full bytes.
-        let mut net = net_differentials(
-            ins_stream,
-            del_stream,
-            |t| ji_sort_key(t.sur.0),
-            |a, b| a.sur == b.sur && a.key == b.key,
-            &self.cost,
-        )
-        .peekable();
+        let mut net = {
+            let _g = self.cost.section("ji.read_diffs");
+            self.logs.net(|a, b| a.sur == b.sur && a.key == b.key)?.peekable()
+        };
 
         let mut emitted = 0u64;
         let mut new_count = 0u64;
@@ -677,8 +593,7 @@ impl JoinIndexStrategy {
             // A parked run-read error means the differential stream ended
             // early and this pass's sets are incomplete: fail the pass
             // (recovery takes over in the execute wrapper).
-            self.ins_log.stream_error()?;
-            self.del_log.stream_error()?;
+            self.logs.stream_error()?;
 
             // ---- mark deletions (C2.2) ----------------------------------
             let del_surs: FxHashSet<Surrogate> = dels.iter().map(|t| t.sur).collect();
@@ -832,9 +747,7 @@ impl JoinIndexStrategy {
 
         self.ji.count = new_count;
         self.distinct_r = new_distinct_r;
-        let (ins, del) = Self::fresh_logs(&self.disk, &self.cost, &self.params, self.r_tuple_bytes);
-        std::mem::replace(&mut self.ins_log, ins).destroy();
-        std::mem::replace(&mut self.del_log, del).destroy();
+        self.logs.restart(r_order);
         Ok(emitted)
     }
 }

@@ -9,7 +9,8 @@
 //!
 //! * [`relation::StoredRelation`] — base relations per Table 5;
 //! * [`diff`] — differential logging with spill runs and net-merge;
-//! * [`mv::MaterializedView`] — §3.2, deferred on-the-fly view maintenance;
+//! * [`mv::MaterializedView`] — §3.2, deferred on-the-fly view maintenance
+//!   (of `S`'s mutations too, over an `R` with the symmetric access path);
 //! * [`joinindex::JoinIndexStrategy`] — §3.3, incremental join-index
 //!   maintenance (the paper's byproduct contribution);
 //! * [`hybridhash::HybridHash`] — §3.4, full re-evaluation;
@@ -21,7 +22,6 @@
 //!   (a wall-clock representation; charges stay in the operators).
 
 pub mod batch;
-pub mod bilateral;
 pub mod diff;
 pub mod eager;
 pub mod hybridhash;
@@ -36,7 +36,6 @@ pub mod threeway;
 pub mod viewdef;
 
 pub use batch::{RowBatch, TupleRef};
-pub use bilateral::BilateralView;
 pub use eager::EagerView;
 pub use hybridhash::HybridHash;
 pub use joinindex::JoinIndexStrategy;

@@ -21,17 +21,42 @@
 //! the addressing snapshot taken when the log epoch opened, and the file is
 //! rebalanced (splits applied) only after the merge completes, so sort
 //! order and scan order always agree.
+//!
+//! # Mutations of `S`
+//!
+//! §3.2 writes the general `V'` (insertions and deletions of both
+//! relations) and analyses its R-only case. When `R` carries an inverted index on
+//! the join attribute (Table 5 gives it none; [`MaterializedView::build`]
+//! looks) the view also logs `S`'s mutations
+//! ([`MaterializedView::on_s_mutation`]) and the same merge folds both
+//! sides by the duplicate-free sequential decomposition
+//!
+//! ```text
+//! V1 = V  −  {v : v.r ∈ dR}  ∪  (iR ⋈ (S_now − iS))
+//! V' = V1 −  {v : v.s ∈ dS}  ∪  (iS ⋈ R_now)
+//! ```
+//!
+//! R-insertions join the *pre-epoch* `S` (probe the current one, skip
+//! net-inserted `s`), so `(iR ⋈ iS)` pairs arrive exactly once, from the S
+//! side, because `R_now ⊇ iR`; S-insertions join the current `R` through
+//! that index. Without it the view holds no S-side state and every charge
+//! is the R-only analysis's.
+//!
+//! Memory note: the R side streams; the net S differentials stay in memory
+//! for the one query that folds them (their runs are logged, spilled and
+//! merged at full charge). Streaming them under `|M|` needs a bucket merge
+//! over two differentials the paper never contemplates.
 
 use std::collections::VecDeque;
 
 use trijoin_common::{
-    types::hash_key, BaseTuple, Cost, EventKind, FxHashMap, FxHashSet, Result, Surrogate,
-    SystemParams, ViewTuple,
+    types::hash_key, BaseTuple, Cost, Error, FxHashMap, FxHashSet, Result, Surrogate, SystemParams,
+    ViewTuple,
 };
 use trijoin_linearhash::{Addressing, LinearHash};
 use trijoin_storage::{Disk, FileId};
 
-use crate::diff::{mv_sort_key, net_differentials, DiffLog, Net, SortKey};
+use crate::diff::{mv_sort_key, DiffPair, Net, SortKey};
 use crate::relation::StoredRelation;
 use crate::sort::counted_sort_by;
 use crate::strategy::{JoinStrategy, Mutation};
@@ -39,22 +64,82 @@ use crate::viewdef::ViewDef;
 
 /// Serialized size of a view tuple built from `r_bytes`/`s_bytes` tuples.
 pub fn view_tuple_bytes(r_bytes: usize, s_bytes: usize) -> usize {
-    // Each base tuple contributes its payload (T − header); the view adds
-    // its own header.
-    ViewTuple::HEADER_BYTES
-        + (r_bytes - BaseTuple::HEADER_BYTES)
-        + (s_bytes - BaseTuple::HEADER_BYTES)
+    ViewDef::full().view_tuple_bytes(r_bytes, s_bytes)
+}
+
+/// The differential sort order under a frozen addressing:
+/// `(bucket, hash(A), surrogate)`.
+fn hash_order(addressing: Addressing) -> impl Fn(&BaseTuple) -> SortKey + Copy + 'static {
+    move |t| {
+        let h = hash_key(t.key);
+        mv_sort_key(addressing.addr(h), h, t.sur.0)
+    }
+}
+
+/// The initial `σ_p(R) ⋈ σ_q(S)` through an in-memory build of `S` (setup
+/// only: the two scans are all it charges), one `emit` per joining pair,
+/// in `R`'s scan order.
+pub(crate) fn scan_join(
+    r: &StoredRelation,
+    s: &StoredRelation,
+    def: &ViewDef,
+    mut emit: impl FnMut(&BaseTuple, &BaseTuple),
+) -> Result<()> {
+    let mut by_key: std::collections::HashMap<u64, Vec<BaseTuple>> =
+        std::collections::HashMap::new();
+    s.scan(|t| {
+        if def.s_pred.eval(&t) {
+            by_key.entry(t.key).or_default().push(t);
+        }
+    })?;
+    r.scan(|rt| {
+        if def.r_pred.eval(&rt) {
+            by_key.get(&rt.key).into_iter().flatten().for_each(|st| emit(&rt, st));
+        }
+    })
+}
+
+/// Load `V = π(σ_p(R) ⋈ σ_q(S))` into a fresh hash file.
+pub(crate) fn materialize(
+    disk: &Disk,
+    params: &SystemParams,
+    r: &StoredRelation,
+    s: &StoredRelation,
+    def: &ViewDef,
+) -> Result<LinearHash> {
+    let mut view: Vec<(u64, Vec<u8>)> = Vec::new();
+    scan_join(r, s, def, |rt, st| {
+        let vt = def.make_view_tuple(rt, st);
+        view.push((hash_key(vt.key), vt.to_bytes()));
+    })?;
+    let count = view.len() as u64;
+    let tv = def.view_tuple_bytes(r.tuple_bytes(), s.tuple_bytes());
+    LinearHash::build(disk, params, view, count, tv)
+}
+
+/// Load already-joined tuples of `tv` bytes into a fresh hash file.
+fn load(disk: &Disk, params: &SystemParams, tuples: &[ViewTuple], tv: usize) -> Result<LinearHash> {
+    let records: Vec<(u64, Vec<u8>)> =
+        tuples.iter().map(|vt| (hash_key(vt.key), vt.to_bytes())).collect();
+    LinearHash::build(disk, params, records, tuples.len() as u64, tv)
 }
 
 /// The materialized-view strategy.
+///
+/// Reports and the cost audit know it as `materialized-view` whether or
+/// not it takes mutations of `S`: a cycle that folded `S` differentials
+/// would be priced by the R-only model, but no audited engine builds `R`
+/// with the inverted index an S side needs.
 pub struct MaterializedView {
     disk: Disk,
     params: SystemParams,
     cost: Cost,
     v: LinearHash,
     addressing: Addressing,
-    ins_log: DiffLog,
-    del_log: DiffLog,
+    r_logs: DiffPair,
+    /// `iS`/`dS`: held only when `R` carries the inverted index that
+    /// `iS ⋈ R_now` probes (boxed: the R-only view stays as small as it was).
+    s_logs: Option<Box<DiffPair>>,
     r_tuple_bytes: usize,
     s_tuple_bytes: usize,
     def: ViewDef,
@@ -63,6 +148,8 @@ pub struct MaterializedView {
 impl MaterializedView {
     /// Initially materialize `V = R ⋈ S` (setup; callers normally reset the
     /// cost ledger afterwards — the paper does not price initial loading).
+    /// The view takes mutations of `S` as well as of `R` exactly when
+    /// `r.has_inverted()`.
     pub fn build(
         disk: &Disk,
         params: &SystemParams,
@@ -74,7 +161,8 @@ impl MaterializedView {
     }
 
     /// Materialize a select-project view `V = π(σ_p(R) ⋈ σ_q(S))` — the
-    /// paper's §5 extension (selections + projectivity of the join).
+    /// paper's §5 extension (selections + projectivity of the join). Such
+    /// a view follows `R` only.
     pub fn build_with(
         disk: &Disk,
         params: &SystemParams,
@@ -83,47 +171,41 @@ impl MaterializedView {
         s: &StoredRelation,
         def: ViewDef,
     ) -> Result<Self> {
-        // Full join via an in-memory build of S (setup only).
-        let mut s_tuples: Vec<BaseTuple> = Vec::with_capacity(s.len() as usize);
-        s.scan(|t| {
-            if def.s_pred.eval(&t) {
-                s_tuples.push(t);
-            }
-        })?;
-        let mut by_key: std::collections::HashMap<u64, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (i, st) in s_tuples.iter().enumerate() {
-            by_key.entry(st.key).or_default().push(i);
-        }
-        let mut view: Vec<(u64, Vec<u8>)> = Vec::new();
-        r.scan(|rt| {
-            if !def.r_pred.eval(&rt) {
-                return;
-            }
-            if let Some(matches) = by_key.get(&rt.key) {
-                for &i in matches {
-                    let vt = def.make_view_tuple(&rt, &s_tuples[i]);
-                    view.push((hash_key(vt.key), vt.to_bytes()));
-                }
-            }
-        })?;
-        let count = view.len() as u64;
-        let tv = def.view_tuple_bytes(r.tuple_bytes(), s.tuple_bytes());
-        let v = LinearHash::build(disk, params, view, count, tv)?;
+        let v = materialize(disk, params, r, s, &def)?;
+        let s_side = r.has_inverted() && def.is_full();
+        Ok(Self::over(disk, params, cost, v, (r.tuple_bytes(), s.tuple_bytes()), def, s_side))
+    }
+
+    /// The strategy over a loaded view file, at the start of a log epoch.
+    fn over(
+        disk: &Disk,
+        params: &SystemParams,
+        cost: &Cost,
+        v: LinearHash,
+        (r_tuple_bytes, s_tuple_bytes): (usize, usize),
+        def: ViewDef,
+        s_side: bool,
+    ) -> Self {
         let addressing = v.addressing();
-        let (ins_log, del_log) = Self::fresh_logs(disk, cost, params, r.tuple_bytes(), addressing);
-        Ok(MaterializedView {
+        // Figure 1 gives `iR` and `dR` `Z` pages each; `iS` and `dS` take
+        // half of each when the view logs them too.
+        let z = if s_side { (Self::z_pages(params) / 2).max(1) } else { Self::z_pages(params) };
+        let logs = |tuple_bytes: usize| {
+            let per_page = params.tuples_per_full_page(tuple_bytes);
+            DiffPair::new(disk, cost, z, per_page, true, hash_order(addressing))
+        };
+        MaterializedView {
             disk: disk.clone(),
             params: params.clone(),
             cost: cost.clone(),
             v,
             addressing,
-            ins_log,
-            del_log,
-            r_tuple_bytes: r.tuple_bytes(),
-            s_tuple_bytes: s.tuple_bytes(),
+            r_logs: logs(r_tuple_bytes),
+            s_logs: s_side.then(|| Box::new(logs(s_tuple_bytes))),
+            r_tuple_bytes,
+            s_tuple_bytes,
             def,
-        })
+        }
     }
 
     /// The paper's `Z` (Figure 1): half the memory for insertions, half for
@@ -132,22 +214,18 @@ impl MaterializedView {
         ((params.mem_pages.saturating_sub(1)) / 2).max(1)
     }
 
-    fn fresh_logs(
-        disk: &Disk,
-        cost: &Cost,
-        params: &SystemParams,
-        r_tuple_bytes: usize,
-        addressing: Addressing,
-    ) -> (DiffLog, DiffLog) {
-        let z = Self::z_pages(params);
-        let per_page = params.tuples_per_full_page(r_tuple_bytes);
-        let key = move |t: &BaseTuple| -> SortKey {
-            let h = hash_key(t.key);
-            mv_sort_key(addressing.addr(h), h, t.sur.0)
-        };
-        let ins = DiffLog::new(disk, cost, z, per_page, true, key);
-        let del = DiffLog::new(disk, cost, z, per_page, true, key);
-        (ins, del)
+    fn view_tuple_bytes(&self) -> usize {
+        self.def.view_tuple_bytes(self.r_tuple_bytes, self.s_tuple_bytes)
+    }
+
+    /// Open a log epoch under the view file's current addressing; whatever
+    /// the logs held is dropped.
+    fn open_epoch(&mut self) {
+        self.addressing = self.v.addressing();
+        self.r_logs.restart(hash_order(self.addressing));
+        if let Some(logs) = &mut self.s_logs {
+            logs.restart(hash_order(self.addressing));
+        }
     }
 
     /// The paper's `|W_R|` (Figure 2): how many pages of merged insertions
@@ -161,7 +239,7 @@ impl MaterializedView {
             return 1;
         }
         let n_ir = self.params.tuples_per_full_page(self.r_tuple_bytes) as f64;
-        let tv = self.def.view_tuple_bytes(self.r_tuple_bytes, self.s_tuple_bytes) as f64;
+        let tv = self.view_tuple_bytes() as f64;
         let p = self.params.page_size as f64;
         let mrg_space = 2.0 * n1 as f64 * (self.r_tuple_bytes as f64 + self.params.sptr as f64) / p;
         let sort_space = 1.0;
@@ -191,15 +269,32 @@ impl MaterializedView {
         self.v.num_pages()
     }
 
-    /// Pending logged updates (tuples in `iR`; `dR` has the same count).
+    /// Pending logged mutations (of `R`, plus of `S` when the view takes
+    /// them).
     pub fn pending_updates(&self) -> u64 {
-        self.ins_log.len().max(self.del_log.len())
+        self.r_logs.pending() + self.s_logs.as_ref().map_or(0, |s| s.pending())
     }
 
-    /// Pages of the pending differential log already spilled to disk
+    /// Pages of the pending differential logs already spilled to disk
     /// (`|iR| + |dR|` run pages; the in-memory `Z` buffers hold the rest).
     pub fn pending_log_pages(&self) -> u64 {
-        self.ins_log.pages() + self.del_log.pages()
+        self.r_logs.pages() + self.s_logs.as_ref().map_or(0, |s| s.pages())
+    }
+
+    /// Observe one mutation of `S` *before* it is applied to the stored
+    /// relation; mutations of `R` go through [`JoinStrategy::on_mutation`].
+    /// A view without an S side — `R` has no inverted index on the join
+    /// attribute, or the view selects or projects — refuses with
+    /// [`Error::Infeasible`] and stays as it was.
+    pub fn on_s_mutation(&mut self, m: &Mutation) -> Result<()> {
+        let Some(logs) = &mut self.s_logs else {
+            return Err(Error::Infeasible(
+                "mutations of S need a full view over an R with an inverted index on A".into(),
+            ));
+        };
+        let _g = self.cost.section("mv.log_s");
+        let (del, ins) = m.sides();
+        logs.log(del.cloned(), ins.cloned())
     }
 
     /// Point lookup: every cached join tuple with the given join-attribute
@@ -214,7 +309,7 @@ impl MaterializedView {
     /// [`crate::EagerView`].
     pub fn lookup_key(&self, key: u64) -> Result<Vec<ViewTuple>> {
         if self.pending_updates() > 0 {
-            return Err(trijoin_common::Error::Infeasible(format!(
+            return Err(Error::Infeasible(format!(
                 "{} deferred updates pending; execute() before point lookups",
                 self.pending_updates()
             )));
@@ -232,50 +327,65 @@ impl MaterializedView {
             .collect()
     }
 
-    /// Join one batch of insertion tuples with `S` through the inverted
-    /// index (step 2). Returns view tuples sorted by `(bucket, hash(A))`.
-    fn join_batch(&self, s: &StoredRelation, mut batch: Vec<BaseTuple>) -> Result<Vec<ViewTuple>> {
+    /// Step 2: join one batch of net insertions with the `other` relation
+    /// through its inverted index — `iR` against `S` (`batch_of_r`), or
+    /// `iS` against `R`. `skip` names partners to leave out (uncharged
+    /// when empty). Returns view tuples sorted by `(bucket, hash(A))`.
+    fn join_batch(
+        &self,
+        section: &str,
+        mut batch: Vec<BaseTuple>,
+        batch_of_r: bool,
+        other: &StoredRelation,
+        skip: &FxHashSet<Surrogate>,
+    ) -> Result<Vec<ViewTuple>> {
         if batch.is_empty() {
             return Ok(Vec::new());
         }
-        let _g = self.cost.section("mv.join_ins");
-        // 2.1: sort W_R by the join attribute A.
+        let _g = self.cost.section(section);
+        // 2.1: sort the batch by the join attribute A.
         counted_sort_by(&mut batch, |t| t.key, &self.cost);
-        // 2.2: probe S's inverted index with the distinct keys...
+        // 2.2: probe the inverted index with the distinct keys...
         let mut keys: Vec<u64> = batch.iter().map(|t| t.key).collect();
         keys.dedup();
         // BTreeMap: iteration order feeds op-counted sorts, so it must be
         // deterministic for reproducible cost ledgers.
         let mut postings: std::collections::BTreeMap<u64, Vec<Surrogate>> =
             std::collections::BTreeMap::new();
-        s.probe_inverted(&keys, |k, sur| postings.entry(k).or_default().push(sur))?;
-        // ...then fetch the matching S tuples in surrogate order (scheduled
+        other.probe_inverted(&keys, |k, sur| postings.entry(k).or_default().push(sur))?;
+        // ...then fetch the matching tuples in surrogate order (scheduled
         // access — each page at most once).
         let mut surs: Vec<Surrogate> = postings.values().flatten().copied().collect();
+        if !skip.is_empty() {
+            self.cost.comp(surs.len() as u64);
+            surs.retain(|sur| !skip.contains(sur));
+        }
         counted_sort_by(&mut surs, |s| s.0, &self.cost);
-        let mut s_tuples: FxHashMap<Surrogate, BaseTuple> = FxHashMap::default();
-        s.fetch_by_surrogates(&surs, |t| {
-            s_tuples.insert(t.sur, t);
+        let mut fetched: FxHashMap<Surrogate, BaseTuple> = FxHashMap::default();
+        other.fetch_by_surrogates(&surs, |t| {
+            fetched.insert(t.sur, t);
         })?;
-        // Form W_R ⋈ σ_q(S) (one move per result tuple, per C2.2). The
-        // inverted index is on the full S, so fetched tuples are tested
-        // against the view's S-side selection here (one comp each).
+        // Form the batch's join (one move per result tuple, per C2.2). The
+        // inverted index is on the full relation, so fetched tuples are
+        // tested against the view's selection on that side here (one comp
+        // each).
+        let other_pred = if batch_of_r { &self.def.s_pred } else { &self.def.r_pred };
         let mut out: Vec<ViewTuple> = Vec::new();
-        for rt in &batch {
-            if let Some(ss) = postings.get(&rt.key) {
-                for sur in ss {
-                    let st = s_tuples.get(sur).ok_or_else(|| {
-                        trijoin_common::Error::Invariant(format!(
-                            "inverted posting {sur} has no S tuple"
-                        ))
-                    })?;
-                    self.cost.comp(1);
-                    if !self.def.s_pred.eval(st) {
+        for bt in &batch {
+            for sur in postings.get(&bt.key).into_iter().flatten() {
+                let Some(ot) = fetched.get(sur) else {
+                    if skip.contains(sur) {
                         continue;
                     }
-                    out.push(self.def.make_view_tuple(rt, st));
-                    self.cost.mov(1);
+                    return Err(Error::Invariant(format!("inverted posting {sur} has no tuple")));
+                };
+                self.cost.comp(1);
+                if !other_pred.eval(ot) {
+                    continue;
                 }
+                let (rt, st) = if batch_of_r { (bt, ot) } else { (ot, bt) };
+                out.push(self.def.make_view_tuple(rt, st));
+                self.cost.mov(1);
             }
         }
         // 2.3: sort the batch result by hash(A) (CPU_s with hashing).
@@ -296,50 +406,17 @@ impl MaterializedView {
     /// damaged, so answer the query by recomputing `R ⋈ S` directly from
     /// the base relations, validate against the oracle, and rebuild `V`
     /// into fresh pages — all charged under the `mv.recover` section.
-    fn recover(
-        &mut self,
-        r: &StoredRelation,
-        s: &StoredRelation,
-        out: &mut Vec<ViewTuple>,
-    ) -> Result<u64> {
-        self.disk.metrics().incr("mv.recoveries");
-        self.disk.events().emit(
-            EventKind::RecoveryTriggered,
-            "materialized-view: recompute from base relations",
-            self.cost.total(),
-        );
-        let _g = self.cost.section("mv.recover");
-        let (answer, r_filt, s_filt) =
-            crate::recovery::recompute_join(r, s, &self.def, &self.cost)?;
-        crate::recovery::validate_against_oracle(
-            "materialized-view",
-            &answer,
-            &r_filt,
-            &s_filt,
-            &self.def,
-        )?;
+    fn recover(&mut self, r: &StoredRelation, s: &StoredRelation) -> Result<Vec<ViewTuple>> {
+        let who = ("mv", "materialized-view");
+        let (_g, answer) = crate::recovery::recompute_join(&self.disk, who, r, s, &self.def)?;
         // Rebuild the view into a fresh file; the damaged one is abandoned
         // (a fresh file carries no torn/poisoned marks).
-        let records: Vec<(u64, Vec<u8>)> =
-            answer.iter().map(|vt| (hash_key(vt.key), vt.to_bytes())).collect();
-        let count = answer.len() as u64;
-        let tv = self.def.view_tuple_bytes(self.r_tuple_bytes, self.s_tuple_bytes);
-        let new_v = LinearHash::build(&self.disk, &self.params, records, count, tv)?;
+        let new_v = load(&self.disk, &self.params, &answer, self.view_tuple_bytes())?;
         std::mem::replace(&mut self.v, new_v).destroy();
-        self.addressing = self.v.addressing();
         // The recomputation already reflects every logged mutation (the
         // base relations do), so pending differentials are superseded.
-        let (ins, del) = Self::fresh_logs(
-            &self.disk,
-            &self.cost,
-            &self.params,
-            self.r_tuple_bytes,
-            self.addressing,
-        );
-        std::mem::replace(&mut self.ins_log, ins).destroy();
-        std::mem::replace(&mut self.del_log, del).destroy();
-        out.extend(answer);
-        Ok(count)
+        self.open_epoch();
+        Ok(answer)
     }
 
     // === Incremental-migration surface ==================================
@@ -350,7 +427,8 @@ impl MaterializedView {
     /// Build a full view directly from already-joined tuples — the
     /// receiving end of a migration hand-off. All I/O lands in the
     /// caller's open ledger section (the serving layer wraps this in its
-    /// `migrate.build` span).
+    /// `migrate.build` span). With no `R` to look at, the view follows `R`
+    /// only.
     pub fn build_from_tuples(
         disk: &Disk,
         params: &SystemParams,
@@ -359,35 +437,20 @@ impl MaterializedView {
         r_tuple_bytes: usize,
         s_tuple_bytes: usize,
     ) -> Result<Self> {
-        let records: Vec<(u64, Vec<u8>)> =
-            tuples.iter().map(|vt| (hash_key(vt.key), vt.to_bytes())).collect();
-        let count = records.len() as u64;
         let def = ViewDef::full();
-        let tv = def.view_tuple_bytes(r_tuple_bytes, s_tuple_bytes);
-        let v = LinearHash::build(disk, params, records, count, tv)?;
-        let addressing = v.addressing();
-        let (ins_log, del_log) = Self::fresh_logs(disk, cost, params, r_tuple_bytes, addressing);
-        Ok(MaterializedView {
-            disk: disk.clone(),
-            params: params.clone(),
-            cost: cost.clone(),
-            v,
-            addressing,
-            ins_log,
-            del_log,
-            r_tuple_bytes,
-            s_tuple_bytes,
-            def,
-        })
+        let v = load(disk, params, tuples, def.view_tuple_bytes(r_tuple_bytes, s_tuple_bytes))?;
+        Ok(Self::over(disk, params, cost, v, (r_tuple_bytes, s_tuple_bytes), def, false))
     }
 
-    /// Delete the view file and both log files — the superseded side of a
+    /// Delete the view file and the log files — the superseded side of a
     /// completed migration (fault-recovery paths replace-and-destroy
     /// internally instead).
     pub fn destroy(self) {
         self.v.destroy();
-        self.ins_log.destroy();
-        self.del_log.destroy();
+        self.r_logs.destroy();
+        if let Some(logs) = self.s_logs {
+            logs.destroy();
+        }
     }
 }
 
@@ -404,13 +467,7 @@ impl JoinStrategy for MaterializedView {
         // sides that fail its selection — *irrelevant* mutations (both
         // sides fail) cost nothing at all.
         let (del, ins) = self.def.translate_r(m);
-        if let Some(t) = del {
-            self.del_log.add(t)?;
-        }
-        if let Some(t) = ins {
-            self.ins_log.add(t)?;
-        }
-        Ok(())
+        self.r_logs.log(del, ins)
     }
 
     fn execute(
@@ -419,27 +476,57 @@ impl JoinStrategy for MaterializedView {
         s: &StoredRelation,
         sink: &mut dyn FnMut(ViewTuple),
     ) -> Result<u64> {
-        // Buffer emissions: a mid-merge device fault must not leak a
-        // partial answer into the sink before recovery re-derives the
-        // exact one.
-        let mut buffered: Vec<ViewTuple> = Vec::new();
-        let emitted = match self.merge_execute(r, s, &mut |vt| buffered.push(vt)) {
-            Ok(n) => n,
-            Err(e) if e.is_device_fault() => {
-                buffered.clear();
-                self.recover(r, s, &mut buffered)?
-            }
-            Err(e) => return Err(e),
-        };
-        self.disk.metrics().counter_add("mv.tuples_emitted", buffered.len() as u64);
-        for vt in buffered {
-            sink(vt);
-        }
+        let answer = crate::recovery::answer_or_recover(
+            self,
+            |mv, out| mv.merge_execute(r, s, out),
+            |mv| mv.recover(r, s),
+        )?;
+        self.disk.metrics().counter_add("mv.tuples_emitted", answer.len() as u64);
+        let emitted = answer.len() as u64;
+        answer.into_iter().for_each(sink);
         Ok(emitted)
     }
 }
 
+/// What one query folds of `S`'s mutations (all empty for a view without an
+/// S side).
+#[derive(Default)]
+struct SFold {
+    /// Net-inserted `s`: `iR ⋈ S_now` leaves them to the S side.
+    inserted: FxHashSet<Surrogate>,
+    /// Net-deleted `s`: their view tuples go.
+    deleted: FxHashSet<Surrogate>,
+    /// `iS ⋈ R_now`, in bucket order.
+    joined: VecDeque<ViewTuple>,
+}
+
 impl MaterializedView {
+    /// Net `S`'s differentials into memory and join its insertions with
+    /// the current `R`.
+    fn fold_s(&mut self, r: &StoredRelation) -> Result<SFold> {
+        let mut fold = SFold::default();
+        let Some(logs) = &mut self.s_logs else {
+            return Ok(fold);
+        };
+        logs.seal()?;
+        let mut ins: Vec<BaseTuple> = Vec::new();
+        {
+            let _g = self.cost.section("mv.read_s_diffs");
+            for item in logs.net(|a, b| a == b)? {
+                match item {
+                    Net::Ins(t) => ins.push(t),
+                    Net::Del(t) => {
+                        fold.deleted.insert(t.sur);
+                    }
+                }
+            }
+        }
+        logs.stream_error()?;
+        fold.inserted = ins.iter().map(|t| t.sur).collect();
+        fold.joined = self.join_batch("mv.join_is", ins, false, r, &FxHashSet::default())?.into();
+        Ok(fold)
+    }
+
     /// The §3.2 merge pipeline (the paper's steps 1–4), fallible on any
     /// injected device fault; [`JoinStrategy::execute`] wraps it with the
     /// recovery fallback.
@@ -449,31 +536,25 @@ impl MaterializedView {
         s: &StoredRelation,
         sink: &mut dyn FnMut(ViewTuple),
     ) -> Result<u64> {
-        self.ins_log.seal()?;
-        self.del_log.seal()?;
-        let n1 = self.ins_log.num_runs().max(self.del_log.num_runs());
+        self.r_logs.seal()?;
+        let mut s_fold = self.fold_s(r)?;
+        // One test per deletion set a view tuple is held against.
+        let del_tests = 1 + self.s_logs.is_some() as u64;
+        let n1 = self.r_logs.runs();
         // Expected S partners per R tuple: ‖V‖/‖R‖ = JS·‖S‖ (self-estimated
         // from the cached view, like a real system's statistics).
         let partners = if r.is_empty() { 1.0 } else { self.v.len() as f64 / r.len() as f64 };
         let wr_tuples = self.wr_pages(n1, partners.max(0.1))
             * self.params.tuples_per_full_page(self.r_tuple_bytes);
 
-        let addressing = self.addressing;
-        let key_of = move |t: &BaseTuple| -> SortKey {
-            let h = hash_key(t.key);
-            mv_sort_key(addressing.addr(h), h, t.sur.0)
-        };
-        let ins_stream = {
-            let _g = self.cost.section("mv.read_diffs");
-            self.ins_log.merged()?
-        };
-        let del_stream = self.del_log.merged()?;
+        let key_of = hash_order(self.addressing);
+        let bucket_of = move |t: &BaseTuple| -> u64 { (key_of(t) >> 96) as u64 };
         // The MV log sees every update, so chains are contiguous and
         // byte-identity is the exact cancellation equivalence.
-        let mut net =
-            net_differentials(ins_stream, del_stream, key_of, |a, b| a == b, &self.cost).peekable();
-
-        let bucket_of_key = move |k: SortKey| -> u64 { (k >> 96) as u64 };
+        let mut net = {
+            let _g = self.cost.section("mv.read_diffs");
+            self.r_logs.net(|a, b| a == b)?.peekable()
+        };
 
         let mut del_q: VecDeque<(u64, Surrogate)> = VecDeque::new();
         let mut emitted = 0u64;
@@ -487,17 +568,13 @@ impl MaterializedView {
             {
                 let _g = self.cost.section("mv.read_diffs");
                 while let Some(item) = net.peek() {
-                    let key = match item {
-                        Net::Ins(t) | Net::Del(t) => key_of(t),
-                    };
-                    let bucket = bucket_of_key(key);
-                    if batch.len() >= wr_tuples {
-                        // Extend only to the current bucket boundary.
-                        let last_bucket =
-                            batch.last().map(|t| bucket_of_key(key_of(t))).unwrap_or(bucket);
-                        if bucket > last_bucket {
-                            break;
-                        }
+                    let (Net::Ins(t) | Net::Del(t)) = item;
+                    let bucket = bucket_of(t);
+                    // A full batch extends only to its bucket's boundary.
+                    if batch.len() >= wr_tuples
+                        && batch.last().is_some_and(|l| bucket > bucket_of(l))
+                    {
+                        break;
                     }
                     match net.next().unwrap() {
                         Net::Ins(t) => batch.push(t),
@@ -508,32 +585,23 @@ impl MaterializedView {
             // A parked run-read error means the differential stream ended
             // early and the batch is incomplete: fail the merge (recovery
             // takes over in the execute wrapper).
-            self.ins_log.stream_error()?;
-            self.del_log.stream_error()?;
-            let batch_empty = batch.is_empty();
+            self.r_logs.stream_error()?;
             // The scan below may process up to the batch's last bucket; if
-            // the stream is exhausted, finish the whole file.
-            let hi_bucket = if net.peek().is_none() {
+            // the stream is exhausted, it finishes the whole file.
+            let last = if net.peek().is_none() {
                 total_buckets.saturating_sub(1)
             } else {
-                batch
-                    .iter()
-                    .map(|t| bucket_of_key(key_of(t)))
-                    .max()
+                (batch.last().map(bucket_of))
                     .or_else(|| del_q.back().map(|&(b, _)| b))
                     .unwrap_or(next_bucket)
+                    .min(total_buckets.saturating_sub(1))
             };
-            let mut joined: VecDeque<ViewTuple> = self.join_batch(s, batch)?.into();
+            let mut joined: VecDeque<ViewTuple> =
+                self.join_batch("mv.join_ins", batch, true, s, &s_fold.inserted)?.into();
 
             // Step 3/4: read V bucket by bucket, apply deletions by not
             // keeping matching tuples, merge insertions, emit everything,
             // write back changed pages.
-            let scan_done = net.peek().is_none() && batch_empty && joined.is_empty();
-            let last = if scan_done {
-                total_buckets.saturating_sub(1)
-            } else {
-                hi_bucket.min(total_buckets.saturating_sub(1))
-            };
             for b in next_bucket..=last {
                 let old = {
                     let _g = self.cost.section("mv.scan_view");
@@ -548,8 +616,8 @@ impl MaterializedView {
                 // Keep survivors.
                 for (h, bytes) in old {
                     let vt = ViewTuple::from_bytes(&bytes)?;
-                    self.cost.comp(1); // tested against the deletion set
-                    if dels.contains(&vt.r_sur) {
+                    self.cost.comp(del_tests);
+                    if dels.contains(&vt.r_sur) || s_fold.deleted.contains(&vt.s_sur) {
                         changed = true;
                     } else {
                         sink(vt);
@@ -557,20 +625,23 @@ impl MaterializedView {
                         new.push((h, bytes));
                     }
                 }
-                // Merge this bucket's freshly joined insertions.
-                while joined
-                    .front()
-                    .map(|v| self.addressing.addr(hash_key(v.key)) == b)
-                    .unwrap_or(false)
-                {
-                    let vt = joined.pop_front().unwrap();
-                    self.cost.mov(1); // merged into the bucket (C3.3)
-                                      // Serialize before handing the tuple to the sink so it
-                                      // moves instead of cloning its payloads.
-                    new.push((hash_key(vt.key), vt.to_bytes()));
-                    sink(vt);
-                    emitted += 1;
-                    changed = true;
+                // Merge this bucket's freshly joined insertions, `iR`'s
+                // then `iS`'s.
+                for stream in [&mut joined, &mut s_fold.joined] {
+                    while stream
+                        .front()
+                        .map(|v| self.addressing.addr(hash_key(v.key)) == b)
+                        .unwrap_or(false)
+                    {
+                        let vt = stream.pop_front().unwrap();
+                        // Merged into the bucket (C3.3); serialized before the sink
+                        // takes the tuple, so it moves instead of cloning its payloads.
+                        self.cost.mov(1);
+                        new.push((hash_key(vt.key), vt.to_bytes()));
+                        sink(vt);
+                        emitted += 1;
+                        changed = true;
+                    }
                 }
                 if changed {
                     let _g = self.cost.section("mv.write_view");
@@ -581,9 +652,9 @@ impl MaterializedView {
                 }
             }
             next_bucket = last + 1;
-            if scan_done || next_bucket >= total_buckets {
+            if next_bucket >= total_buckets {
                 debug_assert!(
-                    net.peek().is_none() && joined.is_empty(),
+                    net.peek().is_none() && joined.is_empty() && s_fold.joined.is_empty(),
                     "differential stream outlived the view scan"
                 );
                 break;
@@ -596,16 +667,7 @@ impl MaterializedView {
             let _g = self.cost.section("mv.rebalance");
             self.v.rebalance()?;
         }
-        self.addressing = self.v.addressing();
-        let (ins, del) = Self::fresh_logs(
-            &self.disk,
-            &self.cost,
-            &self.params,
-            self.r_tuple_bytes,
-            self.addressing,
-        );
-        std::mem::replace(&mut self.ins_log, ins).destroy();
-        std::mem::replace(&mut self.del_log, del).destroy();
+        self.open_epoch();
         Ok(emitted)
     }
 }

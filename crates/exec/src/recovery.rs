@@ -14,13 +14,14 @@
 //!   validates the recomputation against [`crate::oracle`], rebuilds the
 //!   cached structure into fresh pages, and answers the query exactly.
 //!
-//! The legacy one-shot [`Error::Faulted`] (from `SimDisk::inject_fault`) is
-//! exempt: its contract is to surface unchanged, and the error-path tests
-//! assert exactly that.
+//! * **Fatal** faults are exempt: the execution layer neither retries nor
+//!   recovers from them, so they surface unchanged — what the error-path
+//!   tests assert.
 
 use std::collections::HashMap;
 
-use trijoin_common::{BaseTuple, Cost, Error, JoinKey, Result, ViewTuple};
+use trijoin_common::{cost::SectionGuard, BaseTuple, Error, EventKind, JoinKey, Result, ViewTuple};
+use trijoin_storage::Disk;
 
 use crate::relation::StoredRelation;
 use crate::viewdef::ViewDef;
@@ -43,32 +44,55 @@ pub fn with_retry<T>(mut op: impl FnMut() -> Result<T>) -> Result<T> {
     Err(last.expect("retry loop exits early unless a fault was seen"))
 }
 
-/// Snapshot a base relation's tuples, retrying transient faults. Base
-/// relations are the recovery source of truth, so this is the one read path
-/// recovery itself depends on.
-pub fn snapshot_relation(rel: &StoredRelation) -> Result<Vec<BaseTuple>> {
-    with_retry(|| {
-        let mut out = Vec::with_capacity(rel.len() as usize);
-        rel.scan(|t| out.push(t))?;
-        Ok(out)
-    })
+/// Answer a query from a strategy's cached state, or from the base
+/// relations when that state is damaged. `pipeline` runs with its emissions
+/// buffered — a device fault mid-way must not leak a partial answer — and
+/// on a device fault `recover` re-derives the exact answer and rebuilds the
+/// cached structure. Any other error surfaces unchanged.
+pub fn answer_or_recover<S>(
+    strategy: &mut S,
+    pipeline: impl FnOnce(&mut S, &mut dyn FnMut(ViewTuple)) -> Result<u64>,
+    recover: impl FnOnce(&mut S) -> Result<Vec<ViewTuple>>,
+) -> Result<Vec<ViewTuple>> {
+    let mut answer: Vec<ViewTuple> = Vec::new();
+    match pipeline(strategy, &mut |vt| answer.push(vt)) {
+        Ok(_) => Ok(answer),
+        Err(e) if e.is_device_fault() => recover(strategy),
+        Err(e) => Err(e),
+    }
 }
 
-/// Recompute the current query answer directly from base-relation
-/// snapshots: an in-memory hash join (hybrid-hash with everything in
-/// partition 0) honoring `def`, with the usual per-operation charges.
-/// Returns `(answer, def-filtered R, def-filtered S)` so the caller can
-/// validate against the oracle and rebuild its cached structure.
+/// Announce a recovery of strategy `label` (counter `<prefix>.recoveries`,
+/// a [`EventKind::RecoveryTriggered`] event), open its `<prefix>.recover`
+/// ledger section — the caller rebuilds its cached structure under the
+/// returned guard — and recompute the current query answer directly from
+/// base-relation snapshots: an in-memory hash join (hybrid-hash with
+/// everything in partition 0) honoring `def`, with the usual per-operation
+/// charges, validated against the oracle before it is returned.
 pub fn recompute_join(
+    disk: &Disk,
+    (prefix, label): (&str, &str),
     r: &StoredRelation,
     s: &StoredRelation,
     def: &ViewDef,
-    cost: &Cost,
-) -> Result<(Vec<ViewTuple>, Vec<BaseTuple>, Vec<BaseTuple>)> {
-    let r_all = snapshot_relation(r)?;
-    let s_all = snapshot_relation(s)?;
-    let r_filt: Vec<BaseTuple> = r_all.into_iter().filter(|t| def.r_pred.eval(t)).collect();
-    let s_filt: Vec<BaseTuple> = s_all.into_iter().filter(|t| def.s_pred.eval(t)).collect();
+) -> Result<(SectionGuard, Vec<ViewTuple>)> {
+    let cost = disk.cost();
+    disk.metrics().incr(&format!("{prefix}.recoveries"));
+    let what = format!("{label}: recompute from base relations");
+    disk.events().emit(EventKind::RecoveryTriggered, what, cost.total());
+    let guard = cost.section(&format!("{prefix}.recover"));
+    // The base relations are the recovery source of truth, and this scan,
+    // retried on transient faults, the one read path recovery depends on.
+    let snapshot = |rel: &StoredRelation, pred: &crate::viewdef::Predicate| {
+        with_retry(|| {
+            let mut out: Vec<BaseTuple> = Vec::with_capacity(rel.len() as usize);
+            rel.scan(|t| out.push(t))?;
+            out.retain(|t| pred.eval(t));
+            Ok(out)
+        })
+    };
+    let r_filt = snapshot(r, &def.r_pred)?;
+    let s_filt = snapshot(s, &def.s_pred)?;
 
     let mut by_key: HashMap<JoinKey, Vec<&BaseTuple>> = HashMap::new();
     for st in &s_filt {
@@ -89,14 +113,15 @@ pub fn recompute_join(
             None => cost.comp(1),
         }
     }
-    Ok((answer, r_filt, s_filt))
+    validate_against_oracle(label, &answer, &r_filt, &s_filt, def)?;
+    Ok((guard, answer))
 }
 
 /// Validate a recomputed answer against the independent oracle join: the
 /// (r, s) surrogate pair sets must match exactly, and for a full view the
 /// tuples themselves must match byte-for-byte. Returns an invariant error
 /// (not a panic) on mismatch so callers can surface it.
-pub fn validate_against_oracle(
+fn validate_against_oracle(
     label: &str,
     answer: &[ViewTuple],
     r_filt: &[BaseTuple],
@@ -135,6 +160,10 @@ mod tests {
     use super::*;
     use trijoin_common::{FaultKind, FaultOp};
 
+    fn fault(kind: FaultKind) -> Error {
+        Error::DeviceFault { op: FaultOp::Read, kind, file: 0, page: 0 }
+    }
+
     #[test]
     fn retry_passes_through_success_and_hard_errors() {
         let mut calls = 0;
@@ -148,20 +177,15 @@ mod tests {
         let mut calls = 0;
         let hard: Result<u32> = with_retry(|| {
             calls += 1;
-            Err(Error::Faulted)
+            Err(fault(FaultKind::Fatal))
         });
-        assert_eq!(hard.unwrap_err(), Error::Faulted);
-        assert_eq!(calls, 1, "legacy faults are never retried");
+        assert_eq!(hard.unwrap_err(), fault(FaultKind::Fatal));
+        assert_eq!(calls, 1, "fatal faults are never retried");
     }
 
     #[test]
     fn retry_retries_transients_boundedly() {
-        let transient = || Error::DeviceFault {
-            op: FaultOp::Read,
-            kind: FaultKind::Transient,
-            file: 0,
-            page: 0,
-        };
+        let transient = || fault(FaultKind::Transient);
         // Succeeds on the second attempt.
         let mut calls = 0;
         let out: Result<&str> = with_retry(|| {

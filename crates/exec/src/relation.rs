@@ -218,12 +218,12 @@ impl ApplyLog {
     fn new(disk: &Disk, tuple_bytes: usize) -> ApplyLog {
         let record_bytes = tuple_bytes + Pending::TRAILER;
         let per_page = SlottedPage::records_per_page(disk.page_size(), record_bytes).max(1);
-        let metrics = disk.metrics();
+        let (metrics, cost) = (disk.metrics(), disk.cost());
         ApplyLog {
             buffer: Vec::new(),
             cap: APPLY_LOG_PAGES * per_page,
             per_page,
-            runs: Self::fresh_runs(disk, per_page),
+            runs: DiffLog::new(disk, cost, APPLY_LOG_PAGES, per_page, false, Pending::record_key),
             seq: 0,
             queued: 0,
             resume: None,
@@ -236,10 +236,6 @@ impl ApplyLog {
             c_leaves: metrics.counter_handle("base.settle.leaves_written"),
             c_runs: metrics.counter_handle("base.apply_log.runs"),
         }
-    }
-
-    fn fresh_runs(disk: &Disk, per_page: usize) -> DiffLog {
-        DiffLog::new(disk, disk.cost(), APPLY_LOG_PAGES, per_page, false, Pending::record_key)
     }
 
     /// Hand the full buffer to the run writer, whose own buffer is as
@@ -390,7 +386,7 @@ impl State {
         // also when the last payment to the inverted tree failed: what is
         // still owed is in `postings`, not in the records.
         log.buffer.clear();
-        std::mem::replace(&mut log.runs, ApplyLog::fresh_runs(disk, log.per_page)).destroy();
+        log.runs.restart();
         (log.seq, log.resume) = (0, None);
         result
     }

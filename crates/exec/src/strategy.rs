@@ -4,8 +4,9 @@
 //! pair with the same surrogate — the paper's model where "update operations
 //! ... get translated into a deleted tuple followed by an inserted tuple"),
 //! giving each strategy a chance to observe them, then asks for the current
-//! join. Updates to `S` are out of scope, exactly as in §3.2 ("the analysis
-//! presented here assumes that only relation R is updated").
+//! join. Updates to `S` are outside the trait, as they are outside §3.2's
+//! analysis ("assumes that only relation R is updated"); the view takes
+//! them through [`crate::MaterializedView::on_s_mutation`].
 
 use trijoin_common::{BaseTuple, Result, ViewTuple};
 
@@ -48,6 +49,16 @@ pub enum Mutation {
 }
 
 impl Mutation {
+    /// The mutation as the paper's differential calculus sees it: the
+    /// state it deletes and the state it inserts, in that order.
+    pub fn sides(&self) -> (Option<&BaseTuple>, Option<&BaseTuple>) {
+        match self {
+            Mutation::Update(u) => (Some(&u.old), Some(&u.new)),
+            Mutation::Insert(t) => (None, Some(t)),
+            Mutation::Delete(t) => (Some(t), None),
+        }
+    }
+
     /// Whether a caching structure keyed only on the join attribute (the
     /// join index) must see this mutation. Inserts and deletes always
     /// matter; updates only when they change `A`.

@@ -18,7 +18,7 @@
 
 use trijoin_common::{BaseTuple, ViewTuple};
 
-use crate::strategy::{Mutation, Update};
+use crate::strategy::Mutation;
 
 /// A deterministic predicate over a base tuple.
 ///
@@ -152,22 +152,16 @@ impl ViewDef {
     /// Returns what should be logged; `(None, None)` is an *irrelevant*
     /// mutation that costs the view nothing.
     pub fn translate_r(&self, m: &Mutation) -> (Option<BaseTuple>, Option<BaseTuple>) {
-        // (delete-side, insert-side)
-        match m {
-            Mutation::Update(Update { old, new }) => {
-                let o = self.r_pred.eval(old).then(|| old.clone());
-                let n = self.r_pred.eval(new).then(|| new.clone());
-                (o, n)
-            }
-            Mutation::Insert(t) => (None, self.r_pred.eval(t).then(|| t.clone())),
-            Mutation::Delete(t) => (self.r_pred.eval(t).then(|| t.clone()), None),
-        }
+        let keep = |t: Option<&BaseTuple>| t.filter(|t| self.r_pred.eval(t)).cloned();
+        let (del, ins) = m.sides();
+        (keep(del), keep(ins))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::Update;
     use trijoin_common::Surrogate;
 
     fn tup(key: u64, payload: &[u8]) -> BaseTuple {

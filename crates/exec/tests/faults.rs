@@ -1,9 +1,9 @@
-//! Fault injection: every strategy and substrate must surface a legacy
-//! one-shot fault as a clean `Err`, never a panic — and must *recover*
-//! from the typed device faults of a [`FaultPlan`], answering the query
-//! exactly despite damaged cached state.
+//! Fault injection: every strategy and substrate must surface a fatal
+//! fault as a clean `Err`, never a panic — and must *recover* from the
+//! other device faults of a [`FaultPlan`], answering the query exactly
+//! despite damaged cached state.
 
-use trijoin_common::{BaseTuple, Cost, Error, Surrogate, SystemParams, ViewTuple};
+use trijoin_common::{BaseTuple, Cost, Error, FaultKind, Surrogate, SystemParams, ViewTuple};
 use trijoin_exec::{
     execute_collect, oracle, HybridHash, JoinIndexStrategy, JoinStrategy, MaterializedView,
     Mutation, StoredRelation,
@@ -20,12 +20,21 @@ fn setup() -> (Disk, Cost, SystemParams, StoredRelation, StoredRelation) {
     (disk, cost, params, r, s)
 }
 
+/// Plan a fatal fault on the charged I/O `after` operations from now.
+fn fail_op(disk: &Disk, after: u64) {
+    disk.install_fault_plan(FaultPlan::new().fail_nth_op(None, after));
+}
+
+fn is_fatal(e: &Error) -> bool {
+    matches!(e, Error::DeviceFault { kind: FaultKind::Fatal, .. })
+}
+
 #[test]
 fn btree_lookup_surfaces_fault_and_recovers() {
     let (disk, _c, _p, r, _s) = setup();
-    disk.inject_fault(0);
+    fail_op(&disk, 0);
     let err = r.get(Surrogate(10)).unwrap_err();
-    assert_eq!(err, Error::Faulted);
+    assert!(is_fatal(&err), "{err:?}");
     // One-shot: the next access succeeds.
     assert!(r.get(Surrogate(10)).unwrap().is_some());
 }
@@ -40,10 +49,10 @@ fn strategies_surface_faults_mid_query() {
         vec![("hh", &mut hh), ("mv", &mut mv), ("ji", &mut ji)];
     for (label, strategy) in strategies {
         // Fail a read somewhere in the middle of the query.
-        disk.inject_fault(7);
+        fail_op(&disk, 7);
         let got = strategy.execute(&r, &s, &mut |_| {});
-        assert_eq!(got.unwrap_err(), Error::Faulted, "{label} must propagate the fault");
-        disk.clear_fault();
+        assert!(is_fatal(&got.unwrap_err()), "{label} must propagate the fault");
+        disk.clear_faults();
     }
     // Hybrid hash is stateless: it recovers immediately and fully.
     let ok = execute_collect(&mut hh, &r, &s).unwrap();
@@ -56,7 +65,7 @@ fn fault_countdown_is_precise() {
     cost.reset();
     // Warm nothing: each get costs height-1..height IOs; fail exactly the
     // third charged I/O.
-    disk.inject_fault(2);
+    fail_op(&disk, 2);
     let mut results = Vec::new();
     for i in 0..4 {
         results.push(r.get(Surrogate(i)).map(|t| t.is_some()));
@@ -72,9 +81,8 @@ fn relation_mutation_fault_does_not_panic() {
     let new = BaseTuple::padded(Surrogate(3), 99, 64);
     // Queueing touches no page; the fault meets the sweep.
     r.apply_update(&old, &new).unwrap();
-    disk.inject_fault(0);
-    assert_eq!(r.settle().unwrap_err(), Error::Faulted);
-    disk.clear_fault();
+    fail_op(&disk, 0);
+    assert!(is_fatal(&r.settle().unwrap_err()));
     // Nothing landed, nothing is lost: the update is still queued, and the
     // next reader applies it.
     assert_eq!(r.pending_ops(), 1);
@@ -183,15 +191,14 @@ fn hh_survives_transient_read_faults_anywhere() {
 
 #[test]
 fn legacy_fault_is_never_recovered() {
-    // The one-shot `inject_fault` countdown is the error-path contract:
-    // strategies must surface it, not absorb it into recovery.
+    // A fatal fault is the error-path contract: strategies must surface
+    // it, not absorb it into recovery.
     let (disk, cost, params, r, s) = setup();
     let mut mv = MaterializedView::build(&disk, &params, &cost, &r, &s).unwrap();
-    disk.inject_fault(7);
-    assert_eq!(mv.execute(&r, &s, &mut |_| {}).unwrap_err(), Error::Faulted);
-    disk.clear_fault();
+    fail_op(&disk, 7);
+    assert!(is_fatal(&mv.execute(&r, &s, &mut |_| {}).unwrap_err()));
     assert!(
         cost.section_counts("mv.recover").is_zero(),
-        "legacy faults must not trigger the recovery path"
+        "fatal faults must not trigger the recovery path"
     );
 }

@@ -16,7 +16,7 @@ use std::thread::JoinHandle;
 
 use trijoin::{AdaptiveController, CachedStrategy, Database, Method};
 use trijoin_common::{
-    BaseTuple, Error, Result, RunReport, SystemParams, TelemetryConfig, ViewTuple,
+    BaseTuple, CounterId, Error, Result, RunReport, SystemParams, TelemetryConfig, ViewTuple,
 };
 use trijoin_exec::recovery::with_retry;
 use trijoin_exec::{HybridHash, JoinStrategy, Mutation};
@@ -292,9 +292,18 @@ struct ShardWorker {
     /// Mutations `R` and `S` had refused when last looked at
     /// ([`ShardWorker::count_rejected`]).
     rejected_seen: [u64; 2],
+    /// `shard.apply_errors`, then its split by relation: `.R`, `.S`.
+    apply_errors: [CounterId; 3],
 }
 
 impl ShardWorker {
+    /// The worker at the start of its serving life.
+    fn start(index: usize, db: Database, mode: Mode) -> ShardWorker {
+        let apply_errors = ["shard.apply_errors", "shard.apply_errors.R", "shard.apply_errors.S"]
+            .map(|name| db.metrics().counter_handle(name));
+        ShardWorker { index, db, mode, since_query: 0, rejected_seen: [0; 2], apply_errors }
+    }
+
     fn build(spec: ShardSpec) -> Result<ShardWorker> {
         if spec.recover {
             return Self::build_recovered(spec);
@@ -318,7 +327,7 @@ impl ShardWorker {
             db.enable_telemetry(cfg);
             db.enable_cost_audit(workload, 1.0);
         }
-        Ok(ShardWorker { index: spec.index, db, mode, since_query: 0, rejected_seen: [0; 2] })
+        Ok(Self::start(spec.index, db, mode))
     }
 
     /// Build the serving mode. Adaptive shards start from the cached view
@@ -377,7 +386,7 @@ impl ShardWorker {
             db.enable_telemetry(cfg);
             db.enable_cost_audit(workload, 1.0);
         }
-        Ok(ShardWorker { index: spec.index, db, mode, since_query: 0, rejected_seen: [0; 2] })
+        Ok(Self::start(spec.index, db, mode))
     }
 
     /// Process commands until every sender is gone. Errors degrade (they
@@ -451,12 +460,12 @@ impl ShardWorker {
     fn apply(&mut self, r: Vec<Mutation>, s: Vec<Mutation>) {
         for m in &s {
             if self.apply_s(m).is_err() {
-                self.count_apply_errors("S", 1);
+                self.count_apply_errors(true, 1);
             }
         }
         for m in &r {
             if self.apply_r(m).is_err() {
-                self.count_apply_errors("R", 1);
+                self.count_apply_errors(false, 1);
             }
         }
         match &mut self.mode {
@@ -495,19 +504,19 @@ impl ShardWorker {
         Ok(())
     }
 
-    fn count_apply_errors(&self, relation: &str, n: u64) {
+    fn count_apply_errors(&self, of_s: bool, n: u64) {
         let metrics = self.db.metrics();
-        metrics.counter_add("shard.apply_errors", n);
-        metrics.counter_add(&format!("shard.apply_errors.{relation}"), n);
+        metrics.counter_add_id(self.apply_errors[0], n);
+        metrics.counter_add_id(self.apply_errors[1 + of_s as usize], n);
     }
 
     /// Count what the base relations refused at their last settles as apply
     /// errors. Called wherever the shard has just settled.
     fn count_rejected(&mut self) {
         let now = [self.db.r().rejected_ops(), self.db.s().rejected_ops()];
-        for ((relation, now), seen) in ["R", "S"].into_iter().zip(now).zip(self.rejected_seen) {
+        for ((of_s, now), seen) in [false, true].into_iter().zip(now).zip(self.rejected_seen) {
             if now > seen {
-                self.count_apply_errors(relation, now - seen);
+                self.count_apply_errors(of_s, now - seen);
             }
         }
         self.rejected_seen = now;
@@ -564,10 +573,10 @@ impl ShardWorker {
         let metrics = self.db.metrics();
         metrics.gauge_set("shard.r_tuples", self.db.r().len() as f64);
         metrics.gauge_set("shard.s_tuples", self.db.s().len() as f64);
-        for (relation, name) in [(self.db.r(), "r"), (self.db.s(), "s")] {
-            metrics.gauge_set(&format!("shard.base_pages.{name}"), relation.node_pages() as f64);
-            metrics.gauge_set(&format!("shard.base_packed.{name}"), relation.packed_pages() as f64);
-        }
+        metrics.gauge_set("shard.base_pages.r", self.db.r().node_pages() as f64);
+        metrics.gauge_set("shard.base_packed.r", self.db.r().packed_pages() as f64);
+        metrics.gauge_set("shard.base_pages.s", self.db.s().node_pages() as f64);
+        metrics.gauge_set("shard.base_packed.s", self.db.s().packed_pages() as f64);
         metrics.gauge_set("shard.damaged_pages", self.db.disk().damaged_pages() as f64);
         metrics.gauge_set("shard.faults_fired", self.db.faults_fired() as f64);
         match &self.mode {

@@ -9,8 +9,8 @@
 //! Two media live here:
 //!
 //! * [`MemBackend`] — the original in-memory store (reference-counted
-//!   page images that `SimDisk::read_page_rc` / `write_page_rc` hand
-//!   over without a copy). This is what `SimDisk::new` uses; nothing
+//!   page images that `SimDisk::read_page_rc` hands over without a
+//!   copy). This is what `SimDisk::new` uses; nothing
 //!   observable changed.
 //! * [`FileBackend`] — real `std::fs` files, one per [`FileId`], still
 //!   *charged* on the simulated constants (the ledger is the paper's
@@ -31,8 +31,8 @@ use trijoin_common::{Error, Result};
 use crate::disk::{FileId, PageId};
 
 /// What one page write carries: borrowed bytes (the backend copies) or a
-/// shared image (an in-memory backend may store the `Rc` itself — the
-/// zero-copy path `SimDisk::write_page_rc` rides on).
+/// shared image (an in-memory backend may store the `Rc` itself — how
+/// the WAL applies committed images without copying them).
 #[derive(Debug, Clone, Copy)]
 pub enum PageWrite<'a> {
     /// Plain bytes; the backend must copy them.
@@ -229,13 +229,14 @@ pub trait StorageBackend {
 // In-memory backend (the original SimDisk storage).
 // ---------------------------------------------------------------------
 
-/// One file's pages, reference-counted so `SimDisk::read_page_rc` /
-/// `write_page_rc` move images without copying; writers copy-on-write.
+/// One file's pages, reference-counted so `SimDisk::read_page_rc` and
+/// [`PageWrite::Shared`] move images without copying; writers
+/// copy-on-write.
 type FilePages = Vec<Rc<Vec<u8>>>;
 
 /// The original in-memory page store: pages are reference-counted so
 /// readers share the stored image (zero-copy `read_page_rc`) and a
-/// shared image can be stored as is (`write_page_rc`); writers
+/// shared image can be stored as is ([`PageWrite::Shared`]); writers
 /// copy-on-write.
 #[derive(Default)]
 pub struct MemBackend {

@@ -56,15 +56,15 @@ impl PageId {
 /// One scheduled fault: after `after` further *matching* charged operations
 /// succeed, the next matching operation fails with the given [`FaultKind`].
 ///
-/// An operation matches when its direction equals `op` and, if `file` is
-/// set, it targets that file. Free (uncharged) accesses never match — they
+/// An operation matches when its direction equals `op` (if set) and it
+/// targets `file` (if set). Free (uncharged) accesses never match — they
 /// model permanently memory-resident pages and test instrumentation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Restrict the fault to one file (`None` = any file).
     pub file: Option<FileId>,
-    /// Which operation direction the fault targets.
-    pub op: FaultOp,
+    /// Restrict the fault to one operation direction (`None` = either).
+    pub op: Option<FaultOp>,
     /// Matching operations to let through before firing (0 = the next one).
     pub after: u64,
     /// Behaviour when the fault fires.
@@ -96,24 +96,41 @@ impl FaultPlan {
     /// Fail the `n`-th charged read (0-based) of `file` (or of any file)
     /// with a transient fault: the retried read succeeds.
     pub fn fail_nth_read(self, file: Option<FileId>, n: u64) -> Self {
-        self.with(FaultSpec { file, op: FaultOp::Read, after: n, kind: FaultKind::Transient })
+        self.with(FaultSpec { file, op: Some(FaultOp::Read), after: n, kind: FaultKind::Transient })
     }
 
     /// Fail the `n`-th charged write with a transient fault.
     pub fn fail_nth_write(self, file: Option<FileId>, n: u64) -> Self {
-        self.with(FaultSpec { file, op: FaultOp::Write, after: n, kind: FaultKind::Transient })
+        self.with(FaultSpec {
+            file,
+            op: Some(FaultOp::Write),
+            after: n,
+            kind: FaultKind::Transient,
+        })
     }
 
     /// Tear the `n`-th charged write: only a prefix of the page persists and
     /// the page reads back as damaged until something rewrites it.
     pub fn torn_write(self, file: Option<FileId>, n: u64) -> Self {
-        self.with(FaultSpec { file, op: FaultOp::Write, after: n, kind: FaultKind::TornWrite })
+        self.with(FaultSpec {
+            file,
+            op: Some(FaultOp::Write),
+            after: n,
+            kind: FaultKind::TornWrite,
+        })
     }
 
     /// Poison the page hit by the `n`-th charged read: that read and every
     /// later read of the same page fail until the page is rewritten.
     pub fn poison_nth_read(self, file: Option<FileId>, n: u64) -> Self {
-        self.with(FaultSpec { file, op: FaultOp::Read, after: n, kind: FaultKind::Poisoned })
+        self.with(FaultSpec { file, op: Some(FaultOp::Read), after: n, kind: FaultKind::Poisoned })
+    }
+
+    /// Fail the `n`-th charged operation, read or write, with a fatal
+    /// fault: it surfaces to the caller as it is, once, and the execution
+    /// layer neither retries nor recovers from it.
+    pub fn fail_nth_op(self, file: Option<FileId>, n: u64) -> Self {
+        self.with(FaultSpec { file, op: None, after: n, kind: FaultKind::Fatal })
     }
 
     /// A small pseudo-random schedule derived deterministically from `seed`
@@ -129,10 +146,14 @@ impl FaultPlan {
                 if files.is_empty() { None } else { Some(files[(i as usize) % files.len()]) };
             let after = rng.gen_range(0u64..64);
             let spec = match rng.gen_range(0u32..4) {
-                0 => FaultSpec { file, op: FaultOp::Read, after, kind: FaultKind::Transient },
-                1 => FaultSpec { file, op: FaultOp::Write, after, kind: FaultKind::Transient },
-                2 => FaultSpec { file, op: FaultOp::Read, after, kind: FaultKind::Poisoned },
-                _ => FaultSpec { file, op: FaultOp::Write, after, kind: FaultKind::TornWrite },
+                0 => FaultSpec { file, op: Some(FaultOp::Read), after, kind: FaultKind::Transient },
+                1 => {
+                    FaultSpec { file, op: Some(FaultOp::Write), after, kind: FaultKind::Transient }
+                }
+                2 => FaultSpec { file, op: Some(FaultOp::Read), after, kind: FaultKind::Poisoned },
+                _ => {
+                    FaultSpec { file, op: Some(FaultOp::Write), after, kind: FaultKind::TornWrite }
+                }
             };
             plan.specs.push(spec);
         }
@@ -227,10 +248,6 @@ pub struct SimDisk {
     backend: BackendKind,
     page_size: usize,
     cost: Cost,
-    /// Remaining charged I/Os before the next one fails (fault injection
-    /// for error-path tests); `None` = healthy. Legacy one-shot countdown:
-    /// fires [`Error::Faulted`], which the execution layer surfaces as-is.
-    fault_in: RefCell<Option<u64>>,
     /// Active scheduled faults (installed via
     /// [`SimDisk::install_fault_plan`]); each fires once and is removed.
     plan: RefCell<Vec<FaultSpec>>,
@@ -325,7 +342,6 @@ impl SimDisk {
             backend,
             page_size: params.page_size,
             cost,
-            fault_in: RefCell::new(None),
             plan: RefCell::new(Vec::new()),
             poisoned: RefCell::new(HashSet::new()),
             torn: RefCell::new(HashSet::new()),
@@ -467,26 +483,16 @@ impl SimDisk {
         &self.events
     }
 
-    /// Record a fired fault in the metrics registry and event log.
-    fn observe_fault(&self, op: FaultOp, kind: FaultKind, pid: PageId) {
+    /// Record a fired fault in the metrics registry and event log; returns
+    /// the error the failed operation surfaces.
+    fn observe_fault(&self, op: FaultOp, kind: FaultKind, pid: PageId) -> Error {
         self.metrics.incr(&format!("disk.faults.{kind}"));
         self.events.emit(
             EventKind::FaultFired,
             format!("{kind} on {op} f{} page {}", pid.file.0, pid.page),
             self.cost.total(),
         );
-    }
-
-    /// Arrange for the charged I/O operation `after` operations from now to
-    /// fail with [`Error::Faulted`] (0 = the very next one). The fault
-    /// fires once and clears; free (resident/test) accesses don't count.
-    pub fn inject_fault(&self, after: u64) {
-        *self.fault_in.borrow_mut() = Some(after);
-    }
-
-    /// Cancel a pending injected fault.
-    pub fn clear_fault(&self) {
-        *self.fault_in.borrow_mut() = None;
+        Error::DeviceFault { op, kind, file: pid.file.0, page: pid.page }
     }
 
     /// Install a fault schedule (replacing any previous one). Damage marks
@@ -496,10 +502,9 @@ impl SimDisk {
         *self.plan.borrow_mut() = plan.specs;
     }
 
-    /// Clear everything fault-related: the legacy countdown, the scheduled
-    /// plan, and all damage marks (healing torn/poisoned pages in place).
+    /// Clear everything fault-related: the scheduled plan and all damage
+    /// marks (healing torn/poisoned pages in place).
     pub fn clear_faults(&self) {
-        self.clear_fault();
         self.plan.borrow_mut().clear();
         self.poisoned.borrow_mut().clear();
         self.torn.borrow_mut().clear();
@@ -539,23 +544,14 @@ impl SimDisk {
 
     /// Fail reads of damaged (torn or poisoned) pages.
     fn check_damage(&self, pid: PageId) -> Result<()> {
-        if self.is_torn(pid) {
-            return Err(Error::DeviceFault {
-                op: FaultOp::Read,
-                kind: FaultKind::TornWrite,
-                file: pid.file.0,
-                page: pid.page,
-            });
-        }
-        if self.is_poisoned(pid) {
-            return Err(Error::DeviceFault {
-                op: FaultOp::Read,
-                kind: FaultKind::Poisoned,
-                file: pid.file.0,
-                page: pid.page,
-            });
-        }
-        Ok(())
+        let kind = if self.is_torn(pid) {
+            FaultKind::TornWrite
+        } else if self.is_poisoned(pid) {
+            FaultKind::Poisoned
+        } else {
+            return Ok(());
+        };
+        Err(Error::DeviceFault { op: FaultOp::Read, kind, file: pid.file.0, page: pid.page })
     }
 
     /// Count this charged operation against every matching scheduled fault;
@@ -563,8 +559,9 @@ impl SimDisk {
     /// fires at most once and is removed from the plan when it does.
     fn next_scheduled(&self, op: FaultOp, pid: PageId) -> Option<FaultKind> {
         let mut plan = self.plan.borrow_mut();
-        let matches =
-            |spec: &FaultSpec| spec.op == op && spec.file.map(|f| f == pid.file).unwrap_or(true);
+        let matches = |spec: &FaultSpec| {
+            spec.op.is_none_or(|o| o == op) && spec.file.is_none_or(|f| f == pid.file)
+        };
         let fire_idx = plan.iter().position(|s| matches(s) && s.after == 0);
         match fire_idx {
             Some(idx) => {
@@ -581,23 +578,6 @@ impl SimDisk {
                 }
                 None
             }
-        }
-    }
-
-    /// Returns `Err(Faulted)` when the pending fault fires on this
-    /// operation; counts down otherwise.
-    fn check_fault(&self) -> Result<()> {
-        let mut fault = self.fault_in.borrow_mut();
-        match fault.as_mut() {
-            Some(0) => {
-                *fault = None;
-                Err(Error::Faulted)
-            }
-            Some(n) => {
-                *n -= 1;
-                Ok(())
-            }
-            None => Ok(()),
         }
     }
 
@@ -650,23 +630,15 @@ impl SimDisk {
         self.backend.allocate_page(file)
     }
 
-    /// Fault/damage gate for one charged read: the legacy countdown, damage
-    /// marks, and the scheduled-fault plan, checked in exactly the order
-    /// the original `read_page` checked them.
+    /// Fault/damage gate for one charged read: damage marks, then the
+    /// scheduled-fault plan.
     fn gate_read(&self, pid: PageId) -> Result<()> {
-        self.check_fault()?;
         self.check_damage(pid)?;
         if let Some(kind) = self.next_scheduled(FaultOp::Read, pid) {
             if kind == FaultKind::Poisoned {
                 self.poison_page(pid);
             }
-            self.observe_fault(FaultOp::Read, kind, pid);
-            return Err(Error::DeviceFault {
-                op: FaultOp::Read,
-                kind,
-                file: pid.file.0,
-                page: pid.page,
-            });
+            return Err(self.observe_fault(FaultOp::Read, kind, pid));
         }
         Ok(())
     }
@@ -741,18 +713,6 @@ impl SimDisk {
     /// Write a page, charging one random I/O. `data` must be exactly one
     /// page long.
     pub fn write_page(&self, pid: PageId, data: &[u8]) -> Result<()> {
-        self.write_page_impl(pid, data, None)
-    }
-
-    /// Write a page from a shared image, charging one random I/O — the
-    /// zero-copy dual of [`SimDisk::read_page_rc`]: on success the disk
-    /// stores the `Rc` itself instead of copying the bytes. Identical fault
-    /// gating and charges to [`SimDisk::write_page`].
-    pub fn write_page_rc(&self, pid: PageId, data: Rc<Vec<u8>>) -> Result<()> {
-        self.write_page_impl(pid, &data, Some(&data))
-    }
-
-    fn write_page_impl(&self, pid: PageId, data: &[u8], rc: Option<&Rc<Vec<u8>>>) -> Result<()> {
         if data.len() != self.page_size {
             return Err(Error::Invariant(format!(
                 "write_page: got {} bytes, page size is {}",
@@ -760,7 +720,6 @@ impl SimDisk {
                 self.page_size
             )));
         }
-        self.check_fault()?;
         let scheduled = self.next_scheduled(FaultOp::Write, pid);
         // Missing pages win over scheduled faults (and the fired spec
         // stays consumed), exactly like the pre-backend lookup order.
@@ -788,20 +747,11 @@ impl SimDisk {
                 FaultKind::Poisoned => {
                     self.poison_page(pid);
                 }
-                FaultKind::Transient => {}
+                FaultKind::Transient | FaultKind::Fatal => {}
             }
-            self.observe_fault(FaultOp::Write, kind, pid);
-            return Err(Error::DeviceFault {
-                op: FaultOp::Write,
-                kind,
-                file: pid.file.0,
-                page: pid.page,
-            });
+            return Err(self.observe_fault(FaultOp::Write, kind, pid));
         }
-        match rc {
-            Some(rc) => self.backend.write_page(pid, PageWrite::Shared(rc))?,
-            None => self.backend.write_page(pid, PageWrite::Borrowed(data))?,
-        }
+        self.backend.write_page(pid, PageWrite::Borrowed(data))?;
         self.cost.io(1);
         self.metrics.incr_id(self.c_writes);
         self.metrics.incr_id(self.file_counters.borrow()[pid.file.0 as usize].1);
@@ -1083,15 +1033,19 @@ mod tests {
     }
 
     #[test]
-    fn legacy_fault_still_fires_unit_variant() {
+    fn fatal_fault_counts_either_direction_and_fires_once() {
         let (d, _c) = disk();
         let f = d.create_file();
         let pid = d.allocate_page(f).unwrap();
         let data = vec![2u8; d.page_size()];
+        // One write let through, then the read fails.
+        d.install_fault_plan(FaultPlan::new().fail_nth_op(None, 1));
         d.write_page(pid, &data).unwrap();
-        d.inject_fault(0);
-        assert_eq!(d.read_page(pid).unwrap_err(), Error::Faulted);
-        assert!(d.read_page(pid).is_ok());
+        let err = d.read_page(pid).unwrap_err();
+        assert!(matches!(err, Error::DeviceFault { kind: FaultKind::Fatal, .. }), "{err:?}");
+        assert!(!err.is_device_fault() && !err.is_retryable(), "nothing recovers from it");
+        assert_eq!((d.faults_fired(), d.faults_pending()), (1, 0));
+        assert_eq!(d.read_page(pid).unwrap(), data, "no damage mark stays behind");
     }
 
     #[test]

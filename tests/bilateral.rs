@@ -1,11 +1,14 @@
-//! Bilateral maintenance: the view stays exact when *both* relations
-//! mutate between queries — the general `V'` expression of §3.2 the paper
-//! scopes out of its analysis.
+//! Bilateral maintenance: the materialized view stays exact when *both*
+//! relations mutate between queries — the general `V'` expression of §3.2
+//! the paper scopes out of its analysis — provided `R` carries the
+//! symmetric access path (`Database::new_bilateral`).
 
 use rand::prelude::*;
 use std::collections::HashMap;
 
-use trijoin::{Database, JoinStrategy, Mutation, SystemParams, Update};
+use trijoin::{
+    Database, FaultPlan, JoinStrategy, MaterializedView, Mutation, SystemParams, Update,
+};
 use trijoin_common::{rng, BaseTuple, Surrogate};
 use trijoin_exec::{execute_collect, oracle};
 
@@ -77,30 +80,44 @@ fn mk_side(n: u32, key_domain: u64, seed: u64) -> Vec<BaseTuple> {
         .collect()
 }
 
+/// `n` random mutations, each of `R` or of `S` on a coin flip, shown to the
+/// view and then applied to the database.
+fn churn_both(
+    db: &mut Database,
+    view: &mut MaterializedView,
+    (r_mirror, s_mirror): (&mut Mirror, &mut Mirror),
+    rn: &mut StdRng,
+    key_domain: u64,
+    counters: std::ops::Range<u64>,
+) {
+    for counter in counters {
+        if rn.gen_bool(0.5) {
+            let m = r_mirror.random_mutation(rn, key_domain, counter);
+            view.on_mutation(&m).unwrap();
+            db.r_mut().apply_mutation(&m).unwrap();
+        } else {
+            let m = s_mirror.random_mutation(rn, key_domain, counter);
+            view.on_s_mutation(&m).unwrap();
+            db.s_mut().unwrap().apply_mutation(&m).unwrap();
+        }
+    }
+}
+
 #[test]
 fn bilateral_view_tracks_mutations_on_both_sides() {
     let params = SystemParams { mem_pages: 40, page_size: 1024, ..Default::default() };
     let r0 = mk_side(800, 10, 501);
     let s0 = mk_side(700, 10, 502);
     let mut db = Database::new_bilateral(&params, r0.clone(), s0.clone()).unwrap();
-    let mut view = db.bilateral_view().unwrap();
+    let mut view = db.materialized_view().unwrap();
     let mut hh = db.hybrid_hash();
     let mut r_mirror = Mirror::new(&r0);
     let mut s_mirror = Mirror::new(&s0);
     let mut rn = rng::seeded(503);
 
     for epoch in 0..4 {
-        for i in 0..120u64 {
-            if rn.gen_bool(0.5) {
-                let m = r_mirror.random_mutation(&mut rn, 10, epoch * 1000 + i);
-                view.on_mutation(&m).unwrap();
-                db.r_mut().apply_mutation(&m).unwrap();
-            } else {
-                let m = s_mirror.random_mutation(&mut rn, 10, epoch * 1000 + i);
-                view.on_s_mutation(&m).unwrap();
-                db.s_mut().unwrap().apply_mutation(&m).unwrap();
-            }
-        }
+        let counters = epoch * 1000..epoch * 1000 + 120;
+        churn_both(&mut db, &mut view, (&mut r_mirror, &mut s_mirror), &mut rn, 10, counters);
         let want = oracle::join_tuples(&r_mirror.tuples(), &s_mirror.tuples());
         let got = execute_collect(&mut view, db.r(), db.s()).unwrap();
         oracle::assert_same_join(&format!("epoch {epoch} bilateral"), got, want.clone());
@@ -117,7 +134,7 @@ fn s_only_mutations() {
     let r0 = mk_side(400, 8, 511);
     let s0 = mk_side(400, 8, 512);
     let mut db = Database::new_bilateral(&params, r0.clone(), s0.clone()).unwrap();
-    let mut view = db.bilateral_view().unwrap();
+    let mut view = db.materialized_view().unwrap();
     let mut s_mirror = Mirror::new(&s0);
     let mut rn = rng::seeded(513);
     for i in 0..150u64 {
@@ -138,7 +155,7 @@ fn correlated_both_side_churn_on_the_same_keys() {
     let r0 = mk_side(100, 4, 521);
     let s0 = mk_side(100, 4, 522);
     let mut db = Database::new_bilateral(&params, r0.clone(), s0.clone()).unwrap();
-    let mut view = db.bilateral_view().unwrap();
+    let mut view = db.materialized_view().unwrap();
     let mut r_mirror = Mirror::new(&r0);
     let mut s_mirror = Mirror::new(&s0);
 
@@ -207,10 +224,114 @@ fn bilateral_requires_symmetric_access_path() {
     let params = SystemParams { mem_pages: 32, page_size: 512, ..Default::default() };
     let r0 = mk_side(50, 4, 531);
     let s0 = mk_side(50, 4, 532);
-    // A plain database (no inverted index on R) cannot host a bilateral
-    // view.
-    let db = Database::new(&params, r0, s0).unwrap();
-    assert!(db.bilateral_view().is_err());
+    // A view over a plain database (no inverted index on R) refuses
+    // mutations of S...
+    let mut db = Database::new(&params, r0.clone(), s0.clone()).unwrap();
+    let mut view = db.materialized_view().unwrap();
+    let mut s_mirror = Mirror::new(&s0);
+    let m = s_mirror.random_mutation(&mut rng::seeded(533), 4, 0);
+    assert!(matches!(view.on_s_mutation(&m), Err(trijoin_common::Error::Infeasible(_))));
+    // ...and goes on answering R-only traffic.
+    let mut r_mirror = Mirror::new(&r0);
+    let mut rn = rng::seeded(534);
+    for i in 0..40u64 {
+        let m = r_mirror.random_mutation(&mut rn, 4, i);
+        view.on_mutation(&m).unwrap();
+        db.r_mut().apply_mutation(&m).unwrap();
+    }
+    let want = oracle::join_tuples(&r_mirror.tuples(), &s0);
+    let got = execute_collect(&mut view, db.r(), db.s()).unwrap();
+    oracle::assert_same_join("r-only after a refused S mutation", got, want);
+}
+
+#[test]
+fn without_s_mutations_the_s_capable_view_is_the_plain_view() {
+    let params = SystemParams { mem_pages: 40, page_size: 1024, ..Default::default() };
+    let r0 = mk_side(400, 8, 551);
+    let s0 = mk_side(400, 8, 552);
+    let mut plain_db = Database::new(&params, r0.clone(), s0.clone()).unwrap();
+    let mut both_db = Database::new_bilateral(&params, r0.clone(), s0.clone()).unwrap();
+    let mut plain = plain_db.materialized_view().unwrap();
+    let mut both = both_db.materialized_view().unwrap();
+    let mut r_mirror = Mirror::new(&r0);
+    let mut rn = rng::seeded(553);
+    for epoch in 0..3u64 {
+        for i in 0..100u64 {
+            let m = r_mirror.random_mutation(&mut rn, 8, epoch * 1000 + i);
+            for (db, view) in [(&mut plain_db, &mut plain), (&mut both_db, &mut both)] {
+                view.on_mutation(&m).unwrap();
+                db.r_mut().apply_mutation(&m).unwrap();
+            }
+        }
+        let want = execute_collect(&mut plain, plain_db.r(), plain_db.s()).unwrap();
+        let got = execute_collect(&mut both, both_db.r(), both_db.s()).unwrap();
+        assert_eq!(got, want, "epoch {epoch}: same answer, in the same order");
+        assert_eq!(both.view_len(), plain.view_len());
+        assert_eq!(both.view_pages(), plain.view_pages());
+    }
+}
+
+/// A device fault during a merge with both sides' differentials pending
+/// ends in `mv.recover` and the oracle's answer, and the next epoch folds
+/// cleanly. `pick_file` names the file whose first read is poisoned, given
+/// the view and the run files its S side spilled.
+fn recovers_with_both_sides_pending(
+    label: &str,
+    pick_file: impl Fn(&MaterializedView, &[trijoin_storage::FileId]) -> trijoin_storage::FileId,
+) {
+    // Z/2 = 1 page per log, so a few dozen mutations spill runs.
+    let params = SystemParams { mem_pages: 6, page_size: 512, ..Default::default() };
+    let r0 = mk_side(200, 6, 561);
+    let s0 = mk_side(200, 6, 562);
+    let mut db = Database::new_bilateral(&params, r0.clone(), s0.clone()).unwrap();
+    let mut view = db.materialized_view().unwrap();
+    let mut r_mirror = Mirror::new(&r0);
+    let mut s_mirror = Mirror::new(&s0);
+    let mut rn = rng::seeded(563);
+
+    // S's mutations first, logged before they are applied: the only files
+    // created meanwhile are the S side's runs.
+    let before = db.disk().live_files();
+    let s_muts: Vec<Mutation> = (0..60).map(|i| s_mirror.random_mutation(&mut rn, 6, i)).collect();
+    for m in &s_muts {
+        view.on_s_mutation(m).unwrap();
+    }
+    let s_runs: Vec<_> =
+        db.disk().live_files().into_iter().filter(|f| !before.contains(f)).collect();
+    assert!(!s_runs.is_empty(), "{label}: the S side spilled");
+    for m in &s_muts {
+        db.s_mut().unwrap().apply_mutation(m).unwrap();
+    }
+    for i in 0..60u64 {
+        let m = r_mirror.random_mutation(&mut rn, 6, 1000 + i);
+        view.on_mutation(&m).unwrap();
+        db.r_mut().apply_mutation(&m).unwrap();
+    }
+    db.settle().unwrap();
+
+    db.install_fault_plan(FaultPlan::new().poison_nth_read(Some(pick_file(&view, &s_runs)), 0));
+    let want = oracle::join_tuples(&r_mirror.tuples(), &s_mirror.tuples());
+    let got = execute_collect(&mut view, db.r(), db.s()).unwrap();
+    oracle::assert_same_join(label, got, want);
+    assert_eq!(db.faults_fired(), 1, "{label}: the fault fired");
+    assert!(!db.cost().section_counts("mv.recover").is_zero(), "{label}: recovered");
+    db.clear_faults();
+
+    // The rebuilt view starts a clean epoch on both sides.
+    assert_eq!(view.pending_updates(), 0);
+    churn_both(&mut db, &mut view, (&mut r_mirror, &mut s_mirror), &mut rn, 6, 2000..2080);
+    let recoveries = db.metrics().counter("mv.recoveries");
+    let want = oracle::join_tuples(&r_mirror.tuples(), &s_mirror.tuples());
+    let got = execute_collect(&mut view, db.r(), db.s()).unwrap();
+    oracle::assert_same_join(&format!("{label}, next epoch"), got, want.clone());
+    assert_eq!(view.view_len(), want.len() as u64);
+    assert_eq!(db.metrics().counter("mv.recoveries"), recoveries, "{label}: no second recovery");
+}
+
+#[test]
+fn device_fault_with_both_sides_pending_recovers() {
+    recovers_with_both_sides_pending("poisoned view page", |view, _| view.view_file());
+    recovers_with_both_sides_pending("poisoned S-side run", |_, s_runs| s_runs[0]);
 }
 
 #[test]
