@@ -101,7 +101,8 @@ echo "==> repo-benchmark smoke + residency soak"
 # mutations rewind or survive a crash with the commit that did or did not
 # acknowledge them, and the sweep's charge and netting laws hold. And the
 # view under mutations of both relations, where a dropped `stream_error`
-# check would hide behind compiled-out debug assertions.
+# check would hide behind compiled-out debug assertions. And the view
+# file's directory counts and I/O laws, whose arithmetic would wrap.
 cargo run --release -q -p trijoin-bench --bin benchmark -- --smoke > /dev/null
 cargo test -q --release -p trijoin-serve --test serve hh_only_soak
 cargo test -q --release -p trijoin-serve --test serve churn_soak
@@ -111,6 +112,7 @@ cargo test -q --release -p trijoin-check --test durability queued
 cargo test -q --release -p trijoin --test mutations
 cargo test -q --release -p trijoin --test bilateral
 cargo test -q --release -p trijoin-btree --test prop_btree sweep
+cargo test -q --release -p trijoin-linearhash --test prop_linearhash
 
 echo "==> bench-regression gate"
 # Full-scale benches against the committed comparison file: a serve row
@@ -167,12 +169,14 @@ if grep -rl "trijoin_btree" crates/exec/src crates/core/src crates/serve/src \
 fi
 
 # One deferred view: differentials are netted by the `DiffPair` behind MV
-# and JI, the view file is rewritten by the deferred and the eager view,
-# nowhere else; planned faults are the one fault mechanism.
+# and JI, the view file's buckets are merged into (never rewritten whole)
+# by the deferred and the eager view, nowhere else; planned faults are the
+# one fault mechanism.
 if grep -rl "net_differentials(" crates/exec/src \
         | grep -v "^crates/exec/src/\(diff\|mv\|joinindex\)\.rs$" \
-    || grep -rl "rewrite_bucket(" crates/exec/src \
+    || grep -rl "open_bucket(" crates/exec/src \
         | grep -v "^crates/exec/src/\(mv\|eager\)\.rs$" \
+    || grep -rn "rewrite_bucket(" crates/exec/src \
     || grep -rn "Error::Faulted\|inject_fault" crates tests examples; then
     echo "a second deferred view, or the legacy one-shot fault, is back"; exit 1
 fi

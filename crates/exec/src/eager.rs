@@ -8,10 +8,11 @@
 //! fresh rows inserted. A query is then a clean read of `V`.
 //!
 //! The price is paid per mutation — an index probe whether or not partners
-//! exist, plus a bucket read-modify-write whenever they do — which is
-//! exactly what the deferred pipeline's batching, sorting and on-the-fly
-//! merge amortize away. The `ablation_eager` bench quantifies the gap in
-//! the cost model; this operator lets the engine measure it.
+//! exist, plus a read of the bucket and a write of each page that loses or
+//! takes a row whenever they do — which is exactly what the deferred
+//! pipeline's batching, sorting and on-the-fly merge amortize away. The
+//! `ablation_eager` bench quantifies the gap in the cost model; this
+//! operator lets the engine measure it.
 
 use std::rc::Rc;
 
@@ -57,28 +58,19 @@ impl EagerView {
         self.v.num_pages()
     }
 
-    /// Remove every view row derived from `t` (bucket read-modify-write
-    /// when any exist).
+    /// Remove every view row derived from `t`: the bucket is read, and the
+    /// pages that held one are written.
     fn remove_derived(&mut self, t: &BaseTuple) -> Result<()> {
         let h = hash_key(t.key);
         self.cost.hash(1);
-        let bucket = self.v.addressing().addr(h);
-        let rows = self.v.scan_bucket(bucket)?;
-        self.cost.comp(rows.len() as u64);
-        let kept: Vec<(u64, Vec<u8>)> = rows
-            .into_iter()
-            .filter(|(rh, bytes)| {
-                if *rh != h {
-                    return true;
-                }
-                match ViewTuple::from_bytes(bytes) {
-                    Ok(vt) => vt.r_sur != t.sur,
-                    Err(_) => true,
-                }
-            })
-            .collect();
-        // rewrite_bucket tracks the count delta itself.
-        self.v.rewrite_bucket(bucket, kept)?;
+        let mut chain = self.v.open_bucket(self.v.addressing().addr(h))?;
+        chain.retain(|rh, bytes| {
+            self.cost.comp(1);
+            Ok(rh != h || ViewTuple::from_bytes(bytes).map_or(true, |vt| vt.r_sur != t.sur))
+        })?;
+        if chain.is_changed() {
+            self.v.commit(chain)?;
+        }
         Ok(())
     }
 
@@ -104,16 +96,15 @@ impl EagerView {
         if let Some(e) = err {
             return Err(e);
         }
-        // All rows share hash(t.key): one bucket read-modify-write.
+        // All rows share hash(t.key): one bucket read, one write per page taking a row.
         let h = hash_key(t.key);
         self.cost.hash(1);
-        let bucket = self.v.addressing().addr(h);
-        let mut contents = self.v.scan_bucket(bucket)?;
+        let mut chain = self.v.open_bucket(self.v.addressing().addr(h))?;
         for vt in rows {
             self.cost.mov(1);
-            contents.push((h, vt.to_bytes()));
+            chain.insert(h, &vt.to_bytes())?;
         }
-        self.v.rewrite_bucket(bucket, contents)?;
+        self.v.commit(chain)?;
         self.v.rebalance()?;
         Ok(())
     }

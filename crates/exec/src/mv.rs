@@ -10,12 +10,13 @@
 //!    through its inverted index (step 2, Figure 2) — each batch is sorted
 //!    on `A`, probed, and its result re-sorted by `hash(A)`, so the
 //!    concatenation of batch outputs is globally hash-ordered;
-//! 3. the view is read once, bucket by bucket; deletions are applied by
-//!    *not keeping* tuples whose `R`-surrogate matches a net deletion, the
-//!    freshly joined insertions are merged in, changed pages are written
-//!    back, and every surviving tuple is emitted as the query answer —
-//!    the paper's trick of folding step (3) into step (4) "thus saving the
-//!    cost of reading V once".
+//! 3. the view is read once, bucket by bucket (an empty bucket owns no
+//!    page); tuples whose `R`-surrogate matches a net deletion are dropped
+//!    from the page they sit on, the freshly joined insertions go into
+//!    pages with room, only the pages that lost or gained a tuple are
+//!    written back, and every surviving tuple is emitted as the query
+//!    answer — the paper's trick of folding step (3) into step (4) "thus
+//!    saving the cost of reading V once".
 //!
 //! Bucket addressing is frozen while a merge is in flight: the logs sort by
 //! the addressing snapshot taken when the log epoch opened, and the file is
@@ -599,34 +600,31 @@ impl MaterializedView {
             let mut joined: VecDeque<ViewTuple> =
                 self.join_batch("mv.join_ins", batch, true, s, &s_fold.inserted)?.into();
 
-            // Step 3/4: read V bucket by bucket, apply deletions by not
-            // keeping matching tuples, merge insertions, emit everything,
-            // write back changed pages.
+            // Step 3/4: read V bucket by bucket, drop deleted tuples from the
+            // page they sit on, place insertions in pages with room, emit
+            // everything, write back the pages that changed.
             for b in next_bucket..=last {
-                let old = {
+                let mut chain = {
                     let _g = self.cost.section("mv.scan_view");
-                    self.v.scan_bucket(b)?
+                    self.v.open_bucket(b)?
                 };
                 let mut dels: FxHashSet<Surrogate> = FxHashSet::default();
                 while del_q.front().map(|&(db, _)| db == b).unwrap_or(false) {
                     dels.insert(del_q.pop_front().unwrap().1);
                 }
-                let mut changed = false;
-                let mut new: Vec<(u64, Vec<u8>)> = Vec::with_capacity(old.len());
-                // Keep survivors.
-                for (h, bytes) in old {
-                    let vt = ViewTuple::from_bytes(&bytes)?;
+                // Survivors first.
+                chain.retain(|_, bytes| {
+                    let vt = ViewTuple::from_bytes(bytes)?;
                     self.cost.comp(del_tests);
-                    if dels.contains(&vt.r_sur) || s_fold.deleted.contains(&vt.s_sur) {
-                        changed = true;
-                    } else {
+                    let keep = !dels.contains(&vt.r_sur) && !s_fold.deleted.contains(&vt.s_sur);
+                    if keep {
                         sink(vt);
                         emitted += 1;
-                        new.push((h, bytes));
                     }
-                }
-                // Merge this bucket's freshly joined insertions, `iR`'s
-                // then `iS`'s.
+                    Ok(keep)
+                })?;
+                // Then this bucket's freshly joined insertions, `iR`'s then
+                // `iS`'s.
                 for stream in [&mut joined, &mut s_fold.joined] {
                     while stream
                         .front()
@@ -637,18 +635,17 @@ impl MaterializedView {
                         // Merged into the bucket (C3.3); serialized before the sink
                         // takes the tuple, so it moves instead of cloning its payloads.
                         self.cost.mov(1);
-                        new.push((hash_key(vt.key), vt.to_bytes()));
+                        chain.insert(hash_key(vt.key), &vt.to_bytes())?;
                         sink(vt);
                         emitted += 1;
-                        changed = true;
                     }
                 }
-                if changed {
+                if chain.is_changed() {
                     let _g = self.cost.section("mv.write_view");
-                    // Rewriting a bucket moves its tuples (C3.3's n_V moves
-                    // per changed page).
-                    self.cost.mov(new.len() as u64);
-                    self.v.rewrite_bucket(b, new)?;
+                    // Writing a page moves its tuples (C3.3's n_V moves per
+                    // changed page).
+                    let moved = self.v.commit(chain)?;
+                    self.cost.mov(moved);
                 }
             }
             next_bucket = last + 1;

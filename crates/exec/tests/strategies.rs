@@ -350,12 +350,7 @@ fn eager_view_stays_correct_and_pays_per_update() {
     db.cost.reset();
     execute_collect(&mut eager, &db.r, &db.s).unwrap();
     let clean_ios = db.cost.total().ios;
-    assert!(
-        clean_ios <= eager.view_pages() + 2,
-        "clean eager query reads only the view: {} IOs for {} pages",
-        clean_ios,
-        eager.view_pages()
-    );
+    assert_eq!(clean_ios, eager.view_pages(), "a clean eager query reads each view page once");
 }
 
 #[test]

@@ -1,13 +1,16 @@
 //! Property tests: the linear hash file must behave like a multimap from
-//! hash to payload, under arbitrary interleavings of inserts and deletes,
-//! with invariants (addressing correctness, load factor) holding throughout.
+//! hash to payload, under arbitrary interleavings of inserts, deletes and
+//! bucket merges, with invariants (addressing correctness, load factor)
+//! holding throughout and the I/O laws read off the `Cost` ledger: a chain
+//! is read once, an empty bucket costs nothing, and the pages written are
+//! exactly those that lost or gained a record.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
 
 use trijoin_common::{Cost, SystemParams};
 use trijoin_linearhash::LinearHash;
-use trijoin_storage::SimDisk;
+use trijoin_storage::{Disk, PageId, SimDisk, SlottedPage};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -103,6 +106,35 @@ enum GrowOp {
     Insert(u64, u8),
     Delete(u64),
     Rebalance,
+    /// Merge into the bucket of `at`: drop the records with
+    /// `(hash + tag) % modulus == 0` (none when `modulus` is 0) and add
+    /// those of `adds` that address the bucket.
+    Merge {
+        at: u64,
+        modulus: u64,
+        adds: Vec<(u64, u8)>,
+    },
+}
+
+/// The recognizable payload of the grow test: the hash plus a tag byte, so
+/// a record surviving in the wrong bucket is visible.
+fn tagged(h: u64, tag: u8) -> Vec<u8> {
+    let mut rec = h.to_le_bytes().to_vec();
+    rec.push(tag);
+    rec
+}
+
+/// One bucket's chain as it is stored: page number and the raw records on
+/// the page, sorted (free reads — the ledger does not see them).
+fn layout(disk: &Disk, lh: &LinearHash, bucket: u64) -> Vec<(u32, Vec<Vec<u8>>)> {
+    let page = |&no: &u32| {
+        let raw = disk.read_page_free(PageId::new(lh.file_id(), no)).unwrap();
+        let page = SlottedPage::from_bytes(raw).unwrap();
+        let mut records: Vec<Vec<u8>> = page.iter().map(|(_, rec)| rec.to_vec()).collect();
+        records.sort();
+        (no, records)
+    };
+    lh.chain(bucket).unwrap().iter().map(page).collect()
 }
 
 fn grow_ops() -> impl Strategy<Value = Vec<GrowOp>> {
@@ -116,6 +148,8 @@ fn grow_ops() -> impl Strategy<Value = Vec<GrowOp>> {
             6 => (h(), any::<u8>()).prop_map(|(h, b)| GrowOp::Insert(h, b)),
             2 => h().prop_map(GrowOp::Delete),
             1 => Just(GrowOp::Rebalance),
+            2 => (h(), 0u64..4, prop::collection::vec((0u64..48, any::<u8>()), 0..24))
+                .prop_map(|(at, modulus, adds)| GrowOp::Merge { at, modulus, adds }),
         ],
         1..200,
     )
@@ -124,32 +158,86 @@ fn grow_ops() -> impl Strategy<Value = Vec<GrowOp>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Litwin structural invariants under arbitrary insert/delete/rebalance
-    /// interleavings: the split pointer stays inside the current doubling
-    /// round, the bucket directory tracks the address function, buckets
-    /// only grow, `rebalance` reaches a fixpoint — and at the end every
-    /// live key round-trips with exactly its inserted payload multiset.
+    /// Litwin structural invariants under arbitrary insert/delete/merge/
+    /// rebalance interleavings: the split pointer stays inside the current
+    /// doubling round, the bucket directory tracks the address function,
+    /// buckets only grow, `rebalance` reaches a fixpoint, a merge obeys the
+    /// I/O laws — and at the end every live key round-trips with exactly
+    /// its inserted payload multiset.
     #[test]
     fn splits_preserve_addressing_and_round_trip(ops in grow_ops()) {
         let cost = Cost::new();
         let params = SystemParams { page_size: 256, ..SystemParams::paper_defaults() };
-        let disk = SimDisk::new(&params, cost);
+        let disk = SimDisk::new(&params, cost.clone());
         let mut lh = LinearHash::create(&disk, &params, 2, 24).unwrap();
+        let per_page = params.tuples_per_page(24 + 8);
         let mut model: HashMap<u64, Vec<Vec<u8>>> = HashMap::new();
         let mut max_buckets = lh.num_buckets();
 
         for op in ops {
             match op {
                 GrowOp::Insert(h, b) => {
-                    // A recognizable payload: the hash plus a tag byte, so a
-                    // record surviving in the wrong bucket is visible.
-                    let mut rec = h.to_le_bytes().to_vec();
-                    rec.push(b);
+                    let rec = tagged(h, b);
                     lh.insert(h, &rec).unwrap();
                     model.entry(h).or_default().push(rec);
                 }
+                GrowOp::Merge { at, modulus, adds } => {
+                    let a = lh.addressing();
+                    let bucket = a.addr(at);
+                    let rejected =
+                        |h: u64, rec: &[u8]| modulus > 0 && (h + rec[8] as u64).is_multiple_of(modulus);
+                    let before = layout(&disk, &lh, bucket);
+                    // Reads: the chain's pages, once each — none for an
+                    // empty bucket.
+                    let at_open = cost.total().ios;
+                    let mut chain = lh.open_bucket(bucket).unwrap();
+                    prop_assert_eq!(cost.total().ios - at_open, before.len() as u64);
+                    chain.retain(|h, rec| Ok(!rejected(h, rec))).unwrap();
+                    for (h, entry) in model.iter_mut().filter(|(h, _)| a.addr(**h) == bucket) {
+                        entry.retain(|rec| !rejected(*h, rec));
+                    }
+                    for (h, b) in adds.into_iter().filter(|(h, _)| a.addr(*h) == bucket) {
+                        let rec = tagged(h, b);
+                        chain.insert(h, &rec).unwrap();
+                        model.entry(h).or_default().push(rec);
+                    }
+                    let changed = chain.is_changed();
+                    let at_commit = cost.total().ios;
+                    lh.commit(chain).unwrap();
+                    let writes = cost.total().ios - at_commit;
+                    // Writes: exactly the pages still linked that lost a
+                    // record or gained one (a newly linked page gained all
+                    // of its records); a page that ended empty is unlinked
+                    // for free, and a merge that changed nothing writes
+                    // nothing.
+                    let after = layout(&disk, &lh, bucket);
+                    let lost_or_gained = |(no, records): &&(u32, Vec<Vec<u8>>)| {
+                        match before.iter().find(|(old_no, _)| old_no == no) {
+                            None => true,
+                            Some((_, old)) => {
+                                old != records
+                                    || old.iter().any(|raw| {
+                                        rejected(u64::from_le_bytes(raw[..8].try_into().unwrap()), &raw[8..])
+                                    })
+                            }
+                        }
+                    };
+                    prop_assert_eq!(writes, after.iter().filter(lost_or_gained).count() as u64);
+                    prop_assert!(changed || writes == 0);
+                    for (no, records) in &after {
+                        prop_assert!(
+                            (1..=per_page).contains(&records.len()),
+                            "page {} holds {} records", no, records.len()
+                        );
+                    }
+                }
                 GrowOp::Delete(h) => {
+                    let chain_pages = lh.chain(lh.addressing().addr(h)).unwrap().len() as u64;
+                    let at_delete = cost.total().ios;
                     let got = lh.delete(h, |_| true).unwrap();
+                    // The chain read once, and at most the one page written.
+                    let writes = cost.total().ios - at_delete - chain_pages;
+                    prop_assert!(writes <= got as u64, "{} writes deleting one record", writes);
                     let entry = model.entry(h).or_default();
                     prop_assert_eq!(got, !entry.is_empty());
                     if got {
