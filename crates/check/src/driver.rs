@@ -574,7 +574,10 @@ impl Driver<'_> {
     fn checkpoint(&mut self, i: usize) -> Result<(), Box<CheckFailure>> {
         // 1. Drain server queues and warm caches *before* faults go in:
         //    apply-phase damage is unrecoverable by design. The warm-up
-        //    query also forces the lazy S rebuild inside each shard.
+        //    query also forces the lazy S rebuild inside each shard; it
+        //    leaves `R`'s apply log alone (a view never goes back to `R`),
+        //    so a commit barrier — the durable mode's comes below — asks
+        //    the shards to settle.
         let arming = !self.armed_faults.is_empty();
         for srv in self.servers.iter().chain(&self.adaptive_servers) {
             srv.session.flush().map_err(|e| fail(i, &srv.site, format!("flush: {e}")))?;
@@ -582,6 +585,11 @@ impl Driver<'_> {
                 srv.session
                     .query(Method::MaterializedView)
                     .map_err(|e| fail(i, &srv.site, format!("warm-up query: {e}")))?;
+                if !self.durable {
+                    srv.session
+                        .commit()
+                        .map_err(|e| fail(i, &srv.site, format!("warm-up settle: {e}")))?;
+                }
             }
         }
         for e in &mut self.engines {

@@ -146,8 +146,9 @@ impl EventLog {
         EventLog::default()
     }
 
-    /// Append an event stamped `at` the given ledger total.
-    pub fn emit(&self, kind: EventKind, detail: impl Into<String>, at: OpCounts) {
+    /// Append an event stamped `at` the given ledger total; returns its
+    /// sequence number.
+    pub fn emit(&self, kind: EventKind, detail: impl Into<String>, at: OpCounts) -> u64 {
         let mut ring = self.0.borrow_mut();
         let seq = ring.next_seq;
         ring.next_seq += 1;
@@ -156,6 +157,18 @@ impl EventLog {
             ring.dropped += 1;
         }
         ring.events.push_back(Event { seq, kind, detail: detail.into(), at });
+        seq
+    }
+
+    /// Move event `seq` to the ledger total `at`, if the ring still holds
+    /// it: for an event whose place in the order is known before its time
+    /// is (a query starts its clock once the strategy has settled what it
+    /// reads, and only the strategy knows what that is).
+    pub fn restamp(&self, seq: u64, at: OpCounts) {
+        let mut ring = self.0.borrow_mut();
+        if let Some(event) = ring.events.iter_mut().rev().find(|e| e.seq == seq) {
+            event.at = at;
+        }
     }
 
     /// Events evicted from the ring to make room (overflow is no longer
@@ -209,6 +222,22 @@ mod tests {
         assert_eq!(events[0].kind, EventKind::QueryStart);
         assert_eq!(events[1].at.ios, 10);
         assert_eq!(log.count_of(EventKind::QueryEnd), 1);
+    }
+
+    #[test]
+    fn restamp_moves_one_event_and_ignores_an_evicted_one() {
+        let log = EventLog::new();
+        let start = log.emit(EventKind::QueryStart, "q", at(0));
+        log.emit(EventKind::FaultFired, "f", at(3));
+        log.restamp(start, at(7));
+        let events = log.events();
+        assert_eq!((events[0].seq, events[0].at.ios), (0, 7));
+        assert_eq!(events[1].at.ios, 3);
+        for i in 0..EVENT_CAPACITY as u64 {
+            log.emit(EventKind::FaultFired, "f", at(i));
+        }
+        log.restamp(start, at(9));
+        assert!(log.events().iter().all(|e| e.seq != start));
     }
 
     #[test]

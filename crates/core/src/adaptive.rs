@@ -331,6 +331,7 @@ impl AdaptiveController {
     pub fn rebuild_if_stale(&mut self, db: &Database) -> Result<()> {
         let method = self.current_method();
         if self.s_dirty && method != Method::HybridHash {
+            db.settle()?;
             let next = {
                 let _section = self.cost.section("shard.s_rebuild");
                 CachedStrategy::build(db, method)?

@@ -10,9 +10,9 @@ use trijoin_common::{
     BaseTuple, Cost, Error, EventKind, EventLog, Json, Metrics, OpCounts, Result, RunReport,
     SystemParams, ViewTuple,
 };
-use trijoin_model::formulas::{io_clustered, yao};
-use trijoin_model::{Method, Workload};
+use trijoin_model::{sweep_cost, Method, Workload};
 
+use trijoin_exec::relation::{APPLY_LOG_PAGES, APPLY_LOG_RUNS};
 use trijoin_exec::{
     EagerView, HybridHash, JoinIndexStrategy, JoinStrategy, MaterializedView, StoredRelation,
 };
@@ -301,8 +301,8 @@ impl Database {
 
     /// Queue one update to `R`, counting it in the metrics registry
     /// (`db.mutations`). Equivalent to `r_mut().apply_update(..)` plus the
-    /// observation. The tree changes when the relation next settles:
-    /// before the next query, commit or report, or at any read of `R`.
+    /// observation. The tree changes when the relation next settles: when
+    /// `R` is next read or its log is full, or at a commit or report.
     /// An `Err` means the update was not queued.
     pub fn apply_r_update(&mut self, upd: &trijoin_exec::Update) -> Result<()> {
         self.queue_for_r(|r| r.apply_update(&upd.old, &upd.new))
@@ -318,58 +318,47 @@ impl Database {
         enqueue: impl FnOnce(&mut StoredRelation) -> Result<()>,
     ) -> Result<()> {
         self.disk.metrics().incr("db.mutations");
-        let result = self.settle_if_due().and_then(|()| enqueue(&mut self.r));
+        // A full log settles before it takes the mutation.
+        let result = enqueue(&mut self.r);
+        self.account_settles();
         self.telemetry_on_apply();
         result
     }
 
-    /// A relation whose apply log is full settles before it takes another
-    /// mutation ([`StoredRelation::settle_due`]). Called ahead of queueing,
-    /// this makes that settle one of the database's — spanned and audited
-    /// like the rest — instead of the relation's own.
-    pub fn settle_if_due(&self) -> Result<()> {
-        if self.r.settle_due() || self.s.settle_due() {
-            self.settle()?;
-        }
-        Ok(())
+    /// Apply every mutation queued for `R` and `S` to their trees now
+    /// ([`StoredRelation::settle`]: one sweep per relation, in surrogate
+    /// order, under the span `base.settle`). Nothing needs to call this
+    /// for an answer to be right — a relation settles when it is read or
+    /// its log is full — but [`Database::commit_with`],
+    /// [`Database::checkpoint`] and [`Database::run_report`] do, and so
+    /// does whoever wants the sweep's charge at a point of their choosing.
+    pub fn settle(&self) -> Result<()> {
+        let (r, s) = (self.r.settle(), self.s.settle());
+        self.account_settles();
+        r.and(s).map(drop)
     }
 
-    /// Apply every mutation queued for `R` and `S` to their trees
-    /// ([`StoredRelation::settle`]), under the span `base.settle`: one
-    /// sweep per relation, in surrogate order. [`Database::query`],
-    /// [`Database::commit_with`], [`Database::checkpoint`] and
-    /// [`Database::run_report`] call it first, so the charge lands outside
-    /// every strategy span. With nothing queued it does nothing, not even
-    /// open the span.
-    pub fn settle(&self) -> Result<()> {
-        if self.r.pending_ops() + self.s.pending_ops() == 0 {
-            return Ok(());
-        }
-        let start = self.cost.total();
-        let (mut result, mut predicted_us) = (Ok(()), 0.0);
-        {
-            let _span = self.cost.section("base.settle");
-            for relation in [&self.r, &*self.s] {
-                match relation.settle() {
-                    Ok(stats) => predicted_us += self.sweep_model_us(relation, stats.ops),
-                    Err(e) => result = result.and(Err(e)),
-                }
+    /// Hear what the relations' settles did since this was last called
+    /// ([`StoredRelation::take_settled`]) — whoever caused them: a sample
+    /// for the `base.settle.us` histogram, one for the audit's `apply`
+    /// section against the model's [`sweep_cost`], a telemetry tick.
+    /// Returns what they charged.
+    fn account_settles(&self) -> OpCounts {
+        let (mut charged, mut predicted_us) = (OpCounts::default(), 0.0);
+        for relation in [&self.r, &*self.s] {
+            let did = relation.take_settled();
+            charged.add(&did.charged);
+            if did.keys > 0 {
+                let (k, m, n) = (did.keys as f64, did.leaf_pages as f64, did.tuples as f64);
+                predicted_us += 1e6 * sweep_cost(&self.params, k, m, n);
             }
         }
-        let end = self.cost.total();
-        let actual_us = end.delta_since(&start).time_us(&self.params);
-        self.disk.metrics().observe("base.settle.us", actual_us as u64);
-        self.telemetry_on_settle(predicted_us, actual_us, &end);
-        result
-    }
-
-    /// What the model charges a scheduled sweep of `k` tuples of
-    /// `relation`: every distinct leaf read and written, every distinct
-    /// internal page read, `[2·Yao(k,m,n) + Yao(Yao(k,m,n), m/FO, m)]·IO`.
-    fn sweep_model_us(&self, relation: &StoredRelation, k: u64) -> f64 {
-        let (m, n) = (relation.data_pages() as f64, relation.len() as f64);
-        let leaves = yao(k as f64, m, n);
-        leaves * self.params.io_us + 1e6 * io_clustered(k as f64, m, n, &self.params)
+        if !charged.is_zero() {
+            let actual_us = charged.time_us(&self.params);
+            self.disk.metrics().observe("base.settle.us", actual_us as u64);
+            self.telemetry_on_settle(predicted_us, actual_us, &self.cost.total());
+        }
+        charged
     }
 
     /// Mutable access to `S` for bilateral scenarios. Fails while any
@@ -396,20 +385,23 @@ impl Database {
     /// Execute `strategy` as one *observed* query: emits query start/end
     /// events, bumps the query counter, records the simulated latency into
     /// the `query.us` histogram, and returns the collected join result.
-    /// Queued base-relation mutations are applied first
-    /// ([`Database::settle`]), outside the query's span and latency.
+    /// The strategy settles the relations it reads — and no other — before
+    /// its first section; the query's clock starts once it has, so that
+    /// sweep stays outside the query's latency and audit sample.
     pub fn query(&self, strategy: &mut dyn JoinStrategy) -> Result<Vec<ViewTuple>> {
-        // The base relations catch up before the query's clock starts.
-        self.settle()?;
-        let start = self.cost.total();
+        // A settle from before this call is not this query's.
+        self.account_settles();
+        let mut start = self.cost.total();
         let recovery_start = self.recovery_counts();
-        self.disk.events().emit(
-            EventKind::QueryStart,
-            format!("strategy={}", strategy.name()),
-            start,
-        );
+        let detail = format!("strategy={}", strategy.name());
+        let started = self.disk.events().emit(EventKind::QueryStart, detail, start);
         let mut out = Vec::new();
         let result = strategy.execute(&self.r, &self.s, &mut |vt| out.push(vt));
+        let settled = self.account_settles();
+        if !settled.is_zero() {
+            start.add(&settled);
+            self.disk.events().restamp(started, start);
+        }
         let end = self.cost.total();
         let detail = match &result {
             Ok(_) => format!("strategy={} tuples={}", strategy.name(), out.len()),
@@ -601,7 +593,14 @@ impl Database {
             "base.apply_log.pending",
             (self.r.pending_ops() + self.s.pending_ops()) as f64,
         );
-        metrics.gauge_set("base.tree_height", self.r.height().max(self.s.height()) as f64);
+        let height = self.r.height().max(self.s.height());
+        metrics.gauge_set("base.tree_height", height as f64);
+        // A log at its floor of `APPLY_LOG_RUNS` runs is bounded by
+        // constants and the height; the gauge says when space lifts it.
+        let bound = self.r.apply_log_bound_pages().max(self.s.apply_log_bound_pages());
+        if bound > (APPLY_LOG_PAGES + APPLY_LOG_RUNS + height) as u64 {
+            metrics.gauge_set("base.apply_log.bound_pages", bound as f64);
+        }
         // Close the open telemetry window first so even a run shorter than
         // one window serializes a series (drift alerts it raises land in
         // the captured event log).
@@ -731,8 +730,8 @@ impl Database {
 impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Database")
-            .field("r_tuples", &self.r.len())
-            .field("s_tuples", &self.s.len())
+            .field("r_tuples", &self.r.len_estimate())
+            .field("s_tuples", &self.s.len_estimate())
             .field("mem_pages", &self.params.mem_pages)
             .finish()
     }

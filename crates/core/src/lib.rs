@@ -31,10 +31,11 @@
 //!     mv.on_update(&u).unwrap();
 //!     db.r_mut().apply_update(&u.old, &u.new).unwrap(); // queued
 //! }
-//! db.settle().unwrap(); // R's tree catches up, in one sorted sweep
 //! db.reset_cost();
+//! // The view's query never goes back to R: R's tree catches up, in one
+//! // sorted sweep, when something reads it, its log fills or a commit asks.
 //! let result = execute_collect(&mut mv, db.r(), db.s()).unwrap();
-//! assert!(!result.is_empty());
+//! assert!(!result.is_empty() && db.r().pending_ops() == 50);
 //! println!("{} tuples in {:.3} simulated seconds",
 //!          result.len(), db.cost().elapsed_secs(db.params()));
 //! ```

@@ -352,6 +352,10 @@ impl JoinStrategy for HybridHash {
         // fault fires exactly once, so a multi-fault plan drains across
         // restarts unless it poisoned a base-relation page (unrecoverable by
         // design; the typed error then surfaces).
+        // Both relations are scanned: they catch up first, outside
+        // `hh.execute`.
+        r.settle()?;
+        s.settle()?;
         let mut buffered: Vec<ViewTuple> = Vec::new();
         let mut restarts = 0u32;
         let emitted = loop {

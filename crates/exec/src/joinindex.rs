@@ -505,6 +505,10 @@ impl JoinStrategy for JoinIndexStrategy {
         s: &StoredRelation,
         sink: &mut dyn FnMut(ViewTuple),
     ) -> Result<u64> {
+        // Every pass fetches from both relations: they catch up first,
+        // outside the passes' sections.
+        r.settle()?;
+        s.settle()?;
         let answer = crate::recovery::answer_or_recover(
             self,
             |ji, out| ji.passes_execute(r, s, out),

@@ -477,6 +477,14 @@ impl JoinStrategy for MaterializedView {
         s: &StoredRelation,
         sink: &mut dyn FnMut(ViewTuple),
     ) -> Result<u64> {
+        // The merge joins `iR` with `S`, and `iS` (if any) with `R`: what
+        // it reads catches up first, outside its sections. With nothing
+        // logged for `S` a query never goes back to `R`, whose apply log
+        // is left to grow.
+        s.settle()?;
+        if self.s_logs.as_ref().is_some_and(|logs| logs.pending() > 0) {
+            r.settle()?;
+        }
         let answer = crate::recovery::answer_or_recover(
             self,
             |mv, out| mv.merge_execute(r, s, out),
@@ -544,7 +552,8 @@ impl MaterializedView {
         let n1 = self.r_logs.runs();
         // Expected S partners per R tuple: ‖V‖/‖R‖ = JS·‖S‖ (self-estimated
         // from the cached view, like a real system's statistics).
-        let partners = if r.is_empty() { 1.0 } else { self.v.len() as f64 / r.len() as f64 };
+        let r_len = r.len_estimate();
+        let partners = if r_len == 0 { 1.0 } else { self.v.len() as f64 / r_len as f64 };
         let wr_tuples = self.wr_pages(n1, partners.max(0.1))
             * self.params.tuples_per_full_page(self.r_tuple_bytes);
 

@@ -77,6 +77,11 @@ pub fn recompute_join(
     def: &ViewDef,
 ) -> Result<(SectionGuard, Vec<ViewTuple>)> {
     let cost = disk.cost();
+    // A view that never went back to `R` must now: the relations catch up
+    // first, retried like the scans below, outside the recovery's section.
+    for rel in [r, s] {
+        with_retry(|| rel.settle())?;
+    }
     disk.metrics().incr(&format!("{prefix}.recoveries"));
     let what = format!("{label}: recompute from base relations");
     disk.events().emit(EventKind::RecoveryTriggered, what, cost.total());

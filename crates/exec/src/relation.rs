@@ -17,17 +17,24 @@
 //! ([`BTree::apply_sorted`]), reading each page of the clustered tree at
 //! most once and writing each changed leaf once, and then pays the
 //! inverted tree what the landed changes owe it, as a second sweep in
-//! (join key, surrogate) order. Every reader settles first, so nobody
-//! ever sees the log; `Database` settles before a query, a commit and a
-//! report so the charge never lands inside a strategy's span and every
-//! acknowledged mutation is in a sealed page image.
+//! (join key, surrogate) order, all under a `base.settle` span of the
+//! relation's own. A relation settles on demand: when it is read (every
+//! reader settles first, so nobody ever sees the log; a strategy settles
+//! what it is about to read before it opens its first section), when its
+//! log is full, or when `Database` asks — for a commit, a checkpoint, a
+//! report. Nothing else does: the sweep's cost is concave in the keys it
+//! nets, so a log left to grow across epochs is swept for far less than
+//! the epochs one by one. Statistics do not count as reads
+//! ([`StoredRelation::len_estimate`]).
 //!
-//! The log is bounded by constants: [`APPLY_LOG_PAGES`] pages of records
-//! in memory, spilled — through the differential log's run writer and
-//! merge, [`DiffLog`] — as surrogate-sorted runs, and a settle forced
-//! where an [`APPLY_LOG_RUNS`]th run would be spilled. Operations on one surrogate keep submission
-//! order; the sweep nets them against the stored tuple, so the last
-//! update wins and x → y → x writes nothing.
+//! The log is bounded by space: [`APPLY_LOG_PAGES`] pages of records in
+//! memory, spilled — through the differential log's run writer and merge,
+//! [`DiffLog`] — as surrogate-sorted runs, and a settle forced where the
+//! run pages would pass a quarter of the relation's leaf pages; never
+//! before [`APPLY_LOG_RUNS`] runs, never more runs than `|M|` has pages
+//! to merge ([`StoredRelation::apply_log_bound_pages`]). Operations on one
+//! surrogate keep submission order; the sweep nets them against the
+//! stored tuple, so the last update wins and x → y → x writes nothing.
 //!
 //! What the tree refuses at the sweep (unknown surrogate, reused
 //! surrogate) is dropped and counted ([`StoredRelation::rejected_ops`],
@@ -35,10 +42,12 @@
 //! ends the settle with an error and the un-applied suffix still queued:
 //! the next settle (or mutator call, which settles first) resumes there.
 
-use std::cell::{Ref, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 
 use trijoin_btree::{BTree, BTreeConfig, BTreeMeta, SweepOp, SweepStats};
-use trijoin_common::{BaseTuple, CounterId, Error, Json, Result, Surrogate, SystemParams};
+use trijoin_common::{
+    BaseTuple, CounterId, Error, Json, OpCounts, Result, Surrogate, SystemParams,
+};
 use trijoin_storage::{Disk, FileId, SlottedPage};
 
 use crate::diff::{DiffLog, SortKey};
@@ -48,8 +57,9 @@ use crate::sort::{counted_sort_by, KWayMerge};
 /// them as a sorted run.
 pub const APPLY_LOG_PAGES: usize = 16;
 
-/// The apply log settles of its own accord rather than spill this many
-/// runs: one page per run is what merging them takes.
+/// However small the relation, its apply log holds this many runs before
+/// it settles of its own accord; a large one holds more, up to a quarter
+/// of its leaf pages ([`StoredRelation::apply_log_bound_pages`]).
 pub const APPLY_LOG_RUNS: usize = 16;
 
 /// Serialize one tree's [`BTreeMeta`] as a catalog object.
@@ -178,11 +188,33 @@ struct Posting {
 pub struct SettleStats {
     /// Queued mutations the sweep consumed.
     pub ops: u64,
+    /// Distinct surrogates among them. The sweep nets the operations on
+    /// one surrogate, so this is what it touches — and what the model
+    /// prices: a log that spans epochs repeats surrogates.
+    pub keys: u64,
     /// Those the trees refused (unknown or reused surrogate; a posting the
     /// inverted tree did not hold).
     pub rejected: u64,
     /// Leaf pages written, both trees together.
     pub leaves_written: u64,
+    /// What the settle charged the ledger, all of it under `base.settle`.
+    pub charged: OpCounts,
+    /// The clustered tree's leaf pages once swept: the model's `m`.
+    pub leaf_pages: u64,
+    /// Its tuples once swept: the model's `n`.
+    pub tuples: u64,
+}
+
+impl SettleStats {
+    /// Fold a later settle of the same relation into this one.
+    fn absorb(&mut self, later: &SettleStats) {
+        self.ops += later.ops;
+        self.keys += later.keys;
+        self.rejected += later.rejected;
+        self.leaves_written += later.leaves_written;
+        self.charged.add(&later.charged);
+        (self.leaf_pages, self.tuples) = (later.leaf_pages, later.tuples);
+    }
 }
 
 /// The queue between a relation's mutators and its trees (module docs).
@@ -196,6 +228,12 @@ struct ApplyLog {
     seq: u32,
     /// Mutations queued and not yet landed.
     queued: u64,
+    /// Inserts less deletes among them.
+    net_inserts: i64,
+    /// `|M|`: the merge of the runs must fit in it.
+    mem_pages: usize,
+    /// Settles nobody has asked about yet ([`StoredRelation::take_settled`]).
+    unreported: SettleStats,
     /// After a settle that failed: how many operations of the log, in
     /// merged order, are in the clustered tree already. The log is frozen
     /// until a settle gets through.
@@ -205,6 +243,9 @@ struct ApplyLog {
     /// Most pages the log has held at once: buffer, one per run being
     /// merged, and the path the sweep holds.
     peak_pages: u64,
+    /// The widest bound a settle has held those pages to (the bound moves
+    /// with the relation's size).
+    bound_pages: u64,
     /// Operations refused so far, over the relation's life.
     rejected: u64,
     c_settles: CounterId,
@@ -215,7 +256,7 @@ struct ApplyLog {
 }
 
 impl ApplyLog {
-    fn new(disk: &Disk, tuple_bytes: usize) -> ApplyLog {
+    fn new(disk: &Disk, params: &SystemParams, tuple_bytes: usize) -> ApplyLog {
         let record_bytes = tuple_bytes + Pending::TRAILER;
         let per_page = SlottedPage::records_per_page(disk.page_size(), record_bytes).max(1);
         let (metrics, cost) = (disk.metrics(), disk.cost());
@@ -226,9 +267,13 @@ impl ApplyLog {
             runs: DiffLog::new(disk, cost, APPLY_LOG_PAGES, per_page, false, Pending::record_key),
             seq: 0,
             queued: 0,
+            net_inserts: 0,
+            mem_pages: params.mem_pages,
+            unreported: SettleStats::default(),
             resume: None,
             postings: Vec::new(),
             peak_pages: 0,
+            bound_pages: 0,
             rejected: 0,
             c_settles: metrics.counter_handle("base.settles"),
             c_ops: metrics.counter_handle("base.settle.ops"),
@@ -294,6 +339,21 @@ impl State {
         std::iter::once(&self.clustered).chain(&self.inverted)
     }
 
+    /// Runs the log may hold: as many as fill a quarter of the leaf pages,
+    /// at least [`APPLY_LOG_RUNS`], at most what `|M|` can merge beside
+    /// the buffer and the sweep's path.
+    fn run_bound(&self) -> usize {
+        let space = self.clustered.leaf_pages() as usize / 4 / APPLY_LOG_PAGES;
+        let merge = self.log.mem_pages.saturating_sub(APPLY_LOG_PAGES + self.clustered.height());
+        APPLY_LOG_RUNS.max(space.min(merge))
+    }
+
+    /// [`StoredRelation::apply_log_bound_pages`].
+    fn bound_pages(&self) -> u64 {
+        let now = APPLY_LOG_PAGES + self.run_bound() + self.clustered.height();
+        self.log.bound_pages.max(now as u64)
+    }
+
     /// Apply everything queued (module docs). On `Err` the log keeps what
     /// did not land and `done` says what did.
     fn settle(&mut self, disk: &Disk, done: &mut SettleStats) -> Result<()> {
@@ -308,17 +368,20 @@ impl State {
             // run writer's buffer: they become a (short) run now.
             self.log.runs.spill()?;
             counted_sort_by(&mut self.log.buffer, Pending::sort_key, cost);
+            let bound = self.bound_pages();
             let log = &mut self.log;
             let pages = log.buffer.len().div_ceil(log.per_page) + log.runs.num_runs();
             log.peak_pages = log.peak_pages.max((pages + self.clustered.height()) as u64);
+            log.bound_pages = bound;
         }
         let skip = self.log.resume.unwrap_or(0);
         // From here on the log is frozen: its merged order is what `skip`
         // counts in, until a settle gets through.
         self.log.resume = Some(skip);
         let State { clustered, inverted, count, log } = &mut *self;
-        let ApplyLog { buffer, runs, postings, cap, .. } = log;
+        let ApplyLog { buffer, runs, postings, cap, net_inserts, .. } = log;
         let decode_error = RefCell::new(None);
+        let (keys, last_key) = (Cell::new(0u64), Cell::new(None));
         let tail = buffer.iter();
         let stream: Box<dyn Iterator<Item = Pending> + '_> = if runs.num_runs() == 0 {
             Box::new(tail.cloned())
@@ -336,6 +399,11 @@ impl State {
         let mut ops = stream
             .skip(skip as usize)
             .map_while(|p| (!runs.stream_failed()).then(|| p.into_op()))
+            .inspect(|(key, _)| {
+                if last_key.replace(Some(*key)) != Some(*key) {
+                    keys.set(keys.get() + 1);
+                }
+            })
             .peekable();
         // A relation with an inverted tree is swept a buffer's worth of
         // operations at a time and the inverted tree paid in between, so
@@ -345,11 +413,9 @@ impl State {
         let (mut landed, mut result) = (0u64, Ok(()));
         while result.is_ok() && ops.peek().is_some() {
             let mut on_change = |key: u64, before: Option<&[u8]>, after: Option<&[u8]>| {
-                match (before, after) {
-                    (None, Some(_)) => *count += 1,
-                    (Some(_), None) => *count -= 1,
-                    _ => {}
-                }
+                let grown = after.is_some() as i64 - before.is_some() as i64;
+                *count = count.wrapping_add_signed(grown);
+                *net_inserts -= grown;
                 if !owes {
                     return;
                 }
@@ -372,6 +438,7 @@ impl State {
             }
         }
         drop(ops);
+        done.keys += keys.get();
         if result.is_ok() {
             result = runs.stream_error().and(decode_error.into_inner().map_or(Ok(()), Err));
         }
@@ -387,7 +454,7 @@ impl State {
         // still owed is in `postings`, not in the records.
         log.buffer.clear();
         log.runs.restart();
-        (log.seq, log.resume) = (0, None);
+        (log.seq, log.resume, log.net_inserts) = (0, None, 0);
         result
     }
 }
@@ -403,13 +470,14 @@ pub struct StoredRelation {
 impl StoredRelation {
     fn assemble(
         disk: &Disk,
+        params: &SystemParams,
         name: String,
         tuple_bytes: usize,
         count: u64,
         clustered: BTree,
         inverted: Option<BTree>,
     ) -> Self {
-        let log = ApplyLog::new(disk, tuple_bytes);
+        let log = ApplyLog::new(disk, params, tuple_bytes);
         let state = RefCell::new(State { clustered, inverted, count, log });
         StoredRelation { name, tuple_bytes, disk: disk.clone(), state }
     }
@@ -450,7 +518,7 @@ impl StoredRelation {
         } else {
             None
         };
-        Ok(Self::assemble(disk, name.to_string(), tuple_bytes, count, clustered, inverted))
+        Ok(Self::assemble(disk, params, name.to_string(), tuple_bytes, count, clustered, inverted))
     }
 
     /// Serialize this relation's catalog entry: name, tuple shape, count,
@@ -499,21 +567,29 @@ impl StoredRelation {
             Some(inv) => Some(BTree::open(disk, BTreeConfig::inverted(params), &tree_meta(inv)?)?),
             None => None,
         };
-        Ok(Self::assemble(disk, name, tuple_bytes, count, clustered, inverted))
+        Ok(Self::assemble(disk, params, name, tuple_bytes, count, clustered, inverted))
     }
 
     // ---- the apply log --------------------------------------------------
 
     /// Apply every queued mutation to the trees, as one sweep in surrogate
-    /// order (module docs). A no-op with nothing queued. On a device fault
+    /// order under the span `base.settle` (module docs). With nothing
+    /// queued it does nothing, not even open the span. On a device fault
     /// what landed stays landed, the rest stays queued, and the next
     /// settle resumes.
     pub fn settle(&self) -> Result<SettleStats> {
         // A reader of this relation further up the stack holds the state,
         // and settled before it took it: nothing can be queued.
         let Ok(mut st) = self.state.try_borrow_mut() else { return Ok(SettleStats::default()) };
-        let mut done = SettleStats::default();
-        let result = st.settle(&self.disk, &mut done);
+        if st.log.queued == 0 && st.log.postings.is_empty() {
+            return Ok(SettleStats::default());
+        }
+        let (cost, mut done) = (self.disk.cost(), SettleStats::default());
+        let start = cost.total();
+        let result = {
+            let _span = cost.section("base.settle");
+            st.settle(&self.disk, &mut done)
+        };
         if done != SettleStats::default() {
             let (metrics, log) = (self.disk.metrics(), &mut st.log);
             log.rejected += done.rejected;
@@ -522,7 +598,22 @@ impl StoredRelation {
             metrics.counter_add_id(log.c_rejected, done.rejected);
             metrics.counter_add_id(log.c_leaves, done.leaves_written);
         }
+        done.charged = cost.total().delta_since(&start);
+        (done.leaf_pages, done.tuples) = (st.clustered.leaf_pages(), st.count);
+        st.log.unreported.absorb(&done);
         result.map(|()| done)
+    }
+
+    /// What this relation's settles did since the last call, summed.
+    /// Whoever first needs the relation settles it — a strategy, a reader,
+    /// a full log — so its owner hears of a settle here, after the fact
+    /// (`Database` keeps the `base.settle.us` histogram and the audit's
+    /// `apply` section from it, and a query's latency clear of it).
+    pub fn take_settled(&self) -> SettleStats {
+        self.state.try_borrow_mut().map_or_else(
+            |_| SettleStats::default(),
+            |mut st| std::mem::take(&mut st.log.unreported),
+        )
     }
 
     /// The state with nothing queued, for a reader.
@@ -552,20 +643,29 @@ impl StoredRelation {
     }
 
     /// The most pages the apply log has held at once (buffer, one per run
-    /// being merged, and the sweep's path): at most [`APPLY_LOG_PAGES`] +
-    /// [`APPLY_LOG_RUNS`] + the clustered tree's height.
+    /// being merged, and the sweep's path): at most
+    /// [`StoredRelation::apply_log_bound_pages`].
     pub fn apply_log_peak_pages(&self) -> u64 {
         self.state.borrow().log.peak_pages
     }
 
+    /// The pages the apply log may hold at once: [`APPLY_LOG_PAGES`] of
+    /// buffer, the clustered tree's height, and one per run — as many runs
+    /// as keep their pages within a quarter of the relation's leaf pages,
+    /// `max(APPLY_LOG_RUNS, min(leaves/4/APPLY_LOG_PAGES, |M| −
+    /// APPLY_LOG_PAGES − h))`. Read off the trees as they stand, and never
+    /// under what an earlier settle was held to.
+    pub fn apply_log_bound_pages(&self) -> u64 {
+        self.state.borrow().bound_pages()
+    }
+
     /// Whether the next mutation makes the log settle before it is
-    /// queued: the log is full (its buffer would spill an
-    /// [`APPLY_LOG_RUNS`]th run), or frozen by a settle that failed. A
-    /// caller that wants that sweep under a span of its own settles first.
+    /// queued: the log is full (its buffer would spill one run more than
+    /// the bound allows), or frozen by a settle that failed.
     pub fn settle_due(&self) -> bool {
-        let log = &self.state.borrow().log;
-        let full = log.buffer.len() >= log.cap;
-        log.resume.is_some() || log.runs.num_runs() + usize::from(full) >= APPLY_LOG_RUNS
+        let st = self.state.borrow();
+        let full = st.log.buffer.len() >= st.log.cap;
+        st.log.resume.is_some() || st.log.runs.num_runs() + usize::from(full) >= st.run_bound()
     }
 
     /// Room is made first — a settle if one is due, else a spill of the
@@ -581,6 +681,7 @@ impl StoredRelation {
         log.buffer.push(Pending { seq: log.seq, kind, tuple: tuple.clone() });
         log.seq += 1;
         log.queued += 1;
+        log.net_inserts += (kind == Kind::Insert) as i64 - (kind == Kind::Delete) as i64;
         Ok(())
     }
 
@@ -632,9 +733,18 @@ impl StoredRelation {
         &self.name
     }
 
-    /// Tuple count (`‖R‖`).
+    /// Tuple count (`‖R‖`), exact: a read, so it settles first.
     pub fn len(&self) -> u64 {
         self.settled_or_stale().count
+    }
+
+    /// Tuple count for an estimate, without settling: the trees' count
+    /// plus queued inserts less queued deletes. Exact under update-only
+    /// traffic and whenever no queued insert or delete gets refused; a
+    /// statistic must not cost a sweep of the relation.
+    pub fn len_estimate(&self) -> u64 {
+        let st = self.state.borrow();
+        st.count.saturating_add_signed(st.log.net_inserts)
     }
 
     /// True when the relation is empty.
@@ -1083,6 +1193,61 @@ mod tests {
             "the buffer, fifteen run pages and the path"
         );
         assert_eq!(rel.get(Surrogate(7)).unwrap().unwrap().key, 7);
+    }
+
+    #[test]
+    fn a_large_relations_log_is_bounded_by_a_quarter_of_its_leaves_and_by_memory() {
+        // 6 000 tuples, 5 a leaf: 1 200 leaves, a quarter of them 18 runs
+        // of 16 pages — if `|M|` can merge that many.
+        let build = |mem_pages: usize| {
+            let params =
+                SystemParams { page_size: 512, mem_pages, ..SystemParams::paper_defaults() };
+            let disk = SimDisk::new(&params, Cost::new());
+            let rel =
+                StoredRelation::build(&disk, &params, "T", tuples(6_000, |i| i as u64), false);
+            (disk, rel.unwrap())
+        };
+        let (disk, mut rel) = build(200);
+        assert_eq!(rel.data_pages(), 1_200);
+        let h = rel.height();
+        assert_eq!(rel.apply_log_bound_pages(), (APPLY_LOG_PAGES + 18 + h) as u64);
+        assert_eq!(build(APPLY_LOG_PAGES + h + 17).1.apply_log_bound_pages(), (16 + 17 + h) as u64);
+        assert_eq!(build(8).1.apply_log_bound_pages(), (16 + APPLY_LOG_RUNS + h) as u64);
+        // The log fills to 17 runs and a buffer, then settles itself.
+        let t = |n: u32| BaseTuple::padded(Surrogate(n * 7 % 6_000), n as u64, 64);
+        for n in 0..18 * 96 {
+            assert!(!rel.settle_due(), "{n}");
+            rel.apply_update(&t(n), &t(n)).unwrap();
+        }
+        assert!(rel.settle_due());
+        assert_eq!(disk.metrics().counter("base.apply_log.runs"), 17);
+        assert_eq!(rel.len_estimate(), 6_000);
+        assert_eq!(disk.metrics().counter("base.settles"), 0, "a statistic is not a read");
+        rel.apply_update(&t(0), &t(0)).unwrap();
+        assert_eq!(disk.metrics().counter("base.settles"), 1);
+        assert_eq!(rel.apply_log_peak_pages(), rel.apply_log_bound_pages() - 1);
+        let did = rel.take_settled();
+        assert_eq!((did.ops, did.keys, did.leaf_pages, did.tuples), (1_728, 1_728, 1_200, 6_000));
+        assert!(did.charged.ios > 0 && rel.take_settled() == SettleStats::default());
+    }
+
+    #[test]
+    fn the_estimate_counts_queued_inserts_and_deletes_and_keys_are_distinct() {
+        let (_d, _c, mut rel) = setup(100, false);
+        let t = |i: u32, key: u64| BaseTuple::padded(Surrogate(i), key, 64);
+        for i in 0..10 {
+            rel.insert(&t(500 + i, 1)).unwrap();
+        }
+        for i in 0..4 {
+            rel.delete(&t(i, (i % 10) as u64)).unwrap();
+        }
+        for round in 0..3 {
+            rel.apply_update(&t(50, 0), &t(50, 40 + round)).unwrap();
+        }
+        assert_eq!((rel.len_estimate(), rel.pending_ops()), (106, 17));
+        let did = rel.settle().unwrap();
+        assert_eq!((did.ops, did.keys, did.rejected, did.tuples), (17, 15, 0, 106));
+        assert_eq!((rel.len(), rel.len_estimate()), (106, 106));
     }
 
     #[test]

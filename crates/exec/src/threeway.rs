@@ -65,6 +65,8 @@ pub fn three_way_execute(
     key2: Key2Fn,
     sink: &mut dyn FnMut(ThreeWayTuple),
 ) -> Result<u64> {
+    // `T` is scanned here; `R` and `S` are the inner strategy's to settle.
+    t.settle()?;
     let b = spilled_partitions(t.data_pages(), params);
     let q = first_pass_fraction(t.data_pages(), params);
     let part_of = |key: JoinKey| -> u64 {

@@ -38,6 +38,6 @@ pub mod report;
 
 pub use inputs::{Derived, Workload};
 pub use regions::{
-    all_costs, cheapest, cheapest_of, cost_of, figure4_grid, figure6_grid, RegionCell,
+    all_costs, cheapest, cheapest_of, cost_of, figure4_grid, figure6_grid, sweep_cost, RegionCell,
 };
 pub use report::{CostReport, Method, Term, TermKind};

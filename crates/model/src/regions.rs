@@ -2,6 +2,7 @@
 
 use trijoin_common::SystemParams;
 
+use crate::formulas::{io_clustered, yao};
 use crate::inputs::Workload;
 use crate::report::{CostReport, Method};
 use crate::{hh, ji, mv};
@@ -14,6 +15,17 @@ pub fn cost_of(params: &SystemParams, w: &Workload, method: Method) -> CostRepor
         Method::JoinIndex => ji::cost(params, w),
         Method::HybridHash => hh::cost(params, w),
     }
+}
+
+/// Seconds one settle of a base relation costs: `keys` distinct tuples of
+/// the `tuples` stored in `leaf_pages` leaves, changed in one sweep in key
+/// order — every distinct leaf read and written, every distinct internal
+/// page read once, `[2·Yao(k,m,n) + Yao(Yao(k,m,n), m/FO, m)]·IO`. Work
+/// every method shares, so no [`cost_of`] report carries it; the engine's
+/// audit prices its `apply` section with it.
+pub fn sweep_cost(params: &SystemParams, keys: f64, leaf_pages: f64, tuples: f64) -> f64 {
+    let written = yao(keys, leaf_pages, tuples) * params.io_us / 1e6;
+    written + io_clustered(keys, leaf_pages, tuples, params)
 }
 
 /// Price one workload under all three methods, in [`Method::all`] order.
@@ -117,6 +129,23 @@ mod tests {
 
     fn p() -> SystemParams {
         SystemParams::paper_defaults()
+    }
+
+    #[test]
+    fn a_sweep_is_concave_in_the_keys_it_nets() {
+        // The cycle data: 40 000 tuples on 2 858 leaves. One sweep over
+        // five epochs' distinct keys costs far less than five sweeps.
+        let params = p();
+        let (m, n) = (2_858.0, 40_000.0);
+        let one = sweep_cost(&params, 2_400.0, m, n);
+        let five = sweep_cost(&params, 10_500.0, m, n);
+        assert!(five < 2.0 * one, "{five} vs 5 x {one}");
+        assert!(five > one);
+        assert_eq!(sweep_cost(&params, 0.0, m, n), 0.0);
+        // Everything touched: each leaf twice, each internal page once.
+        let all = sweep_cost(&params, n, m, n);
+        let pages = 2.0 * m + m / params.fan_out as f64;
+        assert!((all - pages * params.io_us / 1e6).abs() < 1e-6, "{all}");
     }
 
     #[test]

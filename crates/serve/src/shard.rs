@@ -196,14 +196,17 @@ impl ResidentSet {
 
     /// The resident structure of a caching `method`, built from the current
     /// stored relations on first use (every applied mutation is already
-    /// reflected there, so it starts with an empty log). The build is
-    /// charged under `shard.build`, outside any query; its scans run under
-    /// whatever fault plan is armed, so transient faults are retried; a
-    /// build that still fails is counted in `shard.build_errors`.
+    /// reflected there, so it starts with an empty log). The relations
+    /// settle first, so the build reads them caught up and does not pay
+    /// for that; it is charged under `shard.build`, outside any query; its
+    /// scans run under whatever fault plan is armed, so transient faults
+    /// are retried; a build that still fails is counted in
+    /// `shard.build_errors`.
     fn resident(&mut self, db: &Database, method: Method) -> Result<&mut CachedStrategy> {
         let at = match self.cached.iter().position(|c| c.method() == method) {
             Some(at) => at,
             None => {
+                db.settle()?;
                 let built = {
                     let _section = db.cost().section("shard.build");
                     with_retry(|| CachedStrategy::build(db, method))
@@ -438,16 +441,19 @@ impl ShardWorker {
                 ShardCommand::ClearFaults => self.db.clear_faults(),
                 ShardCommand::Commit { durability, reply } => {
                     let result = self.db.commit_with(durability).map(|_| ());
-                    self.count_rejected();
                     let _ = reply.send((self.index, result));
                 }
             }
+            // Any command may have settled a relation (a full log, a
+            // strategy about to read it, a build, a commit, a report).
+            self.count_rejected();
         }
     }
 
     /// Fold one differential batch: log each mutation into the resident
     /// structures and queue it for the stored relation, whose tree changes
-    /// when the shard next settles (before a query, a commit, a report).
+    /// when that relation next settles (a query that reads it, a full log,
+    /// a build, a commit, a report).
     /// Each mutation that fails is counted in `shard.apply_errors` and
     /// skipped — at once if it is refused here (wrong tuple size, or a
     /// device fault while a full apply log made room: it was not queued),
@@ -495,7 +501,6 @@ impl ShardWorker {
     /// staging is stale the moment `S` changes.
     fn apply_s(&mut self, m: &Mutation) -> Result<()> {
         self.db.metrics().incr("shard.s_mutations");
-        self.db.settle_if_due()?;
         self.db.s_mut()?.apply_mutation(m)?;
         match &mut self.mode {
             Mode::Pinned(set) => set.release_stale(),
@@ -510,8 +515,9 @@ impl ShardWorker {
         metrics.counter_add_id(self.apply_errors[1 + of_s as usize], n);
     }
 
-    /// Count what the base relations refused at their last settles as apply
-    /// errors. Called wherever the shard has just settled.
+    /// Count what the base relations refused at their settles since this
+    /// last looked as apply errors. A relation settles on demand, so the
+    /// shard looks after every command ([`ShardWorker::serve`]).
     fn count_rejected(&mut self) {
         let now = [self.db.r().rejected_ops(), self.db.s().rejected_ops()];
         for ((of_s, now), seen) in [false, true].into_iter().zip(now).zip(self.rejected_seen) {
@@ -523,9 +529,9 @@ impl ShardWorker {
     }
 
     fn query(&mut self, method: Method) -> Result<Vec<ViewTuple>> {
-        // The base relations catch up first: a structure this query builds
-        // or rebuilds must read settled relations, and not pay for that.
-        self.db.settle()?;
+        // The strategy settles what it reads (a view leaves `R`'s log to
+        // grow); a structure this query has to build or rebuild first
+        // reads both relations, settled ahead of its section.
         let mut rows = match &mut self.mode {
             Mode::Pinned(set) => self.db.query(set.strategy(&self.db, method)?)?,
             // Adaptive shards ignore the requested method: the incumbent
@@ -538,7 +544,6 @@ impl ShardWorker {
             }
         };
         self.since_query = 0;
-        self.count_rejected();
         // Sort the shard-local answer so the server can k-way merge the
         // per-shard runs instead of re-sorting the concatenation. This is
         // presentation work on the serving path, not simulated strategy

@@ -256,13 +256,14 @@ fn check_base_pages_bound(
 }
 
 /// The apply-log contract of an engine's base relations
-/// (`exec::relation`): the log is bounded by constants — 16 pages of
-/// buffer, one page for each of at most 16 runs being merged, and the path
-/// the sweep holds, so `base.apply_log.peak_pages` ≤ 16 + 16 +
-/// `base.tree_height` — and a report is taken with the log empty,
-/// `base.apply_log.pending` = 0: a report that says otherwise describes
-/// trees some acknowledged mutation has not reached. Reports from builds
-/// without the gauges owe nothing.
+/// (`exec::relation`): the log holds its buffer, one page for each run
+/// being merged and the path the sweep holds, so
+/// `base.apply_log.peak_pages` stays within the bound the report carries,
+/// `base.apply_log.bound_pages` — or, in a report without one (a log at its
+/// floor stamps none), within 16 + 16 + `base.tree_height` — and a report
+/// is taken with the log empty, `base.apply_log.pending` = 0: a report
+/// that says otherwise describes trees some acknowledged mutation has not
+/// reached. Reports from builds without the gauges owe nothing.
 fn check_apply_log_bound(
     path: &str,
     owner: &str,
@@ -271,11 +272,13 @@ fn check_apply_log_bound(
     use trijoin_exec::relation::{APPLY_LOG_PAGES, APPLY_LOG_RUNS};
     if let Some(peak) = metrics.gauge("base.apply_log.peak_pages") {
         let height = metrics.gauge("base.tree_height").unwrap_or(0.0);
-        let bound = (APPLY_LOG_PAGES + APPLY_LOG_RUNS) as f64 + height;
+        let floor = (APPLY_LOG_PAGES + APPLY_LOG_RUNS) as f64 + height;
+        let bound = metrics.gauge("base.apply_log.bound_pages").unwrap_or(floor);
         if peak > bound {
             return Err(format!(
                 "{path}: {owner} reports base.apply_log.peak_pages = {peak}, above its bound \
-                 {APPLY_LOG_PAGES} + {APPLY_LOG_RUNS} + base.tree_height = {bound}"
+                 {bound} (base.apply_log.bound_pages, or {APPLY_LOG_PAGES} + {APPLY_LOG_RUNS} \
+                 + base.tree_height without it)"
             ));
         }
     }
@@ -774,6 +777,14 @@ mod tests {
         assert!(err.contains("shard0") && err.contains("base.apply_log.peak_pages = 35"), "{err}");
         let (_, at_the_bound) = report_with_gauge("base.apply_log.peak_pages", 34.0);
         validate_report_json("s.json", &at_the_bound.to_json()).unwrap();
+        // A larger relation's log is held to the bound its report carries.
+        assert_eq!(shard.gauge("base.apply_log.bound_pages"), None, "a log at its floor");
+        let mut roomy = outgrown.clone();
+        roomy.shards[0].metrics.gauges.push(("base.apply_log.bound_pages".into(), 35.0));
+        validate_report_json("s.json", &roomy.to_json()).unwrap();
+        roomy.shards[0].metrics.gauges.last_mut().unwrap().1 = 34.5;
+        let err = validate_report_json("s.json", &roomy.to_json()).unwrap_err();
+        assert!(err.contains("above its bound 34.5"), "{err}");
     }
 
     #[test]

@@ -118,8 +118,9 @@ fn main() {
     let upd = Update { old: old.clone(), new: new.clone() };
     mv.on_update(&upd).unwrap();
     ji.on_update(&upd).unwrap();
-    // Queued: the stored relation changes when it next settles — before
-    // the next `db.query`, commit or report, or at any read of `R`.
+    // Queued: the stored relation changes when it next settles — at any
+    // read of `R` (a query of a strategy that reads it), when its log is
+    // full, or at a commit or report.
     db.r_mut().apply_update(&old, &new).unwrap();
     db.settle().unwrap();
     println!(

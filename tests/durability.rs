@@ -10,7 +10,7 @@
 
 use std::path::PathBuf;
 
-use trijoin::{Database, Durability, Mutation, SystemParams};
+use trijoin::{Database, Durability, JoinStrategy, Mutation, SystemParams};
 use trijoin_check::{generate, run_script, CheckConfig, GenConfig};
 use trijoin_common::{BaseTuple, Surrogate, ViewTuple};
 use trijoin_exec::oracle;
@@ -193,6 +193,50 @@ fn a_kill_right_after_commit_keeps_every_acknowledged_mutation() {
         assert_eq!(recovered, committed, "an acknowledged mutation is missing");
         assert_all_strategies_agree(&db, &committed, &s0);
     }
+}
+
+/// View queries between two commits do not settle `R` — its queued
+/// mutations ride through them — and the commit does: what it
+/// acknowledges is in the pages it seals, so a crash right after it, and
+/// one with more mutations queued and queried over but never committed,
+/// both recover to the committed relation.
+#[test]
+fn queued_mutations_ride_through_view_queries_and_settle_at_the_commit() {
+    let dir = fresh_dir("queued-view");
+    let (r0, s0) = (tuples(120, 0), tuples(30, 0));
+    let mut mirror = r0.clone();
+    let mut db = Database::create_durable(&params(), r0, s0.clone(), &dir).unwrap();
+    let mut mv = db.materialized_view().unwrap();
+    db.commit().unwrap();
+    let want = |mirror: &[BaseTuple]| canon(oracle::join_tuples(mirror, &s0));
+    let mut epoch = |db: &mut Database, mirror: &mut [BaseTuple], tag: u64| {
+        for at in (0..60usize).rev() {
+            let new = BaseTuple::padded(mirror[at].sur, tag + (at % 5) as u64, 64);
+            let u = trijoin::Update { old: std::mem::replace(&mut mirror[at], new.clone()), new };
+            mv.on_update(&u).unwrap();
+            db.apply_r_update(&u).unwrap();
+        }
+        canon(db.query(&mut mv).unwrap())
+    };
+    for tag in [10, 20, 30] {
+        assert_eq!(epoch(&mut db, &mut mirror, tag), want(&mirror), "epoch {tag}");
+    }
+    assert_eq!(db.metrics().counter("base.settles"), 0, "three view queries, R never read");
+    assert_eq!(db.r().pending_ops(), 180);
+    db.commit().unwrap();
+    assert_eq!(db.metrics().counter("base.settles"), 1, "the commit settled");
+    assert_eq!((db.r().pending_ops(), db.metrics().counter("base.settle.ops")), (0, 180));
+    let committed = mirror.clone();
+    assert_eq!(epoch(&mut db, &mut mirror, 40), want(&mirror), "queued, answered, uncommitted");
+    assert_eq!(db.metrics().counter("base.settles"), 1);
+    drop((mv, db)); // crash
+
+    let db = Database::open_durable(&params(), &dir).unwrap();
+    assert_only_named_files_live(&db);
+    let mut recovered = Vec::new();
+    db.r().scan(|t| recovered.push(t)).unwrap();
+    assert_eq!(recovered, committed);
+    assert_all_strategies_agree(&db, &committed, &s0);
 }
 
 /// Running recovery twice must be a fixpoint: the first open replays and

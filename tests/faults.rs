@@ -358,10 +358,13 @@ fn adaptive_hand_off_write_fault_rolls_back_then_retries() {
 // ---------------------------------------------------------------------
 
 /// A transient read fault in the middle of the base relation's settle is
-/// the settle's error — the query it precedes fails before it starts —
-/// and costs nothing else: what landed stays, the rest stays queued, the
-/// retry resumes there and every strategy answers the oracle join. The
-/// batch is large enough to have spilled runs, so the retry merges again.
+/// the settle's error — a query whose strategy reads `R` fails in its
+/// preamble, before any section of its own opens; a view's query never
+/// goes back to `R`, answers, and leaves the fault to the settle someone
+/// asks for — and costs nothing else: what landed stays, the rest stays
+/// queued, the retry resumes there and every strategy answers the oracle
+/// join. The batch is large enough to have spilled runs, so the retry
+/// merges again.
 #[test]
 fn settle_fault_mid_sweep_fails_the_query_and_the_retry_completes() {
     for method in Method::all() {
@@ -395,14 +398,26 @@ fn settle_fault_mid_sweep_fails_the_query_and_the_retry_completes() {
 
         let clustered = db.r().file_ids().next().unwrap();
         db.install_fault_plan(FaultPlan::new().fail_nth_read(Some(clustered), 7));
-        let err = db.query(strategy.as_dyn()).unwrap_err();
+        let err = if method == Method::MaterializedView {
+            let got = db.query(strategy.as_dyn()).unwrap();
+            oracle::assert_same_join("mv/R-unsettled", got, want.clone());
+            assert_eq!((db.faults_fired(), db.metrics().counter("base.settles")), (0, 0));
+            db.settle().unwrap_err()
+        } else {
+            let err = db.query(strategy.as_dyn()).unwrap_err();
+            let first = if method == Method::JoinIndex { "ji.read_diffs" } else { "hh.execute" };
+            let spans = db.cost().span_tree();
+            assert!(spans.iter().any(|s| s.path == "base.settle"), "{method}");
+            assert!(spans.iter().all(|s| s.name != first), "{method}: failed before {first}");
+            err
+        };
         assert!(matches!(err, trijoin_common::Error::DeviceFault { .. }), "{method}: {err:?}");
         assert_eq!(db.faults_fired(), 1, "{method}");
-        assert_eq!(db.metrics().counter("db.queries"), 0, "{method}: the query never started");
         let landed = db.metrics().counter("base.settle.ops");
         assert!(landed > 0 && landed < batch.len() as u64, "{method}: {landed} landed");
         assert_eq!(db.r().pending_ops(), batch.len() as u64 - landed, "{method}");
 
+        db.settle().unwrap();
         let got = db.query(strategy.as_dyn()).unwrap();
         oracle::assert_same_join(&format!("{method}/settle-retry"), got, want.clone());
         assert_eq!(db.metrics().counter("base.settle.ops"), batch.len() as u64, "{method}");
@@ -411,6 +426,51 @@ fn settle_fault_mid_sweep_fails_the_query_and_the_retry_completes() {
         let again = db.query(strategy.as_dyn()).unwrap();
         oracle::assert_same_join(&format!("{method}/settle-retry (follow-up)"), again, want);
     }
+}
+
+/// The same fault in a settle that spans epochs: a view's queries leave
+/// `R`'s log to grow over four epochs of updates, a commit-time settle
+/// fails part-way through the merged log, and the next one resumes from
+/// the landed prefix — no operation applied twice, none lost, the tree
+/// equal to one that settled every epoch.
+#[test]
+fn settle_fault_in_a_multi_epoch_log_resumes_from_the_landed_prefix() {
+    let mut db = fresh_db();
+    let mut mv = db.materialized_view().unwrap();
+    let mut mirror = tuples(150);
+    let mut queued = 0u64;
+    for epoch in 0..4u64 {
+        for i in (0..150usize).rev().filter(|i| (*i as u64 + epoch).is_multiple_of(2)) {
+            let new = BaseTuple::padded(Surrogate(i as u32), (i as u64 + epoch) % 7, 64);
+            let u = trijoin::Update { old: std::mem::replace(&mut mirror[i], new.clone()), new };
+            mv.on_update(&u).unwrap();
+            db.apply_r_update(&u).unwrap();
+            queued += 1;
+        }
+        let got = db.query(&mut mv).unwrap();
+        oracle::assert_same_join("mv/epoch", got, oracle::join_tuples(&mirror, &tuples(150)));
+    }
+    assert_eq!(db.metrics().counter("base.settles"), 0, "four queries, R never read");
+    assert_eq!(db.r().pending_ops(), queued);
+    assert!(db.metrics().counter("base.apply_log.runs") >= 2, "the log spilled");
+
+    let clustered = db.r().file_ids().next().unwrap();
+    db.install_fault_plan(FaultPlan::new().fail_nth_read(Some(clustered), 9));
+    let err = db.commit().unwrap_err();
+    assert!(matches!(err, trijoin_common::Error::DeviceFault { .. }), "{err:?}");
+    let landed = db.metrics().counter("base.settle.ops");
+    assert!(landed > 0 && landed < queued, "{landed} of {queued} landed");
+    assert_eq!(db.r().pending_ops(), queued - landed);
+    db.commit().unwrap();
+    assert_eq!(db.metrics().counter("base.settle.ops"), queued, "each operation landed once");
+    assert_eq!((db.r().pending_ops(), db.r().rejected_ops()), (0, 0));
+    db.r().check_invariants().unwrap();
+    let mut stored = Vec::new();
+    db.r().scan(|t| stored.push(t)).unwrap();
+    assert_eq!(stored, mirror);
+    let mut hh = db.hybrid_hash();
+    let got = db.query(&mut hh).unwrap();
+    oracle::assert_same_join("hh/after", got, oracle::join_tuples(&mirror, &tuples(150)));
 }
 
 // ---------------------------------------------------------------------

@@ -317,3 +317,200 @@ fn a_full_apply_log_settles_under_the_databases_span() {
     assert!(spanned.ios > 0 && spanned.ios == db.cost().total().ios - ios, "{spanned:?}");
     db.r().check_invariants().unwrap();
 }
+
+// ---------------------------------------------------------------------
+// The laws of the deferral: a relation catches up when it is read or its
+// log is full, and what it then does follows what changed since it last
+// did, not how many queries went by.
+// ---------------------------------------------------------------------
+
+/// A strategy behind a wrapper that forwards `name`, `on_mutation` and
+/// `execute` and nothing else — what the repo benchmark's span wrapper
+/// does. Whatever tells the engine which relations a query reads has to
+/// get through it.
+struct Forwarding<'a>(&'a mut dyn JoinStrategy);
+
+impl JoinStrategy for Forwarding<'_> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn on_mutation(&mut self, m: &Mutation) -> trijoin_common::Result<()> {
+        self.0.on_mutation(m)
+    }
+    fn execute(
+        &mut self,
+        r: &trijoin_exec::StoredRelation,
+        s: &trijoin_exec::StoredRelation,
+        sink: &mut dyn FnMut(trijoin_common::ViewTuple),
+    ) -> trijoin_common::Result<u64> {
+        self.0.execute(r, s, sink)
+    }
+}
+
+/// K epochs of updates under view queries, swept once at the end, leave
+/// the tree a relation settled after every epoch has — and write strictly
+/// fewer leaves getting there.
+#[test]
+fn epochs_settled_once_equal_epochs_settled_one_by_one() {
+    let (gen, params) = law_fixture();
+    let run = |settle_each_epoch: bool| {
+        let mut db = Database::new(&params, gen.r.clone(), gen.s.clone()).unwrap();
+        let mut mv = db.materialized_view().unwrap();
+        let mut stream = gen.mutation_stream(MutationMix::churn());
+        for epoch in 0..6 {
+            for _ in 0..150 {
+                let m = stream.next_mutation();
+                mv.on_mutation(&m).unwrap();
+                db.apply_r_mutation(&m).unwrap();
+            }
+            let got = db.query(&mut Forwarding(&mut mv)).unwrap();
+            let want = oracle::join_tuples(&stream.current(), &gen.s);
+            oracle::assert_same_join(&format!("epoch {epoch}"), got, want);
+            if settle_each_epoch {
+                db.settle().unwrap();
+            }
+        }
+        let settles = db.metrics().counter("base.settles");
+        assert_eq!(settles, if settle_each_epoch { 6 } else { 0 }, "a view's query reads no R");
+        assert_eq!(db.r().len_estimate(), stream.len() as u64, "the estimate counts the queue");
+        db.settle().unwrap();
+        db.r().check_invariants().unwrap();
+        assert_eq!((db.r().len(), db.r().rejected_ops()), (stream.len() as u64, 0));
+        (contents(&db), db.metrics().counter("base.settle.leaves_written"))
+    };
+    let (one_by_one, many_writes) = run(true);
+    let (at_once, few_writes) = run(false);
+    assert_eq!(at_once, one_by_one);
+    assert!(few_writes < many_writes, "{few_writes} leaves at once, {many_writes} one by one");
+}
+
+/// x → y in one epoch and y → x in a later one, with view queries in
+/// between and no settle: the sweep nets across epochs and writes no leaf.
+#[test]
+fn an_update_undone_in_a_later_epoch_writes_no_leaf() {
+    let (gen, params) = law_fixture();
+    let mut db = Database::new(&params, gen.r.clone(), gen.s.clone()).unwrap();
+    let mut mv = db.materialized_view().unwrap();
+    let moved = |t: &BaseTuple| BaseTuple::padded(t.sur, t.key + 1000, 96);
+    let mut epoch = |db: &mut Database, undo: bool| {
+        for t in gen.r.iter().step_by(3) {
+            let (old, new) = if undo { (moved(t), t.clone()) } else { (t.clone(), moved(t)) };
+            let u = trijoin::Update { old, new };
+            mv.on_update(&u).unwrap();
+            db.apply_r_update(&u).unwrap();
+        }
+        db.query(&mut mv).unwrap()
+    };
+    let there = epoch(&mut db, false);
+    let away: Vec<BaseTuple> = gen
+        .r
+        .iter()
+        .enumerate()
+        .map(|(i, t)| if i % 3 == 0 { moved(t) } else { t.clone() })
+        .collect();
+    oracle::assert_same_join("moved", there, oracle::join_tuples(&away, &gen.s));
+    let back = epoch(&mut db, true);
+    oracle::assert_same_join("undone", back, oracle::join_tuples(&gen.r, &gen.s));
+    assert_eq!(db.metrics().counter("base.settles"), 0);
+    let writes = db.metrics().counter("disk.writes");
+    db.settle().unwrap();
+    assert_eq!(db.metrics().counter("disk.writes"), writes, "a net-empty log wrote pages");
+    assert_eq!(db.metrics().counter("base.settle.leaves_written"), 0);
+    assert_eq!(db.metrics().counter("base.settle.ops"), 2 * gen.r.len().div_ceil(3) as u64);
+    assert_eq!(contents(&db).0, gen.r);
+}
+
+/// MV, JI, HH queried in turn over pending mutations: the view's query
+/// leaves `R` unsettled; the join index's settles it, once, under a
+/// root-level `base.settle` that no `ji.*` span absorbs, that `query.us`
+/// leaves out and that the query's start event comes after; hybrid hash
+/// finds nothing queued. All three answer the oracle's join.
+#[test]
+fn a_relation_settles_for_the_first_query_that_reads_it() {
+    let (gen, params) = law_fixture();
+    let mut db = Database::new(&params, gen.r.clone(), gen.s.clone()).unwrap();
+    let (mut mv, mut ji, mut hh) =
+        (db.materialized_view().unwrap(), db.join_index().unwrap(), db.hybrid_hash());
+    db.reset_observability();
+    let mut stream = gen.update_stream();
+    for _ in 0..gen.updates_per_epoch() {
+        let u = stream.next_update();
+        mv.on_update(&u).unwrap();
+        ji.on_update(&u).unwrap();
+        db.apply_r_update(&u).unwrap();
+    }
+    let want = oracle::join_tuples(stream.current(), &gen.s);
+    let queued = db.r().pending_ops();
+    let query_us = |db: &Database| db.metrics().histogram("query.us").map_or(0, |h| h.sum);
+    let us = |ops: trijoin_common::OpCounts| ops.time_us(&params);
+
+    let got = db.query(&mut Forwarding(&mut mv)).unwrap();
+    oracle::assert_same_join("mv", got, want.clone());
+    assert_eq!(db.metrics().counter("base.settles"), 0, "the view's query settled R");
+    assert_eq!(db.r().pending_ops(), queued);
+    assert!(db.cost().span_tree().iter().all(|s| s.name != "base.settle"));
+
+    let (before, sampled) = (db.cost().total(), query_us(&db));
+    let got = db.query(&mut Forwarding(&mut ji)).unwrap();
+    oracle::assert_same_join("ji", got, want.clone());
+    assert_eq!(db.metrics().counter("base.settles"), 1);
+    assert_eq!(db.metrics().counter("base.settle.ops"), queued);
+    let spans = db.cost().span_tree();
+    let settle: Vec<_> = spans.iter().filter(|s| s.name == "base.settle").collect();
+    assert_eq!(settle.len(), 1);
+    assert_eq!((settle[0].depth, settle[0].invocations), (0, 1), "{}", settle[0].path);
+    let first_ji = spans.iter().find(|s| s.name == "ji.read_diffs").unwrap();
+    assert!(settle[0].last_exit < first_ji.last_exit && first_ji.depth == 0);
+    let spent = us(db.cost().total().delta_since(&before));
+    let sample = (query_us(&db) - sampled) as f64;
+    assert!(us(settle[0].cum_ops) > 0.0);
+    assert!((spent - us(settle[0].cum_ops) - sample).abs() <= 1.0, "{spent} µs, {sample} sampled");
+    let events = db.events().events();
+    let start =
+        events.iter().rev().find(|e| e.kind == trijoin_common::EventKind::QueryStart).unwrap();
+    assert_eq!(start.at, settle[0].end_total, "the query's clock starts once R has caught up");
+    assert_eq!(db.metrics().histogram("base.settle.us").map(|h| h.count), Some(1));
+
+    let got = db.query(&mut Forwarding(&mut hh)).unwrap();
+    oracle::assert_same_join("hh", got, want);
+    assert_eq!(db.metrics().counter("base.settles"), 1, "nothing was queued for hybrid hash");
+}
+
+/// The repo benchmark's `*_cycle` round — an epoch of updates, one query
+/// through a wrapper that forwards three methods — settles `R` once a
+/// round under a strategy that reads it and only when the log is full
+/// under the view. An eager settle in front of every query, or a statistic
+/// that forces one, shows here before it shows at the benchmark.
+#[test]
+fn cycle_rounds_settle_only_for_strategies_that_read_r() {
+    const ROUNDS: u64 = 12;
+    let (gen, params) = law_fixture();
+    for method in trijoin::Method::all() {
+        let mut db = Database::new(&params, gen.r.clone(), gen.s.clone()).unwrap();
+        let mut strategy = trijoin::CachedStrategy::build(&db, method).unwrap();
+        db.reset_observability();
+        let mut stream = gen.update_stream();
+        for round in 0..ROUNDS {
+            for _ in 0..gen.updates_per_epoch() {
+                let u = stream.next_update();
+                strategy.as_dyn().on_update(&u).unwrap();
+                db.apply_r_update(&u).unwrap();
+            }
+            let got = db.query(&mut Forwarding(strategy.as_dyn())).unwrap();
+            let want = oracle::join_tuples(stream.current(), &gen.s);
+            oracle::assert_same_join(&format!("{method} round {round}"), got, want);
+        }
+        let settles = db.metrics().counter("base.settles");
+        if method == trijoin::Method::MaterializedView {
+            assert!(settles < ROUNDS, "{method}: {settles} settles in {ROUNDS} rounds");
+            assert!(db.r().pending_ops() > 0);
+        } else {
+            assert_eq!(settles, ROUNDS, "{method}");
+        }
+        let strategy_spans = db.cost().span_tree();
+        assert!(
+            strategy_spans.iter().filter(|s| s.name == "base.settle").all(|s| s.depth == 0),
+            "{method}: a strategy span absorbed a settle"
+        );
+    }
+}

@@ -652,6 +652,21 @@ fn churn_soak_gives_base_pages_back() {
             "shard {shard}: {round0} disk pages after round 0, {end} after 32 rounds at the same ‖R‖"
         );
     }
+    // The apply log is held to account apart from the trees. Those disk
+    // pages were read off reports, which settle first: none of them is a
+    // run of the log. In between the view's queries leave `R`'s log to
+    // grow — it settles when it is full, not once a round — and its peak
+    // stays within its own bound: buffer, runs and path, never the trees'.
+    for (shard, report) in report.shards.iter().enumerate() {
+        let gauge = |name: &str| report.metrics.gauge(name).unwrap();
+        assert_eq!(gauge("base.apply_log.pending"), 0.0, "shard {shard}");
+        let floor = 16.0 + 16.0 + gauge("base.tree_height");
+        let bound = report.metrics.gauge("base.apply_log.bound_pages").unwrap_or(floor);
+        let peak = gauge("base.apply_log.peak_pages");
+        assert!(peak > 16.0 && peak <= bound, "shard {shard}: {peak} log pages, bound {bound}");
+        let settles = report.metrics.counter("base.settles");
+        assert!(settles < 8, "shard {shard}: {settles} settles in 32 rounds of view queries");
+    }
     let m = &report.rollup.metrics;
     assert!(m.counter("btree.merges") > 0 && m.counter("btree.pages_reused") > 0);
     // The occupancy rule of `report-validate` holds after the churn.
@@ -870,4 +885,34 @@ fn view_built_on_first_use_is_audited_at_zero_pending() {
         !shard.events.iter().any(|e| e.kind == EventKind::CostDrift),
         "a fresh view's first cycle must not read as drift"
     );
+}
+
+/// An ill-formed mutation queued under view-only traffic: the view's
+/// queries never go back to `R`, so nothing settles and nothing is
+/// refused until someone asks — the report does — and that is where
+/// `base.settle.rejected` and `shard.apply_errors` count it, once.
+#[test]
+fn a_reject_under_view_only_traffic_is_counted_at_the_later_settle() {
+    let w = spec(0.3).generate();
+    let cfg = config(1, 16);
+    let server = Server::start(&cfg, w.r.clone(), w.s.clone()).unwrap();
+    let session = server.session().unwrap();
+    let mut clients = ClientTraffic::split(&w, &cfg, 2);
+    session.query(Method::MaterializedView).unwrap();
+    // An update of a surrogate `R` never held, to a key nothing joins.
+    let ghost = |key| BaseTuple::padded(trijoin_common::Surrogate(9_000_000), key, 48);
+    let bad = trijoin::Update { old: ghost(u64::MAX - 1), new: ghost(u64::MAX) };
+    session.update_r(Mutation::Update(bad)).unwrap();
+    for _ in 0..3 {
+        submit(&session, &mut clients, 40);
+        let got = session.query(Method::MaterializedView).unwrap();
+        oracle::assert_same_join("view-only", got, oracle_answer(&clients, &w.s));
+    }
+    let shard = &session.report().unwrap().shards[0];
+    assert_eq!(shard.metrics.counter("base.settles"), 1, "the report's settle is the only one");
+    assert_eq!(shard.metrics.counter("base.settle.ops"), 121);
+    assert_eq!(shard.metrics.counter("base.settle.rejected"), 1);
+    assert_eq!(shard.metrics.counter("shard.apply_errors"), 1);
+    assert_eq!(shard.metrics.counter("shard.apply_errors.R"), 1);
+    assert_eq!(shard.metrics.gauge("base.apply_log.pending"), Some(0.0));
 }

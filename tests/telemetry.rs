@@ -125,8 +125,9 @@ fn every_cycle_and_apply_is_audited() {
         assert!(entry.predicted_us > 0.0, "{section}: model predicted a positive cost");
         assert!(entry.actual_us > 0.0, "{section}: ledger charged a positive cost");
     }
-    // Five updates queue up per round; the round's first query settles
-    // them in one sweep, the other two find nothing queued.
+    // Five updates queue up per round; the view's query leaves them
+    // queued, the join index's — the round's first that reads `R` —
+    // settles them in one sweep, hybrid hash finds nothing queued.
     let apply = series.audit_section("apply").expect("apply section present");
     assert_eq!(apply.samples, 3, "one audit record per settle");
     assert!(apply.predicted_us > 0.0 && apply.actual_us > 0.0);
@@ -164,9 +165,11 @@ fn every_cycle_and_apply_is_audited() {
 /// The `apply` section is priced with the model it belongs to: a settle is
 /// a scheduled access to the clustered tree, every distinct leaf read and
 /// written and every distinct internal page read,
-/// `[2·Yao(k,m,n) + Yao(Yao(k,m,n), m/FO, m)]·IO`. On uniform updates the
-/// ledger stays within 1.25× of that, epoch after epoch, whether the log
-/// stayed in memory or spilled, and nothing drifts.
+/// `[2·Yao(k,m,n) + Yao(Yao(k,m,n), m/FO, m)]·IO` (`model::sweep_cost`),
+/// with `k` the distinct surrogates the sweep nets. On uniform updates the
+/// ledger stays within 1.25× of that, settle after settle, whether the log
+/// stayed in memory or spilled, whether it held one epoch or — under a
+/// view's queries, which never read `R` — five, and nothing drifts.
 #[test]
 fn apply_section_tracks_the_scheduled_access_model() {
     let params = SystemParams { mem_pages: 80, ..SystemParams::paper_defaults() };
@@ -208,6 +211,35 @@ fn apply_section_tracks_the_scheduled_access_model() {
         let spilled = report.metrics.counter("base.apply_log.runs") > 0;
         assert_eq!(spilled, updates > 16 * 19, "{updates} updates");
     }
+
+    // Five epochs a settle: 3 600 operations on 4 000 tuples repeat
+    // surrogates, and the sweep — and its price — follow the distinct ones.
+    let mut db = Database::new(&params, w.r.clone(), w.s.clone()).unwrap();
+    db.enable_telemetry(TelemetryConfig::default());
+    db.enable_cost_audit(measure_workload(&w.r, &w.s, 0.06, 0.1), 1.0);
+    let mut mv = db.materialized_view().unwrap();
+    let mut stream = w.update_stream();
+    let mut ops = 0;
+    for _ in 0..3 {
+        for _ in 0..5 {
+            for _ in 0..240 {
+                let u = stream.next_update();
+                mv.on_update(&u).unwrap();
+                db.apply_r_update(&u).unwrap();
+            }
+            db.query(&mut mv).unwrap();
+        }
+        ops += 1_200;
+        assert_eq!(db.r().pending_ops(), 1_200, "five view queries settled nothing");
+        db.settle().unwrap();
+        assert_eq!(db.metrics().counter("base.settle.ops"), ops);
+    }
+    let report = db.run_report("apply-audit-epochs");
+    let apply = report.series[0].audit_section("apply").expect("apply section present");
+    assert_eq!((apply.samples, report.metrics.counter("base.settles")), (3, 3));
+    let ratio = apply.actual_us / apply.predicted_us;
+    assert!((0.8..=1.25).contains(&ratio), "five epochs a settle: ratio {ratio:.3}");
+    assert!(!report.events.iter().any(|e| e.kind == EventKind::CostDrift));
 }
 
 /// The drift events a miscalibrated engine emits are typed and carry the
