@@ -2,9 +2,9 @@
 # Repo CI gate: formatting, lints, release build, full test suite (the
 # last three --locked, so a Cargo.lock that no longer matches the
 # manifests fails here instead of being silently rewritten), then the
-# run-report schema, serving-layer, live-monitor, wall-clock smoke,
-# repo-benchmark smoke + residency soak, bench-regression, simulation,
-# adaptive-serving and crash-recovery gates.
+# run-report schema, serving-layer, live-monitor, repo-benchmark smoke +
+# residency soak, simulation, adaptive-serving and crash-recovery gates.
+# The host clock is measured by the repo benchmark alone (BENCHMARK.json).
 # Run from the workspace root. Fails fast on the first broken stage.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -33,6 +33,10 @@ for key in params spans metrics events; do
 done
 cargo run --release -q -p trijoin-check --bin trijoin -- report-validate "$report"
 rm -f "$report"
+# Every committed figure and ablation results file holds its schema.
+for results in results/*.json; do
+    cargo run --release -q -p trijoin-check --bin trijoin -- report-validate "$results" > /dev/null
+done
 
 echo "==> serving-layer gate"
 # Run the sharded server at one and four shards (every query is checked
@@ -59,9 +63,6 @@ cargo run --release -q -p trijoin-check --bin trijoin -- \
 cargo run --release -q -p trijoin-check --bin trijoin -- \
     report-validate "$report" --min-series-windows 2
 rm -f "$report"
-# The committed scaling results must carry the serve schema and a result
-# checksum that is identical across shard counts.
-cargo run --release -q -p trijoin-check --bin trijoin -- report-validate results/serve.json
 
 echo "==> live-monitor gate"
 # `trijoin top --once --json` must emit a schema-valid sharded report
@@ -75,21 +76,12 @@ cargo run --release -q -p trijoin-check --bin trijoin -- \
     report-validate "$report" --min-series-windows 2
 rm -f "$report"
 
-echo "==> wall-clock smoke gate"
-# The wall-clock harness must run end-to-end (smoke scale) and emit a
-# schema-valid results file, and the simulated ledgers it rides on must
-# stay bit-identical to the pinned goldens. Smoke emits its own file so
-# the committed full-scale results/wallclock.json is never clobbered.
-cargo run --release -q -p trijoin-bench --bin wallclock -- --smoke > /dev/null
-cargo run --release -q -p trijoin-check --bin trijoin -- report-validate results/wallclock_smoke.json
-rm -f results/wallclock_smoke.json
-cargo run --release -q -p trijoin-check --bin trijoin -- report-validate results/wallclock.json
-cargo test -q --release -p trijoin-serve --test golden_ledger
-
 echo "==> repo-benchmark smoke + residency soak"
 # The repo benchmark (BENCHMARK.json) must run every workload end to end
 # at smoke scale with every answer verified — a change that breaks what
-# the benchmark uses of the program fails here, not at the driver. The
+# the benchmark uses of the program fails here, not at the driver — and
+# the simulated ledgers and the served answer's checksum must stay
+# bit-identical to the goldens pinned under tests/golden/. The
 # resource-bound tests ride along in release mode: 20 000 updates under
 # hybrid-hash-only traffic must leave each pinned shard's disk pages
 # where warm-up left them; four turnovers of R under mixed
@@ -111,6 +103,7 @@ echo "==> repo-benchmark smoke + residency soak"
 # hide behind compiled-out debug assertions. And the view file's
 # directory counts and I/O laws, whose arithmetic would wrap.
 cargo run --release -q -p trijoin-bench --bin benchmark -- --smoke > /dev/null
+cargo test -q --release -p trijoin-serve --test golden_ledger
 # The benchmark prints no `base.settles` and its directory is frozen, so
 # the guard on what its rounds settle drives the same round (an epoch of
 # updates, one query through a wrapper forwarding three methods) itself:
@@ -127,16 +120,6 @@ cargo test -q --release -p trijoin --test mutations
 cargo test -q --release -p trijoin --test bilateral
 cargo test -q --release -p trijoin-btree --test prop_btree sweep
 cargo test -q --release -p trijoin-linearhash --test prop_linearhash
-
-echo "==> bench-regression gate"
-# Full-scale benches against the committed comparison file: a serve row
-# more than 20% qps below the committed after-numbers — or a cycle row
-# (including the durable mv_query_cycle_wal) more than 20% above its
-# committed seconds — fails CI. (Generous margin — the serve loops pin
-# a 2 s floor precisely so scheduler noise stays well inside it.)
-cargo run --release -q -p trijoin-bench --bin wallclock -- \
-    --baseline BENCH_wallclock.json --gate 20 > /dev/null
-rm -f results/wallclock_gate.json
 
 echo "==> simulation gate"
 # Deterministic simulation: replay the committed seed corpus (every
@@ -184,12 +167,12 @@ fi
 
 # One deferred view: differentials are netted by the `DiffPair` behind MV
 # and JI, the view file's buckets are merged into (never rewritten whole)
-# by the deferred and the eager view, nowhere else; planned faults are the
-# one fault mechanism.
+# by the materialized view, nowhere else; planned faults are the one fault
+# mechanism.
 if grep -rl "net_differentials(" crates/exec/src \
         | grep -v "^crates/exec/src/\(diff\|mv\|joinindex\)\.rs$" \
     || grep -rl "open_bucket(" crates/exec/src \
-        | grep -v "^crates/exec/src/\(mv\|eager\)\.rs$" \
+        | grep -v "^crates/exec/src/mv\.rs$" \
     || grep -rn "rewrite_bucket(" crates/exec/src \
     || grep -rn "Error::Faulted\|inject_fault" crates tests examples; then
     echo "a second deferred view, or the legacy one-shot fault, is back"; exit 1

@@ -6,7 +6,7 @@
 //! trijoin model --sr 0.01 --activity 0.06 [--pra 0.1] [--mem 1000]
 //!     print the full per-term cost breakdown of all three methods
 //! trijoin run --scale 50 --sr 0.01 --activity 0.06 [--pra 0.1] [--mem 80]
-//!             [--strategy mv|ji|hh|eager|all] [--seed 42] [--epochs 1]
+//!             [--strategy mv|ji|hh|all] [--seed 42] [--epochs 1]
 //!             [--trace] [--report <path>] [--durable <dir>]
 //!     run the engine on a scaled paper workload and report measured cost;
 //!     `--trace` prints each strategy's span-tree profile, `--report`
@@ -47,9 +47,9 @@
 //!     check that <path> holds a well-formed report (CI schema gate); the
 //!     schema is sniffed: a run report, a sharded serve report (per-shard
 //!     reports + rollup, with the metric-sum invariant and each shard's
-//!     residency bound re-verified), or a bench results file (`figure`/`rows`); `--min-series-windows`
-//!     additionally requires every per-shard telemetry series to carry at
-//!     least that many closed windows
+//!     residency bound re-verified), or a bench results file (a string
+//!     `figure`); `--min-series-windows` additionally requires every
+//!     per-shard telemetry series to carry at least that many closed windows
 //! trijoin check --seed 7 --ops 160 [--shards 1,2,4] [--batch 8] [--mem 64]
 //!               [--crash-pct <n>] [--durable <dir>] [--emit <path>]
 //!               [--adversary bursty|zipf|phase|imbalance] [--adaptive]
@@ -136,7 +136,7 @@ impl Args {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  trijoin advise --sr <f> --activity <f> [--pra <f>] [--mem <pages>]\n  trijoin model  --sr <f> --activity <f> [--pra <f>] [--mem <pages>]\n  trijoin run    --scale <n> --sr <f> --activity <f> [--pra <f>] [--mem <pages>]\n                 [--strategy mv|ji|hh|eager|all] [--seed <n>] [--epochs <n>]\n                 [--trace] [--report <path>] [--durable <dir>]\n  trijoin serve  --shards <n> --clients <n> --batch <n> --queries <n>\n                 [--scale <n>] [--sr <f>] [--activity <f>] [--pra <f>]\n                 [--mem <pages>] [--strategy mv|ji|hh] [--seed <n>] [--report <path>]\n                 [--durable <dir>] [--deferred] [--adaptive]\n  trijoin top    --shards <n> --clients <n> [--batch <n>] [--ring <n>]\n                 [--scale <n>] [--queries <n>] [--refreshes <n>] [--mem <pages>]\n                 [--strategy mv|ji|hh] [--seed <n>] [--once] [--json] [--report <path>]\n                 [--durable <dir>] [--deferred] [--adaptive]\n  trijoin check  --seed <n> --ops <n> [--shards <a,b,c>] [--batch <n>]\n                 [--mem <pages>] [--crash-pct <n>] [--durable <dir>]\n                 [--adversary bursty|zipf|phase|imbalance] [--adaptive]\n                 [--emit <path>] [--out <path>] | --corpus <dir>\n  trijoin repro  <file>\n  trijoin report-validate <path> [--min-series-windows <n>]"
+    "usage:\n  trijoin advise --sr <f> --activity <f> [--pra <f>] [--mem <pages>]\n  trijoin model  --sr <f> --activity <f> [--pra <f>] [--mem <pages>]\n  trijoin run    --scale <n> --sr <f> --activity <f> [--pra <f>] [--mem <pages>]\n                 [--strategy mv|ji|hh|all] [--seed <n>] [--epochs <n>]\n                 [--trace] [--report <path>] [--durable <dir>]\n  trijoin serve  --shards <n> --clients <n> --batch <n> --queries <n>\n                 [--scale <n>] [--sr <f>] [--activity <f>] [--pra <f>]\n                 [--mem <pages>] [--strategy mv|ji|hh] [--seed <n>] [--report <path>]\n                 [--durable <dir>] [--deferred] [--adaptive]\n  trijoin top    --shards <n> --clients <n> [--batch <n>] [--ring <n>]\n                 [--scale <n>] [--queries <n>] [--refreshes <n>] [--mem <pages>]\n                 [--strategy mv|ji|hh] [--seed <n>] [--once] [--json] [--report <path>]\n                 [--durable <dir>] [--deferred] [--adaptive]\n  trijoin check  --seed <n> --ops <n> [--shards <a,b,c>] [--batch <n>]\n                 [--mem <pages>] [--crash-pct <n>] [--durable <dir>]\n                 [--adversary bursty|zipf|phase|imbalance] [--adaptive]\n                 [--emit <path>] [--out <path>] | --corpus <dir>\n  trijoin repro  <file>\n  trijoin report-validate <path> [--min-series-windows <n>]"
 }
 
 fn main() -> ExitCode {
@@ -254,9 +254,9 @@ fn run(args: &Args) -> Result<(), String> {
         params.mem_pages
     );
     let wanted: Vec<&str> = match which.as_str() {
-        "all" => vec!["mv", "ji", "hh", "eager"],
-        one @ ("mv" | "ji" | "hh" | "eager") => vec![one],
-        other => return Err(format!("--strategy: unknown {other:?} (mv|ji|hh|eager|all)")),
+        "all" => vec!["mv", "ji", "hh"],
+        one @ ("mv" | "ji" | "hh") => vec![one],
+        other => return Err(format!("--strategy: unknown {other:?} (mv|ji|hh|all)")),
     };
     let durable = args.opt_str("durable").map(std::path::PathBuf::from);
     for name in wanted {
@@ -275,7 +275,6 @@ fn run(args: &Args) -> Result<(), String> {
             "mv" => Box::new(db.materialized_view().map_err(|e| e.to_string())?),
             "ji" => Box::new(db.join_index().map_err(|e| e.to_string())?),
             "hh" => Box::new(db.hybrid_hash()),
-            "eager" => Box::new(db.eager_view().map_err(|e| e.to_string())?),
             _ => unreachable!(),
         };
         let mut stream = gen.update_stream();

@@ -236,7 +236,7 @@ impl Engine {
     }
 
     fn apply_s(&mut self, m: &Mutation) -> trijoin_common::Result<()> {
-        self.db.s_mut()?.apply_mutation(m)?;
+        self.db.s_mut().apply_mutation(m)?;
         self.s_dirty = true;
         Ok(())
     }

@@ -4,7 +4,6 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::rc::Rc;
 use trijoin_common::telemetry::{DriftAlert, Telemetry, TelemetryConfig};
 use trijoin_common::{
     BaseTuple, Cost, Error, EventKind, EventLog, Json, Metrics, OpCounts, Result, RunReport,
@@ -13,9 +12,7 @@ use trijoin_common::{
 use trijoin_model::{sweep_cost, Method, Workload};
 
 use trijoin_exec::relation::{APPLY_LOG_PAGES, APPLY_LOG_RUNS};
-use trijoin_exec::{
-    EagerView, HybridHash, JoinIndexStrategy, JoinStrategy, MaterializedView, StoredRelation,
-};
+use trijoin_exec::{HybridHash, JoinIndexStrategy, JoinStrategy, MaterializedView, StoredRelation};
 use trijoin_storage::{
     CheckpointStats, CommitSabotage, CommitStats, Disk, Durability, DurableBackend, FaultPlan,
     SimDisk,
@@ -76,7 +73,7 @@ pub struct Database {
     cost: Cost,
     disk: Disk,
     r: StoredRelation,
-    s: Rc<StoredRelation>,
+    s: StoredRelation,
     /// Opt-in windowed telemetry + cost audit. Strictly `None` unless
     /// [`Database::enable_telemetry`] ran: engines without it produce
     /// byte-identical reports to the pre-telemetry schema (golden safety).
@@ -115,16 +112,27 @@ impl Database {
         let cost = Cost::new();
         let disk = SimDisk::new(params, cost.clone());
         let r = StoredRelation::build(&disk, params, "R", r, r_inverted)?;
-        let s = Rc::new(StoredRelation::build(&disk, params, "S", s, true)?);
-        Ok(Database {
+        let s = StoredRelation::build(&disk, params, "S", s, true)?;
+        Ok(Self::assemble(params, cost, disk, r, s, false))
+    }
+
+    fn assemble(
+        params: &SystemParams,
+        cost: Cost,
+        disk: Disk,
+        r: StoredRelation,
+        s: StoredRelation,
+        durable: bool,
+    ) -> Self {
+        Database {
             params: params.clone(),
             cost,
             disk,
             r,
             s,
             telemetry: RefCell::new(None),
-            durable: false,
-        })
+            durable,
+        }
     }
 
     // ---- durable lifecycle ----------------------------------------------
@@ -147,16 +155,8 @@ impl Database {
         let cat = disk.create_file();
         debug_assert_eq!(cat, CATALOG_FILE);
         let r = StoredRelation::build(&disk, params, "R", r, false)?;
-        let s = Rc::new(StoredRelation::build(&disk, params, "S", s, true)?);
-        let db = Database {
-            params: params.clone(),
-            cost,
-            disk,
-            r,
-            s,
-            telemetry: RefCell::new(None),
-            durable: true,
-        };
+        let s = StoredRelation::build(&disk, params, "S", s, true)?;
+        let db = Self::assemble(params, cost, disk, r, s, true);
         db.commit()?;
         Ok(db)
     }
@@ -184,7 +184,7 @@ impl Database {
         let s_json =
             manifest.get("s").ok_or_else(|| Error::Corrupt("catalog missing relation s".into()))?;
         let r = StoredRelation::open(&disk, params, r_json)?;
-        let s = Rc::new(StoredRelation::open(&disk, params, s_json)?);
+        let s = StoredRelation::open(&disk, params, s_json)?;
         // Nothing names the derived structures of the last session (or
         // the scratch files a crash interrupted) any more: give their
         // pages back, or every crash grows the store by one view.
@@ -195,15 +195,7 @@ impl Database {
                 disk.delete_file(file);
             }
         }
-        Ok(Database {
-            params: params.clone(),
-            cost,
-            disk,
-            r,
-            s,
-            telemetry: RefCell::new(None),
-            durable: true,
-        })
+        Ok(Self::assemble(params, cost, disk, r, s, true))
     }
 
     /// True when this database sits on a durable (WAL-backed) backend.
@@ -345,7 +337,7 @@ impl Database {
     /// Returns what they charged.
     fn account_settles(&self) -> OpCounts {
         let (mut charged, mut predicted_us) = (OpCounts::default(), 0.0);
-        for relation in [&self.r, &*self.s] {
+        for relation in [&self.r, &self.s] {
             let did = relation.take_settled();
             charged.add(&did.charged);
             if did.keys > 0 {
@@ -361,14 +353,9 @@ impl Database {
         charged
     }
 
-    /// Mutable access to `S` for bilateral scenarios. Fails while any
-    /// strategy (e.g. an [`EagerView`]) still holds a shared handle to `S`.
-    pub fn s_mut(&mut self) -> Result<&mut StoredRelation> {
-        Rc::get_mut(&mut self.s).ok_or_else(|| {
-            trijoin_common::Error::Invariant(
-                "S is shared (an eager view is alive); cannot mutate".into(),
-            )
-        })
+    /// Mutable access to `S` for bilateral scenarios.
+    pub fn s_mut(&mut self) -> &mut StoredRelation {
+        &mut self.s
     }
 
     /// The engine-wide metrics registry (carried by the simulated disk;
@@ -493,8 +480,8 @@ impl Database {
                         None => {
                             let w = Workload { updates: pending as f64, ..audit.workload.clone() };
                             let report = self.model_report(label, &w);
-                            // Ablation strategies (grace-hash, eager view)
-                            // have no model: their cycles record with
+                            // The grace-hash ablation has no model: its
+                            // cycles record with
                             // predicted = 0, which the drift detector treats
                             // as "no prediction".
                             let predicted_us = report
@@ -718,12 +705,6 @@ impl Database {
     /// Grace-hash variant (ablation baseline).
     pub fn grace_hash(&self) -> HybridHash {
         HybridHash::grace(&self.disk, &self.params, &self.cost)
-    }
-
-    /// Eagerly-maintained view (ablation baseline: maintenance per
-    /// mutation instead of the paper's deferral).
-    pub fn eager_view(&self) -> Result<EagerView> {
-        EagerView::build(&self.disk, &self.params, &self.cost, &self.r, Rc::clone(&self.s))
     }
 }
 

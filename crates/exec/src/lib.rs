@@ -23,7 +23,6 @@
 
 pub mod batch;
 pub mod diff;
-pub mod eager;
 pub mod hybridhash;
 pub mod joinindex;
 pub mod mv;
@@ -32,11 +31,9 @@ pub mod recovery;
 pub mod relation;
 pub mod sort;
 pub mod strategy;
-pub mod threeway;
 pub mod viewdef;
 
 pub use batch::{RowBatch, TupleRef};
-pub use eager::EagerView;
 pub use hybridhash::HybridHash;
 pub use joinindex::JoinIndexStrategy;
 pub use mv::MaterializedView;

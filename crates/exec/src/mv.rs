@@ -306,8 +306,7 @@ impl MaterializedView {
     ///
     /// Requires a *clean* view (no deferred updates pending): point access
     /// cannot see the unmerged differential logs. Run
-    /// [`JoinStrategy::execute`] first, or keep the view clean with
-    /// [`crate::EagerView`].
+    /// [`JoinStrategy::execute`] first.
     pub fn lookup_key(&self, key: u64) -> Result<Vec<ViewTuple>> {
         if self.pending_updates() > 0 {
             return Err(Error::Infeasible(format!(

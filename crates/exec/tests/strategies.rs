@@ -311,87 +311,3 @@ fn mv_io_cost_scales_with_view_not_base() {
         "low selectivity: MV ({mv_ios} IOs) must beat hybrid hash ({hh_ios} IOs)"
     );
 }
-
-#[test]
-fn eager_view_stays_correct_and_pays_per_update() {
-    use std::rc::Rc;
-    use trijoin_exec::EagerView;
-    let mut db = TestDb::new(150, 120, 10, 21);
-    let s_rc =
-        Rc::new(StoredRelation::build(&db.disk, &db.params, "S2", db.s_now.clone(), true).unwrap());
-    let mut eager =
-        EagerView::build(&db.disk, &db.params, &db.cost, &db.r, Rc::clone(&s_rc)).unwrap();
-    let mut mv = MaterializedView::build(&db.disk, &db.params, &db.cost, &db.r, &db.s).unwrap();
-    db.cost.reset();
-
-    let mut rn = rng::seeded(rng::derive(21, "updates"));
-    let eager_before = db.cost.total();
-    for _ in 0..40 {
-        db.random_update(&mut [&mut eager, &mut mv], 0.4, 10, &mut rn);
-    }
-    let maintain_ops = db.cost.total().delta_since(&eager_before);
-    assert!(
-        maintain_ops.ios > 40,
-        "eager maintenance must pay I/O per update, got {} IOs",
-        maintain_ops.ios
-    );
-
-    // Both answer correctly.
-    let want = db.oracle_join();
-    oracle::assert_same_join(
-        "eager",
-        execute_collect(&mut eager, &db.r, &db.s).unwrap(),
-        want.clone(),
-    );
-    oracle::assert_same_join("mv", execute_collect(&mut mv, &db.r, &db.s).unwrap(), want.clone());
-    assert_eq!(eager.view_len(), want.len() as u64);
-
-    // A clean query through the eager view is just the view scan.
-    db.cost.reset();
-    execute_collect(&mut eager, &db.r, &db.s).unwrap();
-    let clean_ios = db.cost.total().ios;
-    assert_eq!(clean_ios, eager.view_pages(), "a clean eager query reads each view page once");
-}
-
-#[test]
-fn eager_total_cost_exceeds_deferred_under_churn() {
-    // End-to-end epoch cost (maintenance + query): deferral must win once
-    // updates are plentiful — the engine-side counterpart of the
-    // ablation_eager model study.
-    use std::rc::Rc;
-    use trijoin_exec::EagerView;
-    let mut db = TestDb::new(300, 300, 12, 22);
-    let s_rc =
-        Rc::new(StoredRelation::build(&db.disk, &db.params, "S2", db.s_now.clone(), true).unwrap());
-    let mut eager =
-        EagerView::build(&db.disk, &db.params, &db.cost, &db.r, Rc::clone(&s_rc)).unwrap();
-    let mut mv = MaterializedView::build(&db.disk, &db.params, &db.cost, &db.r, &db.s).unwrap();
-    db.cost.reset();
-
-    let mut rn = rng::seeded(rng::derive(22, "updates"));
-    let start = db.cost.total();
-    for _ in 0..150 {
-        db.random_update(&mut [&mut eager, &mut mv], 0.5, 12, &mut rn);
-    }
-    // Split the shared ledger by running the queries one at a time.
-    let after_updates = db.cost.total();
-    execute_collect(&mut eager, &db.r, &db.s).unwrap();
-    let after_eager_q = db.cost.total();
-    execute_collect(&mut mv, &db.r, &db.s).unwrap();
-    let after_mv_q = db.cost.total();
-
-    // Maintenance phase: eager paid I/O per update, deferred only logged
-    // (moves + occasional spills). The shared maintenance ledger is
-    // dominated by eager (MV logging is ~2 moves/update + spill pages).
-    let maintain = after_updates.delta_since(&start);
-    let eager_q = after_eager_q.delta_since(&after_updates);
-    let mv_q = after_mv_q.delta_since(&after_eager_q);
-    let p = &db.params;
-    let eager_total = maintain.time_secs(p) * 0.95 + eager_q.time_secs(p); // ≥95% of maintain is eager's
-    let deferred_total = maintain.time_secs(p) * 0.05 + mv_q.time_secs(p);
-    assert!(
-        eager_total > deferred_total,
-        "under churn, eager ({eager_total:.2}s) must cost more than deferred \
-         ({deferred_total:.2}s)"
-    );
-}

@@ -3,9 +3,9 @@
 //! Every random decision in the serving subsystem derives from one root
 //! seed: shard `i` draws from `derive_indexed(root, "serve/shard", i)` and
 //! client `j` from `derive_indexed(root, "serve/client", j)`. There are no
-//! ad-hoc seed constants anywhere in the layer, so a serve run (and the
-//! `serve_bench` binary built on it) is bit-identical under reruns and its
-//! logical outputs are independent of thread scheduling.
+//! ad-hoc seed constants anywhere in the layer, so a serve run is
+//! bit-identical under reruns and its logical outputs are independent of
+//! thread scheduling.
 
 use std::path::{Path, PathBuf};
 

@@ -501,7 +501,7 @@ impl ShardWorker {
     /// staging is stale the moment `S` changes.
     fn apply_s(&mut self, m: &Mutation) -> Result<()> {
         self.db.metrics().incr("shard.s_mutations");
-        self.db.s_mut()?.apply_mutation(m)?;
+        self.db.s_mut().apply_mutation(m)?;
         match &mut self.mode {
             Mode::Pinned(set) => set.release_stale(),
             Mode::Adaptive(a) => a.on_s_mutation(),

@@ -98,7 +98,7 @@ fn churn_both(
         } else {
             let m = s_mirror.random_mutation(rn, key_domain, counter);
             view.on_s_mutation(&m).unwrap();
-            db.s_mut().unwrap().apply_mutation(&m).unwrap();
+            db.s_mut().apply_mutation(&m).unwrap();
         }
     }
 }
@@ -140,7 +140,7 @@ fn s_only_mutations() {
     for i in 0..150u64 {
         let m = s_mirror.random_mutation(&mut rn, 8, i);
         view.on_s_mutation(&m).unwrap();
-        db.s_mut().unwrap().apply_mutation(&m).unwrap();
+        db.s_mut().apply_mutation(&m).unwrap();
     }
     let want = oracle::join_tuples(&r0, &s_mirror.tuples());
     let got = execute_collect(&mut view, db.r(), db.s()).unwrap();
@@ -188,7 +188,7 @@ fn correlated_both_side_churn_on_the_same_keys() {
             }
         } else {
             view.on_s_mutation(&m).unwrap();
-            db.s_mut().unwrap().apply_mutation(&m).unwrap();
+            db.s_mut().apply_mutation(&m).unwrap();
             match &m {
                 Mutation::Insert(t) => {
                     s_mirror.map.insert(t.sur.0, t.clone());
@@ -207,7 +207,7 @@ fn correlated_both_side_churn_on_the_same_keys() {
     db.r_mut().insert(&r_keep).unwrap();
     r_mirror.map.insert(r_keep.sur.0, r_keep);
     view.on_s_mutation(&Mutation::Insert(s_keep.clone())).unwrap();
-    db.s_mut().unwrap().insert(&s_keep).unwrap();
+    db.s_mut().insert(&s_keep).unwrap();
     s_mirror.map.insert(s_keep.sur.0, s_keep);
 
     let want = oracle::join_tuples(&r_mirror.tuples(), &s_mirror.tuples());
@@ -300,7 +300,7 @@ fn recovers_with_both_sides_pending(
         db.disk().live_files().into_iter().filter(|f| !before.contains(f)).collect();
     assert!(!s_runs.is_empty(), "{label}: the S side spilled");
     for m in &s_muts {
-        db.s_mut().unwrap().apply_mutation(m).unwrap();
+        db.s_mut().apply_mutation(m).unwrap();
     }
     for i in 0..60u64 {
         let m = r_mirror.random_mutation(&mut rn, 6, 1000 + i);
@@ -332,16 +332,4 @@ fn recovers_with_both_sides_pending(
 fn device_fault_with_both_sides_pending_recovers() {
     recovers_with_both_sides_pending("poisoned view page", |view, _| view.view_file());
     recovers_with_both_sides_pending("poisoned S-side run", |_, s_runs| s_runs[0]);
-}
-
-#[test]
-fn s_mut_is_guarded_while_shared() {
-    let params = SystemParams { mem_pages: 32, page_size: 512, ..Default::default() };
-    let r0 = mk_side(50, 4, 541);
-    let s0 = mk_side(50, 4, 542);
-    let mut db = Database::new(&params, r0, s0).unwrap();
-    let eager = db.eager_view().unwrap();
-    assert!(db.s_mut().is_err(), "S is shared with the eager view");
-    drop(eager);
-    assert!(db.s_mut().is_ok());
 }

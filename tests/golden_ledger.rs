@@ -117,7 +117,7 @@ fn hh_ledger_matches_golden() {
     check_golden("hh_report.json", &epoch_report(Method::HybridHash));
 }
 
-/// The serve_bench result checksum (FNV-1a over the answer's surrogate
+/// A served query's result checksum (FNV-1a over the answer's surrogate
 /// pairs, in answer order) at a reduced scale, for shard counts 1 and 4.
 /// The checksum must be shard-count-invariant *and* match the committed
 /// baseline: sharding may only change wall-clock time, never the answer.

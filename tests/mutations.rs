@@ -207,7 +207,7 @@ fn a_net_empty_batch_writes_no_base_page() {
         db.r_mut().apply_update(t, &moved(t)).unwrap();
     }
     for t in gen.s.iter().step_by(5) {
-        db.s_mut().unwrap().apply_update(t, &moved(t)).unwrap();
+        db.s_mut().apply_update(t, &moved(t)).unwrap();
     }
     for i in 0..40u32 {
         let fresh = BaseTuple::padded(Surrogate(50_000 + i), i as u64, 96);
@@ -218,7 +218,7 @@ fn a_net_empty_batch_writes_no_base_page() {
         db.r_mut().apply_update(&moved(t), t).unwrap();
     }
     for t in gen.s.iter().step_by(5) {
-        db.s_mut().unwrap().apply_update(&moved(t), t).unwrap();
+        db.s_mut().apply_update(&moved(t), t).unwrap();
     }
     let writes = db.metrics().counter("disk.writes");
     db.settle().unwrap();
