@@ -148,6 +148,9 @@ rm -f "$report"
 cargo run --release -q --example adaptive | diff - results/adaptive.txt
 # So does the engine-vs-model grid: fixed seeds, simulated seconds only.
 cargo run --release -q --example engine_vs_model | diff - results/engine_vs_model.txt
+# And the Table-7-scale engine run, so its engine ÷ model ratios (JI's
+# above all) cannot drift unseen.
+cargo run --release -q -p trijoin-bench --bin paper_scale 2>/dev/null | diff - results/paper_scale.txt
 # One decision loop: strategy re-selection is priced in the policy module
 # (and the launch-time advisor), nowhere else.
 if grep -rn "all_costs\|cheapest(" crates/core/src crates/serve/src \

@@ -12,10 +12,17 @@
 //! into new `(r, s)` pairs (C3.1/C2.3); the pass's `R` fragment is
 //! semijoin-fetched through the clustered index (C3.2); surviving entries
 //! are sorted on `s` and `S` is fetched through its clustered index to
-//! assemble the join output (C3.3/C3.4); finally changed index pages are
-//! written back in place (C2.4), splitting a page only if its slack
-//! (nominal occupancy 0.7 leaves ~30% headroom — the paper assumes no
-//! insert group overflows a page) is exhausted.
+//! assemble the join output (C3.3/C3.4); finally the pass is written back
+//! (C2.4). When its merged entries pack, group-aligned at nominal
+//! occupancy, into fewer pages than the pass read, they are repacked and
+//! the surplus pages go to an in-memory free list, so `|JI|` stays within
+//! a page a pass of `⌈‖JI‖/n_JI⌉` however deletions and splits left it.
+//! Otherwise changed pages are written back in place, splitting a page
+//! only if its slack (nominal occupancy 0.7 leaves ~30% headroom — the
+//! paper assumes no insert group overflows a page) is exhausted; a split
+//! takes a free page before it grows the file. A write-back that fails
+//! part-way leaves some passes merged under a log that still holds their
+//! differentials, so the next query rebuilds the index (`ji.recover`).
 //!
 //! Engine refinement over the paper: output tuples for *inserted* pairs
 //! fetch the `R` side fresh (the pass is already fetching that `r`-range),
@@ -29,8 +36,8 @@
 use std::cell::RefCell;
 
 use trijoin_common::{
-    BaseTuple, Cost, Error, FxHashMap, FxHashSet, JiEntry, Result, Surrogate, SystemParams,
-    ViewTuple,
+    BaseTuple, Cost, CounterId, Error, FxHashMap, FxHashSet, JiEntry, Result, Surrogate,
+    SystemParams, ViewTuple,
 };
 use trijoin_storage::{Disk, FileId, PageId};
 
@@ -47,15 +54,6 @@ use crate::viewdef::ViewDef;
 
 /// Page layout: `count:u16` then `count` 8-byte entries, zero padding.
 /// Encodes into `out` (cleared first) so hot write paths reuse one buffer.
-/// Count distinct `r` surrogates in a slice already sorted by `r`
-/// (boundary count — no hash-set allocation on the write-back path).
-fn distinct_r_count(entries: &[JiEntry]) -> u64 {
-    if entries.is_empty() {
-        return 0;
-    }
-    1 + entries.windows(2).filter(|w| w[0].r != w[1].r).count() as u64
-}
-
 fn encode_ji_page_into(entries: &[JiEntry], page_size: usize, out: &mut Vec<u8>) {
     debug_assert!(2 + entries.len() * JiEntry::BYTES <= page_size);
     out.clear();
@@ -92,6 +90,8 @@ pub struct JiFile {
     disk: Disk,
     file: FileId,
     pages: Vec<JiPageMeta>,
+    /// Pages a repack dropped from `pages`, reused before the file grows.
+    free: Vec<u32>,
     count: u64,
     nominal_cap: usize,
     max_cap: usize,
@@ -132,6 +132,7 @@ impl JiFile {
             disk: disk.clone(),
             file: disk.create_file(),
             pages: Vec::new(),
+            free: Vec::new(),
             count: entries.len() as u64,
             nominal_cap,
             max_cap,
@@ -183,6 +184,11 @@ impl JiFile {
         self.pages.len() as u64
     }
 
+    /// Pages of the file that hold no part of the index, awaiting reuse.
+    pub fn free_pages(&self) -> &[u32] {
+        &self.free
+    }
+
     /// Read page `idx` (one I/O), decoding straight off the borrowed page
     /// view — no intermediate page-byte copy.
     pub fn read_page(&self, idx: usize) -> Result<Vec<JiEntry>> {
@@ -206,22 +212,63 @@ impl JiFile {
         self.disk.write_page(PageId::new(self.file, meta.page_no), &buf)
     }
 
+    /// Link a new page after `idx`, on a free page if there is one.
     fn insert_page_after(&mut self, idx: usize, entries: &[JiEntry]) -> Result<()> {
-        let pid = {
+        let page_no = {
             let mut buf = self.scratch.borrow_mut();
             encode_ji_page_into(entries, self.disk.page_size(), &mut buf);
-            self.disk.append_page(self.file, &buf)?
+            match self.free.last() {
+                Some(&page) => {
+                    self.disk.write_page(PageId::new(self.file, page), &buf)?;
+                    self.free.pop();
+                    page
+                }
+                None => self.disk.append_page(self.file, &buf)?.page,
+            }
         };
         self.pages.insert(
             idx + 1,
-            JiPageMeta { page_no: pid.page, min_r: entries.first().map(|e| e.r.0).unwrap_or(0) },
+            JiPageMeta { page_no, min_r: entries.first().map(|e| e.r.0).unwrap_or(0) },
         );
         Ok(())
     }
 
+    /// Replace the consecutive pages `old` (from index `first`) by the
+    /// fewer pages `chunks`: a chunk is written over the page it replaces
+    /// only if it changes it, and the pages left over go to the free list.
+    fn repack(
+        &mut self,
+        first: usize,
+        old: &[(usize, Vec<JiEntry>)],
+        chunks: &[Vec<JiEntry>],
+    ) -> Result<()> {
+        debug_assert!(chunks.len() < old.len());
+        for (i, chunk) in chunks.iter().enumerate() {
+            if *chunk != old[i].1 {
+                self.write_page(first + i, chunk)?;
+            }
+        }
+        let surplus = self.pages.drain(first + chunks.len()..first + old.len());
+        self.free.extend(surplus.map(|m| m.page_no));
+        Ok(())
+    }
+
     /// Structural invariants: entries globally sorted, count consistent,
-    /// no page over capacity (test helper; free reads).
+    /// no page over capacity, every page of the file either in the index
+    /// or free, never both (test helper; free reads).
     pub fn check_invariants(&self) -> Result<()> {
+        let mut owner = vec![false; self.disk.num_pages(self.file)? as usize];
+        for page in self.pages.iter().map(|m| m.page_no).chain(self.free.iter().copied()) {
+            match owner.get_mut(page as usize) {
+                Some(seen) if !*seen => *seen = true,
+                _ => {
+                    return Err(Error::Invariant(format!("JI page {page} listed twice or absent")))
+                }
+            }
+        }
+        if owner.contains(&false) {
+            return Err(Error::Invariant("JI file holds a page neither used nor free".into()));
+        }
         let mut count = 0u64;
         let mut last: Option<JiEntry> = None;
         for meta in &self.pages {
@@ -271,9 +318,12 @@ pub struct JoinIndexStrategy {
     logs: DiffPair,
     r_tuple_bytes: usize,
     s_tuple_bytes: usize,
-    /// Distinct `r` surrogates present in the index (for pass-budget
-    /// estimation: `SR ≈ distinct_r/‖R‖`, partners ≈ `‖JI‖/distinct_r`).
-    distinct_r: u64,
+    /// Set while a query's write-back is under way: if that query fails,
+    /// the next one rebuilds instead of folding the log a second time.
+    writing_back: bool,
+    c_filtered: CounterId,
+    c_logged: CounterId,
+    c_emitted: CounterId,
 }
 
 impl JoinIndexStrategy {
@@ -341,6 +391,7 @@ impl JoinIndexStrategy {
         // needs to be done").
         let z = crate::mv::MaterializedView::z_pages(params);
         let per_page = params.tuples_per_full_page(r_tuple_bytes);
+        let metrics = disk.metrics();
         Ok(JoinIndexStrategy {
             disk: disk.clone(),
             params: params.clone(),
@@ -349,7 +400,10 @@ impl JoinIndexStrategy {
             logs: DiffPair::new(disk, cost, z, per_page, false, r_order),
             r_tuple_bytes,
             s_tuple_bytes,
-            distinct_r: distinct_r_count(&entries),
+            writing_back: false,
+            c_filtered: metrics.counter_handle("ji.mutations_filtered"),
+            c_logged: metrics.counter_handle("ji.mutations_logged"),
+            c_emitted: metrics.counter_handle("ji.tuples_emitted"),
         })
     }
 
@@ -441,8 +495,12 @@ impl JoinIndexStrategy {
     /// The paper's `|JI_k|` (Figure 3): pages of JI processed per pass,
     /// leaving room for the pass's `R` fragment with pointers, its pending
     /// insertions, the memory-resident `iR_k ⋈ S`, the `2·N1` run input
-    /// buffers, five fixed buffers, and sort/merge overhead.
-    fn jik_pages(&self, n1: usize) -> usize {
+    /// buffers, five fixed buffers, and sort/merge overhead. `iR_k ⋈ S` is
+    /// priced as Figure 3 prices it, at `‖S‖·JS = ‖JI‖/‖R‖` partners per
+    /// inserted tuple (only an SR share of insertions match at all). The
+    /// passes cover `|JI|` pages, which the write-back keeps packed (see
+    /// the module doc), so the pass count is the model's `⌈|JI|/|JI_k|⌉`.
+    fn jik_pages(&self, n1: usize, r_len: u64) -> usize {
         let m = self.params.mem_pages as f64;
         let avail = m - 2.0 * n1 as f64 - 5.0;
         if avail < 3.0 {
@@ -451,8 +509,7 @@ impl JoinIndexStrategy {
         let p = self.params.page_size as f64;
         let n_ji = self.params.tuples_per_page(JiEntry::BYTES) as f64;
         let total_pages = self.ji.num_pages().max(1) as f64;
-        // s per matching r
-        let partners = self.ji.len().max(1) as f64 / self.distinct_r.max(1) as f64;
+        let partners = self.ji.len() as f64 / r_len.max(1) as f64;
         let tv = view_tuple_bytes(self.r_tuple_bytes, self.s_tuple_bytes) as f64;
         // The R ⋈ JI_k working area is budgeted per *entry* (one R-tuple
         // slot per JI entry) — the same Figure 3 interpretation the
@@ -490,10 +547,10 @@ impl JoinStrategy for JoinIndexStrategy {
         // Inserts and deletes always do — a new tuple may join, a removed
         // tuple's pairs must go.
         if !m.affects_join_index() {
-            self.disk.metrics().incr("ji.mutations_filtered");
+            self.disk.metrics().incr_id(self.c_filtered);
             return Ok(());
         }
-        self.disk.metrics().incr("ji.mutations_logged");
+        self.disk.metrics().incr_id(self.c_logged);
         let _g = self.cost.section("ji.log");
         let (del, ins) = m.sides();
         self.logs.log(del.cloned(), ins.cloned())
@@ -509,12 +566,16 @@ impl JoinStrategy for JoinIndexStrategy {
         // outside the passes' sections.
         r.settle()?;
         s.settle()?;
-        let answer = crate::recovery::answer_or_recover(
-            self,
-            |ji, out| ji.passes_execute(r, s, out),
-            |ji| ji.recover(r, s),
-        )?;
-        self.disk.metrics().counter_add("ji.tuples_emitted", answer.len() as u64);
+        let answer = if self.writing_back {
+            self.recover(r, s)?
+        } else {
+            crate::recovery::answer_or_recover(
+                self,
+                |ji, out| ji.passes_execute(r, s, out),
+                |ji| ji.recover(r, s),
+            )?
+        };
+        self.disk.metrics().counter_add_id(self.c_emitted, answer.len() as u64);
         let emitted = answer.len() as u64;
         answer.into_iter().for_each(sink);
         Ok(emitted)
@@ -532,7 +593,7 @@ impl JoinIndexStrategy {
         sink: &mut dyn FnMut(ViewTuple),
     ) -> Result<u64> {
         self.logs.seal()?;
-        let jik = self.jik_pages(self.logs.runs());
+        let jik = self.jik_pages(self.logs.runs(), r.len_estimate());
 
         // The Pr_A filter hides payload-only updates from this log, so a
         // logged chain may be interrupted by unlogged states: cancellation
@@ -545,7 +606,6 @@ impl JoinIndexStrategy {
 
         let mut emitted = 0u64;
         let mut new_count = 0u64;
-        let mut new_distinct_r = 0u64;
         let mut pass_start = 0usize;
 
         while pass_start < self.ji.pages.len() {
@@ -710,18 +770,27 @@ impl JoinIndexStrategy {
 
             // ---- write back changed JI pages (C2.4) ---------------------
             let _wb_guard = self.cost.section("ji.writeback");
+            self.writing_back = true;
             let mut merged: Vec<JiEntry> = survivors;
             merged.extend(new_pairs.iter().copied());
             counted_sort_by(&mut merged, |e| (e.r, e.s), &self.cost);
             new_count += merged.len() as u64;
-            new_distinct_r += distinct_r_count(&merged);
 
-            // Redistribute by the pass pages' r-boundaries.
+            // Repack when that frees a page (the pass's r-range holds
+            // nothing beyond `merged`, so its boundaries may move) ...
+            let packed = pack_group_aligned(&merged, self.ji.nominal_cap, self.ji.max_cap);
+            if packed.len() < pages.len() {
+                self.ji.repack(pass_start, &pages, &packed)?;
+                pass_start += packed.len();
+                continue;
+            }
+            // ... else redistribute by the pass pages' r-boundaries.
             let mut inserted_pages = 0usize;
             let n_pass_pages = pages.len();
             let mut cursor = 0usize;
             for (i, (orig_idx, old_entries)) in pages.iter().enumerate() {
-                let upper: Option<u32> = pages.get(i + 1).map(|(idx, _)| self.ji.pages[*idx].min_r);
+                let upper: Option<u32> =
+                    pages.get(i + 1).map(|(idx, _)| self.ji.pages[idx + inserted_pages].min_r);
                 let end = match upper {
                     Some(bound) => merged[cursor..].partition_point(|e| e.r.0 < bound) + cursor,
                     None => merged.len(),
@@ -750,8 +819,8 @@ impl JoinIndexStrategy {
         debug_assert!(net.peek().is_none(), "net differentials outlived the JI scan");
 
         self.ji.count = new_count;
-        self.distinct_r = new_distinct_r;
         self.logs.restart(r_order);
+        self.writing_back = false;
         Ok(emitted)
     }
 }

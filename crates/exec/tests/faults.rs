@@ -3,7 +3,9 @@
 //! other device faults of a [`FaultPlan`], answering the query exactly
 //! despite damaged cached state.
 
-use trijoin_common::{BaseTuple, Cost, Error, FaultKind, Surrogate, SystemParams, ViewTuple};
+use trijoin_common::{
+    BaseTuple, Cost, Error, FaultKind, FaultOp, Surrogate, SystemParams, ViewTuple,
+};
 use trijoin_exec::{
     execute_collect, oracle, HybridHash, JoinIndexStrategy, JoinStrategy, MaterializedView,
     Mutation, StoredRelation,
@@ -159,6 +161,66 @@ fn ji_recovers_exactly_from_poisoned_index_read() {
     let again = execute_collect(&mut ji, &r, &s).unwrap();
     oracle::assert_same_join("ji after rebuild", again, want);
     assert_eq!(cost.section_counts("ji.recover"), recover_before);
+}
+
+/// One pass over an index that deletions leave packable into fewer pages,
+/// with an insertion in the same pass: the write-back repacks.
+fn repacking_pass() -> (Disk, Cost, StoredRelation, StoredRelation, JoinIndexStrategy) {
+    let cost = Cost::new();
+    let params = SystemParams { page_size: 512, mem_pages: 200, ..SystemParams::paper_defaults() };
+    let disk = SimDisk::new(&params, cost.clone());
+    let mk = |i: u32| BaseTuple::padded(Surrogate(i), (i % 50) as u64, 64);
+    let mut r =
+        StoredRelation::build(&disk, &params, "R", (0..150).map(mk).collect(), false).unwrap();
+    let s = StoredRelation::build(&disk, &params, "S", (0..150).map(mk).collect(), true).unwrap();
+    let mut ji = JoinIndexStrategy::build(&disk, &params, &cost, &r, &s).unwrap();
+    let mut pend = |m: Mutation| {
+        ji.on_mutation(&m).unwrap();
+        r.apply_mutation(&m).unwrap();
+    };
+    for i in 0..100 {
+        pend(Mutation::Delete(mk(i)));
+    }
+    pend(Mutation::Insert(BaseTuple::padded(Surrogate(500), 3, 64)));
+    (disk, cost, r, s, ji)
+}
+
+#[test]
+fn ji_fault_during_a_compacting_write_back_recovers_through_a_rebuild() {
+    // The clean run: one pass, and it frees pages.
+    let (_disk, cost, r, s, mut ji) = repacking_pass();
+    let pages = ji.index_pages();
+    let want = oracle_answer(&r, &s);
+    oracle::assert_same_join("ji repack", execute_collect(&mut ji, &r, &s).unwrap(), want);
+    let passes = cost.span_tree().into_iter().find(|s| s.name == "ji.read_index").unwrap();
+    assert_eq!(passes.invocations, 1);
+    assert!(ji.index_pages() < pages && !ji.index().free_pages().is_empty());
+
+    // The same pass with its second page write failing (the pass reads
+    // every page first): the first repacked page is on disk under a log
+    // that still holds the pass's changes.
+    let (disk, cost, r, s, mut ji) = repacking_pass();
+    let file = ji.index_file();
+    disk.install_fault_plan(FaultPlan::new().fail_nth_op(Some(file), pages + 1));
+    let err = execute_collect(&mut ji, &r, &s).unwrap_err();
+    assert!(
+        matches!(err, Error::DeviceFault { kind: FaultKind::Fatal, op: FaultOp::Write, file: f, .. } if f == file.0),
+        "{err:?}"
+    );
+    assert!(cost.section_counts("ji.recover").is_zero(), "a fatal fault surfaces");
+    // The next query folds nothing twice: it rebuilds from the relations.
+    let want = oracle_answer(&r, &s);
+    oracle::assert_same_join(
+        "ji after failed repack",
+        execute_collect(&mut ji, &r, &s).unwrap(),
+        want.clone(),
+    );
+    assert!(!cost.section_counts("ji.recover").is_zero());
+    ji.index().check_invariants().unwrap();
+    assert!(ji.index().free_pages().is_empty(), "a rebuilt index starts with no free page");
+    let recovered = cost.section_counts("ji.recover");
+    oracle::assert_same_join("ji after rebuild", execute_collect(&mut ji, &r, &s).unwrap(), want);
+    assert_eq!(cost.section_counts("ji.recover"), recovered);
 }
 
 #[test]

@@ -311,3 +311,44 @@ fn mv_io_cost_scales_with_view_not_base() {
         "low selectivity: MV ({mv_ios} IOs) must beat hybrid hash ({hh_ios} IOs)"
     );
 }
+
+#[test]
+fn ji_split_leaves_the_pages_after_it_in_place() {
+    // One pass over ~11 pages; seven new partners of r = 0 overflow the
+    // first page, which splits in two. The pages after it keep their own
+    // r-ranges: none is emptied, and nothing else splits.
+    let cost = Cost::new();
+    let params = SystemParams { page_size: 512, mem_pages: 200, ..SystemParams::paper_defaults() };
+    let disk = SimDisk::new(&params, cost.clone());
+    let mk = |sur: u32, key: u64| BaseTuple::padded(Surrogate(sur), key, TUPLE);
+    let mut r = StoredRelation::build(
+        &disk,
+        &params,
+        "R",
+        (0..150).map(|i| mk(i * 10, (i % 50) as u64)).collect(),
+        false,
+    )
+    .unwrap();
+    let s = StoredRelation::build(
+        &disk,
+        &params,
+        "S",
+        (0..150).map(|i| mk(i, (i % 50) as u64)).collect(),
+        true,
+    )
+    .unwrap();
+    let mut ji = JoinIndexStrategy::build(&disk, &params, &cost, &r, &s).unwrap();
+    let pages = ji.index_pages();
+    for sur in 1..8 {
+        let m = trijoin_exec::Mutation::Insert(mk(sur, 0));
+        ji.on_mutation(&m).unwrap();
+        r.apply_mutation(&m).unwrap();
+    }
+    let got = execute_collect(&mut ji, &r, &s).unwrap();
+    assert_eq!(got.len(), 450 + 21);
+    ji.index().check_invariants().unwrap();
+    assert_eq!(ji.index_pages(), pages + 1);
+    for idx in 0..ji.index_pages() as usize {
+        assert!(!ji.index().read_page(idx).unwrap().is_empty(), "page {idx} emptied");
+    }
+}

@@ -5,7 +5,7 @@
 //! B⁺-trees, batching and netting are real implementations, not closed
 //! forms); the materialized view is held to the model's number.
 
-use trijoin::{Experiment, Method, SystemParams, WorkloadSpec};
+use trijoin::{Database, Experiment, JoinStrategy, Method, SystemParams, Workload, WorkloadSpec};
 
 fn params() -> SystemParams {
     SystemParams { mem_pages: 80, ..SystemParams::paper_defaults() }
@@ -67,6 +67,60 @@ fn mv_engine_matches_the_model_on_the_whole_grid() {
             );
         }
     }
+}
+
+/// The same grid for the join index: the engine sizes `|JI_k|` as Figure 3
+/// does and keeps `|JI|` packed, so it makes exactly the model's
+/// `n₂ = ⌈|JI|/|JI_k|⌉` passes, and its cost lands in MV's band.
+#[test]
+fn ji_engine_makes_the_models_passes_on_the_whole_grid() {
+    for sr in [0.002, 0.01, 0.05, 0.25] {
+        for rate in [0.02, 0.2] {
+            let exp = Experiment::new(&params(), &spec(sr, rate, 0.1, 42));
+            let report = exp.run_epoch().unwrap();
+            let ji = report.outcomes.iter().find(|o| o.method == Method::JoinIndex).unwrap();
+            let ratio = ji.engine_secs / ji.model_secs;
+            assert!(
+                (0.9..=1.25).contains(&ratio),
+                "sr={sr} rate={rate}: engine JI {:.2} s is {ratio:.2}x the model's {:.2} s",
+                ji.engine_secs,
+                ji.model_secs
+            );
+            assert_eq!(
+                engine_ji_passes(&exp),
+                model_ji_passes(&report.workload),
+                "sr={sr} rate={rate}: pass count"
+            );
+        }
+    }
+}
+
+/// Passes the engine makes over the epoch `run_epoch` prices: one
+/// `ji.read_index` span entry each.
+fn engine_ji_passes(exp: &Experiment) -> u64 {
+    let gen = exp.generated();
+    let mut db = Database::new(&params(), gen.r.clone(), gen.s.clone()).unwrap();
+    let mut ji = db.join_index().unwrap();
+    let mut stream = gen.update_stream();
+    for _ in 0..gen.updates_per_epoch() {
+        let u = stream.next_update();
+        ji.on_update(&u).unwrap();
+        db.r_mut().apply_update(&u.old, &u.new).unwrap();
+    }
+    db.settle().unwrap();
+    db.reset_cost();
+    ji.execute(db.r(), db.s(), &mut |_| {}).unwrap();
+    let spans = db.cost().span_tree();
+    spans.iter().filter(|s| s.name == "ji.read_index").map(|s| s.invocations).sum()
+}
+
+/// The model's `n₂`, exactly as `trijoin_model::ji::cost` plans it.
+fn model_ji_passes(w: &Workload) -> u64 {
+    let p = params();
+    let d = w.derived(&p);
+    let z = trijoin_model::mv::z_pages(&p, d.n_ir);
+    let (_, _, n1) = trijoin_model::mv::n1_runs(w.pra * d.ir_pages, z);
+    (d.ji_pages / trijoin_model::ji::jik_pages(&p, w, &d, n1)).ceil().max(1.0) as u64
 }
 
 #[test]
