@@ -107,9 +107,10 @@ cargo test -q --release -p trijoin-serve --test golden_ledger
 # The benchmark prints no `base.settles` and its directory is frozen, so
 # the guard on what its rounds settle drives the same round (an epoch of
 # updates, one query through a wrapper forwarding three methods) itself:
-# fewer settles than rounds under the view, one a round under JI and HH.
-# A later change that settles in front of every query again, or a
-# statistic that forces a sweep, fails here rather than at the driver.
+# at most one settle in twelve rounds under every strategy, JI and HH
+# reading `R`'s log through in the others. A later change that settles in
+# front of every query again, or a statistic that forces a sweep, fails
+# here rather than at the driver.
 cargo test -q --release -p trijoin --test mutations cycle_rounds_settle
 cargo test -q --release -p trijoin-serve --test serve hh_only_soak
 cargo test -q --release -p trijoin-serve --test serve churn_soak
@@ -151,6 +152,10 @@ cargo run --release -q --example engine_vs_model | diff - results/engine_vs_mode
 # And the Table-7-scale engine run, so its engine ÷ model ratios (JI's
 # above all) cannot drift unseen.
 cargo run --release -q -p trijoin-bench --bin paper_scale 2>/dev/null | diff - results/paper_scale.txt
+# Both settle explicitly before they query, so they pin that the paths
+# which settle did not move when readers learned to read the log through.
+cargo run --release -q --example active_db | diff - results/active_db.txt
+cargo run --release -q -p trijoin-bench --bin fig5_engine | diff - results/fig5_engine.txt
 # One decision loop: strategy re-selection is priced in the policy module
 # (and the launch-time advisor), nowhere else.
 if grep -rn "all_costs\|cheapest(" crates/core/src crates/serve/src \

@@ -47,7 +47,7 @@
 pub mod node;
 pub mod tree;
 
-pub use tree::{BTree, BTreeConfig, BTreeMeta, SweepOp, SweepStats};
+pub use tree::{net_chain, BTree, BTreeConfig, BTreeMeta, Netted, SweepOp, SweepStats};
 
 #[cfg(test)]
 mod tests {

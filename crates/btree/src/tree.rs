@@ -58,7 +58,7 @@ use trijoin_storage::{Disk, FileId, PageId};
 use crate::node::{self, Node};
 
 mod sweep;
-pub use sweep::{SweepOp, SweepStats};
+pub use sweep::{net_chain, Netted, SweepOp, SweepStats};
 
 /// Capacity configuration for one tree.
 #[derive(Debug, Clone, Copy)]

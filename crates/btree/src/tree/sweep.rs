@@ -49,6 +49,59 @@ pub enum SweepOp {
     Remove(Option<Vec<u8>>),
 }
 
+/// What a chain of operations on one key nets to against the entry stored
+/// under it ([`net_chain`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Netted {
+    /// The key holds what it held (or nothing, as before).
+    Unchanged,
+    /// The key ends up holding this value: an overwrite of the stored
+    /// entry, or an insert where there was none.
+    Put(Vec<u8>),
+    /// The stored entry goes.
+    Remove,
+}
+
+/// Run `chain` — every operation on one key, in the order issued — against
+/// `stored`, the entry the key holds (`None`: absent), as a unique-key
+/// sweep does: an operation that does not apply to what the chain has left
+/// so far (no such entry, key taken, a value of another width) is
+/// rejected, the rest net, so a chain that ends where it started is
+/// [`Netted::Unchanged`]. Returns the net edit, the operations and the
+/// rejected among them. Pure: the sweep applies the verdict to a leaf, a
+/// reader to what it hands out.
+pub fn net_chain(
+    stored: Option<&[u8]>,
+    chain: impl IntoIterator<Item = SweepOp>,
+) -> (Netted, u64, u64) {
+    // `fresh` is the value the chain has written so far, if any.
+    let (mut exists, mut fresh) = (stored.is_some(), None::<Vec<u8>>);
+    let (mut ops, mut rejected) = (0u64, 0u64);
+    for op in chain {
+        ops += 1;
+        let current = fresh.as_deref().or(stored).filter(|_| exists);
+        match (op, current) {
+            // Back under a key this chain emptied: an overwrite, which
+            // keeps the stored width as any other does.
+            (SweepOp::Insert(v), None) if stored.is_none_or(|s| s.len() == v.len()) => {
+                (exists, fresh) = (true, Some(v))
+            }
+            (SweepOp::Replace(v), Some(now)) if v.len() == now.len() => fresh = Some(v),
+            (SweepOp::Remove(exact), Some(now)) if exact.as_deref().is_none_or(|x| x == now) => {
+                (exists, fresh) = (false, None)
+            }
+            _ => rejected += 1,
+        }
+    }
+    let netted = match (stored, exists, fresh) {
+        (Some(s), true, Some(v)) if s != v.as_slice() => Netted::Put(v),
+        (None, true, Some(v)) => Netted::Put(v),
+        (Some(_), false, _) => Netted::Remove,
+        _ => Netted::Unchanged,
+    };
+    (netted, ops, rejected)
+}
+
 /// How far a sweep got, updated as leaves land.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
@@ -155,7 +208,7 @@ impl BTree {
             let structural = if unique {
                 // Every operation on `key`, netted against the entry.
                 let rest = std::iter::from_fn(|| ops.next_if(|(k, _)| *k == key).map(|(_, op)| op));
-                self.net_chain(h, key, std::iter::once(op).chain(rest))
+                self.edit_unique(h, key, std::iter::once(op).chain(rest))
             } else {
                 self.edit_repeated(h, key, op)
             };
@@ -313,12 +366,12 @@ impl BTree {
         h.image.is_none() || 2 * (h.leaf.len() - 1) >= self.cfg.leaf_cap
     }
 
-    /// Unique keys: run every operation on `key` against the entry the
-    /// held leaf has (or lacks), then make the one edit their net effect
-    /// needs. Returns the edit instead, with the operations it stands for
-    /// and the rejected among them, when the leaf cannot take it: an
-    /// insert that overflows, a remove that underflows.
-    fn net_chain(
+    /// Unique keys: net every operation on `key` against the entry the
+    /// held leaf has (or lacks) — [`net_chain`] — then make the one edit
+    /// the verdict needs. Returns the edit instead, with the operations it
+    /// stands for and the rejected among them, when the leaf cannot take
+    /// it: an insert that overflows, a remove that underflows.
+    fn edit_unique(
         &self,
         h: &mut Held,
         key: u64,
@@ -328,44 +381,16 @@ impl BTree {
         self.charge_search(entries.len());
         let at = entries.partition_point(|(k, _)| *k < key);
         let stored = entries.get(at).filter(|(k, _)| *k == key).map(|(_, v)| v.as_slice());
-        // `fresh` is the value the chain has written so far, if any.
-        let (mut exists, mut fresh) = (stored.is_some(), None::<Vec<u8>>);
-        let (mut ops, mut rejected) = (0u64, 0u64);
-        for op in chain {
-            ops += 1;
-            let current = fresh.as_deref().or(stored).filter(|_| exists);
-            match (op, current) {
-                // Back under a key this chain emptied: an overwrite, which
-                // keeps the stored width as any other does.
-                (SweepOp::Insert(v), None) if stored.is_none_or(|s| s.len() == v.len()) => {
-                    (exists, fresh) = (true, Some(v))
-                }
-                (SweepOp::Replace(v), Some(now)) if v.len() == now.len() => fresh = Some(v),
-                (SweepOp::Remove(exact), Some(now))
-                    if exact.as_deref().is_none_or(|x| x == now) =>
-                {
-                    (exists, fresh) = (false, None)
-                }
-                _ => rejected += 1,
-            }
-        }
-        match (stored.is_some(), exists, fresh) {
-            (true, true, Some(v)) if stored != Some(v.as_slice()) => {
+        let had = stored.is_some();
+        let (netted, ops, rejected) = net_chain(stored, chain);
+        match netted {
+            Netted::Put(v) if had => {
                 let before = std::mem::replace(&mut h.entries()[at].1, v);
                 self.disk.cost().mov(1);
                 h.changes.push((key, Some(before)));
                 h.touched = true;
             }
-            (true, false, _) => {
-                if !self.spare_entry(h) {
-                    return Some((ops, rejected, SweepOp::Remove(None)));
-                }
-                let (_, before) = h.entries().remove(at);
-                h.changes.push((key, Some(before)));
-                h.grown -= 1;
-                h.touched = true;
-            }
-            (false, true, Some(v)) => {
+            Netted::Put(v) => {
                 h.entries().insert(at, (key, v));
                 if !self.fits(&h.leaf) {
                     let (_, v) = h.entries().remove(at);
@@ -376,7 +401,16 @@ impl BTree {
                 h.grown += 1;
                 h.touched = true;
             }
-            _ => {}
+            Netted::Remove => {
+                if !self.spare_entry(h) {
+                    return Some((ops, rejected, SweepOp::Remove(None)));
+                }
+                let (_, before) = h.entries().remove(at);
+                h.changes.push((key, Some(before)));
+                h.grown -= 1;
+                h.touched = true;
+            }
+            Netted::Unchanged => {}
         }
         h.ops += ops;
         h.rejected += rejected;

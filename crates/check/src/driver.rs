@@ -998,6 +998,9 @@ mod tests {
             engine.apply_s(&Mutation::Update(Update { old, new })).unwrap();
             engine.rebuild_if_dirty().unwrap();
             engine.query().unwrap();
+            // `R`'s own apply log may still hold runs: they are not the
+            // structure's.
+            engine.db.settle().unwrap();
 
             let (mut r, mut s) = (Vec::new(), Vec::new());
             engine.db.r().scan(|t| r.push(t)).unwrap();

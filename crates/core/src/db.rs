@@ -294,7 +294,8 @@ impl Database {
     /// Queue one update to `R`, counting it in the metrics registry
     /// (`db.mutations`). Equivalent to `r_mut().apply_update(..)` plus the
     /// observation. The tree changes when the relation next settles: when
-    /// `R` is next read or its log is full, or at a commit or report.
+    /// its log is full or reading it through stops paying, or at a commit
+    /// or report.
     /// An `Err` means the update was not queued.
     pub fn apply_r_update(&mut self, upd: &trijoin_exec::Update) -> Result<()> {
         self.queue_for_r(|r| r.apply_update(&upd.old, &upd.new))
@@ -320,8 +321,8 @@ impl Database {
     /// Apply every mutation queued for `R` and `S` to their trees now
     /// ([`StoredRelation::settle`]: one sweep per relation, in surrogate
     /// order, under the span `base.settle`). Nothing needs to call this
-    /// for an answer to be right — a relation settles when it is read or
-    /// its log is full — but [`Database::commit_with`],
+    /// for an answer to be right — a reader sees the queued mutations —
+    /// but [`Database::commit_with`],
     /// [`Database::checkpoint`] and [`Database::run_report`] do, and so
     /// does whoever wants the sweep's charge at a point of their choosing.
     pub fn settle(&self) -> Result<()> {
@@ -372,9 +373,10 @@ impl Database {
     /// Execute `strategy` as one *observed* query: emits query start/end
     /// events, bumps the query counter, records the simulated latency into
     /// the `query.us` histogram, and returns the collected join result.
-    /// The strategy settles the relations it reads — and no other — before
-    /// its first section; the query's clock starts once it has, so that
-    /// sweep stays outside the query's latency and audit sample.
+    /// The strategy reads the relations' apply logs through, or settles a
+    /// relation before its first section when that pays
+    /// ([`StoredRelation::reader`]); the query's clock starts once it has,
+    /// so that sweep stays outside the query's latency and audit sample.
     pub fn query(&self, strategy: &mut dyn JoinStrategy) -> Result<Vec<ViewTuple>> {
         // A settle from before this call is not this query's.
         self.account_settles();

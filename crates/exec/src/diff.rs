@@ -145,6 +145,12 @@ impl DiffLog {
         Ok(())
     }
 
+    /// Tuples logged and not in a run yet (a spill that failed leaves the
+    /// whole buffer).
+    pub fn buffered(&self) -> usize {
+        self.buf.len()
+    }
+
     /// Number of runs on disk (the paper's `N1`).
     pub fn num_runs(&self) -> usize {
         self.runs.len()

@@ -16,12 +16,13 @@
 use std::rc::Rc;
 
 use trijoin_common::{
-    types::hash_key, Cost, EventKind, FxHashMap, JoinKey, Result, SystemParams, ViewTuple,
+    types::hash_key, Cost, CounterId, EventKind, FxHashMap, JoinKey, Result, SystemParams,
+    ViewTuple,
 };
 use trijoin_storage::{Disk, HeapFile};
 
 use crate::batch::{RowBatch, TupleRef};
-use crate::relation::StoredRelation;
+use crate::relation::{Reader, StoredRelation};
 use crate::strategy::{JoinStrategy, Mutation};
 
 /// A reloaded spill run: all record bytes in one flat shared arena, with
@@ -136,6 +137,9 @@ pub struct HybridHash {
     /// Set when Grace-hash mode is forced (pass 0 spills too) — used by the
     /// `ablation_grace` bench to quantify the hybrid advantage `q`.
     grace_mode: bool,
+    c_emitted: CounterId,
+    c_retries: CounterId,
+    c_restarts: CounterId,
 }
 
 /// Number of spilled partitions, per §3.4:
@@ -174,11 +178,15 @@ pub fn first_pass_fraction(r_pages: u64, params: &SystemParams) -> f64 {
 impl HybridHash {
     /// A hybrid-hash strategy over the given disk/parameters.
     pub fn new(disk: &Disk, params: &SystemParams, cost: &Cost) -> Self {
+        let metrics = disk.metrics();
         HybridHash {
             disk: disk.clone(),
             params: params.clone(),
             cost: cost.clone(),
             grace_mode: false,
+            c_emitted: metrics.counter_handle("hh.tuples_emitted"),
+            c_retries: metrics.counter_handle("hh.retries"),
+            c_restarts: metrics.counter_handle("hh.restarts"),
         }
     }
 
@@ -217,7 +225,7 @@ impl HybridHash {
         crate::recovery::with_retry(|| {
             attempt += 1;
             if attempt > 1 {
-                self.disk.metrics().incr("hh.retries");
+                self.disk.metrics().incr_id(self.c_retries);
             }
             let _g = (attempt > 1).then(|| self.cost.section("hh.retry"));
             let mut raw = Vec::new();
@@ -352,20 +360,21 @@ impl JoinStrategy for HybridHash {
         // fault fires exactly once, so a multi-fault plan drains across
         // restarts unless it poisoned a base-relation page (unrecoverable by
         // design; the typed error then surfaces).
-        // Both relations are scanned: they catch up first, outside
-        // `hh.execute`.
-        r.settle()?;
+        // Both relations are scanned: `S` catches up first, and `R` reads
+        // through its apply log or settles (`StoredRelation::reader`), both
+        // outside `hh.execute`.
         s.settle()?;
+        let r = r.reader()?;
         let mut buffered: Vec<ViewTuple> = Vec::new();
         let mut restarts = 0u32;
         let emitted = loop {
             let section = if restarts == 0 { "hh.execute" } else { "hh.recover" };
-            match self.join_once(r, s, section, &mut |vt| buffered.push(vt)) {
+            match self.join_once(&r, s, section, &mut |vt| buffered.push(vt)) {
                 Ok(n) => break n,
                 Err(e) if e.is_device_fault() && restarts < crate::recovery::MAX_ATTEMPTS => {
                     buffered.clear();
                     restarts += 1;
-                    self.disk.metrics().incr("hh.restarts");
+                    self.disk.metrics().incr_id(self.c_restarts);
                     self.disk.events().emit(
                         EventKind::RecoveryTriggered,
                         format!("{}: restart {restarts} after {e}", self.name()),
@@ -375,7 +384,7 @@ impl JoinStrategy for HybridHash {
                 Err(e) => return Err(e),
             }
         };
-        self.disk.metrics().counter_add("hh.tuples_emitted", buffered.len() as u64);
+        self.disk.metrics().counter_add_id(self.c_emitted, buffered.len() as u64);
         for vt in buffered {
             sink(vt);
         }
@@ -387,25 +396,34 @@ impl HybridHash {
     /// One full §3.4 join (pass 0 plus spilled passes), fallible on any
     /// injected device fault; [`JoinStrategy::execute`] wraps it with the
     /// restart fallback (which re-runs under the `hh.recover` section).
+    ///
+    /// `B` and `q` are sized from `R`'s leaf pages as they stand and from
+    /// the `|M|` left beside the pages `R`'s read-through holds: statistics
+    /// that do not settle.
     fn join_once(
         &mut self,
-        r: &StoredRelation,
+        r: &Reader<'_>,
         s: &StoredRelation,
         section: &str,
         sink: &mut dyn FnMut(ViewTuple),
     ) -> Result<u64> {
         let _g = self.cost.section(section);
-        let b = spilled_partitions(r.data_pages(), &self.params).max(u64::from(self.grace_mode));
+        let held = r.pages_held() as usize;
+        let params = SystemParams {
+            mem_pages: self.params.mem_pages.saturating_sub(held),
+            ..self.params.clone()
+        };
+        let r_pages = r.data_pages();
+        let b = spilled_partitions(r_pages, &params).max(u64::from(self.grace_mode));
         self.disk.metrics().gauge_set("hh.spilled_partitions", b as f64);
-        let q =
-            if self.grace_mode { 0.0 } else { first_pass_fraction(r.data_pages(), &self.params) };
+        let q = if self.grace_mode { 0.0 } else { first_pass_fraction(r_pages, &params) };
 
         // Pass 0 over R: build partition 0 into a columnar batch (the hash
         // table maps join key -> row indices), spill 1..=B. A spilled
         // record is the scanned record verbatim — the clustered leaves
         // store `BaseTuple::to_bytes`, so no re-serialization is needed.
         let mut batch = RowBatch::new();
-        let mut table = BuildTable::with_capacity((q * r.len() as f64) as usize + 16);
+        let mut table = BuildTable::with_capacity((q * r.len_estimate() as f64) as usize + 16);
         let mut r_writers: Vec<trijoin_storage::heap::HeapWriter> =
             (0..b).map(|_| trijoin_storage::heap::HeapWriter::create(&self.disk)).collect();
         let mut scan_err = None;

@@ -43,7 +43,7 @@ use trijoin_storage::{Disk, FileId, PageId};
 
 use crate::diff::{ji_sort_key, DiffPair, Net};
 use crate::mv::view_tuple_bytes;
-use crate::relation::StoredRelation;
+use crate::relation::{Reader, StoredRelation};
 use crate::sort::counted_sort_by;
 use crate::strategy::{JoinStrategy, Mutation};
 use crate::viewdef::ViewDef;
@@ -495,14 +495,15 @@ impl JoinIndexStrategy {
     /// The paper's `|JI_k|` (Figure 3): pages of JI processed per pass,
     /// leaving room for the pass's `R` fragment with pointers, its pending
     /// insertions, the memory-resident `iR_k ⋈ S`, the `2·N1` run input
-    /// buffers, five fixed buffers, and sort/merge overhead. `iR_k ⋈ S` is
+    /// buffers and the `held` input pages of `R`'s read-through, five fixed
+    /// buffers, and sort/merge overhead. `iR_k ⋈ S` is
     /// priced as Figure 3 prices it, at `‖S‖·JS = ‖JI‖/‖R‖` partners per
     /// inserted tuple (only an SR share of insertions match at all). The
     /// passes cover `|JI|` pages, which the write-back keeps packed (see
     /// the module doc), so the pass count is the model's `⌈|JI|/|JI_k|⌉`.
-    fn jik_pages(&self, n1: usize, r_len: u64) -> usize {
+    fn jik_pages(&self, n1: usize, held: u64, r_len: u64) -> usize {
         let m = self.params.mem_pages as f64;
-        let avail = m - 2.0 * n1 as f64 - 5.0;
+        let avail = m - 2.0 * n1 as f64 - held as f64 - 5.0;
         if avail < 3.0 {
             return 1;
         }
@@ -562,16 +563,19 @@ impl JoinStrategy for JoinIndexStrategy {
         s: &StoredRelation,
         sink: &mut dyn FnMut(ViewTuple),
     ) -> Result<u64> {
-        // Every pass fetches from both relations: they catch up first,
-        // outside the passes' sections.
-        r.settle()?;
+        // The passes probe `S` by join key, so `S` catches up first; `R`,
+        // fetched by surrogate in rising order, reads through its apply log
+        // or settles (`StoredRelation::reader`) — outside the passes'
+        // sections either way.
         s.settle()?;
         let answer = if self.writing_back {
             self.recover(r, s)?
         } else {
+            // The reader goes with the passes: recovery settles `R`.
+            let reader = r.reader()?;
             crate::recovery::answer_or_recover(
                 self,
-                |ji, out| ji.passes_execute(r, s, out),
+                |ji, out| ji.passes_execute(reader, s, out),
                 |ji| ji.recover(r, s),
             )?
         };
@@ -588,12 +592,12 @@ impl JoinIndexStrategy {
     /// fallback.
     fn passes_execute(
         &mut self,
-        r: &StoredRelation,
+        mut r: Reader<'_>,
         s: &StoredRelation,
         sink: &mut dyn FnMut(ViewTuple),
     ) -> Result<u64> {
         self.logs.seal()?;
-        let jik = self.jik_pages(self.logs.runs(), r.len_estimate());
+        let jik = self.jik_pages(self.logs.runs(), r.pages_held(), r.len_estimate());
 
         // The Pr_A filter hides payload-only updates from this log, so a
         // logged chain may be interrupted by unlogged states: cancellation

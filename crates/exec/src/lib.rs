@@ -37,6 +37,6 @@ pub use batch::{RowBatch, TupleRef};
 pub use hybridhash::HybridHash;
 pub use joinindex::JoinIndexStrategy;
 pub use mv::MaterializedView;
-pub use relation::StoredRelation;
+pub use relation::{Reader, StoredRelation};
 pub use strategy::{execute_collect, JoinStrategy, Mutation, Update};
 pub use viewdef::{Predicate, ViewDef};

@@ -51,8 +51,8 @@
 use std::collections::VecDeque;
 
 use trijoin_common::{
-    types::hash_key, BaseTuple, Cost, Error, FxHashMap, FxHashSet, Result, Surrogate, SystemParams,
-    ViewTuple,
+    types::hash_key, BaseTuple, Cost, CounterId, Error, FxHashMap, FxHashSet, Result, Surrogate,
+    SystemParams, ViewTuple,
 };
 use trijoin_linearhash::{Addressing, LinearHash};
 use trijoin_storage::{Disk, FileId};
@@ -144,6 +144,8 @@ pub struct MaterializedView {
     r_tuple_bytes: usize,
     s_tuple_bytes: usize,
     def: ViewDef,
+    c_logged: CounterId,
+    c_emitted: CounterId,
 }
 
 impl MaterializedView {
@@ -206,6 +208,8 @@ impl MaterializedView {
             r_tuple_bytes,
             s_tuple_bytes,
             def,
+            c_logged: disk.metrics().counter_handle("mv.mutations_logged"),
+            c_emitted: disk.metrics().counter_handle("mv.tuples_emitted"),
         }
     }
 
@@ -460,7 +464,7 @@ impl JoinStrategy for MaterializedView {
     }
 
     fn on_mutation(&mut self, m: &Mutation) -> Result<()> {
-        self.disk.metrics().incr("mv.mutations_logged");
+        self.disk.metrics().incr_id(self.c_logged);
         let _g = self.cost.section("mv.log");
         // Every mutation of a full view matters (unlike the join index,
         // which filters by Pr_A); a select view additionally drops the
@@ -489,7 +493,7 @@ impl JoinStrategy for MaterializedView {
             |mv, out| mv.merge_execute(r, s, out),
             |mv| mv.recover(r, s),
         )?;
-        self.disk.metrics().counter_add("mv.tuples_emitted", answer.len() as u64);
+        self.disk.metrics().counter_add_id(self.c_emitted, answer.len() as u64);
         let emitted = answer.len() as u64;
         answer.into_iter().for_each(sink);
         Ok(emitted)

@@ -18,12 +18,18 @@
 //! most once and writing each changed leaf once, and then pays the
 //! inverted tree what the landed changes owe it, as a second sweep in
 //! (join key, surrogate) order, all under a `base.settle` span of the
-//! relation's own. A relation settles on demand: when it is read (every
-//! reader settles first, so nobody ever sees the log; a strategy settles
-//! what it is about to read before it opens its first section), when its
-//! log is full, or when `Database` asks — for a commit, a checkpoint, a
-//! report. Nothing else does: the sweep's cost is concave in the keys it
-//! nets, so a log left to grow across epochs is swept for far less than
+//! relation's own. A relation settles when its log is full, when
+//! `Database` asks — for a commit, a checkpoint, a report — and for the
+//! readers that need its trees caught up (`get`, `probe_inverted`, `len`,
+//! the shape statistics, recovery). Scans and batched fetches need not:
+//! a [`Reader`] merges the log, already in surrogate order, into what it
+//! reads from the clustered tree, netting each surrogate's operations
+//! against the stored tuple by the sweep's own rule ([`net_chain`]), under
+//! a `base.read_through` span. It settles instead when the log is frozen,
+//! or once the run pages readers have read through the log since its last
+//! settle reach `2·min(leaf pages, queued)`, the most that settle could now
+//! read and write: rent, then buy. The sweep's cost is concave in the keys
+//! it nets, so a log left to grow across epochs is swept for far less than
 //! the epochs one by one. Statistics do not count as reads
 //! ([`StoredRelation::len_estimate`]).
 //!
@@ -42,14 +48,17 @@
 //! ends the settle with an error and the un-applied suffix still queued:
 //! the next settle (or mutator call, which settles first) resumes there.
 
+use std::borrow::Cow;
 use std::cell::{Cell, Ref, RefCell};
+use std::rc::Rc;
 
-use trijoin_btree::{BTree, BTreeConfig, BTreeMeta, SweepOp, SweepStats};
+use trijoin_btree::{net_chain, BTree, BTreeConfig, BTreeMeta, Netted, SweepOp, SweepStats};
 use trijoin_common::{
-    BaseTuple, CounterId, Error, Json, OpCounts, Result, Surrogate, SystemParams,
+    BaseTuple, Cost, CounterId, Error, Json, OpCounts, Result, Surrogate, SystemParams,
 };
 use trijoin_storage::{Disk, FileId, SlottedPage};
 
+use crate::batch::TupleRef;
 use crate::diff::{DiffLog, SortKey};
 use crate::sort::{counted_sort_by, KWayMerge};
 
@@ -164,13 +173,62 @@ impl Pending {
     }
 
     /// The clustered tree's side of the mutation.
-    fn into_op(self) -> (u64, SweepOp) {
-        let op = match self.kind {
+    fn op(&self) -> SweepOp {
+        match self.kind {
             Kind::Update => SweepOp::Replace(self.tuple.to_bytes()),
             Kind::Insert => SweepOp::Insert(self.tuple.to_bytes()),
             Kind::Delete => SweepOp::Remove(None),
+        }
+    }
+
+    /// What one surrogate's operations leave of its stored tuple: the
+    /// sweep's verdict, for a reader.
+    fn net(stored: Option<&[u8]>, ops: &[Pending]) -> Netted {
+        net_chain(stored, ops.iter().map(Pending::op)).0
+    }
+}
+
+/// The apply log in merged order — its runs and its buffer, sorted — as
+/// one stream of operations in surrogate order, submission order within a
+/// surrogate: what the sweep applies and a reader reads through.
+struct LogStream<'a> {
+    source: Source<'a>,
+    /// Set by a run record that did not decode; the stream ends there.
+    error: Option<Error>,
+}
+
+enum Source<'a> {
+    /// Nothing spilled: the buffer alone.
+    Buffer(Box<dyn Iterator<Item = Pending> + 'a>),
+    /// The runs' merge and the buffer, merged.
+    Runs(KWayMerge<BaseTuple, SortKey, Box<dyn Iterator<Item = BaseTuple> + 'a>>),
+}
+
+impl<'a> LogStream<'a> {
+    /// `tail` is the buffer in surrogate order.
+    fn new(runs: &DiffLog, tail: impl Iterator<Item = Pending> + 'a, cost: &Cost) -> Result<Self> {
+        let source = if runs.num_runs() == 0 {
+            Source::Buffer(Box::new(tail))
+        } else {
+            let sources: Vec<Box<dyn Iterator<Item = BaseTuple> + 'a>> =
+                vec![Box::new(runs.merged()?), Box::new(tail.map(|p| p.to_record()))];
+            Source::Runs(KWayMerge::new(sources, Pending::record_key, cost.clone()))
         };
-        (self.tuple.sur.0 as u64, op)
+        Ok(LogStream { source, error: None })
+    }
+}
+
+impl Iterator for LogStream<'_> {
+    type Item = Pending;
+
+    fn next(&mut self) -> Option<Pending> {
+        match &mut self.source {
+            Source::Buffer(ops) => ops.next(),
+            Source::Runs(_) if self.error.is_some() => None,
+            Source::Runs(records) => {
+                Pending::from_record(records.next()?).map_err(|e| self.error = Some(e)).ok()
+            }
+        }
     }
 }
 
@@ -219,8 +277,10 @@ impl SettleStats {
 
 /// The queue between a relation's mutators and its trees (module docs).
 struct ApplyLog {
-    /// Mutations in submission order, at most `cap` of them.
-    buffer: Vec<Pending>,
+    /// Mutations in submission order — surrogate order once `sorted` —
+    /// at most `cap` of them; shared with the readers reading it through.
+    buffer: Rc<Vec<Pending>>,
+    sorted: bool,
     cap: usize,
     per_page: usize,
     /// Buffers that filled up, as surrogate-sorted runs.
@@ -241,11 +301,13 @@ struct ApplyLog {
     /// Owed to the inverted tree by changes that landed in the clustered.
     postings: Vec<Posting>,
     /// Most pages the log has held at once: buffer, one per run being
-    /// merged, and the path the sweep holds.
-    peak_pages: u64,
+    /// merged, and the path the sweep holds (none for a read-through).
+    peak_pages: Cell<u64>,
     /// The widest bound a settle has held those pages to (the bound moves
     /// with the relation's size).
     bound_pages: u64,
+    /// Run pages readers have read through the log since it last settled.
+    read_pages: Cell<u64>,
     /// Operations refused so far, over the relation's life.
     rejected: u64,
     c_settles: CounterId,
@@ -253,6 +315,8 @@ struct ApplyLog {
     c_rejected: CounterId,
     c_leaves: CounterId,
     c_runs: CounterId,
+    c_reads: CounterId,
+    c_read_pages: CounterId,
 }
 
 impl ApplyLog {
@@ -261,7 +325,8 @@ impl ApplyLog {
         let per_page = SlottedPage::records_per_page(disk.page_size(), record_bytes).max(1);
         let (metrics, cost) = (disk.metrics(), disk.cost());
         ApplyLog {
-            buffer: Vec::new(),
+            buffer: Rc::default(),
+            sorted: true,
             cap: APPLY_LOG_PAGES * per_page,
             per_page,
             runs: DiffLog::new(disk, cost, APPLY_LOG_PAGES, per_page, false, Pending::record_key),
@@ -272,15 +337,37 @@ impl ApplyLog {
             unreported: SettleStats::default(),
             resume: None,
             postings: Vec::new(),
-            peak_pages: 0,
+            peak_pages: Cell::new(0),
             bound_pages: 0,
+            read_pages: Cell::new(0),
             rejected: 0,
             c_settles: metrics.counter_handle("base.settles"),
             c_ops: metrics.counter_handle("base.settle.ops"),
             c_rejected: metrics.counter_handle("base.settle.rejected"),
             c_leaves: metrics.counter_handle("base.settle.leaves_written"),
             c_runs: metrics.counter_handle("base.apply_log.runs"),
+            c_reads: metrics.counter_handle("base.read_through.reads"),
+            c_read_pages: metrics.counter_handle("base.read_through.pages"),
         }
+    }
+
+    /// Pages the buffer fills.
+    fn buffer_pages(&self) -> usize {
+        self.buffer.len().div_ceil(self.per_page)
+    }
+
+    /// Put the buffer in surrogate order, unless it is.
+    fn sort_buffer(&mut self, cost: &Cost) {
+        if !self.sorted {
+            let buffer: &mut Vec<Pending> = Rc::make_mut(&mut self.buffer);
+            counted_sort_by(buffer, Pending::sort_key, cost);
+            self.sorted = true;
+        }
+    }
+
+    /// Raise the peak to `pages` held at once.
+    fn hold(&self, pages: usize) {
+        self.peak_pages.set(self.peak_pages.get().max(pages as u64));
     }
 
     /// Hand the full buffer to the run writer, whose own buffer is as
@@ -288,7 +375,8 @@ impl ApplyLog {
     /// every record in one buffer or the other.
     fn spill(&mut self, disk: &Disk) -> Result<()> {
         let runs = self.runs.num_runs();
-        while let Some(p) = self.buffer.pop() {
+        let buffer = Rc::make_mut(&mut self.buffer);
+        while let Some(p) = buffer.pop() {
             self.runs.add(p.to_record())?;
         }
         disk.metrics().counter_add_id(self.c_runs, (self.runs.num_runs() - runs) as u64);
@@ -297,7 +385,7 @@ impl ApplyLog {
 }
 
 /// The trees and what is queued for them, behind one `RefCell`: readers
-/// take `&self` and still settle first.
+/// take `&self`, settle or not, and hold the state shared while they read.
 struct State {
     clustered: BTree,
     inverted: Option<BTree>,
@@ -367,12 +455,10 @@ impl State {
             // A hand-off that a write fault cut short left records in the
             // run writer's buffer: they become a (short) run now.
             self.log.runs.spill()?;
-            counted_sort_by(&mut self.log.buffer, Pending::sort_key, cost);
-            let bound = self.bound_pages();
-            let log = &mut self.log;
-            let pages = log.buffer.len().div_ceil(log.per_page) + log.runs.num_runs();
-            log.peak_pages = log.peak_pages.max((pages + self.clustered.height()) as u64);
-            log.bound_pages = bound;
+            self.log.sort_buffer(cost);
+            self.log.bound_pages = self.bound_pages();
+            let log = &self.log;
+            log.hold(log.buffer_pages() + log.runs.num_runs() + self.clustered.height());
         }
         let skip = self.log.resume.unwrap_or(0);
         // From here on the log is frozen: its merged order is what `skip`
@@ -380,25 +466,15 @@ impl State {
         self.log.resume = Some(skip);
         let State { clustered, inverted, count, log } = &mut *self;
         let ApplyLog { buffer, runs, postings, cap, net_inserts, .. } = log;
-        let decode_error = RefCell::new(None);
         let (keys, last_key) = (Cell::new(0u64), Cell::new(None));
-        let tail = buffer.iter();
-        let stream: Box<dyn Iterator<Item = Pending> + '_> = if runs.num_runs() == 0 {
-            Box::new(tail.cloned())
-        } else {
-            let sources: Vec<Box<dyn Iterator<Item = BaseTuple> + '_>> =
-                vec![Box::new(runs.merged()?), Box::new(tail.map(Pending::to_record))];
-            let merged = KWayMerge::new(sources, Pending::record_key, cost.clone());
-            Box::new(merged.map_while(|record| {
-                Pending::from_record(record).map_err(|e| *decode_error.borrow_mut() = Some(e)).ok()
-            }))
-        };
+        let mut stream = LogStream::new(runs, buffer.iter().cloned(), cost)?;
         // A run reader that parks an error ends its stream early, and
         // whatever the merge hands out in that same step is out of order:
         // the sweep must not see it.
         let mut ops = stream
+            .by_ref()
             .skip(skip as usize)
-            .map_while(|p| (!runs.stream_failed()).then(|| p.into_op()))
+            .map_while(|p| (!runs.stream_failed()).then(|| (p.tuple.sur.0 as u64, p.op())))
             .inspect(|(key, _)| {
                 if last_key.replace(Some(*key)) != Some(*key) {
                     keys.set(keys.get() + 1);
@@ -438,9 +514,11 @@ impl State {
             }
         }
         drop(ops);
+        let undecoded = stream.error.take();
+        drop(stream);
         done.keys += keys.get();
         if result.is_ok() {
-            result = runs.stream_error().and(decode_error.into_inner().map_or(Ok(()), Err));
+            result = runs.stream_error().and(undecoded.map_or(Ok(()), Err));
         }
         let log = &mut self.log;
         log.queued -= landed;
@@ -452,10 +530,30 @@ impl State {
         // Every record is in the clustered tree, so the log starts over —
         // also when the last payment to the inverted tree failed: what is
         // still owed is in `postings`, not in the records.
-        log.buffer.clear();
+        Rc::make_mut(&mut log.buffer).clear();
         log.runs.restart();
+        log.read_pages.set(0);
         (log.seq, log.resume, log.net_inserts) = (0, None, 0);
         result
+    }
+
+    /// Tuples in the trees plus queued inserts less queued deletes
+    /// ([`StoredRelation::len_estimate`]).
+    fn len_estimate(&self) -> u64 {
+        self.count.saturating_add_signed(self.log.net_inserts)
+    }
+
+    /// Whether a reader should read through the log rather than settle it
+    /// (module docs): something is queued, the log is not frozen, and
+    /// readers have read fewer run pages through it since it last settled
+    /// than a settle would now read and write.
+    fn read_through_pays(&self) -> bool {
+        let log = &self.log;
+        let settle_pages = 2 * self.clustered.leaf_pages().min(log.queued);
+        log.queued > 0
+            && log.resume.is_none()
+            && log.runs.buffered() == 0
+            && log.read_pages.get() < settle_pages
     }
 }
 
@@ -578,8 +676,10 @@ impl StoredRelation {
     /// what landed stays landed, the rest stays queued, and the next
     /// settle resumes.
     pub fn settle(&self) -> Result<SettleStats> {
-        // A reader of this relation further up the stack holds the state,
-        // and settled before it took it: nothing can be queued.
+        // A reader of this relation further up the stack holds the state:
+        // it settled first or reads through the log, and the settle waits
+        // for a caller that does not (readers that need the trees caught
+        // up check, [`StoredRelation::settled`]).
         let Ok(mut st) = self.state.try_borrow_mut() else { return Ok(SettleStats::default()) };
         if st.log.queued == 0 && st.log.postings.is_empty() {
             return Ok(SettleStats::default());
@@ -616,10 +716,50 @@ impl StoredRelation {
         )
     }
 
-    /// The state with nothing queued, for a reader.
+    /// The state with nothing queued, for a reader of the trees alone.
     fn settled(&self) -> Result<Ref<'_, State>> {
         self.settle()?;
-        Ok(self.state.borrow())
+        let st = self.state.borrow();
+        if st.log.queued > 0 {
+            return Err(Error::Invariant(format!(
+                "relation {}: a reader holds its apply log open",
+                self.name
+            )));
+        }
+        Ok(st)
+    }
+
+    /// A reader of the clustered tree that sees every queued mutation:
+    /// the relation settles for it, or — while that pays (module docs) —
+    /// it reads through the apply log. Either way it charges the settle's
+    /// sweep, if any, before the caller's next section opens, and with
+    /// nothing queued it charges what a read of the trees alone does.
+    pub fn reader(&self) -> Result<Reader<'_>> {
+        if !self.state.borrow().read_through_pays() {
+            self.settle()?;
+        } else if let Ok(mut st) = self.state.try_borrow_mut() {
+            if !st.log.sorted {
+                let cost = self.disk.cost();
+                let _span = cost.section("base.read_through");
+                st.log.sort_buffer(cost);
+            }
+        }
+        let st = self.state.borrow();
+        let log = &st.log;
+        let tail = if log.queued == 0 {
+            None
+        } else if !log.sorted || log.resume.is_some() || log.runs.buffered() > 0 {
+            // A reader further up keeps out the sort or the settle this
+            // one needs.
+            return Err(Error::Invariant(format!(
+                "relation {}: a reader holds its apply log open",
+                self.name
+            )));
+        } else {
+            log.hold(log.buffer_pages() + log.runs.num_runs());
+            Some(Rc::clone(&log.buffer))
+        };
+        Ok(Reader { rel: self, st, tail, cursor: None })
     }
 
     /// For readers that cannot fail: settle, and if a device fault stops
@@ -646,7 +786,7 @@ impl StoredRelation {
     /// being merged, and the sweep's path): at most
     /// [`StoredRelation::apply_log_bound_pages`].
     pub fn apply_log_peak_pages(&self) -> u64 {
-        self.state.borrow().log.peak_pages
+        self.state.borrow().log.peak_pages.get()
     }
 
     /// The pages the apply log may hold at once: [`APPLY_LOG_PAGES`] of
@@ -678,7 +818,8 @@ impl StoredRelation {
         if log.buffer.len() >= log.cap {
             log.spill(&self.disk)?;
         }
-        log.buffer.push(Pending { seq: log.seq, kind, tuple: tuple.clone() });
+        Rc::make_mut(&mut log.buffer).push(Pending { seq: log.seq, kind, tuple: tuple.clone() });
+        log.sorted = false;
         log.seq += 1;
         log.queued += 1;
         log.net_inserts += (kind == Kind::Insert) as i64 - (kind == Kind::Delete) as i64;
@@ -743,8 +884,7 @@ impl StoredRelation {
     /// traffic and whenever no queued insert or delete gets refused; a
     /// statistic must not cost a sweep of the relation.
     pub fn len_estimate(&self) -> u64 {
-        let st = self.state.borrow();
-        st.count.saturating_add_signed(st.log.net_inserts)
+        self.state.borrow().len_estimate()
     }
 
     /// True when the relation is empty.
@@ -780,27 +920,13 @@ impl StoredRelation {
         }
     }
 
-    /// Batched fetch by *sorted* surrogates: each touched page is charged at
-    /// most once (the Yao-style scheduled access of the paper's algorithms).
+    /// [`Reader::fetch_by_surrogates`] through a reader of its own.
     pub fn fetch_by_surrogates(
         &self,
         sorted_surs: &[Surrogate],
-        mut f: impl FnMut(BaseTuple),
+        f: impl FnMut(BaseTuple),
     ) -> Result<()> {
-        let keys: Vec<u64> = sorted_surs.iter().map(|s| s.0 as u64).collect();
-        let mut err = None;
-        self.settled()?.clustered.fetch_many(&keys, |_, bytes| {
-            if err.is_none() {
-                match BaseTuple::from_bytes(bytes) {
-                    Ok(t) => f(t),
-                    Err(e) => err = Some(e),
-                }
-            }
-        })?;
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.reader()?.fetch_by_surrogates(sorted_surs, f)
     }
 
     /// Batched inverted-index probe by *sorted* join-key values: calls
@@ -831,62 +957,19 @@ impl StoredRelation {
         }
     }
 
-    /// Full scan in surrogate order (one read I/O per leaf page).
-    pub fn scan(&self, mut f: impl FnMut(BaseTuple)) -> Result<()> {
-        self.scan_refs(|t| f(t.to_tuple()))
+    /// [`Reader::scan`] through a reader of its own.
+    pub fn scan(&self, f: impl FnMut(BaseTuple)) -> Result<()> {
+        self.reader()?.scan(f)
     }
 
-    /// Full scan in surrogate order handing out *borrowed* tuple views —
-    /// identical I/O charges and decode validation to [`StoredRelation::scan`],
-    /// but no per-tuple payload allocation. The vectorized operators build
-    /// columnar batches from this.
-    pub fn scan_refs(&self, mut f: impl FnMut(crate::batch::TupleRef<'_>)) -> Result<()> {
-        let mut err = None;
-        self.settled()?.clustered.for_each(|_, bytes| {
-            match crate::batch::TupleRef::decode(bytes) {
-                Ok(t) => {
-                    f(t);
-                    true
-                }
-                Err(e) => {
-                    err = Some(e);
-                    false
-                }
-            }
-        })?;
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+    /// [`Reader::scan_refs`] through a reader of its own.
+    pub fn scan_refs(&self, f: impl FnMut(TupleRef<'_>)) -> Result<()> {
+        self.reader()?.scan_refs(f)
     }
 
-    /// Full scan handing out borrowed tuple views *plus* the shared page
-    /// image each view borrows from (`None` when the tuple lives in the
-    /// memory-resident root leaf). Charge-identical to
-    /// [`StoredRelation::scan_refs`]; the image handle lets the vectorized
-    /// operators pin pages into a [`crate::batch::RowBatch`] instead of
-    /// copying payloads out.
-    pub fn scan_pinned(
-        &self,
-        mut f: impl FnMut(crate::batch::TupleRef<'_>, Option<&std::rc::Rc<Vec<u8>>>),
-    ) -> Result<()> {
-        let mut err = None;
-        self.settled()?.clustered.for_each_pinned(|_, bytes, page| {
-            match crate::batch::TupleRef::decode(bytes) {
-                Ok(t) => {
-                    f(t, page);
-                    true
-                }
-                Err(e) => {
-                    err = Some(e);
-                    false
-                }
-            }
-        })?;
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+    /// [`Reader::scan_pinned`] through a reader of its own.
+    pub fn scan_pinned(&self, f: impl FnMut(TupleRef<'_>, Option<&Rc<Vec<u8>>>)) -> Result<()> {
+        self.reader()?.scan_pinned(f)
     }
 
     // ---- mutators: all of them enqueue ----------------------------------
@@ -933,6 +1016,305 @@ impl StoredRelation {
             return Err(Error::Invariant("update changes tuple size".into()));
         }
         self.enqueue(Kind::Update, new)
+    }
+}
+
+/// A read-through's place in the merged apply log. It only moves forward,
+/// so each run page is read once however many reads share it.
+struct Cursor {
+    stream: LogStream<'static>,
+    /// The first operation past the group read ahead.
+    ahead: Option<Pending>,
+    /// The operations on the next surrogate the log holds, read ahead.
+    next: Option<(u64, Vec<Pending>)>,
+    /// The surrogate of the group taken last.
+    passed: Option<u64>,
+    /// Run pages read.
+    pages: u64,
+    cost: Cost,
+}
+
+impl Cursor {
+    fn open(runs: &DiffLog, tail: &Rc<Vec<Pending>>, cost: &Cost) -> Result<Cursor> {
+        let tail = Rc::clone(tail);
+        let stream = LogStream::new(runs, (0..tail.len()).map(move |i| tail[i].clone()), cost)?;
+        let mut cursor =
+            Cursor { stream, ahead: None, next: None, passed: None, pages: 0, cost: cost.clone() };
+        cursor.advance(runs);
+        Ok(cursor)
+    }
+
+    /// Read the next group ahead: the run pages it takes and the merge,
+    /// under `base.read_through` (a buffer alone charges nothing; placing
+    /// the group among the tree's entries rides on the comparisons the
+    /// tree's scan or fetch charges). A run that failed ends the log here
+    /// ([`Reader::finish`] says why).
+    fn advance(&mut self, runs: &DiffLog) {
+        let spilled = matches!(self.stream.source, Source::Runs(_));
+        let _span = spilled.then(|| self.cost.section("base.read_through"));
+        let ios = self.cost.total().ios;
+        let first = self.ahead.take().or_else(|| self.stream.next());
+        self.next = first.map(|first| {
+            let sur = first.tuple.sur;
+            let mut ops = vec![first];
+            loop {
+                match self.stream.next() {
+                    Some(p) if p.tuple.sur == sur => ops.push(p),
+                    other => break self.ahead = other,
+                }
+            }
+            (sur.0 as u64, ops)
+        });
+        if self.failed(runs) {
+            (self.next, self.ahead) = (None, None);
+        }
+        self.pages += self.cost.total().ios - ios;
+    }
+
+    /// Whether the log ended early: a run read failed, or a record did not
+    /// decode.
+    fn failed(&self, runs: &DiffLog) -> bool {
+        runs.stream_failed() || self.stream.error.is_some()
+    }
+
+    /// The next group, if its surrogate passes `take`.
+    fn take_if(
+        &mut self,
+        runs: &DiffLog,
+        take: impl FnOnce(u64) -> bool,
+    ) -> Option<(u64, Vec<Pending>)> {
+        if !self.next.as_ref().is_some_and(|(sur, _)| take(*sur)) {
+            return None;
+        }
+        let group = self.next.take();
+        self.advance(runs);
+        self.passed = group.as_ref().map(|(sur, _)| *sur);
+        group
+    }
+
+    /// Hand `emit` what the groups below `below` (all the rest, with
+    /// `None`) insert: surrogates the tree lacks hold what their
+    /// operations put there. False where `emit` is.
+    fn insert_below(
+        &mut self,
+        runs: &DiffLog,
+        below: Option<u64>,
+        mut emit: impl FnMut(&[u8]) -> bool,
+    ) -> bool {
+        while let Some((_, ops)) = self.take_if(runs, |sur| below.is_none_or(|b| sur < b)) {
+            if let Netted::Put(v) = Pending::net(None, &ops) {
+                if !emit(&v) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// The operations on each of the sorted `keys`, in order, keys without
+    /// any left out. A key at or below a group an earlier call passed is
+    /// refused: its operations may be behind the cursor.
+    fn chains_of(&mut self, runs: &DiffLog, keys: &[u64]) -> Result<Vec<(u64, Vec<Pending>)>> {
+        let mut chains: Vec<(u64, Vec<Pending>)> = Vec::new();
+        for &key in keys {
+            if chains.last().is_some_and(|(sur, _)| *sur == key) {
+                continue;
+            }
+            if self.passed.is_some_and(|sur| sur >= key) {
+                return Err(Error::Invariant(format!(
+                    "read-through fetch of surrogate {key} behind the log's cursor"
+                )));
+            }
+            while let Some((sur, ops)) = self.take_if(runs, |sur| sur <= key) {
+                if sur == key {
+                    chains.push((sur, ops));
+                }
+            }
+        }
+        Ok(chains)
+    }
+}
+
+/// One reader of a relation's clustered tree ([`StoredRelation::reader`]):
+/// the tree as it stands and, unless the relation settled for it, the
+/// apply log merged into what it reads. The log is read in surrogate
+/// order: each scan reads it whole, while fetches share one cursor, so a
+/// reader's fetches must ask for surrogates that rise from call to call.
+pub struct Reader<'a> {
+    rel: &'a StoredRelation,
+    st: Ref<'a, State>,
+    /// The log's buffer, sorted, when the reader reads through the log.
+    tail: Option<Rc<Vec<Pending>>>,
+    /// The fetches' place in the log.
+    cursor: Option<Cursor>,
+}
+
+impl Reader<'_> {
+    /// Pages of `|M|` the read-through holds: an input page per run of the
+    /// log (the buffer is memory the log holds anyway).
+    pub fn pages_held(&self) -> u64 {
+        self.tail.as_ref().map_or(0, |_| self.st.log.runs.num_runs() as u64)
+    }
+
+    /// Leaf pages of the clustered tree as it stands (`|R|` for an
+    /// estimate: queued inserts and deletes have not moved it yet).
+    pub fn data_pages(&self) -> u64 {
+        self.st.clustered.leaf_pages()
+    }
+
+    /// [`StoredRelation::len_estimate`].
+    pub fn len_estimate(&self) -> u64 {
+        self.st.len_estimate()
+    }
+
+    /// A cursor at the head of the log, when reading through it.
+    fn open(&self) -> Result<Option<Cursor>> {
+        let tail = self.tail.as_ref();
+        tail.map(|tail| Cursor::open(&self.st.log.runs, tail, self.rel.disk.cost())).transpose()
+    }
+
+    /// Count one read through the log, and say why it ended early if it
+    /// did.
+    fn finish(&self, cursor: Cursor) -> Result<()> {
+        let (log, metrics) = (&self.st.log, self.rel.disk.metrics());
+        log.read_pages.set(log.read_pages.get() + cursor.pages);
+        metrics.incr_id(log.c_reads);
+        metrics.counter_add_id(log.c_read_pages, cursor.pages);
+        log.runs.stream_error()?;
+        cursor.stream.error.map_or(Ok(()), Err)
+    }
+
+    /// Full scan in surrogate order: one read I/O per leaf page, and one
+    /// per run page when reading through the log.
+    pub fn scan(&self, mut f: impl FnMut(BaseTuple)) -> Result<()> {
+        self.scan_refs(|t| f(t.to_tuple()))
+    }
+
+    /// Full scan in surrogate order handing out *borrowed* tuple views —
+    /// identical I/O charges and decode validation to [`Reader::scan`], but
+    /// no per-tuple payload allocation. The vectorized operators build
+    /// columnar batches from this.
+    pub fn scan_refs(&self, mut f: impl FnMut(TupleRef<'_>)) -> Result<()> {
+        self.scan_pinned(|t, _| f(t))
+    }
+
+    /// Full scan handing out borrowed tuple views *plus* the shared page
+    /// image each view borrows from (`None` when the tuple lives in the
+    /// memory-resident root leaf or comes from the log). Charge-identical
+    /// to [`Reader::scan_refs`]; the image handle lets the vectorized
+    /// operators pin pages into a [`crate::batch::RowBatch`] instead of
+    /// copying payloads out.
+    pub fn scan_pinned(&self, mut f: impl FnMut(TupleRef<'_>, Option<&Rc<Vec<u8>>>)) -> Result<()> {
+        let mut err = None;
+        let mut emit = |bytes: &[u8], page: Option<&Rc<Vec<u8>>>| match TupleRef::decode(bytes) {
+            Ok(t) => {
+                f(t, page);
+                true
+            }
+            Err(e) => {
+                err = Some(e);
+                false
+            }
+        };
+        let (tree, runs) = (&self.st.clustered, &self.st.log.runs);
+        let Some(mut log) = self.open()? else {
+            tree.for_each_pinned(|_, bytes, page| emit(bytes, page))?;
+            return err.map_or(Ok(()), Err);
+        };
+        let mut stopped = false;
+        let scanned = tree.for_each_pinned(|key, bytes, page| {
+            let go = log.insert_below(runs, Some(key), |v| emit(v, None))
+                && match log.take_if(runs, |sur| sur == key) {
+                    None => emit(bytes, page),
+                    Some((_, ops)) => match Pending::net(Some(bytes), &ops) {
+                        Netted::Unchanged => emit(bytes, page),
+                        Netted::Put(v) => emit(&v, None),
+                        Netted::Remove => true,
+                    },
+                };
+            stopped = !go || log.failed(runs);
+            !stopped
+        });
+        if scanned.is_ok() && !stopped {
+            log.insert_below(runs, None, |v| emit(v, None));
+        }
+        let logged = self.finish(log);
+        scanned?;
+        logged?;
+        err.map_or(Ok(()), Err)
+    }
+
+    /// Batched fetch by *sorted* surrogates: each touched page is charged
+    /// at most once (the Yao-style scheduled access of the paper's
+    /// algorithms) — each run page of the log too, across all of this
+    /// reader's fetches, which must ask for rising surrogates.
+    pub fn fetch_by_surrogates(
+        &mut self,
+        sorted_surs: &[Surrogate],
+        mut f: impl FnMut(BaseTuple),
+    ) -> Result<()> {
+        let keys: Vec<u64> = sorted_surs.iter().map(|s| s.0 as u64).collect();
+        if self.tail.is_none() {
+            let mut err = None;
+            self.st.clustered.fetch_many(&keys, |_, bytes| {
+                if err.is_none() {
+                    match BaseTuple::from_bytes(bytes) {
+                        Ok(t) => f(t),
+                        Err(e) => err = Some(e),
+                    }
+                }
+            })?;
+            return err.map_or(Ok(()), Err);
+        }
+        if self.cursor.is_none() {
+            self.cursor = self.open()?;
+        }
+        let runs = &self.st.log.runs;
+        let cursor = self.cursor.as_mut().expect("a read-through has a cursor");
+        let chains = match cursor.chains_of(runs, &keys) {
+            Ok(chains) if !cursor.failed(runs) => chains,
+            chains => {
+                // The next fetch starts over at the head of the log.
+                let spent = self.cursor.take().expect("still there");
+                self.finish(spent)?;
+                chains?;
+                return Err(Error::Invariant("apply log ended early".into()));
+            }
+        };
+        // The log's operations are in hand: now the tree, in the same order.
+        let mut stored: Vec<(u64, Vec<u8>)> = Vec::new();
+        self.st.clustered.fetch_many(&keys, |sur, bytes| stored.push((sur, bytes.to_vec())))?;
+        let (mut at_tree, mut at_log) = (0, 0);
+        for &key in &keys {
+            while stored.get(at_tree).is_some_and(|(sur, _)| *sur < key) {
+                at_tree += 1;
+            }
+            while chains.get(at_log).is_some_and(|(sur, _)| *sur < key) {
+                at_log += 1;
+            }
+            let now = stored.get(at_tree).filter(|(sur, _)| *sur == key).map(|(_, v)| v.as_slice());
+            let bytes = match chains.get(at_log).filter(|(sur, _)| *sur == key) {
+                None => now.map(Cow::Borrowed),
+                Some((_, ops)) => match Pending::net(now, ops) {
+                    Netted::Unchanged => now.map(Cow::Borrowed),
+                    Netted::Put(v) => Some(Cow::Owned(v)),
+                    Netted::Remove => None,
+                },
+            };
+            if let Some(bytes) = bytes {
+                f(BaseTuple::from_bytes(&bytes)?);
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Drop for Reader<'_> {
+    fn drop(&mut self) {
+        if let Some(cursor) = self.cursor.take() {
+            // Past the last fetch: a failure there cost no answer.
+            let _ = self.finish(cursor);
+        }
     }
 }
 
@@ -1103,7 +1485,7 @@ mod tests {
         rel.delete(&BaseTuple::padded(Surrogate(99), 9, 64)).unwrap();
         assert_eq!(rel.pending_ops(), 22);
         assert!(cost.total().is_zero(), "queueing touches no page and charges nothing");
-        // Any reader settles first and sees every mutation.
+        // A point read settles first and sees every mutation.
         assert_eq!(rel.get(Surrogate(7)).unwrap().unwrap().key, 77);
         assert_eq!(rel.pending_ops(), 0);
         assert_eq!(rel.len(), 100);

@@ -1,0 +1,369 @@
+//! Reading a base relation through its apply log: a [`Reader`] that
+//! merges the queued mutations into what it reads must see exactly what a
+//! reader sees after a settle — ill-formed mutations included — leave the
+//! log as it found it, settle instead once reading through stops paying,
+//! and fail over to the strategies' restart and recovery paths when a run
+//! page cannot be read.
+
+use std::collections::BTreeMap;
+
+use proptest::prelude::*;
+
+use trijoin_common::{BaseTuple, Cost, Error, Surrogate, SystemParams};
+use trijoin_exec::hybridhash::spilled_partitions;
+use trijoin_exec::{
+    execute_collect, oracle, HybridHash, JoinIndexStrategy, JoinStrategy, Mutation, Reader,
+    StoredRelation, Update,
+};
+use trijoin_storage::{Disk, FaultPlan, FileId, SimDisk};
+
+const TUPLE: usize = 48;
+/// Tuples in the relation; surrogates up to `N + FRESH` are drawn, so
+/// some name nothing.
+const N: u32 = 300;
+const FRESH: u32 = 40;
+
+/// One queued mutation, well-formed or not: the relation is not told.
+#[derive(Debug, Clone)]
+enum Op {
+    Update { sur: u32, key: u64, p: u8 },
+    Insert { sur: u32, key: u64, p: u8 },
+    Delete { sur: u32 },
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    let sur = 0..N + FRESH;
+    // Few keys and payloads, so chains come back to where they started.
+    prop_oneof![
+        6 => (sur.clone(), 0u64..3, 0u8..2).prop_map(|(sur, key, p)| Op::Update { sur, key, p }),
+        2 => (sur.clone(), 0u64..3, 0u8..2).prop_map(|(sur, key, p)| Op::Insert { sur, key, p }),
+        2 => sur.prop_map(|sur| Op::Delete { sur }),
+    ]
+}
+
+fn tuple(sur: u32, key: u64, p: u8) -> BaseTuple {
+    BaseTuple::with_payload(Surrogate(sur), key, &[p], TUPLE).unwrap()
+}
+
+fn params() -> SystemParams {
+    SystemParams { page_size: 256, mem_pages: 64, ..SystemParams::paper_defaults() }
+}
+
+fn relation(disk: &Disk) -> StoredRelation {
+    let tuples = (0..N).map(|i| tuple(i, (i % 3) as u64, 0)).collect();
+    StoredRelation::build(disk, &params(), "R", tuples, false).unwrap()
+}
+
+fn enqueue(rel: &mut StoredRelation, op: &Op) {
+    match *op {
+        Op::Update { sur, key, p } => rel.apply_update(&tuple(sur, 0, 0), &tuple(sur, key, p)),
+        Op::Insert { sur, key, p } => rel.insert(&tuple(sur, key, p)),
+        Op::Delete { sur } => rel.delete(&tuple(sur, 0, 0)),
+    }
+    .unwrap();
+}
+
+fn scan(reader: &Reader<'_>) -> Vec<BaseTuple> {
+    let mut out = Vec::new();
+    reader.scan_refs(|t| out.push(t.to_tuple())).unwrap();
+    out
+}
+
+fn fetch(reader: &mut Reader<'_>, chunks: &[Vec<Surrogate>]) -> Vec<BaseTuple> {
+    let mut out = Vec::new();
+    for chunk in chunks {
+        reader.fetch_by_surrogates(chunk, |t| out.push(t)).unwrap();
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Scans and chunked, rising fetches through the log equal the same
+    /// reads after a settle; the log is untouched by them, and the settle
+    /// that follows refuses and writes what it would have anyway.
+    #[test]
+    fn reading_through_equals_settling_then_reading(
+        ops in prop::collection::vec(op(), 200..330),
+        cuts in prop::collection::vec((1usize..50, any::<bool>()), 1..40),
+    ) {
+        let (through_disk, settled_disk) =
+            (SimDisk::new(&params(), Cost::new()), SimDisk::new(&params(), Cost::new()));
+        let (mut through, mut settled) = (relation(&through_disk), relation(&settled_disk));
+        for op in &ops {
+            enqueue(&mut through, op);
+            enqueue(&mut settled, op);
+        }
+        // Rising chunks over every surrogate drawn, each chunk sometimes
+        // asking for its first surrogate twice.
+        let mut chunks: Vec<Vec<Surrogate>> = Vec::new();
+        let mut at = 0;
+        for (len, repeat) in cuts.iter().cycle() {
+            if at >= N + FRESH {
+                break;
+            }
+            let end = (at + *len as u32).min(N + FRESH);
+            let mut chunk: Vec<Surrogate> = (at..end).map(Surrogate).collect();
+            if *repeat {
+                chunk.insert(0, chunk[0]);
+            }
+            chunks.push(chunk);
+            at = end;
+        }
+
+        let queued = through.pending_ops();
+        let (scanned, fetched) = {
+            let reader = through.reader().unwrap();
+            prop_assert!(reader.pages_held() >= 3, "{} runs", reader.pages_held());
+            let scanned = scan(&reader);
+            let mut reader = through.reader().unwrap();
+            prop_assert!(reader.pages_held() >= 3);
+            (scanned, fetch(&mut reader, &chunks))
+        };
+        prop_assert_eq!(through.pending_ops(), queued);
+        prop_assert_eq!(through_disk.metrics().counter("base.settles"), 0);
+        prop_assert_eq!(through_disk.metrics().counter("base.read_through.reads"), 2);
+
+        let stats = settled.settle().unwrap();
+        let reader = settled.reader().unwrap();
+        prop_assert_eq!(reader.pages_held(), 0);
+        prop_assert_eq!(&scanned, &scan(&reader));
+        drop(reader);
+        prop_assert_eq!(&fetched, &fetch(&mut settled.reader().unwrap(), &chunks));
+
+        let later = through.settle().unwrap();
+        prop_assert_eq!((later.ops, later.rejected), (stats.ops, stats.rejected));
+        prop_assert_eq!(later.leaves_written, stats.leaves_written);
+        prop_assert_eq!(scan(&through.reader().unwrap()), scanned);
+        through.check_invariants().unwrap();
+    }
+}
+
+/// A 72-leaf relation with one spilled run: readers read through, 16 run
+/// pages each, until the pages read reach `2·min(leaves, queued)` = 144;
+/// the tenth reader settles instead. A log still in memory costs readers
+/// no page, so they never buy.
+#[test]
+fn readers_rent_the_log_until_a_settle_pays_then_buy() {
+    let params = SystemParams::paper_defaults();
+    let disk = SimDisk::new(&params, Cost::new());
+    // 14 tuples of 200 bytes to a leaf.
+    let tuples = (0..72 * 14).map(|i| BaseTuple::padded(Surrogate(i), i as u64, 200)).collect();
+    let mut rel = StoredRelation::build(&disk, &params, "R", tuples, false).unwrap();
+    assert_eq!(rel.data_pages(), 72);
+    let update = |i: u32| BaseTuple::padded(Surrogate(i * 3 % 1008), 7, 200);
+    let metrics = disk.metrics();
+    for i in 0..40 {
+        rel.apply_update(&update(i), &update(i)).unwrap();
+    }
+    for _ in 0..50 {
+        assert_eq!(rel.reader().unwrap().pages_held(), 0);
+    }
+    assert_eq!(metrics.counter("base.settles"), 0, "the buffer is free to read through");
+    // A buffer of 19 records a page, 16 pages: one run and a few more.
+    for i in 40..310 {
+        rel.apply_update(&update(i), &update(i)).unwrap();
+    }
+    assert_eq!(metrics.counter("base.apply_log.runs"), 1);
+    let mut count = 0;
+    for read in 1..=9u64 {
+        let reader = rel.reader().unwrap();
+        assert_eq!(reader.pages_held(), 1);
+        reader.scan_refs(|_| count += 1).unwrap();
+        assert_eq!(metrics.counter("base.read_through.pages"), 16 * read);
+    }
+    assert_eq!((count, metrics.counter("base.settles"), rel.pending_ops()), (9 * 1008, 0, 310));
+    let reader = rel.reader().unwrap();
+    assert_eq!((reader.pages_held(), metrics.counter("base.settles")), (0, 1));
+    assert_eq!(rel.pending_ops(), 0);
+    drop(reader);
+    // The settle started the count over.
+    for i in 0..310 {
+        rel.apply_update(&update(i), &update(i)).unwrap();
+    }
+    assert_eq!(rel.reader().unwrap().pages_held(), 1);
+    assert_eq!(metrics.counter("base.settles"), 1);
+}
+
+/// The pages a read-through holds count toward the log's peak, which
+/// stays within the log's bound.
+#[test]
+fn a_read_through_holds_its_run_pages_within_the_logs_bound() {
+    let disk = SimDisk::new(&params(), Cost::new());
+    let mut rel = relation(&disk);
+    for i in 0..500u32 {
+        rel.apply_update(&tuple(i % N, 0, 0), &tuple(i % N, 1, (i % 2) as u8)).unwrap();
+    }
+    assert_eq!(rel.apply_log_peak_pages(), 0, "nothing held yet");
+    let reader = rel.reader().unwrap();
+    let runs = reader.pages_held();
+    assert!(runs >= 7, "{runs} runs");
+    // The runs, and the buffer's pages beside them.
+    assert!(rel.apply_log_peak_pages() > runs);
+    assert!(rel.apply_log_peak_pages() <= rel.apply_log_bound_pages());
+}
+
+/// A settle that failed part-way leaves the log frozen: the next reader
+/// settles — resuming where the sweep stopped — rather than read through
+/// it, and sees every mutation once.
+#[test]
+fn a_reader_of_a_frozen_log_settles_and_reads_the_trees() {
+    let disk = SimDisk::new(&params(), Cost::new());
+    let mut rel = relation(&disk);
+    let mut mirror: BTreeMap<u32, BaseTuple> =
+        (0..N).map(|i| (i, tuple(i, i as u64 % 3, 0))).collect();
+    for i in 0..N {
+        let new = tuple(i, 2, 1);
+        rel.apply_update(&mirror[&i], &new).unwrap();
+        mirror.insert(i, new);
+    }
+    let clustered = rel.file_ids().next().unwrap();
+    disk.install_fault_plan(FaultPlan::new().fail_nth_read(Some(clustered), 9));
+    assert!(matches!(rel.settle().unwrap_err(), Error::DeviceFault { .. }));
+    let landed = disk.metrics().counter("base.settle.ops");
+    assert!(landed > 0 && landed < N as u64);
+    assert!(rel.settle_due(), "the log is frozen");
+    disk.clear_faults();
+    let reader = rel.reader().unwrap();
+    assert_eq!((reader.pages_held(), rel.pending_ops()), (0, 0));
+    assert_eq!(scan(&reader), mirror.into_values().collect::<Vec<_>>());
+    assert_eq!(disk.metrics().counter("base.read_through.reads"), 0);
+    assert_eq!(disk.metrics().counter("base.settle.ops"), N as u64, "every operation once");
+}
+
+/// `R` and `S` on one disk, a join index and hybrid hash over them, and a
+/// batch of mutations queued in `R`'s log (spilling runs) and in the join
+/// index's. Returns the run files the batch added to `R`'s log, and the
+/// oracle join after it.
+struct Fixture {
+    disk: Disk,
+    r: StoredRelation,
+    s: StoredRelation,
+    ji: JoinIndexStrategy,
+    hh: HybridHash,
+    runs: Vec<FileId>,
+    want: Vec<trijoin_common::ViewTuple>,
+}
+
+fn fixture_params() -> SystemParams {
+    SystemParams { page_size: 512, mem_pages: 24, ..SystemParams::paper_defaults() }
+}
+
+fn fixture() -> Fixture {
+    let params = fixture_params();
+    let cost = Cost::new();
+    let disk = SimDisk::new(&params, cost.clone());
+    let s_tuples: Vec<BaseTuple> = (0..200).map(|i| tuple(i, (i % 7) as u64, 0)).collect();
+    let mut mirror: BTreeMap<u32, BaseTuple> =
+        (0..200).map(|i| (i, tuple(i, (i % 7) as u64, 0))).collect();
+    let mut r =
+        StoredRelation::build(&disk, &params, "R", mirror.values().cloned().collect(), false)
+            .unwrap();
+    let s = StoredRelation::build(&disk, &params, "S", s_tuples.clone(), true).unwrap();
+    let mut ji = JoinIndexStrategy::build(&disk, &params, &cost, &r, &s).unwrap();
+    let hh = HybridHash::new(&disk, &params, &cost);
+    let mut batch = Vec::new();
+    for i in (0..200u32).rev().chain(0..200) {
+        let new = tuple(i, (i as u64 * 5 + batch.len() as u64) % 9, 1);
+        batch.push(Mutation::Update(Update { old: mirror.insert(i, new.clone()).unwrap(), new }));
+    }
+    batch.push(Mutation::Delete(mirror.remove(&3).unwrap()));
+    let fresh = tuple(500, 4, 2);
+    mirror.insert(500, fresh.clone());
+    batch.push(Mutation::Insert(fresh));
+    let before = disk.live_files();
+    for m in &batch {
+        r.apply_mutation(m).unwrap();
+    }
+    let runs: Vec<FileId> = disk.live_files().into_iter().filter(|f| !before.contains(f)).collect();
+    assert!(runs.len() >= 3, "{} runs", runs.len());
+    for m in &batch {
+        ji.on_mutation(m).unwrap();
+    }
+    let want = oracle::join_tuples(&mirror.into_values().collect::<Vec<_>>(), &s_tuples);
+    disk.metrics().reset();
+    Fixture { disk, r, s, ji, hh, runs, want }
+}
+
+/// Fail the third charged read of `file` `times` times running: once
+/// heals inside the run reader's own retries, three times exhausts them.
+fn fail_reads(file: FileId, times: usize) -> FaultPlan {
+    (0..times).fold(FaultPlan::new(), |plan, _| plan.fail_nth_read(Some(file), 2))
+}
+
+/// A run page of `R`'s log that will not read during hybrid hash's scan:
+/// one failure heals in the run reader's retry, three restart the join;
+/// either way the answer is the oracle's, the failed read leaves the log
+/// as it was, and the settle after it lands every operation once.
+#[test]
+fn hybrid_hash_restarts_past_an_unreadable_log_run() {
+    for (times, restarts) in [(1, 0), (3, 1)] {
+        let mut f = fixture();
+        let queued = f.r.pending_ops();
+        f.disk.install_fault_plan(fail_reads(f.runs[1], times));
+        let got = execute_collect(&mut f.hh, &f.r, &f.s).unwrap();
+        oracle::assert_same_join(&format!("hh, {times} failures"), got, f.want.clone());
+        let metrics = f.disk.metrics();
+        assert_eq!(f.disk.faults_fired(), times as u64);
+        assert_eq!(metrics.counter("hh.restarts"), restarts);
+        assert_eq!((f.r.pending_ops(), metrics.counter("base.settles")), (queued, 0));
+        let stats = f.r.settle().unwrap();
+        assert_eq!((stats.ops, stats.rejected), (queued, 0));
+        let again = execute_collect(&mut f.hh, &f.r, &f.s).unwrap();
+        oracle::assert_same_join("hh after the settle", again, f.want);
+    }
+}
+
+/// The same during a join-index pass: one failure heals in the run
+/// reader's retry and the passes go on; three send the query to the index's
+/// recovery, which settles `R` (every operation once) and rebuilds.
+#[test]
+fn a_join_index_pass_past_an_unreadable_log_run_answers_or_recovers() {
+    for (times, recoveries) in [(1, 0), (3, 1)] {
+        let mut f = fixture();
+        let queued = f.r.pending_ops();
+        f.disk.install_fault_plan(fail_reads(f.runs[0], times));
+        let got = execute_collect(&mut f.ji, &f.r, &f.s).unwrap();
+        oracle::assert_same_join(&format!("ji, {times} failures"), got, f.want.clone());
+        let metrics = f.disk.metrics();
+        assert_eq!(f.disk.faults_fired(), times as u64);
+        assert_eq!(metrics.counter("ji.recoveries"), recoveries);
+        if recoveries == 0 {
+            assert_eq!((f.r.pending_ops(), metrics.counter("base.settles")), (queued, 0));
+            assert_eq!(f.r.settle().unwrap().ops, queued);
+        } else {
+            assert_eq!(f.r.pending_ops(), 0);
+            assert_eq!(metrics.counter("base.settle.ops"), queued, "every operation once");
+        }
+        let again = execute_collect(&mut f.ji, &f.r, &f.s).unwrap();
+        oracle::assert_same_join("ji after the settle", again, f.want);
+        f.ji.index().check_invariants().unwrap();
+    }
+}
+
+/// Hybrid hash sizes its partitions from the `|M|` its read-through leaves
+/// it: one input page per run of `R`'s log is held while `R` is scanned.
+#[test]
+fn hybrid_hash_partitions_the_memory_the_read_through_leaves() {
+    let mut f = fixture();
+    for i in 0..1_000u32 {
+        let t = tuple(i % 200, (i % 9) as u64, 3);
+        f.r.apply_update(&t, &t).unwrap();
+    }
+    let (held, leaves) = {
+        let reader = f.r.reader().unwrap();
+        (reader.pages_held() as usize, reader.data_pages())
+    };
+    let params = fixture_params();
+    let left = SystemParams { mem_pages: params.mem_pages - held, ..params.clone() };
+    let b = spilled_partitions(leaves, &left);
+    assert!(b > spilled_partitions(leaves, &params), "{held} pages held");
+    let got = execute_collect(&mut f.hh, &f.r, &f.s).unwrap();
+    assert_eq!(f.disk.metrics().gauge("hh.spilled_partitions"), Some(b as f64));
+    f.r.settle().unwrap();
+    let (mut r_now, mut s_now) = (Vec::new(), Vec::new());
+    f.r.scan(|t| r_now.push(t)).unwrap();
+    f.s.scan(|t| s_now.push(t)).unwrap();
+    oracle::assert_same_join("hh", got, oracle::join_tuples(&r_now, &s_now));
+}

@@ -529,9 +529,10 @@ impl ShardWorker {
     }
 
     fn query(&mut self, method: Method) -> Result<Vec<ViewTuple>> {
-        // The strategy settles what it reads (a view leaves `R`'s log to
-        // grow); a structure this query has to build or rebuild first
-        // reads both relations, settled ahead of its section.
+        // The strategy reads the logs of what it reads through, or settles
+        // (a view leaves `R`'s log to grow); a structure this query has to
+        // build or rebuild first reads both relations, settled ahead of its
+        // section.
         let mut rows = match &mut self.mode {
             Mode::Pinned(set) => self.db.query(set.strategy(&self.db, method)?)?,
             // Adaptive shards ignore the requested method: the incumbent

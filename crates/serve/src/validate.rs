@@ -723,7 +723,11 @@ mod tests {
         let (report, outgrown) = report_with_gauge("base.apply_log.peak_pages", 35.0);
         validate_report_json("s.json", &report.to_json()).unwrap();
         let shard = &report.shards[0].metrics;
-        assert_eq!(shard.counter("base.settles"), 1, "the query settled the shard's updates");
+        // The query read the shard's updates through the log's buffer; the
+        // report settled them.
+        assert_eq!(shard.counter("base.read_through.reads"), 1);
+        assert_eq!(shard.counter("base.read_through.pages"), 0);
+        assert_eq!(shard.counter("base.settles"), 1, "the report settled the shard's updates");
         assert_eq!(shard.gauge("base.tree_height"), Some(2.0));
         // A few buffer pages and the two-level path, far under 16 + 16 + 2.
         let peak = shard.gauge("base.apply_log.peak_pages").expect("gauge is stamped");

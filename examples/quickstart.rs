@@ -118,9 +118,9 @@ fn main() {
     let upd = Update { old: old.clone(), new: new.clone() };
     mv.on_update(&upd).unwrap();
     ji.on_update(&upd).unwrap();
-    // Queued: the stored relation changes when it next settles — at any
-    // read of `R` (a query of a strategy that reads it), when its log is
-    // full, or at a commit or report.
+    // Queued: the stored relation changes when it next settles — when its
+    // log is full, at a commit or report, or for a reader once reading the
+    // log through stops paying.
     db.r_mut().apply_update(&old, &new).unwrap();
     db.settle().unwrap();
     println!(

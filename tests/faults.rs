@@ -358,17 +358,19 @@ fn adaptive_hand_off_write_fault_rolls_back_then_retries() {
 // ---------------------------------------------------------------------
 
 /// A transient read fault in the middle of the base relation's settle is
-/// the settle's error — a query whose strategy reads `R` fails in its
-/// preamble, before any section of its own opens; a view's query never
-/// goes back to `R`, answers, and leaves the fault to the settle someone
-/// asks for — and costs nothing else: what landed stays, the rest stays
-/// queued, the retry resumes there and every strategy answers the oracle
-/// join. The batch is large enough to have spilled runs, so the retry
-/// merges again.
+/// the settle's error, and costs nothing else: what landed stays, the rest
+/// stays queued, the retry resumes there and every strategy answers the
+/// oracle join. A query whose strategy reads `R` reads its log through
+/// until the run pages read reach what a settle would touch; the query
+/// whose reader then settles fails in its preamble, before any section of
+/// its own opens. A view's query never goes back to `R`, answers, and
+/// leaves the fault to the settle someone asks for. The batch is large
+/// enough to have spilled runs, so the retry merges again.
 #[test]
 fn settle_fault_mid_sweep_fails_the_query_and_the_retry_completes() {
     for method in Method::all() {
         let mut db = fresh_db();
+        let leaves = db.r().data_pages();
         let mut strategy = CachedStrategy::build(&db, method).unwrap();
         let mut mirror: std::collections::BTreeMap<u32, BaseTuple> =
             tuples(150).into_iter().map(|t| (t.sur.0, t)).collect();
@@ -397,13 +399,23 @@ fn settle_fault_mid_sweep_fails_the_query_and_the_retry_completes() {
         let want = oracle::join_tuples(&r_now, &tuples(150));
 
         let clustered = db.r().file_ids().next().unwrap();
-        db.install_fault_plan(FaultPlan::new().fail_nth_read(Some(clustered), 7));
+        let plan = FaultPlan::new().fail_nth_read(Some(clustered), 7);
         let err = if method == Method::MaterializedView {
+            db.install_fault_plan(plan);
             let got = db.query(strategy.as_dyn()).unwrap();
             oracle::assert_same_join("mv/R-unsettled", got, want.clone());
             assert_eq!((db.faults_fired(), db.metrics().counter("base.settles")), (0, 0));
             db.settle().unwrap_err()
         } else {
+            let settle_pages = 2 * leaves.min(batch.len() as u64);
+            while db.metrics().counter("base.read_through.pages") < settle_pages {
+                let got = db.query(strategy.as_dyn()).unwrap();
+                oracle::assert_same_join(&format!("{method}/read-through"), got, want.clone());
+                assert_eq!(db.metrics().counter("base.settles"), 0, "{method}");
+                assert_eq!(db.r().pending_ops(), batch.len() as u64, "{method}");
+            }
+            db.reset_observability();
+            db.install_fault_plan(plan);
             let err = db.query(strategy.as_dyn()).unwrap_err();
             let first = if method == Method::JoinIndex { "ji.read_diffs" } else { "hh.execute" };
             let spans = db.cost().span_tree();

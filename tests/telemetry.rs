@@ -125,11 +125,13 @@ fn every_cycle_and_apply_is_audited() {
         assert!(entry.predicted_us > 0.0, "{section}: model predicted a positive cost");
         assert!(entry.actual_us > 0.0, "{section}: ledger charged a positive cost");
     }
-    // Five updates queue up per round; the view's query leaves them
-    // queued, the join index's — the round's first that reads `R` —
-    // settles them in one sweep, hybrid hash finds nothing queued.
+    // Five updates queue up per round; no query settles them — the view's
+    // never reads `R`, the join index and hybrid hash read them through the
+    // log's buffer — and the report settles all fifteen in one sweep.
     let apply = series.audit_section("apply").expect("apply section present");
-    assert_eq!(apply.samples, 3, "one audit record per settle");
+    assert_eq!(apply.samples, 1, "one audit record per settle");
+    assert_eq!(report.metrics.counter("base.settle.ops"), 15);
+    assert_eq!(report.metrics.counter("base.read_through.reads"), 6);
     assert!(apply.predicted_us > 0.0 && apply.actual_us > 0.0);
 
     // Stock calibration stays quiet on this workload.
@@ -194,7 +196,9 @@ fn apply_section_tracks_the_scheduled_access_model() {
             for _ in 0..updates {
                 db.apply_r_update(&stream.next_update()).unwrap();
             }
+            // Hybrid hash reads the log through; the sweep is asked for.
             db.query(&mut hh).unwrap();
+            db.settle().unwrap();
         }
         let report = db.run_report("apply-audit");
         let apply = report.series[0].audit_section("apply").expect("apply section present");
