@@ -112,6 +112,11 @@ cargo test -q --release -p trijoin-serve --test golden_ledger
 # front of every query again, or a statistic that forces a sweep, fails
 # here rather than at the driver.
 cargo test -q --release -p trijoin --test mutations cycle_rounds_settle
+# The metrics registry is bounded by live files: 200 view cycles that each
+# seal and delete their differential runs leave the counter slots and the
+# telemetry baseline where the second cycle left them, with every I/O still
+# in the disk totals.
+cargo test -q --release -p trijoin --test observability registry_bound
 cargo test -q --release -p trijoin-serve --test serve hh_only_soak
 cargo test -q --release -p trijoin-serve --test serve churn_soak
 cargo test -q --release -p trijoin-storage --test recovery_memory

@@ -19,6 +19,12 @@
 //! across [`Metrics::reset`] (the intern table is retained; only values are
 //! cleared), which lets long-lived components resolve their counters once
 //! at construction.
+//!
+//! A counter that describes something short-lived (a file's I/O) is
+//! [`Metrics::retire`]d with it: its name leaves the registry and its slot
+//! is reused, so the registry scales with what is live, not with history.
+//! Each slot carries a generation that changes when it is retired, so a
+//! slot-indexed baseline can tell a reused slot from the one it knew.
 
 use crate::fx::FxHashMap;
 use crate::json::Json;
@@ -142,18 +148,22 @@ impl Histogram {
 /// One interned counter slot. `touched` distinguishes "registered by an
 /// add (possibly of 0)" from "merely handle-resolved": snapshots include
 /// only touched slots, preserving the first-touch registration semantics
-/// the string API always had.
+/// the string API always had. `generation` changes each time the slot is
+/// retired.
 #[derive(Debug)]
 struct CounterSlot {
     name: String,
     value: u64,
     touched: bool,
+    generation: u32,
 }
 
 #[derive(Debug, Default)]
 struct Registry {
     counter_ids: FxHashMap<String, usize>,
     counter_slots: Vec<CounterSlot>,
+    /// Retired slots, reused (last retired first) before the table grows.
+    free_slots: Vec<usize>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
 }
@@ -163,8 +173,18 @@ impl Registry {
         if let Some(&id) = self.counter_ids.get(name) {
             return id;
         }
-        let id = self.counter_slots.len();
-        self.counter_slots.push(CounterSlot { name: name.to_string(), value: 0, touched: false });
+        let id = match self.free_slots.pop() {
+            Some(id) => {
+                self.counter_slots[id].name.push_str(name);
+                id
+            }
+            None => {
+                let slot =
+                    CounterSlot { name: name.to_string(), value: 0, touched: false, generation: 0 };
+                self.counter_slots.push(slot);
+                self.counter_slots.len() - 1
+            }
+        };
         self.counter_ids.insert(name.to_string(), id);
         id
     }
@@ -217,6 +237,31 @@ impl Metrics {
         self.counter_add(name, 1);
     }
 
+    /// Drop a counter from the registry: its name leaves the intern table
+    /// (and so every later snapshot), and its slot goes on the free list
+    /// that the next new name reuses, under a new generation. `id` and
+    /// every copy of it are dead from here on: the owner must not add
+    /// through them again. Retiring a slot that is already free is a
+    /// no-op.
+    pub fn retire(&self, id: CounterId) {
+        let reg = &mut *self.0.borrow_mut();
+        let slot = &mut reg.counter_slots[id.0];
+        if reg.counter_ids.get(&slot.name) != Some(&id.0) {
+            return;
+        }
+        reg.counter_ids.remove(&slot.name);
+        slot.name.clear();
+        (slot.value, slot.touched) = (0, false);
+        slot.generation = slot.generation.wrapping_add(1);
+        reg.free_slots.push(id.0);
+    }
+
+    /// Counter slots the registry holds, live or free: what a slot-indexed
+    /// baseline grows to. Bounded by the most counters ever live at once.
+    pub fn counter_slots(&self) -> usize {
+        self.0.borrow().counter_slots.len()
+    }
+
     /// Current value of a counter (0 if never touched). Reading never
     /// registers the counter.
     pub fn counter(&self, name: &str) -> u64 {
@@ -247,16 +292,17 @@ impl Metrics {
         self.0.borrow().histograms.get(name).cloned()
     }
 
-    /// Visit every touched counter as `(slot, name, value)` without
-    /// allocating. Slot ids are stable for the registry's lifetime
-    /// (interned in first-touch order), so callers can keep slot-indexed
-    /// baselines — the telemetry window-close path, which runs too often
-    /// to afford a full [`Metrics::snapshot`].
-    pub fn visit_counters(&self, mut f: impl FnMut(usize, &str, u64)) {
+    /// Visit every touched counter as `(slot, generation, name, value)`
+    /// without allocating. A slot keeps its id until it is retired, and a
+    /// reused slot comes back under a new generation, so callers can keep
+    /// slot-indexed baselines keyed by `(slot, generation)` — the telemetry
+    /// window-close path, which runs too often to afford a full
+    /// [`Metrics::snapshot`].
+    pub fn visit_counters(&self, mut f: impl FnMut(usize, u32, &str, u64)) {
         let reg = self.0.borrow();
         for (id, slot) in reg.counter_slots.iter().enumerate() {
             if slot.touched {
-                f(id, &slot.name, slot.value);
+                f(id, slot.generation, &slot.name, slot.value);
             }
         }
     }
@@ -472,6 +518,34 @@ mod tests {
         m.incr_id(id);
         assert_eq!(m.counter("disk.reads"), 1);
         assert_eq!(m.snapshot().counters, vec![("disk.reads".to_string(), 1)]);
+    }
+
+    #[test]
+    fn retired_slots_leave_snapshots_and_are_reused_under_a_new_generation() {
+        let m = Metrics::new();
+        let keep = m.counter_handle("disk.reads");
+        let gone = m.counter_handle("disk.read.f7");
+        m.counter_add_id(gone, 5);
+        m.incr_id(keep);
+        let generation = |m: &Metrics, name: &str| {
+            let mut seen = None;
+            m.visit_counters(|_, g, n, _| seen = seen.or((n == name).then_some(g)));
+            seen
+        };
+        let before = generation(&m, "disk.read.f7").unwrap();
+        m.retire(gone);
+        m.retire(gone); // idempotent
+        assert_eq!(m.snapshot().counters, vec![("disk.reads".to_string(), 1)]);
+        assert_eq!(m.counter("disk.read.f7"), 0);
+        // The next new name takes the freed slot; the table does not grow.
+        let reused = m.counter_handle("disk.read.f8");
+        assert_eq!((reused, m.counter_slots()), (gone, 2));
+        m.incr_id(reused);
+        assert_eq!(m.counter("disk.read.f8"), 1, "the slot starts from zero");
+        assert_ne!(generation(&m, "disk.read.f8"), Some(before));
+        // A retired name interns afresh, and a live name stays put.
+        assert_eq!(m.counter_handle("disk.reads"), keep);
+        assert_eq!(m.counter_handle("disk.read.f7").0, 2);
     }
 
     #[test]

@@ -414,9 +414,11 @@ struct State {
     domain: String,
     started: bool,
     open_tick: u64,
-    /// Counter values at the last window edge, indexed by the registry's
-    /// stable counter-slot id — no names, no sort, no clone.
-    baseline_counters: Vec<u64>,
+    /// Counter `(generation, value)` at the last window edge, indexed by
+    /// the registry's counter-slot id — no names, no sort, no clone. A slot
+    /// seen under another generation was retired and reused since: its
+    /// baseline is 0.
+    baseline_counters: Vec<(u32, u64)>,
     /// Histograms at the last window edge, sorted by name. Entries are
     /// overwritten in place (`clone_from` reuses the bucket allocation).
     baseline_histograms: Vec<(String, Histogram)>,
@@ -432,11 +434,11 @@ impl State {
     fn arm_baseline(&mut self, metrics: &Metrics) {
         let bc = &mut self.baseline_counters;
         bc.clear();
-        metrics.visit_counters(|id, _, value| {
+        metrics.visit_counters(|id, generation, _, value| {
             if id >= bc.len() {
-                bc.resize(id + 1, 0);
+                bc.resize(id + 1, (0, 0));
             }
-            bc[id] = value;
+            bc[id] = (generation, value);
         });
         let bh = &mut self.baseline_histograms;
         bh.clear();
@@ -450,15 +452,16 @@ impl State {
         // clones every name and bucket vector in the registry).
         let mut counters = Vec::new();
         let bc = &mut self.baseline_counters;
-        metrics.visit_counters(|id, name, value| {
+        metrics.visit_counters(|id, generation, name, value| {
             if id >= bc.len() {
-                bc.resize(id + 1, 0);
+                bc.resize(id + 1, (0, 0));
             }
-            let delta = value.saturating_sub(bc[id]);
+            let (seen, base) = bc[id];
+            let delta = if seen == generation { value.saturating_sub(base) } else { value };
             if delta > 0 {
                 counters.push((name.to_string(), delta));
             }
-            bc[id] = value;
+            bc[id] = (generation, value);
         });
         // Slot order is first-touch order; windows serialize name-sorted.
         counters.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
@@ -666,6 +669,12 @@ impl Telemetry {
         st.dropped + st.windows.len() as u64
     }
 
+    /// Counter slots the window-delta baseline holds: at most the
+    /// registry's [`Metrics::counter_slots`].
+    pub fn baseline_slots(&self) -> usize {
+        self.0.borrow().baseline_counters.len()
+    }
+
     /// Snapshot the retained windows and lifetime audit totals.
     pub fn series(&self) -> SeriesSnapshot {
         let st = self.0.borrow();
@@ -734,6 +743,22 @@ mod tests {
             vec![("db.queries".to_string(), 2), ("other".to_string(), 1)]
         );
         assert_eq!(s.windows[1].index, 1);
+    }
+
+    #[test]
+    fn a_reused_slot_reports_the_new_counter_exactly() {
+        let (tel, m) = sampler(10, 8);
+        let old = m.counter_handle("disk.write.f1");
+        m.counter_add_id(old, 5);
+        tel.tick(0, &m);
+        m.retire(old);
+        let new = m.counter_handle("disk.write.f2");
+        assert_eq!(new, old, "the freed slot is reused");
+        m.counter_add_id(new, 3);
+        tel.tick(10, &m);
+        let s = tel.series();
+        assert_eq!(s.windows[0].counters, vec![("disk.write.f2".to_string(), 3)]);
+        assert_eq!(tel.baseline_slots(), m.counter_slots());
     }
 
     #[test]

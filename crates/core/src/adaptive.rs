@@ -26,11 +26,13 @@
 //! A serve shard drives the steps one per shard command;
 //! [`AdaptiveStrategy`] drives them to completion inside one `execute`.
 
-use trijoin_common::{Cost, EventKind, Result, SystemParams, TopKSketch, ViewTuple};
+use trijoin_common::{
+    Cost, CounterId, EventKind, Metrics, Result, SystemParams, TopKSketch, ViewTuple,
+};
 use trijoin_exec::{
     HybridHash, JoinIndexStrategy, JoinStrategy, MaterializedView, Mutation, StoredRelation,
 };
-use trijoin_model::Method;
+use trijoin_model::{Method, Workload};
 use trijoin_storage::{Disk, FileId};
 
 use crate::db::Database;
@@ -211,6 +213,33 @@ fn step_event(disk: &Disk, cost: &Cost, detail: String) {
     disk.events().emit(EventKind::MigrationStep, detail, cost.total());
 }
 
+/// The controller's counters, interned once at construction (`migrate.*`,
+/// and `shard.s_rebuilds` for the rebuilds `S` forces).
+struct Counters {
+    pending_logged: CounterId,
+    steps: CounterId,
+    count: CounterId,
+    started: CounterId,
+    rollbacks: CounterId,
+    rebuild_pages: CounterId,
+    s_rebuilds: CounterId,
+}
+
+impl Counters {
+    fn new(metrics: &Metrics) -> Counters {
+        let id = |name| metrics.counter_handle(name);
+        Counters {
+            pending_logged: id("migrate.pending_logged"),
+            steps: id("migrate.steps"),
+            count: id("migrate.count"),
+            started: id("migrate.started"),
+            rollbacks: id("migrate.rollbacks"),
+            rebuild_pages: id("migrate.rebuild_pages"),
+            s_rebuilds: id("shard.s_rebuilds"),
+        }
+    }
+}
+
 /// The adaptive controller: the incumbent structure, the usage statistics
 /// (window counts for the policy, a top-k key-skew sketch for the
 /// gauges), and the migration in flight (if any).
@@ -230,6 +259,7 @@ pub struct AdaptiveController {
     /// Telemetry windows seen at the last sketch decay.
     seen_windows: u64,
     queries: u64,
+    counters: Counters,
 }
 
 impl AdaptiveController {
@@ -247,6 +277,7 @@ impl AdaptiveController {
             sketch: TopKSketch::new(SKEW_CAPACITY),
             seen_windows: 0,
             queries: 0,
+            counters: Counters::new(disk.metrics()),
         }
     }
 
@@ -255,9 +286,9 @@ impl AdaptiveController {
     /// their presence whenever `serve.adaptive` is set). Call after the
     /// owner's post-construction observability reset.
     pub fn register_metrics(&self) {
-        for name in ["migrate.count", "migrate.steps", "migrate.rebuild_pages", "migrate.rollbacks"]
-        {
-            self.disk.metrics().counter_add(name, 0);
+        let c = &self.counters;
+        for id in [c.count, c.steps, c.rebuild_pages, c.rollbacks] {
+            self.disk.metrics().counter_add_id(id, 0);
         }
     }
 
@@ -306,7 +337,7 @@ impl AdaptiveController {
             MigrationState::Stable => {}
             MigrationState::Building { pending, .. } | MigrationState::Draining { pending, .. } => {
                 pending.push(m.clone());
-                self.disk.metrics().incr("migrate.pending_logged");
+                self.disk.metrics().incr_id(self.counters.pending_logged);
             }
         }
         Ok(())
@@ -338,7 +369,7 @@ impl AdaptiveController {
             };
             self.replace_current(next);
             db.audit_rebaseline(method);
-            self.disk.metrics().incr("shard.s_rebuilds");
+            self.disk.metrics().incr_id(self.counters.s_rebuilds);
         }
         self.s_dirty = false;
         Ok(())
@@ -377,7 +408,7 @@ impl AdaptiveController {
                 }
                 *cursor = end;
                 let (target, total) = (*target, rows.len());
-                self.disk.metrics().incr("migrate.steps");
+                self.disk.metrics().incr_id(self.counters.steps);
                 let detail = format!("build chunk {staged} rows ({end}/{total} staged)");
                 step_event(&self.disk, &self.cost, detail);
                 if end < total {
@@ -394,7 +425,7 @@ impl AdaptiveController {
                 };
                 let pages = built.cached_pages();
                 let pending = std::mem::take(pending);
-                self.disk.metrics().counter_add("migrate.rebuild_pages", pages);
+                self.disk.metrics().counter_add_id(self.counters.rebuild_pages, pages);
                 let detail = format!("built {target:?} ({pages} pages), draining");
                 step_event(&self.disk, &self.cost, detail);
                 self.migration = MigrationState::Draining { built: Box::new(built), pending };
@@ -406,7 +437,7 @@ impl AdaptiveController {
                     pending.iter().try_for_each(|m| built.as_dyn().on_mutation(m))?;
                 }
                 let drained = pending.len();
-                self.disk.metrics().incr("migrate.steps");
+                self.disk.metrics().incr_id(self.counters.steps);
                 // Swap: the caught-up target takes over; the old structure
                 // is destroyed. From here every mutation and query goes to
                 // the new incumbent.
@@ -418,7 +449,7 @@ impl AdaptiveController {
                 let (from, to) = (self.current.method(), built.method());
                 self.replace_current(*built);
                 self.cooldown = MIGRATION_COOLDOWN;
-                self.disk.metrics().incr("migrate.count");
+                self.disk.metrics().incr_id(self.counters.count);
                 step_event(&self.disk, &self.cost, format!("drained {drained} pending, swapped"));
                 self.disk.events().emit(
                     EventKind::StrategySwitch,
@@ -437,7 +468,7 @@ impl AdaptiveController {
         if let MigrationState::Draining { built, .. } = state {
             built.destroy();
         }
-        self.disk.metrics().incr("migrate.rollbacks");
+        self.disk.metrics().incr_id(self.counters.rollbacks);
         step_event(&self.disk, &self.cost, format!("rollback: {why}"));
     }
 
@@ -445,24 +476,26 @@ impl AdaptiveController {
     /// answer the incumbent just produced over `r` and `s` — when a
     /// migration starts, it is the staging source for the target.
     /// `windows_closed` is the engine's telemetry window count, when it
-    /// keeps one: the skew sketch ages on it.
+    /// keeps one: the skew sketch ages on it. The relation sizes are
+    /// [`StoredRelation::len_estimate`]s — a statistic does not settle a
+    /// relation. Returns the workload the next cycle was priced at.
     pub fn after_query(
         &mut self,
         r: &StoredRelation,
         s: &StoredRelation,
         rows: &[ViewTuple],
         windows_closed: Option<u64>,
-    ) {
+    ) -> Workload {
         self.queries += 1;
         self.decay_on_window(windows_closed);
         let tuple_bytes = (r.tuple_bytes(), s.tuple_bytes());
-        let w = self.stats.close(r.len(), s.len(), tuple_bytes, rows);
+        let w = self.stats.close(r.len_estimate(), s.len_estimate(), tuple_bytes, rows);
         if !matches!(self.migration, MigrationState::Stable) {
-            return;
+            return w;
         }
         if self.cooldown > 0 {
             self.cooldown -= 1;
-            return;
+            return w;
         }
         let kind = self.current.method();
         let decision = decide(&self.params, &w, kind);
@@ -475,7 +508,7 @@ impl AdaptiveController {
                 rows.len()
             );
             step_event(&self.disk, &self.cost, detail);
-            self.disk.metrics().incr("migrate.started");
+            self.disk.metrics().incr_id(self.counters.started);
             self.migration = MigrationState::Building {
                 target: best,
                 rows: rows.to_vec(),
@@ -484,6 +517,7 @@ impl AdaptiveController {
                 pending: Vec::new(),
             };
         }
+        w
     }
 
     /// Rolling-window decay, keyed to the engine's telemetry ticks: every
@@ -597,6 +631,8 @@ mod tests {
     struct Harness {
         db: Database,
         ctl: AdaptiveController,
+        /// The workload the last query priced the next cycle at.
+        priced: Option<Workload>,
     }
 
     impl Harness {
@@ -606,7 +642,7 @@ mod tests {
             let initial = CachedStrategy::build(&db, Method::MaterializedView).unwrap();
             let ctl = AdaptiveController::new(db.disk(), db.params(), db.cost(), initial);
             db.reset_observability();
-            (Harness { db, ctl }, gen)
+            (Harness { db, ctl, priced: None }, gen)
         }
 
         fn apply_batch(&mut self, batch: &[Mutation]) {
@@ -620,9 +656,68 @@ mod tests {
         fn query(&mut self) -> Vec<ViewTuple> {
             let mut rows = self.db.query(self.ctl.strategy()).unwrap();
             rows.sort_by_key(|t| (t.r_sur, t.s_sur));
-            self.ctl.after_query(self.db.r(), self.db.s(), &rows, None);
+            self.priced = Some(self.ctl.after_query(self.db.r(), self.db.s(), &rows, None));
             self.ctl.advance();
             rows
+        }
+
+        /// The `R` size the last query priced at.
+        fn priced_r(&self) -> u64 {
+            self.priced.as_ref().expect("a query ran").r_tuples as u64
+        }
+    }
+
+    #[test]
+    fn statistics_price_without_settling_r() {
+        // Light update-only traffic keeps the view, whose queries leave
+        // `R`'s log alone: nothing settles `R` until its log is full.
+        let s = spec(0.01, 0.02, 406);
+        let (mut h, gen) = Harness::new(&s);
+        let mut stream = gen.update_stream();
+        let settles = |h: &Harness| h.db.metrics().counter("base.settles");
+        let mut queries = 0;
+        'fill: loop {
+            for _ in 0..gen.updates_per_epoch() {
+                if h.db.r().settle_due() {
+                    break 'fill;
+                }
+                h.apply_batch(&[Mutation::Update(stream.next_update())]);
+            }
+            let got = h.query();
+            oracle::assert_same_join("light", got, oracle::join_tuples(stream.current(), &gen.s));
+            queries += 1;
+            assert_eq!(settles(&h), 0, "query {queries} settled a relation");
+            assert_eq!(h.priced_r(), u64::from(s.r_tuples), "update-only traffic prices exactly");
+        }
+        assert_eq!(h.ctl.current_method(), Method::MaterializedView);
+        assert!(queries > 10 && h.db.r().pending_ops() > 0, "{queries} queries");
+        // The full log settles when it takes the next mutation.
+        h.apply_batch(&[Mutation::Update(stream.next_update())]);
+        assert_eq!(settles(&h), 1);
+    }
+
+    #[test]
+    fn priced_size_is_the_settled_size_under_inserts_and_deletes() {
+        let s = spec(0.01, 0.02, 407);
+        let (mut h, gen) = Harness::new(&s);
+        let mut live: Vec<trijoin_common::BaseTuple> = gen.r.clone();
+        for round in 0..6u32 {
+            // Five inserts of fresh surrogates, then three deletes.
+            let mut batch: Vec<Mutation> = (0..5)
+                .map(|i| {
+                    let sur = trijoin_common::Surrogate(1_000_000 + round * 5 + i);
+                    let t = trijoin_common::BaseTuple::padded(sur, u64::from(i), s.tuple_bytes);
+                    live.push(t.clone());
+                    Mutation::Insert(t)
+                })
+                .collect();
+            batch.extend((0..3).map(|_| Mutation::Delete(live.swap_remove(round as usize * 7))));
+            h.apply_batch(&batch);
+            h.query();
+            assert!(h.db.r().pending_ops() > 0, "the query left R unsettled");
+            let priced = h.priced_r();
+            assert_eq!(priced, h.db.r().len(), "round {round}: len() settles, and agrees");
+            assert_eq!(priced, live.len() as u64);
         }
     }
 

@@ -590,6 +590,9 @@ impl Database {
         if bound > (APPLY_LOG_PAGES + APPLY_LOG_RUNS + height) as u64 {
             metrics.gauge_set("base.apply_log.bound_pages", bound as f64);
         }
+        // Per-file I/O counters die with their file: the report lists at
+        // most this many (a `report-validate` rule).
+        metrics.gauge_set("disk.live_files", self.disk.live_files().len() as f64);
         // Close the open telemetry window first so even a run shorter than
         // one window serializes a series (drift alerts it raises land in
         // the captured event log).

@@ -187,11 +187,18 @@ struct ResidentSet {
     /// Methods whose structure an `S` mutation released and no query has
     /// asked for since; building one of these is an `S` rebuild.
     stale: Vec<Method>,
+    /// `shard.builds`, `shard.build_errors`, `shard.evictions`,
+    /// `shard.s_rebuilds`.
+    counters: [CounterId; 4],
 }
 
 impl ResidentSet {
     fn new(db: &Database) -> ResidentSet {
-        ResidentSet { cached: Vec::new(), hh: db.hybrid_hash(), last: None, stale: Vec::new() }
+        let counters =
+            ["shard.builds", "shard.build_errors", "shard.evictions", "shard.s_rebuilds"]
+                .map(|name| db.metrics().counter_handle(name));
+        let hh = db.hybrid_hash();
+        ResidentSet { cached: Vec::new(), hh, last: None, stale: Vec::new(), counters }
     }
 
     /// The resident structure of a caching `method`, built from the current
@@ -206,16 +213,17 @@ impl ResidentSet {
         let at = match self.cached.iter().position(|c| c.method() == method) {
             Some(at) => at,
             None => {
+                let [builds, build_errors, _, s_rebuilds] = self.counters;
                 db.settle()?;
                 let built = {
                     let _section = db.cost().section("shard.build");
                     with_retry(|| CachedStrategy::build(db, method))
-                        .inspect_err(|_| db.metrics().incr("shard.build_errors"))?
+                        .inspect_err(|_| db.metrics().incr_id(build_errors))?
                 };
-                db.metrics().incr("shard.builds");
+                db.metrics().incr_id(builds);
                 if let Some(at) = self.stale.iter().position(|m| *m == method) {
                     self.stale.swap_remove(at);
-                    db.metrics().incr("shard.s_rebuilds");
+                    db.metrics().incr_id(s_rebuilds);
                 }
                 db.audit_rebaseline(method);
                 self.cached.push(built);
@@ -260,7 +268,7 @@ impl ResidentSet {
         let mut at = 0;
         while let Some(c) = self.cached.get(at) {
             if Some(c.method()) != self.last && c.pending_log_pages() > c.cached_pages() {
-                db.metrics().incr("shard.evictions");
+                db.metrics().incr_id(self.counters[2]);
                 self.cached.remove(at).destroy();
             } else {
                 at += 1;
@@ -297,6 +305,8 @@ struct ShardWorker {
     rejected_seen: [u64; 2],
     /// `shard.apply_errors`, then its split by relation: `.R`, `.S`.
     apply_errors: [CounterId; 3],
+    /// `shard.s_mutations`.
+    s_mutations: CounterId,
 }
 
 impl ShardWorker {
@@ -304,7 +314,9 @@ impl ShardWorker {
     fn start(index: usize, db: Database, mode: Mode) -> ShardWorker {
         let apply_errors = ["shard.apply_errors", "shard.apply_errors.R", "shard.apply_errors.S"]
             .map(|name| db.metrics().counter_handle(name));
-        ShardWorker { index, db, mode, since_query: 0, rejected_seen: [0; 2], apply_errors }
+        let s_mutations = db.metrics().counter_handle("shard.s_mutations");
+        let rejected_seen = [0; 2];
+        ShardWorker { index, db, mode, since_query: 0, rejected_seen, apply_errors, s_mutations }
     }
 
     fn build(spec: ShardSpec) -> Result<ShardWorker> {
@@ -500,7 +512,7 @@ impl ShardWorker {
     /// stale and aborts any in-flight migration — the structure it was
     /// staging is stale the moment `S` changes.
     fn apply_s(&mut self, m: &Mutation) -> Result<()> {
-        self.db.metrics().incr("shard.s_mutations");
+        self.db.metrics().incr_id(self.s_mutations);
         self.db.s_mut().apply_mutation(m)?;
         match &mut self.mode {
             Mode::Pinned(set) => set.release_stale(),

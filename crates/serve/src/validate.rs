@@ -291,6 +291,36 @@ fn check_apply_log_bound(
     }
 }
 
+/// Per-file I/O counters (`disk.read.f<N>`, `disk.write.f<N>`) describe
+/// live files: the disk retires a file's pair when it deletes the file, so
+/// a report names at most `disk.live_files` distinct files among them. More
+/// means some layer still counts history — every run file a query ever
+/// sealed. Reports from builds without the gauge owe nothing.
+fn check_live_file_counters(
+    path: &str,
+    owner: &str,
+    metrics: &trijoin_common::MetricsSnapshot,
+) -> Result<(), String> {
+    let Some(live) = metrics.gauge("disk.live_files") else { return Ok(()) };
+    let mut files: Vec<&str> = metrics
+        .counters
+        .iter()
+        .filter_map(|(k, _)| {
+            k.strip_prefix("disk.read.f").or_else(|| k.strip_prefix("disk.write.f"))
+        })
+        .collect();
+    files.sort_unstable();
+    files.dedup();
+    if files.len() as f64 > live {
+        return Err(format!(
+            "{path}: {owner} carries per-file I/O counters for {} files, above its \
+             disk.live_files = {live}",
+            files.len()
+        ));
+    }
+    Ok(())
+}
+
 /// Validate a plain run report (`trijoin run --report`).
 pub fn validate_run_report(path: &str, json: &Json) -> Result<String, String> {
     validate_run_report_with(path, json, 0)
@@ -312,6 +342,7 @@ pub fn validate_run_report_with(
     check_wal_marker(path, "run report", &report.metrics)?;
     check_recovery_bound(path, "run report", &report.metrics)?;
     check_apply_log_bound(path, "run report", &report.metrics)?;
+    check_live_file_counters(path, "run report", &report.metrics)?;
     let mut summary = format!(
         "{path}: ok — report {:?} with {} spans, {} metrics counters, {} events, {} deltas",
         report.name,
@@ -382,6 +413,7 @@ pub fn validate_sharded_report_with(
         check_recovery_bound(path, &shard.name, &shard.metrics)?;
         check_base_pages_bound(path, &shard.name, &shard.metrics)?;
         check_apply_log_bound(path, &shard.name, &shard.metrics)?;
+        check_live_file_counters(path, &shard.name, &shard.metrics)?;
         if pinned {
             check_residency_bound(path, &shard.name, &shard.metrics)?;
         }
@@ -756,6 +788,24 @@ mod tests {
         let run = queued.shards[0].to_json();
         let err = validate_report_json("r.json", &run).unwrap_err();
         assert!(err.contains("run report") && err.contains("base.apply_log.pending"), "{err}");
+    }
+
+    #[test]
+    fn per_file_counters_beyond_the_live_files_are_rejected() {
+        let (report, _) = report_with_gauge("disk.live_files", 0.0);
+        validate_report_json("s.json", &report.to_json()).unwrap();
+        let shard = &report.shards[0].metrics;
+        let live = shard.gauge("disk.live_files").expect("gauge is stamped");
+        let named = shard.counters.iter().filter(|(k, _)| k.starts_with("disk.read.f")).count();
+        assert!(named > 0 && named as f64 <= live, "{named} files read, {live} live");
+        // A report naming one file more than the disk holds counts history.
+        let mut stale = report.clone();
+        let gauges = &mut stale.shards[0].metrics.gauges;
+        gauges.iter_mut().find(|(k, _)| k == "disk.live_files").unwrap().1 = named as f64 - 1.0;
+        let err = validate_report_json("s.json", &stale.to_json()).unwrap_err();
+        assert!(err.contains("shard0") && err.contains("disk.live_files"), "{err}");
+        let err = validate_report_json("r.json", &stale.shards[0].to_json()).unwrap_err();
+        assert!(err.contains("run report") && err.contains("disk.live_files"), "{err}");
     }
 
     #[test]

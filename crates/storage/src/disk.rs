@@ -268,8 +268,10 @@ pub struct SimDisk {
     c_reads: CounterId,
     c_writes: CounterId,
     /// Per-file `(read, write)` counter handles, indexed by `FileId`,
-    /// interned at `create_file` time.
-    file_counters: RefCell<Vec<(CounterId, CounterId)>>,
+    /// interned at `create_file` time and retired at `delete_file`
+    /// (`None` from then on), so the registry holds the counters of live
+    /// files only.
+    file_counters: RefCell<Vec<Option<(CounterId, CounterId)>>>,
     /// Frame-carrying commits since the last checkpoint (drives the
     /// every-N auto-checkpoint policy on WAL backends).
     commits_since_ckpt: Cell<u64>,
@@ -280,6 +282,16 @@ pub struct SimDisk {
 
 /// Shared handle to a [`SimDisk`]; the simulator is single-threaded.
 pub type Disk = Rc<SimDisk>;
+
+/// Intern `file`'s per-file I/O counters once, at creation, so the
+/// read/write hot paths never format a name. Resolving a handle does not
+/// register the counter: an untouched file stays out of snapshots.
+fn intern_file_counters(metrics: &Metrics, file: FileId) -> (CounterId, CounterId) {
+    (
+        metrics.counter_handle(&format!("disk.read.f{}", file.0)),
+        metrics.counter_handle(&format!("disk.write.f{}", file.0)),
+    )
+}
 
 impl SimDisk {
     /// Create a disk over the in-memory backend with the page size of
@@ -308,11 +320,9 @@ impl SimDisk {
         let c_reads = metrics.counter_handle("disk.reads");
         let c_writes = metrics.counter_handle("disk.writes");
         let file_counters = (0..backend_dyn.file_count())
-            .map(|n| {
-                (
-                    metrics.counter_handle(&format!("disk.read.f{n}")),
-                    metrics.counter_handle(&format!("disk.write.f{n}")),
-                )
+            .map(FileId)
+            .map(|file| {
+                backend_dyn.num_pages(file).is_ok().then(|| intern_file_counters(&metrics, file))
             })
             .collect();
         let events = EventLog::new();
@@ -594,23 +604,26 @@ impl SimDisk {
     /// Create a new, empty file.
     pub fn create_file(&self) -> FileId {
         let id = self.backend.as_dyn().create_file();
-        // Intern this file's per-file I/O counters once, here, so the
-        // read/write hot paths never format a name again. Resolving a
-        // handle does not register the counter: an untouched file still
-        // stays out of snapshots.
-        self.file_counters.borrow_mut().push((
-            self.metrics.counter_handle(&format!("disk.read.f{}", id.0)),
-            self.metrics.counter_handle(&format!("disk.write.f{}", id.0)),
-        ));
+        let counters = intern_file_counters(&self.metrics, id);
+        let mut file_counters = self.file_counters.borrow_mut();
+        debug_assert_eq!(file_counters.len(), id.0 as usize, "file ids are dense");
+        file_counters.push(Some(counters));
         id
     }
 
-    /// Delete a file, releasing its pages and any damage marks on them.
-    /// Idempotent.
+    /// Delete a file, releasing its pages, any damage marks on them and
+    /// its per-file I/O counters (`disk.reads` / `disk.writes` and the
+    /// span tree keep its I/O). Idempotent.
     pub fn delete_file(&self, file: FileId) {
         self.backend.as_dyn().delete_file(file);
         self.poisoned.borrow_mut().retain(|&(f, _)| f != file.0);
         self.torn.borrow_mut().retain(|&(f, _)| f != file.0);
+        let retired =
+            self.file_counters.borrow_mut().get_mut(file.0 as usize).and_then(Option::take);
+        if let Some((read, write)) = retired {
+            self.metrics.retire(read);
+            self.metrics.retire(write);
+        }
     }
 
     /// Ids of the files currently live on the backend, ascending
@@ -643,12 +656,21 @@ impl SimDisk {
         Ok(())
     }
 
+    /// The live file's `(read, write)` counter handles (`None` once the
+    /// file is deleted: nothing can charge a slot a later file reuses).
+    #[inline]
+    fn file_counters(&self, file: FileId) -> Option<(CounterId, CounterId)> {
+        self.file_counters.borrow().get(file.0 as usize).copied().flatten()
+    }
+
     /// Charge one successful read of `pid` into the ledger and metrics.
     #[inline]
     fn charge_read(&self, pid: PageId) {
         self.cost.io(1);
         self.metrics.incr_id(self.c_reads);
-        self.metrics.incr_id(self.file_counters.borrow()[pid.file.0 as usize].0);
+        if let Some((read, _)) = self.file_counters(pid.file) {
+            self.metrics.incr_id(read);
+        }
     }
 
     /// Read a page, charging one random I/O. Damaged (torn/poisoned) pages
@@ -754,7 +776,9 @@ impl SimDisk {
         self.backend.write_page(pid, PageWrite::Borrowed(data))?;
         self.cost.io(1);
         self.metrics.incr_id(self.c_writes);
-        self.metrics.incr_id(self.file_counters.borrow()[pid.file.0 as usize].1);
+        if let Some((_, write)) = self.file_counters(pid.file) {
+            self.metrics.incr_id(write);
+        }
         // A successful full-page write heals any damage mark.
         self.torn.borrow_mut().remove(&(pid.file.0, pid.page));
         self.poisoned.borrow_mut().remove(&(pid.file.0, pid.page));
@@ -1069,6 +1093,30 @@ mod tests {
         assert_eq!(d.events().count_of(EventKind::FaultFired), 1);
         let event = &d.events().events()[0];
         assert!(event.detail.contains("transient on read"), "{}", event.detail);
+    }
+
+    #[test]
+    fn deleting_a_file_retires_its_counters_and_its_io_fails_uncounted() {
+        let (d, c) = disk();
+        let data = vec![4u8; d.page_size()];
+        let f = d.create_file();
+        let pid = d.append_page(f, &data).unwrap();
+        d.read_page(pid).unwrap();
+        let slots = d.metrics().counter_slots();
+        d.delete_file(f);
+        d.delete_file(f); // idempotent
+        let m = d.metrics();
+        assert_eq!(m.counter(&format!("disk.write.f{}", f.0)), 0);
+        assert!(m.snapshot().counters.iter().all(|(k, _)| !k.ends_with(&format!(".f{}", f.0))));
+        let (before, ios) = (m.snapshot(), c.total().ios);
+        assert!(d.read_page(pid).is_err() && d.write_page(pid, &data).is_err());
+        assert_eq!((m.snapshot(), c.total().ios), (before, ios), "nothing was charged");
+        // The next file takes the freed slots; the totals keep every I/O.
+        let g = d.create_file();
+        d.append_page(g, &data).unwrap();
+        assert_eq!(m.counter_slots(), slots);
+        assert_eq!(m.counter(&format!("disk.write.f{}", g.0)), 1);
+        assert_eq!((m.counter("disk.writes"), m.counter("disk.reads")), (2, 1));
     }
 
     #[test]

@@ -94,6 +94,79 @@ fn query_is_observed_with_events_and_counters() {
     assert_eq!(end.at, db.cost().total());
 }
 
+/// The metrics registry scales with live files, not with every file ever
+/// created: 200 view cycles, each sealing its differential into run files
+/// the query then deletes, leave the counter slots and the telemetry
+/// baseline where the second cycle left them, while the disk totals keep
+/// every I/O.
+#[test]
+fn registry_bound_holds_over_view_cycles() {
+    use trijoin_common::{Telemetry, TelemetryConfig};
+    let spec = WorkloadSpec { r_tuples: 1_000, s_tuples: 1_000, ..spec() };
+    let gen = spec.generate();
+    let mut db = Database::new(&params(), gen.r.clone(), gen.s.clone()).unwrap();
+    let mut mv = db.materialized_view().unwrap();
+    db.reset_observability();
+    db.enable_telemetry(TelemetryConfig::default());
+    // A second sampler over the engine's registry, closing a window a
+    // cycle, exposes the baseline the engine's own sampler keeps.
+    let tel = Telemetry::new(TelemetryConfig { window_ticks: 1, ..Default::default() }, "t", "ops");
+    let m = db.metrics().clone();
+    tel.tick(0, &m);
+    let mut stream = gen.update_stream();
+    let mut sizes = Vec::new();
+    for cycle in 1..=200 {
+        for _ in 0..gen.updates_per_epoch() {
+            let u = stream.next_update();
+            mv.on_update(&u).unwrap();
+            db.apply_r_update(&u).unwrap();
+        }
+        db.query(&mut mv).unwrap();
+        db.settle().unwrap();
+        let report = db.run_report("cycle");
+        let live = report.metrics.gauge("disk.live_files").unwrap();
+        let named = report.metrics.counters.iter().filter(|(k, _)| k.starts_with("disk.write.f"));
+        assert!(named.count() as f64 <= live, "per-file counters of deleted files");
+        tel.tick(cycle, &m);
+        sizes.push((m.counter_slots(), tel.baseline_slots()));
+    }
+    assert!(sizes[1..].iter().all(|&s| s == sizes[1]), "the registry grew: {sizes:?}");
+    let slots = sizes[1].0;
+    assert!(slots < 64, "{slots} counter slots for a handful of live files");
+    // The disk totals are the ledger's I/O, the same counts as when every
+    // file's counters outlived it (and 402 files had a write counter).
+    assert_eq!(m.counter("disk.reads") + m.counter("disk.writes"), db.cost().total().ios);
+    assert_eq!((m.counter("disk.reads"), m.counter("disk.writes")), (15_227, 10_267));
+
+    // A window straddling a slot reuse reports the new file's writes
+    // exactly, and an I/O on a deleted file touches no counter.
+    let disk = db.disk();
+    let page = vec![3u8; disk.page_size()];
+    let old = disk.create_file();
+    for _ in 0..5 {
+        let pid = disk.append_page(old, &page).unwrap();
+        disk.read_page(pid).unwrap();
+    }
+    tel.tick(201, &m);
+    disk.delete_file(old);
+    let (before, ios) = (m.snapshot(), db.cost().total().ios);
+    assert!(disk.read_page(trijoin_storage::PageId::new(old, 0)).is_err());
+    assert_eq!((m.snapshot(), db.cost().total().ios), (before, ios));
+    let new = disk.create_file();
+    for _ in 0..3 {
+        disk.append_page(new, &page).unwrap();
+    }
+    assert_eq!(m.counter_slots(), slots, "the new file took the freed slots");
+    tel.tick(202, &m);
+    let series = tel.series();
+    let window = series.windows.last().unwrap();
+    let delta = |name: &str| window.counters.iter().find(|(k, _)| k == name).map(|c| c.1);
+    assert_eq!(delta(&format!("disk.write.f{}", new.0)), Some(3));
+    assert_eq!(delta("disk.writes"), Some(3));
+    assert_eq!(delta(&format!("disk.read.f{}", new.0)), None);
+    assert_eq!(tel.baseline_slots(), slots);
+}
+
 /// Bit-distance between two f64s ("within 1 ULP" made literal).
 fn ulp_distance(a: f64, b: f64) -> u64 {
     (a.to_bits() as i64).abs_diff(b.to_bits() as i64)
