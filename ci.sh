@@ -181,14 +181,17 @@ fi
 # One deferred view: differentials are netted by the `DiffPair` behind MV
 # and JI, the view file's buckets are merged into (never rewritten whole)
 # by the materialized view, nowhere else; planned faults are the one fault
-# mechanism.
+# mechanism; and a mutation of `S` is folded like one of `R`, never by
+# throwing a cached structure away and rebuilding it.
 if grep -rl "net_differentials(" crates/exec/src \
         | grep -v "^crates/exec/src/\(diff\|mv\|joinindex\)\.rs$" \
     || grep -rl "open_bucket(" crates/exec/src \
         | grep -v "^crates/exec/src/mv\.rs$" \
     || grep -rn "rewrite_bucket(" crates/exec/src \
-    || grep -rn "Error::Faulted\|inject_fault" crates tests examples; then
-    echo "a second deferred view, or the legacy one-shot fault, is back"; exit 1
+    || grep -rn "Error::Faulted\|inject_fault" crates tests examples \
+    || grep -rnE "release_stale|rebuild_if_stale|rebuild_if_dirty|new_bilateral|s_rebuild" \
+        crates tests examples; then
+    echo "a second deferred view, the legacy one-shot fault, or a rebuild on S is back"; exit 1
 fi
 
 echo "==> crash-recovery gate"

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release -p trijoin-bench --bin ablation_skew`
 
-use trijoin::{Database, JoinStrategy, Method, SystemParams, WorkloadSpec};
+use trijoin::{CachedStrategy, Database, Method, SystemParams, WorkloadSpec};
 use trijoin_bench::emit_json;
 use trijoin_common::Json;
 use trijoin_exec::{execute_collect, oracle};
@@ -48,11 +48,8 @@ fn main() {
         let mut secs = Vec::new();
         for method in Method::all() {
             let mut db = Database::new(&params, gen.r.clone(), gen.s.clone()).unwrap();
-            let mut strategy: Box<dyn JoinStrategy> = match method {
-                Method::MaterializedView => Box::new(db.materialized_view().unwrap()),
-                Method::JoinIndex => Box::new(db.join_index().unwrap()),
-                Method::HybridHash => Box::new(db.hybrid_hash()),
-            };
+            let mut cached = CachedStrategy::build(&db, method).unwrap();
+            let strategy = cached.as_dyn();
             let mut stream = gen.update_stream();
             db.reset_cost();
             for _ in 0..gen.updates_per_epoch() {
@@ -61,7 +58,7 @@ fn main() {
                 db.r_mut().apply_update(&u.old, &u.new).unwrap();
             }
             db.settle().unwrap();
-            let got = execute_collect(strategy.as_mut(), db.r(), db.s()).unwrap();
+            let got = execute_collect(strategy, db.r(), db.s()).unwrap();
             // Correctness under skew is part of the ablation.
             let want = oracle::join_tuples(stream.current(), &gen.s);
             oracle::assert_same_join(&format!("theta={theta} {method}"), got, want);

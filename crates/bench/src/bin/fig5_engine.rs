@@ -15,7 +15,7 @@
 //!
 //! Run with: `cargo run --release -p trijoin-bench --bin fig5_engine`
 
-use trijoin::{Database, Fig5Breakdown, JoinStrategy, Method, SystemParams, WorkloadSpec};
+use trijoin::{CachedStrategy, Database, Fig5Breakdown, Method, SystemParams, WorkloadSpec};
 use trijoin_bench::emit_json;
 use trijoin_common::Json;
 use trijoin_model::all_costs;
@@ -44,11 +44,8 @@ fn main() {
         let model = all_costs(&params, &measured);
         for method in Method::all() {
             let mut db = Database::new(&params, gen.r.clone(), gen.s.clone()).unwrap();
-            let mut strategy: Box<dyn JoinStrategy> = match method {
-                Method::MaterializedView => Box::new(db.materialized_view().unwrap()),
-                Method::JoinIndex => Box::new(db.join_index().unwrap()),
-                Method::HybridHash => Box::new(db.hybrid_hash()),
-            };
+            let mut cached = CachedStrategy::build(&db, method).unwrap();
+            let strategy = cached.as_dyn();
             let mut stream = gen.update_stream();
             db.reset_cost();
             for _ in 0..gen.updates_per_epoch() {

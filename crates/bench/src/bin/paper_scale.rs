@@ -11,7 +11,7 @@
 //! (takes a couple of minutes of wall-clock; the *simulated* times are
 //! what's being measured).
 
-use trijoin::{Database, JoinStrategy, Method, WorkloadSpec};
+use trijoin::{CachedStrategy, Database, Method, WorkloadSpec};
 use trijoin_bench::{emit_json, paper_params};
 use trijoin_common::Json;
 use trijoin_model::all_costs;
@@ -49,11 +49,8 @@ fn main() {
     for method in Method::all() {
         eprintln!("building database + {} cache...", method);
         let mut db = Database::new(&params, gen.r.clone(), gen.s.clone()).unwrap();
-        let mut strategy: Box<dyn JoinStrategy> = match method {
-            Method::MaterializedView => Box::new(db.materialized_view().unwrap()),
-            Method::JoinIndex => Box::new(db.join_index().unwrap()),
-            Method::HybridHash => Box::new(db.hybrid_hash()),
-        };
+        let mut cached = CachedStrategy::build(&db, method).unwrap();
+        let strategy = cached.as_dyn();
         let mut stream = gen.update_stream();
         eprintln!("applying {} updates...", gen.updates_per_epoch());
         // Measure strategy-attributable cost: the strategies' own sections

@@ -179,6 +179,34 @@ fn params_from(args: &Args) -> Result<SystemParams, String> {
     })
 }
 
+/// What `serve` and `top` parse alike: the method queries name, the
+/// workload seeded from `seed`, and the durable store (`--deferred` needs
+/// one).
+fn serve_args(
+    args: &Args,
+    seed: u64,
+) -> Result<(Method, WorkloadSpec, Option<std::path::PathBuf>, bool), String> {
+    let method = match args.str("strategy", "hh").as_str() {
+        "mv" => Method::MaterializedView,
+        "ji" => Method::JoinIndex,
+        "hh" => Method::HybridHash,
+        other => return Err(format!("--strategy: unknown {other:?} (mv|ji|hh)")),
+    };
+    let spec = WorkloadSpec::paper_scaled(
+        args.u64("scale", 200)? as u32,
+        args.f64("sr", 0.01)?,
+        args.f64("activity", 0.06)?,
+        args.f64("pra", 0.1)?,
+        trijoin_common::rng::derive(seed, "workload"),
+    );
+    let durable_dir = args.opt_str("durable").map(std::path::PathBuf::from);
+    let deferred = args.flag("deferred");
+    if deferred && durable_dir.is_none() {
+        return Err("--deferred needs --durable".into());
+    }
+    Ok((method, spec, durable_dir, deferred))
+}
+
 fn workload_from(args: &Args) -> Result<Workload, String> {
     let sr = args.f64("sr", 0.01)?;
     let activity = args.f64("activity", 0.06)?;
@@ -393,27 +421,10 @@ fn serve(args: &Args) -> Result<(), String> {
     if shards == 0 || clients == 0 || queries == 0 || ring == 0 {
         return Err("--shards, --clients, --queries and --ring must be positive".into());
     }
-    let method = match args.str("strategy", "hh").as_str() {
-        "mv" => Method::MaterializedView,
-        "ji" => Method::JoinIndex,
-        "hh" => Method::HybridHash,
-        other => return Err(format!("--strategy: unknown {other:?} (mv|ji|hh)")),
-    };
-    let spec = WorkloadSpec::paper_scaled(
-        args.u64("scale", 200)? as u32,
-        args.f64("sr", 0.01)?,
-        args.f64("activity", 0.06)?,
-        args.f64("pra", 0.1)?,
-        trijoin_common::rng::derive(seed, "workload"),
-    );
+    let (method, spec, durable_dir, deferred) = serve_args(args, seed)?;
     let params = params_from(args)?;
     let gen = spec.generate();
-    let durable_dir = args.opt_str("durable").map(std::path::PathBuf::from);
     let durable = durable_dir.is_some();
-    let deferred = args.flag("deferred");
-    if deferred && !durable {
-        return Err("--deferred needs --durable".into());
-    }
     let durability =
         if deferred { trijoin_storage::Durability::Deferred } else { Default::default() };
     let adaptive = args.flag("adaptive");
@@ -586,28 +597,11 @@ fn top(args: &Args) -> Result<(), String> {
     if shards == 0 || clients == 0 || queries == 0 || ring == 0 {
         return Err("--shards, --clients, --queries and --ring must be positive".into());
     }
-    let method = match args.str("strategy", "hh").as_str() {
-        "mv" => Method::MaterializedView,
-        "ji" => Method::JoinIndex,
-        "hh" => Method::HybridHash,
-        other => return Err(format!("--strategy: unknown {other:?} (mv|ji|hh)")),
-    };
-    let spec = WorkloadSpec::paper_scaled(
-        args.u64("scale", 200)? as u32,
-        args.f64("sr", 0.01)?,
-        args.f64("activity", 0.06)?,
-        args.f64("pra", 0.1)?,
-        trijoin_common::rng::derive(seed, "workload"),
-    );
+    let (method, spec, durable_dir, deferred) = serve_args(args, seed)?;
     let params =
         SystemParams { mem_pages: args.u64("mem", 80)? as usize, ..SystemParams::paper_defaults() };
     let gen = spec.generate();
-    let durable_dir = args.opt_str("durable").map(std::path::PathBuf::from);
     let durable = durable_dir.is_some();
-    let deferred = args.flag("deferred");
-    if deferred && !durable {
-        return Err("--deferred needs --durable".into());
-    }
     let durability =
         if deferred { trijoin_storage::Durability::Deferred } else { Default::default() };
     let adaptive = args.flag("adaptive");

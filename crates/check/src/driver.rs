@@ -119,8 +119,8 @@ pub struct CheckOutcome {
     /// Completed strategy migrations across every adaptive server
     /// (adaptive scripts only; 0 when `spec.adaptive` is off).
     pub migrations: usize,
-    /// Migration rollbacks across every adaptive server (device faults or
-    /// `S` mutations landing mid-migration).
+    /// Migration rollbacks across every adaptive server (device faults
+    /// landing mid-migration).
     pub migration_rollbacks: usize,
     /// Per-adaptive-server migration totals as `(shard_count, migrations)`,
     /// in `shard_counts` order — lets callers assert that every
@@ -151,7 +151,6 @@ struct Engine {
     method: Method,
     db: Database,
     cached: CachedStrategy,
-    s_dirty: bool,
     /// Durable-store directory (`None` on the in-memory backend).
     dir: Option<PathBuf>,
     /// Audit workload of the initial relations, re-installed after every
@@ -178,7 +177,7 @@ impl Engine {
         db.enable_telemetry(TelemetryConfig::default());
         db.enable_cost_audit(workload.clone(), cfg.audit_calibration);
         let cached = CachedStrategy::build(&db, method)?;
-        Ok(Engine { method, db, cached, s_dirty: false, dir, audit: workload })
+        Ok(Engine { method, db, cached, dir, audit: workload })
     }
 
     /// Kill this engine at a seeded sabotage point and recover it from
@@ -220,38 +219,28 @@ impl Engine {
         self.db.enable_telemetry(TelemetryConfig::default());
         self.db.enable_cost_audit(self.audit.clone(), cfg.audit_calibration);
         self.cached = CachedStrategy::build(&self.db, self.method)?;
-        self.s_dirty = false;
         Ok(committed)
     }
 
     /// Mirror of the serve layer's shard apply: the strategy observes the
-    /// mutation *before* it lands in the stored relation.
-    fn apply_r(&mut self, m: &Mutation, sabotage: Sabotage) -> trijoin_common::Result<()> {
+    /// mutation, of `R` or of `S`, *before* it lands in the stored
+    /// relation.
+    fn apply(
+        &mut self,
+        side: Side,
+        m: &Mutation,
+        sabotage: Sabotage,
+    ) -> trijoin_common::Result<()> {
         let skip_notify = sabotage == Sabotage::SkipPraFilter
+            && side == Side::R
             && matches!(m, Mutation::Update(u) if !u.changes_join_attr());
         if !skip_notify {
-            self.cached.as_dyn().on_mutation(m)?;
+            self.cached.on_mutation_of(side == Side::S, m)?;
         }
-        self.db.apply_r_mutation(m)
-    }
-
-    fn apply_s(&mut self, m: &Mutation) -> trijoin_common::Result<()> {
-        self.db.s_mut().apply_mutation(m)?;
-        self.s_dirty = true;
-        Ok(())
-    }
-
-    /// Lazy cached-structure rebuild after S-side mutations, mirroring
-    /// `trijoin_serve::shard`: build fresh, then destroy the stale
-    /// structure (its view/index file and any spilled differential runs).
-    /// Hybrid hash caches nothing and reads both relations every query.
-    fn rebuild_if_dirty(&mut self) -> trijoin_common::Result<()> {
-        if self.s_dirty && self.cached.cached_file().is_some() {
-            let fresh = CachedStrategy::build(&self.db, self.method)?;
-            std::mem::replace(&mut self.cached, fresh).destroy();
+        match side {
+            Side::R => self.db.apply_r_mutation(m),
+            Side::S => self.db.apply_s_mutation(m),
         }
-        self.s_dirty = false;
-        Ok(())
     }
 
     /// Derive and install this engine's fault plan for one `Fault` op.
@@ -437,15 +426,20 @@ impl Driver<'_> {
         Ok(Some(m))
     }
 
-    fn apply(&mut self, i: usize, side: Side, m: &Mutation) -> Result<(), Box<CheckFailure>> {
+    /// Send one mutation to every server and, unless `engines` is false, to
+    /// every engine; `what` names the step in a failure.
+    fn send(
+        &mut self,
+        i: usize,
+        what: &str,
+        side: Side,
+        m: &Mutation,
+        engines: bool,
+    ) -> Result<(), Box<CheckFailure>> {
         let sabotage = self.cfg.sabotage;
-        for e in &mut self.engines {
-            let res = match side {
-                Side::R => e.apply_r(m, sabotage),
-                Side::S => e.apply_s(m),
-            };
-            res.map_err(|err| {
-                fail(i, &format!("engine:{}", e.method), format!("apply failed: {err}"))
+        for e in self.engines.iter_mut().filter(|_| engines) {
+            e.apply(side, m, sabotage).map_err(|err| {
+                fail(i, &format!("engine:{}", e.method), format!("{what}: {err}"))
             })?;
         }
         for srv in self.servers.iter().chain(&self.adaptive_servers) {
@@ -453,8 +447,13 @@ impl Driver<'_> {
                 Side::R => srv.session.update_r(m.clone()),
                 Side::S => srv.session.update_s(m.clone()),
             };
-            res.map_err(|err| fail(i, &srv.site, format!("update failed: {err}")))?;
+            res.map_err(|err| fail(i, &srv.site, format!("{what}: {err}")))?;
         }
+        Ok(())
+    }
+
+    fn apply(&mut self, i: usize, side: Side, m: &Mutation) -> Result<(), Box<CheckFailure>> {
+        self.send(i, "apply failed", side, m, true)?;
         match (side, m) {
             (Side::R, Mutation::Insert(t)) => {
                 self.r_mirror.insert(t.sur.0, t.clone());
@@ -537,26 +536,8 @@ impl Driver<'_> {
         // Re-apply the tail recovery rolled back. Engines whose in-flight
         // commit was sealed (`SkipApply`) already hold it via log redo.
         let tail = std::mem::take(&mut self.tail);
-        let sabotage = self.cfg.sabotage;
         for (side, m) in &tail {
-            if !engines_committed {
-                for e in &mut self.engines {
-                    let res = match side {
-                        Side::R => e.apply_r(m, sabotage),
-                        Side::S => e.apply_s(m),
-                    };
-                    res.map_err(|err| {
-                        fail(i, &format!("engine:{}", e.method), format!("tail replay: {err}"))
-                    })?;
-                }
-            }
-            for srv in self.servers.iter().chain(&self.adaptive_servers) {
-                let res = match side {
-                    Side::R => srv.session.update_r(m.clone()),
-                    Side::S => srv.session.update_s(m.clone()),
-                };
-                res.map_err(|e| fail(i, &srv.site, format!("tail replay: {e}")))?;
-            }
+            self.send(i, "tail replay", *side, m, !engines_committed)?;
         }
         if engines_committed {
             // The engines hold the tail durably; bring the servers to the
@@ -574,10 +555,9 @@ impl Driver<'_> {
     fn checkpoint(&mut self, i: usize) -> Result<(), Box<CheckFailure>> {
         // 1. Drain server queues and warm caches *before* faults go in:
         //    apply-phase damage is unrecoverable by design. The warm-up
-        //    query also forces the lazy S rebuild inside each shard; it
-        //    leaves `R`'s apply log alone (a view never goes back to `R`),
-        //    so a commit barrier — the durable mode's comes below — asks
-        //    the shards to settle.
+        //    query may leave `R`'s apply log alone (a view goes back to `R`
+        //    only to fold `S`'s mutations), so a commit barrier — the
+        //    durable mode's comes below — asks the shards to settle.
         let arming = !self.armed_faults.is_empty();
         for srv in self.servers.iter().chain(&self.adaptive_servers) {
             srv.session.flush().map_err(|e| fail(i, &srv.site, format!("flush: {e}")))?;
@@ -596,7 +576,6 @@ impl Driver<'_> {
             let site = format!("engine:{}", e.method);
             // Applying queued mutations is apply-phase work too.
             e.db.settle().map_err(|err| fail(i, &site, format!("settle: {err}")))?;
-            e.rebuild_if_dirty().map_err(|err| fail(i, &site, format!("cache rebuild: {err}")))?;
         }
         // Checkpoints are commit barriers in durable mode — everything
         // the queries below observe is also what a crash recovers to.
@@ -694,7 +673,10 @@ impl Driver<'_> {
     /// non-decreasing in `‖dR‖` for MV and HH (strict) and for JI up to
     /// the small dips its page-access formulas are known to produce.
     fn model_checks(&self, i: usize) -> Result<(), Box<CheckFailure>> {
-        let w0 = self.measured_workload(0.0);
+        // The live mirrors measured into a model workload.
+        let (r, s): (Vec<BaseTuple>, Vec<BaseTuple>) =
+            (self.r_mirror.values().cloned().collect(), self.s_mirror.values().cloned().collect());
+        let w0 = trijoin::measure_workload(&r, &s, 0.1, 0.0);
         let live = self.r_mirror.len() as f64;
         let u1 = (live / 20.0).ceil().max(1.0);
         let totals = |updates: f64| -> Vec<f64> {
@@ -737,42 +719,6 @@ impl Driver<'_> {
             }
         }
         Ok(())
-    }
-
-    /// Measure the live mirrors into a model workload (the analogue of
-    /// `GeneratedWorkload::measured`, over script-mutated relations).
-    fn measured_workload(&self, updates: f64) -> Workload {
-        let count_by_key = |mirror: &BTreeMap<u32, BaseTuple>| {
-            let mut m: BTreeMap<u64, u64> = BTreeMap::new();
-            for t in mirror.values() {
-                *m.entry(t.key).or_insert(0) += 1;
-            }
-            m
-        };
-        let rk = count_by_key(&self.r_mirror);
-        let sk = count_by_key(&self.s_mirror);
-        let mut join_tuples = 0u64;
-        let mut matched_r = 0u64;
-        for (k, &rc) in &rk {
-            if let Some(&sc) = sk.get(k) {
-                join_tuples += rc * sc;
-                matched_r += rc;
-            }
-        }
-        let matched_s: u64 = sk.iter().filter(|(k, _)| rk.contains_key(*k)).map(|(_, &c)| c).sum();
-        let nr = self.r_mirror.len().max(1) as f64;
-        let ns = self.s_mirror.len().max(1) as f64;
-        Workload {
-            r_tuples: nr,
-            s_tuples: ns,
-            tr: self.script.spec.tuple_bytes as f64,
-            ts: self.script.spec.tuple_bytes as f64,
-            sr: matched_r as f64 / nr,
-            ss: matched_s as f64 / ns,
-            js: join_tuples as f64 / (nr * ns),
-            pra: 0.1,
-            updates,
-        }
     }
 }
 
@@ -969,10 +915,10 @@ mod tests {
     use super::*;
 
     /// An `S` mutation arriving while the differential log has spilled
-    /// runs: the rebuild must release the stale structure's run files
-    /// along with its view/index file.
+    /// runs: the query folds both relations' logs and leaves no run file
+    /// behind — the device holds the relations' trees and the structure.
     #[test]
-    fn rebuild_after_s_mutation_releases_spilled_log_runs() {
+    fn s_mutation_folds_and_releases_spilled_log_runs() {
         let cfg = CheckConfig::default();
         let spec = WorkloadSpec {
             r_tuples: 2_000,
@@ -991,26 +937,22 @@ mod tests {
             let mut updates = generated.update_stream();
             while engine.cached.pending_log_pages() == 0 {
                 let m = Mutation::Update(updates.next_update());
-                engine.apply_r(&m, Sabotage::None).unwrap();
+                engine.apply(Side::R, &m, Sabotage::None).unwrap();
             }
             let old = generated.s[0].clone();
-            let new = BaseTuple::with_payload(old.sur, old.key, &[7; 8], spec.tuple_bytes).unwrap();
-            engine.apply_s(&Mutation::Update(Update { old, new })).unwrap();
-            engine.rebuild_if_dirty().unwrap();
+            let new =
+                BaseTuple::with_payload(old.sur, old.key + 1, &[7; 8], spec.tuple_bytes).unwrap();
+            engine.apply(Side::S, &Mutation::Update(Update { old, new }), Sabotage::None).unwrap();
             engine.query().unwrap();
             // `R`'s own apply log may still hold runs: they are not the
             // structure's.
             engine.db.settle().unwrap();
 
-            let (mut r, mut s) = (Vec::new(), Vec::new());
-            engine.db.r().scan(|t| r.push(t)).unwrap();
-            engine.db.s().scan(|t| s.push(t)).unwrap();
-            let fresh = Engine::new(method, &cfg, r, s, None).unwrap();
-            assert_eq!(
-                engine.db.disk().total_pages(),
-                fresh.db.disk().total_pages(),
-                "{method}: stale differential runs left on the device"
-            );
+            let db = &engine.db;
+            let mut owned: Vec<_> = db.r().file_ids().chain(db.s().file_ids()).collect();
+            owned.extend(engine.cached.cached_file());
+            owned.sort();
+            assert_eq!(db.disk().live_files(), owned, "{method}: differential runs left behind");
         }
     }
 }

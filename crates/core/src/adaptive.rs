@@ -20,8 +20,9 @@
 //!
 //! Any device fault while building or draining rolls back: the partial
 //! target is destroyed, the incumbent (never touched by the migration)
-//! keeps serving, and `migrate.rollbacks` counts the abort. A mutation of
-//! `S` aborts the same way — it invalidates both cached structures.
+//! keeps serving, and `migrate.rollbacks` counts the abort. Mutations of
+//! `S` are logged like `R`'s: into the incumbent, and into the pending log
+//! the target replays.
 //!
 //! A serve shard drives the steps one per shard command;
 //! [`AdaptiveStrategy`] drives them to completion inside one `execute`.
@@ -78,6 +79,25 @@ impl CachedStrategy {
             CachedStrategy::Mv(mv) => mv,
             CachedStrategy::Ji(ji) => ji,
             CachedStrategy::Hh(hh) => hh,
+        }
+    }
+
+    /// Observe one mutation of `S` before it is applied: the view and the
+    /// join index log it beside `R`'s; hybrid hash caches nothing.
+    pub fn on_s_mutation(&mut self, m: &Mutation) -> Result<()> {
+        match self {
+            CachedStrategy::Mv(mv) => mv.on_s_mutation(m),
+            CachedStrategy::Ji(ji) => ji.on_s_mutation(m),
+            CachedStrategy::Hh(_) => Ok(()),
+        }
+    }
+
+    /// Observe one mutation of `R` (`of_s` false) or of `S`.
+    pub fn on_mutation_of(&mut self, of_s: bool, m: &Mutation) -> Result<()> {
+        if of_s {
+            self.on_s_mutation(m)
+        } else {
+            self.as_dyn().on_mutation(m)
         }
     }
 
@@ -184,8 +204,8 @@ pub enum MigrationState {
         cursor: usize,
         /// Tuple widths of `R` and `S`, which size the target's pages.
         tuple_bytes: (usize, usize),
-        /// Mutations that arrived while building; replayed in Draining.
-        pending: Vec<Mutation>,
+        /// Mutations (`true`: of `S`) that arrived while building; replayed.
+        pending: Vec<(bool, Mutation)>,
     },
     /// Target built; catching it up from the pending differential log.
     Draining {
@@ -193,8 +213,8 @@ pub enum MigrationState {
         /// strategy is an order of magnitude wider than the other
         /// variants, and `Stable` is the state every controller idles in.
         built: Box<CachedStrategy>,
-        /// Mutations to replay into it before the swap.
-        pending: Vec<Mutation>,
+        /// Mutations to replay into it before the swap (`true`: of `S`).
+        pending: Vec<(bool, Mutation)>,
     },
 }
 
@@ -213,8 +233,7 @@ fn step_event(disk: &Disk, cost: &Cost, detail: String) {
     disk.events().emit(EventKind::MigrationStep, detail, cost.total());
 }
 
-/// The controller's counters, interned once at construction (`migrate.*`,
-/// and `shard.s_rebuilds` for the rebuilds `S` forces).
+/// The controller's counters, interned once at construction (`migrate.*`).
 struct Counters {
     pending_logged: CounterId,
     steps: CounterId,
@@ -222,7 +241,6 @@ struct Counters {
     started: CounterId,
     rollbacks: CounterId,
     rebuild_pages: CounterId,
-    s_rebuilds: CounterId,
 }
 
 impl Counters {
@@ -235,7 +253,6 @@ impl Counters {
             started: id("migrate.started"),
             rollbacks: id("migrate.rollbacks"),
             rebuild_pages: id("migrate.rebuild_pages"),
-            s_rebuilds: id("shard.s_rebuilds"),
         }
     }
 }
@@ -248,9 +265,6 @@ pub struct AdaptiveController {
     params: SystemParams,
     cost: Cost,
     current: CachedStrategy,
-    /// `S` has been mutated since the incumbent was (re)built; it is
-    /// rebuilt lazily before the next query it answers.
-    s_dirty: bool,
     migration: MigrationState,
     stats: WindowStats,
     /// Queries left before another migration may start.
@@ -270,7 +284,6 @@ impl AdaptiveController {
             params: params.clone(),
             cost: cost.clone(),
             current: initial,
-            s_dirty: false,
             migration: MigrationState::Stable,
             stats: WindowStats::default(),
             cooldown: 0,
@@ -328,7 +341,17 @@ impl AdaptiveController {
                 }
             }
         }
-        self.current.as_dyn().on_mutation(m)?;
+        self.log(false, m)
+    }
+
+    /// Observe one `S` mutation: log it into the incumbent and, with a
+    /// migration in flight, into the pending differential log.
+    pub fn on_s_mutation(&mut self, m: &Mutation) -> Result<()> {
+        self.log(true, m)
+    }
+
+    fn log(&mut self, of_s: bool, m: &Mutation) -> Result<()> {
+        self.current.on_mutation_of(of_s, m)?;
         // Log into the migration's differential only after the incumbent
         // accepted the mutation: a rejected mutation is skipped by the
         // owner (never applied to the base relation), and replaying it
@@ -336,48 +359,11 @@ impl AdaptiveController {
         match &mut self.migration {
             MigrationState::Stable => {}
             MigrationState::Building { pending, .. } | MigrationState::Draining { pending, .. } => {
-                pending.push(m.clone());
+                pending.push((of_s, m.clone()));
                 self.disk.metrics().incr_id(self.counters.pending_logged);
             }
         }
         Ok(())
-    }
-
-    /// A mutation of `S` invalidates every cached structure: mark the
-    /// incumbent stale and abort any migration (the rebuild before the
-    /// next query supersedes it).
-    pub fn on_s_mutation(&mut self) {
-        self.s_dirty = true;
-        if !matches!(self.migration, MigrationState::Stable) {
-            self.rollback("S mutated during migration");
-        }
-    }
-
-    /// Before a query: rebuild an incumbent that `S` mutations left stale
-    /// from the current stored relations (all applied `R` mutations are
-    /// already reflected there, so any not-yet-folded differential entries
-    /// in the old cache are subsumed by the rebuild). A hybrid-hash
-    /// incumbent caches nothing, so nothing is stale; should the
-    /// controller later migrate, the target is staged from a fresh answer.
-    pub fn rebuild_if_stale(&mut self, db: &Database) -> Result<()> {
-        let method = self.current_method();
-        if self.s_dirty && method != Method::HybridHash {
-            db.settle()?;
-            let next = {
-                let _section = self.cost.section("shard.s_rebuild");
-                CachedStrategy::build(db, method)?
-            };
-            self.replace_current(next);
-            db.audit_rebaseline(method);
-            self.disk.metrics().incr_id(self.counters.s_rebuilds);
-        }
-        self.s_dirty = false;
-        Ok(())
-    }
-
-    /// Replace the incumbent (a finished migration, an `S`-driven rebuild).
-    fn replace_current(&mut self, next: CachedStrategy) {
-        std::mem::replace(&mut self.current, next).destroy();
     }
 
     /// Advance an in-flight migration by one bounded step. A shard calls
@@ -434,7 +420,7 @@ impl AdaptiveController {
             MigrationState::Draining { built, pending } => {
                 {
                     let _g = self.cost.section("migrate.drain");
-                    pending.iter().try_for_each(|m| built.as_dyn().on_mutation(m))?;
+                    pending.iter().try_for_each(|(of_s, m)| built.on_mutation_of(*of_s, m))?;
                 }
                 let drained = pending.len();
                 self.disk.metrics().incr_id(self.counters.steps);
@@ -447,7 +433,7 @@ impl AdaptiveController {
                     unreachable!("matched Draining above")
                 };
                 let (from, to) = (self.current.method(), built.method());
-                self.replace_current(*built);
+                std::mem::replace(&mut self.current, *built).destroy();
                 self.cooldown = MIGRATION_COOLDOWN;
                 self.disk.metrics().incr_id(self.counters.count);
                 step_event(&self.disk, &self.cost, format!("drained {drained} pending, swapped"));
@@ -600,7 +586,8 @@ impl JoinStrategy for AdaptiveStrategy {
 mod tests {
     use super::*;
     use crate::workload::{GeneratedWorkload, WorkloadSpec};
-    use trijoin_exec::{execute_collect, oracle};
+    use trijoin_common::BaseTuple;
+    use trijoin_exec::{execute_collect, oracle, Update};
 
     fn spec(sr: f64, rate: f64, seed: u64) -> WorkloadSpec {
         WorkloadSpec {
@@ -780,7 +767,7 @@ mod tests {
     }
 
     #[test]
-    fn s_mutation_aborts_the_inflight_migration() {
+    fn s_mutation_drains_into_the_inflight_migration() {
         let s = spec(0.01, 0.3, 405);
         let (mut h, gen) = Harness::new(&s);
         let mut stream = gen.update_stream();
@@ -802,11 +789,30 @@ mod tests {
             "workload never triggered a migration"
         );
         let before = h.ctl.current_method();
-        h.ctl.on_s_mutation();
-        assert!(matches!(h.ctl.state(), MigrationState::Stable), "migration not aborted");
-        assert_eq!(h.ctl.current_method(), before, "incumbent must survive the abort");
-        assert_eq!(h.db.metrics().counter("migrate.rollbacks"), 1);
-        assert_eq!(h.db.metrics().counter("migrate.count"), 0);
+        // `S` changes under the migration: one tuple moves onto a key `R`
+        // holds, another goes.
+        let mut s_now = gen.s.clone();
+        let moved = BaseTuple::padded(s_now[0].sur, stream.current()[0].key, s.tuple_bytes);
+        let mutations = [
+            Mutation::Update(Update { old: s_now[0].clone(), new: moved.clone() }),
+            Mutation::Delete(s_now.remove(1)),
+        ];
+        s_now[0] = moved;
+        for m in &mutations {
+            h.ctl.on_s_mutation(m).unwrap();
+            h.db.apply_s_mutation(m).unwrap();
+        }
+        while !matches!(h.ctl.state(), MigrationState::Stable) {
+            h.ctl.advance();
+        }
+        assert_ne!(h.ctl.current_method(), before, "the swap happened");
+        assert_eq!(h.db.metrics().counter("migrate.rollbacks"), 0);
+        assert_eq!(h.db.metrics().counter("migrate.count"), 1);
+        oracle::assert_same_join(
+            "after the swap",
+            h.query(),
+            oracle::join_tuples(stream.current(), &s_now),
+        );
     }
 
     /// Run `epochs` update-then-query epochs through the single-engine

@@ -6,8 +6,8 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use trijoin_common::telemetry::{DriftAlert, Telemetry, TelemetryConfig};
 use trijoin_common::{
-    BaseTuple, Cost, Error, EventKind, EventLog, Json, Metrics, OpCounts, Result, RunReport,
-    SystemParams, ViewTuple,
+    BaseTuple, Cost, CounterId, Error, EventKind, EventLog, Json, Metrics, OpCounts, Result,
+    RunReport, SystemParams, ViewTuple,
 };
 use trijoin_model::{sweep_cost, Method, Workload};
 
@@ -67,7 +67,7 @@ struct EngineTelemetry {
 /// One simulated database: a disk, a cost ledger, and the two base
 /// relations organized per Table 5 (`R` clustered on its surrogate; `S`
 /// clustered on its surrogate plus a non-clustered index on the join
-/// attribute).
+/// attribute, which `R` gains when `S` first changes).
 pub struct Database {
     params: SystemParams,
     cost: Cost,
@@ -81,6 +81,8 @@ pub struct Database {
     /// True for databases on a durable backend: [`Database::commit`]
     /// serializes the catalog into file 0 before flushing.
     durable: bool,
+    /// `db.mutations`, `db.queries`.
+    counters: [CounterId; 2],
 }
 
 impl Database {
@@ -88,30 +90,9 @@ impl Database {
     /// [`Database::reset_cost`] before measuring (the paper does not price
     /// initial loading).
     pub fn new(params: &SystemParams, r: Vec<BaseTuple>, s: Vec<BaseTuple>) -> Result<Self> {
-        Self::build(params, r, s, false)
-    }
-
-    /// Like [`Database::new`] but `R` also carries an inverted index on the
-    /// join attribute — the symmetric access path with which
-    /// [`Database::materialized_view`] follows mutations of `S` as well as
-    /// of `R` ([`MaterializedView::on_s_mutation`]).
-    pub fn new_bilateral(
-        params: &SystemParams,
-        r: Vec<BaseTuple>,
-        s: Vec<BaseTuple>,
-    ) -> Result<Self> {
-        Self::build(params, r, s, true)
-    }
-
-    fn build(
-        params: &SystemParams,
-        r: Vec<BaseTuple>,
-        s: Vec<BaseTuple>,
-        r_inverted: bool,
-    ) -> Result<Self> {
         let cost = Cost::new();
         let disk = SimDisk::new(params, cost.clone());
-        let r = StoredRelation::build(&disk, params, "R", r, r_inverted)?;
+        let r = StoredRelation::build(&disk, params, "R", r, false)?;
         let s = StoredRelation::build(&disk, params, "S", s, true)?;
         Ok(Self::assemble(params, cost, disk, r, s, false))
     }
@@ -124,6 +105,8 @@ impl Database {
         s: StoredRelation,
         durable: bool,
     ) -> Self {
+        let counters =
+            ["db.mutations", "db.queries"].map(|name| disk.metrics().counter_handle(name));
         Database {
             params: params.clone(),
             cost,
@@ -132,6 +115,7 @@ impl Database {
             s,
             telemetry: RefCell::new(None),
             durable,
+            counters,
         }
     }
 
@@ -298,21 +282,30 @@ impl Database {
     /// or report.
     /// An `Err` means the update was not queued.
     pub fn apply_r_update(&mut self, upd: &trijoin_exec::Update) -> Result<()> {
-        self.queue_for_r(|r| r.apply_update(&upd.old, &upd.new))
+        self.queue(|db| db.r.apply_update(&upd.old, &upd.new))
     }
 
     /// Queue one mutation of `R`, counting it in the metrics registry.
     pub fn apply_r_mutation(&mut self, m: &trijoin_exec::Mutation) -> Result<()> {
-        self.queue_for_r(|r| r.apply_mutation(m))
+        self.queue(|db| db.r.apply_mutation(m))
     }
 
-    fn queue_for_r(
-        &mut self,
-        enqueue: impl FnOnce(&mut StoredRelation) -> Result<()>,
-    ) -> Result<()> {
-        self.disk.metrics().incr("db.mutations");
+    /// Queue one mutation of `S`, counting it in the metrics registry. The
+    /// first one gives `R` its inverted index on the join attribute, through
+    /// which the cached structures join `S`'s insertions
+    /// ([`StoredRelation::build_inverted`]: `R` settles, then one scan and
+    /// a bulk load, outside any query).
+    pub fn apply_s_mutation(&mut self, m: &trijoin_exec::Mutation) -> Result<()> {
+        self.queue(|db| {
+            db.r.build_inverted(&db.params)?;
+            db.s.apply_mutation(m)
+        })
+    }
+
+    fn queue(&mut self, enqueue: impl FnOnce(&mut Self) -> Result<()>) -> Result<()> {
+        self.disk.metrics().incr_id(self.counters[0]);
         // A full log settles before it takes the mutation.
-        let result = enqueue(&mut self.r);
+        let result = enqueue(self);
         self.account_settles();
         self.telemetry_on_apply();
         result
@@ -354,11 +347,6 @@ impl Database {
         charged
     }
 
-    /// Mutable access to `S` for bilateral scenarios.
-    pub fn s_mut(&mut self) -> &mut StoredRelation {
-        &mut self.s
-    }
-
     /// The engine-wide metrics registry (carried by the simulated disk;
     /// every layer holding the disk reports into the same registry).
     pub fn metrics(&self) -> &Metrics {
@@ -398,7 +386,7 @@ impl Database {
         };
         self.disk.events().emit(EventKind::QueryEnd, detail, end);
         let metrics = self.disk.metrics();
-        metrics.incr("db.queries");
+        metrics.incr_id(self.counters[1]);
         metrics.observe("query.us", end.delta_since(&start).time_us(&self.params) as u64);
         self.telemetry_on_query(strategy.name(), &start, &end, &recovery_start);
         result?;

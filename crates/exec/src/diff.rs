@@ -17,7 +17,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use trijoin_common::{BaseTuple, Cost, Error, Metrics, Result, Surrogate};
+use trijoin_common::{BaseTuple, Cost, CounterId, Error, FxHashSet, Metrics, Result, Surrogate};
 use trijoin_storage::{Disk, HeapFile};
 
 use crate::sort::{counted_sort_by, KWayMerge};
@@ -57,6 +57,8 @@ pub struct DiffLog {
     /// Error parked by a [`RunReader`] mid-stream (device faults cannot
     /// surface through the tuple iterator); see [`DiffLog::stream_error`].
     stream_err: Rc<RefCell<Option<Error>>>,
+    /// `diff.retries`, counted by the log's readers.
+    retries: CounterId,
 }
 
 impl DiffLog {
@@ -84,15 +86,27 @@ impl DiffLog {
             total: 0,
             sealed: false,
             stream_err: Rc::new(RefCell::new(None)),
+            retries: disk.metrics().counter_handle("diff.retries"),
         }
     }
 
-    /// Log one tuple (one `move` into the buffer, per C1.1).
+    /// Log one tuple and spill the buffer it fills. A spill that fails
+    /// leaves the tuple logged, in the buffer.
     pub fn add(&mut self, t: BaseTuple) -> Result<()> {
+        self.push(t);
+        self.make_room()
+    }
+
+    /// Buffer one tuple (one `move` into the buffer, per C1.1).
+    fn push(&mut self, t: BaseTuple) {
         debug_assert!(!self.sealed, "log already sealed");
         self.cost.mov(1);
         self.buf.push(t);
         self.total += 1;
+    }
+
+    /// Spill a full buffer, so that the next tuple fits.
+    fn make_room(&mut self) -> Result<()> {
         if self.buf.len() >= self.buf_cap {
             self.spill()?;
         }
@@ -179,13 +193,16 @@ impl DiffLog {
         let sources: Vec<RunReader> = self
             .runs
             .iter()
-            .map(|r| {
-                RunReader::new(
-                    r.clone(),
-                    self.cost.clone(),
-                    self.disk.metrics().clone(),
-                    self.stream_err.clone(),
-                )
+            .map(|r| RunReader {
+                heap: r.clone(),
+                cost: self.cost.clone(),
+                metrics: self.disk.metrics().clone(),
+                retries: self.retries,
+                next_page: 0,
+                total_pages: r.num_pages(),
+                current: Vec::new(),
+                at: 0,
+                err: self.stream_err.clone(),
             })
             .collect();
         let key = self.key_of.clone();
@@ -233,11 +250,20 @@ impl DiffLog {
 /// The insertion log and the deletion log of one relation's differential,
 /// under one sort key and one memory budget per side. Run files are
 /// created at spill time, so the order in which the two sides are touched
-/// is the order of file ids: a mutation logs its deleted state before its
-/// inserted one; sealing, merging and restarting go `ins` then `del`.
+/// is the order of file ids: a mutation makes room for its deleted state
+/// before its inserted one; sealing, merging and restarting go `ins` then
+/// `del`.
+///
+/// A cached structure's pair logs `R`; an epoch's first mutation of `S`
+/// splits `S`'s pair off its `2·Z` (Figure 1), each of the four logs then
+/// getting `Z/2`, until the epoch ends.
 pub struct DiffPair {
     ins: DiffLog,
     del: DiffLog,
+    /// Figure 1's `Z`: each side's buffer, in pages, while `s` is closed.
+    mem_pages: usize,
+    /// `iS`/`dS` (boxed: an R-only pair stays as small as it was).
+    s: Option<Box<DiffPair>>,
 }
 
 impl DiffPair {
@@ -251,18 +277,83 @@ impl DiffPair {
         key_of: impl Fn(&BaseTuple) -> SortKey + Clone + 'static,
     ) -> Self {
         let log = |key| DiffLog::new(disk, cost, mem_pages, tuples_per_run_page, hashed_key, key);
-        DiffPair { ins: log(key_of.clone()), del: log(key_of) }
+        DiffPair {
+            ins: log(key_of.clone()),
+            del: log(key_of),
+            mem_pages: mem_pages.max(1),
+            s: None,
+        }
     }
 
-    /// Log the two sides of one mutation (see [`crate::Mutation::sides`]).
+    /// Log the two sides of one mutation (see [`crate::Mutation::sides`]):
+    /// room is made on both first, so an `Err` logs neither. A buffer that
+    /// fills spills when the next mutation or the seal needs the room.
     pub fn log(&mut self, del: Option<BaseTuple>, ins: Option<BaseTuple>) -> Result<()> {
-        if let Some(t) = del {
-            self.del.add(t)?;
+        if del.is_some() {
+            self.del.make_room()?;
         }
-        if let Some(t) = ins {
-            self.ins.add(t)?;
+        if ins.is_some() {
+            self.ins.make_room()?;
         }
+        del.into_iter().for_each(|t| self.del.push(t));
+        ins.into_iter().for_each(|t| self.ins.push(t));
         Ok(())
+    }
+
+    /// Log one mutation of `S` (see [`DiffPair::log`]), splitting its pair
+    /// off this one — runs packed at `tuples_per_run_page` — if this epoch
+    /// has none.
+    pub fn log_s(
+        &mut self,
+        tuples_per_run_page: usize,
+        del: Option<BaseTuple>,
+        ins: Option<BaseTuple>,
+    ) -> Result<()> {
+        if self.s.is_none() {
+            let half = (self.mem_pages / 2).max(1);
+            for log in [&mut self.ins, &mut self.del] {
+                log.buf_cap = half * log.tuples_per_run_page;
+                if log.buf.len() > log.buf_cap {
+                    log.spill()?;
+                }
+            }
+            let DiffLog { disk, cost, hashed_key, key_of, .. } = &self.ins;
+            let key = key_of.clone();
+            let key_of = move |t: &BaseTuple| key(t);
+            let pair = DiffPair::new(disk, cost, half, tuples_per_run_page, *hashed_key, key_of);
+            self.s = Some(Box::new(pair));
+        }
+        self.s.as_mut().expect("split above").log(del, ins)
+    }
+
+    /// Whether this epoch logged a mutation of `S`.
+    pub fn has_s(&self) -> bool {
+        self.s.is_some()
+    }
+
+    /// Seal `S`'s pair and net it whole (see [`DiffPair::net`]) under the
+    /// span `section`: its net insertions, and the surrogates of its net
+    /// deletions (both empty, and no span, without a mutation of `S`).
+    pub fn net_s(
+        &mut self,
+        section: &str,
+        same: impl Fn(&BaseTuple, &BaseTuple) -> bool + 'static,
+    ) -> Result<(Vec<BaseTuple>, FxHashSet<Surrogate>)> {
+        let (mut ins, mut del) = (Vec::new(), FxHashSet::default());
+        if let Some(s) = &mut self.s {
+            let _g = self.ins.cost.section(section);
+            s.seal()?;
+            for item in s.net(same)? {
+                match item {
+                    Net::Ins(t) => ins.push(t),
+                    Net::Del(t) => {
+                        del.insert(t.sur);
+                    }
+                }
+            }
+            s.stream_error()?;
+        }
+        Ok((ins, del))
     }
 
     /// Seal both logs (see [`DiffLog::seal`]).
@@ -277,9 +368,9 @@ impl DiffPair {
     }
 
     /// Mutations pending (the longer side; update-only traffic keeps the
-    /// two equal).
+    /// two equal), `S`'s included.
     pub fn pending(&self) -> u64 {
-        self.ins.len().max(self.del.len())
+        self.ins.len().max(self.del.len()) + self.s.as_ref().map_or(0, |s| s.pending())
     }
 
     /// The insertion log (pass budgets read its size).
@@ -287,9 +378,10 @@ impl DiffPair {
         &self.ins
     }
 
-    /// Run pages already spilled, both sides (`|iR| + |dR|`).
+    /// Run pages already spilled, both sides (`|iR| + |dR|`), `S`'s
+    /// included.
     pub fn pages(&self) -> u64 {
-        self.ins.pages() + self.del.pages()
+        self.ins.pages() + self.del.pages() + self.s.as_ref().map_or(0, |s| s.pages())
     }
 
     /// Merge the sealed runs of both sides and net them under the pair's
@@ -315,21 +407,36 @@ impl DiffPair {
         self.del.stream_error()
     }
 
-    /// Open a new epoch under `key_of`: both logs empty, their run files
-    /// deleted.
+    /// Open a new epoch under `key_of`: both logs empty, with their memory
+    /// back, `S`'s pair closed, every run file deleted.
     pub fn restart(&mut self, key_of: impl Fn(&BaseTuple) -> SortKey + 'static) {
+        self.s.take().into_iter().for_each(|s| s.destroy());
         let key: KeyFn = Rc::new(key_of);
         for log in [&mut self.ins, &mut self.del] {
             log.restart();
             log.key_of = key.clone();
+            log.buf_cap = self.mem_pages * log.tuples_per_run_page;
         }
     }
 
-    /// Drop all run files of both logs.
+    /// Drop all run files, `S`'s included.
     pub fn destroy(self) {
         self.ins.destroy();
         self.del.destroy();
+        self.s.into_iter().for_each(|s| s.destroy());
     }
+}
+
+/// What one query folds of `S`'s differential (all empty in an epoch
+/// without a mutation of `S`).
+#[derive(Default)]
+pub(crate) struct SFold<J> {
+    /// Net-inserted `s`: `iR ⋈ S_now` skips them, `joined` has their pairs.
+    pub inserted: FxHashSet<Surrogate>,
+    /// Net-deleted `s`: their pairs go.
+    pub deleted: FxHashSet<Surrogate>,
+    /// `iS ⋈ R_now`.
+    pub joined: J,
 }
 
 /// The key-ordered stream [`DiffLog::merged`] returns.
@@ -346,6 +453,8 @@ pub struct RunReader {
     heap: HeapFile,
     cost: Cost,
     metrics: Metrics,
+    /// `diff.retries`.
+    retries: CounterId,
     next_page: u32,
     total_pages: u32,
     current: Vec<BaseTuple>,
@@ -354,20 +463,6 @@ pub struct RunReader {
 }
 
 impl RunReader {
-    fn new(heap: HeapFile, cost: Cost, metrics: Metrics, err: Rc<RefCell<Option<Error>>>) -> Self {
-        let total_pages = heap.num_pages();
-        RunReader {
-            heap,
-            cost,
-            metrics,
-            next_page: 0,
-            total_pages,
-            current: Vec::new(),
-            at: 0,
-            err,
-        }
-    }
-
     fn park(&mut self, e: Error) {
         *self.err.borrow_mut() = Some(e);
         self.next_page = self.total_pages;
@@ -407,7 +502,7 @@ impl Iterator for RunReader {
             let read = crate::recovery::with_retry(|| {
                 attempt += 1;
                 if attempt > 1 {
-                    self.metrics.incr("diff.retries");
+                    self.metrics.incr_id(self.retries);
                 }
                 let _g = (attempt > 1).then(|| self.cost.section("diff.retry"));
                 current.clear();

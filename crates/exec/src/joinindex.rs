@@ -29,6 +29,12 @@
 //! so the answer is exact even when a tuple receives a join-attribute
 //! update followed by payload-only updates the `Pr_A` filter never sees.
 //!
+//! Mutations of `S` fold by the view's sequential decomposition (`crate::mv`),
+//! under the same `Pr_A` filter (output fetches `S` fresh too): C2.2 also
+//! drops the pairs of net-deleted `s`, C3.1's `iR ⋈ S` skips net-inserted
+//! `s`, and `iS ⋈ R_now`, probed through `R`'s inverted index, joins each
+//! pass by `r`.
+//!
 //! Table 5 also lists a non-clustered B⁺-tree on `JI.s`; the §3.3 algorithm
 //! never traverses it (it sorts each memory-resident `JI_k` on `s`
 //! instead), so this implementation follows the algorithm and omits it.
@@ -41,7 +47,7 @@ use trijoin_common::{
 };
 use trijoin_storage::{Disk, FileId, PageId};
 
-use crate::diff::{ji_sort_key, DiffPair, Net};
+use crate::diff::{ji_sort_key, DiffPair, Net, SFold};
 use crate::mv::view_tuple_bytes;
 use crate::relation::{Reader, StoredRelation};
 use crate::sort::counted_sort_by;
@@ -353,15 +359,29 @@ impl JoinIndexStrategy {
         self.ji.num_pages()
     }
 
-    /// Pending logged (join-attribute-changing) updates.
+    /// Pending logged (join-attribute-changing) mutations, `S`'s included.
     pub fn pending_updates(&self) -> u64 {
         self.logs.pending()
     }
 
-    /// Pages of the pending differential log already spilled to disk
-    /// (`|iR| + |dR|` run pages; the in-memory `Z` buffers hold the rest).
+    /// Pages of the pending differential logs already spilled to disk
+    /// (`|iR| + |dR|` run pages and `S`'s; the buffers hold the rest).
     pub fn pending_log_pages(&self) -> u64 {
         self.logs.pages()
+    }
+
+    /// Observe one mutation of `S` *before* it is applied to the stored
+    /// relation, as [`JoinStrategy::on_mutation`] does `R`'s, under the
+    /// same `Pr_A` filter. The query that folds it probes `R`'s inverted
+    /// index on the join attribute.
+    pub fn on_s_mutation(&mut self, m: &Mutation) -> Result<()> {
+        if !m.affects_join_index() {
+            return Ok(());
+        }
+        let _g = self.cost.section("ji.log_s");
+        let (del, ins) = m.sides();
+        let per_page = self.params.tuples_per_full_page(self.s_tuple_bytes);
+        self.logs.log_s(per_page, del.cloned(), ins.cloned())
     }
 
     /// Immutable access to the underlying index file (inspection/tests).
@@ -566,8 +586,12 @@ impl JoinStrategy for JoinIndexStrategy {
         // The passes probe `S` by join key, so `S` catches up first; `R`,
         // fetched by surrogate in rising order, reads through its apply log
         // or settles (`StoredRelation::reader`) — outside the passes'
-        // sections either way.
+        // sections either way. `iS ⋈ R_now` probes `R` by join key: with
+        // `S`'s mutations pending, `R` settles too.
         s.settle()?;
+        if self.logs.has_s() {
+            r.settle()?;
+        }
         let answer = if self.writing_back {
             self.recover(r, s)?
         } else {
@@ -575,7 +599,10 @@ impl JoinStrategy for JoinIndexStrategy {
             let reader = r.reader()?;
             crate::recovery::answer_or_recover(
                 self,
-                |ji, out| ji.passes_execute(reader, s, out),
+                |ji, out| {
+                    let s_fold = ji.fold_s(r)?;
+                    ji.passes_execute(reader, s, s_fold, out)
+                },
                 |ji| ji.recover(r, s),
             )?
         };
@@ -587,6 +614,26 @@ impl JoinStrategy for JoinIndexStrategy {
 }
 
 impl JoinIndexStrategy {
+    /// Net `S`'s differential into memory and join its insertions with the
+    /// current `R` through `R`'s inverted index, as pairs in `(r, s)` order.
+    fn fold_s(&mut self, r: &StoredRelation) -> Result<SFold<Vec<JiEntry>>> {
+        if !self.logs.has_s() {
+            return Ok(SFold::default());
+        }
+        let (mut ins, deleted) =
+            self.logs.net_s("ji.read_s_diffs", |a, b| a.sur == b.sur && a.key == b.key)?;
+        let _g = self.cost.section("ji.join_is");
+        let postings = r.postings(&mut ins, &FxHashSet::default(), &self.cost)?;
+        let mut joined: Vec<JiEntry> = (ins.iter())
+            .flat_map(|t| {
+                postings.get(&t.key).into_iter().flatten().map(|&r| JiEntry { r, s: t.sur })
+            })
+            .collect();
+        self.cost.mov(joined.len() as u64);
+        counted_sort_by(&mut joined, |e| (e.r, e.s), &self.cost);
+        Ok(SFold { inserted: ins.iter().map(|t| t.sur).collect(), deleted, joined })
+    }
+
     /// The §3.3 pass pipeline (Figure 3), fallible on any injected device
     /// fault; [`JoinStrategy::execute`] wraps it with the recovery
     /// fallback.
@@ -594,9 +641,13 @@ impl JoinIndexStrategy {
         &mut self,
         mut r: Reader<'_>,
         s: &StoredRelation,
+        s_fold: SFold<Vec<JiEntry>>,
         sink: &mut dyn FnMut(ViewTuple),
     ) -> Result<u64> {
         self.logs.seal()?;
+        // One test per deletion set an entry is held against.
+        let del_tests = 1 + self.logs.has_s() as u64;
+        let mut s_pairs = s_fold.joined.as_slice();
         let jik = self.jik_pages(self.logs.runs(), r.pages_held(), r.len_estimate());
 
         // The Pr_A filter hides payload-only updates from this log, so a
@@ -666,21 +717,24 @@ impl JoinIndexStrategy {
             // ---- mark deletions (C2.2) ----------------------------------
             let del_surs: FxHashSet<Surrogate> = dels.iter().map(|t| t.sur).collect();
             let entry_total: usize = pages.iter().map(|(_, e)| e.len()).sum();
-            self.cost.comp(entry_total as u64 + dels.len() as u64);
+            self.cost.comp(entry_total as u64 * del_tests + dels.len() as u64);
             let mut survivors: Vec<JiEntry> = Vec::with_capacity(entry_total);
             for (_, entries) in &pages {
-                survivors.extend(entries.iter().filter(|e| !del_surs.contains(&e.r)));
+                survivors.extend(
+                    entries
+                        .iter()
+                        .filter(|e| !del_surs.contains(&e.r) && !s_fold.deleted.contains(&e.s)),
+                );
             }
+            // The pass's share of `iS ⋈ R_now` rides with them: emitted as
+            // `S` streams in, and written back.
+            let split = s_pairs.partition_point(|e| u64::from(e.r.0) <= r_hi);
+            survivors.extend_from_slice(&s_pairs[..split]);
+            s_pairs = &s_pairs[split..];
 
             // ---- join the pass's insertions with S (C3.1) ---------------
             let ins_guard = self.cost.section("ji.join_ins");
-            counted_sort_by(&mut inss, |t| t.key, &self.cost);
-            let mut keys: Vec<u64> = inss.iter().map(|t| t.key).collect();
-            keys.dedup();
-            // Deterministic iteration order (feeds op-counted sorts).
-            let mut postings: std::collections::BTreeMap<u64, Vec<Surrogate>> =
-                std::collections::BTreeMap::new();
-            s.probe_inverted(&keys, |k, sur| postings.entry(k).or_default().push(sur))?;
+            let postings = s.postings(&mut inss, &s_fold.inserted, &self.cost)?;
             let mut posting_surs: Vec<Surrogate> = postings.values().flatten().copied().collect();
             counted_sort_by(&mut posting_surs, |x| x.0, &self.cost);
             let mut s_from_postings: FxHashMap<Surrogate, BaseTuple> = Default::default();
@@ -821,6 +875,7 @@ impl JoinIndexStrategy {
             pass_start = pass_start + n_pass_pages + inserted_pages;
         }
         debug_assert!(net.peek().is_none(), "net differentials outlived the JI scan");
+        debug_assert!(s_pairs.is_empty(), "S-side pairs outlived the JI scan");
 
         self.ji.count = new_count;
         self.logs.restart(r_order);

@@ -26,11 +26,9 @@
 //! # Mutations of `S`
 //!
 //! §3.2 writes the general `V'` (insertions and deletions of both
-//! relations) and analyses its R-only case. When `R` carries an inverted index on
-//! the join attribute (Table 5 gives it none; [`MaterializedView::build`]
-//! looks) the view also logs `S`'s mutations
-//! ([`MaterializedView::on_s_mutation`]) and the same merge folds both
-//! sides by the duplicate-free sequential decomposition
+//! relations) and analyses its R-only case. A full view also logs `S`'s
+//! mutations ([`MaterializedView::on_s_mutation`]), and the same merge
+//! folds both sides by the duplicate-free sequential decomposition
 //!
 //! ```text
 //! V1 = V  −  {v : v.r ∈ dR}  ∪  (iR ⋈ (S_now − iS))
@@ -40,8 +38,11 @@
 //! R-insertions join the *pre-epoch* `S` (probe the current one, skip
 //! net-inserted `s`), so `(iR ⋈ iS)` pairs arrive exactly once, from the S
 //! side, because `R_now ⊇ iR`; S-insertions join the current `R` through
-//! that index. Without it the view holds no S-side state and every charge
-//! is the R-only analysis's.
+//! its inverted index on `A` (Table 5 gives `R` none: the owner builds it
+//! when `S` first changes). `iS`/`dS` open at an epoch's first mutation of
+//! `S`, inside Figure 1's `2·Z` (each of the four logs gets `Z/2`), and
+//! close with the epoch: an epoch that sees no `S` mutation keeps `R`'s
+//! logs at `Z` and every charge of the R-only analysis.
 //!
 //! Memory note: the R side streams; the net S differentials stay in memory
 //! for the one query that folds them (their runs are logged, spilled and
@@ -57,7 +58,7 @@ use trijoin_common::{
 use trijoin_linearhash::{Addressing, LinearHash};
 use trijoin_storage::{Disk, FileId};
 
-use crate::diff::{mv_sort_key, DiffPair, Net, SortKey};
+use crate::diff::{mv_sort_key, DiffPair, Net, SFold, SortKey};
 use crate::relation::StoredRelation;
 use crate::sort::counted_sort_by;
 use crate::strategy::{JoinStrategy, Mutation};
@@ -128,19 +129,15 @@ fn load(disk: &Disk, params: &SystemParams, tuples: &[ViewTuple], tv: usize) -> 
 /// The materialized-view strategy.
 ///
 /// Reports and the cost audit know it as `materialized-view` whether or
-/// not it takes mutations of `S`: a cycle that folded `S` differentials
-/// would be priced by the R-only model, but no audited engine builds `R`
-/// with the inverted index an S side needs.
+/// not it takes mutations of `S`; the audit prices every cycle by the
+/// R-only model.
 pub struct MaterializedView {
     disk: Disk,
     params: SystemParams,
     cost: Cost,
     v: LinearHash,
     addressing: Addressing,
-    r_logs: DiffPair,
-    /// `iS`/`dS`: held only when `R` carries the inverted index that
-    /// `iS ⋈ R_now` probes (boxed: the R-only view stays as small as it was).
-    s_logs: Option<Box<DiffPair>>,
+    logs: DiffPair,
     r_tuple_bytes: usize,
     s_tuple_bytes: usize,
     def: ViewDef,
@@ -151,8 +148,6 @@ pub struct MaterializedView {
 impl MaterializedView {
     /// Initially materialize `V = R ⋈ S` (setup; callers normally reset the
     /// cost ledger afterwards — the paper does not price initial loading).
-    /// The view takes mutations of `S` as well as of `R` exactly when
-    /// `r.has_inverted()`.
     pub fn build(
         disk: &Disk,
         params: &SystemParams,
@@ -175,8 +170,7 @@ impl MaterializedView {
         def: ViewDef,
     ) -> Result<Self> {
         let v = materialize(disk, params, r, s, &def)?;
-        let s_side = r.has_inverted() && def.is_full();
-        Ok(Self::over(disk, params, cost, v, (r.tuple_bytes(), s.tuple_bytes()), def, s_side))
+        Ok(Self::over(disk, params, cost, v, (r.tuple_bytes(), s.tuple_bytes()), def))
     }
 
     /// The strategy over a loaded view file, at the start of a log epoch.
@@ -187,24 +181,17 @@ impl MaterializedView {
         v: LinearHash,
         (r_tuple_bytes, s_tuple_bytes): (usize, usize),
         def: ViewDef,
-        s_side: bool,
     ) -> Self {
         let addressing = v.addressing();
-        // Figure 1 gives `iR` and `dR` `Z` pages each; `iS` and `dS` take
-        // half of each when the view logs them too.
-        let z = if s_side { (Self::z_pages(params) / 2).max(1) } else { Self::z_pages(params) };
-        let logs = |tuple_bytes: usize| {
-            let per_page = params.tuples_per_full_page(tuple_bytes);
-            DiffPair::new(disk, cost, z, per_page, true, hash_order(addressing))
-        };
+        let per_page = params.tuples_per_full_page(r_tuple_bytes);
+        let z = Self::z_pages(params);
         MaterializedView {
             disk: disk.clone(),
             params: params.clone(),
             cost: cost.clone(),
             v,
             addressing,
-            r_logs: logs(r_tuple_bytes),
-            s_logs: s_side.then(|| Box::new(logs(s_tuple_bytes))),
+            logs: DiffPair::new(disk, cost, z, per_page, true, hash_order(addressing)),
             r_tuple_bytes,
             s_tuple_bytes,
             def,
@@ -224,13 +211,10 @@ impl MaterializedView {
     }
 
     /// Open a log epoch under the view file's current addressing; whatever
-    /// the logs held is dropped.
+    /// the logs held is dropped, and `S`'s close.
     fn open_epoch(&mut self) {
         self.addressing = self.v.addressing();
-        self.r_logs.restart(hash_order(self.addressing));
-        if let Some(logs) = &mut self.s_logs {
-            logs.restart(hash_order(self.addressing));
-        }
+        self.logs.restart(hash_order(self.addressing));
     }
 
     /// The paper's `|W_R|` (Figure 2): how many pages of merged insertions
@@ -277,29 +261,28 @@ impl MaterializedView {
     /// Pending logged mutations (of `R`, plus of `S` when the view takes
     /// them).
     pub fn pending_updates(&self) -> u64 {
-        self.r_logs.pending() + self.s_logs.as_ref().map_or(0, |s| s.pending())
+        self.logs.pending()
     }
 
     /// Pages of the pending differential logs already spilled to disk
     /// (`|iR| + |dR|` run pages; the in-memory `Z` buffers hold the rest).
     pub fn pending_log_pages(&self) -> u64 {
-        self.r_logs.pages() + self.s_logs.as_ref().map_or(0, |s| s.pages())
+        self.logs.pages()
     }
 
     /// Observe one mutation of `S` *before* it is applied to the stored
     /// relation; mutations of `R` go through [`JoinStrategy::on_mutation`].
-    /// A view without an S side — `R` has no inverted index on the join
-    /// attribute, or the view selects or projects — refuses with
+    /// The query that folds it probes `R`'s inverted index on the join
+    /// attribute. A select or project view refuses with
     /// [`Error::Infeasible`] and stays as it was.
     pub fn on_s_mutation(&mut self, m: &Mutation) -> Result<()> {
-        let Some(logs) = &mut self.s_logs else {
-            return Err(Error::Infeasible(
-                "mutations of S need a full view over an R with an inverted index on A".into(),
-            ));
-        };
+        if !self.def.is_full() {
+            return Err(Error::Infeasible("mutations of S need a full view".into()));
+        }
         let _g = self.cost.section("mv.log_s");
         let (del, ins) = m.sides();
-        logs.log(del.cloned(), ins.cloned())
+        let per_page = self.params.tuples_per_full_page(self.s_tuple_bytes);
+        self.logs.log_s(per_page, del.cloned(), ins.cloned())
     }
 
     /// Point lookup: every cached join tuple with the given join-attribute
@@ -347,23 +330,12 @@ impl MaterializedView {
             return Ok(Vec::new());
         }
         let _g = self.cost.section(section);
-        // 2.1: sort the batch by the join attribute A.
-        counted_sort_by(&mut batch, |t| t.key, &self.cost);
-        // 2.2: probe the inverted index with the distinct keys...
-        let mut keys: Vec<u64> = batch.iter().map(|t| t.key).collect();
-        keys.dedup();
-        // BTreeMap: iteration order feeds op-counted sorts, so it must be
-        // deterministic for reproducible cost ledgers.
-        let mut postings: std::collections::BTreeMap<u64, Vec<Surrogate>> =
-            std::collections::BTreeMap::new();
-        other.probe_inverted(&keys, |k, sur| postings.entry(k).or_default().push(sur))?;
+        // 2.1/2.2: sort the batch on A, probe the inverted index with the
+        // distinct keys...
+        let postings = other.postings(&mut batch, skip, &self.cost)?;
         // ...then fetch the matching tuples in surrogate order (scheduled
         // access — each page at most once).
         let mut surs: Vec<Surrogate> = postings.values().flatten().copied().collect();
-        if !skip.is_empty() {
-            self.cost.comp(surs.len() as u64);
-            surs.retain(|sur| !skip.contains(sur));
-        }
         counted_sort_by(&mut surs, |s| s.0, &self.cost);
         let mut fetched: FxHashMap<Surrogate, BaseTuple> = FxHashMap::default();
         other.fetch_by_surrogates(&surs, |t| {
@@ -378,9 +350,6 @@ impl MaterializedView {
         for bt in &batch {
             for sur in postings.get(&bt.key).into_iter().flatten() {
                 let Some(ot) = fetched.get(sur) else {
-                    if skip.contains(sur) {
-                        continue;
-                    }
                     return Err(Error::Invariant(format!("inverted posting {sur} has no tuple")));
                 };
                 self.cost.comp(1);
@@ -431,8 +400,7 @@ impl MaterializedView {
     /// Build a full view directly from already-joined tuples — the
     /// receiving end of a migration hand-off. All I/O lands in the
     /// caller's open ledger section (the serving layer wraps this in its
-    /// `migrate.build` span). With no `R` to look at, the view follows `R`
-    /// only.
+    /// `migrate.build` span).
     pub fn build_from_tuples(
         disk: &Disk,
         params: &SystemParams,
@@ -443,7 +411,7 @@ impl MaterializedView {
     ) -> Result<Self> {
         let def = ViewDef::full();
         let v = load(disk, params, tuples, def.view_tuple_bytes(r_tuple_bytes, s_tuple_bytes))?;
-        Ok(Self::over(disk, params, cost, v, (r_tuple_bytes, s_tuple_bytes), def, false))
+        Ok(Self::over(disk, params, cost, v, (r_tuple_bytes, s_tuple_bytes), def))
     }
 
     /// Delete the view file and the log files — the superseded side of a
@@ -451,10 +419,7 @@ impl MaterializedView {
     /// internally instead).
     pub fn destroy(self) {
         self.v.destroy();
-        self.r_logs.destroy();
-        if let Some(logs) = self.s_logs {
-            logs.destroy();
-        }
+        self.logs.destroy();
     }
 }
 
@@ -471,7 +436,7 @@ impl JoinStrategy for MaterializedView {
         // sides that fail its selection — *irrelevant* mutations (both
         // sides fail) cost nothing at all.
         let (del, ins) = self.def.translate_r(m);
-        self.r_logs.log(del, ins)
+        self.logs.log(del, ins)
     }
 
     fn execute(
@@ -485,7 +450,7 @@ impl JoinStrategy for MaterializedView {
         // logged for `S` a query never goes back to `R`, whose apply log
         // is left to grow.
         s.settle()?;
-        if self.s_logs.as_ref().is_some_and(|logs| logs.pending() > 0) {
+        if self.logs.has_s() {
             r.settle()?;
         }
         let answer = crate::recovery::answer_or_recover(
@@ -500,43 +465,15 @@ impl JoinStrategy for MaterializedView {
     }
 }
 
-/// What one query folds of `S`'s mutations (all empty for a view without an
-/// S side).
-#[derive(Default)]
-struct SFold {
-    /// Net-inserted `s`: `iR ⋈ S_now` leaves them to the S side.
-    inserted: FxHashSet<Surrogate>,
-    /// Net-deleted `s`: their view tuples go.
-    deleted: FxHashSet<Surrogate>,
-    /// `iS ⋈ R_now`, in bucket order.
-    joined: VecDeque<ViewTuple>,
-}
-
 impl MaterializedView {
     /// Net `S`'s differentials into memory and join its insertions with
     /// the current `R`.
-    fn fold_s(&mut self, r: &StoredRelation) -> Result<SFold> {
-        let mut fold = SFold::default();
-        let Some(logs) = &mut self.s_logs else {
-            return Ok(fold);
-        };
-        logs.seal()?;
-        let mut ins: Vec<BaseTuple> = Vec::new();
-        {
-            let _g = self.cost.section("mv.read_s_diffs");
-            for item in logs.net(|a, b| a == b)? {
-                match item {
-                    Net::Ins(t) => ins.push(t),
-                    Net::Del(t) => {
-                        fold.deleted.insert(t.sur);
-                    }
-                }
-            }
-        }
-        logs.stream_error()?;
-        fold.inserted = ins.iter().map(|t| t.sur).collect();
-        fold.joined = self.join_batch("mv.join_is", ins, false, r, &FxHashSet::default())?.into();
-        Ok(fold)
+    /// `iS ⋈ R_now` in bucket order.
+    fn fold_s(&mut self, r: &StoredRelation) -> Result<SFold<VecDeque<ViewTuple>>> {
+        let (ins, deleted) = self.logs.net_s("mv.read_s_diffs", |a, b| a == b)?;
+        let inserted = ins.iter().map(|t| t.sur).collect();
+        let joined = self.join_batch("mv.join_is", ins, false, r, &FxHashSet::default())?.into();
+        Ok(SFold { inserted, deleted, joined })
     }
 
     /// The §3.2 merge pipeline (the paper's steps 1–4), fallible on any
@@ -548,11 +485,11 @@ impl MaterializedView {
         s: &StoredRelation,
         sink: &mut dyn FnMut(ViewTuple),
     ) -> Result<u64> {
-        self.r_logs.seal()?;
+        self.logs.seal()?;
         let mut s_fold = self.fold_s(r)?;
         // One test per deletion set a view tuple is held against.
-        let del_tests = 1 + self.s_logs.is_some() as u64;
-        let n1 = self.r_logs.runs();
+        let del_tests = 1 + self.logs.has_s() as u64;
+        let n1 = self.logs.runs();
         // Expected S partners per R tuple: ‖V‖/‖R‖ = JS·‖S‖ (self-estimated
         // from the cached view, like a real system's statistics).
         let r_len = r.len_estimate();
@@ -566,7 +503,7 @@ impl MaterializedView {
         // byte-identity is the exact cancellation equivalence.
         let mut net = {
             let _g = self.cost.section("mv.read_diffs");
-            self.r_logs.net(|a, b| a == b)?.peekable()
+            self.logs.net(|a, b| a == b)?.peekable()
         };
 
         let mut del_q: VecDeque<(u64, Surrogate)> = VecDeque::new();
@@ -598,7 +535,7 @@ impl MaterializedView {
             // A parked run-read error means the differential stream ended
             // early and the batch is incomplete: fail the merge (recovery
             // takes over in the execute wrapper).
-            self.r_logs.stream_error()?;
+            self.logs.stream_error()?;
             // The scan below may process up to the batch's last bucket; if
             // the stream is exhausted, it finishes the whole file.
             let last = if net.peek().is_none() {

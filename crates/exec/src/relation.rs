@@ -50,11 +50,12 @@
 
 use std::borrow::Cow;
 use std::cell::{Cell, Ref, RefCell};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use trijoin_btree::{net_chain, BTree, BTreeConfig, BTreeMeta, Netted, SweepOp, SweepStats};
 use trijoin_common::{
-    BaseTuple, Cost, CounterId, Error, Json, OpCounts, Result, Surrogate, SystemParams,
+    BaseTuple, Cost, CounterId, Error, FxHashSet, Json, OpCounts, Result, Surrogate, SystemParams,
 };
 use trijoin_storage::{Disk, FileId, SlottedPage};
 
@@ -908,6 +909,25 @@ impl StoredRelation {
         self.state.borrow().inverted.is_some()
     }
 
+    /// Give the relation the inverted index on the join attribute (a no-op
+    /// if it has one): it settles, then one scan and a bulk load under the
+    /// span `base.build_inverted`; settles maintain it, catalogs persist it.
+    pub fn build_inverted(&mut self, params: &SystemParams) -> Result<()> {
+        if self.has_inverted() {
+            return Ok(());
+        }
+        self.settle()?;
+        let cost = self.disk.cost().clone();
+        let _span = cost.section("base.build_inverted");
+        let mut entries: Vec<(u64, [u8; 4])> = Vec::new();
+        self.scan(|t| entries.push((t.key, t.sur.0.to_le_bytes())))?;
+        counted_sort_by(&mut entries, |&e| e, &cost);
+        let entries = entries.into_iter().map(|(key, sur)| (key, sur.to_vec()));
+        let inverted = BTree::bulk_load(&self.disk, BTreeConfig::inverted(params), entries)?;
+        self.state.get_mut().inverted = Some(inverted);
+        Ok(())
+    }
+
     // ---- readers --------------------------------------------------------
 
     /// Point-fetch one tuple by surrogate.
@@ -955,6 +975,30 @@ impl StoredRelation {
             Some(e) => Err(e),
             None => Ok(()),
         }
+    }
+
+    /// Sort `batch` on the join attribute and probe the inverted index with
+    /// its distinct keys: the postings by key, in key order (what iterates
+    /// them feeds op-counted sorts, so it is deterministic), less those in
+    /// `skip` (one comparison each, unless `skip` is empty).
+    pub fn postings(
+        &self,
+        batch: &mut [BaseTuple],
+        skip: &FxHashSet<Surrogate>,
+        cost: &Cost,
+    ) -> Result<BTreeMap<u64, Vec<Surrogate>>> {
+        counted_sort_by(batch, |t| t.key, cost);
+        let mut keys: Vec<u64> = batch.iter().map(|t| t.key).collect();
+        keys.dedup();
+        let mut postings: BTreeMap<u64, Vec<Surrogate>> = BTreeMap::new();
+        if !keys.is_empty() {
+            self.probe_inverted(&keys, |k, sur| postings.entry(k).or_default().push(sur))?;
+        }
+        if !skip.is_empty() {
+            cost.comp(postings.values().map(|surs| surs.len() as u64).sum());
+            postings.values_mut().for_each(|surs| surs.retain(|sur| !skip.contains(sur)));
+        }
+        Ok(postings)
     }
 
     /// [`Reader::scan`] through a reader of its own.

@@ -4,9 +4,12 @@
 //! pair with the same surrogate — the paper's model where "update operations
 //! ... get translated into a deleted tuple followed by an inserted tuple"),
 //! giving each strategy a chance to observe them, then asks for the current
-//! join. Updates to `S` are outside the trait, as they are outside §3.2's
-//! analysis ("assumes that only relation R is updated"); the view takes
-//! them through [`crate::MaterializedView::on_s_mutation`].
+//! join. Mutations of `S` are outside the trait, as they are outside
+//! §3.2's analysis ("assumes that only relation R is updated"): the view
+//! and the join index fold them by one rule
+//! ([`crate::MaterializedView::on_s_mutation`],
+//! [`crate::JoinIndexStrategy::on_s_mutation`]), and hybrid hash, which
+//! caches nothing, needs none.
 
 use trijoin_common::{BaseTuple, Result, ViewTuple};
 

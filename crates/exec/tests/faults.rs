@@ -264,3 +264,39 @@ fn legacy_fault_is_never_recovered() {
         "fatal faults must not trigger the recovery path"
     );
 }
+
+#[test]
+fn a_mutation_whose_spill_fails_is_refused_whole() {
+    // Every key-changing update is logged under an armed write fault, and
+    // applied to `R` only if the strategy took it: the first one that needs
+    // a full buffer spilled is refused — both of its sides, or the answer
+    // would fold a deletion `R` never saw.
+    for use_ji in [false, true] {
+        let (disk, cost, params, mut r, s) = setup();
+        let mut strategy: Box<dyn JoinStrategy> = if use_ji {
+            Box::new(JoinIndexStrategy::build(&disk, &params, &cost, &r, &s).unwrap())
+        } else {
+            Box::new(MaterializedView::build(&disk, &params, &cost, &r, &s).unwrap())
+        };
+        let mut refused = 0;
+        for i in 0..150u32 {
+            let old = BaseTuple::padded(Surrogate(i), (i % 7) as u64, 64);
+            let new = BaseTuple::padded(Surrogate(i), (i % 7) as u64 + 100, 64);
+            let m = Mutation::Update(trijoin_exec::Update { old, new });
+            disk.install_fault_plan(FaultPlan::new().fail_nth_write(None, 0));
+            let logged = strategy.on_mutation(&m);
+            disk.clear_faults();
+            match logged {
+                Ok(()) => r.apply_mutation(&m).unwrap(),
+                Err(_) => refused += 1,
+            }
+        }
+        assert!(refused > 0, "use_ji {use_ji}: no spill was due");
+        let want = oracle_answer(&r, &s);
+        oracle::assert_same_join(
+            "after refused mutations",
+            execute_collect(&mut *strategy, &r, &s).unwrap(),
+            want,
+        );
+    }
+}

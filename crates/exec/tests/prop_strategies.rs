@@ -1,8 +1,9 @@
 //! Property-based strategy equivalence: under *arbitrary* generated update
 //! scripts (which surrogates, which keys, matched or unmatched, repeated or
 //! not, interleaved with queries), all three strategies must equal the
-//! oracle join of the current relations — and a view over an `R` with the
-//! symmetric access path must do so while `S` mutates as well.
+//! oracle join of the current relations — and the view and the join index
+//! over an `R` with the symmetric access path must do so while `S` mutates
+//! as well.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -26,7 +27,8 @@ enum Script {
     Insert { key: u64, p: u8 },
     /// Delete tuple `sur % live`.
     Delete { sur: u32 },
-    /// One of the three above, of `S` — seen by the S-capable view only.
+    /// One of the three above, of `S` — seen by the S-folding structures
+    /// only.
     OfS(Box<Script>),
     /// Run all strategies and compare against the oracle.
     Query,
@@ -121,13 +123,15 @@ proptest! {
         let mut hh = HybridHash::new(&disk, &params, &cost);
         let mut next_sur = N_R;
 
-        // The S-capable view: its own `R` (with the inverted index on A)
-        // under the same mutations, and an `S` that mutates too.
+        // The S-folding view and join index: their own `R` (with the
+        // inverted index on A) under the same mutations, and an `S` that
+        // mutates too.
         let mut r2 = StoredRelation::build(&disk, &params, "R2", r_tuples, true).unwrap();
         let mut s2 = StoredRelation::build(&disk, &params, "S3", s_tuples.clone(), true).unwrap();
         let mut s2_now: HashMap<u32, BaseTuple> =
             s_tuples.iter().map(|t| (t.sur.0, t.clone())).collect();
         let mut mv2 = MaterializedView::build(&disk, &params, &cost, &r2, &s2).unwrap();
+        let mut ji2 = JoinIndexStrategy::build(&disk, &params, &cost, &r2, &s2).unwrap();
         let mut next_s_sur = N_S;
 
         // Always end with a final query so every script checks something.
@@ -146,11 +150,15 @@ proptest! {
                     let s_current: Vec<BaseTuple> = s2_now.values().cloned().collect();
                     let want = oracle::join_tuples(&current, &s_current);
                     let got_mv2 = execute_collect(&mut mv2, &r2, &s2).unwrap();
-                    oracle::assert_same_join(&format!("step {step} mv over R and S"), got_mv2, want);
+                    oracle::assert_same_join(&format!("step {step} mv over R and S"), got_mv2, want.clone());
+                    let got_ji2 = execute_collect(&mut ji2, &r2, &s2).unwrap();
+                    oracle::assert_same_join(&format!("step {step} ji over R and S"), got_ji2, want);
+                    ji2.index().check_invariants().unwrap();
                 }
                 Script::OfS(op) => {
                     if let Some(m) = mutation_of(&op, &mut s2_now, &mut next_s_sur) {
                         mv2.on_s_mutation(&m).unwrap();
+                        ji2.on_s_mutation(&m).unwrap();
                         s2.apply_mutation(&m).unwrap();
                     }
                 }
@@ -161,11 +169,13 @@ proptest! {
                         hh.on_mutation(&m).unwrap();
                         r.apply_mutation(&m).unwrap();
                         mv2.on_mutation(&m).unwrap();
+                        ji2.on_mutation(&m).unwrap();
                         r2.apply_mutation(&m).unwrap();
                     }
                 }
             }
         }
         prop_assert_eq!(mv.view_len(), ji.index_len());
+        prop_assert_eq!(mv2.view_len(), ji2.index_len());
     }
 }

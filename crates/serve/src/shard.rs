@@ -172,10 +172,11 @@ enum Mode {
 /// paper prices a deferred-maintenance structure by the differential file
 /// its next query must fold, so a structure no query reads should cost
 /// nothing: it exists only once a query has named its method, mutations
-/// are logged only into structures that exist, and one whose log nobody
-/// folds is destroyed again ([`ResidentSet::evict_idle`]) and rebuilt on
-/// its next use. Disk pages per shard stay within base relations +
-/// 2 × resident structures + `Z` (one spilled run past the eviction test).
+/// (of `R` and of `S`) are logged only into structures that exist, and one
+/// whose log nobody folds is destroyed again ([`ResidentSet::evict_idle`])
+/// and rebuilt on its next use. Disk pages per shard stay within base
+/// relations + 2 × resident structures + `Z` (one spilled run past the
+/// eviction test).
 struct ResidentSet {
     /// At most one structure per caching method (MV, JI), in build order.
     cached: Vec<CachedStrategy>,
@@ -184,21 +185,16 @@ struct ResidentSet {
     /// The method that answered the shard's last query, or that a
     /// `PoisonCachedView` command has since set up for the next one.
     last: Option<Method>,
-    /// Methods whose structure an `S` mutation released and no query has
-    /// asked for since; building one of these is an `S` rebuild.
-    stale: Vec<Method>,
-    /// `shard.builds`, `shard.build_errors`, `shard.evictions`,
-    /// `shard.s_rebuilds`.
-    counters: [CounterId; 4],
+    /// `shard.builds`, `shard.build_errors`, `shard.evictions`.
+    counters: [CounterId; 3],
 }
 
 impl ResidentSet {
     fn new(db: &Database) -> ResidentSet {
-        let counters =
-            ["shard.builds", "shard.build_errors", "shard.evictions", "shard.s_rebuilds"]
-                .map(|name| db.metrics().counter_handle(name));
+        let counters = ["shard.builds", "shard.build_errors", "shard.evictions"]
+            .map(|name| db.metrics().counter_handle(name));
         let hh = db.hybrid_hash();
-        ResidentSet { cached: Vec::new(), hh, last: None, stale: Vec::new(), counters }
+        ResidentSet { cached: Vec::new(), hh, last: None, counters }
     }
 
     /// The resident structure of a caching `method`, built from the current
@@ -213,7 +209,7 @@ impl ResidentSet {
         let at = match self.cached.iter().position(|c| c.method() == method) {
             Some(at) => at,
             None => {
-                let [builds, build_errors, _, s_rebuilds] = self.counters;
+                let [builds, build_errors, _] = self.counters;
                 db.settle()?;
                 let built = {
                     let _section = db.cost().section("shard.build");
@@ -221,10 +217,6 @@ impl ResidentSet {
                         .inspect_err(|_| db.metrics().incr_id(build_errors))?
                 };
                 db.metrics().incr_id(builds);
-                if let Some(at) = self.stale.iter().position(|m| *m == method) {
-                    self.stale.swap_remove(at);
-                    db.metrics().incr_id(s_rebuilds);
-                }
                 db.audit_rebaseline(method);
                 self.cached.push(built);
                 self.cached.len() - 1
@@ -241,20 +233,20 @@ impl ResidentSet {
         Ok(self.resident(db, method)?.as_dyn())
     }
 
-    /// Log one `R` mutation into every resident structure.
-    fn log(&mut self, m: &Mutation) -> Result<()> {
-        self.cached.iter_mut().try_for_each(|c| c.as_dyn().on_mutation(m))
-    }
-
-    /// `S` changed: destroy every resident structure, log runs included,
-    /// and remember which ones the next query naming them must rebuild.
-    fn release_stale(&mut self) {
-        for c in self.cached.drain(..) {
-            if !self.stale.contains(&c.method()) {
-                self.stale.push(c.method());
+    /// Log one mutation, of `R` or (`of_s`) of `S`, into every resident
+    /// structure. One that refuses it logs nothing, and the mutation is
+    /// not applied: the structures that took it are evicted.
+    fn log(&mut self, db: &Database, of_s: bool, m: &Mutation) -> Result<()> {
+        for at in 0..self.cached.len() {
+            if let Err(e) = self.cached[at].on_mutation_of(of_s, m) {
+                for c in self.cached.drain(..at) {
+                    db.metrics().incr_id(self.counters[2]);
+                    c.destroy();
+                }
+                return Err(e);
             }
-            c.destroy();
         }
+        Ok(())
     }
 
     /// The eviction rule, run whenever the shard has folded a batch or
@@ -476,14 +468,9 @@ impl ShardWorker {
     /// by one step — migrations make progress on every command, not just
     /// queries.
     fn apply(&mut self, r: Vec<Mutation>, s: Vec<Mutation>) {
-        for m in &s {
-            if self.apply_s(m).is_err() {
-                self.count_apply_errors(true, 1);
-            }
-        }
-        for m in &r {
-            if self.apply_r(m).is_err() {
-                self.count_apply_errors(false, 1);
+        for (of_s, m) in s.iter().map(|m| (true, m)).chain(r.iter().map(|m| (false, m))) {
+            if self.apply_one(of_s, m).is_err() {
+                self.count_apply_errors(of_s, 1);
             }
         }
         match &mut self.mode {
@@ -492,33 +479,26 @@ impl ShardWorker {
         }
     }
 
-    /// The paper's deferred-maintenance contract: caching strategies log
-    /// the mutation first, then the stored relation changes.
-    fn apply_r(&mut self, m: &Mutation) -> Result<()> {
-        self.since_query += 1;
+    /// The paper's deferred-maintenance contract, for `R` and (`of_s`) `S`
+    /// alike: caching strategies log the mutation first (an in-flight
+    /// migration replays it into its target), then the stored relation
+    /// changes.
+    fn apply_one(&mut self, of_s: bool, m: &Mutation) -> Result<()> {
+        if of_s {
+            self.db.metrics().incr_id(self.s_mutations);
+        } else {
+            self.since_query += 1;
+        }
         match &mut self.mode {
-            Mode::Pinned(set) => set.log(m)?,
+            Mode::Pinned(set) => set.log(&self.db, of_s, m)?,
+            Mode::Adaptive(a) if of_s => a.on_s_mutation(m)?,
             Mode::Adaptive(a) => a.on_mutation(m)?,
         }
-        self.db.apply_r_mutation(m)
-    }
-
-    /// `S` mutations invalidate the cached view and join index (they cache
-    /// joins against the old `S`); the stored relation and its join-key
-    /// index catch up at the next settle. Either mode rebuilds from the new `S`
-    /// only when a query next needs the structure (`shard.s_rebuilds`
-    /// counts those rebuilds): a pinned shard releases its resident
-    /// structures at once, an adaptive shard keeps its incumbent marked
-    /// stale and aborts any in-flight migration — the structure it was
-    /// staging is stale the moment `S` changes.
-    fn apply_s(&mut self, m: &Mutation) -> Result<()> {
-        self.db.metrics().incr_id(self.s_mutations);
-        self.db.s_mut().apply_mutation(m)?;
-        match &mut self.mode {
-            Mode::Pinned(set) => set.release_stale(),
-            Mode::Adaptive(a) => a.on_s_mutation(),
+        if of_s {
+            self.db.apply_s_mutation(m)
+        } else {
+            self.db.apply_r_mutation(m)
         }
-        Ok(())
     }
 
     fn count_apply_errors(&self, of_s: bool, n: u64) {
@@ -543,18 +523,13 @@ impl ShardWorker {
     fn query(&mut self, method: Method) -> Result<Vec<ViewTuple>> {
         // The strategy reads the logs of what it reads through, or settles
         // (a view leaves `R`'s log to grow); a structure this query has to
-        // build or rebuild first reads both relations, settled ahead of its
-        // section.
+        // build first reads both relations, settled ahead of its section.
         let mut rows = match &mut self.mode {
             Mode::Pinned(set) => self.db.query(set.strategy(&self.db, method)?)?,
             // Adaptive shards ignore the requested method: the incumbent
-            // serves (rebuilt first if `S` changed under it), and the
-            // freshly produced answer feeds the selection statistics (and,
-            // if a migration starts, the staging source).
-            Mode::Adaptive(a) => {
-                a.rebuild_if_stale(&self.db)?;
-                self.db.query(a.strategy())?
-            }
+            // serves, and the freshly produced answer feeds the selection
+            // statistics (and, if a migration starts, the staging source).
+            Mode::Adaptive(a) => self.db.query(a.strategy())?,
         };
         self.since_query = 0;
         // Sort the shard-local answer so the server can k-way merge the
@@ -665,7 +640,7 @@ mod tests {
     }
 
     #[test]
-    fn s_mutation_releases_the_view_and_the_next_query_rebuilds_it() {
+    fn s_mutation_folds_into_the_resident_view() {
         let r = tuples(50, 5);
         let s = tuples(40, 5);
         let (tx, handle) = spawn(ShardSpec {
@@ -685,20 +660,20 @@ mod tests {
         let warm = report(&tx);
         assert_eq!(warm.metrics.gauge("shard.resident.mv"), Some(1.0));
         assert_eq!(warm.metrics.gauge("shard.resident.ji"), Some(0.0));
-        // Delete one S tuple, then ask the cached MV for the join.
+        // Delete one S tuple, then ask the cached MV for the join: the
+        // view logged the delete and stays resident.
         let victim = s[7].clone();
         tx.send(ShardCommand::Apply { r: vec![], s: vec![Mutation::Delete(victim.clone())] })
             .unwrap();
-        assert_eq!(report(&tx).metrics.gauge("shard.resident.mv"), Some(0.0));
+        assert_eq!(report(&tx).metrics.gauge("shard.resident.mv"), Some(1.0));
         let rows = query(&tx, Method::MaterializedView);
         let s_after: Vec<BaseTuple> = s.iter().filter(|t| t.sur != victim.sur).cloned().collect();
         let want = trijoin_exec::oracle::join_tuples(&r, &s_after);
         trijoin_exec::oracle::assert_same_join("mv after S delete", rows, want);
 
         let report = report(&tx);
-        assert_eq!(report.metrics.counter("shard.s_rebuilds"), 1);
         assert_eq!(report.metrics.counter("shard.s_mutations"), 1);
-        assert_eq!(report.metrics.counter("shard.builds"), 2);
+        assert_eq!(report.metrics.counter("shard.builds"), 1);
         drop(tx);
         handle.join().unwrap();
     }

@@ -15,15 +15,10 @@
 
 use trijoin_common::{Json, RunReport, SeriesSnapshot, ShardedRunReport};
 
-/// Validate the report file at `path` (reads, parses, sniffs, checks).
-pub fn validate_report_file(path: &str) -> Result<String, String> {
-    validate_report_file_with(path, 0)
-}
-
-/// Like [`validate_report_file`], additionally requiring every telemetry
-/// series carried by (per-shard) run reports to hold at least
-/// `min_series_windows` closed windows. `0` keeps series optional —
-/// structural checks still run on any series that is present.
+/// Validate the report file at `path` (reads, parses, sniffs, checks),
+/// requiring every telemetry series carried by (per-shard) run reports to
+/// hold at least `min_series_windows` closed windows. `0` keeps series
+/// optional — structural checks still run on any series that is present.
 pub fn validate_report_file_with(path: &str, min_series_windows: usize) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let json = Json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
@@ -321,12 +316,8 @@ fn check_live_file_counters(
     Ok(())
 }
 
-/// Validate a plain run report (`trijoin run --report`).
-pub fn validate_run_report(path: &str, json: &Json) -> Result<String, String> {
-    validate_run_report_with(path, json, 0)
-}
-
-/// [`validate_run_report`] with a minimum-series-windows requirement.
+/// Validate a plain run report (`trijoin run --report`), with a
+/// minimum-series-windows requirement.
 pub fn validate_run_report_with(
     path: &str,
     json: &Json,
@@ -381,15 +372,10 @@ const REQUIRED_ROLLUP_GAUGES: &[&str] =
 /// invariant — every counter outside the scheduler-only `serve.`
 /// namespace must be the exact sum of the per-shard counters — plus the
 /// serve-path instrumentation contract (ring counters and latency
-/// gauges must be present in the rollup).
-pub fn validate_sharded_report(path: &str, json: &Json) -> Result<String, String> {
-    validate_sharded_report_with(path, json, 0)
-}
-
-/// [`validate_sharded_report`] with a minimum-series-windows requirement
-/// applied to every shard's engine series (the scheduler's batch-domain
-/// `serve` series in the rollup only needs to exist and be well-formed —
-/// its window count scales with batches, not engine work).
+/// gauges must be present in the rollup), with a minimum-series-windows
+/// requirement applied to every shard's engine series (the scheduler's
+/// batch-domain `serve` series in the rollup only needs to exist and be
+/// well-formed — its window count scales with batches, not engine work).
 pub fn validate_sharded_report_with(
     path: &str,
     json: &Json,
@@ -487,14 +473,14 @@ mod tests {
 
     #[test]
     fn rejects_unparseable_files_with_the_path_in_the_message() {
-        let err = validate_report_file("/nonexistent/report.json").unwrap_err();
+        let err = validate_report_file_with("/nonexistent/report.json", 0).unwrap_err();
         assert!(err.starts_with("/nonexistent/report.json:"), "{err}");
 
         let dir = std::env::temp_dir().join("trijoin-validate-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("garbage.json");
         std::fs::write(&path, "{not json").unwrap();
-        let err = validate_report_file(path.to_str().unwrap()).unwrap_err();
+        let err = validate_report_file_with(path.to_str().unwrap(), 0).unwrap_err();
         assert!(err.contains("invalid JSON"), "{err}");
     }
 

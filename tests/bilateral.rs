@@ -1,16 +1,17 @@
-//! Bilateral maintenance: the materialized view stays exact when *both*
-//! relations mutate between queries — the general `V'` expression of §3.2
-//! the paper scopes out of its analysis — provided `R` carries the
-//! symmetric access path (`Database::new_bilateral`).
+//! Bilateral maintenance: the materialized view and the join index stay
+//! exact when *both* relations mutate between queries — the general `V'`
+//! expression of §3.2 the paper scopes out of its analysis. `R` gains the
+//! symmetric access path (an inverted index on `A`) when `S` first changes.
 
 use rand::prelude::*;
 use std::collections::HashMap;
 
 use trijoin::{
-    Database, FaultPlan, JoinStrategy, MaterializedView, Mutation, SystemParams, Update,
+    CachedStrategy, Database, FaultPlan, JoinStrategy, MaterializedView, Mutation, SystemParams,
+    Update,
 };
-use trijoin_common::{rng, BaseTuple, Surrogate};
-use trijoin_exec::{execute_collect, oracle};
+use trijoin_common::{rng, BaseTuple, OpCounts, Surrogate, ViewTuple};
+use trijoin_exec::{execute_collect, oracle, Predicate, ViewDef};
 
 const TUPLE: usize = 80;
 
@@ -81,50 +82,81 @@ fn mk_side(n: u32, key_domain: u64, seed: u64) -> Vec<BaseTuple> {
 }
 
 /// `n` random mutations, each of `R` or of `S` on a coin flip, shown to the
-/// view and then applied to the database.
+/// cached structures and then applied to the database.
 fn churn_both(
     db: &mut Database,
-    view: &mut MaterializedView,
+    cached: &mut [CachedStrategy],
     (r_mirror, s_mirror): (&mut Mirror, &mut Mirror),
     rn: &mut StdRng,
     key_domain: u64,
     counters: std::ops::Range<u64>,
 ) {
     for counter in counters {
-        if rn.gen_bool(0.5) {
-            let m = r_mirror.random_mutation(rn, key_domain, counter);
-            view.on_mutation(&m).unwrap();
-            db.r_mut().apply_mutation(&m).unwrap();
-        } else {
-            let m = s_mirror.random_mutation(rn, key_domain, counter);
-            view.on_s_mutation(&m).unwrap();
-            db.s_mut().apply_mutation(&m).unwrap();
+        let of_s = rn.gen_bool(0.5);
+        let mirror = if of_s { &mut *s_mirror } else { &mut *r_mirror };
+        apply(db, cached, of_s, &mirror.random_mutation(rn, key_domain, counter));
+    }
+}
+
+/// Log one mutation of `R` or (`of_s`) of `S` into every structure, then
+/// queue it.
+fn apply(db: &mut Database, cached: &mut [CachedStrategy], of_s: bool, m: &Mutation) {
+    for c in cached.iter_mut() {
+        c.on_mutation_of(of_s, m).unwrap();
+    }
+    if of_s {
+        db.apply_s_mutation(m).unwrap();
+    } else {
+        db.apply_r_mutation(m).unwrap();
+    }
+}
+
+/// The view and the join index over `db`.
+fn mv_and_ji(db: &Database) -> Vec<CachedStrategy> {
+    vec![
+        CachedStrategy::Mv(db.materialized_view().unwrap()),
+        CachedStrategy::Ji(db.join_index().unwrap()),
+    ]
+}
+
+/// Every structure, and hybrid hash, answers `want`.
+fn assert_all_answer(
+    label: &str,
+    db: &Database,
+    cached: &mut [CachedStrategy],
+    want: &[ViewTuple],
+) {
+    for c in cached.iter_mut() {
+        let got = execute_collect(c.as_dyn(), db.r(), db.s()).unwrap();
+        oracle::assert_same_join(&format!("{label} {}", c.method()), got, want.to_vec());
+        if let CachedStrategy::Ji(ji) = c {
+            ji.index().check_invariants().unwrap();
         }
     }
+    let got = execute_collect(&mut db.hybrid_hash(), db.r(), db.s()).unwrap();
+    oracle::assert_same_join(&format!("{label} hh"), got, want.to_vec());
 }
 
 #[test]
 fn bilateral_view_tracks_mutations_on_both_sides() {
-    let params = SystemParams { mem_pages: 40, page_size: 1024, ..Default::default() };
+    // Z = 3 pages, 12 tuples each: both relations' logs spill every epoch,
+    // and opening `S`'s halves a full buffer of `R`'s.
+    let params = SystemParams { mem_pages: 8, page_size: 1024, ..Default::default() };
     let r0 = mk_side(800, 10, 501);
     let s0 = mk_side(700, 10, 502);
-    let mut db = Database::new_bilateral(&params, r0.clone(), s0.clone()).unwrap();
-    let mut view = db.materialized_view().unwrap();
-    let mut hh = db.hybrid_hash();
+    let mut db = Database::new(&params, r0.clone(), s0.clone()).unwrap();
+    let mut cached = mv_and_ji(&db);
     let mut r_mirror = Mirror::new(&r0);
     let mut s_mirror = Mirror::new(&s0);
     let mut rn = rng::seeded(503);
 
     for epoch in 0..4 {
         let counters = epoch * 1000..epoch * 1000 + 120;
-        churn_both(&mut db, &mut view, (&mut r_mirror, &mut s_mirror), &mut rn, 10, counters);
+        churn_both(&mut db, &mut cached, (&mut r_mirror, &mut s_mirror), &mut rn, 10, counters);
         let want = oracle::join_tuples(&r_mirror.tuples(), &s_mirror.tuples());
-        let got = execute_collect(&mut view, db.r(), db.s()).unwrap();
-        oracle::assert_same_join(&format!("epoch {epoch} bilateral"), got, want.clone());
+        assert_all_answer(&format!("epoch {epoch}"), &db, &mut cached, &want);
+        let CachedStrategy::Mv(view) = &cached[0] else { unreachable!() };
         assert_eq!(view.view_len(), want.len() as u64);
-        // Hybrid hash recomputes and must agree.
-        let got_hh = execute_collect(&mut hh, db.r(), db.s()).unwrap();
-        oracle::assert_same_join(&format!("epoch {epoch} hh"), got_hh, want);
     }
 }
 
@@ -133,18 +165,16 @@ fn s_only_mutations() {
     let params = SystemParams { mem_pages: 40, page_size: 1024, ..Default::default() };
     let r0 = mk_side(400, 8, 511);
     let s0 = mk_side(400, 8, 512);
-    let mut db = Database::new_bilateral(&params, r0.clone(), s0.clone()).unwrap();
-    let mut view = db.materialized_view().unwrap();
+    let mut db = Database::new(&params, r0.clone(), s0.clone()).unwrap();
+    let mut cached = mv_and_ji(&db);
     let mut s_mirror = Mirror::new(&s0);
     let mut rn = rng::seeded(513);
     for i in 0..150u64 {
         let m = s_mirror.random_mutation(&mut rn, 8, i);
-        view.on_s_mutation(&m).unwrap();
-        db.s_mut().apply_mutation(&m).unwrap();
+        apply(&mut db, &mut cached, true, &m);
     }
     let want = oracle::join_tuples(&r0, &s_mirror.tuples());
-    let got = execute_collect(&mut view, db.r(), db.s()).unwrap();
-    oracle::assert_same_join("s-only", got, want);
+    assert_all_answer("s-only", &db, &mut cached, &want);
 }
 
 #[test]
@@ -154,10 +184,9 @@ fn correlated_both_side_churn_on_the_same_keys() {
     let params = SystemParams { mem_pages: 32, page_size: 512, ..Default::default() };
     let r0 = mk_side(100, 4, 521);
     let s0 = mk_side(100, 4, 522);
-    let mut db = Database::new_bilateral(&params, r0.clone(), s0.clone()).unwrap();
-    let mut view = db.materialized_view().unwrap();
-    let mut r_mirror = Mirror::new(&r0);
-    let mut s_mirror = Mirror::new(&s0);
+    let mut db = Database::new(&params, r0.clone(), s0.clone()).unwrap();
+    let mut cached = mv_and_ji(&db);
+    let mut mirrors = [Mirror::new(&r0), Mirror::new(&s0)];
 
     // Insert an (r, s) pair on a brand-new key, then delete both before
     // the query — net effect must be nil; then insert another pair that
@@ -166,57 +195,28 @@ fn correlated_both_side_churn_on_the_same_keys() {
     let mk = |sur: u32, counter: u64| {
         BaseTuple::with_payload(Surrogate(sur), key, &counter.to_le_bytes(), TUPLE).unwrap()
     };
-    let r_new = mk(900, 1);
-    let s_new = mk(901, 2);
-    for (is_r, m) in [
-        (true, Mutation::Insert(r_new.clone())),
-        (false, Mutation::Insert(s_new.clone())),
-        (true, Mutation::Delete(r_new.clone())),
-        (false, Mutation::Delete(s_new.clone())),
+    let (r_new, s_new) = (mk(900, 1), mk(901, 2));
+    for (of_s, m) in [
+        (false, Mutation::Insert(r_new.clone())),
+        (true, Mutation::Insert(s_new.clone())),
+        (false, Mutation::Delete(r_new)),
+        (true, Mutation::Delete(s_new)),
+        (false, Mutation::Insert(mk(910, 3))),
+        (true, Mutation::Insert(mk(911, 4))),
     ] {
-        if is_r {
-            view.on_mutation(&m).unwrap();
-            db.r_mut().apply_mutation(&m).unwrap();
-            match &m {
-                Mutation::Insert(t) => {
-                    r_mirror.map.insert(t.sur.0, t.clone());
-                }
-                Mutation::Delete(t) => {
-                    r_mirror.map.remove(&t.sur.0);
-                }
-                _ => {}
-            }
-        } else {
-            view.on_s_mutation(&m).unwrap();
-            db.s_mut().apply_mutation(&m).unwrap();
-            match &m {
-                Mutation::Insert(t) => {
-                    s_mirror.map.insert(t.sur.0, t.clone());
-                }
-                Mutation::Delete(t) => {
-                    s_mirror.map.remove(&t.sur.0);
-                }
-                _ => {}
-            }
-        }
+        apply(&mut db, &mut cached, of_s, &m);
+        let mirror = &mut mirrors[of_s as usize].map;
+        match m {
+            Mutation::Insert(t) => mirror.insert(t.sur.0, t),
+            Mutation::Delete(t) => mirror.remove(&t.sur.0),
+            Mutation::Update(_) => unreachable!(),
+        };
     }
-    // A lasting correlated pair.
-    let r_keep = mk(910, 3);
-    let s_keep = mk(911, 4);
-    view.on_mutation(&Mutation::Insert(r_keep.clone())).unwrap();
-    db.r_mut().insert(&r_keep).unwrap();
-    r_mirror.map.insert(r_keep.sur.0, r_keep);
-    view.on_s_mutation(&Mutation::Insert(s_keep.clone())).unwrap();
-    db.s_mut().insert(&s_keep).unwrap();
-    s_mirror.map.insert(s_keep.sur.0, s_keep);
 
-    let want = oracle::join_tuples(&r_mirror.tuples(), &s_mirror.tuples());
-    let got = execute_collect(&mut view, db.r(), db.s()).unwrap();
-    oracle::assert_same_join("correlated churn", got, want);
-    // The lasting pair must be present exactly once.
-    let pair_count = view.view_len();
-    let second = execute_collect(&mut view, db.r(), db.s()).unwrap();
-    assert_eq!(second.len() as u64, pair_count, "stable across idempotent queries");
+    let want = oracle::join_tuples(&mirrors[0].tuples(), &mirrors[1].tuples());
+    assert_all_answer("correlated churn", &db, &mut cached, &want);
+    // The lasting pair is present exactly once, query after query.
+    assert_all_answer("correlated churn, again", &db, &mut cached, &want);
 }
 
 #[test]
@@ -224,12 +224,23 @@ fn bilateral_requires_symmetric_access_path() {
     let params = SystemParams { mem_pages: 32, page_size: 512, ..Default::default() };
     let r0 = mk_side(50, 4, 531);
     let s0 = mk_side(50, 4, 532);
-    // A view over a plain database (no inverted index on R) refuses
-    // mutations of S...
     let mut db = Database::new(&params, r0.clone(), s0.clone()).unwrap();
-    let mut view = db.materialized_view().unwrap();
+    // A selection every tuple passes: a select view all the same.
+    let def = ViewDef { r_pred: Predicate::KeyRange { lo: 0, hi: u64::MAX }, ..ViewDef::full() };
+    let (disk, cost) = (db.disk(), db.cost());
+    let mut view =
+        MaterializedView::build_with(disk, db.params(), cost, db.r(), db.s(), def).unwrap();
+    // `R` is built per Table 5, without the inverted index `iS ⋈ R` probes;
+    // the first mutation of `S` gives it one, outside any query.
+    assert!(!db.r().has_inverted());
     let mut s_mirror = Mirror::new(&s0);
     let m = s_mirror.random_mutation(&mut rng::seeded(533), 4, 0);
+    db.apply_s_mutation(&m).unwrap();
+    assert!(db.r().has_inverted());
+    db.r().check_invariants().unwrap();
+    let built = db.cost().section_counts("base.build_inverted");
+    assert!(built.ios > 0, "one scan and a bulk load: {built:?}");
+    // A select view refuses mutations of S...
     assert!(matches!(view.on_s_mutation(&m), Err(trijoin_common::Error::Infeasible(_))));
     // ...and goes on answering R-only traffic.
     let mut r_mirror = Mirror::new(&r0);
@@ -237,11 +248,12 @@ fn bilateral_requires_symmetric_access_path() {
     for i in 0..40u64 {
         let m = r_mirror.random_mutation(&mut rn, 4, i);
         view.on_mutation(&m).unwrap();
-        db.r_mut().apply_mutation(&m).unwrap();
+        db.apply_r_mutation(&m).unwrap();
     }
     let want = oracle::join_tuples(&r_mirror.tuples(), &s0);
     let got = execute_collect(&mut view, db.r(), db.s()).unwrap();
     oracle::assert_same_join("r-only after a refused S mutation", got, want);
+    assert_eq!(db.cost().section_counts("base.build_inverted"), built, "built once");
 }
 
 #[test]
@@ -250,9 +262,22 @@ fn without_s_mutations_the_s_capable_view_is_the_plain_view() {
     let r0 = mk_side(400, 8, 551);
     let s0 = mk_side(400, 8, 552);
     let mut plain_db = Database::new(&params, r0.clone(), s0.clone()).unwrap();
-    let mut both_db = Database::new_bilateral(&params, r0.clone(), s0.clone()).unwrap();
+    // An `S` update undone at once gives `R` its inverted index and leaves
+    // `S` as it was.
+    let mut both_db = Database::new(&params, r0.clone(), s0.clone()).unwrap();
+    let moved = BaseTuple::padded(s0[0].sur, s0[0].key + 1, TUPLE);
+    for (old, new) in [(&s0[0], &moved), (&moved, &s0[0])] {
+        both_db
+            .apply_s_mutation(&Mutation::Update(Update { old: old.clone(), new: new.clone() }))
+            .unwrap();
+    }
+    both_db.settle().unwrap();
+    assert!(both_db.r().has_inverted());
     let mut plain = plain_db.materialized_view().unwrap();
     let mut both = both_db.materialized_view().unwrap();
+    let mv_sections = |db: &Database| -> Vec<(String, OpCounts)> {
+        db.cost().sections().into_iter().filter(|(name, _)| name.starts_with("mv.")).collect()
+    };
     let mut r_mirror = Mirror::new(&r0);
     let mut rn = rng::seeded(553);
     for epoch in 0..3u64 {
@@ -260,7 +285,7 @@ fn without_s_mutations_the_s_capable_view_is_the_plain_view() {
             let m = r_mirror.random_mutation(&mut rn, 8, epoch * 1000 + i);
             for (db, view) in [(&mut plain_db, &mut plain), (&mut both_db, &mut both)] {
                 view.on_mutation(&m).unwrap();
-                db.r_mut().apply_mutation(&m).unwrap();
+                db.apply_r_mutation(&m).unwrap();
             }
         }
         let want = execute_collect(&mut plain, plain_db.r(), plain_db.s()).unwrap();
@@ -268,6 +293,36 @@ fn without_s_mutations_the_s_capable_view_is_the_plain_view() {
         assert_eq!(got, want, "epoch {epoch}: same answer, in the same order");
         assert_eq!(both.view_len(), plain.view_len());
         assert_eq!(both.view_pages(), plain.view_pages());
+        assert_eq!(mv_sections(&both_db), mv_sections(&plain_db), "epoch {epoch}: same charges");
+    }
+}
+
+/// The first query after one `S` insert folds it for less than the rebuild
+/// it replaced: building the structure afresh from the relations, then
+/// querying it.
+#[test]
+fn one_s_insert_folds_for_less_than_a_rebuild_and_query() {
+    let params = SystemParams { mem_pages: 40, page_size: 1024, ..Default::default() };
+    let r0 = mk_side(2_000, 50, 571);
+    let s0 = mk_side(2_000, 50, 572);
+    let insert = Mutation::Insert(BaseTuple::padded(Surrogate(10_000), 7, TUPLE));
+    for at in 0..2 {
+        let mut db = Database::new(&params, r0.clone(), s0.clone()).unwrap();
+        let mut cached = [mv_and_ji(&db).remove(at)];
+        let start = db.cost().total();
+        apply(&mut db, &mut cached, true, &insert);
+        execute_collect(cached[0].as_dyn(), db.r(), db.s()).unwrap();
+        let folded = db.cost().total().delta_since(&start);
+
+        let start = db.cost().total();
+        let mut rebuilt = [mv_and_ji(&db).remove(at)];
+        execute_collect(rebuilt[0].as_dyn(), db.r(), db.s()).unwrap();
+        let rebuild = db.cost().total().delta_since(&start);
+        let method = cached[0].method();
+        assert!(
+            folded.time_us(&params) < rebuild.time_us(&params),
+            "{method}: folding charged {folded:?}, rebuild-then-query {rebuild:?}"
+        );
     }
 }
 
@@ -283,8 +338,8 @@ fn recovers_with_both_sides_pending(
     let params = SystemParams { mem_pages: 6, page_size: 512, ..Default::default() };
     let r0 = mk_side(200, 6, 561);
     let s0 = mk_side(200, 6, 562);
-    let mut db = Database::new_bilateral(&params, r0.clone(), s0.clone()).unwrap();
-    let mut view = db.materialized_view().unwrap();
+    let mut db = Database::new(&params, r0.clone(), s0.clone()).unwrap();
+    let mut cached = [CachedStrategy::Mv(db.materialized_view().unwrap())];
     let mut r_mirror = Mirror::new(&r0);
     let mut s_mirror = Mirror::new(&s0);
     let mut rn = rng::seeded(563);
@@ -294,24 +349,23 @@ fn recovers_with_both_sides_pending(
     let before = db.disk().live_files();
     let s_muts: Vec<Mutation> = (0..60).map(|i| s_mirror.random_mutation(&mut rn, 6, i)).collect();
     for m in &s_muts {
-        view.on_s_mutation(m).unwrap();
+        cached[0].on_s_mutation(m).unwrap();
     }
     let s_runs: Vec<_> =
         db.disk().live_files().into_iter().filter(|f| !before.contains(f)).collect();
     assert!(!s_runs.is_empty(), "{label}: the S side spilled");
     for m in &s_muts {
-        db.s_mut().apply_mutation(m).unwrap();
+        db.apply_s_mutation(m).unwrap();
     }
     for i in 0..60u64 {
-        let m = r_mirror.random_mutation(&mut rn, 6, 1000 + i);
-        view.on_mutation(&m).unwrap();
-        db.r_mut().apply_mutation(&m).unwrap();
+        apply(&mut db, &mut cached, false, &r_mirror.random_mutation(&mut rn, 6, 1000 + i));
     }
     db.settle().unwrap();
+    let CachedStrategy::Mv(view) = &mut cached[0] else { unreachable!() };
 
-    db.install_fault_plan(FaultPlan::new().poison_nth_read(Some(pick_file(&view, &s_runs)), 0));
+    db.install_fault_plan(FaultPlan::new().poison_nth_read(Some(pick_file(view, &s_runs)), 0));
     let want = oracle::join_tuples(&r_mirror.tuples(), &s_mirror.tuples());
-    let got = execute_collect(&mut view, db.r(), db.s()).unwrap();
+    let got = execute_collect(view, db.r(), db.s()).unwrap();
     oracle::assert_same_join(label, got, want);
     assert_eq!(db.faults_fired(), 1, "{label}: the fault fired");
     assert!(!db.cost().section_counts("mv.recover").is_zero(), "{label}: recovered");
@@ -319,12 +373,10 @@ fn recovers_with_both_sides_pending(
 
     // The rebuilt view starts a clean epoch on both sides.
     assert_eq!(view.pending_updates(), 0);
-    churn_both(&mut db, &mut view, (&mut r_mirror, &mut s_mirror), &mut rn, 6, 2000..2080);
+    churn_both(&mut db, &mut cached, (&mut r_mirror, &mut s_mirror), &mut rn, 6, 2000..2080);
     let recoveries = db.metrics().counter("mv.recoveries");
     let want = oracle::join_tuples(&r_mirror.tuples(), &s_mirror.tuples());
-    let got = execute_collect(&mut view, db.r(), db.s()).unwrap();
-    oracle::assert_same_join(&format!("{label}, next epoch"), got, want.clone());
-    assert_eq!(view.view_len(), want.len() as u64);
+    assert_all_answer(&format!("{label}, next epoch"), &db, &mut cached, &want);
     assert_eq!(db.metrics().counter("mv.recoveries"), recoveries, "{label}: no second recovery");
 }
 

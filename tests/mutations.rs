@@ -3,7 +3,7 @@
 //! strategies must stay exact when tuples are inserted with fresh
 //! surrogates and deleted outright, not just updated in place.
 
-use trijoin::{Database, JoinStrategy, Mutation, MutationMix, SystemParams, WorkloadSpec};
+use trijoin::{Database, JoinStrategy, Mutation, MutationMix, SystemParams, Update, WorkloadSpec};
 use trijoin_common::{BaseTuple, Surrogate};
 use trijoin_exec::{execute_collect, oracle};
 
@@ -200,14 +200,21 @@ fn hh_answer(db: &Database) -> Vec<trijoin_common::ViewTuple> {
 #[test]
 fn a_net_empty_batch_writes_no_base_page() {
     let (gen, params) = law_fixture();
-    let mut db = Database::new_bilateral(&params, gen.r.clone(), gen.s.clone()).unwrap();
+    let mut db = Database::new(&params, gen.r.clone(), gen.s.clone()).unwrap();
+    // `R` with the inverted index `S`'s mutations give it: both trees of
+    // both relations are held to the law.
+    db.r_mut().build_inverted(&params).unwrap();
     let before = contents(&db);
     let moved = |t: &BaseTuple| BaseTuple::padded(t.sur, t.key + 1000, 96);
+    let update_s = |db: &mut Database, old: &BaseTuple, new: &BaseTuple| {
+        let m = Mutation::Update(Update { old: old.clone(), new: new.clone() });
+        db.apply_s_mutation(&m).unwrap();
+    };
     for t in gen.r.iter().step_by(3) {
         db.r_mut().apply_update(t, &moved(t)).unwrap();
     }
     for t in gen.s.iter().step_by(5) {
-        db.s_mut().apply_update(t, &moved(t)).unwrap();
+        update_s(&mut db, t, &moved(t));
     }
     for i in 0..40u32 {
         let fresh = BaseTuple::padded(Surrogate(50_000 + i), i as u64, 96);
@@ -218,7 +225,7 @@ fn a_net_empty_batch_writes_no_base_page() {
         db.r_mut().apply_update(&moved(t), t).unwrap();
     }
     for t in gen.s.iter().step_by(5) {
-        db.s_mut().apply_update(&moved(t), t).unwrap();
+        update_s(&mut db, &moved(t), t);
     }
     let writes = db.metrics().counter("disk.writes");
     db.settle().unwrap();

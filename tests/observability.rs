@@ -164,7 +164,7 @@ fn registry_bound_holds_over_view_cycles() {
     assert_eq!(delta(&format!("disk.write.f{}", new.0)), Some(3));
     assert_eq!(delta("disk.writes"), Some(3));
     assert_eq!(delta(&format!("disk.read.f{}", new.0)), None);
-    assert_eq!(tel.baseline_slots(), slots);
+    assert!(tel.baseline_slots() <= slots, "the baseline outgrew the registry");
 }
 
 /// Bit-distance between two f64s ("within 1 ULP" made literal).

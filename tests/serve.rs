@@ -245,13 +245,15 @@ fn attribute_changing_updates_route_across_shards() {
 }
 
 #[test]
-fn s_mutations_invalidate_cached_state_everywhere() {
+fn s_mutations_fold_into_cached_state_everywhere() {
     let w = spec(0.3).generate();
     let cfg = config(2, 4);
     let server = Server::start(&cfg, w.r.clone(), w.s.clone()).unwrap();
     let session = server.session().unwrap();
     // Warm the caches, then delete two S tuples through the server.
     session.query(Method::MaterializedView).unwrap();
+    session.query(Method::JoinIndex).unwrap();
+    let builds = session.report().unwrap().rollup.metrics.counter("shard.builds");
     let mut s_now = w.s.clone();
     for _ in 0..2 {
         let victim = s_now.remove(3);
@@ -262,7 +264,7 @@ fn s_mutations_invalidate_cached_state_everywhere() {
         assert_eq!(session.query(method).unwrap(), want, "{method} served a stale S");
     }
     let report = session.report().unwrap();
-    assert!(report.rollup.metrics.counter("shard.s_rebuilds") > 0);
+    assert_eq!(report.rollup.metrics.counter("shard.builds"), builds, "S forced a rebuild");
     assert_eq!(report.rollup.metrics.counter("shard.s_mutations"), 2);
 }
 
@@ -483,10 +485,19 @@ fn abort_while_draining_destroys_the_built_target_and_keeps_the_incumbent() {
         let m = Mutation::Update(stream.next_update());
         h.apply(&m);
     }
-    // An `S` mutation lands before the swap: the migration must abort,
-    // destroying the built-but-never-serving target, and the incumbent
-    // (plus its pending differential) keeps answering exactly.
-    h.shard.on_s_mutation();
+    // A write fault lands in the drain: a tuple inserted and deleted again
+    // often enough that replaying the pair fills the target's buffers, so
+    // the drain must spill. The migration must abort, destroying the
+    // built-but-never-serving target, and the incumbent (plus its pending
+    // differential) keeps answering exactly.
+    let ghost = BaseTuple::padded(trijoin_common::Surrogate(9_000_000), 1, 96);
+    for _ in 0..1_300 {
+        h.apply(&Mutation::Insert(ghost.clone()));
+        h.apply(&Mutation::Delete(ghost.clone()));
+    }
+    h.db.install_fault_plan(FaultPlan::new().fail_nth_write(None, 0));
+    h.shard.advance();
+    h.db.clear_faults();
     assert!(matches!(h.shard.state(), MigrationState::Stable), "drain abort must roll back");
     assert_eq!(h.db.metrics().counter("migrate.rollbacks"), 1);
     assert_eq!(h.db.metrics().counter("migrate.count"), 0);
@@ -819,9 +830,9 @@ fn interleaved_methods_match_the_one_shard_answer_at_any_shard_count() {
 
 #[test]
 fn s_churn_with_spilling_logs_keeps_disk_pages_flat() {
-    // Each cycle: mutate S (the stale view is released), query the view
-    // (rebuilt from the new S), then spill its differential log with R
-    // updates. A released view must take its spilled runs with it.
+    // Each cycle: mutate S (the view logs it), query the view (it folds
+    // both logs), then spill its differential log with R updates. A folded
+    // log must take its spilled runs with it.
     let w = spec(0.0).generate();
     let cfg = config(1, 16);
     let server = Server::start(&cfg, w.r.clone(), w.s.clone()).unwrap();
@@ -840,7 +851,7 @@ fn s_churn_with_spilling_logs_keeps_disk_pages_flat() {
         pages.push(shard_gauges(&report, "shard.disk_pages")[0]);
     }
     let report = session.report().unwrap();
-    assert_eq!(report.rollup.metrics.counter("shard.builds"), 12);
+    assert_eq!(report.rollup.metrics.counter("shard.builds"), 1, "built once, on first use");
     // Same S on every odd cycle: compare like with like.
     assert!(
         (pages[11] - pages[1]).abs() <= 2.0,
