@@ -119,6 +119,9 @@ cargo test -q --release -p trijoin --test mutations cycle_rounds_settle
 cargo test -q --release -p trijoin --test observability registry_bound
 cargo test -q --release -p trijoin-serve --test serve hh_only_soak
 cargo test -q --release -p trijoin-serve --test serve churn_soak
+# A mutation its relation refuses (a renamed surrogate, a wrong width)
+# reaches no cached structure, at 1, 2 and 4 shards, pinned and adaptive.
+cargo test -q --release -p trijoin-serve --test serve malformed_mutations
 cargo test -q --release -p trijoin-storage --test recovery_memory
 cargo test -q --release -p trijoin --test faults settle_fault
 cargo test -q --release -p trijoin-check --test durability queued
@@ -192,6 +195,12 @@ if grep -rl "net_differentials(" crates/exec/src \
     || grep -rnE "release_stale|rebuild_if_stale|rebuild_if_dirty|new_bilateral|s_rebuild" \
         crates tests examples; then
     echo "a second deferred view, the legacy one-shot fault, or a rebuild on S is back"; exit 1
+fi
+
+# One query command: a query carries its shard's batch share, and shards
+# draw no seed.
+if grep -rnE "ApplyThenQuery|shard_seed" crates tests examples; then
+    echo "a second query command or the dead shard seed is back"; exit 1
 fi
 
 echo "==> crash-recovery gate"

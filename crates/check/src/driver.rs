@@ -222,15 +222,19 @@ impl Engine {
         Ok(committed)
     }
 
-    /// Mirror of the serve layer's shard apply: the strategy observes the
-    /// mutation, of `R` or of `S`, *before* it lands in the stored
-    /// relation.
+    /// Mirror of the serve layer's shard apply: the relation admits the
+    /// mutation, of `R` or of `S`, then the strategy observes it *before*
+    /// it lands in the stored relation.
     fn apply(
         &mut self,
         side: Side,
         m: &Mutation,
         sabotage: Sabotage,
     ) -> trijoin_common::Result<()> {
+        match side {
+            Side::R => self.db.r().admit(m)?,
+            Side::S => self.db.s().admit(m)?,
+        }
         let skip_notify = sabotage == Sabotage::SkipPraFilter
             && side == Side::R
             && matches!(m, Mutation::Update(u) if !u.changes_join_attr());
@@ -273,12 +277,29 @@ impl Engine {
 /// One running server plus its session (and, for durable-mode crash
 /// recovery, the configuration to reopen it with).
 struct Serving {
-    shards: usize,
     /// Failure-site label: `serve:<shards>` or `serve-adaptive:<shards>`.
     site: String,
     config: ServeConfig,
     _server: Server,
     session: ClientSession,
+}
+
+impl Serving {
+    /// Start the server `config` describes over `relations`, or recover it
+    /// from its durable directory when there are none, and open a session.
+    fn open(
+        config: ServeConfig,
+        relations: Option<(Vec<BaseTuple>, Vec<BaseTuple>)>,
+    ) -> trijoin_common::Result<Serving> {
+        let server = match relations {
+            Some((r, s)) => Server::start(&config, r, s)?,
+            None => Server::recover(&config)?,
+        };
+        let session = server.session()?;
+        let kind = if config.adaptive { "serve-adaptive" } else { "serve" };
+        let site = format!("{kind}:{}", config.shards);
+        Ok(Serving { site, config, _server: server, session })
+    }
 }
 
 /// Sort into the (r_sur, s_sur) total order every implementation reports
@@ -321,13 +342,13 @@ struct Driver<'a> {
     script: &'a Script,
     cfg: &'a CheckConfig,
     engines: Vec<Engine>,
+    /// One pinned server per shard count, then — for `spec.adaptive`
+    /// scripts — one adaptive server per shard count
+    /// (`ServeConfig::adaptive` set, own seed stream). Every server
+    /// receives every mutation and is checked against the oracle at every
+    /// checkpoint, the adaptive ones with migrations in flight — the
+    /// metamorphic claim that migration never changes answers.
     servers: Vec<Serving>,
-    /// Adaptive-mode servers (`spec.adaptive` scripts only): same shard
-    /// counts, `ServeConfig::adaptive` set, own seed stream. They receive
-    /// every mutation and are checked against the oracle at every
-    /// checkpoint with migrations in flight — the metamorphic claim that
-    /// migration never changes answers.
-    adaptive_servers: Vec<Serving>,
     r_mirror: BTreeMap<u32, BaseTuple>,
     s_mirror: BTreeMap<u32, BaseTuple>,
     armed_faults: Vec<u64>,
@@ -442,7 +463,7 @@ impl Driver<'_> {
                 fail(i, &format!("engine:{}", e.method), format!("{what}: {err}"))
             })?;
         }
-        for srv in self.servers.iter().chain(&self.adaptive_servers) {
+        for srv in &self.servers {
             let res = match side {
                 Side::R => srv.session.update_r(m.clone()),
                 Side::S => srv.session.update_s(m.clone()),
@@ -492,7 +513,7 @@ impl Driver<'_> {
                 fail(i, &format!("engine:{}", e.method), format!("commit: {err}"))
             })?;
         }
-        for srv in self.servers.iter().chain(&self.adaptive_servers) {
+        for srv in &self.servers {
             srv.session.commit().map_err(|e| fail(i, &srv.site, format!("commit barrier: {e}")))?;
         }
         self.tail.clear();
@@ -522,16 +543,10 @@ impl Driver<'_> {
         // servers additionally lose any in-flight migration (migration
         // state is derived, never persisted) — they restart Stable on the
         // recovered relations, which the checkpoint equivalence verifies.
-        for list in [&mut self.servers, &mut self.adaptive_servers] {
-            let old = std::mem::take(list);
-            for srv in old {
-                let Serving { shards, site, config, .. } = srv; // drops session + server
-                let server = Server::recover(&config)
-                    .map_err(|e| fail(i, &site, format!("recover: {e}")))?;
-                let session =
-                    server.session().map_err(|e| fail(i, &site, format!("session: {e}")))?;
-                list.push(Serving { shards, site, config, _server: server, session });
-            }
+        for old in std::mem::take(&mut self.servers) {
+            let srv = Serving::open(old.config.clone(), None)
+                .map_err(|e| fail(i, &old.site, format!("recover: {e}")))?;
+            self.servers.push(srv);
         }
         // Re-apply the tail recovery rolled back. Engines whose in-flight
         // commit was sealed (`SkipApply`) already hold it via log redo.
@@ -559,7 +574,7 @@ impl Driver<'_> {
         //    only to fold `S`'s mutations), so a commit barrier — the
         //    durable mode's comes below — asks the shards to settle.
         let arming = !self.armed_faults.is_empty();
-        for srv in self.servers.iter().chain(&self.adaptive_servers) {
+        for srv in &self.servers {
             srv.session.flush().map_err(|e| fail(i, &srv.site, format!("flush: {e}")))?;
             if arming {
                 srv.session
@@ -587,10 +602,11 @@ impl Driver<'_> {
             for e in &mut self.engines {
                 self.outcome.faults_installed += e.install_faults(fault_seed);
             }
-            for srv in self.servers.iter().chain(&self.adaptive_servers) {
-                let stream = rng::derive_indexed(fault_seed, "check/serve", srv.shards as u64);
+            for srv in &self.servers {
+                let stream =
+                    rng::derive_indexed(fault_seed, "check/serve", srv.config.shards as u64);
                 let mut rn = rng::seeded(stream);
-                let shard = rn.gen_range(0u64..srv.shards as u64) as usize;
+                let shard = rn.gen_range(0u64..srv.config.shards as u64) as usize;
                 let mut plan = FaultPlan::new();
                 for _ in 0..rn.gen_range(1u32..=2) {
                     plan = plan.fail_nth_read(None, rn.gen_range(0u64..32));
@@ -620,27 +636,20 @@ impl Driver<'_> {
             diff_join(&canon(got), &want).map_err(|msg| fail(i, &site, msg))?;
         }
 
-        // 5. Every server agrees, for every method.
+        // 5. Every server agrees: a pinned one for every method, an
+        //    adaptive one once — the requested method is advisory there;
+        //    each shard answers with its current structure, mid-migration
+        //    or not, and the answer must still be the oracle's.
+        let all = Method::all();
         for srv in &self.servers {
-            for method in Method::all() {
-                let site = format!("serve:{}:{}", srv.shards, method);
+            let adaptive = srv.config.adaptive;
+            for &method in if adaptive { &all[..1] } else { &all[..] } {
+                let site =
+                    if adaptive { srv.site.clone() } else { format!("{}:{method}", srv.site) };
                 let got =
                     srv.session.query(method).map_err(|e| fail(i, &site, format!("query: {e}")))?;
                 diff_join(&canon(got), &want).map_err(|msg| fail(i, &site, msg))?;
             }
-        }
-
-        // 5b. Every adaptive server agrees too — the metamorphic claim
-        //     that online migration never changes a checkpoint answer.
-        //     The requested method is advisory on adaptive shards; each
-        //     shard answers with its current structure, mid-migration or
-        //     not, and the answer must still be the oracle's.
-        for srv in &self.adaptive_servers {
-            let got = srv
-                .session
-                .query(Method::MaterializedView)
-                .map_err(|e| fail(i, &srv.site, format!("query: {e}")))?;
-            diff_join(&canon(got), &want).map_err(|msg| fail(i, &srv.site, msg))?;
         }
 
         // 6. Cost-model metamorphic relations at the live workload point.
@@ -653,8 +662,8 @@ impl Driver<'_> {
             for e in &self.engines {
                 e.db.clear_faults();
             }
-            for srv in self.servers.iter().chain(&self.adaptive_servers) {
-                for shard in 0..srv.shards {
+            for srv in &self.servers {
+                for shard in 0..srv.config.shards {
                     let site = srv.site.clone();
                     srv.session
                         .clear_faults(shard)
@@ -757,56 +766,32 @@ pub fn run_script(script: &Script, cfg: &CheckConfig) -> Result<CheckOutcome, Bo
                 .map_err(|e| bad_input(format!("engine {method} construction: {e}")))?,
         );
     }
-    let mut servers = Vec::with_capacity(script.shard_counts.len());
-    let mut adaptive_servers = Vec::new();
-    for (idx, &shards) in script.shard_counts.iter().enumerate() {
-        let serve_cfg = ServeConfig {
-            batch: script.batch,
-            seed: rng::derive_indexed(script.spec.seed, "check/serve", shards as u64),
-            durable_dir: cfg
-                .durable_root
-                .as_ref()
-                .map(|root| root.join(format!("serve-{idx}-{shards}"))),
-            ..ServeConfig::new(cfg.params.clone(), shards)
-        };
-        let server = Server::start(&serve_cfg, generated.r.clone(), generated.s.clone())
-            .map_err(|e| bad_input(format!("server({shards} shards) start: {e}")))?;
-        let session = server
-            .session()
-            .map_err(|e| bad_input(format!("server({shards} shards) session: {e}")))?;
-        servers.push(Serving {
-            shards,
-            site: format!("serve:{shards}"),
-            config: serve_cfg,
-            _server: server,
-            session,
-        });
-        if script.spec.adaptive {
-            // A second fleet in adaptive mode, replaying identical traffic:
-            // its shards re-price and migrate online while the fixed fleet
-            // (and the oracle) pins what the answers must be.
-            let adaptive_cfg = ServeConfig {
+    // An adaptive script adds a fleet in adaptive mode, replaying identical
+    // traffic: its shards re-price and migrate online while the pinned
+    // fleet (and the oracle) pins what the answers must be.
+    let mut servers = Vec::new();
+    for adaptive in [false, true].into_iter().filter(|&a| !a || script.spec.adaptive) {
+        let kind = if adaptive { "serve-adaptive" } else { "serve" };
+        for (idx, &shards) in script.shard_counts.iter().enumerate() {
+            let config = ServeConfig {
                 batch: script.batch,
-                seed: rng::derive_indexed(script.spec.seed, "check/serve-adaptive", shards as u64),
+                seed: rng::derive_indexed(
+                    script.spec.seed,
+                    &format!("check/{kind}"),
+                    shards as u64,
+                ),
                 durable_dir: cfg
                     .durable_root
                     .as_ref()
-                    .map(|root| root.join(format!("serve-adaptive-{idx}-{shards}"))),
-                adaptive: true,
+                    .map(|root| root.join(format!("{kind}-{idx}-{shards}"))),
+                adaptive,
                 ..ServeConfig::new(cfg.params.clone(), shards)
             };
-            let server = Server::start(&adaptive_cfg, generated.r.clone(), generated.s.clone())
-                .map_err(|e| bad_input(format!("adaptive server({shards} shards) start: {e}")))?;
-            let session = server
-                .session()
-                .map_err(|e| bad_input(format!("adaptive server({shards} shards) session: {e}")))?;
-            adaptive_servers.push(Serving {
-                shards,
-                site: format!("serve-adaptive:{shards}"),
-                config: adaptive_cfg,
-                _server: server,
-                session,
-            });
+            let relations = Some((generated.r.clone(), generated.s.clone()));
+            servers.push(
+                Serving::open(config, relations)
+                    .map_err(|e| bad_input(format!("{kind}({shards} shards) start: {e}")))?,
+            );
         }
     }
 
@@ -815,7 +800,6 @@ pub fn run_script(script: &Script, cfg: &CheckConfig) -> Result<CheckOutcome, Bo
         cfg,
         engines,
         servers,
-        adaptive_servers,
         r_mirror: generated.r.iter().map(|t| (t.sur.0, t.clone())).collect(),
         s_mirror: generated.s.iter().map(|t| (t.sur.0, t.clone())).collect(),
         armed_faults: Vec::new(),
@@ -829,7 +813,7 @@ pub fn run_script(script: &Script, cfg: &CheckConfig) -> Result<CheckOutcome, Bo
             ScriptOp::Checkpoint => driver.checkpoint(i)?,
             ScriptOp::Fault { seed } => driver.armed_faults.push(*seed),
             ScriptOp::Batch => {
-                for srv in driver.servers.iter().chain(&driver.adaptive_servers) {
+                for srv in &driver.servers {
                     srv.session.flush().map_err(|e| fail(i, &srv.site, format!("flush: {e}")))?;
                 }
                 driver.commit_all(i)?;
@@ -879,19 +863,20 @@ pub fn run_script(script: &Script, cfg: &CheckConfig) -> Result<CheckOutcome, Bo
         }
         Ok::<_, Box<CheckFailure>>(report)
     };
-    if driver.outcome.crashes > 0 {
-        for srv in &driver.servers {
-            final_report(srv)?;
-        }
-    }
     let per_shard_cap = (driver.outcome.checkpoints as u64).div_ceil(2).max(1);
-    for srv in &driver.adaptive_servers {
+    for srv in &driver.servers {
+        if !srv.config.adaptive {
+            if driver.outcome.crashes > 0 {
+                final_report(srv)?;
+            }
+            continue;
+        }
         let report = final_report(srv)?;
         let count = report.rollup.metrics.counter("migrate.count") as usize;
         driver.outcome.migrations += count;
         driver.outcome.migration_rollbacks +=
             report.rollup.metrics.counter("migrate.rollbacks") as usize;
-        driver.outcome.migrations_by_server.push((srv.shards, count));
+        driver.outcome.migrations_by_server.push((srv.config.shards, count));
         for shard in &report.shards {
             let count = shard.metrics.counter("migrate.count");
             if count > per_shard_cap {

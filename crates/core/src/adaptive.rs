@@ -326,11 +326,12 @@ impl AdaptiveController {
         self.current.cached_file()
     }
 
-    /// Observe one `R` mutation: feed the statistics, log it into the
-    /// incumbent (which keeps serving), and — when a migration is in
-    /// flight — append it to the pending differential log so the target
-    /// catches up before the swap.
+    /// Observe one `R` mutation: log it into the incumbent (which keeps
+    /// serving) and — when a migration is in flight — append it to the
+    /// pending differential log so the target catches up before the swap;
+    /// then, the mutation accepted, feed the statistics.
     pub fn on_mutation(&mut self, m: &Mutation) -> Result<()> {
+        self.log(false, m)?;
         self.stats.observe(m);
         match m {
             Mutation::Insert(t) | Mutation::Delete(t) => self.sketch.observe(t.key),
@@ -341,7 +342,7 @@ impl AdaptiveController {
                 }
             }
         }
-        self.log(false, m)
+        Ok(())
     }
 
     /// Observe one `S` mutation: log it into the incumbent and, with a

@@ -62,6 +62,7 @@ use trijoin_storage::{Disk, FileId, SlottedPage};
 use crate::batch::TupleRef;
 use crate::diff::{DiffLog, SortKey};
 use crate::sort::{counted_sort_by, KWayMerge};
+use crate::strategy::Mutation;
 
 /// Pages of memory the apply log buffers mutations in before it spills
 /// them as a sorted run.
@@ -117,6 +118,16 @@ enum Kind {
     Update,
     Insert,
     Delete,
+}
+
+/// A mutation as the log takes it: what it does, the surrogate it names,
+/// and the tuple it carries (the new one, for an update).
+fn parts(m: &Mutation) -> (Kind, Surrogate, &BaseTuple) {
+    match m {
+        Mutation::Update(u) => (Kind::Update, u.old.sur, &u.new),
+        Mutation::Insert(t) => (Kind::Insert, t.sur, t),
+        Mutation::Delete(t) => (Kind::Delete, t.sur, t),
+    }
 }
 
 /// One queued mutation: the new tuple (the deleted one, for a delete) and
@@ -809,9 +820,10 @@ impl StoredRelation {
         st.log.resume.is_some() || st.log.runs.num_runs() + usize::from(full) >= st.run_bound()
     }
 
-    /// Room is made first — a settle if one is due, else a spill of the
-    /// full buffer — so an `Err` means the mutation was not queued.
-    fn enqueue(&mut self, kind: Kind, tuple: &BaseTuple) -> Result<()> {
+    /// Admit, then make room — a settle if one is due, else a spill of
+    /// the full buffer — so an `Err` means the mutation was not queued.
+    fn enqueue(&mut self, kind: Kind, sur: Surrogate, tuple: &BaseTuple) -> Result<()> {
+        self.check(kind, sur, tuple)?;
         if self.settle_due() {
             self.settle()?;
         }
@@ -1016,35 +1028,48 @@ impl StoredRelation {
         self.reader()?.scan_pinned(f)
     }
 
-    // ---- mutators: all of them enqueue ----------------------------------
+    // ---- mutators: all of them admit, then enqueue ----------------------
 
-    /// Queue the insertion of a brand-new tuple. The size is checked here;
-    /// a surrogate already in use is found out — and the insert dropped
-    /// and counted — when the log settles.
+    /// The relation's admission check, which every mutator runs before it
+    /// queues: the tuple has this relation's width, and an update keeps its
+    /// surrogate. A caller that shows a mutation to anything else first —
+    /// the cached structures that log it — runs it before that, so a
+    /// mutation refused here reaches nobody. What only the tree can tell
+    /// (an unknown or reused surrogate) is found out when the log settles.
+    pub fn admit(&self, m: &Mutation) -> Result<()> {
+        let (kind, sur, t) = parts(m);
+        self.check(kind, sur, t)
+    }
+
+    /// [`StoredRelation::admit`] on a mutation's parts ([`parts`]).
+    fn check(&self, kind: Kind, sur: Surrogate, t: &BaseTuple) -> Result<()> {
+        let refused = match kind {
+            _ if sur != t.sur => "update must keep the surrogate",
+            _ if t.serialized_len() == self.tuple_bytes => return Ok(()),
+            Kind::Insert => "insert changes tuple size",
+            Kind::Delete => "delete names a tuple of another size",
+            Kind::Update => "update changes tuple size",
+        };
+        Err(Error::Invariant(refused.into()))
+    }
+
+    /// Queue the insertion of a brand-new tuple; a surrogate already in
+    /// use is found out — and the insert dropped and counted — when the
+    /// log settles.
     pub fn insert(&mut self, t: &BaseTuple) -> Result<()> {
-        if t.serialized_len() != self.tuple_bytes {
-            return Err(Error::Invariant("insert changes tuple size".into()));
-        }
-        self.enqueue(Kind::Insert, t)
+        self.enqueue(Kind::Insert, t.sur, t)
     }
 
     /// Queue the deletion of the tuple under `t`'s surrogate; an unknown
     /// surrogate is dropped and counted when the log settles.
     pub fn delete(&mut self, t: &BaseTuple) -> Result<()> {
-        if t.serialized_len() != self.tuple_bytes {
-            return Err(Error::Invariant("delete names a tuple of another size".into()));
-        }
-        self.enqueue(Kind::Delete, t)
+        self.enqueue(Kind::Delete, t.sur, t)
     }
 
-    /// Queue one mutation ([`crate::strategy::Mutation`]).
-    pub fn apply_mutation(&mut self, m: &crate::strategy::Mutation) -> Result<()> {
-        use crate::strategy::Mutation;
-        match m {
-            Mutation::Update(u) => self.apply_update(&u.old, &u.new),
-            Mutation::Insert(t) => self.insert(t),
-            Mutation::Delete(t) => self.delete(t),
-        }
+    /// Queue one mutation.
+    pub fn apply_mutation(&mut self, m: &Mutation) -> Result<()> {
+        let (kind, sur, t) = parts(m);
+        self.enqueue(kind, sur, t)
     }
 
     /// Queue one update (the paper's model: a deletion of `old` followed by
@@ -1053,13 +1078,7 @@ impl StoredRelation {
     /// where it lies, and the inverted index loses and gains a posting
     /// only if the *stored* tuple's join key differs from `new`'s.
     pub fn apply_update(&mut self, old: &BaseTuple, new: &BaseTuple) -> Result<()> {
-        if old.sur != new.sur {
-            return Err(Error::Invariant("update must keep the surrogate".into()));
-        }
-        if new.serialized_len() != self.tuple_bytes {
-            return Err(Error::Invariant("update changes tuple size".into()));
-        }
-        self.enqueue(Kind::Update, new)
+        self.enqueue(Kind::Update, old.sur, new)
     }
 }
 

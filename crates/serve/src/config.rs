@@ -1,11 +1,11 @@
 //! Serving-layer configuration and the deterministic seed tree.
 //!
-//! Every random decision in the serving subsystem derives from one root
-//! seed: shard `i` draws from `derive_indexed(root, "serve/shard", i)` and
-//! client `j` from `derive_indexed(root, "serve/client", j)`. There are no
-//! ad-hoc seed constants anywhere in the layer, so a serve run is
-//! bit-identical under reruns and its logical outputs are independent of
-//! thread scheduling.
+//! Shards draw nothing at random: a shard's work is a function of its
+//! partition and its command order. The one random input is client
+//! traffic, and client `j` draws from `derive_indexed(root, "serve/client",
+//! j)` of one root seed. There are no ad-hoc seed constants anywhere in
+//! the layer, so a serve run is bit-identical under reruns and its logical
+//! outputs are independent of thread scheduling.
 
 use std::path::{Path, PathBuf};
 
@@ -30,7 +30,7 @@ pub struct ServeConfig {
     /// full ring applies backpressure: submitters wait for the scheduler
     /// to drain a batch before the next request is admitted.
     pub ring: usize,
-    /// Root seed of the deterministic seed tree.
+    /// Root seed of the deterministic seed tree (client traffic).
     pub seed: u64,
     /// Windowed telemetry configuration, applied to every shard engine and
     /// to the scheduler's own batch-domain sampler. `None` disables
@@ -90,11 +90,6 @@ impl ServeConfig {
         self.durable_dir.as_deref().map(|d: &Path| d.join(format!("shard{i}")))
     }
 
-    /// The derived RNG seed of shard `i`'s stream.
-    pub fn shard_seed(&self, i: usize) -> u64 {
-        rng::derive_indexed(self.seed, "serve/shard", i as u64)
-    }
-
     /// The derived RNG seed of client `j`'s stream.
     pub fn client_seed(&self, j: usize) -> u64 {
         rng::derive_indexed(self.seed, "serve/client", j as u64)
@@ -108,10 +103,9 @@ mod tests {
     #[test]
     fn seed_tree_is_stable_and_disjoint() {
         let cfg = ServeConfig { seed: 7, ..ServeConfig::new(SystemParams::default(), 4) };
-        assert_eq!(cfg.shard_seed(0), cfg.shard_seed(0));
-        assert_ne!(cfg.shard_seed(0), cfg.shard_seed(1));
-        assert_ne!(cfg.shard_seed(1), cfg.client_seed(1), "shard and client streams differ");
+        assert_eq!(cfg.client_seed(0), cfg.client_seed(0));
+        assert_ne!(cfg.client_seed(0), cfg.client_seed(1));
         let other = ServeConfig { seed: 8, ..cfg.clone() };
-        assert_ne!(cfg.shard_seed(2), other.shard_seed(2), "root seed feeds every stream");
+        assert_ne!(cfg.client_seed(2), other.client_seed(2), "root seed feeds every stream");
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! On top sit four pieces:
 //!
-//! - **Submission/completion ring** ([`server`]): client sessions enqueue
+//! - **Submission/completion ring** (`ring`): client sessions enqueue
 //!   requests into one fixed-capacity ring (backpressure when full);
 //!   updates are fire-and-forget, blocking calls take a completion
 //!   ticket, and the scheduler drains whole slices per wakeup and posts
@@ -22,9 +22,10 @@
 //! - **Admission scheduler** ([`Server`]): updates are coalesced into
 //!   per-shard differential batches (the serving analogue of the paper's
 //!   deferred maintenance) and flushed when a batch fills or a query
-//!   arrives. Channel FIFO ordering per shard makes apply-before-query a
+//!   arrives; a query carries each shard's share of the pending batch.
+//!   Channel FIFO ordering per shard makes apply-before-query a
 //!   structural guarantee — and is also what lets the scheduler keep
-//!   draining and flushing new update batches *while* a query is in
+//!   draining and handing off new update batches *while* a query is in
 //!   flight on the shards (pipelined differential application).
 //! - **Router** ([`router::route`]): mutations follow their join key; an
 //!   update that changes the join attribute across shards splits into a
@@ -36,13 +37,14 @@
 //!   the reserved `serve.` prefix (including ring depth/latency stats).
 //!
 //! Determinism is end-to-end: one root seed ([`ServeConfig::seed`])
-//! derives every shard and client RNG stream, multi-client traffic uses
+//! derives every client RNG stream, multi-client traffic uses
 //! disjoint ownership classes ([`ClientTraffic`]), and each shard sorts
 //! its answer by the globally-unique surrogate pair so the server's
 //! streaming k-way merge yields one total order — any shard count and
 //! any client interleaving produce the same answers at batch boundaries.
 
 pub mod config;
+mod ring;
 pub mod router;
 pub mod server;
 pub mod shard;

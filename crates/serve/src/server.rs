@@ -1,55 +1,47 @@
-//! The serving front-end: client sessions, the submission/completion
-//! ring, the admission scheduler, and cross-shard streaming merge.
+//! The serving front-end: client sessions, the admission scheduler, and
+//! the cross-shard streaming merge. Clients reach the one scheduler thread
+//! through the submission/completion ring ([`crate::ring`]).
 //!
-//! Clients talk to a single scheduler thread through a fixed-capacity
-//! **submission ring** guarded by one mutex and two condvars. Updates are
-//! enqueued fire-and-forget (no per-request reply channel, no round-trip:
-//! the enqueue *is* the admission, and a full ring applies backpressure
-//! by making the submitter wait for the next drain). Blocking requests —
-//! queries, flushes, reports, fault control — take a completion ticket;
-//! the scheduler drains whole slices of the ring per wakeup, completes
-//! every ticketed request of the slice in place, and wakes all waiters
-//! once per drained batch.
-//!
-//! Updates are *admitted* in ring order but only *applied* when a batch
-//! fills or a query/report arrives — the serving-layer analogue of the
+//! Updates are *admitted* in ring order into per-shard differential
+//! batches, and *handed off* to the shards when a batch fills or a
+//! blocking request needs them — the serving-layer analogue of the
 //! paper's deferred maintenance: differential work is coalesced and
-//! folded in right before the next query needs a consistent answer.
-//! Because each shard channel is FIFO, an `Apply` enqueued before a
-//! `Query` is always folded first; no acknowledgement protocol is needed.
-//! The same per-shard FIFO invariant is what lets the scheduler
-//! **pipeline** differential application with query execution: while the
-//! shards compute a fanned-out query, the scheduler keeps draining the
-//! ring and flushing freshly admitted update batches to the shards —
-//! those `Apply` commands land *behind* the in-flight `Query` in every
-//! shard's queue, so the answer still reflects exactly the updates
-//! admitted before the query. The invariant is per shard, not global:
-//! no cross-shard barrier exists or is needed, because a query is a
-//! point in each shard's own command order.
+//! folded in right before the next query needs a consistent answer. A
+//! query carries each shard's share of the pending batch in its own
+//! [`ShardCommand::Query`], so a shard wakes once per round. Each shard
+//! channel is FIFO, so a batch handed off before a query is folded before
+//! it; no acknowledgement protocol is needed. The same per-shard FIFO
+//! invariant lets the scheduler **pipeline**: while the shards compute a
+//! query, it keeps draining the ring, and batches that fill meanwhile land
+//! *behind* the in-flight query in every shard's queue, so the answer
+//! reflects exactly the updates admitted before the query. The invariant
+//! is per shard: a query is a point in each shard's own command order.
 //!
-//! Query results are merged deterministically and *streamingly*: each
-//! shard sorts its own answer by `(r_sur, s_sur)` (surrogate pairs are
-//! globally unique across shards — partitioning is disjoint), and the
-//! scheduler runs a k-way merge over the per-shard sorted runs instead
-//! of concatenating and re-sorting, so the total order is independent of
-//! shard count and thread timing at a fraction of the merge cost.
+//! Every round trip to the shards — query, commit barrier, report — is one
+//! fan-out (dispatch to every live shard, then fail with the first dead
+//! one) and, for the `Result` replies, one gather. Query results are
+//! merged deterministically and *streamingly*: each shard sorts its own
+//! answer by `(r_sur, s_sur)` (surrogate pairs are globally unique across
+//! shards — partitioning is disjoint), and the scheduler k-way merges the
+//! per-shard runs, so the total order is independent of shard count and
+//! thread timing.
 
 use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use trijoin::Method;
 use trijoin_common::{
-    shard_of_key, BaseTuple, Cost, Error, Metrics, Result, RunReport, ShardedRunReport,
-    SystemParams, Telemetry, ViewTuple,
+    shard_of_key, BaseTuple, Cost, Error, Metrics, Result, RunReport, ShardedRunReport, Telemetry,
+    ViewTuple,
 };
 use trijoin_exec::sort::KWayMerge;
 use trijoin_exec::Mutation;
 use trijoin_storage::{Durability, FaultPlan};
 
 use crate::config::ServeConfig;
+use crate::ring::{server_down, Ring, Slot, YIELD_BUDGET};
 use crate::router;
 use crate::shard::{self, ShardCommand, ShardSpec};
 
@@ -117,248 +109,8 @@ pub enum Response {
     Report(Box<ShardedRunReport>),
 }
 
-fn server_down() -> Error {
-    Error::Invariant("serve: server is shut down".into())
-}
-
 fn protocol_error(what: &str) -> Error {
     Error::Invariant(format!("serve: unexpected response to {what}"))
-}
-
-/// One submitted request: a completion ticket for blocking calls (`None`
-/// for fire-and-forget updates) plus the submission instant feeding the
-/// serve-latency percentiles.
-struct Slot {
-    ticket: Option<u64>,
-    at: Instant,
-    request: Request,
-}
-
-/// Shared state of the submission/completion ring.
-struct RingState {
-    /// Submission queue, bounded at [`Ring::capacity`].
-    queue: VecDeque<Slot>,
-    /// Completions posted by the scheduler, keyed by ticket. Stays tiny:
-    /// at most one entry per concurrently blocked client.
-    done: Vec<(u64, Result<Response>)>,
-    next_ticket: u64,
-    /// False once the server shuts down: new submissions are refused and
-    /// blocked clients error out instead of hanging.
-    open: bool,
-    /// Times a submitter had to wait for ring space (wall-clock shaped).
-    full_waits: u64,
-}
-
-/// How many times a waiter polls-and-yields before parking on a condvar
-/// (or blocking in `recv`). Yielding hands the CPU to whichever peer is
-/// producing the awaited result, so on shared cores the result usually
-/// arrives syscall-free within the budget; parking stays the fallback so
-/// nothing ever busy-loops indefinitely.
-const YIELD_BUDGET: u32 = 256;
-
-/// The submission/completion ring: one mutex, two condvars.
-///
-/// `submitted` wakes the scheduler when the queue becomes non-empty;
-/// `completed` wakes clients when results are posted or space frees up.
-/// The scheduler signals `completed` **once per drained batch**, not per
-/// request — that single wakeup is what replaces the per-request
-/// channel/reply round-trip of the old design.
-struct Ring {
-    capacity: usize,
-    state: Mutex<RingState>,
-    submitted: Condvar,
-    completed: Condvar,
-}
-
-impl Ring {
-    fn new(capacity: usize) -> Arc<Ring> {
-        Arc::new(Ring {
-            capacity: capacity.max(1),
-            state: Mutex::new(RingState {
-                queue: VecDeque::new(),
-                done: Vec::new(),
-                next_ticket: 0,
-                open: true,
-                full_waits: 0,
-            }),
-            submitted: Condvar::new(),
-            completed: Condvar::new(),
-        })
-    }
-
-    /// Lock the ring state, recovering from a poisoned mutex (a panicking
-    /// peer must not cascade into every other thread).
-    fn lock(&self) -> MutexGuard<'_, RingState> {
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn wait<'a>(
-        &self,
-        cv: &Condvar,
-        guard: MutexGuard<'a, RingState>,
-    ) -> MutexGuard<'a, RingState> {
-        cv.wait(guard).unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Block until the ring has space (backpressure), then enqueue; the
-    /// guard flows back out so `call` can keep waiting under the same lock.
-    fn enqueue<'a>(
-        &'a self,
-        ticket: Option<u64>,
-        request: Request,
-    ) -> Result<MutexGuard<'a, RingState>> {
-        let mut st = self.lock();
-        loop {
-            if !st.open {
-                return Err(server_down());
-            }
-            if st.queue.len() < self.capacity {
-                break;
-            }
-            st.full_waits += 1;
-            st = self.wait(&self.completed, st);
-        }
-        st.queue.push_back(Slot { ticket, at: Instant::now(), request });
-        // Wake the scheduler only on the empty→non-empty edge: it sleeps
-        // on `submitted` only when the queue is empty, so deeper pushes
-        // are always observed by the drain that follows its current batch.
-        if st.queue.len() == 1 {
-            self.submitted.notify_one();
-        }
-        Ok(st)
-    }
-
-    /// Fire-and-forget submission (updates): enqueue and return. The
-    /// request is admitted by the scheduler in ring order; errors that
-    /// surface while applying it are deferred to the next blocking call.
-    fn submit(&self, request: Request) -> Result<()> {
-        self.enqueue(None, request).map(drop)
-    }
-
-    /// Blocking submission: enqueue with a ticket and wait until the
-    /// scheduler posts this call's completion. The ticket is drawn under
-    /// the same lock hold that enqueues, so it is unique even when many
-    /// clients race, and the guard never drops between enqueue and wait —
-    /// a completion posted immediately is found on the first loop pass.
-    fn call(&self, request: Request) -> Result<Response> {
-        let mut st = self.lock();
-        loop {
-            if !st.open {
-                return Err(server_down());
-            }
-            if st.queue.len() < self.capacity {
-                break;
-            }
-            st.full_waits += 1;
-            st = self.wait(&self.completed, st);
-        }
-        let ticket = st.next_ticket;
-        st.next_ticket += 1;
-        st.queue.push_back(Slot { ticket: Some(ticket), at: Instant::now(), request });
-        if st.queue.len() == 1 {
-            self.submitted.notify_one();
-        }
-        // Park directly: a blocking call waits out a whole fan-out/merge
-        // round, far past any useful poll window, and a spinning client
-        // would only steal CPU from the shards computing its answer. (The
-        // scheduler-side waits poll-then-park instead — their results
-        // arrive quickly; see `drain_wait` and `recv_yielding`.)
-        loop {
-            if let Some(i) = st.done.iter().position(|(t, _)| *t == ticket) {
-                return st.done.swap_remove(i).1;
-            }
-            if !st.open {
-                return Err(server_down());
-            }
-            st = self.wait(&self.completed, st);
-        }
-    }
-
-    /// Scheduler: take every queued submission, blocking until at least
-    /// one arrives. Returns `false` once the ring is closed and drained.
-    ///
-    /// `on_idle` fires at most once per call, outside the lock, right
-    /// before the scheduler would park on the condvar — i.e. when the
-    /// yield-spin budget expired without any client producing work. This
-    /// is the hook the scheduler uses to seal deferred commit barriers:
-    /// an idle ring means no further barrier is imminent to coalesce
-    /// with, so the fsync is paid now rather than holding client data
-    /// volatile across an unbounded quiet period.
-    fn drain_wait(&self, out: &mut Vec<Slot>, mut on_idle: impl FnMut()) -> bool {
-        // Same poll-then-park shape as `call`: a client that just received
-        // a completion typically submits its next round immediately, so a
-        // short yield-spin catches it without a park/wake pair.
-        let mut spins = 0u32;
-        let mut idled = false;
-        let mut st = self.lock();
-        loop {
-            if !st.queue.is_empty() {
-                let was_full = st.queue.len() >= self.capacity;
-                out.extend(st.queue.drain(..));
-                drop(st);
-                if was_full {
-                    self.completed.notify_all();
-                }
-                return true;
-            }
-            if !st.open {
-                return false;
-            }
-            if spins < YIELD_BUDGET {
-                spins += 1;
-                drop(st);
-                std::thread::yield_now();
-                st = self.lock();
-            } else if !idled {
-                idled = true;
-                drop(st);
-                on_idle();
-                st = self.lock();
-            } else {
-                st = self.wait(&self.submitted, st);
-            }
-        }
-    }
-
-    /// Scheduler: non-blocking drain — the pipelining path, polled while
-    /// a fanned-out query is in flight on the shards.
-    fn drain_now(&self, out: &mut Vec<Slot>) {
-        let mut st = self.lock();
-        if st.queue.is_empty() {
-            return;
-        }
-        let was_full = st.queue.len() >= self.capacity;
-        out.extend(st.queue.drain(..));
-        drop(st);
-        if was_full {
-            self.completed.notify_all();
-        }
-    }
-
-    /// Scheduler: post a batch of completions — one wakeup for all of
-    /// them, however many clients are blocked.
-    fn complete(&self, results: Vec<(u64, Result<Response>)>) {
-        if results.is_empty() {
-            return;
-        }
-        let mut st = self.lock();
-        st.done.extend(results);
-        drop(st);
-        self.completed.notify_all();
-    }
-
-    /// Refuse new submissions and wake every blocked thread. Idempotent.
-    fn close(&self) {
-        let mut st = self.lock();
-        st.open = false;
-        drop(st);
-        self.submitted.notify_all();
-        self.completed.notify_all();
-    }
-
-    fn full_waits(&self) -> u64 {
-        self.lock().full_waits
-    }
 }
 
 /// A handle for submitting requests. Cheap to clone; clones can live on
@@ -457,19 +209,7 @@ impl Server {
     /// thread per shard, and start the admission scheduler. Blocks until
     /// every shard has built its engine (construction errors surface here).
     pub fn start(config: &ServeConfig, r: Vec<BaseTuple>, s: Vec<BaseTuple>) -> Result<Server> {
-        if config.shards == 0 {
-            return Err(Error::Invariant("serve: shard count must be positive".into()));
-        }
-        let n = config.shards;
-        let mut parts: Vec<(Vec<BaseTuple>, Vec<BaseTuple>)> = vec![Default::default(); n];
-        for t in r {
-            parts[shard_of_key(t.key, n)].0.push(t);
-        }
-        for t in s {
-            parts[shard_of_key(t.key, n)].1.push(t);
-        }
-
-        Self::launch(config, parts, false)
+        Self::launch(config, r, s, false)
     }
 
     /// Reopen a durable server from `config.durable_dir`: each shard runs
@@ -479,29 +219,36 @@ impl Server {
     /// the data is already on disk. Derived caches rebuild exactly as at
     /// first start.
     pub fn recover(config: &ServeConfig) -> Result<Server> {
-        if config.shards == 0 {
-            return Err(Error::Invariant("serve: shard count must be positive".into()));
-        }
         if config.durable_dir.is_none() {
             return Err(Error::Invariant("serve: recover needs a durable_dir".into()));
         }
-        let parts: Vec<(Vec<BaseTuple>, Vec<BaseTuple>)> = vec![Default::default(); config.shards];
-        Self::launch(config, parts, true)
+        Self::launch(config, Vec::new(), Vec::new(), true)
     }
 
     fn launch(
         config: &ServeConfig,
-        parts: Vec<(Vec<BaseTuple>, Vec<BaseTuple>)>,
+        r: Vec<BaseTuple>,
+        s: Vec<BaseTuple>,
         recover: bool,
     ) -> Result<Server> {
         let n = config.shards;
+        if n == 0 {
+            return Err(Error::Invariant("serve: shard count must be positive".into()));
+        }
+        let mut parts: Vec<(Vec<BaseTuple>, Vec<BaseTuple>)> = vec![Default::default(); n];
+        for t in r {
+            parts[shard_of_key(t.key, n)].0.push(t);
+        }
+        for t in s {
+            parts[shard_of_key(t.key, n)].1.push(t);
+        }
         let mut shard_threads = Vec::with_capacity(n);
-        for (index, (r_i, s_i)) in parts.into_iter().enumerate() {
+        for (index, (r, s)) in parts.into_iter().enumerate() {
             let spec = ShardSpec {
                 index,
                 params: config.params.clone(),
-                r: r_i,
-                s: s_i,
+                r,
+                s,
                 telemetry: config.telemetry,
                 durable_dir: config.shard_dir(index),
                 recover,
@@ -520,46 +267,10 @@ impl Server {
             shard_threads.iter().map(|(tx, _)| tx.clone()).collect();
 
         let ring = Ring::new(config.ring);
-        let sched_ring = Arc::clone(&ring);
-        let batch = config.batch.max(1);
-        let params = config.params.clone();
-        let tel_cfg = config.telemetry;
-        let durability = config.durability;
-        let adaptive = config.adaptive;
+        let (sched_ring, sched_config) = (Arc::clone(&ring), config.clone());
         let scheduler = std::thread::Builder::new()
             .name("trijoin-serve-scheduler".into())
-            .spawn(move || {
-                // The metrics registry and telemetry sampler are
-                // single-threaded (Rc-based), so they are created here,
-                // inside the thread that owns them. The scheduler samples
-                // in the batch domain: its logical clock is the number of
-                // dispatched differential batches, not engine ops.
-                let metrics = Metrics::new();
-                let telemetry = tel_cfg.map(|c| {
-                    let t = Telemetry::new(c.serve(), "serve", "batches");
-                    t.tick(0, &metrics);
-                    t
-                });
-                let mut sched = Scheduler {
-                    ring: sched_ring,
-                    shard_txs,
-                    work: VecDeque::new(),
-                    pending_r: vec![Vec::new(); n],
-                    pending_s: vec![Vec::new(); n],
-                    pending: 0,
-                    batch,
-                    batches: 0,
-                    params,
-                    metrics,
-                    telemetry,
-                    deferred: None,
-                    latencies_us: Vec::new(),
-                    durability,
-                    sync_pending: false,
-                    adaptive,
-                };
-                sched.run();
-            })
+            .spawn(move || Scheduler::new(sched_config, sched_ring, shard_txs).run())
             .map_err(|e| Error::Invariant(format!("serve: spawn scheduler: {e}")));
         let scheduler = match scheduler {
             Ok(handle) => handle,
@@ -642,26 +353,29 @@ pub const VOLATILE_METRICS: [&str; 6] = [
     "serve.seals",
 ];
 
+/// One shard's share of a differential batch: its mutations of `R`, then
+/// of `S`.
+type Share = (Vec<Mutation>, Vec<Mutation>);
+
 /// The single-threaded admission scheduler: owns the shard channels, the
-/// pending differential batches, and the drained-but-unprocessed slice
-/// of the ring.
+/// pending differential batch, and the drained-but-unprocessed slice of
+/// the ring.
 struct Scheduler {
+    config: ServeConfig,
     ring: Arc<Ring>,
     shard_txs: Vec<Sender<ShardCommand>>,
     /// Drained submissions not yet processed, in ring order. Non-empty
     /// only transiently: the pipelining drains during an in-flight query
     /// carry ticketed requests (and everything after them) over here.
     work: VecDeque<Slot>,
-    pending_r: Vec<Vec<Mutation>>,
-    pending_s: Vec<Vec<Mutation>>,
-    /// Logical updates admitted since the last flush.
+    /// The pending batch, one share per shard.
+    shares: Vec<Share>,
+    /// Logical updates admitted since the last hand-off.
     pending: usize,
-    batch: usize,
-    /// Lifetime count of dispatched differential batches — the logical
-    /// clock of the scheduler's telemetry sampler (mirrors the
-    /// `serve.batches` counter without a registry read per tick).
+    /// Lifetime count of handed-off batches — the logical clock of the
+    /// scheduler's telemetry sampler (mirrors the `serve.batches` counter
+    /// without a registry read per tick).
     batches: u64,
-    params: SystemParams,
     /// Scheduler-only counters under the reserved `serve.` prefix; shards
     /// never write that namespace, so in a rollup every non-`serve.`
     /// metric remains the exact sum of the per-shard metrics.
@@ -677,16 +391,10 @@ struct Scheduler {
     /// Submission-to-completion latency of every blocking call, in µs;
     /// powers the `serve.latency.p50_us`/`p99_us` gauges.
     latencies_us: Vec<u64>,
-    /// Durability level of commit barriers (from [`ServeConfig`]).
-    durability: Durability,
     /// True when deferred commit barriers are buffered but not yet
     /// fsynced on the shards; cleared by the next seal (explicit
     /// [`Request::Sync`], a report, scheduler idle, or exit).
     sync_pending: bool,
-    /// True when the shards serve adaptively (from [`ServeConfig`]);
-    /// stamped into reports as the `serve.adaptive` gauge so downstream
-    /// validation knows to require the `migrate.*` counters.
-    adaptive: bool,
 }
 
 /// Receive a shard reply, yielding the CPU to the computing shards before
@@ -709,7 +417,38 @@ fn recv_yielding<T>(rx: &Receiver<T>) -> Option<T> {
     rx.recv().ok()
 }
 
+fn shard_down(shard: usize) -> Error {
+    Error::Invariant(format!("serve: shard {shard} is down"))
+}
+
 impl Scheduler {
+    /// The scheduler of a freshly launched server. The metrics registry
+    /// and telemetry sampler are single-threaded (Rc-based), so this runs
+    /// inside the thread that owns them. The sampler's logical clock is
+    /// the number of handed-off batches, not engine ops.
+    fn new(config: ServeConfig, ring: Arc<Ring>, shard_txs: Vec<Sender<ShardCommand>>) -> Self {
+        let metrics = Metrics::new();
+        let telemetry = config.telemetry.map(|c| {
+            let t = Telemetry::new(c.serve(), "serve", "batches");
+            t.tick(0, &metrics);
+            t
+        });
+        Scheduler {
+            shares: vec![Share::default(); shard_txs.len()],
+            config,
+            ring,
+            shard_txs,
+            work: VecDeque::new(),
+            pending: 0,
+            batches: 0,
+            metrics,
+            telemetry,
+            deferred: None,
+            latencies_us: Vec::new(),
+            sync_pending: false,
+        }
+    }
+
     fn run(&mut self) {
         // Register the seal counter up front (a zero-delta add pins the
         // name into the registry): consumers that scrub the volatile set
@@ -731,7 +470,7 @@ impl Scheduler {
             let mut done: Vec<(u64, Result<Response>)> = Vec::new();
             while let Some(slot) = self.work.pop_front() {
                 match slot.ticket {
-                    None => self.admit(slot.request),
+                    None => self.admit_request(slot.request),
                     Some(ticket) => {
                         let result = self.handle(slot.request);
                         self.latencies_us.push(slot.at.elapsed().as_micros() as u64);
@@ -769,10 +508,10 @@ impl Scheduler {
 
     /// Pipelining pump: while a query is in flight on the shards, fold in
     /// whatever arrived meanwhile. Fire-and-forget updates are admitted
-    /// (and may flush to the shards — FIFO puts those `Apply`s safely
-    /// behind the in-flight `Query`); ticketed requests, and everything
-    /// submitted after them, are carried over so global submission order
-    /// is preserved exactly.
+    /// (and a batch they fill is handed off — FIFO puts it safely behind
+    /// the in-flight query); ticketed requests, and everything submitted
+    /// after them, are carried over so global submission order is
+    /// preserved exactly.
     fn pump(&mut self) {
         let mut fresh = Vec::new();
         self.ring.drain_now(&mut fresh);
@@ -782,7 +521,7 @@ impl Scheduler {
         self.drained(&fresh);
         for slot in fresh {
             if slot.ticket.is_none() && self.work.is_empty() {
-                self.admit(slot.request);
+                self.admit_request(slot.request);
             } else {
                 self.work.push_back(slot);
             }
@@ -790,13 +529,13 @@ impl Scheduler {
     }
 
     /// Process a fire-and-forget submission (ring order, no completion).
-    fn admit(&mut self, request: Request) {
+    /// Only updates are submitted without a ticket; anything else here
+    /// would be a client-side bug, and is a no-op rather than poisoning
+    /// the scheduler.
+    fn admit_request(&mut self, request: Request) {
         match request {
-            Request::UpdateR(m) => self.admit_r(m),
-            Request::UpdateS(m) => self.admit_s(m),
-            // Only updates are submitted without a ticket; anything else
-            // here would be a client-side bug — treat it as a no-op
-            // rather than poisoning the scheduler.
+            Request::UpdateR(m) => self.admit(false, m),
+            Request::UpdateS(m) => self.admit(true, m),
             _ => {}
         }
     }
@@ -809,19 +548,10 @@ impl Scheduler {
             return Err(e);
         }
         match request {
-            Request::UpdateR(m) => {
-                self.admit_r(m);
-                Ok(Response::Ack)
-            }
-            Request::UpdateS(m) => {
-                self.admit_s(m);
-                Ok(Response::Ack)
-            }
-            Request::Flush => {
-                self.flush()?;
-                Ok(Response::Ack)
-            }
-            Request::Query(method) => self.query(method).map(Response::Rows),
+            Request::UpdateR(m) => self.admit(false, m),
+            Request::UpdateS(m) => self.admit(true, m),
+            Request::Flush => self.flush()?,
+            Request::Query(method) => return self.query(method).map(Response::Rows),
             Request::Report => {
                 self.flush()?;
                 // A report is a durability point: seal deferred barriers
@@ -829,34 +559,28 @@ impl Scheduler {
                 // accounting (fsyncs ≤ commits, but never an unsealed
                 // tail the report's reader could mistake for durable).
                 self.seal_pending()?;
-                self.report().map(|r| Response::Report(Box::new(r)))
+                return self.report().map(|r| Response::Report(Box::new(r)));
             }
             Request::InstallFaultPlan { shard, plan } => {
-                self.send_to(shard, ShardCommand::InstallFaultPlan(plan))?;
-                Ok(Response::Ack)
+                self.send_to(shard, ShardCommand::InstallFaultPlan(plan))?
             }
             Request::PoisonCachedView { shard } => {
-                self.send_to(shard, ShardCommand::PoisonCachedView)?;
-                Ok(Response::Ack)
+                self.send_to(shard, ShardCommand::PoisonCachedView)?
             }
-            Request::ClearFaults { shard } => {
-                self.send_to(shard, ShardCommand::ClearFaults)?;
-                Ok(Response::Ack)
-            }
+            Request::ClearFaults { shard } => self.send_to(shard, ShardCommand::ClearFaults)?,
             Request::Commit => {
                 self.flush()?;
-                self.commit_barrier(self.durability)?;
-                if self.durability == Durability::Deferred {
+                self.commit_barrier(self.config.durability)?;
+                if self.config.durability == Durability::Deferred {
                     self.sync_pending = true;
                 }
-                Ok(Response::Ack)
             }
             Request::Sync => {
                 self.flush()?;
                 self.seal_pending()?;
-                Ok(Response::Ack)
             }
         }
+        Ok(Response::Ack)
     }
 
     /// Seal deferred commit barriers, if any are pending: one
@@ -887,42 +611,14 @@ impl Scheduler {
     /// The server-wide durability barrier: every shard seals its applied
     /// state into its own WAL; this returns only when all have
     /// acknowledged. Shard channels are FIFO, so each shard's commit
-    /// covers exactly the batches flushed before the barrier — all WALs
-    /// agree on which barrier was last sealed, which is the invariant
-    /// shard-local recovery relies on.
-    ///
-    /// The barrier is *pipelined*: the command fans out to every shard
+    /// covers exactly the batches handed off before the barrier — all
+    /// WALs agree on which barrier was last sealed, which is the invariant
+    /// shard-local recovery relies on. The command reaches every shard
     /// before any acknowledgement is collected, so the per-shard WAL
-    /// appends (and fsyncs, under `Durability::Barrier`) overlap across
-    /// shard threads instead of running one after another.
+    /// appends (and fsyncs) overlap across shard threads.
     fn commit_barrier(&mut self, durability: Durability) -> Result<()> {
         self.metrics.incr("serve.commits");
-        let (reply, rx) = channel();
-        for (i, tx) in self.shard_txs.iter().enumerate() {
-            tx.send(ShardCommand::Commit { durability, reply: reply.clone() })
-                .map_err(|_| Error::Invariant(format!("serve: shard {i} is down")))?;
-        }
-        drop(reply);
-        let expected = self.shard_txs.len();
-        let mut acks = 0usize;
-        let mut first_err: Option<(usize, Error)> = None;
-        while acks < expected {
-            let Some((shard, result)) = recv_yielding(&rx) else { break };
-            acks += 1;
-            if let Err(e) = result {
-                self.metrics.incr("serve.commit_errors");
-                if first_err.is_none() {
-                    first_err = Some((shard, e));
-                }
-            }
-        }
-        if let Some((shard, e)) = first_err {
-            return Err(Error::Invariant(format!("serve: shard {shard} commit failed: {e}")));
-        }
-        if acks != expected {
-            return Err(Error::Invariant(format!("serve: {acks}/{expected} shards committed")));
-        }
-        Ok(())
+        self.round("commit", false, |_, reply| ShardCommand::Commit { durability, reply }).map(drop)
     }
 
     fn send_to(&self, shard: usize, cmd: ShardCommand) -> Result<()> {
@@ -930,149 +626,140 @@ impl Scheduler {
             .shard_txs
             .get(shard)
             .ok_or_else(|| Error::Invariant(format!("serve: no shard {shard}")))?;
-        tx.send(cmd).map_err(|_| Error::Invariant(format!("serve: shard {shard} is down")))
+        tx.send(cmd).map_err(|_| shard_down(shard))
     }
 
-    fn admit_r(&mut self, m: Mutation) {
-        self.metrics.incr("serve.updates.r");
+    /// Admit one mutation of `R` or (`of_s`) of `S` into the pending
+    /// batch: routed to its shard, or split across two when an update
+    /// moves its tuple. A full batch is handed off at once; a dead shard
+    /// then is deferred and owns the next blocking call.
+    fn admit(&mut self, of_s: bool, m: Mutation) {
+        self.metrics.incr(if of_s { "serve.updates.s" } else { "serve.updates.r" });
         let n = self.shard_txs.len();
         if router::is_cross_shard(&m, n) {
             self.metrics.incr("serve.updates.cross_shard");
         }
         for (shard, part) in router::route(m, n) {
-            self.pending_r[shard].push(part);
+            let (r, s) = &mut self.shares[shard];
+            if of_s { s } else { r }.push(part);
         }
-        self.admitted();
-    }
-
-    fn admit_s(&mut self, m: Mutation) {
-        self.metrics.incr("serve.updates.s");
-        let n = self.shard_txs.len();
-        if router::is_cross_shard(&m, n) {
-            self.metrics.incr("serve.updates.cross_shard");
-        }
-        for (shard, part) in router::route(m, n) {
-            self.pending_s[shard].push(part);
-        }
-        self.admitted();
-    }
-
-    fn admitted(&mut self) {
         self.pending += 1;
-        if self.pending >= self.batch {
-            // A full batch flushes immediately; a dead shard is deferred
-            // and owns the next blocking call.
+        if self.pending >= self.config.batch.max(1) {
             if let Err(e) = self.flush() {
                 self.deferred.get_or_insert(e);
             }
         }
     }
 
-    /// Dispatch every pending per-shard batch. A no-op when nothing is
-    /// pending, so query-time flushes of an already-drained queue do not
-    /// inflate the batch statistics.
-    fn flush(&mut self) -> Result<()> {
+    /// The one batch hand-off, a flush's and a query's: count the pending
+    /// batch (`serve.batches`, `serve.batch.len`), advance the telemetry
+    /// clock, and take every shard's share. With nothing pending every
+    /// share is empty and nothing is counted, so a query or report right
+    /// after a flush does not inflate the batch statistics.
+    fn hand_off(&mut self) -> Vec<Share> {
+        let empty = vec![Share::default(); self.shard_txs.len()];
         if self.pending == 0 {
-            return Ok(());
+            return empty;
         }
-        let total: usize = self.pending_r.iter().chain(self.pending_s.iter()).map(Vec::len).sum();
+        let total: usize = self.shares.iter().map(|(r, s)| r.len() + s.len()).sum();
         self.metrics.incr("serve.batches");
         self.metrics.observe("serve.batch.len", total as u64);
         self.batches += 1;
         self.telemetry_tick();
-        let mut result = Ok(());
-        for i in 0..self.shard_txs.len() {
-            let r = std::mem::take(&mut self.pending_r[i]);
-            let s = std::mem::take(&mut self.pending_s[i]);
-            if r.is_empty() && s.is_empty() {
-                continue;
-            }
-            if self.shard_txs[i].send(ShardCommand::Apply { r, s }).is_err() {
-                self.metrics.incr("serve.shard_send_errors");
-                result = Err(Error::Invariant(format!("serve: shard {i} is down")));
-            }
-        }
         self.pending = 0;
-        result
+        std::mem::replace(&mut self.shares, empty)
     }
 
-    /// Flush any pending batch and fan a query out to every shard, then
-    /// stream-merge the answers. The flush rides inside the same message
-    /// as the query ([`ShardCommand::ApplyThenQuery`]) — identical apply
-    /// and batch bookkeeping to a standalone flush, but each shard wakes
-    /// once per round instead of twice. While the shards compute, the
-    /// ring keeps draining ([`Self::pump`]) so differential application
-    /// is pipelined with query execution. One shard's failure fails this
-    /// query (the merged answer would be incomplete) but not the server;
-    /// strategies recover from planned device faults internally, so this
-    /// surfaces only truly unrecoverable damage.
-    fn query(&mut self, method: Method) -> Result<Vec<ViewTuple>> {
-        self.metrics.incr("serve.queries");
-        let flushing = self.pending > 0;
-        if flushing {
-            let total: usize =
-                self.pending_r.iter().chain(self.pending_s.iter()).map(Vec::len).sum();
-            self.metrics.incr("serve.batches");
-            self.metrics.observe("serve.batch.len", total as u64);
-            self.batches += 1;
-            self.telemetry_tick();
-            self.pending = 0;
-        }
-        let (reply, rx) = channel();
-        let mut send_err: Option<Error> = None;
+    /// Hand the pending batch off now, to the shards it has mutations for.
+    fn flush(&mut self) -> Result<()> {
+        let mut shares = self.hand_off();
+        self.fan_out(|i| {
+            let (r, s) = std::mem::take(&mut shares[i]);
+            (!r.is_empty() || !s.is_empty()).then_some(ShardCommand::Apply { r, s })
+        })
+    }
+
+    /// The one fan-out: send every shard `i` the command `cmd(i)` names
+    /// for it (`None` skips it). A dead shard does not stop the others —
+    /// their shares of a batch must not be dropped on the floor — and the
+    /// first dead one fails the call once all live ones have theirs.
+    fn fan_out(&self, mut cmd: impl FnMut(usize) -> Option<ShardCommand>) -> Result<()> {
+        let mut dead = None;
         for (i, tx) in self.shard_txs.iter().enumerate() {
-            let r = if flushing { std::mem::take(&mut self.pending_r[i]) } else { Vec::new() };
-            let s = if flushing { std::mem::take(&mut self.pending_s[i]) } else { Vec::new() };
-            let cmd = if r.is_empty() && s.is_empty() {
-                ShardCommand::Query { method, reply: reply.clone() }
-            } else {
-                ShardCommand::ApplyThenQuery { r, s, method, reply: reply.clone() }
-            };
+            let Some(cmd) = cmd(i) else { continue };
             if tx.send(cmd).is_err() {
-                // Keep dispatching to the remaining live shards (their
-                // batches must not be dropped on the floor), then fail
-                // the query.
                 self.metrics.incr("serve.shard_send_errors");
-                send_err
-                    .get_or_insert_with(|| Error::Invariant(format!("serve: shard {i} is down")));
+                dead.get_or_insert(i);
             }
         }
+        dead.map_or(Ok(()), |i| Err(shard_down(i)))
+    }
+
+    /// One round trip to every shard, a query's, a commit barrier's or a
+    /// report's: the fan-out of `cmd(i, reply)`, then the one gather of
+    /// the `Result` replies, returned in shard order. Each error counts in
+    /// `serve.<what>_errors`, and the first one received fails the round.
+    /// A query `pump`s the ring between receives, pipelining differential
+    /// work with its execution; the commit barrier must not, because it
+    /// also runs from the ring's idle hook, where a pump would strand the
+    /// requests it drains.
+    fn round<T>(
+        &mut self,
+        what: &str,
+        pump: bool,
+        mut cmd: impl FnMut(usize, Sender<(usize, Result<T>)>) -> ShardCommand,
+    ) -> Result<Vec<T>> {
+        let (reply, rx) = channel();
+        self.fan_out(|i| Some(cmd(i, reply.clone())))?;
         drop(reply);
-        if let Some(e) = send_err {
-            return Err(e);
-        }
         let expected = self.shard_txs.len();
-        let mut parts: Vec<Vec<ViewTuple>> = (0..expected).map(|_| Vec::new()).collect();
-        let mut first_err: Option<(usize, Error)> = None;
-        let mut answered = 0usize;
+        let mut replies: Vec<Option<T>> = (0..expected).map(|_| None).collect();
+        let mut first_err = None;
+        let mut answered = 0;
         while answered < expected {
-            // Differential work admitted while the shards compute lands
-            // behind the in-flight Query in each shard's FIFO queue.
-            self.pump();
+            if pump {
+                self.pump();
+            }
             let Some((shard, result)) = recv_yielding(&rx) else { break };
             answered += 1;
             match result {
-                Ok(shard_rows) => parts[shard] = shard_rows,
+                Ok(reply) => replies[shard] = Some(reply),
                 Err(e) => {
-                    self.metrics.incr("serve.query_errors");
-                    if first_err.is_none() {
-                        first_err = Some((shard, e));
-                    }
+                    self.metrics.incr(&format!("serve.{what}_errors"));
+                    first_err.get_or_insert_with(|| {
+                        Error::Invariant(format!("serve: shard {shard} {what} failed: {e}"))
+                    });
                 }
             }
         }
-        if let Some((shard, e)) = first_err {
-            return Err(Error::Invariant(format!("serve: shard {shard} failed: {e}")));
+        if let Some(e) = first_err {
+            return Err(e);
         }
         if answered != expected {
-            return Err(Error::Invariant(format!("serve: {answered}/{expected} shards answered")));
+            return Err(Error::Invariant(format!(
+                "serve: {answered}/{expected} shards answered the {what}"
+            )));
         }
+        Ok(replies.into_iter().flatten().collect())
+    }
+
+    /// Fan a query out to every shard, each carrying its share of the
+    /// pending batch, then stream-merge the answers. One shard's failure
+    /// fails this query (the merged answer would be incomplete) but not
+    /// the server; strategies recover from planned device faults
+    /// internally, so this surfaces only truly unrecoverable damage.
+    fn query(&mut self, method: Method) -> Result<Vec<ViewTuple>> {
+        self.metrics.incr("serve.queries");
+        let mut shares = self.hand_off();
+        let parts = self.round("query", true, |i, reply| {
+            let (r, s) = std::mem::take(&mut shares[i]);
+            ShardCommand::Query { r, s, method, reply }
+        })?;
         // Each shard's answer arrives sorted by (r_sur, s_sur), and
         // surrogate pairs are globally unique (partitions are disjoint):
-        // the k-way merge of the per-shard runs is the same deterministic
-        // total order the old concat + full re-sort produced, without
-        // re-sorting rows that are already ordered. The merge is wall-
-        // clock work only — it runs on a throwaway cost ledger.
+        // the k-way merge of the per-shard runs is one deterministic total
+        // order. The merge is wall-clock work only — it runs on a
+        // throwaway cost ledger.
         let total: usize = parts.iter().map(Vec::len).sum();
         let sources: Vec<_> = parts.into_iter().map(Vec::into_iter).collect();
         let merge = KWayMerge::new(sources, |t: &ViewTuple| (t.r_sur, t.s_sur), Cost::new());
@@ -1085,29 +772,15 @@ impl Scheduler {
     /// scheduler's own `serve.*` counters on the rollup afterwards (a pure
     /// overlay: shard metrics are never touched, so their sums stay exact).
     fn report(&mut self) -> Result<ShardedRunReport> {
-        let (reply, rx) = channel();
-        for (i, tx) in self.shard_txs.iter().enumerate() {
-            tx.send(ShardCommand::Report { reply: reply.clone() })
-                .map_err(|_| Error::Invariant(format!("serve: shard {i} is down")))?;
-        }
-        drop(reply);
-        let mut replies: Vec<(usize, Box<RunReport>)> = rx.iter().collect();
-        if replies.len() != self.shard_txs.len() {
-            return Err(Error::Invariant(format!(
-                "serve: {}/{} shards reported",
-                replies.len(),
-                self.shard_txs.len()
-            )));
-        }
-        replies.sort_by_key(|(shard, _)| *shard);
-        let shards: Vec<RunReport> = replies.into_iter().map(|(_, boxed)| *boxed).collect();
+        let replies = self.round("report", false, |_, reply| ShardCommand::Report { reply })?;
+        let shards: Vec<RunReport> = replies.into_iter().map(|boxed| *boxed).collect();
         self.stamp_gauges();
         if let Some(tel) = &self.telemetry {
             // Close the open batch window so even a short run serializes a
             // scheduler series. No audit runs here, so alerts are empty.
             let _ = tel.force_close(self.batches, &self.metrics);
         }
-        let mut sharded = ShardedRunReport::rollup_of("serve", &self.params, shards);
+        let mut sharded = ShardedRunReport::rollup_of("serve", &self.config.params, shards);
         sharded.rollup.metrics.merge(&self.metrics.snapshot());
         if let Some(tel) = &self.telemetry {
             sharded.rollup.series.push(tel.series());
@@ -1136,8 +809,9 @@ impl Scheduler {
         self.metrics.gauge_set("serve.latency.p50_us", p50 as f64);
         self.metrics.gauge_set("serve.latency.p99_us", p99 as f64);
         // Only stamped when on: a non-adaptive run's report (and the
-        // golden ledgers pinning it) carries no trace of the feature.
-        if self.adaptive {
+        // golden ledgers pinning it) carries no trace of the feature;
+        // with it, validation knows to require the `migrate.*` counters.
+        if self.config.adaptive {
             self.metrics.gauge_set("serve.adaptive", 1.0);
         }
     }
@@ -1157,7 +831,7 @@ fn percentiles(latencies_us: &mut [u64]) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trijoin_common::Surrogate;
+    use trijoin_common::{Surrogate, SystemParams};
 
     fn params() -> SystemParams {
         SystemParams { page_size: 512, mem_pages: 24, ..Default::default() }

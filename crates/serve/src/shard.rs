@@ -5,16 +5,18 @@
 //! thread receives plain `Send` data (parameters and tuple sets), builds a
 //! private [`Database`], and then serves commands off an `mpsc` channel;
 //! cached structures are built when a query first names their method (see
-//! [`ResidentSet`]). Channel FIFO order is the
-//! only synchronization needed — an `Apply` enqueued before a `Query` is
-//! guaranteed to be folded in first, which is what makes the scheduler's
-//! batched differential application correct without acknowledgements.
+//! [`ResidentSet`]). Channel FIFO order is the only synchronization needed:
+//! a batch sent before a query — as an `Apply`, or as the query's own
+//! share — is folded first, which is what makes the scheduler's batched
+//! differential application correct without acknowledgements. Each
+//! mutation passes its relation's admission check before any cached
+//! structure logs it.
 
 use std::path::PathBuf;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
-use trijoin::{AdaptiveController, CachedStrategy, Database, Method};
+use trijoin::{AdaptiveController, CachedStrategy, Database, Method, Workload};
 use trijoin_common::{
     BaseTuple, CounterId, Error, Result, RunReport, SystemParams, TelemetryConfig, ViewTuple,
 };
@@ -32,35 +34,26 @@ pub enum ShardCommand {
         /// Mutations of the shard's `S` partition.
         s: Vec<Mutation>,
     },
-    /// Answer the shard-local join with the given method. The reply rows
-    /// are sorted by `(r_sur, s_sur)` — the server's streaming cross-shard
-    /// merge relies on every per-shard run already being ordered.
+    /// Fold this shard's share of the pending batch (`r`, `s`, possibly
+    /// both empty), then answer the shard-local join with the given
+    /// method. The reply rows are sorted by `(r_sur, s_sur)` — the
+    /// server's streaming cross-shard merge relies on every per-shard run
+    /// already being ordered. Carrying the share here wakes each shard
+    /// once per round instead of twice.
     Query {
-        /// Strategy to execute.
-        method: Method,
-        /// Where to send `(shard_index, result)`.
-        reply: Sender<(usize, Result<Vec<ViewTuple>>)>,
-    },
-    /// Fold one differential batch, then answer a query — exactly
-    /// [`ShardCommand::Apply`] followed by [`ShardCommand::Query`], fused
-    /// into one message. The scheduler uses this when a query flushes a
-    /// pending batch: delivering both in one send means one wakeup per
-    /// shard per round instead of two, which halves the scheduler↔shard
-    /// context switches when they contend for the same cores.
-    ApplyThenQuery {
         /// Mutations of the shard's `R` partition.
         r: Vec<Mutation>,
         /// Mutations of the shard's `S` partition.
         s: Vec<Mutation>,
-        /// Strategy to execute after the batch is folded in.
+        /// Strategy to execute.
         method: Method,
         /// Where to send `(shard_index, result)`.
         reply: Sender<(usize, Result<Vec<ViewTuple>>)>,
     },
     /// Snapshot the shard's observability state.
     Report {
-        /// Where to send `(shard_index, report)`.
-        reply: Sender<(usize, Box<RunReport>)>,
+        /// Where to send `(shard_index, report)`; a report never fails.
+        reply: Sender<(usize, Result<Box<RunReport>>)>,
     },
     /// Install a device-fault plan on this shard's simulated disk.
     InstallFaultPlan(FaultPlan),
@@ -139,20 +132,15 @@ pub fn spawn(spec: ShardSpec) -> Result<(Sender<ShardCommand>, JoinHandle<()>)> 
             }
         })
         .map_err(|e| Error::Invariant(format!("spawn shard {index}: {e}")))?;
-    match ready_rx.recv() {
-        Ok(Ok(())) => Ok((tx, handle)),
-        Ok(Err(e)) => {
-            // The thread exits right after reporting the failure; reap it
-            // here so an error return never leaks a dangling JoinHandle
-            // (the old code dropped `handle` un-joined on this path).
-            let _ = handle.join();
-            Err(e)
-        }
-        Err(_) => {
-            let _ = handle.join();
-            Err(Error::Invariant(format!("shard {index} died during construction")))
-        }
-    }
+    let e = match ready_rx.recv() {
+        Ok(Ok(())) => return Ok((tx, handle)),
+        Ok(Err(e)) => e,
+        Err(_) => Error::Invariant(format!("shard {index} died during construction")),
+    };
+    // The thread exits right after reporting the failure: reap it, so an
+    // error return never leaks a dangling JoinHandle.
+    let _ = handle.join();
+    Err(e)
 }
 
 /// How a shard serves queries.
@@ -302,61 +290,29 @@ struct ShardWorker {
 }
 
 impl ShardWorker {
-    /// The worker at the start of its serving life.
-    fn start(index: usize, db: Database, mode: Mode) -> ShardWorker {
-        let apply_errors = ["shard.apply_errors", "shard.apply_errors.R", "shard.apply_errors.S"]
-            .map(|name| db.metrics().counter_handle(name));
-        let s_mutations = db.metrics().counter_handle("shard.s_mutations");
-        let rejected_seen = [0; 2];
-        ShardWorker { index, db, mode, since_query: 0, rejected_seen, apply_errors, s_mutations }
-    }
-
     fn build(spec: ShardSpec) -> Result<ShardWorker> {
         if spec.recover {
             return Self::build_recovered(spec);
         }
         // Measure the partition statistics before the relations move into
         // the engine; the audit prices the analytical model against them.
-        let workload =
-            spec.telemetry.map(|_| trijoin::measure_workload(&spec.r, &spec.s, 0.1, 0.0));
+        let audit = spec.telemetry.map(|cfg| {
+            let workload = trijoin::measure_workload(&spec.r, &spec.s, 0.1, 0.0);
+            (cfg, move |_: &Database| Ok(workload))
+        });
         let db = match &spec.durable_dir {
             Some(dir) => Database::create_durable(&spec.params, spec.r, spec.s, dir)?,
             None => Database::new(&spec.params, spec.r, spec.s)?,
         };
-        let mode = Self::build_mode(&db, spec.adaptive)?;
-        // Loading and cache construction are setup, not serving work: start
-        // the shard's observable life from a clean slate.
-        db.reset_observability();
-        if let Mode::Adaptive(a) = &mode {
-            a.register_metrics();
-        }
-        if let (Some(cfg), Some(workload)) = (spec.telemetry, workload) {
-            db.enable_telemetry(cfg);
-            db.enable_cost_audit(workload, 1.0);
-        }
-        Ok(Self::start(spec.index, db, mode))
-    }
-
-    /// Build the serving mode. Adaptive shards start from the cached view
-    /// — the paper's favourite at low update rates — and migrate away as
-    /// soon as observed traffic says otherwise. Pinned shards start with
-    /// nothing cached: their queries decide what gets built.
-    fn build_mode(db: &Database, adaptive: bool) -> Result<Mode> {
-        Ok(if adaptive {
-            let initial = CachedStrategy::build(db, Method::MaterializedView)?;
-            Mode::Adaptive(AdaptiveController::new(db.disk(), db.params(), db.cost(), initial))
-        } else {
-            Mode::Pinned(ResidentSet::new(db))
-        })
+        Self::serving(spec.index, spec.adaptive, db, &[], audit)
     }
 
     /// Recover-mode construction: reopen this shard's durable directory
     /// (replaying its own WAL — shard-local, no cross-shard coordination).
     /// Derived caches are not durable; they come back the way they first
-    /// came, per [`ShardWorker::build_mode`]. The recovery counters and
-    /// event charged by the reopen are deliberately *kept* across the
-    /// observability reset: `wal.recovered.*` is exactly what a post-crash
-    /// report needs to show.
+    /// came. The recovery counters charged by the reopen are *kept*
+    /// across the observability reset: `wal.recovered.*` is exactly what
+    /// a post-crash report needs to show.
     fn build_recovered(spec: ShardSpec) -> Result<ShardWorker> {
         debug_assert!(spec.r.is_empty() && spec.s.is_empty(), "recovery reads tuples from disk");
         let dir = spec
@@ -364,36 +320,76 @@ impl ShardWorker {
             .as_deref()
             .ok_or_else(|| Error::Invariant("shard recovery needs a durable dir".into()))?;
         let db = Database::open_durable(&spec.params, dir)?;
-        const RECOVERED: [&str; 4] = [
+        let kept = [
             "wal.recovered.frames",
             "wal.recovered.pages",
             "wal.recovered.commits",
             "wal.recovered.torn_bytes",
-        ];
-        let recovered = RECOVERED.map(|name| db.metrics().counter(name));
-        let mode = Self::build_mode(&db, spec.adaptive)?;
+        ]
+        .map(|name| (name, db.metrics().counter(name)));
+        // The audit needs partition statistics: measure them from the
+        // recovered relations (uncharged oracle scans, the ledger is reset).
+        let audit = spec.telemetry.map(|cfg| {
+            let measure = |db: &Database| {
+                let (mut r, mut s) = (Vec::new(), Vec::new());
+                db.r().scan(|t| r.push(t))?;
+                db.s().scan(|t| s.push(t))?;
+                db.reset_cost();
+                Ok(trijoin::measure_workload(&r, &s, 0.1, 0.0))
+            };
+            (cfg, measure)
+        });
+        Self::serving(spec.index, spec.adaptive, db, &kept, audit)
+    }
+
+    /// The tail both constructions share once the engine is open: build
+    /// the serving mode, start the shard's observable life from a clean
+    /// slate (loading and cache construction are setup, not serving work)
+    /// but for the `kept` counters, then arm telemetry and the cost audit
+    /// against the partition statistics `audit` measures.
+    ///
+    /// Adaptive shards start from the cached view — the paper's favourite
+    /// at low update rates — and migrate away as soon as observed traffic
+    /// says otherwise. Pinned shards start with nothing cached: their
+    /// queries decide what gets built.
+    fn serving(
+        index: usize,
+        adaptive: bool,
+        db: Database,
+        kept: &[(&str, u64)],
+        audit: Option<(TelemetryConfig, impl FnOnce(&Database) -> Result<Workload>)>,
+    ) -> Result<ShardWorker> {
+        let mode = if adaptive {
+            let initial = CachedStrategy::build(&db, Method::MaterializedView)?;
+            Mode::Adaptive(AdaptiveController::new(db.disk(), db.params(), db.cost(), initial))
+        } else {
+            Mode::Pinned(ResidentSet::new(&db))
+        };
         db.reset_observability();
+        let metrics = db.metrics();
         if let Mode::Adaptive(a) = &mode {
             a.register_metrics();
         }
-        let metrics = db.metrics();
-        for (name, value) in RECOVERED.into_iter().zip(recovered) {
+        for &(name, value) in kept {
             metrics.counter_add(name, value);
         }
-        if let Some(cfg) = spec.telemetry {
-            // The audit needs partition statistics; measure them from the
-            // recovered relations (uncharged oracle scans, ledger is reset
-            // by enable_telemetry's baseline anyway).
-            let mut r = Vec::new();
-            let mut s = Vec::new();
-            db.r().scan(|t| r.push(t))?;
-            db.s().scan(|t| s.push(t))?;
-            db.reset_cost();
-            let workload = trijoin::measure_workload(&r, &s, 0.1, 0.0);
+        if let Some((cfg, measure)) = audit {
+            let workload = measure(&db)?;
             db.enable_telemetry(cfg);
             db.enable_cost_audit(workload, 1.0);
         }
-        Ok(Self::start(spec.index, db, mode))
+        let apply_errors = ["shard.apply_errors", "shard.apply_errors.R", "shard.apply_errors.S"]
+            .map(|name| metrics.counter_handle(name));
+        let s_mutations = metrics.counter_handle("shard.s_mutations");
+        Ok(ShardWorker {
+            index,
+            db,
+            mode,
+            since_query: 0,
+            rejected_seen: [0; 2],
+            apply_errors,
+            s_mutations,
+        })
     }
 
     /// Process commands until every sender is gone. Errors degrade (they
@@ -403,17 +399,18 @@ impl ShardWorker {
         while let Ok(cmd) = rx.recv() {
             match cmd {
                 ShardCommand::Apply { r, s } => self.apply(r, s),
-                ShardCommand::Query { method, reply } => {
-                    let result = self.query(method);
-                    let _ = reply.send((self.index, result));
-                }
-                ShardCommand::ApplyThenQuery { r, s, method, reply } => {
-                    self.apply(r, s);
+                ShardCommand::Query { r, s, method, reply } => {
+                    // `apply` ends a batch with the eviction rule or a
+                    // migration step: a query with nothing to fold goes
+                    // straight to its strategy.
+                    if !r.is_empty() || !s.is_empty() {
+                        self.apply(r, s);
+                    }
                     let result = self.query(method);
                     let _ = reply.send((self.index, result));
                 }
                 ShardCommand::Report { reply } => {
-                    let _ = reply.send((self.index, Box::new(self.report())));
+                    let _ = reply.send((self.index, Ok(Box::new(self.report()))));
                 }
                 ShardCommand::InstallFaultPlan(plan) => self.db.install_fault_plan(plan),
                 ShardCommand::PoisonCachedView => {
@@ -480,14 +477,17 @@ impl ShardWorker {
     }
 
     /// The paper's deferred-maintenance contract, for `R` and (`of_s`) `S`
-    /// alike: caching strategies log the mutation first (an in-flight
-    /// migration replays it into its target), then the stored relation
-    /// changes.
+    /// alike: the relation admits the mutation, caching strategies log it
+    /// (an in-flight migration replays it into its target), then the
+    /// stored relation changes. A mutation the relation refuses reaches no
+    /// structure.
     fn apply_one(&mut self, of_s: bool, m: &Mutation) -> Result<()> {
         if of_s {
             self.db.metrics().incr_id(self.s_mutations);
+            self.db.s().admit(m)?;
         } else {
             self.since_query += 1;
+            self.db.r().admit(m)?;
         }
         match &mut self.mode {
             Mode::Pinned(set) => set.log(&self.db, of_s, m)?,
@@ -610,7 +610,8 @@ mod tests {
         })
         .unwrap();
         let (reply, rx) = channel();
-        tx.send(ShardCommand::Query { method: Method::HybridHash, reply }).unwrap();
+        tx.send(ShardCommand::Query { r: vec![], s: vec![], method: Method::HybridHash, reply })
+            .unwrap();
         let (idx, rows) = rx.recv().unwrap();
         assert_eq!(idx, 3);
         let rows = rows.unwrap();
@@ -619,7 +620,7 @@ mod tests {
 
         let (reply, rx) = channel();
         tx.send(ShardCommand::Report { reply }).unwrap();
-        let (_, report) = rx.recv().unwrap();
+        let report = rx.recv().unwrap().1.unwrap();
         assert_eq!(report.name, "shard3");
         assert_eq!(report.metrics.counter("db.queries"), 1);
         assert_eq!(report.metrics.gauge("shard.r_tuples"), Some(80.0));
@@ -629,14 +630,14 @@ mod tests {
 
     fn query(tx: &Sender<ShardCommand>, method: Method) -> Vec<ViewTuple> {
         let (reply, rx) = channel();
-        tx.send(ShardCommand::Query { method, reply }).unwrap();
+        tx.send(ShardCommand::Query { r: vec![], s: vec![], method, reply }).unwrap();
         rx.recv().unwrap().1.unwrap()
     }
 
     fn report(tx: &Sender<ShardCommand>) -> RunReport {
         let (reply, rx) = channel();
         tx.send(ShardCommand::Report { reply }).unwrap();
-        *rx.recv().unwrap().1
+        *rx.recv().unwrap().1.unwrap()
     }
 
     #[test]

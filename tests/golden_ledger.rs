@@ -5,8 +5,9 @@
 //! handles, batched sequential I/O) must never change a single simulated
 //! number. This test pins the full [`RunReport`] — span tree, I/O counters,
 //! metrics snapshot, event log — for the MV, JI, and HH strategies on a
-//! Figure-5-shaped workload, plus the sharded server's result checksum,
-//! against JSON baselines committed under `tests/golden/`.
+//! Figure-5-shaped workload, plus the sharded server's result checksum and
+//! the deterministic part of its report rollup, against JSON baselines
+//! committed under `tests/golden/`.
 //!
 //! Regenerate the baselines (only when a change *intends* to alter the
 //! simulated cost model) with:
@@ -22,7 +23,7 @@
 use std::path::PathBuf;
 
 use trijoin::{Database, JoinStrategy, Method, SystemParams, WorkloadSpec};
-use trijoin_common::Json;
+use trijoin_common::{Json, RunReport};
 use trijoin_serve::{ClientTraffic, ServeConfig, Server};
 
 fn golden_dir() -> PathBuf {
@@ -169,4 +170,68 @@ fn serve_checksum_matches_golden() {
         .set("queries", QUERIES)
         .set("checksum", format!("{:016x}", checksums[0]).as_str());
     check_golden("serve_checksum.json", &json.pretty());
+}
+
+/// One fixed single-client serving run on two shards, returning its
+/// report's rollup with the wall-clock-shaped metrics
+/// ([`trijoin_serve::server::VOLATILE_METRICS`]) and the scheduler's
+/// batch-domain series scrubbed. What is left — the scheduler's `serve.*`
+/// accounting, every shard metric summed, the merged spans, events and
+/// engine series — is a pure function of the submission order.
+fn serve_rollup(adaptive: bool) -> RunReport {
+    use trijoin_exec::Mutation;
+    use trijoin_serve::server::VOLATILE_METRICS;
+    let spec = WorkloadSpec {
+        r_tuples: 1_500,
+        s_tuples: 1_500,
+        tuple_bytes: 96,
+        sr: 0.01,
+        group_size: 4,
+        pra: 0.1,
+        update_rate: 0.3,
+        seed: 31,
+    };
+    let gen = spec.generate();
+    let params = SystemParams { mem_pages: 64, ..SystemParams::paper_defaults() };
+    let config = ServeConfig { batch: 32, seed: 7, adaptive, ..ServeConfig::new(params, 2) };
+    let server = Server::start(&config, gen.r.clone(), gen.s.clone()).expect("start server");
+    let session = server.session().expect("live server");
+    let mut client = ClientTraffic::split(&gen, &config, 1).remove(0);
+    for round in 0..6 {
+        for _ in 0..gen.updates_per_epoch() / 2 {
+            session.update_r(client.next_mutation()).expect("update R");
+        }
+        // An S tuple leaves in one round and comes back in the next, so
+        // both relations' batches ride the same rounds.
+        let s = gen.s[round / 2 * 7].clone();
+        let m = if round % 2 == 0 { Mutation::Delete(s) } else { Mutation::Insert(s) };
+        session.update_s(m).expect("update S");
+        session.query(Method::all()[round % 3]).expect("query");
+        if round == 3 {
+            session.flush().expect("flush");
+            session.commit().expect("commit");
+            session.sync().expect("sync");
+        }
+    }
+    let mut rollup = session.report().expect("report").rollup;
+    let m = &mut rollup.metrics;
+    m.counters.retain(|(k, _)| !VOLATILE_METRICS.contains(&k.as_str()));
+    m.gauges.retain(|(k, _)| !VOLATILE_METRICS.contains(&k.as_str()));
+    m.histograms.retain(|(k, _)| !VOLATILE_METRICS.contains(&k.as_str()));
+    rollup.series.retain(|s| s.name != "serve");
+    rollup
+}
+
+/// The scheduler's deterministic accounting, pinned across commits: a
+/// pinned run that names all three methods and an adaptive run that
+/// migrates (its `migrate.*` counters included).
+#[test]
+fn serve_rollup_matches_golden() {
+    let adaptive = serve_rollup(true);
+    assert!(adaptive.metrics.counter("migrate.count") >= 1, "the adaptive run must migrate");
+    let json = Json::obj()
+        .set("figure", "golden_serve_rollup")
+        .set("pinned", serve_rollup(false).to_json())
+        .set("adaptive", adaptive.to_json());
+    check_golden("serve_rollup.json", &json.pretty());
 }

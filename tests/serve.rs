@@ -898,6 +898,61 @@ fn view_built_on_first_use_is_audited_at_zero_pending() {
     );
 }
 
+/// A mutation its relation refuses on sight — an update that changes the
+/// surrogate, a tuple of the wrong width — is refused before any cached
+/// structure logs it, on pinned shards (view and join index resident) and
+/// adaptive ones, for `R` and `S` alike: every method stays on the
+/// oracle, each refusal is one `shard.apply_errors`, and nothing rebuilds.
+#[test]
+fn malformed_mutations_are_refused_before_any_structure_logs() {
+    use trijoin_common::Surrogate;
+    let w = spec(0.3).generate();
+    // A tuple that joins, on either side: the refusals must not reach a
+    // key the answer shows.
+    let joins = |t: &&BaseTuple, other: &[BaseTuple]| other.iter().any(|o| o.key == t.key);
+    for shards in [1usize, 2, 4] {
+        for adaptive in [false, true] {
+            for of_s in [false, true] {
+                let label = format!("{shards} shards, adaptive {adaptive}, of S {of_s}");
+                let cfg = ServeConfig { adaptive, ..config(shards, 16) };
+                let server = Server::start(&cfg, w.r.clone(), w.s.clone()).unwrap();
+                let session = server.session().unwrap();
+                session.query(Method::MaterializedView).unwrap();
+                session.query(Method::JoinIndex).unwrap();
+                let builds = session.report().unwrap().rollup.metrics.counter("shard.builds");
+
+                let (mut r, mut s) = (w.r.clone(), w.s.clone());
+                let (rel, other) = if of_s { (&mut s, &w.r) } else { (&mut r, &w.s) };
+                let old = rel.iter().find(|t| joins(t, other)).unwrap().clone();
+                let renamed = BaseTuple { sur: Surrogate(90_000), ..old.clone() };
+                let narrow = BaseTuple::padded(Surrogate(90_001), old.key, 32);
+                // One well-formed update after the refusals still lands.
+                let new = BaseTuple::with_payload(old.sur, old.key, b"kept", 48).unwrap();
+                let valid = trijoin::Update { old: old.clone(), new: new.clone() };
+                *rel.iter_mut().find(|t| t.sur == old.sur).unwrap() = new;
+                for m in [
+                    Mutation::Update(trijoin::Update { old: old.clone(), new: renamed }),
+                    Mutation::Insert(narrow),
+                    Mutation::Update(valid),
+                ] {
+                    if of_s { session.update_s(m) } else { session.update_r(m) }.unwrap();
+                }
+
+                let want = oracle::join_tuples(&r, &s);
+                for method in Method::all() {
+                    let got = session.query(method).unwrap_or_else(|e| panic!("{label}: {e}"));
+                    oracle::assert_same_join(&format!("{label}: {method}"), got, want.clone());
+                }
+                let m = session.report().unwrap().rollup.metrics;
+                assert_eq!(m.counter("shard.apply_errors"), 2, "{label}");
+                let side = if of_s { "shard.apply_errors.S" } else { "shard.apply_errors.R" };
+                assert_eq!(m.counter(side), 2, "{label}");
+                assert_eq!(m.counter("shard.builds"), builds, "{label}: a refusal rebuilt");
+            }
+        }
+    }
+}
+
 /// An ill-formed mutation queued under view-only traffic: the view's
 /// queries never go back to `R`, so nothing settles and nothing is
 /// refused until someone asks — the report does — and that is where
