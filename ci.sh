@@ -160,8 +160,9 @@ cargo run --release -q --example engine_vs_model | diff - results/engine_vs_mode
 # And the Table-7-scale engine run, so its engine ÷ model ratios (JI's
 # above all) cannot drift unseen.
 cargo run --release -q -p trijoin-bench --bin paper_scale 2>/dev/null | diff - results/paper_scale.txt
-# Both settle explicitly before they query, so they pin that the paths
-# which settle did not move when readers learned to read the log through.
+# Both run their epochs through `Database::run_epoch`, which settles
+# before it queries, so they pin that the paths which settle did not move
+# when readers learned to read the log through.
 cargo run --release -q --example active_db | diff - results/active_db.txt
 cargo run --release -q -p trijoin-bench --bin fig5_engine | diff - results/fig5_engine.txt
 # One decision loop: strategy re-selection is priced in the policy module
@@ -202,6 +203,26 @@ fi
 if grep -rnE "ApplyThenQuery|shard_seed" crates tests examples; then
     echo "a second query command or the dead shard seed is back"; exit 1
 fi
+
+# One deferred-maintenance contract, one epoch runner: a relation admits a
+# mutation in `Database::mutate` alone, nothing outside the engine (and the
+# frozen benchmark) logs and then queues by hand, and no second database
+# replays the updates to price base maintenance.
+if grep -rn "base_maintenance_ops" crates tests examples \
+    || awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 }
+            !t && /\.on_update\(&|r_mut\(\)\.apply_update\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+            END { exit !bad }' \
+        $(git ls-files 'crates/*.rs' 'examples/*.rs' \
+            | grep -v '^crates/exec/\|^crates/bench/src/bin/benchmark/') \
+    || grep -rnE '(\)|\}|\b[rs])\.admit\(' crates examples \
+        | grep -v '^crates/exec/\|^crates/bench/src/bin/benchmark/\|^crates/core/src/db\.rs:'; then
+    echo "a mutation is admitted, or logged then queued, outside Database::mutate"; exit 1
+fi
+
+echo "==> size"
+# The trajectory the code and the design notes are meant to shrink along.
+echo "tracked .rs lines under crates/: $(git ls-files 'crates/*.rs' | xargs cat | wc -l)"
+echo "DESIGN.md: $(wc -c < DESIGN.md) bytes"
 
 echo "==> crash-recovery gate"
 # Durability end to end on the real file backend: a fresh crash-heavy

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release -p trijoin-bench --bin ablation_onthefly`
 
-use trijoin::{Database, JoinStrategy, SystemParams, WorkloadSpec};
+use trijoin::{Database, SystemParams, WorkloadSpec};
 use trijoin_bench::{emit_json, paper_params};
 use trijoin_common::Json;
 use trijoin_model::{mv, Workload};
@@ -35,30 +35,13 @@ fn main() {
 
     println!("\n== Engine: measured (4000-tuple scale, 6% activity) ==");
     let engine_params = SystemParams { mem_pages: 80, ..params };
-    let spec = WorkloadSpec {
-        r_tuples: 4_000,
-        s_tuples: 4_000,
-        tuple_bytes: 200,
-        sr: 0.02,
-        group_size: 5,
-        pra: 0.1,
-        update_rate: 0.06,
-        seed: 23,
-    };
+    let spec = WorkloadSpec::engine_scale(0.02, 0.06, 0.1, 23);
     let gen = spec.generate();
     let mut db = Database::new(&engine_params, gen.r.clone(), gen.s.clone()).unwrap();
     let mut mv_strategy = db.materialized_view().unwrap();
-    let mut stream = gen.update_stream();
-    for _ in 0..gen.updates_per_epoch() {
-        let u = stream.next_update();
-        mv_strategy.on_update(&u).unwrap();
-        db.r_mut().apply_update(&u.old, &u.new).unwrap();
-    }
-    db.settle().unwrap();
-    db.reset_cost();
-    let mut n = 0u64;
-    mv_strategy.execute(db.r(), db.s(), &mut |_| n += 1).unwrap();
-    let fused_ios = db.cost().total().ios;
+    let updates = gen.update_stream().take(gen.updates_per_epoch() as usize);
+    let (cost, answer) = db.run_epoch(&mut [&mut mv_strategy], updates).unwrap().remove(0);
+    let (fused_ios, n) = (cost.query.ios, answer.len() as u64);
     let scan_ios = mv_strategy.view_pages(); // one extra full read of V
     println!("  fused query: {fused_ios} IOs for {n} tuples");
     println!(

@@ -43,16 +43,7 @@ fn main() {
     let engine_params = SystemParams { mem_pages: 80, ..params };
     let mut engine_rows = Vec::new();
     for &pra in &[0.0, 0.1, 0.5, 1.0] {
-        let spec = WorkloadSpec {
-            r_tuples: 4_000,
-            s_tuples: 4_000,
-            tuple_bytes: 200,
-            sr: 0.01,
-            group_size: 5,
-            pra,
-            update_rate: 0.2,
-            seed: 31,
-        };
+        let spec = WorkloadSpec::engine_scale(0.01, 0.2, pra, 31);
         let mut exp = Experiment::new(&engine_params, &spec);
         exp.verify = false;
         let report = exp.run_epoch().expect("epoch");

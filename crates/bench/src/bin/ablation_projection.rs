@@ -10,23 +10,14 @@
 //!
 //! Run with: `cargo run --release -p trijoin-bench --bin ablation_projection`
 
-use trijoin::{Database, JoinStrategy, SystemParams, WorkloadSpec};
+use trijoin::{Database, JoinStrategy, Mutation, SystemParams, WorkloadSpec};
 use trijoin_bench::emit_json;
-use trijoin_common::Json;
-use trijoin_exec::{MaterializedView, Predicate, ViewDef};
+use trijoin_common::{Json, Result, ViewTuple};
+use trijoin_exec::{MaterializedView, Predicate, StoredRelation, ViewDef};
 
 fn main() {
     let params = SystemParams { mem_pages: 80, ..SystemParams::paper_defaults() };
-    let spec = WorkloadSpec {
-        r_tuples: 4_000,
-        s_tuples: 4_000,
-        tuple_bytes: 200,
-        sr: 0.02,
-        group_size: 5,
-        pra: 0.1,
-        update_rate: 0.06,
-        seed: 91,
-    };
+    let spec = WorkloadSpec::engine_scale(0.02, 0.06, 0.1, 91);
     let gen = spec.generate();
 
     println!("== Projection: query cost vs view width (engine, measured) ==");
@@ -51,29 +42,22 @@ fn main() {
             def.clone(),
         )
         .unwrap();
-        let mut stream = gen.update_stream();
-        for _ in 0..gen.updates_per_epoch() {
-            let u = stream.next_update();
-            view.on_update(&u).unwrap();
-            db.r_mut().apply_update(&u.old, &u.new).unwrap();
-        }
-        db.settle().unwrap();
-        db.reset_cost();
-        let mut n = 0u64;
-        view.execute(db.r(), db.s(), &mut |_| n += 1).unwrap();
+        let updates = gen.update_stream().take(gen.updates_per_epoch() as usize);
+        let (cost, _) = db.run_epoch(&mut [&mut view], updates).unwrap().remove(0);
+        let query_secs = cost.query.time_secs(db.params());
         println!(
             "{:>22} {:>10} {:>12} {:>14.2}",
             label,
             def.view_tuple_bytes(200, 200),
             view.view_pages(),
-            db.cost().elapsed_secs(db.params())
+            query_secs
         );
         projection_rows.push(
             Json::obj()
                 .set("projection", label)
                 .set("view_tuple_bytes", def.view_tuple_bytes(200, 200))
                 .set("view_pages", view.view_pages())
-                .set("query_secs", db.cost().elapsed_secs(db.params())),
+                .set("query_secs", query_secs),
         );
     }
 
@@ -89,19 +73,10 @@ fn main() {
         let mut view =
             MaterializedView::build_with(db.disk(), db.params(), db.cost(), db.r(), db.s(), d)
                 .unwrap();
-        let mut stream = gen.update_stream();
-        db.reset_cost();
-        for _ in 0..gen.updates_per_epoch() {
-            let u = stream.next_update();
-            view.on_update(&u).unwrap();
-            db.r_mut().apply_update(&u.old, &u.new).unwrap();
-        }
-        db.settle().unwrap();
-        let logged = view.pending_updates();
-        let mut n = 0u64;
-        let before = db.cost().total();
-        view.execute(db.r(), db.s(), &mut |_| n += 1).unwrap();
-        let query = db.cost().total().delta_since(&before);
+        let mut logged = Logged { view: &mut view, at_query: 0 };
+        let updates = gen.update_stream().take(gen.updates_per_epoch() as usize);
+        let (cost, answer) = db.run_epoch(&mut [&mut logged], updates).unwrap().remove(0);
+        let (logged, query, n) = (logged.at_query, cost.query, answer.len() as u64);
         println!(
             "  {:<24} logged {:>5} of {} updates; query {:>8.2} s; {} tuples",
             label,
@@ -124,4 +99,31 @@ fn main() {
         .set("projection_rows", projection_rows)
         .set("selection_rows", selection_rows);
     emit_json("ablation_projection", &json);
+}
+
+/// A view that remembers how many updates it had logged when its query
+/// came: the count the query then folds away.
+struct Logged<'a> {
+    view: &'a mut MaterializedView,
+    at_query: u64,
+}
+
+impl JoinStrategy for Logged<'_> {
+    fn name(&self) -> &'static str {
+        self.view.name()
+    }
+
+    fn on_mutation(&mut self, m: &Mutation) -> Result<()> {
+        self.view.on_mutation(m)
+    }
+
+    fn execute(
+        &mut self,
+        r: &StoredRelation,
+        s: &StoredRelation,
+        sink: &mut dyn FnMut(ViewTuple),
+    ) -> Result<u64> {
+        self.at_query = self.view.pending_updates();
+        self.view.execute(r, s, sink)
+    }
 }

@@ -8,29 +8,23 @@
 //! partitions overflow memory and recurse, and the join index's pass
 //! extension keeps hot r-groups page-aligned.
 //!
+//! A method's seconds are its logging plus its query; the base relation's
+//! own maintenance, the same for all three, is the last column.
+//!
 //! Run with: `cargo run --release -p trijoin-bench --bin ablation_skew`
 
 use trijoin::{CachedStrategy, Database, Method, SystemParams, WorkloadSpec};
 use trijoin_bench::emit_json;
 use trijoin_common::Json;
-use trijoin_exec::{execute_collect, oracle};
+use trijoin_exec::oracle;
 
 fn main() {
     let params = SystemParams { mem_pages: 60, ..SystemParams::paper_defaults() };
-    let spec = WorkloadSpec {
-        r_tuples: 4_000,
-        s_tuples: 4_000,
-        tuple_bytes: 200,
-        sr: 0.05,
-        group_size: 10,
-        pra: 0.1,
-        update_rate: 0.06,
-        seed: 1234,
-    };
+    let spec = WorkloadSpec { group_size: 10, ..WorkloadSpec::engine_scale(0.05, 0.06, 0.1, 1234) };
     println!("== Key skew: engine cost and correctness per strategy ==");
     println!(
-        "{:>6} {:>10} {:>10} | {:>10} {:>10} {:>10}",
-        "theta", "‖V‖", "hot group", "MV secs", "JI secs", "HH secs"
+        "{:>6} {:>10} {:>10} | {:>10} {:>10} {:>10} | {:>10}",
+        "theta", "‖V‖", "hot group", "MV secs", "JI secs", "HH secs", "base secs"
     );
     let mut rows = Vec::new();
     for &theta in &[0.0, 0.5, 1.0, 1.5] {
@@ -45,28 +39,24 @@ fn main() {
             }
             counts.into_iter().filter(|&(k, _)| k < 1 << 40).map(|(_, c)| c).max().unwrap_or(0)
         };
-        let mut secs = Vec::new();
+        let (mut secs, mut base) = (Vec::new(), Vec::new());
         for method in Method::all() {
             let mut db = Database::new(&params, gen.r.clone(), gen.s.clone()).unwrap();
             let mut cached = CachedStrategy::build(&db, method).unwrap();
-            let strategy = cached.as_dyn();
             let mut stream = gen.update_stream();
-            db.reset_cost();
-            for _ in 0..gen.updates_per_epoch() {
-                let u = stream.next_update();
-                strategy.on_update(&u).unwrap();
-                db.r_mut().apply_update(&u.old, &u.new).unwrap();
-            }
-            db.settle().unwrap();
-            let got = execute_collect(strategy, db.r(), db.s()).unwrap();
+            let updates = stream.by_ref().take(gen.updates_per_epoch() as usize);
+            let (cost, got) = db.run_epoch(&mut [cached.as_dyn()], updates).unwrap().remove(0);
             // Correctness under skew is part of the ablation.
             let want = oracle::join_tuples(stream.current(), &gen.s);
             oracle::assert_same_join(&format!("theta={theta} {method}"), got, want);
-            secs.push(db.cost().elapsed_secs(db.params()));
+            secs.push(cost.strategy().time_secs(db.params()));
+            base.push(cost.base.time_secs(db.params()));
         }
+        // The relation's own maintenance does not depend on who caches.
+        assert!(base.iter().all(|&b| b == base[0]), "base maintenance differs: {base:?}");
         println!(
-            "{:>6} {:>10} {:>10} | {:>10.2} {:>10.2} {:>10.2}",
-            theta, join_tuples, hot, secs[0], secs[1], secs[2]
+            "{:>6} {:>10} {:>10} | {:>10.2} {:>10.2} {:>10.2} | {:>10.2}",
+            theta, join_tuples, hot, secs[0], secs[1], secs[2], base[0]
         );
         rows.push(
             Json::obj()
@@ -75,7 +65,8 @@ fn main() {
                 .set("hot_group", hot as u64)
                 .set("mv_secs", secs[0])
                 .set("ji_secs", secs[1])
-                .set("hh_secs", secs[2]),
+                .set("hh_secs", secs[2])
+                .set("base_secs", base[0]),
         );
     }
     emit_json("ablation_skew", &Json::obj().set("figure", "ablation_skew").set("rows", rows));

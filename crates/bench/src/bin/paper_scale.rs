@@ -50,35 +50,14 @@ fn main() {
         eprintln!("building database + {} cache...", method);
         let mut db = Database::new(&params, gen.r.clone(), gen.s.clone()).unwrap();
         let mut cached = CachedStrategy::build(&db, method).unwrap();
-        let strategy = cached.as_dyn();
-        let mut stream = gen.update_stream();
-        eprintln!("applying {} updates...", gen.updates_per_epoch());
-        // Measure strategy-attributable cost: the strategies' own sections
-        // plus the query; base-relation maintenance is shared work.
-        db.reset_cost();
-        for _ in 0..gen.updates_per_epoch() {
-            let u = stream.next_update();
-            strategy.on_update(&u).unwrap();
-            db.r_mut().apply_update(&u.old, &u.new).unwrap();
-        }
-        db.settle().unwrap();
-        // Sum only *root* spans: cumulative counts already include any
-        // nested work (retries, diff merging), so adding child spans on top
-        // would double-count it.
-        let log_sections: f64 = db
-            .cost()
-            .span_tree()
-            .iter()
-            .filter(|s| s.depth == 0 && s.name != "base.settle")
-            .map(|s| s.cum_ops.time_secs(db.params()))
-            .sum();
-        let before_query = db.cost().total();
-        eprintln!("querying...");
-        let mut n = 0u64;
-        strategy.execute(db.r(), db.s(), &mut |_| n += 1).unwrap();
-        let query = db.cost().total().delta_since(&before_query);
-        let engine_secs = log_sections + query.time_secs(db.params());
-        let engine_ios = query.ios; // query-phase I/O (dominant term)
+        eprintln!("applying {} updates, then querying...", gen.updates_per_epoch());
+        let updates = gen.update_stream().take(gen.updates_per_epoch() as usize);
+        let (cost, answer) = db.run_epoch(&mut [cached.as_dyn()], updates).unwrap().remove(0);
+        // Strategy-attributable cost: the strategy's logging plus its query;
+        // base-relation maintenance is shared work.
+        let engine_secs = cost.log.time_secs(db.params()) + cost.query.time_secs(db.params());
+        let engine_ios = cost.query.ios; // query-phase I/O (dominant term)
+        let n = answer.len() as u64;
         let model_secs = model.iter().find(|c| c.method == method).unwrap().total();
         println!(
             "{:<18} {:>14.1} {:>14.1} {:>8.2}   {:>12} {:>12}",

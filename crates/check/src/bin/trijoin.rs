@@ -79,7 +79,7 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use trijoin::{Advisor, Database, JoinStrategy, Method, SystemParams, Workload, WorkloadSpec};
+use trijoin::{Advisor, CachedStrategy, Database, Method, SystemParams, Workload, WorkloadSpec};
 use trijoin_check::{generate, run_script, shrink, CheckConfig, GenConfig};
 use trijoin_common::{AdversaryShape, ModelDelta, RunReport, Script};
 use trijoin_model::all_costs;
@@ -299,37 +299,34 @@ fn run(args: &Args) -> Result<(), String> {
                 Database::new(&params, gen.r.clone(), gen.s.clone()).map_err(|e| e.to_string())?
             }
         };
-        let mut strategy: Box<dyn JoinStrategy> = match name {
-            "mv" => Box::new(db.materialized_view().map_err(|e| e.to_string())?),
-            "ji" => Box::new(db.join_index().map_err(|e| e.to_string())?),
-            "hh" => Box::new(db.hybrid_hash()),
-            _ => unreachable!(),
+        let method = match name {
+            "mv" => Method::MaterializedView,
+            "ji" => Method::JoinIndex,
+            _ => Method::HybridHash,
         };
+        let mut cached = CachedStrategy::build(&db, method).map_err(|e| e.to_string())?;
+        let label = cached.as_dyn().name();
         let mut stream = gen.update_stream();
         for epoch in 0..epochs {
             db.reset_cost();
-            for _ in 0..gen.updates_per_epoch() {
-                let u = stream.next_update();
-                strategy.on_update(&u).map_err(|e| e.to_string())?;
-                db.r_mut().apply_update(&u.old, &u.new).map_err(|e| e.to_string())?;
-            }
-            db.settle().map_err(|e| e.to_string())?;
-            let mut n = 0u64;
-            strategy.execute(db.r(), db.s(), &mut |_| n += 1).map_err(|e| e.to_string())?;
-            let t = db.cost().total();
+            let updates = stream.by_ref().take(gen.updates_per_epoch() as usize);
+            let (cost, answer) =
+                db.run_epoch(&mut [cached.as_dyn()], updates).map_err(|e| e.to_string())?.remove(0);
+            let own = cost.strategy();
             println!(
-                "{:<18} epoch {epoch}: {:>9.2} simulated s  ({} IOs, {} tuples)",
-                strategy.name(),
-                db.cost().elapsed_secs(db.params()),
-                t.ios,
-                n
+                "{:<18} epoch {epoch}: {:>9.2} simulated s  ({} IOs, {} tuples; base {:.2} s)",
+                label,
+                own.time_secs(db.params()),
+                own.ios,
+                answer.len(),
+                cost.base.time_secs(db.params())
             );
             if durable.is_some() {
                 db.commit().map_err(|e| e.to_string())?;
             }
         }
         if args.flag("trace") {
-            println!("\n-- {} span profile (last epoch) --", strategy.name());
+            println!("\n-- {label} span profile (last epoch) --");
             print!("{}", db.cost().render_profile(db.params()));
             println!();
         }
@@ -350,7 +347,8 @@ fn run(args: &Args) -> Result<(), String> {
 
 /// One observed pass with MV, JI and HH sharing a single database, so the
 /// emitted [`RunReport`] carries every strategy's cost sections in one span
-/// tree, plus per-method engine-vs-model deltas.
+/// tree, plus per-method engine-vs-model deltas (each method's logging and
+/// queries; the base relations' maintenance is nobody's).
 fn observed_report(
     params: &SystemParams,
     gen: &trijoin::GeneratedWorkload,
@@ -373,20 +371,10 @@ fn observed_report(
     let mut stream = gen.update_stream();
     let mut engine = [0.0f64; 3];
     for _ in 0..epochs {
-        for _ in 0..gen.updates_per_epoch() {
-            let u = stream.next_update();
-            mv.on_update(&u).map_err(err)?;
-            ji.on_update(&u).map_err(err)?;
-            hh.on_update(&u).map_err(err)?;
-            db.apply_r_update(&u).map_err(err)?;
-        }
-        // Shared work, outside every strategy's column.
-        db.settle().map_err(err)?;
-        let strategies: [&mut dyn JoinStrategy; 3] = [&mut mv, &mut ji, &mut hh];
-        for (i, strategy) in strategies.into_iter().enumerate() {
-            let before = db.cost().total();
-            db.query(strategy).map_err(err)?;
-            engine[i] += db.cost().total().delta_since(&before).time_secs(params);
+        let updates = stream.by_ref().take(gen.updates_per_epoch() as usize);
+        let runs = db.run_epoch(&mut [&mut mv, &mut ji, &mut hh], updates).map_err(err)?;
+        for (secs, (cost, _)) in engine.iter_mut().zip(runs) {
+            *secs += cost.strategy().time_secs(params);
         }
         if durable.is_some() {
             db.commit().map_err(err)?;

@@ -222,29 +222,25 @@ impl Engine {
         Ok(committed)
     }
 
-    /// Mirror of the serve layer's shard apply: the relation admits the
-    /// mutation, of `R` or of `S`, then the strategy observes it *before*
-    /// it lands in the stored relation.
+    /// One mutation of `R` or of `S` through the deferred-maintenance
+    /// contract ([`Database::mutate`]), as a serve shard applies it.
     fn apply(
         &mut self,
         side: Side,
         m: &Mutation,
         sabotage: Sabotage,
     ) -> trijoin_common::Result<()> {
-        match side {
-            Side::R => self.db.r().admit(m)?,
-            Side::S => self.db.s().admit(m)?,
-        }
         let skip_notify = sabotage == Sabotage::SkipPraFilter
             && side == Side::R
             && matches!(m, Mutation::Update(u) if !u.changes_join_attr());
-        if !skip_notify {
-            self.cached.on_mutation_of(side == Side::S, m)?;
-        }
-        match side {
-            Side::R => self.db.apply_r_mutation(m),
-            Side::S => self.db.apply_s_mutation(m),
-        }
+        let cached = &mut self.cached;
+        self.db.mutate(side == Side::S, m, |_| {
+            if skip_notify {
+                Ok(())
+            } else {
+                cached.on_mutation_of(side == Side::S, m)
+            }
+        })
     }
 
     /// Derive and install this engine's fault plan for one `Fault` op.

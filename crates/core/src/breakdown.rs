@@ -34,7 +34,7 @@ pub fn white_sections(method: Method) -> &'static [&'static str] {
 pub struct Fig5Breakdown {
     /// Which method the ledger measured.
     pub method: Method,
-    /// Everything the ledger charged.
+    /// What the strategy charged.
     pub total: OpCounts,
     /// Non-update-related file I/O of the basic algorithm.
     pub white: OpCounts,
@@ -44,12 +44,12 @@ pub struct Fig5Breakdown {
 }
 
 impl Fig5Breakdown {
-    /// Split `cost`'s ledger for `method`. The white sections are summed
-    /// cumulatively (nested retry work under `hh.execute` stays white,
-    /// matching "entire query I/O"), then restricted to their I/O
+    /// Split `total`, what `method` charged to `cost`'s ledger (over an
+    /// epoch, [`crate::EpochCost::strategy`]). The white sections are
+    /// summed cumulatively (nested retry work under `hh.execute` stays
+    /// white, matching "entire query I/O"), then restricted to their I/O
     /// component.
-    pub fn measure(method: Method, cost: &Cost) -> Fig5Breakdown {
-        let total = cost.total();
+    pub fn measure(method: Method, cost: &Cost, total: OpCounts) -> Fig5Breakdown {
         let names = white_sections(method);
         let mut white_ios: u64 = names.iter().map(|name| cost.section_counts(name).ios).sum();
         for span in cost.span_tree() {
@@ -118,7 +118,7 @@ mod tests {
             cost.io(7);
             cost.mov(3);
         }
-        let b = Fig5Breakdown::measure(Method::HybridHash, &cost);
+        let b = Fig5Breakdown::measure(Method::HybridHash, &cost, cost.total());
         // Cumulative: the nested retry I/O stays inside hh.execute's white.
         assert_eq!(b.white.ios, 45);
         assert_eq!(b.dark.ios, 7);
@@ -138,7 +138,7 @@ mod tests {
             let _g = cost.section("ji.log");
             cost.io(100);
         }
-        let b = Fig5Breakdown::measure(Method::JoinIndex, &cost);
+        let b = Fig5Breakdown::measure(Method::JoinIndex, &cost, cost.total());
         assert_eq!(b.white.ios, 31);
         assert_eq!(b.dark.ios, 100);
     }

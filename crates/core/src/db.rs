@@ -12,7 +12,9 @@ use trijoin_common::{
 use trijoin_model::{sweep_cost, Method, Workload};
 
 use trijoin_exec::relation::{APPLY_LOG_PAGES, APPLY_LOG_RUNS};
-use trijoin_exec::{HybridHash, JoinIndexStrategy, JoinStrategy, MaterializedView, StoredRelation};
+use trijoin_exec::{
+    HybridHash, JoinIndexStrategy, JoinStrategy, MaterializedView, Mutation, StoredRelation, Update,
+};
 use trijoin_storage::{
     CheckpointStats, CommitSabotage, CommitStats, Disk, Durability, DurableBackend, FaultPlan,
     SimDisk,
@@ -62,6 +64,30 @@ fn cycle_section(label: &'static str) -> std::borrow::Cow<'static, str> {
 struct EngineTelemetry {
     tel: Telemetry,
     audit: Option<CostAudit>,
+}
+
+/// What one strategy's epoch ([`Database::run_epoch`]) charged, split by
+/// who charged it. Over an epoch with one strategy the three parts are the
+/// whole ledger: `log + base + query` is everything charged since it began.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EpochCost {
+    /// Charged inside the strategy's logging of the epoch's mutations.
+    pub log: OpCounts,
+    /// Charged by the base relations themselves: apply-log spills and
+    /// settles. The same for every strategy of the epoch; the §3 model
+    /// prices none of it.
+    pub base: OpCounts,
+    /// Charged through the strategy's [`Database::query`].
+    pub query: OpCounts,
+}
+
+impl EpochCost {
+    /// The strategy's own cost, `log + query`: what the §3 model prices.
+    pub fn strategy(&self) -> OpCounts {
+        let mut ops = self.log;
+        ops.add(&self.query);
+        ops
+    }
 }
 
 /// One simulated database: a disk, a cost ledger, and the two base
@@ -275,18 +301,73 @@ impl Database {
         &mut self.r
     }
 
+    /// The paper's deferred-maintenance contract for one mutation of `R`,
+    /// or (`of_s`) of `S`: the relation admits it
+    /// ([`StoredRelation::admit`]), the caller's cached structures `log`
+    /// it, and the relation queues it. A mutation the relation refuses
+    /// reaches no structure; one the structures refuse is not queued.
+    pub fn mutate(
+        &mut self,
+        of_s: bool,
+        m: &Mutation,
+        log: impl FnOnce(&Self) -> Result<()>,
+    ) -> Result<()> {
+        if of_s { &self.s } else { &self.r }.admit(m)?;
+        log(self)?;
+        if of_s {
+            self.apply_s_mutation(m)
+        } else {
+            self.apply_r_mutation(m)
+        }
+    }
+
+    /// One epoch of the paper's §3 cycle: every update lands through
+    /// [`Database::mutate`] with each of `strategies` logging it, both
+    /// relations settle, and each strategy answers once through
+    /// [`Database::query`]. Returns, per strategy in order, its
+    /// [`EpochCost`] and its answer.
+    pub fn run_epoch(
+        &mut self,
+        strategies: &mut [&mut dyn JoinStrategy],
+        updates: impl IntoIterator<Item = Update>,
+    ) -> Result<Vec<(EpochCost, Vec<ViewTuple>)>> {
+        let start = self.cost.total();
+        let mut logs = vec![OpCounts::default(); strategies.len()];
+        for u in updates {
+            let m = Mutation::Update(u);
+            self.mutate(false, &m, |db| {
+                for (strategy, log) in strategies.iter_mut().zip(&mut logs) {
+                    let before = db.cost.total();
+                    strategy.on_mutation(&m)?;
+                    log.add(&db.cost.total().delta_since(&before));
+                }
+                Ok(())
+            })?;
+        }
+        self.settle()?;
+        let base = logs.iter().fold(self.cost.total().delta_since(&start), |b, l| b.delta_since(l));
+        let mut runs = Vec::with_capacity(strategies.len());
+        for (strategy, log) in strategies.iter_mut().zip(logs) {
+            let before = self.cost.total();
+            let rows = self.query(&mut **strategy)?;
+            let query = self.cost.total().delta_since(&before);
+            runs.push((EpochCost { log, base, query }, rows));
+        }
+        Ok(runs)
+    }
+
     /// Queue one update to `R`, counting it in the metrics registry
-    /// (`db.mutations`). Equivalent to `r_mut().apply_update(..)` plus the
-    /// observation. The tree changes when the relation next settles: when
-    /// its log is full or reading it through stops paying, or at a commit
-    /// or report.
+    /// (`db.mutations`): the last step of [`Database::mutate`], for callers
+    /// that log it themselves. The tree changes when the relation next
+    /// settles: when its log is full or reading it through stops paying,
+    /// or at a commit or report.
     /// An `Err` means the update was not queued.
-    pub fn apply_r_update(&mut self, upd: &trijoin_exec::Update) -> Result<()> {
+    pub fn apply_r_update(&mut self, upd: &Update) -> Result<()> {
         self.queue(|db| db.r.apply_update(&upd.old, &upd.new))
     }
 
     /// Queue one mutation of `R`, counting it in the metrics registry.
-    pub fn apply_r_mutation(&mut self, m: &trijoin_exec::Mutation) -> Result<()> {
+    pub fn apply_r_mutation(&mut self, m: &Mutation) -> Result<()> {
         self.queue(|db| db.r.apply_mutation(m))
     }
 
@@ -295,7 +376,7 @@ impl Database {
     /// which the cached structures join `S`'s insertions
     /// ([`StoredRelation::build_inverted`]: `R` settles, then one scan and
     /// a bulk load, outside any query).
-    pub fn apply_s_mutation(&mut self, m: &trijoin_exec::Mutation) -> Result<()> {
+    pub fn apply_s_mutation(&mut self, m: &Mutation) -> Result<()> {
         self.queue(|db| {
             db.r.build_inverted(&db.params)?;
             db.s.apply_mutation(m)

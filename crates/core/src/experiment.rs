@@ -3,9 +3,10 @@
 //! analytical model's prediction next to it.
 
 use trijoin_common::{OpCounts, Result, SystemParams};
-use trijoin_exec::{oracle, JoinStrategy};
+use trijoin_exec::oracle;
 use trijoin_model::{cost_of, Method, Workload};
 
+use crate::adaptive::CachedStrategy;
 use crate::db::Database;
 use crate::workload::{GeneratedWorkload, WorkloadSpec};
 
@@ -14,7 +15,7 @@ use crate::workload::{GeneratedWorkload, WorkloadSpec};
 pub struct MethodOutcome {
     /// Which method.
     pub method: Method,
-    /// Engine op counts for the whole epoch (update observation + query).
+    /// Engine op counts of the strategy's epoch: its logging and its query.
     pub engine_ops: OpCounts,
     /// Engine simulated seconds.
     pub engine_secs: f64,
@@ -80,70 +81,34 @@ impl Experiment {
     }
 
     /// Run one epoch (apply `‖iR‖` updates, then query) for each strategy
-    /// *independently* — each method gets its own fresh database so its
-    /// ledger contains exactly its own work, like the paper's analysis.
+    /// *independently* — each method gets its own fresh database — through
+    /// [`Database::run_epoch`]. A method's engine cost is its
+    /// [`EpochCost::strategy`]: the paper's per-method costs start at the
+    /// differential log (C1), and the base relation's own maintenance is
+    /// not one of them.
+    ///
+    /// [`EpochCost::strategy`]: crate::db::EpochCost::strategy
     pub fn run_epoch(&self) -> Result<EpochReport> {
         let workload = self.generated.measured();
         let mut outcomes = Vec::with_capacity(3);
         for method in Method::all() {
-            let db =
-                Database::new(&self.params, self.generated.r.clone(), self.generated.s.clone())?;
-            let mut strategy: Box<dyn JoinStrategy> = match method {
-                Method::MaterializedView => Box::new(db.materialized_view()?),
-                Method::JoinIndex => Box::new(db.join_index()?),
-                Method::HybridHash => Box::new(db.hybrid_hash()),
-            };
-            let mut db = db;
-            let mut stream = self.generated.update_stream();
-            db.reset_cost();
-            for _ in 0..self.generated.updates_per_epoch() {
-                let upd = stream.next_update();
-                strategy.on_update(&upd)?;
-                db.r_mut().apply_update(&upd.old, &upd.new)?;
-            }
-            // The base relation catches up before the strategy runs, so the
-            // sweep's charge is the one the paired replay subtracts and no
-            // strategy span absorbs it.
-            db.settle()?;
-            let mut result = Vec::new();
-            let tuples = strategy.execute(db.r(), db.s(), &mut |v| {
-                if self.verify {
-                    result.push(v);
-                }
-            })?;
-            let total = db.cost().total();
-            // Applying updates to the base relation itself is shared work
-            // every method pays identically; the paper's per-method costs
-            // start at the differential log (C1). Subtract it via a paired
-            // replay that applies the same updates with no strategy
-            // observing.
-            let engine_ops = total.delta_since(&self.base_maintenance_ops()?);
+            let gen = &self.generated;
+            let mut db = Database::new(&self.params, gen.r.clone(), gen.s.clone())?;
+            let mut strategy = CachedStrategy::build(&db, method)?;
+            let mut stream = gen.update_stream();
+            let updates = stream.by_ref().take(gen.updates_per_epoch() as usize);
+            let (cost, rows) = db.run_epoch(&mut [strategy.as_dyn()], updates)?.remove(0);
+            let tuples = rows.len() as u64;
             if self.verify {
-                let want = oracle::join_tuples(stream.current(), &self.generated.s);
-                oracle::assert_same_join(method.label(), result, want);
+                let want = oracle::join_tuples(stream.current(), &gen.s);
+                oracle::assert_same_join(method.label(), rows, want);
             }
+            let engine_ops = cost.strategy();
             let engine_secs = engine_ops.time_secs(&self.params);
             let model_secs = cost_of(&self.params, &workload, method).total();
             outcomes.push(MethodOutcome { method, engine_ops, engine_secs, model_secs, tuples });
         }
         Ok(EpochReport { workload, outcomes })
-    }
-
-    /// Ops spent applying the epoch's updates to the base relation alone
-    /// (no strategy observing) — subtracted from each strategy's ledger so
-    /// comparisons match the paper's accounting, which charges only
-    /// strategy-attributable work.
-    fn base_maintenance_ops(&self) -> Result<OpCounts> {
-        let mut db =
-            Database::new(&self.params, self.generated.r.clone(), self.generated.s.clone())?;
-        let mut stream = self.generated.update_stream();
-        db.reset_cost();
-        for _ in 0..self.generated.updates_per_epoch() {
-            let upd = stream.next_update();
-            db.r_mut().apply_update(&upd.old, &upd.new)?;
-        }
-        db.settle()?;
-        Ok(db.cost().total())
     }
 }
 

@@ -12,7 +12,7 @@
 //! ```
 //! use trijoin::{Database, WorkloadSpec};
 //! use trijoin_common::SystemParams;
-//! use trijoin_exec::{execute_collect, JoinStrategy};
+//! use trijoin_exec::{execute_collect, JoinStrategy, Mutation};
 //!
 //! // A small scenario from the paper's parameter family.
 //! let params = SystemParams { mem_pages: 64, ..SystemParams::paper_defaults() };
@@ -25,11 +25,10 @@
 //!
 //! // Cache the view, run some updates, query: the answer reflects them.
 //! let mut mv = db.materialized_view().unwrap();
-//! let mut updates = gen.update_stream();
-//! for _ in 0..50 {
-//!     let u = updates.next_update();
-//!     mv.on_update(&u).unwrap();
-//!     db.r_mut().apply_update(&u.old, &u.new).unwrap(); // queued
+//! for u in gen.update_stream().take(50) {
+//!     let m = Mutation::Update(u);
+//!     // `R` admits it, the view logs it, `R` queues it.
+//!     db.mutate(false, &m, |_| mv.on_mutation(&m)).unwrap();
 //! }
 //! db.reset_cost();
 //! // The view's query never goes back to R: R's tree catches up, in one
@@ -62,7 +61,7 @@ pub mod workload;
 pub use adaptive::{AdaptiveController, AdaptiveStrategy, CachedStrategy, MigrationState};
 pub use advisor::{Advisor, Recommendation};
 pub use breakdown::Fig5Breakdown;
-pub use db::Database;
+pub use db::{Database, EpochCost};
 pub use experiment::{EpochReport, Experiment, MethodOutcome};
 pub use workload::{
     measure_workload, GeneratedWorkload, MutationMix, MutationStream, UpdateStream, WorkloadSpec,

@@ -107,6 +107,22 @@ impl WorkloadSpec {
         }
     }
 
+    /// The scale the engine figures, ablations and examples run at: Table
+    /// 7 shrunk 50× (‖R‖ = ‖S‖ = 4 000 tuples of 200 bytes), five partners
+    /// per matching key.
+    pub fn engine_scale(sr: f64, update_rate: f64, pra: f64, seed: u64) -> Self {
+        WorkloadSpec {
+            r_tuples: 4_000,
+            s_tuples: 4_000,
+            tuple_bytes: 200,
+            sr,
+            group_size: 5,
+            pra,
+            update_rate,
+            seed,
+        }
+    }
+
     /// Like [`WorkloadSpec::generate`] but with Zipf-skewed group sizes:
     /// matched group `i` holds `⌈group_size/(i+1)^theta⌉` tuples per side
     /// (θ = 0 reduces to the uniform paper family; θ ≈ 1 is classic Zipf).
@@ -454,6 +470,15 @@ impl UpdateStream {
     /// The mirror of R after all updates so far (ground truth for oracles).
     pub fn current(&self) -> &[BaseTuple] {
         &self.current
+    }
+}
+
+/// The stream never ends: take an epoch's worth.
+impl Iterator for UpdateStream {
+    type Item = Update;
+
+    fn next(&mut self) -> Option<Update> {
+        Some(self.next_update())
     }
 }
 

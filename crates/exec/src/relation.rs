@@ -3,9 +3,10 @@
 //! A [`StoredRelation`] is a clustered B⁺-tree on the surrogate (leaves hold
 //! full tuples at `n_R = ⌊P·PO/T_R⌋` per page) plus, optionally, a
 //! non-clustered ("inverted") B⁺-tree on the join attribute whose leaf
-//! values are surrogates. Relation `S` carries the inverted index; relation
-//! `R` does not (only `S` is probed by join attribute in the paper's
-//! algorithms).
+//! values are surrogates. Relation `S` carries the inverted index from the
+//! start; relation `R` gains one at the first mutation of `S`
+//! ([`StoredRelation::build_inverted`]), when the cached structures begin
+//! to join `S`'s insertions with it.
 //!
 //! # Mutations are deferred
 //!
@@ -41,6 +42,8 @@
 //! to merge ([`StoredRelation::apply_log_bound_pages`]). Operations on one
 //! surrogate keep submission order; the sweep nets them against the
 //! stored tuple, so the last update wins and x → y → x writes nothing.
+//! A spill is charged under a `base.spill` span: everything a relation
+//! charges is under a `base.*` span of its own.
 //!
 //! What the tree refuses at the sweep (unknown surrogate, reused
 //! surrogate) is dropped and counted ([`StoredRelation::rejected_ops`],
@@ -829,6 +832,7 @@ impl StoredRelation {
         }
         let log = &mut self.state.get_mut().log;
         if log.buffer.len() >= log.cap {
+            let _span = self.disk.cost().section("base.spill");
             log.spill(&self.disk)?;
         }
         Rc::make_mut(&mut log.buffer).push(Pending { seq: log.seq, kind, tuple: tuple.clone() });

@@ -476,29 +476,21 @@ impl ShardWorker {
         }
     }
 
-    /// The paper's deferred-maintenance contract, for `R` and (`of_s`) `S`
-    /// alike: the relation admits the mutation, caching strategies log it
-    /// (an in-flight migration replays it into its target), then the
-    /// stored relation changes. A mutation the relation refuses reaches no
-    /// structure.
+    /// One mutation of `R` or (`of_s`) `S` through the deferred-maintenance
+    /// contract ([`Database::mutate`]), the resident structures logging it
+    /// (an in-flight migration replays it into its target).
     fn apply_one(&mut self, of_s: bool, m: &Mutation) -> Result<()> {
         if of_s {
             self.db.metrics().incr_id(self.s_mutations);
-            self.db.s().admit(m)?;
         } else {
             self.since_query += 1;
-            self.db.r().admit(m)?;
         }
-        match &mut self.mode {
-            Mode::Pinned(set) => set.log(&self.db, of_s, m)?,
-            Mode::Adaptive(a) if of_s => a.on_s_mutation(m)?,
-            Mode::Adaptive(a) => a.on_mutation(m)?,
-        }
-        if of_s {
-            self.db.apply_s_mutation(m)
-        } else {
-            self.db.apply_r_mutation(m)
-        }
+        let mode = &mut self.mode;
+        self.db.mutate(of_s, m, |db| match mode {
+            Mode::Pinned(set) => set.log(db, of_s, m),
+            Mode::Adaptive(a) if of_s => a.on_s_mutation(m),
+            Mode::Adaptive(a) => a.on_mutation(m),
+        })
     }
 
     fn count_apply_errors(&self, of_s: bool, n: u64) {

@@ -22,16 +22,7 @@ use trijoin::{
 
 fn main() {
     let params = SystemParams { mem_pages: 80, ..SystemParams::paper_defaults() };
-    let spec = WorkloadSpec {
-        r_tuples: 4_000,
-        s_tuples: 4_000,
-        tuple_bytes: 200,
-        sr: 0.01,
-        group_size: 5,
-        pra: 0.1,
-        update_rate: 0.02, // overridden per phase below
-        seed: 777,
-    };
+    let spec = WorkloadSpec::engine_scale(0.01, 0.02, 0.1, 777);
     let gen = spec.generate();
     let phases: Vec<(&str, u64, usize)> = vec![
         ("calm", (0.02 * gen.r.len() as f64) as u64, 3),
@@ -60,32 +51,17 @@ fn main() {
         let mut stream = gen.update_stream();
         println!("== {label} ==");
         let mut grand_total = 0.0;
-        // Strategy-attributable cost = the strategies' own cost sections
-        // (logging, passes, scans, migrations); applying updates to the base
-        // relation (`base.settle`) is identical shared work for every
-        // contender. Sum only root spans: cumulative counts already include
-        // nested work, so adding child spans on top would double-count it.
-        let section_secs = |db: &Database| -> f64 {
-            db.cost()
-                .span_tree()
-                .iter()
-                .filter(|s| s.depth == 0 && s.name != "base.settle")
-                .map(|s| s.cum_ops.time_secs(db.params()))
-                .sum()
-        };
         for (phase, updates, epochs) in &phases {
             for e in 0..*epochs {
-                db.reset_cost();
-                for _ in 0..*updates {
-                    let u = stream.next_update();
-                    strategy.on_update(&u).unwrap();
-                    db.r_mut().apply_update(&u.old, &u.new).unwrap();
-                }
-                db.settle().unwrap();
-                let mut n = 0u64;
-                strategy.execute(db.r(), db.s(), &mut |_| n += 1).unwrap();
-                let secs = section_secs(&db);
+                let updates = stream.by_ref().take(*updates as usize);
+                let (cost, answer) =
+                    db.run_epoch(&mut [strategy.as_mut()], updates).unwrap().remove(0);
+                // Strategy-attributable cost: logging, passes, scans and
+                // migrations; the base relation's own maintenance is
+                // identical shared work for every contender.
+                let secs = cost.strategy().time_secs(db.params());
                 grand_total += secs;
+                let n = answer.len();
                 println!("  {phase:<11} epoch {e}: {secs:>8.2} strategy-s ({n} tuples)");
             }
         }

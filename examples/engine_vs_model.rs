@@ -20,16 +20,7 @@ fn main() {
     let mut total = 0;
     for &sr in &[0.002, 0.01, 0.05, 0.25] {
         for &rate in &[0.02, 0.2] {
-            let spec = WorkloadSpec {
-                r_tuples: 4_000,
-                s_tuples: 4_000,
-                tuple_bytes: 200,
-                sr,
-                group_size: 5,
-                pra: 0.1,
-                update_rate: rate,
-                seed: 42,
-            };
+            let spec = WorkloadSpec::engine_scale(sr, rate, 0.1, 42);
             let mut exp = Experiment::new(&params, &spec);
             exp.verify = true; // oracle-check every result while we're here
             let report = exp.run_epoch().expect("epoch");

@@ -15,7 +15,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use trijoin::{Database, JoinStrategy, SystemParams, Update};
+use trijoin::{Database, JoinStrategy, Mutation, SystemParams, Update};
 use trijoin_common::codec::{decode_row, encode_row, string_key, Value};
 use trijoin_common::{BaseTuple, Surrogate, ViewTuple};
 use trijoin_exec::execute_collect;
@@ -115,13 +115,16 @@ fn main() {
     ]);
     let new =
         BaseTuple::with_payload(Surrogate(34), string_key("Mexico"), &new_payload, 120).unwrap();
-    let upd = Update { old: old.clone(), new: new.clone() };
-    mv.on_update(&upd).unwrap();
-    ji.on_update(&upd).unwrap();
-    // Queued: the stored relation changes when it next settles — when its
-    // log is full, at a commit or report, or for a reader once reading the
-    // log through stops paying.
-    db.r_mut().apply_update(&old, &new).unwrap();
+    // `R` admits the update, both caches log it, `R` queues it: the stored
+    // relation changes when it next settles — when its log is full, at a
+    // commit or report, or for a reader once reading the log through stops
+    // paying.
+    let upd = Mutation::Update(Update { old, new });
+    db.mutate(false, &upd, |_| {
+        mv.on_mutation(&upd)?;
+        ji.on_mutation(&upd)
+    })
+    .unwrap();
     db.settle().unwrap();
     println!(
         "deferred: view has {} pending updates, join index {} (Pr_A filter)",

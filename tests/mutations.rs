@@ -547,3 +547,93 @@ fn cycle_rounds_settle_only_when_the_log_is_full_or_a_settle_pays() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// The deferred-maintenance contract (`Database::mutate`) and the epoch
+// runner built on it (`Database::run_epoch`).
+// ---------------------------------------------------------------------
+
+/// A mutation its relation refuses — a tuple of the wrong width, an update
+/// that renames its surrogate — reaches neither the view nor the join index
+/// through the contract, on `R` and on `S`, and the answers after it stay
+/// on the oracle. One layer below the serve test of the same name.
+#[test]
+fn the_contract_refuses_malformed_mutations_before_any_structure_logs() {
+    use trijoin::{CachedStrategy, Method};
+    let (gen, params) = law_fixture();
+    let joins = |t: &&BaseTuple, other: &[BaseTuple]| other.iter().any(|o| o.key == t.key);
+    for of_s in [false, true] {
+        let mut db = Database::new(&params, gen.r.clone(), gen.s.clone()).unwrap();
+        let mut cached = [Method::MaterializedView, Method::JoinIndex]
+            .map(|method| CachedStrategy::build(&db, method).unwrap());
+        let pending = |c: &[CachedStrategy; 2]| match c {
+            [CachedStrategy::Mv(mv), CachedStrategy::Ji(ji)] => {
+                (mv.pending_updates(), ji.pending_updates())
+            }
+            _ => unreachable!(),
+        };
+        let (mut r, mut s) = (gen.r.clone(), gen.s.clone());
+        let (rel, other) = if of_s { (&mut s, &gen.r) } else { (&mut r, &gen.s) };
+        let old = rel.iter().find(|t| joins(t, other)).unwrap().clone();
+        // The rename also moves the join key, so the join index would log it.
+        let renamed = BaseTuple::padded(Surrogate(90_000), old.key + 1, 96);
+        let narrow = BaseTuple::padded(Surrogate(90_001), old.key, 32);
+        for m in
+            [Mutation::Update(Update { old: old.clone(), new: renamed }), Mutation::Insert(narrow)]
+        {
+            let log = |_: &Database| cached.iter_mut().try_for_each(|c| c.on_mutation_of(of_s, &m));
+            assert!(db.mutate(of_s, &m, log).is_err(), "of S {of_s}: {m:?} admitted");
+            assert_eq!(pending(&cached), (0, 0), "of S {of_s}: a structure logged {m:?}");
+        }
+        // A well-formed update after the refusals still lands.
+        let new = BaseTuple::padded(old.sur, old.key + 1, 96);
+        *rel.iter_mut().find(|t| t.sur == old.sur).unwrap() = new.clone();
+        let m = Mutation::Update(Update { old, new });
+        db.mutate(of_s, &m, |_| cached.iter_mut().try_for_each(|c| c.on_mutation_of(of_s, &m)))
+            .unwrap();
+        let want = oracle::join_tuples(&r, &s);
+        for c in cached.iter_mut() {
+            oracle::assert_same_join(
+                &format!("of S {of_s}"),
+                db.query(c.as_dyn()).unwrap(),
+                want.clone(),
+            );
+        }
+        let got = db.query(&mut db.hybrid_hash()).unwrap();
+        oracle::assert_same_join(&format!("of S {of_s}: hh"), got, want);
+    }
+}
+
+/// An epoch through the runner splits the ledger three ways with nothing
+/// left over — `log + base + query` is every charge since the reset, for
+/// each method — and everything the base relations charge, the apply log's
+/// spills included, is under a `base.*` span of their own.
+#[test]
+fn an_epoch_splits_the_ledger_into_log_base_and_query() {
+    use trijoin::{CachedStrategy, Method};
+    let (gen, params) = law_fixture();
+    for method in Method::all() {
+        let mut db = Database::new(&params, gen.r.clone(), gen.s.clone()).unwrap();
+        let mut cached = CachedStrategy::build(&db, method).unwrap();
+        db.reset_cost();
+        let updates = gen.update_stream().take(400);
+        let (cost, _) = db.run_epoch(&mut [cached.as_dyn()], updates).unwrap().remove(0);
+        let mut sum = cost.strategy();
+        sum.add(&cost.base);
+        assert_eq!(sum, db.cost().total(), "{method:?}: log + base + query");
+        let roots: Vec<_> = db.cost().span_tree().into_iter().filter(|s| s.depth == 0).collect();
+        assert!(db.metrics().counter("base.apply_log.runs") > 0, "{method:?}: no spill");
+        let mut base = trijoin::OpCounts::default();
+        for span in roots.iter().filter(|s| s.name.starts_with("base.")) {
+            base.add(&span.cum_ops);
+        }
+        assert_eq!(base, cost.base, "{method:?}: base work outside a base.* span");
+        if method == Method::HybridHash {
+            // Hybrid hash logs nothing and queries under its own spans: the
+            // root spans are the whole ledger.
+            let mut spanned = trijoin::OpCounts::default();
+            roots.iter().for_each(|s| spanned.add(&s.cum_ops));
+            assert_eq!(spanned, db.cost().total());
+        }
+    }
+}

@@ -176,7 +176,7 @@ fn ulp_distance(a: f64, b: f64) -> u64 {
 fn fig5_categories_sum_to_the_grand_total_within_one_ulp() {
     for method in Method::all() {
         let db = run_epoch(method);
-        let b = Fig5Breakdown::measure(method, db.cost());
+        let b = Fig5Breakdown::measure(method, db.cost(), db.cost().total());
         // Integer op counts partition exactly.
         let mut sum = b.white;
         sum.add(&b.dark);
