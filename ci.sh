@@ -125,6 +125,7 @@ cargo test -q --release -p trijoin-serve --test serve malformed_mutations
 cargo test -q --release -p trijoin-storage --test recovery_memory
 cargo test -q --release -p trijoin --test faults settle_fault
 cargo test -q --release -p trijoin-check --test durability queued
+cargo test -q --release -p trijoin-check --test durability named_run
 cargo test -q --release -p trijoin --test mutations
 cargo test -q --release -p trijoin --test bilateral
 cargo test -q --release -p trijoin-btree --test prop_btree sweep
@@ -219,6 +220,16 @@ if grep -rn "base_maintenance_ops" crates tests examples \
     echo "a mutation is admitted, or logged then queued, outside Database::mutate"; exit 1
 fi
 
+# A commit seals the apply logs into runs its catalog names; it does not
+# settle them. Neither `Database::commit_with` nor `Database::checkpoint`
+# calls a settle.
+if awk '/^    pub fn (commit_with|checkpoint)\(/ { f = 1 }
+        f && /(^|[^_[:alnum:]])settle\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        f && /^    }$/ { f = 0 }
+        END { exit !bad }' crates/core/src/db.rs; then
+    echo "a commit or checkpoint settles the apply logs instead of sealing them"; exit 1
+fi
+
 echo "==> size"
 # The trajectory the code and the design notes are meant to shrink along.
 echo "tracked .rs lines under crates/: $(git ls-files 'crates/*.rs' | xargs cat | wc -l)"
@@ -235,6 +246,12 @@ echo "==> crash-recovery gate"
 crashdir=$(mktemp -d)
 cargo run --release -q -p trijoin-check --bin trijoin -- \
     check --seed 2027 --ops 120 --crash-pct 60 --durable "$crashdir/check"
+# The corpus seed whose crashes fall while the logs hold committed runs:
+# its recoveries must reopen queued mutations, not find them settled.
+cargo run --release -q -p trijoin-check --bin trijoin -- \
+    repro tests/corpus/crash-seed-44.json | tee "$crashdir/seed-44.txt"
+grep -q "([1-9][0-9]* queued mutations reopened)" "$crashdir/seed-44.txt" \
+    || { echo "crash-seed-44 reopened no sealed log"; exit 1; }
 cargo run --release -q -p trijoin-check --bin trijoin -- \
     run --scale 100 --epochs 2 --durable "$crashdir/run" --report "$report" > /dev/null
 grep -q '"wal.commits"' "$report" || { echo "durable run report lacks wal.commits"; exit 1; }

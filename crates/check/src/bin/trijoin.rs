@@ -80,7 +80,7 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use trijoin::{Advisor, CachedStrategy, Database, Method, SystemParams, Workload, WorkloadSpec};
-use trijoin_check::{generate, run_script, shrink, CheckConfig, GenConfig};
+use trijoin_check::{generate, run_script, shrink, CheckConfig, CheckOutcome, GenConfig};
 use trijoin_common::{AdversaryShape, ModelDelta, RunReport, Script};
 use trijoin_model::all_costs;
 use trijoin_serve::{ClientTraffic, ServeConfig, Server};
@@ -813,12 +813,13 @@ fn check(args: &Args) -> Result<(), String> {
         Ok(outcome) => {
             println!(
                 "check ok: {} checkpoints verified (MV ≡ JI ≡ HH ≡ oracle ≡ serve), \
-                 {} ops applied, {} skipped, {} fault plans, {} crash-recovery cycles",
+                 {} ops applied, {} skipped, {} fault plans, {} crash-recovery cycles{}",
                 outcome.checkpoints,
                 outcome.applied,
                 outcome.skipped,
                 outcome.faults_installed,
-                outcome.crashes
+                outcome.crashes,
+                reopened(&outcome)
             );
             if script.spec.adaptive {
                 let per: Vec<String> = outcome
@@ -852,6 +853,15 @@ fn check(args: &Args) -> Result<(), String> {
             Err(format!("simulation check failed (seed {seed}); repro at {out}"))
         }
     }
+}
+
+/// What a replay's recoveries reopened of the sealed apply logs, for a
+/// replay that crashed.
+fn reopened(outcome: &CheckOutcome) -> String {
+    if outcome.crashes == 0 {
+        return String::new();
+    }
+    format!(" ({} queued mutations reopened)", outcome.recovered_queued_ops)
 }
 
 /// Replay every `*.json` script in a corpus directory.
@@ -922,8 +932,12 @@ fn repro(rest: &[String]) -> Result<(), String> {
     match run_script(&script, &cfg) {
         Ok(outcome) => {
             println!(
-                "script passes: {} checkpoints verified, {} ops applied, {} skipped, {} crashes",
-                outcome.checkpoints, outcome.applied, outcome.skipped, outcome.crashes
+                "script passes: {} checkpoints verified, {} ops applied, {} skipped, {} crashes{}",
+                outcome.checkpoints,
+                outcome.applied,
+                outcome.skipped,
+                outcome.crashes,
+                reopened(&outcome)
             );
             Ok(())
         }

@@ -116,6 +116,10 @@ pub struct CheckOutcome {
     /// Crash-recovery cycles performed (durable mode; `crash` ops are
     /// inert — and uncounted — on the in-memory backend).
     pub crashes: usize,
+    /// Queued mutations the recoveries reopened in sealed apply logs
+    /// (`wal.recovered.queued_ops`): every engine's at each crash, each
+    /// server shard's at its last one.
+    pub recovered_queued_ops: u64,
     /// Completed strategy migrations across every adaptive server
     /// (adaptive scripts only; 0 when `spec.adaptive` is off).
     pub migrations: usize,
@@ -532,6 +536,7 @@ impl Driver<'_> {
             engines_committed = e
                 .crash_recover(mode, self.cfg)
                 .map_err(|err| fail(i, &site, format!("crash recovery: {err}")))?;
+            self.outcome.recovered_queued_ops += e.db.metrics().counter("wal.recovered.queued_ops");
         }
         // Servers always die cold: shard threads exit on channel close
         // without committing, so their recovery point is the last commit
@@ -567,8 +572,7 @@ impl Driver<'_> {
         // 1. Drain server queues and warm caches *before* faults go in:
         //    apply-phase damage is unrecoverable by design. The warm-up
         //    query may leave `R`'s apply log alone (a view goes back to `R`
-        //    only to fold `S`'s mutations), so a commit barrier — the
-        //    durable mode's comes below — asks the shards to settle.
+        //    only to fold `S`'s mutations), so the shards settle after it.
         let arming = !self.armed_faults.is_empty();
         for srv in &self.servers {
             srv.session.flush().map_err(|e| fail(i, &srv.site, format!("flush: {e}")))?;
@@ -576,11 +580,9 @@ impl Driver<'_> {
                 srv.session
                     .query(Method::MaterializedView)
                     .map_err(|e| fail(i, &srv.site, format!("warm-up query: {e}")))?;
-                if !self.durable {
-                    srv.session
-                        .commit()
-                        .map_err(|e| fail(i, &srv.site, format!("warm-up settle: {e}")))?;
-                }
+                srv.session
+                    .settle()
+                    .map_err(|e| fail(i, &srv.site, format!("warm-up settle: {e}")))?;
             }
         }
         for e in &mut self.engines {
@@ -861,13 +863,15 @@ pub fn run_script(script: &Script, cfg: &CheckConfig) -> Result<CheckOutcome, Bo
     };
     let per_shard_cap = (driver.outcome.checkpoints as u64).div_ceil(2).max(1);
     for srv in &driver.servers {
-        if !srv.config.adaptive {
-            if driver.outcome.crashes > 0 {
-                final_report(srv)?;
-            }
+        if !srv.config.adaptive && driver.outcome.crashes == 0 {
             continue;
         }
         let report = final_report(srv)?;
+        let reopened = report.rollup.metrics.counter("wal.recovered.queued_ops");
+        driver.outcome.recovered_queued_ops += reopened;
+        if !srv.config.adaptive {
+            continue;
+        }
         let count = report.rollup.metrics.counter("migrate.count") as usize;
         driver.outcome.migrations += count;
         driver.outcome.migration_rollbacks +=

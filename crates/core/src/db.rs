@@ -174,9 +174,11 @@ impl Database {
     /// Reopen a durable database from `dir`. WAL recovery runs first
     /// (replaying committed frames, truncating any torn tail — the
     /// `wal.recovered.*` counters and a `RecoveryTriggered` event record
-    /// it); then the relations are reattached from the catalog in file 0.
-    /// All derived state (MV, JI, hash tables) is gone — the page files
-    /// the catalog does not name are deleted — rebuild it with the usual
+    /// it); then the relations are reattached from the catalog in file 0,
+    /// each with the apply log its last commit sealed
+    /// (`wal.recovered.queued_ops` counts what those logs hold). All
+    /// derived state (MV, JI, hash tables) is gone — the page files the
+    /// catalog does not name are deleted — rebuild it with the usual
     /// constructors, exactly as at first creation.
     pub fn open_durable(params: &SystemParams, dir: &Path) -> Result<Self> {
         let cost = Cost::new();
@@ -205,6 +207,10 @@ impl Database {
                 disk.delete_file(file);
             }
         }
+        let queued = r.pending_ops() + s.pending_ops();
+        if queued > 0 {
+            disk.metrics().counter_add("wal.recovered.queued_ops", queued);
+        }
         Ok(Self::assemble(params, cost, disk, r, s, true))
     }
 
@@ -213,21 +219,31 @@ impl Database {
         self.durable
     }
 
-    /// The catalog manifest describing the current structures.
-    fn manifest(&self) -> Json {
-        Json::obj()
-            .set("version", CATALOG_VERSION)
-            .set("r", self.r.catalog_json())
-            .set("s", self.s.catalog_json())
+    /// What a commit does with the relations' queued mutations. On a
+    /// durable database both apply logs are sealed and the catalog naming
+    /// their runs and trees goes into file 0. In memory there is no
+    /// catalog to name a run in: the logs settle, as an in-memory commit
+    /// always had them (the serving goldens pin it).
+    fn seal_logs(&self) -> Result<()> {
+        if !self.durable {
+            return self.settle();
+        }
+        let (r, s) = (self.r.catalog_json(), self.s.catalog_json());
+        // A frozen log settles at its seal.
+        self.account_settles();
+        let manifest = Json::obj().set("version", CATALOG_VERSION).set("r", r?).set("s", s?);
+        catalog::write_catalog(&self.disk, &manifest)
     }
 
-    /// Make everything since the last commit durable: serialize the
-    /// catalog into file 0, then seal the buffered page writes as one
+    /// Make everything since the last commit durable: seal the apply logs
+    /// into the catalog in file 0 ([`StoredRelation::catalog_json`]: a
+    /// queued mutation is durable in a run the catalog names, not in the
+    /// leaves it will change), then seal the buffered page writes as one
     /// WAL frame group (page frames + one commit frame), fsynced before
-    /// returning. On the in-memory backend this is a cheap no-op that
-    /// reports zero frames. The `wal.*` metrics and one I/O charge per
-    /// frame (plus one for the commit record) land in the ledger via
-    /// the disk wrapper.
+    /// returning. On the in-memory backend it settles the logs and reports
+    /// zero frames. The `wal.*` metrics and one I/O charge per
+    /// frame (plus one for the commit record, under `wal.commit`) land in
+    /// the ledger via the disk wrapper.
     pub fn commit(&self) -> Result<CommitStats> {
         self.commit_with(Durability::Barrier)
     }
@@ -239,11 +255,8 @@ impl Database {
     /// before that barrier rolls the deferred commits back wholesale.
     pub fn commit_with(&self, durability: Durability) -> Result<CommitStats> {
         // Every acknowledged mutation must be in a page image the group
-        // seals, and the catalog must describe trees with nothing queued.
-        self.settle()?;
-        if self.durable {
-            catalog::write_catalog(&self.disk, &self.manifest())?;
-        }
+        // seals: in an apply-log run the catalog names.
+        self.seal_logs()?;
         self.disk.commit_with(durability)
     }
 
@@ -251,10 +264,7 @@ impl Database {
     /// applied, so the log restarts empty — this is what bounds log length
     /// between restarts).
     pub fn checkpoint(&self) -> Result<CheckpointStats> {
-        self.settle()?;
-        if self.durable {
-            catalog::write_catalog(&self.disk, &self.manifest())?;
-        }
+        self.seal_logs()?;
         self.disk.checkpoint()
     }
 
@@ -360,7 +370,7 @@ impl Database {
     /// (`db.mutations`): the last step of [`Database::mutate`], for callers
     /// that log it themselves. The tree changes when the relation next
     /// settles: when its log is full or reading it through stops paying,
-    /// or at a commit or report.
+    /// or at a report (a durable commit seals the log instead).
     /// An `Err` means the update was not queued.
     pub fn apply_r_update(&mut self, upd: &Update) -> Result<()> {
         self.queue(|db| db.r.apply_update(&upd.old, &upd.new))
@@ -395,10 +405,10 @@ impl Database {
     /// Apply every mutation queued for `R` and `S` to their trees now
     /// ([`StoredRelation::settle`]: one sweep per relation, in surrogate
     /// order, under the span `base.settle`). Nothing needs to call this
-    /// for an answer to be right — a reader sees the queued mutations —
-    /// but [`Database::commit_with`],
-    /// [`Database::checkpoint`] and [`Database::run_report`] do, and so
-    /// does whoever wants the sweep's charge at a point of their choosing.
+    /// for an answer to be right — a reader sees the queued mutations,
+    /// and a durable commit seals them into runs — but
+    /// [`Database::run_report`] and an in-memory commit do, and so does
+    /// whoever wants the sweep's charge at a point of their choosing.
     pub fn settle(&self) -> Result<()> {
         let (r, s) = (self.r.settle(), self.s.settle());
         self.account_settles();

@@ -18,7 +18,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use trijoin_common::{BaseTuple, Cost, CounterId, Error, FxHashSet, Metrics, Result, Surrogate};
-use trijoin_storage::{Disk, HeapFile};
+use trijoin_storage::{Disk, FileId, HeapFile};
 
 use crate::sort::{counted_sort_by, KWayMerge};
 
@@ -183,6 +183,21 @@ impl DiffLog {
     /// Total pages across all runs (`|iR|`).
     pub fn pages(&self) -> u64 {
         self.runs.iter().map(|r| r.num_pages() as u64).sum()
+    }
+
+    /// The runs' files, in the order they were spilled.
+    pub fn run_files(&self) -> impl Iterator<Item = FileId> + '_ {
+        self.runs.iter().map(HeapFile::file_id)
+    }
+
+    /// Take a run another session spilled back into the log, from its
+    /// file. The file must be live, and sorted under this log's key.
+    pub fn adopt_run(&mut self, file: FileId) -> Result<()> {
+        self.disk.num_pages(file).map_err(|_| {
+            Error::Corrupt(format!("differential run f{} is not on the device", file.0))
+        })?;
+        self.runs.push(HeapFile::open(&self.disk, file));
+        Ok(())
     }
 
     /// Merge the sealed runs back in key order (C1.2 read charges as pages

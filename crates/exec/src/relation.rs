@@ -20,9 +20,13 @@
 //! inverted tree what the landed changes owe it, as a second sweep in
 //! (join key, surrogate) order, all under a `base.settle` span of the
 //! relation's own. A relation settles when its log is full, when
-//! `Database` asks — for a commit, a checkpoint, a report — and for the
-//! readers that need its trees caught up (`get`, `probe_inverted`, `len`,
-//! the shape statistics, recovery). Scans and batched fetches need not:
+//! `Database` asks (a report, a commit in memory), and for the readers
+//! that need its trees caught up (`get`, `probe_inverted`, `len`, the
+//! shape statistics). A durable commit does not settle: it *seals* the
+//! log ([`StoredRelation::seal`]), spilling the buffer as one more run,
+//! and the catalog names the runs ([`StoredRelation::catalog_json`]), so
+//! a reopened relation has the log it committed. Scans and batched
+//! fetches need not settle either:
 //! a [`Reader`] merges the log, already in surrogate order, into what it
 //! reads from the clustered tree, netting each surrogate's operations
 //! against the stored tuple by the sweep's own rule ([`net_chain`]), under
@@ -385,8 +389,9 @@ impl ApplyLog {
         self.peak_pages.set(self.peak_pages.get().max(pages as u64));
     }
 
-    /// Hand the full buffer to the run writer, whose own buffer is as
-    /// large: the last record fills it and it spills. A write fault leaves
+    /// Hand the buffer to the run writer, whose own buffer is as large,
+    /// and spill what it holds: a full buffer fills it and spills as one
+    /// run, a short one (a commit's) as a short run. A write fault leaves
     /// every record in one buffer or the other.
     fn spill(&mut self, disk: &Disk) -> Result<()> {
         let runs = self.runs.num_runs();
@@ -394,7 +399,34 @@ impl ApplyLog {
         while let Some(p) = buffer.pop() {
             self.runs.add(p.to_record())?;
         }
+        self.runs.spill()?;
+        self.sorted = true;
         disk.metrics().counter_add_id(self.c_runs, (self.runs.num_runs() - runs) as u64);
+        Ok(())
+    }
+
+    /// The catalog form of a sealed log: its run files, `seq`, `queued`
+    /// and `net_inserts`.
+    fn to_json(&self) -> Json {
+        let runs: Vec<Json> = self.runs.run_files().map(|file| Json::from(file.0 as u64)).collect();
+        Json::obj()
+            .set("runs", runs)
+            .set("seq", self.seq as u64)
+            .set("queued", self.queued)
+            .set("net_inserts", self.net_inserts as f64)
+    }
+
+    /// Reopen the log a catalog names ([`ApplyLog::to_json`]).
+    fn reopen(&mut self, j: &Json) -> Result<()> {
+        let corrupt = |k: &str| Error::Corrupt(format!("catalog apply log: bad field {k}"));
+        let field = |k: &str| j.get(k).and_then(Json::as_f64).ok_or_else(|| corrupt(k));
+        let runs = j.get("runs").and_then(Json::as_arr).ok_or_else(|| corrupt("runs"))?;
+        for run in runs {
+            let file = run.as_u64().and_then(|f| u32::try_from(f).ok());
+            self.runs.adopt_run(FileId(file.ok_or_else(|| corrupt("runs"))?))?;
+        }
+        (self.seq, self.queued) = (field("seq")? as u32, field("queued")? as u64);
+        self.net_inserts = field("net_inserts")? as i64;
         Ok(())
     }
 }
@@ -635,12 +667,14 @@ impl StoredRelation {
     }
 
     /// Serialize this relation's catalog entry: name, tuple shape, count,
-    /// and the persisted shape of each index tree. Together with the pages
-    /// already on the durable backend this is everything
-    /// [`StoredRelation::open`] needs after a restart. Settles first: a
-    /// catalog describes trees with nothing queued for them.
-    pub fn catalog_json(&self) -> Json {
-        let st = self.settled_or_stale();
+    /// the persisted shape of each index tree and, while anything is
+    /// queued, the apply log. Together with the pages already on the
+    /// durable backend this is everything [`StoredRelation::open`] needs
+    /// after a restart. Seals the log first ([`StoredRelation::seal`]): a
+    /// catalog names run files, never records in memory.
+    pub fn catalog_json(&self) -> Result<Json> {
+        self.seal()?;
+        let st = self.state.borrow();
         let mut j = Json::obj()
             .set("name", self.name.as_str())
             .set("tuple_bytes", self.tuple_bytes)
@@ -649,12 +683,16 @@ impl StoredRelation {
         if let Some(inv) = &st.inverted {
             j = j.set("inverted", tree_json(&inv.meta()));
         }
-        j
+        if st.log.queued > 0 {
+            j = j.set("log", st.log.to_json());
+        }
+        Ok(j)
     }
 
-    /// Reattach to a persisted relation from its catalog entry. Free of
-    /// I/O charge (only the memory-resident roots are reloaded); tuple
-    /// pages are read lazily, charged, on first access as usual.
+    /// Reattach to a persisted relation from its catalog entry, its apply
+    /// log included. Free of I/O charge (only the memory-resident roots
+    /// are reloaded); tuple and run pages are read lazily, charged, on
+    /// first access as usual.
     pub fn open(disk: &Disk, params: &SystemParams, j: &Json) -> Result<Self> {
         let name = j
             .get("name")
@@ -680,7 +718,11 @@ impl StoredRelation {
             Some(inv) => Some(BTree::open(disk, BTreeConfig::inverted(params), &tree_meta(inv)?)?),
             None => None,
         };
-        Ok(Self::assemble(disk, params, name, tuple_bytes, count, clustered, inverted))
+        let mut rel = Self::assemble(disk, params, name, tuple_bytes, count, clustered, inverted);
+        if let Some(log) = j.get("log") {
+            rel.state.get_mut().log.reopen(log)?;
+        }
+        Ok(rel)
     }
 
     // ---- the apply log --------------------------------------------------
@@ -719,6 +761,37 @@ impl StoredRelation {
         result.map(|()| done)
     }
 
+    /// Seal the apply log for a commit: its buffer spills as one more
+    /// surrogate-sorted run, under `base.spill`, so that everything queued
+    /// is in run files a catalog can name. A log frozen by a settle that
+    /// failed part-way, postings still owed to the inverted tree, or a log
+    /// with no room under its bound for one more run settle instead.
+    pub fn seal(&self) -> Result<()> {
+        let due = {
+            let st = self.state.borrow();
+            let log = &st.log;
+            let spills = !log.buffer.is_empty() || log.runs.buffered() > 0;
+            log.resume.is_some()
+                || !log.postings.is_empty()
+                || (spills && log.runs.num_runs() >= st.run_bound())
+        };
+        if due {
+            self.settle()?;
+        }
+        let mut st = self.state.try_borrow_mut().map_err(|_| self.held_open())?;
+        let log = &mut st.log;
+        if log.buffer.is_empty() && log.runs.buffered() == 0 {
+            return Ok(());
+        }
+        let _span = self.disk.cost().section("base.spill");
+        log.spill(&self.disk)
+    }
+
+    /// The error of a caller that needs the log while a reader holds it.
+    fn held_open(&self) -> Error {
+        Error::Invariant(format!("relation {}: a reader holds its apply log open", self.name))
+    }
+
     /// What this relation's settles did since the last call, summed.
     /// Whoever first needs the relation settles it — a strategy, a reader,
     /// a full log — so its owner hears of a settle here, after the fact
@@ -736,10 +809,7 @@ impl StoredRelation {
         self.settle()?;
         let st = self.state.borrow();
         if st.log.queued > 0 {
-            return Err(Error::Invariant(format!(
-                "relation {}: a reader holds its apply log open",
-                self.name
-            )));
+            return Err(self.held_open());
         }
         Ok(st)
     }
@@ -766,10 +836,7 @@ impl StoredRelation {
         } else if !log.sorted || log.resume.is_some() || log.runs.buffered() > 0 {
             // A reader further up keeps out the sort or the settle this
             // one needs.
-            return Err(Error::Invariant(format!(
-                "relation {}: a reader holds its apply log open",
-                self.name
-            )));
+            return Err(self.held_open());
         } else {
             log.hold(log.buffer_pages() + log.runs.num_runs());
             Some(Rc::clone(&log.buffer))
@@ -845,9 +912,12 @@ impl StoredRelation {
 
     // ---- shape ----------------------------------------------------------
 
-    /// The page files this relation owns, one per tree.
+    /// The page files this relation owns: one per tree, then the apply
+    /// log's runs.
     pub fn file_ids(&self) -> impl Iterator<Item = FileId> + '_ {
-        let files: Vec<FileId> = self.state.borrow().trees().map(BTree::file_id).collect();
+        let st = self.state.borrow();
+        let files: Vec<FileId> =
+            st.trees().map(BTree::file_id).chain(st.log.runs.run_files()).collect();
         files.into_iter()
     }
 
@@ -1773,6 +1843,41 @@ mod tests {
         let mut key99 = Vec::new();
         rel.probe_inverted(&[99], |_, s| key99.push(s.0)).unwrap();
         assert_eq!(key99, vec![0]);
+    }
+
+    #[test]
+    fn a_sealed_log_reopens_from_its_catalog_entry_as_it_was() {
+        let (disk, _c, mut rel) = setup(300, true);
+        let params = SystemParams { page_size: 512, ..SystemParams::paper_defaults() };
+        let mut mirror: Vec<BaseTuple> =
+            (0..300).map(|i| BaseTuple::padded(Surrogate(i), (i % 10) as u64, 64)).collect();
+        // A buffer and a half of updates, then a delete: one full run and a
+        // short buffer.
+        for i in (0..150u32).rev() {
+            let new = BaseTuple::padded(Surrogate(i * 2), 70 + (i % 4) as u64, 64);
+            rel.apply_update(&mirror[i as usize * 2], &new).unwrap();
+            mirror[i as usize * 2] = new;
+        }
+        rel.delete(&mirror.pop().unwrap()).unwrap();
+        let entry = rel.catalog_json().unwrap();
+        let metrics = disk.metrics();
+        assert_eq!(metrics.counter("base.apply_log.runs"), 2, "the buffer spilled as a short run");
+        assert_eq!(metrics.counter("base.settles"), 0, "a seal is not a settle");
+        assert_eq!(rel.file_ids().count(), 4, "two trees and two runs");
+
+        let mut reopened = StoredRelation::open(&disk, &params, &entry).unwrap();
+        assert_eq!(reopened.file_ids().collect::<Vec<_>>(), rel.file_ids().collect::<Vec<_>>());
+        assert_eq!((reopened.pending_ops(), reopened.len_estimate()), (151, 299));
+        let mut got = Vec::new();
+        reopened.scan(|t| got.push(t)).unwrap();
+        assert_eq!(got, mirror);
+        // Submission order goes on where the sealed log left it: a later
+        // update of a surrogate the runs hold wins.
+        let last = BaseTuple::padded(Surrogate(0), 99, 64);
+        reopened.apply_update(&mirror[0], &last).unwrap();
+        assert_eq!(reopened.get(Surrogate(0)).unwrap(), Some(last));
+        assert_eq!(reopened.rejected_ops(), 0);
+        reopened.check_invariants().unwrap();
     }
 
     #[test]

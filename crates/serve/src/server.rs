@@ -92,6 +92,9 @@ pub enum Request {
     /// the scheduler going idle — pays one fsync per shard for all of
     /// them. A crash before the seal rolls the deferred barriers back.
     Commit,
+    /// Flush pending updates, then settle every shard's relations: their
+    /// queued mutations land in their trees.
+    Settle,
     /// Seal every deferred commit barrier now: one `Durability::Barrier`
     /// round fsyncs each shard's buffered commit groups. A no-op ack when
     /// nothing is pending (including on non-durable or always-`Barrier`
@@ -176,9 +179,14 @@ impl ClientSession {
         self.call(Request::ClearFaults { shard }).map(|_| ())
     }
 
+    /// Flush, then settle every shard's relations ([`Request::Settle`]).
+    pub fn settle(&self) -> Result<()> {
+        self.call(Request::Settle).map(|_| ())
+    }
+
     /// Flush, then drive the server-wide commit barrier: every shard
-    /// seals its state into its own WAL before this returns. A no-op ack
-    /// on non-durable servers.
+    /// seals its state into its own WAL before this returns. On a
+    /// non-durable server the shards' relations settle.
     pub fn commit(&self) -> Result<()> {
         self.call(Request::Commit).map(|_| ())
     }
@@ -578,6 +586,10 @@ impl Scheduler {
             Request::Sync => {
                 self.flush()?;
                 self.seal_pending()?;
+            }
+            Request::Settle => {
+                self.flush()?;
+                self.round("settle", false, |_, reply| ShardCommand::Settle { reply })?;
             }
         }
         Ok(Response::Ack)

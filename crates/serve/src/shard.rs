@@ -66,11 +66,18 @@ pub enum ShardCommand {
     PoisonCachedView,
     /// Clear pending faults and heal damaged pages on this shard.
     ClearFaults,
-    /// Make everything applied so far durable: serialize the shard's
-    /// catalog and group-flush through its write-ahead log. The server
+    /// Apply everything the shard's relations have queued to their trees
+    /// now (`Database::settle`): what a harness asks for before it arms
+    /// faults that must not land in a sweep.
+    Settle {
+        /// Where to send `(shard_index, result)`.
+        reply: Sender<(usize, Result<()>)>,
+    },
+    /// Make everything applied so far durable: seal the shard's apply logs
+    /// into its catalog and group-flush through its write-ahead log. The server
     /// issues this to every shard at once (a commit *barrier*) and waits
     /// for all acknowledgements, so the set of WALs always agrees on which
-    /// barrier was last sealed. A no-op ack on non-durable shards.
+    /// barrier was last sealed. A non-durable shard's relations settle.
     ///
     /// Under [`Durability::Deferred`] the shard appends the commit group to
     /// its WAL buffer but skips the fsync — the scheduler later seals all
@@ -325,6 +332,7 @@ impl ShardWorker {
             "wal.recovered.pages",
             "wal.recovered.commits",
             "wal.recovered.torn_bytes",
+            "wal.recovered.queued_ops",
         ]
         .map(|name| (name, db.metrics().counter(name)));
         // The audit needs partition statistics: measure them from the
@@ -440,13 +448,17 @@ impl ShardWorker {
                     }
                 }
                 ShardCommand::ClearFaults => self.db.clear_faults(),
+                ShardCommand::Settle { reply } => {
+                    let _ = reply.send((self.index, self.db.settle()));
+                }
                 ShardCommand::Commit { durability, reply } => {
                     let result = self.db.commit_with(durability).map(|_| ());
                     let _ = reply.send((self.index, result));
                 }
             }
             // Any command may have settled a relation (a full log, a
-            // strategy about to read it, a build, a commit, a report).
+            // strategy about to read it, a build, a frozen log's seal at a
+            // commit, a report).
             self.count_rejected();
         }
     }

@@ -472,6 +472,21 @@ impl FileBackend {
         Ok(())
     }
 
+    /// The first half of a delete: the slot goes, so the file is dead to
+    /// every reader, while its OS file stays on the medium.
+    pub(crate) fn forget_file(&self, file: FileId) {
+        if let Some(slot) = self.files.borrow_mut().get_mut(file.0 as usize) {
+            *slot = None;
+        }
+    }
+
+    /// The second half: best-effort removal of the medium. The slot table
+    /// is authoritative for liveness, so a failed unlink cannot corrupt
+    /// reads.
+    pub(crate) fn unlink_file(&self, file: FileId) {
+        let _ = fs::remove_file(self.path_of(file));
+    }
+
     /// Recovery replay entry: make sure `file` has a live slot (a logged
     /// file whose OS file vanished is recreated empty) before images are
     /// written into it.
@@ -494,13 +509,8 @@ impl StorageBackend for FileBackend {
     }
 
     fn delete_file(&self, file: FileId) {
-        if let Some(slot) = self.files.borrow_mut().get_mut(file.0 as usize) {
-            *slot = None;
-        }
-        // Best-effort removal of the medium; the in-memory slot table is
-        // authoritative for liveness, so a failed unlink cannot corrupt
-        // reads (the slot is already gone).
-        let _ = fs::remove_file(self.path_of(file));
+        self.forget_file(file);
+        self.unlink_file(file);
     }
 
     fn file_count(&self) -> u32 {

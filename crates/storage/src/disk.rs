@@ -394,9 +394,10 @@ impl SimDisk {
     /// before it); [`Durability::Deferred`] appends to the group-commit
     /// buffer only, sharing a later barrier's fsync. Surfaces `wal.*`
     /// counters and charges the group flush (one I/O per frame plus the
-    /// commit frame) into the ledger; the charge models the log append
-    /// and is durability-independent, so golden ledgers cannot tell the
-    /// two levels apart.
+    /// commit frame) into the ledger under the span `wal.commit`; the
+    /// charge models the log append and is durability-independent, so
+    /// golden ledgers cannot tell the two levels apart. Without a WAL it
+    /// charges nothing and opens no span.
     pub fn commit_with(&self, durability: Durability) -> Result<CommitStats> {
         let sabotaged = self.sabotaged.replace(false);
         let stats = self.backend.as_dyn().commit(durability)?;
@@ -412,7 +413,10 @@ impl SimDisk {
             self.metrics.gauge_set("wal.enabled", 1.0);
             self.stamp_wal_gauges();
             if stats.frames > 0 {
-                self.cost.io(stats.frames + 1);
+                {
+                    let _span = self.cost.section("wal.commit");
+                    self.cost.io(stats.frames + 1);
+                }
                 // Every-N-commits checkpoint policy: bound the log and
                 // the apply backlog off the per-commit path. A sabotaged
                 // commit simulates the process dying inside it — no

@@ -35,10 +35,12 @@
 //!   in-memory buffer, so a crash rolls them back wholesale: recovery
 //!   always yields a *prefix* of sealed groups, never a mix.
 //!
-//! File creation/deletion and page allocation pass straight through to
-//! the inner backend: they are bookkeeping, and any stale files or tail
-//! pages a crash leaves behind are unreachable — the catalog that names
-//! live structures is itself a page file covered by the log.
+//! File creation and page allocation pass straight through to the inner
+//! backend: they are bookkeeping, and any stale files or tail pages a
+//! crash leaves behind are unreachable — the catalog that names live
+//! structures is itself a page file covered by the log. A deleted file
+//! is dead at once but keeps its OS file until a group sealed after the
+//! delete is synced: the last sealed catalog may still name it.
 //!
 //! ## Frame format
 //!
@@ -381,6 +383,11 @@ pub struct DurableBackend {
     /// Files dirtied by [`StorageBackend::apply_backlog`] since the
     /// last checkpoint: the only files a checkpoint has to fsync.
     dirty: RefCell<BTreeSet<u32>>,
+    /// Files deleted since the last commit: dead, their OS files kept.
+    doomed: RefCell<Vec<FileId>>,
+    /// Files deleted before a commit that sealed its group: unlinked at
+    /// the next log sync, once no durable catalog can name them.
+    covered: RefCell<Vec<FileId>>,
     /// Stats from the recovery pass `open` ran, consumed once.
     recovery: Cell<Option<RecoveryStats>>,
     /// Armed crash for the next commit (simulation harness).
@@ -396,6 +403,8 @@ impl DurableBackend {
             committed: RefCell::new(BTreeMap::new()),
             clean: RefCell::new(HashMap::new()),
             dirty: RefCell::new(BTreeSet::new()),
+            doomed: RefCell::new(Vec::new()),
+            covered: RefCell::new(Vec::new()),
             recovery: Cell::new(recovery),
             sabotage: Cell::new(None),
         }
@@ -447,6 +456,22 @@ impl DurableBackend {
     pub fn overlay_pages(&self) -> usize {
         self.overlay.borrow().len()
     }
+
+    /// The files deleted so far are covered by the group a commit has
+    /// just sealed (or found it had no need to seal).
+    fn cover_deletes(&self) {
+        self.covered.borrow_mut().append(&mut self.doomed.borrow_mut());
+    }
+
+    /// Sync the log ([`Wal::sync`]); every group sealed so far is then
+    /// durable, so the files deleted before one of them may go.
+    fn sync(&self) -> Result<u64> {
+        let fsyncs = self.wal.sync()?;
+        for file in self.covered.borrow_mut().drain(..) {
+            self.inner.unlink_file(file);
+        }
+        Ok(fsyncs)
+    }
 }
 
 impl StorageBackend for DurableBackend {
@@ -455,14 +480,17 @@ impl StorageBackend for DurableBackend {
     }
 
     fn delete_file(&self, file: FileId) {
-        // Deletion passes through: only derived/scratch structures are
-        // ever deleted at runtime, and the catalog never names them
-        // across a crash boundary. Drop their uncommitted and
-        // committed-but-unapplied images and fingerprints too.
+        // The file is dead at once: its slot, its uncommitted and
+        // committed-but-unapplied images and its fingerprints go. Its OS
+        // file stays until a group sealed after this delete is synced —
+        // until then the last durable catalog may name it (a relation's
+        // apply-log runs), and recovery must find its pages. The log
+        // still holds whatever images of it were never applied.
         self.overlay.borrow_mut().retain(|&(f, _), _| f != file.0);
         self.committed.borrow_mut().retain(|&(f, _), _| f != file.0);
         self.clean.borrow_mut().retain(|&(f, _), _| f != file.0);
-        self.inner.delete_file(file);
+        self.inner.forget_file(file);
+        self.doomed.borrow_mut().push(file);
     }
 
     fn file_count(&self) -> u32 {
@@ -528,8 +556,9 @@ impl StorageBackend for DurableBackend {
         if self.overlay.borrow().is_empty() {
             // Nothing new this commit; a barrier still seals whatever
             // deferred groups are waiting in the log buffer.
+            self.cover_deletes();
             if durability == Durability::Barrier {
-                let fsyncs = self.wal.sync()?;
+                let fsyncs = self.sync()?;
                 return Ok(CommitStats { fsyncs, ..CommitStats::default() });
             }
             return Ok(CommitStats::default());
@@ -582,7 +611,8 @@ impl StorageBackend for DurableBackend {
             // promote. A barrier still seals pending deferred groups.
             drop(buf);
             self.overlay.borrow_mut().clear();
-            let fsyncs = if durability == Durability::Barrier { self.wal.sync()? } else { 0 };
+            self.cover_deletes();
+            let fsyncs = if durability == Durability::Barrier { self.sync()? } else { 0 };
             return Ok(CommitStats { frames: 0, bytes: 0, frames_skipped: skipped, fsyncs });
         }
 
@@ -607,7 +637,8 @@ impl StorageBackend for DurableBackend {
                 // the commit IS durable; recovery must redo it from the
                 // log. The overlay dies with the "process".
                 drop(buf);
-                let fsyncs = self.wal.sync()?;
+                self.cover_deletes();
+                let fsyncs = self.sync()?;
                 self.wal.seq.set(seq);
                 self.overlay.borrow_mut().clear();
                 return Ok(CommitStats { frames, bytes, frames_skipped: skipped, fsyncs });
@@ -621,8 +652,9 @@ impl StorageBackend for DurableBackend {
         // until the caller decides what to do with the error.
         let buffered = buf.len();
         drop(buf);
+        self.cover_deletes();
         let fsyncs = match durability {
-            Durability::Barrier => self.wal.sync()?,
+            Durability::Barrier => self.sync()?,
             Durability::Deferred => {
                 if buffered >= Wal::WRITEBACK_THRESHOLD {
                     self.wal.flush()?;
@@ -653,7 +685,7 @@ impl StorageBackend for DurableBackend {
         // hold: seal any buffered deferred groups before a page
         // leaves the committed overlay, or an OS page-cache flush
         // could persist images whose commit record a crash erases.
-        let fsyncs = self.wal.sync()?;
+        let fsyncs = self.sync()?;
         let mut committed = self.committed.borrow_mut();
         if committed.is_empty() {
             return Ok((0, fsyncs));

@@ -66,6 +66,11 @@ fn corpus_scripts_pass() {
         let outcome =
             run_script(&script, &cfg).unwrap_or_else(|f| panic!("{}: {f}", path.display()));
         assert!(outcome.checkpoints > 0, "{}: no checkpoints verified", path.display());
+        // This seed's crashes fall while the logs hold committed runs: the
+        // recoveries reopen them instead of finding them settled.
+        if path.ends_with("crash-seed-44.json") {
+            assert!(outcome.recovered_queued_ops > 0, "{}: no sealed log reopened", path.display());
+        }
         checkpoints += outcome.checkpoints;
         faults += outcome.faults_installed;
         crashes += outcome.crashes;

@@ -116,31 +116,47 @@ fn every_crash_flavour_recovers_to_the_committed_state() {
     }
 }
 
-/// 250 updates over the first `n` tuples of `mirror`, descending and each
+/// 250 updates over the first 100 tuples of `mirror`, descending and each
 /// surrogate hit more than once: two and a half apply-log buffers at this
-/// page size, so two sorted runs are on disk when the call returns and
-/// nothing has touched a tree.
+/// page size, so two more sorted runs are on disk when the call returns
+/// and nothing has touched a tree.
 fn enqueue_spilling_updates(db: &mut Database, mirror: &mut [BaseTuple], tag: u64) {
+    let (queued, runs) = (db.r().pending_ops(), db.metrics().counter("base.apply_log.runs"));
     for i in (0..250usize).rev() {
         let at = i % 100;
         let new = BaseTuple::padded(mirror[at].sur, tag + (i % 5) as u64, 64);
         let old = std::mem::replace(&mut mirror[at], new.clone());
         db.apply_r_update(&trijoin::Update { old, new }).unwrap();
     }
-    assert_eq!(db.r().pending_ops(), 250);
-    assert_eq!(db.metrics().counter("base.apply_log.runs"), 2);
+    assert_eq!(db.r().pending_ops(), queued + 250);
+    assert_eq!(db.metrics().counter("base.apply_log.runs"), runs + 2);
 }
 
-/// The files a reopened store may hold: the catalog, `R`'s tree, `S`'s two.
+/// The files a reopened store may hold: the catalog, `R`'s tree and the
+/// runs of its apply log, `S`'s two trees and its log's runs.
 fn assert_only_named_files_live(db: &Database) {
     let named = 1 + db.r().file_ids().count() + db.s().file_ids().count();
     assert_eq!(db.disk().live_files().len(), named, "a file no catalog names survived");
 }
 
-/// Mutations that were queued but never committed — most of them never
-/// even applied to a tree, some sitting in spilled apply-log runs — are
-/// gone after a crash, runs and all: the reopened relation is the last
-/// committed one.
+/// Writes to `R`'s clustered tree so far.
+fn clustered_writes(db: &Database) -> u64 {
+    let clustered = db.r().file_ids().next().unwrap();
+    db.metrics().counter(&format!("disk.write.f{}", clustered.0))
+}
+
+/// `R` as a reader sees it, queued mutations merged in.
+fn scan_r(db: &Database) -> Vec<BaseTuple> {
+    let mut got = Vec::new();
+    db.r().scan(|t| got.push(t)).unwrap();
+    got
+}
+
+/// A commit seals the apply log instead of settling it: what it
+/// acknowledges stays queued, in a run the catalog names. Mutations
+/// queued after it — some sitting in spilled runs of their own — are gone
+/// after a crash, runs and all: the reopened relation is the committed
+/// one, its log as the commit sealed it.
 #[test]
 fn enqueued_but_uncommitted_mutations_rewind_on_reopen() {
     let dir = fresh_dir("queued-rewind");
@@ -149,25 +165,29 @@ fn enqueued_but_uncommitted_mutations_rewind_on_reopen() {
     let mut db = Database::create_durable(&params(), r0, s0.clone(), &dir).unwrap();
     apply_batch(&mut db, &mut committed, 1000);
     db.commit().unwrap();
-    assert_eq!(db.r().pending_ops(), 0, "a commit leaves nothing queued");
+    assert_eq!(db.r().pending_ops(), 9, "a commit leaves the log queued");
+    assert_eq!(db.metrics().counter("base.settles"), 0, "and does not settle it");
 
     let mut lost = committed.clone();
     enqueue_spilling_updates(&mut db, &mut lost, 40);
-    assert!(db.disk().live_files().len() > 4, "the spilled runs are files of the dying session");
+    assert_eq!(db.disk().live_files().len(), 7, "two spilled runs beside the committed five files");
     drop(db); // crash: queued, spilled, never settled, never committed
 
     let db = Database::open_durable(&params(), &dir).unwrap();
     assert_only_named_files_live(&db);
-    assert_eq!(db.r().pending_ops(), 0);
+    assert_eq!(db.r().pending_ops(), 9);
+    assert_eq!(db.metrics().counter("wal.recovered.queued_ops"), 9);
+    committed.sort_by_key(|t| t.sur);
+    assert_eq!(scan_r(&db), committed);
     db.r().check_invariants().unwrap();
     assert_all_strategies_agree(&db, &committed, &s0);
 }
 
-/// `commit()` settles before it seals: a process killed the instant the
-/// call returns — or killed with the group sealed in the log and not yet
-/// applied to the data files — recovers a relation that holds every
-/// mutation the commit acknowledged, though none had reached a tree when
-/// it was called.
+/// A commit on a clean log writes no page of the clustered tree: the
+/// buffer becomes one more run. A process killed the instant the call
+/// returns — or killed with the group sealed in the log and not yet
+/// applied to the data files — reopens the log it sealed, every
+/// acknowledged mutation in it, though none had reached a tree.
 #[test]
 fn a_kill_right_after_commit_keeps_every_acknowledged_mutation() {
     for sabotage in [None, Some(CommitSabotage::SkipApply)] {
@@ -180,28 +200,30 @@ fn a_kill_right_after_commit_keeps_every_acknowledged_mutation() {
         if let Some(mode) = sabotage {
             db.sabotage_next_commit(mode);
         }
+        let writes = clustered_writes(&db);
         db.commit().unwrap();
-        assert_eq!(db.r().pending_ops(), 0);
-        assert_eq!(db.metrics().counter("base.settle.ops"), 259);
+        assert_eq!(db.r().pending_ops(), 259);
+        assert_eq!(db.metrics().counter("base.settles"), 0);
+        assert_eq!(clustered_writes(&db), writes, "the commit wrote a leaf");
+        assert_eq!(db.metrics().counter("base.apply_log.runs"), 3, "the buffer became a run");
         drop(db); // killed right after the acknowledgement
 
         let db = Database::open_durable(&params(), &dir).unwrap();
         assert_only_named_files_live(&db);
-        let mut recovered = Vec::new();
-        db.r().scan(|t| recovered.push(t)).unwrap();
+        assert_eq!(db.r().pending_ops(), 259);
         committed.sort_by_key(|t| t.sur);
-        assert_eq!(recovered, committed, "an acknowledged mutation is missing");
+        assert_eq!(scan_r(&db), committed, "an acknowledged mutation is missing");
         assert_all_strategies_agree(&db, &committed, &s0);
     }
 }
 
 /// View queries between two commits do not settle `R` — its queued
-/// mutations ride through them — and the commit does: what it
-/// acknowledges is in the pages it seals, so a crash right after it, and
+/// mutations ride through them — and neither does the commit: what it
+/// acknowledges is in the runs it seals, so a crash right after it, and
 /// one with more mutations queued and queried over but never committed,
-/// both recover to the committed relation.
+/// both reopen the committed log.
 #[test]
-fn queued_mutations_ride_through_view_queries_and_settle_at_the_commit() {
+fn queued_mutations_ride_through_view_queries_and_commits() {
     let dir = fresh_dir("queued-view");
     let (r0, s0) = (tuples(120, 0), tuples(30, 0));
     let mut mirror = r0.clone();
@@ -223,19 +245,57 @@ fn queued_mutations_ride_through_view_queries_and_settle_at_the_commit() {
     }
     assert_eq!(db.metrics().counter("base.settles"), 0, "three view queries, R never read");
     assert_eq!(db.r().pending_ops(), 180);
+    let writes = clustered_writes(&db);
     db.commit().unwrap();
-    assert_eq!(db.metrics().counter("base.settles"), 1, "the commit settled");
-    assert_eq!((db.r().pending_ops(), db.metrics().counter("base.settle.ops")), (0, 180));
+    assert_eq!(db.metrics().counter("base.settles"), 0, "the commit sealed, it did not settle");
+    assert_eq!((db.r().pending_ops(), clustered_writes(&db)), (180, writes));
     let committed = mirror.clone();
     assert_eq!(epoch(&mut db, &mut mirror, 40), want(&mirror), "queued, answered, uncommitted");
-    assert_eq!(db.metrics().counter("base.settles"), 1);
+    assert_eq!(db.metrics().counter("base.settles"), 0);
     drop((mv, db)); // crash
 
     let db = Database::open_durable(&params(), &dir).unwrap();
     assert_only_named_files_live(&db);
-    let mut recovered = Vec::new();
-    db.r().scan(|t| recovered.push(t)).unwrap();
-    assert_eq!(recovered, committed);
+    assert_eq!(db.r().pending_ops(), 180);
+    assert_eq!(scan_r(&db), committed);
+    assert_all_strategies_agree(&db, &committed, &s0);
+}
+
+/// A settle the log's own bound forces between two commits deletes the
+/// runs the last sealed catalog names. A crash before the next commit
+/// must still find them: the backend holds their unlink back until a
+/// commit that no longer names them is sealed. A checkpoint put them in
+/// the data files alone, so recovery cannot rebuild them from the log.
+#[test]
+fn a_crash_between_a_forced_settle_and_the_next_commit_reopens_every_named_run() {
+    let dir = fresh_dir("named-runs");
+    let (r0, s0) = (tuples(120, 0), tuples(30, 0));
+    let mut committed = r0.clone();
+    let mut db = Database::create_durable(&params(), r0, s0.clone(), &dir).unwrap();
+    enqueue_spilling_updates(&mut db, &mut committed, 60);
+    db.checkpoint().unwrap();
+    assert_eq!(db.disk().wal_len_bytes(), 0, "the checkpoint truncated the log");
+    let named: Vec<_> = db.r().file_ids().skip(1).collect();
+    assert_eq!(named.len(), 3, "two spilled runs and the sealed buffer");
+
+    let mut lost = committed.clone();
+    let mut at = 0;
+    while db.metrics().counter("base.settles") == 0 {
+        let new = BaseTuple::padded(lost[at % 100].sur, 90 + (at % 3) as u64, 64);
+        let old = std::mem::replace(&mut lost[at % 100], new.clone());
+        db.apply_r_update(&trijoin::Update { old, new }).unwrap();
+        at += 1;
+    }
+    assert!(named.iter().all(|&run| db.disk().num_pages(run).is_err()), "the settle took them");
+    drop(db); // crash
+
+    let db = Database::open_durable(&params(), &dir).unwrap();
+    assert_eq!(db.r().file_ids().skip(1).collect::<Vec<_>>(), named);
+    assert_only_named_files_live(&db);
+    assert_eq!(db.r().pending_ops(), 250);
+    assert_eq!(db.metrics().counter("wal.recovered.queued_ops"), 250);
+    committed.sort_by_key(|t| t.sur);
+    assert_eq!(scan_r(&db), committed);
     assert_all_strategies_agree(&db, &committed, &s0);
 }
 
@@ -378,6 +438,7 @@ fn committed_frees_are_reused_after_recovery() {
     for _ in 0..100 {
         db.r_mut().apply_mutation(&Mutation::Delete(committed.remove(0))).unwrap();
     }
+    db.settle().unwrap();
     db.commit().unwrap();
     let freed = db.metrics().counter("btree.pages_freed");
     assert!(freed > 10, "100 deletes in surrogate order empty whole leaves");

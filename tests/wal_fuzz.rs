@@ -15,6 +15,11 @@
 //! length, and a commit frame whose seal count does not match — each must
 //! end the replay at the last group sealed before it.
 //!
+//! A third sweep cuts, at every byte offset, a group that retires the run
+//! files a catalog page names and names a new one: the recovered catalog
+//! is the longest sealed prefix's, and every run it names is on the
+//! device — a deleted file keeps its OS file until such a group is synced.
+//!
 //! It also pins a structural property of group commit: a run that
 //! commits with `Durability::Deferred` and seals once at the end writes
 //! the **byte-identical** log a barrier-per-commit run writes — deferred
@@ -226,4 +231,90 @@ fn deferred_group_commit_writes_the_same_log_bytes_as_barriers() {
     let log_b = fs::read(barrier.join(Wal::FILE_NAME)).unwrap();
     let log_d = fs::read(deferred.join(Wal::FILE_NAME)).unwrap();
     assert_eq!(log_b, log_d, "deferred commits must change when bytes land, not which bytes");
+}
+
+/// Pages in each run file of [`spill_run`], every byte the run's id.
+const RUN_PAGES: u32 = 2;
+
+/// A run file as a relation's apply log spills one: created, its pages
+/// written once.
+fn spill_run(backend: &DurableBackend) -> FileId {
+    let run = backend.create_file();
+    for _ in 0..RUN_PAGES {
+        let pid = backend.allocate_page(run).unwrap();
+        backend.write_page(pid, PageWrite::Borrowed(&[run.0 as u8; PS])).unwrap();
+    }
+    run
+}
+
+/// The catalog page of file 0: a count, then the ids of the runs it names.
+fn catalog_page(runs: &[FileId]) -> Vec<u8> {
+    let mut page = vec![0u8; PS];
+    page[0] = runs.len() as u8;
+    for (i, run) in runs.iter().enumerate() {
+        page[1 + 4 * i..5 + 4 * i].copy_from_slice(&run.0.to_le_bytes());
+    }
+    page
+}
+
+fn named_runs(backend: &DurableBackend) -> Vec<FileId> {
+    let page = backend.read_page(PageId::new(FileId(0), 0)).unwrap();
+    let id = |i: usize| u32::from_le_bytes(page[1 + 4 * i..5 + 4 * i].try_into().unwrap());
+    (0..page[0] as usize).map(|i| FileId(id(i))).collect()
+}
+
+/// A group that retires the runs a catalog names and names a new one — a
+/// settle between two commits, then a commit that seals the next log —
+/// cut at every byte offset. Recovery is the longest sealed prefix, and
+/// every run file the recovered catalog names is on the device with the
+/// pages it was spilled with: the old runs live in the data files alone
+/// (a checkpoint applied them and truncated the log), so their unlink
+/// must wait until the group that stops naming them is synced.
+#[test]
+fn recovery_from_every_cut_of_a_group_that_retires_runs_finds_every_named_run() {
+    let src = tmp("runs-src");
+    let backend = DurableBackend::create(&src, PS).unwrap();
+    let catalog = backend.create_file();
+    backend.allocate_page(catalog).unwrap();
+    let write_catalog = |runs: &[FileId]| {
+        let page = catalog_page(runs);
+        backend.write_page(PageId::new(catalog, 0), PageWrite::Borrowed(&page)).unwrap();
+    };
+    let old = vec![spill_run(&backend), spill_run(&backend)];
+    write_catalog(&old);
+    backend.commit(Durability::Barrier).unwrap();
+    backend.checkpoint().unwrap();
+
+    for &run in &old {
+        backend.delete_file(run);
+    }
+    let new = vec![spill_run(&backend)];
+    write_catalog(&new);
+    // The device as a crash anywhere inside the next commit leaves it.
+    let before = tmp("runs-before");
+    crashed_copy(&src, &before, 0);
+    backend.commit(Durability::Barrier).unwrap();
+    for run in &old {
+        let path = src.join(format!("f{}.pages", run.0));
+        assert!(!path.exists(), "the sealed group no longer names f{}: it goes", run.0);
+    }
+    let log = fs::read(src.join(Wal::FILE_NAME)).unwrap();
+    drop(backend);
+
+    let crash = tmp("runs-crash");
+    for len in 0..=log.len() {
+        crashed_copy(&before, &crash, 0);
+        fs::write(crash.join(Wal::FILE_NAME), &log[..len]).unwrap();
+        let backend = DurableBackend::open(&crash, PS).unwrap();
+        let runs = named_runs(&backend);
+        let want = if len == log.len() { &new } else { &old };
+        assert_eq!(&runs, want, "len {len}: not the longest sealed prefix");
+        for run in runs {
+            for page in 0..RUN_PAGES {
+                let got = backend.read_page(PageId::new(run, page));
+                let ok = got.is_ok_and(|img| *img == [run.0 as u8; PS]);
+                assert!(ok, "len {len}: page {page} of the named run f{} is gone", run.0);
+            }
+        }
+    }
 }
