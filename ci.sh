@@ -178,9 +178,15 @@ fi
 # serve module that holds a B+-tree, and it calls no single-key mutator.
 if grep -rl "trijoin_btree" crates/exec/src crates/core/src crates/serve/src \
         | grep -v "^crates/exec/src/relation.rs$" \
-    || grep -nE "(clustered|inverted|inv)\.(insert|remove_exact|remove_where)\(" \
+    || grep -nE "(clustered|inverted|inv)\.(insert|remove_exact|remove_any)\(" \
         crates/exec/src/relation.rs; then
     echo "a base-relation tree is mutated outside StoredRelation::settle"; exit 1
+fi
+# And the sweep splits and merges in its own stream: it calls none of the
+# tree's single-key mutators (no restart from the root).
+if grep -nE "insert_past\(|(self|tree)\.(insert|remove_any|remove_exact)\(" \
+        crates/btree/src/tree/sweep.rs; then
+    echo "the sorted sweep falls back to the single-key path"; exit 1
 fi
 
 # One deferred view: differentials are netted by the `DiffPair` behind MV

@@ -286,7 +286,7 @@ mod tests {
         let mut t = BTree::bulk_load(&disk, small_cfg(), entries).unwrap();
         let file_pages = disk.num_pages(t.file_id()).unwrap();
         for k in 0..200u64 {
-            assert!(t.remove_where(k, |_| true).unwrap(), "key {k}");
+            assert!(t.remove_any(k).unwrap(), "key {k}");
             t.check_invariants().unwrap();
         }
         assert_eq!(t.len(), 0);
@@ -471,7 +471,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_splits_and_merges_through_the_single_key_path() {
+    fn sweep_splits_and_merges_in_its_own_stream() {
         let (disk, _c, _p) = setup();
         let entries: Vec<(u64, Vec<u8>)> = (0..64u64).map(|k| (k * 4, vec![k as u8])).collect();
         let mut t = BTree::bulk_load(&disk, small_cfg(), entries).unwrap();
@@ -570,12 +570,12 @@ mod tests {
         // Leaf [0,1,2,3] drops to one entry next to a full sibling: the
         // pair does not fit one page, so it is cut again in the middle.
         for k in [0, 1, 2] {
-            assert!(t.remove_where(k, |_| true).unwrap());
+            assert!(t.remove_any(k).unwrap());
         }
         assert_eq!((t.leaf_pages(), counter("btree.merges")), (4, 0));
         // Two more deletes leave the pair small enough for one page.
         for k in [3, 4] {
-            assert!(t.remove_where(k, |_| true).unwrap());
+            assert!(t.remove_any(k).unwrap());
         }
         assert_eq!((t.leaf_pages(), counter("btree.merges")), (3, 1));
         assert_eq!(counter("btree.pages_freed"), 1);
@@ -596,7 +596,7 @@ mod tests {
         let entries: Vec<(u64, Vec<u8>)> = (0..64u64).map(|k| (k, vec![k as u8])).collect();
         let mut t = BTree::bulk_load(&disk, small_cfg(), entries).unwrap();
         for k in 0..40u64 {
-            assert!(t.remove_where(k, |_| true).unwrap());
+            assert!(t.remove_any(k).unwrap());
         }
         let meta = t.meta();
         assert!(meta.free_pages > 0 && meta.free_head.is_some());

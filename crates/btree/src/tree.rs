@@ -17,30 +17,32 @@
 //! accessed at most once") that the analytical model charges for scheduled,
 //! pointer-sorted access.
 //!
-//! Mutations read and write only the pages they change. With `h` the
-//! height and nothing splitting or underflowing, a single insert or
-//! delete costs `h − 1` reads (the descent) and one write (the leaf); an
-//! internal node is written back only when a split or merge below changed
-//! it. A batch in key order goes through [`BTree::apply_sorted`] (module
-//! [`sweep`]), which holds the current root-to-leaf path and so reads
-//! every page at most once and writes every changed leaf once.
+//! Mutations read and write only the pages they change, and all of them
+//! go through one write path: a batch in key order is one sweep
+//! ([`BTree::apply_sorted`], module [`sweep`]), which holds the current
+//! root-to-leaf path and so reads every page at most once and writes every
+//! changed page once; [`BTree::insert`] and the removes are sweeps of one
+//! operation. With `h` the height and nothing splitting or underflowing, a
+//! single insert or delete costs `h − 1` reads (the descent) and one write
+//! (the leaf); an internal node is written back only when a split or merge
+//! below changed it.
 //!
-//! Space comes back. A delete that leaves a node under half full reads
-//! one sibling under the same parent and pours the pair into the left
-//! page: if everything fits, the right page goes onto the tree's *free
-//! list* (a merge); otherwise the pair is cut again in the middle (a
-//! refill — merging alone would let leaves sit at 1, half, 1, half, …
-//! entries, a quarter full on average, and could leave an internal node
-//! without a separator beside a full sibling). So with values of one
-//! width no node but the root and the right edge of each level stays
-//! under half full, an empty node never persists at any width, and a
-//! root left with a single child hands the root to it. An insert
-//! past the last key of the right edge of a level splits off only what
-//! it must — the new entry of a leaf, the last two children of an
-//! internal node — leaving the full node full, so an ascending load
-//! packs pages instead of stranding half of each. What that buys is a
-//! bound: the leaves number at most twice what a bulk load of the same
-//! entries builds, plus the right edge.
+//! Space comes back. A node left under half full takes in its right
+//! neighbour (its left one on the right edge of its level, once that is
+//! empty) and the pair is poured into the left page: if everything fits,
+//! the right page goes onto the tree's *free list* (a merge); otherwise
+//! the pair is cut again in the middle (a refill — merging alone would let
+//! leaves sit at 1, half, 1, half, … entries, a quarter full on average,
+//! and could leave an internal node without a separator beside a full
+//! sibling). So with values of one width no node but the root and the
+//! right edge of each level stays under half full, an empty node never
+//! persists at any width, and a root left with a single child hands the
+//! root to it. A node that overflows on the right edge of its level keeps
+//! full pages and splits off only the rest — the new entry of a leaf, the
+//! last two children of an internal node — so an ascending load packs
+//! pages instead of stranding half of each. What that buys is a bound: the
+//! leaves number at most twice what a bulk load of the same entries
+//! builds, plus the right edge.
 //!
 //! The free list is the tree's own: its head and length are part of
 //! [`BTreeMeta`], freed pages chain through their own bytes, and
@@ -139,7 +141,9 @@ pub struct BTree {
     leaves: u64,
     free_head: Option<u32>,
     free_pages: u32,
-    /// `btree.merges`, `btree.pages_freed`, `btree.pages_reused`.
+    /// `btree.splits`, `btree.merges`, `btree.pages_freed`,
+    /// `btree.pages_reused`.
+    c_splits: CounterId,
     c_merges: CounterId,
     c_freed: CounterId,
     c_reused: CounterId,
@@ -157,27 +161,6 @@ enum Step {
     Next(u32),
 }
 
-/// What a recursive remove did to the node it was handed.
-enum Removal {
-    /// No matching entry under this node; nothing changed anywhere.
-    Missing,
-    /// Removed below; this node's image is unchanged.
-    Clean,
-    /// This node's image changed: its caller must write it back.
-    Dirty,
-}
-
-/// What a recursive insert did to the node it was handed.
-enum Insertion {
-    /// Inserted below; this node's image is unchanged.
-    Clean,
-    /// This node's image changed: its caller must write it back.
-    Dirty,
-    /// This node changed and split: separator and page of the new right
-    /// sibling, for its caller to adopt.
-    Split(u64, u32),
-}
-
 impl BTree {
     /// Attach a handle to the tree `meta` describes, whose root is `root`.
     fn attach(disk: &Disk, cfg: BTreeConfig, root: Node, meta: &BTreeMeta) -> Self {
@@ -193,6 +176,7 @@ impl BTree {
             leaves: meta.leaves,
             free_head: meta.free_head,
             free_pages: meta.free_pages,
+            c_splits: metrics.counter_handle("btree.splits"),
             c_merges: metrics.counter_handle("btree.merges"),
             c_freed: metrics.counter_handle("btree.pages_freed"),
             c_reused: metrics.counter_handle("btree.pages_reused"),
@@ -410,26 +394,6 @@ impl BTree {
     }
 
     // ---- node I/O -------------------------------------------------------
-
-    fn read_node(&self, page: u32) -> Result<Node> {
-        self.read_node_past(page, &[])
-    }
-
-    /// Read a node for a caller that has the pages `held` in memory
-    /// already (a sweep's path): one of those comes free of charge.
-    fn read_node_past(&self, page: u32, held: &[u32]) -> Result<Node> {
-        let pid = PageId::new(self.file, page);
-        let raw = if held.contains(&page) {
-            self.disk.read_page_free(pid)?
-        } else {
-            self.disk.read_page(pid)?
-        };
-        Node::from_page(&raw)
-    }
-
-    fn write_node(&self, page: u32, node: &Node) -> Result<()> {
-        self.disk.write_page(PageId::new(self.file, page), &node.to_page(self.disk.page_size())?)
-    }
 
     /// A page to put a new node on: the head of the free list, or a
     /// fresh page at the end of the file when the list is empty.
@@ -750,251 +714,27 @@ impl BTree {
 
     /// Insert `(key, value)`. Duplicates are allowed.
     pub fn insert(&mut self, key: u64, value: Vec<u8>) -> Result<()> {
-        self.insert_past(key, value, &[])
-    }
-
-    /// [`BTree::insert`] with the pages in `held` read free of charge
-    /// ([`BTree::read_node_past`]).
-    fn insert_past(&mut self, key: u64, value: Vec<u8>, held: &[u32]) -> Result<()> {
-        let entry_bytes = 10 + value.len();
-        if 7 + entry_bytes > self.disk.page_size() {
-            return Err(Error::PageOverflow {
-                needed: entry_bytes,
-                available: self.disk.page_size(),
-            });
-        }
-        let mut root = std::mem::replace(&mut self.root, Node::empty_leaf());
-        let outcome = self.insert_into(&mut root, key, value, true, held);
-        self.root = root;
-        match outcome? {
-            // An internal root none of whose children split is unchanged.
-            Insertion::Clean => {}
-            Insertion::Dirty => self.write_root_free()?,
-            Insertion::Split(sep, right_pid) => {
-                // Move the (already-split) root's left half to a fresh page
-                // and grow the tree by one level; the new root stays resident.
-                let left = std::mem::replace(
-                    &mut self.root,
-                    Node::Internal { keys: vec![sep], children: vec![0, right_pid] },
-                );
-                let left_pid = self.alloc_page()?;
-                self.write_node(left_pid, &left)?;
-                if let Node::Internal { ref mut children, .. } = self.root {
-                    children[0] = left_pid;
-                }
-                self.height += 1;
-                self.write_root_free()?;
-            }
-        }
-        self.entries += 1;
-        Ok(())
-    }
-
-    /// Recursive insert. The caller owns writing `node` back, and does so
-    /// only when the outcome says its image changed (the root wrapper
-    /// writes free, inner levels write charged): an insert that splits
-    /// nothing writes exactly one page, its leaf. `edge` says `node` is
-    /// the rightmost of its level.
-    fn insert_into(
-        &mut self,
-        node: &mut Node,
-        key: u64,
-        value: Vec<u8>,
-        edge: bool,
-        held: &[u32],
-    ) -> Result<Insertion> {
-        match node {
-            Node::Leaf { entries, .. } => {
-                self.charge_search(entries.len());
-                let at =
-                    entries.partition_point(|(k, v)| (*k, v.as_slice()) <= (key, value.as_slice()));
-                self.disk.cost().mov(1);
-                entries.insert(at, (key, value));
-                if self.fits(node) {
-                    return Ok(Insertion::Dirty);
-                }
-                // An append — the new entry is the last of the last leaf —
-                // splits off only itself: the full leaf stays full, where a
-                // cut in the middle would strand half of every page an
-                // ascending load fills.
-                let len = node.len();
-                let append = edge && at + 1 == len;
-                let split = self.split(node, if append { len - 1 } else { len / 2 })?;
-                self.leaves += 1;
-                Ok(split)
-            }
-            Node::Internal { keys, children } => {
-                self.charge_search(keys.len());
-                let idx = Self::child_right(keys, key);
-                let child_pid = children[idx];
-                let mut child = self.read_node_past(child_pid, held)?;
-                let last = idx + 1 == children.len();
-                let below = self.insert_into(&mut child, key, value, edge && last, held)?;
-                let (sep, new_right) = match below {
-                    Insertion::Clean => return Ok(below),
-                    Insertion::Dirty => {
-                        self.write_node(child_pid, &child)?;
-                        return Ok(Insertion::Clean);
-                    }
-                    Insertion::Split(sep, new_right) => {
-                        self.write_node(child_pid, &child)?;
-                        (sep, new_right)
-                    }
-                };
-                keys.insert(idx, sep);
-                children.insert(idx + 1, new_right);
-                if self.fits(node) {
-                    return Ok(Insertion::Dirty);
-                }
-                // The same append rule one level up: a child that split off
-                // the right edge leaves this node full and takes only the
-                // last two children along (a node needs one separator).
-                let len = node.len();
-                let append = edge && last && len > 2;
-                self.split(node, if append { len - 2 } else { len / 2 })
-            }
-        }
-    }
-
-    /// Cut the overfull `node` at `mid` and write the right part to a page
-    /// of its own; the left part stays with the caller.
-    fn split(&mut self, node: &mut Node, mid: usize) -> Result<Insertion> {
-        let right_pid = self.alloc_page()?;
-        let (sep, right) = node.split_off(mid, right_pid);
-        self.write_node(right_pid, &right)?;
-        Ok(Insertion::Split(sep, right_pid))
+        self.apply_one(key, SweepOp::Insert(value)).map(drop)
     }
 
     /// Remove the first entry equal to `(key, value)`. Returns whether an
     /// entry was removed.
     pub fn remove_exact(&mut self, key: u64, value: &[u8]) -> Result<bool> {
-        self.remove_where(key, |v| v == value)
+        self.apply_one(key, SweepOp::Remove(Some(value.to_vec())))
     }
 
-    /// Remove the first entry under `key` whose value satisfies `pred`.
-    /// A node the removal leaves under half full is merged with a sibling
-    /// or refilled from it (see the module docs).
-    pub fn remove_where(&mut self, key: u64, pred: impl Fn(&[u8]) -> bool) -> Result<bool> {
-        self.remove_past(key, &pred, &[])
+    /// Remove one entry under `key`, whatever its value. Returns whether
+    /// there was one.
+    pub fn remove_any(&mut self, key: u64) -> Result<bool> {
+        self.apply_one(key, SweepOp::Remove(None))
     }
 
-    /// [`BTree::remove_where`] with the pages in `held` read free of
-    /// charge ([`BTree::read_node_past`]).
-    fn remove_past(
-        &mut self,
-        key: u64,
-        pred: &dyn Fn(&[u8]) -> bool,
-        held: &[u32],
-    ) -> Result<bool> {
-        let mut root = std::mem::replace(&mut self.root, Node::empty_leaf());
-        let outcome = self.remove_from(&mut root, key, pred, held);
-        self.root = root;
-        match outcome? {
-            Removal::Missing => return Ok(false),
-            Removal::Clean => {}
-            Removal::Dirty => {
-                // A root left with a single child hands the root to it.
-                while let Node::Internal { keys, children } = &self.root {
-                    if !keys.is_empty() {
-                        break;
-                    }
-                    let (old_root, child) = (self.root_page, children[0]);
-                    self.root = self.read_node_past(child, held)?;
-                    self.root_page = child;
-                    self.height -= 1;
-                    self.free_page(old_root)?;
-                }
-                self.write_root_free()?;
-            }
-        }
-        self.entries -= 1;
-        Ok(true)
-    }
-
-    /// Recursive remove, the mirror of [`BTree::insert_into`]: the caller
-    /// owns writing `node` back, and does so only when its image changed.
-    fn remove_from(
-        &mut self,
-        node: &mut Node,
-        key: u64,
-        pred: &dyn Fn(&[u8]) -> bool,
-        held: &[u32],
-    ) -> Result<Removal> {
-        match node {
-            Node::Leaf { entries, .. } => {
-                self.disk.cost().comp(entries.len() as u64);
-                let Some(at) = entries.iter().position(|(k, v)| *k == key && pred(v)) else {
-                    return Ok(Removal::Missing);
-                };
-                entries.remove(at);
-                Ok(Removal::Dirty)
-            }
-            Node::Internal { keys, children } => {
-                self.charge_search(keys.len());
-                let mut idx = Self::child_left(keys, key);
-                loop {
-                    let child_pid = children[idx];
-                    let mut child = self.read_node_past(child_pid, held)?;
-                    match self.remove_from(&mut child, key, pred, held)? {
-                        // Entries under a key equal to the separator may
-                        // sit on its right as well: try the next child.
-                        Removal::Missing if keys.get(idx) == Some(&key) => idx += 1,
-                        Removal::Dirty if self.underfull(&child) => {
-                            return self.rebalance(keys, children, idx, child);
-                        }
-                        Removal::Dirty => {
-                            self.write_node(child_pid, &child)?;
-                            return Ok(Removal::Clean);
-                        }
-                        settled => return Ok(settled),
-                    }
-                }
-            }
-        }
-    }
-
-    /// `child`, the edited and not yet written image of `children[idx]`,
-    /// fell under half full. Read one sibling under the same parent — the
-    /// right one; the left one for the last child — and pour the pair into
-    /// the left page. If everything fits, the right page is freed;
-    /// otherwise the pair is cut again in the middle, so both halves end
-    /// at least half full.
-    fn rebalance(
-        &mut self,
-        keys: &mut Vec<u64>,
-        children: &mut Vec<u32>,
-        idx: usize,
-        child: Node,
-    ) -> Result<Removal> {
-        let li = if idx + 1 < children.len() { idx } else { idx - 1 };
-        let (left_pid, right_pid) = (children[li], children[li + 1]);
-        let (mut left, right) = if li == idx {
-            (child, self.read_node(right_pid)?)
-        } else {
-            (self.read_node(left_pid)?, child)
-        };
-        let boundary = left.len();
-        left.absorb(keys[li], right);
-        if self.fits(&left) {
-            self.write_node(left_pid, &left)?;
-            self.free_page(right_pid)?;
-            keys.remove(li);
-            children.remove(li + 1);
-            self.leaves -= left.is_leaf() as u64;
-            self.disk.metrics().incr_id(self.c_merges);
-            return Ok(Removal::Dirty);
-        }
-        let (mut sep, mut right) = left.split_off(left.len() / 2, right_pid);
-        if !(self.fits(&left) && self.fits(&right)) {
-            // Values of unequal width: a cut in the middle would overflow
-            // a page, so the boundary goes back where it was.
-            left.absorb(sep, right);
-            (sep, right) = left.split_off(boundary, right_pid);
-        }
-        self.write_node(right_pid, &right)?;
-        self.write_node(left_pid, &left)?;
-        keys[li] = sep;
-        Ok(Removal::Dirty)
+    /// A single-key mutation: a sweep of one operation over keys that may
+    /// repeat. Returns whether the tree took it.
+    fn apply_one(&mut self, key: u64, op: SweepOp) -> Result<bool> {
+        let mut stats = SweepStats::default();
+        self.apply_sorted([(key, op)], false, &mut stats, &mut |_, _, _| {})?;
+        Ok(stats.rejected == 0)
     }
 
     /// Audit every structural invariant (test helper; reads pages free of

@@ -4,25 +4,38 @@
 //! A single-key mutation pays a root-to-leaf descent and a leaf write of
 //! its own. A batch sorted by key need not: consecutive keys mostly share
 //! their leaf, and always share the upper part of their path. The sweep
-//! keeps the current path — the internal nodes below the root and the
-//! leaf, each with the upper bound of its key range — and moves to the
-//! next leaf only when a key falls outside the held one, re-descending
-//! from the deepest held node that still covers the key. So every page is
-//! read at most once per sweep and every leaf whose image changed is
-//! written once, when the sweep leaves it: Yao's scheduled access, on the
-//! write side.
+//! holds the current path — one *unit* per level below the resident root,
+//! a run of adjacent nodes under the unit above it, poured into one node
+//! in memory, with the upper bound of its keys — and edits the leaf unit.
+//! It moves on only when a key falls outside the held unit, landing what
+//! it leaves, bottom-up, and re-descending from the deepest unit that
+//! still covers the key. So every page is read at most once per sweep and
+//! every page whose image changed is written once, when the sweep leaves
+//! it: Yao's scheduled access, on the write side.
 //!
-//! Structure changes stay where they were. An insert the held leaf has no
-//! room for, or a remove that would leave it under half full, first puts
-//! the held leaf back and then goes through the recursive single-key path
-//! ([`BTree::insert`], [`BTree::remove_where`]), which splits, merges and
-//! frees as for any other caller; the sweep resumes from the root. Only
-//! inserts and removes get there: an overwrite keeps the entry's width,
-//! so it always fits where the entry lies.
+//! Structure changes happen in the stream. A unit may outgrow its pages
+//! in memory; when it lands it is cut into as many pages as it needs —
+//! evenly, or, on the right edge of its level, full pages from the left
+//! and the rest last, so an ascending run packs its pages — and the new
+//! pages' separators go into the unit above, which lands later. A unit
+//! that fell under half full takes in its right neighbour before it lands
+//! (read anyway when the batch goes on there, read as a *sibling* when it
+//! does not; the unit above takes in its own neighbour first when the
+//! unit ends at its last child); moving on to the right edge of a level
+//! takes it in as well, so an emptied right edge has its left neighbour at
+//! hand. Landing keeps the page boundaries a unit was read with when they
+//! still hold, and otherwise pours into the left pages, freeing the right
+//! ones, or cuts the run anew: pages stay at least half full but on the
+//! right edge, an empty node never persists, and a root left with one
+//! child hands the root to it. The sweep never restarts from the root.
 //!
 //! Progress is counted in *landed* operations: those whose effect is on a
-//! written page (or needed none). A device fault ends the sweep with the
-//! held leaf's edits discarded, so [`SweepStats::landed`] tells the caller
+//! written page (or needed none). A landing writes its new pages first —
+//! nothing points at them yet, so a device fault there frees them and
+//! voids the leaf unit's edits — and once a page the tree points at is
+//! written, it finishes, retrying what a transient fault failed. On a
+//! fault the sweep voids the leaf unit it edits and lands the units above
+//! it, so the tree stays sound and [`SweepStats::landed`] tells the caller
 //! exactly which prefix of the batch must not be applied again.
 
 use std::iter::Peekable;
@@ -110,47 +123,78 @@ pub struct SweepStats {
     /// Landed operations the tree refused: no such entry, key taken, or a
     /// replacement of another length.
     pub rejected: u64,
-    /// Leaf pages the sweep wrote (structure changes not counted).
+    /// Leaf page writes, pages split off included.
     pub leaves_written: u64,
+    /// Leaves read only to merge with or refill from: neighbours of an
+    /// underfull leaf that hold no key of the batch.
+    pub siblings_read: u64,
 }
 
 /// Called once per entry whose stored value changed, after the change is
 /// on its page: `(key, value before, value after)`, `None` for absent.
 pub type OnChange<'a> = dyn FnMut(u64, Option<&[u8]>, Option<&[u8]>) + 'a;
 
-/// An internal node on the held path and the exclusive upper bound of
-/// the keys under it (`None` on the right edge).
-struct Frame {
-    page: u32,
+/// How often an I/O the sweep must finish is retried through transient
+/// faults before the fault stands.
+const RETRIES: usize = 4;
+
+/// Adjacent nodes of one level, children of the unit above, poured into
+/// one node.
+struct Unit {
     node: Node,
+    /// The pages the nodes came from, in key order.
+    pages: Vec<u32>,
+    /// Each page's image as read: a piece that lands unchanged is not
+    /// written.
+    images: Vec<Rc<Vec<u8>>>,
+    /// Index of `pages[0]` among the children of the unit above.
+    first: usize,
+    /// Upper bound of the keys under the unit (`None` on the right edge).
     hi: Option<u64>,
+    /// The node differs from what its pages hold.
+    dirty: bool,
 }
 
-/// The leaf the sweep is editing and what it owes for it.
-struct Held {
-    path: Vec<Frame>,
-    page: u32,
-    leaf: Node,
-    hi: Option<u64>,
-    /// The page image as read; `None` when the leaf is the resident root.
-    image: Option<Rc<Vec<u8>>>,
-    touched: bool,
-    /// Operations consumed on this leaf, rejected ones among them.
+/// What the edited leaf owes when it lands.
+#[derive(Default)]
+struct Edits {
+    /// Operations consumed on it, rejected ones among them.
     ops: u64,
     rejected: u64,
     /// Entries gained (lost, if negative).
     grown: i64,
-    /// `(key, value before)` of every entry changed here; the value after
-    /// is read off the leaf when it lands.
+    /// `(key, value before)` of every entry changed; the value after is
+    /// read off the leaf when it lands.
     changes: Vec<(u64, Option<Vec<u8>>)>,
 }
 
-impl Held {
-    fn entries(&mut self) -> &mut Vec<(u64, Vec<u8>)> {
-        match &mut self.leaf {
-            Node::Leaf { entries, .. } => entries,
-            Node::Internal { .. } => unreachable!("the sweep holds leaves only"),
-        }
+/// A sweep in progress.
+struct Path<'s, 'c> {
+    /// Level 2 (under the root) first; the last is the leaf unit while a
+    /// leaf is held. Empty while the root is the leaf.
+    units: Vec<Unit>,
+    edits: Edits,
+    unique: bool,
+    /// The key the sweep heads for (`None`: it is finishing).
+    next_key: Option<u64>,
+    root_dirty: bool,
+    /// Per level, the last node landed as its parent's only child: what
+    /// a root handing itself down becomes.
+    only_child: Vec<Option<(u32, Node)>>,
+    /// A transient fault an I/O was retried through: the sweep stops once
+    /// the landing in progress is done, and reports it.
+    fault: Option<Error>,
+    stats: &'s mut SweepStats,
+    on_change: &'s mut OnChange<'c>,
+}
+
+impl Path<'_, '_> {
+    /// Whether a unit with upper bound `hi` covers `key`. Keys ascend; a
+    /// key equal to a separator sits right of it in a tree of unique keys
+    /// and may sit on either side in one of repeated keys, which the sweep
+    /// descends leftmost.
+    fn covers(&self, hi: Option<u64>, key: u64) -> bool {
+        hi.is_none_or(|hi| key < hi || (!self.unique && key == hi))
     }
 }
 
@@ -164,9 +208,8 @@ impl BTree {
     /// against the stored entry first, so a chain that ends where it
     /// started touches nothing, and `on_change` reports each entry that
     /// did change. Without it keys may repeat, `Insert` always adds, and
-    /// a `Remove` that misses in the held leaf falls back to the
-    /// single-key search before it counts as rejected; `on_change` is not
-    /// called.
+    /// a `Remove` looks through every leaf that may hold its key before it
+    /// counts as rejected; `on_change` is not called.
     ///
     /// `stats` advances as leaves land; on `Err` it says how much of the
     /// batch is in the tree.
@@ -177,25 +220,41 @@ impl BTree {
         stats: &mut SweepStats,
         on_change: &mut OnChange<'_>,
     ) -> Result<()> {
-        let mut held = None;
-        let result = self.sweep(ops.into_iter().peekable(), unique, &mut held, stats, on_change);
-        if result.is_err() && self.height == 1 {
-            // The sweep may have failed with the resident root leaf taken
-            // out for editing: those edits are void, and the root comes
-            // back from its page.
-            let raw = self.disk.read_page_free(PageId::new(self.file, self.root_page))?;
-            self.root = Node::from_page(&raw)?;
+        let height = self.height;
+        let mut p = Path {
+            units: Vec::with_capacity(height),
+            edits: Edits::default(),
+            unique,
+            next_key: None,
+            root_dirty: false,
+            only_child: vec![None; height],
+            fault: None,
+            stats,
+            on_change,
+        };
+        let mut result = self.sweep(ops.into_iter().peekable(), &mut p);
+        if result.is_ok() {
+            result = self.finish(&mut p, false);
         }
-        result
+        if let Err(e) = result {
+            // The leaf's edits are void; what is above it lands.
+            if self.height == 1 {
+                let raw = self.disk.read_page_free(PageId::new(self.file, self.root_page))?;
+                self.root = Node::from_page(&raw)?;
+            } else if p.units.len() + 1 == self.height {
+                p.units.pop();
+            }
+            p.edits = Edits::default();
+            let _ = self.finish(&mut p, true);
+            return Err(e);
+        }
+        p.fault.take().map_or(Ok(()), Err)
     }
 
     fn sweep(
         &mut self,
         mut ops: Peekable<impl Iterator<Item = (u64, SweepOp)>>,
-        unique: bool,
-        held: &mut Option<Held>,
-        stats: &mut SweepStats,
-        on_change: &mut OnChange<'_>,
+        p: &mut Path,
     ) -> Result<()> {
         let mut last_key = 0;
         while let Some((key, op)) = ops.next() {
@@ -203,258 +262,578 @@ impl BTree {
                 return Err(Error::Invariant("apply_sorted input not sorted".into()));
             }
             last_key = key;
-            self.seek(held, key, stats, on_change)?;
-            let h = held.as_mut().expect("seek holds a leaf");
-            let structural = if unique {
+            self.seek(p, key)?;
+            if let Some(fault) = p.fault.take() {
+                return Err(fault);
+            }
+            if p.unique {
                 // Every operation on `key`, netted against the entry.
                 let rest = std::iter::from_fn(|| ops.next_if(|(k, _)| *k == key).map(|(_, op)| op));
-                self.edit_unique(h, key, std::iter::once(op).chain(rest))
+                self.edit_unique(p, key, std::iter::once(op).chain(rest))?;
             } else {
-                self.edit_repeated(h, key, op)
-            };
-            // What the held leaf cannot absorb goes through the recursive
-            // path, after the leaf is back on its page.
-            let Some((ops_taken, rejected, op)) = structural else { continue };
-            // With unique keys the held leaf has the entry a remove is after.
-            let before = match &op {
-                SweepOp::Remove(_) if unique => {
-                    let entries = h.entries();
-                    let at = entries.partition_point(|(k, _)| *k < key);
-                    entries.get(at).filter(|(k, _)| *k == key).map(|(_, v)| v.clone())
-                }
-                _ => None,
-            };
-            // The recursive path walks the pages the sweep just held: those
-            // it reads again free of charge.
-            let leaf_page = h.page;
-            let path = self.land(held.take().expect("still held"), stats, on_change)?;
-            let pages: Vec<u32> = path.iter().map(|f| f.page).chain([leaf_page]).collect();
-            let (applied, after) = match op {
-                SweepOp::Insert(value) => {
-                    self.insert_past(key, value.clone(), &pages)?;
-                    (true, Some(value))
-                }
-                SweepOp::Remove(exact) => {
-                    let hit = |v: &[u8]| exact.as_deref().is_none_or(|x| x == v);
-                    (self.remove_past(key, &hit, &pages)?, None)
-                }
-                SweepOp::Replace(_) => unreachable!("an overwrite never leaves its leaf"),
-            };
-            if unique && applied {
-                on_change(key, before.as_deref(), after.as_deref());
+                self.edit_repeated(p, key, op)?;
             }
-            stats.landed += ops_taken;
-            stats.rejected += rejected + u64::from(!applied);
         }
-        match held.take() {
-            Some(h) => self.land(h, stats, on_change).map(|_| ()),
-            None => Ok(()),
-        }
-    }
-
-    /// Make the held leaf the one `key` belongs in. Keys ascend, so a held
-    /// node covers `key` when its upper bound does.
-    fn seek(
-        &mut self,
-        held: &mut Option<Held>,
-        key: u64,
-        stats: &mut SweepStats,
-        on_change: &mut OnChange<'_>,
-    ) -> Result<()> {
-        let covers = |hi: Option<u64>| hi.is_none_or(|hi| key < hi);
-        if held.as_ref().is_some_and(|h| covers(h.hi)) {
-            return Ok(());
-        }
-        let mut path = match held.take() {
-            Some(h) => self.land(h, stats, on_change)?,
-            None => Vec::new(),
-        };
-        while path.last().is_some_and(|f| !covers(f.hi)) {
-            path.pop();
-        }
-        let fresh = |path, page, leaf, hi, image| Held {
-            path,
-            page,
-            leaf,
-            hi,
-            image,
-            touched: false,
-            ops: 0,
-            rejected: 0,
-            grown: 0,
-            changes: Vec::new(),
-        };
-        if self.height == 1 {
-            let root = std::mem::replace(&mut self.root, Node::empty_leaf());
-            *held = Some(fresh(path, self.root_page, root, None, None));
-            return Ok(());
-        }
-        // Entries under a key equal to a separator sit right of it in a
-        // tree of unique keys, and that is where an insert goes in any.
-        let child_of = |tree: &BTree, node: &Node, node_hi: Option<u64>| match node {
-            Node::Internal { keys, children } => {
-                tree.charge_search(keys.len());
-                let idx = Self::child_right(keys, key);
-                Ok((children[idx], keys.get(idx).copied().or(node_hi)))
-            }
-            Node::Leaf { .. } => Err(Error::Invariant("leaf above the leaf level".into())),
-        };
-        let (mut page, mut hi) = match path.last() {
-            Some(frame) => child_of(self, &frame.node, frame.hi)?,
-            None => child_of(self, &self.root, None)?,
-        };
-        // The root is level 1 and `path` holds levels 2..: the node on
-        // `page` sits at level `path.len() + 2`, leaves at `height`.
-        while path.len() + 2 < self.height {
-            let node = self.read_node(page)?;
-            let below = child_of(self, &node, hi)?;
-            path.push(Frame { page, node, hi });
-            (page, hi) = below;
-        }
-        let image = self.disk.read_page_rc(PageId::new(self.file, page))?;
-        let leaf = Node::from_page(&image)?;
-        if !leaf.is_leaf() {
-            return Err(Error::Invariant("internal node at the leaf level".into()));
-        }
-        *held = Some(fresh(path, page, leaf, hi, Some(image)));
         Ok(())
     }
 
-    /// Put the held leaf back — written only if its image differs from the
-    /// one read — then account for and report what was done on it. Hands
-    /// back the path above it.
-    fn land(
-        &mut self,
-        mut h: Held,
-        stats: &mut SweepStats,
-        on_change: &mut OnChange<'_>,
-    ) -> Result<Vec<Frame>> {
-        match &h.image {
-            None => {
-                if h.touched {
-                    let page = h.leaf.to_page(self.disk.page_size())?;
-                    self.disk.write_page_free(PageId::new(self.file, h.page), &page)?;
-                }
-                std::mem::swap(&mut self.root, &mut h.leaf);
+    /// Make the held leaf unit one that covers `key`: land the units that
+    /// do not — or take in their right neighbour, for an underfull unit
+    /// or one whose neighbour is the right edge — then descend.
+    fn seek(&mut self, p: &mut Path, key: u64) -> Result<()> {
+        p.next_key = Some(key);
+        while let Some(u) = p.units.last() {
+            if p.covers(u.hi, key) {
+                break;
             }
-            Some(image) if h.touched => {
-                let page = h.leaf.to_page(self.disk.page_size())?;
-                if page != **image {
-                    self.disk.write_page(PageId::new(self.file, h.page), &page)?;
-                    stats.leaves_written += 1;
-                }
+            let li = p.units.len() - 1;
+            let (_, children, parent_hi) = self.parent(p, li);
+            let end = u.first + u.pages.len();
+            let edge_next = end + 1 == children.len() && parent_hi.is_none();
+            let extend = (u.dirty && self.underfull(&u.node)) || edge_next;
+            if extend && self.extend_right(p, li, false)? {
+                continue;
             }
-            Some(_) => {}
-        }
-        self.entries = self.entries.checked_add_signed(h.grown).expect("entry count in range");
-        stats.landed += h.ops;
-        stats.rejected += h.rejected;
-        let leaf = if h.image.is_none() { &self.root } else { &h.leaf };
-        if let Node::Leaf { entries, .. } = leaf {
-            for (key, before) in &h.changes {
-                let at = entries.partition_point(|(k, _)| k < key);
-                let after = entries.get(at).filter(|(k, _)| k == key).map(|(_, v)| v.as_slice());
-                on_change(*key, before.as_deref(), after);
+            self.land(p, li, false)?;
+            if p.fault.is_some() {
+                return Ok(());
             }
         }
-        Ok(h.path)
+        while p.units.len() + 1 < self.height {
+            let li = p.units.len();
+            self.charge_search(self.segment(p, li.checked_sub(1), key));
+            let (keys, children, hi) = self.parent(p, li);
+            let first =
+                if p.unique { Self::child_right(keys, key) } else { Self::child_left(keys, key) };
+            let (page, hi) = (children[first], keys.get(first).copied().or(hi));
+            let image = self.read_io(page, false, &mut p.fault)?;
+            let node = Node::from_page(&image)?;
+            if node.is_leaf() != (li + 2 == self.height) {
+                return Err(Error::Invariant(format!("page {page}: node at the wrong level")));
+            }
+            let pages = vec![page];
+            p.units.push(Unit { node, pages, images: vec![image], first, hi, dirty: false });
+        }
+        Ok(())
     }
 
-    /// Whether the held leaf may lose an entry without falling under half
-    /// full (the root never underflows).
-    fn spare_entry(&self, h: &Held) -> bool {
-        h.image.is_none() || 2 * (h.leaf.len() - 1) >= self.cfg.leaf_cap
+    /// The node the unit at `li` hangs under: its separators, children and
+    /// upper bound.
+    fn parent<'a>(&'a self, p: &'a Path, li: usize) -> (&'a [u64], &'a [u32], Option<u64>) {
+        let (node, hi) = match li.checked_sub(1) {
+            Some(up) => (&p.units[up].node, p.units[up].hi),
+            None => (&self.root, None),
+        };
+        match node {
+            Node::Internal { keys, children } => (keys, children, hi),
+            Node::Leaf { .. } => unreachable!("a held unit hangs under an internal node"),
+        }
+    }
+
+    /// What the node `key` falls in held when it was read — one page of
+    /// the unit at `li`, or the root for `None`: a search charges its
+    /// entries (keys) as if the unit were still the pages it came from.
+    fn segment(&self, p: &Path, li: Option<usize>, key: u64) -> usize {
+        let Some(li) = li else { return self.root.len() };
+        let u = &p.units[li];
+        if u.pages.len() == 1 {
+            return u.node.len();
+        }
+        let (keys, _, _) = self.parent(p, li);
+        let seps = &keys[u.first..u.first + u.pages.len() - 1];
+        let j = seps.partition_point(|&sep| !p.covers(Some(sep), key));
+        let (lo, hi) = (j.checked_sub(1).map(|i| seps[i]), seps.get(j).copied());
+        match &u.node {
+            Node::Leaf { entries, .. } => {
+                let at = |sep: Option<u64>| {
+                    sep.map_or(entries.len(), |sep| entries.partition_point(|(k, _)| *k < sep))
+                };
+                at(hi) - lo.map_or(0, |lo| at(Some(lo)))
+            }
+            Node::Internal { keys, .. } => {
+                let end = hi.map_or(keys.len(), |hi| keys.partition_point(|&k| k < hi));
+                end - lo.map_or(0, |lo| keys.partition_point(|&k| k <= lo))
+            }
+        }
+    }
+
+    /// Take the right neighbour of the unit at `li` into it — after the
+    /// unit above took in its own, if this one ends at its last child.
+    /// False on the right edge of the level.
+    fn extend_right(&mut self, p: &mut Path, li: usize, retry: bool) -> Result<bool> {
+        let end = p.units[li].first + p.units[li].pages.len();
+        if end == self.parent(p, li).1.len() && (li == 0 || !self.extend_right(p, li - 1, retry)?) {
+            return Ok(false);
+        }
+        let (keys, children, parent_hi) = self.parent(p, li);
+        let (page, sep, hi) = (children[end], keys[end - 1], keys.get(end).copied().or(parent_hi));
+        let on_the_way = p.next_key.filter(|&key| p.covers(hi, key));
+        if let Some(key) = on_the_way {
+            // What the descent to the key would have searched.
+            self.charge_search(self.segment(p, li.checked_sub(1), key));
+        }
+        let image = self.read_io(page, retry, &mut p.fault)?;
+        let node = Node::from_page(&image)?;
+        if li + 2 == self.height && on_the_way.is_none() {
+            p.stats.siblings_read += 1;
+        }
+        let u = &mut p.units[li];
+        u.node.absorb(sep, node);
+        u.pages.push(page);
+        u.images.push(image);
+        u.hi = hi;
+        Ok(true)
+    }
+
+    /// Take the left neighbour of the unit at `li` into it (an emptied
+    /// right edge; the sweep never passed that neighbour, or the unit
+    /// would hold it). False when the unit begins its level.
+    fn extend_left(&mut self, p: &mut Path, li: usize, retry: bool) -> Result<bool> {
+        if p.units[li].first == 0 && (li == 0 || !self.extend_left(p, li - 1, retry)?) {
+            return Ok(false);
+        }
+        let first = p.units[li].first;
+        let (keys, children, _) = self.parent(p, li);
+        let (page, sep) = (children[first - 1], keys[first - 1]);
+        let image = self.read_io(page, retry, &mut p.fault)?;
+        let mut left = Node::from_page(&image)?;
+        if li + 2 == self.height {
+            p.stats.siblings_read += 1;
+        }
+        let added = match &left {
+            Node::Internal { children, .. } => children.len(),
+            Node::Leaf { .. } => 0,
+        };
+        let u = &mut p.units[li];
+        left.absorb(sep, std::mem::replace(&mut u.node, Node::empty_leaf()));
+        u.node = left;
+        u.pages.insert(0, page);
+        u.images.insert(0, image);
+        u.first -= 1;
+        if let Some(below) = p.units.get_mut(li + 1) {
+            below.first += added;
+        }
+        Ok(true)
+    }
+
+    /// Land the unit at `li`, the deepest held: mend an underflow it made
+    /// (or an emptied right edge), cut it into pages, write what changed,
+    /// hand the pages and separators to the unit above. With `retry`
+    /// every I/O is finished through transient faults; otherwise a leaf
+    /// unit whose first write fails is voided instead.
+    fn land(&mut self, p: &mut Path, li: usize, retry: bool) -> Result<()> {
+        loop {
+            let u = &p.units[li];
+            let mend = if u.hi.is_some() { self.underfull(&u.node) } else { u.node.is_empty() };
+            let extended = match (u.dirty && mend, u.hi) {
+                (false, _) => false,
+                (true, Some(_)) => self.extend_right(p, li, retry)?,
+                (true, None) => self.extend_left(p, li, retry)?,
+            };
+            if !extended {
+                break;
+            }
+        }
+        let u = p.units.pop().expect("landing a held unit");
+        let leaf = u.node.is_leaf();
+        let afters = if leaf { Self::afters(&p.edits, &u.node) } else { Vec::new() };
+        if !u.dirty {
+            if leaf {
+                self.account(p, afters);
+            }
+            return Ok(());
+        }
+        let m = u.pages.len();
+        let (keys, _, _) = self.parent(p, li);
+        let old_seps = keys[u.first..u.first + m - 1].to_vec();
+        let after = match &u.node {
+            Node::Leaf { next, .. } => *next,
+            Node::Internal { .. } => None,
+        };
+        let (mut pieces, seps) = self.cut(u.node, u.hi.is_none(), &old_seps);
+        let k = pieces.len();
+        let mut pages = u.pages[..k.min(m)].to_vec();
+        while pages.len() < k {
+            pages.push(self.alloc_page()?);
+        }
+        let size = self.disk.page_size();
+        let mut images = Vec::with_capacity(k);
+        for (i, piece) in pieces.iter_mut().enumerate() {
+            if let Node::Leaf { next, .. } = piece {
+                *next = pages.get(i + 1).copied().or(after);
+            }
+            images.push(piece.to_page(size)?);
+        }
+        // New pages first: until a page the tree points at is written, a
+        // leaf unit can still be voided.
+        let mut committed = retry || !leaf;
+        let order = (m.min(k)..k).chain((0..m.min(k)).filter(|&i| images[i] != *u.images[i]));
+        let mut written = 0;
+        for i in order {
+            if let Err(e) = self.write_io(pages[i], &images[i], committed, &mut p.fault) {
+                if !committed {
+                    for &page in &pages[m.min(k)..] {
+                        self.free_page(page)?;
+                    }
+                }
+                return Err(e);
+            }
+            committed |= i < m;
+            written += 1;
+        }
+        for &page in &u.pages[k.min(m)..] {
+            self.free_page(page)?;
+        }
+        let metrics = self.disk.metrics();
+        (0..k.saturating_sub(m)).for_each(|_| metrics.incr_id(self.c_splits));
+        (0..m.saturating_sub(k)).for_each(|_| metrics.incr_id(self.c_merges));
+        if leaf {
+            self.leaves = (self.leaves + k as u64) - m as u64;
+            p.stats.leaves_written += written;
+            self.account(p, afters);
+        }
+        if k != m || seps != old_seps {
+            let (first, parent) = (u.first, self.parent_mut(p, li));
+            let Node::Internal { keys, children } = parent else { unreachable!() };
+            keys.splice(first..first + m - 1, seps);
+            children.splice(first..first + m, pages.iter().copied());
+            let only = children.len() == 1;
+            match li.checked_sub(1) {
+                Some(up) => p.units[up].dirty = true,
+                None => p.root_dirty = true,
+            }
+            if only {
+                p.only_child[li] = Some((pages[0], pieces.swap_remove(0)));
+            }
+        }
+        Ok(())
+    }
+
+    fn parent_mut<'a>(&'a mut self, p: &'a mut Path, li: usize) -> &'a mut Node {
+        match li.checked_sub(1) {
+            Some(up) => &mut p.units[up].node,
+            None => &mut self.root,
+        }
+    }
+
+    /// The value each entry the edits changed holds on `leaf` now.
+    fn afters(edits: &Edits, leaf: &Node) -> Vec<Option<Vec<u8>>> {
+        let Node::Leaf { entries, .. } = leaf else { unreachable!("the sweep edits leaves") };
+        let after = |key: u64| {
+            let at = entries.partition_point(|(k, _)| *k < key);
+            entries.get(at).filter(|(k, _)| *k == key).map(|(_, v)| v.clone())
+        };
+        edits.changes.iter().map(|(key, _)| after(*key)).collect()
+    }
+
+    /// The edited leaf landed, its changed entries now holding `afters`:
+    /// count its operations and entries and report what changed.
+    fn account(&mut self, p: &mut Path, afters: Vec<Option<Vec<u8>>>) {
+        let edits = std::mem::take(&mut p.edits);
+        self.entries = self.entries.checked_add_signed(edits.grown).expect("entry count in range");
+        p.stats.landed += edits.ops;
+        p.stats.rejected += edits.rejected;
+        for ((key, before), after) in edits.changes.iter().zip(afters) {
+            (p.on_change)(*key, before.as_deref(), after.as_deref());
+        }
+    }
+
+    /// Whether `piece` makes a sound page: it fits, is not empty, and is
+    /// at least half full unless it is the right edge (`last`).
+    fn sound(&self, piece: &Node, last: bool) -> bool {
+        self.fits(piece) && !piece.is_empty() && (last || !self.underfull(piece))
+    }
+
+    /// Cut `node` into pages: at the separators `seps` it was read with
+    /// when every piece is then a sound page, else anew (module docs).
+    /// Returns the pieces and the separators between them.
+    fn cut(&self, node: Node, edge: bool, seps: &[u64]) -> (Vec<Node>, Vec<u64>) {
+        if seps.is_empty() && self.sound(&node, edge) {
+            return (vec![node], Vec::new());
+        }
+        let node = &node;
+        let (len, leaf) = (node.len(), node.is_leaf());
+        let sound = |pieces: &[Node]| {
+            let last = pieces.len() - 1;
+            pieces.iter().enumerate().all(|(i, piece)| self.sound(piece, edge && i == last))
+        };
+        let at: Option<Vec<usize>> = seps
+            .iter()
+            .map(|&sep| match node {
+                Node::Leaf { entries, .. } => Some(entries.partition_point(|(k, _)| *k < sep)),
+                Node::Internal { keys, .. } => keys.iter().position(|&k| k == sep),
+            })
+            .collect();
+        // Every piece keeps an entry (a key, for an internal node).
+        let apart = |at: &Vec<usize>| {
+            at.windows(2).all(|w| w[0] < w[1])
+                && at.first().is_none_or(|&first| first > 0)
+                && at.last().is_none_or(|&last| last < len)
+        };
+        if let Some(at) = at.filter(apart) {
+            let (pieces, cut_seps) = Self::split_at(node, &at);
+            if sound(&pieces) {
+                return (pieces, cut_seps);
+            }
+        }
+        let cap = if leaf { self.cfg.leaf_cap } else { self.cfg.internal_cap };
+        let up = usize::from(!leaf); // an internal cut moves its key up
+        let mut sizes = Vec::new();
+        if edge {
+            let mut rest = len;
+            while rest > cap {
+                let take = cap.min(rest - 1 - up);
+                sizes.push(take);
+                rest -= take + up;
+            }
+            sizes.push(rest);
+        } else {
+            let k = (len + up).div_ceil(cap + up).max(1);
+            let kept = len - (k - 1) * up;
+            sizes = (0..k).map(|i| kept / k + usize::from(i < kept % k)).collect();
+        }
+        let at: Vec<usize> = sizes[..sizes.len() - 1]
+            .iter()
+            .scan(0, |at, &size| {
+                *at += size;
+                let here = *at;
+                *at += up;
+                Some(here)
+            })
+            .collect();
+        let (pieces, cut_seps) = Self::split_at(node, &at);
+        if pieces.iter().all(|piece| self.fits(piece)) {
+            return (pieces, cut_seps);
+        }
+        // Values of unequal width: as many entries to a page as fit.
+        let Node::Leaf { entries, .. } = node else { unreachable!("internal nodes fit by count") };
+        let (mut at, mut count, mut bytes) = (Vec::new(), 0, 7);
+        for (i, (_, v)) in entries.iter().enumerate() {
+            if count == cap || bytes + 10 + v.len() > self.disk.page_size() {
+                at.push(i);
+                (count, bytes) = (0, 7);
+            }
+            count += 1;
+            bytes += 10 + v.len();
+        }
+        Self::split_at(node, &at)
+    }
+
+    /// Cut `node` at the ascending positions `at` (entries of a leaf, the
+    /// keys that move up of an internal node).
+    fn split_at(node: &Node, at: &[usize]) -> (Vec<Node>, Vec<u64>) {
+        let mut rest = node.clone();
+        let (mut pieces, mut seps) = (Vec::with_capacity(at.len() + 1), Vec::new());
+        for &cut in at.iter().rev() {
+            let (sep, right) = rest.split_off(cut, 0);
+            pieces.push(right);
+            seps.push(sep);
+        }
+        pieces.push(rest);
+        pieces.reverse();
+        seps.reverse();
+        (pieces, seps)
+    }
+
+    /// Land every held unit, then settle the root: hand it down while it
+    /// has one child, grow the tree while it overflows, write it.
+    fn finish(&mut self, p: &mut Path, retry: bool) -> Result<()> {
+        p.next_key = None;
+        while let Some(li) = p.units.len().checked_sub(1) {
+            self.land(p, li, retry)?;
+        }
+        let root_leaf = self.height == 1;
+        let mut level = 0;
+        while let Node::Internal { keys, children } = &self.root {
+            if !keys.is_empty() {
+                break;
+            }
+            let (old, child) = (self.root_page, children[0]);
+            self.root = match p.only_child.get_mut(level).and_then(Option::take) {
+                Some((page, node)) if page == child => node,
+                _ => Node::from_page(&self.read_io(child, true, &mut p.fault)?)?,
+            };
+            (self.root_page, level) = (child, level + 1);
+            self.height -= 1;
+            self.free_page(old)?;
+            p.root_dirty = true;
+        }
+        let afters = if root_leaf { Self::afters(&p.edits, &self.root) } else { Vec::new() };
+        while !self.fits(&self.root) {
+            // The root is the right edge of its level.
+            let root = std::mem::replace(&mut self.root, Node::empty_leaf());
+            let (pieces, seps) = self.cut(root, true, &[]);
+            let mut pages = Vec::with_capacity(pieces.len());
+            for _ in &pieces {
+                pages.push(self.alloc_page()?);
+            }
+            for (i, mut piece) in pieces.into_iter().enumerate() {
+                if let Node::Leaf { next, .. } = &mut piece {
+                    *next = pages.get(i + 1).copied();
+                    self.leaves += u64::from(i > 0);
+                    p.stats.leaves_written += 1;
+                }
+                let image = piece.to_page(self.disk.page_size())?;
+                self.write_io(pages[i], &image, true, &mut p.fault)?;
+                self.disk.metrics().incr_id(self.c_splits);
+            }
+            self.root = Node::Internal { keys: seps, children: pages };
+            self.height += 1;
+            p.root_dirty = true;
+        }
+        if p.root_dirty {
+            self.write_root_free()?;
+        }
+        if root_leaf {
+            self.account(p, afters);
+        }
+        Ok(())
+    }
+
+    /// Read a page of the tree, charged; with `retry`, through transient
+    /// faults, the first of which is kept in `fault`.
+    fn read_io(&self, page: u32, retry: bool, fault: &mut Option<Error>) -> Result<Rc<Vec<u8>>> {
+        let pid = PageId::new(self.file, page);
+        let mut tries = 0;
+        loop {
+            match self.disk.read_page_rc(pid) {
+                Err(e) if retry && e.is_retryable() && tries < RETRIES => {
+                    fault.get_or_insert(e);
+                    tries += 1;
+                }
+                read => return read,
+            }
+        }
+    }
+
+    /// Write a page of the tree, charged; with `retry`, through device
+    /// faults (a full-page write heals a torn or poisoned mark), the first
+    /// of which is kept in `fault`.
+    fn write_io(
+        &self,
+        page: u32,
+        image: &[u8],
+        retry: bool,
+        fault: &mut Option<Error>,
+    ) -> Result<()> {
+        let pid = PageId::new(self.file, page);
+        let mut tries = 0;
+        loop {
+            match self.disk.write_page(pid, image) {
+                Err(e) if retry && e.is_device_fault() && tries < RETRIES => {
+                    fault.get_or_insert(e);
+                    tries += 1;
+                }
+                written => return written,
+            }
+        }
+    }
+
+    /// The leaf the sweep edits: the leaf unit, or the resident root leaf.
+    fn held<'a>(&'a self, p: &'a Path) -> &'a [(u64, Vec<u8>)] {
+        match p.units.last().map_or(&self.root, |u| &u.node) {
+            Node::Leaf { entries, .. } => entries,
+            Node::Internal { .. } => unreachable!("the sweep edits leaves"),
+        }
+    }
+
+    /// [`BTree::held`], to edit.
+    fn held_mut<'a>(&'a mut self, p: &'a mut Path) -> &'a mut Vec<(u64, Vec<u8>)> {
+        let (leaf, dirty) = match p.units.last_mut() {
+            Some(u) => (&mut u.node, &mut u.dirty),
+            None => (&mut self.root, &mut p.root_dirty),
+        };
+        *dirty = true;
+        match leaf {
+            Node::Leaf { entries, .. } => entries,
+            Node::Internal { .. } => unreachable!("the sweep edits leaves"),
+        }
+    }
+
+    /// Refuse an entry no page could hold.
+    fn check_width(&self, value: &[u8]) -> Result<()> {
+        let (needed, available) = (10 + value.len(), self.disk.page_size());
+        if 7 + needed > available {
+            return Err(Error::PageOverflow { needed, available });
+        }
+        Ok(())
     }
 
     /// Unique keys: net every operation on `key` against the entry the
     /// held leaf has (or lacks) — [`net_chain`] — then make the one edit
-    /// the verdict needs. Returns the edit instead, with the operations it
-    /// stands for and the rejected among them, when the leaf cannot take
-    /// it: an insert that overflows, a remove that underflows.
+    /// the verdict needs.
     fn edit_unique(
-        &self,
-        h: &mut Held,
+        &mut self,
+        p: &mut Path,
         key: u64,
         chain: impl Iterator<Item = SweepOp>,
-    ) -> Option<(u64, u64, SweepOp)> {
-        let entries = h.entries();
-        self.charge_search(entries.len());
+    ) -> Result<()> {
+        self.charge_search(self.segment(p, p.units.len().checked_sub(1), key));
+        let entries = self.held(p);
         let at = entries.partition_point(|(k, _)| *k < key);
         let stored = entries.get(at).filter(|(k, _)| *k == key).map(|(_, v)| v.as_slice());
         let had = stored.is_some();
         let (netted, ops, rejected) = net_chain(stored, chain);
-        match netted {
-            Netted::Put(v) if had => {
-                let before = std::mem::replace(&mut h.entries()[at].1, v);
-                self.disk.cost().mov(1);
-                h.changes.push((key, Some(before)));
-                h.touched = true;
-            }
+        p.edits.ops += ops;
+        p.edits.rejected += rejected;
+        let before = match netted {
+            Netted::Unchanged => return Ok(()),
             Netted::Put(v) => {
-                h.entries().insert(at, (key, v));
-                if !self.fits(&h.leaf) {
-                    let (_, v) = h.entries().remove(at);
-                    return Some((ops, rejected, SweepOp::Insert(v)));
-                }
+                self.check_width(&v)?;
                 self.disk.cost().mov(1);
-                h.changes.push((key, None));
-                h.grown += 1;
-                h.touched = true;
+                if had {
+                    Some(std::mem::replace(&mut self.held_mut(p)[at].1, v))
+                } else {
+                    self.held_mut(p).insert(at, (key, v));
+                    p.edits.grown += 1;
+                    None
+                }
             }
             Netted::Remove => {
-                if !self.spare_entry(h) {
-                    return Some((ops, rejected, SweepOp::Remove(None)));
-                }
-                let (_, before) = h.entries().remove(at);
-                h.changes.push((key, Some(before)));
-                h.grown -= 1;
-                h.touched = true;
+                p.edits.grown -= 1;
+                Some(self.held_mut(p).remove(at).1)
             }
-            Netted::Unchanged => {}
-        }
-        h.ops += ops;
-        h.rejected += rejected;
-        None
+        };
+        p.edits.changes.push((key, before));
+        Ok(())
     }
 
-    /// Repeated keys: apply one operation to the held leaf. Returns it
-    /// instead (as one operation, none rejected) when the leaf cannot take
-    /// it or cannot tell — a remove that misses here may hit a leaf to the
-    /// left.
-    fn edit_repeated(&self, h: &mut Held, key: u64, op: SweepOp) -> Option<(u64, u64, SweepOp)> {
+    /// Repeated keys: apply one operation to the held leaf. A remove that
+    /// misses looks on in the leaves to the right while they may hold the
+    /// key.
+    fn edit_repeated(&mut self, p: &mut Path, key: u64, op: SweepOp) -> Result<()> {
+        p.edits.ops += 1;
         match op {
             SweepOp::Insert(value) => {
-                let entries = h.entries();
-                self.charge_search(entries.len());
+                self.check_width(&value)?;
+                self.charge_search(self.segment(p, p.units.len().checked_sub(1), key));
+                self.disk.cost().mov(1);
+                let entries = self.held_mut(p);
                 let at =
                     entries.partition_point(|(k, v)| (*k, v.as_slice()) <= (key, value.as_slice()));
                 entries.insert(at, (key, value));
-                if !self.fits(&h.leaf) {
-                    let (_, value) = h.entries().remove(at);
-                    return Some((1, 0, SweepOp::Insert(value)));
-                }
-                self.disk.cost().mov(1);
-                h.grown += 1;
-                h.touched = true;
+                p.edits.grown += 1;
             }
-            SweepOp::Remove(exact) => {
-                let entries = h.entries();
-                self.disk.cost().comp(entries.len() as u64);
-                let found = entries
-                    .iter()
-                    .position(|(k, v)| *k == key && exact.as_deref().is_none_or(|x| x == v));
-                match found {
-                    Some(at) if self.spare_entry(h) => {
-                        h.entries().remove(at);
-                        h.grown -= 1;
-                        h.touched = true;
-                    }
-                    _ => return Some((1, 0, SweepOp::Remove(exact))),
+            SweepOp::Remove(exact) => loop {
+                let cost = self.segment(p, p.units.len().checked_sub(1), key);
+                self.disk.cost().comp(cost as u64);
+                let hit = |(k, v): &(u64, Vec<u8>)| {
+                    *k == key && exact.as_deref().is_none_or(|x| x == v.as_slice())
+                };
+                if let Some(at) = self.held(p).iter().position(hit) {
+                    self.held_mut(p).remove(at);
+                    p.edits.grown -= 1;
+                    break;
                 }
-            }
-            SweepOp::Replace(_) => h.rejected += 1,
+                let li = p.units.len().wrapping_sub(1);
+                let more = p.units.last().is_some_and(|u| u.hi == Some(key));
+                if !(more && self.extend_right(p, li, false)?) {
+                    p.edits.rejected += 1;
+                    break;
+                }
+            },
+            SweepOp::Replace(_) => p.edits.rejected += 1,
         }
-        h.ops += 1;
-        None
+        Ok(())
     }
 }

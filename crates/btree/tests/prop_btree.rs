@@ -162,7 +162,7 @@ proptest! {
     /// Random insert/delete interleavings against the `BTreeMap` reference
     /// model, with structural invariants re-checked after *every* op (the
     /// model test above only audits the final tree): underflow handling
-    /// during deletes, `remove_where` picking an arbitrary duplicate, full
+    /// during deletes, `remove_any` picking an arbitrary duplicate, full
     /// scans staying a multiset image of the model, and a final drain down
     /// to the empty tree.
     #[test]
@@ -173,7 +173,7 @@ proptest! {
                     .prop_map(|(k, v)| Op::Insert(k, v)),
                 2 => (0u64..24, prop::collection::vec(any::<u8>(), 0..8))
                     .prop_map(|(k, v)| Op::Remove(k, v)),
-                2 => (0u64..24).prop_map(Op::Lookup), // reused as remove_where(k)
+                2 => (0u64..24).prop_map(Op::Lookup), // reused as remove_any(k)
             ],
             1..120,
         ),
@@ -194,11 +194,11 @@ proptest! {
                     let got = tree.remove_exact(k, &v).unwrap();
                     prop_assert_eq!(got, model_remove(&mut model, k, &v));
                 }
-                // Repurposed as remove_where: drop an *arbitrary* record
+                // Repurposed as remove_any: drop an *arbitrary* record
                 // under k (whichever the tree finds first) and reconcile the
                 // model from the tree's own post-state.
                 Op::Lookup(k) => {
-                    let got = tree.remove_where(k, |_| true).unwrap();
+                    let got = tree.remove_any(k).unwrap();
                     let want = model_lookup(&model, k);
                     prop_assert_eq!(got, !want.is_empty());
                     if got {
@@ -285,7 +285,7 @@ proptest! {
                 _ if live.is_empty() => {}
                 _ => {
                     let key = live.swap_remove(pick as usize % live.len());
-                    prop_assert!(tree.remove_where(key, |_| true).unwrap());
+                    prop_assert!(tree.remove_any(key).unwrap());
                 }
             }
             tree.check_invariants().unwrap();
@@ -298,7 +298,7 @@ proptest! {
         }
         // Drained, everything but the root leaf is back on the free list.
         for key in live {
-            prop_assert!(tree.remove_where(key, |_| true).unwrap());
+            prop_assert!(tree.remove_any(key).unwrap());
         }
         tree.check_invariants().unwrap();
         prop_assert_eq!((tree.height(), tree.node_pages()), (1, 1));
@@ -321,7 +321,7 @@ proptest! {
         for pick in deleted {
             if keys.len() > 1 {
                 let key = keys.remove(pick as usize % keys.len());
-                prop_assert!(tree.remove_where(key, |_| true).unwrap());
+                prop_assert!(tree.remove_any(key).unwrap());
             }
         }
         let shape = (tree.height(), tree.leaf_pages(), tree.node_pages());
@@ -425,6 +425,126 @@ proptest! {
         prop_assert_eq!(disk.metrics().counter("disk.writes") - writes, dirty);
         prop_assert_eq!(stats.leaves_written, dirty);
         tree.check_invariants().unwrap();
+    }
+
+    /// Charge law of a sweep that changes structure: appends past the
+    /// right edge, inserts that overflow mid-range leaves and removes that
+    /// underflow them, with unique keys and with repeated ones. It reads
+    /// at most each leaf holding a key of the batch, each internal page,
+    /// and one sibling per underfull leaf the batch does not reach; writes
+    /// no leaf twice; and leaves a sound, packed tree holding what the
+    /// operations one by one would.
+    #[test]
+    fn structural_sweep_reads_and_writes_each_page_once(
+        stored in prop::collection::vec((0u64..200, 0u8..4), 1..250),
+        raw in prop::collection::vec((0u8..6, any::<u32>(), 0u8..4), 1..300),
+        leaf_cap in 2usize..8,
+        unique in any::<bool>(),
+    ) {
+        let params = SystemParams { page_size: 256, ..SystemParams::paper_defaults() };
+        let disk = SimDisk::new(&params, Cost::new());
+        let cfg = BTreeConfig { leaf_cap, internal_cap: 3 };
+        // Stored keys are even, so an odd key is a mid-range insert; with
+        // repeated keys a key holds up to four values.
+        let stored: BTreeSet<(u64, u8)> =
+            stored.into_iter().map(|(k, v)| (2 * k, if unique { 0 } else { v })).collect();
+        let value = |v: u8| vec![v; 5];
+        let mut tree =
+            BTree::bulk_load(&disk, cfg, stored.iter().map(|&(k, v)| (k, value(v)))).unwrap();
+        let mut model: BTreeSet<(u64, u8)> = stored.clone();
+        let last = stored.iter().map(|&(k, _)| k).max().unwrap();
+        let mut ops: Vec<(u64, SweepOp)> = Vec::new();
+        for (kind, pick, v) in raw {
+            let v = if unique { 0 } else { v };
+            let (key, v, op) = match kind {
+                0 => (last + 1 + u64::from(pick % 300), v, SweepOp::Insert(value(v))),
+                1 | 2 => (u64::from(pick % 200) * 2 + 1, v, SweepOp::Insert(value(v))),
+                3 | 4 => {
+                    let &(k, v) = stored.iter().nth(pick as usize % stored.len()).unwrap();
+                    (k, v, SweepOp::Remove(Some(value(v))))
+                }
+                _ => {
+                    let &(k, v) = stored.iter().nth(pick as usize % stored.len()).unwrap();
+                    (k, v, SweepOp::Replace(value(9)))
+                }
+            };
+            // One operation per entry, so the model need not order them.
+            let entry = (key, v);
+            let fresh = matches!(op, SweepOp::Insert(_)) && !model.contains(&entry);
+            let gone = matches!(op, SweepOp::Remove(_)) && model.contains(&entry);
+            if (fresh || gone) && !ops.iter().any(|(k, o)| *k == key && (unique || o == &op)) {
+                if fresh { model.insert(entry); } else { model.remove(&entry); }
+                ops.push((key, op));
+            } else if unique && matches!(op, SweepOp::Replace(_))
+                && model.contains(&entry) && !ops.iter().any(|(k, _)| *k == key)
+            {
+                ops.push((key, op));
+            }
+        }
+        ops.sort_by_key(|(key, _)| *key);
+        let replaced: BTreeSet<u64> = ops
+            .iter()
+            .filter(|(_, op)| matches!(op, SweepOp::Replace(_)))
+            .map(|(k, _)| *k)
+            .collect();
+
+        // Each leaf's key range, from the bulk load's separators (each
+        // leaf's first key); a key equal to one may sit on either side of
+        // it with repeated keys.
+        let mut lows: Vec<u64> = Vec::new();
+        let mut page = None;
+        tree.for_each_pinned(|k, _, image| {
+            let at = image.map(|p| std::rc::Rc::as_ptr(p) as usize);
+            if lows.is_empty() || at != page {
+                lows.push(k);
+                page = at;
+            }
+            true
+        })
+        .unwrap();
+        let holds = |i: usize, key: u64| {
+            let lo = if i == 0 { 0 } else { lows[i] };
+            let hi = lows.get(i + 1).copied().unwrap_or(u64::MAX);
+            lo <= key && (key < hi || (!unique && key == hi))
+        };
+        let leaves_of = |keys: &mut dyn Iterator<Item = u64>| -> BTreeSet<usize> {
+            keys.flat_map(|key| (0..lows.len()).filter(move |&i| holds(i, key))).collect()
+        };
+        let touched = leaves_of(&mut ops.iter().map(|(k, _)| *k));
+        let removing = leaves_of(&mut ops.iter().filter(|(_, op)| matches!(op, SweepOp::Remove(_))).map(|(k, _)| *k));
+        let internal = (tree.node_pages() - tree.leaf_pages()).saturating_sub(1);
+        let counter = |name: &str| disk.metrics().counter(name);
+        let (reads, splits) = (counter("disk.reads"), counter("btree.splits"));
+
+        let mut stats = SweepStats::default();
+        tree.apply_sorted(ops.clone(), unique, &mut stats, &mut |_, _, _| {}).unwrap();
+        let (reads, splits) = (counter("disk.reads") - reads, counter("btree.splits") - splits);
+        prop_assert_eq!((stats.landed, stats.rejected), (ops.len() as u64, 0));
+        let leaves = if lows.len() > 1 { touched.len() as u64 } else { 0 };
+        prop_assert!(
+            reads <= leaves + internal + stats.siblings_read,
+            "{} reads: {} leaves, {} internal pages, {} siblings",
+            reads, leaves, internal, stats.siblings_read
+        );
+        prop_assert!(stats.siblings_read <= removing.len() as u64);
+        prop_assert!(
+            stats.leaves_written <= leaves + stats.siblings_read + splits,
+            "{} leaf writes: {} leaves, {} siblings, {} split off",
+            stats.leaves_written, leaves, stats.siblings_read, splits
+        );
+        tree.check_invariants().unwrap();
+        let want: Vec<(u64, Vec<u8>)> = model
+            .iter()
+            .map(|&(k, v)| (k, if replaced.contains(&k) { value(9) } else { value(v) }))
+            .collect();
+        let mut got = tree.scan_range(0, u64::MAX).unwrap();
+        got.sort();
+        prop_assert_eq!(got, want);
+        prop_assert!(
+            tree.leaf_pages() <= 2 * tree.packed_leaf_pages() + 1,
+            "{} leaves for {} entries at {} per leaf",
+            tree.leaf_pages(), tree.len(), leaf_cap
+        );
     }
 
     /// Work-proportional maintenance, three ways. A batch whose net effect

@@ -485,6 +485,85 @@ fn settle_fault_in_a_multi_epoch_log_resumes_from_the_landed_prefix() {
     oracle::assert_same_join("hh/after", got, oracle::join_tuples(&mirror, &tuples(150)));
 }
 
+/// A settle whose sweep splits and merges, faulted at each of its charged
+/// I/Os in turn: a transient read fault at every read, then a transient
+/// write fault at every write of `R`'s clustered tree. Every time the
+/// settle fails, the retry lands the rest, the tree audits clean and the
+/// view, the join index and hybrid hash answer as the oracle does.
+#[test]
+fn settle_fault_at_every_io_of_a_structural_sweep() {
+    // `R` holds even surrogates only, so odd ones insert mid-range.
+    let r_tuples = || -> Vec<BaseTuple> {
+        (0..400u32).map(|i| BaseTuple::padded(Surrogate(2 * i), (i % 7) as u64, 64)).collect()
+    };
+    let mut mirror: std::collections::BTreeMap<u32, BaseTuple> =
+        r_tuples().into_iter().map(|t| (t.sur.0, t)).collect();
+    let mut batch: Vec<Mutation> = Vec::new();
+    for sur in (101..181u32).step_by(2).chain(2000..2030) {
+        let t = BaseTuple::padded(Surrogate(sur), (sur % 7) as u64, 64);
+        mirror.insert(sur, t.clone());
+        batch.push(Mutation::Insert(t));
+    }
+    for sur in (400..560u32).step_by(2) {
+        batch.push(Mutation::Delete(mirror.remove(&sur).unwrap()));
+    }
+    for sur in (600..700u32).step_by(6) {
+        let new = BaseTuple::padded(Surrogate(sur), (sur % 5) as u64, 64);
+        let old = mirror.insert(sur, new.clone()).unwrap();
+        batch.push(Mutation::Update(trijoin::Update { old, new }));
+    }
+    let r_now: Vec<BaseTuple> = mirror.into_values().collect();
+    let want = oracle::join_tuples(&r_now, &tuples(150));
+    let setup = || {
+        let mut db = Database::new(&params(), r_tuples(), tuples(150)).unwrap();
+        let mut strategies: Vec<CachedStrategy> =
+            Method::all().into_iter().map(|m| CachedStrategy::build(&db, m).unwrap()).collect();
+        for m in &batch {
+            for strategy in &mut strategies {
+                strategy.as_dyn().on_mutation(m).unwrap();
+            }
+            db.apply_r_mutation(m).unwrap();
+        }
+        let clustered = db.r().file_ids().next().unwrap();
+        (db, strategies, clustered)
+    };
+
+    // The clean settle: what it charges `R`'s clustered tree.
+    let (db, _, clustered) = setup();
+    let counter = |db: &Database, name: &str| db.metrics().counter(name);
+    let (read, write) =
+        (format!("disk.read.f{}", clustered.0), format!("disk.write.f{}", clustered.0));
+    let names = [read.as_str(), write.as_str(), "btree.splits", "btree.merges"];
+    let before = names.map(|name| counter(&db, name));
+    db.settle().unwrap();
+    let after = names.map(|name| counter(&db, name));
+    let [reads, writes, splits, merges]: [u64; 4] = std::array::from_fn(|i| after[i] - before[i]);
+    assert!(splits > 0 && merges > 0, "{splits} splits, {merges} merges");
+
+    let plans =
+        (0..reads)
+            .map(|n| (format!("read@{n}"), FaultPlan::new().fail_nth_read(Some(clustered), n)))
+            .chain((0..writes).map(|n| {
+                (format!("write@{n}"), FaultPlan::new().fail_nth_write(Some(clustered), n))
+            }));
+    for (label, plan) in plans {
+        let (db, mut strategies, _) = setup();
+        db.install_fault_plan(plan);
+        let err = db.settle().unwrap_err();
+        assert!(matches!(err, trijoin_common::Error::DeviceFault { .. }), "{label}: {err:?}");
+        assert_eq!(db.faults_fired(), 1, "{label}");
+        db.r().check_invariants().unwrap_or_else(|e| panic!("{label}: after the fault: {e}"));
+        db.settle().unwrap();
+        assert_eq!(db.metrics().counter("base.settle.ops"), batch.len() as u64, "{label}");
+        assert_eq!((db.r().pending_ops(), db.r().rejected_ops()), (0, 0), "{label}");
+        db.r().check_invariants().unwrap_or_else(|e| panic!("{label}: {e}"));
+        for strategy in &mut strategies {
+            let got = db.query(strategy.as_dyn()).unwrap();
+            oracle::assert_same_join(&format!("{label}/{}", strategy.method()), got, want.clone());
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Cross-cutting accounting.
 // ---------------------------------------------------------------------

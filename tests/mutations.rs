@@ -637,3 +637,34 @@ fn an_epoch_splits_the_ledger_into_log_base_and_query() {
         }
     }
 }
+
+/// A settle of the serving benchmark's mix — updates, inserts and deletes
+/// at 2:1:1 — charges what the model prices a sweep of its keys at
+/// (`model::sweep_cost`), within the 1.25× the audit holds settles to, plus
+/// one write per page it splits off: inserts that overflow a leaf and
+/// deletes that underflow one cost no more than the sweep's own pages.
+#[test]
+fn a_mixed_settle_charges_the_models_sweep_and_its_splits() {
+    let (gen, params) = law_fixture();
+    let mix = MutationMix { update: 0.5, insert: 0.25, delete: 0.25 };
+    for queued in [48usize, 160, 400] {
+        let mut db = Database::new(&params, gen.r.clone(), gen.s.clone()).unwrap();
+        let mut stream = gen.mutation_stream(mix);
+        for _ in 0..queued {
+            db.apply_r_mutation(&stream.next_mutation()).unwrap();
+        }
+        let splits = db.metrics().counter("btree.splits");
+        let did = db.r().settle().unwrap();
+        let splits = db.metrics().counter("btree.splits") - splits;
+        assert_eq!(did.ops, queued as u64, "one settle");
+        let (k, m, n) = (did.keys as f64, did.leaf_pages as f64, did.tuples as f64);
+        let priced = trijoin_model::sweep_cost(&params, k, m, n) * 1e6 / params.io_us;
+        let charged = did.charged.ios as f64;
+        assert!(
+            charged <= 1.25 * priced + splits as f64,
+            "{queued} mutations: {charged} I/Os charged, the model prices {priced:.1}, \
+             {splits} pages split off"
+        );
+        db.r().check_invariants().unwrap();
+    }
+}
