@@ -174,13 +174,19 @@ if grep -rn "all_costs\|cheapest(" crates/core/src crates/serve/src \
 fi
 
 # One write path: a base relation changes through its apply log and the
-# sorted sweep, nowhere else. `exec::relation` is the only engine, core or
-# serve module that holds a B+-tree, and it calls no single-key mutator.
+# sorted sweep, the join index through its passes, nowhere else.
+# `exec::relation` and `exec::joinindex` are the only engine, core or serve
+# modules that hold a B+-tree, and neither calls a single-key mutator.
 if grep -rl "trijoin_btree" crates/exec/src crates/core/src crates/serve/src \
-        | grep -v "^crates/exec/src/relation.rs$" \
-    || grep -nE "(clustered|inverted|inv)\.(insert|remove_exact|remove_any)\(" \
-        crates/exec/src/relation.rs; then
-    echo "a base-relation tree is mutated outside StoredRelation::settle"; exit 1
+        | grep -v "^crates/exec/src/\(relation\|joinindex\)\.rs$" \
+    || grep -nE "(clustered|inverted|inv|ji)\.(insert|remove_exact|remove_any)\(" \
+        crates/exec/src/relation.rs crates/exec/src/joinindex.rs; then
+    echo "a B+-tree is mutated outside StoredRelation::settle and the JI passes"; exit 1
+fi
+# One join-index format: the B+-tree. The third page format is gone.
+if grep -rnE "JiFile|JiPageMeta|pack_group_aligned|encode_ji_page_into|decode_ji_page" \
+        crates tests examples; then
+    echo "the join index's own page format is back"; exit 1
 fi
 # And the sweep splits and merges in its own stream: it calls none of the
 # tree's single-key mutators (no restart from the root).

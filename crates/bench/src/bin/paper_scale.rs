@@ -80,6 +80,6 @@ fn main() {
     }
     emit_json("paper_scale", &Json::obj().set("figure", "paper_scale").set("rows", rows));
     println!("\n(ratios near 1.0 mean the closed-form model prices the real pipeline well;");
-    println!(" the engine's B-tree heights, batching and group-aligned packing are real");
+    println!(" the engine's B-tree heights, batching and leaf packing are real");
     println!(" implementations, not the paper's idealized two/three-level formulas.)");
 }

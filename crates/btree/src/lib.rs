@@ -47,7 +47,7 @@
 pub mod node;
 pub mod tree;
 
-pub use tree::{net_chain, BTree, BTreeConfig, BTreeMeta, Netted, SweepOp, SweepStats};
+pub use tree::{net_chain, BTree, BTreeConfig, BTreeMeta, Netted, Passes, SweepOp, SweepStats};
 
 #[cfg(test)]
 mod tests {
@@ -607,6 +607,36 @@ mod tests {
         assert_eq!(reopened.meta().free_pages, meta.free_pages + 1);
         reopened.check_invariants().unwrap();
         assert_eq!(reopened.scan_range(0, u64::MAX).unwrap().len(), 24);
+    }
+
+    #[test]
+    fn passes_hold_whole_groups_read_once_and_pack_what_they_thin() {
+        let (disk, _c, _p) = setup();
+        // 20 groups of three keys over leaves of four: groups straddle.
+        let entries = (0..60u64).map(|i| (((i / 3) << 32) | (i % 3), vec![]));
+        let mut t = BTree::bulk_load(&disk, small_cfg(), entries).unwrap();
+        let (nodes, reads) = (t.node_pages(), disk.metrics().counter("disk.reads"));
+        assert_eq!(t.height(), 3);
+        let (mut passes, mut seen, mut kept) = (t.passes(2, |k| k >> 32), 0, Vec::new());
+        while !passes.is_done() {
+            let (got, end) = passes.read().unwrap();
+            let last = got.last().unwrap().0 >> 32;
+            assert!(end.is_none_or(|end| end > last), "group {last} split by a pass");
+            seen += got.len();
+            // Keep one key of every fourth group: most passes underflow.
+            let keep: Vec<_> =
+                got.iter().filter(|(k, _)| (k >> 32) % 4 == 0 && k % 3 == 0).cloned().collect();
+            kept.extend(keep.iter().map(|(k, _)| *k));
+            passes.land(keep).unwrap();
+        }
+        passes.finish().unwrap();
+        assert_eq!(seen, 60);
+        assert!(disk.metrics().counter("disk.reads") - reads < nodes, "a node read twice");
+        t.check_invariants().unwrap();
+        let keys: Vec<u64> = t.scan_range(0, u64::MAX).unwrap().iter().map(|e| e.0).collect();
+        assert_eq!(keys, kept);
+        // An underfull pass reads on into the next: leaves stay half full.
+        assert!(t.leaf_pages() <= kept.len().div_ceil(2) as u64 && t.meta().free_pages > 0);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!
 //! Two usage modes, per Table 5 of the paper:
 //! * **clustered** — leaves hold full tuples keyed on the surrogate
-//!   (relations `R`, `S`, and the join index `JI` keyed on `r`);
+//!   (relations `R` and `S`), or the join index's pairs keyed on
+//!   `(r << 32) | s` with no value;
 //! * **inverted** — a secondary index keyed on the join attribute whose
 //!   leaf values are surrogates (the non-clustered index on `S.A`, and the
 //!   non-clustered index on `JI.s`).
@@ -22,7 +23,8 @@
 //! ([`BTree::apply_sorted`], module [`sweep`]), which holds the current
 //! root-to-leaf path and so reads every page at most once and writes every
 //! changed page once; [`BTree::insert`] and the removes are sweeps of one
-//! operation. With `h` the height and nothing splitting or underflowing, a
+//! operation, and the join index's §3.3 passes ([`BTree::passes`]) land
+//! through the same units. With `h` the height and nothing splitting or underflowing, a
 //! single insert or delete costs `h − 1` reads (the descent) and one write
 //! (the leaf); an internal node is written back only when a split or merge
 //! below changed it.
@@ -54,13 +56,13 @@
 //! free of I/O charge: what a reclaim charges is the sibling read, the
 //! merged or refilled node writes and the parent write.
 
-use trijoin_common::{CounterId, Error, FxHashSet, Result, SystemParams};
+use trijoin_common::{CounterId, Error, FxHashSet, JiEntry, Result, SystemParams};
 use trijoin_storage::{Disk, FileId, PageId};
 
 use crate::node::{self, Node};
 
 mod sweep;
-pub use sweep::{net_chain, Netted, SweepOp, SweepStats};
+pub use sweep::{net_chain, Netted, Passes, SweepOp, SweepStats};
 
 /// Capacity configuration for one tree.
 #[derive(Debug, Clone, Copy)]
@@ -82,20 +84,27 @@ impl BTreeConfig {
     /// `tuple_bytes` serialized bytes: `n = ⌊P·PO/T⌋` tuples per leaf page,
     /// exactly the paper's `n_R` packing.
     pub fn clustered(params: &SystemParams, tuple_bytes: usize) -> Self {
-        let leaf_cap = params.tuples_per_page(tuple_bytes).max(2);
-        BTreeConfig {
-            leaf_cap,
-            internal_cap: params.fan_out.min(Self::max_internal_keys(params.page_size)).max(2),
-        }
+        Self::with_leaf_cap(params, params.tuples_per_page(tuple_bytes))
     }
 
     /// Config for an inverted (secondary) index whose leaf values are
     /// 4-byte surrogates: entry ≈ 14 bytes, capped at the paper's `FO`.
     pub fn inverted(params: &SystemParams) -> Self {
         let entry_bytes = 8 + 2 + params.ssur;
-        let leaf_cap = params.fan_out.min(params.tuples_per_page(entry_bytes)).max(2);
+        Self::with_leaf_cap(params, params.fan_out.min(params.tuples_per_page(entry_bytes)))
+    }
+
+    /// Config for the join index, clustered on `r`: keys `(r << 32) | s`
+    /// with empty values, `n_JI = ⌊P·PO/(2·ssur)⌋` entries per leaf page
+    /// (the model's packing) as far as a page holds them.
+    pub fn join_index(params: &SystemParams) -> Self {
+        let fit = params.page_size.saturating_sub(7) / 10;
+        Self::with_leaf_cap(params, params.tuples_per_page(JiEntry::BYTES).min(fit))
+    }
+
+    fn with_leaf_cap(params: &SystemParams, leaf_cap: usize) -> Self {
         BTreeConfig {
-            leaf_cap,
+            leaf_cap: leaf_cap.max(2),
             internal_cap: params.fan_out.min(Self::max_internal_keys(params.page_size)).max(2),
         }
     }
@@ -217,13 +226,23 @@ impl BTree {
     /// Bulk-load from entries sorted by `(key, value)`. Charges one write
     /// I/O per node page (leaves and internals); the root stays resident.
     ///
-    /// Returns an error if the input is unsorted.
+    /// Returns an error if the input is unsorted, and leaves no file
+    /// behind on any error.
     pub fn bulk_load(
         disk: &Disk,
         cfg: BTreeConfig,
         entries: impl IntoIterator<Item = (u64, Vec<u8>)>,
     ) -> Result<Self> {
         let file = disk.create_file();
+        Self::load(disk, cfg, file, entries).inspect_err(|_| disk.delete_file(file))
+    }
+
+    fn load(
+        disk: &Disk,
+        cfg: BTreeConfig,
+        file: FileId,
+        entries: impl IntoIterator<Item = (u64, Vec<u8>)>,
+    ) -> Result<Self> {
         let page_size = disk.page_size();
         // Pack leaves.
         let mut leaves: Vec<Node> = Vec::new();

@@ -175,6 +175,8 @@ struct Path<'s, 'c> {
     units: Vec<Unit>,
     edits: Edits,
     unique: bool,
+    /// Leaf units land as passes do ([`BTree::cut_pass`]).
+    pack: bool,
     /// The key the sweep heads for (`None`: it is finishing).
     next_key: Option<u64>,
     root_dirty: bool,
@@ -184,11 +186,26 @@ struct Path<'s, 'c> {
     /// A transient fault an I/O was retried through: the sweep stops once
     /// the landing in progress is done, and reports it.
     fault: Option<Error>,
-    stats: &'s mut SweepStats,
-    on_change: &'s mut OnChange<'c>,
+    stats: SweepStats,
+    on_change: Option<&'s mut OnChange<'c>>,
 }
 
-impl Path<'_, '_> {
+impl<'s, 'c> Path<'s, 'c> {
+    fn new(height: usize, unique: bool, pack: bool, stats: SweepStats) -> Self {
+        Path {
+            units: Vec::with_capacity(height),
+            edits: Edits::default(),
+            unique,
+            pack,
+            next_key: None,
+            root_dirty: false,
+            only_child: vec![None; height],
+            fault: None,
+            stats,
+            on_change: None,
+        }
+    }
+
     /// Whether a unit with upper bound `hi` covers `key`. Keys ascend; a
     /// key equal to a separator sits right of it in a tree of unique keys
     /// and may sit on either side in one of repeated keys, which the sweep
@@ -220,35 +237,31 @@ impl BTree {
         stats: &mut SweepStats,
         on_change: &mut OnChange<'_>,
     ) -> Result<()> {
-        let height = self.height;
-        let mut p = Path {
-            units: Vec::with_capacity(height),
-            edits: Edits::default(),
-            unique,
-            next_key: None,
-            root_dirty: false,
-            only_child: vec![None; height],
-            fault: None,
-            stats,
-            on_change,
-        };
+        let mut p = Path::new(self.height, unique, false, *stats);
+        p.on_change = Some(on_change);
         let mut result = self.sweep(ops.into_iter().peekable(), &mut p);
         if result.is_ok() {
             result = self.finish(&mut p, false);
         }
-        if let Err(e) = result {
-            // The leaf's edits are void; what is above it lands.
-            if self.height == 1 {
-                let raw = self.disk.read_page_free(PageId::new(self.file, self.root_page))?;
-                self.root = Node::from_page(&raw)?;
-            } else if p.units.len() + 1 == self.height {
-                p.units.pop();
-            }
-            p.edits = Edits::default();
-            let _ = self.finish(&mut p, true);
-            return Err(e);
+        if result.is_err() {
+            result = self.abandon(&mut p).and(result);
         }
+        *stats = p.stats;
+        result?;
         p.fault.take().map_or(Ok(()), Err)
+    }
+
+    /// After a failure: the leaf's edits are void; what is above it lands.
+    fn abandon(&mut self, p: &mut Path) -> Result<()> {
+        if self.height == 1 {
+            let raw = self.disk.read_page_free(PageId::new(self.file, self.root_page))?;
+            self.root = Node::from_page(&raw)?;
+        } else if p.units.len() + 1 == self.height {
+            p.units.pop();
+        }
+        p.edits = Edits::default();
+        let _ = self.finish(p, true);
+        Ok(())
     }
 
     fn sweep(
@@ -435,7 +448,7 @@ impl BTree {
             }
         }
         let u = p.units.pop().expect("landing a held unit");
-        let leaf = u.node.is_leaf();
+        let (leaf, m, edge) = (u.node.is_leaf(), u.pages.len(), u.hi.is_none());
         let afters = if leaf { Self::afters(&p.edits, &u.node) } else { Vec::new() };
         if !u.dirty {
             if leaf {
@@ -443,18 +456,27 @@ impl BTree {
             }
             return Ok(());
         }
-        let m = u.pages.len();
         let (keys, _, _) = self.parent(p, li);
         let old_seps = keys[u.first..u.first + m - 1].to_vec();
         let after = match &u.node {
             Node::Leaf { next, .. } => *next,
             Node::Internal { .. } => None,
         };
-        let (mut pieces, seps) = self.cut(u.node, u.hi.is_none(), &old_seps);
+        // Piece `i` lands on page `slots[i]` of the unit, or on a new page.
+        let (mut pieces, seps, slots) = if p.pack && leaf {
+            self.cut_pass(u.node, edge, &old_seps, m)
+        } else {
+            let (pieces, seps) = self.cut(u.node, edge, &old_seps);
+            let slots = (0..pieces.len()).map(|i| (i < m).then_some(i)).collect();
+            (pieces, seps, slots)
+        };
         let k = pieces.len();
-        let mut pages = u.pages[..k.min(m)].to_vec();
-        while pages.len() < k {
-            pages.push(self.alloc_page()?);
+        let mut pages = Vec::with_capacity(k);
+        for slot in &slots {
+            pages.push(match *slot {
+                Some(j) => u.pages[j],
+                None => self.alloc_page()?,
+            });
         }
         let size = self.disk.page_size();
         let mut images = Vec::with_capacity(k);
@@ -467,22 +489,23 @@ impl BTree {
         // New pages first: until a page the tree points at is written, a
         // leaf unit can still be voided.
         let mut committed = retry || !leaf;
-        let order = (m.min(k)..k).chain((0..m.min(k)).filter(|&i| images[i] != *u.images[i]));
+        let fresh = (0..k).filter(|&i| slots[i].is_none());
+        let changed = (0..k).filter(|&i| slots[i].is_some_and(|j| images[i] != *u.images[j]));
         let mut written = 0;
-        for i in order {
+        for i in fresh.chain(changed) {
             if let Err(e) = self.write_io(pages[i], &images[i], committed, &mut p.fault) {
                 if !committed {
-                    for &page in &pages[m.min(k)..] {
-                        self.free_page(page)?;
+                    for i in (0..k).filter(|&i| slots[i].is_none()) {
+                        self.free_page(pages[i])?;
                     }
                 }
                 return Err(e);
             }
-            committed |= i < m;
+            committed |= slots[i].is_some();
             written += 1;
         }
-        for &page in &u.pages[k.min(m)..] {
-            self.free_page(page)?;
+        for j in (0..m).filter(|&j| !slots.contains(&Some(j))) {
+            self.free_page(u.pages[j])?;
         }
         let metrics = self.disk.metrics();
         (0..k.saturating_sub(m)).for_each(|_| metrics.incr_id(self.c_splits));
@@ -533,8 +556,10 @@ impl BTree {
         self.entries = self.entries.checked_add_signed(edits.grown).expect("entry count in range");
         p.stats.landed += edits.ops;
         p.stats.rejected += edits.rejected;
-        for ((key, before), after) in edits.changes.iter().zip(afters) {
-            (p.on_change)(*key, before.as_deref(), after.as_deref());
+        if let Some(on_change) = p.on_change.as_mut() {
+            for ((key, before), after) in edits.changes.iter().zip(afters) {
+                on_change(*key, before.as_deref(), after.as_deref());
+            }
         }
     }
 
@@ -617,6 +642,49 @@ impl BTree {
             bytes += 10 + v.len();
         }
         Self::split_at(node, &at)
+    }
+
+    /// Cut a pass's leaf unit ([`Passes`]), read from `m` pages at `seps`:
+    /// onto as few pages as its entries fill at `leaf_cap` when that is
+    /// fewer than `m`; else at `seps`, each leaf that overflows split
+    /// evenly onto new pages after it, when no leaf empties and that takes
+    /// no more pages; else anew ([`BTree::cut`]). Returns the pieces, the
+    /// separators between them and the page of the unit each piece lands
+    /// on (`None`: a new page).
+    #[allow(clippy::type_complexity)]
+    fn cut_pass(
+        &self,
+        node: Node,
+        edge: bool,
+        seps: &[u64],
+        m: usize,
+    ) -> (Vec<Node>, Vec<u64>, Vec<Option<usize>>) {
+        let Node::Leaf { entries, .. } = &node else { unreachable!("a pass is a leaf unit") };
+        let (len, cap) = (entries.len(), self.cfg.leaf_cap);
+        let packed = len.div_ceil(cap).max(1);
+        let mut bounds = vec![0];
+        bounds.extend(seps.iter().map(|&sep| entries.partition_point(|(k, _)| *k < sep)));
+        bounds.push(len);
+        // Per piece: where it begins, and the page it keeps.
+        let mut cuts: Vec<(usize, Option<usize>)> = Vec::new();
+        for (j, w) in bounds.windows(2).enumerate() {
+            let q = (w[1] - w[0]).div_ceil(cap);
+            cuts.extend((0..q).map(|i| (w[0] + (w[1] - w[0]) * i / q, (i == 0).then_some(j))));
+        }
+        if packed >= m && cuts.iter().filter(|c| c.1.is_some()).count() == m && cuts.len() <= packed
+        {
+            let at: Vec<usize> = cuts[1..].iter().map(|c| c.0).collect();
+            let (pieces, new_seps) = Self::split_at(&node, &at);
+            if pieces.iter().all(|piece| self.fits(piece)) {
+                // A piece that keeps its page keeps the separator before it.
+                let kept = cuts[1..].iter().map(|c| c.1.map(|j| seps[j - 1]));
+                let seps = new_seps.into_iter().zip(kept).map(|(new, old)| old.unwrap_or(new));
+                return (pieces, seps.collect(), cuts.iter().map(|c| c.1).collect());
+            }
+        }
+        let (pieces, new_seps) = self.cut(node, edge, &[]);
+        let slots = (0..pieces.len()).map(|i| (i < m).then_some(i)).collect();
+        (pieces, new_seps, slots)
     }
 
     /// Cut `node` at the ascending positions `at` (entries of a leaf, the
@@ -835,5 +903,167 @@ impl BTree {
             SweepOp::Replace(_) => p.edits.rejected += 1,
         }
         Ok(())
+    }
+}
+
+/// A leaf entry: key and value.
+type Entry = (u64, Vec<u8>);
+
+/// The §3.3 passes over a tree's leaves ([`BTree::passes`]): a pass is one
+/// leaf unit of the sweep, read along the chain, handed to the caller and
+/// landed with what the caller hands back.
+pub struct Passes<'t> {
+    tree: &'t mut BTree,
+    p: Path<'t, 't>,
+    leaves: usize,
+    group: fn(u64) -> u64,
+    /// The key the next pass begins at (`None`: every leaf has passed).
+    at: Option<u64>,
+    /// Entries of the held leaf unit an earlier pass handed out: a pass
+    /// that leaves its unit under half full does not land it, the next
+    /// pass reads on into it.
+    done: usize,
+    finished: bool,
+}
+
+impl BTree {
+    /// Walk the leaves in passes of up to `leaves` leaves each, read once
+    /// along the chain. A pass goes on to the end of the last key group
+    /// it holds (`group` maps a key to its group; keys of one group are
+    /// adjacent), which the separator after it tells without a read. Each
+    /// pass lands where it was read: a leaf whose image does not change is
+    /// not written, and a pass whose entries fit in fewer pages is cut
+    /// anew onto that many, the pages left over going on the free list.
+    /// The tree must hold unique keys.
+    pub fn passes(&mut self, leaves: usize, group: fn(u64) -> u64) -> Passes<'_> {
+        let p = Path::new(self.height, true, true, SweepStats::default());
+        Passes {
+            tree: self,
+            p,
+            leaves: leaves.max(1),
+            group,
+            at: Some(0),
+            done: 0,
+            finished: false,
+        }
+    }
+
+    /// Lower the separator left of the leaf unit to `key` if it is above
+    /// it: a pass's first group may gain a key below the one its first
+    /// leaf began with (everything left of it is of an earlier group).
+    fn lower_left(&mut self, p: &mut Path, key: u64) {
+        let Some(li) = p.units.iter().rposition(|u| u.first > 0) else { return };
+        let first = p.units[li].first;
+        let (node, dirty) = match li.checked_sub(1) {
+            Some(up) => {
+                let u = &mut p.units[up];
+                (&mut u.node, &mut u.dirty)
+            }
+            None => (&mut self.root, &mut p.root_dirty),
+        };
+        let Node::Internal { keys, .. } = node else { unreachable!("units hang under nodes") };
+        if keys[first - 1] > key {
+            keys[first - 1] = key;
+            *dirty = true;
+        }
+    }
+}
+
+impl Passes<'_> {
+    /// Whether every leaf has passed.
+    pub fn is_done(&self) -> bool {
+        self.at.is_none()
+    }
+
+    /// Read the next pass: its entries, and the first group of the pass
+    /// after it (`None` for the last pass). The entries the caller lands
+    /// must lie below that group.
+    pub fn read(&mut self) -> Result<(&[Entry], Option<u64>)> {
+        let key = self.at.ok_or_else(|| Error::Invariant("every leaf has passed".into()))?;
+        let (tree, p, group) = (&mut *self.tree, &mut self.p, self.group);
+        let mut end = None;
+        if tree.height > 1 {
+            let mut fresh = 0;
+            if p.units.len() + 1 < tree.height {
+                tree.seek(p, key)?;
+                if let Some(fault) = p.fault.take() {
+                    return Err(fault);
+                }
+                fresh = 1;
+            }
+            p.next_key = None;
+            let li = p.units.len() - 1;
+            while fresh < self.leaves && tree.extend_right(p, li, false)? {
+                fresh += 1;
+            }
+            while let (Some(hi), Some(&(last, _))) = (p.units[li].hi, tree.held(p).last()) {
+                if group(hi) != group(last) || !tree.extend_right(p, li, false)? {
+                    break;
+                }
+            }
+            end = p.units[li].hi.map(group);
+        }
+        Ok((&tree.held(p)[self.done..], end))
+    }
+
+    /// Land the pass [`Passes::read`] read with `entries`, in key order,
+    /// in place of the ones it handed out.
+    pub fn land(&mut self, entries: Vec<Entry>) -> Result<()> {
+        let (tree, p, done) = (&mut *self.tree, &mut self.p, self.done);
+        let held = tree.held(p);
+        debug_assert!(
+            {
+                let keys = || held[..done].iter().chain(&entries).map(|(k, _)| *k);
+                keys().zip(keys().skip(1)).all(|(a, b)| a < b)
+            },
+            "a pass lands unique keys in order"
+        );
+        if held[done..] != entries[..] {
+            p.edits.grown += entries.len() as i64 - (held.len() - done) as i64;
+            if let Some(&(least, _)) = entries.first() {
+                tree.lower_left(p, least);
+            }
+            let leaf = tree.held_mut(p);
+            leaf.truncate(done);
+            leaf.extend(entries);
+        }
+        if tree.height == 1 {
+            self.at = None;
+            return Ok(());
+        }
+        let li = p.units.len() - 1;
+        let u = &mut p.units[li];
+        if u.hi.is_some() && tree.underfull(&u.node) {
+            self.done = u.node.len();
+            return Ok(());
+        }
+        // Entries that fit in fewer pages are packed, changed or not.
+        u.dirty |= u.node.len().div_ceil(tree.cfg.leaf_cap) < u.pages.len();
+        (self.at, self.done) = (u.hi, 0);
+        tree.land(p, li, false)?;
+        p.fault.take().map_or(Ok(()), Err)
+    }
+
+    /// Land what is held and settle the root.
+    pub fn finish(mut self) -> Result<()> {
+        self.finished = true;
+        let (tree, p) = (&mut *self.tree, &mut self.p);
+        let mut result = tree.finish(p, false);
+        if result.is_err() {
+            result = tree.abandon(p).and(result);
+        }
+        result?;
+        p.fault.take().map_or(Ok(()), Err)
+    }
+}
+
+impl Drop for Passes<'_> {
+    /// Dropped unfinished (a pass failed), the held leaves' edits are void
+    /// and what is above them lands: the tree stays sound, holding the
+    /// passes that landed.
+    fn drop(&mut self) {
+        if !self.finished {
+            let _ = self.tree.abandon(&mut self.p);
+        }
     }
 }

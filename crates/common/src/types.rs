@@ -263,27 +263,8 @@ pub struct JiEntry {
 }
 
 impl JiEntry {
-    /// Serialized size: two 4-byte surrogates.
+    /// Size the model packs by (`n_JI`): two 4-byte surrogates.
     pub const BYTES: usize = 8;
-
-    /// Serialize to exactly [`JiEntry::BYTES`] bytes.
-    pub fn to_bytes(&self) -> [u8; 8] {
-        let mut out = [0u8; 8];
-        out[0..4].copy_from_slice(&self.r.0.to_le_bytes());
-        out[4..8].copy_from_slice(&self.s.0.to_le_bytes());
-        out
-    }
-
-    /// Deserialize from exactly 8 bytes.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < 8 {
-            return Err(Error::Corrupt("join-index entry truncated".into()));
-        }
-        Ok(JiEntry {
-            r: Surrogate(u32::from_le_bytes(bytes[0..4].try_into().unwrap())),
-            s: Surrogate(u32::from_le_bytes(bytes[4..8].try_into().unwrap())),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -333,15 +314,6 @@ mod tests {
         let back = ViewTuple::from_bytes(&v.to_bytes()).unwrap();
         assert_eq!(back, v);
         assert_eq!(back.ji_entry(), JiEntry { r: Surrogate(13), s: Surrogate(30) });
-    }
-
-    #[test]
-    fn ji_entry_roundtrip_and_size() {
-        let e = JiEntry { r: Surrogate(30), s: Surrogate(13) };
-        let bytes = e.to_bytes();
-        assert_eq!(bytes.len(), JiEntry::BYTES);
-        assert_eq!(JiEntry::from_bytes(&bytes).unwrap(), e);
-        assert!(JiEntry::from_bytes(&bytes[..7]).is_err());
     }
 
     #[test]

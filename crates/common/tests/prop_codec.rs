@@ -1,7 +1,7 @@
 //! Fuzz-style round-trip properties for the serialization surfaces: the
 //! self-describing row codec ([`codec::encode_row`]/[`codec::decode_row`])
-//! and the fixed-layout tuple formats ([`BaseTuple`], [`ViewTuple`],
-//! [`JiEntry`]). Two claims, checked from both directions:
+//! and the fixed-layout tuple formats ([`BaseTuple`], [`ViewTuple`]). Two
+//! claims, checked from both directions:
 //!
 //! - every value a writer can produce decodes back to exactly itself,
 //!   including the edges (empty rows, empty fields, `u16::MAX`-length
@@ -139,20 +139,6 @@ proptest! {
     fn tuple_decoders_survive_garbage(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
         let _ = BaseTuple::from_bytes(&bytes);
         let _ = ViewTuple::from_bytes(&bytes);
-        let _ = JiEntry::from_bytes(&bytes);
-    }
-
-    /// `JiEntry` is a fixed 8-byte record: round-trips exactly, rejects
-    /// every shorter input.
-    #[test]
-    fn ji_entry_round_trips(r in any::<u32>(), s in any::<u32>()) {
-        let e = JiEntry { r: Surrogate(r), s: Surrogate(s) };
-        let bytes = e.to_bytes();
-        prop_assert_eq!(bytes.len(), JiEntry::BYTES);
-        prop_assert_eq!(JiEntry::from_bytes(&bytes).unwrap(), e);
-        for cut in 0..bytes.len() {
-            prop_assert!(JiEntry::from_bytes(&bytes[..cut]).is_err(), "cut {}", cut);
-        }
     }
 }
 

@@ -156,7 +156,7 @@ fn ji_recovers_exactly_from_poisoned_index_read() {
         !cost.section_counts("ji.recover").is_zero(),
         "rebuild work appears as the ji.recover section"
     );
-    ji.index().check_invariants().unwrap();
+    ji.check_invariants().unwrap();
     let recover_before = cost.section_counts("ji.recover");
     let again = execute_collect(&mut ji, &r, &s).unwrap();
     oracle::assert_same_join("ji after rebuild", again, want);
@@ -194,21 +194,35 @@ fn ji_fault_during_a_compacting_write_back_recovers_through_a_rebuild() {
     oracle::assert_same_join("ji repack", execute_collect(&mut ji, &r, &s).unwrap(), want);
     let passes = cost.span_tree().into_iter().find(|s| s.name == "ji.read_index").unwrap();
     assert_eq!(passes.invocations, 1);
-    assert!(ji.index_pages() < pages && !ji.index().free_pages().is_empty());
+    assert!(ji.index_pages() < pages && ji.index_meta().free_pages > 0);
 
-    // The same pass with its second page write failing (the pass reads
-    // every page first): the first repacked page is on disk under a log
-    // that still holds the pass's changes.
+    // The same pass with its landing's first write failing (the pass
+    // reads every leaf first): the landing is void and the tree sound,
+    // under a log that still holds the pass's changes.
+    fault_the_landing_then_rebuild(pages, true);
+    // Its second write failing: the first landed page is on disk under a
+    // log that still holds the pass's changes, and only the rebuild makes
+    // the index right again.
+    fault_the_landing_then_rebuild(pages + 1, false);
+}
+
+/// [`repacking_pass`] with a fatal fault at the index file's `nth`
+/// operation: the fault surfaces, and the next query rebuilds rather than
+/// folding the log a second time. `sound` says the faulted tree must pass
+/// its audit before that rebuild.
+fn fault_the_landing_then_rebuild(nth: u64, sound: bool) {
     let (disk, cost, r, s, mut ji) = repacking_pass();
     let file = ji.index_file();
-    disk.install_fault_plan(FaultPlan::new().fail_nth_op(Some(file), pages + 1));
+    disk.install_fault_plan(FaultPlan::new().fail_nth_op(Some(file), nth));
     let err = execute_collect(&mut ji, &r, &s).unwrap_err();
     assert!(
         matches!(err, Error::DeviceFault { kind: FaultKind::Fatal, op: FaultOp::Write, file: f, .. } if f == file.0),
         "{err:?}"
     );
     assert!(cost.section_counts("ji.recover").is_zero(), "a fatal fault surfaces");
-    // The next query folds nothing twice: it rebuilds from the relations.
+    if sound {
+        ji.check_invariants().unwrap();
+    }
     let want = oracle_answer(&r, &s);
     oracle::assert_same_join(
         "ji after failed repack",
@@ -216,8 +230,8 @@ fn ji_fault_during_a_compacting_write_back_recovers_through_a_rebuild() {
         want.clone(),
     );
     assert!(!cost.section_counts("ji.recover").is_zero());
-    ji.index().check_invariants().unwrap();
-    assert!(ji.index().free_pages().is_empty(), "a rebuilt index starts with no free page");
+    ji.check_invariants().unwrap();
+    assert_eq!(ji.index_meta().free_pages, 0, "a rebuilt index starts with no free page");
     let recovered = cost.section_counts("ji.recover");
     oracle::assert_same_join("ji after rebuild", execute_collect(&mut ji, &r, &s).unwrap(), want);
     assert_eq!(cost.section_counts("ji.recover"), recovered);

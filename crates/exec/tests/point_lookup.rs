@@ -107,20 +107,22 @@ fn point_lookups_refuse_stale_caches() {
 
 #[test]
 fn ji_partner_lookup_handles_group_spanning_pages() {
-    // One r with more partners than a JI page holds: the group alone
-    // exceeds max_cap, forcing a multi-page group.
+    // One r with more partners than a JI leaf holds: its group spans
+    // leaves, and the range read walks them once each.
     let cost = Cost::new();
     let params = SystemParams { page_size: 256, mem_pages: 24, ..SystemParams::paper_defaults() };
     let disk = SimDisk::new(&params, cost.clone());
-    // page 256: max_cap = (256-2)/8 = 31 entries; give r=0 80 partners.
+    // page 256: n_JI = ⌊256·0.7/8⌋ = 22 entries a leaf; give r=0 80 partners.
     let r_tuples: Vec<BaseTuple> = vec![BaseTuple::padded(Surrogate(0), 7, TUPLE)];
     let s_tuples: Vec<BaseTuple> =
         (0..80).map(|i| BaseTuple::padded(Surrogate(i), 7, TUPLE)).collect();
     let r = StoredRelation::build(&disk, &params, "R", r_tuples, false).unwrap();
     let s = StoredRelation::build(&disk, &params, "S", s_tuples, true).unwrap();
     let ji = JoinIndexStrategy::build(&disk, &params, &cost, &r, &s).unwrap();
-    assert!(ji.index_pages() > 1, "group must span pages");
+    assert_eq!(ji.index_pages(), 4, "the group must span leaves");
+    cost.reset();
     let got = ji.partners_of_r(Surrogate(0)).unwrap();
-    assert_eq!(got.len(), 80);
+    assert_eq!(got, (0..80).map(Surrogate).collect::<Vec<_>>());
+    assert_eq!(cost.total().ios, 4, "the resident root, then each leaf once");
     assert!(ji.partners_of_r(Surrogate(1)).unwrap().is_empty());
 }

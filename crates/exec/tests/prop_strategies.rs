@@ -146,14 +146,14 @@ proptest! {
                     oracle::assert_same_join(&format!("step {step} ji"), got_ji, want.clone());
                     let got_hh = execute_collect(&mut hh, &r, &s).unwrap();
                     oracle::assert_same_join(&format!("step {step} hh"), got_hh, want);
-                    ji.index().check_invariants().unwrap();
+                    ji.check_invariants().unwrap();
                     let s_current: Vec<BaseTuple> = s2_now.values().cloned().collect();
                     let want = oracle::join_tuples(&current, &s_current);
                     let got_mv2 = execute_collect(&mut mv2, &r2, &s2).unwrap();
                     oracle::assert_same_join(&format!("step {step} mv over R and S"), got_mv2, want.clone());
                     let got_ji2 = execute_collect(&mut ji2, &r2, &s2).unwrap();
                     oracle::assert_same_join(&format!("step {step} ji over R and S"), got_ji2, want);
-                    ji2.index().check_invariants().unwrap();
+                    ji2.check_invariants().unwrap();
                 }
                 Script::OfS(op) => {
                     if let Some(m) = mutation_of(&op, &mut s2_now, &mut next_s_sur) {

@@ -338,7 +338,7 @@ fn a_join_index_pass_past_an_unreadable_log_run_answers_or_recovers() {
         }
         let again = execute_collect(&mut f.ji, &f.r, &f.s).unwrap();
         oracle::assert_same_join("ji after the settle", again, f.want);
-        f.ji.index().check_invariants().unwrap();
+        f.ji.check_invariants().unwrap();
     }
 }
 

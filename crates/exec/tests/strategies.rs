@@ -114,7 +114,7 @@ impl TestDb {
         oracle::assert_same_join(&format!("{label}/materialized-view"), got_mv, want.clone());
         let got_ji = execute_collect(ji, &self.r, &self.s).unwrap();
         oracle::assert_same_join(&format!("{label}/join-index"), got_ji, want.clone());
-        ji.index().check_invariants().unwrap();
+        ji.check_invariants().unwrap();
         assert_eq!(mv.view_len(), want.len() as u64, "{label}: view cardinality");
         assert_eq!(ji.index_len(), want.len() as u64, "{label}: index cardinality");
     }
@@ -314,11 +314,12 @@ fn mv_io_cost_scales_with_view_not_base() {
 
 #[test]
 fn ji_split_leaves_the_pages_after_it_in_place() {
-    // One pass over ~11 pages; seven new partners of r = 0 overflow the
-    // first page, which splits in two. The pages after it keep their own
-    // r-ranges: none is emptied, and nothing else splits.
+    // Passes of a few packed leaves each; seven new partners of r = 0
+    // overflow the first leaf, which splits in two. The leaves after it
+    // keep their pages and images: only the split leaf and the page split
+    // off are written, in the first pass or any later one.
     let cost = Cost::new();
-    let params = SystemParams { page_size: 512, mem_pages: 200, ..SystemParams::paper_defaults() };
+    let params = SystemParams { page_size: 512, mem_pages: 20, ..SystemParams::paper_defaults() };
     let disk = SimDisk::new(&params, cost.clone());
     let mk = |sur: u32, key: u64| BaseTuple::padded(Surrogate(sur), key, TUPLE);
     let mut r = StoredRelation::build(
@@ -344,11 +345,52 @@ fn ji_split_leaves_the_pages_after_it_in_place() {
         ji.on_mutation(&m).unwrap();
         r.apply_mutation(&m).unwrap();
     }
+    let file = ji.index_file();
+    let writes = || disk.metrics().counter(&format!("disk.write.f{}", file.0));
+    let w0 = writes();
     let got = execute_collect(&mut ji, &r, &s).unwrap();
     assert_eq!(got.len(), 450 + 21);
-    ji.index().check_invariants().unwrap();
+    ji.check_invariants().unwrap();
     assert_eq!(ji.index_pages(), pages + 1);
-    for idx in 0..ji.index_pages() as usize {
-        assert!(!ji.index().read_page(idx).unwrap().is_empty(), "page {idx} emptied");
+    let passes = cost.span_tree().into_iter().find(|s| s.name == "ji.read_index").unwrap();
+    assert!(passes.invocations >= 3, "{} passes", passes.invocations);
+    assert_eq!(writes() - w0, 2);
+}
+
+#[test]
+fn ji_multi_pass_query_reads_each_node_page_once() {
+    // A three-level tree walked in many passes, with join-attribute updates
+    // spread over it: every pass reads its leaves, and the internal nodes
+    // above them, once in all.
+    let cost = Cost::new();
+    let params = SystemParams { page_size: 512, mem_pages: 16, ..SystemParams::paper_defaults() };
+    let disk = SimDisk::new(&params, cost.clone());
+    let mk = |sur: u32, key: u64| BaseTuple::padded(Surrogate(sur), key, TUPLE);
+    let r_now: Vec<BaseTuple> = (0..2000).map(|i| mk(i, (i % 500) as u64)).collect();
+    let mut r = StoredRelation::build(&disk, &params, "R", r_now.clone(), false).unwrap();
+    let s = StoredRelation::build(
+        &disk,
+        &params,
+        "S",
+        (0..2000).map(|i| mk(i, (i % 500) as u64)).collect(),
+        true,
+    )
+    .unwrap();
+    let mut ji = JoinIndexStrategy::build(&disk, &params, &cost, &r, &s).unwrap();
+    assert_eq!(ji.index_meta().height, 3);
+    for old in r_now.iter().step_by(20) {
+        let upd = Update { old: old.clone(), new: mk(old.sur.0, (old.key + 7) % 500) };
+        ji.on_update(&upd).unwrap();
+        r.apply_update(&upd.old, &upd.new).unwrap();
     }
+    let file = ji.index_file();
+    let reads = || disk.metrics().counter(&format!("disk.read.f{}", file.0));
+    let (nodes, r0) = (disk.num_pages(file).unwrap() as u64 - 1, reads());
+    cost.reset();
+    let got = execute_collect(&mut ji, &r, &s).unwrap();
+    assert_eq!(got.len(), 8000);
+    let passes = cost.span_tree().into_iter().find(|s| s.name == "ji.read_index").unwrap();
+    assert!(passes.invocations >= 10, "{} passes", passes.invocations);
+    assert!(reads() - r0 <= nodes, "{} reads of {nodes} node pages", reads() - r0);
+    ji.check_invariants().unwrap();
 }

@@ -130,7 +130,7 @@ fn assert_all_answer(
         let got = execute_collect(c.as_dyn(), db.r(), db.s()).unwrap();
         oracle::assert_same_join(&format!("{label} {}", c.method()), got, want.to_vec());
         if let CachedStrategy::Ji(ji) = c {
-            ji.index().check_invariants().unwrap();
+            ji.check_invariants().unwrap();
         }
     }
     let got = execute_collect(&mut db.hybrid_hash(), db.r(), db.s()).unwrap();

@@ -23,7 +23,7 @@
 use std::path::PathBuf;
 
 use trijoin::{Database, JoinStrategy, Method, SystemParams, WorkloadSpec};
-use trijoin_common::{Json, RunReport};
+use trijoin_common::{Json, OpCounts, RunReport};
 use trijoin_serve::{ClientTraffic, ServeConfig, Server};
 
 fn golden_dir() -> PathBuf {
@@ -82,8 +82,8 @@ fn fig5_spec() -> WorkloadSpec {
 }
 
 /// One observed maintenance epoch + query for `method`, exactly the
-/// fig5_engine sequence, returning the serialized run report.
-fn epoch_report(method: Method) -> String {
+/// fig5_engine sequence, returning its run report.
+fn epoch_report(method: Method) -> RunReport {
     let params = SystemParams { mem_pages: 80, ..SystemParams::paper_defaults() };
     let gen = fig5_spec().generate();
     let mut db = Database::new(&params, gen.r.clone(), gen.s.clone()).expect("build database");
@@ -100,22 +100,32 @@ fn epoch_report(method: Method) -> String {
         db.apply_r_update(&u).expect("apply update");
     }
     db.query(strategy.as_mut()).expect("query");
-    db.run_report(format!("golden-{}", strategy.name())).to_json().pretty()
+    db.run_report(format!("golden-{}", strategy.name()))
 }
 
 #[test]
 fn mv_ledger_matches_golden() {
-    check_golden("mv_report.json", &epoch_report(Method::MaterializedView));
+    check_golden("mv_report.json", &epoch_report(Method::MaterializedView).to_json().pretty());
 }
 
 #[test]
 fn ji_ledger_matches_golden() {
-    check_golden("ji_report.json", &epoch_report(Method::JoinIndex));
+    check_golden("ji_report.json", &epoch_report(Method::JoinIndex).to_json().pretty());
 }
 
 #[test]
 fn hh_ledger_matches_golden() {
-    check_golden("hh_report.json", &epoch_report(Method::HybridHash));
+    check_golden("hh_report.json", &epoch_report(Method::HybridHash).to_json().pretty());
+}
+
+/// Every operation of a JI epoch is charged under some span: the report's
+/// depth-0 spans add up to its totals.
+#[test]
+fn ji_report_spans_cover_its_totals() {
+    let report = epoch_report(Method::JoinIndex);
+    let mut spanned = OpCounts::default();
+    report.spans.iter().filter(|s| s.depth == 0).for_each(|s| spanned.add(&s.cum_ops));
+    assert_eq!(spanned, report.totals);
 }
 
 /// A served query's result checksum (FNV-1a over the answer's surrogate

@@ -52,7 +52,7 @@ fn run_mix(mix: MutationMix, sr: f64, pra: f64, epochs: usize, seed: u64) {
             execute_collect(&mut hh, db.r(), db.s()).unwrap(),
             want,
         );
-        ji.index().check_invariants().unwrap();
+        ji.check_invariants().unwrap();
     }
 }
 

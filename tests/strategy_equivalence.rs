@@ -130,7 +130,7 @@ fn join_index_stays_packed_over_200_rounds() {
             let want = oracle::join_tuples(stream.current(), &gen.s);
             oracle::assert_same_join(&format!("packed/ji round {round}"), got, want);
         }
-        ji.index().check_invariants().unwrap();
+        ji.check_invariants().unwrap();
         let bound = ji.index_len().div_ceil(n_ji) + passes;
         assert!(
             ji.index_pages() <= bound,
@@ -138,7 +138,7 @@ fn join_index_stays_packed_over_200_rounds() {
             ji.index_pages(),
             ji.index_len()
         );
-        repacked |= !ji.index().free_pages().is_empty();
+        repacked |= ji.index_meta().free_pages > 0;
         let pages = db.disk().num_pages(ji.index_file()).unwrap();
         match file_at_100 {
             None if round == 100 => file_at_100 = Some(pages),
