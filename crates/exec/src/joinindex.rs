@@ -423,21 +423,19 @@ impl JoinIndexStrategy {
             let (mut dels, mut inss) = (Vec::new(), Vec::new());
             {
                 let _g = self.cost.section("ji.read_diffs");
-                let ours = |item: &Net| {
-                    let (Net::Ins(t) | Net::Del(t)) = item;
-                    u64::from(t.sur.0) < r_end
+                // A run read that failed fails the pass (recovery takes
+                // over in the execute wrapper).
+                let ours = |item: &Result<Net>| match item {
+                    Ok(Net::Ins(t) | Net::Del(t)) => u64::from(t.sur.0) < r_end,
+                    Err(_) => true,
                 };
                 while let Some(item) = net.next_if(ours) {
-                    match item {
+                    match item? {
                         Net::Ins(t) => inss.push(t),
                         Net::Del(t) => dels.push(t),
                     }
                 }
             }
-            // A parked run-read error means the differential stream ended
-            // early and this pass's sets are incomplete: fail the pass
-            // (recovery takes over in the execute wrapper).
-            self.logs.stream_error()?;
 
             // ---- mark deletions (C2.2) ----------------------------------
             // The pass's share of `iS ⋈ R_now` rides with the survivors:
@@ -503,9 +501,9 @@ impl JoinIndexStrategy {
             let survivor_s: Vec<Surrogate> = by_s.iter().map(|e| e.s).collect();
             {
                 let mut at = 0usize;
-                let mut stream_err: Option<Error> = None;
+                let mut dangling: Option<Error> = None;
                 s.fetch_by_surrogates(&survivor_s, |st| {
-                    if stream_err.is_some() {
+                    if dangling.is_some() {
                         return;
                     }
                     let e = &by_s[at];
@@ -518,14 +516,14 @@ impl JoinIndexStrategy {
                             emitted += 1;
                         }
                         None => {
-                            stream_err = Some(Error::Invariant(format!(
+                            dangling = Some(Error::Invariant(format!(
                                 "JI entry ({}, {}) has no R tuple",
                                 e.r, e.s
                             )));
                         }
                     }
                 })?;
-                if let Some(e) = stream_err {
+                if let Some(e) = dangling {
                     return Err(e);
                 }
                 if at != by_s.len() {

@@ -485,7 +485,10 @@ impl MaterializedView {
         s: &StoredRelation,
         sink: &mut dyn FnMut(ViewTuple),
     ) -> Result<u64> {
-        self.logs.seal()?;
+        {
+            let _g = self.cost.section("mv.read_diffs");
+            self.logs.seal()?;
+        }
         let mut s_fold = self.fold_s(r)?;
         // One test per deletion set a view tuple is held against.
         let del_tests = 1 + self.logs.has_s() as u64;
@@ -513,29 +516,26 @@ impl MaterializedView {
 
         loop {
             // Pull a batch of net insertions (deletions encountered on the
-            // way queue up for the scan below).
+            // way queue up for the scan below). A full batch extends only to
+            // its bucket's boundary; a run read that failed fails the merge
+            // (recovery takes over in the execute wrapper).
             let mut batch: Vec<BaseTuple> = Vec::new();
             {
                 let _g = self.cost.section("mv.read_diffs");
-                while let Some(item) = net.peek() {
-                    let (Net::Ins(t) | Net::Del(t)) = item;
-                    let bucket = bucket_of(t);
-                    // A full batch extends only to its bucket's boundary.
-                    if batch.len() >= wr_tuples
-                        && batch.last().is_some_and(|l| bucket > bucket_of(l))
-                    {
-                        break;
+                let more = |batch: &[BaseTuple], item: &Result<Net>| match item {
+                    Ok(Net::Ins(t) | Net::Del(t)) => {
+                        batch.len() < wr_tuples
+                            || batch.last().is_none_or(|l| bucket_of(t) <= bucket_of(l))
                     }
-                    match net.next().unwrap() {
+                    Err(_) => true,
+                };
+                while let Some(item) = net.next_if(|item| more(&batch, item)) {
+                    match item? {
                         Net::Ins(t) => batch.push(t),
-                        Net::Del(t) => del_q.push_back((bucket, t.sur)),
+                        Net::Del(t) => del_q.push_back((bucket_of(&t), t.sur)),
                     }
                 }
             }
-            // A parked run-read error means the differential stream ended
-            // early and the batch is incomplete: fail the merge (recovery
-            // takes over in the execute wrapper).
-            self.logs.stream_error()?;
             // The scan below may process up to the batch's last bucket; if
             // the stream is exhausted, it finishes the whole file.
             let last = if net.peek().is_none() {
@@ -562,6 +562,7 @@ impl MaterializedView {
                     dels.insert(del_q.pop_front().unwrap().1);
                 }
                 // Survivors first.
+                let merge_guard = self.cost.section("mv.merge");
                 chain.retain(|_, bytes| {
                     let vt = ViewTuple::from_bytes(bytes)?;
                     self.cost.comp(del_tests);
@@ -589,6 +590,7 @@ impl MaterializedView {
                         emitted += 1;
                     }
                 }
+                drop(merge_guard);
                 if chain.is_changed() {
                     let _g = self.cost.section("mv.write_view");
                     // Writing a page moves its tuples (C3.3's n_V moves per

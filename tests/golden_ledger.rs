@@ -118,14 +118,16 @@ fn hh_ledger_matches_golden() {
     check_golden("hh_report.json", &epoch_report(Method::HybridHash).to_json().pretty());
 }
 
-/// Every operation of a JI epoch is charged under some span: the report's
-/// depth-0 spans add up to its totals.
+/// Every operation of a JI, MV or HH epoch is charged under some span:
+/// the report's depth-0 spans add up to its totals.
 #[test]
 fn ji_report_spans_cover_its_totals() {
-    let report = epoch_report(Method::JoinIndex);
-    let mut spanned = OpCounts::default();
-    report.spans.iter().filter(|s| s.depth == 0).for_each(|s| spanned.add(&s.cum_ops));
-    assert_eq!(spanned, report.totals);
+    for method in [Method::JoinIndex, Method::MaterializedView, Method::HybridHash] {
+        let report = epoch_report(method);
+        let mut spanned = OpCounts::default();
+        report.spans.iter().filter(|s| s.depth == 0).for_each(|s| spanned.add(&s.cum_ops));
+        assert_eq!(spanned, report.totals, "{method}");
+    }
 }
 
 /// A served query's result checksum (FNV-1a over the answer's surrogate
