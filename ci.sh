@@ -140,6 +140,24 @@ echo "==> simulation gate"
 cargo run --release -q -p trijoin-check --bin trijoin -- check --corpus tests/corpus
 cargo run --release -q -p trijoin-check --bin trijoin -- check --seed 2026 --ops 160
 
+echo "==> committed results reproduce"
+# Every file under results/ is the output of a bin under
+# crates/bench/src/bin/ (its text on stdout, its json written beside it)
+# or of an example whose text is committed as results/<name>.txt, on the
+# simulated clock and fixed seeds. Re-run them all and fail on any byte
+# that moved: a change meant to move a committed number regenerates it.
+for bin in crates/bench/src/bin/*.rs; do
+    name=$(basename "$bin" .rs)
+    cargo run --release -q -p trijoin-bench --bin "$name" 2>/dev/null > "results/$name.txt"
+done
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    if [ -f "results/$name.txt" ]; then
+        cargo run --release -q --example "$name" > "results/$name.txt"
+    fi
+done
+git diff --exit-code results/
+
 echo "==> adaptive-serving gate"
 # Online strategy migration: a fresh adversarial script (hot-key zipf
 # traffic shaped to force migrations) must stay oracle-green at every
@@ -154,19 +172,6 @@ cargo run --release -q -p trijoin-check --bin trijoin -- \
 grep -q '"migrate.count"' "$report" || { echo "adaptive serve report lacks migrate.count"; exit 1; }
 cargo run --release -q -p trijoin-check --bin trijoin -- report-validate "$report"
 rm -f "$report"
-# The single-engine adapter runs the same controller on the simulated
-# clock, so its committed results file must reproduce to the byte.
-cargo run --release -q --example adaptive | diff - results/adaptive.txt
-# So does the engine-vs-model grid: fixed seeds, simulated seconds only.
-cargo run --release -q --example engine_vs_model | diff - results/engine_vs_model.txt
-# And the Table-7-scale engine run, so its engine ÷ model ratios (JI's
-# above all) cannot drift unseen.
-cargo run --release -q -p trijoin-bench --bin paper_scale 2>/dev/null | diff - results/paper_scale.txt
-# Both run their epochs through `Database::run_epoch`, which settles
-# before it queries, so they pin that the paths which settle did not move
-# when readers learned to read the log through.
-cargo run --release -q --example active_db | diff - results/active_db.txt
-cargo run --release -q -p trijoin-bench --bin fig5_engine | diff - results/fig5_engine.txt
 # One decision loop: strategy re-selection is priced in the policy module
 # (and the launch-time advisor), nowhere else.
 if grep -rn "all_costs\|cheapest(" crates/core/src crates/serve/src \

@@ -278,9 +278,10 @@ pub fn leaf_entries(bytes: &[u8]) -> Result<(LeafEntries<'_>, Option<u32>)> {
 
 /// Binary-search a raw *internal* page for the child to descend into for
 /// the leftmost occurrence of `key` (the `partition_point(|s| s < key)`
-/// child). Returns `(child_page, key_count)` — the count so the caller can
-/// charge the same search comparisons the owned-node path charges.
-pub fn internal_child_left(bytes: &[u8], key: u64) -> Result<(u32, usize)> {
+/// child). Returns `(child_page, key_count, upper)` — the count so the
+/// caller can charge the same search comparisons the owned-node path
+/// charges, and the separator after the child (`None` for the last).
+pub fn internal_child_left(bytes: &[u8], key: u64) -> Result<(u32, usize, Option<u64>)> {
     if bytes.len() < 7 {
         return Err(Error::Corrupt("btree page too small".into()));
     }
@@ -308,7 +309,7 @@ pub fn internal_child_left(bytes: &[u8], key: u64) -> Result<(u32, usize)> {
     } else {
         u32::from_le_bytes(bytes[7 + (lo - 1) * 12 + 8..7 + (lo - 1) * 12 + 12].try_into().unwrap())
     };
-    Ok((child, count))
+    Ok((child, count, (lo < count).then(|| key_at(lo))))
 }
 
 #[cfg(test)]
@@ -385,10 +386,10 @@ mod tests {
         let page =
             Node::Internal { keys: keys.clone(), children: children.clone() }.to_page(128).unwrap();
         for probe in [0u64, 10, 15, 20, 25, 30, 99] {
-            let (child, count) = internal_child_left(&page, probe).unwrap();
+            let (child, count, upper) = internal_child_left(&page, probe).unwrap();
             assert_eq!(count, keys.len());
-            let expect = children[keys.partition_point(|&s| s < probe)];
-            assert_eq!(child, expect, "probe {probe}");
+            let at = keys.partition_point(|&s| s < probe);
+            assert_eq!((child, upper), (children[at], keys.get(at).copied()), "probe {probe}");
         }
     }
 

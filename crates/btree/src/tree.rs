@@ -16,7 +16,9 @@
 //! Batch access ([`BTree::fetch_many`]) deduplicates page touches within the
 //! batch, which is exactly the semantics of Yao's formula ("a page is
 //! accessed at most once") that the analytical model charges for scheduled,
-//! pointer-sorted access.
+//! pointer-sorted access. A probe walks on to the next leaf only when its
+//! key may continue there: when it is not below the separator after the
+//! leaf its descent reached.
 //!
 //! Mutations read and write only the pages they change, and all of them
 //! go through one write path: a batch in key order is one sweep
@@ -39,7 +41,9 @@
 //! sibling). So with values of one width no node but the root and the
 //! right edge of each level stays under half full, an empty node never
 //! persists at any width, and a root left with a single child hands the
-//! root to it. A node that overflows on the right edge of its level keeps
+//! root to it. A leaf unit that fits on fewer pages than it was read from
+//! lands on that many, and a sorted sweep packs the runs of leaves it
+//! passes full. A node that overflows on the right edge of its level keeps
 //! full pages and splits off only the rest — the new entry of a leaf, the
 //! last two children of an internal node — so an ascending load packs
 //! pages instead of stranding half of each. What that buys is a bound: the
@@ -158,10 +162,12 @@ pub struct BTree {
     c_reused: CounterId,
 }
 
-/// Where a descent landed: the memory-resident root leaf, or a leaf page.
+/// Where a descent landed: the memory-resident root leaf, or a leaf page
+/// with the separator after it (`None` on the right edge): keys at or
+/// above it may continue in the next leaf, none below it does.
 enum LeafLoc {
     Root,
-    Page(u32),
+    Page(u32, Option<u64>),
 }
 
 /// Outcome of scanning one leaf during a chain walk.
@@ -392,6 +398,12 @@ impl BTree {
         self.height
     }
 
+    /// Pages a sorted sweep holds at once: a node per level, and a second
+    /// leaf beside the one it edits ([`BTree::apply_sorted`]).
+    pub fn sweep_pages(&self) -> usize {
+        self.height + 1
+    }
+
     /// The underlying file id (for space reporting).
     pub fn file_id(&self) -> FileId {
         self.file
@@ -480,9 +492,10 @@ impl BTree {
 
     /// Zero-copy descent: walk internal levels through borrowed page views
     /// (no `Node` materialization) down to the page number of the leftmost
-    /// leaf that can contain `key`. Charges the same binary-search
-    /// comparisons and node-read I/Os as the owned-node descent; pages in
-    /// `seen` (batch mode) are read free of I/O charge after first touch.
+    /// leaf that can contain `key`, and the separator after it. Charges the
+    /// same binary-search comparisons and node-read I/Os as the owned-node
+    /// descent; pages in `seen` (batch mode) are read free of I/O charge
+    /// after first touch.
     fn descend_to_leaf_page(
         &self,
         key: u64,
@@ -492,7 +505,8 @@ impl BTree {
             return Ok(LeafLoc::Root);
         };
         self.charge_search(keys.len());
-        let mut page = children[Self::child_left(keys, key)];
+        let at = Self::child_left(keys, key);
+        let (mut page, mut upper) = (children[at], keys.get(at).copied());
         // Root is level 1, leaves are level `height`; levels 2..height are
         // the internal nodes below the root.
         for _ in 2..self.height {
@@ -501,15 +515,15 @@ impl BTree {
                 Some(s) => s.insert(page),
                 None => true,
             };
-            let (child, key_count) = if charged {
+            let (child, key_count, after) = if charged {
                 self.disk.read_page_with(pid, |raw| node::internal_child_left(raw, key))?
             } else {
                 self.disk.read_page_free_with(pid, |raw| node::internal_child_left(raw, key))?
             };
             self.charge_search(key_count);
-            page = child;
+            (page, upper) = (child, after.or(upper));
         }
-        Ok(LeafLoc::Page(page))
+        Ok(LeafLoc::Page(page, upper))
     }
 
     /// Run `f` on one leaf page's shared image (an `Rc` clone of the disk's
@@ -555,7 +569,9 @@ impl BTree {
         if lo > hi {
             return Ok(());
         }
-        let mut page = match self.descend_to_leaf_page(lo, None)? {
+        // The first leaf's upper separator: a range ending below it ends
+        // there; past it nothing tells, and the chain is walked.
+        let (mut page, mut upper) = match self.descend_to_leaf_page(lo, None)? {
             LeafLoc::Root => {
                 let Node::Leaf { ref entries, .. } = self.root else {
                     return Err(Error::Invariant("descended to internal node".into()));
@@ -570,7 +586,7 @@ impl BTree {
                 self.disk.cost().comp(examined);
                 return Ok(());
             }
-            LeafLoc::Page(p) => p,
+            LeafLoc::Page(p, upper) => (p, upper),
         };
         loop {
             let step = self.with_leaf_copy(page, true, |raw| {
@@ -586,13 +602,13 @@ impl BTree {
                 }
                 self.disk.cost().comp(examined);
                 Ok(match next {
-                    Some(p) => Step::Next(p),
-                    None => Step::Done,
+                    Some(p) if upper.is_none_or(|upper| hi >= upper) => Step::Next(p),
+                    _ => Step::Done,
                 })
             })?;
             match step {
                 Step::Done => return Ok(()),
-                Step::Next(p) => page = p,
+                Step::Next(p) => (page, upper) = (p, None),
             }
         }
     }
@@ -636,7 +652,7 @@ impl BTree {
                 self.disk.cost().comp(examined);
                 return Ok(());
             }
-            LeafLoc::Page(p) => p,
+            LeafLoc::Page(p, _) => p,
         };
         loop {
             let image = self.disk.read_page_rc(PageId::new(self.file, page))?;
@@ -694,7 +710,8 @@ impl BTree {
                     }
                     self.disk.cost().comp(examined);
                 }
-                LeafLoc::Page(mut page) => loop {
+                // Walk on only while the key may continue in the next leaf.
+                LeafLoc::Page(mut page, mut upper) => loop {
                     let charged = seen.insert(page);
                     let step = self.with_leaf_copy(page, charged, |raw| {
                         let (iter, next) = node::leaf_entries(raw)?;
@@ -714,13 +731,13 @@ impl BTree {
                         }
                         self.disk.cost().comp(examined);
                         Ok(match next {
-                            Some(p) => Step::Next(p),
-                            None => Step::Done,
+                            Some(p) if upper.is_none_or(|upper| key >= upper) => Step::Next(p),
+                            _ => Step::Done,
                         })
                     })?;
                     match step {
                         Step::Done => break,
-                        Step::Next(p) => page = p,
+                        Step::Next(p) => (page, upper) = (p, None),
                     }
                 },
             }

@@ -13,30 +13,42 @@
 //! every page whose image changed is written once, when the sweep leaves
 //! it: Yao's scheduled access, on the write side.
 //!
-//! Structure changes happen in the stream. A unit may outgrow its pages
-//! in memory; when it lands it is cut into as many pages as it needs —
-//! evenly, or, on the right edge of its level, full pages from the left
-//! and the rest last, so an ascending run packs its pages — and the new
-//! pages' separators go into the unit above, which lands later. A unit
+//! Structure changes happen in the stream, and every leaf unit lands by
+//! one rule: onto as few pages as its entries fill when that is fewer than
+//! it was read from, else at the boundaries it was read with — a page that
+//! overflows cut onto new pages after it, evenly, or full pages from the
+//! left on the right edge of the level, so an ascending run packs — while
+//! every page stays at least half full (but the right edge), else cut
+//! anew. An internal unit keeps its boundaries under the same proviso. New
+//! pages' separators go into the unit above, which lands later.
+//!
+//! A dirty leaf unit of a unique-key sweep that the batch moves on into
+//! its right neighbour does not land: it takes the neighbour in (read
+//! anyway) and lands, from the left, the full pages below the next key,
+//! keeping less than a page of entries beside the neighbour's: the sweep
+//! holds two leaf pages' worth. One that lost entries and would leave a
+//! partial page takes its neighbour in as a *sibling* when the batch goes
+//! on into the leaf past it. So a run of leaves the batch passes ends on
+//! full pages. A unit
 //! that fell under half full takes in its right neighbour before it lands
-//! (read anyway when the batch goes on there, read as a *sibling* when it
-//! does not; the unit above takes in its own neighbour first when the
-//! unit ends at its last child); moving on to the right edge of a level
-//! takes it in as well, so an emptied right edge has its left neighbour at
-//! hand. Landing keeps the page boundaries a unit was read with when they
-//! still hold, and otherwise pours into the left pages, freeing the right
-//! ones, or cuts the run anew: pages stay at least half full but on the
-//! right edge, an empty node never persists, and a root left with one
-//! child hands the root to it. The sweep never restarts from the root.
+//! (as a sibling when the batch does not go on there; the unit above takes
+//! in its own neighbour first when the unit ends at its last child);
+//! moving on to the right edge of a level takes it in as well, so an
+//! emptied right edge has its left neighbour at hand. Pages left over go
+//! to the free list, an empty node never persists, and a root left with
+//! one child hands the root to it. The sweep never restarts from the root.
 //!
 //! Progress is counted in *landed* operations: those whose effect is on a
-//! written page (or needed none). A landing writes its new pages first —
-//! nothing points at them yet, so a device fault there frees them and
-//! voids the leaf unit's edits — and once a page the tree points at is
-//! written, it finishes, retrying what a transient fault failed. On a
-//! fault the sweep voids the leaf unit it edits and lands the units above
-//! it, so the tree stays sound and [`SweepStats::landed`] tells the caller
-//! exactly which prefix of the batch must not be applied again.
+//! written page (or needed none), counted as each page lands, so the full
+//! pages a unit lands ahead of its partial one count at once. A landing
+//! writes its new pages first — nothing points at them yet, so a device
+//! fault there frees them and voids the leaf unit's edits — and once a page
+//! the tree points at is written, it finishes, retrying what a transient
+//! fault failed. On a fault the sweep voids the leaf unit it edits — unless
+//! the unit carries entries off pages that already landed, which it lands
+//! instead — and lands the units above it, so the tree stays sound and
+//! [`SweepStats::landed`] tells the caller exactly which prefix of the
+//! batch must not be applied again.
 
 use std::iter::Peekable;
 use std::rc::Rc;
@@ -125,8 +137,9 @@ pub struct SweepStats {
     pub rejected: u64,
     /// Leaf page writes, pages split off included.
     pub leaves_written: u64,
-    /// Leaves read only to merge with or refill from: neighbours of an
-    /// underfull leaf that hold no key of the batch.
+    /// Leaves read only to merge with, refill from or pack across:
+    /// neighbours of an underfull leaf, or of one that would end a run on a
+    /// partial page, that hold no key of the batch.
     pub siblings_read: u64,
 }
 
@@ -153,6 +166,10 @@ struct Unit {
     hi: Option<u64>,
     /// The node differs from what its pages hold.
     dirty: bool,
+    /// Its pages no longer hold what it holds — it took entries off pages
+    /// that landed, or a landing wrote part of it — so it lands even when
+    /// the sweep fails.
+    carry: bool,
 }
 
 /// What the edited leaf owes when it lands.
@@ -166,6 +183,42 @@ struct Edits {
     /// `(key, value before)` of every entry changed; the value after is
     /// read off the leaf when it lands.
     changes: Vec<(u64, Option<Vec<u8>>)>,
+    /// `(key, ops, rejected, grown)` of every key a unique sweep netted, in
+    /// key order: what the keys below a page boundary owe.
+    keys: Vec<(u64, u64, u64, i64)>,
+}
+
+impl Edits {
+    /// The chain on `key` consumed `ops`, refused `rejected` of them and
+    /// gained `grown` entries; `before` is the value it changed, if any.
+    fn record(
+        &mut self,
+        key: u64,
+        ops: u64,
+        rejected: u64,
+        grown: i64,
+        before: Option<Option<Vec<u8>>>,
+    ) {
+        (self.ops, self.rejected, self.grown) =
+            (self.ops + ops, self.rejected + rejected, self.grown + grown);
+        self.keys.push((key, ops, rejected, grown));
+        self.changes.extend(before.map(|before| (key, before)));
+    }
+
+    /// Split off what the keys below `sep` owe.
+    fn split_below(&mut self, sep: u64) -> Edits {
+        let mut below = Edits::default();
+        let n = self.keys.partition_point(|k| k.0 < sep);
+        for (key, ops, rejected, grown) in self.keys.drain(..n) {
+            below.record(key, ops, rejected, grown, None);
+        }
+        let n = self.changes.partition_point(|c| c.0 < sep);
+        below.changes = self.changes.drain(..n).collect();
+        self.ops -= below.ops;
+        self.rejected -= below.rejected;
+        self.grown -= below.grown;
+        below
+    }
 }
 
 /// A sweep in progress.
@@ -175,8 +228,6 @@ struct Path<'s, 'c> {
     units: Vec<Unit>,
     edits: Edits,
     unique: bool,
-    /// Leaf units land as passes do ([`BTree::cut_pass`]).
-    pack: bool,
     /// The key the sweep heads for (`None`: it is finishing).
     next_key: Option<u64>,
     root_dirty: bool,
@@ -191,12 +242,11 @@ struct Path<'s, 'c> {
 }
 
 impl<'s, 'c> Path<'s, 'c> {
-    fn new(height: usize, unique: bool, pack: bool, stats: SweepStats) -> Self {
+    fn new(height: usize, unique: bool, stats: SweepStats) -> Self {
         Path {
             units: Vec::with_capacity(height),
             edits: Edits::default(),
             unique,
-            pack,
             next_key: None,
             root_dirty: false,
             only_child: vec![None; height],
@@ -237,7 +287,7 @@ impl BTree {
         stats: &mut SweepStats,
         on_change: &mut OnChange<'_>,
     ) -> Result<()> {
-        let mut p = Path::new(self.height, unique, false, *stats);
+        let mut p = Path::new(self.height, unique, *stats);
         p.on_change = Some(on_change);
         let mut result = self.sweep(ops.into_iter().peekable(), &mut p);
         if result.is_ok() {
@@ -251,15 +301,20 @@ impl BTree {
         p.fault.take().map_or(Ok(()), Err)
     }
 
-    /// After a failure: the leaf's edits are void; what is above it lands.
+    /// After a failure: the leaf's edits are void — unless it carries
+    /// entries of landed pages, and lands — and what is above it lands.
     fn abandon(&mut self, p: &mut Path) -> Result<()> {
+        let held = p.units.len() + 1 == self.height;
+        let carry = held && p.units.last().is_some_and(|u| u.carry);
         if self.height == 1 {
             let raw = self.disk.read_page_free(PageId::new(self.file, self.root_page))?;
             self.root = Node::from_page(&raw)?;
-        } else if p.units.len() + 1 == self.height {
+        } else if held && !carry {
             p.units.pop();
         }
-        p.edits = Edits::default();
+        if !carry {
+            p.edits = Edits::default();
+        }
         let _ = self.finish(p, true);
         Ok(())
     }
@@ -291,8 +346,11 @@ impl BTree {
     }
 
     /// Make the held leaf unit one that covers `key`: land the units that
-    /// do not — or take in their right neighbour, for an underfull unit
-    /// or one whose neighbour is the right edge — then descend.
+    /// do not — or take in their right neighbour, for a dirty leaf unit of
+    /// a unique sweep whose neighbour holds `key` (landing its full pages)
+    /// or that would leave a partial page one leaf short of it, an
+    /// underfull unit or one whose neighbour is the right edge — then
+    /// descend.
     fn seek(&mut self, p: &mut Path, key: u64) -> Result<()> {
         p.next_key = Some(key);
         while let Some(u) = p.units.last() {
@@ -300,6 +358,18 @@ impl BTree {
                 break;
             }
             let li = p.units.len() - 1;
+            let streams = p.unique && u.dirty && li + 2 == self.height;
+            if streams && self.reach_right(p, li, key)? {
+                self.land_full(p, li)?;
+                if p.fault.is_some() {
+                    return Ok(());
+                }
+                continue;
+            }
+            if streams && self.bridges(p, li, key) && self.extend_right(p, li, false)? {
+                continue;
+            }
+            let u = &p.units[li];
             let (_, children, parent_hi) = self.parent(p, li);
             let end = u.first + u.pages.len();
             let edge_next = end + 1 == children.len() && parent_hi.is_none();
@@ -325,7 +395,8 @@ impl BTree {
                 return Err(Error::Invariant(format!("page {page}: node at the wrong level")));
             }
             let pages = vec![page];
-            p.units.push(Unit { node, pages, images: vec![image], first, hi, dirty: false });
+            let images = vec![image];
+            p.units.push(Unit { node, pages, images, first, hi, dirty: false, carry: false });
         }
         Ok(())
     }
@@ -398,6 +469,93 @@ impl BTree {
         Ok(true)
     }
 
+    /// Take the right neighbour of the unit at `li` into it if `key` lies
+    /// there — after the unit above took in its own, if this one ends at
+    /// its last child and `key` lies under that one.
+    fn reach_right(&mut self, p: &mut Path, li: usize, key: u64) -> Result<bool> {
+        let end = p.units[li].first + p.units[li].pages.len();
+        if end == self.parent(p, li).1.len() && (li == 0 || !self.reach_right(p, li - 1, key)?) {
+            return Ok(false);
+        }
+        let (keys, _, parent_hi) = self.parent(p, li);
+        if !p.covers(keys.get(end).copied().or(parent_hi), key) {
+            return Ok(false);
+        }
+        self.extend_right(p, li, false)
+    }
+
+    /// Whether the leaf unit at `li` lost entries, would land a partial
+    /// page, and `key` lies in the leaf past its right neighbour, under the
+    /// same node: taking the neighbour in, as a sibling, keeps the run of
+    /// full pages going instead of leaving a partial one behind.
+    fn bridges(&self, p: &Path, li: usize, key: u64) -> bool {
+        let u = &p.units[li];
+        let (keys, children, parent_hi) = self.parent(p, li);
+        let end = u.first + u.pages.len();
+        p.edits.grown < 0
+            && !u.node.len().is_multiple_of(self.cfg.leaf_cap)
+            && end + 1 < children.len()
+            && !p.covers(Some(keys[end]), key)
+            && p.covers(keys.get(end + 1).copied().or(parent_hi), key)
+    }
+
+    /// Land the full pages of the leaf unit at `li` — the deepest held,
+    /// which just took in the neighbour the batch moves on into — that lie
+    /// below the key the sweep heads for: the entries poured from the left
+    /// at `leaf_cap` (and the page size) onto the pages they came from,
+    /// keeping the neighbour's page in hand. The rest of the unit stays
+    /// held, carrying what it took off the landed pages unless it begins
+    /// where a page did.
+    fn land_full(&mut self, p: &mut Path, li: usize) -> Result<()> {
+        let key = p.next_key.expect("a unit lands full pages on the way to a key");
+        let (keys, _, _) = self.parent(p, li);
+        let u = &p.units[li];
+        let m = u.pages.len();
+        let Node::Leaf { entries, .. } = &u.node else { unreachable!("the sweep edits leaves") };
+        let old_seps = &keys[u.first..u.first + m - 1];
+        // Where each page as read begins.
+        let starts: Vec<usize> = std::iter::once(0)
+            .chain(old_seps.iter().map(|&sep| entries.partition_point(|(k, _)| *k < sep)))
+            .collect();
+        let below = entries.partition_point(|(k, _)| *k < key).min(starts[m - 1]);
+        let Some(cut) = self.fill_points(entries).into_iter().take_while(|&at| at <= below).last()
+        else {
+            return Ok(());
+        };
+        // The pages that begin below the cut land; the next keeps the rest.
+        let j = starts.partition_point(|&at| at < cut);
+        let carry = starts[j] > cut;
+        let sep = if carry { entries[cut].0.min(key) } else { old_seps[j - 1] };
+        let prefix = Unit {
+            node: Node::Leaf { entries: entries[..cut].to_vec(), next: Some(u.pages[j]) },
+            pages: u.pages[..j].to_vec(),
+            images: u.images[..j].to_vec(),
+            first: u.first,
+            hi: Some(sep),
+            dirty: true,
+            carry: u.carry,
+        };
+        let mut committed = prefix.carry;
+        let landed = match self.put(p, li, &prefix, &mut committed, Some(sep)) {
+            Ok(landed) => landed,
+            Err(e) => {
+                // Written in part: the whole unit lands when the sweep ends.
+                p.units[li].carry |= committed;
+                return Err(e);
+            }
+        };
+        let below = p.edits.split_below(sep);
+        let afters = Self::afters(&below, &prefix.node);
+        self.account(p, below, afters);
+        let u = &mut p.units[li];
+        let Node::Leaf { entries, .. } = &mut u.node else { unreachable!() };
+        entries.drain(..cut);
+        u.pages.drain(..j);
+        u.images.drain(..j);
+        (u.first, u.carry) = (u.first + landed, carry);
+        Ok(())
+    }
+
     /// Take the left neighbour of the unit at `li` into it (an emptied
     /// right edge; the sweep never passed that neighbour, or the unit
     /// would hold it). False when the unit begins its level.
@@ -430,10 +588,11 @@ impl BTree {
     }
 
     /// Land the unit at `li`, the deepest held: mend an underflow it made
-    /// (or an emptied right edge), cut it into pages, write what changed,
-    /// hand the pages and separators to the unit above. With `retry`
-    /// every I/O is finished through transient faults; otherwise a leaf
-    /// unit whose first write fails is voided instead.
+    /// (or an emptied right edge), then put it on its pages
+    /// ([`BTree::put`]). With `retry` every I/O is finished through
+    /// transient faults; otherwise a leaf unit whose first write fails is
+    /// voided instead, and one that fails later stays held, to land whole
+    /// when the sweep finishes.
     fn land(&mut self, p: &mut Path, li: usize, retry: bool) -> Result<()> {
         loop {
             let u = &p.units[li];
@@ -447,26 +606,62 @@ impl BTree {
                 break;
             }
         }
-        let u = p.units.pop().expect("landing a held unit");
-        let (leaf, m, edge) = (u.node.is_leaf(), u.pages.len(), u.hi.is_none());
-        let afters = if leaf { Self::afters(&p.edits, &u.node) } else { Vec::new() };
-        if !u.dirty {
-            if leaf {
-                self.account(p, afters);
+        let mut u = p.units.pop().expect("landing a held unit");
+        let leaf = u.node.is_leaf();
+        if u.dirty {
+            let mut committed = retry || !leaf || u.carry;
+            if let Err(e) = self.put(p, li, &u, &mut committed, None) {
+                if committed {
+                    // Written in part: it lands whole when the sweep ends.
+                    u.carry = true;
+                    p.units.push(u);
+                }
+                return Err(e);
             }
-            return Ok(());
         }
+        if leaf {
+            let afters = Self::afters(&p.edits, &u.node);
+            let edits = std::mem::take(&mut p.edits);
+            self.account(p, edits, afters);
+        }
+        Ok(())
+    }
+
+    /// Put the dirty unit `u` of level `li` on pages: cut it, write what
+    /// changed, free the pages left over, and hand the pages and the
+    /// separators between them to the unit above — with `right`, the
+    /// separator after the unit too. New pages are written first and freed
+    /// again if a write fails; `committed` turns true once a page the tree
+    /// points at is written, and from then on writes retry through
+    /// transient faults. Returns how many pages the unit landed on.
+    fn put(
+        &mut self,
+        p: &mut Path,
+        li: usize,
+        u: &Unit,
+        committed: &mut bool,
+        right: Option<u64>,
+    ) -> Result<usize> {
+        let (leaf, m, edge) = (u.node.is_leaf(), u.pages.len(), u.hi.is_none());
         let (keys, _, _) = self.parent(p, li);
         let old_seps = keys[u.first..u.first + m - 1].to_vec();
+        let old_right = right.map(|_| keys[u.first + m - 1]);
         let after = match &u.node {
             Node::Leaf { next, .. } => *next,
             Node::Internal { .. } => None,
         };
         // Piece `i` lands on page `slots[i]` of the unit, or on a new page.
-        let (mut pieces, seps, slots) = if p.pack && leaf {
-            self.cut_pass(u.node, edge, &old_seps, m)
+        let (mut pieces, seps, slots) = if let Node::Leaf { entries, .. } = &u.node {
+            // On the right edge, what came past the last entry read there.
+            let appended = if edge {
+                let last = crate::node::leaf_entries(&u.images[m - 1])?.0.last().transpose()?;
+                entries.len() - last.map_or(0, |(top, _)| entries.partition_point(|e| e.0 <= top))
+            } else {
+                0
+            };
+            self.cut_leaf(&u.node, edge, &old_seps, appended)
         } else {
-            let (pieces, seps) = self.cut(u.node, edge, &old_seps);
+            let (pieces, seps) = self.cut(&u.node, edge, &old_seps);
             let slots = (0..pieces.len()).map(|i| (i < m).then_some(i)).collect();
             (pieces, seps, slots)
         };
@@ -486,22 +681,17 @@ impl BTree {
             }
             images.push(piece.to_page(size)?);
         }
-        // New pages first: until a page the tree points at is written, a
-        // leaf unit can still be voided.
-        let mut committed = retry || !leaf;
         let fresh = (0..k).filter(|&i| slots[i].is_none());
         let changed = (0..k).filter(|&i| slots[i].is_some_and(|j| images[i] != *u.images[j]));
         let mut written = 0;
         for i in fresh.chain(changed) {
-            if let Err(e) = self.write_io(pages[i], &images[i], committed, &mut p.fault) {
-                if !committed {
-                    for i in (0..k).filter(|&i| slots[i].is_none()) {
-                        self.free_page(pages[i])?;
-                    }
+            if let Err(e) = self.write_io(pages[i], &images[i], *committed, &mut p.fault) {
+                for i in (0..k).filter(|&i| slots[i].is_none()) {
+                    self.free_page(pages[i])?;
                 }
                 return Err(e);
             }
-            committed |= slots[i].is_some();
+            *committed |= slots[i].is_some();
             written += 1;
         }
         for j in (0..m).filter(|&j| !slots.contains(&Some(j))) {
@@ -513,12 +703,12 @@ impl BTree {
         if leaf {
             self.leaves = (self.leaves + k as u64) - m as u64;
             p.stats.leaves_written += written;
-            self.account(p, afters);
         }
-        if k != m || seps != old_seps {
+        if k != m || seps != old_seps || right != old_right {
             let (first, parent) = (u.first, self.parent_mut(p, li));
             let Node::Internal { keys, children } = parent else { unreachable!() };
-            keys.splice(first..first + m - 1, seps);
+            let outer = usize::from(right.is_some());
+            keys.splice(first..first + m - 1 + outer, seps.into_iter().chain(right));
             children.splice(first..first + m, pages.iter().copied());
             let only = children.len() == 1;
             match li.checked_sub(1) {
@@ -529,7 +719,7 @@ impl BTree {
                 p.only_child[li] = Some((pages[0], pieces.swap_remove(0)));
             }
         }
-        Ok(())
+        Ok(k)
     }
 
     fn parent_mut<'a>(&'a mut self, p: &'a mut Path, li: usize) -> &'a mut Node {
@@ -549,10 +739,9 @@ impl BTree {
         edits.changes.iter().map(|(key, _)| after(*key)).collect()
     }
 
-    /// The edited leaf landed, its changed entries now holding `afters`:
-    /// count its operations and entries and report what changed.
-    fn account(&mut self, p: &mut Path, afters: Vec<Option<Vec<u8>>>) {
-        let edits = std::mem::take(&mut p.edits);
+    /// Edits on a leaf landed, its changed entries now holding `afters`:
+    /// count their operations and entries and report what changed.
+    fn account(&mut self, p: &mut Path, edits: Edits, afters: Vec<Option<Vec<u8>>>) {
         self.entries = self.entries.checked_add_signed(edits.grown).expect("entry count in range");
         p.stats.landed += edits.ops;
         p.stats.rejected += edits.rejected;
@@ -572,11 +761,10 @@ impl BTree {
     /// Cut `node` into pages: at the separators `seps` it was read with
     /// when every piece is then a sound page, else anew (module docs).
     /// Returns the pieces and the separators between them.
-    fn cut(&self, node: Node, edge: bool, seps: &[u64]) -> (Vec<Node>, Vec<u64>) {
-        if seps.is_empty() && self.sound(&node, edge) {
-            return (vec![node], Vec::new());
+    fn cut(&self, node: &Node, edge: bool, seps: &[u64]) -> (Vec<Node>, Vec<u64>) {
+        if seps.is_empty() && self.sound(node, edge) {
+            return (vec![node.clone()], Vec::new());
         }
-        let node = &node;
         let (len, leaf) = (node.len(), node.is_leaf());
         let sound = |pieces: &[Node]| {
             let last = pieces.len() - 1;
@@ -632,35 +820,44 @@ impl BTree {
         }
         // Values of unequal width: as many entries to a page as fit.
         let Node::Leaf { entries, .. } = node else { unreachable!("internal nodes fit by count") };
+        Self::split_at(node, &self.fill_points(entries))
+    }
+
+    /// Where each page but the first begins when `entries` are poured
+    /// into pages from the left, each as full as `leaf_cap` and the page
+    /// size let it be.
+    fn fill_points(&self, entries: &[Entry]) -> Vec<usize> {
         let (mut at, mut count, mut bytes) = (Vec::new(), 0, 7);
         for (i, (_, v)) in entries.iter().enumerate() {
-            if count == cap || bytes + 10 + v.len() > self.disk.page_size() {
+            if count == self.cfg.leaf_cap || bytes + 10 + v.len() > self.disk.page_size() {
                 at.push(i);
                 (count, bytes) = (0, 7);
             }
             count += 1;
             bytes += 10 + v.len();
         }
-        Self::split_at(node, &at)
+        at
     }
 
-    /// Cut a pass's leaf unit ([`Passes`]), read from `m` pages at `seps`:
-    /// onto as few pages as its entries fill at `leaf_cap` when that is
-    /// fewer than `m`; else at `seps`, each leaf that overflows split
-    /// evenly onto new pages after it, when no leaf empties and that takes
+    /// Cut a leaf unit read from pages at `seps` (module docs): onto as
+    /// few pages as its entries fill at `leaf_cap` when that is fewer than
+    /// it was read from; else at `seps`, each page that overflows cut onto
+    /// new pages after it — evenly, or full from the left on the right edge
+    /// when what overflows it is the last `appended` entries, past those it
+    /// was read with — when every piece is then a sound page and that takes
     /// no more pages; else anew ([`BTree::cut`]). Returns the pieces, the
     /// separators between them and the page of the unit each piece lands
     /// on (`None`: a new page).
     #[allow(clippy::type_complexity)]
-    fn cut_pass(
+    fn cut_leaf(
         &self,
-        node: Node,
+        node: &Node,
         edge: bool,
         seps: &[u64],
-        m: usize,
+        appended: usize,
     ) -> (Vec<Node>, Vec<u64>, Vec<Option<usize>>) {
-        let Node::Leaf { entries, .. } = &node else { unreachable!("a pass is a leaf unit") };
-        let (len, cap) = (entries.len(), self.cfg.leaf_cap);
+        let Node::Leaf { entries, .. } = node else { unreachable!("a leaf unit") };
+        let (m, len, cap) = (seps.len() + 1, entries.len(), self.cfg.leaf_cap);
         let packed = len.div_ceil(cap).max(1);
         let mut bounds = vec![0];
         bounds.extend(seps.iter().map(|&sep| entries.partition_point(|(k, _)| *k < sep)));
@@ -668,14 +865,18 @@ impl BTree {
         // Per piece: where it begins, and the page it keeps.
         let mut cuts: Vec<(usize, Option<usize>)> = Vec::new();
         for (j, w) in bounds.windows(2).enumerate() {
-            let q = (w[1] - w[0]).div_ceil(cap);
-            cuts.extend((0..q).map(|i| (w[0] + (w[1] - w[0]) * i / q, (i == 0).then_some(j))));
+            let n = w[1] - w[0];
+            let packs = edge && j + 1 == m && n - appended.min(n) <= cap;
+            let q = n.div_ceil(cap);
+            let at = |i: usize| w[0] + if packs { cap * i } else { n * i / q };
+            cuts.extend((0..q).map(|i| (at(i), (i == 0).then_some(j))));
         }
         if packed >= m && cuts.iter().filter(|c| c.1.is_some()).count() == m && cuts.len() <= packed
         {
             let at: Vec<usize> = cuts[1..].iter().map(|c| c.0).collect();
-            let (pieces, new_seps) = Self::split_at(&node, &at);
-            if pieces.iter().all(|piece| self.fits(piece)) {
+            let (pieces, new_seps) = Self::split_at(node, &at);
+            let last = pieces.len() - 1;
+            if pieces.iter().enumerate().all(|(i, piece)| self.sound(piece, edge && i == last)) {
                 // A piece that keeps its page keeps the separator before it.
                 let kept = cuts[1..].iter().map(|c| c.1.map(|j| seps[j - 1]));
                 let seps = new_seps.into_iter().zip(kept).map(|(new, old)| old.unwrap_or(new));
@@ -730,7 +931,7 @@ impl BTree {
         while !self.fits(&self.root) {
             // The root is the right edge of its level.
             let root = std::mem::replace(&mut self.root, Node::empty_leaf());
-            let (pieces, seps) = self.cut(root, true, &[]);
+            let (pieces, seps) = self.cut(&root, true, &[]);
             let mut pages = Vec::with_capacity(pieces.len());
             for _ in &pieces {
                 pages.push(self.alloc_page()?);
@@ -753,7 +954,8 @@ impl BTree {
             self.write_root_free()?;
         }
         if root_leaf {
-            self.account(p, afters);
+            let edits = std::mem::take(&mut p.edits);
+            self.account(p, edits, afters);
         }
         Ok(())
     }
@@ -842,27 +1044,21 @@ impl BTree {
         let stored = entries.get(at).filter(|(k, _)| *k == key).map(|(_, v)| v.as_slice());
         let had = stored.is_some();
         let (netted, ops, rejected) = net_chain(stored, chain);
-        p.edits.ops += ops;
-        p.edits.rejected += rejected;
-        let before = match netted {
-            Netted::Unchanged => return Ok(()),
+        let (before, grown) = match netted {
+            Netted::Unchanged => (None, 0),
             Netted::Put(v) => {
                 self.check_width(&v)?;
                 self.disk.cost().mov(1);
                 if had {
-                    Some(std::mem::replace(&mut self.held_mut(p)[at].1, v))
+                    (Some(Some(std::mem::replace(&mut self.held_mut(p)[at].1, v))), 0)
                 } else {
                     self.held_mut(p).insert(at, (key, v));
-                    p.edits.grown += 1;
-                    None
+                    (Some(None), 1)
                 }
             }
-            Netted::Remove => {
-                p.edits.grown -= 1;
-                Some(self.held_mut(p).remove(at).1)
-            }
+            Netted::Remove => (Some(Some(self.held_mut(p).remove(at).1)), -1),
         };
-        p.edits.changes.push((key, before));
+        p.edits.record(key, ops, rejected, grown, before);
         Ok(())
     }
 
@@ -936,7 +1132,7 @@ impl BTree {
     /// anew onto that many, the pages left over going on the free list.
     /// The tree must hold unique keys.
     pub fn passes(&mut self, leaves: usize, group: fn(u64) -> u64) -> Passes<'_> {
-        let p = Path::new(self.height, true, true, SweepStats::default());
+        let p = Path::new(self.height, true, SweepStats::default());
         Passes {
             tree: self,
             p,

@@ -3,9 +3,10 @@
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
+use trijoin_btree::node::Node;
 use trijoin_btree::{BTree, BTreeConfig, SweepOp, SweepStats};
 use trijoin_common::{Cost, SystemParams};
-use trijoin_storage::SimDisk;
+use trijoin_storage::{PageId, SimDisk};
 
 type Model = BTreeMap<(u64, Vec<u8>), u32>;
 
@@ -545,6 +546,113 @@ proptest! {
             "{} leaves for {} entries at {} per leaf",
             tree.leaf_pages(), tree.len(), leaf_cap
         );
+    }
+
+    /// A sweep with a key in every leaf of a run of adjacent leaves lands
+    /// the run on full pages: the run's entries sit on ⌈entries ÷
+    /// leaf_cap⌉ pages, plus at most one at each end of the run, however
+    /// thin single-key removes left its leaves.
+    #[test]
+    fn a_run_of_adjacent_leaves_lands_on_full_pages(
+        keys in 20u64..400,
+        thinned in prop::collection::vec(any::<u32>(), 0..250),
+        from in any::<u32>(),
+        span in 1usize..40,
+        leaf_cap in 2usize..7,
+    ) {
+        let params = SystemParams { page_size: 256, ..SystemParams::paper_defaults() };
+        let disk = SimDisk::new(&params, Cost::new());
+        let cfg = BTreeConfig { leaf_cap, internal_cap: 3 };
+        let mut tree =
+            BTree::bulk_load(&disk, cfg, (0..keys).map(|k| (2 * k, vec![0u8; 5]))).unwrap();
+        for pick in thinned {
+            sweep(&mut tree, vec![(2 * (pick as u64 % keys), SweepOp::Remove(None))]);
+        }
+        // Each leaf's first key, in key order.
+        let mut lows: Vec<u64> = Vec::new();
+        let mut page = None;
+        tree.for_each_pinned(|k, _, image| {
+            let at = image.map(|p| std::rc::Rc::as_ptr(p) as usize);
+            if lows.is_empty() || at != page {
+                lows.push(k);
+                page = at;
+            }
+            true
+        })
+        .unwrap();
+        prop_assume!(!lows.is_empty());
+        let a = from as usize % lows.len();
+        let b = (a + span).min(lows.len());
+        let (lo, hi) = (lows[a], lows.get(b).copied());
+        let ops = lows[a..b].iter().map(|&k| (k, SweepOp::Replace(vec![1u8; 5]))).collect();
+        prop_assert_eq!(sweep(&mut tree, ops).rejected, 0);
+        tree.check_invariants().unwrap();
+        let (mut pages, mut entries, mut page) = (0u64, 0u64, None);
+        tree.for_each_pinned(|k, _, image| {
+            if k >= lo && hi.is_none_or(|hi| k < hi) {
+                let at = image.map(|p| std::rc::Rc::as_ptr(p) as usize);
+                pages += u64::from(entries == 0 || at != page);
+                (entries, page) = (entries + 1, at);
+            }
+            true
+        })
+        .unwrap();
+        prop_assert!(
+            pages <= entries.div_ceil(leaf_cap as u64) + 2,
+            "{} leaves of the run hold {} entries on {} pages at {} a page",
+            b - a, entries, pages, leaf_cap
+        );
+    }
+
+    /// An update-only sweep over a bulk-loaded tree lands every leaf where
+    /// it was read: the pages written are exactly the leaves on which a
+    /// value changed, each written with the image it was read with but the
+    /// new values, and no other page changes — what landing each leaf
+    /// unit on its own at its read boundaries writes.
+    #[test]
+    fn replace_sweep_over_a_packed_tree_rewrites_its_leaves_in_place(
+        keys in prop::collection::vec(0u64..3000, 1..600),
+        picks in prop::collection::vec((any::<u32>(), 0u8..3), 1..300),
+        leaf_cap in 2usize..7,
+    ) {
+        let params = SystemParams { page_size: 256, ..SystemParams::paper_defaults() };
+        let disk = SimDisk::new(&params, Cost::new());
+        let cfg = BTreeConfig { leaf_cap, internal_cap: 3 };
+        let keys: Vec<u64> = keys.into_iter().collect::<BTreeSet<u64>>().into_iter().collect();
+        let mut tree =
+            BTree::bulk_load(&disk, cfg, keys.iter().map(|&k| (k, vec![0u8; 6]))).unwrap();
+        let file = tree.file_id();
+        let images = || -> Vec<Vec<u8>> {
+            let pages = disk.num_pages(file).unwrap();
+            (0..pages).map(|page| disk.read_page_free(PageId::new(file, page)).unwrap()).collect()
+        };
+        let before = images();
+        // Each pick replaces one stored key, with its own value (0) or a new one.
+        let batch: BTreeMap<u64, u8> =
+            picks.iter().map(|&(pick, v)| (keys[pick as usize % keys.len()], v)).collect();
+        let ops = batch.iter().map(|(&k, &v)| (k, SweepOp::Replace(vec![v; 6]))).collect();
+        let writes = disk.metrics().counter("disk.writes");
+        let stats = sweep(&mut tree, ops);
+        prop_assert_eq!((stats.landed, stats.rejected), (batch.len() as u64, 0));
+        let after = images();
+        prop_assert_eq!(after.len(), before.len());
+        let mut changed = 0;
+        for (page, (was, now)) in before.iter().zip(&after).enumerate() {
+            let want = match Node::from_page(was).unwrap() {
+                Node::Leaf { entries, next } => {
+                    let entries = entries
+                        .into_iter()
+                        .map(|(k, v)| (k, batch.get(&k).map_or(v, |&b| vec![b; 6])))
+                        .collect();
+                    Node::Leaf { entries, next }.to_page(params.page_size).unwrap()
+                }
+                Node::Internal { .. } => was.clone(),
+            };
+            prop_assert!(now == &want, "page {} of {}", page, after.len());
+            changed += u64::from(now != was && page as u32 != tree.meta().root_page);
+        }
+        prop_assert_eq!(disk.metrics().counter("disk.writes") - writes, changed);
+        prop_assert_eq!(stats.leaves_written, changed);
     }
 
     /// Work-proportional maintenance, three ways. A batch whose net effect

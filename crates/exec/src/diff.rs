@@ -201,8 +201,9 @@ impl DiffLog {
     }
 
     /// Merge the sealed runs back in key order (C1.2 read charges as pages
-    /// stream in, C1.4 merge charges per emitted tuple). An error sorts
-    /// below every key, so the merge hands it out as soon as it reads it.
+    /// stream in, C1.4 merge charges per emitted tuple). An error is keyed
+    /// 0, where no key sorts below it, so the merge hands it out as soon
+    /// as it reads it.
     pub fn merged(&self) -> Result<Merged> {
         debug_assert!(self.buf.is_empty(), "seal() or spill() before merged()");
         let sources: Vec<RunReader> = self
@@ -220,7 +221,7 @@ impl DiffLog {
             })
             .collect();
         let key = self.key_of.clone();
-        let key = move |t: &Result<BaseTuple>| t.as_ref().ok().map(|t| key(t));
+        let key = move |t: &Result<BaseTuple>| t.as_ref().map_or(0, |t| key(t));
         Ok(KWayMerge::new(sources, key, self.cost.clone()))
     }
 
@@ -426,7 +427,7 @@ pub(crate) struct SFold<J> {
 }
 
 /// The key-ordered stream [`DiffLog::merged`] returns.
-pub type Merged = KWayMerge<Result<BaseTuple>, Option<SortKey>, RunReader>;
+pub type Merged = KWayMerge<Result<BaseTuple>, SortKey, RunReader>;
 
 /// Streams tuples out of one sorted run (one read I/O per page).
 ///

@@ -207,13 +207,14 @@ impl State {
     /// the buffer and the sweep's path.
     fn run_bound(&self) -> usize {
         let space = self.clustered.leaf_pages() as usize / 4 / APPLY_LOG_PAGES;
-        let merge = self.log.mem_pages.saturating_sub(APPLY_LOG_PAGES + self.clustered.height());
+        let merge =
+            self.log.mem_pages.saturating_sub(APPLY_LOG_PAGES + self.clustered.sweep_pages());
         APPLY_LOG_RUNS.max(space.min(merge))
     }
 
     /// [`StoredRelation::apply_log_bound_pages`].
     fn bound_pages(&self) -> u64 {
-        let now = APPLY_LOG_PAGES + self.run_bound() + self.clustered.height();
+        let now = APPLY_LOG_PAGES + self.run_bound() + self.clustered.sweep_pages();
         self.log.bound_pages.max(now as u64)
     }
 
@@ -233,7 +234,7 @@ impl State {
             self.log.sort_buffer(cost);
             self.log.bound_pages = self.bound_pages();
             let log = &self.log;
-            log.hold(log.buffer_pages() + log.runs.num_runs() + self.clustered.height());
+            log.hold(log.buffer_pages() + log.runs.num_runs() + self.clustered.sweep_pages());
         }
         let skip = self.log.resume.unwrap_or(0);
         // From here on the log is frozen: its merged order is what `skip`
@@ -599,10 +600,11 @@ impl StoredRelation {
     }
 
     /// The pages the apply log may hold at once: [`APPLY_LOG_PAGES`] of
-    /// buffer, the clustered tree's height, and one per run — as many runs
-    /// as keep their pages within a quarter of the relation's leaf pages,
+    /// buffer, the sweep's path over the clustered tree (`h + 1`:
+    /// [`BTree::sweep_pages`]), and one per run — as many runs as keep
+    /// their pages within a quarter of the relation's leaf pages,
     /// `max(APPLY_LOG_RUNS, min(leaves/4/APPLY_LOG_PAGES, |M| −
-    /// APPLY_LOG_PAGES − h))`. Read off the trees as they stand, and never
+    /// APPLY_LOG_PAGES − h − 1))`. Read off the trees as they stand, and never
     /// under what an earlier settle was held to.
     pub fn apply_log_bound_pages(&self) -> u64 {
         self.state.borrow().bound_pages()
@@ -1136,8 +1138,8 @@ mod tests {
         assert_eq!(rel.pending_ops(), 1, "the mutation that found the log full came after");
         assert_eq!(
             rel.apply_log_peak_pages(),
-            (APPLY_LOG_PAGES + APPLY_LOG_RUNS - 1 + rel.height()) as u64,
-            "the buffer, fifteen run pages and the path"
+            (APPLY_LOG_PAGES + APPLY_LOG_RUNS - 1 + rel.height() + 1) as u64,
+            "the buffer, fifteen run pages and the path with its second leaf"
         );
         assert_eq!(rel.get(Surrogate(7)).unwrap().unwrap().key, 7);
     }
@@ -1157,9 +1159,11 @@ mod tests {
         let (disk, mut rel) = build(200);
         assert_eq!(rel.data_pages(), 1_200);
         let h = rel.height();
-        assert_eq!(rel.apply_log_bound_pages(), (APPLY_LOG_PAGES + 18 + h) as u64);
-        assert_eq!(build(APPLY_LOG_PAGES + h + 17).1.apply_log_bound_pages(), (16 + 17 + h) as u64);
-        assert_eq!(build(8).1.apply_log_bound_pages(), (16 + APPLY_LOG_RUNS + h) as u64);
+        let path = h + 1; // the sweep's path holds two leaves
+        assert_eq!(rel.apply_log_bound_pages(), (APPLY_LOG_PAGES + 18 + path) as u64);
+        let roomy = build(APPLY_LOG_PAGES + path + 17).1.apply_log_bound_pages();
+        assert_eq!(roomy, (16 + 17 + path) as u64);
+        assert_eq!(build(8).1.apply_log_bound_pages(), (16 + APPLY_LOG_RUNS + path) as u64);
         // The log fills to 17 runs and a buffer, then settles itself.
         let t = |n: u32| BaseTuple::padded(Surrogate(n * 7 % 6_000), n as u64, 64);
         for n in 0..18 * 96 {

@@ -119,7 +119,7 @@ pub(super) fn log_stream<'a>(
     }
     let sources: Vec<Box<dyn Iterator<Item = Result<BaseTuple>> + 'a>> =
         vec![Box::new(runs.merged()?), Box::new(tail.map(|p| Ok(p.to_record())))];
-    let key = |r: &Result<BaseTuple>| r.as_ref().ok().map(Pending::record_key);
+    let key = |r: &Result<BaseTuple>| r.as_ref().map_or(0, Pending::record_key);
     let records = KWayMerge::new(sources, key, cost.clone());
     Ok(Box::new(records.map(|r| r.and_then(Pending::from_record))))
 }

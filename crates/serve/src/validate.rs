@@ -255,10 +255,11 @@ fn check_base_pages_bound(
 /// being merged and the path the sweep holds, so
 /// `base.apply_log.peak_pages` stays within the bound the report carries,
 /// `base.apply_log.bound_pages` — or, in a report without one (a log at its
-/// floor stamps none), within 16 + 16 + `base.tree_height` — and a report
-/// is taken with the log empty, `base.apply_log.pending` = 0: a report
-/// that says otherwise describes trees some acknowledged mutation has not
-/// reached. Reports from builds without the gauges owe nothing.
+/// floor stamps none), within 16 + 16 + `base.tree_height` + 1 (the path
+/// holds a second leaf) — and a report is taken with the log empty,
+/// `base.apply_log.pending` = 0: a report that says otherwise describes
+/// trees some acknowledged mutation has not reached. Reports from builds
+/// without the gauges owe nothing.
 fn check_apply_log_bound(
     path: &str,
     owner: &str,
@@ -267,13 +268,13 @@ fn check_apply_log_bound(
     use trijoin_exec::relation::{APPLY_LOG_PAGES, APPLY_LOG_RUNS};
     if let Some(peak) = metrics.gauge("base.apply_log.peak_pages") {
         let height = metrics.gauge("base.tree_height").unwrap_or(0.0);
-        let floor = (APPLY_LOG_PAGES + APPLY_LOG_RUNS) as f64 + height;
+        let floor = (APPLY_LOG_PAGES + APPLY_LOG_RUNS + 1) as f64 + height;
         let bound = metrics.gauge("base.apply_log.bound_pages").unwrap_or(floor);
         if peak > bound {
             return Err(format!(
                 "{path}: {owner} reports base.apply_log.peak_pages = {peak}, above its bound \
                  {bound} (base.apply_log.bound_pages, or {APPLY_LOG_PAGES} + {APPLY_LOG_RUNS} \
-                 + base.tree_height without it)"
+                 + base.tree_height + 1 without it)"
             ));
         }
     }
@@ -738,7 +739,7 @@ mod tests {
 
     #[test]
     fn apply_log_peak_above_its_constant_bound_is_rejected() {
-        let (report, outgrown) = report_with_gauge("base.apply_log.peak_pages", 35.0);
+        let (report, outgrown) = report_with_gauge("base.apply_log.peak_pages", 36.0);
         validate_report_json("s.json", &report.to_json()).unwrap();
         let shard = &report.shards[0].metrics;
         // The query read the shard's updates through the log's buffer; the
@@ -747,21 +748,21 @@ mod tests {
         assert_eq!(shard.counter("base.read_through.pages"), 0);
         assert_eq!(shard.counter("base.settles"), 1, "the report settled the shard's updates");
         assert_eq!(shard.gauge("base.tree_height"), Some(2.0));
-        // A few buffer pages and the two-level path, far under 16 + 16 + 2.
+        // A few buffer pages and the two-level path, far under 16 + 16 + 3.
         let peak = shard.gauge("base.apply_log.peak_pages").expect("gauge is stamped");
         assert!(peak > 2.0 && peak < 8.0, "{peak} pages");
         let err = validate_report_json("s.json", &outgrown.to_json()).unwrap_err();
-        assert!(err.contains("shard0") && err.contains("base.apply_log.peak_pages = 35"), "{err}");
-        let (_, at_the_bound) = report_with_gauge("base.apply_log.peak_pages", 34.0);
+        assert!(err.contains("shard0") && err.contains("base.apply_log.peak_pages = 36"), "{err}");
+        let (_, at_the_bound) = report_with_gauge("base.apply_log.peak_pages", 35.0);
         validate_report_json("s.json", &at_the_bound.to_json()).unwrap();
         // A larger relation's log is held to the bound its report carries.
         assert_eq!(shard.gauge("base.apply_log.bound_pages"), None, "a log at its floor");
         let mut roomy = outgrown.clone();
-        roomy.shards[0].metrics.gauges.push(("base.apply_log.bound_pages".into(), 35.0));
+        roomy.shards[0].metrics.gauges.push(("base.apply_log.bound_pages".into(), 36.0));
         validate_report_json("s.json", &roomy.to_json()).unwrap();
-        roomy.shards[0].metrics.gauges.last_mut().unwrap().1 = 34.5;
+        roomy.shards[0].metrics.gauges.last_mut().unwrap().1 = 35.5;
         let err = validate_report_json("s.json", &roomy.to_json()).unwrap_err();
-        assert!(err.contains("above its bound 34.5"), "{err}");
+        assert!(err.contains("above its bound 35.5"), "{err}");
     }
 
     #[test]

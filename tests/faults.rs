@@ -516,10 +516,12 @@ fn settle_fault_in_a_multi_epoch_log_resumes_from_the_landed_prefix() {
 }
 
 /// A settle whose sweep splits and merges, faulted at each of its charged
-/// I/Os in turn: a transient read fault at every read, then a transient
-/// write fault at every write of `R`'s clustered tree. Every time the
-/// settle fails, the retry lands the rest, the tree audits clean and the
-/// view, the join index and hybrid hash answer as the oracle does.
+/// I/Os in turn: a transient read fault at every read, a transient write
+/// fault at every write of `R`'s clustered tree, then a fatal fault — never
+/// retried — at every one of them. Every time the settle fails, the tree
+/// audits clean (a landing a fatal write cut short lands whole before the
+/// sweep returns), the retry lands the rest, and the view, the join index
+/// and hybrid hash answer as the oracle does.
 #[test]
 fn settle_fault_at_every_io_of_a_structural_sweep() {
     // `R` holds even surrogates only, so odd ones insert mid-range.
@@ -570,12 +572,17 @@ fn settle_fault_at_every_io_of_a_structural_sweep() {
     let [reads, writes, splits, merges]: [u64; 4] = std::array::from_fn(|i| after[i] - before[i]);
     assert!(splits > 0 && merges > 0, "{splits} splits, {merges} merges");
 
-    let plans =
-        (0..reads)
-            .map(|n| (format!("read@{n}"), FaultPlan::new().fail_nth_read(Some(clustered), n)))
-            .chain((0..writes).map(|n| {
+    let plans = (0..reads)
+        .map(|n| (format!("read@{n}"), FaultPlan::new().fail_nth_read(Some(clustered), n)))
+        .chain(
+            (0..writes).map(|n| {
                 (format!("write@{n}"), FaultPlan::new().fail_nth_write(Some(clustered), n))
-            }));
+            }),
+        )
+        .chain(
+            (0..reads + writes)
+                .map(|n| (format!("fatal@{n}"), FaultPlan::new().fail_nth_op(Some(clustered), n))),
+        );
     for (label, plan) in plans {
         let (db, mut strategies, _) = setup();
         db.install_fault_plan(plan);

@@ -136,7 +136,7 @@ fn registry_bound_holds_over_view_cycles() {
     // The disk totals are the ledger's I/O, the same counts as when every
     // file's counters outlived it (and 402 files had a write counter).
     assert_eq!(m.counter("disk.reads") + m.counter("disk.writes"), db.cost().total().ios);
-    assert_eq!((m.counter("disk.reads"), m.counter("disk.writes")), (15_227, 10_267));
+    assert_eq!((m.counter("disk.reads"), m.counter("disk.writes")), (15_162, 10_267));
 
     // A window straddling a slot reuse reports the new file's writes
     // exactly, and an I/O on a deleted file touches no counter.

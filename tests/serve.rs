@@ -671,7 +671,7 @@ fn churn_soak_gives_base_pages_back() {
     for (shard, report) in report.shards.iter().enumerate() {
         let gauge = |name: &str| report.metrics.gauge(name).unwrap();
         assert_eq!(gauge("base.apply_log.pending"), 0.0, "shard {shard}");
-        let floor = 16.0 + 16.0 + gauge("base.tree_height");
+        let floor = 16.0 + 16.0 + gauge("base.tree_height") + 1.0;
         let bound = report.metrics.gauge("base.apply_log.bound_pages").unwrap_or(floor);
         let peak = gauge("base.apply_log.peak_pages");
         assert!(peak > 16.0 && peak <= bound, "shard {shard}: {peak} log pages, bound {bound}");
@@ -981,4 +981,49 @@ fn a_reject_under_view_only_traffic_is_counted_at_the_later_settle() {
     assert_eq!(shard.metrics.counter("shard.apply_errors"), 1);
     assert_eq!(shard.metrics.counter("shard.apply_errors.R"), 1);
     assert_eq!(shard.metrics.gauge("base.apply_log.pending"), Some(0.0));
+}
+
+/// `serve_light`'s shape: 4 000 tuples of 200 B over four shards, 0.5 %
+/// of `R` updated between hybrid-hash queries. An update that changes a
+/// tuple's join key moves it to another shard — a delete on one, a
+/// mid-tree insert on the other — so the shards' trees churn. The sweeps
+/// that settle them pack the leaves they pass, so every shard's `R` stays
+/// within 10 % of the leaf pages its tuples fill at `n_R` a page, plus its
+/// root.
+#[test]
+fn cross_shard_churn_keeps_base_pages_packed() {
+    let spec = WorkloadSpec {
+        r_tuples: 4_000,
+        s_tuples: 4_000,
+        tuple_bytes: 200,
+        sr: 0.01,
+        group_size: 4,
+        pra: 0.1,
+        update_rate: 0.005,
+        seed: 1990,
+    };
+    let w = spec.generate();
+    let params = SystemParams { mem_pages: 1_000, ..SystemParams::paper_defaults() };
+    let cfg = ServeConfig { seed: 1990, ..ServeConfig::new(params, 4) };
+    let server = Server::start(&cfg, w.r.clone(), w.s.clone()).unwrap();
+    let session = server.session().unwrap();
+    let mut clients = ClientTraffic::split(&w, &cfg, 1);
+    for _ in 0..500 {
+        submit(&session, &mut clients, 20);
+        session.query(Method::HybridHash).unwrap();
+    }
+    let report = session.report().unwrap();
+    let packed = shard_gauges(&report, "shard.base_packed.r");
+    let pages = shard_gauges(&report, "shard.base_pages.r");
+    assert_eq!(
+        shard_gauges(&report, "base.tree_height"),
+        [2.0; 4],
+        "a resident root over the leaves"
+    );
+    for (shard, (pages, packed)) in pages.iter().zip(&packed).enumerate() {
+        assert!(
+            *pages <= 1.1 * packed + 1.0,
+            "shard {shard}: {pages} pages of R for {packed} leaves packed full"
+        );
+    }
 }
