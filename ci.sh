@@ -141,22 +141,30 @@ cargo run --release -q -p trijoin-check --bin trijoin -- check --corpus tests/co
 cargo run --release -q -p trijoin-check --bin trijoin -- check --seed 2026 --ops 160
 
 echo "==> committed results reproduce"
-# Every file under results/ is the output of a bin under
-# crates/bench/src/bin/ (its text on stdout, its json written beside it)
-# or of an example whose text is committed as results/<name>.txt, on the
-# simulated clock and fixed seeds. Re-run them all and fail on any byte
-# that moved: a change meant to move a committed number regenerates it.
-for bin in crates/bench/src/bin/*.rs; do
-    name=$(basename "$bin" .rs)
-    cargo run --release -q -p trijoin-bench --bin "$name" 2>/dev/null > "results/$name.txt"
-done
-for example in examples/*.rs; do
-    name=$(basename "$example" .rs)
-    if [ -f "results/$name.txt" ]; then
-        cargo run --release -q --example "$name" > "results/$name.txt"
+# Every file under results/ is written by the `figures` bin (a table or
+# figure's text and its JSON) or is the text of an example committed as
+# results/<name>.txt, on the simulated clock and fixed seeds. Regenerate them
+# all into an emptied results/ and fail on any byte that moved, on a committed
+# file that nothing writes any more and on an output nobody committed: a change
+# meant to move a committed number regenerates and commits it. A failed run
+# leaves results/ as far as it got (`git checkout results/` restores it).
+examples=()
+for txt in $(git ls-files 'results/*.txt'); do
+    name=$(basename "$txt" .txt)
+    if [ -f "examples/$name.rs" ]; then
+        examples+=("$name")
     fi
 done
-git diff --exit-code results/
+rm -f results/*
+cargo run --release -q -p trijoin-bench --bin figures > /dev/null
+for name in "${examples[@]}"; do
+    cargo run --release -q --example "$name" > "results/$name.txt"
+done
+if [ -n "$(git status --porcelain results/)" ]; then
+    git status --short results/
+    git --no-pager diff --stat results/
+    echo "results/ does not reproduce"; exit 1
+fi
 
 echo "==> adaptive-serving gate"
 # Online strategy migration: a fresh adversarial script (hot-key zipf

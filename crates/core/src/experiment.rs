@@ -1,23 +1,29 @@
 //! End-to-end experiments: run a generated scenario on the execution
-//! engine, measure the simulated cost ledger per strategy, and put the
-//! analytical model's prediction next to it.
+//! engine, measure the simulated cost ledger per strategy, check its
+//! answer against the oracle, and put the analytical model's prediction
+//! next to it.
 
-use trijoin_common::{OpCounts, Result, SystemParams};
+use trijoin_common::{Cost, Result, SystemParams};
 use trijoin_exec::oracle;
 use trijoin_model::{cost_of, Method, Workload};
 
 use crate::adaptive::CachedStrategy;
-use crate::db::Database;
-use crate::workload::{GeneratedWorkload, WorkloadSpec};
+use crate::db::{Database, EpochCost};
+use crate::workload::GeneratedWorkload;
 
 /// Measured engine cost + predicted model cost for one method.
 #[derive(Debug, Clone)]
 pub struct MethodOutcome {
     /// Which method.
     pub method: Method,
-    /// Engine op counts of the strategy's epoch: its logging and its query.
-    pub engine_ops: OpCounts,
-    /// Engine simulated seconds.
+    /// What the epoch charged: the strategy's logging and query, and the
+    /// base relations' own upkeep.
+    pub cost: EpochCost,
+    /// The method's database's ledger, holding the epoch alone (its span
+    /// tree, for [`crate::Fig5Breakdown::measure`]).
+    pub ledger: Cost,
+    /// Engine simulated seconds of the strategy's own cost,
+    /// [`EpochCost::strategy`].
     pub engine_secs: f64,
     /// Model-predicted seconds for the measured workload.
     pub model_secs: f64,
@@ -64,15 +70,12 @@ impl EpochReport {
 pub struct Experiment {
     params: SystemParams,
     generated: GeneratedWorkload,
-    /// Verify every strategy's output against the in-memory oracle
-    /// (quadratic-ish in result size; disable for large benches).
-    pub verify: bool,
 }
 
 impl Experiment {
-    /// Generate the scenario for `spec` under `params`.
-    pub fn new(params: &SystemParams, spec: &WorkloadSpec) -> Self {
-        Experiment { params: params.clone(), generated: spec.generate(), verify: true }
+    /// The scenario `generated` (uniform or skewed) under `params`.
+    pub fn new(params: &SystemParams, generated: GeneratedWorkload) -> Self {
+        Experiment { params: params.clone(), generated }
     }
 
     /// The generated workload (for inspection).
@@ -82,12 +85,11 @@ impl Experiment {
 
     /// Run one epoch (apply `‖iR‖` updates, then query) for each strategy
     /// *independently* — each method gets its own fresh database — through
-    /// [`Database::run_epoch`]. A method's engine cost is its
-    /// [`EpochCost::strategy`]: the paper's per-method costs start at the
-    /// differential log (C1), and the base relation's own maintenance is
-    /// not one of them.
-    ///
-    /// [`EpochCost::strategy`]: crate::db::EpochCost::strategy
+    /// [`Database::run_epoch`], and check every answer against the oracle
+    /// (a hash join of the updated `R` with `S`; a wrong answer panics). A
+    /// method's engine cost is its [`EpochCost::strategy`]: the paper's
+    /// per-method costs start at the differential log (C1), and the base
+    /// relation's own maintenance is not one of them.
     pub fn run_epoch(&self) -> Result<EpochReport> {
         let workload = self.generated.measured();
         let mut outcomes = Vec::with_capacity(3);
@@ -95,18 +97,17 @@ impl Experiment {
             let gen = &self.generated;
             let mut db = Database::new(&self.params, gen.r.clone(), gen.s.clone())?;
             let mut strategy = CachedStrategy::build(&db, method)?;
+            db.reset_cost();
             let mut stream = gen.update_stream();
             let updates = stream.by_ref().take(gen.updates_per_epoch() as usize);
             let (cost, rows) = db.run_epoch(&mut [strategy.as_dyn()], updates)?.remove(0);
             let tuples = rows.len() as u64;
-            if self.verify {
-                let want = oracle::join_tuples(stream.current(), &gen.s);
-                oracle::assert_same_join(method.label(), rows, want);
-            }
-            let engine_ops = cost.strategy();
-            let engine_secs = engine_ops.time_secs(&self.params);
+            let want = oracle::join_tuples(stream.current(), &gen.s);
+            oracle::assert_same_join(method.label(), rows, want);
+            let engine_secs = cost.strategy().time_secs(&self.params);
             let model_secs = cost_of(&self.params, &workload, method).total();
-            outcomes.push(MethodOutcome { method, engine_ops, engine_secs, model_secs, tuples });
+            let ledger = db.cost().clone();
+            outcomes.push(MethodOutcome { method, cost, ledger, engine_secs, model_secs, tuples });
         }
         Ok(EpochReport { workload, outcomes })
     }
@@ -115,6 +116,7 @@ impl Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::WorkloadSpec;
 
     fn spec() -> WorkloadSpec {
         WorkloadSpec {
@@ -132,7 +134,7 @@ mod tests {
     #[test]
     fn epoch_runs_and_verifies_all_strategies() {
         let params = SystemParams { mem_pages: 64, ..SystemParams::paper_defaults() };
-        let exp = Experiment::new(&params, &spec());
+        let exp = Experiment::new(&params, spec().generate());
         let report = exp.run_epoch().unwrap();
         assert_eq!(report.outcomes.len(), 3);
         let counts: Vec<u64> = report.outcomes.iter().map(|o| o.tuples).collect();
@@ -144,7 +146,7 @@ mod tests {
     #[test]
     fn epoch_report_winners_are_consistent() {
         let params = SystemParams { mem_pages: 64, ..SystemParams::paper_defaults() };
-        let exp = Experiment::new(&params, &spec());
+        let exp = Experiment::new(&params, spec().generate());
         let report = exp.run_epoch().unwrap();
         let w = report.engine_winner();
         let best = report.outcomes.iter().map(|o| o.engine_secs).fold(f64::INFINITY, f64::min);

@@ -21,8 +21,7 @@ fn main() {
     for &sr in &[0.002, 0.01, 0.05, 0.25] {
         for &rate in &[0.02, 0.2] {
             let spec = WorkloadSpec::engine_scale(sr, rate, 0.1, 42);
-            let mut exp = Experiment::new(&params, &spec);
-            exp.verify = true; // oracle-check every result while we're here
+            let exp = Experiment::new(&params, spec.generate());
             let report = exp.run_epoch().expect("epoch");
             let engine: Vec<f64> = report.outcomes.iter().map(|o| o.engine_secs).collect();
             let model: Vec<f64> = report.outcomes.iter().map(|o| o.model_secs).collect();

@@ -34,7 +34,7 @@ fn engine_and_model_agree_on_the_winner_across_regimes() {
         (0.9, 0.02, 203),   // extreme selectivity -> hybrid hash
     ];
     for (sr, rate, seed) in cases {
-        let exp = Experiment::new(&params(), &spec(sr, rate, 0.1, seed));
+        let exp = Experiment::new(&params(), spec(sr, rate, 0.1, seed).generate());
         let report = exp.run_epoch().unwrap();
         assert_eq!(
             report.engine_winner(),
@@ -55,7 +55,8 @@ fn engine_and_model_agree_on_the_winner_across_regimes() {
 fn mv_engine_matches_the_model_on_the_whole_grid() {
     for sr in [0.002, 0.01, 0.05, 0.25] {
         for rate in [0.02, 0.2] {
-            let report = Experiment::new(&params(), &spec(sr, rate, 0.1, 42)).run_epoch().unwrap();
+            let report =
+                Experiment::new(&params(), spec(sr, rate, 0.1, 42).generate()).run_epoch().unwrap();
             assert_eq!(report.engine_winner(), report.model_winner(), "sr={sr} rate={rate}");
             let mv = report.outcomes.iter().find(|o| o.method == Method::MaterializedView).unwrap();
             let ratio = mv.engine_secs / mv.model_secs;
@@ -76,7 +77,7 @@ fn mv_engine_matches_the_model_on_the_whole_grid() {
 fn ji_engine_makes_the_models_passes_on_the_whole_grid() {
     for sr in [0.002, 0.01, 0.05, 0.25] {
         for rate in [0.02, 0.2] {
-            let exp = Experiment::new(&params(), &spec(sr, rate, 0.1, 42));
+            let exp = Experiment::new(&params(), spec(sr, rate, 0.1, 42).generate());
             let report = exp.run_epoch().unwrap();
             let ji = report.outcomes.iter().find(|o| o.method == Method::JoinIndex).unwrap();
             let ratio = ji.engine_secs / ji.model_secs;
@@ -125,7 +126,7 @@ fn model_ji_passes(w: &Workload) -> u64 {
 
 #[test]
 fn engine_measurements_track_model_within_a_small_factor() {
-    let exp = Experiment::new(&params(), &spec(0.05, 0.05, 0.1, 210));
+    let exp = Experiment::new(&params(), spec(0.05, 0.05, 0.1, 210).generate());
     let report = exp.run_epoch().unwrap();
     for (method, ratio) in report.ratios() {
         assert!(
@@ -138,8 +139,10 @@ fn engine_measurements_track_model_within_a_small_factor() {
 
 #[test]
 fn hybrid_hash_is_update_invariant_in_both() {
-    let quiet = Experiment::new(&params(), &spec(0.05, 0.0, 0.1, 220)).run_epoch().unwrap();
-    let busy = Experiment::new(&params(), &spec(0.05, 0.3, 0.1, 220)).run_epoch().unwrap();
+    let quiet =
+        Experiment::new(&params(), spec(0.05, 0.0, 0.1, 220).generate()).run_epoch().unwrap();
+    let busy =
+        Experiment::new(&params(), spec(0.05, 0.3, 0.1, 220).generate()).run_epoch().unwrap();
     let hh = |r: &trijoin::EpochReport| {
         r.outcomes.iter().find(|o| o.method == Method::HybridHash).unwrap().engine_secs
     };
@@ -152,8 +155,10 @@ fn hybrid_hash_is_update_invariant_in_both() {
 
 #[test]
 fn update_activity_hurts_mv_more_than_ji_in_both() {
-    let low = Experiment::new(&params(), &spec(0.02, 0.01, 0.1, 230)).run_epoch().unwrap();
-    let high = Experiment::new(&params(), &spec(0.02, 0.4, 0.1, 230)).run_epoch().unwrap();
+    let low =
+        Experiment::new(&params(), spec(0.02, 0.01, 0.1, 230).generate()).run_epoch().unwrap();
+    let high =
+        Experiment::new(&params(), spec(0.02, 0.4, 0.1, 230).generate()).run_epoch().unwrap();
     let get = |r: &trijoin::EpochReport, m: Method| {
         r.outcomes.iter().find(|o| o.method == m).unwrap().engine_secs
     };
@@ -177,8 +182,8 @@ fn update_activity_hurts_mv_more_than_ji_in_both() {
 
 #[test]
 fn selectivity_hurts_caches_but_not_hash_join_in_both() {
-    let lo = Experiment::new(&params(), &spec(0.01, 0.02, 0.1, 240)).run_epoch().unwrap();
-    let hi = Experiment::new(&params(), &spec(0.3, 0.02, 0.1, 241)).run_epoch().unwrap();
+    let lo = Experiment::new(&params(), spec(0.01, 0.02, 0.1, 240).generate()).run_epoch().unwrap();
+    let hi = Experiment::new(&params(), spec(0.3, 0.02, 0.1, 241).generate()).run_epoch().unwrap();
     let get = |r: &trijoin::EpochReport, m: Method| {
         r.outcomes.iter().find(|o| o.method == m).unwrap().engine_secs
     };
