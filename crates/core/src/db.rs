@@ -11,7 +11,7 @@ use trijoin_common::{
 };
 use trijoin_model::{sweep_cost, Method, Workload};
 
-use trijoin_exec::relation::{APPLY_LOG_PAGES, APPLY_LOG_RUNS};
+use trijoin_exec::relation::apply_log_floor_pages;
 use trijoin_exec::{
     HybridHash, JoinIndexStrategy, JoinStrategy, MaterializedView, Mutation, StoredRelation, Update,
 };
@@ -664,10 +664,10 @@ impl Database {
         let height = self.r.height().max(self.s.height());
         metrics.gauge_set("base.tree_height", height as f64);
         // A log at its floor of `APPLY_LOG_RUNS` runs is bounded by
-        // constants and the sweep's path (the height and a second leaf);
-        // the gauge says when space lifts it.
+        // constants, the page size (its fences) and the sweep's path (the
+        // height and a second leaf); the gauge says when space lifts it.
         let bound = self.r.apply_log_bound_pages().max(self.s.apply_log_bound_pages());
-        if bound > (APPLY_LOG_PAGES + APPLY_LOG_RUNS + height + 1) as u64 {
+        if bound > apply_log_floor_pages(height, self.params.page_size) {
             metrics.gauge_set("base.apply_log.bound_pages", bound as f64);
         }
         // Per-file I/O counters die with their file: the report lists at

@@ -24,7 +24,7 @@ use std::rc::Rc;
 use trijoin_common::{BaseTuple, Cost, CounterId, Error, FxHashSet, Metrics, Result, Surrogate};
 use trijoin_storage::{Disk, FileId, HeapFile};
 
-use crate::sort::{counted_sort_by, KWayMerge};
+use crate::sort::{counted_sort_by, KWayMerge, Seek};
 
 /// 128-bit sort key for differential tuples.
 pub type SortKey = u128;
@@ -44,6 +44,15 @@ pub fn ji_sort_key(sur: u32) -> SortKey {
 /// A shared sort-key function (both logs of a [`DiffPair`] hold one).
 type KeyFn = Rc<dyn Fn(&BaseTuple) -> SortKey>;
 
+/// One spilled run: its file and its page fences, the surrogate of the
+/// first record on each page, recorded as the pages were written. A seek
+/// by surrogate ([`Seek`]) reads them; it is meaningful in a log sorted on
+/// the surrogate first (the join index's, a base relation's apply log).
+struct Run {
+    heap: HeapFile,
+    fences: Rc<[Surrogate]>,
+}
+
 /// One side (`iR` or `dR`) of a differential log.
 pub struct DiffLog {
     disk: Disk,
@@ -55,7 +64,7 @@ pub struct DiffLog {
     buf: Vec<BaseTuple>,
     buf_cap: usize,
     tuples_per_run_page: usize,
-    runs: Vec<HeapFile>,
+    runs: Vec<Run>,
     total: u64,
     sealed: bool,
     /// `diff.retries`, counted by the log's readers.
@@ -114,8 +123,9 @@ impl DiffLog {
     }
 
     /// Sort the buffer and write it out as one run (C1.3 sorting charges +
-    /// C1.1 write charges; one I/O per full-packed page). A write that
-    /// fails leaves the buffer as it was, sorted, and no run behind.
+    /// C1.1 write charges; one I/O per full-packed page), noting each
+    /// page's fence as it starts the page. A write that fails leaves the
+    /// buffer as it was, sorted, and no run behind.
     pub fn spill(&mut self) -> Result<()> {
         if self.buf.is_empty() {
             return Ok(());
@@ -130,16 +140,20 @@ impl DiffLog {
         let key = self.key_of.clone();
         counted_sort_by(&mut self.buf, |t| key(t), &self.cost);
         let mut writer = trijoin_storage::heap::HeapWriter::create(&self.disk);
-        let mut scratch = Vec::new();
+        let (mut scratch, mut fences) = (Vec::new(), Vec::new());
         for t in &self.buf {
             scratch.clear();
             t.write_bytes(&mut scratch);
-            if let Err(e) = writer.add_with_cap(&scratch, self.tuples_per_run_page) {
-                writer.abandon();
-                return Err(e);
+            match writer.add_with_cap(&scratch, self.tuples_per_run_page) {
+                Ok(at) if at.page as usize == fences.len() => fences.push(t.sur),
+                Ok(_) => {}
+                Err(e) => {
+                    writer.abandon();
+                    return Err(e);
+                }
             }
         }
-        self.runs.push(writer.finish()?);
+        self.runs.push(Run { heap: writer.finish()?, fences: fences.into() });
         self.buf.clear();
         Ok(())
     }
@@ -182,21 +196,35 @@ impl DiffLog {
 
     /// Total pages across all runs (`|iR|`).
     pub fn pages(&self) -> u64 {
-        self.runs.iter().map(|r| r.num_pages() as u64).sum()
+        self.runs.iter().map(|r| r.heap.num_pages() as u64).sum()
+    }
+
+    /// The runs' files and page fences, in the order they were spilled.
+    pub fn runs(&self) -> impl Iterator<Item = (FileId, &[Surrogate])> + '_ {
+        self.runs.iter().map(|r| (r.heap.file_id(), &r.fences[..]))
     }
 
     /// The runs' files, in the order they were spilled.
     pub fn run_files(&self) -> impl Iterator<Item = FileId> + '_ {
-        self.runs.iter().map(HeapFile::file_id)
+        self.runs().map(|(file, _)| file)
     }
 
     /// Take a run another session spilled back into the log, from its
-    /// file. The file must be live, and sorted under this log's key.
-    pub fn adopt_run(&mut self, file: FileId) -> Result<()> {
-        self.disk.num_pages(file).map_err(|_| {
+    /// file and its page fences. The file must be live, sorted under this
+    /// log's key, and have a page for each fence, the fences in order.
+    pub fn adopt_run(&mut self, file: FileId, fences: Vec<Surrogate>) -> Result<()> {
+        let pages = self.disk.num_pages(file).map_err(|_| {
             Error::Corrupt(format!("differential run f{} is not on the device", file.0))
         })?;
-        self.runs.push(HeapFile::open(&self.disk, file));
+        if pages as usize != fences.len() || !fences.is_sorted() {
+            return Err(Error::Corrupt(format!(
+                "differential run f{} has {pages} pages and {} fences, not one in order \
+                 for each",
+                file.0,
+                fences.len()
+            )));
+        }
+        self.runs.push(Run { heap: HeapFile::open(&self.disk, file), fences: fences.into() });
         Ok(())
     }
 
@@ -210,14 +238,16 @@ impl DiffLog {
             .runs
             .iter()
             .map(|r| RunReader {
-                heap: r.clone(),
+                heap: r.heap.clone(),
+                fences: Rc::clone(&r.fences),
                 cost: self.cost.clone(),
                 metrics: self.disk.metrics().clone(),
                 retries: self.retries,
                 next_page: 0,
-                total_pages: r.num_pages(),
+                total_pages: r.heap.num_pages(),
                 current: Vec::new(),
                 at: 0,
+                sought: Surrogate(0),
             })
             .collect();
         let key = self.key_of.clone();
@@ -229,7 +259,7 @@ impl DiffLog {
     /// the disk, ledger, budget, packing and sort key.
     pub fn restart(&mut self) {
         for r in self.runs.drain(..) {
-            r.destroy();
+            r.heap.destroy();
         }
         self.buf.clear();
         self.total = 0;
@@ -429,13 +459,15 @@ pub(crate) struct SFold<J> {
 /// The key-ordered stream [`DiffLog::merged`] returns.
 pub type Merged = KWayMerge<Result<BaseTuple>, SortKey, RunReader>;
 
-/// Streams tuples out of one sorted run (one read I/O per page).
+/// Streams tuples out of one sorted run (one read I/O per page), and
+/// seeks in it by its fences ([`Seek`]).
 ///
 /// Transient device faults heal with bounded retry (re-read I/O charged
 /// under the `diff.retry` section). Anything else is the stream's last
 /// item, an `Err`.
 pub struct RunReader {
     heap: HeapFile,
+    fences: Rc<[Surrogate]>,
     cost: Cost,
     metrics: Metrics,
     /// `diff.retries`.
@@ -444,6 +476,76 @@ pub struct RunReader {
     total_pages: u32,
     current: Vec<BaseTuple>,
     at: usize,
+    /// The surrogate sought last: a page read after the seek drops the
+    /// tuples below it.
+    sought: Surrogate,
+}
+
+impl RunReader {
+    /// Hand out the next tuple of the page in hand, if one is left.
+    fn in_hand(&mut self) -> Option<BaseTuple> {
+        // Move the tuple out instead of cloning: the drained slot is dead
+        // until the next refill clears the buffer. The dummy's empty boxed
+        // slice does not allocate.
+        let slot = self.current.get_mut(self.at)?;
+        self.at += 1;
+        Some(std::mem::replace(
+            slot,
+            BaseTuple { sur: Surrogate(0), key: 0, payload: Box::default() },
+        ))
+    }
+
+    /// Drop the tuples in hand below the surrogate sought last, a
+    /// comparison each and one for the tuple that stops it. Returns
+    /// whether any tuple is left in hand.
+    fn drop_below_sought(&mut self) -> bool {
+        let left = self.current.len() - self.at;
+        let below = self.current[self.at..].partition_point(|t| t.sur < self.sought);
+        self.cost.comp((below + usize::from(below < left)) as u64);
+        self.at += below;
+        below < left
+    }
+
+    /// Read the next page into hand; a read that fails ends the run.
+    fn load(&mut self) -> Result<()> {
+        let page = self.next_page;
+        let mut attempt = 0u32;
+        // Decode straight off the borrowed page view — one I/O, no
+        // per-record byte copies. Decode errors are non-retryable, so
+        // `with_retry` propagates them immediately (same observable
+        // behavior as decoding after the read).
+        let current = &mut self.current;
+        let heap = &self.heap;
+        let read = crate::recovery::with_retry(|| {
+            attempt += 1;
+            if attempt > 1 {
+                self.metrics.incr_id(self.retries);
+            }
+            let _g = (attempt > 1).then(|| self.cost.section("diff.retry"));
+            current.clear();
+            let mut decode_err: Option<Error> = None;
+            heap.for_each_page_record(page, |_, b| {
+                if decode_err.is_none() {
+                    match BaseTuple::from_bytes(b) {
+                        Ok(t) => current.push(t),
+                        Err(e) => decode_err = Some(e),
+                    }
+                }
+            })?;
+            match decode_err {
+                Some(e) => Err(e),
+                None => Ok(()),
+            }
+        });
+        if read.is_err() {
+            self.next_page = self.total_pages;
+            self.current.clear();
+        } else {
+            self.next_page += 1;
+        }
+        self.at = 0;
+        read
+    }
 }
 
 impl Iterator for RunReader {
@@ -451,57 +553,56 @@ impl Iterator for RunReader {
 
     fn next(&mut self) -> Option<Result<BaseTuple>> {
         loop {
-            if self.at < self.current.len() {
-                // Move the tuple out instead of cloning: the drained slot is
-                // dead until the next refill clears the buffer. The dummy's
-                // empty boxed slice does not allocate.
-                let slot = &mut self.current[self.at];
-                let t = std::mem::replace(
-                    slot,
-                    BaseTuple { sur: Surrogate(0), key: 0, payload: Box::default() },
-                );
-                self.at += 1;
+            if let Some(t) = self.in_hand() {
                 return Some(Ok(t));
             }
             if self.next_page >= self.total_pages {
                 return None;
             }
-            let page = self.next_page;
-            let mut attempt = 0u32;
-            // Decode straight off the borrowed page view — one I/O, no
-            // per-record byte copies. Decode errors are non-retryable, so
-            // `with_retry` propagates them immediately (same observable
-            // behavior as decoding after the read).
-            let current = &mut self.current;
-            let heap = &self.heap;
-            let read = crate::recovery::with_retry(|| {
-                attempt += 1;
-                if attempt > 1 {
-                    self.metrics.incr_id(self.retries);
-                }
-                let _g = (attempt > 1).then(|| self.cost.section("diff.retry"));
-                current.clear();
-                let mut decode_err: Option<Error> = None;
-                heap.for_each_page_record(page, |_, b| {
-                    if decode_err.is_none() {
-                        match BaseTuple::from_bytes(b) {
-                            Ok(t) => current.push(t),
-                            Err(e) => decode_err = Some(e),
-                        }
-                    }
-                })?;
-                match decode_err {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                }
-            });
-            if let Err(e) = read {
-                self.next_page = self.total_pages;
-                self.current.clear();
+            if let Err(e) = self.load() {
                 return Some(Err(e));
             }
-            self.next_page += 1;
-            self.at = 0;
+        }
+    }
+}
+
+/// Page `p` holds surrogates from its fence up to the next page's fence:
+/// a seek to `sur` drops the tuples below it, in hand or on the next page
+/// read, and skips the pages whose next fence is below it, a comparison
+/// for each tuple and fence it looks at; a pull through `sur` reads a page
+/// only if its fence is at most `sur`. The page in hand is never read
+/// again.
+impl Seek for RunReader {
+    fn seek(&mut self, sur: Surrogate) -> u64 {
+        self.sought = sur;
+        let mut skipped = 0;
+        if !self.drop_below_sought() {
+            let pages = self.total_pages as usize;
+            while (self.next_page as usize + 1) < pages && {
+                self.cost.comp(1);
+                self.fences[self.next_page as usize + 1] < sur
+            } {
+                self.next_page += 1;
+                skipped += 1;
+            }
+        }
+        skipped
+    }
+
+    fn next_through(&mut self, sur: Surrogate) -> Option<Result<BaseTuple>> {
+        loop {
+            match self.current.get(self.at) {
+                Some(t) if t.sur > sur => return None,
+                Some(_) => return self.in_hand().map(Ok),
+                None => {}
+            }
+            if self.next_page >= self.total_pages || self.fences[self.next_page as usize] > sur {
+                return None;
+            }
+            if let Err(e) = self.load() {
+                return Some(Err(e));
+            }
+            self.drop_below_sought();
         }
     }
 }
@@ -682,6 +783,30 @@ mod tests {
         let prefix: Vec<u32> = items[..at].iter().map(|t| t.as_ref().unwrap().sur.0).collect();
         assert!(at > 0 && at < 50, "{at}");
         assert_eq!(prefix, (0..at as u32).collect::<Vec<u32>>(), "every key below it, in order");
+    }
+
+    #[test]
+    fn a_run_is_adopted_with_one_fence_in_order_for_each_page() {
+        let (disk, cost) = setup();
+        let key = |t: &BaseTuple| ji_sort_key(t.sur.0);
+        let mut log = DiffLog::new(&disk, &cost, 2, 7, false, key);
+        for i in (0..14u32).rev() {
+            log.add(tup(i * 3, 0)).unwrap();
+        }
+        let (file, fences) = log.runs().next().map(|(f, fences)| (f, fences.to_vec())).unwrap();
+        assert_eq!(fences, vec![Surrogate(0), Surrogate(21)], "7 tuples a page");
+        let mut adopted = DiffLog::new(&disk, &cost, 2, 7, false, key);
+        for bad in [vec![Surrogate(0)], vec![Surrogate(21), Surrogate(0)]] {
+            let err = adopted.adopt_run(file, bad).unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
+        }
+        adopted.adopt_run(file, fences).unwrap();
+        let mut merged = adopted.merged().unwrap();
+        assert_eq!(merged.seek(Surrogate(30)), 1, "the first page holds nothing from 30 on");
+        let rest: Vec<u32> = std::iter::from_fn(|| merged.next_through(Surrogate(36)))
+            .map(|t| t.unwrap().sur.0)
+            .collect();
+        assert_eq!(rest, vec![30, 33, 36]);
     }
 
     #[test]

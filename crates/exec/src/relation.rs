@@ -29,17 +29,24 @@
 //! [`Reader`] merges the log, already in surrogate order, into what it
 //! reads from the clustered tree, netting each surrogate's operations
 //! against the stored tuple by the sweep's own rule
-//! ([`trijoin_btree::net_chain`]), under a `base.read_through` span. It
-//! settles instead when the log is frozen, or once the run pages readers
-//! have read through the log since its last settle reach `2·min(leaf pages,
-//! queued)`, the most that settle could now read and write: rent, then buy.
+//! ([`trijoin_btree::net_chain`]), under a `base.read_through` span. A
+//! scan reads every run page; a fetch seeks each run to each surrogate it
+//! asks for by the run's page fences — the first surrogate on each page,
+//! noted as the run spills, held in memory with the buffer and counted in
+//! the log's bound — and reads only the pages that can hold one
+//! (`base.read_through.pages`), passing the rest over unread
+//! (`base.read_through.skipped`). A reader settles instead when the log is
+//! frozen, or once the run pages readers have read through the log since
+//! its last settle reach `2·min(leaf pages, queued)`, the most that settle
+//! could now read and write: rent, then buy.
 //! The sweep's cost is concave in the keys it nets, so a log left to grow
 //! across epochs is swept for far less than the epochs one by one.
 //! Statistics do not count as reads ([`StoredRelation::len_estimate`]).
 //!
-//! The log is bounded by space: [`APPLY_LOG_PAGES`] pages of records in
-//! memory, spilled — through the differential log's run writer and merge,
-//! [`crate::diff::DiffLog`] — as surrogate-sorted runs, and a settle forced
+//! The log is bounded by space: [`APPLY_LOG_PAGES`] pages of records and
+//! the runs' fences in memory, spilled — through the differential log's
+//! run writer and merge, [`crate::diff::DiffLog`] — as surrogate-sorted
+//! runs, and a settle forced
 //! where the run pages would pass a quarter of the relation's leaf pages;
 //! never before [`APPLY_LOG_RUNS`] runs, never more runs than `|M|` has
 //! pages to merge ([`StoredRelation::apply_log_bound_pages`]). Operations
@@ -85,6 +92,20 @@ pub const APPLY_LOG_PAGES: usize = 16;
 /// it settles of its own accord; a large one holds more, up to a quarter
 /// of its leaf pages ([`StoredRelation::apply_log_bound_pages`]).
 pub const APPLY_LOG_RUNS: usize = 16;
+
+/// Pages that `run_pages` fences fill in memory, one surrogate for each
+/// run page, counted whole.
+pub fn fence_pages(run_pages: u64, page_size: usize) -> u64 {
+    (run_pages * std::mem::size_of::<Surrogate>() as u64).div_ceil(page_size as u64)
+}
+
+/// The pages an apply log at its floor of [`APPLY_LOG_RUNS`] runs may hold
+/// over a clustered tree `height` levels high: its buffer, a page for each
+/// run, the runs' fences and the sweep's path with its second leaf.
+pub fn apply_log_floor_pages(height: usize, page_size: usize) -> u64 {
+    let runs = APPLY_LOG_RUNS * APPLY_LOG_PAGES;
+    (APPLY_LOG_PAGES + APPLY_LOG_RUNS + height + 1) as u64 + fence_pages(runs as u64, page_size)
+}
 
 /// Serialize one tree's [`BTreeMeta`] as a catalog object.
 fn tree_json(meta: &BTreeMeta) -> Json {
@@ -214,8 +235,10 @@ impl State {
 
     /// [`StoredRelation::apply_log_bound_pages`].
     fn bound_pages(&self) -> u64 {
-        let now = APPLY_LOG_PAGES + self.run_bound() + self.clustered.sweep_pages();
-        self.log.bound_pages.max(now as u64)
+        let runs = self.run_bound();
+        let fences = fence_pages((runs * APPLY_LOG_PAGES) as u64, self.log.page_size);
+        let now = (APPLY_LOG_PAGES + runs + self.clustered.sweep_pages()) as u64 + fences;
+        self.log.bound_pages.max(now)
     }
 
     /// Apply everything queued (module docs). On `Err` the log keeps what
@@ -234,7 +257,8 @@ impl State {
             self.log.sort_buffer(cost);
             self.log.bound_pages = self.bound_pages();
             let log = &self.log;
-            log.hold(log.buffer_pages() + log.runs.num_runs() + self.clustered.sweep_pages());
+            let held = log.buffer_pages() + log.runs.num_runs() + log.fence_pages();
+            log.hold(held + self.clustered.sweep_pages());
         }
         let skip = self.log.resume.unwrap_or(0);
         // From here on the log is frozen: its merged order is what `skip`
@@ -247,7 +271,8 @@ impl State {
         // prefix is skipped: a skip over an error, or a pull past it, would
         // hand the sweep the rest of the log short of a run.
         let mut failed = None;
-        let mut ops = log_stream(runs, buffer.iter().cloned(), cost)?
+        let mut ops = log_stream(runs, buffer, cost)?
+            .map(|r| r.and_then(Pending::from_record))
             .map_while(|p| p.map_err(|e| failed = Some(e)).ok())
             .fuse()
             .skip(skip as usize)
@@ -566,7 +591,7 @@ impl StoredRelation {
             // one needs.
             return Err(self.held_open());
         } else {
-            log.hold(log.buffer_pages() + log.runs.num_runs());
+            log.hold(log.buffer_pages() + log.runs.num_runs() + log.fence_pages());
             Some(Rc::clone(&log.buffer))
         };
         Ok(Reader { rel: self, st, tail, cursor: None })
@@ -593,7 +618,7 @@ impl StoredRelation {
     }
 
     /// The most pages the apply log has held at once (buffer, one per run
-    /// being merged, and the sweep's path): at most
+    /// being merged, the runs' fences, and the sweep's path): at most
     /// [`StoredRelation::apply_log_bound_pages`].
     pub fn apply_log_peak_pages(&self) -> u64 {
         self.state.borrow().log.peak_pages.get()
@@ -601,10 +626,11 @@ impl StoredRelation {
 
     /// The pages the apply log may hold at once: [`APPLY_LOG_PAGES`] of
     /// buffer, the sweep's path over the clustered tree (`h + 1`:
-    /// [`BTree::sweep_pages`]), and one per run — as many runs as keep
+    /// [`BTree::sweep_pages`]), one per run — as many runs as keep
     /// their pages within a quarter of the relation's leaf pages,
     /// `max(APPLY_LOG_RUNS, min(leaves/4/APPLY_LOG_PAGES, |M| −
-    /// APPLY_LOG_PAGES − h − 1))`. Read off the trees as they stand, and never
+    /// APPLY_LOG_PAGES − h − 1))` — and the fences of that many full runs
+    /// ([`fence_pages`]). Read off the trees as they stand, and never
     /// under what an earlier settle was held to.
     pub fn apply_log_bound_pages(&self) -> u64 {
         self.state.borrow().bound_pages()
@@ -1136,10 +1162,12 @@ mod tests {
         assert_eq!(disk.metrics().counter("base.settles"), 1, "no sixteenth run: a settle");
         assert_eq!(disk.metrics().counter("base.apply_log.runs"), APPLY_LOG_RUNS as u64 - 1);
         assert_eq!(rel.pending_ops(), 1, "the mutation that found the log full came after");
+        // Fifteen runs of 16 pages: 240 fences of 4 bytes, two 512-byte pages.
+        assert_eq!(fence_pages(15 * 16, 512), 2);
         assert_eq!(
             rel.apply_log_peak_pages(),
-            (APPLY_LOG_PAGES + APPLY_LOG_RUNS - 1 + rel.height() + 1) as u64,
-            "the buffer, fifteen run pages and the path with its second leaf"
+            (APPLY_LOG_PAGES + APPLY_LOG_RUNS - 1 + 2 + rel.height() + 1) as u64,
+            "the buffer, fifteen run pages, their fences and the path with its second leaf"
         );
         assert_eq!(rel.get(Surrogate(7)).unwrap().unwrap().key, 7);
     }
@@ -1160,10 +1188,13 @@ mod tests {
         assert_eq!(rel.data_pages(), 1_200);
         let h = rel.height();
         let path = h + 1; // the sweep's path holds two leaves
-        assert_eq!(rel.apply_log_bound_pages(), (APPLY_LOG_PAGES + 18 + path) as u64);
+                          // The fences of 18, 17 and 16 full runs: 3, 3 and 2 pages.
+        let fences = |runs: u64| fence_pages(runs * 16, 512) as usize;
+        assert_eq!((fences(18), fences(17), fences(16)), (3, 3, 2));
+        assert_eq!(rel.apply_log_bound_pages(), (APPLY_LOG_PAGES + 18 + 3 + path) as u64);
         let roomy = build(APPLY_LOG_PAGES + path + 17).1.apply_log_bound_pages();
-        assert_eq!(roomy, (16 + 17 + path) as u64);
-        assert_eq!(build(8).1.apply_log_bound_pages(), (16 + APPLY_LOG_RUNS + path) as u64);
+        assert_eq!(roomy, (16 + 17 + 3 + path) as u64);
+        assert_eq!(build(8).1.apply_log_bound_pages(), (16 + APPLY_LOG_RUNS + 2 + path) as u64);
         // The log fills to 17 runs and a buffer, then settles itself.
         let t = |n: u32| BaseTuple::padded(Surrogate(n * 7 % 6_000), n as u64, 64);
         for n in 0..18 * 96 {

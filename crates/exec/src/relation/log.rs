@@ -9,9 +9,9 @@ use trijoin_btree::{net_chain, Netted, SweepOp};
 use trijoin_common::{BaseTuple, Cost, CounterId, Error, Json, Result, Surrogate, SystemParams};
 use trijoin_storage::{Disk, FileId, SlottedPage};
 
-use super::{SettleStats, APPLY_LOG_PAGES};
+use super::{fence_pages, SettleStats, APPLY_LOG_PAGES};
 use crate::diff::{DiffLog, SortKey};
-use crate::sort::{counted_sort_by, KWayMerge};
+use crate::sort::{counted_sort_by, KWayMerge, Seek};
 use crate::strategy::Mutation;
 
 /// What a queued mutation does to the tuple under its surrogate.
@@ -72,7 +72,7 @@ impl Pending {
         ((record.sur.0 as u128) << 32) | seq as u128
     }
 
-    fn from_record(record: BaseTuple) -> Result<Pending> {
+    pub(super) fn from_record(record: BaseTuple) -> Result<Pending> {
         let corrupt = || Error::Corrupt("apply-log record without its trailer".into());
         let (at, seq) = Self::trailer(&record).ok_or_else(corrupt)?;
         let kind = match record.payload[at + 4] {
@@ -103,25 +103,54 @@ impl Pending {
 }
 
 /// The apply log in merged order — its runs and its buffer, sorted — as
-/// one stream of operations in surrogate order, submission order within a
-/// surrogate: what the sweep applies and a reader reads through. A run
-/// read that fails, or a record that does not decode, is an `Err` in it.
-pub(super) type LogStream<'a> = Box<dyn Iterator<Item = Result<Pending>> + 'a>;
+/// one stream of records in surrogate order, submission order within a
+/// surrogate ([`Pending::from_record`] reads one): what the sweep applies
+/// and a reader reads through, seeking in it by surrogate. A run read that
+/// fails is an `Err` in it.
+pub(super) type LogStream = Box<dyn Seek>;
 
 /// The [`LogStream`] of `runs` and `tail`, the buffer in surrogate order.
-pub(super) fn log_stream<'a>(
+pub(super) fn log_stream(
     runs: &DiffLog,
-    tail: impl Iterator<Item = Pending> + 'a,
+    tail: &Rc<Vec<Pending>>,
     cost: &Cost,
-) -> Result<LogStream<'a>> {
+) -> Result<LogStream> {
+    let tail = Tail { buffer: Rc::clone(tail), at: 0 };
     if runs.num_runs() == 0 {
-        return Ok(Box::new(tail.map(Ok)));
+        return Ok(Box::new(tail));
     }
-    let sources: Vec<Box<dyn Iterator<Item = Result<BaseTuple>> + 'a>> =
-        vec![Box::new(runs.merged()?), Box::new(tail.map(|p| Ok(p.to_record())))];
+    let sources: Vec<Box<dyn Seek>> = vec![Box::new(runs.merged()?), Box::new(tail)];
     let key = |r: &Result<BaseTuple>| r.as_ref().map_or(0, Pending::record_key);
-    let records = KWayMerge::new(sources, key, cost.clone());
-    Ok(Box::new(records.map(|r| r.and_then(Pending::from_record))))
+    Ok(Box::new(KWayMerge::new(sources, key, cost.clone())))
+}
+
+/// The buffer, sorted, as records: in memory, so a seek reads nothing.
+struct Tail {
+    buffer: Rc<Vec<Pending>>,
+    at: usize,
+}
+
+impl Iterator for Tail {
+    type Item = Result<BaseTuple>;
+
+    fn next(&mut self) -> Option<Result<BaseTuple>> {
+        let p = self.buffer.get(self.at)?;
+        self.at += 1;
+        Some(Ok(p.to_record()))
+    }
+}
+
+impl Seek for Tail {
+    fn seek(&mut self, sur: Surrogate) -> u64 {
+        let passed = self.buffer[self.at..].partition_point(|p| p.tuple.sur < sur);
+        self.at += passed;
+        0
+    }
+
+    fn next_through(&mut self, sur: Surrogate) -> Option<Result<BaseTuple>> {
+        self.buffer.get(self.at).filter(|p| p.tuple.sur <= sur)?;
+        self.next()
+    }
 }
 
 /// One entry the inverted tree must gain or lose because a tuple's join
@@ -141,6 +170,7 @@ pub(super) struct ApplyLog {
     pub(super) sorted: bool,
     pub(super) cap: usize,
     per_page: usize,
+    pub(super) page_size: usize,
     /// Buffers that filled up, as surrogate-sorted runs.
     pub(super) runs: DiffLog,
     pub(super) seq: u32,
@@ -159,7 +189,8 @@ pub(super) struct ApplyLog {
     /// Owed to the inverted tree by changes that landed in the clustered.
     pub(super) postings: Vec<Posting>,
     /// Most pages the log has held at once: buffer, one per run being
-    /// merged, and the path the sweep holds (none for a read-through).
+    /// merged, the runs' fences, and the path the sweep holds (none for a
+    /// read-through).
     pub(super) peak_pages: Cell<u64>,
     /// The widest bound a settle has held those pages to (the bound moves
     /// with the relation's size).
@@ -175,6 +206,7 @@ pub(super) struct ApplyLog {
     c_runs: CounterId,
     pub(super) c_reads: CounterId,
     pub(super) c_read_pages: CounterId,
+    pub(super) c_read_skipped: CounterId,
 }
 
 impl ApplyLog {
@@ -187,6 +219,7 @@ impl ApplyLog {
             sorted: true,
             cap: APPLY_LOG_PAGES * per_page,
             per_page,
+            page_size: disk.page_size(),
             runs: DiffLog::new(disk, cost, APPLY_LOG_PAGES, per_page, false, Pending::record_key),
             seq: 0,
             queued: 0,
@@ -206,12 +239,18 @@ impl ApplyLog {
             c_runs: metrics.counter_handle("base.apply_log.runs"),
             c_reads: metrics.counter_handle("base.read_through.reads"),
             c_read_pages: metrics.counter_handle("base.read_through.pages"),
+            c_read_skipped: metrics.counter_handle("base.read_through.skipped"),
         }
     }
 
     /// Pages the buffer fills.
     pub(super) fn buffer_pages(&self) -> usize {
         self.buffer.len().div_ceil(self.per_page)
+    }
+
+    /// Pages the runs' fences fill in memory ([`fence_pages`]).
+    pub(super) fn fence_pages(&self) -> usize {
+        fence_pages(self.runs.pages(), self.page_size) as usize
     }
 
     /// Put the buffer in surrogate order, unless it is.
@@ -244,10 +283,14 @@ impl ApplyLog {
         Ok(())
     }
 
-    /// The catalog form of a sealed log: its run files, `seq`, `queued`
-    /// and `net_inserts`.
+    /// The catalog form of a sealed log: its runs (each a file and its
+    /// page fences), `seq`, `queued` and `net_inserts`.
     pub(super) fn to_json(&self) -> Json {
-        let runs: Vec<Json> = self.runs.run_files().map(|file| Json::from(file.0 as u64)).collect();
+        let runs = self.runs.runs().map(|(file, fences)| {
+            let fences: Vec<Json> = fences.iter().map(|sur| Json::from(sur.0 as u64)).collect();
+            Json::obj().set("file", file.0 as u64).set("fences", fences)
+        });
+        let runs: Vec<Json> = runs.collect();
         Json::obj()
             .set("runs", runs)
             .set("seq", self.seq as u64)
@@ -260,9 +303,13 @@ impl ApplyLog {
         let corrupt = |k: &str| Error::Corrupt(format!("catalog apply log: bad field {k}"));
         let field = |k: &str| j.get(k).and_then(Json::as_f64).ok_or_else(|| corrupt(k));
         let runs = j.get("runs").and_then(Json::as_arr).ok_or_else(|| corrupt("runs"))?;
+        let u32_of = |j: &Json| j.as_u64().and_then(|n| u32::try_from(n).ok());
         for run in runs {
-            let file = run.as_u64().and_then(|f| u32::try_from(f).ok());
-            self.runs.adopt_run(FileId(file.ok_or_else(|| corrupt("runs"))?))?;
+            let file = run.get("file").and_then(u32_of).ok_or_else(|| corrupt("runs"))?;
+            let fences = run.get("fences").and_then(Json::as_arr).ok_or_else(|| corrupt("runs"))?;
+            let fences =
+                fences.iter().map(|f| u32_of(f).map(Surrogate).ok_or_else(|| corrupt("runs")));
+            self.runs.adopt_run(FileId(file), fences.collect::<Result<_>>()?)?;
         }
         (self.seq, self.queued) = (field("seq")? as u32, field("queued")? as u64);
         self.net_inserts = field("net_inserts")? as i64;

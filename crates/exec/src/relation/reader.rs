@@ -14,48 +14,61 @@ use crate::batch::TupleRef;
 use crate::diff::DiffLog;
 
 /// A read-through's place in the merged apply log. It only moves forward,
-/// so each run page is read once however many reads share it.
+/// so each run page is read once however many reads share it. A scan reads
+/// the log group by group, one group ahead; a fetch seeks it to each
+/// surrogate it asks for and reads nothing ahead of it.
 pub(super) struct Cursor {
-    stream: LogStream<'static>,
+    stream: LogStream,
     /// Whether the log has runs (reading a buffer alone charges nothing).
     spilled: bool,
-    /// The first operation past the group read ahead.
+    /// A scan's first operation past the group read ahead.
     ahead: Option<Pending>,
-    /// The operations on the next surrogate the log holds, read ahead, or
-    /// the error that ended the log.
+    /// A scan's group read ahead: the operations on the next surrogate the
+    /// log holds, or the error that ended the log.
     next: Option<Result<(u64, Vec<Pending>)>>,
-    /// The surrogate of the group taken last.
+    /// The surrogate a fetch asked for last.
     passed: Option<u64>,
     /// Run pages read.
     pages: u64,
+    /// Run pages a fetch's seeks passed over without reading them.
+    skipped: u64,
     cost: Cost,
 }
 
 impl Cursor {
     fn open(runs: &DiffLog, tail: &Rc<Vec<Pending>>, cost: &Cost) -> Result<Cursor> {
-        let tail = Rc::clone(tail);
-        let stream = log_stream(runs, (0..tail.len()).map(move |i| tail[i].clone()), cost)?;
-        let (spilled, cost) = (runs.num_runs() > 0, cost.clone());
-        let mut cursor =
-            Cursor { stream, spilled, ahead: None, next: None, passed: None, pages: 0, cost };
-        cursor.advance();
-        Ok(cursor)
+        let stream = log_stream(runs, tail, cost)?;
+        Ok(Cursor {
+            stream,
+            spilled: runs.num_runs() > 0,
+            ahead: None,
+            next: None,
+            passed: None,
+            pages: 0,
+            skipped: 0,
+            cost: cost.clone(),
+        })
     }
 
-    /// Read the next group ahead: the run pages it takes and the merge,
-    /// under `base.read_through` (a buffer alone charges nothing; placing
-    /// the group among the tree's entries rides on the comparisons the
-    /// tree's scan or fetch charges).
+    /// The next operation of the log.
+    fn pull(&mut self) -> Option<Result<Pending>> {
+        self.stream.next().map(|record| record.and_then(Pending::from_record))
+    }
+
+    /// Read a scan's next group ahead: the run pages it takes and the
+    /// merge, under `base.read_through` (a buffer alone charges nothing;
+    /// placing the group among the tree's entries rides on the comparisons
+    /// the tree's scan charges).
     fn advance(&mut self) {
         let _span = self.spilled.then(|| self.cost.section("base.read_through"));
         let ios = self.cost.total().ios;
-        let first = self.ahead.take().map(Ok).or_else(|| self.stream.next());
+        let first = self.ahead.take().map(Ok).or_else(|| self.pull());
         self.next = first.map(|first| {
             let first = first?;
             let sur = first.tuple.sur;
             let mut ops = vec![first];
             loop {
-                match self.stream.next().transpose()? {
+                match self.pull().transpose()? {
                     Some(p) if p.tuple.sur == sur => ops.push(p),
                     other => break self.ahead = other,
                 }
@@ -75,7 +88,6 @@ impl Cursor {
         }
         let group = self.next.take().transpose()?;
         self.advance();
-        self.passed = group.as_ref().map(|(sur, _)| *sur);
         Ok(group)
     }
 
@@ -96,28 +108,44 @@ impl Cursor {
     }
 
     /// The operations on each of the sorted `keys`, in order, keys without
-    /// any left out. A key at or below a group an earlier call passed is
-    /// refused: its operations may be behind the cursor. So is a log that
-    /// failed in the group read ahead.
+    /// any left out, under `base.read_through` (a buffer alone charges
+    /// nothing). The log is sought to each key before it is read, so what
+    /// is read is each run page whose fences say it can hold a key. A key
+    /// at or below one an earlier call asked for is refused: its operations
+    /// are behind the cursor.
     fn chains_of(&mut self, keys: &[u64]) -> Result<Vec<(u64, Vec<Pending>)>> {
-        let mut chains: Vec<(u64, Vec<Pending>)> = Vec::new();
-        for &key in keys {
-            if chains.last().is_some_and(|(sur, _)| *sur == key) {
+        let cost = self.cost.clone();
+        let _span = self.spilled.then(|| cost.section("base.read_through"));
+        let ios = cost.total().ios;
+        let (mut chains, mut read) = (Vec::new(), Ok(()));
+        for (i, &key) in keys.iter().enumerate() {
+            if i > 0 && keys[i - 1] == key {
                 continue;
             }
-            if self.passed.is_some_and(|sur| sur >= key) {
-                return Err(Error::Invariant(format!(
-                    "read-through fetch of surrogate {key} behind the log's cursor"
-                )));
-            }
-            while let Some((sur, ops)) = self.take_if(|sur| sur <= key)? {
-                if sur == key {
-                    chains.push((sur, ops));
-                }
+            read = self.chain_of(key).map(|ops| chains.extend(ops.map(|ops| (key, ops))));
+            if read.is_err() {
+                break;
             }
         }
-        self.take_if(|_| false)?;
-        Ok(chains)
+        self.pages += cost.total().ios - ios;
+        read.map(|()| chains)
+    }
+
+    /// The operations on `key`, if it has any: the log is sought to it,
+    /// then read through it.
+    fn chain_of(&mut self, key: u64) -> Result<Option<Vec<Pending>>> {
+        if self.passed.replace(key).is_some_and(|sur| sur >= key) {
+            return Err(Error::Invariant(format!(
+                "read-through fetch of surrogate {key} behind the log's cursor"
+            )));
+        }
+        let sur = Surrogate(key as u32);
+        self.skipped += self.stream.seek(sur);
+        let mut ops = Vec::new();
+        while let Some(record) = self.stream.next_through(sur) {
+            ops.push(Pending::from_record(record?)?);
+        }
+        Ok((!ops.is_empty()).then_some(ops))
     }
 }
 
@@ -165,6 +193,7 @@ impl Reader<'_> {
         log.read_pages.set(log.read_pages.get() + cursor.pages);
         metrics.incr_id(log.c_reads);
         metrics.counter_add_id(log.c_read_pages, cursor.pages);
+        metrics.counter_add_id(log.c_read_skipped, cursor.skipped);
     }
 
     /// Full scan in surrogate order: one read I/O per leaf page, and one
@@ -199,6 +228,7 @@ impl Reader<'_> {
             })?;
             return err.map_or(Ok(()), Err);
         };
+        log.advance();
         let scanned = tree.for_each_pinned(|key, bytes, page| {
             let merged = log.insert_below(Some(key), |v| emit(v, None)).and_then(|()| {
                 match log.take_if(|sur| sur == key)? {
@@ -223,7 +253,10 @@ impl Reader<'_> {
     /// Batched fetch by *sorted* surrogates: each touched page is charged
     /// at most once (the Yao-style scheduled access of the paper's
     /// algorithms) — each run page of the log too, across all of this
-    /// reader's fetches, which must ask for rising surrogates.
+    /// reader's fetches, which must ask for rising surrogates. The log is
+    /// read as Yao prices it: the cursor seeks every run to each surrogate
+    /// by the fences it keeps in memory (the first surrogate on each run
+    /// page), so it reads only the run pages that can hold one, each once.
     pub fn fetch_by_surrogates(
         &mut self,
         sorted_surs: &[Surrogate],

@@ -6,9 +6,10 @@
 //! insertion-sort tail, and a streaming k-way merge — and charges the
 //! *actual* comparisons and tuple moves it performs into the [`Cost`]
 //! ledger. At realistic sizes the actual counts track the Knuth formulas
-//! closely (verified by tests in the model crate).
+//! closely (verified by tests in the model crate). A merge of record
+//! streams in surrogate order can also seek by surrogate ([`Seek`]).
 
-use trijoin_common::Cost;
+use trijoin_common::{BaseTuple, Cost, Result, Surrogate};
 
 /// Sort `items` by a precomputed key, charging every comparison (`comp`)
 /// and every element move (`move`, two per swap) to `cost`.
@@ -99,13 +100,16 @@ fn quicksort<T, K: Ord + Copy>(
 /// actual comparisons (linear minimum scan over the k heads — the paper's
 /// heap would be `lg k`; with the small `N1`-sized fan-ins of the
 /// differential pipelines the difference is nanoseconds against a 25 ms
-/// I/O) and one `move` per emitted item.
+/// I/O) and one `move` per emitted item. Each source's next item is read
+/// ahead; a source must keep returning `None` once it is done.
 pub struct KWayMerge<T, K, I>
 where
     I: Iterator<Item = T>,
     K: Ord + Copy,
 {
-    sources: Vec<std::iter::Peekable<I>>,
+    sources: Vec<I>,
+    /// Each source's item read ahead.
+    heads: Vec<Option<T>>,
     key_of: Box<dyn Fn(&T) -> K>,
     cost: Cost,
 }
@@ -117,26 +121,16 @@ where
 {
     /// Merge `sources` (each already sorted by `key_of`).
     pub fn new(sources: Vec<I>, key_of: impl Fn(&T) -> K + 'static, cost: Cost) -> Self {
-        KWayMerge {
-            sources: sources.into_iter().map(|s| s.peekable()).collect(),
-            key_of: Box::new(key_of),
-            cost,
-        }
+        let heads = sources.iter().map(|_| None).collect();
+        KWayMerge { sources, heads, key_of: Box::new(key_of), cost }
     }
-}
 
-impl<T, K, I> Iterator for KWayMerge<T, K, I>
-where
-    I: Iterator<Item = T>,
-    K: Ord + Copy,
-{
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
+    /// The source whose head sorts first, among the heads read ahead.
+    fn least(&self) -> Option<usize> {
         let mut best: Option<(usize, K)> = None;
         let mut comps = 0u64;
-        for (i, src) in self.sources.iter_mut().enumerate() {
-            if let Some(item) = src.peek() {
+        for (i, head) in self.heads.iter().enumerate() {
+            if let Some(item) = head {
                 let k = (self.key_of)(item);
                 match best {
                     None => best = Some((i, k)),
@@ -150,9 +144,96 @@ where
             }
         }
         self.cost.comp(comps);
-        let (i, _) = best?;
+        best.map(|(i, _)| i)
+    }
+
+    /// Hand out the head of source `i`.
+    fn take(&mut self, i: usize) -> Option<T> {
         self.cost.mov(1);
-        self.sources[i].next()
+        self.heads[i].take()
+    }
+}
+
+impl<T, K, I> Iterator for KWayMerge<T, K, I>
+where
+    I: Iterator<Item = T>,
+    K: Ord + Copy,
+{
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        for (src, head) in self.sources.iter_mut().zip(&mut self.heads) {
+            if head.is_none() {
+                *head = src.next();
+            }
+        }
+        let i = self.least()?;
+        self.take(i)
+    }
+}
+
+/// A stream of records in surrogate order that can move forward by
+/// surrogate without reading what it passes over: a run of a log sorted
+/// on the surrogate first, with the page fences it keeps in memory, or a
+/// merge of such streams.
+pub trait Seek: Iterator<Item = Result<BaseTuple>> {
+    /// Pass over every record below `sur`: drop those in hand and skip
+    /// the pages that can hold nothing else. Reads nothing; returns the
+    /// pages skipped.
+    fn seek(&mut self, sur: Surrogate) -> u64;
+
+    /// The next record if its surrogate is at most `sur`, reading a page
+    /// only if its fence says it can hold one; `None` (no read) otherwise.
+    fn next_through(&mut self, sur: Surrogate) -> Option<Result<BaseTuple>>;
+}
+
+impl<S: Seek + ?Sized> Seek for Box<S> {
+    fn seek(&mut self, sur: Surrogate) -> u64 {
+        (**self).seek(sur)
+    }
+
+    fn next_through(&mut self, sur: Surrogate) -> Option<Result<BaseTuple>> {
+        (**self).next_through(sur)
+    }
+}
+
+/// A merge of seekable record streams is one: the seek goes to every
+/// source whose head it drops (an error in hand is never dropped), and a
+/// pull through `sur` reads ahead only in the sources that can hold a
+/// record at or below it.
+impl<K, I> Seek for KWayMerge<Result<BaseTuple>, K, I>
+where
+    I: Seek,
+    K: Ord + Copy,
+{
+    fn seek(&mut self, sur: Surrogate) -> u64 {
+        let mut skipped = 0;
+        for (src, head) in self.sources.iter_mut().zip(&mut self.heads) {
+            if let Some(Ok(t)) = head {
+                self.cost.comp(1);
+                if t.sur >= sur {
+                    continue;
+                }
+                *head = None;
+            }
+            if head.is_none() {
+                skipped += src.seek(sur);
+            }
+        }
+        skipped
+    }
+
+    fn next_through(&mut self, sur: Surrogate) -> Option<Result<BaseTuple>> {
+        for (src, head) in self.sources.iter_mut().zip(&mut self.heads) {
+            if head.is_none() {
+                *head = src.next_through(sur);
+            }
+        }
+        let i = self.least()?;
+        match &self.heads[i] {
+            Some(Ok(t)) if t.sur > sur => None,
+            _ => self.take(i),
+        }
     }
 }
 

@@ -1,9 +1,10 @@
 //! Reading a base relation through its apply log: a [`Reader`] that
 //! merges the queued mutations into what it reads must see exactly what a
 //! reader sees after a settle — ill-formed mutations included — leave the
-//! log as it found it, settle instead once reading through stops paying,
-//! and fail over to the strategies' restart and recovery paths when a run
-//! page cannot be read.
+//! log as it found it, read for a fetch only the run pages whose fences say
+//! they can hold a surrogate it asks for, settle instead once reading
+//! through stops paying, and fail over to the strategies' restart and
+//! recovery paths when a run page cannot be read.
 
 use std::collections::BTreeMap;
 
@@ -15,7 +16,7 @@ use trijoin_exec::{
     execute_collect, oracle, HybridHash, JoinIndexStrategy, JoinStrategy, Mutation, Reader,
     StoredRelation, Update,
 };
-use trijoin_storage::{Disk, FaultPlan, FileId, SimDisk};
+use trijoin_storage::{Disk, FaultPlan, FileId, HeapFile, SimDisk};
 
 const TUPLE: usize = 48;
 /// Tuples in the relation; surrogates up to `N + FRESH` are drawn, so
@@ -77,16 +78,54 @@ fn fetch(reader: &mut Reader<'_>, chunks: &[Vec<Surrogate>]) -> Vec<BaseTuple> {
     out
 }
 
+/// Each page's fence in `run`: the surrogate of its first record.
+fn fences(disk: &Disk, run: FileId) -> Vec<u32> {
+    let heap = HeapFile::open(disk, run);
+    let first = |page| {
+        let mut first = None;
+        heap.for_each_page_record(page, |_, bytes| {
+            first.get_or_insert_with(|| BaseTuple::from_bytes(bytes).unwrap().sur.0);
+        })
+        .unwrap();
+        first.expect("a run page holds a record")
+    };
+    (0..heap.num_pages()).map(first).collect()
+}
+
+/// The run pages a fetch of `keys` reads: page `p` of a run can hold the
+/// surrogates from its fence to the next page's (the last page, any from
+/// its fence on), and is read once if one of `keys` is among them.
+fn fence_selected(disk: &Disk, runs: &[FileId], keys: &[u32]) -> u64 {
+    let selected = |run: &FileId| {
+        let fences = fences(disk, *run);
+        let can_hold = |p: usize| {
+            let above = fences.get(p + 1).copied().unwrap_or(u32::MAX);
+            keys.iter().any(|&k| fences[p] <= k && k <= above)
+        };
+        (0..fences.len()).filter(|&p| can_hold(p)).count() as u64
+    };
+    runs.iter().map(selected).sum()
+}
+
+/// `(base.read_through.pages, base.read_through.skipped)` on `disk`.
+fn read_through_pages(disk: &Disk) -> (u64, u64) {
+    let metrics = disk.metrics();
+    (metrics.counter("base.read_through.pages"), metrics.counter("base.read_through.skipped"))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Scans and chunked, rising fetches through the log equal the same
     /// reads after a settle; the log is untouched by them, and the settle
-    /// that follows refuses and writes what it would have anyway.
+    /// that follows refuses and writes what it would have anyway. A fetch
+    /// reads exactly the run pages its fences select: a sparse one a few,
+    /// one that asks a surrogate on every page all of them.
     #[test]
     fn reading_through_equals_settling_then_reading(
         ops in prop::collection::vec(op(), 200..330),
         cuts in prop::collection::vec((1usize..50, any::<bool>()), 1..40),
+        picks in prop::collection::vec(0..N + FRESH, 1..12),
     ) {
         let (through_disk, settled_disk) =
             (SimDisk::new(&params(), Cost::new()), SimDisk::new(&params(), Cost::new()));
@@ -112,18 +151,39 @@ proptest! {
             at = end;
         }
 
+        // A sparse fetch, in two rising chunks.
+        let mut picks = picks;
+        picks.sort_unstable();
+        picks.dedup();
+        let (low, high) = picks.split_at(picks.len() / 2);
+        let sparse: Vec<Vec<Surrogate>> =
+            [low, high].iter().map(|half| half.iter().copied().map(Surrogate).collect()).collect();
+        let runs: Vec<FileId> = through.file_ids().skip(1).collect();
+        let run_pages: u64 = runs.iter().map(|&run| fences(&through_disk, run).len() as u64).sum();
+        let all: Vec<u32> = (0..N + FRESH).collect();
+        prop_assert_eq!(fence_selected(&through_disk, &runs, &all), run_pages);
+
         let queued = through.pending_ops();
-        let (scanned, fetched) = {
-            let reader = through.reader().unwrap();
+        let (picked, scanned, fetched) = {
+            let mut reader = through.reader().unwrap();
             prop_assert!(reader.pages_held() >= 3, "{} runs", reader.pages_held());
-            let scanned = scan(&reader);
+            let picked = fetch(&mut reader, &sparse);
+            drop(reader);
+            let (pages, skipped) = read_through_pages(&through_disk);
+            prop_assert_eq!(pages, fence_selected(&through_disk, &runs, &picks));
+            prop_assert!(pages + skipped <= run_pages, "{pages} read, {skipped} skipped");
+            let scanned = scan(&through.reader().unwrap());
             let mut reader = through.reader().unwrap();
             prop_assert!(reader.pages_held() >= 3);
-            (scanned, fetch(&mut reader, &chunks))
+            let fetched = fetch(&mut reader, &chunks);
+            drop(reader);
+            let read = read_through_pages(&through_disk).0 - pages;
+            prop_assert_eq!(read, 2 * run_pages, "a scan and a fetch of every surrogate");
+            (picked, scanned, fetched)
         };
         prop_assert_eq!(through.pending_ops(), queued);
         prop_assert_eq!(through_disk.metrics().counter("base.settles"), 0);
-        prop_assert_eq!(through_disk.metrics().counter("base.read_through.reads"), 2);
+        prop_assert_eq!(through_disk.metrics().counter("base.read_through.reads"), 3);
 
         let stats = settled.settle().unwrap();
         let reader = settled.reader().unwrap();
@@ -131,6 +191,7 @@ proptest! {
         prop_assert_eq!(&scanned, &scan(&reader));
         drop(reader);
         prop_assert_eq!(&fetched, &fetch(&mut settled.reader().unwrap(), &chunks));
+        prop_assert_eq!(&picked, &fetch(&mut settled.reader().unwrap(), &sparse));
 
         let later = through.settle().unwrap();
         prop_assert_eq!((later.ops, later.rejected), (stats.ops, stats.rejected));
@@ -184,6 +245,47 @@ fn readers_rent_the_log_until_a_settle_pays_then_buy() {
     }
     assert_eq!(rel.reader().unwrap().pages_held(), 1);
     assert_eq!(metrics.counter("base.settles"), 1);
+}
+
+/// The same relation's run, read by fetches: a fetch seeks the run by its
+/// page fences (a surrogate every 57 here, 19 records of every third
+/// surrogate to a page), so the page that can hold the surrogates it asks
+/// for is the one it reads and the seven before it are skipped. A fetch
+/// that asks a surrogate on every page reads every page.
+#[test]
+fn a_fetch_reads_only_the_run_pages_its_surrogates_can_be_on() {
+    let params = SystemParams::paper_defaults();
+    let disk = SimDisk::new(&params, Cost::new());
+    let tuples = (0..72 * 14).map(|i| BaseTuple::padded(Surrogate(i), i as u64, 200)).collect();
+    let mut rel = StoredRelation::build(&disk, &params, "R", tuples, false).unwrap();
+    let update = |i: u32| BaseTuple::padded(Surrogate(i * 3 % 1008), 7, 200);
+    for i in 0..310 {
+        rel.apply_update(&update(i), &update(i)).unwrap();
+    }
+    let run = rel.file_ids().nth(1).unwrap();
+    assert_eq!(fences(&disk, run), (0..16).map(|p| 57 * p).collect::<Vec<u32>>());
+    let fetch = |surs: &[u32]| {
+        let (pages, skipped) = read_through_pages(&disk);
+        let mut got = Vec::new();
+        let surs: Vec<Surrogate> = surs.iter().copied().map(Surrogate).collect();
+        rel.reader().unwrap().fetch_by_surrogates(&surs, |t| got.push(t)).unwrap();
+        let (now, now_skipped) = read_through_pages(&disk);
+        (got, now - pages, now_skipped - skipped)
+    };
+    // 450 is in the log (and on page 7, from 399 to 456), 451 only in the
+    // tree.
+    let (got, pages, skipped) = fetch(&[450, 451]);
+    let want = vec![
+        BaseTuple::padded(Surrogate(450), 7, 200),
+        BaseTuple::padded(Surrogate(451), 451, 200),
+    ];
+    assert_eq!((got, pages, skipped), (want, 1, 7));
+    // One surrogate in the middle of each page: ji_cycle's dense shape.
+    let every: Vec<u32> = (0..16).map(|p| 57 * p + 27).collect();
+    let (got, pages, skipped) = fetch(&every);
+    assert_eq!((got.len(), pages, skipped), (16, 16, 0));
+    assert!(got.iter().all(|t| t.key == 7), "each is a logged update");
+    assert_eq!(disk.metrics().counter("base.settles"), 0);
 }
 
 /// The pages a read-through holds count toward the log's peak, which
@@ -284,6 +386,80 @@ fn fixture() -> Fixture {
     let want = oracle::join_tuples(&mirror.into_values().collect::<Vec<_>>(), &s_tuples);
     disk.metrics().reset();
     Fixture { disk, r, s, ji, hh, runs, want }
+}
+
+/// `R` of 400 tuples, one in forty of which joins `S`, each updated in
+/// place with its join key kept: `R`'s log spills runs while the join
+/// index logs nothing, so a join-index pass fetches the few `R` tuples it
+/// joins through the log, a sparse keyed read-through.
+fn sparse_fixture() -> Fixture {
+    let params = fixture_params();
+    let cost = Cost::new();
+    let disk = SimDisk::new(&params, cost.clone());
+    let key = |i: u32| if i.is_multiple_of(40) { (i % 7) as u64 } else { 100 + i as u64 };
+    let s_tuples: Vec<BaseTuple> = (0..200).map(|i| tuple(i, (i % 7) as u64, 0)).collect();
+    let r_tuples: Vec<BaseTuple> = (0..400).map(|i| tuple(i, key(i), 0)).collect();
+    let mut r = StoredRelation::build(&disk, &params, "R", r_tuples.clone(), false).unwrap();
+    let s = StoredRelation::build(&disk, &params, "S", s_tuples.clone(), true).unwrap();
+    let mut ji = JoinIndexStrategy::build(&disk, &params, &cost, &r, &s).unwrap();
+    let hh = HybridHash::new(&disk, &params, &cost);
+    let before = disk.live_files();
+    let mut mirror = Vec::new();
+    for old in r_tuples.into_iter().rev() {
+        let new = tuple(old.sur.0, old.key, 1);
+        let m = Mutation::Update(Update { old, new: new.clone() });
+        r.apply_mutation(&m).unwrap();
+        ji.on_mutation(&m).unwrap();
+        mirror.push(new);
+    }
+    let runs: Vec<FileId> = disk.live_files().into_iter().filter(|f| !before.contains(f)).collect();
+    assert!(runs.len() >= 2, "{} runs", runs.len());
+    let want = oracle::join_tuples(&mirror, &s_tuples);
+    disk.metrics().reset();
+    Fixture { disk, r, s, ji, hh, runs, want }
+}
+
+/// Every run page a sparse join-index pass reads, faulted in turn: once,
+/// which the run reader's retry heals, and fatally, which the query
+/// returns. Either way the answer is the oracle's or a typed error, and
+/// the next query's is the oracle's. A fault one read past the last the
+/// pass makes of a run sits on a page its seeks pass over: it never fires.
+#[test]
+fn every_run_page_a_sparse_join_index_pass_reads_can_fail() {
+    let mut f = sparse_fixture();
+    let got = execute_collect(&mut f.ji, &f.r, &f.s).unwrap();
+    oracle::assert_same_join("ji, sparse", got, f.want.clone());
+    let reads = |run: FileId| f.disk.metrics().counter(&format!("disk.read.f{}", run.0));
+    let read: Vec<(FileId, u64)> = f.runs.iter().map(|&run| (run, reads(run))).collect();
+    let total: u64 = f.runs.iter().map(|&run| f.disk.num_pages(run).unwrap() as u64).sum();
+    let (pages, skipped) = read_through_pages(&f.disk);
+    assert_eq!(read.iter().map(|(_, n)| n).sum::<u64>(), pages);
+    assert!(pages > 0 && 2 * pages < total, "{pages} of {total} run pages read");
+    assert!(skipped > 0 && pages + skipped <= total, "{skipped} skipped");
+
+    for (run, n) in read {
+        for nth in 0..n {
+            let transient = FaultPlan::new().fail_nth_read(Some(run), nth);
+            let fatal = FaultPlan::new().fail_nth_op(Some(run), nth);
+            for (kind, plan) in [("transient", transient), ("fatal", fatal)] {
+                let label = format!("ji, f{} read {nth}, {kind}", run.0);
+                let mut f = sparse_fixture();
+                f.disk.install_fault_plan(plan);
+                match execute_collect(&mut f.ji, &f.r, &f.s) {
+                    Ok(got) => oracle::assert_same_join(&label, got, f.want.clone()),
+                    Err(e) => assert!(matches!(e, Error::DeviceFault { .. }), "{label}: {e:?}"),
+                }
+                assert_eq!(f.disk.faults_fired(), 1, "{label}");
+                let again = execute_collect(&mut f.ji, &f.r, &f.s).unwrap();
+                oracle::assert_same_join(&format!("{label}, the next query"), again, f.want);
+            }
+        }
+        let mut f = sparse_fixture();
+        f.disk.install_fault_plan(FaultPlan::new().fail_nth_op(Some(run), n));
+        let got = execute_collect(&mut f.ji, &f.r, &f.s).unwrap();
+        oracle::assert_same_join(&format!("ji, f{} read {n}", run.0), got, f.want);
+        assert_eq!(f.disk.faults_fired(), 0, "f{}: a skipped page was read", run.0);
+    }
 }
 
 /// Fail the `n`-th charged read of `file` `times` times running: once

@@ -14,6 +14,7 @@
 //! it) so every path is unit-testable without capturing stdout.
 
 use trijoin_common::{Json, RunReport, SeriesSnapshot, ShardedRunReport};
+use trijoin_exec::relation::apply_log_floor_pages;
 
 /// Validate the report file at `path` (reads, parses, sniffs, checks),
 /// requiring every telemetry series carried by (per-shard) run reports to
@@ -252,29 +253,25 @@ fn check_base_pages_bound(
 
 /// The apply-log contract of an engine's base relations
 /// (`exec::relation`): the log holds its buffer, one page for each run
-/// being merged and the path the sweep holds, so
+/// being merged, the runs' fences and the path the sweep holds, so
 /// `base.apply_log.peak_pages` stays within the bound the report carries,
 /// `base.apply_log.bound_pages` — or, in a report without one (a log at its
-/// floor stamps none), within 16 + 16 + `base.tree_height` + 1 (the path
-/// holds a second leaf) — and a report is taken with the log empty,
+/// floor stamps none), within 16 + 16 + the fences of 16 full runs at the
+/// report's page size + `base.tree_height` + 1 (the path holds a second
+/// leaf) — and a report is taken with the log empty,
 /// `base.apply_log.pending` = 0: a report that says otherwise describes
 /// trees some acknowledged mutation has not reached. Reports from builds
 /// without the gauges owe nothing.
-fn check_apply_log_bound(
-    path: &str,
-    owner: &str,
-    metrics: &trijoin_common::MetricsSnapshot,
-) -> Result<(), String> {
-    use trijoin_exec::relation::{APPLY_LOG_PAGES, APPLY_LOG_RUNS};
+fn check_apply_log_bound(path: &str, owner: &str, report: &RunReport) -> Result<(), String> {
+    let metrics = &report.metrics;
     if let Some(peak) = metrics.gauge("base.apply_log.peak_pages") {
-        let height = metrics.gauge("base.tree_height").unwrap_or(0.0);
-        let floor = (APPLY_LOG_PAGES + APPLY_LOG_RUNS + 1) as f64 + height;
+        let height = metrics.gauge("base.tree_height").unwrap_or(0.0) as usize;
+        let floor = apply_log_floor_pages(height, report.params.page_size) as f64;
         let bound = metrics.gauge("base.apply_log.bound_pages").unwrap_or(floor);
         if peak > bound {
             return Err(format!(
                 "{path}: {owner} reports base.apply_log.peak_pages = {peak}, above its bound \
-                 {bound} (base.apply_log.bound_pages, or {APPLY_LOG_PAGES} + {APPLY_LOG_RUNS} \
-                 + base.tree_height + 1 without it)"
+                 {bound} (base.apply_log.bound_pages, or {floor} at its floor without it)"
             ));
         }
     }
@@ -333,7 +330,7 @@ pub fn validate_run_report_with(
     check_series(path, "run report", &report.series, min_series_windows)?;
     check_wal_marker(path, "run report", &report.metrics)?;
     check_recovery_bound(path, "run report", &report.metrics)?;
-    check_apply_log_bound(path, "run report", &report.metrics)?;
+    check_apply_log_bound(path, "run report", &report)?;
     check_live_file_counters(path, "run report", &report.metrics)?;
     let mut summary = format!(
         "{path}: ok — report {:?} with {} spans, {} metrics counters, {} events, {} deltas",
@@ -399,7 +396,7 @@ pub fn validate_sharded_report_with(
         check_wal_marker(path, &shard.name, &shard.metrics)?;
         check_recovery_bound(path, &shard.name, &shard.metrics)?;
         check_base_pages_bound(path, &shard.name, &shard.metrics)?;
-        check_apply_log_bound(path, &shard.name, &shard.metrics)?;
+        check_apply_log_bound(path, &shard.name, shard)?;
         check_live_file_counters(path, &shard.name, &shard.metrics)?;
         if pinned {
             check_residency_bound(path, &shard.name, &shard.metrics)?;
@@ -739,7 +736,7 @@ mod tests {
 
     #[test]
     fn apply_log_peak_above_its_constant_bound_is_rejected() {
-        let (report, outgrown) = report_with_gauge("base.apply_log.peak_pages", 36.0);
+        let (report, outgrown) = report_with_gauge("base.apply_log.peak_pages", 38.0);
         validate_report_json("s.json", &report.to_json()).unwrap();
         let shard = &report.shards[0].metrics;
         // The query read the shard's updates through the log's buffer; the
@@ -748,21 +745,22 @@ mod tests {
         assert_eq!(shard.counter("base.read_through.pages"), 0);
         assert_eq!(shard.counter("base.settles"), 1, "the report settled the shard's updates");
         assert_eq!(shard.gauge("base.tree_height"), Some(2.0));
-        // A few buffer pages and the two-level path, far under 16 + 16 + 3.
+        // A few buffer pages and the two-level path, far under the floor of
+        // 16 + 16 + 3 and two 512-byte pages for 16 full runs' 256 fences.
         let peak = shard.gauge("base.apply_log.peak_pages").expect("gauge is stamped");
         assert!(peak > 2.0 && peak < 8.0, "{peak} pages");
         let err = validate_report_json("s.json", &outgrown.to_json()).unwrap_err();
-        assert!(err.contains("shard0") && err.contains("base.apply_log.peak_pages = 36"), "{err}");
-        let (_, at_the_bound) = report_with_gauge("base.apply_log.peak_pages", 35.0);
+        assert!(err.contains("shard0") && err.contains("base.apply_log.peak_pages = 38"), "{err}");
+        let (_, at_the_bound) = report_with_gauge("base.apply_log.peak_pages", 37.0);
         validate_report_json("s.json", &at_the_bound.to_json()).unwrap();
         // A larger relation's log is held to the bound its report carries.
         assert_eq!(shard.gauge("base.apply_log.bound_pages"), None, "a log at its floor");
         let mut roomy = outgrown.clone();
-        roomy.shards[0].metrics.gauges.push(("base.apply_log.bound_pages".into(), 36.0));
+        roomy.shards[0].metrics.gauges.push(("base.apply_log.bound_pages".into(), 38.0));
         validate_report_json("s.json", &roomy.to_json()).unwrap();
-        roomy.shards[0].metrics.gauges.last_mut().unwrap().1 = 35.5;
+        roomy.shards[0].metrics.gauges.last_mut().unwrap().1 = 37.5;
         let err = validate_report_json("s.json", &roomy.to_json()).unwrap_err();
-        assert!(err.contains("above its bound 35.5"), "{err}");
+        assert!(err.contains("above its bound 37.5"), "{err}");
     }
 
     #[test]

@@ -10,13 +10,14 @@
 
 use std::path::PathBuf;
 
+use trijoin::catalog::{read_catalog, write_catalog};
 use trijoin::{Database, Durability, JoinStrategy, Mutation, SystemParams};
 use trijoin_check::{generate, run_script, CheckConfig, GenConfig};
-use trijoin_common::{BaseTuple, Surrogate, ViewTuple};
+use trijoin_common::{BaseTuple, Error, Surrogate, ViewTuple};
 use trijoin_exec::oracle;
 use trijoin_model::Method;
 use trijoin_serve::{ServeConfig, Server};
-use trijoin_storage::CommitSabotage;
+use trijoin_storage::{CommitSabotage, FileId, HeapFile};
 
 fn params() -> SystemParams {
     SystemParams { page_size: 512, mem_pages: 24, ..SystemParams::paper_defaults() }
@@ -297,6 +298,73 @@ fn a_crash_between_a_forced_settle_and_the_next_commit_reopens_every_named_run()
     committed.sort_by_key(|t| t.sur);
     assert_eq!(scan_r(&db), committed);
     assert_all_strategies_agree(&db, &committed, &s0);
+}
+
+/// The run pages a fetch of `keys` can need, from each run's page fences
+/// (the first surrogate on each page): page `p` can hold the surrogates from
+/// its fence to the next page's, the last page any from its fence on.
+fn fence_selected(db: &Database, runs: &[FileId], keys: &[u32]) -> u64 {
+    let selected = |run: &FileId| {
+        let heap = HeapFile::open(db.disk(), *run);
+        let fence = |page| {
+            let mut first = None;
+            heap.for_each_page_record(page, |_, bytes| {
+                first.get_or_insert_with(|| BaseTuple::from_bytes(bytes).unwrap().sur.0);
+            })
+            .unwrap();
+            first.unwrap()
+        };
+        let fences: Vec<u32> = (0..heap.num_pages()).map(fence).collect();
+        let can_hold = |p: usize| {
+            let above = fences.get(p + 1).copied().unwrap_or(u32::MAX);
+            keys.iter().any(|&k| fences[p] <= k && k <= above)
+        };
+        (0..fences.len()).filter(|&p| can_hold(p)).count() as u64
+    };
+    runs.iter().map(selected).sum()
+}
+
+/// A durable commit seals `R`'s log into runs the catalog names with their
+/// page fences. After a crash the reopened log seeks by them: a sparse
+/// fetch answers as the committed relation does and reads only the run
+/// pages the fences select. A catalog of the version before fences is
+/// refused.
+#[test]
+fn a_reopened_log_seeks_by_the_fences_its_catalog_names() {
+    let dir = fresh_dir("fences");
+    let (r0, s0) = (tuples(120, 0), tuples(30, 0));
+    let mut committed = r0.clone();
+    let mut db = Database::create_durable(&params(), r0, s0, &dir).unwrap();
+    enqueue_spilling_updates(&mut db, &mut committed, 60);
+    db.commit().unwrap();
+    let runs: Vec<FileId> = db.r().file_ids().skip(1).collect();
+    assert_eq!(runs.len(), 3, "two spilled runs and the sealed buffer");
+    drop(db); // crash
+
+    let db = Database::open_durable(&params(), &dir).unwrap();
+    assert_eq!(db.r().file_ids().skip(1).collect::<Vec<_>>(), runs);
+    let keys = [7u32, 64, 65, 111];
+    let want: Vec<BaseTuple> = keys.iter().map(|&k| committed[k as usize].clone()).collect();
+    let selected = fence_selected(&db, &runs, &keys);
+    let (metrics, mut got) = (db.metrics(), Vec::new());
+    let surs: Vec<Surrogate> = keys.iter().copied().map(Surrogate).collect();
+    db.r().fetch_by_surrogates(&surs, |t| got.push(t)).unwrap();
+    assert_eq!(got, want);
+    assert_eq!(metrics.counter("base.read_through.pages"), selected);
+    assert!(metrics.counter("base.read_through.skipped") > 0, "the seeks skipped pages");
+    assert_eq!(db.r().pending_ops(), 250, "the fetch read the log through");
+
+    let old = read_catalog(db.disk()).unwrap().set("version", 3u64);
+    write_catalog(db.disk(), &old).unwrap();
+    db.disk().commit().unwrap();
+    drop(db);
+    let Err(err) = Database::open_durable(&params(), &dir) else {
+        panic!("a version-3 catalog opened");
+    };
+    assert!(
+        matches!(&err, Error::Corrupt(m) if m == "catalog version 3 (this build reads 4)"),
+        "{err:?}"
+    );
 }
 
 /// Running recovery twice must be a fixpoint: the first open replays and

@@ -19,6 +19,7 @@
 
 use trijoin::{AdaptiveController, CachedStrategy, Database, Method, MigrationState, WorkloadSpec};
 use trijoin_common::{BaseTuple, EventKind, SystemParams, ViewTuple};
+use trijoin_exec::relation::apply_log_floor_pages;
 use trijoin_exec::{oracle, Mutation};
 use trijoin_serve::{merged_current, ClientTraffic, ServeConfig, Server};
 use trijoin_storage::FaultPlan;
@@ -667,11 +668,13 @@ fn churn_soak_gives_base_pages_back() {
     // pages were read off reports, which settle first: none of them is a
     // run of the log. In between the view's queries leave `R`'s log to
     // grow — it settles when it is full, not once a round — and its peak
-    // stays within its own bound: buffer, runs and path, never the trees'.
+    // stays within its own bound: buffer, runs, their fences and path,
+    // never the trees'.
     for (shard, report) in report.shards.iter().enumerate() {
         let gauge = |name: &str| report.metrics.gauge(name).unwrap();
         assert_eq!(gauge("base.apply_log.pending"), 0.0, "shard {shard}");
-        let floor = 16.0 + 16.0 + gauge("base.tree_height") + 1.0;
+        let height = gauge("base.tree_height") as usize;
+        let floor = apply_log_floor_pages(height, report.params.page_size) as f64;
         let bound = report.metrics.gauge("base.apply_log.bound_pages").unwrap_or(floor);
         let peak = gauge("base.apply_log.peak_pages");
         assert!(peak > 16.0 && peak <= bound, "shard {shard}: {peak} log pages, bound {bound}");
