@@ -213,6 +213,15 @@ if grep -rnE "JiFile|JiPageMeta|pack_group_aligned|encode_ji_page_into|decode_ji
         crates tests examples; then
     echo "the join index's own page format is back"; exit 1
 fi
+# One read path per page format: one leaf walk prices every scheduled read
+# of the B+-tree (lookup, range, scan, batch), so the root-leaf case and the
+# leaf-chain loop are written once; heap files are write-once runs read by
+# page or by extent, and their random-access API stays gone.
+if [ "$(grep -c 'node::leaf_entries(' crates/btree/src/tree.rs)" != 1 ] \
+    || [ "$(grep -c 'LeafLoc::Root =>' crates/btree/src/tree.rs)" != 1 ] \
+    || grep -rnE "HeapScan|record_in\(|fn update\(" crates/storage/src; then
+    echo "a second B+-tree leaf walk or the heap file's random-access API is back"; exit 1
+fi
 # And the sweep splits and merges in its own stream: it calls none of the
 # tree's single-key mutators (no restart from the root).
 if grep -nE "insert_past\(|(self|tree)\.(insert|remove_any|remove_exact)\(" \

@@ -168,7 +168,7 @@ mod tests {
         assert_eq!(keys, vec![10, 12, 14, 16, 18, 20]);
         // Early exit stops the walk.
         let mut seen = 0;
-        t.for_each_range(0, u64::MAX, |_, _| {
+        t.for_each_range(0, u64::MAX, |_, _, _| {
             seen += 1;
             seen < 7
         })

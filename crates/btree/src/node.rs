@@ -159,23 +159,11 @@ impl Node {
         let count = u16::from_le_bytes(bytes[1..3].try_into().unwrap()) as usize;
         match bytes[0] {
             0 => {
-                let next_raw = u32::from_le_bytes(bytes[3..7].try_into().unwrap());
-                let next = if next_raw == NO_PAGE { None } else { Some(next_raw) };
-                let mut at = 7;
+                let (iter, next) = leaf_entries(bytes)?;
                 let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    if at + 10 > bytes.len() {
-                        return Err(Error::Corrupt("btree leaf truncated".into()));
-                    }
-                    let k = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-                    let len =
-                        u16::from_le_bytes(bytes[at + 8..at + 10].try_into().unwrap()) as usize;
-                    at += 10;
-                    if at + len > bytes.len() {
-                        return Err(Error::Corrupt("btree leaf value truncated".into()));
-                    }
-                    entries.push((k, bytes[at..at + len].to_vec()));
-                    at += len;
+                for entry in iter {
+                    let (k, v) = entry?;
+                    entries.push((k, v.to_vec()));
                 }
                 Ok(Node::Leaf { entries, next })
             }
@@ -224,7 +212,8 @@ pub fn free_next(bytes: &[u8]) -> Result<Option<u32>> {
 // Raw-page access: the read paths of the tree (scans, batched probes)
 // decode straight out of a borrowed page image instead of materializing a
 // `Node` — no per-entry `Vec<u8>`, no keys/children vectors. Mutation
-// paths still parse eagerly via `Node::from_page`.
+// paths parse eagerly via `Node::from_page`, whose leaves are decoded by
+// the same iterator.
 // ---------------------------------------------------------------------
 
 /// Iterator over the `(key, value)` entries of a raw *leaf* page, borrowed
@@ -238,6 +227,9 @@ pub struct LeafEntries<'a> {
 impl<'a> Iterator for LeafEntries<'a> {
     type Item = Result<(u64, &'a [u8])>;
 
+    // Inlined across crates: a scan's per-entry loop is monomorphized in
+    // the crate that scans.
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         if self.remaining == 0 {
             return None;

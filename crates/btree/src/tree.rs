@@ -13,12 +13,13 @@
 //!   leaf values are surrogates (the non-clustered index on `S.A`, and the
 //!   non-clustered index on `JI.s`).
 //!
-//! Batch access ([`BTree::fetch_many`]) deduplicates page touches within the
-//! batch, which is exactly the semantics of Yao's formula ("a page is
-//! accessed at most once") that the analytical model charges for scheduled,
-//! pointer-sorted access. A probe walks on to the next leaf only when its
-//! key may continue there: when it is not below the separator after the
-//! leaf its descent reached.
+//! Every read — lookup, range, scan, batch — is one leaf walk. Batch access
+//! ([`BTree::fetch_many`]) walks once per distinct key and deduplicates page
+//! touches within the batch, which is exactly the semantics of Yao's formula
+//! ("a page is accessed at most once") that the analytical model charges
+//! for scheduled, pointer-sorted access. A walk goes on to the next leaf
+//! only when its range may continue there: when its upper end is not below
+//! the separator after the leaf its descent reached.
 //!
 //! Mutations read and write only the pages they change, and all of them
 //! go through one write path: a batch in key order is one sweep
@@ -59,6 +60,8 @@
 //! bookkeeping and, like [`trijoin_storage::SimDisk::allocate_page`],
 //! free of I/O charge: what a reclaim charges is the sibling read, the
 //! merged or refilled node writes and the parent write.
+
+use std::rc::Rc;
 
 use trijoin_common::{CounterId, Error, FxHashSet, JiEntry, Result, SystemParams};
 use trijoin_storage::{Disk, FileId, PageId};
@@ -168,12 +171,6 @@ pub struct BTree {
 enum LeafLoc {
     Root,
     Page(u32, Option<u64>),
-}
-
-/// Outcome of scanning one leaf during a chain walk.
-enum Step {
-    Done,
-    Next(u32),
 }
 
 impl BTree {
@@ -490,16 +487,27 @@ impl BTree {
         keys.partition_point(|&s| s <= key)
     }
 
+    /// A node page's shared image (an `Rc` clone of the disk's own buffer,
+    /// no copy): charged, unless `seen` — the pages a batch has touched —
+    /// already holds it.
+    fn read_node(&self, page: u32, seen: &mut Option<&mut FxHashSet<u32>>) -> Result<Rc<Vec<u8>>> {
+        let pid = PageId::new(self.file, page);
+        if seen.as_deref_mut().is_none_or(|s| s.insert(page)) {
+            self.disk.read_page_rc(pid)
+        } else {
+            self.disk.read_page_free_rc(pid)
+        }
+    }
+
     /// Zero-copy descent: walk internal levels through borrowed page views
     /// (no `Node` materialization) down to the page number of the leftmost
-    /// leaf that can contain `key`, and the separator after it. Charges the
-    /// same binary-search comparisons and node-read I/Os as the owned-node
-    /// descent; pages in `seen` (batch mode) are read free of I/O charge
-    /// after first touch.
+    /// leaf that can contain `key`, and the separator after it, charging a
+    /// binary search per level and the node reads [`BTree::read_node`]
+    /// charges.
     fn descend_to_leaf_page(
         &self,
         key: u64,
-        mut seen: Option<&mut FxHashSet<u32>>,
+        seen: &mut Option<&mut FxHashSet<u32>>,
     ) -> Result<LeafLoc> {
         let Node::Internal { ref keys, ref children } = self.root else {
             return Ok(LeafLoc::Root);
@@ -510,113 +518,108 @@ impl BTree {
         // Root is level 1, leaves are level `height`; levels 2..height are
         // the internal nodes below the root.
         for _ in 2..self.height {
-            let pid = PageId::new(self.file, page);
-            let charged = match seen.as_deref_mut() {
-                Some(s) => s.insert(page),
-                None => true,
-            };
-            let (child, key_count, after) = if charged {
-                self.disk.read_page_with(pid, |raw| node::internal_child_left(raw, key))?
-            } else {
-                self.disk.read_page_free_with(pid, |raw| node::internal_child_left(raw, key))?
-            };
+            let image = self.read_node(page, seen)?;
+            let (child, key_count, after) = node::internal_child_left(&image, key)?;
             self.charge_search(key_count);
             (page, upper) = (child, after.or(upper));
         }
         Ok(LeafLoc::Page(page, upper))
     }
 
-    /// Run `f` on one leaf page's shared image (an `Rc` clone of the disk's
-    /// own buffer — no copy). The callback may re-enter the disk — e.g.
-    /// append heap pages — because the disk borrow is released as soon as
-    /// the image handle is cloned.
-    fn with_leaf_copy<T>(
+    // ---- queries --------------------------------------------------------
+
+    /// The one leaf walk every read runs on: descend to `lo`, then hand `f`
+    /// each entry with `lo <= key <= hi` in key order, with the page image
+    /// it borrows from (`None` in a memory-resident root leaf), until `f`
+    /// returns `false`. One comparison is charged per entry looked at, the
+    /// one that stops the walk included; the walk goes past the first leaf
+    /// only while `hi` is at or above the separator after it. Pages already
+    /// in `seen` are read free of charge (a batch pays for each once).
+    fn walk(
         &self,
-        page: u32,
-        charged: bool,
-        f: impl FnOnce(&[u8]) -> Result<T>,
-    ) -> Result<T> {
-        let pid = PageId::new(self.file, page);
-        let image = if charged {
-            self.disk.read_page_rc(pid)?
-        } else {
-            self.disk.read_page_free_rc(pid)?
+        lo: u64,
+        hi: u64,
+        mut seen: Option<&mut FxHashSet<u32>>,
+        mut f: impl FnMut(u64, &[u8], Option<&Rc<Vec<u8>>>) -> bool,
+    ) -> Result<()> {
+        if lo > hi {
+            return Ok(());
+        }
+        let (mut page, mut upper) = match self.descend_to_leaf_page(lo, &mut seen)? {
+            LeafLoc::Root => {
+                let Node::Leaf { ref entries, .. } = self.root else {
+                    return Err(Error::Invariant("descended to internal node".into()));
+                };
+                let entries = entries.iter().map(|(k, v)| Ok((*k, v.as_slice())));
+                return self.visit(entries, lo, hi, None, &mut f).map(drop);
+            }
+            LeafLoc::Page(p, upper) => (p, upper),
         };
-        f(&image)
+        loop {
+            let image = self.read_node(page, &mut seen)?;
+            let (entries, next) = node::leaf_entries(&image)?;
+            if !self.visit(entries, lo, hi, Some(&image), &mut f)? {
+                return Ok(());
+            }
+            match next {
+                Some(p) if upper.is_none_or(|upper| hi >= upper) => (page, upper) = (p, None),
+                _ => return Ok(()),
+            }
+        }
     }
 
-    // ---- queries --------------------------------------------------------
+    /// One leaf of [`BTree::walk`]: whether the walk goes on past it.
+    fn visit<'a>(
+        &self,
+        entries: impl Iterator<Item = Result<(u64, &'a [u8])>>,
+        lo: u64,
+        hi: u64,
+        image: Option<&Rc<Vec<u8>>>,
+        f: &mut impl FnMut(u64, &[u8], Option<&Rc<Vec<u8>>>) -> bool,
+    ) -> Result<bool> {
+        let mut examined = 0u64;
+        let mut go_on = true;
+        for entry in entries {
+            let (k, v) = entry?;
+            examined += 1;
+            if k > hi || (k >= lo && !f(k, v, image)) {
+                go_on = false;
+                break;
+            }
+        }
+        self.disk.cost().comp(examined);
+        Ok(go_on)
+    }
 
     /// All values stored under `key`, in leaf-chain order (value order among
     /// duplicates is unspecified).
     pub fn lookup(&self, key: u64) -> Result<Vec<Vec<u8>>> {
         let mut out = Vec::new();
-        self.for_each_range(key, key, |_, v| {
+        self.walk(key, key, None, |_, v, _| {
             out.push(v.to_vec());
             true
         })?;
         Ok(out)
     }
 
-    /// Visit every entry with `lo <= key <= hi` in key order; the callback
+    /// Visit every entry with `lo <= key <= hi` in key order, with the
+    /// shared page image its value borrows from (`None` for entries of a
+    /// memory-resident root leaf), so a scan can *pin* pages — keep payload
+    /// bytes alive past the callback without copying them. The callback
     /// returns `false` to stop early.
     pub fn for_each_range(
         &self,
         lo: u64,
         hi: u64,
-        mut f: impl FnMut(u64, &[u8]) -> bool,
+        f: impl FnMut(u64, &[u8], Option<&Rc<Vec<u8>>>) -> bool,
     ) -> Result<()> {
-        if lo > hi {
-            return Ok(());
-        }
-        // The first leaf's upper separator: a range ending below it ends
-        // there; past it nothing tells, and the chain is walked.
-        let (mut page, mut upper) = match self.descend_to_leaf_page(lo, None)? {
-            LeafLoc::Root => {
-                let Node::Leaf { ref entries, .. } = self.root else {
-                    return Err(Error::Invariant("descended to internal node".into()));
-                };
-                let mut examined = 0u64;
-                for (k, v) in entries {
-                    examined += 1;
-                    if *k > hi || (*k >= lo && !f(*k, v)) {
-                        break;
-                    }
-                }
-                self.disk.cost().comp(examined);
-                return Ok(());
-            }
-            LeafLoc::Page(p, upper) => (p, upper),
-        };
-        loop {
-            let step = self.with_leaf_copy(page, true, |raw| {
-                let (iter, next) = node::leaf_entries(raw)?;
-                let mut examined = 0u64;
-                for entry in iter {
-                    let (k, v) = entry?;
-                    examined += 1;
-                    if k > hi || (k >= lo && !f(k, v)) {
-                        self.disk.cost().comp(examined);
-                        return Ok(Step::Done);
-                    }
-                }
-                self.disk.cost().comp(examined);
-                Ok(match next {
-                    Some(p) if upper.is_none_or(|upper| hi >= upper) => Step::Next(p),
-                    _ => Step::Done,
-                })
-            })?;
-            match step {
-                Step::Done => return Ok(()),
-                Step::Next(p) => (page, upper) = (p, None),
-            }
-        }
+        self.walk(lo, hi, None, f)
     }
 
     /// Collect a key range eagerly.
     pub fn scan_range(&self, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<u8>)>> {
         let mut out = Vec::new();
-        self.for_each_range(lo, hi, |k, v| {
+        self.walk(lo, hi, None, |k, v, _| {
             out.push((k, v.to_vec()));
             true
         })?;
@@ -625,123 +628,22 @@ impl BTree {
 
     /// Visit every entry in key order (full scan through the leaf chain).
     pub fn for_each(&self, mut f: impl FnMut(u64, &[u8]) -> bool) -> Result<()> {
-        self.for_each_range(0, u64::MAX, |k, v| f(k, v))
-    }
-
-    /// Full scan in key order that also hands the callback the shared page
-    /// image each value borrows from (`None` for entries of a memory-
-    /// resident root leaf). Charge-identical to [`BTree::for_each`]; the
-    /// extra handle lets scan consumers *pin* pages — keep payload bytes
-    /// alive past the callback without copying them.
-    pub fn for_each_pinned(
-        &self,
-        mut f: impl FnMut(u64, &[u8], Option<&std::rc::Rc<Vec<u8>>>) -> bool,
-    ) -> Result<()> {
-        let mut page = match self.descend_to_leaf_page(0, None)? {
-            LeafLoc::Root => {
-                let Node::Leaf { ref entries, .. } = self.root else {
-                    return Err(Error::Invariant("descended to internal node".into()));
-                };
-                let mut examined = 0u64;
-                for (k, v) in entries {
-                    examined += 1;
-                    if !f(*k, v, None) {
-                        break;
-                    }
-                }
-                self.disk.cost().comp(examined);
-                return Ok(());
-            }
-            LeafLoc::Page(p, _) => p,
-        };
-        loop {
-            let image = self.disk.read_page_rc(PageId::new(self.file, page))?;
-            let (iter, next) = node::leaf_entries(&image)?;
-            let mut examined = 0u64;
-            let mut stop = false;
-            for entry in iter {
-                let (k, v) = entry?;
-                examined += 1;
-                if !f(k, v, Some(&image)) {
-                    stop = true;
-                    break;
-                }
-            }
-            self.disk.cost().comp(examined);
-            match (stop, next) {
-                (true, _) | (false, None) => return Ok(()),
-                (false, Some(p)) => page = p,
-            }
-        }
+        self.walk(0, u64::MAX, None, |k, v, _| f(k, v))
     }
 
     /// Batched point lookups for a *sorted* slice of keys. Each tree page is
     /// charged at most once for the whole batch — the engine-side equivalent
     /// of the Yao-formula access pattern the paper assumes for scheduled,
-    /// pointer-sorted probes. Calls `f(key, value)` for every match.
+    /// pointer-sorted probes. Calls `f(key, value)` for every match, once
+    /// per probe of the key.
     pub fn fetch_many(&self, sorted_keys: &[u64], mut f: impl FnMut(u64, &[u8])) -> Result<()> {
         debug_assert!(sorted_keys.windows(2).all(|w| w[0] <= w[1]), "keys must be sorted");
-        let mut seen: FxHashSet<u32> = FxHashSet::default();
-        let mut i = 0;
-        while i < sorted_keys.len() {
-            let key = sorted_keys[i];
-            // Skip duplicate probe keys: one probe serves them all.
-            let mut dup = 1u64;
-            while i + 1 < sorted_keys.len() && sorted_keys[i + 1] == key {
-                i += 1;
-                dup += 1;
-            }
-            match self.descend_to_leaf_page(key, Some(&mut seen))? {
-                LeafLoc::Root => {
-                    let Node::Leaf { ref entries, .. } = self.root else {
-                        return Err(Error::Invariant("descended to internal node".into()));
-                    };
-                    let mut examined = 0u64;
-                    for (k, v) in entries {
-                        examined += 1;
-                        if *k > key {
-                            break;
-                        }
-                        if *k == key {
-                            for _ in 0..dup {
-                                f(*k, v);
-                            }
-                        }
-                    }
-                    self.disk.cost().comp(examined);
-                }
-                // Walk on only while the key may continue in the next leaf.
-                LeafLoc::Page(mut page, mut upper) => loop {
-                    let charged = seen.insert(page);
-                    let step = self.with_leaf_copy(page, charged, |raw| {
-                        let (iter, next) = node::leaf_entries(raw)?;
-                        let mut examined = 0u64;
-                        for entry in iter {
-                            let (k, v) = entry?;
-                            examined += 1;
-                            if k > key {
-                                self.disk.cost().comp(examined);
-                                return Ok(Step::Done);
-                            }
-                            if k == key {
-                                for _ in 0..dup {
-                                    f(k, v);
-                                }
-                            }
-                        }
-                        self.disk.cost().comp(examined);
-                        Ok(match next {
-                            Some(p) if upper.is_none_or(|upper| key >= upper) => Step::Next(p),
-                            _ => Step::Done,
-                        })
-                    })?;
-                    match step {
-                        Step::Done => break,
-                        Step::Next(p) => (page, upper) = (p, None),
-                    }
-                },
-            }
-            i += 1;
+        let mut seen = FxHashSet::default();
+        for probes in sorted_keys.chunk_by(|a, b| a == b) {
+            self.walk(probes[0], probes[0], Some(&mut seen), |k, v, _| {
+                probes.iter().for_each(|_| f(k, v));
+                true
+            })?;
         }
         Ok(())
     }

@@ -35,7 +35,7 @@ fn model_apply(model: &mut BTreeMap<u64, Vec<u8>>, key: u64, op: &SweepOp) -> bo
 /// The page each key's entry lies on, by identity of the pinned image.
 fn leaf_of_keys(tree: &BTree) -> BTreeMap<u64, usize> {
     let mut out = BTreeMap::new();
-    tree.for_each_pinned(|k, _, page| {
+    tree.for_each_range(0, u64::MAX, |k, _, page| {
         out.insert(k, page.map_or(0, |p| std::rc::Rc::as_ptr(p) as usize));
         true
     })
@@ -494,7 +494,7 @@ proptest! {
         // it with repeated keys.
         let mut lows: Vec<u64> = Vec::new();
         let mut page = None;
-        tree.for_each_pinned(|k, _, image| {
+        tree.for_each_range(0, u64::MAX, |k, _, image| {
             let at = image.map(|p| std::rc::Rc::as_ptr(p) as usize);
             if lows.is_empty() || at != page {
                 lows.push(k);
@@ -571,7 +571,7 @@ proptest! {
         // Each leaf's first key, in key order.
         let mut lows: Vec<u64> = Vec::new();
         let mut page = None;
-        tree.for_each_pinned(|k, _, image| {
+        tree.for_each_range(0, u64::MAX, |k, _, image| {
             let at = image.map(|p| std::rc::Rc::as_ptr(p) as usize);
             if lows.is_empty() || at != page {
                 lows.push(k);
@@ -588,7 +588,7 @@ proptest! {
         prop_assert_eq!(sweep(&mut tree, ops).rejected, 0);
         tree.check_invariants().unwrap();
         let (mut pages, mut entries, mut page) = (0u64, 0u64, None);
-        tree.for_each_pinned(|k, _, image| {
+        tree.for_each_range(0, u64::MAX, |k, _, image| {
             if k >= lo && hi.is_none_or(|hi| k < hi) {
                 let at = image.map(|p| std::rc::Rc::as_ptr(p) as usize);
                 pages += u64::from(entries == 0 || at != page);

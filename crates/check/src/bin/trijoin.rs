@@ -15,7 +15,7 @@
 //!     file backend under `<dir>/<strategy>`, committing once per epoch
 //! trijoin serve --shards 4 --clients 4 --batch 64 --queries 10
 //!               [--scale 200] [--sr 0.01] [--activity 0.06] [--pra 0.1]
-//!               [--mem 80] [--strategy mv|ji|hh] [--seed 42] [--report <path>]
+//!               [--mem 1000] [--strategy mv|ji|hh] [--seed 42] [--report <path>]
 //!               [--durable <dir>] [--deferred] [--adaptive]
 //!     run the sharded serving layer on a scaled paper workload: clients
 //!     submit batched updates between queries, answers are checked against
@@ -81,9 +81,10 @@ use std::process::ExitCode;
 
 use trijoin::{Advisor, CachedStrategy, Database, Method, SystemParams, Workload, WorkloadSpec};
 use trijoin_check::{generate, run_script, shrink, CheckConfig, CheckOutcome, GenConfig};
-use trijoin_common::{AdversaryShape, ModelDelta, RunReport, Script};
+use trijoin_common::{AdversaryShape, ModelDelta, RunReport, Script, ViewTuple};
 use trijoin_model::all_costs;
-use trijoin_serve::{ClientTraffic, ServeConfig, Server};
+use trijoin_serve::{ClientSession, ClientTraffic, ServeConfig, Server};
+use trijoin_storage::Durability;
 
 /// Flags that take no value.
 const BOOL_FLAGS: &[&str] = &["trace", "once", "json", "deferred", "adaptive"];
@@ -172,56 +173,42 @@ fn main() -> ExitCode {
     }
 }
 
-fn params_from(args: &Args) -> Result<SystemParams, String> {
-    Ok(SystemParams {
-        mem_pages: args.u64("mem", 1000)? as usize,
-        ..SystemParams::paper_defaults()
-    })
+fn err(e: trijoin_common::Error) -> String {
+    e.to_string()
 }
 
-/// What `serve` and `top` parse alike: the method queries name, the
-/// workload seeded from `seed`, and the durable store (`--deferred` needs
-/// one).
-fn serve_args(
-    args: &Args,
-    seed: u64,
-) -> Result<(Method, WorkloadSpec, Option<std::path::PathBuf>, bool), String> {
-    let method = match args.str("strategy", "hh").as_str() {
-        "mv" => Method::MaterializedView,
-        "ji" => Method::JoinIndex,
-        "hh" => Method::HybridHash,
-        other => return Err(format!("--strategy: unknown {other:?} (mv|ji|hh)")),
-    };
-    let spec = WorkloadSpec::paper_scaled(
-        args.u64("scale", 200)? as u32,
-        args.f64("sr", 0.01)?,
-        args.f64("activity", 0.06)?,
-        args.f64("pra", 0.1)?,
-        trijoin_common::rng::derive(seed, "workload"),
-    );
-    let durable_dir = args.opt_str("durable").map(std::path::PathBuf::from);
-    let deferred = args.flag("deferred");
-    if deferred && durable_dir.is_none() {
-        return Err("--deferred needs --durable".into());
-    }
-    Ok((method, spec, durable_dir, deferred))
+fn params_from(args: &Args, mem: u64) -> Result<SystemParams, String> {
+    Ok(SystemParams { mem_pages: args.u64("mem", mem)? as usize, ..SystemParams::paper_defaults() })
 }
 
-fn workload_from(args: &Args) -> Result<Workload, String> {
+/// `--sr`, `--activity` and `--pra`, each checked to lie within [0, 1]:
+/// the one parse of them every command runs.
+fn selectivities(args: &Args) -> Result<(f64, f64, f64), String> {
     let sr = args.f64("sr", 0.01)?;
     let activity = args.f64("activity", 0.06)?;
     let pra = args.f64("pra", 0.1)?;
-    if !(0.0..=1.0).contains(&sr) || !(0.0..=1.0).contains(&activity) || !(0.0..=1.0).contains(&pra)
-    {
+    if ![sr, activity, pra].iter().all(|x| (0.0..=1.0).contains(x)) {
         return Err("--sr, --activity and --pra must be within [0, 1]".into());
     }
+    Ok((sr, activity, pra))
+}
+
+/// The scaled paper workload `run`, `serve` and `top` generate: `--scale`
+/// (`scale` by default) and the selectivities, seeded from `seed`.
+fn spec_from(args: &Args, scale: u64, seed: u64) -> Result<WorkloadSpec, String> {
+    let (sr, activity, pra) = selectivities(args)?;
+    Ok(WorkloadSpec::paper_scaled(args.u64("scale", scale)? as u32, sr, activity, pra, seed))
+}
+
+fn workload_from(args: &Args) -> Result<Workload, String> {
+    let (sr, activity, pra) = selectivities(args)?;
     let mut w = Workload::figure4_point(sr.max(1e-6), activity);
     w.pra = pra;
     Ok(w)
 }
 
 fn advise(args: &Args) -> Result<(), String> {
-    let params = params_from(args)?;
+    let params = params_from(args, 1000)?;
     let w = workload_from(args)?;
     let advisor = Advisor::new(&params);
     let (heuristic, model_pick) = advisor.both(&w);
@@ -240,7 +227,7 @@ fn advise(args: &Args) -> Result<(), String> {
 }
 
 fn model(args: &Args) -> Result<(), String> {
-    let params = params_from(args)?;
+    let params = params_from(args, 1000)?;
     let w = workload_from(args)?;
     for report in all_costs(&params, &w) {
         println!(
@@ -260,15 +247,8 @@ fn model(args: &Args) -> Result<(), String> {
 }
 
 fn run(args: &Args) -> Result<(), String> {
-    let scale = args.u64("scale", 50)? as u32;
-    let spec = WorkloadSpec::paper_scaled(
-        scale,
-        args.f64("sr", 0.01)?,
-        args.f64("activity", 0.06)?,
-        args.f64("pra", 0.1)?,
-        args.u64("seed", 42)?,
-    );
-    let params = params_from(args)?;
+    let spec = spec_from(args, 50, args.u64("seed", 42)?)?;
+    let params = params_from(args, 1000)?;
     let epochs = args.u64("epochs", 1)?;
     let which = args.str("strategy", "all");
     let gen = spec.generate();
@@ -356,7 +336,6 @@ fn observed_report(
     epochs: u64,
     durable: Option<&std::path::Path>,
 ) -> Result<RunReport, String> {
-    let err = |e: trijoin_common::Error| e.to_string();
     let mut db = match durable {
         Some(root) => {
             Database::create_durable(params, gen.r.clone(), gen.s.clone(), &root.join("report"))
@@ -393,47 +372,100 @@ fn observed_report(
     Ok(report)
 }
 
+/// A server on a scaled paper workload and the client traffic that feeds
+/// it: what `serve` and `top` launch alike.
+struct Launched {
+    method: Method,
+    config: ServeConfig,
+    gen: trijoin::GeneratedWorkload,
+    traffic: Vec<ClientTraffic>,
+    /// Queries per frame of `top`, or in all for `serve`.
+    queries: u64,
+    /// Updates sent so far; the next goes to client `sent % clients`.
+    sent: u64,
+    session: ClientSession,
+    _server: Server,
+}
+
+impl Launched {
+    /// Parse the flags `serve` and `top` share, with the command's own
+    /// defaults for `--mem` and `--queries`, and start the server.
+    fn start(args: &Args, mem: u64, queries: u64) -> Result<Self, String> {
+        let shards = args.u64("shards", 4)? as usize;
+        let clients = args.u64("clients", 4)? as usize;
+        let ring = args.u64("ring", 1024)? as usize;
+        let queries = args.u64("queries", queries)?;
+        let seed = args.u64("seed", 42)?;
+        if shards == 0 || clients == 0 || queries == 0 || ring == 0 {
+            return Err("--shards, --clients, --queries and --ring must be positive".into());
+        }
+        let method = match args.str("strategy", "hh").as_str() {
+            "mv" => Method::MaterializedView,
+            "ji" => Method::JoinIndex,
+            "hh" => Method::HybridHash,
+            other => return Err(format!("--strategy: unknown {other:?} (mv|ji|hh)")),
+        };
+        let spec = spec_from(args, 200, trijoin_common::rng::derive(seed, "workload"))?;
+        let durable_dir = args.opt_str("durable").map(std::path::PathBuf::from);
+        let deferred = args.flag("deferred");
+        if deferred && durable_dir.is_none() {
+            return Err("--deferred needs --durable".into());
+        }
+        let config = ServeConfig {
+            batch: args.u64("batch", 64)? as usize,
+            ring,
+            seed,
+            durable_dir,
+            durability: if deferred { Durability::Deferred } else { Durability::Barrier },
+            adaptive: args.flag("adaptive"),
+            ..ServeConfig::new(params_from(args, mem)?, shards)
+        };
+        let gen = spec.generate();
+        let server = Server::start(&config, gen.r.clone(), gen.s.clone()).map_err(err)?;
+        let session = server.session().map_err(err)?;
+        let traffic = ClientTraffic::split(&gen, &config, clients);
+        Ok(Launched { method, config, gen, traffic, queries, sent: 0, session, _server: server })
+    }
+
+    /// One traffic round: an epoch of updates dealt round-robin over the
+    /// clients, then a query, then a commit barrier when the store is
+    /// durable (every shard WAL seals the round's updates, and the report
+    /// carries `wal.*` accounting). Returns the query's answer.
+    fn round(&mut self) -> Result<Vec<ViewTuple>, String> {
+        for _ in 0..self.gen.updates_per_epoch() {
+            let c = (self.sent % self.traffic.len() as u64) as usize;
+            self.session.update_r(self.traffic[c].next_mutation()).map_err(err)?;
+            self.sent += 1;
+        }
+        let rows = self.session.query(self.method).map_err(err)?;
+        if self.config.durable_dir.is_some() {
+            self.session.commit().map_err(err)?;
+        }
+        Ok(rows)
+    }
+}
+
 /// `trijoin serve` — run the sharded serving layer on a scaled paper
 /// workload: `--clients` deterministic update streams feed the admission
 /// scheduler between `--queries` queries, every answer is checked against
 /// the single-engine oracle, and `--report` writes the per-shard reports
 /// plus their rollup.
 fn serve(args: &Args) -> Result<(), String> {
-    let err = |e: trijoin_common::Error| e.to_string();
-    let shards = args.u64("shards", 4)? as usize;
-    let clients = args.u64("clients", 4)? as usize;
-    let batch = args.u64("batch", 64)? as usize;
-    let ring = args.u64("ring", 1024)? as usize;
-    let queries = args.u64("queries", 10)?;
-    let seed = args.u64("seed", 42)?;
-    if shards == 0 || clients == 0 || queries == 0 || ring == 0 {
-        return Err("--shards, --clients, --queries and --ring must be positive".into());
-    }
-    let (method, spec, durable_dir, deferred) = serve_args(args, seed)?;
-    let params = params_from(args)?;
-    let gen = spec.generate();
-    let durable = durable_dir.is_some();
-    let durability =
-        if deferred { trijoin_storage::Durability::Deferred } else { Default::default() };
-    let adaptive = args.flag("adaptive");
-    let config = ServeConfig {
-        batch,
-        ring,
-        seed,
-        durable_dir,
-        durability,
-        adaptive,
-        ..ServeConfig::new(params, shards)
-    };
-    let server = Server::start(&config, gen.r.clone(), gen.s.clone()).map_err(err)?;
-    let session = server.session().map_err(err)?;
-    let mut traffic = ClientTraffic::split(&gen, &config, clients);
-    let updates_per_query = gen.updates_per_epoch();
+    let mut served = Launched::start(args, 1000, 10)?;
+    let (config, gen) = (&served.config, &served.gen);
+    let (durable, deferred) =
+        (config.durable_dir.is_some(), config.durability == Durability::Deferred);
+    let (method, queries, adaptive) = (served.method, served.queries, config.adaptive);
     println!(
-        "serve: ‖R‖=‖S‖={} shards={shards} clients={clients} batch={batch} ring={ring} \
-         strategy={} ‖iR‖={updates_per_query}/query{}",
+        "serve: ‖R‖=‖S‖={} shards={} clients={} batch={} ring={} \
+         strategy={} ‖iR‖={}/query{}",
         gen.r.len(),
+        config.shards,
+        served.traffic.len(),
+        config.batch,
+        config.ring,
         if adaptive { "adaptive".to_string() } else { method.to_string() },
+        gen.updates_per_epoch(),
         match (durable, deferred) {
             (true, true) => " (durable, deferred commits)",
             (true, false) => " (durable)",
@@ -441,37 +473,27 @@ fn serve(args: &Args) -> Result<(), String> {
         }
     );
     let started = std::time::Instant::now();
-    let mut total_updates = 0u64;
-    let mut total_rows = 0u64;
+    let mut total_rows = 0;
     for q in 0..queries {
-        for u in 0..updates_per_query {
-            let c = ((q * updates_per_query + u) % clients as u64) as usize;
-            session.update_r(traffic[c].next_mutation()).map_err(err)?;
-            total_updates += 1;
-        }
-        let rows = session.query(method).map_err(err)?;
+        let rows = served.round()?;
         total_rows += rows.len() as u64;
         // The merged answer must equal the single-engine oracle over the
         // clients' merged mirror.
         let want = trijoin_exec::oracle::canonicalize(trijoin_exec::oracle::join_tuples(
-            &trijoin_serve::merged_current(&traffic),
-            &gen.s,
+            &trijoin_serve::merged_current(&served.traffic),
+            &served.gen.s,
         ));
         if rows != want {
             return Err(format!("query {q}: sharded answer diverged from the oracle"));
         }
-        if durable {
-            // A commit barrier per query round: every shard WAL seals the
-            // round's updates, and the report carries `wal.*` accounting.
-            session.commit().map_err(err)?;
-        }
     }
     let wall = started.elapsed().as_secs_f64();
-    let report = session.report().map_err(err)?;
+    let report = served.session.report().map_err(err)?;
     let rollup = &report.rollup;
     println!(
-        "{queries} queries, {total_updates} updates, {total_rows} result tuples \
+        "{queries} queries, {} updates, {total_rows} result tuples \
          in {wall:.2} s wall ({:.1} q/s)",
+        served.sent,
         queries as f64 / wall.max(1e-9)
     );
     println!(
@@ -572,60 +594,20 @@ fn report_validate(rest: &[String]) -> Result<(), String> {
 /// a single frame; `--json` prints the sharded run report instead (it
 /// validates under `trijoin report-validate`).
 fn top(args: &Args) -> Result<(), String> {
-    let err = |e: trijoin_common::Error| e.to_string();
-    let shards = args.u64("shards", 4)? as usize;
-    let clients = args.u64("clients", 4)? as usize;
-    let batch = args.u64("batch", 64)? as usize;
-    let ring = args.u64("ring", 1024)? as usize;
-    let queries = args.u64("queries", 4)?;
     let refreshes = args.u64("refreshes", 0)?;
-    let seed = args.u64("seed", 42)?;
     let once = args.flag("once");
     let json = args.flag("json");
-    if shards == 0 || clients == 0 || queries == 0 || ring == 0 {
-        return Err("--shards, --clients, --queries and --ring must be positive".into());
-    }
-    let (method, spec, durable_dir, deferred) = serve_args(args, seed)?;
-    let params =
-        SystemParams { mem_pages: args.u64("mem", 80)? as usize, ..SystemParams::paper_defaults() };
-    let gen = spec.generate();
-    let durable = durable_dir.is_some();
-    let durability =
-        if deferred { trijoin_storage::Durability::Deferred } else { Default::default() };
-    let adaptive = args.flag("adaptive");
-    let config = ServeConfig {
-        batch,
-        ring,
-        seed,
-        durable_dir,
-        durability,
-        adaptive,
-        ..ServeConfig::new(params, shards)
-    };
-    let server = Server::start(&config, gen.r.clone(), gen.s.clone()).map_err(err)?;
-    let session = server.session().map_err(err)?;
-    let mut traffic = ClientTraffic::split(&gen, &config, clients);
-    let updates_per_query = gen.updates_per_epoch();
-
+    let mut served = Launched::start(args, 80, 4)?;
     let mut frame = 0u64;
-    let mut sent = 0u64;
     loop {
-        // One traffic round per frame: interleaved client updates, then
-        // the queries whose completion times feed the percentiles.
+        // A frame is `--queries` traffic rounds, whose query completion
+        // times feed the percentiles.
         let round_start = std::time::Instant::now();
-        for q in 0..queries {
-            for u in 0..updates_per_query {
-                let c = ((sent + q * updates_per_query + u) % clients as u64) as usize;
-                session.update_r(traffic[c].next_mutation()).map_err(err)?;
-            }
-            session.query(method).map_err(err)?;
-            if durable {
-                session.commit().map_err(err)?;
-            }
+        for _ in 0..served.queries {
+            served.round()?;
         }
-        sent += queries * updates_per_query;
         let wall = round_start.elapsed().as_secs_f64();
-        let report = session.report().map_err(err)?;
+        let report = served.session.report().map_err(err)?;
         frame += 1;
 
         let last_frame = once || (refreshes > 0 && frame >= refreshes);
@@ -638,7 +620,8 @@ fn top(args: &Args) -> Result<(), String> {
                 // Redraw in place: clear screen, home the cursor.
                 print!("\x1b[2J\x1b[H");
             }
-            render_top_frame(&report, frame, method, queries as f64 / wall.max(1e-9));
+            let qps = served.queries as f64 / wall.max(1e-9);
+            render_top_frame(&report, frame, served.method, qps);
         }
         if let Some(path) = args.opt_str("report") {
             if last_frame {

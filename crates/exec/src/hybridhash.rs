@@ -461,7 +461,7 @@ impl HybridHash {
             (0..b).map(|_| trijoin_storage::heap::HeapWriter::create(&self.disk)).collect();
         let mut scan_err = None;
         let mut ops = BatchedOps::default();
-        let scanned = s.scan_refs(|st| {
+        let scanned = s.scan_pinned(|st, _| {
             if scan_err.is_some() {
                 return;
             }

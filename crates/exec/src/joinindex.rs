@@ -253,7 +253,7 @@ impl JoinIndexStrategy {
         let _g = self.cost.section("ji.point_lookup");
         let lo = u64::from(r.0) << 32;
         let mut out = Vec::new();
-        self.ji.for_each_range(lo, lo | u64::from(u32::MAX), |key, _| {
+        self.ji.for_each_range(lo, lo | u64::from(u32::MAX), |key, _, _| {
             out.push(ji_entry(key).s);
             true
         })?;

@@ -847,11 +847,6 @@ impl StoredRelation {
         self.reader()?.scan(f)
     }
 
-    /// [`Reader::scan_refs`] through a reader of its own.
-    pub fn scan_refs(&self, f: impl FnMut(TupleRef<'_>)) -> Result<()> {
-        self.reader()?.scan_refs(f)
-    }
-
     /// [`Reader::scan_pinned`] through a reader of its own.
     pub fn scan_pinned(&self, f: impl FnMut(TupleRef<'_>, Option<&Rc<Vec<u8>>>)) -> Result<()> {
         self.reader()?.scan_pinned(f)

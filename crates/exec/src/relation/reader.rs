@@ -199,23 +199,15 @@ impl Reader<'_> {
     /// Full scan in surrogate order: one read I/O per leaf page, and one
     /// per run page when reading through the log.
     pub fn scan(&self, mut f: impl FnMut(BaseTuple)) -> Result<()> {
-        self.scan_refs(|t| f(t.to_tuple()))
+        self.scan_pinned(|t, _| f(t.to_tuple()))
     }
 
-    /// Full scan in surrogate order handing out *borrowed* tuple views —
-    /// identical I/O charges and decode validation to [`Reader::scan`], but
-    /// no per-tuple payload allocation. The vectorized operators build
-    /// columnar batches from this.
-    pub fn scan_refs(&self, mut f: impl FnMut(TupleRef<'_>)) -> Result<()> {
-        self.scan_pinned(|t, _| f(t))
-    }
-
-    /// Full scan handing out borrowed tuple views *plus* the shared page
+    /// Full scan handing out *borrowed* tuple views plus the shared page
     /// image each view borrows from (`None` when the tuple lives in the
     /// memory-resident root leaf or comes from the log). Charge-identical
-    /// to [`Reader::scan_refs`]; the image handle lets the vectorized
-    /// operators pin pages into a [`crate::batch::RowBatch`] instead of
-    /// copying payloads out.
+    /// to [`Reader::scan`], but no per-tuple payload allocation: the image
+    /// handle lets the vectorized operators pin pages into a
+    /// [`crate::batch::RowBatch`] instead of copying payloads out.
     pub fn scan_pinned(&self, mut f: impl FnMut(TupleRef<'_>, Option<&Rc<Vec<u8>>>)) -> Result<()> {
         let mut emit = |bytes: &[u8], page: Option<&Rc<Vec<u8>>>| {
             f(TupleRef::decode(bytes)?, page);
@@ -223,13 +215,13 @@ impl Reader<'_> {
         };
         let (tree, mut err) = (&self.st.clustered, None);
         let Some(mut log) = self.open()? else {
-            tree.for_each_pinned(|_, bytes, page| {
+            tree.for_each_range(0, u64::MAX, |_, bytes, page| {
                 emit(bytes, page).map_err(|e| err = Some(e)).is_ok()
             })?;
             return err.map_or(Ok(()), Err);
         };
         log.advance();
-        let scanned = tree.for_each_pinned(|key, bytes, page| {
+        let scanned = tree.for_each_range(0, u64::MAX, |key, bytes, page| {
             let merged = log.insert_below(Some(key), |v| emit(v, None)).and_then(|()| {
                 match log.take_if(|sur| sur == key)? {
                     None => emit(bytes, page),

@@ -66,7 +66,7 @@ fn enqueue(rel: &mut StoredRelation, op: &Op) {
 
 fn scan(reader: &Reader<'_>) -> Vec<BaseTuple> {
     let mut out = Vec::new();
-    reader.scan_refs(|t| out.push(t.to_tuple())).unwrap();
+    reader.scan(|t| out.push(t)).unwrap();
     out
 }
 
@@ -231,7 +231,7 @@ fn readers_rent_the_log_until_a_settle_pays_then_buy() {
     for read in 1..=9u64 {
         let reader = rel.reader().unwrap();
         assert_eq!(reader.pages_held(), 1);
-        reader.scan_refs(|_| count += 1).unwrap();
+        reader.scan_pinned(|_, _| count += 1).unwrap();
         assert_eq!(metrics.counter("base.read_through.pages"), 16 * read);
     }
     assert_eq!((count, metrics.counter("base.settles"), rel.pending_ops()), (9 * 1008, 0, 310));

@@ -1,12 +1,12 @@
-//! Heap files: append-oriented record files over slotted pages.
+//! Heap files: write-once record files over slotted pages.
 //!
-//! Used for base-relation storage under the clustered B⁺-tree's leaves, for
-//! sort runs, differential files (`iR`, `dR`), hash-join bucket spills, and
-//! any other sequential working file. The paper charges one `IO` per page
-//! for sequential reads and writes (its cost model has a single I/O
-//! constant); [`HeapWriter`] therefore buffers one page in memory and emits
-//! exactly one I/O per filled page, and [`HeapFile::scan`] reads each page
-//! exactly once.
+//! Used for sort runs, differential files (`iR`, `dR`), hash-join bucket
+//! spills and the base relations' apply-log runs. A heap file is written
+//! once, as a run, and read back by page ([`HeapFile::for_each_page_record`])
+//! or by extent ([`crate::SimDisk::read_run`]). The paper charges one `IO`
+//! per page for sequential reads and writes (its cost model has a single
+//! I/O constant); [`HeapWriter`] therefore buffers one page in memory and
+//! emits exactly one I/O per filled page.
 
 use trijoin_common::{Error, Result};
 
@@ -50,43 +50,6 @@ impl HeapFile {
         self.disk.num_pages(self.file).unwrap_or(0)
     }
 
-    /// Fetch one record (one read I/O).
-    pub fn get(&self, rid: RecordId) -> Result<Vec<u8>> {
-        self.disk.read_page_with(PageId::new(self.file, rid.page), |raw| {
-            Ok(crate::page::record_in(raw, rid.slot)?.to_vec())
-        })
-    }
-
-    /// Delete one record (one read + one write I/O).
-    pub fn delete(&self, rid: RecordId) -> Result<()> {
-        let pid = PageId::new(self.file, rid.page);
-        let raw = self.disk.read_page(pid)?;
-        let mut page = SlottedPage::from_bytes(raw)?;
-        page.delete(rid.slot)?;
-        self.disk.write_page(pid, page.bytes())
-    }
-
-    /// Replace one record in place (one read + one write I/O). Fails if the
-    /// new record does not fit on the page.
-    pub fn update(&self, rid: RecordId, record: &[u8]) -> Result<()> {
-        let pid = PageId::new(self.file, rid.page);
-        let raw = self.disk.read_page(pid)?;
-        let mut page = SlottedPage::from_bytes(raw)?;
-        page.update(rid.slot, record)?;
-        self.disk.write_page(pid, page.bytes())
-    }
-
-    /// Lazily scan every live record in file order, one read I/O per page.
-    pub fn scan(&self) -> HeapScan {
-        HeapScan {
-            heap: self.clone(),
-            next_page: 0,
-            current: Vec::new(),
-            current_at: 0,
-            total_pages: self.num_pages(),
-        }
-    }
-
     /// Drop the file's pages.
     pub fn destroy(self) {
         self.disk.delete_file(self.file);
@@ -104,53 +67,6 @@ impl HeapFile {
         self.disk.read_page_with(PageId::new(self.file, page_no), |raw| {
             crate::page::for_each_record(raw, |slot, rec| f(RecordId { page: page_no, slot }, rec))
         })
-    }
-}
-
-/// Lazy full-scan iterator over a [`HeapFile`].
-pub struct HeapScan {
-    heap: HeapFile,
-    next_page: u32,
-    current: Vec<(RecordId, Vec<u8>)>,
-    current_at: usize,
-    total_pages: u32,
-}
-
-impl Iterator for HeapScan {
-    type Item = Result<(RecordId, Vec<u8>)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.current_at < self.current.len() {
-                // Move the bytes out instead of cloning them; the drained
-                // slot is dead until the next refill clears the buffer.
-                let (rid, rec) = &mut self.current[self.current_at];
-                let item = (*rid, std::mem::take(rec));
-                self.current_at += 1;
-                return Some(Ok(item));
-            }
-            if self.next_page >= self.total_pages {
-                return None;
-            }
-            // Refill in place, reusing the spine of the previous page's
-            // record vector (the record buffers themselves moved out above).
-            self.current.clear();
-            let page_no = self.next_page;
-            let current = &mut self.current;
-            match self
-                .heap
-                .for_each_page_record(page_no, |rid, rec| current.push((rid, rec.to_vec())))
-            {
-                Ok(()) => {
-                    self.next_page += 1;
-                    self.current_at = 0;
-                }
-                Err(e) => {
-                    self.next_page = self.total_pages; // stop after error
-                    return Some(Err(e));
-                }
-            }
-        }
     }
 }
 
@@ -244,6 +160,15 @@ mod tests {
         (SimDisk::new(&params, cost.clone()), cost)
     }
 
+    /// Every live record of `heap`, page by page.
+    fn read_back(heap: &HeapFile) -> Vec<(RecordId, Vec<u8>)> {
+        let mut out = Vec::new();
+        for page in 0..heap.num_pages() {
+            heap.for_each_page_record(page, |rid, rec| out.push((rid, rec.to_vec()))).unwrap();
+        }
+        out
+    }
+
     #[test]
     fn writer_emits_one_io_per_page() {
         let (d, c) = disk();
@@ -266,28 +191,12 @@ mod tests {
         }
         let heap = w.finish().unwrap();
         let write_ios = c.total().ios;
-        let recs: Vec<Vec<u8>> = heap.scan().map(|r| r.unwrap().1).collect();
+        let recs = read_back(&heap);
         assert_eq!(recs.len(), 30);
-        for (i, r) in recs.iter().enumerate() {
+        for (i, (_, r)) in recs.iter().enumerate() {
             assert_eq!(r[0], i as u8, "scan must preserve append order");
         }
         assert_eq!(c.total().ios - write_ios, heap.num_pages() as u64);
-    }
-
-    #[test]
-    fn get_update_delete_roundtrip() {
-        let (d, _c) = disk();
-        let mut w = HeapWriter::create(&d);
-        let rid0 = w.add(b"first-record").unwrap();
-        let rid1 = w.add(b"second-record").unwrap();
-        let heap = w.finish().unwrap();
-        assert_eq!(heap.get(rid0).unwrap(), b"first-record");
-        heap.update(rid1, b"SECOND").unwrap();
-        assert_eq!(heap.get(rid1).unwrap(), b"SECOND");
-        heap.delete(rid0).unwrap();
-        assert!(heap.get(rid0).is_err());
-        let live: Vec<Vec<u8>> = heap.scan().map(|r| r.unwrap().1).collect();
-        assert_eq!(live, vec![b"SECOND".to_vec()]);
     }
 
     #[test]
@@ -300,8 +209,8 @@ mod tests {
         let heap = w.finish().unwrap();
         assert_eq!(heap.num_pages(), 3); // 4 + 4 + 2
         let mut counts = [0usize; 3];
-        for rec in heap.scan() {
-            counts[rec.unwrap().0.page as usize] += 1;
+        for (rid, _) in read_back(&heap) {
+            counts[rid.page as usize] += 1;
         }
         assert_eq!(counts, [4, 4, 2]);
     }
@@ -314,7 +223,7 @@ mod tests {
         // Writer still usable afterwards.
         w.add(&[1u8; 20]).unwrap();
         let heap = w.finish().unwrap();
-        assert_eq!(heap.scan().count(), 1);
+        assert_eq!(read_back(&heap).len(), 1);
     }
 
     #[test]
@@ -322,7 +231,7 @@ mod tests {
         let (d, c) = disk();
         let heap = HeapWriter::create(&d).finish().unwrap();
         assert_eq!(heap.num_pages(), 0);
-        assert_eq!(heap.scan().count(), 0);
+        assert!(read_back(&heap).is_empty());
         assert_eq!(c.total().ios, 0);
     }
 
@@ -332,9 +241,9 @@ mod tests {
         let mut w = HeapWriter::create(&d);
         let rids: Vec<RecordId> = (0..15u8).map(|i| w.add(&[i; 20]).unwrap()).collect();
         let heap = w.finish().unwrap();
-        for (i, rid) in rids.iter().enumerate() {
-            assert_eq!(heap.get(*rid).unwrap()[0], i as u8);
-        }
+        let read: Vec<(RecordId, u8)> =
+            read_back(&heap).iter().map(|(rid, r)| (*rid, r[0])).collect();
+        assert_eq!(read, rids.into_iter().zip(0..).collect::<Vec<_>>());
     }
 
     #[test]

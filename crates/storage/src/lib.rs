@@ -11,8 +11,8 @@
 //! On top of the disk sit:
 //! * [`page::SlottedPage`] — a classic slotted page layout for
 //!   variable-length records;
-//! * [`heap::HeapFile`] — an append-oriented record file with full scans,
-//!   used for base relations, spill runs, and differential files.
+//! * [`heap::HeapFile`] — a write-once record file read by page or by
+//!   extent, used for spill runs, differential files and apply-log runs.
 
 pub mod backend;
 pub mod disk;

@@ -171,40 +171,6 @@ impl SlottedPage {
         Ok(())
     }
 
-    /// Overwrite a live record in place. Works for any new length that fits.
-    pub fn update(&mut self, slot: u16, record: &[u8]) -> Result<()> {
-        if slot >= self.num_slots() || self.slot_len(slot) == 0 {
-            return Err(Error::SlotNotFound { slot });
-        }
-        if record.len() <= self.slot_len(slot) {
-            // Shrink/replace in place.
-            let off = self.slot_off(slot);
-            self.data[off..off + record.len()].copy_from_slice(record);
-            self.set_slot(slot, off, record.len());
-            return Ok(());
-        }
-        // Grow: delete then re-insert into the same slot id.
-        let old_off = self.slot_off(slot);
-        let old_len = self.slot_len(slot);
-        self.set_slot(slot, 0, 0);
-        if !self.fits(record.len()) {
-            // Roll back.
-            self.set_slot(slot, old_off, old_len);
-            return Err(Error::PageOverflow {
-                needed: record.len(),
-                available: self.usable_free(),
-            });
-        }
-        if self.contiguous_free() < record.len() {
-            self.compact();
-        }
-        let new_end = self.free_end() - record.len();
-        self.data[new_end..new_end + record.len()].copy_from_slice(record);
-        self.set_free_end(new_end);
-        self.set_slot(slot, new_end, record.len());
-        Ok(())
-    }
-
     /// Iterate live records as `(slot, bytes)` pairs, in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (u16, &[u8])> {
         (0..self.num_slots()).filter_map(move |s| {
@@ -264,25 +230,6 @@ pub fn for_each_record(data: &[u8], mut f: impl FnMut(u16, &[u8])) -> Result<()>
         f(slot, rec);
     }
     Ok(())
-}
-
-/// Borrow one live record out of a raw page image (the zero-copy
-/// counterpart of `SlottedPage::from_bytes(..)?.get(slot)`).
-pub fn record_in(data: &[u8], slot: u16) -> Result<&[u8]> {
-    if data.len() < HEADER + SLOT {
-        return Err(Error::Corrupt("slotted page smaller than header".into()));
-    }
-    let n = read_u16(data, 0);
-    if slot >= n {
-        return Err(Error::SlotNotFound { slot });
-    }
-    let len = read_u16(data, HEADER + slot as usize * SLOT + 2) as usize;
-    if len == 0 {
-        return Err(Error::SlotNotFound { slot });
-    }
-    let off = read_u16(data, HEADER + slot as usize * SLOT) as usize;
-    data.get(off..off + len)
-        .ok_or_else(|| Error::Corrupt(format!("slot {slot} points outside the page")))
 }
 
 fn read_u16(data: &[u8], at: usize) -> u16 {
@@ -373,19 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn update_in_place_and_grow() {
-        let mut p = SlottedPage::new(256);
-        let a = p.insert(&[7u8; 50]).unwrap();
-        p.update(a, &[8u8; 20]).unwrap(); // shrink
-        assert_eq!(p.get(a).unwrap(), &[8u8; 20][..]);
-        p.update(a, &[9u8; 60]).unwrap(); // grow
-        assert_eq!(p.get(a).unwrap(), &[9u8; 60][..]);
-        // Grow beyond capacity fails but preserves the record.
-        assert!(p.update(a, &[1u8; 300]).is_err());
-        assert_eq!(p.get(a).unwrap(), &[9u8; 60][..]);
-    }
-
-    #[test]
     fn bytes_roundtrip_through_disk_format() {
         let mut p = SlottedPage::new(512);
         p.insert(b"persist me").unwrap();
@@ -430,9 +364,6 @@ mod tests {
         for_each_record(raw, |s, rec| seen.push((s, rec.to_vec()))).unwrap();
         let owned: Vec<(u16, Vec<u8>)> = p.iter().map(|(s, r)| (s, r.to_vec())).collect();
         assert_eq!(seen, owned);
-        assert_eq!(record_in(raw, slots[0]).unwrap(), p.get(slots[0]).unwrap());
-        assert!(matches!(record_in(raw, slots[2]), Err(Error::SlotNotFound { .. })));
-        assert!(matches!(record_in(raw, 99), Err(Error::SlotNotFound { .. })));
         assert!(for_each_record(&[0u8; 2], |_, _| ()).is_err());
     }
 }

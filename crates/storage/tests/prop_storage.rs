@@ -1,7 +1,7 @@
 //! Property-based tests for the storage substrate.
 //!
 //! The slotted page is modelled against a `HashMap<u16, Vec<u8>>`: any
-//! sequence of insert/delete/update operations must leave the page agreeing
+//! sequence of insert/delete operations must leave the page agreeing
 //! with the model, and a serialize/deserialize cycle must be the identity.
 
 use proptest::prelude::*;
@@ -14,15 +14,12 @@ use trijoin_storage::{HeapFile, SimDisk, SlottedPage};
 enum Op {
     Insert(Vec<u8>),
     Delete(usize),
-    Update(usize, Vec<u8>),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         3 => prop::collection::vec(any::<u8>(), 1..60).prop_map(Op::Insert),
         1 => any::<usize>().prop_map(Op::Delete),
-        1 => (any::<usize>(), prop::collection::vec(any::<u8>(), 1..60))
-            .prop_map(|(i, v)| Op::Update(i, v)),
     ]
 }
 
@@ -56,18 +53,6 @@ proptest! {
                     page.delete(slot).unwrap();
                     model.remove(&slot);
                 }
-                Op::Update(i, rec) => {
-                    let live: Vec<u16> = model.keys().copied().collect();
-                    if live.is_empty() { continue; }
-                    let slot = live[i % live.len()];
-                    match page.update(slot, &rec) {
-                        Ok(()) => { model.insert(slot, rec); }
-                        Err(_) => {
-                            prop_assert!(rec.len() > model[&slot].len(),
-                                "update may only fail when growing");
-                        }
-                    }
-                }
             }
             // Page and model agree after every step.
             prop_assert_eq!(page.live_count(), model.len());
@@ -98,7 +83,10 @@ proptest! {
         let write_ios = cost.total().ios;
         prop_assert_eq!(write_ios, heap.num_pages() as u64, "one write per page");
 
-        let scanned: Vec<Vec<u8>> = heap.scan().map(|r| r.unwrap().1).collect();
+        let mut scanned: Vec<Vec<u8>> = Vec::new();
+        for page in 0..heap.num_pages() {
+            heap.for_each_page_record(page, |_, rec| scanned.push(rec.to_vec())).unwrap();
+        }
         prop_assert_eq!(&scanned, &recs, "scan must preserve append order");
         let scan_ios = cost.total().ios - write_ios;
         prop_assert_eq!(scan_ios, heap.num_pages() as u64, "one read per page");

@@ -299,3 +299,24 @@ fn inert_ops_are_skipped_deterministically() {
     assert_eq!(outcome.skipped, 2, "duplicate insert and floor delete are inert");
     assert_eq!(outcome.checkpoints, 1);
 }
+
+/// Every command that takes `--sr`, `--activity` and `--pra` rejects a
+/// value outside [0, 1] with one message and exit 1 — none panics or runs
+/// a workload nothing asked for.
+#[test]
+fn out_of_range_selectivities_are_rejected_by_every_command() {
+    for (flag, value) in [("--sr", "2"), ("--pra", "3"), ("--activity", "-1")] {
+        for cmd in ["run", "serve", "top", "advise", "model"] {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_trijoin"))
+                .args([cmd, flag, value])
+                .output()
+                .expect("the trijoin binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {flag} {value}: {stderr}");
+            assert!(
+                stderr.contains("error: --sr, --activity and --pra must be within [0, 1]"),
+                "{cmd} {flag} {value}: {stderr}"
+            );
+        }
+    }
+}
