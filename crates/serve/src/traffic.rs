@@ -183,6 +183,31 @@ mod tests {
         }
     }
 
+    /// Pins every byte a client writes: surrogate, key and payload stamp of
+    /// both sides of the first 64 updates of each of three clients.
+    #[test]
+    fn client_traffic_is_pinned_byte_for_byte() {
+        let w = workload();
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fnv = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        for s in ClientTraffic::split(&w, &config(), 3).iter_mut() {
+            for _ in 0..64 {
+                let u = s.next_update();
+                for t in [&u.old, &u.new] {
+                    fnv(&t.sur.0.to_le_bytes());
+                    fnv(&t.key.to_le_bytes());
+                    fnv(&t.payload);
+                }
+            }
+        }
+        assert_eq!(h, 0x0274_7243_bc31_c922);
+    }
+
     #[test]
     fn streams_are_deterministic_per_seed() {
         let w = workload();
