@@ -251,6 +251,16 @@ if grep -rnE "ApplyThenQuery|shard_seed" crates tests examples; then
     echo "a second query command or the dead shard seed is back"; exit 1
 fi
 
+# One update draw, and no statistic without a reader: the paper's update
+# (a random R tuple whose join key moves with probability Pr_A) is drawn in
+# the workload module alone, and the key-skew sketch that no decision read
+# stays gone.
+if grep -rnE "TopKSketch|skew\.top_mass|decay_on_window" crates tests examples \
+    || grep -rlF "gen_bool(self.pra)" crates/*/src \
+        | grep -v "^crates/core/src/workload\.rs$\|^crates/bench/src/bin/benchmark/"; then
+    echo "a second update draw or the skew sketch nothing reads is back"; exit 1
+fi
+
 # One deferred-maintenance contract, one epoch runner: a relation admits a
 # mutation in `Database::mutate` alone, nothing outside the engine (and the
 # frozen benchmark) logs and then queues by hand, and no second database

@@ -396,8 +396,11 @@ impl Launched {
         let ring = args.u64("ring", 1024)? as usize;
         let queries = args.u64("queries", queries)?;
         let seed = args.u64("seed", 42)?;
-        if shards == 0 || clients == 0 || queries == 0 || ring == 0 {
-            return Err("--shards, --clients, --queries and --ring must be positive".into());
+        let batch = args.u64("batch", 64)? as usize;
+        if shards == 0 || clients == 0 || queries == 0 || ring == 0 || batch == 0 {
+            return Err(
+                "--shards, --clients, --queries, --ring and --batch must be positive".into()
+            );
         }
         let method = match args.str("strategy", "hh").as_str() {
             "mv" => Method::MaterializedView,
@@ -412,7 +415,7 @@ impl Launched {
             return Err("--deferred needs --durable".into());
         }
         let config = ServeConfig {
-            batch: args.u64("batch", 64)? as usize,
+            batch,
             ring,
             seed,
             durable_dir,
@@ -421,6 +424,11 @@ impl Launched {
             ..ServeConfig::new(params_from(args, mem)?, shards)
         };
         let gen = spec.generate();
+        // Each client owns the R-tuples whose surrogate is its index modulo
+        // the client count, so every client owns one only up to ‖R‖.
+        if clients > gen.r.len() {
+            return Err(format!("--clients {clients} exceeds ‖R‖ = {}", gen.r.len()));
+        }
         let server = Server::start(&config, gen.r.clone(), gen.s.clone()).map_err(err)?;
         let session = server.session().map_err(err)?;
         let traffic = ClientTraffic::split(&gen, &config, clients);

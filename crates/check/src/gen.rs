@@ -213,7 +213,8 @@ fn zipf_key(rn: &mut impl Rng, cdf: &[f64]) -> u64 {
 ///
 /// - `bursty`: short high-`Pr_A` update trains, long checkpointed lulls;
 /// - `zipf`: every key draw is Zipf-skewed, so the differential keeps
-///   hammering the same hot groups (the skew sketch must light up);
+///   hammering the same hot groups, whose join selectivity the answer
+///   measures;
 /// - `phase`: long symmetric regimes with the starkest ratio shifts;
 /// - `imbalance`: mutations are biased onto the keys one shard owns at
 ///   the largest configured shard count, starving the siblings.

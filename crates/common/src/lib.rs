@@ -21,7 +21,6 @@ pub mod metrics;
 pub mod params;
 pub mod rng;
 pub mod script;
-pub mod sketch;
 pub mod telemetry;
 pub mod trace;
 pub mod types;
@@ -34,7 +33,6 @@ pub use json::Json;
 pub use metrics::{CounterId, Histogram, Metrics, MetricsSnapshot};
 pub use params::SystemParams;
 pub use script::{Adversary, AdversaryShape, Script, ScriptOp, ScriptSpec};
-pub use sketch::{KeyCount, TopKSketch};
 pub use telemetry::{DriftAlert, SeriesSnapshot, Telemetry, TelemetryConfig};
 pub use trace::{ModelDelta, RunReport, ShardedRunReport};
 pub use types::{shard_of_key, BaseTuple, JiEntry, JoinKey, Surrogate, ViewTuple};

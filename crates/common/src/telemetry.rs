@@ -662,13 +662,6 @@ impl Telemetry {
         }
     }
 
-    /// Windows closed since the last reset, retained or already dropped
-    /// from the ring — a count, so the query path need not clone them.
-    pub fn windows_closed(&self) -> u64 {
-        let st = self.0.borrow();
-        st.dropped + st.windows.len() as u64
-    }
-
     /// Counter slots the window-delta baseline holds: at most the
     /// registry's [`Metrics::counter_slots`].
     pub fn baseline_slots(&self) -> usize {

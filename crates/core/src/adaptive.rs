@@ -27,9 +27,7 @@
 //! A serve shard drives the steps one per shard command;
 //! [`AdaptiveStrategy`] drives them to completion inside one `execute`.
 
-use trijoin_common::{
-    Cost, CounterId, EventKind, Metrics, Result, SystemParams, TopKSketch, ViewTuple,
-};
+use trijoin_common::{Cost, CounterId, EventKind, Metrics, Result, SystemParams, ViewTuple};
 use trijoin_exec::{
     HybridHash, JoinIndexStrategy, JoinStrategy, MaterializedView, Mutation, StoredRelation,
 };
@@ -185,9 +183,6 @@ impl CachedStrategy {
 /// regime of adversarial traffic.
 const MIGRATION_CHUNK: usize = 96;
 
-/// Hot keys tracked (the space-saving sketch's capacity).
-const SKEW_CAPACITY: usize = 16;
-
 /// The migration state machine of one [`AdaptiveController`].
 pub enum MigrationState {
     /// No migration in flight.
@@ -258,8 +253,8 @@ impl Counters {
 }
 
 /// The adaptive controller: the incumbent structure, the usage statistics
-/// (window counts for the policy, a top-k key-skew sketch for the
-/// gauges), and the migration in flight (if any).
+/// the policy prices (window counts), and the migration in flight (if
+/// any).
 pub struct AdaptiveController {
     disk: Disk,
     params: SystemParams,
@@ -269,10 +264,6 @@ pub struct AdaptiveController {
     stats: WindowStats,
     /// Queries left before another migration may start.
     cooldown: u64,
-    sketch: TopKSketch,
-    /// Telemetry windows seen at the last sketch decay.
-    seen_windows: u64,
-    queries: u64,
     counters: Counters,
 }
 
@@ -287,9 +278,6 @@ impl AdaptiveController {
             migration: MigrationState::Stable,
             stats: WindowStats::default(),
             cooldown: 0,
-            sketch: TopKSketch::new(SKEW_CAPACITY),
-            seen_windows: 0,
-            queries: 0,
             counters: Counters::new(disk.metrics()),
         }
     }
@@ -333,15 +321,6 @@ impl AdaptiveController {
     pub fn on_mutation(&mut self, m: &Mutation) -> Result<()> {
         self.log(false, m)?;
         self.stats.observe(m);
-        match m {
-            Mutation::Insert(t) | Mutation::Delete(t) => self.sketch.observe(t.key),
-            Mutation::Update(u) => {
-                self.sketch.observe(u.old.key);
-                if u.new.key != u.old.key {
-                    self.sketch.observe(u.new.key);
-                }
-            }
-        }
         Ok(())
     }
 
@@ -461,20 +440,16 @@ impl AdaptiveController {
 
     /// Post-query bookkeeping and the migration decision. `rows` is the
     /// answer the incumbent just produced over `r` and `s` — when a
-    /// migration starts, it is the staging source for the target.
-    /// `windows_closed` is the engine's telemetry window count, when it
-    /// keeps one: the skew sketch ages on it. The relation sizes are
-    /// [`StoredRelation::len_estimate`]s — a statistic does not settle a
-    /// relation. Returns the workload the next cycle was priced at.
+    /// migration starts, it is the staging source for the target. The
+    /// relation sizes are [`StoredRelation::len_estimate`]s — a statistic
+    /// does not settle a relation. Returns the workload the next cycle was
+    /// priced at.
     pub fn after_query(
         &mut self,
         r: &StoredRelation,
         s: &StoredRelation,
         rows: &[ViewTuple],
-        windows_closed: Option<u64>,
     ) -> Workload {
-        self.queries += 1;
-        self.decay_on_window(windows_closed);
         let tuple_bytes = (r.tuple_bytes(), s.tuple_bytes());
         let w = self.stats.close(r.len_estimate(), s.len_estimate(), tuple_bytes, rows);
         if !matches!(self.migration, MigrationState::Stable) {
@@ -507,19 +482,6 @@ impl AdaptiveController {
         w
     }
 
-    /// Rolling-window decay, keyed to the engine's telemetry ticks: every
-    /// time the engine closes a new telemetry window, the skew sketch
-    /// halves, so hot keys of a past regime fade instead of pinning the
-    /// statistics forever. Falls back to a query-count window when
-    /// telemetry is off.
-    fn decay_on_window(&mut self, windows_closed: Option<u64>) {
-        let windows = windows_closed.unwrap_or(self.queries / 8);
-        if windows > self.seen_windows {
-            self.seen_windows = windows;
-            self.sketch.decay();
-        }
-    }
-
     /// Stamp the adaptive gauges into the engine's metrics (called on
     /// every shard report snapshot). The serving method is encoded as its
     /// index in [`Method::all`] (0 = MV, 1 = JI, 2 = HH); `trijoin top`
@@ -529,8 +491,6 @@ impl AdaptiveController {
         let metrics = self.disk.metrics();
         metrics.gauge_set("shard.strategy", method.unwrap_or(0) as f64);
         metrics.gauge_set("shard.migration_state", self.migration.gauge());
-        metrics.gauge_set("shard.skew.top_mass", self.sketch.top_mass(4));
-        metrics.gauge_set("shard.skew.observed", self.sketch.observed() as f64);
     }
 }
 
@@ -575,7 +535,7 @@ impl JoinStrategy for AdaptiveStrategy {
             rows.push(v.clone());
             sink(v);
         })?;
-        self.0.after_query(r, s, &rows, None);
+        self.0.after_query(r, s, &rows);
         while !matches!(self.0.state(), MigrationState::Stable) {
             self.0.advance();
         }
@@ -644,7 +604,7 @@ mod tests {
         fn query(&mut self) -> Vec<ViewTuple> {
             let mut rows = self.db.query(self.ctl.strategy()).unwrap();
             rows.sort_by_key(|t| (t.r_sur, t.s_sur));
-            self.priced = Some(self.ctl.after_query(self.db.r(), self.db.s(), &rows, None));
+            self.priced = Some(self.ctl.after_query(self.db.r(), self.db.s(), &rows));
             self.ctl.advance();
             rows
         }

@@ -526,11 +526,6 @@ impl Database {
         }
     }
 
-    /// Telemetry windows closed so far (`None` when telemetry is off).
-    pub fn telemetry_windows_closed(&self) -> Option<u64> {
-        self.telemetry.borrow().as_ref().map(|t| t.tel.windows_closed())
-    }
-
     /// The analytical prediction for one query cycle of a paper strategy
     /// (`None` for ablation strategies the model does not price), through
     /// the same [`trijoin_model::cost_of`] the adaptive policy selects with.

@@ -225,37 +225,8 @@ impl GeneratedWorkload {
     /// these feed the analytical model so engine and model price the same
     /// scenario.
     pub fn measured(&self) -> Workload {
-        let s_by_key = |tuples: &[BaseTuple]| {
-            let mut m = std::collections::HashMap::new();
-            for t in tuples {
-                *m.entry(t.key).or_insert(0u64) += 1;
-            }
-            m
-        };
-        let rk = s_by_key(&self.r);
-        let sk = s_by_key(&self.s);
-        let mut join_tuples = 0u64;
-        let mut matched_r = 0u64;
-        for (k, &rc) in &rk {
-            if let Some(&sc) = sk.get(k) {
-                join_tuples += rc * sc;
-                matched_r += rc;
-            }
-        }
-        let matched_s: u64 = sk.iter().filter(|(k, _)| rk.contains_key(*k)).map(|(_, &c)| c).sum();
-        let nr = self.r.len() as f64;
-        let ns = self.s.len() as f64;
-        Workload {
-            r_tuples: nr,
-            s_tuples: ns,
-            tr: self.spec.tuple_bytes as f64,
-            ts: self.spec.tuple_bytes as f64,
-            sr: matched_r as f64 / nr,
-            ss: matched_s as f64 / ns,
-            js: join_tuples as f64 / (nr * ns),
-            pra: self.spec.pra,
-            updates: (self.spec.update_rate * nr).round(),
-        }
+        let updates = (self.spec.update_rate * self.r.len() as f64).round();
+        measure_workload(&self.r, &self.s, self.spec.pra, updates)
     }
 
     /// Hash-partition both relations on the join attribute into `shards`
@@ -278,15 +249,37 @@ impl GeneratedWorkload {
 
     /// Open an update stream over the current R contents.
     pub fn update_stream(&self) -> UpdateStream {
+        let seed = rng::derive(self.spec.seed, "updates");
+        self.update_stream_over(self.r.clone(), seed, self.next_unmatched, 0)
+    }
+
+    /// Open the paper's update stream over `tuples` (any subset of `R`):
+    /// drawn from `rng::seeded(seed)`, minting unmatched keys above
+    /// `next_unmatched`, and writing payload `stamp | n` on its `n`-th
+    /// update, so streams with disjoint stamps never write the same bytes.
+    pub fn update_stream_over(
+        &self,
+        tuples: Vec<BaseTuple>,
+        seed: u64,
+        next_unmatched: JoinKey,
+        stamp: u64,
+    ) -> UpdateStream {
         UpdateStream {
-            current: self.r.clone(),
-            groups: self.groups,
+            current: tuples,
+            keys: self.key_draw(next_unmatched),
             pra: self.spec.pra,
-            matched_fraction: self.spec.sr.clamp(0.0, 1.0),
             tuple_bytes: self.spec.tuple_bytes,
-            next_unmatched: self.next_unmatched,
-            rng: rng::seeded(rng::derive(self.spec.seed, "updates")),
+            rng: rng::seeded(seed),
+            stamp,
             counter: 0,
+        }
+    }
+
+    fn key_draw(&self, next_unmatched: JoinKey) -> KeyDraw {
+        KeyDraw {
+            groups: self.groups,
+            matched_fraction: self.spec.sr.clamp(0.0, 1.0),
+            next_unmatched,
         }
     }
 
@@ -302,12 +295,10 @@ impl GeneratedWorkload {
             current: self.r.iter().map(|t| (t.sur.0, t.clone())).collect(),
             live: self.r.iter().map(|t| t.sur.0).collect(),
             mix,
-            groups: self.groups,
+            keys: self.key_draw(self.next_unmatched),
             pra: self.spec.pra,
-            matched_fraction: self.spec.sr.clamp(0.0, 1.0),
             tuple_bytes: self.spec.tuple_bytes,
             next_sur: self.r.iter().map(|t| t.sur.0 + 1).max().unwrap_or(0),
-            next_unmatched: self.next_unmatched,
             rng: rng::seeded(rng::derive(self.spec.seed, "mutations")),
             counter: 0,
         }
@@ -347,12 +338,10 @@ pub struct MutationStream {
     /// a victim is drawn by index.
     live: Vec<u32>,
     mix: MutationMix,
-    groups: u32,
+    keys: KeyDraw,
     pra: f64,
-    matched_fraction: f64,
     tuple_bytes: usize,
     next_sur: u32,
-    next_unmatched: JoinKey,
     rng: StdRng,
     counter: u64,
 }
@@ -369,7 +358,7 @@ impl MutationStream {
         if roll < self.mix.insert {
             let sur = Surrogate(self.next_sur);
             self.next_sur += 1;
-            let key = self.fresh_key();
+            let key = self.keys.draw(&mut self.rng);
             let t =
                 BaseTuple::with_payload(sur, key, &self.counter.to_le_bytes(), self.tuple_bytes)
                     .expect("tuple size fits");
@@ -386,7 +375,8 @@ impl MutationStream {
         let victim = self.pick_existing();
         let victim = self.live[victim];
         let old = self.current[&victim].clone();
-        let new_key = if self.rng.gen_bool(self.pra) { self.fresh_key() } else { old.key };
+        let new_key =
+            if self.rng.gen_bool(self.pra) { self.keys.draw(&mut self.rng) } else { old.key };
         let new = BaseTuple::with_payload(
             Surrogate(victim),
             new_key,
@@ -401,15 +391,6 @@ impl MutationStream {
     /// Index into `live` of a uniformly drawn tuple.
     fn pick_existing(&mut self) -> usize {
         self.rng.gen_range(0..self.live.len())
-    }
-
-    fn fresh_key(&mut self) -> JoinKey {
-        if self.groups > 0 && self.rng.gen_bool(self.matched_fraction) {
-            self.rng.gen_range(0..self.groups) as JoinKey
-        } else {
-            self.next_unmatched += 1;
-            self.next_unmatched
-        }
     }
 
     /// The mirror of R after all mutations so far (ground truth).
@@ -428,15 +409,35 @@ impl MutationStream {
     }
 }
 
-/// Generates the paper's update model over a live mirror of R.
+/// The key an A-changing mutation moves to: a random matched group's key
+/// with the relation's matched fraction (keeping selectivities roughly
+/// stationary), else a fresh unmatched key.
+struct KeyDraw {
+    groups: u32,
+    matched_fraction: f64,
+    next_unmatched: JoinKey,
+}
+
+impl KeyDraw {
+    fn draw(&mut self, rng: &mut StdRng) -> JoinKey {
+        if self.groups > 0 && rng.gen_bool(self.matched_fraction) {
+            rng.gen_range(0..self.groups) as JoinKey
+        } else {
+            self.next_unmatched += 1;
+            self.next_unmatched
+        }
+    }
+}
+
+/// Generates the paper's update model over a live mirror of R (or of the
+/// slice of it one client owns).
 pub struct UpdateStream {
     current: Vec<BaseTuple>,
-    groups: u32,
+    keys: KeyDraw,
     pra: f64,
-    matched_fraction: f64,
     tuple_bytes: usize,
-    next_unmatched: JoinKey,
     rng: StdRng,
+    stamp: u64,
     counter: u64,
 }
 
@@ -445,29 +446,17 @@ impl UpdateStream {
     pub fn next_update(&mut self) -> Update {
         let idx = self.rng.gen_range(0..self.current.len());
         let old = self.current[idx].clone();
-        let new_key = if self.rng.gen_bool(self.pra) {
-            // A-changing update: land in a matched group with the
-            // relation's matched fraction (keeping selectivities roughly
-            // stationary), else on a fresh unmatched key.
-            if self.groups > 0 && self.rng.gen_bool(self.matched_fraction) {
-                self.rng.gen_range(0..self.groups) as JoinKey
-            } else {
-                self.next_unmatched += 1;
-                self.next_unmatched
-            }
-        } else {
-            old.key
-        };
+        let new_key =
+            if self.rng.gen_bool(self.pra) { self.keys.draw(&mut self.rng) } else { old.key };
         self.counter += 1;
-        let mut payload = [0u8; 8];
-        payload.copy_from_slice(&self.counter.to_le_bytes());
+        let payload = (self.stamp | self.counter).to_le_bytes();
         let new = BaseTuple::with_payload(old.sur, new_key, &payload, self.tuple_bytes)
             .expect("tuple size fits");
         self.current[idx] = new.clone();
         Update { old, new }
     }
 
-    /// The mirror of R after all updates so far (ground truth for oracles).
+    /// The mirror after all updates so far (ground truth for oracles).
     pub fn current(&self) -> &[BaseTuple] {
         &self.current
     }

@@ -58,8 +58,8 @@ pub struct ServeConfig {
     /// Irrelevant without `durable_dir`.
     pub durability: Durability,
     /// True to serve adaptively: every shard tracks its own observed
-    /// update/query mix, `Pr_A`, and key skew, re-prices MV/JI/HH with
-    /// the §3 cost model after each query, and *migrates* incrementally
+    /// update/query mix and `Pr_A`, takes exact selectivities off each
+    /// answer, re-prices MV/JI/HH with the §3 cost model after each query, and *migrates* incrementally
     /// (old structure serves until the new one is caught up) when a
     /// different method wins by the hysteresis margin. The `Method` of
     /// query requests becomes advisory only. Off by default — the fixed

@@ -551,7 +551,7 @@ impl ShardWorker {
                 set.evict_idle(&self.db);
             }
             Mode::Adaptive(a) => {
-                a.after_query(self.db.r(), self.db.s(), &rows, self.db.telemetry_windows_closed());
+                a.after_query(self.db.r(), self.db.s(), &rows);
                 a.advance();
             }
         }

@@ -13,10 +13,8 @@
 //! stream ([`crate::ServeConfig::client_seed`]), making whole serving
 //! runs bit-identical across reruns.
 
-use rand::prelude::*;
-
-use trijoin::GeneratedWorkload;
-use trijoin_common::{rng, BaseTuple, JoinKey};
+use trijoin::{GeneratedWorkload, UpdateStream};
+use trijoin_common::{BaseTuple, JoinKey};
 use trijoin_exec::{Mutation, Update};
 
 use crate::config::ServeConfig;
@@ -29,51 +27,40 @@ const CLIENT_UNMATCHED_BASE: JoinKey = 1 << 41;
 /// One client's deterministic update stream over its owned slice of `R`.
 pub struct ClientTraffic {
     index: usize,
-    owned: Vec<BaseTuple>,
-    groups: u32,
-    matched_fraction: f64,
-    pra: f64,
-    tuple_bytes: usize,
-    next_unmatched: JoinKey,
-    rng: StdRng,
-    counter: u64,
+    stream: UpdateStream,
 }
 
 impl ClientTraffic {
     /// Split the workload's `R` into `clients` disjoint ownership classes
-    /// and open one seeded traffic stream per client.
+    /// and open one seeded traffic stream per client. Every client must
+    /// own a tuple: `clients` is at most `‖R‖`.
     pub fn split(
         workload: &GeneratedWorkload,
         config: &ServeConfig,
         clients: usize,
     ) -> Vec<ClientTraffic> {
         assert!(clients > 0, "traffic: client count must be positive");
-        let mut streams: Vec<ClientTraffic> = (0..clients)
-            .map(|index| ClientTraffic {
-                index,
-                owned: Vec::new(),
-                groups: workload.groups,
-                matched_fraction: workload.spec.sr.clamp(0.0, 1.0),
-                pra: workload.spec.pra,
-                tuple_bytes: workload.spec.tuple_bytes,
-                next_unmatched: CLIENT_UNMATCHED_BASE + ((index as JoinKey) << 24),
-                rng: rng::seeded(config.client_seed(index)),
-                counter: 0,
-            })
-            .collect();
+        let mut owned = vec![Vec::new(); clients];
         for t in &workload.r {
-            streams[t.sur.0 as usize % clients].owned.push(t.clone());
+            owned[t.sur.0 as usize % clients].push(t.clone());
         }
-        for s in &streams {
-            assert!(
-                !s.owned.is_empty(),
-                "traffic: client {} owns no tuples ({} clients over {} R-tuples)",
-                s.index,
-                clients,
-                workload.r.len()
-            );
-        }
-        streams
+        owned
+            .into_iter()
+            .enumerate()
+            .map(|(index, tuples)| {
+                assert!(
+                    !tuples.is_empty(),
+                    "traffic: client {index} owns no tuples ({clients} clients over {} R-tuples)",
+                    workload.r.len()
+                );
+                let seed = config.client_seed(index);
+                let next_unmatched = CLIENT_UNMATCHED_BASE + ((index as JoinKey) << 24);
+                // Payloads encode (client, counter), so every write is unique.
+                let stream =
+                    workload.update_stream_over(tuples, seed, next_unmatched, (index as u64) << 32);
+                ClientTraffic { index, stream }
+            })
+            .collect()
     }
 
     /// This client's index.
@@ -83,25 +70,7 @@ impl ClientTraffic {
 
     /// Produce the next update of an owned tuple (and advance the mirror).
     pub fn next_update(&mut self) -> Update {
-        let idx = self.rng.gen_range(0..self.owned.len());
-        let old = self.owned[idx].clone();
-        let new_key = if self.rng.gen_bool(self.pra) {
-            if self.groups > 0 && self.rng.gen_bool(self.matched_fraction) {
-                self.rng.gen_range(0..self.groups) as JoinKey
-            } else {
-                self.next_unmatched += 1;
-                self.next_unmatched
-            }
-        } else {
-            old.key
-        };
-        self.counter += 1;
-        // Payload encodes (client, counter), so every write is unique.
-        let stamp = ((self.index as u64) << 32) | self.counter;
-        let new = BaseTuple::with_payload(old.sur, new_key, &stamp.to_le_bytes(), self.tuple_bytes)
-            .expect("tuple size fits");
-        self.owned[idx] = new.clone();
-        Update { old, new }
+        self.stream.next_update()
     }
 
     /// The next update as a general [`Mutation`].
@@ -111,7 +80,7 @@ impl ClientTraffic {
 
     /// This client's owned tuples in their current (post-update) state.
     pub fn current(&self) -> &[BaseTuple] {
-        &self.owned
+        self.stream.current()
     }
 }
 
@@ -119,7 +88,8 @@ impl ClientTraffic {
 /// classes partition the relation, so this is exact whatever order the
 /// clients' updates reached the server in).
 pub fn merged_current(streams: &[ClientTraffic]) -> Vec<BaseTuple> {
-    let mut all: Vec<BaseTuple> = streams.iter().flat_map(|s| s.owned.iter().cloned()).collect();
+    let mut all: Vec<BaseTuple> =
+        streams.iter().flat_map(ClientTraffic::current).cloned().collect();
     all.sort_by_key(|t| t.sur);
     all
 }

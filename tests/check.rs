@@ -320,3 +320,24 @@ fn out_of_range_selectivities_are_rejected_by_every_command() {
         }
     }
 }
+
+/// `serve` and `top` reject a client count above ‖R‖ (a client would own
+/// no tuple) and a zero batch with one message naming the flag and exit 1:
+/// neither panics nor runs a batch size other than the one it prints.
+#[test]
+fn unservable_client_and_batch_counts_are_rejected() {
+    for (flag, value, want) in [
+        ("--clients", "600", "error: --clients 600 exceeds ‖R‖ = 500"),
+        ("--batch", "0", "--batch must be positive"),
+    ] {
+        for cmd in ["serve", "top"] {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_trijoin"))
+                .args([cmd, "--scale", "400", "--queries", "1", "--once", flag, value])
+                .output()
+                .expect("the trijoin binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {flag} {value}: {stderr}");
+            assert!(stderr.contains(want), "{cmd} {flag} {value}: {stderr}");
+        }
+    }
+}

@@ -397,7 +397,7 @@ impl PhaseHarness {
         rows.sort_by_key(|t| (t.r_sur, t.s_sur));
         let want = oracle::join_tuples(stream.current(), &self.gen.s);
         oracle::assert_same_join("phase harness", rows.clone(), want);
-        self.shard.after_query(self.db.r(), self.db.s(), &rows, None);
+        self.shard.after_query(self.db.r(), self.db.s(), &rows);
         rows
     }
 
