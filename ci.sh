@@ -113,11 +113,14 @@ cargo test -q --release -p trijoin-serve --test golden_ledger
 # front of every query again, or a statistic that forces a sweep, fails
 # here rather than at the driver.
 cargo test -q --release -p trijoin --test mutations cycle_rounds_settle
-# A fetch through the log seeks each run by its page fences: the pages it
-# reads must be exactly those its fences select, with a fault on every one
-# of them answered or returned, where fence and page arithmetic that wraps
-# would hide behind compiled-out debug assertions.
+# A fetch through the log seeks each run by its surrogate column: the pages
+# it reads must be exactly those holding a surrogate it asks for, with a
+# fault on every one of them answered or returned, where column and page
+# arithmetic that wraps would hide behind compiled-out debug assertions. The
+# same through two pinned shards, whose join-index queries fetch `R` through
+# spilled multi-page runs round after round against the oracle.
 cargo test -q --release -p trijoin-exec --test read_through
+cargo test -q --release -p trijoin-serve --test serve join_index_fetches
 # The metrics registry is bounded by live files: 200 view cycles that each
 # seal and delete their differential runs leave the counter slots and the
 # telemetry baseline where the second cycle left them, with every I/O still

@@ -24,7 +24,7 @@ use trijoin_storage::{Disk, FileId, PageId};
 pub const CATALOG_FILE: FileId = FileId(0);
 
 /// Manifest schema version (bumped on incompatible layout changes).
-pub const CATALOG_VERSION: u64 = 4;
+pub const CATALOG_VERSION: u64 = 5;
 
 /// Serialize `manifest` into file 0: page 0 holds `[len: u64 LE]` followed
 /// by the first chunk; pages 1.. hold full-page chunks. Pages are allocated

@@ -659,8 +659,9 @@ impl Database {
         let height = self.r.height().max(self.s.height());
         metrics.gauge_set("base.tree_height", height as f64);
         // A log at its floor of `APPLY_LOG_RUNS` runs is bounded by
-        // constants, the page size (its fences) and the sweep's path (the
-        // height and a second leaf); the gauge says when space lifts it.
+        // constants, the page size (its runs' surrogate columns, priced at
+        // the densest run page) and the sweep's path (the height and a
+        // second leaf); the gauge says when space lifts it past that.
         let bound = self.r.apply_log_bound_pages().max(self.s.apply_log_bound_pages());
         if bound > apply_log_floor_pages(height, self.params.page_size) {
             metrics.gauge_set("base.apply_log.bound_pages", bound as f64);

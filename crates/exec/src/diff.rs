@@ -44,13 +44,53 @@ pub fn ji_sort_key(sur: u32) -> SortKey {
 /// A shared sort-key function (both logs of a [`DiffPair`] hold one).
 type KeyFn = Rc<dyn Fn(&BaseTuple) -> SortKey>;
 
-/// One spilled run: its file and its page fences, the surrogate of the
-/// first record on each page, recorded as the pages were written. A seek
-/// by surrogate ([`Seek`]) reads them; it is meaningful in a log sorted on
-/// the surrogate first (the join index's, a base relation's apply log).
+/// One spilled run: its file and its surrogate column.
 struct Run {
     heap: HeapFile,
-    fences: Rc<[Surrogate]>,
+    column: Column,
+}
+
+/// A run's surrogate column: the surrogate of every record, in run order,
+/// sliced by page — page `p`'s slice starts at `starts[p]`, so its first
+/// entry is the page's fence. Noted as the run spills, or read back off
+/// the run when it is adopted. A seek by surrogate ([`Seek`]) reads it; it
+/// is meaningful in a log sorted on the surrogate first (the join index's,
+/// a base relation's apply log).
+#[derive(Clone, Default)]
+struct Column {
+    surs: Rc<[Surrogate]>,
+    starts: Rc<[u32]>,
+}
+
+impl Column {
+    /// The column of records noted as `(page, surrogate)` in run order.
+    fn of(records: impl IntoIterator<Item = (u32, Surrogate)>) -> Column {
+        let (mut surs, mut starts) = (Vec::new(), Vec::new());
+        for (page, sur) in records {
+            if page as usize == starts.len() {
+                starts.push(surs.len() as u32);
+            }
+            surs.push(sur);
+        }
+        Column { surs: surs.into(), starts: starts.into() }
+    }
+
+    /// Entries held in memory: a surrogate for each record, a slice start
+    /// for each page.
+    fn entries(&self) -> u64 {
+        (self.surs.len() + self.starts.len()) as u64
+    }
+
+    /// The surrogates on page `p`.
+    fn page(&self, p: usize) -> &[Surrogate] {
+        let end = self.starts.get(p + 1).map_or(self.surs.len(), |&end| end as usize);
+        &self.surs[self.starts[p] as usize..end]
+    }
+
+    /// The surrogate of page `p`'s first record.
+    fn fence(&self, p: usize) -> Surrogate {
+        self.surs[self.starts[p] as usize]
+    }
 }
 
 /// One side (`iR` or `dR`) of a differential log.
@@ -124,8 +164,8 @@ impl DiffLog {
 
     /// Sort the buffer and write it out as one run (C1.3 sorting charges +
     /// C1.1 write charges; one I/O per full-packed page), noting each
-    /// page's fence as it starts the page. A write that fails leaves the
-    /// buffer as it was, sorted, and no run behind.
+    /// record's surrogate and page in the run's column. A write that fails
+    /// leaves the buffer as it was, sorted, and no run behind.
     pub fn spill(&mut self) -> Result<()> {
         if self.buf.is_empty() {
             return Ok(());
@@ -140,20 +180,19 @@ impl DiffLog {
         let key = self.key_of.clone();
         counted_sort_by(&mut self.buf, |t| key(t), &self.cost);
         let mut writer = trijoin_storage::heap::HeapWriter::create(&self.disk);
-        let (mut scratch, mut fences) = (Vec::new(), Vec::new());
+        let (mut scratch, mut column) = (Vec::new(), Vec::with_capacity(self.buf.len()));
         for t in &self.buf {
             scratch.clear();
             t.write_bytes(&mut scratch);
             match writer.add_with_cap(&scratch, self.tuples_per_run_page) {
-                Ok(at) if at.page as usize == fences.len() => fences.push(t.sur),
-                Ok(_) => {}
+                Ok(at) => column.push((at.page, t.sur)),
                 Err(e) => {
                     writer.abandon();
                     return Err(e);
                 }
             }
         }
-        self.runs.push(Run { heap: writer.finish()?, fences: fences.into() });
+        self.runs.push(Run { heap: writer.finish()?, column: Column::of(column) });
         self.buf.clear();
         Ok(())
     }
@@ -199,33 +238,58 @@ impl DiffLog {
         self.runs.iter().map(|r| r.heap.num_pages() as u64).sum()
     }
 
-    /// The runs' files and page fences, in the order they were spilled.
-    pub fn runs(&self) -> impl Iterator<Item = (FileId, &[Surrogate])> + '_ {
-        self.runs.iter().map(|r| (r.heap.file_id(), &r.fences[..]))
+    /// Entries the runs' surrogate columns hold in memory, 4 bytes each:
+    /// a surrogate for each record, a slice start for each page.
+    pub fn column_entries(&self) -> u64 {
+        self.runs.iter().map(|r| r.column.entries()).sum()
     }
 
     /// The runs' files, in the order they were spilled.
     pub fn run_files(&self) -> impl Iterator<Item = FileId> + '_ {
-        self.runs().map(|(file, _)| file)
+        self.runs.iter().map(|r| r.heap.file_id())
     }
 
-    /// Take a run another session spilled back into the log, from its
-    /// file and its page fences. The file must be live, sorted under this
-    /// log's key, and have a page for each fence, the fences in order.
-    pub fn adopt_run(&mut self, file: FileId, fences: Vec<Surrogate>) -> Result<()> {
-        let pages = self.disk.num_pages(file).map_err(|_| {
-            Error::Corrupt(format!("differential run f{} is not on the device", file.0))
-        })?;
-        if pages as usize != fences.len() || !fences.is_sorted() {
-            return Err(Error::Corrupt(format!(
-                "differential run f{} has {pages} pages and {} fences, not one in order \
-                 for each",
-                file.0,
-                fences.len()
-            )));
+    /// Take a run another session spilled back into the log, by its file,
+    /// sorted under this log's key: every page is read once (charged) to
+    /// rebuild the run's column. A run that will not read, has a page
+    /// without a record, or is out of surrogate order is `Corrupt`.
+    pub fn adopt_run(&mut self, file: FileId) -> Result<()> {
+        let corrupt = |why: &str| Error::Corrupt(format!("differential run f{}: {why}", file.0));
+        self.disk.num_pages(file).map_err(|_| corrupt("not on the device"))?;
+        let heap = HeapFile::open(&self.disk, file);
+        let mut reader = self.reader(&heap, Column::default());
+        let mut records = Vec::new();
+        while reader.next_page < reader.total_pages {
+            let page = reader.next_page;
+            reader.load().map_err(|e| corrupt(&format!("page {page} will not read: {e}")))?;
+            if reader.current.is_empty() {
+                return Err(corrupt(&format!("page {page} holds no record")));
+            }
+            records.extend(reader.current.iter().map(|t| (page, t.sur)));
         }
-        self.runs.push(Run { heap: HeapFile::open(&self.disk, file), fences: fences.into() });
+        let column = Column::of(records);
+        if !column.surs.is_sorted() {
+            return Err(corrupt("out of surrogate order"));
+        }
+        self.runs.push(Run { heap, column });
         Ok(())
+    }
+
+    /// A reader at the head of `heap`, seeking by `column`.
+    fn reader(&self, heap: &HeapFile, column: Column) -> RunReader {
+        RunReader {
+            heap: heap.clone(),
+            column,
+            cost: self.cost.clone(),
+            metrics: self.disk.metrics().clone(),
+            retries: self.retries,
+            next_page: 0,
+            total_pages: heap.num_pages(),
+            current: Vec::new(),
+            at: 0,
+            sought: Surrogate(0),
+            lacks: false,
+        }
     }
 
     /// Merge the sealed runs back in key order (C1.2 read charges as pages
@@ -234,22 +298,8 @@ impl DiffLog {
     /// as it reads it.
     pub fn merged(&self) -> Result<Merged> {
         debug_assert!(self.buf.is_empty(), "seal() or spill() before merged()");
-        let sources: Vec<RunReader> = self
-            .runs
-            .iter()
-            .map(|r| RunReader {
-                heap: r.heap.clone(),
-                fences: Rc::clone(&r.fences),
-                cost: self.cost.clone(),
-                metrics: self.disk.metrics().clone(),
-                retries: self.retries,
-                next_page: 0,
-                total_pages: r.heap.num_pages(),
-                current: Vec::new(),
-                at: 0,
-                sought: Surrogate(0),
-            })
-            .collect();
+        let sources: Vec<RunReader> =
+            self.runs.iter().map(|r| self.reader(&r.heap, r.column.clone())).collect();
         let key = self.key_of.clone();
         let key = move |t: &Result<BaseTuple>| t.as_ref().map_or(0, |t| key(t));
         Ok(KWayMerge::new(sources, key, self.cost.clone()))
@@ -460,14 +510,14 @@ pub(crate) struct SFold<J> {
 pub type Merged = KWayMerge<Result<BaseTuple>, SortKey, RunReader>;
 
 /// Streams tuples out of one sorted run (one read I/O per page), and
-/// seeks in it by its fences ([`Seek`]).
+/// seeks in it by its surrogate column ([`Seek`]).
 ///
 /// Transient device faults heal with bounded retry (re-read I/O charged
 /// under the `diff.retry` section). Anything else is the stream's last
 /// item, an `Err`.
 pub struct RunReader {
     heap: HeapFile,
-    fences: Rc<[Surrogate]>,
+    column: Column,
     cost: Cost,
     metrics: Metrics,
     /// `diff.retries`.
@@ -479,6 +529,9 @@ pub struct RunReader {
     /// The surrogate sought last: a page read after the seek drops the
     /// tuples below it.
     sought: Surrogate,
+    /// Whether the seek found that the next page lacks the surrogate
+    /// sought: a pull through it reads nothing until the next seek.
+    lacks: bool,
 }
 
 impl RunReader {
@@ -504,6 +557,19 @@ impl RunReader {
         self.cost.comp((below + usize::from(below < left)) as u64);
         self.at += below;
         below < left
+    }
+
+    /// Whether page `p`'s slice of the column holds `sur`: a binary
+    /// search, a comparison a probe and one for the entry it stops at.
+    fn holds(&self, p: usize, sur: Surrogate) -> bool {
+        let slice = self.column.page(p);
+        let mut probes = 0;
+        let at = slice.partition_point(|&s| {
+            probes += 1;
+            s < sur
+        });
+        self.cost.comp(probes + u64::from(at < slice.len()));
+        slice.get(at) == Some(&sur)
     }
 
     /// Read the next page into hand; a read that fails ends the run.
@@ -566,24 +632,42 @@ impl Iterator for RunReader {
     }
 }
 
-/// Page `p` holds surrogates from its fence up to the next page's fence:
-/// a seek to `sur` drops the tuples below it, in hand or on the next page
-/// read, and skips the pages whose next fence is below it, a comparison
-/// for each tuple and fence it looks at; a pull through `sur` reads a page
-/// only if its fence is at most `sur`. The page in hand is never read
-/// again.
+/// Page `p` holds the surrogates of its slice of the column. A seek to
+/// `sur` drops the tuples below it, in hand or on the next page read, and
+/// passes over the pages that cannot hold it: those whose next page opens
+/// below it, a comparison for each fence it looks at, and then the page it
+/// lands on if that page's slice lacks `sur` (a binary search, a comparison
+/// a probe) — onto the next page if that one opens with `sur`, else it stays
+/// and marks the page as lacking `sur`. A pull through `sur` reads a page
+/// only if its fence is at most `sur` and the seek did not find it lacking.
+/// The page in hand is never read again.
 impl Seek for RunReader {
     fn seek(&mut self, sur: Surrogate) -> u64 {
         self.sought = sur;
-        let mut skipped = 0;
-        if !self.drop_below_sought() {
-            let pages = self.total_pages as usize;
-            while (self.next_page as usize + 1) < pages && {
-                self.cost.comp(1);
-                self.fences[self.next_page as usize + 1] < sur
-            } {
+        self.lacks = false;
+        if self.drop_below_sought() {
+            return 0;
+        }
+        let (pages, mut skipped) = (self.total_pages as usize, 0);
+        let next_fence = |reader: &Self| {
+            let next = reader.next_page as usize + 1;
+            (next < pages).then(|| reader.column.fence(next))
+        };
+        while next_fence(self).is_some_and(|fence| {
+            self.cost.comp(1);
+            fence < sur
+        }) {
+            self.next_page += 1;
+            skipped += 1;
+        }
+        if (self.next_page as usize) < pages && !self.holds(self.next_page as usize, sur) {
+            // The last fence compared tells whether the next page opens
+            // with `sur`.
+            if next_fence(self) == Some(sur) {
                 self.next_page += 1;
                 skipped += 1;
+            } else {
+                self.lacks = true;
             }
         }
         skipped
@@ -596,7 +680,8 @@ impl Seek for RunReader {
                 Some(_) => return self.in_hand().map(Ok),
                 None => {}
             }
-            if self.next_page >= self.total_pages || self.fences[self.next_page as usize] > sur {
+            let page = self.next_page as usize;
+            if self.lacks || page >= self.total_pages as usize || self.column.fence(page) > sur {
                 return None;
             }
             if let Err(e) = self.load() {
@@ -785,28 +870,63 @@ mod tests {
         assert_eq!(prefix, (0..at as u32).collect::<Vec<u32>>(), "every key below it, in order");
     }
 
+    /// A seek and a pull through `sur` on `log`'s merge: what they yield,
+    /// the pages they read and the pages they pass over.
+    fn seek_through(log: &DiffLog, cost: &Cost, sur: u32) -> (Vec<u32>, u64, u64) {
+        let mut merged = log.merged().unwrap();
+        let ios = cost.total().ios;
+        let skipped = merged.seek(Surrogate(sur));
+        let got = std::iter::from_fn(|| merged.next_through(Surrogate(sur)));
+        let got: Vec<u32> = got.map(|t| t.unwrap().sur.0).collect();
+        (got, cost.total().ios - ios, skipped)
+    }
+
     #[test]
-    fn a_run_is_adopted_with_one_fence_in_order_for_each_page() {
+    fn a_seek_passes_the_page_before_a_surrogate_that_opens_the_next() {
+        let (disk, cost) = setup();
+        let mut log = DiffLog::new(&disk, &cost, 4, 7, false, |t| ji_sort_key(t.sur.0));
+        // Page 0 holds 0, 2, ..., 12; page 1 opens a chain of nine 20s
+        // that runs on into page 2, which ends with 30, 32, ... 38.
+        let surs = (0..7).map(|i| i * 2).chain([20; 9]).chain((30..40).step_by(2));
+        surs.for_each(|sur| log.add(tup(sur, 0)).unwrap());
+        log.seal().unwrap();
+        assert_eq!((log.num_runs(), log.pages()), (1, 3));
+        assert_eq!(seek_through(&log, &cost, 20), (vec![20; 9], 2, 1), "pages 1 and 2 only");
+        // 13 and 25 fall in page 0's and page 2's ranges and on neither.
+        assert_eq!(seek_through(&log, &cost, 13), (vec![], 0, 0));
+        assert_eq!(seek_through(&log, &cost, 25), (vec![], 0, 2));
+        assert_eq!(seek_through(&log, &cost, 32), (vec![32], 1, 2));
+    }
+
+    #[test]
+    fn a_run_is_adopted_by_reading_back_its_column() {
         let (disk, cost) = setup();
         let key = |t: &BaseTuple| ji_sort_key(t.sur.0);
         let mut log = DiffLog::new(&disk, &cost, 2, 7, false, key);
         for i in (0..14u32).rev() {
             log.add(tup(i * 3, 0)).unwrap();
         }
-        let (file, fences) = log.runs().next().map(|(f, fences)| (f, fences.to_vec())).unwrap();
-        assert_eq!(fences, vec![Surrogate(0), Surrogate(21)], "7 tuples a page");
+        let file = log.run_files().next().unwrap();
         let mut adopted = DiffLog::new(&disk, &cost, 2, 7, false, key);
-        for bad in [vec![Surrogate(0)], vec![Surrogate(21), Surrogate(0)]] {
-            let err = adopted.adopt_run(file, bad).unwrap_err();
-            assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
+        let ios = cost.total().ios;
+        adopted.adopt_run(file).unwrap();
+        assert_eq!(cost.total().ios - ios, 2, "each page read once");
+        assert_eq!(adopted.column_entries(), log.column_entries());
+        assert_eq!(seek_through(&adopted, &cost, 30), (vec![30], 1, 1));
+        // A run out of surrogate order, one gone, one that will not read.
+        let mut writer = trijoin_storage::heap::HeapWriter::create(&disk);
+        for sur in [5, 4] {
+            writer.add(&tup(sur, 0).to_bytes()).unwrap();
         }
-        adopted.adopt_run(file, fences).unwrap();
-        let mut merged = adopted.merged().unwrap();
-        assert_eq!(merged.seek(Surrogate(30)), 1, "the first page holds nothing from 30 on");
-        let rest: Vec<u32> = std::iter::from_fn(|| merged.next_through(Surrogate(36)))
-            .map(|t| t.unwrap().sur.0)
-            .collect();
-        assert_eq!(rest, vec![30, 33, 36]);
+        let unsorted = writer.finish().unwrap().file_id();
+        let gone = disk.create_file();
+        disk.delete_file(gone);
+        disk.install_fault_plan(trijoin_storage::FaultPlan::new().fail_nth_op(Some(file), 0));
+        for (run, why) in [(unsorted, "order"), (gone, "device"), (file, "will not read")] {
+            let err = adopted.adopt_run(run).unwrap_err();
+            assert!(matches!(&err, Error::Corrupt(m) if m.contains(why)), "{err:?}");
+        }
+        assert_eq!(adopted.num_runs(), 1);
     }
 
     #[test]

@@ -31,20 +31,22 @@
 //! against the stored tuple by the sweep's own rule
 //! ([`trijoin_btree::net_chain`]), under a `base.read_through` span. A
 //! scan reads every run page; a fetch seeks each run to each surrogate it
-//! asks for by the run's page fences — the first surrogate on each page,
-//! noted as the run spills, held in memory with the buffer and counted in
-//! the log's bound — and reads only the pages that can hold one
+//! asks for by the run's surrogate column — every record's surrogate,
+//! sliced by page, noted as the run spills (read back off the run when a
+//! reopened relation adopts it), held in memory with the buffer and
+//! counted in the log's bound — and reads only the pages that hold one
 //! (`base.read_through.pages`), passing the rest over unread
-//! (`base.read_through.skipped`). A reader settles instead when the log is
-//! frozen, or once the run pages readers have read through the log since
-//! its last settle reach `2·min(leaf pages, queued)`, the most that settle
-//! could now read and write: rent, then buy.
+//! (`base.read_through.skipped`), as Yao prices a batched fetch. A reader
+//! settles instead when the log is frozen, or once the run pages readers
+//! have read through the log since its last settle reach `2·min(leaf
+//! pages, queued)`, the most that settle could now read and write: rent,
+//! then buy.
 //! The sweep's cost is concave in the keys it nets, so a log left to grow
 //! across epochs is swept for far less than the epochs one by one.
 //! Statistics do not count as reads ([`StoredRelation::len_estimate`]).
 //!
 //! The log is bounded by space: [`APPLY_LOG_PAGES`] pages of records and
-//! the runs' fences in memory, spilled — through the differential log's
+//! the runs' columns in memory, spilled — through the differential log's
 //! run writer and merge, [`crate::diff::DiffLog`] — as surrogate-sorted
 //! runs, and a settle forced
 //! where the run pages would pass a quarter of the relation's leaf pages;
@@ -72,7 +74,7 @@ use trijoin_btree::{BTree, BTreeConfig, BTreeMeta, SweepOp, SweepStats};
 use trijoin_common::{
     BaseTuple, Cost, Error, FxHashSet, Json, OpCounts, Result, Surrogate, SystemParams,
 };
-use trijoin_storage::{Disk, FileId};
+use trijoin_storage::{Disk, FileId, SlottedPage};
 
 use crate::batch::TupleRef;
 use crate::sort::counted_sort_by;
@@ -93,18 +95,29 @@ pub const APPLY_LOG_PAGES: usize = 16;
 /// of its leaf pages ([`StoredRelation::apply_log_bound_pages`]).
 pub const APPLY_LOG_RUNS: usize = 16;
 
-/// Pages that `run_pages` fences fill in memory, one surrogate for each
-/// run page, counted whole.
-pub fn fence_pages(run_pages: u64, page_size: usize) -> u64 {
-    (run_pages * std::mem::size_of::<Surrogate>() as u64).div_ceil(page_size as u64)
+/// Pages that `entries` entries of the runs' surrogate columns fill in
+/// memory, 4 bytes each, counted whole.
+pub fn column_pages(entries: u64, page_size: usize) -> u64 {
+    (entries * std::mem::size_of::<Surrogate>() as u64).div_ceil(page_size as u64)
+}
+
+/// The pages the surrogate columns of `runs` full runs fill, at `per_page`
+/// records a run page: a surrogate for each record and a slice start for
+/// each page ([`column_pages`]).
+fn full_column_pages(runs: usize, per_page: usize, page_size: usize) -> u64 {
+    column_pages((runs * APPLY_LOG_PAGES * (per_page + 1)) as u64, page_size)
 }
 
 /// The pages an apply log at its floor of [`APPLY_LOG_RUNS`] runs may hold
 /// over a clustered tree `height` levels high: its buffer, a page for each
-/// run, the runs' fences and the sweep's path with its second leaf.
+/// run, the runs' surrogate columns and the sweep's path with its second
+/// leaf. The columns are priced at the most records a run page can hold
+/// (tuples with no payload), so the floor holds whatever the tuples' width.
 pub fn apply_log_floor_pages(height: usize, page_size: usize) -> u64 {
-    let runs = APPLY_LOG_RUNS * APPLY_LOG_PAGES;
-    (APPLY_LOG_PAGES + APPLY_LOG_RUNS + height + 1) as u64 + fence_pages(runs as u64, page_size)
+    let densest =
+        SlottedPage::records_per_page(page_size, BaseTuple::HEADER_BYTES + Pending::TRAILER);
+    (APPLY_LOG_PAGES + APPLY_LOG_RUNS + height + 1) as u64
+        + full_column_pages(APPLY_LOG_RUNS, densest, page_size)
 }
 
 /// Serialize one tree's [`BTreeMeta`] as a catalog object.
@@ -236,8 +249,8 @@ impl State {
     /// [`StoredRelation::apply_log_bound_pages`].
     fn bound_pages(&self) -> u64 {
         let runs = self.run_bound();
-        let fences = fence_pages((runs * APPLY_LOG_PAGES) as u64, self.log.page_size);
-        let now = (APPLY_LOG_PAGES + runs + self.clustered.sweep_pages()) as u64 + fences;
+        let column = full_column_pages(runs, self.log.per_page, self.log.page_size);
+        let now = (APPLY_LOG_PAGES + runs + self.clustered.sweep_pages()) as u64 + column;
         self.log.bound_pages.max(now)
     }
 
@@ -257,7 +270,7 @@ impl State {
             self.log.sort_buffer(cost);
             self.log.bound_pages = self.bound_pages();
             let log = &self.log;
-            let held = log.buffer_pages() + log.runs.num_runs() + log.fence_pages();
+            let held = log.buffer_pages() + log.runs.num_runs() + log.column_pages();
             log.hold(held + self.clustered.sweep_pages());
         }
         let skip = self.log.resume.unwrap_or(0);
@@ -443,9 +456,10 @@ impl StoredRelation {
     }
 
     /// Reattach to a persisted relation from its catalog entry, its apply
-    /// log included. Free of I/O charge (only the memory-resident roots
-    /// are reloaded); tuple and run pages are read lazily, charged, on
-    /// first access as usual.
+    /// log included. Free of I/O charge but for the apply log's runs, each
+    /// read once under `base.reopen` to rebuild its surrogate column (only
+    /// the memory-resident roots are reloaded); tuple pages are read
+    /// lazily, charged, on first access as usual.
     pub fn open(disk: &Disk, params: &SystemParams, j: &Json) -> Result<Self> {
         let name = j
             .get("name")
@@ -473,7 +487,7 @@ impl StoredRelation {
         };
         let mut rel = Self::assemble(disk, params, name, tuple_bytes, count, clustered, inverted);
         if let Some(log) = j.get("log") {
-            rel.state.get_mut().log.reopen(log)?;
+            rel.state.get_mut().log.reopen(log, disk.cost())?;
         }
         Ok(rel)
     }
@@ -591,7 +605,7 @@ impl StoredRelation {
             // one needs.
             return Err(self.held_open());
         } else {
-            log.hold(log.buffer_pages() + log.runs.num_runs() + log.fence_pages());
+            log.hold(log.buffer_pages() + log.runs.num_runs() + log.column_pages());
             Some(Rc::clone(&log.buffer))
         };
         Ok(Reader { rel: self, st, tail, cursor: None })
@@ -618,7 +632,7 @@ impl StoredRelation {
     }
 
     /// The most pages the apply log has held at once (buffer, one per run
-    /// being merged, the runs' fences, and the sweep's path): at most
+    /// being merged, the runs' surrogate columns, and the sweep's path): at most
     /// [`StoredRelation::apply_log_bound_pages`].
     pub fn apply_log_peak_pages(&self) -> u64 {
         self.state.borrow().log.peak_pages.get()
@@ -629,8 +643,8 @@ impl StoredRelation {
     /// [`BTree::sweep_pages`]), one per run — as many runs as keep
     /// their pages within a quarter of the relation's leaf pages,
     /// `max(APPLY_LOG_RUNS, min(leaves/4/APPLY_LOG_PAGES, |M| −
-    /// APPLY_LOG_PAGES − h − 1))` — and the fences of that many full runs
-    /// ([`fence_pages`]). Read off the trees as they stand, and never
+    /// APPLY_LOG_PAGES − h − 1))` — and the surrogate columns of that many
+    /// full runs ([`column_pages`]). Read off the trees as they stand, and never
     /// under what an earlier settle was held to.
     pub fn apply_log_bound_pages(&self) -> u64 {
         self.state.borrow().bound_pages()
@@ -1157,12 +1171,13 @@ mod tests {
         assert_eq!(disk.metrics().counter("base.settles"), 1, "no sixteenth run: a settle");
         assert_eq!(disk.metrics().counter("base.apply_log.runs"), APPLY_LOG_RUNS as u64 - 1);
         assert_eq!(rel.pending_ops(), 1, "the mutation that found the log full came after");
-        // Fifteen runs of 16 pages: 240 fences of 4 bytes, two 512-byte pages.
-        assert_eq!(fence_pages(15 * 16, 512), 2);
+        // Fifteen runs of 16 pages of 6 records: columns of 1 440 surrogates
+        // and 240 slice starts, 4 bytes each, fourteen 512-byte pages.
+        assert_eq!(column_pages(15 * 16 * 7, 512), 14);
         assert_eq!(
             rel.apply_log_peak_pages(),
-            (APPLY_LOG_PAGES + APPLY_LOG_RUNS - 1 + 2 + rel.height() + 1) as u64,
-            "the buffer, fifteen run pages, their fences and the path with its second leaf"
+            (APPLY_LOG_PAGES + APPLY_LOG_RUNS - 1 + 14 + rel.height() + 1) as u64,
+            "the buffer, fifteen run pages, their columns and the path with its second leaf"
         );
         assert_eq!(rel.get(Surrogate(7)).unwrap().unwrap().key, 7);
     }
@@ -1183,13 +1198,14 @@ mod tests {
         assert_eq!(rel.data_pages(), 1_200);
         let h = rel.height();
         let path = h + 1; // the sweep's path holds two leaves
-                          // The fences of 18, 17 and 16 full runs: 3, 3 and 2 pages.
-        let fences = |runs: u64| fence_pages(runs * 16, 512) as usize;
-        assert_eq!((fences(18), fences(17), fences(16)), (3, 3, 2));
-        assert_eq!(rel.apply_log_bound_pages(), (APPLY_LOG_PAGES + 18 + 3 + path) as u64);
+                          // The columns of 18, 17 and 16 full runs of 6 records a
+                          // page: 16, 15 and 14 pages.
+        let columns = |runs: u64| column_pages(runs * 16 * 7, 512) as usize;
+        assert_eq!((columns(18), columns(17), columns(16)), (16, 15, 14));
+        assert_eq!(rel.apply_log_bound_pages(), (APPLY_LOG_PAGES + 18 + 16 + path) as u64);
         let roomy = build(APPLY_LOG_PAGES + path + 17).1.apply_log_bound_pages();
-        assert_eq!(roomy, (16 + 17 + 3 + path) as u64);
-        assert_eq!(build(8).1.apply_log_bound_pages(), (16 + APPLY_LOG_RUNS + 2 + path) as u64);
+        assert_eq!(roomy, (16 + 17 + 15 + path) as u64);
+        assert_eq!(build(8).1.apply_log_bound_pages(), (16 + APPLY_LOG_RUNS + 14 + path) as u64);
         // The log fills to 17 runs and a buffer, then settles itself.
         let t = |n: u32| BaseTuple::padded(Surrogate(n * 7 % 6_000), n as u64, 64);
         for n in 0..18 * 96 {
@@ -1202,7 +1218,8 @@ mod tests {
         assert_eq!(disk.metrics().counter("base.settles"), 0, "a statistic is not a read");
         rel.apply_update(&t(0), &t(0)).unwrap();
         assert_eq!(disk.metrics().counter("base.settles"), 1);
-        assert_eq!(rel.apply_log_peak_pages(), rel.apply_log_bound_pages() - 1);
+        // Seventeen runs and their columns, one run and a column page short.
+        assert_eq!(rel.apply_log_peak_pages(), rel.apply_log_bound_pages() - 2);
         let did = rel.take_settled();
         assert_eq!((did.ops, did.keys, did.leaf_pages, did.tuples), (1_728, 1_728, 1_200, 6_000));
         assert!(did.charged.ios > 0 && rel.take_settled() == SettleStats::default());

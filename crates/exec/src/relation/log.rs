@@ -9,7 +9,7 @@ use trijoin_btree::{net_chain, Netted, SweepOp};
 use trijoin_common::{BaseTuple, Cost, CounterId, Error, Json, Result, Surrogate, SystemParams};
 use trijoin_storage::{Disk, FileId, SlottedPage};
 
-use super::{fence_pages, SettleStats, APPLY_LOG_PAGES};
+use super::{column_pages, SettleStats, APPLY_LOG_PAGES};
 use crate::diff::{DiffLog, SortKey};
 use crate::sort::{counted_sort_by, KWayMerge, Seek};
 use crate::strategy::Mutation;
@@ -43,7 +43,7 @@ pub(super) struct Pending {
 
 impl Pending {
     /// Bytes a spilled record carries after the tuple: `seq`, then `kind`.
-    const TRAILER: usize = 5;
+    pub(super) const TRAILER: usize = 5;
 
     /// Surrogate order, submission order within one surrogate.
     fn sort_key(&self) -> SortKey {
@@ -169,7 +169,7 @@ pub(super) struct ApplyLog {
     pub(super) buffer: Rc<Vec<Pending>>,
     pub(super) sorted: bool,
     pub(super) cap: usize,
-    per_page: usize,
+    pub(super) per_page: usize,
     pub(super) page_size: usize,
     /// Buffers that filled up, as surrogate-sorted runs.
     pub(super) runs: DiffLog,
@@ -189,8 +189,8 @@ pub(super) struct ApplyLog {
     /// Owed to the inverted tree by changes that landed in the clustered.
     pub(super) postings: Vec<Posting>,
     /// Most pages the log has held at once: buffer, one per run being
-    /// merged, the runs' fences, and the path the sweep holds (none for a
-    /// read-through).
+    /// merged, the runs' surrogate columns, and the path the sweep holds
+    /// (none for a read-through).
     pub(super) peak_pages: Cell<u64>,
     /// The widest bound a settle has held those pages to (the bound moves
     /// with the relation's size).
@@ -248,9 +248,9 @@ impl ApplyLog {
         self.buffer.len().div_ceil(self.per_page)
     }
 
-    /// Pages the runs' fences fill in memory ([`fence_pages`]).
-    pub(super) fn fence_pages(&self) -> usize {
-        fence_pages(self.runs.pages(), self.page_size) as usize
+    /// Pages the runs' surrogate columns fill in memory ([`column_pages`]).
+    pub(super) fn column_pages(&self) -> usize {
+        column_pages(self.runs.column_entries(), self.page_size) as usize
     }
 
     /// Put the buffer in surrogate order, unless it is.
@@ -283,14 +283,10 @@ impl ApplyLog {
         Ok(())
     }
 
-    /// The catalog form of a sealed log: its runs (each a file and its
-    /// page fences), `seq`, `queued` and `net_inserts`.
+    /// The catalog form of a sealed log: its runs' files, `seq`, `queued`
+    /// and `net_inserts`.
     pub(super) fn to_json(&self) -> Json {
-        let runs = self.runs.runs().map(|(file, fences)| {
-            let fences: Vec<Json> = fences.iter().map(|sur| Json::from(sur.0 as u64)).collect();
-            Json::obj().set("file", file.0 as u64).set("fences", fences)
-        });
-        let runs: Vec<Json> = runs.collect();
+        let runs: Vec<Json> = self.runs.run_files().map(|file| Json::from(file.0 as u64)).collect();
         Json::obj()
             .set("runs", runs)
             .set("seq", self.seq as u64)
@@ -298,18 +294,17 @@ impl ApplyLog {
             .set("net_inserts", self.net_inserts as f64)
     }
 
-    /// Reopen the log a catalog names ([`ApplyLog::to_json`]).
-    pub(super) fn reopen(&mut self, j: &Json) -> Result<()> {
+    /// Reopen the log a catalog names ([`ApplyLog::to_json`]), reading
+    /// each run once under a `base.reopen` span to rebuild its surrogate
+    /// column ([`DiffLog::adopt_run`]).
+    pub(super) fn reopen(&mut self, j: &Json, cost: &Cost) -> Result<()> {
         let corrupt = |k: &str| Error::Corrupt(format!("catalog apply log: bad field {k}"));
         let field = |k: &str| j.get(k).and_then(Json::as_f64).ok_or_else(|| corrupt(k));
         let runs = j.get("runs").and_then(Json::as_arr).ok_or_else(|| corrupt("runs"))?;
-        let u32_of = |j: &Json| j.as_u64().and_then(|n| u32::try_from(n).ok());
+        let _span = (!runs.is_empty()).then(|| cost.section("base.reopen"));
         for run in runs {
-            let file = run.get("file").and_then(u32_of).ok_or_else(|| corrupt("runs"))?;
-            let fences = run.get("fences").and_then(Json::as_arr).ok_or_else(|| corrupt("runs"))?;
-            let fences =
-                fences.iter().map(|f| u32_of(f).map(Surrogate).ok_or_else(|| corrupt("runs")));
-            self.runs.adopt_run(FileId(file), fences.collect::<Result<_>>()?)?;
+            let file = run.as_u64().and_then(|n| u32::try_from(n).ok());
+            self.runs.adopt_run(FileId(file.ok_or_else(|| corrupt("runs"))?))?;
         }
         (self.seq, self.queued) = (field("seq")? as u32, field("queued")? as u64);
         self.net_inserts = field("net_inserts")? as i64;

@@ -110,9 +110,9 @@ impl Cursor {
     /// The operations on each of the sorted `keys`, in order, keys without
     /// any left out, under `base.read_through` (a buffer alone charges
     /// nothing). The log is sought to each key before it is read, so what
-    /// is read is each run page whose fences say it can hold a key. A key
-    /// at or below one an earlier call asked for is refused: its operations
-    /// are behind the cursor.
+    /// is read is each run page whose slice of its run's surrogate column
+    /// holds a key. A key at or below one an earlier call asked for is
+    /// refused: its operations are behind the cursor.
     fn chains_of(&mut self, keys: &[u64]) -> Result<Vec<(u64, Vec<Pending>)>> {
         let cost = self.cost.clone();
         let _span = self.spilled.then(|| cost.section("base.read_through"));
@@ -247,8 +247,9 @@ impl Reader<'_> {
     /// algorithms) — each run page of the log too, across all of this
     /// reader's fetches, which must ask for rising surrogates. The log is
     /// read as Yao prices it: the cursor seeks every run to each surrogate
-    /// by the fences it keeps in memory (the first surrogate on each run
-    /// page), so it reads only the run pages that can hold one, each once.
+    /// by the surrogate column it keeps in memory (every record's
+    /// surrogate, sliced by page), so it reads only the run pages that hold
+    /// one, each once.
     pub fn fetch_by_surrogates(
         &mut self,
         sorted_surs: &[Surrogate],

@@ -174,16 +174,18 @@ where
 
 /// A stream of records in surrogate order that can move forward by
 /// surrogate without reading what it passes over: a run of a log sorted
-/// on the surrogate first, with the page fences it keeps in memory, or a
-/// merge of such streams.
+/// on the surrogate first, with the surrogate column it keeps in memory
+/// (every record's surrogate, sliced by page), or a merge of such streams.
 pub trait Seek: Iterator<Item = Result<BaseTuple>> {
     /// Pass over every record below `sur`: drop those in hand and skip
-    /// the pages that can hold nothing else. Reads nothing; returns the
-    /// pages skipped.
+    /// the pages that hold nothing else, and a page that lacks `sur` when
+    /// the next one opens with it. Reads nothing; returns the pages
+    /// skipped.
     fn seek(&mut self, sur: Surrogate) -> u64;
 
     /// The next record if its surrogate is at most `sur`, reading a page
-    /// only if its fence says it can hold one; `None` (no read) otherwise.
+    /// only if its slice of the column holds `sur` (after a seek to `sur`);
+    /// `None` (no read) otherwise.
     fn next_through(&mut self, sur: Surrogate) -> Option<Result<BaseTuple>>;
 }
 

@@ -1,8 +1,8 @@
 //! Reading a base relation through its apply log: a [`Reader`] that
 //! merges the queued mutations into what it reads must see exactly what a
 //! reader sees after a settle — ill-formed mutations included — leave the
-//! log as it found it, read for a fetch only the run pages whose fences say
-//! they can hold a surrogate it asks for, settle instead once reading
+//! log as it found it, read for a fetch only the run pages that hold a
+//! surrogate it asks for, settle instead once reading
 //! through stops paying, and fail over to the strategies' restart and
 //! recovery paths when a run page cannot be read.
 
@@ -78,33 +78,25 @@ fn fetch(reader: &mut Reader<'_>, chunks: &[Vec<Surrogate>]) -> Vec<BaseTuple> {
     out
 }
 
-/// Each page's fence in `run`: the surrogate of its first record.
-fn fences(disk: &Disk, run: FileId) -> Vec<u32> {
+/// The surrogates on each page of `run`, read off the run file.
+fn run_pages_of(disk: &Disk, run: FileId) -> Vec<Vec<u32>> {
     let heap = HeapFile::open(disk, run);
-    let first = |page| {
-        let mut first = None;
+    let surs = |page| {
+        let mut surs = Vec::new();
         heap.for_each_page_record(page, |_, bytes| {
-            first.get_or_insert_with(|| BaseTuple::from_bytes(bytes).unwrap().sur.0);
+            surs.push(BaseTuple::from_bytes(bytes).unwrap().sur.0);
         })
         .unwrap();
-        first.expect("a run page holds a record")
+        surs
     };
-    (0..heap.num_pages()).map(first).collect()
+    (0..heap.num_pages()).map(surs).collect()
 }
 
-/// The run pages a fetch of `keys` reads: page `p` of a run can hold the
-/// surrogates from its fence to the next page's (the last page, any from
-/// its fence on), and is read once if one of `keys` is among them.
-fn fence_selected(disk: &Disk, runs: &[FileId], keys: &[u32]) -> u64 {
-    let selected = |run: &FileId| {
-        let fences = fences(disk, *run);
-        let can_hold = |p: usize| {
-            let above = fences.get(p + 1).copied().unwrap_or(u32::MAX);
-            keys.iter().any(|&k| fences[p] <= k && k <= above)
-        };
-        (0..fences.len()).filter(|&p| can_hold(p)).count() as u64
-    };
-    runs.iter().map(selected).sum()
+/// The run pages a fetch of `keys` reads: each page whose records include
+/// one of `keys`, once.
+fn column_selected(disk: &Disk, runs: &[FileId], keys: &[u32]) -> u64 {
+    let pages = runs.iter().flat_map(|&run| run_pages_of(disk, run));
+    pages.filter(|surs| surs.iter().any(|sur| keys.contains(sur))).count() as u64
 }
 
 /// `(base.read_through.pages, base.read_through.skipped)` on `disk`.
@@ -119,13 +111,16 @@ proptest! {
     /// Scans and chunked, rising fetches through the log equal the same
     /// reads after a settle; the log is untouched by them, and the settle
     /// that follows refuses and writes what it would have anyway. A fetch
-    /// reads exactly the run pages its fences select: a sparse one a few,
-    /// one that asks a surrogate on every page all of them.
+    /// reads exactly the run pages whose records include a surrogate it
+    /// asks for: a sparse one a few, one that asks for every surrogate all
+    /// of them. The sparse one asks for the first surrogate of a few run
+    /// pages too, which the page before may lack.
     #[test]
     fn reading_through_equals_settling_then_reading(
         ops in prop::collection::vec(op(), 200..330),
         cuts in prop::collection::vec((1usize..50, any::<bool>()), 1..40),
         picks in prop::collection::vec(0..N + FRESH, 1..12),
+        firsts in prop::collection::vec(0usize..1 << 16, 1..4),
     ) {
         let (through_disk, settled_disk) =
             (SimDisk::new(&params(), Cost::new()), SimDisk::new(&params(), Cost::new()));
@@ -152,16 +147,19 @@ proptest! {
         }
 
         // A sparse fetch, in two rising chunks.
+        let runs: Vec<FileId> = through.file_ids().skip(1).collect();
+        let pages: Vec<Vec<u32>> =
+            runs.iter().flat_map(|&run| run_pages_of(&through_disk, run)).collect();
+        let run_pages = pages.len() as u64;
         let mut picks = picks;
+        picks.extend(firsts.iter().map(|first| pages[first % pages.len()][0]));
         picks.sort_unstable();
         picks.dedup();
         let (low, high) = picks.split_at(picks.len() / 2);
         let sparse: Vec<Vec<Surrogate>> =
             [low, high].iter().map(|half| half.iter().copied().map(Surrogate).collect()).collect();
-        let runs: Vec<FileId> = through.file_ids().skip(1).collect();
-        let run_pages: u64 = runs.iter().map(|&run| fences(&through_disk, run).len() as u64).sum();
         let all: Vec<u32> = (0..N + FRESH).collect();
-        prop_assert_eq!(fence_selected(&through_disk, &runs, &all), run_pages);
+        prop_assert_eq!(column_selected(&through_disk, &runs, &all), run_pages);
 
         let queued = through.pending_ops();
         let (picked, scanned, fetched) = {
@@ -170,7 +168,7 @@ proptest! {
             let picked = fetch(&mut reader, &sparse);
             drop(reader);
             let (pages, skipped) = read_through_pages(&through_disk);
-            prop_assert_eq!(pages, fence_selected(&through_disk, &runs, &picks));
+            prop_assert_eq!(pages, column_selected(&through_disk, &runs, &picks));
             prop_assert!(pages + skipped <= run_pages, "{pages} read, {skipped} skipped");
             let scanned = scan(&through.reader().unwrap());
             let mut reader = through.reader().unwrap();
@@ -248,12 +246,14 @@ fn readers_rent_the_log_until_a_settle_pays_then_buy() {
 }
 
 /// The same relation's run, read by fetches: a fetch seeks the run by its
-/// page fences (a surrogate every 57 here, 19 records of every third
-/// surrogate to a page), so the page that can hold the surrogates it asks
-/// for is the one it reads and the seven before it are skipped. A fetch
-/// that asks a surrogate on every page reads every page.
+/// surrogate column (19 records of every third surrogate to a page, page
+/// `p` from `57·p` to `57·p + 54`), so it reads the pages that hold a
+/// surrogate it asks for and passes over the rest: those before, one whose
+/// range a surrogate falls in but which lacks it, and one that lacks a
+/// surrogate opening the next page. A fetch that asks a surrogate on every
+/// page reads every page.
 #[test]
-fn a_fetch_reads_only_the_run_pages_its_surrogates_can_be_on() {
+fn a_fetch_reads_only_the_run_pages_that_hold_its_surrogates() {
     let params = SystemParams::paper_defaults();
     let disk = SimDisk::new(&params, Cost::new());
     let tuples = (0..72 * 14).map(|i| BaseTuple::padded(Surrogate(i), i as u64, 200)).collect();
@@ -263,7 +263,9 @@ fn a_fetch_reads_only_the_run_pages_its_surrogates_can_be_on() {
         rel.apply_update(&update(i), &update(i)).unwrap();
     }
     let run = rel.file_ids().nth(1).unwrap();
-    assert_eq!(fences(&disk, run), (0..16).map(|p| 57 * p).collect::<Vec<u32>>());
+    let pages: Vec<Vec<u32>> =
+        (0..16).map(|p| (57 * p..57 * p + 57).step_by(3).collect()).collect();
+    assert_eq!(run_pages_of(&disk, run), pages);
     let fetch = |surs: &[u32]| {
         let (pages, skipped) = read_through_pages(&disk);
         let mut got = Vec::new();
@@ -280,6 +282,11 @@ fn a_fetch_reads_only_the_run_pages_its_surrogates_can_be_on() {
         BaseTuple::padded(Surrogate(451), 451, 200),
     ];
     assert_eq!((got, pages, skipped), (want, 1, 7));
+    // 452 falls in page 7's range and is not on it; 456 opens page 8, which
+    // page 7 lacks; 457 falls in page 8's range. Only page 8 is read.
+    let (got, pages, skipped) = fetch(&[452, 456, 457]);
+    let keys: Vec<(u32, u64)> = got.iter().map(|t| (t.sur.0, t.key)).collect();
+    assert_eq!((keys, pages, skipped), (vec![(452, 452), (456, 7), (457, 457)], 1, 8));
     // One surrogate in the middle of each page: ji_cycle's dense shape.
     let every: Vec<u32> = (0..16).map(|p| 57 * p + 27).collect();
     let (got, pages, skipped) = fetch(&every);

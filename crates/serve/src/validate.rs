@@ -253,11 +253,12 @@ fn check_base_pages_bound(
 
 /// The apply-log contract of an engine's base relations
 /// (`exec::relation`): the log holds its buffer, one page for each run
-/// being merged, the runs' fences and the path the sweep holds, so
-/// `base.apply_log.peak_pages` stays within the bound the report carries,
-/// `base.apply_log.bound_pages` — or, in a report without one (a log at its
-/// floor stamps none), within 16 + 16 + the fences of 16 full runs at the
-/// report's page size + `base.tree_height` + 1 (the path holds a second
+/// being merged, the runs' surrogate columns and the path the sweep holds,
+/// so `base.apply_log.peak_pages` stays within the bound the report
+/// carries, `base.apply_log.bound_pages` — or, in a report without one (a
+/// log within its floor stamps none), within 16 + 16 + the columns of 16
+/// full runs of the densest run pages at the report's page size (4 bytes a
+/// record and a page) + `base.tree_height` + 1 (the path holds a second
 /// leaf) — and a report is taken with the log empty,
 /// `base.apply_log.pending` = 0: a report that says otherwise describes
 /// trees some acknowledged mutation has not reached. Reports from builds
@@ -736,7 +737,7 @@ mod tests {
 
     #[test]
     fn apply_log_peak_above_its_constant_bound_is_rejected() {
-        let (report, outgrown) = report_with_gauge("base.apply_log.peak_pages", 38.0);
+        let (report, outgrown) = report_with_gauge("base.apply_log.peak_pages", 82.0);
         validate_report_json("s.json", &report.to_json()).unwrap();
         let shard = &report.shards[0].metrics;
         // The query read the shard's updates through the log's buffer; the
@@ -746,21 +747,22 @@ mod tests {
         assert_eq!(shard.counter("base.settles"), 1, "the report settled the shard's updates");
         assert_eq!(shard.gauge("base.tree_height"), Some(2.0));
         // A few buffer pages and the two-level path, far under the floor of
-        // 16 + 16 + 3 and two 512-byte pages for 16 full runs' 256 fences.
+        // 16 + 16 + 3 and 46 512-byte pages for the columns of 16 full runs
+        // of 256 pages of 22 records (the most a 512-byte page holds).
         let peak = shard.gauge("base.apply_log.peak_pages").expect("gauge is stamped");
         assert!(peak > 2.0 && peak < 8.0, "{peak} pages");
         let err = validate_report_json("s.json", &outgrown.to_json()).unwrap_err();
-        assert!(err.contains("shard0") && err.contains("base.apply_log.peak_pages = 38"), "{err}");
-        let (_, at_the_bound) = report_with_gauge("base.apply_log.peak_pages", 37.0);
+        assert!(err.contains("shard0") && err.contains("base.apply_log.peak_pages = 82"), "{err}");
+        let (_, at_the_bound) = report_with_gauge("base.apply_log.peak_pages", 81.0);
         validate_report_json("s.json", &at_the_bound.to_json()).unwrap();
         // A larger relation's log is held to the bound its report carries.
         assert_eq!(shard.gauge("base.apply_log.bound_pages"), None, "a log at its floor");
         let mut roomy = outgrown.clone();
-        roomy.shards[0].metrics.gauges.push(("base.apply_log.bound_pages".into(), 38.0));
+        roomy.shards[0].metrics.gauges.push(("base.apply_log.bound_pages".into(), 82.0));
         validate_report_json("s.json", &roomy.to_json()).unwrap();
-        roomy.shards[0].metrics.gauges.last_mut().unwrap().1 = 37.5;
+        roomy.shards[0].metrics.gauges.last_mut().unwrap().1 = 81.5;
         let err = validate_report_json("s.json", &roomy.to_json()).unwrap_err();
-        assert!(err.contains("above its bound 37.5"), "{err}");
+        assert!(err.contains("above its bound 81.5"), "{err}");
     }
 
     #[test]

@@ -300,38 +300,33 @@ fn a_crash_between_a_forced_settle_and_the_next_commit_reopens_every_named_run()
     assert_all_strategies_agree(&db, &committed, &s0);
 }
 
-/// The run pages a fetch of `keys` can need, from each run's page fences
-/// (the first surrogate on each page): page `p` can hold the surrogates from
-/// its fence to the next page's, the last page any from its fence on.
-fn fence_selected(db: &Database, runs: &[FileId], keys: &[u32]) -> u64 {
+/// The run pages a fetch of `keys` reads: each page of `runs` whose
+/// records, read off the run file, include one of `keys`.
+fn column_selected(db: &Database, runs: &[FileId], keys: &[u32]) -> u64 {
+    let holds_a_key = |heap: &HeapFile, page| {
+        let mut hit = false;
+        heap.for_each_page_record(page, |_, bytes| {
+            hit |= keys.contains(&BaseTuple::from_bytes(bytes).unwrap().sur.0);
+        })
+        .unwrap();
+        hit
+    };
     let selected = |run: &FileId| {
         let heap = HeapFile::open(db.disk(), *run);
-        let fence = |page| {
-            let mut first = None;
-            heap.for_each_page_record(page, |_, bytes| {
-                first.get_or_insert_with(|| BaseTuple::from_bytes(bytes).unwrap().sur.0);
-            })
-            .unwrap();
-            first.unwrap()
-        };
-        let fences: Vec<u32> = (0..heap.num_pages()).map(fence).collect();
-        let can_hold = |p: usize| {
-            let above = fences.get(p + 1).copied().unwrap_or(u32::MAX);
-            keys.iter().any(|&k| fences[p] <= k && k <= above)
-        };
-        (0..fences.len()).filter(|&p| can_hold(p)).count() as u64
+        (0..heap.num_pages()).filter(|&page| holds_a_key(&heap, page)).count() as u64
     };
     runs.iter().map(selected).sum()
 }
 
-/// A durable commit seals `R`'s log into runs the catalog names with their
-/// page fences. After a crash the reopened log seeks by them: a sparse
-/// fetch answers as the committed relation does and reads only the run
-/// pages the fences select. A catalog of the version before fences is
-/// refused.
+/// A durable commit seals `R`'s log into runs the catalog names by file.
+/// After a crash the reopened log reads each run once, under
+/// `base.reopen`, to rebuild its surrogate column, and seeks by it: a
+/// sparse fetch answers as the committed relation does and reads only the
+/// run pages that hold a surrogate it asks for. A catalog of the version
+/// before the columns, which carried page fences, is refused.
 #[test]
-fn a_reopened_log_seeks_by_the_fences_its_catalog_names() {
-    let dir = fresh_dir("fences");
+fn a_reopened_log_rebuilds_its_surrogate_columns_and_seeks_by_them() {
+    let dir = fresh_dir("columns");
     let (r0, s0) = (tuples(120, 0), tuples(30, 0));
     let mut committed = r0.clone();
     let mut db = Database::create_durable(&params(), r0, s0, &dir).unwrap();
@@ -343,9 +338,12 @@ fn a_reopened_log_seeks_by_the_fences_its_catalog_names() {
 
     let db = Database::open_durable(&params(), &dir).unwrap();
     assert_eq!(db.r().file_ids().skip(1).collect::<Vec<_>>(), runs);
+    let run_pages: u64 = runs.iter().map(|&run| db.disk().num_pages(run).unwrap() as u64).sum();
+    let reopen = db.cost().span_tree().into_iter().find(|span| span.name == "base.reopen");
+    assert_eq!(reopen.map(|span| span.cum_ops.ios), Some(run_pages), "each run page read once");
     let keys = [7u32, 64, 65, 111];
     let want: Vec<BaseTuple> = keys.iter().map(|&k| committed[k as usize].clone()).collect();
-    let selected = fence_selected(&db, &runs, &keys);
+    let selected = column_selected(&db, &runs, &keys);
     let (metrics, mut got) = (db.metrics(), Vec::new());
     let surs: Vec<Surrogate> = keys.iter().copied().map(Surrogate).collect();
     db.r().fetch_by_surrogates(&surs, |t| got.push(t)).unwrap();
@@ -354,15 +352,15 @@ fn a_reopened_log_seeks_by_the_fences_its_catalog_names() {
     assert!(metrics.counter("base.read_through.skipped") > 0, "the seeks skipped pages");
     assert_eq!(db.r().pending_ops(), 250, "the fetch read the log through");
 
-    let old = read_catalog(db.disk()).unwrap().set("version", 3u64);
+    let old = read_catalog(db.disk()).unwrap().set("version", 4u64);
     write_catalog(db.disk(), &old).unwrap();
     db.disk().commit().unwrap();
     drop(db);
     let Err(err) = Database::open_durable(&params(), &dir) else {
-        panic!("a version-3 catalog opened");
+        panic!("a version-4 catalog opened");
     };
     assert!(
-        matches!(&err, Error::Corrupt(m) if m == "catalog version 3 (this build reads 4)"),
+        matches!(&err, Error::Corrupt(m) if m == "catalog version 4 (this build reads 5)"),
         "{err:?}"
     );
 }

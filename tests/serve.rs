@@ -668,7 +668,7 @@ fn churn_soak_gives_base_pages_back() {
     // pages were read off reports, which settle first: none of them is a
     // run of the log. In between the view's queries leave `R`'s log to
     // grow — it settles when it is full, not once a round — and its peak
-    // stays within its own bound: buffer, runs, their fences and path,
+    // stays within its own bound: buffer, runs, their columns and path,
     // never the trees'.
     for (shard, report) in report.shards.iter().enumerate() {
         let gauge = |name: &str| report.metrics.gauge(name).unwrap();
@@ -1029,4 +1029,29 @@ fn cross_shard_churn_keeps_base_pages_packed() {
             "shard {shard}: {pages} pages of R for {packed} leaves packed full"
         );
     }
+}
+
+/// Two pinned shards, the join index queried after every few updates: `R`'s
+/// log spills multi-page runs of 512-byte pages and each query fetches the
+/// `R` tuples it joins through them. Every round answers as the oracle
+/// does, and the fetches read some run pages and pass others over unread
+/// (the pages whose surrogate column lacks every surrogate asked for).
+#[test]
+fn join_index_fetches_through_spilled_logs_skip_the_pages_they_need_not_read() {
+    let spec = WorkloadSpec { r_tuples: 1_200, sr: 0.05, ..spec(0.0) };
+    let w = spec.generate();
+    let cfg = config(2, 16);
+    let server = Server::start(&cfg, w.r.clone(), w.s.clone()).unwrap();
+    let session = server.session().unwrap();
+    let mut clients = ClientTraffic::split(&w, &cfg, 2);
+    for round in 0..32 {
+        submit(&session, &mut clients, 40);
+        let want = oracle_answer(&clients, &w.s);
+        assert_eq!(session.query(Method::JoinIndex).unwrap(), want, "round {round}");
+    }
+    let report = session.report().unwrap();
+    let m = &report.rollup.metrics;
+    let (pages, skipped) =
+        (m.counter("base.read_through.pages"), m.counter("base.read_through.skipped"));
+    assert!(pages > 0 && skipped > 0, "{pages} run pages read, {skipped} passed over");
 }
