@@ -117,8 +117,12 @@ cargo test -q --release -p trijoin --test mutations cycle_rounds_settle
 # it reads must be exactly those holding a surrogate it asks for, with a
 # fault on every one of them answered or returned, where column and page
 # arithmetic that wraps would hide behind compiled-out debug assertions. The
-# same through two pinned shards, whose join-index queries fetch `R` through
-# spilled multi-page runs round after round against the oracle.
+# rent laws ride along: a join-index or hybrid-hash reader whose held runs
+# cost it passes or spill pays exactly that, the first reader once the rent
+# reaches a settle's price settles, and view-only traffic pays none while
+# the log fills to half of `R`'s leaves. The same through two pinned shards,
+# whose join-index queries fetch `R` through spilled multi-page runs round
+# after round against the oracle.
 cargo test -q --release -p trijoin-exec --test read_through
 cargo test -q --release -p trijoin-serve --test serve join_index_fetches
 # The metrics registry is bounded by live files: 200 view cycles that each

@@ -5,7 +5,8 @@
 //! Run one with: `cargo run --release -p trijoin-bench --bin figures -- <name>`
 
 use trijoin::{
-    Database, Experiment, Fig5Breakdown, JoinStrategy, Mutation, SystemParams, WorkloadSpec,
+    CachedStrategy, Database, Experiment, Fig5Breakdown, JoinStrategy, Method, Mutation, OpCounts,
+    SystemParams, WorkloadSpec,
 };
 use trijoin_common::{Json, Result, ViewTuple};
 use trijoin_exec::hybridhash::first_pass_fraction;
@@ -24,6 +25,7 @@ pub const FIGURES: &[Figure] = &[
     Figure { name: "ablation_pra", json: "ablation_pra", body: ablation_pra },
     Figure { name: "ablation_projection", json: "ablation_projection", body: ablation_projection },
     Figure { name: "ablation_skew", json: "ablation_skew", body: ablation_skew },
+    Figure { name: "settle", json: "settle", body: settle },
 ];
 
 /// The engine figures' memory: 80 pages, for 4000-tuple relations.
@@ -451,4 +453,92 @@ fn ablation_skew(out: &mut Rendered, json: Json) -> Result<Json> {
         "yet. Every result above was verified against the oracle.",
     ];
     Ok(json.set("rows", rows))
+}
+
+/// `R`'s upkeep at the repo benchmark's cycle shape as `|M|` shrinks: ‖R‖ =
+/// ‖S‖ = 40 000 tuples of 200 B, SR = 0.01, groups of 20, Pr_A = 0.1, 6 %
+/// of `R` updated and one full join a round, for each strategy at `|M|` =
+/// 100, 150 and 200 pages. A round's simulated seconds split into the
+/// strategy's (its logging and its query, reading `R`'s log through
+/// included) and `base` (`R`'s spills and settles); then the settles per
+/// hundred rounds, and the rent a round the strategy's reads paid `R`'s log
+/// for the `|M|` their held runs took (`base.read_through.rent`). The log
+/// holds runs up to half of `R`'s leaf pages, and the join index and hybrid
+/// hash lose to its held runs the memory they size their passes and
+/// partitions by: this is where a bound too long for a small `|M|` shows.
+/// Every answer is checked against the oracle.
+fn settle(out: &mut Rendered, json: Json) -> Result<Json> {
+    const ROUNDS: u64 = 100;
+    let spec = WorkloadSpec {
+        r_tuples: 40_000,
+        s_tuples: 40_000,
+        group_size: 20,
+        ..WorkloadSpec::engine_scale(0.01, 0.06, 0.1, 1990)
+    };
+    let gen = spec.generate();
+    let (mut rows, mut view_rent) = (Vec::new(), 0);
+    for mem_pages in [100, 150, 200] {
+        let params = SystemParams { mem_pages, ..paper_params() };
+        for method in Method::all() {
+            let mut db = Database::new(&params, gen.r.clone(), gen.s.clone())?;
+            let mut strategy = CachedStrategy::build(&db, method)?;
+            db.reset_observability();
+            let mut stream = gen.update_stream();
+            for round in 0..ROUNDS {
+                for _ in 0..gen.updates_per_epoch() {
+                    let m = Mutation::Update(stream.next_update());
+                    db.mutate(false, &m, |_| strategy.as_dyn().on_mutation(&m))?;
+                }
+                let got = db.query(strategy.as_dyn())?;
+                let want = oracle::join_tuples(stream.current(), &gen.s);
+                oracle::assert_same_join(
+                    &format!("{method} |M| {mem_pages} round {round}"),
+                    got,
+                    want,
+                );
+            }
+            let mut base = OpCounts::default();
+            for span in db.cost().span_tree() {
+                if span.depth == 0 && matches!(span.name.as_str(), "base.spill" | "base.settle") {
+                    base.add(&span.cum_ops);
+                }
+            }
+            let total = db.cost().total();
+            let per_round = |ops: &OpCounts| ops.time_secs(&params) / ROUNDS as f64;
+            let metrics = db.metrics();
+            let rent = metrics.counter("base.read_through.rent");
+            if method == Method::MaterializedView {
+                view_rent += rent;
+            }
+            rows.push(
+                Json::obj()
+                    .set("mem_pages", mem_pages)
+                    .set("method", method.label())
+                    .set("secs", per_round(&total))
+                    .set("strategy_secs", per_round(&total.delta_since(&base)))
+                    .set("base_secs", per_round(&base))
+                    .set("settles_per_100", metrics.counter("base.settles") * 100 / ROUNDS)
+                    .set("rent_pages", rent / ROUNDS),
+            );
+        }
+    }
+    out.line("== R's upkeep at the cycle shape (40 000 tuples, 6% activity) by |M| ==");
+    let cols = [
+        Col::show("mem_pages", "|M|", 5),
+        Col::show("method", "method", 18).left(),
+        Col::fixed("secs", "s/round", 10, 2),
+        Col::fixed("strategy_secs", "strategy", 10, 2),
+        Col::fixed("base_secs", "base", 9, 2),
+        Col::show("settles_per_100", "settles/100", 13),
+        Col::show("rent_pages", "rent/round", 12),
+    ];
+    out.table(&cols, &rows);
+    let checks = out.checks(&[("the view's queries pay no rent", view_rent == 0)]);
+    out.reading = &[
+        "",
+        "reading: the view never reads R, so it pays no rent and its log settles",
+        "itself when full; the join index and hybrid hash read the log through and",
+        "pay rent for the memory its runs hold, which settles it sooner at small |M|.",
+    ];
+    Ok(json.set("rows", rows).set("checks", checks))
 }

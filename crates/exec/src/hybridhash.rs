@@ -384,6 +384,7 @@ impl JoinStrategy for HybridHash {
                 Err(e) => return Err(e),
             }
         };
+        r.pay_rent(self.spill_rent(&r, s));
         self.disk.metrics().counter_add_id(self.c_emitted, buffered.len() as u64);
         for vt in buffered {
             sink(vt);
@@ -393,6 +394,25 @@ impl JoinStrategy for HybridHash {
 }
 
 impl HybridHash {
+    /// `q` for `r_pages` of `R` and `mem_pages` of memory.
+    fn q(&self, r_pages: u64, mem_pages: usize) -> f64 {
+        if self.grace_mode {
+            return 0.0;
+        }
+        first_pass_fraction(r_pages, &SystemParams { mem_pages, ..self.params.clone() })
+    }
+
+    /// The spill I/O the pages `R`'s read-through holds cost the join: they
+    /// shrink `q`, and each relation's share of the difference is written
+    /// to a partition and read back, `2·(q(|M|) − q(|M| − held))·(|R| +
+    /// |S|)` pages. Read off statistics that neither settle nor charge
+    /// (`S` settled before the join).
+    fn spill_rent(&self, r: &Reader<'_>, s: &StoredRelation) -> u64 {
+        let (m, r_pages) = (self.params.mem_pages, r.data_pages());
+        let lost = self.q(r_pages, m) - self.q(r_pages, m.saturating_sub(r.pages_held() as usize));
+        (2.0 * lost * (r_pages + s.data_pages()) as f64).round() as u64
+    }
+
     /// One full §3.4 join (pass 0 plus spilled passes), fallible on any
     /// injected device fault; [`JoinStrategy::execute`] wraps it with the
     /// restart fallback (which re-runs under the `hh.recover` section).
@@ -416,7 +436,7 @@ impl HybridHash {
         let r_pages = r.data_pages();
         let b = spilled_partitions(r_pages, &params).max(u64::from(self.grace_mode));
         self.disk.metrics().gauge_set("hh.spilled_partitions", b as f64);
-        let q = if self.grace_mode { 0.0 } else { first_pass_fraction(r_pages, &params) };
+        let q = self.q(r_pages, params.mem_pages);
 
         // Pass 0 over R: build partition 0 into a columnar batch (the hash
         // table maps join key -> row indices), spill 1..=B. A spilled

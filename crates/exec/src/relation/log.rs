@@ -195,8 +195,10 @@ pub(super) struct ApplyLog {
     /// The widest bound a settle has held those pages to (the bound moves
     /// with the relation's size).
     pub(super) bound_pages: u64,
-    /// Run pages readers have read through the log since it last settled.
-    pub(super) read_pages: Cell<u64>,
+    /// Rent readers have paid on the log since it last settled: run pages
+    /// read through it, and what the `|M|` their held runs took cost the
+    /// strategy that read ([`super::Reader::pay_rent`]).
+    pub(super) rent: Cell<u64>,
     /// Operations refused so far, over the relation's life.
     pub(super) rejected: u64,
     pub(super) c_settles: CounterId,
@@ -207,6 +209,7 @@ pub(super) struct ApplyLog {
     pub(super) c_reads: CounterId,
     pub(super) c_read_pages: CounterId,
     pub(super) c_read_skipped: CounterId,
+    pub(super) c_read_rent: CounterId,
 }
 
 impl ApplyLog {
@@ -230,7 +233,7 @@ impl ApplyLog {
             postings: Vec::new(),
             peak_pages: Cell::new(0),
             bound_pages: 0,
-            read_pages: Cell::new(0),
+            rent: Cell::new(0),
             rejected: 0,
             c_settles: metrics.counter_handle("base.settles"),
             c_ops: metrics.counter_handle("base.settle.ops"),
@@ -240,6 +243,7 @@ impl ApplyLog {
             c_reads: metrics.counter_handle("base.read_through.reads"),
             c_read_pages: metrics.counter_handle("base.read_through.pages"),
             c_read_skipped: metrics.counter_handle("base.read_through.skipped"),
+            c_read_rent: metrics.counter_handle("base.read_through.rent"),
         }
     }
 

@@ -165,9 +165,30 @@ pub struct Reader<'a> {
 
 impl Reader<'_> {
     /// Pages of `|M|` the read-through holds: an input page per run of the
-    /// log (the buffer is memory the log holds anyway).
+    /// log (the buffer is memory the log holds anyway). The strategy that
+    /// reads takes them from its own `|M|` and pays the log rent for what
+    /// that costs it ([`Reader::pay_rent`]).
     pub fn pages_held(&self) -> u64 {
         self.tail.as_ref().map_or(0, |_| self.st.log.runs.num_runs() as u64)
+    }
+
+    /// Run pages this reader's fetches have read through the log so far.
+    pub fn pages_read(&self) -> u64 {
+        self.cursor.as_ref().map_or(0, |cursor| cursor.pages)
+    }
+
+    /// Pay the log `pages` of rent for the `|M|` this read-through held:
+    /// the I/O the strategy paid because [`Reader::pages_held`] took that
+    /// memory from it. It counts with the run pages read toward the price
+    /// of a settle (module docs), and in `base.read_through.rent`. Charges
+    /// nothing on the ledger; a reader that holds no page owes nothing.
+    pub fn pay_rent(&self, pages: u64) {
+        if self.pages_held() == 0 || pages == 0 {
+            return;
+        }
+        let log = &self.st.log;
+        log.rent.set(log.rent.get() + pages);
+        self.rel.disk.metrics().counter_add_id(log.c_read_rent, pages);
     }
 
     /// Leaf pages of the clustered tree as it stands (`|R|` for an
@@ -190,7 +211,7 @@ impl Reader<'_> {
     /// Count one read through the log.
     fn finish(&self, cursor: Cursor) {
         let (log, metrics) = (&self.st.log, self.rel.disk.metrics());
-        log.read_pages.set(log.read_pages.get() + cursor.pages);
+        log.rent.set(log.rent.get() + cursor.pages);
         metrics.incr_id(log.c_reads);
         metrics.counter_add_id(log.c_read_pages, cursor.pages);
         metrics.counter_add_id(log.c_read_skipped, cursor.skipped);

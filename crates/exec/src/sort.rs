@@ -9,6 +9,9 @@
 //! closely (verified by tests in the model crate). A merge of record
 //! streams in surrogate order can also seek by surrogate ([`Seek`]).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use trijoin_common::{BaseTuple, Cost, Result, Surrogate};
 
 /// Sort `items` by a precomputed key, charging every comparison (`comp`)
@@ -97,11 +100,14 @@ fn quicksort<T, K: Ord + Copy>(
 }
 
 /// Streaming k-way merge of pre-sorted sources by `key`, charging the
-/// actual comparisons (linear minimum scan over the k heads — the paper's
-/// heap would be `lg k`; with the small `N1`-sized fan-ins of the
-/// differential pipelines the difference is nanoseconds against a 25 ms
-/// I/O) and one `move` per emitted item. Each source's next item is read
-/// ahead; a source must keep returning `None` once it is done.
+/// comparisons of a linear minimum scan over the heads in hand (one fewer
+/// than there are heads, an item; the paper's heap would be `lg k`, and
+/// with the small `N1`-sized fan-ins of the differential pipelines the
+/// difference is nanoseconds against a 25 ms I/O) and one `move` per
+/// emitted item. The minimum itself is found with a heap, so a merge of
+/// many runs costs the host `lg k` an item. Each source's next item is
+/// read ahead, ties going to the lower source; a source must keep
+/// returning `None` once it is done.
 pub struct KWayMerge<T, K, I>
 where
     I: Iterator<Item = T>,
@@ -110,6 +116,15 @@ where
     sources: Vec<I>,
     /// Each source's item read ahead.
     heads: Vec<Option<T>>,
+    /// The heads by key, then source, each stamped with its source's stamp
+    /// when it was read: an entry whose head has since gone is stale.
+    queue: BinaryHeap<Reverse<(K, usize, u64)>>,
+    /// Per source, the stamp of its head in hand.
+    stamps: Vec<u64>,
+    /// Heads in hand.
+    held: usize,
+    /// The sources without a head in hand that are not known to be done.
+    vacant: Vec<usize>,
     key_of: Box<dyn Fn(&T) -> K>,
     cost: Cost,
 }
@@ -122,35 +137,57 @@ where
     /// Merge `sources` (each already sorted by `key_of`).
     pub fn new(sources: Vec<I>, key_of: impl Fn(&T) -> K + 'static, cost: Cost) -> Self {
         let heads = sources.iter().map(|_| None).collect();
-        KWayMerge { sources, heads, key_of: Box::new(key_of), cost }
+        let n = sources.len();
+        let (queue, stamps) = (BinaryHeap::with_capacity(n), vec![0; n]);
+        let key_of = Box::new(key_of);
+        KWayMerge { sources, heads, queue, stamps, held: 0, vacant: (0..n).collect(), key_of, cost }
     }
 
-    /// The source whose head sorts first, among the heads read ahead.
-    fn least(&self) -> Option<usize> {
-        let mut best: Option<(usize, K)> = None;
-        let mut comps = 0u64;
-        for (i, head) in self.heads.iter().enumerate() {
-            if let Some(item) = head {
-                let k = (self.key_of)(item);
-                match best {
-                    None => best = Some((i, k)),
-                    Some((_, bk)) => {
-                        comps += 1;
-                        if k < bk {
-                            best = Some((i, k));
-                        }
-                    }
-                }
-            }
+    /// Read ahead, in source order, in every source without a head in
+    /// hand, by `pull`; with `done`, one that yields nothing is done.
+    fn refill(&mut self, done: bool, mut pull: impl FnMut(&mut I) -> Option<T>) {
+        if self.vacant.len() > 1 {
+            self.vacant.sort_unstable();
         }
-        self.cost.comp(comps);
-        best.map(|(i, _)| i)
+        let mut vacant = std::mem::take(&mut self.vacant);
+        vacant.retain(|&i| {
+            let Some(item) = pull(&mut self.sources[i]) else { return !done };
+            self.stamps[i] += 1;
+            self.queue.push(Reverse(((self.key_of)(&item), i, self.stamps[i])));
+            self.heads[i] = Some(item);
+            self.held += 1;
+            false
+        });
+        self.vacant = vacant;
+    }
+
+    /// Let go of source `i`'s head: its entry in the queue goes stale.
+    fn drop_head(&mut self, i: usize) -> Option<T> {
+        let head = self.heads[i].take();
+        if head.is_some() {
+            self.held -= 1;
+            self.vacant.push(i);
+        }
+        head
+    }
+
+    /// The source whose head sorts first, among the heads read ahead,
+    /// charged as a scan of them.
+    fn least(&mut self) -> Option<usize> {
+        self.cost.comp(self.held.saturating_sub(1) as u64);
+        while let Some(&Reverse((_, i, stamp))) = self.queue.peek() {
+            if self.heads[i].is_some() && self.stamps[i] == stamp {
+                return Some(i);
+            }
+            self.queue.pop();
+        }
+        None
     }
 
     /// Hand out the head of source `i`.
     fn take(&mut self, i: usize) -> Option<T> {
         self.cost.mov(1);
-        self.heads[i].take()
+        self.drop_head(i)
     }
 }
 
@@ -162,11 +199,7 @@ where
     type Item = T;
 
     fn next(&mut self) -> Option<T> {
-        for (src, head) in self.sources.iter_mut().zip(&mut self.heads) {
-            if head.is_none() {
-                *head = src.next();
-            }
-        }
+        self.refill(true, I::next);
         let i = self.least()?;
         self.take(i)
     }
@@ -210,27 +243,23 @@ where
 {
     fn seek(&mut self, sur: Surrogate) -> u64 {
         let mut skipped = 0;
-        for (src, head) in self.sources.iter_mut().zip(&mut self.heads) {
-            if let Some(Ok(t)) = head {
+        for i in 0..self.sources.len() {
+            if let Some(Ok(t)) = &self.heads[i] {
                 self.cost.comp(1);
                 if t.sur >= sur {
                     continue;
                 }
-                *head = None;
+                self.drop_head(i);
             }
-            if head.is_none() {
-                skipped += src.seek(sur);
+            if self.heads[i].is_none() {
+                skipped += self.sources[i].seek(sur);
             }
         }
         skipped
     }
 
     fn next_through(&mut self, sur: Surrogate) -> Option<Result<BaseTuple>> {
-        for (src, head) in self.sources.iter_mut().zip(&mut self.heads) {
-            if head.is_none() {
-                *head = src.next_through(sur);
-            }
-        }
+        self.refill(false, |src| src.next_through(sur));
         let i = self.least()?;
         match &self.heads[i] {
             Some(Ok(t)) if t.sur > sur => None,
@@ -331,6 +360,18 @@ mod tests {
             KWayMerge::new(vec![a.into_iter(), b.into_iter(), c.into_iter()], |x| *x, cost)
                 .collect();
         assert_eq!(merged, vec![1, 1, 1, 2, 2]);
+    }
+
+    #[test]
+    fn kway_merge_gives_ties_to_the_lower_source_and_charges_a_scan_of_its_heads() {
+        let cost = Cost::new();
+        let runs = vec![vec![(1u64, 'a'), (3, 'a')], vec![(1, 'b'), (2, 'b')], vec![(1, 'c')]];
+        let sources = runs.into_iter().map(|r| r.into_iter()).collect();
+        let merged: Vec<(u64, char)> =
+            KWayMerge::new(sources, |x: &(u64, char)| x.0, cost.clone()).collect();
+        assert_eq!(merged, vec![(1, 'a'), (1, 'b'), (1, 'c'), (2, 'b'), (3, 'a')]);
+        // Three heads in hand for the first three items, then two, then one.
+        assert_eq!((cost.total().comps, cost.total().moves), (2 + 2 + 2 + 1, 5));
     }
 
     #[test]

@@ -11,10 +11,11 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use trijoin_common::{BaseTuple, Cost, Error, Surrogate, SystemParams};
-use trijoin_exec::hybridhash::spilled_partitions;
+use trijoin_exec::hybridhash::{first_pass_fraction, spilled_partitions};
+use trijoin_exec::relation::APPLY_LOG_PAGES;
 use trijoin_exec::{
-    execute_collect, oracle, HybridHash, JoinIndexStrategy, JoinStrategy, Mutation, Reader,
-    StoredRelation, Update,
+    execute_collect, oracle, HybridHash, JoinIndexStrategy, JoinStrategy, MaterializedView,
+    Mutation, Reader, StoredRelation, Update,
 };
 use trijoin_storage::{Disk, FaultPlan, FileId, HeapFile, SimDisk};
 
@@ -426,6 +427,44 @@ fn sparse_fixture() -> Fixture {
     Fixture { disk, r, s, ji, hh, runs, want }
 }
 
+/// Seals of `R`'s log in [`held_runs_fixture`], each spilling a run of one
+/// page.
+const HELD_RUNS: u32 = 12;
+
+/// `R` of 800 tuples, nine in ten of which join one tuple of `S` each (400
+/// tuples, their keys distinct), so that a join-index pass ends where
+/// `|JI_k|` ends it, not at the end of a long group. `R`'s log is
+/// [`HELD_RUNS`] runs of one page, each sealed after four updates of tuples
+/// that join nothing: a reader holds a page of `|M|` for each run, a
+/// join-index fetch reads none of them, and the join index logs nothing.
+fn held_runs_fixture() -> Fixture {
+    let params = fixture_params();
+    let cost = Cost::new();
+    let disk = SimDisk::new(&params, cost.clone());
+    let key = |i: u32| if i % 10 == 9 { 1_000 + i as u64 } else { (i % 400) as u64 };
+    let s_tuples: Vec<BaseTuple> = (0..400).map(|i| tuple(i, i as u64, 0)).collect();
+    let mut mirror: Vec<BaseTuple> = (0..800).map(|i| tuple(i, key(i), 0)).collect();
+    let mut r = StoredRelation::build(&disk, &params, "R", mirror.clone(), false).unwrap();
+    let s = StoredRelation::build(&disk, &params, "S", s_tuples.clone(), true).unwrap();
+    let ji = JoinIndexStrategy::build(&disk, &params, &cost, &r, &s).unwrap();
+    let hh = HybridHash::new(&disk, &params, &cost);
+    let before = disk.live_files();
+    for n in 0..4 * HELD_RUNS {
+        let i = 10 * n as usize + 9;
+        let new = tuple(i as u32, key(i as u32), 1);
+        r.apply_update(&mirror[i], &new).unwrap();
+        mirror[i] = new;
+        if n % 4 == 3 {
+            r.seal().unwrap();
+        }
+    }
+    let runs: Vec<FileId> = disk.live_files().into_iter().filter(|f| !before.contains(f)).collect();
+    assert_eq!(runs.len(), HELD_RUNS as usize);
+    let want = oracle::join_tuples(&mirror, &s_tuples);
+    disk.metrics().reset();
+    Fixture { disk, r, s, ji, hh, runs, want }
+}
+
 /// Every run page a sparse join-index pass reads, faulted in turn: once,
 /// which the run reader's retry heals, and fatally, which the query
 /// returns. Either way the answer is the oracle's or a typed error, and
@@ -566,4 +605,157 @@ fn hybrid_hash_partitions_the_memory_the_read_through_leaves() {
     f.r.scan(|t| r_now.push(t)).unwrap();
     f.s.scan(|t| s_now.push(t)).unwrap();
     oracle::assert_same_join("hh", got, oracle::join_tuples(&r_now, &s_now));
+}
+
+/// Rent paid so far: run pages read through `R`'s log, and `|M|` rent.
+fn rent_paid(disk: &Disk) -> u64 {
+    let metrics = disk.metrics();
+    metrics.counter("base.read_through.pages") + metrics.counter("base.read_through.rent")
+}
+
+/// A join-index query whose reader holds `R`'s runs makes more passes than
+/// all of `|M|` would need (as many as the query makes once `R` settled),
+/// and pays `R`'s log for them: the extra passes at the I/O a pass of the
+/// query paid. Its fetches read no run page, so the rent alone brings the
+/// settle: readers read through until it reaches `2·min(leaves, queued)`,
+/// and the next settles instead.
+#[test]
+fn rent_for_held_runs_is_the_join_index_passes_they_cost() {
+    // The passes a query made, and the I/O it paid.
+    let query = |f: &mut Fixture| {
+        let (before, passes) = (f.disk.cost().total().ios, f.disk.cost().span_tree());
+        let invocations = |spans: Vec<trijoin_common::SpanRecord>| {
+            spans.iter().find(|s| s.name == "ji.read_index").map_or(0, |s| s.invocations)
+        };
+        let got = execute_collect(&mut f.ji, &f.r, &f.s).unwrap();
+        oracle::assert_same_join("ji", got, f.want.clone());
+        let passes = invocations(f.disk.cost().span_tree()) - invocations(passes);
+        (passes, f.disk.cost().total().ios - before)
+    };
+    let mut settled = held_runs_fixture();
+    let leaves = settled.r.data_pages();
+    let (passes_at_zero, _) = query(&mut settled);
+    let mut f = held_runs_fixture();
+    let (queued, disk) = (f.r.pending_ops(), f.disk.clone());
+    let metrics = disk.metrics();
+    let (passes, ios) = query(&mut f);
+    assert!(passes > passes_at_zero, "{passes} passes, {passes_at_zero} with all of |M|");
+    assert_eq!(metrics.counter("base.read_through.pages"), 0, "no run holds a fetched tuple");
+    let rent = (passes - passes_at_zero) * ios / passes;
+    assert!(rent > 0);
+    assert_eq!(metrics.counter("base.read_through.rent"), rent);
+    let price = 2 * leaves.min(queued);
+    let mut reads = 1;
+    while rent_paid(&f.disk) < price {
+        assert_eq!(query(&mut f), (passes, ios), "the same query, read through");
+        reads += 1;
+        assert_eq!(metrics.counter("base.read_through.rent"), reads * rent);
+    }
+    assert_eq!(
+        (metrics.counter("base.read_through.reads"), metrics.counter("base.settles")),
+        (reads, 0)
+    );
+    let (passes, _) = query(&mut f);
+    assert_eq!((passes, f.r.pending_ops()), (passes_at_zero, 0), "a settle, then all of |M|");
+    assert_eq!(
+        (metrics.counter("base.read_through.reads"), metrics.counter("base.settles")),
+        (reads, 1)
+    );
+    assert_eq!(
+        metrics.counter("base.read_through.rent"),
+        reads * rent,
+        "a settled reader owes none"
+    );
+}
+
+/// A hybrid-hash query whose reader holds `R`'s runs keeps a smaller share
+/// `q` of `R` in memory, and pays `R`'s log the spill that costs it: the
+/// lost share of both relations written and read back, `2·(q(|M|) − q(|M|
+/// − held))·(|R| + |S|)` pages. With its scan's run pages it brings the
+/// settle sooner: the first reader once the two reach `2·min(leaves,
+/// queued)` settles, where the pages alone would have read on.
+#[test]
+fn rent_for_held_runs_is_the_hybrid_hash_spill_they_cost() {
+    let mut f = held_runs_fixture();
+    let (queued, metrics, params) = (f.r.pending_ops(), f.disk.metrics(), fixture_params());
+    let (held, leaves) = {
+        let reader = f.r.reader().unwrap();
+        (reader.pages_held() as usize, reader.data_pages())
+    };
+    assert_eq!(held, HELD_RUNS as usize);
+    let q = |mem_pages| first_pass_fraction(leaves, &SystemParams { mem_pages, ..params.clone() });
+    let lost = q(params.mem_pages) - q(params.mem_pages - held);
+    let rent = (2.0 * lost * (leaves + f.s.data_pages()) as f64).round() as u64;
+    assert!(rent > 0, "q = {} at |M|, {lost} less", q(params.mem_pages));
+    let price = 2 * leaves.min(queued);
+    let mut reads = 0;
+    while rent_paid(&f.disk) < price {
+        let got = execute_collect(&mut f.hh, &f.r, &f.s).unwrap();
+        oracle::assert_same_join("hh", got, f.want.clone());
+        reads += 1;
+        let read =
+            (metrics.counter("base.read_through.pages"), metrics.counter("base.read_through.rent"));
+        assert_eq!(read, (reads * HELD_RUNS as u64, reads * rent), "a page a run, and the spill");
+        assert_eq!(metrics.counter("base.settles"), 0);
+    }
+    assert!(reads * (HELD_RUNS as u64) < price, "the pages alone would read on");
+    let got = execute_collect(&mut f.hh, &f.r, &f.s).unwrap();
+    oracle::assert_same_join("hh settles", got, f.want.clone());
+    assert_eq!(
+        (metrics.counter("base.read_through.reads"), metrics.counter("base.settles")),
+        (reads, 1)
+    );
+    assert_eq!(
+        metrics.counter("base.read_through.rent"),
+        reads * rent,
+        "a settled reader owes none"
+    );
+}
+
+/// The view's queries never read `R`, so under view-only traffic `R`'s log
+/// is paid no rent: it settles of its own accord, when its runs would pass
+/// half of `R`'s leaf pages — more than its floor of 16 runs here, and
+/// under what `|M|` can merge.
+#[test]
+fn rent_is_not_paid_under_view_only_traffic_and_the_log_fills_to_half() {
+    let params = SystemParams { page_size: 512, mem_pages: 64, ..SystemParams::paper_defaults() };
+    let cost = Cost::new();
+    let disk = SimDisk::new(&params, cost.clone());
+    let key = |i: u32| if i.is_multiple_of(40) { (i % 7) as u64 } else { 100 + i as u64 };
+    let n = 6_000;
+    let mut mirror: Vec<BaseTuple> = (0..n).map(|i| tuple(i, key(i), 0)).collect();
+    let s_tuples: Vec<BaseTuple> = (0..200).map(|i| tuple(i, (i % 7) as u64, 0)).collect();
+    let mut r = StoredRelation::build(&disk, &params, "R", mirror.clone(), false).unwrap();
+    let s = StoredRelation::build(&disk, &params, "S", s_tuples.clone(), true).unwrap();
+    let mut mv = MaterializedView::build(&disk, &params, &cost, &r, &s).unwrap();
+    let runs = r.data_pages() as usize / 2 / APPLY_LOG_PAGES;
+    assert!(runs > 16, "{runs} runs fill half the leaves");
+    let metrics = disk.metrics();
+    metrics.reset();
+    let (mut at, mut spilled) = (0u32, 0);
+    while metrics.counter("base.settles") == 0 {
+        spilled = metrics.counter("base.apply_log.runs");
+        let i = at * 7 % n;
+        let old = mirror[i as usize].clone();
+        let new = tuple(i, old.key, (at % 5) as u8 + 1);
+        let m = Mutation::Update(Update { old, new: new.clone() });
+        mv.on_mutation(&m).unwrap();
+        r.apply_mutation(&m).unwrap();
+        mirror[i as usize] = new;
+        at += 1;
+        if at.is_multiple_of(500) {
+            let got = execute_collect(&mut mv, &r, &s).unwrap();
+            oracle::assert_same_join(
+                &format!("mv at {at}"),
+                got,
+                oracle::join_tuples(&mirror, &s_tuples),
+            );
+        }
+    }
+    assert_eq!(spilled as usize, runs - 1, "a run short of the bound, and a full buffer");
+    assert!(at > 2_000);
+    assert_eq!(metrics.counter("base.read_through.reads"), 0, "the view never read R");
+    assert_eq!(metrics.counter("base.read_through.rent"), 0);
+    let got = execute_collect(&mut mv, &r, &s).unwrap();
+    oracle::assert_same_join("mv", got, oracle::join_tuples(&mirror, &s_tuples));
 }

@@ -765,6 +765,44 @@ mod tests {
         assert!(err.contains("above its bound 81.5"), "{err}");
     }
 
+    /// A relation of the repo benchmark's `ji_cycle` shape (40 000 tuples
+    /// of 200 B on 4 000-byte pages, `|M|` = 200) may hold runs over half
+    /// its 2 858 leaves, 89 of them, and their columns: a bound above the
+    /// floor, which its report carries and is held to.
+    #[test]
+    fn a_cycle_shaped_relations_report_carries_its_bound_and_is_held_to_it() {
+        use trijoin::Database;
+        use trijoin_common::{BaseTuple, Surrogate, SystemParams};
+
+        let params = SystemParams { mem_pages: 200, ..SystemParams::paper_defaults() };
+        let tuples: Vec<BaseTuple> =
+            (0..40_000).map(|i| BaseTuple::padded(Surrogate(i), (i % 2_000) as u64, 200)).collect();
+        let db = Database::new(&params, tuples.clone(), tuples).unwrap();
+        let (leaves, height) = (db.r().data_pages(), db.r().height());
+        assert_eq!((leaves, height), (2_858, 3));
+        // 89 runs of 16 pages of 19 records: columns of 28 480 surrogates
+        // and slice starts, 4 bytes each, 29 pages; the path holds 4.
+        let bound = db.r().apply_log_bound_pages();
+        assert_eq!(bound, 16 + 89 + 29 + 4);
+        // The floor prices 16 full runs' columns at 173 records a page, 45
+        // pages; it would hold this log to 81.
+        let floor = apply_log_floor_pages(height, params.page_size);
+        assert_eq!(floor, 16 + 16 + 45 + 4);
+        let report = db.run_report("cycle");
+        assert_eq!(report.metrics.gauge("base.apply_log.bound_pages"), Some(bound as f64));
+        validate_report_json("r.json", &report.to_json()).unwrap();
+        let with_peak = |peak: u64| {
+            let mut edited = report.clone();
+            let gauges = &mut edited.metrics.gauges;
+            gauges.iter_mut().find(|(k, _)| k == "base.apply_log.peak_pages").unwrap().1 =
+                peak as f64;
+            validate_report_json("r.json", &edited.to_json())
+        };
+        with_peak(bound).unwrap();
+        let err = with_peak(bound + 1).unwrap_err();
+        assert!(err.contains(&format!("above its bound {bound}")), "{err}");
+    }
+
     #[test]
     fn mutations_still_queued_in_a_report_are_rejected() {
         let (report, queued) = report_with_gauge("base.apply_log.pending", 3.0);

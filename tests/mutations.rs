@@ -431,8 +431,9 @@ fn an_update_undone_in_a_later_epoch_writes_no_leaf() {
 /// settles `R` while reading its log through still pays. The view's query
 /// never reads `R`; the join index's and hybrid hash's read the log under
 /// `base.read_through`, a span inside their own (that read is the query's
-/// work), and the log keeps every operation. Once the run pages read reach
-/// `2·min(leaf pages, queued)`, the next reader settles instead, once,
+/// work), and the log keeps every operation. Once the rent — run pages read,
+/// and the `|M|` rent of held runs — reaches `2·min(leaf pages, queued)`,
+/// the next reader settles instead, once,
 /// under a root-level `base.settle` that no `ji.*` span absorbs, that
 /// `query.us` leaves out and that the query's start event comes after.
 /// Every query answers the oracle's join.
@@ -461,8 +462,14 @@ fn a_relation_is_read_through_until_a_settle_pays() {
     oracle::assert_same_join("mv", got, want.clone());
     assert_eq!(db.metrics().counter("base.read_through.reads"), 0, "the view's query read R");
 
+    // The rent: run pages read through the log, and what the `|M|` the
+    // held runs took cost the join index's passes and hybrid hash's spill.
+    let rent = |db: &Database| {
+        let metrics = db.metrics();
+        metrics.counter("base.read_through.pages") + metrics.counter("base.read_through.rent")
+    };
     let mut reads = 0;
-    while db.metrics().counter("base.read_through.pages") < 2 * leaves.min(queued) {
+    while rent(&db) < 2 * leaves.min(queued) {
         let strategy: &mut dyn JoinStrategy = if reads % 2 == 0 { &mut ji } else { &mut hh };
         let got = db.query(&mut Forwarding(strategy)).unwrap();
         oracle::assert_same_join(&format!("read-through {reads}"), got, want.clone());
