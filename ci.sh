@@ -113,14 +113,17 @@ cargo test -q --release -p trijoin-serve --test golden_ledger
 # front of every query again, or a statistic that forces a sweep, fails
 # here rather than at the driver.
 cargo test -q --release -p trijoin --test mutations cycle_rounds_settle
-# A fetch through the log seeks each run by its surrogate column: the pages
-# it reads must be exactly those holding a surrogate it asks for, with a
-# fault on every one of them answered or returned, where column and page
-# arithmetic that wraps would hide behind compiled-out debug assertions. The
-# rent laws ride along: a join-index or hybrid-hash reader whose held runs
-# cost it passes or spill pays exactly that, the first reader once the rent
-# reaches a settle's price settles, and view-only traffic pays none while
-# the log fills to half of `R`'s leaves. The same through two pinned shards,
+# A fetch through the log reads it run by run, seeking each run by its
+# surrogate column: fetches in any order equal settle-then-fetch, and each
+# call reads exactly the run pages holding a surrogate it asks for, with a
+# fault on every one of them returned and the next fetch answering right,
+# where column and page arithmetic that wraps would hide behind compiled-out
+# debug assertions. The rent laws ride along: a join index over a spilled
+# log makes the passes it makes with none and pays no rent, a hybrid-hash
+# scan whose held runs cost it spill pays exactly that, the first reader
+# once the rent reaches a settle's price settles, and view-only traffic pays
+# none while the log fills to three quarters of `R`'s leaves. The same
+# through two pinned shards,
 # whose join-index queries fetch `R` through spilled multi-page runs round
 # after round against the oracle.
 cargo test -q --release -p trijoin-exec --test read_through

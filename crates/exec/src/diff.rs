@@ -24,7 +24,7 @@ use std::rc::Rc;
 use trijoin_common::{BaseTuple, Cost, CounterId, Error, FxHashSet, Metrics, Result, Surrogate};
 use trijoin_storage::{Disk, FileId, HeapFile};
 
-use crate::sort::{counted_sort_by, KWayMerge, Seek};
+use crate::sort::{counted_sort_by, KWayMerge};
 
 /// 128-bit sort key for differential tuples.
 pub type SortKey = u128;
@@ -53,9 +53,9 @@ struct Run {
 /// A run's surrogate column: the surrogate of every record, in run order,
 /// sliced by page — page `p`'s slice starts at `starts[p]`, so its first
 /// entry is the page's fence. Noted as the run spills, or read back off
-/// the run when it is adopted. A seek by surrogate ([`Seek`]) reads it; it
-/// is meaningful in a log sorted on the surrogate first (the join index's,
-/// a base relation's apply log).
+/// the run when it is adopted. A seek by surrogate ([`RunReader::seek`])
+/// reads it; it is meaningful in a log sorted on the surrogate first (the
+/// join index's, a base relation's apply log).
 #[derive(Clone, Default)]
 struct Column {
     surs: Rc<[Surrogate]>,
@@ -298,11 +298,15 @@ impl DiffLog {
     /// as it reads it.
     pub fn merged(&self) -> Result<Merged> {
         debug_assert!(self.buf.is_empty(), "seal() or spill() before merged()");
-        let sources: Vec<RunReader> =
-            self.runs.iter().map(|r| self.reader(&r.heap, r.column.clone())).collect();
+        let sources: Vec<RunReader> = self.run_readers().collect();
         let key = self.key_of.clone();
         let key = move |t: &Result<BaseTuple>| t.as_ref().map_or(0, |t| key(t));
         Ok(KWayMerge::new(sources, key, self.cost.clone()))
+    }
+
+    /// A reader of each run, at its head, in the order the runs spilled.
+    pub fn run_readers(&self) -> impl Iterator<Item = RunReader> + '_ {
+        self.runs.iter().map(|r| self.reader(&r.heap, r.column.clone()))
     }
 
     /// Start over: drop every run file and forget what was logged, keeping
@@ -510,7 +514,7 @@ pub(crate) struct SFold<J> {
 pub type Merged = KWayMerge<Result<BaseTuple>, SortKey, RunReader>;
 
 /// Streams tuples out of one sorted run (one read I/O per page), and
-/// seeks in it by its surrogate column ([`Seek`]).
+/// seeks in it by its surrogate column ([`RunReader::seek`]).
 ///
 /// Transient device faults heal with bounded retry (re-read I/O charged
 /// under the `diff.retry` section). Anything else is the stream's last
@@ -632,17 +636,18 @@ impl Iterator for RunReader {
     }
 }
 
-/// Page `p` holds the surrogates of its slice of the column. A seek to
-/// `sur` drops the tuples below it, in hand or on the next page read, and
-/// passes over the pages that cannot hold it: those whose next page opens
-/// below it, a comparison for each fence it looks at, and then the page it
-/// lands on if that page's slice lacks `sur` (a binary search, a comparison
-/// a probe) — onto the next page if that one opens with `sur`, else it stays
-/// and marks the page as lacking `sur`. A pull through `sur` reads a page
-/// only if its fence is at most `sur` and the seek did not find it lacking.
-/// The page in hand is never read again.
-impl Seek for RunReader {
-    fn seek(&mut self, sur: Surrogate) -> u64 {
+/// Seeking by surrogate, in a run sorted on the surrogate first, to
+/// rising surrogates: page `p` holds the surrogates of its slice of the
+/// column. The page in hand is never read again.
+impl RunReader {
+    /// Pass over every record below `sur`: drop the tuples below it, in
+    /// hand or on the next page read, and pass over the pages that cannot
+    /// hold it: those whose next page opens below it, a comparison for each
+    /// fence it looks at, and then the page it lands on if that page's slice
+    /// lacks `sur` (a binary search, a comparison a probe) — onto the next
+    /// page if that one opens with `sur`, else it stays and marks the page
+    /// as lacking `sur`. Reads nothing; returns the pages passed over.
+    pub fn seek(&mut self, sur: Surrogate) -> u64 {
         self.sought = sur;
         self.lacks = false;
         if self.drop_below_sought() {
@@ -673,7 +678,10 @@ impl Seek for RunReader {
         skipped
     }
 
-    fn next_through(&mut self, sur: Surrogate) -> Option<Result<BaseTuple>> {
+    /// The next record if its surrogate is at most `sur`, reading a page
+    /// only if its fence is at most `sur` and the seek to `sur` did not
+    /// find it lacking; `None` (no read) otherwise.
+    pub fn next_through(&mut self, sur: Surrogate) -> Option<Result<BaseTuple>> {
         loop {
             match self.current.get(self.at) {
                 Some(t) if t.sur > sur => return None,
@@ -870,13 +878,13 @@ mod tests {
         assert_eq!(prefix, (0..at as u32).collect::<Vec<u32>>(), "every key below it, in order");
     }
 
-    /// A seek and a pull through `sur` on `log`'s merge: what they yield,
+    /// A seek and a pull through `sur` on `log`'s one run: what they yield,
     /// the pages they read and the pages they pass over.
     fn seek_through(log: &DiffLog, cost: &Cost, sur: u32) -> (Vec<u32>, u64, u64) {
-        let mut merged = log.merged().unwrap();
+        let mut run = log.run_readers().next().unwrap();
         let ios = cost.total().ios;
-        let skipped = merged.seek(Surrogate(sur));
-        let got = std::iter::from_fn(|| merged.next_through(Surrogate(sur)));
+        let skipped = run.seek(Surrogate(sur));
+        let got = std::iter::from_fn(|| run.next_through(Surrogate(sur)));
         let got: Vec<u32> = got.map(|t| t.unwrap().sur.0).collect();
         (got, cost.total().ios - ios, skipped)
     }

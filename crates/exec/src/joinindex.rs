@@ -405,16 +405,13 @@ impl JoinIndexStrategy {
         let del_tests = 1 + self.logs.has_s() as u64;
         let mut s_pairs = s_fold.joined.as_slice();
         let (n1, r_len) = (self.logs.runs(), r.len_estimate());
-        let jik = self.jik_pages(n1, r.pages_held(), r_len);
-        // The passes all of `|M|` would need: the model's `⌈|JI|/|JI_k|⌉`.
-        let needed = self.ji.leaf_pages().max(1).div_ceil(self.jik_pages(n1, 0, r_len) as u64);
-        let (ios, mut passes_made) = (self.cost.total().ios, 0u64);
+        // A fetch through `R`'s log holds one run page at a time.
+        let jik = self.jik_pages(n1, r.pages_held().min(1), r_len);
 
         let mut emitted = 0u64;
         // A pass never splits an `r` group.
         let mut passes = self.ji.passes(jik, |key| key >> 32);
         while !passes.is_done() {
-            passes_made += 1;
             // ---- read this pass's JI leaves (C2.1) ----------------------
             let (entries, end) = {
                 let _g = self.cost.section("ji.read_index");
@@ -564,11 +561,6 @@ impl JoinIndexStrategy {
             let _wb_guard = self.cost.section("ji.writeback");
             passes.finish()?;
         }
-        // The passes made beyond those are the held runs' doing: `R`'s log
-        // is paid rent for them at the I/O a pass paid, less the run pages
-        // read through, which are rent already.
-        let paid = self.cost.total().ios - ios - r.pages_read();
-        r.pay_rent(passes_made.saturating_sub(needed) * paid / passes_made.max(1));
         debug_assert!(net.peek().is_none(), "net differentials outlived the JI scan");
         debug_assert!(s_pairs.is_empty(), "S-side pairs outlived the JI scan");
 

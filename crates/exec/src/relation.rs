@@ -30,37 +30,42 @@
 //! reads from the clustered tree, netting each surrogate's operations
 //! against the stored tuple by the sweep's own rule
 //! ([`trijoin_btree::net_chain`]), under a `base.read_through` span. A
-//! scan reads every run page; a fetch seeks each run to each surrogate it
-//! asks for by the run's surrogate column — every record's surrogate,
-//! sliced by page, noted as the run spills (read back off the run when a
-//! reopened relation adopts it), held in memory with the buffer and
-//! counted in the log's bound — and reads only the pages that hold one
-//! (`base.read_through.pages`), passing the rest over unread
-//! (`base.read_through.skipped`), as Yao prices a batched fetch. A reader
-//! settles instead when the log is frozen, or once the rent readers have
-//! paid since the log's last settle reaches `2·min(leaf pages, queued)`,
-//! the most that settle could now read and write: rent, then buy. The rent
-//! is the run pages they read through the log, plus what the `|M|` their
-//! held runs took cost the strategy that read ([`Reader::pay_rent`],
-//! `base.read_through.rent`). Renting until the rent reaches the price and
-//! then buying pays at most twice what a settle timed by hindsight would.
-//! The sweep's cost is concave in the keys it nets, so a log left to grow
-//! across epochs is swept for far less than the epochs one by one.
-//! Statistics do not count as reads ([`StoredRelation::len_estimate`]).
+//! scan merges every run, holding an input page per run, and reads every
+//! run page. A fetch reads the runs one at a time, in the order they
+//! spilled, then the buffer: it seeks each run to each surrogate it asks
+//! for by the run's surrogate column — every record's surrogate, sliced by
+//! page, noted as the run spills (read back off the run when a reopened
+//! relation adopts it), held in memory with the buffer and counted in the
+//! log's bound — and reads only the pages that hold one
+//! (`base.read_through.pages`), one at a time, passing the rest over
+//! unread (`base.read_through.skipped`), as Yao prices a batched fetch. A
+//! reader settles instead when the log is frozen, or once the rent readers
+//! have paid since the log's last settle reaches `2·min(leaf pages,
+//! queued)`, the most that settle could now read and write: rent, then
+//! buy. The rent is the run pages they read through the log, plus what the
+//! `|M|` a scan's held runs took cost the strategy that scanned
+//! ([`Reader::pay_rent`], `base.read_through.rent`). Renting until the rent
+//! reaches the price and then buying pays at most twice what a settle
+//! timed by hindsight would. The sweep's cost is concave in the keys it
+//! nets, so a log left to grow across epochs is swept for far less than
+//! the epochs one by one. Statistics do not count as reads
+//! ([`StoredRelation::len_estimate`]).
 //!
 //! The log is bounded by space: [`APPLY_LOG_PAGES`] pages of records and
 //! the runs' columns in memory, spilled — through the differential log's
 //! run writer and merge, [`crate::diff::DiffLog`] — as surrogate-sorted
-//! runs, and a settle forced where the run pages would pass half the
-//! relation's leaf pages; never before [`APPLY_LOG_RUNS`] runs, never more
-//! runs than `|M|` has pages to merge
+//! runs, and a settle forced where the run pages would pass three quarters
+//! of the relation's leaf pages; never before [`APPLY_LOG_RUNS`] runs,
+//! never more runs than `|M|` has pages to merge
 //! ([`StoredRelation::apply_log_bound_pages`]). Once a log touches every
 //! leaf its settle costs no more for being longer, so a longer log costs
-//! only what it holds: run pages on the device, and the `|M|` a reader's
-//! input page per run takes from the strategy reading through it, which
-//! the rent charges. Half is where the two meet on the cycle shape (`‖R‖`
-//! = 40 000, `|M|` = 200): past it the join index loses more to its held
-//! runs than the view gains from settling less. Operations
+//! only what it holds: run pages on the device, and the `|M|` a scan's
+//! input page per run takes from hybrid hash, which the rent charges (a
+//! fetch holds one run page). Three quarters, not all: on the cycle shape
+//! (`‖R‖` = 40 000, `|M|` = 200) the settle then holds 196 pages — buffer,
+//! an input page per run, columns, path — where a log of all the leaves
+//! would hold more than `|M|`, and the join index gains nothing past it.
+//! Operations
 //! on one surrogate keep submission order; the sweep nets them against the
 //! stored tuple, so the last update wins and x → y → x writes nothing. A
 //! spill is charged under a `base.spill` span: everything a relation
@@ -100,8 +105,8 @@ pub use reader::Reader;
 pub const APPLY_LOG_PAGES: usize = 16;
 
 /// However small the relation, its apply log holds this many runs before
-/// it settles of its own accord; a large one holds more, up to half its
-/// leaf pages ([`StoredRelation::apply_log_bound_pages`]).
+/// it settles of its own accord; a large one holds more, up to three
+/// quarters of its leaf pages ([`StoredRelation::apply_log_bound_pages`]).
 pub const APPLY_LOG_RUNS: usize = 16;
 
 /// Pages that `entries` entries of the runs' surrogate columns fill in
@@ -245,11 +250,13 @@ impl State {
         std::iter::once(&self.clustered).chain(&self.inverted)
     }
 
-    /// Runs the log may hold: as many as fill half the leaf pages, at
-    /// least [`APPLY_LOG_RUNS`], at most what `|M|` can merge beside the
-    /// buffer and the sweep's path.
+    /// Runs the log may hold: as many as fill three quarters of the leaf
+    /// pages, at least [`APPLY_LOG_RUNS`], at most what `|M|` can merge
+    /// beside the buffer and the sweep's path (the columns are not counted
+    /// against `|M|` here: at three quarters they still fit it on the
+    /// cycle shape).
     fn run_bound(&self) -> usize {
-        let space = self.clustered.leaf_pages() as usize / 2 / APPLY_LOG_PAGES;
+        let space = self.clustered.leaf_pages() as usize * 3 / 4 / APPLY_LOG_PAGES;
         let merge =
             self.log.mem_pages.saturating_sub(APPLY_LOG_PAGES + self.clustered.sweep_pages());
         APPLY_LOG_RUNS.max(space.min(merge))
@@ -618,7 +625,7 @@ impl StoredRelation {
             log.hold(log.buffer_pages() + log.runs.num_runs() + log.column_pages());
             Some(Rc::clone(&log.buffer))
         };
-        Ok(Reader { rel: self, st, tail, cursor: None })
+        Ok(Reader { rel: self, st, tail, fetched: None })
     }
 
     /// For readers that cannot fail: settle, and if a device fault stops
@@ -651,8 +658,9 @@ impl StoredRelation {
     /// The pages the apply log may hold at once: [`APPLY_LOG_PAGES`] of
     /// buffer, the sweep's path over the clustered tree (`h + 1`:
     /// [`BTree::sweep_pages`]), one per run — as many runs as keep their
-    /// pages within half the relation's leaf pages, `max(APPLY_LOG_RUNS,
-    /// min(leaves/2/APPLY_LOG_PAGES, |M| − APPLY_LOG_PAGES − h − 1))` — and
+    /// pages within three quarters of the relation's leaf pages,
+    /// `max(APPLY_LOG_RUNS, min(3·leaves/4/APPLY_LOG_PAGES, |M| −
+    /// APPLY_LOG_PAGES − h − 1))` — and
     /// the surrogate columns of that many full runs ([`column_pages`]). Read
     /// off the trees as they stand, and never under what an earlier settle
     /// was held to.
@@ -1193,9 +1201,9 @@ mod tests {
     }
 
     #[test]
-    fn a_large_relations_log_is_bounded_by_half_of_its_leaves_and_by_memory() {
-        // 6 000 tuples, 5 a leaf: 1 200 leaves, half of them 37 runs of 16
-        // pages — if `|M|` can merge that many.
+    fn a_large_relations_log_is_bounded_by_three_quarters_of_its_leaves_and_by_memory() {
+        // 6 000 tuples, 5 a leaf: 1 200 leaves, three quarters of them 56
+        // runs of 16 pages — if `|M|` can merge that many.
         let build = |mem_pages: usize| {
             let params =
                 SystemParams { page_size: 512, mem_pages, ..SystemParams::paper_defaults() };
@@ -1208,30 +1216,31 @@ mod tests {
         assert_eq!(rel.data_pages(), 1_200);
         let h = rel.height();
         let path = h + 1; // the sweep's path holds two leaves
-                          // The columns of 37, 36 and 16 full runs of 6 records a
-                          // page: 33, 32 and 14 pages.
+                          // The columns of 56, 36 and 16 full runs of 6 records a
+                          // page: 49, 32 and 14 pages.
         let columns = |runs: u64| column_pages(runs * 16 * 7, 512) as usize;
-        assert_eq!((columns(37), columns(36), columns(16)), (33, 32, 14));
-        assert_eq!(rel.apply_log_bound_pages(), (APPLY_LOG_PAGES + 37 + 33 + path) as u64);
+        assert_eq!((columns(56), columns(36), columns(16)), (49, 32, 14));
+        assert_eq!(rel.apply_log_bound_pages(), (APPLY_LOG_PAGES + 56 + 49 + path) as u64);
         let roomy = build(APPLY_LOG_PAGES + path + 36).1.apply_log_bound_pages();
         assert_eq!(roomy, (16 + 36 + 32 + path) as u64);
         assert_eq!(build(8).1.apply_log_bound_pages(), (16 + APPLY_LOG_RUNS + 14 + path) as u64);
-        // The log fills to 36 runs and a buffer, then settles itself.
+        // The log fills to 55 runs and a buffer, then settles itself.
         let t = |n: u32| BaseTuple::padded(Surrogate(n * 7 % 6_000), n as u64, 64);
-        for n in 0..37 * 96 {
+        for n in 0..56 * 96 {
             assert!(!rel.settle_due(), "{n}");
             rel.apply_update(&t(n), &t(n)).unwrap();
         }
         assert!(rel.settle_due());
-        assert_eq!(disk.metrics().counter("base.apply_log.runs"), 36);
+        assert_eq!(disk.metrics().counter("base.apply_log.runs"), 55);
         assert_eq!(rel.len_estimate(), 6_000);
         assert_eq!(disk.metrics().counter("base.settles"), 0, "a statistic is not a read");
         rel.apply_update(&t(0), &t(0)).unwrap();
         assert_eq!(disk.metrics().counter("base.settles"), 1);
-        // Thirty-six runs and their columns, one run and a column page short.
-        assert_eq!(rel.apply_log_peak_pages(), rel.apply_log_bound_pages() - 2);
+        // Fifty-five runs and their columns (as many column pages as 56
+        // full runs fill), one run short.
+        assert_eq!(rel.apply_log_peak_pages(), rel.apply_log_bound_pages() - 1);
         let did = rel.take_settled();
-        assert_eq!((did.ops, did.keys, did.leaf_pages, did.tuples), (3_552, 3_552, 1_200, 6_000));
+        assert_eq!((did.ops, did.keys, did.leaf_pages, did.tuples), (5_376, 5_376, 1_200, 6_000));
         assert!(did.charged.ios > 0 && rel.take_settled() == SettleStats::default());
     }
 

@@ -11,7 +11,7 @@ use trijoin_storage::{Disk, FileId, SlottedPage};
 
 use super::{column_pages, SettleStats, APPLY_LOG_PAGES};
 use crate::diff::{DiffLog, SortKey};
-use crate::sort::{counted_sort_by, KWayMerge, Seek};
+use crate::sort::{counted_sort_by, KWayMerge};
 use crate::strategy::Mutation;
 
 /// What a queued mutation does to the tuple under its surrogate.
@@ -105,9 +105,8 @@ impl Pending {
 /// The apply log in merged order — its runs and its buffer, sorted — as
 /// one stream of records in surrogate order, submission order within a
 /// surrogate ([`Pending::from_record`] reads one): what the sweep applies
-/// and a reader reads through, seeking in it by surrogate. A run read that
-/// fails is an `Err` in it.
-pub(super) type LogStream = Box<dyn Seek>;
+/// and a scan reads through. A run read that fails is an `Err` in it.
+pub(super) type LogStream = Box<dyn Iterator<Item = Result<BaseTuple>>>;
 
 /// The [`LogStream`] of `runs` and `tail`, the buffer in surrogate order.
 pub(super) fn log_stream(
@@ -119,12 +118,12 @@ pub(super) fn log_stream(
     if runs.num_runs() == 0 {
         return Ok(Box::new(tail));
     }
-    let sources: Vec<Box<dyn Seek>> = vec![Box::new(runs.merged()?), Box::new(tail)];
+    let sources: Vec<LogStream> = vec![Box::new(runs.merged()?), Box::new(tail)];
     let key = |r: &Result<BaseTuple>| r.as_ref().map_or(0, Pending::record_key);
     Ok(Box::new(KWayMerge::new(sources, key, cost.clone())))
 }
 
-/// The buffer, sorted, as records: in memory, so a seek reads nothing.
+/// The buffer, sorted, as records.
 struct Tail {
     buffer: Rc<Vec<Pending>>,
     at: usize,
@@ -137,19 +136,6 @@ impl Iterator for Tail {
         let p = self.buffer.get(self.at)?;
         self.at += 1;
         Some(Ok(p.to_record()))
-    }
-}
-
-impl Seek for Tail {
-    fn seek(&mut self, sur: Surrogate) -> u64 {
-        let passed = self.buffer[self.at..].partition_point(|p| p.tuple.sur < sur);
-        self.at += passed;
-        0
-    }
-
-    fn next_through(&mut self, sur: Surrogate) -> Option<Result<BaseTuple>> {
-        self.buffer.get(self.at).filter(|p| p.tuple.sur <= sur)?;
-        self.next()
     }
 }
 
@@ -273,10 +259,13 @@ impl ApplyLog {
 
     /// Hand the buffer to the run writer, whose own buffer is as large,
     /// and spill what it holds: a full buffer fills it and spills as one
-    /// run, a short one (a commit's) as a short run. A write fault leaves
-    /// every record in one buffer or the other.
+    /// run, a short one (a commit's) as a short run. What a write fault
+    /// left in the run writer spills first, as a run of its own, so the
+    /// runs in spill order hold the records in submission order. A write
+    /// fault leaves every record in one buffer or the other.
     pub(super) fn spill(&mut self, disk: &Disk) -> Result<()> {
         let runs = self.runs.num_runs();
+        self.runs.spill()?;
         let buffer = Rc::make_mut(&mut self.buffer);
         while let Some(p) = buffer.pop() {
             self.runs.add(p.to_record())?;

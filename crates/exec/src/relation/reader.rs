@@ -6,48 +6,34 @@ use std::cell::Ref;
 use std::rc::Rc;
 
 use trijoin_btree::Netted;
-use trijoin_common::{BaseTuple, Cost, Error, Result, Surrogate};
+use trijoin_common::{BaseTuple, Cost, Result, Surrogate};
 
 use super::log::{log_stream, LogStream, Pending};
 use super::{State, StoredRelation};
 use crate::batch::TupleRef;
 use crate::diff::DiffLog;
 
-/// A read-through's place in the merged apply log. It only moves forward,
-/// so each run page is read once however many reads share it. A scan reads
-/// the log group by group, one group ahead; a fetch seeks it to each
-/// surrogate it asks for and reads nothing ahead of it.
-pub(super) struct Cursor {
+/// A scan's place in the merged apply log: it reads the log group by
+/// group, one group ahead, so each run page is read once.
+struct Cursor {
     stream: LogStream,
     /// Whether the log has runs (reading a buffer alone charges nothing).
     spilled: bool,
-    /// A scan's first operation past the group read ahead.
+    /// The first operation past the group read ahead.
     ahead: Option<Pending>,
-    /// A scan's group read ahead: the operations on the next surrogate the
-    /// log holds, or the error that ended the log.
+    /// The group read ahead: the operations on the next surrogate the log
+    /// holds, or the error that ended the log.
     next: Option<Result<(u64, Vec<Pending>)>>,
-    /// The surrogate a fetch asked for last.
-    passed: Option<u64>,
     /// Run pages read.
     pages: u64,
-    /// Run pages a fetch's seeks passed over without reading them.
-    skipped: u64,
     cost: Cost,
 }
 
 impl Cursor {
     fn open(runs: &DiffLog, tail: &Rc<Vec<Pending>>, cost: &Cost) -> Result<Cursor> {
         let stream = log_stream(runs, tail, cost)?;
-        Ok(Cursor {
-            stream,
-            spilled: runs.num_runs() > 0,
-            ahead: None,
-            next: None,
-            passed: None,
-            pages: 0,
-            skipped: 0,
-            cost: cost.clone(),
-        })
+        let spilled = runs.num_runs() > 0;
+        Ok(Cursor { stream, spilled, ahead: None, next: None, pages: 0, cost: cost.clone() })
     }
 
     /// The next operation of the log.
@@ -55,10 +41,10 @@ impl Cursor {
         self.stream.next().map(|record| record.and_then(Pending::from_record))
     }
 
-    /// Read a scan's next group ahead: the run pages it takes and the
-    /// merge, under `base.read_through` (a buffer alone charges nothing;
-    /// placing the group among the tree's entries rides on the comparisons
-    /// the tree's scan charges).
+    /// Read the next group ahead: the run pages it takes and the merge,
+    /// under `base.read_through` (a buffer alone charges nothing; placing
+    /// the group among the tree's entries rides on the comparisons the
+    /// tree's scan charges).
     fn advance(&mut self) {
         let _span = self.spilled.then(|| self.cost.section("base.read_through"));
         let ios = self.cost.total().ios;
@@ -106,75 +92,31 @@ impl Cursor {
         }
         Ok(())
     }
-
-    /// The operations on each of the sorted `keys`, in order, keys without
-    /// any left out, under `base.read_through` (a buffer alone charges
-    /// nothing). The log is sought to each key before it is read, so what
-    /// is read is each run page whose slice of its run's surrogate column
-    /// holds a key. A key at or below one an earlier call asked for is
-    /// refused: its operations are behind the cursor.
-    fn chains_of(&mut self, keys: &[u64]) -> Result<Vec<(u64, Vec<Pending>)>> {
-        let cost = self.cost.clone();
-        let _span = self.spilled.then(|| cost.section("base.read_through"));
-        let ios = cost.total().ios;
-        let (mut chains, mut read) = (Vec::new(), Ok(()));
-        for (i, &key) in keys.iter().enumerate() {
-            if i > 0 && keys[i - 1] == key {
-                continue;
-            }
-            read = self.chain_of(key).map(|ops| chains.extend(ops.map(|ops| (key, ops))));
-            if read.is_err() {
-                break;
-            }
-        }
-        self.pages += cost.total().ios - ios;
-        read.map(|()| chains)
-    }
-
-    /// The operations on `key`, if it has any: the log is sought to it,
-    /// then read through it.
-    fn chain_of(&mut self, key: u64) -> Result<Option<Vec<Pending>>> {
-        if self.passed.replace(key).is_some_and(|sur| sur >= key) {
-            return Err(Error::Invariant(format!(
-                "read-through fetch of surrogate {key} behind the log's cursor"
-            )));
-        }
-        let sur = Surrogate(key as u32);
-        self.skipped += self.stream.seek(sur);
-        let mut ops = Vec::new();
-        while let Some(record) = self.stream.next_through(sur) {
-            ops.push(Pending::from_record(record?)?);
-        }
-        Ok((!ops.is_empty()).then_some(ops))
-    }
 }
 
 /// One reader of a relation's clustered tree ([`StoredRelation::reader`]):
 /// the tree as it stands and, unless the relation settled for it, the
-/// apply log merged into what it reads. The log is read in surrogate
-/// order: each scan reads it whole, while fetches share one cursor, so a
-/// reader's fetches must ask for surrogates that rise from call to call.
+/// apply log merged into what it reads. A scan reads the log whole, in
+/// surrogate order; a fetch reads it run by run, so fetches may ask for
+/// surrogates in any order from call to call.
 pub struct Reader<'a> {
     pub(super) rel: &'a StoredRelation,
     pub(super) st: Ref<'a, State>,
     /// The log's buffer, sorted, when the reader reads through the log.
     pub(super) tail: Option<Rc<Vec<Pending>>>,
-    /// The fetches' place in the log.
-    pub(super) cursor: Option<Cursor>,
+    /// Run pages this reader's fetches have read and passed over, once
+    /// one has asked.
+    pub(super) fetched: Option<(u64, u64)>,
 }
 
 impl Reader<'_> {
-    /// Pages of `|M|` the read-through holds: an input page per run of the
-    /// log (the buffer is memory the log holds anyway). The strategy that
-    /// reads takes them from its own `|M|` and pays the log rent for what
-    /// that costs it ([`Reader::pay_rent`]).
+    /// Pages of `|M|` a scan through the log holds: an input page per run
+    /// (the buffer is memory the log holds anyway; a fetch holds one run
+    /// page at a time). The strategy that scans takes them from its own
+    /// `|M|` and pays the log rent for what that costs it
+    /// ([`Reader::pay_rent`]).
     pub fn pages_held(&self) -> u64 {
         self.tail.as_ref().map_or(0, |_| self.st.log.runs.num_runs() as u64)
-    }
-
-    /// Run pages this reader's fetches have read through the log so far.
-    pub fn pages_read(&self) -> u64 {
-        self.cursor.as_ref().map_or(0, |cursor| cursor.pages)
     }
 
     /// Pay the log `pages` of rent for the `|M|` this read-through held:
@@ -208,13 +150,14 @@ impl Reader<'_> {
         tail.map(|tail| Cursor::open(&self.st.log.runs, tail, self.rel.disk.cost())).transpose()
     }
 
-    /// Count one read through the log.
-    fn finish(&self, cursor: Cursor) {
+    /// Count one read through the log: the run pages it read, and those
+    /// it passed over.
+    fn finish(&self, pages: u64, skipped: u64) {
         let (log, metrics) = (&self.st.log, self.rel.disk.metrics());
-        log.rent.set(log.rent.get() + cursor.pages);
+        log.rent.set(log.rent.get() + pages);
         metrics.incr_id(log.c_reads);
-        metrics.counter_add_id(log.c_read_pages, cursor.pages);
-        metrics.counter_add_id(log.c_read_skipped, cursor.skipped);
+        metrics.counter_add_id(log.c_read_pages, pages);
+        metrics.counter_add_id(log.c_read_skipped, skipped);
     }
 
     /// Full scan in surrogate order: one read I/O per leaf page, and one
@@ -259,25 +202,22 @@ impl Reader<'_> {
             (Ok(()), None) => log.insert_below(None, |v| emit(v, None)),
             (scanned, err) => scanned.and(err.map_or(Ok(()), Err)),
         };
-        self.finish(log);
+        self.finish(log.pages, 0);
         read
     }
 
     /// Batched fetch by *sorted* surrogates: each touched page is charged
     /// at most once (the Yao-style scheduled access of the paper's
-    /// algorithms) — each run page of the log too, across all of this
-    /// reader's fetches, which must ask for rising surrogates. The log is
-    /// read as Yao prices it: the cursor seeks every run to each surrogate
-    /// by the surrogate column it keeps in memory (every record's
-    /// surrogate, sliced by page), so it reads only the run pages that hold
-    /// one, each once.
+    /// algorithms) — each run page of the log too. The log is read as Yao
+    /// prices it ([`Reader::chains_of`]): only the run pages that hold a
+    /// surrogate asked for, each once a call.
     pub fn fetch_by_surrogates(
         &mut self,
         sorted_surs: &[Surrogate],
         mut f: impl FnMut(BaseTuple),
     ) -> Result<()> {
         let keys: Vec<u64> = sorted_surs.iter().map(|s| s.0 as u64).collect();
-        if self.tail.is_none() {
+        let Some(tail) = self.tail.clone() else {
             let mut err = None;
             self.st.clustered.fetch_many(&keys, |_, bytes| {
                 if err.is_none() {
@@ -288,20 +228,10 @@ impl Reader<'_> {
                 }
             })?;
             return err.map_or(Ok(()), Err);
-        }
-        if self.cursor.is_none() {
-            self.cursor = self.open()?;
-        }
-        let cursor = self.cursor.as_mut().expect("a read-through has a cursor");
-        let chains = match cursor.chains_of(&keys) {
-            Ok(chains) => chains,
-            Err(e) => {
-                // The next fetch starts over at the head of the log.
-                let spent = self.cursor.take().expect("still there");
-                self.finish(spent);
-                return Err(e);
-            }
         };
+        let mut surs = sorted_surs.to_vec();
+        surs.dedup();
+        let chains = self.chains_of(&surs, &tail)?;
         // The log's operations are in hand: now the tree, in the same order.
         let mut stored: Vec<(u64, Vec<u8>)> = Vec::new();
         self.st.clustered.fetch_many(&keys, |sur, bytes| stored.push((sur, bytes.to_vec())))?;
@@ -310,13 +240,13 @@ impl Reader<'_> {
             while stored.get(at_tree).is_some_and(|(sur, _)| *sur < key) {
                 at_tree += 1;
             }
-            while chains.get(at_log).is_some_and(|(sur, _)| *sur < key) {
+            while (surs[at_log].0 as u64) < key {
                 at_log += 1;
             }
             let now = stored.get(at_tree).filter(|(sur, _)| *sur == key).map(|(_, v)| v.as_slice());
-            let bytes = match chains.get(at_log).filter(|(sur, _)| *sur == key) {
-                None => now.map(Cow::Borrowed),
-                Some((_, ops)) => match Pending::net(now, ops) {
+            let bytes = match chains[at_log].as_slice() {
+                [] => now.map(Cow::Borrowed),
+                ops => match Pending::net(now, ops) {
                     Netted::Unchanged => now.map(Cow::Borrowed),
                     Netted::Put(v) => Some(Cow::Owned(v)),
                     Netted::Remove => None,
@@ -328,13 +258,48 @@ impl Reader<'_> {
         }
         Ok(())
     }
+
+    /// The log's operations on each of the sorted, distinct `surs`, in
+    /// submission order — the runs' order, then the buffer's — with no
+    /// merge, under `base.read_through` (a buffer alone charges nothing).
+    /// Each run, in the order it spilled, is sought to each
+    /// surrogate by its surrogate column (every record's surrogate, sliced
+    /// by page, in memory), so what is read is each run page whose slice
+    /// holds one, a page at a time, keeping only those surrogates' records;
+    /// then the buffer, `tail`. The pages read and passed over count toward
+    /// this reader's, a read failed or not.
+    fn chains_of(&mut self, surs: &[Surrogate], tail: &[Pending]) -> Result<Vec<Vec<Pending>>> {
+        let (runs, cost) = (&self.st.log.runs, self.rel.disk.cost());
+        let _span = (runs.num_runs() > 0).then(|| cost.section("base.read_through"));
+        let (ios, mut skipped) = (cost.total().ios, 0);
+        let mut chains: Vec<Vec<Pending>> = vec![Vec::new(); surs.len()];
+        let read = runs.run_readers().try_for_each(|mut run| {
+            surs.iter().zip(&mut chains).try_for_each(|(&sur, chain)| {
+                skipped += run.seek(sur);
+                while let Some(record) = run.next_through(sur) {
+                    chain.push(Pending::from_record(record?)?);
+                }
+                Ok(())
+            })
+        });
+        let fetched = self.fetched.get_or_insert((0, 0));
+        (fetched.0, fetched.1) = (fetched.0 + cost.total().ios - ios, fetched.1 + skipped);
+        read?;
+        let mut at = 0;
+        for (&sur, chain) in surs.iter().zip(&mut chains) {
+            at += tail[at..].partition_point(|p| p.tuple.sur < sur);
+            let end = at + tail[at..].partition_point(|p| p.tuple.sur == sur);
+            chain.extend_from_slice(&tail[at..end]);
+            at = end;
+        }
+        Ok(chains)
+    }
 }
 
 impl Drop for Reader<'_> {
     fn drop(&mut self) {
-        if let Some(cursor) = self.cursor.take() {
-            // Past the last fetch: a failure there cost no answer.
-            self.finish(cursor);
+        if let Some((pages, skipped)) = self.fetched.take() {
+            self.finish(pages, skipped);
         }
     }
 }

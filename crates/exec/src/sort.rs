@@ -6,13 +6,12 @@
 //! insertion-sort tail, and a streaming k-way merge — and charges the
 //! *actual* comparisons and tuple moves it performs into the [`Cost`]
 //! ledger. At realistic sizes the actual counts track the Knuth formulas
-//! closely (verified by tests in the model crate). A merge of record
-//! streams in surrogate order can also seek by surrogate ([`Seek`]).
+//! closely (verified by tests in the model crate).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use trijoin_common::{BaseTuple, Cost, Result, Surrogate};
+use trijoin_common::Cost;
 
 /// Sort `items` by a precomputed key, charging every comparison (`comp`)
 /// and every element move (`move`, two per swap) to `cost`.
@@ -116,13 +115,8 @@ where
     sources: Vec<I>,
     /// Each source's item read ahead.
     heads: Vec<Option<T>>,
-    /// The heads by key, then source, each stamped with its source's stamp
-    /// when it was read: an entry whose head has since gone is stale.
-    queue: BinaryHeap<Reverse<(K, usize, u64)>>,
-    /// Per source, the stamp of its head in hand.
-    stamps: Vec<u64>,
-    /// Heads in hand.
-    held: usize,
+    /// The heads in hand by key, then source.
+    queue: BinaryHeap<Reverse<(K, usize)>>,
     /// The sources without a head in hand that are not known to be done.
     vacant: Vec<usize>,
     key_of: Box<dyn Fn(&T) -> K>,
@@ -138,56 +132,23 @@ where
     pub fn new(sources: Vec<I>, key_of: impl Fn(&T) -> K + 'static, cost: Cost) -> Self {
         let heads = sources.iter().map(|_| None).collect();
         let n = sources.len();
-        let (queue, stamps) = (BinaryHeap::with_capacity(n), vec![0; n]);
-        let key_of = Box::new(key_of);
-        KWayMerge { sources, heads, queue, stamps, held: 0, vacant: (0..n).collect(), key_of, cost }
+        let (queue, vacant) = (BinaryHeap::with_capacity(n), (0..n).collect());
+        KWayMerge { sources, heads, queue, vacant, key_of: Box::new(key_of), cost }
     }
 
     /// Read ahead, in source order, in every source without a head in
-    /// hand, by `pull`; with `done`, one that yields nothing is done.
-    fn refill(&mut self, done: bool, mut pull: impl FnMut(&mut I) -> Option<T>) {
-        if self.vacant.len() > 1 {
-            self.vacant.sort_unstable();
-        }
+    /// hand; one that yields nothing is done.
+    fn refill(&mut self) {
         let mut vacant = std::mem::take(&mut self.vacant);
-        vacant.retain(|&i| {
-            let Some(item) = pull(&mut self.sources[i]) else { return !done };
-            self.stamps[i] += 1;
-            self.queue.push(Reverse(((self.key_of)(&item), i, self.stamps[i])));
-            self.heads[i] = Some(item);
-            self.held += 1;
-            false
-        });
-        self.vacant = vacant;
-    }
-
-    /// Let go of source `i`'s head: its entry in the queue goes stale.
-    fn drop_head(&mut self, i: usize) -> Option<T> {
-        let head = self.heads[i].take();
-        if head.is_some() {
-            self.held -= 1;
-            self.vacant.push(i);
-        }
-        head
-    }
-
-    /// The source whose head sorts first, among the heads read ahead,
-    /// charged as a scan of them.
-    fn least(&mut self) -> Option<usize> {
-        self.cost.comp(self.held.saturating_sub(1) as u64);
-        while let Some(&Reverse((_, i, stamp))) = self.queue.peek() {
-            if self.heads[i].is_some() && self.stamps[i] == stamp {
-                return Some(i);
+        vacant.sort_unstable();
+        for &i in &vacant {
+            if let Some(item) = self.sources[i].next() {
+                self.queue.push(Reverse(((self.key_of)(&item), i)));
+                self.heads[i] = Some(item);
             }
-            self.queue.pop();
         }
-        None
-    }
-
-    /// Hand out the head of source `i`.
-    fn take(&mut self, i: usize) -> Option<T> {
-        self.cost.mov(1);
-        self.drop_head(i)
+        vacant.clear();
+        self.vacant = vacant;
     }
 }
 
@@ -198,73 +159,14 @@ where
 {
     type Item = T;
 
+    /// The head that sorts first, charged as a scan of the heads in hand.
     fn next(&mut self) -> Option<T> {
-        self.refill(true, I::next);
-        let i = self.least()?;
-        self.take(i)
-    }
-}
-
-/// A stream of records in surrogate order that can move forward by
-/// surrogate without reading what it passes over: a run of a log sorted
-/// on the surrogate first, with the surrogate column it keeps in memory
-/// (every record's surrogate, sliced by page), or a merge of such streams.
-pub trait Seek: Iterator<Item = Result<BaseTuple>> {
-    /// Pass over every record below `sur`: drop those in hand and skip
-    /// the pages that hold nothing else, and a page that lacks `sur` when
-    /// the next one opens with it. Reads nothing; returns the pages
-    /// skipped.
-    fn seek(&mut self, sur: Surrogate) -> u64;
-
-    /// The next record if its surrogate is at most `sur`, reading a page
-    /// only if its slice of the column holds `sur` (after a seek to `sur`);
-    /// `None` (no read) otherwise.
-    fn next_through(&mut self, sur: Surrogate) -> Option<Result<BaseTuple>>;
-}
-
-impl<S: Seek + ?Sized> Seek for Box<S> {
-    fn seek(&mut self, sur: Surrogate) -> u64 {
-        (**self).seek(sur)
-    }
-
-    fn next_through(&mut self, sur: Surrogate) -> Option<Result<BaseTuple>> {
-        (**self).next_through(sur)
-    }
-}
-
-/// A merge of seekable record streams is one: the seek goes to every
-/// source whose head it drops (an error in hand is never dropped), and a
-/// pull through `sur` reads ahead only in the sources that can hold a
-/// record at or below it.
-impl<K, I> Seek for KWayMerge<Result<BaseTuple>, K, I>
-where
-    I: Seek,
-    K: Ord + Copy,
-{
-    fn seek(&mut self, sur: Surrogate) -> u64 {
-        let mut skipped = 0;
-        for i in 0..self.sources.len() {
-            if let Some(Ok(t)) = &self.heads[i] {
-                self.cost.comp(1);
-                if t.sur >= sur {
-                    continue;
-                }
-                self.drop_head(i);
-            }
-            if self.heads[i].is_none() {
-                skipped += self.sources[i].seek(sur);
-            }
-        }
-        skipped
-    }
-
-    fn next_through(&mut self, sur: Surrogate) -> Option<Result<BaseTuple>> {
-        self.refill(false, |src| src.next_through(sur));
-        let i = self.least()?;
-        match &self.heads[i] {
-            Some(Ok(t)) if t.sur > sur => None,
-            _ => self.take(i),
-        }
+        self.refill();
+        self.cost.comp(self.queue.len().saturating_sub(1) as u64);
+        let Reverse((_, i)) = self.queue.pop()?;
+        self.cost.mov(1);
+        self.vacant.push(i);
+        self.heads[i].take()
     }
 }
 

@@ -2,7 +2,7 @@
 //! merges the queued mutations into what it reads must see exactly what a
 //! reader sees after a settle — ill-formed mutations included — leave the
 //! log as it found it, read for a fetch only the run pages that hold a
-//! surrogate it asks for, settle instead once reading
+//! surrogate it asks for, once a call, settle instead once reading
 //! through stops paying, and fail over to the strategies' restart and
 //! recovery paths when a run page cannot be read.
 
@@ -106,20 +106,30 @@ fn read_through_pages(disk: &Disk) -> (u64, u64) {
     (metrics.counter("base.read_through.pages"), metrics.counter("base.read_through.skipped"))
 }
 
+/// The run pages each fetch of `chunks` reads: each page whose records
+/// include a surrogate the chunk asks for, once a chunk.
+fn chunks_selected(disk: &Disk, runs: &[FileId], chunks: &[Vec<Surrogate>]) -> u64 {
+    let keys = |chunk: &Vec<Surrogate>| chunk.iter().map(|s| s.0).collect::<Vec<u32>>();
+    chunks.iter().map(|chunk| column_selected(disk, runs, &keys(chunk))).sum()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Scans and chunked, rising fetches through the log equal the same
-    /// reads after a settle; the log is untouched by them, and the settle
-    /// that follows refuses and writes what it would have anyway. A fetch
-    /// reads exactly the run pages whose records include a surrogate it
-    /// asks for: a sparse one a few, one that asks for every surrogate all
-    /// of them. The sparse one asks for the first surrogate of a few run
-    /// pages too, which the page before may lack.
+    /// Scans, and fetches in any order, overlapping ones included, through
+    /// the log equal the same reads after a settle; the log is untouched by
+    /// them, and the settle that follows refuses and writes what it would
+    /// have anyway. A fetch reads exactly the run pages whose records
+    /// include a surrogate it asks for, once a call, and passes over no
+    /// more than the rest: a sparse one a few, one that asks for a chunk of
+    /// surrogates the pages the chunk spans. The sparse one asks for the
+    /// first surrogate of a few run pages too, which the page before may
+    /// lack.
     #[test]
     fn reading_through_equals_settling_then_reading(
         ops in prop::collection::vec(op(), 200..330),
-        cuts in prop::collection::vec((1usize..50, any::<bool>()), 1..40),
+        cuts in prop::collection::vec((1usize..50, any::<bool>(), 0u32..8), 1..40),
+        salt in any::<u32>(),
         picks in prop::collection::vec(0..N + FRESH, 1..12),
         firsts in prop::collection::vec(0usize..1 << 16, 1..4),
     ) {
@@ -130,24 +140,26 @@ proptest! {
             enqueue(&mut through, op);
             enqueue(&mut settled, op);
         }
-        // Rising chunks over every surrogate drawn, each chunk sometimes
-        // asking for its first surrogate twice.
+        // Chunks over every surrogate drawn, each sometimes reaching back
+        // over the one before and asking for its first surrogate twice,
+        // fetched in an order the salt shuffles.
         let mut chunks: Vec<Vec<Surrogate>> = Vec::new();
         let mut at = 0;
-        for (len, repeat) in cuts.iter().cycle() {
+        for (len, repeat, back) in cuts.iter().cycle() {
             if at >= N + FRESH {
                 break;
             }
             let end = (at + *len as u32).min(N + FRESH);
-            let mut chunk: Vec<Surrogate> = (at..end).map(Surrogate).collect();
+            let mut chunk: Vec<Surrogate> = (at.saturating_sub(*back)..end).map(Surrogate).collect();
             if *repeat {
                 chunk.insert(0, chunk[0]);
             }
             chunks.push(chunk);
             at = end;
         }
+        chunks.sort_by_key(|chunk| (chunk[0].0 ^ salt).wrapping_mul(0x9e37_79b9));
 
-        // A sparse fetch, in two rising chunks.
+        // A sparse fetch, in two calls, the higher half first.
         let runs: Vec<FileId> = through.file_ids().skip(1).collect();
         let pages: Vec<Vec<u32>> =
             runs.iter().flat_map(|&run| run_pages_of(&through_disk, run)).collect();
@@ -158,31 +170,37 @@ proptest! {
         picks.dedup();
         let (low, high) = picks.split_at(picks.len() / 2);
         let sparse: Vec<Vec<Surrogate>> =
-            [low, high].iter().map(|half| half.iter().copied().map(Surrogate).collect()).collect();
+            [high, low].iter().map(|half| half.iter().copied().map(Surrogate).collect()).collect();
         let all: Vec<u32> = (0..N + FRESH).collect();
         prop_assert_eq!(column_selected(&through_disk, &runs, &all), run_pages);
 
         let queued = through.pending_ops();
         let (picked, scanned, fetched) = {
-            let mut reader = through.reader().unwrap();
-            prop_assert!(reader.pages_held() >= 3, "{} runs", reader.pages_held());
-            let picked = fetch(&mut reader, &sparse);
-            drop(reader);
-            let (pages, skipped) = read_through_pages(&through_disk);
-            prop_assert_eq!(pages, column_selected(&through_disk, &runs, &picks));
-            prop_assert!(pages + skipped <= run_pages, "{pages} read, {skipped} skipped");
+            let mut picked = Vec::new();
+            for half in &sparse {
+                let (pages, skipped) = read_through_pages(&through_disk);
+                let mut reader = through.reader().unwrap();
+                prop_assert!(reader.pages_held() >= 3, "{} runs", reader.pages_held());
+                picked.extend(fetch(&mut reader, std::slice::from_ref(half)));
+                drop(reader);
+                let (now, now_skipped) = read_through_pages(&through_disk);
+                let (read, passed) = (now - pages, now_skipped - skipped);
+                prop_assert_eq!(read, chunks_selected(&through_disk, &runs, std::slice::from_ref(half)));
+                prop_assert!(read + passed <= run_pages, "{read} read, {passed} skipped");
+            }
+            let pages = read_through_pages(&through_disk).0;
             let scanned = scan(&through.reader().unwrap());
+            prop_assert_eq!(read_through_pages(&through_disk).0 - pages, run_pages, "a scan");
             let mut reader = through.reader().unwrap();
-            prop_assert!(reader.pages_held() >= 3);
             let fetched = fetch(&mut reader, &chunks);
             drop(reader);
-            let read = read_through_pages(&through_disk).0 - pages;
-            prop_assert_eq!(read, 2 * run_pages, "a scan and a fetch of every surrogate");
+            let read = read_through_pages(&through_disk).0 - pages - run_pages;
+            prop_assert_eq!(read, chunks_selected(&through_disk, &runs, &chunks));
             (picked, scanned, fetched)
         };
         prop_assert_eq!(through.pending_ops(), queued);
         prop_assert_eq!(through_disk.metrics().counter("base.settles"), 0);
-        prop_assert_eq!(through_disk.metrics().counter("base.read_through.reads"), 3);
+        prop_assert_eq!(through_disk.metrics().counter("base.read_through.reads"), 4);
 
         let stats = settled.settle().unwrap();
         let reader = settled.reader().unwrap();
@@ -294,6 +312,90 @@ fn a_fetch_reads_only_the_run_pages_that_hold_its_surrogates() {
     assert_eq!((got.len(), pages, skipped), (16, 16, 0));
     assert!(got.iter().all(|t| t.key == 7), "each is a logged update");
     assert_eq!(disk.metrics().counter("base.settles"), 0);
+}
+
+/// A fault on any run page a fetch reads fails that fetch with an `Err`;
+/// the next fetch, by the same reader or a new one, answers as a fetch
+/// after a settle does. A fault one read past the last a fetch makes of a
+/// run never fires.
+#[test]
+fn a_fault_on_any_run_page_a_fetch_reads_fails_that_fetch_alone() {
+    let build = || {
+        let disk = SimDisk::new(&params(), Cost::new());
+        let mut rel = relation(&disk);
+        for i in 0..500u32 {
+            let sur = i * 7 % N;
+            rel.apply_update(&tuple(sur, 0, 0), &tuple(sur, 1, (i % 2) as u8)).unwrap();
+        }
+        (disk, rel)
+    };
+    let keys: Vec<Surrogate> = (0..N + FRESH).step_by(11).map(Surrogate).collect();
+    let (disk, rel) = build();
+    let runs: Vec<FileId> = rel.file_ids().skip(1).collect();
+    assert!(runs.len() >= 5, "{} runs", runs.len());
+    let got = fetch(&mut rel.reader().unwrap(), std::slice::from_ref(&keys));
+    let reads: Vec<u64> =
+        runs.iter().map(|run| disk.metrics().counter(&format!("disk.read.f{}", run.0))).collect();
+    assert_eq!(reads.iter().sum::<u64>(), read_through_pages(&disk).0);
+    rel.settle().unwrap();
+    assert_eq!(got, fetch(&mut rel.reader().unwrap(), std::slice::from_ref(&keys)));
+    for (&run, &n) in runs.iter().zip(&reads) {
+        for nth in 0..=n {
+            let (disk, rel) = build();
+            disk.install_fault_plan(FaultPlan::new().fail_nth_op(Some(run), nth));
+            let mut reader = rel.reader().unwrap();
+            let first = reader.fetch_by_surrogates(&keys, |_| {});
+            let label = format!("f{} read {nth}", run.0);
+            if nth == n {
+                assert_eq!((first.is_ok(), disk.faults_fired()), (true, 0), "{label}");
+                continue;
+            }
+            assert!(matches!(first, Err(Error::DeviceFault { .. })), "{label}: {first:?}");
+            assert_eq!(disk.faults_fired(), 1, "{label}");
+            assert_eq!(fetch(&mut reader, std::slice::from_ref(&keys)), got, "{label}");
+            drop(reader);
+            assert_eq!(fetch(&mut rel.reader().unwrap(), std::slice::from_ref(&keys)), got);
+            assert_eq!(disk.metrics().counter("base.read_through.reads"), 2, "{label}");
+        }
+    }
+}
+
+/// A spill that a write fault cut short leaves its records in the run
+/// writer; the next spill writes them first, as a run of their own, so a
+/// fetch that reads the runs in spill order meets each surrogate's
+/// operations in submission order: the last update wins.
+#[test]
+fn a_spill_a_write_fault_cut_short_keeps_submission_order_across_runs() {
+    let disk = SimDisk::new(&params(), Cost::new());
+    let mut rel = relation(&disk);
+    let update = |rel: &mut StoredRelation, sur: u32, p: u8| {
+        rel.apply_update(&tuple(sur, 0, 0), &tuple(sur, 1, p))
+    };
+    disk.install_fault_plan(FaultPlan::new().fail_nth_op(None, 0));
+    let mut cap = 0;
+    while update(&mut rel, cap % N, 1).is_ok() {
+        cap += 1;
+    }
+    disk.clear_faults();
+    assert_eq!((disk.metrics().counter("base.apply_log.runs"), rel.pending_ops()), (0, cap as u64));
+    // A full buffer whose middle and last updates are of surrogate 7, then
+    // one more update, which spills it.
+    for i in 0..cap {
+        let (sur, p) = match i {
+            _ if i == cap / 2 => (7, 2),
+            _ if i == cap - 1 => (7, 3),
+            _ => (100 + i % 100, 1),
+        };
+        update(&mut rel, sur, p).unwrap();
+    }
+    update(&mut rel, 8, 1).unwrap();
+    assert_eq!(disk.metrics().counter("base.apply_log.runs"), 2);
+    let keys = [Surrogate(7)];
+    let got = fetch(&mut rel.reader().unwrap(), &[keys.to_vec()]);
+    assert_eq!(got, vec![tuple(7, 1, 3)]);
+    assert_eq!(disk.metrics().counter("base.settles"), 0);
+    rel.settle().unwrap();
+    assert_eq!(fetch(&mut rel.reader().unwrap(), &[keys.to_vec()]), got);
 }
 
 /// The pages a read-through holds count toward the log's peak, which
@@ -435,7 +537,7 @@ const HELD_RUNS: u32 = 12;
 /// tuples, their keys distinct), so that a join-index pass ends where
 /// `|JI_k|` ends it, not at the end of a long group. `R`'s log is
 /// [`HELD_RUNS`] runs of one page, each sealed after four updates of tuples
-/// that join nothing: a reader holds a page of `|M|` for each run, a
+/// that join nothing: a scan holds a page of `|M|` for each run, a
 /// join-index fetch reads none of them, and the join index logs nothing.
 fn held_runs_fixture() -> Fixture {
     let params = fixture_params();
@@ -613,59 +715,36 @@ fn rent_paid(disk: &Disk) -> u64 {
     metrics.counter("base.read_through.pages") + metrics.counter("base.read_through.rent")
 }
 
-/// A join-index query whose reader holds `R`'s runs makes more passes than
-/// all of `|M|` would need (as many as the query makes once `R` settled),
-/// and pays `R`'s log for them: the extra passes at the I/O a pass of the
-/// query paid. Its fetches read no run page, so the rent alone brings the
-/// settle: readers read through until it reaches `2·min(leaves, queued)`,
-/// and the next settles instead.
+/// A join-index query over `R`'s spilled log makes the passes it makes once
+/// `R` settled: its fetches hold one run page at a time, not one a run, so
+/// the log takes none of the passes' `|M|` and is paid no rent. Its fetches
+/// read no run page here, so nothing brings a settle.
 #[test]
-fn rent_for_held_runs_is_the_join_index_passes_they_cost() {
-    // The passes a query made, and the I/O it paid.
+fn a_join_index_over_a_spilled_log_makes_the_passes_it_makes_with_no_log() {
+    // The passes a query made.
     let query = |f: &mut Fixture| {
-        let (before, passes) = (f.disk.cost().total().ios, f.disk.cost().span_tree());
-        let invocations = |spans: Vec<trijoin_common::SpanRecord>| {
+        let passes = |spans: Vec<trijoin_common::SpanRecord>| {
             spans.iter().find(|s| s.name == "ji.read_index").map_or(0, |s| s.invocations)
         };
+        let before = passes(f.disk.cost().span_tree());
         let got = execute_collect(&mut f.ji, &f.r, &f.s).unwrap();
         oracle::assert_same_join("ji", got, f.want.clone());
-        let passes = invocations(f.disk.cost().span_tree()) - invocations(passes);
-        (passes, f.disk.cost().total().ios - before)
+        passes(f.disk.cost().span_tree()) - before
     };
     let mut settled = held_runs_fixture();
-    let leaves = settled.r.data_pages();
-    let (passes_at_zero, _) = query(&mut settled);
+    settled.r.settle().unwrap();
+    let with_no_log = query(&mut settled);
+    assert!(with_no_log > 1, "{with_no_log} passes");
     let mut f = held_runs_fixture();
     let (queued, disk) = (f.r.pending_ops(), f.disk.clone());
     let metrics = disk.metrics();
-    let (passes, ios) = query(&mut f);
-    assert!(passes > passes_at_zero, "{passes} passes, {passes_at_zero} with all of |M|");
-    assert_eq!(metrics.counter("base.read_through.pages"), 0, "no run holds a fetched tuple");
-    let rent = (passes - passes_at_zero) * ios / passes;
-    assert!(rent > 0);
-    assert_eq!(metrics.counter("base.read_through.rent"), rent);
-    let price = 2 * leaves.min(queued);
-    let mut reads = 1;
-    while rent_paid(&f.disk) < price {
-        assert_eq!(query(&mut f), (passes, ios), "the same query, read through");
-        reads += 1;
-        assert_eq!(metrics.counter("base.read_through.rent"), reads * rent);
+    for reads in 1..=3 {
+        assert_eq!(query(&mut f), with_no_log, "read through {reads} times");
+        assert_eq!(metrics.counter("base.read_through.reads"), reads);
     }
-    assert_eq!(
-        (metrics.counter("base.read_through.reads"), metrics.counter("base.settles")),
-        (reads, 0)
-    );
-    let (passes, _) = query(&mut f);
-    assert_eq!((passes, f.r.pending_ops()), (passes_at_zero, 0), "a settle, then all of |M|");
-    assert_eq!(
-        (metrics.counter("base.read_through.reads"), metrics.counter("base.settles")),
-        (reads, 1)
-    );
-    assert_eq!(
-        metrics.counter("base.read_through.rent"),
-        reads * rent,
-        "a settled reader owes none"
-    );
+    assert_eq!(metrics.counter("base.read_through.pages"), 0, "no run holds a fetched tuple");
+    assert_eq!(metrics.counter("base.read_through.rent"), 0);
+    assert_eq!((f.r.pending_ops(), metrics.counter("base.settles")), (queued, 0));
 }
 
 /// A hybrid-hash query whose reader holds `R`'s runs keeps a smaller share
@@ -714,10 +793,10 @@ fn rent_for_held_runs_is_the_hybrid_hash_spill_they_cost() {
 
 /// The view's queries never read `R`, so under view-only traffic `R`'s log
 /// is paid no rent: it settles of its own accord, when its runs would pass
-/// half of `R`'s leaf pages — more than its floor of 16 runs here, and
-/// under what `|M|` can merge.
+/// three quarters of `R`'s leaf pages — more than its floor of 16 runs
+/// here, and under what `|M|` can merge.
 #[test]
-fn rent_is_not_paid_under_view_only_traffic_and_the_log_fills_to_half() {
+fn rent_is_not_paid_under_view_only_traffic_and_the_log_fills_to_three_quarters() {
     let params = SystemParams { page_size: 512, mem_pages: 64, ..SystemParams::paper_defaults() };
     let cost = Cost::new();
     let disk = SimDisk::new(&params, cost.clone());
@@ -728,8 +807,8 @@ fn rent_is_not_paid_under_view_only_traffic_and_the_log_fills_to_half() {
     let mut r = StoredRelation::build(&disk, &params, "R", mirror.clone(), false).unwrap();
     let s = StoredRelation::build(&disk, &params, "S", s_tuples.clone(), true).unwrap();
     let mut mv = MaterializedView::build(&disk, &params, &cost, &r, &s).unwrap();
-    let runs = r.data_pages() as usize / 2 / APPLY_LOG_PAGES;
-    assert!(runs > 16, "{runs} runs fill half the leaves");
+    let runs = r.data_pages() as usize * 3 / 4 / APPLY_LOG_PAGES;
+    assert!(runs > 16, "{runs} runs fill three quarters of the leaves");
     let metrics = disk.metrics();
     metrics.reset();
     let (mut at, mut spilled) = (0u32, 0);

@@ -766,9 +766,10 @@ mod tests {
     }
 
     /// A relation of the repo benchmark's `ji_cycle` shape (40 000 tuples
-    /// of 200 B on 4 000-byte pages, `|M|` = 200) may hold runs over half
-    /// its 2 858 leaves, 89 of them, and their columns: a bound above the
-    /// floor, which its report carries and is held to.
+    /// of 200 B on 4 000-byte pages, `|M|` = 200) may hold runs over three
+    /// quarters of its 2 858 leaves, 133 of them, and their columns: a
+    /// bound above the floor and within `|M|`, which its report carries and
+    /// is held to.
     #[test]
     fn a_cycle_shaped_relations_report_carries_its_bound_and_is_held_to_it() {
         use trijoin::Database;
@@ -780,10 +781,11 @@ mod tests {
         let db = Database::new(&params, tuples.clone(), tuples).unwrap();
         let (leaves, height) = (db.r().data_pages(), db.r().height());
         assert_eq!((leaves, height), (2_858, 3));
-        // 89 runs of 16 pages of 19 records: columns of 28 480 surrogates
-        // and slice starts, 4 bytes each, 29 pages; the path holds 4.
+        // 133 runs of 16 pages of 19 records: columns of 42 560 surrogates
+        // and slice starts, 4 bytes each, 43 pages; the path holds 4.
         let bound = db.r().apply_log_bound_pages();
-        assert_eq!(bound, 16 + 89 + 29 + 4);
+        assert_eq!(bound, 16 + 133 + 43 + 4);
+        assert!(bound <= params.mem_pages as u64);
         // The floor prices 16 full runs' columns at 173 records a page, 45
         // pages; it would hold this log to 81.
         let floor = apply_log_floor_pages(height, params.page_size);
