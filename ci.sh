@@ -184,7 +184,7 @@ fi
 echo "==> adaptive-serving gate"
 # Online strategy migration: a fresh adversarial script (hot-key zipf
 # traffic shaped to force migrations) must stay oracle-green at every
-# checkpoint with migrations in flight, and an adaptive serve report
+# checkpoint across its migrations, and an adaptive serve report
 # must carry the migrate.* accounting that report-validate requires
 # whenever serve.adaptive is set.
 cargo run --release -q -p trijoin-check --bin trijoin -- \
@@ -200,6 +200,13 @@ rm -f "$report"
 if grep -rn "all_costs\|cheapest(" crates/core/src crates/serve/src \
     | grep -v "^crates/core/src/policy.rs:\|^crates/core/src/advisor.rs:"; then
     echo "strategy re-selection outside crates/core/src/policy.rs"; exit 1
+fi
+# One migration step: the query that decides a migration builds the target
+# and swaps it in, so no migration is ever in flight. The phase machine,
+# its chunking and its counters stay gone.
+if grep -rnIE "MigrationState|MIGRATION_CHUNK|migration_state|migrate\.(steps|pending_logged)" \
+        crates tests examples; then
+    echo "a paced strategy migration is back"; exit 1
 fi
 
 # One write path: a base relation changes through its apply log and the

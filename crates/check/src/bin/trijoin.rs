@@ -528,10 +528,8 @@ fn serve(args: &Args) -> Result<(), String> {
     }
     if adaptive {
         println!(
-            "migrate: {} switches over {} steps, {} pages rebuilt, {} rollbacks; \
-             per-shard strategies [{}]",
+            "migrate: {} switches, {} pages rebuilt, {} rollbacks; per-shard strategies [{}]",
             rollup.metrics.counter("migrate.count"),
-            rollup.metrics.counter("migrate.steps"),
             rollup.metrics.counter("migrate.rebuild_pages"),
             rollup.metrics.counter("migrate.rollbacks"),
             report
@@ -552,7 +550,7 @@ fn serve(args: &Args) -> Result<(), String> {
 
 /// Compact per-shard strategy cell. Adaptive shards show the method they
 /// currently serve with (the `shard.strategy` gauge indexes
-/// [`Method::all`]) plus any in-flight migration phase, e.g. `ji+build`.
+/// [`Method::all`]).
 /// Pinned shards answer whatever method a query names, so they show the
 /// cached structures they hold: `mv`, `ji`, `mv+ji`, or `-` for none.
 fn shard_strategy_label(m: &trijoin_common::MetricsSnapshot) -> String {
@@ -564,17 +562,13 @@ fn shard_strategy_label(m: &trijoin_common::MetricsSnapshot) -> String {
             .collect();
         return if resident.is_empty() { "-".to_string() } else { resident.join("+") };
     };
-    let strategy = match Method::all().get(idx as usize) {
+    match Method::all().get(idx as usize) {
         Some(Method::MaterializedView) => "mv",
         Some(Method::JoinIndex) => "ji",
         Some(Method::HybridHash) => "hh",
         None => "?",
-    };
-    match m.gauge("shard.migration_state").unwrap_or(0.0) as u64 {
-        1 => format!("{strategy}+build"),
-        2 => format!("{strategy}+drain"),
-        _ => strategy.to_string(),
     }
+    .to_string()
 }
 
 /// `trijoin report-validate <path>` — the CI schema gate, implemented in
@@ -685,13 +679,12 @@ fn render_top_frame(
         );
     }
     if adaptive {
-        // Rollup migration accounting: switches completed, incremental
-        // steps taken, pages written into migration targets, rollbacks
-        // (faults or S-churn landing mid-migration).
+        // Rollup migration accounting: switches completed, pages written
+        // into migration targets, rollbacks (device faults while a target
+        // was written).
         println!(
-            "  migrate  switches {:>4}   steps {:>6}   rebuilt {:>7} pages   rollbacks {:>3}",
+            "  migrate  switches {:>4}   rebuilt {:>7} pages   rollbacks {:>3}",
             m.counter("migrate.count"),
-            m.counter("migrate.steps"),
             m.counter("migrate.rebuild_pages"),
             m.counter("migrate.rollbacks"),
         );

@@ -346,8 +346,9 @@ struct Driver<'a> {
     /// scripts — one adaptive server per shard count
     /// (`ServeConfig::adaptive` set, own seed stream). Every server
     /// receives every mutation and is checked against the oracle at every
-    /// checkpoint, the adaptive ones with migrations in flight — the
-    /// metamorphic claim that migration never changes answers.
+    /// checkpoint, the adaptive ones on whichever structure their last
+    /// migration left serving — the metamorphic claim that migration never
+    /// changes answers.
     servers: Vec<Serving>,
     r_mirror: BTreeMap<u32, BaseTuple>,
     s_mirror: BTreeMap<u32, BaseTuple>,
@@ -541,9 +542,9 @@ impl Driver<'_> {
         // Servers always die cold: shard threads exit on channel close
         // without committing, so their recovery point is the last commit
         // barrier regardless of the engines' sabotage flavour. Adaptive
-        // servers additionally lose any in-flight migration (migration
-        // state is derived, never persisted) — they restart Stable on the
-        // recovered relations, which the checkpoint equivalence verifies.
+        // servers restart on the materialized view over the recovered
+        // relations (the structure a migration left is derived, never
+        // persisted), which the checkpoint equivalence verifies.
         for old in std::mem::take(&mut self.servers) {
             let srv = Serving::open(old.config.clone(), None)
                 .map_err(|e| fail(i, &old.site, format!("recover: {e}")))?;

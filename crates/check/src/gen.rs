@@ -271,8 +271,8 @@ fn generate_adversary(cfg: &GenConfig, adv: &Adversary) -> Script {
         if update_regime {
             // Dense mutation train: join-attribute churn (high Pr_A) with
             // a sprinkle of inserts/deletes, flushed and checkpointed at
-            // the end so the oracle observes the regime's effect with any
-            // triggered migration still in flight on the next train.
+            // the end so the oracle observes the regime's effect on the
+            // structure any triggered migration swapped in.
             for _ in 0..train {
                 if ops.len() >= cfg.ops {
                     break;

@@ -29,8 +29,8 @@ pub enum EventKind {
     RecoveryTriggered,
     /// The adaptive planner changed strategy.
     StrategySwitch,
-    /// One step of an incremental strategy migration advanced (build
-    /// chunk processed, pending log drained, rollback on fault, ...).
+    /// A strategy migration started (with the prices that decided it) or
+    /// rolled back on a device fault.
     MigrationStep,
     /// A telemetry window's predicted-vs-actual cost error exceeded the
     /// configured drift threshold (see `telemetry::DriftAlert`).

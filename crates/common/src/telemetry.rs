@@ -15,8 +15,9 @@
 //! each strategy operation ([`Telemetry::record_audit`]), per-window
 //! accumulators compute the log2 error per section, and closing a window
 //! returns [`DriftAlert`]s for every *query-cycle* section whose error
-//! exceeds the configured threshold — the hook an online strategy
-//! switcher consumes. Sections that are not `cycle.*` (differential
+//! exceeds the configured threshold; the engine logs each as a
+//! `CostDrift` event, which `trijoin top` counts per shard. Nothing
+//! decides on them. Sections that are not `cycle.*` (differential
 //! applies, spills, recovery) are recorded and serialized but never
 //! alert: their predictions carry known structural bias (amortized log
 //! writes vs. point btree updates) that is stable in log space but not

@@ -83,7 +83,7 @@ impl Advisor {
 
     /// Price all three methods with the analytical model and return the
     /// cheapest, with the predicted totals.
-    pub fn model_based(&self, w: &Workload) -> Recommendation {
+    fn model_based(&self, w: &Workload) -> Recommendation {
         let (method, secs) = cheapest(&self.params, w);
         Recommendation {
             method,

@@ -21,7 +21,7 @@ use trijoin_model::Method;
 
 /// Cumulative cost sections whose I/O counts as Figure-5 "white" work for
 /// `method`. Everything else the ledger charged is "dark".
-pub fn white_sections(method: Method) -> &'static [&'static str] {
+fn white_sections(method: Method) -> &'static [&'static str] {
     match method {
         Method::MaterializedView => &["mv.scan_view"],
         Method::JoinIndex => &["ji.read_index", "ji.fetch_r", "ji.fetch_s"],

@@ -214,11 +214,6 @@ impl Database {
         Ok(Self::assemble(params, cost, disk, r, s, true))
     }
 
-    /// True when this database sits on a durable (WAL-backed) backend.
-    pub fn is_durable(&self) -> bool {
-        self.durable
-    }
-
     /// What a commit does with the relations' queued mutations. On a
     /// durable database both apply logs are sealed and the catalog naming
     /// their runs and trees goes into file 0. In memory there is no
@@ -827,13 +822,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
 
         let db = Database::create_durable(&params, tuples(120), tuples(90), &dir).unwrap();
-        assert!(db.is_durable());
+        assert!(db.durable);
         let mut mv = db.materialized_view().unwrap();
         let baseline = db.query(&mut mv).unwrap();
         db.close().unwrap();
 
         let db = Database::open_durable(&params, &dir).unwrap();
-        assert!(db.is_durable());
+        assert!(db.durable);
         assert_eq!(db.r().len(), 120);
         assert_eq!(db.s().len(), 90);
         assert!(db.s().has_inverted() && !db.r().has_inverted());

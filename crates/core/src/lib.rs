@@ -58,7 +58,7 @@ pub mod experiment;
 pub mod policy;
 pub mod workload;
 
-pub use adaptive::{AdaptiveController, AdaptiveStrategy, CachedStrategy, MigrationState};
+pub use adaptive::{AdaptiveController, AdaptiveStrategy, CachedStrategy};
 pub use advisor::{Advisor, Recommendation};
 pub use breakdown::Fig5Breakdown;
 pub use db::{Database, EpochCost};

@@ -56,7 +56,7 @@
 //! run writer and merge, [`crate::diff::DiffLog`] — as surrogate-sorted
 //! runs, and a settle forced where the run pages would pass three quarters
 //! of the relation's leaf pages; never before [`APPLY_LOG_RUNS`] runs,
-//! never more runs than `|M|` has pages to merge
+//! never more runs than `|M|` has pages to merge with their columns
 //! ([`StoredRelation::apply_log_bound_pages`]). Once a log touches every
 //! leaf its settle costs no more for being longer, so a longer log costs
 //! only what it holds: run pages on the device, and the `|M|` a scan's
@@ -250,23 +250,35 @@ impl State {
         std::iter::once(&self.clustered).chain(&self.inverted)
     }
 
+    /// The pages a log of `runs` full runs holds at its settle: buffer, an
+    /// input page a run, the runs' columns and the sweep's path.
+    fn held_pages(&self, runs: usize) -> u64 {
+        let column = full_column_pages(runs, self.log.per_page, self.log.page_size);
+        (APPLY_LOG_PAGES + runs + self.clustered.sweep_pages()) as u64 + column
+    }
+
     /// Runs the log may hold: as many as fill three quarters of the leaf
-    /// pages, at least [`APPLY_LOG_RUNS`], at most what `|M|` can merge
-    /// beside the buffer and the sweep's path (the columns are not counted
-    /// against `|M|` here: at three quarters they still fit it on the
-    /// cycle shape).
+    /// pages, at least [`APPLY_LOG_RUNS`], at most as many as `|M|` can
+    /// merge with their columns beside the buffer and the sweep's path.
     fn run_bound(&self) -> usize {
         let space = self.clustered.leaf_pages() as usize * 3 / 4 / APPLY_LOG_PAGES;
-        let merge =
-            self.log.mem_pages.saturating_sub(APPLY_LOG_PAGES + self.clustered.sweep_pages());
-        APPLY_LOG_RUNS.max(space.min(merge))
+        let mem = self.log.mem_pages;
+        let mut runs =
+            space.min(mem.saturating_sub(APPLY_LOG_PAGES + self.clustered.sweep_pages()));
+        while runs > APPLY_LOG_RUNS && self.held_pages(runs) > mem as u64 {
+            runs -= 1;
+        }
+        APPLY_LOG_RUNS.max(runs)
     }
 
     /// [`StoredRelation::apply_log_bound_pages`].
     fn bound_pages(&self) -> u64 {
-        let runs = self.run_bound();
-        let column = full_column_pages(runs, self.log.per_page, self.log.page_size);
-        let now = (APPLY_LOG_PAGES + runs + self.clustered.sweep_pages()) as u64 + column;
+        let now = self.held_pages(self.run_bound());
+        let (mem, page_size) = (self.log.mem_pages as u64, self.log.page_size);
+        debug_assert!(
+            now <= mem || mem < apply_log_floor_pages(self.clustered.height(), page_size),
+            "an apply log bound of {now} pages with |M| = {mem} at or above its floor"
+        );
         self.log.bound_pages.max(now)
     }
 
@@ -659,8 +671,9 @@ impl StoredRelation {
     /// buffer, the sweep's path over the clustered tree (`h + 1`:
     /// [`BTree::sweep_pages`]), one per run — as many runs as keep their
     /// pages within three quarters of the relation's leaf pages,
-    /// `max(APPLY_LOG_RUNS, min(3·leaves/4/APPLY_LOG_PAGES, |M| −
-    /// APPLY_LOG_PAGES − h − 1))` — and
+    /// `max(APPLY_LOG_RUNS, min(3·leaves/4/APPLY_LOG_PAGES, r))`, where `r`
+    /// is the most runs with `APPLY_LOG_PAGES + r + columns(r) + h + 1 ≤
+    /// |M|` — and
     /// the surrogate columns of that many full runs ([`column_pages`]). Read
     /// off the trees as they stand, and never under what an earlier settle
     /// was held to.
@@ -1215,14 +1228,16 @@ mod tests {
         let (disk, mut rel) = build(200);
         assert_eq!(rel.data_pages(), 1_200);
         let h = rel.height();
-        let path = h + 1; // the sweep's path holds two leaves
-                          // The columns of 56, 36 and 16 full runs of 6 records a
-                          // page: 49, 32 and 14 pages.
+        // The sweep's path holds two leaves. The columns of 56, 19 and 16
+        // full runs of 6 records a page: 49, 17 and 14 pages.
+        let path = h + 1;
         let columns = |runs: u64| column_pages(runs * 16 * 7, 512) as usize;
-        assert_eq!((columns(56), columns(36), columns(16)), (49, 32, 14));
+        assert_eq!((columns(56), columns(19), columns(16)), (49, 17, 14));
         assert_eq!(rel.apply_log_bound_pages(), (APPLY_LOG_PAGES + 56 + 49 + path) as u64);
+        // 36 pages beside the buffer and the path merge 19 runs with their
+        // 17 column pages; 20 runs with their 18 would need 38.
         let roomy = build(APPLY_LOG_PAGES + path + 36).1.apply_log_bound_pages();
-        assert_eq!(roomy, (16 + 36 + 32 + path) as u64);
+        assert_eq!(roomy, (16 + 19 + 17 + path) as u64);
         assert_eq!(build(8).1.apply_log_bound_pages(), (16 + APPLY_LOG_RUNS + 14 + path) as u64);
         // The log fills to 55 runs and a buffer, then settles itself.
         let t = |n: u32| BaseTuple::padded(Surrogate(n * 7 % 6_000), n as u64, 64);

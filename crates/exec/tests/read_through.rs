@@ -797,7 +797,7 @@ fn rent_for_held_runs_is_the_hybrid_hash_spill_they_cost() {
 /// here, and under what `|M|` can merge.
 #[test]
 fn rent_is_not_paid_under_view_only_traffic_and_the_log_fills_to_three_quarters() {
-    let params = SystemParams { page_size: 512, mem_pages: 64, ..SystemParams::paper_defaults() };
+    let params = SystemParams { page_size: 512, mem_pages: 128, ..SystemParams::paper_defaults() };
     let cost = Cost::new();
     let disk = SimDisk::new(&params, cost.clone());
     let key = |i: u32| if i.is_multiple_of(40) { (i % 7) as u64 } else { 100 + i as u64 };
@@ -809,6 +809,9 @@ fn rent_is_not_paid_under_view_only_traffic_and_the_log_fills_to_three_quarters(
     let mut mv = MaterializedView::build(&disk, &params, &cost, &r, &s).unwrap();
     let runs = r.data_pages() as usize * 3 / 4 / APPLY_LOG_PAGES;
     assert!(runs > 16, "{runs} runs fill three quarters of the leaves");
+    // The log's bound fits |M|, and 128 pages merge that many runs with
+    // their columns (64 would merge 19).
+    assert!(r.apply_log_bound_pages() <= params.mem_pages as u64);
     let metrics = disk.metrics();
     metrics.reset();
     let (mut at, mut spilled) = (0u32, 0);

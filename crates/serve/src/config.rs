@@ -59,9 +59,10 @@ pub struct ServeConfig {
     pub durability: Durability,
     /// True to serve adaptively: every shard tracks its own observed
     /// update/query mix and `Pr_A`, takes exact selectivities off each
-    /// answer, re-prices MV/JI/HH with the §3 cost model after each query, and *migrates* incrementally
-    /// (old structure serves until the new one is caught up) when a
-    /// different method wins by the hysteresis margin. The `Method` of
+    /// answer, re-prices MV/JI/HH with the §3 cost model after each
+    /// query, and *migrates* inside that query (the winner is built from
+    /// its answer, then swapped in) when a different method wins by the
+    /// hysteresis margin. The `Method` of
     /// query requests becomes advisory only. Off by default — the fixed
     /// serving path (and its golden ledgers) is byte-identical to a build
     /// without this field.

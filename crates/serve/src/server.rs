@@ -317,7 +317,7 @@ impl Server {
     /// order in which their malloc arenas were handed back — and so which
     /// arena each role got at the next `start` in this process — was a
     /// race, and the process's peak RSS with it.
-    pub fn shutdown(&mut self) {
+    fn shutdown(&mut self) {
         self.ring.close();
         self.join_scheduler();
         while join_last_shard(&mut self.shard_threads) {}

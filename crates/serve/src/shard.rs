@@ -114,8 +114,8 @@ pub struct ShardSpec {
     pub recover: bool,
     /// True to serve adaptively: the shard holds *one* cached structure,
     /// re-prices the three methods from observed traffic after every
-    /// query, and migrates incrementally when a different method wins by
-    /// the hysteresis margin. The `method` of query commands is ignored —
+    /// query, and migrates (builds the winner from the answer and swaps it
+    /// in) when a different method wins by the hysteresis margin. The `method` of query commands is ignored —
     /// the shard serves with whatever it currently holds.
     pub adaptive: bool,
 }
@@ -408,9 +408,8 @@ impl ShardWorker {
             match cmd {
                 ShardCommand::Apply { r, s } => self.apply(r, s),
                 ShardCommand::Query { r, s, method, reply } => {
-                    // `apply` ends a batch with the eviction rule or a
-                    // migration step: a query with nothing to fold goes
-                    // straight to its strategy.
+                    // `apply` ends a batch with the eviction rule: a query
+                    // with nothing to fold goes straight to its strategy.
                     if !r.is_empty() || !s.is_empty() {
                         self.apply(r, s);
                     }
@@ -473,24 +472,20 @@ impl ShardWorker {
     /// at the settle if the tree refuses it there (unknown or reused
     /// surrogate, [`ShardWorker::count_rejected`]); the shard keeps
     /// serving. The end of a batch is where a pinned shard applies its
-    /// eviction rule and an adaptive shard advances any in-flight migration
-    /// by one step — migrations make progress on every command, not just
-    /// queries.
+    /// eviction rule.
     fn apply(&mut self, r: Vec<Mutation>, s: Vec<Mutation>) {
         for (of_s, m) in s.iter().map(|m| (true, m)).chain(r.iter().map(|m| (false, m))) {
             if self.apply_one(of_s, m).is_err() {
                 self.count_apply_errors(of_s, 1);
             }
         }
-        match &mut self.mode {
-            Mode::Pinned(set) => set.evict_idle(&self.db),
-            Mode::Adaptive(a) => a.advance(),
+        if let Mode::Pinned(set) = &mut self.mode {
+            set.evict_idle(&self.db);
         }
     }
 
     /// One mutation of `R` or (`of_s`) `S` through the deferred-maintenance
-    /// contract ([`Database::mutate`]), the resident structures logging it
-    /// (an in-flight migration replays it into its target).
+    /// contract ([`Database::mutate`]), the resident structures logging it.
     fn apply_one(&mut self, of_s: bool, m: &Mutation) -> Result<()> {
         if of_s {
             self.db.metrics().incr_id(self.s_mutations);
@@ -532,7 +527,8 @@ impl ShardWorker {
             Mode::Pinned(set) => self.db.query(set.strategy(&self.db, method)?)?,
             // Adaptive shards ignore the requested method: the incumbent
             // serves, and the freshly produced answer feeds the selection
-            // statistics (and, if a migration starts, the staging source).
+            // statistics (and, if the controller migrates, the source the
+            // target is built from).
             Mode::Adaptive(a) => self.db.query(a.strategy())?,
         };
         self.since_query = 0;
@@ -552,7 +548,6 @@ impl ShardWorker {
             }
             Mode::Adaptive(a) => {
                 a.after_query(self.db.r(), self.db.s(), &rows);
-                a.advance();
             }
         }
         Ok(rows)

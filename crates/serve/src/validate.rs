@@ -32,7 +32,7 @@ pub fn validate_report_json(path: &str, json: &Json) -> Result<String, String> {
 }
 
 /// [`validate_report_json`] with a minimum-series-windows requirement.
-pub fn validate_report_json_with(
+fn validate_report_json_with(
     path: &str,
     json: &Json,
     min_series_windows: usize,
@@ -317,7 +317,7 @@ fn check_live_file_counters(
 
 /// Validate a plain run report (`trijoin run --report`), with a
 /// minimum-series-windows requirement.
-pub fn validate_run_report_with(
+fn validate_run_report_with(
     path: &str,
     json: &Json,
     min_series_windows: usize,
@@ -375,7 +375,7 @@ const REQUIRED_ROLLUP_GAUGES: &[&str] =
 /// requirement applied to every shard's engine series (the scheduler's
 /// batch-domain `serve` series in the rollup only needs to exist and be
 /// well-formed — its window count scales with batches, not engine work).
-pub fn validate_sharded_report_with(
+fn validate_sharded_report_with(
     path: &str,
     json: &Json,
     min_series_windows: usize,
@@ -444,7 +444,7 @@ pub fn validate_sharded_report_with(
 
 /// Validate a bench results file: a string `figure` and at least one
 /// other member; `rows`, when present, is a non-empty array.
-pub fn validate_bench_results(path: &str, json: &Json) -> Result<String, String> {
+fn validate_bench_results(path: &str, json: &Json) -> Result<String, String> {
     let figure = json
         .get("figure")
         .and_then(Json::as_str)
@@ -775,34 +775,39 @@ mod tests {
         use trijoin::Database;
         use trijoin_common::{BaseTuple, Surrogate, SystemParams};
 
-        let params = SystemParams { mem_pages: 200, ..SystemParams::paper_defaults() };
         let tuples: Vec<BaseTuple> =
             (0..40_000).map(|i| BaseTuple::padded(Surrogate(i), (i % 2_000) as u64, 200)).collect();
-        let db = Database::new(&params, tuples.clone(), tuples).unwrap();
-        let (leaves, height) = (db.r().data_pages(), db.r().height());
-        assert_eq!((leaves, height), (2_858, 3));
-        // 133 runs of 16 pages of 19 records: columns of 42 560 surrogates
-        // and slice starts, 4 bytes each, 43 pages; the path holds 4.
-        let bound = db.r().apply_log_bound_pages();
-        assert_eq!(bound, 16 + 133 + 43 + 4);
-        assert!(bound <= params.mem_pages as u64);
-        // The floor prices 16 full runs' columns at 173 records a page, 45
-        // pages; it would hold this log to 81.
-        let floor = apply_log_floor_pages(height, params.page_size);
-        assert_eq!(floor, 16 + 16 + 45 + 4);
-        let report = db.run_report("cycle");
-        assert_eq!(report.metrics.gauge("base.apply_log.bound_pages"), Some(bound as f64));
-        validate_report_json("r.json", &report.to_json()).unwrap();
-        let with_peak = |peak: u64| {
-            let mut edited = report.clone();
-            let gauges = &mut edited.metrics.gauges;
-            gauges.iter_mut().find(|(k, _)| k == "base.apply_log.peak_pages").unwrap().1 =
-                peak as f64;
-            validate_report_json("r.json", &edited.to_json())
-        };
-        with_peak(bound).unwrap();
-        let err = with_peak(bound + 1).unwrap_err();
-        assert!(err.contains(&format!("above its bound {bound}")), "{err}");
+        // Runs of 16 pages of 19 records, with columns of a surrogate and a
+        // slice start each, 4 bytes each: at |M| = 200, 133 runs (three
+        // quarters of the leaves) and 43 column pages; at 150 and 100 the
+        // most runs that fit |M| with their columns, 98 with 32 and 60 with
+        // 20. The path holds 4.
+        for (mem_pages, runs, columns) in [(200, 133, 43), (150, 98, 32), (100, 60, 20)] {
+            let params = SystemParams { mem_pages, ..SystemParams::paper_defaults() };
+            let db = Database::new(&params, tuples.clone(), tuples.clone()).unwrap();
+            let (leaves, height) = (db.r().data_pages(), db.r().height());
+            assert_eq!((leaves, height), (2_858, 3));
+            let bound = db.r().apply_log_bound_pages();
+            assert_eq!(bound, 16 + runs + columns + 4, "|M| = {mem_pages}");
+            assert!(bound <= mem_pages as u64);
+            // The floor prices 16 full runs' columns at 173 records a
+            // page, 45 pages; it would hold this log to 81.
+            let floor = apply_log_floor_pages(height, params.page_size);
+            assert_eq!(floor, 16 + 16 + 45 + 4);
+            let report = db.run_report("cycle");
+            assert_eq!(report.metrics.gauge("base.apply_log.bound_pages"), Some(bound as f64));
+            validate_report_json("r.json", &report.to_json()).unwrap();
+            let with_peak = |peak: u64| {
+                let mut edited = report.clone();
+                let gauges = &mut edited.metrics.gauges;
+                gauges.iter_mut().find(|(k, _)| k == "base.apply_log.peak_pages").unwrap().1 =
+                    peak as f64;
+                validate_report_json("r.json", &edited.to_json())
+            };
+            with_peak(bound).unwrap();
+            let err = with_peak(bound + 1).unwrap_err();
+            assert!(err.contains(&format!("above its bound {bound}")), "{err}");
+        }
     }
 
     #[test]

@@ -217,7 +217,7 @@ fn generated_scripts_replay_deterministically() {
 
 /// Every adversary shape must drive the adaptive serving fleet into at
 /// least one migration per shard count — with every checkpoint still
-/// oracle-green while those migrations are in flight. This is the fresh
+/// oracle-green across those migrations. This is the fresh
 /// generation counterpart of the committed-corpus gate above, so the
 /// property holds beyond the eight committed seeds.
 #[test]
