@@ -303,6 +303,13 @@ if awk '/^    pub fn (commit_with|checkpoint)\(/ { f = 1 }
     echo "a commit or checkpoint settles the apply logs instead of sealing them"; exit 1
 fi
 
+# The WAL hashes a page once, eight bytes a step: the skip-clean
+# fingerprint is the page frame checksum's input, and no byte-at-a-time
+# fold comes back.
+if grep -nF "for &b in bytes" crates/storage/src/wal.rs; then
+    echo "the WAL hashes pages byte by byte again"; exit 1
+fi
+
 echo "==> size"
 # The trajectory the code and the design notes are meant to shrink along.
 echo "tracked .rs lines under crates/: $(git ls-files 'crates/*.rs' | xargs cat | wc -l)"

@@ -247,49 +247,40 @@ impl BTree {
         entries: impl IntoIterator<Item = (u64, Vec<u8>)>,
     ) -> Result<Self> {
         let page_size = disk.page_size();
-        // Pack leaves.
-        let mut leaves: Vec<Node> = Vec::new();
+        // Pack leaves, each written as the next one starts (it then has a
+        // right sibling): leaf i lands on page i.
+        let mut level: Vec<(u64, u32)> = Vec::new(); // (min_key, page)
+        let mut write_leaf = |entries: Vec<(u64, Vec<u8>)>, last: bool| -> Result<()> {
+            let page = level.len() as u32;
+            level.push((entries.first().map(|(k, _)| *k).unwrap_or(0), page));
+            let next = if last { None } else { Some(page + 1) };
+            let pid = disk.allocate_page(file)?;
+            debug_assert_eq!(pid.page, page);
+            disk.write_page(pid, &Node::Leaf { entries, next }.to_page(page_size)?)
+        };
         let mut current: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut current_bytes = 7usize;
-        let mut prev: Option<(u64, Vec<u8>)> = None;
         let mut total = 0u64;
         for (k, v) in entries {
-            if let Some((pk, pv)) = &prev {
+            if let Some((pk, pv)) = current.last() {
                 if (*pk, pv.as_slice()) > (k, v.as_slice()) {
                     return Err(Error::Invariant("bulk_load input not sorted".into()));
                 }
             }
-            prev = Some((k, v.clone()));
             let entry_bytes = 10 + v.len();
             if current.len() >= cfg.leaf_cap || current_bytes + entry_bytes > page_size {
                 if current.is_empty() {
                     return Err(Error::PageOverflow { needed: entry_bytes, available: page_size });
                 }
-                leaves.push(Node::Leaf { entries: std::mem::take(&mut current), next: None });
+                write_leaf(std::mem::take(&mut current), false)?;
                 current_bytes = 7;
             }
             current.push((k, v));
             current_bytes += entry_bytes;
             total += 1;
         }
-        if !current.is_empty() || leaves.is_empty() {
-            leaves.push(Node::Leaf { entries: current, next: None });
-        }
-        let leaf_count = leaves.len() as u64;
-
-        // Write leaves with sibling pointers: leaf i lands on page i.
-        let n_leaves = leaves.len();
-        let mut level: Vec<(u64, u32)> = Vec::with_capacity(n_leaves); // (min_key, page)
-        for (i, mut leaf) in leaves.into_iter().enumerate() {
-            if let Node::Leaf { ref mut next, ref entries } = leaf {
-                *next = if i + 1 < n_leaves { Some(i as u32 + 1) } else { None };
-                let min_key = entries.first().map(|(k, _)| *k).unwrap_or(0);
-                level.push((min_key, i as u32));
-            }
-            let pid = disk.allocate_page(file)?;
-            debug_assert_eq!(pid.page as usize, i);
-            disk.write_page(pid, &leaf.to_page(page_size)?)?;
-        }
+        write_leaf(current, true)?;
+        let leaf_count = level.len() as u64;
 
         // Build internal levels bottom-up.
         let fan = cfg.internal_cap + 1;

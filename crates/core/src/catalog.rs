@@ -17,11 +17,11 @@
 //! it to the last commit together with the tree pages it describes.
 
 use trijoin_common::{Error, Json, Result};
-use trijoin_storage::{Disk, FileId, PageId};
+use trijoin_storage::{Disk, DurableBackend, FileId, PageId};
 
 /// The catalog always lives in the backend's first file. `Database`'s
 /// durable constructors create it before any relation so the id is fixed.
-pub const CATALOG_FILE: FileId = FileId(0);
+pub const CATALOG_FILE: FileId = DurableBackend::CATALOG;
 
 /// Manifest schema version (bumped on incompatible layout changes).
 pub const CATALOG_VERSION: u64 = 5;

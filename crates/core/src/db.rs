@@ -150,8 +150,11 @@ impl Database {
     /// Like [`Database::new`] but on the durable file backend rooted at
     /// `dir`: pages live in real files, every mutation is buffered until
     /// [`Database::commit`] seals it into the write-ahead log. The initial
-    /// load is committed before returning, so a crash immediately after
-    /// construction reopens to exactly these tuples.
+    /// load is the store's first checkpoint ([`DurableBackend::create`]):
+    /// `R` and `S` go straight to their data files, and the commit before
+    /// returning syncs them and logs only the catalog naming them, so a
+    /// crash immediately after construction reopens to exactly these
+    /// tuples.
     pub fn create_durable(
         params: &SystemParams,
         r: Vec<BaseTuple>,

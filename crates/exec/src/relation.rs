@@ -445,18 +445,22 @@ impl StoredRelation {
             return Err(Error::Invariant(format!("relation {name}: duplicate surrogate")));
         }
         let count = tuples.len() as u64;
-        let clustered = BTree::bulk_load(
-            disk,
-            BTreeConfig::clustered(params, tuple_bytes),
-            tuples.iter().map(|t| (t.sur.0 as u64, t.to_bytes())),
-        )?;
-        let inverted = if with_inverted {
+        // The inverted index's entries first, so the clustered load can
+        // consume the tuples as it writes them.
+        let inverted_entries = with_inverted.then(|| {
             let mut entries: Vec<(u64, Vec<u8>)> =
                 tuples.iter().map(|t| (t.key, t.sur.0.to_le_bytes().to_vec())).collect();
             entries.sort();
-            Some(BTree::bulk_load(disk, BTreeConfig::inverted(params), entries)?)
-        } else {
-            None
+            entries
+        });
+        let clustered = BTree::bulk_load(
+            disk,
+            BTreeConfig::clustered(params, tuple_bytes),
+            tuples.into_iter().map(|t| (t.sur.0 as u64, t.to_bytes())),
+        )?;
+        let inverted = match inverted_entries {
+            Some(entries) => Some(BTree::bulk_load(disk, BTreeConfig::inverted(params), entries)?),
+            None => None,
         };
         Ok(Self::assemble(disk, params, name.to_string(), tuple_bytes, count, clustered, inverted))
     }

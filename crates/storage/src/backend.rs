@@ -454,6 +454,13 @@ impl FileBackend {
         Ok(())
     }
 
+    /// Sync the store directory: the entries of the files created in it
+    /// (a new store's first commit, whose load no log frame covers).
+    pub(crate) fn sync_dir(&self) -> Result<()> {
+        let io = |e: std::io::Error| Error::io(format!("sync dir {:?}", self.dir), &e);
+        fs::File::open(&self.dir).map_err(io)?.sync_all().map_err(io)
+    }
+
     /// Grow `file` to at least `pages` pages (recovery replay may land
     /// images past the current end of a shorter-than-logged file).
     /// Never shrinks.

@@ -5,20 +5,23 @@
 //! batched, overlapped I/O:
 //!
 //! * page writes land in an in-memory **overlay** (uncommitted state) —
-//!   the data files on disk only ever hold checkpointed images;
+//!   the data files on disk only ever hold checkpointed images. A new
+//!   store's initial load is its first checkpoint: until the first
+//!   commit, every page of every file but the catalog (file 0) goes
+//!   straight to its data file, and that commit syncs those files and
+//!   the store directory before it seals the catalog's group;
 //! * [`StorageBackend::commit`] encodes the overlay as one sealed frame
 //!   group — **skip-clean**: pages whose bytes equal the committed
-//!   image (checksum compare against a per-page FNV cache) are dropped,
+//!   image (fingerprint compare against a per-page cache) are dropped,
 //!   so repeated-touch workloads log only real deltas — and appends it
 //!   to the log. Under [`Durability::Barrier`] the group (plus every
 //!   deferred group before it) is flushed and fsynced before returning;
 //!   under [`Durability::Deferred`] it stays in the **group-commit
 //!   buffer** until the next barrier, so consecutive commits share one
-//!   fsync. The buffer is bounded: a group larger than it (a bulk
-//!   load) reaches the file in several unsynced writes, sealed by the
-//!   commit frame in the last one. Surviving images are promoted to a
-//!   **committed overlay** read layer instead of being applied to the
-//!   data files;
+//!   fsync. The buffer is bounded: a group larger than it reaches the
+//!   file in several unsynced writes, sealed by the commit frame in the
+//!   last one. Surviving images are promoted to a **committed overlay**
+//!   read layer instead of being applied to the data files;
 //! * [`StorageBackend::checkpoint`] drains the backlog: it seals
 //!   stragglers, applies the committed overlay to the data files, syncs
 //!   them, and truncates the log — eager apply is off the commit hot
@@ -45,15 +48,24 @@
 //! ## Frame format
 //!
 //! ```text
-//! page frame    'P' | file u32 | page u32 | len u32 | data[len] | fnv64
-//! commit frame  'C' | seq u64  | frames u32         |            fnv64
+//! page frame    'p' | file u32 | page u32 | len u32 | data[len] | sum u64
+//! commit frame  'c' | seq u64  | frames u32         |            sum u64
 //! ```
 //!
-//! All integers little-endian; the trailing FNV-1a 64 checksum covers
-//! every byte of the frame before it. A frame that fails to parse, fails
-//! its checksum, carries a `len` other than the store's page size, or is
-//! not sealed by a commit frame is part of a torn tail and is discarded
-//! by recovery.
+//! The tags name the format. The first format tagged its frames `'P'`
+//! and `'C'` and summed them with byte-serial FNV-1a; [`Wal::open`]
+//! refuses a log that starts with one of those tags rather than discard
+//! its frames as a torn tail (checkpoint such a store with the build
+//! that wrote it first).
+//!
+//! All integers little-endian. A commit frame's `sum` is `hash64` of
+//! its head. A page frame's `sum` mixes `hash64` of its head with the
+//! page's fingerprint, `hash64` of `data` (`page_frame_sum`), so a
+//! commit hashes each image once for skip-clean and framing both. Any
+//! one-byte change of a frame changes its `sum`. A frame that fails to
+//! parse, fails its checksum, carries a `len` other than the store's
+//! page size, or is not sealed by a commit frame is part of a torn tail
+//! and is discarded by recovery.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -71,43 +83,87 @@ use crate::backend::{
 };
 use crate::disk::{FileId, PageId};
 
-/// Frame tags.
-const TAG_PAGE: u8 = b'P';
-const TAG_COMMIT: u8 = b'C';
+/// Frame tags of this format.
+const TAG_PAGE: u8 = b'p';
+const TAG_COMMIT: u8 = b'c';
+/// The first format's frame tags (FNV-1a sums): a log that starts with
+/// one holds frames this build cannot verify.
+const RETIRED_TAGS: [u8; 2] = [b'P', b'C'];
 
 /// Both frame kinds open with a 13-byte head (tag plus `file, page, len`
 /// or `seq, frames`) and close with an 8-byte checksum.
 const FRAME_HEAD: usize = 13;
 const FRAME_SUM: usize = 8;
 
-/// FNV-1a 64 offset basis.
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+/// The hash's odd multipliers (those of xxHash64).
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const P3: u64 = 0x1656_67b1_9e37_79f9;
 
-/// Fold `bytes` into a running FNV-1a 64 state.
-fn fnv64_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// One lane step: a bijection of `lane` for a fixed word and of the word
+/// for a fixed `lane`, so two inputs that differ in one word leave the
+/// lane different from that word on.
+fn lane_step(lane: u64, word: u64) -> u64 {
+    lane.wrapping_add(word.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+}
+
+/// Scramble every bit of `h` into every other (bijective).
+fn avalanche(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
+}
+
+/// The page fingerprint and the frame checksum: four lanes, eight bytes
+/// a step, the tail zero-padded to a word, the length folded in. Each
+/// step and the merge are bijective in the word or lane that changes, so
+/// any change confined to one word — every single-byte flip — changes
+/// the hash. Not cryptographic; it detects torn and bit-rotted frames,
+/// which is all recovery needs.
+fn hash64(bytes: &[u8]) -> u64 {
+    let word = |w: &[u8]| {
+        let mut b = [0u8; 8];
+        b[..w.len()].copy_from_slice(w);
+        u64::from_le_bytes(b)
+    };
+    let mut lanes = [P1, P2, P3, !P1];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = lane_step(*lane, u64::from_le_bytes(w.try_into().expect("a word")));
+        }
     }
-    h
+    for (lane, w) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+        *lane = lane_step(*lane, word(w));
+    }
+    let h = lanes[0]
+        .rotate_left(1)
+        .wrapping_add(lanes[1].rotate_left(7))
+        .wrapping_add(lanes[2].rotate_left(12))
+        .wrapping_add(lanes[3].rotate_left(18));
+    avalanche(h ^ bytes.len() as u64)
 }
 
-/// FNV-1a 64 — the frame checksum and the skip-clean page fingerprint.
-/// Not cryptographic; it detects torn and bit-rotted frames, which is
-/// all recovery needs.
-fn fnv64(bytes: &[u8]) -> u64 {
-    fnv64_fold(FNV_BASIS, bytes)
+/// A page frame's checksum: its head's hash mixed with the page's
+/// fingerprint ([`hash64`] of the image, the skip-clean cache's value),
+/// so a commit hashes each image once. Bijective in either argument for
+/// a fixed other, so a flip in the head or in the image changes it.
+fn page_frame_sum(head: &[u8], fingerprint: u64) -> u64 {
+    avalanche(lane_step(hash64(head), fingerprint))
 }
 
-/// Append one page-image frame for `pid` to `buf`.
-fn encode_page_frame(buf: &mut Vec<u8>, pid: PageId, data: &[u8]) {
+/// Append one page-image frame for `pid` to `buf`; `fingerprint` is
+/// [`hash64`] of `data`.
+fn encode_page_frame(buf: &mut Vec<u8>, pid: PageId, data: &[u8], fingerprint: u64) {
     let start = buf.len();
     buf.push(TAG_PAGE);
     buf.extend_from_slice(&pid.file.0.to_le_bytes());
     buf.extend_from_slice(&pid.page.to_le_bytes());
     buf.extend_from_slice(&(data.len() as u32).to_le_bytes());
+    let sum = page_frame_sum(&buf[start..], fingerprint);
     buf.extend_from_slice(data);
-    let sum = fnv64(&buf[start..]);
     buf.extend_from_slice(&sum.to_le_bytes());
 }
 
@@ -117,7 +173,7 @@ fn encode_commit_frame(buf: &mut Vec<u8>, seq: u64, frames: u32) {
     buf.push(TAG_COMMIT);
     buf.extend_from_slice(&seq.to_le_bytes());
     buf.extend_from_slice(&frames.to_le_bytes());
-    let sum = fnv64(&buf[start..]);
+    let sum = hash64(&buf[start..]);
     buf.extend_from_slice(&sum.to_le_bytes());
 }
 
@@ -177,10 +233,10 @@ impl Wal {
     /// The most the buffer ever holds, and the capacity a flush leaves
     /// allocated. A group being encoded is written out — no fsync,
     /// like early writeback — before a frame would take the buffer
-    /// past this, so a bulk group (an initial load is tens of
-    /// megabytes) costs the process one bounded buffer instead of a
-    /// copy of every dirty page, while the steady-state groups of about
-    /// a megabyte still go out in one write and never reallocate.
+    /// past this, so a bulk group costs the process one bounded buffer
+    /// instead of a copy of every dirty page, while the steady-state
+    /// groups of about a megabyte still go out in one write and never
+    /// reallocate.
     const RETAINED_CAPACITY: usize = 8 * Self::WRITEBACK_THRESHOLD;
 
     /// Size of the redo scan's read buffer.
@@ -209,11 +265,23 @@ impl Wal {
         })
     }
 
-    /// Open the log in `dir` (created empty if absent).
+    /// Open the log in `dir` (created empty if absent). A log written
+    /// in the first frame format is refused, untouched: recovery would
+    /// fail every checksum and discard committed groups as torn.
     pub fn open(dir: &Path) -> Result<Wal> {
         let path = dir.join(Self::FILE_NAME);
         let file = Self::open_handle(&path, false)?;
         let len = file.metadata().map_err(|e| Error::io(format!("stat {path:?}"), &e))?.len();
+        if len > 0 {
+            let mut tag = [0u8; 1];
+            file.read_exact_at(&mut tag, 0).map_err(|e| Error::io("read wal tag", &e))?;
+            if RETIRED_TAGS.contains(&tag[0]) {
+                return Err(Error::Corrupt(format!(
+                    "{path:?} is in an earlier log format; checkpoint the store with the \
+                     build that wrote it before opening it with this one"
+                )));
+            }
+        }
         Ok(Wal {
             file,
             flushed: Cell::new(len),
@@ -333,7 +401,7 @@ impl Wal {
                     }
                     log.read_exact(&mut image).map_err(io)?;
                     log.read_exact(&mut sum).map_err(io)?;
-                    if u64::from_le_bytes(sum) != fnv64_fold(fnv64(&head), &image) {
+                    if u64::from_le_bytes(sum) != page_frame_sum(&head, hash64(&image)) {
                         break;
                     }
                     let key = (head_u32(&head, HEAD_FILE), head_u32(&head, HEAD_PAGE));
@@ -342,7 +410,7 @@ impl Wal {
                 }
                 TAG_COMMIT => {
                     log.read_exact(&mut sum).map_err(io)?;
-                    if u64::from_le_bytes(sum) != fnv64(&head)
+                    if u64::from_le_bytes(sum) != hash64(&head)
                         || head_u32(&head, HEAD_COUNT) as usize != group.len()
                     {
                         break;
@@ -376,10 +444,14 @@ pub struct DurableBackend {
     /// Committed-but-unapplied page images: the read layer between the
     /// overlay and the data files. Drained by [`Self::checkpoint`].
     committed: RefCell<Overlay>,
-    /// FNV fingerprint of each page's committed image — the skip-clean
-    /// cache. A hit means the overlay write re-created identical bytes
-    /// and carries no information for redo.
+    /// [`hash64`] fingerprint of each page's committed image — the
+    /// skip-clean cache. A hit means the overlay write re-created
+    /// identical bytes and carries no information for redo.
     clean: RefCell<HashMap<(u32, u32), u64>>,
+    /// Set from [`DurableBackend::create`] to the first commit: pages of
+    /// every file but the catalog go straight to their data files, and
+    /// that commit syncs them.
+    loading: Cell<bool>,
     /// Files dirtied by [`StorageBackend::apply_backlog`] since the
     /// last checkpoint: the only files a checkpoint has to fsync.
     dirty: RefCell<BTreeSet<u32>>,
@@ -395,13 +467,24 @@ pub struct DurableBackend {
 }
 
 impl DurableBackend {
-    fn assemble(inner: FileBackend, wal: Wal, recovery: Option<RecoveryStats>) -> DurableBackend {
+    /// The file that holds the catalog naming a store's live structures:
+    /// the one file a new store logs before its first commit
+    /// ([`Self::create`]).
+    pub const CATALOG: FileId = FileId(0);
+
+    fn assemble(
+        inner: FileBackend,
+        wal: Wal,
+        loading: bool,
+        recovery: Option<RecoveryStats>,
+    ) -> DurableBackend {
         DurableBackend {
             inner,
             wal,
             overlay: RefCell::new(BTreeMap::new()),
             committed: RefCell::new(BTreeMap::new()),
             clean: RefCell::new(HashMap::new()),
+            loading: Cell::new(loading),
             dirty: RefCell::new(BTreeSet::new()),
             doomed: RefCell::new(Vec::new()),
             covered: RefCell::new(Vec::new()),
@@ -410,11 +493,18 @@ impl DurableBackend {
         }
     }
 
-    /// Create a fresh durable store in `dir`.
+    /// Create a fresh durable store in `dir`. Its initial load is its
+    /// first checkpoint: until the first commit, a page of any file but
+    /// the catalog (file 0) goes straight to its data file — no overlay,
+    /// no committed layer, no log frame, only its fingerprint for
+    /// skip-clean. The first commit syncs those files and the directory
+    /// that names them, then seals the catalog's group as usual. A crash
+    /// before that group is synced leaves no catalog; one after it
+    /// reopens to exactly the load.
     pub fn create(dir: &Path, page_size: usize) -> Result<DurableBackend> {
         let inner = FileBackend::create(dir, page_size)?;
         let wal = Wal::create(dir)?;
-        Ok(Self::assemble(inner, wal, None))
+        Ok(Self::assemble(inner, wal, true, None))
     }
 
     /// Reopen a durable store, running crash recovery: scan the log
@@ -444,7 +534,7 @@ impl DurableBackend {
         inner.sync_all_files()?;
         wal.truncate_to(0)?;
         let ran = stats.commits > 0 || stats.torn_bytes > 0;
-        Ok(Self::assemble(inner, wal, ran.then_some(stats)))
+        Ok(Self::assemble(inner, wal, false, ran.then_some(stats)))
     }
 
     /// The store directory.
@@ -531,7 +621,15 @@ impl StorageBackend for DurableBackend {
         if pid.page >= pages {
             return Err(Error::PageNotFound { file: pid.file.0, page: pid.page });
         }
-        self.overlay.borrow_mut().insert((pid.file.0, pid.page), data.to_rc());
+        let key = (pid.file.0, pid.page);
+        if self.loading.get() && pid.file != Self::CATALOG {
+            // The load is the first checkpoint: straight to the data file.
+            let sum = hash64(data.bytes());
+            self.inner.write_page(pid, data)?;
+            self.clean.borrow_mut().insert(key, sum);
+            return Ok(());
+        }
+        self.overlay.borrow_mut().insert(key, data.to_rc());
         Ok(())
     }
 
@@ -553,6 +651,14 @@ impl StorageBackend for DurableBackend {
 
     fn commit(&self, durability: Durability) -> Result<CommitStats> {
         let sabotage = self.sabotage.take();
+        // A new store's first commit: its load sits unsynced in the data
+        // files, so sync them, and the directory entries that name them,
+        // before any group can name them.
+        if self.loading.get() {
+            self.inner.sync_all_files()?;
+            self.inner.sync_dir()?;
+            self.loading.set(false);
+        }
         if self.overlay.borrow().is_empty() {
             // Nothing new this commit; a barrier still seals whatever
             // deferred groups are waiting in the log buffer.
@@ -584,7 +690,7 @@ impl StorageBackend for DurableBackend {
             let overlay = self.overlay.borrow();
             let clean = self.clean.borrow();
             for (&key, img) in overlay.iter() {
-                let sum = fnv64(img);
+                let sum = hash64(img);
                 if sabotage.is_none() && clean.get(&key) == Some(&sum) {
                     skipped += 1;
                     continue;
@@ -600,7 +706,7 @@ impl StorageBackend for DurableBackend {
                         return Err(e);
                     }
                 }
-                encode_page_frame(&mut buf, PageId::new(FileId(key.0), key.1), img);
+                encode_page_frame(&mut buf, PageId::new(FileId(key.0), key.1), img, sum);
                 sealed.push((key, sum));
             }
         }
@@ -756,10 +862,10 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let pid = PageId::new(FileId(3), 7);
         let mut log = Vec::new();
-        encode_page_frame(&mut log, pid, &page(0xEE));
+        encode_page_frame(&mut log, pid, &page(0xEE), hash64(&page(0xEE)));
         encode_commit_frame(&mut log, 1, 1);
         let first = log.len();
-        encode_page_frame(&mut log, pid, &page(0xFF));
+        encode_page_frame(&mut log, pid, &page(0xFF), hash64(&page(0xFF)));
         encode_commit_frame(&mut log, 2, 1);
         let scan = |bytes: &[u8]| {
             fs::write(dir.join(Wal::FILE_NAME), bytes).unwrap();
@@ -786,6 +892,120 @@ mod tests {
         assert_eq!((stats.frames, stats.commits), (1, 1));
         assert_eq!(stats.torn_bytes, (log.len() - 1 - first) as u64);
         assert_eq!(scan(&log[..5]).1.torn_bytes, 5);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_one_byte_change_of_a_frame_fails_its_checksum() {
+        let img: Vec<u8> = (0..PS).map(|i| (i * 7) as u8).collect();
+        let mut frame = Vec::new();
+        encode_page_frame(&mut frame, PageId::new(FileId(2), 9), &img, hash64(&img));
+        let sound = |f: &[u8]| {
+            let head: [u8; FRAME_HEAD] = f[..FRAME_HEAD].try_into().unwrap();
+            let image = &f[FRAME_HEAD..FRAME_HEAD + PS];
+            let sum = u64::from_le_bytes(f[FRAME_HEAD + PS..].try_into().unwrap());
+            sum == page_frame_sum(&head, hash64(image))
+        };
+        assert!(sound(&frame));
+        for at in 0..frame.len() {
+            for flip in 1..=255u8 {
+                let mut bent = frame.clone();
+                bent[at] ^= flip;
+                assert!(!sound(&bent), "byte {at} ^ {flip:#x} went unnoticed");
+            }
+        }
+    }
+
+    /// A new store: files 0 (the catalog) and 1, three pages
+    /// of file 1 and one of the catalog written, then one commit under
+    /// `sabotage`. Returns the directory, the store, file 1 and the
+    /// commit's result.
+    fn loaded_store(
+        name: &str,
+        sabotage: Option<CommitSabotage>,
+    ) -> (PathBuf, DurableBackend, FileId, Result<CommitStats>) {
+        let dir = tmp(name);
+        let b = DurableBackend::create(&dir, PS).unwrap();
+        let catalog = b.create_file();
+        let f = b.create_file();
+        for i in 0..3u8 {
+            let pid = b.allocate_page(f).unwrap();
+            b.write_page(pid, PageWrite::Borrowed(&page(0x10 + i))).unwrap();
+        }
+        // The load went straight to its data file.
+        assert_eq!(b.overlay_pages(), 0);
+        assert_eq!(b.inner.read_page(PageId::new(f, 2)).unwrap().as_slice(), page(0x12).as_slice());
+        let pid = b.allocate_page(catalog).unwrap();
+        b.write_page(pid, PageWrite::Borrowed(&page(0xCA))).unwrap();
+        assert_eq!(b.overlay_pages(), 1, "the catalog is logged");
+        if let Some(mode) = sabotage {
+            b.sabotage_next_commit(mode);
+        }
+        let stats = b.commit(Durability::Barrier);
+        (dir, b, f, stats)
+    }
+
+    #[test]
+    fn a_load_is_the_first_checkpoint_and_its_commit_logs_the_catalog_alone() {
+        let catalog = PageId::new(DurableBackend::CATALOG, 0);
+
+        // Torn at the first commit: the load is on disk, but no catalog
+        // page names any of it.
+        let (dir, b, f, stats) = loaded_store("load-torn", Some(CommitSabotage::TornWal));
+        assert!(stats.is_err());
+        drop(b);
+        let b = DurableBackend::open(&dir, PS).unwrap();
+        assert!(b.take_recovery_stats().expect("recovery ran").torn_bytes > 0);
+        assert_eq!(b.read_page(catalog).unwrap().as_slice(), &[0u8; PS], "no catalog");
+        assert_eq!(b.num_pages(f).unwrap(), 3);
+        let _ = fs::remove_dir_all(&dir);
+
+        // Durable but never promoted: the reopen is exactly the load.
+        let (dir, b, f, stats) = loaded_store("load-skip", Some(CommitSabotage::SkipApply));
+        assert_eq!(stats.unwrap().frames, 1, "only the catalog's page is logged");
+        drop(b);
+        let b = DurableBackend::open(&dir, PS).unwrap();
+        assert_eq!(b.take_recovery_stats().expect("recovery ran").frames, 1);
+        assert_eq!(b.read_page(catalog).unwrap().as_slice(), page(0xCA).as_slice());
+        for i in 0..3u8 {
+            assert_eq!(b.read_page(PageId::new(f, i as u32)).unwrap().as_slice(), page(0x10 + i));
+        }
+        let _ = fs::remove_dir_all(&dir);
+
+        // After the first commit the store logs every file, and a loaded
+        // page rewritten with its load image is skipped as clean.
+        let (dir, b, f, stats) = loaded_store("load-then-log", None);
+        assert_eq!((stats.unwrap().frames, b.wal_apply_lag()), (1, 1));
+        b.write_page(PageId::new(f, 0), PageWrite::Borrowed(&page(0x10))).unwrap();
+        b.write_page(PageId::new(f, 1), PageWrite::Borrowed(&page(0x77))).unwrap();
+        assert_eq!(b.overlay_pages(), 2);
+        let stats = b.commit(Durability::Barrier).unwrap();
+        assert_eq!((stats.frames, stats.frames_skipped), (1, 1));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_log_in_the_first_format_is_refused_untouched() {
+        let dir = tmp("retired");
+        let b = DurableBackend::create(&dir, PS).unwrap();
+        let f = b.create_file();
+        let pid = b.allocate_page(f).unwrap();
+        b.write_page(pid, PageWrite::Borrowed(&page(0xAB))).unwrap();
+        b.commit(Durability::Barrier).unwrap();
+        drop(b);
+        // The first format's tags on an otherwise intact log.
+        let path = dir.join(Wal::FILE_NAME);
+        let mut log = fs::read(&path).unwrap();
+        for tag in RETIRED_TAGS {
+            log[0] = tag;
+            fs::write(&path, &log).unwrap();
+            let err = DurableBackend::open(&dir, PS).err().expect("an older log is refused");
+            assert!(err.to_string().contains("earlier log format"), "{err}");
+            assert_eq!(fs::read(&path).unwrap(), log, "the refused log is left as it was");
+        }
+        // A checkpointed store's empty log opens whatever wrote it.
+        fs::write(&path, b"").unwrap();
+        assert!(DurableBackend::open(&dir, PS).unwrap().take_recovery_stats().is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -10,7 +10,7 @@
 
 use std::path::PathBuf;
 
-use trijoin::catalog::{read_catalog, write_catalog};
+use trijoin::catalog::{read_catalog, write_catalog, CATALOG_FILE};
 use trijoin::{Database, Durability, JoinStrategy, Mutation, SystemParams};
 use trijoin_check::{generate, run_script, CheckConfig, GenConfig};
 use trijoin_common::{BaseTuple, Error, Surrogate, ViewTuple};
@@ -115,6 +115,33 @@ fn every_crash_flavour_recovers_to_the_committed_state() {
         }
         assert_all_strategies_agree(&db, &committed, &s0);
     }
+}
+
+/// The initial load is the store's first checkpoint: `R` and `S` reach
+/// their data files directly, and the commit that ends `create_durable`
+/// logs the catalog's pages and nothing else. Its committed layer, which
+/// holds every page that commit logged, is the catalog alone.
+#[test]
+fn the_load_commit_logs_the_catalog_alone() {
+    let dir = fresh_dir("load-commit");
+    let db = Database::create_durable(&params(), tuples(400, 0), tuples(300, 0), &dir).unwrap();
+    let catalog = db.disk().num_pages(CATALOG_FILE).unwrap() as u64;
+    assert!(db.disk().total_pages() > 10 * catalog, "the load spans many more pages");
+    assert_eq!(db.metrics().counter("wal.commits"), 1);
+    assert_eq!(db.metrics().counter("wal.frames"), catalog, "only the catalog is logged");
+    assert_eq!(db.disk().wal_apply_lag(), catalog, "no loaded page waits in memory");
+}
+
+/// A cold drop right after `create_durable`: the reopen holds exactly
+/// the load, and every strategy answers the oracle join over it.
+#[test]
+fn a_cold_drop_right_after_the_load_reopens_to_the_load() {
+    let dir = fresh_dir("load-cold");
+    let (r0, s0) = (tuples(400, 0), tuples(300, 0));
+    drop(Database::create_durable(&params(), r0.clone(), s0.clone(), &dir).unwrap());
+    let db = Database::open_durable(&params(), &dir).unwrap();
+    assert_eq!(db.metrics().counter("wal.recovered.commits"), 1, "the catalog's group");
+    assert_all_strategies_agree(&db, &r0, &s0);
 }
 
 /// 250 updates over the first 100 tuples of `mirror`, descending and each
